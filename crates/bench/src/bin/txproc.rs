@@ -1162,14 +1162,13 @@ mod tests {
         ]);
         cmd_bench(&a).unwrap();
         let raw = std::fs::read_to_string(&out).unwrap();
-        assert!(raw.contains("txproc-bench-scheduler/v8"));
+        assert!(raw.contains("txproc-bench-scheduler/v9"));
         assert!(raw.contains("pred-scan"));
         assert!(raw.contains("zipf-hotspot"));
         assert!(raw.contains("runtime_ratio"));
         assert!(raw.contains("open_runs"));
         assert!(raw.contains("\"phases\""));
         assert!(raw.contains("telemetry_overhead"));
-        assert!(raw.contains("epoch_decision"));
         assert!(raw.contains("\"epoch\": 16"));
         std::fs::remove_file(&out).ok();
     }

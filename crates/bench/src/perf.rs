@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 use txproc_core::domains::DomainPartition;
 use txproc_core::ids::{GlobalActivityId, ProcessId};
-use txproc_core::pred_incremental::{check_pred_incremental, IncrementalPred};
+use txproc_core::pred_incremental::check_pred_incremental;
 use txproc_core::protocol::{DeferPolicy, Protocol};
 use txproc_core::recoverability::proc_rec_violations;
 use txproc_core::schedule::{Event, Schedule};
@@ -357,31 +357,6 @@ pub struct TelemetryOverheadEntry {
     pub overhead_pct: f64,
 }
 
-/// One epoch-certification amortization point (E25, schema v7): amortized
-/// per-event cost of [`certify_epoch`](txproc_core::pred_incremental::IncrementalPred::certify_epoch)
-/// over a batch of N consecutive history events, against a certifier warmed
-/// with a long high-conflict committed prefix. One scratch clone of the
-/// certifier serves the whole batch, so the clone — whose cost grows with
-/// accumulated state — amortizes over N while the per-event plan work does
-/// not.
-#[derive(Debug, Clone, Serialize)]
-pub struct EpochDecisionEntry {
-    /// Processes of the recorded workload.
-    pub processes: usize,
-    /// Conflict density of the recorded workload.
-    pub density: f64,
-    /// Events already recorded into the certifier when probed.
-    pub prefix_events: usize,
-    /// Batch size N.
-    pub epoch: usize,
-    /// Nanoseconds for one `certify_epoch` call over the batch.
-    pub ns_per_batch: f64,
-    /// Amortized nanoseconds per event (`ns_per_batch / epoch`).
-    pub ns_per_event: f64,
-    /// `ns_per_event(N = 1) / ns_per_event(N)`.
-    pub speedup_vs_single: f64,
-}
-
 /// One fsync-policy throughput point (E26, schema v8): the highest-density
 /// engine sweep point re-driven with a file-backed WAL under one
 /// [`DurabilityPolicy`], against the unlogged run as the baseline. The
@@ -469,8 +444,6 @@ pub struct BenchReport {
     pub open_runs: Vec<OpenRunEntry>,
     /// Per-decision protocol cost.
     pub decision: Vec<DecisionBenchEntry>,
-    /// Epoch-certification amortization sweep (E25; schema v7).
-    pub epoch_decision: Vec<EpochDecisionEntry>,
     /// Named-scenario gauntlet results: every scenario over
     /// `config.gauntlet_seeds` seeds, engine + sharded concurrent, with
     /// PRED/Proc-REC verdicts and envelope checks.
@@ -1053,74 +1026,6 @@ fn decision_bench(cfg: &SchedulerBenchConfig) -> Vec<DecisionBenchEntry> {
     out
 }
 
-/// E25 microbench: amortized group-certification cost. Records a
-/// failure-free high-conflict (d = 0.6) history into an [`IncrementalPred`]
-/// up to a cut near the end — committed-heavy, so the certifier's
-/// accumulated state (conflict rows, pair counts, commit bookkeeping) is
-/// large — then times `certify_epoch` on the next N consecutive history
-/// events for N ∈ {1, 4, 16, 64}. One scratch clone of the certifier serves
-/// the whole batch, so the clone cost amortizes over N while the per-event
-/// plan work does not; the amortized ns/event ratio between N = 1 and
-/// larger N is the group-certification win in isolation. The window is
-/// all-accepted by construction: the engine kept the failure-free history
-/// PRED, so every prefix is reducible and no batch is cut short.
-pub fn epoch_decision_bench(cfg: &SchedulerBenchConfig) -> Vec<EpochDecisionEntry> {
-    const BATCHES: [usize; 4] = [1, 4, 16, 64];
-    let max_batch = *BATCHES.last().expect("non-empty");
-    let processes = if cfg.smoke { 64 } else { 256 };
-    let density = 0.6;
-    let w = bench_workload(cfg.seed, processes, density, 0.0);
-    let r = run(
-        &w,
-        RunConfig {
-            policy: PolicyKind::Pred,
-            seed: cfg.seed,
-            certifier: cfg.certifier,
-            ..RunConfig::default()
-        },
-    );
-    let events = r.history.events();
-    assert!(
-        events.len() >= 2 * max_batch,
-        "epoch microbench history too short ({} events)",
-        events.len()
-    );
-    // A 7/8 cut: most processes committed (large accumulated state), with
-    // the largest batch still inside the history.
-    let cut = (events.len() - events.len() / 8).min(events.len() - max_batch);
-    let mut cert = IncrementalPred::new(&w.spec);
-    for e in &events[..cut] {
-        cert.record(e).expect("engine history prefix is legal");
-    }
-    assert!(
-        cert.certify_epoch(&events[cut..cut + max_batch])
-            .accepted_all(),
-        "failure-free PRED history window must be fully accepted"
-    );
-    let mut out = Vec::new();
-    let mut single_ns = f64::NAN;
-    for &n in &BATCHES {
-        let batch = &events[cut..cut + n];
-        let ns_per_batch = time_ns(|| {
-            std::hint::black_box(cert.certify_epoch(std::hint::black_box(batch)));
-        });
-        let ns_per_event = ns_per_batch / n as f64;
-        if n == 1 {
-            single_ns = ns_per_event;
-        }
-        out.push(EpochDecisionEntry {
-            processes,
-            density,
-            prefix_events: cut,
-            epoch: n,
-            ns_per_batch,
-            ns_per_event,
-            speedup_vs_single: single_ns / ns_per_event.max(1e-9),
-        });
-    }
-    out
-}
-
 /// Streams an already-recorded WAL sequence through a fresh file-backed
 /// writer under `policy`, returning (wall ms, fsyncs issued). Epoch seals
 /// go through [`WalWriter::seal_epoch`] so `FsyncPerEpoch` groups its
@@ -1489,18 +1394,6 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         ));
     }
     let decision = decision_bench(cfg);
-    let epoch_decision = epoch_decision_bench(cfg);
-    if let Some(e16) = epoch_decision.iter().find(|e| e.epoch == 16) {
-        notes.push(format!(
-            "epoch certification (E25): amortized {:.0} ns/event at N=16 vs {:.0} at N=1 — \
-             {:.2}x cheaper ({} processes, d={})",
-            e16.ns_per_event,
-            e16.ns_per_event * e16.speedup_vs_single,
-            e16.speedup_vs_single,
-            e16.processes,
-            e16.density
-        ));
-    }
     let trace_overhead = trace_overhead_bench(cfg);
     let phases = phase_breakdown_bench(cfg);
     let telemetry_overhead = telemetry_overhead_bench(cfg);
@@ -1526,12 +1419,13 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         Vec::new()
     };
     BenchReport {
-        // v8 (additive over v7): the per-run `durability` field (null on
-        // unlogged runs, so pre-v8 regression keys are unchanged), the
-        // `durability` fsync-policy sweep, and the `recovery`
+        // v9 drops the `epoch_decision` array: the `certify_epoch` batch
+        // API it measured is gone (E25), so readers of the other arrays are
+        // unaffected. v8 (additive over v7): the per-run `durability` field
+        // (null on unlogged runs, so pre-v8 regression keys are unchanged),
+        // the `durability` fsync-policy sweep, and the `recovery`
         // time-vs-log-length rows (E26). (v7 added the per-run `epoch`
-        // field, the epoch group-certification sweep entries at the highest
-        // density, and the `epoch_decision` amortization microbench (E25);
+        // field and the epoch sweep entries at the highest density (E25);
         // v6 added the `phases` per-phase wall-time breakdown per driver
         // and the `telemetry_overhead` on-vs-off rows; v5 added per-entry
         // runtime/worker/run-queue/scheduling-delay fields, the
@@ -1539,7 +1433,7 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         // Poisson sweep; v4 added the `scenarios` gauntlet array; v3 added
         // shard_mode/shards/clusters, lock contention and wakeup counters
         // over v2.)
-        schema: "txproc-bench-scheduler/v8",
+        schema: "txproc-bench-scheduler/v9",
         created_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -1549,7 +1443,6 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         runtime_ratio,
         open_runs,
         decision,
-        epoch_decision,
         scenarios,
         trace_overhead,
         phases,
@@ -1650,15 +1543,6 @@ mod tests {
             .decision
             .iter()
             .all(|d| d.ns_per_request_indexed > 0.0 && d.ns_per_request_scan > 0.0));
-        // E25: the amortization microbench probes N ∈ {1, 4, 16, 64} and
-        // normalizes speedups against its own N = 1 point.
-        let ns: Vec<_> = report.epoch_decision.iter().map(|e| e.epoch).collect();
-        assert_eq!(ns, vec![1, 4, 16, 64]);
-        assert!(report
-            .epoch_decision
-            .iter()
-            .all(|e| e.ns_per_event > 0.0 && e.ns_per_batch > 0.0 && e.prefix_events > 0));
-        assert!((report.epoch_decision[0].speedup_vs_single - 1.0).abs() < 1e-9);
         // E20 sinks: untraced baseline plus the three sink variants.
         let sinks: Vec<_> = report.trace_overhead.iter().map(|t| t.sink).collect();
         assert_eq!(sinks, vec!["none", "noop", "ring-4096", "jsonl-devnull"]);
@@ -1750,12 +1634,10 @@ mod tests {
             .iter()
             .any(|n| n.starts_with("recovery (E26):")));
         let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("txproc-bench-scheduler/v8"));
+        assert!(json.contains("txproc-bench-scheduler/v9"));
         assert!(json.contains("throughput_vs_unlogged"));
         assert!(json.contains("wal_only_records_per_sec"));
         assert!(json.contains("snapshot_every"));
-        assert!(json.contains("epoch_decision"));
-        assert!(json.contains("speedup_vs_single"));
         assert!(json.contains("telemetry_overhead"));
         assert!(json.contains("\"phases\""));
         assert!(json.contains("abort_reasons"));

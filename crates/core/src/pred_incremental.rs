@@ -2,32 +2,57 @@
 //!
 //! [`crate::pred::check_pred`] re-derives the completed schedule `S̃` and its
 //! reduction for *every* prefix, which is `O(n³)` over a history of `n`
-//! events. An online scheduler, however, only ever extends the history by one
-//! event at a time, and almost all of the certification state is shared
-//! between consecutive prefixes:
+//! events. An online scheduler only ever extends the history by one event at
+//! a time, so the certifier carries the whole derivation across events and
+//! processes the *delta* of each one in place:
 //!
 //! * the per-process state machines advance by exactly one transition,
 //! * the `≪̃`-predecessor closure of every already-recorded operation is
 //!   final — a new operation of the original history is always a *sink*
 //!   among the original operations (8.3a orders conflicting pairs by history
-//!   position, per-process chains follow execution order),
-//! * the per-service conflict aggregates (union of the predecessor closures
-//!   of all operations of a service) let the closure of a new operation be
-//!   assembled in `O(conflicting services · n/64)` words,
-//! * permanence of an operation (it survives every reduction) only flips
-//!   when a process's pending completion changes — the affected operations
-//!   are found through their activity ids and re-counted against their
-//!   conflict buckets in `O(degree)`,
-//! * the process-level conflict-pair counters for both the mandatory-rank
-//!   graph and the final serializability check are maintained by the same
-//!   flip-diff scheme.
+//!   position, per-process chains follow execution order), and its closure
+//!   is assembled from per-service closure aggregates,
+//! * permanence of an operation only flips when a process's pending
+//!   completion changes; the 8.3(d)/(f) pair counters (`m2`) follow by
+//!   flip-diff against the operation's conflict buckets,
+//! * the **reduction itself is persistent**: the set of original operations
+//!   the compensation rule cancelled and the rule-3-live pair counters net
+//!   of them (with the process graph they induce) are certifier state. A new
+//!   forward operation cannot change the fate of any original pair; a new
+//!   compensation adds one pair and a worklist cascade from it; a commit
+//!   revives that process's effect-free operations and re-examines only the
+//!   pairs those operations sit between.
 //!
 //! Only the *completion overlay* — the operations Definition 8 appends for
 //! the still-active processes — is rebuilt per event, from cached
-//! [`crate::state::Completion`]s. Its size is bounded by the remaining work
-//! of the active processes, so the per-event cost is `O(n/64)`-ish plus terms
-//! in the overlay size and the conflict degree, instead of the batch
-//! decider's full `O(n²)` per prefix.
+//! [`crate::state::Completion`]s, layered on top of the persistent reduction
+//! and undone after the verdict.
+//!
+//! Every mutation logs its inverse ([`Undo`]). A what-if ([`certify`]) or a
+//! rejected candidate rolls the log back, so the state afterwards is the
+//! state before; an admitted candidate ([`certify_keep`]) stays applied and
+//! the matching [`record`] only drops the log.
+//!
+//! Per-event cost, `n` recorded operations, `w = ⌈n/64⌉` words, `d` the
+//! conflict degree of the touched operation (operations in conflicting
+//! service buckets), `k` overlay operations, `p` processes with operations,
+//! `c` compensation pairs. Before this state was persistent every step below
+//! also paid a clone of the state it touches, and the last two were
+//! re-derived from the whole history:
+//!
+//! | step | was, per event | is, per event |
+//! |------|----------------|---------------|
+//! | state machines, completion caches | `O(|process|)` | same |
+//! | closure row of the new operation | `O(services · w)` + oracle per service | `O(conflicting services · w)` |
+//! | permanence flips, `m2` | `O(flips · d)` + `O(n + p²)` clone | `O(flips · d)` |
+//! | mandatory ranks 8.3(d)/(f) | `O(p² + k·d)` always | only when two overlay forward operations of different processes conflict |
+//! | overlay order and closure rows | `O(k² + k · services · w)` | `O(k² + k · conflicting services · w)` |
+//! | cancellation fixpoint | `O(rounds · (c + k) · d)` over all pairs | `O(d)` per new pair, `O(c)` per cancelled operation, `O(rounds · k · d)` for the overlay |
+//! | live pair counters and process graph | `O(n · d + p²)` rebuild + Kahn | `O(d)` per operation that changes liveness; Kahn `O(p · ⌈p/64⌉)` only when an edge appears |
+//!
+//! [`certify`]: IncrementalPred::certify
+//! [`certify_keep`]: IncrementalPred::certify_keep
+//! [`record`]: IncrementalPred::record
 //!
 //! The certifier is **bit-for-bit compatible** with the batch pipeline
 //! (`complete` + `reduce` per prefix): `check_pred_incremental` returns a
@@ -68,60 +93,88 @@ fn or_into(dst: &mut Vec<u64>, src: &[u64]) {
     }
 }
 
-/// Dense process graph over a fixed, sorted pid universe. `plan` builds two
-/// throwaway graphs per event over tens of thousands of pair entries; with
-/// [`crate::serializability::ProcessGraph`] every edge costs a `BTreeSet`
-/// insert, which dominated the per-event budget on long commit-heavy
-/// histories. Here an edge is one bit. The Kahn traversal reproduces
-/// `ProcessGraph::topological_order` exactly — FIFO queue seeded in
-/// ascending pid order, successors visited in ascending pid order — because
-/// the 8.3(d)/(f) ranks feed order-sensitive tie-breaks downstream.
+/// Dense process graph over node indices `0..n`; an edge is one bit.
+/// The Kahn traversal reproduces
+/// [`crate::serializability::ProcessGraph::topological_order`] exactly when
+/// the indices are assigned in ascending pid order — FIFO queue seeded in
+/// ascending order, successors visited in ascending order — because the
+/// 8.3(d)/(f) ranks feed order-sensitive tie-breaks downstream.
+#[derive(Debug, Clone)]
 struct DenseGraph {
-    /// Sorted node universe; local index = position.
-    pids: Vec<ProcessId>,
+    n: usize,
+    /// Words per adjacency row (`words * 64 >= n`).
     words: usize,
-    /// Row-major adjacency bitmap (`np × words`).
+    /// Row-major adjacency bitmap (`n × words`).
     adj: Vec<u64>,
     indeg: Vec<u32>,
 }
 
 impl DenseGraph {
-    fn new(pids: Vec<ProcessId>) -> Self {
-        debug_assert!(pids.windows(2).all(|w| w[0] < w[1]), "sorted + dedup");
-        let np = pids.len();
-        let words = words_for(np);
+    fn new(n: usize) -> Self {
+        let words = words_for(n);
         DenseGraph {
-            pids,
+            n,
             words,
-            adj: vec![0u64; np * words],
-            indeg: vec![0u32; np],
+            adj: vec![0u64; n * words],
+            indeg: vec![0u32; n],
         }
     }
 
-    /// Adds an edge by local node index (position in the sorted universe);
-    /// the hot loops pre-resolve indices once instead of binary-searching
-    /// per edge.
-    fn add_edge_idx(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
+    /// Appends an isolated node (row re-layout once per 64 nodes).
+    fn push_node(&mut self) {
+        if self.n == self.words * 64 {
+            let words = self.words + 1;
+            let mut adj = vec![0u64; self.n * words];
+            for (new, old) in adj
+                .chunks_exact_mut(words)
+                .zip(self.adj.chunks_exact(self.words))
+            {
+                new[..self.words].copy_from_slice(old);
+            }
+            self.adj = adj;
+            self.words = words;
         }
+        self.n += 1;
+        self.adj.resize(self.n * self.words, 0);
+        self.indeg.push(0);
+    }
+
+    /// Removes the last node, which must be isolated.
+    fn pop_node(&mut self) {
+        self.n -= 1;
+        self.adj.truncate(self.n * self.words);
+        let indeg = self.indeg.pop();
+        debug_assert_eq!(indeg, Some(0), "popped node must be isolated");
+    }
+
+    /// Adds an edge; `false` if it is a self-loop or already present.
+    fn add_edge(&mut self, a: usize, b: usize) -> bool {
         let w = &mut self.adj[a * self.words + b / 64];
         let bit = 1u64 << (b % 64);
-        if *w & bit == 0 {
-            *w |= bit;
-            self.indeg[b] += 1;
+        if a == b || *w & bit != 0 {
+            return false;
         }
+        *w |= bit;
+        self.indeg[b] += 1;
+        true
     }
 
-    /// Topological order (FIFO Kahn in ascending-pid order, matching
-    /// `ProcessGraph::topological_order`), or `None` if cyclic.
-    fn topological_order(&self) -> Option<Vec<ProcessId>> {
-        let np = self.pids.len();
+    /// Removes an edge that is present.
+    fn remove_edge(&mut self, a: usize, b: usize) {
+        let w = &mut self.adj[a * self.words + b / 64];
+        debug_assert!(*w & (1u64 << (b % 64)) != 0, "edge must be present");
+        *w &= !(1u64 << (b % 64));
+        self.indeg[b] -= 1;
+    }
+
+    /// Topological order of the node indices (FIFO Kahn in ascending
+    /// order), or `None` if cyclic.
+    fn topological_order(&self) -> Option<Vec<usize>> {
         let mut indeg = self.indeg.clone();
-        let mut queue: VecDeque<usize> = (0..np).filter(|&i| indeg[i] == 0).collect();
-        let mut out = Vec::with_capacity(np);
+        let mut queue: VecDeque<usize> = (0..self.n).filter(|&i| indeg[i] == 0).collect();
+        let mut out = Vec::with_capacity(self.n);
         while let Some(i) = queue.pop_front() {
-            out.push(self.pids[i]);
+            out.push(i);
             let row = &self.adj[i * self.words..(i + 1) * self.words];
             for (wi, &w) in row.iter().enumerate() {
                 let mut bits = w;
@@ -135,72 +188,112 @@ impl DenseGraph {
                 }
             }
         }
-        (out.len() == np).then_some(out)
-    }
-
-    fn is_acyclic(&self) -> bool {
-        self.topological_order().is_some()
+        (out.len() == self.n).then_some(out)
     }
 }
 
-/// Dense matrix of cross-process pair counters, keyed by the *dense
-/// process index* assigned to each process when its first operation is
-/// recorded ([`OrigOp::pidx`]). `counts[a * np + b]` counts pairs whose
-/// earlier operation belongs to dense process `a` and later to `b`.
-///
-/// The certifier clones its pair counters on every planned event; as a
-/// `BTreeMap<(ProcessId, ProcessId), u32>` that clone (plus the per-pair
-/// lookups of the adjustment loops) dominated the whole certify budget on
-/// commit-heavy 256-process histories. Here a clone is one `memcpy` and an
-/// adjustment is one indexed add.
-#[derive(Debug, Clone)]
+/// Cross-process pair counters, keyed by the *dense process index*
+/// assigned to each process when its first operation is recorded
+/// ([`OrigOp::pidx`]). The entry for `(a, b)` counts pairs whose earlier
+/// operation belongs to dense process `a` and later to `b`. Entries are laid
+/// out in shells — process `m` owns the `2m + 1` entries pairing it with
+/// itself and every earlier process — so a new process appends its shell and
+/// nothing moves.
+#[derive(Debug, Clone, Default)]
 struct PairCounts {
-    np: usize,
     counts: Vec<u32>,
 }
 
 impl PairCounts {
-    fn new(np: usize) -> Self {
-        PairCounts {
-            np,
-            counts: vec![0u32; np * np],
+    fn slot(a: usize, b: usize) -> usize {
+        if a >= b {
+            a * a + b
+        } else {
+            b * b + b + 1 + a
         }
     }
 
-    /// Clone with capacity for `np` processes (row re-layout only on the
-    /// at-most-once-per-process growth step).
-    fn grown(&self, np: usize) -> Self {
-        if np == self.np {
-            return self.clone();
-        }
-        debug_assert!(np > self.np);
-        let mut counts = vec![0u32; np * np];
-        for a in 0..self.np {
-            counts[a * np..a * np + self.np]
-                .copy_from_slice(&self.counts[a * self.np..(a + 1) * self.np]);
-        }
-        PairCounts { np, counts }
+    /// Sizes the matrix for exactly `np` processes; the shells dropped must
+    /// be zero.
+    fn resize(&mut self, np: usize) {
+        self.counts.resize(np * np, 0);
     }
 
+    fn get(&self, a: usize, b: usize) -> u32 {
+        self.counts[Self::slot(a, b)]
+    }
+
+    /// Adds or removes one pair; `true` when the entry crossed zero.
     #[inline]
-    fn inc(&mut self, a: u32, b: u32) {
-        self.counts[a as usize * self.np + b as usize] += 1;
-    }
-
-    #[inline]
-    fn dec(&mut self, a: u32, b: u32) {
-        let e = &mut self.counts[a as usize * self.np + b as usize];
-        debug_assert!(*e > 0, "pair count underflow");
-        *e -= 1;
+    fn bump(&mut self, a: u32, b: u32, up: bool) -> bool {
+        let e = &mut self.counts[Self::slot(a as usize, b as usize)];
+        if up {
+            *e += 1;
+            *e == 1
+        } else {
+            debug_assert!(*e > 0, "pair count underflow");
+            *e -= 1;
+            *e == 0
+        }
     }
 
     /// Dense-index pairs with a non-zero count.
-    fn nonzero(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.counts
+    fn nonzero(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let np = self.counts.len().isqrt();
+        (0..np)
+            .flat_map(move |a| (0..np).map(move |b| (a, b)))
+            .filter(|&(a, b)| self.get(a, b) > 0)
+    }
+}
+
+/// The reduced history's serialization state: conflicting cross-process
+/// pairs of original operations that are both rule-3 live and not
+/// cancelled, and the process graph those pairs induce (an edge per
+/// non-zero entry, over dense process indices).
+#[derive(Debug, Clone)]
+struct LiveGraph {
+    counts: PairCounts,
+    graph: DenseGraph,
+    /// Memo of `graph`'s acyclicity; dropped when an edge appears (a
+    /// removed edge cannot close a cycle).
+    acyclic: Option<bool>,
+}
+
+impl LiveGraph {
+    fn bump(&mut self, a: u32, b: u32, up: bool) {
+        if !self.counts.bump(a, b, up) {
+            return;
+        }
+        if up {
+            self.graph.add_edge(a as usize, b as usize);
+            self.acyclic = None;
+        } else {
+            self.graph.remove_edge(a as usize, b as usize);
+            if self.acyclic != Some(true) {
+                self.acyclic = None;
+            }
+        }
+    }
+
+    /// Whether the graph plus the `extra` (overlay) edges is acyclic. The
+    /// graph is re-checked only when an entry crossed zero since the last
+    /// check or the overlay contributes an edge.
+    fn is_acyclic_with(&mut self, extra: &[(u32, u32)]) -> bool {
+        let added: Vec<(u32, u32)> = extra
             .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, _)| ((i / self.np) as u32, (i % self.np) as u32))
+            .copied()
+            .filter(|&(a, b)| self.graph.add_edge(a as usize, b as usize))
+            .collect();
+        if added.is_empty() {
+            return *self
+                .acyclic
+                .get_or_insert_with(|| self.graph.topological_order().is_some());
+        }
+        let acyclic = self.graph.topological_order().is_some();
+        for (a, b) in added {
+            self.graph.remove_edge(a as usize, b as usize);
+        }
+        acyclic
     }
 }
 
@@ -208,24 +301,26 @@ impl PairCounts {
 #[derive(Debug, Clone, Copy)]
 struct OrigOp {
     gid: GlobalActivityId,
+    /// Base service, and its index in [`IncrementalPred::svcs`].
     service: ServiceId,
+    sidx: u32,
     kind: OpKind,
     /// Dense index of `gid.process` (see [`PairCounts`]).
     pidx: u32,
 }
 
-/// The operation a planned event appends to the original history.
+/// A base service some operation (recorded or overlay) invoked.
 #[derive(Debug, Clone)]
-struct NewOp {
-    gid: GlobalActivityId,
-    service: ServiceId,
-    kind: OpKind,
-    eff_free: bool,
-    /// Dense index of `gid.process` — the existing one, or the tentative
-    /// next index if this op introduces the process (made real by `apply`).
-    pidx: u32,
-    /// `≪̃`-predecessor closure over the original operations.
-    row: Vec<u64>,
+struct Service {
+    id: ServiceId,
+    /// Recorded operations of this service, ascending.
+    bucket: Vec<usize>,
+    /// Union of `rows[i] | {i}` over `bucket` (closure aggregate for
+    /// `O(words)` row assembly).
+    agg: Vec<u64>,
+    /// Indices of the known services this one conflicts with, asked of the
+    /// oracle once when the service is first seen.
+    conflicts: Vec<u32>,
 }
 
 /// A completion-overlay operation (rebuilt per event from cached
@@ -234,27 +329,39 @@ struct NewOp {
 struct Cop {
     gid: GlobalActivityId,
     service: ServiceId,
+    sidx: u32,
     kind: OpKind,
     pid: ProcessId,
+    pidx: u32,
     eff_free: bool,
 }
 
-/// Everything [`IncrementalPred::plan`] derives for one event: the verdict
-/// plus the state updates [`IncrementalPred::apply`] folds in. Planning is
-/// pure — a rejected event leaves the certifier untouched.
-#[derive(Clone)]
-struct StepDelta<'a> {
-    reducible: bool,
-    states: BTreeMap<ProcessId, ProcessState<'a>>,
-    commit: Option<ProcessId>,
-    compensated: Option<GlobalActivityId>,
-    new_op: Option<NewOp>,
-    completion_updates: BTreeMap<ProcessId, Option<Completion>>,
-    will_comp: BTreeSet<GlobalActivityId>,
-    perm: Vec<bool>,
-    live_base: Vec<bool>,
-    m: PairCounts,
-    m2: PairCounts,
+/// The inverse of one in-place mutation. Rolling the log back in reverse
+/// order restores the certifier exactly.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    Committed(ProcessId),
+    Compensated(GlobalActivityId),
+    PermFlip(usize),
+    /// An `m2` bump to invert.
+    Mandatory(u32, u32, bool),
+    /// A [`LiveGraph`] bump to invert.
+    Live(u32, u32, bool),
+    Revived(usize),
+    CancelFlip(usize),
+    Pair,
+    AggWord(u32, usize, u64),
+    AggLen(u32, usize),
+    Op,
+    Process,
+    Service,
+}
+
+#[derive(Clone, Default)]
+struct UndoLog<'a> {
+    ops: Vec<Undo>,
+    states: Vec<(ProcessId, Option<ProcessState<'a>>)>,
+    completions: Vec<(ProcessId, Option<Completion>)>,
 }
 
 /// Verdict for one planned or recorded event.
@@ -266,65 +373,10 @@ pub struct StepVerdict {
     pub reducible: bool,
 }
 
-/// Per-event outcome inside an epoch batch (see
-/// [`IncrementalPred::record_epoch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochStep {
-    /// Applied: the prefix extended by this event stays reducible.
-    Accepted(StepVerdict),
-    /// Planned but *not* applied: extending the accepted prefix by this
-    /// event would break reducibility. Poisons the rest of the epoch.
-    Rejected(StepVerdict),
-    /// Illegal under the process state machines (the per-event API would
-    /// return the matching [`ScheduleError`]); not applied, poisons the
-    /// rest of the epoch.
-    Illegal,
-    /// Never examined: an earlier step poisoned the epoch. The caller
-    /// degrades to per-event retry for skipped events.
-    Skipped,
-}
-
-/// Verdict for a candidate epoch: per-event accept/reject plus the length
-/// of the accepted prefix that was (or would be) folded in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochVerdict {
-    /// One entry per submitted event, in submission order.
-    pub steps: Vec<EpochStep>,
-    /// Events of the accepted prefix (`steps[..accepted]` are all
-    /// [`EpochStep::Accepted`]).
-    pub accepted: usize,
-    /// Whether a rejection or illegal event cut the epoch short. A poisoned
-    /// epoch is not an error: the accepted prefix is valid, and the caller
-    /// retries the remainder event by event.
-    pub poisoned: bool,
-}
-
-impl EpochVerdict {
-    /// Whether every submitted event was accepted.
-    pub fn accepted_all(&self) -> bool {
-        !self.poisoned
-    }
-}
-
-/// A plan retained by [`IncrementalPred::certify_keep`]: the next
-/// [`IncrementalPred::record`] (or [`IncrementalPred::record_epoch`]) of
-/// the *same* event at the *same* prefix length folds the cached delta in
-/// instead of re-planning, so an admitted event costs one closure /
-/// `PairCounts` update instead of two (certify-then-lazy-record).
-#[derive(Clone)]
-struct CachedPlan<'a> {
-    at_len: usize,
-    event: Event,
-    delta: StepDelta<'a>,
-}
-
 /// Incremental PRED certifier: answers "is this extended prefix still
 /// reducible?" per appended event, maintaining the serialization/weak-order
-/// closure, compensation-pair state and completion obligations across events.
-///
-/// `Clone` snapshots the whole certification state; [`Self::certify_epoch`]
-/// uses one such snapshot per candidate batch so trial-applying `N` events
-/// amortizes the closure/`PairCounts` copy across the epoch.
+/// closure, compensation-pair state, the reduction and completion
+/// obligations across events.
 #[derive(Clone)]
 pub struct IncrementalPred<'a> {
     spec: &'a Spec,
@@ -334,43 +386,44 @@ pub struct IncrementalPred<'a> {
     // -- original operations and their ≪̃ closure --
     ops: Vec<OrigOp>,
     rows: Vec<Vec<u64>>,
-    eff_free: Vec<bool>,
-    /// Per base service: union of `rows[i] | {i}` over operations of that
-    /// service (closure aggregate for O(words) row assembly).
-    agg: BTreeMap<ServiceId, Vec<u64>>,
-    buckets: BTreeMap<ServiceId, Vec<usize>>,
-    proc_ops: BTreeMap<ProcessId, Vec<usize>>,
-    last_of: BTreeMap<ProcessId, usize>,
-    fwd_of: BTreeMap<GlobalActivityId, usize>,
-    gid_ops: BTreeMap<GlobalActivityId, Vec<usize>>,
-    comp_gids: BTreeSet<GlobalActivityId>,
-    orig_comps: Vec<usize>,
-    procs_with_ops: BTreeSet<ProcessId>,
-    // -- permanence and liveness pair counters --
-    perm: Vec<bool>,
-    will_comp: BTreeSet<GlobalActivityId>,
-    completion_cache: BTreeMap<ProcessId, Completion>,
+    svc_idx: BTreeMap<ServiceId, u32>,
+    svcs: Vec<Service>,
     /// Dense index of every process with at least one operation, in
-    /// first-operation order (index ↔ [`OrigOp::pidx`]).
+    /// first-operation order (index ↔ [`OrigOp::pidx`]), and its operations.
     dense_pids: Vec<ProcessId>,
     pid_dense: BTreeMap<ProcessId, u32>,
+    proc_ops: Vec<Vec<usize>>,
+    fwd_of: BTreeMap<GlobalActivityId, usize>,
+    comp_gids: BTreeSet<GlobalActivityId>,
+    /// Recorded compensation pairs `(forward, compensation)`.
+    pairs: Vec<(usize, usize)>,
+    // -- permanence --
+    /// Forward, not compensated, and not to be compensated by its
+    /// process's pending completion (Definition 8).
+    perm: Vec<bool>,
+    completion_cache: BTreeMap<ProcessId, Completion>,
     /// Permanent conflicting cross-process original pairs, keyed in history
     /// order (feeds the 8.3(d)/(f) mandatory-rank graph).
     m2: PairCounts,
-    /// Rule-3-live conflicting cross-process original pairs, keyed in
-    /// history order (feeds the final serializability graph).
-    m: PairCounts,
+    // -- the reduction of the original operations --
+    /// Rule 3: not effect-free, or of a committed process.
     live_base: Vec<bool>,
+    /// Removed by the compensation rule: the least fixpoint of "cancel a
+    /// pair nothing live and conflicting sits between" over `pairs`.
+    cancelled: Vec<bool>,
+    live: LiveGraph,
     // -- report --
     prefix_reducible: Vec<bool>,
     first_violation: Option<usize>,
-    /// Plan retained by `certify_keep` for the matching `record` (pure
-    /// optimization: `apply(plan(e))` either way; invalidated by length or
-    /// event mismatch).
-    cache: Option<CachedPlan<'a>>,
     /// Applied events in application order — the certifier's durable form
     /// (see [`Self::snapshot`]).
     events: Vec<Event>,
+    /// Inverses of the mutations of the event in flight; empty between
+    /// calls unless `kept` is set.
+    log: UndoLog<'a>,
+    /// The admitted event `certify_keep` left applied: the next `record` of
+    /// the same event only drops the log; anything else rolls it back first.
+    kept: Option<Event>,
 }
 
 /// Serializable image of an [`IncrementalPred`]: the applied event prefix.
@@ -384,30 +437,53 @@ pub struct CertifierSnapshot {
     pub events: Vec<Event>,
 }
 
+/// The working copy of `pid`'s state machine for the event in flight.
 fn touch<'a, 'b>(
     spec: &'a Spec,
     base: &BTreeMap<ProcessId, ProcessState<'a>>,
-    touched: &'b mut BTreeMap<ProcessId, ProcessState<'a>>,
+    touched: &'b mut Vec<(ProcessId, ProcessState<'a>)>,
     pid: ProcessId,
 ) -> Result<&'b mut ProcessState<'a>, ScheduleError> {
-    match touched.entry(pid) {
-        std::collections::btree_map::Entry::Occupied(e) => Ok(e.into_mut()),
-        std::collections::btree_map::Entry::Vacant(e) => {
-            let st = match base.get(&pid) {
-                Some(st) => st.clone(),
-                None => {
-                    let process = spec.process(pid)?;
-                    ProcessState::new(process, &spec.catalog).map_err(|_| {
-                        ScheduleError::Model(crate::error::ModelError::NotATree {
-                            process: pid,
-                            activity: crate::ids::ActivityId(0),
-                        })
-                    })?
-                }
-            };
-            Ok(e.insert(st))
-        }
+    if let Some(at) = touched.iter().position(|(p, _)| *p == pid) {
+        return Ok(&mut touched[at].1);
     }
+    let st = match base.get(&pid) {
+        Some(st) => st.clone(),
+        None => {
+            let process = spec.process(pid)?;
+            ProcessState::new(process, &spec.catalog).map_err(|_| {
+                ScheduleError::Model(crate::error::ModelError::NotATree {
+                    process: pid,
+                    activity: crate::ids::ActivityId(0),
+                })
+            })?
+        }
+    };
+    touched.push((pid, st));
+    Ok(&mut touched.last_mut().expect("just pushed").1)
+}
+
+/// Every operation of another process that conflicts with operation `x`,
+/// with the pair's dense process indices in history order.
+fn partners<'s>(
+    ops: &'s [OrigOp],
+    svcs: &'s [Service],
+    x: usize,
+) -> impl Iterator<Item = (usize, u32, u32)> + 's {
+    let px = ops[x].pidx;
+    svcs[ops[x].sidx as usize]
+        .conflicts
+        .iter()
+        .flat_map(move |&t| svcs[t as usize].bucket.iter().copied())
+        .filter(move |&j| j != x && ops[j].pidx != px)
+        .map(move |j| {
+            let pj = ops[j].pidx;
+            if x < j {
+                (j, px, pj)
+            } else {
+                (j, pj, px)
+            }
+        })
 }
 
 impl<'a> IncrementalPred<'a> {
@@ -420,28 +496,29 @@ impl<'a> IncrementalPred<'a> {
             committed: BTreeSet::new(),
             ops: Vec::new(),
             rows: Vec::new(),
-            eff_free: Vec::new(),
-            agg: BTreeMap::new(),
-            buckets: BTreeMap::new(),
-            proc_ops: BTreeMap::new(),
-            last_of: BTreeMap::new(),
-            fwd_of: BTreeMap::new(),
-            gid_ops: BTreeMap::new(),
-            comp_gids: BTreeSet::new(),
-            orig_comps: Vec::new(),
-            procs_with_ops: BTreeSet::new(),
-            perm: Vec::new(),
-            will_comp: BTreeSet::new(),
-            completion_cache: BTreeMap::new(),
+            svc_idx: BTreeMap::new(),
+            svcs: Vec::new(),
             dense_pids: Vec::new(),
             pid_dense: BTreeMap::new(),
-            m2: PairCounts::new(0),
-            m: PairCounts::new(0),
+            proc_ops: Vec::new(),
+            fwd_of: BTreeMap::new(),
+            comp_gids: BTreeSet::new(),
+            pairs: Vec::new(),
+            perm: Vec::new(),
+            completion_cache: BTreeMap::new(),
+            m2: PairCounts::default(),
             live_base: Vec::new(),
+            cancelled: Vec::new(),
+            live: LiveGraph {
+                counts: PairCounts::default(),
+                graph: DenseGraph::new(0),
+                acyclic: Some(true),
+            },
             prefix_reducible: vec![true],
             first_violation: None,
-            cache: None,
             events: Vec::new(),
+            log: UndoLog::default(),
+            kept: None,
         }
     }
 
@@ -498,173 +575,126 @@ impl<'a> IncrementalPred<'a> {
         }
     }
 
-    /// Pure what-if: would the history extended by `event` still be
-    /// reducible? Does not change the certifier.
-    pub fn certify(&self, event: &Event) -> Result<StepVerdict, ScheduleError> {
-        let delta = self.plan(event)?;
+    /// What-if: would the history extended by `event` still be reducible?
+    /// Applies the event in place and rolls it back, so the certifier is
+    /// left exactly as it was — also when the event is illegal.
+    pub fn certify(&mut self, event: &Event) -> Result<StepVerdict, ScheduleError> {
+        self.drop_kept();
+        let reducible = self.step(event)?;
+        self.rollback();
         Ok(StepVerdict {
             prefix_len: self.len + 1,
-            reducible: delta.reducible,
+            reducible,
         })
     }
 
-    /// Like [`Self::certify`], but retains the planned delta: if the very
-    /// next mutation records the same event at the same prefix length, the
-    /// cached delta is folded in instead of re-planned. Admitting an event
-    /// through `certify_keep` + `record` costs one closure/`PairCounts`
-    /// update total, where `certify` + `record` pays two. Decisions are
-    /// identical either way (`record` = `apply(plan(event))`, and planning
-    /// is pure).
+    /// Like [`Self::certify`], but an admitted (reducible) event stays
+    /// applied: if the very next mutation records the same event, `record`
+    /// only drops the undo log, so admitting an event costs one step
+    /// instead of two. Any other call rolls the kept event back first, and
+    /// a rejected or illegal event is rolled back at once, so decisions and
+    /// every observable (`len`, `report`, …) are identical either way.
     pub fn certify_keep(&mut self, event: &Event) -> Result<StepVerdict, ScheduleError> {
-        let delta = self.plan(event)?;
-        let verdict = StepVerdict {
-            prefix_len: self.len + 1,
-            reducible: delta.reducible,
-        };
-        self.cache = Some(CachedPlan {
-            at_len: self.len,
-            event: event.clone(),
-            delta,
-        });
-        Ok(verdict)
-    }
-
-    /// Takes the cached plan if it matches `event` at the current length.
-    fn take_cached(&mut self, event: &Event) -> Option<StepDelta<'a>> {
-        let hit = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.at_len == self.len && c.event == *event);
-        if hit {
-            self.cache.take().map(|c| c.delta)
+        self.drop_kept();
+        let reducible = self.step(event)?;
+        if reducible {
+            self.kept = Some(event.clone());
         } else {
-            None
+            self.rollback();
         }
+        Ok(StepVerdict {
+            prefix_len: self.len + 1,
+            reducible,
+        })
     }
 
     /// Records `event` as appended to the history and returns the verdict
     /// for the extended prefix.
     pub fn record(&mut self, event: &Event) -> Result<StepVerdict, ScheduleError> {
-        let delta = match self.take_cached(event) {
-            Some(delta) => delta,
-            None => self.plan(event)?,
+        let reducible = if self.kept.as_ref() == Some(event) {
+            self.kept = None;
+            true
+        } else {
+            self.drop_kept();
+            self.step(event)?
         };
-        let reducible = delta.reducible;
-        self.apply(delta);
+        self.log.ops.clear();
+        self.log.states.clear();
+        self.log.completions.clear();
+        self.len += 1;
         self.events.push(event.clone());
+        self.prefix_reducible.push(reducible);
+        if !reducible && self.first_violation.is_none() {
+            self.first_violation = Some(self.len);
+        }
         Ok(StepVerdict {
             prefix_len: self.len,
             reducible,
         })
     }
 
-    /// Records a candidate epoch: events are folded in, in submission
-    /// order, until the first one whose extended prefix would not be
-    /// reducible (or that is illegal). That event is *not* applied — it
-    /// poisons the epoch, the remainder is skipped, and the caller degrades
-    /// to per-event retry for the tail. PRED (Definition 10) is a property
-    /// of *every* prefix, so each event still gets its own frontier
-    /// verdict; the batch amortizes the bookkeeping around those verdicts,
-    /// it never weakens them. The accepted deltas merge into the live dense
-    /// matrices in one pass with no intermediate snapshots.
-    pub fn record_epoch(&mut self, events: &[Event]) -> EpochVerdict {
-        let mut steps = Vec::with_capacity(events.len());
-        let mut accepted = 0usize;
-        let mut poisoned = false;
-        for event in events {
-            if poisoned {
-                steps.push(EpochStep::Skipped);
-                continue;
-            }
-            let planned = match self.take_cached(event) {
-                Some(delta) => Ok(delta),
-                None => self.plan(event),
-            };
-            let delta = match planned {
-                Ok(delta) => delta,
-                Err(_) => {
-                    poisoned = true;
-                    steps.push(EpochStep::Illegal);
-                    continue;
-                }
-            };
-            let verdict = StepVerdict {
-                prefix_len: self.len + 1,
-                reducible: delta.reducible,
-            };
-            if delta.reducible {
-                self.apply(delta);
-                self.events.push(event.clone());
-                accepted += 1;
-                steps.push(EpochStep::Accepted(verdict));
-            } else {
-                poisoned = true;
-                steps.push(EpochStep::Rejected(verdict));
-            }
-        }
-        EpochVerdict {
-            steps,
-            accepted,
-            poisoned,
+    fn drop_kept(&mut self) {
+        if self.kept.take().is_some() {
+            self.rollback();
         }
     }
 
-    /// Pure what-if over a candidate batch: validates the epoch on one
-    /// scratch snapshot of the certification state — a single
-    /// closure/`PairCounts` copy amortized over the whole batch, instead of
-    /// one copy per candidate — and reports per-event accept/reject without
-    /// changing the certifier. `certify_epoch(&[e])` agrees with
-    /// [`Self::certify`] on `e`, and the accepted prefix is exactly what
-    /// [`Self::record_epoch`] would fold in.
-    pub fn certify_epoch(&self, events: &[Event]) -> EpochVerdict {
-        let mut scratch = self.clone();
-        scratch.record_epoch(events)
+    fn alive(&self, i: usize) -> bool {
+        self.live_base[i] && !self.cancelled[i]
     }
 
-    /// Derives the verdict and state updates for one event without mutating
-    /// the certifier. Mirrors `complete` + `reduce` on the extended prefix.
-    fn plan(&self, event: &Event) -> Result<StepDelta<'a>, ScheduleError> {
+    /// Neither compensated in the history nor by the pending completion of
+    /// its process.
+    fn uncompensated(&self, g: GlobalActivityId) -> bool {
+        !self.comp_gids.contains(&g)
+            && !self
+                .completion_cache
+                .get(&g.process)
+                .is_some_and(|c| c.compensations.contains(&g.activity))
+    }
+
+    /// Applies `event` in place, logging inverses, and returns whether the
+    /// extended prefix is reducible. Mirrors `complete` + `reduce` on the
+    /// extended prefix. An illegal event fails before anything changed.
+    fn step(&mut self, event: &Event) -> Result<bool, ScheduleError> {
+        debug_assert!(self.log.ops.is_empty() && self.log.states.is_empty());
         let spec = self.spec;
-        let oracle = spec.oracle();
-        let n_old = self.ops.len();
 
-        // 1. Advance the touched process state machines (on clones),
+        // 1. Advance the touched process state machines (on copies),
         //    mirroring `Schedule::replay` including its error behaviour.
-        let mut states: BTreeMap<ProcessId, ProcessState<'a>> = BTreeMap::new();
+        let mut touched: Vec<(ProcessId, ProcessState<'a>)> = Vec::new();
         let mut commit: Option<ProcessId> = None;
-        let mut compensated: Option<GlobalActivityId> = None;
         let mut appended: Option<(GlobalActivityId, ServiceId, OpKind)> = None;
         match event {
             Event::Execute(g) => {
                 let service = spec.catalog.base(spec.service_of(*g)?);
-                touch(spec, &self.states, &mut states, g.process)?.apply_commit(g.activity)?;
+                touch(spec, &self.states, &mut touched, g.process)?.apply_commit(g.activity)?;
                 appended = Some((*g, service, OpKind::Forward));
             }
             Event::Fail(g) => {
                 spec.service_of(*g)?;
-                let outcome =
-                    touch(spec, &self.states, &mut states, g.process)?.apply_failure(g.activity)?;
+                let outcome = touch(spec, &self.states, &mut touched, g.process)?
+                    .apply_failure(g.activity)?;
                 if outcome == FailureOutcome::Stuck {
                     return Err(ScheduleError::NoAlternativeLeft(*g));
                 }
             }
             Event::Compensate(g) => {
                 let service = spec.catalog.base(spec.service_of(*g)?);
-                touch(spec, &self.states, &mut states, g.process)?
+                touch(spec, &self.states, &mut touched, g.process)?
                     .apply_compensation(g.activity)?;
                 appended = Some((*g, service, OpKind::Compensation));
-                compensated = Some(*g);
             }
             Event::Commit(p) => {
-                touch(spec, &self.states, &mut states, *p)?.apply_process_commit()?;
+                touch(spec, &self.states, &mut touched, *p)?.apply_process_commit()?;
                 commit = Some(*p);
             }
             Event::Abort(p) => {
-                touch(spec, &self.states, &mut states, *p)?.apply_process_abort()?;
+                touch(spec, &self.states, &mut touched, *p)?.apply_process_abort()?;
             }
             Event::GroupAbort(ps) => {
                 for p in ps {
-                    let st = touch(spec, &self.states, &mut states, *p)?;
+                    let st = touch(spec, &self.states, &mut touched, *p)?;
                     if st.is_active() {
                         st.apply_process_abort()?;
                     }
@@ -672,137 +702,320 @@ impl<'a> IncrementalPred<'a> {
             }
         }
 
-        // 2. Closure row of the appended operation: chain predecessor plus
-        //    the aggregates of every conflicting service (8.3a; same-process
-        //    aggregate members are chain predecessors anyway).
-        let new_op = appended.map(|(gid, service, kind)| {
-            let mut row = vec![0u64; words_for(n_old)];
-            if let Some(&prev) = self.last_of.get(&gid.process) {
-                or_into(&mut row, &self.rows[prev]);
-                bit_set(&mut row, prev);
-            }
-            for (s, bits) in &self.agg {
-                if oracle.conflict(service, *s) {
-                    or_into(&mut row, bits);
-                }
-            }
-            NewOp {
-                gid,
-                service,
-                kind,
-                eff_free: spec.catalog.is_effect_free(service),
-                pidx: self
-                    .pid_dense
-                    .get(&gid.process)
-                    .copied()
-                    .unwrap_or(self.dense_pids.len() as u32),
-                row,
-            }
-        });
-        // Pair-matrix dimension for this plan: every process with recorded
-        // ops, plus the new op's process if it is introducing one.
-        let np_plan = self
-            .dense_pids
-            .len()
-            .max(new_op.as_ref().map_or(0, |o| o.pidx as usize + 1));
-        let n_new = n_old + usize::from(new_op.is_some());
-        let idx_new = n_old;
-        let committed_now = |p: ProcessId| self.committed.contains(&p) || commit == Some(p);
-
-        // 3. Completion caches of the touched processes, and the
-        //    will-compensate delta they induce.
-        let mut completion_updates: BTreeMap<ProcessId, Option<Completion>> = BTreeMap::new();
-        let mut will_comp = self.will_comp.clone();
-        let mut changed_gids: BTreeSet<GlobalActivityId> = BTreeSet::new();
-        for (&pid, st) in &states {
+        // 2. Fold the new states in, refresh their completion caches, and
+        //    collect the activities whose will-compensate status changed.
+        let mut changed: Vec<GlobalActivityId> = Vec::new();
+        for (pid, st) in touched {
             let next = st.is_active().then(|| st.completion());
-            if let Some(old) = self.completion_cache.get(&pid) {
-                for &a in &old.compensations {
-                    let g = GlobalActivityId::new(pid, a);
-                    if will_comp.remove(&g) {
-                        changed_gids.insert(g);
-                    }
-                }
-            }
-            if let Some(next) = &next {
-                for &a in &next.compensations {
-                    let g = GlobalActivityId::new(pid, a);
-                    if will_comp.insert(g) {
-                        changed_gids.insert(g);
-                    }
-                }
-            }
-            completion_updates.insert(pid, next);
-        }
-        if let Some(g) = compensated {
-            changed_gids.insert(g);
-        }
-        let comp_now =
-            |g: &GlobalActivityId| self.comp_gids.contains(g) || compensated.as_ref() == Some(g);
-
-        // 4. Permanence flips and the mandatory-pair counters (m2).
-        let mut m2 = self.m2.grown(np_plan);
-        let mut perm = self.perm.clone();
-        for g in &changed_gids {
-            for &i in self.gid_ops.get(g).map(Vec::as_slice).unwrap_or(&[]) {
-                let target =
-                    self.ops[i].kind == OpKind::Forward && !comp_now(g) && !will_comp.contains(g);
-                if target == perm[i] {
-                    continue;
-                }
-                let pi = self.ops[i].pidx;
-                for (s, bucket) in &self.buckets {
-                    if !oracle.conflict(self.ops[i].service, *s) {
-                        continue;
-                    }
-                    for &j in bucket {
-                        if j == i || !perm[j] || self.ops[j].pidx == pi {
-                            continue;
-                        }
-                        let pj = self.ops[j].pidx;
-                        let (a, b) = if i < j { (pi, pj) } else { (pj, pi) };
-                        if target {
-                            m2.inc(a, b);
-                        } else {
-                            m2.dec(a, b);
-                        }
-                    }
-                }
-                perm[i] = target;
-            }
-        }
-        let perm_push = new_op.as_ref().is_some_and(|o| {
-            o.kind == OpKind::Forward && !comp_now(&o.gid) && !will_comp.contains(&o.gid)
-        });
-        if let Some(o) = &new_op {
-            if perm_push {
-                for (s, bucket) in &self.buckets {
-                    if !oracle.conflict(o.service, *s) {
-                        continue;
-                    }
-                    for &j in bucket {
-                        if perm[j] && self.ops[j].pidx != o.pidx {
-                            m2.inc(self.ops[j].pidx, o.pidx);
-                        }
-                    }
-                }
-            }
-        }
-
-        // 5. Completion overlay, in the same order `complete` appends:
-        //    processes ascending, compensations before forward recovery.
-        let mut cops: Vec<Cop> = Vec::new();
-        let mut cop_pids: BTreeSet<ProcessId> = self.completion_cache.keys().copied().collect();
-        cop_pids.extend(completion_updates.keys().copied());
-        for pid in cop_pids {
-            let completion = match completion_updates.get(&pid) {
-                Some(update) => update.as_ref(),
-                None => self.completion_cache.get(&pid),
+            let old_comps = self
+                .completion_cache
+                .get(&pid)
+                .map_or(&[][..], |c| c.compensations.as_slice());
+            let new_comps = next
+                .as_ref()
+                .map_or(&[][..], |c| c.compensations.as_slice());
+            changed.extend(
+                old_comps
+                    .iter()
+                    .filter(|a| !new_comps.contains(a))
+                    .chain(new_comps.iter().filter(|a| !old_comps.contains(a)))
+                    .map(|&a| GlobalActivityId::new(pid, a)),
+            );
+            let old = match next {
+                Some(c) => self.completion_cache.insert(pid, c),
+                None => self.completion_cache.remove(&pid),
             };
-            let Some(completion) = completion else {
+            self.log.completions.push((pid, old));
+            let old = self.states.insert(pid, st);
+            self.log.states.push((pid, old));
+        }
+        if let Some(p) = commit {
+            self.committed.insert(p);
+            self.log.ops.push(Undo::Committed(p));
+        }
+        if let Some((g, _, OpKind::Compensation)) = appended {
+            self.comp_gids.insert(g);
+            self.log.ops.push(Undo::Compensated(g));
+            changed.push(g);
+        }
+
+        // 3. Permanence flips and the mandatory-pair counters (m2).
+        for g in changed {
+            let Some(&i) = self.fwd_of.get(&g) else {
                 continue;
             };
-            let process = spec.process(pid)?;
+            let target = self.uncompensated(g);
+            if target != self.perm[i] {
+                self.count_mandatory(i, target);
+                self.perm[i] = target;
+                self.log.ops.push(Undo::PermFlip(i));
+            }
+        }
+
+        // 4. The reduction of the originals: rule-3 revivals of a commit,
+        //    or the appended operation and the pair it may close.
+        if let Some(p) = commit {
+            self.revive_effect_free(p);
+        }
+        if let Some((gid, service, kind)) = appended {
+            self.push_op(gid, service, kind);
+        }
+
+        // 5. The completion overlay on top, undone after the verdict.
+        let mark = self.log.ops.len();
+        let reducible = self.overlay_verdict();
+        self.rollback_ops(mark);
+        Ok(reducible)
+    }
+
+    /// Index of `service` in `svcs`, asking the oracle for its conflicts
+    /// with the known services the first time it is seen.
+    fn intern(&mut self, service: ServiceId) -> u32 {
+        if let Some(&s) = self.svc_idx.get(&service) {
+            return s;
+        }
+        let oracle = self.spec.oracle();
+        let k = self.svcs.len() as u32;
+        let mut conflicts = Vec::new();
+        for (t, other) in self.svcs.iter_mut().enumerate() {
+            if oracle.conflict(service, other.id) {
+                other.conflicts.push(k);
+                conflicts.push(t as u32);
+            }
+        }
+        if oracle.conflict(service, service) {
+            conflicts.push(k);
+        }
+        self.svcs.push(Service {
+            id: service,
+            bucket: Vec::new(),
+            agg: Vec::new(),
+            conflicts,
+        });
+        self.svc_idx.insert(service, k);
+        self.log.ops.push(Undo::Service);
+        k
+    }
+
+    /// Adds (`up`) or removes the permanent pairs operation `x` forms.
+    fn count_mandatory(&mut self, x: usize, up: bool) {
+        for (j, a, b) in partners(&self.ops, &self.svcs, x) {
+            if self.perm[j] {
+                self.m2.bump(a, b, up);
+                self.log.ops.push(Undo::Mandatory(a, b, up));
+            }
+        }
+    }
+
+    /// Adds (`up`) or removes the live pairs operation `x` forms.
+    fn count_live(&mut self, x: usize, up: bool) {
+        for (j, a, b) in partners(&self.ops, &self.svcs, x) {
+            if self.live_base[j] && !self.cancelled[j] {
+                self.live.bump(a, b, up);
+                self.log.ops.push(Undo::Live(a, b, up));
+            }
+        }
+    }
+
+    fn set_cancelled(&mut self, x: usize, cancelled: bool) {
+        debug_assert!(self.live_base[x] && self.cancelled[x] != cancelled);
+        self.cancelled[x] = cancelled;
+        self.log.ops.push(Undo::CancelFlip(x));
+        self.count_live(x, !cancelled);
+    }
+
+    /// Appends an operation of the original history: closure row (chain
+    /// predecessor plus the aggregates of every conflicting service, 8.3a;
+    /// same-process aggregate members are chain predecessors anyway), the
+    /// pairs it forms, and — for a compensation — the pair it closes.
+    fn push_op(&mut self, gid: GlobalActivityId, service: ServiceId, kind: OpKind) {
+        let sidx = self.intern(service);
+        let pidx = match self.pid_dense.get(&gid.process) {
+            Some(&p) => p,
+            None => {
+                let p = self.dense_pids.len() as u32;
+                self.dense_pids.push(gid.process);
+                self.pid_dense.insert(gid.process, p);
+                self.proc_ops.push(Vec::new());
+                self.m2.resize(p as usize + 1);
+                self.live.counts.resize(p as usize + 1);
+                self.live.graph.push_node();
+                self.log.ops.push(Undo::Process);
+                p
+            }
+        };
+        let idx = self.ops.len();
+        let mut row = vec![0u64; words_for(idx)];
+        if let Some(&prev) = self.proc_ops[pidx as usize].last() {
+            or_into(&mut row, &self.rows[prev]);
+            bit_set(&mut row, prev);
+        }
+        for &t in &self.svcs[sidx as usize].conflicts {
+            or_into(&mut row, &self.svcs[t as usize].agg);
+        }
+        let agg = &mut self.svcs[sidx as usize].agg;
+        self.log.ops.push(Undo::AggLen(sidx, agg.len()));
+        agg.resize(words_for(idx + 1).max(agg.len()), 0);
+        for (w, (word, new)) in agg.iter_mut().zip(&row).enumerate() {
+            if *word | *new != *word {
+                self.log.ops.push(Undo::AggWord(sidx, w, *word));
+                *word |= *new;
+            }
+        }
+        self.log
+            .ops
+            .push(Undo::AggWord(sidx, idx / 64, agg[idx / 64]));
+        agg[idx / 64] |= 1u64 << (idx % 64);
+
+        let eff_free = self.spec.catalog.is_effect_free(service);
+        let perm = kind == OpKind::Forward && self.uncompensated(gid);
+        let live = !eff_free || self.committed.contains(&gid.process);
+        self.svcs[sidx as usize].bucket.push(idx);
+        self.proc_ops[pidx as usize].push(idx);
+        self.rows.push(row);
+        self.perm.push(perm);
+        self.live_base.push(live);
+        self.cancelled.push(false);
+        self.ops.push(OrigOp {
+            gid,
+            service,
+            sidx,
+            kind,
+            pidx,
+        });
+        self.log.ops.push(Undo::Op);
+        if perm {
+            self.count_mandatory(idx, true);
+        }
+        if live {
+            self.count_live(idx, true);
+        }
+        match kind {
+            OpKind::Forward => {
+                self.fwd_of.insert(gid, idx);
+            }
+            OpKind::Compensation => {
+                if let Some(&f) = self.fwd_of.get(&gid) {
+                    self.pairs.push((f, idx));
+                    self.log.ops.push(Undo::Pair);
+                    self.try_cancel(f, idx);
+                }
+            }
+        }
+    }
+
+    /// Whether operation `x` sits between the pair `(f, c)` and conflicts
+    /// with it — i.e. blocks the compensation rule while it is live.
+    fn between(&self, f: usize, x: usize, c: usize) -> bool {
+        bit_get(&self.rows[x], f)
+            && bit_get(&self.rows[c], x)
+            && self
+                .spec
+                .oracle()
+                .conflict(self.ops[f].service, self.ops[x].service)
+    }
+
+    /// Whether a live original operation conflicting with `f` sits between
+    /// `f` and the operation whose closure row is `upper` — i.e. blocks the
+    /// compensation rule for that pair.
+    fn blocked(&self, f: usize, upper: &[u64]) -> bool {
+        self.svcs[self.ops[f].sidx as usize]
+            .conflicts
+            .iter()
+            .flat_map(|&t| &self.svcs[t as usize].bucket)
+            .any(|&k| self.alive(k) && bit_get(&self.rows[k], f) && bit_get(upper, k))
+    }
+
+    /// Cancels the recorded pair `(f, c)` if both are live and nothing
+    /// blocks it, and follows the cascade.
+    fn try_cancel(&mut self, f: usize, c: usize) {
+        if self.alive(f) && self.alive(c) && !self.blocked(f, &self.rows[c]) {
+            self.cancel(vec![f, c]);
+        }
+    }
+
+    /// Cancels the operations in `dead`, and every recorded pair that
+    /// unblocks in turn: a pair can only unblock when an operation between
+    /// its two halves dies, so only those pairs are re-examined. (Two
+    /// partially overlapping conflicting pairs block each other for good,
+    /// and a nested pair is decided before the pair around it is recorded;
+    /// the cascade matters when a commit revives a nested pair later.)
+    fn cancel(&mut self, mut dead: Vec<usize>) {
+        while let Some(x) = dead.pop() {
+            if !self.alive(x) {
+                continue;
+            }
+            self.set_cancelled(x, true);
+            for &(f, c) in &self.pairs {
+                if self.alive(f)
+                    && self.alive(c)
+                    && self.between(f, x, c)
+                    && !self.blocked(f, &self.rows[c])
+                {
+                    dead.extend([f, c]);
+                }
+            }
+        }
+    }
+
+    /// Rule 3 after `Commit(p)`: the effect-free operations of `p` become
+    /// live. A revived operation blocks every cancelled pair it sits
+    /// between; un-cancelling such a pair revives its two halves, which may
+    /// block further pairs. Everything un-cancelled, and every pair a
+    /// revived operation belongs to, is then re-examined — the least
+    /// fixpoint under the larger live set lies between the two.
+    fn revive_effect_free(&mut self, p: ProcessId) {
+        let Some(&px) = self.pid_dense.get(&p) else {
+            return;
+        };
+        let flipped: Vec<usize> = self.proc_ops[px as usize]
+            .iter()
+            .copied()
+            .filter(|&i| !self.live_base[i])
+            .collect();
+        for &i in &flipped {
+            self.live_base[i] = true;
+            self.log.ops.push(Undo::Revived(i));
+            self.count_live(i, true);
+        }
+        let mut revived = flipped.clone();
+        let mut suspects: Vec<(usize, usize)> = Vec::new();
+        while let Some(x) = revived.pop() {
+            for at in 0..self.pairs.len() {
+                let (f, c) = self.pairs[at];
+                if self.cancelled[f] && self.cancelled[c] && self.between(f, x, c) {
+                    self.set_cancelled(f, false);
+                    self.set_cancelled(c, false);
+                    revived.extend([f, c]);
+                    suspects.push((f, c));
+                }
+            }
+        }
+        suspects.extend(
+            self.pairs
+                .iter()
+                .filter(|(f, c)| flipped.contains(f) || flipped.contains(c))
+                .copied(),
+        );
+        for (f, c) in suspects {
+            self.try_cancel(f, c);
+        }
+    }
+
+    /// The completion overlay, in the same order `complete` appends:
+    /// processes ascending, compensations before forward recovery.
+    fn overlay_ops(&mut self) -> Vec<Cop> {
+        let spec = self.spec;
+        let mut cops: Vec<Cop> = Vec::new();
+        for (&pid, completion) in &self.completion_cache {
+            if completion.is_empty() {
+                continue;
+            }
+            let process = spec.process(pid).expect("process of a recorded state");
+            let pidx = *self
+                .pid_dense
+                .get(&pid)
+                .expect("a process with pending completion has recorded operations");
             for (&a, kind) in completion
                 .compensations
                 .iter()
@@ -813,142 +1026,108 @@ impl<'a> IncrementalPred<'a> {
                 cops.push(Cop {
                     gid: GlobalActivityId::new(pid, a),
                     service,
+                    sidx: 0,
                     kind,
                     pid,
+                    pidx,
                     eff_free: spec.catalog.is_effect_free(service),
                 });
             }
         }
-        let cn = cops.len();
-        let total = n_new + cn;
-        let perm_cop =
-            |c: &Cop| c.kind == OpKind::Forward && !comp_now(&c.gid) && !will_comp.contains(&c.gid);
-
-        // 6. Mandatory ranks (8.3d/8.3f): permanent original pairs (m2) plus
-        //    the forced 8.3e edges into permanent completion activities.
-        //    Both process graphs of this step and step 10 share one node
-        //    universe; extra isolated nodes cannot affect acyclicity, and the
-        //    rank graph's node set is exactly this universe.
-        let universe: Vec<ProcessId> = {
-            let mut u: Vec<ProcessId> = self.procs_with_ops.iter().copied().collect();
-            if let Some(o) = &new_op {
-                u.push(o.gid.process);
-            }
-            u.extend(cops.iter().map(|c| c.pid));
-            u.sort_unstable();
-            u.dedup();
-            u
-        };
-        // Pre-resolved universe indices: dense process index → universe
-        // index, and one index per overlay op. The graph loops below add
-        // thousands of edges per plan; resolving each endpoint by binary
-        // search there dominated the graph budget.
-        let gidx_of: Vec<usize> = (0..np_plan)
-            .map(|px| {
-                let pid = if px < self.dense_pids.len() {
-                    self.dense_pids[px]
-                } else {
-                    new_op
-                        .as_ref()
-                        .expect("tentative index only exists with a new op")
-                        .gid
-                        .process
-                };
-                universe.binary_search(&pid).expect("pid in universe")
-            })
-            .collect();
-        let cop_gidx: Vec<usize> = cops
-            .iter()
-            .map(|c| universe.binary_search(&c.pid).expect("pid in universe"))
-            .collect();
-        let mut rg = DenseGraph::new(universe.clone());
-        for (a, b) in m2.nonzero() {
-            rg.add_edge_idx(gidx_of[a as usize], gidx_of[b as usize]);
+        for c in &mut cops {
+            c.sidx = self.intern(c.service);
         }
-        for (ci, c) in cops.iter().enumerate() {
-            if !perm_cop(c) {
-                continue;
-            }
-            for (s, bucket) in &self.buckets {
-                if !oracle.conflict(*s, c.service) {
-                    continue;
-                }
-                for &i in bucket {
-                    if perm[i] && self.ops[i].gid.process != c.pid {
-                        rg.add_edge_idx(gidx_of[self.ops[i].pidx as usize], cop_gidx[ci]);
+        cops
+    }
+
+    /// Mandatory ranks (8.3d/8.3f) per dense process index: permanent
+    /// original pairs (m2) plus the forced 8.3e edges into permanent
+    /// completion activities, in `ProcessGraph::topological_order`'s order.
+    /// Relative order is all the tie-break consumes.
+    fn mandatory_ranks(&self, cops: &[Cop]) -> Vec<usize> {
+        let np = self.dense_pids.len();
+        let mut by_pid: Vec<usize> = (0..np).collect();
+        by_pid.sort_unstable_by_key(|&px| self.dense_pids[px]);
+        let mut node_of = vec![0usize; np];
+        for (node, &px) in by_pid.iter().enumerate() {
+            node_of[px] = node;
+        }
+        let mut rg = DenseGraph::new(np);
+        for (a, b) in self.m2.nonzero() {
+            rg.add_edge(node_of[a], node_of[b]);
+        }
+        for c in cops
+            .iter()
+            .filter(|c| c.kind == OpKind::Forward && self.uncompensated(c.gid))
+        {
+            for &t in &self.svcs[c.sidx as usize].conflicts {
+                for &i in &self.svcs[t as usize].bucket {
+                    if self.perm[i] && self.ops[i].pidx != c.pidx {
+                        rg.add_edge(node_of[self.ops[i].pidx as usize], node_of[c.pidx as usize]);
                     }
                 }
             }
-            if let Some(o) = &new_op {
-                if perm_push && o.gid.process != c.pid && oracle.conflict(o.service, c.service) {
-                    rg.add_edge_idx(gidx_of[o.pidx as usize], cop_gidx[ci]);
-                }
+        }
+        let mut rank_of_node: Vec<usize> = (0..np).collect();
+        if let Some(order) = rg.topological_order() {
+            for (rank, node) in order.into_iter().enumerate() {
+                rank_of_node[node] = rank;
             }
         }
-        // Rank per universe index (8.3d/8.3f). Relative order is all the
-        // step-7 tie-breaks consume, so isolated universe nodes are harmless.
-        let ranks_by_gidx: Vec<usize> = match rg.topological_order() {
-            Some(order) => {
-                let mut r = vec![0usize; universe.len()];
-                for (rank, p) in order.iter().enumerate() {
-                    r[universe.binary_search(p).expect("pid in universe")] = rank;
-                }
-                r
-            }
-            None => (0..universe.len()).collect(),
-        };
+        node_of.into_iter().map(|node| rank_of_node[node]).collect()
+    }
 
-        // 7. Order edges among the overlay operations (8.3b/c chains plus
-        //    the 8.3d/f + Lemma 2/3 arms; overlay order equals the batch
-        //    completion order, so local index order matches global order).
-        let fwd_pos = |g: &GlobalActivityId| -> Option<usize> {
-            if let Some(o) = &new_op {
-                if o.kind == OpKind::Forward && o.gid == *g {
-                    return Some(idx_new);
-                }
+    /// Order edges among the overlay operations (8.3b/c chains plus the
+    /// 8.3d/f + Lemma 2/3 arms; overlay order equals the batch completion
+    /// order, so local index order matches global order). The mandatory
+    /// ranks are derived only if two forward operations of different
+    /// processes conflict.
+    fn overlay_edges(&self, cops: &[Cop]) -> Vec<(usize, usize)> {
+        let oracle = self.spec.oracle();
+        let mut ranks: Option<Vec<usize>> = None;
+        let mut cedges: Vec<(usize, usize)> = Vec::new();
+        for i in 0..cops.len() {
+            if i > 0 && cops[i].pid == cops[i - 1].pid {
+                cedges.push((i - 1, i));
             }
-            self.fwd_of.get(g).copied()
-        };
-        let mut cedges: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for ci in 1..cn {
-            if cops[ci].pid == cops[ci - 1].pid {
-                cedges.insert((ci - 1, ci));
-            }
-        }
-        for i in 0..cn {
-            for j in (i + 1)..cn {
+            for j in (i + 1)..cops.len() {
                 let (x, y) = (&cops[i], &cops[j]);
                 if x.pid == y.pid || !oracle.conflict(x.service, y.service) {
                     continue;
                 }
-                let edge = match (x.kind, y.kind) {
+                cedges.push(match (x.kind, y.kind) {
                     (OpKind::Compensation, OpKind::Forward) => (i, j),
                     (OpKind::Forward, OpKind::Compensation) => (j, i),
                     (OpKind::Compensation, OpKind::Compensation) => {
-                        match (fwd_pos(&x.gid), fwd_pos(&y.gid)) {
+                        match (self.fwd_of.get(&x.gid), self.fwd_of.get(&y.gid)) {
                             (Some(bx), Some(by)) if bx < by => (j, i),
                             _ => (i, j),
                         }
                     }
                     (OpKind::Forward, OpKind::Forward) => {
-                        let rx = ranks_by_gidx[cop_gidx[i]];
-                        let ry = ranks_by_gidx[cop_gidx[j]];
+                        let ranks = ranks.get_or_insert_with(|| self.mandatory_ranks(cops));
+                        let rx = ranks[x.pidx as usize];
+                        let ry = ranks[y.pidx as usize];
                         if (rx, x.pid) <= (ry, y.pid) {
                             (i, j)
                         } else {
                             (j, i)
                         }
                     }
-                };
-                cedges.insert(edge);
+                });
             }
         }
+        cedges
+    }
 
-        // 8. Closure rows of the overlay, in topological order.
+    /// Closure rows of the overlay over originals and overlay, computed in
+    /// topological order of `cedges`: `cn` rows of the returned width.
+    fn overlay_rows(&self, cops: &[Cop], cedges: &[(usize, usize)]) -> (usize, Vec<u64>) {
+        let (n, cn) = (self.ops.len(), cops.len());
         let mut indeg = vec![0usize; cn];
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); cn];
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); cn];
-        for &(a, b) in &cedges {
+        for &(a, b) in cedges {
             indeg[b] += 1;
             succ[a].push(b);
             preds[b].push(a);
@@ -965,137 +1144,78 @@ impl<'a> IncrementalPred<'a> {
             }
         }
         assert_eq!(topo.len(), cn, "≪̃ construction must stay acyclic");
-        let first_flag: Vec<bool> = (0..cn)
-            .map(|ci| ci == 0 || cops[ci].pid != cops[ci - 1].pid)
-            .collect();
-        let mut crows: Vec<Vec<u64>> = vec![Vec::new(); cn];
-        for &ci in &topo {
+        let width = words_for(n + cn);
+        let mut crows = vec![0u64; cn * width];
+        let mut row: Vec<u64> = Vec::with_capacity(width);
+        for ci in topo {
             let c = &cops[ci];
-            let mut row = vec![0u64; words_for(total)];
-            if first_flag[ci] {
-                let last = match &new_op {
-                    Some(o) if o.gid.process == c.pid => Some(idx_new),
-                    _ => self.last_of.get(&c.pid).copied(),
-                };
-                if let Some(l) = last {
-                    match &new_op {
-                        Some(o) if l == idx_new => or_into(&mut row, &o.row),
-                        _ => or_into(&mut row, &self.rows[l]),
-                    }
-                    bit_set(&mut row, l);
+            row.clear();
+            row.resize(width, 0);
+            if ci == 0 || cops[ci - 1].pid != c.pid {
+                if let Some(&last) = self.proc_ops[c.pidx as usize].last() {
+                    or_into(&mut row, &self.rows[last]);
+                    bit_set(&mut row, last);
                 }
             }
-            for (s, bits) in &self.agg {
-                if oracle.conflict(*s, c.service) {
-                    or_into(&mut row, bits);
-                }
-            }
-            if let Some(o) = &new_op {
-                if oracle.conflict(o.service, c.service) {
-                    or_into(&mut row, &o.row);
-                    bit_set(&mut row, idx_new);
-                }
+            for &t in &self.svcs[c.sidx as usize].conflicts {
+                or_into(&mut row, &self.svcs[t as usize].agg);
             }
             for &a in &preds[ci] {
-                let prow = crows[a].clone();
-                or_into(&mut row, &prow);
-                bit_set(&mut row, n_new + a);
+                or_into(&mut row, &crows[a * width..(a + 1) * width]);
+                bit_set(&mut row, n + a);
             }
-            crows[ci] = row;
+            crows[ci * width..(ci + 1) * width].copy_from_slice(&row);
         }
+        (width, crows)
+    }
 
-        // 9. Reduction: rule 3 liveness, then the compensation-pair
-        //    cancellation fixpoint over the bitset reachability.
-        let mut live = vec![true; total];
-        for ((lv, &ef), op) in live.iter_mut().zip(&self.eff_free).zip(&self.ops) {
-            *lv = !ef || committed_now(op.gid.process);
+    /// Reducibility of the completed schedule: layers the completion
+    /// overlay on the persistent reduction — its compensation pairs may
+    /// cancel further originals — and checks the process graph of what
+    /// remains. Leaves overlay cancellations in the log for the caller to
+    /// roll back.
+    fn overlay_verdict(&mut self) -> bool {
+        let cops = self.overlay_ops();
+        if cops.is_empty() {
+            return self.live.is_acyclic_with(&[]);
         }
-        if let Some(o) = &new_op {
-            live[idx_new] = !o.eff_free || committed_now(o.gid.process);
-        }
-        for (ci, c) in cops.iter().enumerate() {
-            live[n_new + ci] = !c.eff_free || committed_now(c.pid);
-        }
+        let oracle = self.spec.oracle();
+        let n = self.ops.len();
+        let cedges = self.overlay_edges(&cops);
+        let (width, crows) = self.overlay_rows(&cops, &cedges);
+        let crow = |ci: usize| &crows[ci * width..(ci + 1) * width];
 
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for &c in &self.orig_comps {
-            if let Some(f) = fwd_pos(&self.ops[c].gid) {
-                pairs.push((f, c));
-            }
-        }
-        if let Some(o) = &new_op {
-            if o.kind == OpKind::Compensation {
-                if let Some(f) = fwd_pos(&o.gid) {
-                    pairs.push((f, idx_new));
-                }
-            }
-        }
-        for (ci, c) in cops.iter().enumerate() {
-            if c.kind == OpKind::Compensation {
-                if let Some(f) = fwd_pos(&c.gid) {
-                    pairs.push((f, n_new + ci));
-                }
-            }
-        }
-
-        let nrow = new_op.as_ref().map(|o| &o.row);
-        let row_of = |x: usize| -> &[u64] {
-            if x < n_old {
-                &self.rows[x]
-            } else if x < n_new {
-                nrow.expect("index n_old only exists with a new op")
-            } else {
-                &crows[x - n_new]
-            }
-        };
-        let lt = |a: usize, b: usize| bit_get(row_of(b), a);
-        let service_at = |x: usize| -> ServiceId {
-            if x < n_old {
-                self.ops[x].service
-            } else if x < n_new {
-                new_op.as_ref().expect("new op").service
-            } else {
-                cops[x - n_new].service
-            }
-        };
-        let conflicting_with = |s: ServiceId| -> Vec<usize> {
-            let mut out = Vec::new();
-            for (s2, bucket) in &self.buckets {
-                if oracle.conflict(*s2, s) {
-                    out.extend_from_slice(bucket);
-                }
-            }
-            if let Some(o) = &new_op {
-                if oracle.conflict(o.service, s) {
-                    out.push(idx_new);
-                }
-            }
-            for (ci, c) in cops.iter().enumerate() {
-                if oracle.conflict(c.service, s) {
-                    out.push(n_new + ci);
-                }
-            }
-            out
-        };
-        // The candidate list only depends on the service, and the fixpoint
-        // revisits the same pairs every round — memoize per service rather
-        // than rebuilding an O(history) vector per pair per round.
-        let mut cw_cache: BTreeMap<ServiceId, Vec<usize>> = BTreeMap::new();
+        // Rule 3, then the compensation rule to its fixpoint: an overlay
+        // pair is blocked by live originals or live overlay operations
+        // between its halves; cancelling its original half cascades through
+        // the recorded pairs.
+        let mut live_cop: Vec<bool> = cops
+            .iter()
+            .map(|c| !c.eff_free || self.committed.contains(&c.pid))
+            .collect();
+        let pairs: Vec<(usize, usize)> = cops
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.kind == OpKind::Compensation)
+            .filter_map(|(ci, c)| self.fwd_of.get(&c.gid).map(|&f| (f, ci)))
+            .collect();
         loop {
             let mut changed = false;
-            for &(f, c) in &pairs {
-                if !live[f] || !live[c] {
+            for &(f, ci) in &pairs {
+                if !self.alive(f) || !live_cop[ci] {
                     continue;
                 }
-                let candidates = cw_cache
-                    .entry(service_at(f))
-                    .or_insert_with_key(|&s| conflicting_with(s));
-                let blocked = candidates
-                    .iter()
-                    .any(|&k| k != f && k != c && live[k] && lt(f, k) && lt(k, c));
+                let blocked = self.blocked(f, crow(ci))
+                    || cops.iter().enumerate().any(|(cj, d)| {
+                        cj != ci
+                            && live_cop[cj]
+                            && bit_get(crow(cj), f)
+                            && bit_get(crow(ci), n + cj)
+                            && oracle.conflict(self.ops[f].service, d.service)
+                    });
                 if !blocked {
-                    live[f] = false;
-                    live[c] = false;
+                    live_cop[ci] = false;
+                    self.cancel(vec![f]);
                     changed = true;
                 }
             }
@@ -1104,203 +1224,94 @@ impl<'a> IncrementalPred<'a> {
             }
         }
 
-        // 10. Serializability of the remainder: rule-3 pair counters (m)
-        //     adjusted for commit flips and the new operation, then with the
-        //     cancelled operations subtracted, plus the overlay edges.
-        let mut m = self.m.grown(np_plan);
-        let mut live_base = self.live_base.clone();
-        if let Some(p) = commit {
-            for &i in self.proc_ops.get(&p).map(Vec::as_slice).unwrap_or(&[]) {
-                if live_base[i] {
-                    continue;
-                }
-                let pi = self.ops[i].pidx;
-                for (s, bucket) in &self.buckets {
-                    if !oracle.conflict(self.ops[i].service, *s) {
-                        continue;
+        // Serializability of the remainder: the live original pairs plus
+        // the edges into and among the live overlay operations.
+        let mut extra: Vec<(u32, u32)> = Vec::new();
+        for (c, _) in cops.iter().zip(&live_cop).filter(|(_, &live)| live) {
+            for &t in &self.svcs[c.sidx as usize].conflicts {
+                for &i in &self.svcs[t as usize].bucket {
+                    if self.alive(i) && self.ops[i].pidx != c.pidx {
+                        extra.push((self.ops[i].pidx, c.pidx));
                     }
-                    for &j in bucket {
-                        if j == i || !live_base[j] || self.ops[j].pidx == pi {
-                            continue;
-                        }
-                        let pj = self.ops[j].pidx;
-                        let (a, b) = if i < j { (pi, pj) } else { (pj, pi) };
-                        m.inc(a, b);
-                    }
-                }
-                live_base[i] = true;
-            }
-        }
-        let bl_new = new_op
-            .as_ref()
-            .is_some_and(|o| !o.eff_free || committed_now(o.gid.process));
-        if let Some(o) = &new_op {
-            if bl_new {
-                for (s, bucket) in &self.buckets {
-                    if !oracle.conflict(o.service, *s) {
-                        continue;
-                    }
-                    for &j in bucket {
-                        if live_base[j] && self.ops[j].pidx != o.pidx {
-                            m.inc(self.ops[j].pidx, o.pidx);
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut m_adj = m.clone();
-        let mut removed = vec![false; n_new];
-        for x in 0..n_new {
-            let blx = if x < n_old { live_base[x] } else { bl_new };
-            if !blx || live[x] {
-                continue;
-            }
-            let (px, sx) = if x < n_old {
-                (self.ops[x].pidx, self.ops[x].service)
-            } else {
-                let o = new_op.as_ref().expect("new op");
-                (o.pidx, o.service)
-            };
-            for (s, bucket) in &self.buckets {
-                if !oracle.conflict(sx, *s) {
-                    continue;
-                }
-                for &j in bucket {
-                    if j == x || removed[j] || !live_base[j] {
-                        continue;
-                    }
-                    let pj = self.ops[j].pidx;
-                    if pj == px {
-                        continue;
-                    }
-                    let (a, b) = if x < j { (px, pj) } else { (pj, px) };
-                    m_adj.dec(a, b);
-                }
-            }
-            if let Some(o) = &new_op {
-                let j = idx_new;
-                if j != x && !removed[j] && bl_new && o.pidx != px && oracle.conflict(sx, o.service)
-                {
-                    m_adj.dec(px, o.pidx);
-                }
-            }
-            removed[x] = true;
-        }
-
-        let mut pg = DenseGraph::new(universe);
-        for (a, b) in m_adj.nonzero() {
-            pg.add_edge_idx(gidx_of[a as usize], gidx_of[b as usize]);
-        }
-        for (ci, c) in cops.iter().enumerate() {
-            if !live[n_new + ci] {
-                continue;
-            }
-            for (s, bucket) in &self.buckets {
-                if !oracle.conflict(*s, c.service) {
-                    continue;
-                }
-                for &i in bucket {
-                    if live[i] && self.ops[i].gid.process != c.pid {
-                        pg.add_edge_idx(gidx_of[self.ops[i].pidx as usize], cop_gidx[ci]);
-                    }
-                }
-            }
-            if let Some(o) = &new_op {
-                if live[idx_new] && o.gid.process != c.pid && oracle.conflict(o.service, c.service)
-                {
-                    pg.add_edge_idx(gidx_of[o.pidx as usize], cop_gidx[ci]);
                 }
             }
         }
         for &(a, b) in &cedges {
-            if cops[a].pid != cops[b].pid && live[n_new + a] && live[n_new + b] {
-                pg.add_edge_idx(cop_gidx[a], cop_gidx[b]);
+            if cops[a].pidx != cops[b].pidx && live_cop[a] && live_cop[b] {
+                extra.push((cops[a].pidx, cops[b].pidx));
             }
         }
-        let reducible = pg.is_acyclic();
-
-        let mut perm_full = perm;
-        let mut live_base_full = live_base;
-        if new_op.is_some() {
-            perm_full.push(perm_push);
-            live_base_full.push(bl_new);
-        }
-        Ok(StepDelta {
-            reducible,
-            states,
-            commit,
-            compensated,
-            new_op,
-            completion_updates,
-            will_comp,
-            perm: perm_full,
-            live_base: live_base_full,
-            m,
-            m2,
-        })
+        self.live.is_acyclic_with(&extra)
     }
 
-    /// Folds a planned delta into the certifier.
-    fn apply(&mut self, delta: StepDelta<'a>) {
-        self.len += 1;
-        self.states.extend(delta.states);
-        if let Some(p) = delta.commit {
-            self.committed.insert(p);
-        }
-        if let Some(g) = delta.compensated {
-            self.comp_gids.insert(g);
-        }
-        for (pid, update) in delta.completion_updates {
-            match update {
-                Some(c) => {
-                    self.completion_cache.insert(pid, c);
+    /// Undoes the logged operation-level mutations back to `mark`.
+    fn rollback_ops(&mut self, mark: usize) {
+        while self.log.ops.len() > mark {
+            match self.log.ops.pop().expect("length checked") {
+                Undo::Committed(p) => {
+                    self.committed.remove(&p);
                 }
-                None => {
-                    self.completion_cache.remove(&pid);
+                Undo::Compensated(g) => {
+                    self.comp_gids.remove(&g);
+                }
+                Undo::PermFlip(i) => self.perm[i] = !self.perm[i],
+                Undo::Mandatory(a, b, up) => {
+                    self.m2.bump(a, b, !up);
+                }
+                Undo::Live(a, b, up) => self.live.bump(a, b, !up),
+                Undo::Revived(i) => self.live_base[i] = false,
+                Undo::CancelFlip(i) => self.cancelled[i] = !self.cancelled[i],
+                Undo::Pair => {
+                    self.pairs.pop();
+                }
+                Undo::AggWord(s, w, old) => self.svcs[s as usize].agg[w] = old,
+                Undo::AggLen(s, len) => self.svcs[s as usize].agg.truncate(len),
+                Undo::Op => {
+                    let o = self.ops.pop().expect("logged operation");
+                    self.rows.pop();
+                    self.perm.pop();
+                    self.live_base.pop();
+                    self.cancelled.pop();
+                    self.svcs[o.sidx as usize].bucket.pop();
+                    self.proc_ops[o.pidx as usize].pop();
+                    if o.kind == OpKind::Forward {
+                        self.fwd_of.remove(&o.gid);
+                    }
+                }
+                Undo::Process => {
+                    let pid = self.dense_pids.pop().expect("logged process");
+                    self.pid_dense.remove(&pid);
+                    self.proc_ops.pop();
+                    self.m2.resize(self.proc_ops.len());
+                    self.live.counts.resize(self.proc_ops.len());
+                    self.live.graph.pop_node();
+                }
+                Undo::Service => {
+                    let s = self.svcs.pop().expect("logged service");
+                    self.svc_idx.remove(&s.id);
+                    let k = self.svcs.len() as u32;
+                    for &t in s.conflicts.iter().filter(|&&t| t != k) {
+                        self.svcs[t as usize].conflicts.pop();
+                    }
                 }
             }
         }
-        self.will_comp = delta.will_comp;
-        self.perm = delta.perm;
-        self.live_base = delta.live_base;
-        self.m = delta.m;
-        self.m2 = delta.m2;
-        if let Some(o) = delta.new_op {
-            let idx = self.ops.len();
-            let mut closure = o.row.clone();
-            bit_set(&mut closure, idx);
-            let agg = self.agg.entry(o.service).or_default();
-            or_into(agg, &closure);
-            self.buckets.entry(o.service).or_default().push(idx);
-            self.proc_ops.entry(o.gid.process).or_default().push(idx);
-            self.last_of.insert(o.gid.process, idx);
-            self.gid_ops.entry(o.gid).or_default().push(idx);
-            if o.kind == OpKind::Forward {
-                self.fwd_of.insert(o.gid, idx);
-            } else {
-                self.orig_comps.push(idx);
-            }
-            self.procs_with_ops.insert(o.gid.process);
-            // Make the tentative dense index real if this op introduced its
-            // process (the planned matrices were sized for it already).
-            if o.pidx as usize == self.dense_pids.len() {
-                self.dense_pids.push(o.gid.process);
-                self.pid_dense.insert(o.gid.process, o.pidx);
-            }
-            debug_assert_eq!(self.pid_dense.get(&o.gid.process), Some(&o.pidx));
-            self.rows.push(o.row);
-            self.eff_free.push(o.eff_free);
-            self.ops.push(OrigOp {
-                gid: o.gid,
-                service: o.service,
-                kind: o.kind,
-                pidx: o.pidx,
-            });
+    }
+
+    /// Undoes the event in flight: the certifier is as before `step`.
+    fn rollback(&mut self) {
+        self.rollback_ops(0);
+        for (pid, old) in self.log.completions.drain(..).rev() {
+            match old {
+                Some(c) => self.completion_cache.insert(pid, c),
+                None => self.completion_cache.remove(&pid),
+            };
         }
-        self.prefix_reducible.push(delta.reducible);
-        if !delta.reducible && self.first_violation.is_none() {
-            self.first_violation = Some(self.len);
+        for (pid, old) in self.log.states.drain(..).rev() {
+            match old {
+                Some(st) => self.states.insert(pid, st),
+                None => self.states.remove(&pid),
+            };
         }
     }
 }
@@ -1321,9 +1332,341 @@ pub fn check_pred_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activity::Catalog;
+    use crate::conflict::ConflictMatrix;
     use crate::fixtures;
     use crate::ids::ProcessId;
     use crate::pred::check_pred;
+    use crate::process::ProcessBuilder;
+    use crate::serializability::ProcessGraph;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    type PidPairs = BTreeMap<(ProcessId, ProcessId), u32>;
+
+    impl IncrementalPred<'_> {
+        fn by_pid(&self, counts: &PairCounts) -> PidPairs {
+            counts
+                .nonzero()
+                .map(|(a, b)| ((self.dense_pids[a], self.dense_pids[b]), counts.get(a, b)))
+                .collect()
+        }
+
+        /// Everything that carries meaning, rendered for comparison: all
+        /// fields but the row stride and the acyclicity memo of `live.graph`.
+        fn logical_state(&self) -> String {
+            let g = &self.live.graph;
+            let edges: Vec<(usize, usize)> = (0..g.n)
+                .flat_map(|a| (0..g.n).map(move |b| (a, b)))
+                .filter(|&(a, b)| bit_get(&g.adj[a * g.words..(a + 1) * g.words], b))
+                .collect();
+            format!(
+                "{:?}",
+                (
+                    (&self.len, &self.states, &self.committed, &self.ops),
+                    (&self.rows, &self.svc_idx, &self.svcs, &self.dense_pids),
+                    (
+                        &self.pid_dense,
+                        &self.proc_ops,
+                        &self.fwd_of,
+                        &self.comp_gids
+                    ),
+                    (&self.pairs, &self.perm),
+                    (&self.completion_cache, self.by_pid(&self.m2)),
+                    (&self.live_base, &self.cancelled),
+                    (self.by_pid(&self.live.counts), g.n, edges, &g.indeg),
+                    (&self.prefix_reducible, &self.first_violation, &self.events),
+                    (&self.log.ops, self.log.states.len(), &self.kept),
+                )
+            )
+        }
+
+        /// The reduction re-derived from the whole history, the way every
+        /// plan derived it before it became certifier state: rule 3, the
+        /// compensation-pair cancellation fixpoint over the bitset
+        /// reachability, and the process graph of what remains. Returns the
+        /// liveness of the original operations, their live conflicting
+        /// cross-process pair counts, and the verdict. Without `overlay`
+        /// only the recorded operations take part — what the persistent
+        /// `cancelled` and `live` must equal between events.
+        fn reduction_from_scratch(&self, overlay: bool) -> (Vec<bool>, PidPairs, bool) {
+            let mut probe = self.clone();
+            let spec = probe.spec;
+            let oracle = spec.oracle();
+            let cops = if overlay {
+                probe.overlay_ops()
+            } else {
+                Vec::new()
+            };
+            let cedges = probe.overlay_edges(&cops);
+            let (width, crows) = probe.overlay_rows(&cops, &cedges);
+            let n = probe.ops.len();
+            let total = n + cops.len();
+            let committed_now = |p: ProcessId| probe.committed.contains(&p);
+
+            let mut live = vec![true; total];
+            for (lv, op) in live.iter_mut().zip(&probe.ops) {
+                *lv = !spec.catalog.is_effect_free(op.service) || committed_now(op.gid.process);
+            }
+            for (ci, c) in cops.iter().enumerate() {
+                live[n + ci] = !c.eff_free || committed_now(c.pid);
+            }
+            let mut pairs: Vec<(usize, usize)> = Vec::new();
+            for (c, op) in probe.ops.iter().enumerate() {
+                if op.kind == OpKind::Compensation {
+                    if let Some(&f) = probe.fwd_of.get(&op.gid) {
+                        pairs.push((f, c));
+                    }
+                }
+            }
+            for (ci, c) in cops.iter().enumerate() {
+                if c.kind == OpKind::Compensation {
+                    if let Some(&f) = probe.fwd_of.get(&c.gid) {
+                        pairs.push((f, n + ci));
+                    }
+                }
+            }
+            let row_of = |x: usize| -> &[u64] {
+                if x < n {
+                    &probe.rows[x]
+                } else {
+                    &crows[(x - n) * width..(x - n + 1) * width]
+                }
+            };
+            let lt = |a: usize, b: usize| bit_get(row_of(b), a);
+            let service_at = |x: usize| -> ServiceId {
+                if x < n {
+                    probe.ops[x].service
+                } else {
+                    cops[x - n].service
+                }
+            };
+            loop {
+                let mut changed = false;
+                for &(f, c) in &pairs {
+                    if !live[f] || !live[c] {
+                        continue;
+                    }
+                    let blocked = (0..total).any(|k| {
+                        k != f
+                            && k != c
+                            && live[k]
+                            && oracle.conflict(service_at(k), service_at(f))
+                            && lt(f, k)
+                            && lt(k, c)
+                    });
+                    if !blocked {
+                        live[f] = false;
+                        live[c] = false;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+
+            let mut counts = PidPairs::new();
+            let mut pg = ProcessGraph::new();
+            let pid_at = |x: usize| {
+                if x < n {
+                    probe.ops[x].gid.process
+                } else {
+                    cops[x - n].pid
+                }
+            };
+            for j in 0..total {
+                for i in 0..total {
+                    // Original pairs are ordered by history position (8.3a),
+                    // pairs into and among the overlay by its order edges.
+                    let ordered = if j < n { i < j } else { lt(i, j) };
+                    if !ordered
+                        || !live[i]
+                        || !live[j]
+                        || pid_at(i) == pid_at(j)
+                        || !oracle.conflict(service_at(i), service_at(j))
+                    {
+                        continue;
+                    }
+                    if j < n {
+                        *counts.entry((pid_at(i), pid_at(j))).or_default() += 1;
+                    }
+                    pg.add_edge(pid_at(i), pid_at(j));
+                }
+            }
+            live.truncate(n);
+            (live, counts, pg.is_acyclic())
+        }
+
+        /// Permanence and the 8.3(d)/(f) pair counts from their definitions.
+        fn mandatory_from_scratch(&self) -> (Vec<bool>, PidPairs) {
+            let oracle = self.spec.oracle();
+            let perm: Vec<bool> = self
+                .ops
+                .iter()
+                .map(|op| {
+                    op.kind == OpKind::Forward
+                        && !self.comp_gids.contains(&op.gid)
+                        && !self
+                            .completion_cache
+                            .get(&op.gid.process)
+                            .is_some_and(|c| c.compensations.contains(&op.gid.activity))
+                })
+                .collect();
+            let mut counts = PidPairs::new();
+            for (j, y) in self.ops.iter().enumerate() {
+                for (i, x) in self.ops[..j].iter().enumerate() {
+                    if perm[i]
+                        && perm[j]
+                        && x.gid.process != y.gid.process
+                        && oracle.conflict(x.service, y.service)
+                    {
+                        *counts.entry((x.gid.process, y.gid.process)).or_default() += 1;
+                    }
+                }
+            }
+            (perm, counts)
+        }
+    }
+
+    /// A world the paper's fixture does not reach: five processes of P₁'s
+    /// shape over a shared pool of nine services with random conflicts
+    /// (self-conflicts included) and random effect-free services, so that
+    /// pairs nest across processes and commits revive operations (rule 3).
+    fn random_world(seed: u64) -> Spec {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cat = Catalog::new();
+        let comp: Vec<ServiceId> = (0..4)
+            .map(|i| cat.compensatable(format!("c{i}")).0)
+            .collect();
+        let piv: Vec<ServiceId> = (0..2).map(|i| cat.pivot(format!("p{i}"))).collect();
+        let ret: Vec<ServiceId> = (0..3).map(|i| cat.retriable(format!("r{i}"))).collect();
+        let all = [comp.clone(), piv.clone(), ret.clone()].concat();
+        let mut conflicts = ConflictMatrix::new(&cat);
+        for (i, &a) in all.iter().enumerate() {
+            for &b in &all[i..] {
+                if rng.gen_bool(0.35) {
+                    conflicts.declare_conflict(&cat, a, b).unwrap();
+                }
+            }
+        }
+        for &s in &all {
+            if rng.gen_bool(0.3) {
+                cat.mark_effect_free(s).unwrap();
+            }
+        }
+        let mut spec = Spec::new(cat, conflicts);
+        for p in 1..=5u32 {
+            let mut pick = |pool: &[ServiceId]| pool[rng.gen_range(0..pool.len())];
+            let mut b = ProcessBuilder::new(ProcessId(p), format!("P{p}"));
+            let a1 = b.activity("a1", pick(&comp));
+            let a2 = b.activity("a2", pick(&piv));
+            let a3 = b.activity("a3", pick(&comp));
+            let a4 = b.activity("a4", pick(&piv));
+            let a5 = b.activity("a5", pick(&ret));
+            let a6 = b.activity("a6", pick(&ret));
+            b.chain(&[a1, a2, a3, a4]);
+            b.precede(a2, a5);
+            b.precede(a5, a6);
+            b.prefer(a2, a3, a5);
+            let process = b.build(&spec.catalog).unwrap();
+            spec.add_process(process);
+        }
+        spec
+    }
+
+    /// A random legal history: each step picks an active process and runs
+    /// its pending compensation, or aborts it, or executes or fails its
+    /// next activity; finished processes commit with probability 1/2.
+    fn random_history(spec: &Spec, seed: u64, max_events: usize) -> Schedule {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut schedule = Schedule::new();
+        let mut states: Vec<ProcessState<'_>> = spec
+            .processes()
+            .map(|p| ProcessState::new(p, &spec.catalog).expect("tree process"))
+            .collect();
+        for _ in 0..max_events {
+            let live: Vec<usize> = (0..states.len())
+                .filter(|&i| states[i].is_active())
+                .collect();
+            if live.is_empty() {
+                break;
+            }
+            let st = &mut states[live[rng.gen_range(0..live.len())]];
+            let pid = st.process().id;
+            if let Some(c) = st.next_compensation() {
+                st.apply_compensation(c).expect("queued");
+                schedule.compensate(GlobalActivityId::new(pid, c));
+            } else if st.has_started() && !st.abort_in_progress() && rng.gen_bool(0.08) {
+                st.apply_process_abort().expect("active");
+                schedule.abort(pid);
+            } else if let Some(a) = st.next_activity() {
+                let gid = GlobalActivityId::new(pid, a);
+                let mut failed = st.clone();
+                if rng.gen_bool(0.25)
+                    && failed
+                        .apply_failure(a)
+                        .is_ok_and(|o| o != FailureOutcome::Stuck)
+                {
+                    *st = failed;
+                    schedule.fail(gid);
+                } else {
+                    st.apply_commit(a).expect("frontier");
+                    schedule.execute(gid);
+                }
+            } else if st.can_commit() && rng.gen_bool(0.5) {
+                st.apply_process_commit().expect("finished");
+                schedule.commit(pid);
+            }
+        }
+        schedule
+    }
+
+    /// Drives one certifier over `s` and demands, at every event: `certify`
+    /// and an illegal event leave the full state untouched; the verdict is
+    /// the batch checker's and the from-scratch derivation's; and the
+    /// persistent permanence, cancellation set and pair counts are what a
+    /// derivation from the whole history gives.
+    fn assert_reduction_state_tracks_scratch(spec: &Spec, s: &Schedule, label: &str) {
+        let batch = check_pred(spec, s).unwrap();
+        let mut inc = IncrementalPred::new(spec);
+        for (i, e) in s.events().iter().enumerate() {
+            let at = format!("{label} event {i} ({e:?})");
+            let before = inc.logical_state();
+            let what_if = inc.certify(e).unwrap();
+            assert_eq!(inc.logical_state(), before, "{at}: certify mutated");
+            assert!(inc.certify(&Event::Commit(ProcessId(99))).is_err());
+            assert_eq!(inc.logical_state(), before, "{at}: illegal event mutated");
+            let recorded = inc.record(e).unwrap();
+            assert_eq!(what_if, recorded, "{at}");
+            assert_eq!(recorded.reducible, batch.prefix_reducible[i + 1], "{at}");
+
+            let (live, counts, _) = inc.reduction_from_scratch(false);
+            let alive: Vec<bool> = (0..inc.ops.len()).map(|x| inc.alive(x)).collect();
+            assert_eq!(alive, live, "{at}: cancellation set");
+            assert_eq!(inc.by_pid(&inc.live.counts), counts, "{at}: live pairs");
+            let (.., reducible) = inc.reduction_from_scratch(true);
+            assert_eq!(recorded.reducible, reducible, "{at}: verdict");
+            let (perm, mandatory) = inc.mandatory_from_scratch();
+            assert_eq!(inc.perm, perm, "{at}: permanence");
+            assert_eq!(inc.by_pid(&inc.m2), mandatory, "{at}: mandatory pairs");
+        }
+        assert_eq!(inc.report(), batch, "{label}");
+    }
+
+    #[test]
+    fn persistent_reduction_equals_scratch_derivation_after_every_event() {
+        let fx = fixtures::paper_world();
+        for seed in 0..256u64 {
+            let s = random_history(&fx.spec, seed, 24);
+            assert_reduction_state_tracks_scratch(&fx.spec, &s, &format!("paper seed {seed}"));
+        }
+        for seed in 0..256u64 {
+            let spec = random_world(seed);
+            let s = random_history(&spec, seed, 40);
+            assert_reduction_state_tracks_scratch(&spec, &s, &format!("world seed {seed}"));
+        }
+    }
 
     fn st2(fx: &fixtures::PaperWorld) -> Schedule {
         let mut s = Schedule::new();
@@ -1453,30 +1796,42 @@ mod tests {
     }
 
     #[test]
-    fn certify_is_pure() {
+    fn what_ifs_and_refused_events_leave_the_full_state_untouched() {
         let fx = fixtures::paper_world();
-        let s = figure7(&fx);
-        let mut certifier = IncrementalPred::new(&fx.spec);
-        for e in s.events() {
-            let before = certifier.report();
-            let what_if = certifier.certify(e).unwrap();
-            assert_eq!(certifier.report(), before, "certify must not mutate");
-            let recorded = certifier.record(e).unwrap();
-            assert_eq!(what_if, recorded);
+        let illegal = Event::Execute(fx.a(1, 6));
+        for s in [st2(&fx), figure7(&fx)] {
+            let mut certifier = IncrementalPred::new(&fx.spec);
+            for e in s.events() {
+                let before = certifier.logical_state();
+                let what_if = certifier.certify(e).unwrap();
+                assert_eq!(certifier.logical_state(), before, "certify must not mutate");
+                // An illegal event, through every entry point.
+                assert!(certifier.certify(&illegal).is_err());
+                assert!(certifier.certify_keep(&illegal).is_err());
+                assert!(certifier.record(&illegal).is_err());
+                assert_eq!(certifier.logical_state(), before, "illegal event mutated");
+                // A kept event: refused at once if rejected, and rolled back
+                // by the next what-if otherwise.
+                let kept = certifier.certify_keep(e).unwrap();
+                assert_eq!(kept, what_if);
+                if !kept.reducible {
+                    assert_eq!(certifier.logical_state(), before, "rejected keep mutated");
+                }
+                assert_eq!((certifier.len(), certifier.report().pred), {
+                    let len = kept.prefix_len - 1;
+                    (len, certifier.prefix_reducible()[..=len].iter().all(|&r| r))
+                });
+                certifier.certify(e).unwrap();
+                assert_eq!(
+                    certifier.logical_state(),
+                    before,
+                    "kept event not rolled back"
+                );
+                assert_eq!(certifier.record(e).unwrap(), what_if);
+            }
         }
-    }
-
-    #[test]
-    fn illegal_event_errors_and_leaves_state_intact() {
-        let fx = fixtures::paper_world();
-        let mut certifier = IncrementalPred::new(&fx.spec);
-        // a1_2 before a1_1 violates the precedence order.
-        let bad = Event::Execute(fx.a(1, 2));
-        assert!(certifier.record(&bad).is_err());
-        assert_eq!(certifier.len(), 0);
-        // The certifier still works afterwards.
-        certifier.record(&Event::Execute(fx.a(1, 1))).unwrap();
-        assert_eq!(certifier.len(), 1);
+        // st2's fourth event is the rejected one: the loop above saw it.
+        assert!(!check_pred(&fx.spec, &st2(&fx)).unwrap().prefix_reducible[4]);
     }
 
     #[test]
@@ -1515,31 +1870,6 @@ mod tests {
     }
 
     #[test]
-    fn record_epoch_matches_sequential_record() {
-        let fx = fixtures::paper_world();
-        let s = figure7(&fx);
-        let mut seq = IncrementalPred::new(&fx.spec);
-        for e in s.events() {
-            seq.record(e).unwrap();
-        }
-        let mut epoch = IncrementalPred::new(&fx.spec);
-        let verdict = epoch.record_epoch(s.events());
-        assert!(verdict.accepted_all());
-        assert_eq!(verdict.accepted, s.events().len());
-        for (i, step) in verdict.steps.iter().enumerate() {
-            assert_eq!(
-                *step,
-                EpochStep::Accepted(StepVerdict {
-                    prefix_len: i + 1,
-                    reducible: true,
-                })
-            );
-        }
-        assert_eq!(epoch.report(), seq.report());
-        assert_eq!(epoch.len(), seq.len());
-    }
-
-    #[test]
     fn snapshot_restore_matches_the_live_certifier() {
         let fx = fixtures::paper_world();
         for s in [st2(&fx), figure7(&fx)] {
@@ -1550,7 +1880,7 @@ mod tests {
             // Restore must behave like a fresh replay of the same prefix —
             // state, report, and every future certification answer.
             let snap = live.snapshot();
-            let restored = IncrementalPred::restore(&fx.spec, &snap).unwrap();
+            let mut restored = IncrementalPred::restore(&fx.spec, &snap).unwrap();
             assert_eq!(restored.len(), live.len());
             assert_eq!(restored.report(), live.report());
             assert_eq!(restored.first_violation(), live.first_violation());
@@ -1573,79 +1903,6 @@ mod tests {
                 live.report()
             );
         }
-    }
-
-    #[test]
-    fn poisoned_epoch_applies_accepted_prefix_only() {
-        let fx = fixtures::paper_world();
-        let s = st2(&fx); // prefix 4 is the first non-reducible one
-        let mut epoch = IncrementalPred::new(&fx.spec);
-        let verdict = epoch.record_epoch(s.events());
-        assert!(verdict.poisoned);
-        assert_eq!(verdict.accepted, 3);
-        assert!(matches!(
-            verdict.steps[3],
-            EpochStep::Rejected(StepVerdict {
-                prefix_len: 4,
-                reducible: false,
-            })
-        ));
-        assert!(verdict.steps[4..].iter().all(|s| *s == EpochStep::Skipped));
-        // The certifier holds exactly the accepted prefix.
-        let mut expect = IncrementalPred::new(&fx.spec);
-        for e in &s.events()[..3] {
-            expect.record(e).unwrap();
-        }
-        assert_eq!(epoch.len(), 3);
-        assert_eq!(epoch.report(), expect.report());
-        // Degradation: per-event retry of the rejected event still rejects
-        // (certify sees the same state) — the driver keeps it blocked.
-        assert!(!epoch.certify(&s.events()[3]).unwrap().reducible);
-    }
-
-    #[test]
-    fn certify_epoch_is_pure_and_matches_record_epoch() {
-        let fx = fixtures::paper_world();
-        let s = st2(&fx);
-        let mut base = IncrementalPred::new(&fx.spec);
-        base.record(&s.events()[0]).unwrap();
-        let before = base.report();
-        let what_if = base.certify_epoch(&s.events()[1..]);
-        assert_eq!(base.report(), before, "certify_epoch must not mutate");
-        assert_eq!(base.len(), 1);
-        let recorded = base.record_epoch(&s.events()[1..]);
-        assert_eq!(what_if, recorded);
-    }
-
-    #[test]
-    fn illegal_event_poisons_epoch_and_leaves_accepted_prefix() {
-        let fx = fixtures::paper_world();
-        let mut epoch = IncrementalPred::new(&fx.spec);
-        // a1_3 after a1_1 skips a1_2: illegal under the precedence order.
-        let batch = vec![
-            Event::Execute(fx.a(1, 1)),
-            Event::Execute(fx.a(1, 3)),
-            Event::Execute(fx.a(1, 2)),
-        ];
-        let verdict = epoch.record_epoch(&batch);
-        assert!(verdict.poisoned);
-        assert_eq!(verdict.accepted, 1);
-        assert_eq!(verdict.steps[1], EpochStep::Illegal);
-        assert_eq!(verdict.steps[2], EpochStep::Skipped);
-        assert_eq!(epoch.len(), 1);
-        // The certifier still works afterwards.
-        epoch.record(&Event::Execute(fx.a(1, 2))).unwrap();
-        assert_eq!(epoch.len(), 2);
-    }
-
-    #[test]
-    fn empty_epoch_is_accepted() {
-        let fx = fixtures::paper_world();
-        let mut certifier = IncrementalPred::new(&fx.spec);
-        let verdict = certifier.record_epoch(&[]);
-        assert!(verdict.accepted_all());
-        assert!(verdict.steps.is_empty());
-        assert_eq!(certifier.len(), 0);
     }
 
     #[test]
@@ -1675,11 +1932,74 @@ mod tests {
         // certified candidate was never emitted): the cache must miss.
         kept.certify_keep(&a11).unwrap();
         assert_eq!(kept.record(&a21).unwrap(), plain.record(&a21).unwrap());
+        assert_eq!(kept.logical_state(), plain.logical_state());
         // Keep again, record another event, then record the kept event at a
         // *later* length: the length check must reject the stale plan.
         kept.certify_keep(&a11).unwrap();
         assert_eq!(kept.record(&a22).unwrap(), plain.record(&a22).unwrap());
         assert_eq!(kept.record(&a11).unwrap(), plain.record(&a11).unwrap());
-        assert_eq!(kept.report(), plain.report());
+        assert_eq!(kept.logical_state(), plain.logical_state());
+    }
+
+    /// Rule 3 across a commit, in both directions at once. Q's pair encloses
+    /// P's effect-free pair `(a3, a3⁻¹)`, which conflicts with it. While P
+    /// is uncommitted its pair is dead and Q's cancels; `C_P` revives P's
+    /// pair, which un-cancels Q's (it is blocked again), then cancels on
+    /// its own — and the cascade from that re-cancels Q's.
+    #[test]
+    fn commit_revives_effect_free_pairs_and_rederives_the_cancellations() {
+        let mut cat = Catalog::new();
+        let (c, _) = cat.compensatable("c");
+        let (q, _) = cat.compensatable("q");
+        let (read, _) = cat.compensatable("read");
+        let pivot = cat.pivot("pivot");
+        let retriable = cat.retriable("retriable");
+        let mut conflicts = ConflictMatrix::new(&cat);
+        conflicts.declare_conflict(&cat, q, read).unwrap();
+        cat.mark_effect_free(read).unwrap();
+        let mut spec = Spec::new(cat, conflicts);
+        let mut b = ProcessBuilder::new(ProcessId(1), "P");
+        let a1 = b.activity("a1", c);
+        let a2 = b.activity("a2", pivot);
+        let a3 = b.activity("a3", read);
+        let a4 = b.activity("a4", pivot);
+        let a5 = b.activity("a5", retriable);
+        b.chain(&[a1, a2, a3, a4]);
+        b.precede(a2, a5);
+        b.prefer(a2, a3, a5);
+        let p = b.build(&spec.catalog).unwrap();
+        spec.add_process(p);
+        let mut b = ProcessBuilder::new(ProcessId(2), "Q");
+        let qa = b.activity("a1", q);
+        let qb = b.activity("a2", pivot);
+        b.precede(qa, qb);
+        let p = b.build(&spec.catalog).unwrap();
+        spec.add_process(p);
+
+        let (pp, pq) = (ProcessId(1), ProcessId(2));
+        let g = GlobalActivityId::new;
+        let mut s = Schedule::new();
+        s.execute(g(pq, qa))
+            .execute(g(pp, a1))
+            .execute(g(pp, a2))
+            .execute(g(pp, a3))
+            .fail(g(pp, a4))
+            .compensate(g(pp, a3))
+            .abort(pq)
+            .compensate(g(pq, qa));
+        let mut inc = IncrementalPred::new(&spec);
+        for e in s.events() {
+            inc.record(e).unwrap();
+        }
+        // Operations: 0 Q.a1, 1 P.a1, 2 P.a2, 3 P.a3, 4 P.a3⁻¹, 5 Q.a1⁻¹.
+        assert_eq!(inc.live_base, [true, true, true, false, false, true]);
+        assert_eq!(inc.cancelled, [true, false, false, false, false, true]);
+        s.execute(g(pp, a5)).commit(pp);
+        assert_reduction_state_tracks_scratch(&spec, &s, "revival");
+        for e in &s.events()[inc.len()..] {
+            inc.record(e).unwrap();
+        }
+        assert_eq!(inc.live_base, [true; 7]);
+        assert_eq!(inc.cancelled, [true, false, false, true, true, true, false]);
     }
 }

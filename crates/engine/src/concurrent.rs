@@ -800,15 +800,12 @@ impl<'a> ShardState<'a> {
         }
         let t0 = self.tele.phase_start();
         let ok = if let Some(inc) = &mut self.incremental {
-            // Per-event sync (not `record_epoch`): emitted history may hold
-            // forcibly recorded non-reducible events (aborts), which a
-            // batch verdict would refuse to apply.
             for e in &self.history.events()[inc.len()..] {
                 inc.record(e).expect("emitted history event is legal");
             }
-            // Epoch mode retains the certified plan so the admitting
-            // `record` above replays it instead of re-planning — a pure
-            // amortization, bit-identical answers.
+            // Epoch mode leaves an admitted event applied, so the admitting
+            // `record` above only drops its undo log — bit-identical
+            // answers either way.
             let verdict = if self.epoch > 0 {
                 inc.certify_keep(&event)
             } else {

@@ -674,18 +674,14 @@ impl<'a> Engine<'a> {
         if let Some(cell) = &self.incremental {
             let mut inc = cell.borrow_mut();
             // Absorb history events emitted since the last certification;
-            // amortized, every event is recorded exactly once per run. The
-            // sync stays per-event `record` (not `record_epoch`): emitted
-            // history may contain forcibly recorded non-reducible events
-            // (aborts), which a batch verdict would refuse to apply.
+            // amortized, every event is recorded exactly once per run.
             for e in &self.history.events()[inc.len()..] {
                 inc.record(e).expect("emitted history event is legal");
             }
-            // Epoch mode retains the certified plan so the admitting
-            // `record` above (next sync) replays it instead of re-planning:
-            // one closure / `PairCounts` computation per admitted event.
-            // `certify` and `certify_keep` answer identically — the cache
-            // is a pure amortization, so histories stay bit-identical.
+            // Epoch mode leaves an admitted event applied, so the admitting
+            // `record` above (next sync) only drops its undo log: one step
+            // per admitted event. `certify` and `certify_keep` answer
+            // identically, so histories stay bit-identical.
             let verdict = if self.cfg.epoch > 0 {
                 inc.certify_keep(&event)
             } else {
