@@ -4,8 +4,17 @@
 //! serial) and the threaded concurrent driver at 8–64 processes. The larger
 //! sizes exercise the indexed protocol hot path: per-decision cost must stay
 //! O(degree), not O(live ops), for these to finish in sensible time.
+//!
+//! `scalability-catalog` records the catalog-size dependence of what a
+//! sharded run pays outside its shards' own work: at 8, 64 and 512 clusters
+//! (8 processes each, 12 services per cluster) it times `generate`,
+//! `DomainPartition::partition` and a fresh `Protocol`'s first admission —
+//! the first read of a service's conflict row, which every shard pays per
+//! service and which must not grow with the catalog.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use txproc_core::domains::DomainPartition;
+use txproc_core::protocol::{DeferPolicy, Protocol};
 use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig};
 use txproc_engine::engine::{run, RunConfig};
 use txproc_engine::policy::PolicyKind;
@@ -67,6 +76,41 @@ fn bench(c: &mut Criterion) {
                         ..ConcurrentConfig::default()
                     },
                 )
+            })
+        });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("scalability-catalog");
+    g.sample_size(10);
+    for &clusters in &[8usize, 64, 512] {
+        let config = WorkloadConfig {
+            seed: 3,
+            processes: 8 * clusters,
+            clusters,
+            services_per_kind: 4,
+            subsystems: 2,
+            conflict_density: 0.3,
+            failure_probability: 0.1,
+            ..WorkloadConfig::default()
+        };
+        g.bench_with_input(BenchmarkId::new("generate", clusters), &config, |b, c| {
+            b.iter(|| generate(c))
+        });
+        let w = generate(&config);
+        g.bench_with_input(BenchmarkId::new("partition", clusters), &w, |b, w| {
+            b.iter(|| DomainPartition::partition(&w.spec))
+        });
+        let first = w.spec.processes().next().expect("a process");
+        let (pid, service) = (
+            first.id,
+            first.service(first.iter().next().expect("an activity").0),
+        );
+        g.bench_with_input(BenchmarkId::new("first-touch-row", clusters), &w, |b, w| {
+            b.iter(|| {
+                let mut protocol = Protocol::new(&w.spec, DeferPolicy::PrepareAndDefer);
+                protocol.register(pid);
+                protocol.request(pid, service)
             })
         });
     }

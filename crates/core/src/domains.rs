@@ -102,12 +102,16 @@ pub struct DomainPartition {
 impl DomainPartition {
     /// Computes the workload-static partition for `spec`'s processes.
     ///
-    /// Cost: O(Σ activities + F·S) unions where F is the number of touched
-    /// base services and S the footprint sizes — every process touching a
-    /// service conflicting with a touched service joins one component, which
-    /// is exactly the transitive closure of the pairwise potential-conflict
-    /// edges (a complete bipartite block between `touched[s]` and
-    /// `touched[t]` is connected whenever both sides are non-empty).
+    /// Cost: O(Σ activities) to collect the footprints, then for each of the
+    /// F touched base services its conflict-matrix row
+    /// ([`ConflictMatrix::row`](crate::conflict::ConflictMatrix::row), read
+    /// in time proportional to its length) and `|touched[s]| + |touched[t]|`
+    /// unions per conflicting touched pair —
+    /// every process touching a service conflicting with a touched service
+    /// joins one component, which is exactly the transitive closure of the
+    /// pairwise potential-conflict edges (a complete bipartite block between
+    /// `touched[s]` and `touched[t]` is connected whenever both sides are
+    /// non-empty).
     pub fn partition(spec: &Spec) -> Self {
         let pids: Vec<ProcessId> = spec.processes().map(|p| p.id).collect();
         let index: BTreeMap<ProcessId, u32> = pids
@@ -133,28 +137,20 @@ impl DomainPartition {
             }
         }
 
-        // Union across every conflicting pair of touched services. For s ≠ t
-        // the bipartite block touched[s] × touched[t] is connected, so one
-        // chain through both lists suffices; for a self-conflicting s every
-        // pair in touched[s] is an edge.
-        let services: Vec<ServiceId> = touched.keys().copied().collect();
-        for (i, &s) in services.iter().enumerate() {
-            if spec.conflicts.conflict(&spec.catalog, s, s) {
-                let procs = &touched[&s];
-                for w in procs.windows(2) {
-                    uf.union(w[0], w[1]);
-                }
-            }
-            for &t in &services[i + 1..] {
-                if spec.conflicts.conflict(&spec.catalog, s, t) {
-                    let (ps, pt) = (&touched[&s], &touched[&t]);
-                    let anchor = ps[0];
-                    for &p in &ps[1..] {
-                        uf.union(anchor, p);
-                    }
-                    for &q in pt {
-                        uf.union(anchor, q);
-                    }
+        // Union across every conflicting pair of touched services, found by
+        // walking each touched service's row. For s ≠ t the bipartite block
+        // touched[s] × touched[t] is connected, so one chain through both
+        // lists suffices; for a self-conflicting s every pair in touched[s]
+        // is an edge, which the same chain covers.
+        for (&s, ps) in &touched {
+            for &t in spec.conflicts.row(&spec.catalog, s) {
+                // The relation is symmetric: take each pair from its
+                // smaller side.
+                let Some(pt) = touched.get(&t).filter(|_| t >= s) else {
+                    continue;
+                };
+                for &p in ps[1..].iter().chain(pt) {
+                    uf.union(ps[0], p);
                 }
             }
         }

@@ -37,8 +37,9 @@
 //! * [`Bucket`]s — an inverted index `base ServiceId → live operations`,
 //!   split into per-process live counts and per-process sets of
 //!   *non-stable* operation indices. Conflict queries touch only the
-//!   (precomputed) conflicting services and the processes actually holding
-//!   live operations there.
+//!   service's row of the conflict matrix
+//!   ([`ConflictMatrix::row`](crate::conflict::ConflictMatrix::row)) and the
+//!   processes actually holding live operations there.
 //! * `ops_by_process` / `op_index` — per-process and per-activity operation
 //!   lists, so stabilization and compensation touch only a process's own
 //!   records.
@@ -54,9 +55,7 @@
 use crate::ids::{GlobalActivityId, ProcessId, ServiceId};
 use crate::spec::Spec;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// How the scheduler handles a non-compensatable activity that conflicts
 /// with an active predecessor (Lemma 1).
@@ -209,11 +208,6 @@ pub struct Protocol<'a> {
     /// Processes currently executing their completion (abort in progress).
     aborting: BTreeSet<ProcessId>,
     // ---- maintained indexes (derived from the state above) ----
-    /// Per service: the base services it conflicts with. Filled lazily on
-    /// first touch and memoised — a process footprint visits a handful of
-    /// services, so eager O(catalog²) precomputation is wasted work (and
-    /// memory) at the large catalogs the open-arrival sweeps use.
-    conflict_adj: RefCell<BTreeMap<u32, Arc<[ServiceId]>>>,
     /// Per base service: live conflicting operations (inverted index).
     /// Sparse: only services that ever held a live operation have an entry.
     buckets: BTreeMap<ServiceId, Bucket>,
@@ -243,7 +237,6 @@ impl<'a> Protocol<'a> {
             status: BTreeMap::new(),
             deferred: BTreeMap::new(),
             aborting: BTreeSet::new(),
-            conflict_adj: RefCell::new(BTreeMap::new()),
             buckets: BTreeMap::new(),
             ops_by_process: BTreeMap::new(),
             op_index: BTreeMap::new(),
@@ -281,27 +274,11 @@ impl<'a> Protocol<'a> {
 
     // ---- index maintenance ----------------------------------------------
 
-    /// Conflicting base services of `service`, computed on first touch and
-    /// memoised. Only base services appear as record services / bucket
-    /// keys, so the row is restricted to them.
-    fn conflict_row(&self, service: ServiceId) -> Arc<[ServiceId]> {
-        if let Some(row) = self.conflict_adj.borrow().get(&service.0) {
-            return Arc::clone(row);
-        }
-        let oracle = self.spec.oracle();
-        let n = self.spec.catalog.len();
-        let mut adj = Vec::new();
-        for t in 0..n {
-            let tid = ServiceId(t as u32);
-            if self.spec.catalog.base(tid) == tid && oracle.conflict(service, tid) {
-                adj.push(tid);
-            }
-        }
-        let row: Arc<[ServiceId]> = adj.into();
-        self.conflict_adj
-            .borrow_mut()
-            .insert(service.0, Arc::clone(&row));
-        row
+    /// Conflicting base services of `service`: its row of the spec's conflict
+    /// matrix. Only base services appear as record services / bucket keys,
+    /// and only they appear in a row. The row borrows the spec, not `self`.
+    fn conflict_row(&self, service: ServiceId) -> &'a [ServiceId] {
+        self.spec.conflicts.row(&self.spec.catalog, service)
     }
 
     /// Dense index of a process, allocated on first use.
@@ -402,7 +379,18 @@ impl<'a> Protocol<'a> {
     pub fn check_index_invariants(&self) {
         let mut services: BTreeSet<ServiceId> = self.buckets.keys().copied().collect();
         services.extend(self.ops.iter().map(|r| r.service));
+        let (catalog, oracle) = (&self.spec.catalog, self.spec.oracle());
         for s in services {
+            let probed: Vec<ServiceId> = catalog
+                .iter()
+                .map(|(t, _)| t)
+                .filter(|&t| catalog.base(t) == t && oracle.conflict(s, t))
+                .collect();
+            assert_eq!(
+                self.conflict_row(s),
+                probed,
+                "conflict row diverged from the probe scan for service {s}"
+            );
             let mut live: BTreeMap<ProcessId, u32> = BTreeMap::new();
             let mut nonstable: BTreeMap<ProcessId, BTreeSet<usize>> = BTreeMap::new();
             for (i, r) in self.ops.iter().enumerate() {
@@ -508,7 +496,7 @@ impl<'a> Protocol<'a> {
     ) -> BTreeMap<ProcessId, bool> {
         let base = self.spec.catalog.base(service);
         let mut preds: BTreeMap<ProcessId, bool> = BTreeMap::new();
-        for &s in self.conflict_row(base).iter() {
+        for &s in self.conflict_row(base) {
             let Some(bucket) = self.buckets.get(&s) else {
                 continue;
             };
@@ -569,7 +557,7 @@ impl<'a> Protocol<'a> {
         // the Example 8 cycle. Wait until the compensation ran.
         let base = self.spec.catalog.base(service);
         let mut due_compensation: BTreeSet<ProcessId> = BTreeSet::new();
-        for &s in self.conflict_row(base).iter() {
+        for &s in self.conflict_row(base) {
             let Some(bucket) = self.buckets.get(&s) else {
                 continue;
             };
@@ -1102,7 +1090,7 @@ impl<'a> Protocol<'a> {
         let service = self.ops[pos].service;
         let mut wait: BTreeSet<ProcessId> = BTreeSet::new();
         let mut cascade: BTreeSet<ProcessId> = BTreeSet::new();
-        for &s in self.conflict_row(service).iter() {
+        for &s in self.conflict_row(service) {
             let Some(bucket) = self.buckets.get(&s) else {
                 continue;
             };
@@ -1165,7 +1153,7 @@ impl<'a> Protocol<'a> {
         let base = self.spec.catalog.base(service);
         let mut wait: BTreeSet<ProcessId> = BTreeSet::new();
         let mut cascade: BTreeSet<ProcessId> = BTreeSet::new();
-        for &s in self.conflict_row(base).iter() {
+        for &s in self.conflict_row(base) {
             let Some(bucket) = self.buckets.get(&s) else {
                 continue;
             };

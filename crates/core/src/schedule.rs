@@ -116,6 +116,11 @@ impl Schedule {
         &self.events
     }
 
+    /// Consumes the schedule into its events.
+    pub fn into_events(self) -> Vec<Event> {
+        self.events
+    }
+
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -229,6 +234,14 @@ impl Schedule {
     /// The normalized operations of this history (validating it on the way).
     pub fn ops(&self, spec: &Spec) -> Result<Vec<Op>, ScheduleError> {
         Ok(self.replay(spec)?.ops)
+    }
+}
+
+impl FromIterator<Event> for Schedule {
+    fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Self {
+        Self {
+            events: events.into_iter().collect(),
+        }
     }
 }
 

@@ -53,6 +53,83 @@ fn random_spec(seed: u64, services: usize, processes: usize, conflict_density: f
     spec
 }
 
+/// A multi-tenant world: `clusters` disjoint groups of `per_cluster` base
+/// services with conflicts declared only inside a group; process `p` draws
+/// its footprint from cluster `p % clusters`. Processes are registered in
+/// the order `order` gives (a permutation of `0..processes`).
+fn clustered_spec(
+    seed: u64,
+    clusters: usize,
+    per_cluster: usize,
+    order: impl Iterator<Item = usize>,
+) -> Spec {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cat = Catalog::new();
+    let svcs: Vec<ServiceId> = (0..clusters * per_cluster)
+        .map(|i| cat.compensatable(format!("s{i}")).0)
+        .collect();
+    let mut matrix = ConflictMatrix::new(&cat);
+    for cluster in svcs.chunks(per_cluster) {
+        for (i, &a) in cluster.iter().enumerate() {
+            for &b in &cluster[i..] {
+                if rng.gen_bool(0.25) {
+                    matrix.declare_conflict(&cat, a, b).unwrap();
+                }
+            }
+        }
+    }
+    let mut spec = Spec::new(cat, matrix);
+    for p in order {
+        // The footprint depends on the pid alone, not on registration order.
+        let mut rng = StdRng::seed_from_u64(seed ^ (p as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
+        let cluster = &svcs[(p % clusters) * per_cluster..][..per_cluster];
+        let mut b = ProcessBuilder::new(ProcessId(p as u32), format!("p{p}"));
+        let acts: Vec<_> = (0..rng.gen_range(1..=4usize))
+            .map(|k| b.activity(format!("a{k}"), cluster[rng.gen_range(0..per_cluster)]))
+            .collect();
+        b.chain(&acts);
+        spec.add_process(b.build(&spec.catalog).unwrap());
+    }
+    spec
+}
+
+/// The shape the sharded driver is run on: many clusters, a large catalog,
+/// hundreds of small domains.
+#[test]
+fn many_cluster_partition_matches_naive_oracle() {
+    for (seed, clusters, processes) in [(1u64, 64usize, 512usize), (2, 96, 640)] {
+        let spec = clustered_spec(seed, clusters, 6, 0..processes);
+        let part = DomainPartition::partition(&spec);
+        let mut got: Vec<Vec<ProcessId>> = part.domains().to_vec();
+        got.sort();
+        assert_eq!(got, naive_components(&spec), "seed {seed}");
+        assert!(part.domain_count() >= clusters, "seed {seed}");
+        for members in part.domains() {
+            let cluster = members[0].0 as usize % clusters;
+            assert!(
+                members.iter().all(|p| p.0 as usize % clusters == cluster),
+                "seed {seed}: a domain mixes clusters"
+            );
+        }
+
+        // Registration order is not an input of the partition.
+        let reversed = clustered_spec(seed, clusters, 6, (0..processes).rev());
+        let mut shuffled: Vec<usize> = (0..processes).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..processes).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        let shuffled = clustered_spec(seed, clusters, 6, shuffled.into_iter());
+        for other in [&reversed, &shuffled] {
+            assert_eq!(
+                DomainPartition::partition(other).domains(),
+                part.domains(),
+                "seed {seed}: partition depends on registration order"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 

@@ -490,6 +490,31 @@ impl<'a> Shard<'a> {
         }
     }
 
+    /// Ends the shard's run on the calling thread: closes the partial epoch
+    /// (trace records and fill accounting since the last boundary), keeps
+    /// what the merge needs and drops the rest — policy, certifier, maps.
+    fn finish(self, ctx: &RunCtx<'_, 'a>) -> ShardDone {
+        let mut st = self.state.into_inner();
+        st.close_epoch(ctx);
+        let mut metrics = st.metrics;
+        metrics.shards.push(ShardMetrics {
+            shard: self.id,
+            processes: st.states.len() as u64,
+            events: st.history.len() as u64,
+            lock_wait_ns: self.lock_wait_ns.into_inner(),
+            lock_hold_ns: self.lock_hold_ns.into_inner(),
+            notifies: self.notifies.into_inner(),
+            wakeups: self.wakeups.into_inner(),
+            spurious_wakeups: self.spurious_wakeups.into_inner(),
+        });
+        ShardDone {
+            id: self.id,
+            metrics,
+            tickets: st.event_tickets,
+            history: st.history,
+        }
+    }
+
     /// Broadcasts the shard condvar after a visible state change.
     fn notify(&self) {
         self.notifies.fetch_add(1, Ordering::Relaxed);
@@ -531,6 +556,16 @@ impl<'a> Shard<'a> {
         }
         progressed
     }
+}
+
+/// What a finished shard hands to the merge.
+struct ShardDone {
+    id: u32,
+    /// The shard's counters, its [`ShardMetrics`] entry included.
+    metrics: Metrics,
+    /// Global merge ticket of each segment event (parallel to `history`).
+    tickets: Vec<u64>,
+    history: Schedule,
 }
 
 /// Shard lock guard that charges hold time (minus condvar-wait time) on
@@ -1141,7 +1176,10 @@ pub(crate) fn run_concurrent_impl<'a>(
         wal: wal_cell.as_ref(),
     };
 
-    let mut runtime_metrics = match cfg.runtime {
+    // Either runtime ends with every shard finished (`Shard::finish`); the
+    // event workers finish the shards they own before they return, so a
+    // shard's state is dropped by the thread that ran it.
+    let (mut runtime_metrics, mut done) = match cfg.runtime {
         RuntimeKind::Threads => {
             std::thread::scope(|scope| {
                 for (si, members) in groups.iter().enumerate() {
@@ -1153,73 +1191,63 @@ pub(crate) fn run_concurrent_impl<'a>(
                 }
             });
             let processes: usize = groups.iter().map(Vec::len).sum();
-            RuntimeMetrics::new(RuntimeKind::Threads.label(), processes as u64)
+            (
+                RuntimeMetrics::new(RuntimeKind::Threads.label(), processes as u64),
+                shards.into_iter().map(|s| s.finish(&ctx)).collect(),
+            )
         }
         RuntimeKind::Events => {
             // Build each worker's shard schedulers up front (run queues,
             // waiting sets, per-process machine bookkeeping).
-            let mut per_worker: Vec<Vec<ShardSched>> =
+            let mut per_worker: Vec<Vec<(ShardSched, Shard<'_>)>> =
                 (0..worker_count).map(|_| Vec::new()).collect();
-            for (si, members) in groups.iter().enumerate() {
-                per_worker[worker_of_shard[si] as usize].push(ShardSched::new(si, members, &ctx));
+            for ((si, shard), members) in shards.into_iter().enumerate().zip(&groups) {
+                per_worker[worker_of_shard[si] as usize]
+                    .push((ShardSched::new(si, members, &ctx), shard));
             }
             let mut collected =
                 RuntimeMetrics::new(RuntimeKind::Events.label(), worker_count as u64);
+            let mut done: Vec<ShardDone> = Vec::with_capacity(groups.len());
             std::thread::scope(|scope| {
                 let handles: Vec<_> = per_worker
                     .into_iter()
                     .enumerate()
                     .map(|(widx, owned)| {
-                        let shards = &shards;
                         let ctx = &ctx;
-                        scope.spawn(move || event_worker(ctx, shards, owned, widx))
+                        scope.spawn(move || event_worker(ctx, owned, widx))
                     })
                     .collect();
                 for h in handles {
-                    collected.merge(&h.join().expect("event worker panicked"));
+                    let (rt, finished) = h.join().expect("event worker panicked");
+                    collected.merge(&rt);
+                    done.extend(finished);
                 }
             });
             collected.workers = worker_count as u64;
-            collected
+            (collected, done)
         }
     };
     runtime_metrics.in_flight_peak = ctx.live_peak.load(Ordering::Relaxed);
 
-    // Deterministic merge: interleave shard segments in ticket order into
-    // one global schedule, and fold shard metrics into the aggregate.
+    // Deterministic merge: fold shard metrics into the aggregate in shard
+    // order, and interleave the shard segments in ticket order into one
+    // global schedule. Tickets are the dense `0..N` one counter handed out,
+    // so each event moves straight to its slot — no sort.
     let makespan_us = ctx.run_start.elapsed().as_micros() as u64;
-    let mut tagged: Vec<(u64, Event)> = Vec::new();
+    done.sort_unstable_by_key(|d| d.id);
     let mut metrics = Metrics::new();
-    for shard in shards {
-        let mut st = shard.state.into_inner();
-        // Final epoch close: flush the partial epoch (trace records and
-        // fill accounting) each shard accumulated after its last boundary.
-        st.close_epoch(&ctx);
-        let st = st;
-        let mut m = st.metrics;
-        m.shards.push(ShardMetrics {
-            shard: shard.id,
-            processes: st.states.len() as u64,
-            events: st.history.len() as u64,
-            lock_wait_ns: shard.lock_wait_ns.into_inner(),
-            lock_hold_ns: shard.lock_hold_ns.into_inner(),
-            notifies: shard.notifies.into_inner(),
-            wakeups: shard.wakeups.into_inner(),
-            spurious_wakeups: shard.spurious_wakeups.into_inner(),
-        });
-        metrics.merge(&m);
-        tagged.extend(
-            st.event_tickets
-                .iter()
-                .copied()
-                .zip(st.history.events().iter().cloned()),
-        );
+    let mut slots: Vec<Option<Event>> = Vec::new();
+    slots.resize_with(tickets.load(Ordering::Relaxed) as usize, || None);
+    for shard in done {
+        metrics.merge(&shard.metrics);
+        for (ticket, event) in shard.tickets.into_iter().zip(shard.history.into_events()) {
+            slots[ticket as usize] = Some(event);
+        }
     }
-    tagged.sort_by_key(|&(t, _)| t);
-    let mut history = Schedule::new();
-    for (_, e) in tagged {
-        history.push(e);
-    }
+    let history: Schedule = slots
+        .into_iter()
+        .map(|e| e.expect("event tickets are dense"))
+        .collect();
     metrics.makespan = makespan_us;
     debug_assert!(
         runtime_metrics
@@ -1260,8 +1288,6 @@ impl ProcSM {
 /// open-system arrivals and the per-process state machines. Owned by
 /// exactly one worker, so no lock guards it.
 struct ShardSched {
-    /// Index into the shard slice.
-    index: usize,
     /// Runnable processes with their enqueue instant (scheduling delay is
     /// measured from it).
     run_queue: VecDeque<(ProcessId, Instant)>,
@@ -1294,7 +1320,6 @@ impl ShardSched {
         // Deterministic admission order: by arrival offset, ties by pid.
         arrivals.sort();
         Self {
-            index,
             run_queue: VecDeque::new(),
             waiting: BTreeSet::new(),
             arrivals: arrivals.into(),
@@ -1353,10 +1378,9 @@ impl ShardSched {
 ///   move (which re-queues everyone) can unblock them.
 fn event_worker<'a>(
     ctx: &RunCtx<'_, 'a>,
-    shards: &[Shard<'a>],
-    mut owned: Vec<ShardSched>,
+    mut owned: Vec<(ShardSched, Shard<'a>)>,
     widx: usize,
-) -> RuntimeMetrics {
+) -> (RuntimeMetrics, Vec<ShardDone>) {
     let mut rt = RuntimeMetrics::new(RuntimeKind::Events.label(), 1);
     let worker_steps = ctx
         .tele
@@ -1365,8 +1389,7 @@ fn event_worker<'a>(
         let mut all_done = true;
         let mut progressed = false;
         let mut next_arrival: Option<u64> = None;
-        for sched in owned.iter_mut() {
-            let shard = &shards[sched.index];
+        for (sched, shard) in owned.iter_mut() {
             // Admit arrivals that are due (1 workload tick = 1 µs).
             if !sched.arrivals.is_empty() {
                 let now_us = ctx.run_start.elapsed().as_micros() as u64;
@@ -1493,7 +1516,8 @@ fn event_worker<'a>(
             }
         }
         if all_done {
-            return rt;
+            let done = owned.into_iter().map(|(_, s)| s.finish(ctx)).collect();
+            return (rt, done);
         }
         if !progressed {
             if let Some(at) = next_arrival {

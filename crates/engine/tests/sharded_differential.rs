@@ -1,6 +1,6 @@
 //! Differential stress tests for the conflict-domain sharded driver.
 //!
-//! Two oracles, both over hundreds of seeds:
+//! Three oracles, each over hundreds of seeds:
 //!
 //! 1. Whatever interleaving the OS produces, the ticket-merged global
 //!    history of a sharded run must pass the batch PRED checker and carry
@@ -10,6 +10,8 @@
 //!    cluster per process), scheduling decisions degenerate to the
 //!    deterministic failure coins, so the sharded and single-lock drivers
 //!    must produce bit-equal commit/abort sets.
+//! 3. One worker is deterministic, so its merged histories are pinned by
+//!    digest: a change that claims "same decisions" has to reproduce them.
 
 use std::collections::BTreeSet;
 use txproc_core::domains::DomainPartition;
@@ -132,4 +134,46 @@ fn sharded_matches_single_lock_on_disjoint_workloads_over_256_seeds() {
             "seed {seed}: sharded history not PRED"
         );
     }
+}
+
+/// Oracle 3: one worker is deterministic — same seed, same merged history —
+/// so the histories themselves are pinned. The digest (FNV-1a over the
+/// `Debug` text of all 256 histories) was computed at the commit before the
+/// protocol read conflict-matrix rows and before event workers finished
+/// their own shards: same admissions, same ticket-order merge.
+#[test]
+fn single_worker_histories_pinned_over_256_seeds() {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut events = 0;
+    for seed in 0..256u64 {
+        let w = generate(&WorkloadConfig {
+            seed,
+            processes: 48,
+            clusters: 16,
+            services_per_kind: 4,
+            subsystems: 2,
+            conflict_density: 0.3,
+            failure_probability: 0.1,
+            ..WorkloadConfig::default()
+        });
+        let result = run_concurrent(
+            &w,
+            ConcurrentConfig {
+                seed,
+                workers: Some(1),
+                epoch: if seed % 2 == 0 { 16 } else { 0 },
+                ..ConcurrentConfig::default()
+            },
+        );
+        assert_eq!(result.metrics.terminated(), 48, "seed {seed}");
+        events += result.history.len();
+        for b in format!("{:?}", result.history.events()).bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        (events, digest),
+        (72_007, 0x9545_98fe_91dc_6907),
+        "got ({events}, {digest:#018x})"
+    );
 }

@@ -14,6 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 use txproc_core::activity::Catalog;
 use txproc_core::conflict::ConflictMatrix;
@@ -487,24 +488,7 @@ fn generate_unchecked(config: &WorkloadConfig) -> Workload {
         })
         .collect();
 
-    // Declare the conflict matrix from the physical programs (sound and
-    // complete with respect to the deployment), then close it under perfect
-    // commutativity (the matrix stores base services only).
-    let mut conflicts = ConflictMatrix::new(&catalog);
-    let sites: Vec<(ServiceId, Program)> = deployment
-        .services()
-        .map(|(s, site)| (s, site.program.clone()))
-        .collect();
-    for (i, (sa, pa)) in sites.iter().enumerate() {
-        for (sb, pb) in &sites[i..] {
-            if pa.conflicts_with(pb) {
-                conflicts
-                    .declare_conflict(&catalog, *sa, *sb)
-                    .expect("services registered");
-            }
-        }
-    }
-
+    let conflicts = declare_conflicts(&catalog, &deployment);
     let mut spec = Spec::new(catalog, conflicts);
     for p in 0..config.processes {
         let pid = ProcessId(p as u32);
@@ -536,6 +520,62 @@ fn generate_unchecked(config: &WorkloadConfig) -> Workload {
         deployment,
         config: config.clone(),
     }
+}
+
+/// Declares the conflict matrix from the physical programs (sound and
+/// complete with respect to the deployment); the matrix stores base services
+/// only, which closes it under perfect commutativity. Two programs can only
+/// conflict through a key both touch, so sites are bucketed by key and
+/// compared within a bucket.
+fn declare_conflicts(catalog: &Catalog, deployment: &Deployment) -> ConflictMatrix {
+    let mut conflicts = ConflictMatrix::new(catalog);
+    let sites: Vec<(ServiceId, &Program)> = deployment
+        .services()
+        .map(|(s, site)| (s, &site.program))
+        .collect();
+    let mut by_key: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
+    for (i, (_, program)) in sites.iter().enumerate() {
+        for op in &program.ops {
+            let bucket = by_key.entry(op.key()).or_default();
+            if bucket.last() != Some(&i) {
+                bucket.push(i);
+            }
+        }
+    }
+    for bucket in by_key.values() {
+        for (k, &i) in bucket.iter().enumerate() {
+            let (sa, pa) = sites[i];
+            for &j in &bucket[k..] {
+                let (sb, pb) = sites[j];
+                if pa.conflicts_with(pb) {
+                    conflicts
+                        .declare_conflict(catalog, sa, sb)
+                        .expect("services registered");
+                }
+            }
+        }
+    }
+    conflicts
+}
+
+/// Oracle for [`declare_conflicts`]: every pair of sites compared.
+#[cfg(test)]
+fn declare_conflicts_all_pairs(catalog: &Catalog, deployment: &Deployment) -> ConflictMatrix {
+    let mut conflicts = ConflictMatrix::new(catalog);
+    let sites: Vec<(ServiceId, Program)> = deployment
+        .services()
+        .map(|(s, site)| (s, site.program.clone()))
+        .collect();
+    for (i, (sa, pa)) in sites.iter().enumerate() {
+        for (sb, pb) in &sites[i..] {
+            if pa.conflicts_with(pb) {
+                conflicts
+                    .declare_conflict(catalog, *sa, *sb)
+                    .expect("services registered");
+            }
+        }
+    }
+    conflicts
 }
 
 /// Builds `comp* [pivot tail]` starting after `attach`; returns the first
@@ -754,6 +794,32 @@ mod tests {
             w.spec.conflicts.declared_pairs(),
             again.spec.conflicts.declared_pairs()
         );
+    }
+
+    #[test]
+    fn key_bucketed_declaration_equals_all_pairs() {
+        // 32 configurations: every cluster count × density of the grid, the
+        // seed and the catalog size varying along it.
+        let grid = [1usize, 8, 64]
+            .into_iter()
+            .flat_map(|clusters| [0.0, 0.3, 1.0].map(|density| (clusters, density)))
+            .cycle();
+        for (seed, (clusters, conflict_density)) in (0..32u64).zip(grid) {
+            let w = generate(&WorkloadConfig {
+                seed,
+                processes: 64,
+                clusters,
+                conflict_density,
+                services_per_kind: if seed % 2 == 0 { 4 } else { 16 },
+                hot_keys: 1 + seed % 4,
+                ..WorkloadConfig::default()
+            });
+            assert_eq!(
+                w.spec.conflicts,
+                declare_conflicts_all_pairs(&w.spec.catalog, &w.deployment),
+                "seed {seed}, {clusters} clusters, density {conflict_density}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use txproc_core::flex::FlexAnalysis;
-use txproc_sim::workload::{generate, zipf_sample, WorkloadConfig};
+use txproc_sim::workload::{generate, zipf_sample, ArrivalModel, Workload, WorkloadConfig};
 
 fn config_strategy() -> impl Strategy<Value = WorkloadConfig> {
     (
@@ -116,4 +116,75 @@ proptest! {
         // And the generators themselves are left in identical states.
         prop_assert_eq!(a.next_u64(), b.next_u64());
     }
+}
+
+/// FNV-1a over the `Debug` text of the catalog, every process and every
+/// deployed site, plus the conflict relation read by probes (so the digest
+/// does not depend on how the matrix stores it).
+fn workload_digest(w: &Workload) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |text: String| {
+        for b in text.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(format!("{:?}", w.spec.catalog));
+    for p in w.spec.processes() {
+        eat(format!("{p:?}"));
+    }
+    for (s, site) in w.deployment.services() {
+        eat(format!("{s:?}{site:?}"));
+    }
+    let ids: Vec<_> = w.spec.catalog.iter().map(|(s, _)| s).collect();
+    for &a in &ids {
+        for &b in &ids {
+            if w.spec.conflicts.conflict(&w.spec.catalog, a, b) {
+                eat(format!("{a}#{b};"));
+            }
+        }
+    }
+    h
+}
+
+/// The generator's output is pinned: the shapes of the four benchmark
+/// workloads, at small size, digest to what the generator produced before
+/// conflicts were declared per key bucket (digests computed at that commit).
+/// The 64-cluster shape reaches subsystem ids ≥ 100, where hot keys
+/// (`subsystem · 10 000 + k`) and cold keys (`1 000 001…`) overlap.
+#[test]
+fn generated_workloads_are_pinned() {
+    let pool = |seed, processes| WorkloadConfig {
+        seed,
+        processes,
+        conflict_density: 0.3,
+        failure_probability: 0.1,
+        ..WorkloadConfig::default()
+    };
+    let tenants = |seed, processes, clusters, arrivals| WorkloadConfig {
+        clusters,
+        services_per_kind: 4,
+        subsystems: 2,
+        arrivals,
+        ..pool(seed, processes)
+    };
+    let shapes = [
+        ("closed_contended", pool(11, 24)),
+        (
+            "closed_disjoint",
+            tenants(12, 256, 64, ArrivalModel::Closed),
+        ),
+        (
+            "open_poisson",
+            tenants(13, 128, 2, ArrivalModel::Poisson { mean_gap: 500 }),
+        ),
+        ("durable_recovery", pool(14, 32)),
+    ];
+    let got = shapes.map(|(name, config)| (name, workload_digest(&generate(&config))));
+    let pinned = [
+        ("closed_contended", 0x4486_b999_08a8_be32u64),
+        ("closed_disjoint", 0x3d7c_f6c1_f94c_566b),
+        ("open_poisson", 0x3855_4419_736c_6a04),
+        ("durable_recovery", 0x91e3_0abc_231c_509b),
+    ];
+    assert_eq!(got, pinned, "got {got:#018x?}");
 }
