@@ -1,7 +1,7 @@
 //! E17/E19 benchmark: scheduler cost vs number of concurrent processes.
 //!
 //! Covers the deterministic engine at 8–256 processes (pred-protocol vs
-//! serial) and the threaded concurrent driver at 8–64 processes. The larger
+//! serial) and the concurrent driver at 8–64 processes. The larger
 //! sizes exercise the indexed protocol hot path: per-decision cost must stay
 //! O(degree), not O(live ops), for these to finish in sensible time.
 //!
@@ -61,8 +61,7 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // One thread per process: cap the size so the bench stays within
-    // reasonable thread counts, and measure the driver end to end.
+    // The concurrent driver end to end (wall clock, worker pool).
     let mut g = c.benchmark_group("scalability-concurrent");
     g.sample_size(10);
     for &n in &[8usize, 16, 32, 64] {

@@ -5,10 +5,10 @@
 //! txproc simulate  [--seed N] [--processes N] [--density F] [--failures F]
 //!                  [--policy pred|pred-wait|pred-protocol|serial|conservative|unsafe-cc]
 //!                  [--arrival-gap N] [--check] [--epoch N]
-//!                  [--runtime events|threads] [--workers N] [--shards auto|single|N]
+//!                  [--concurrent] [--workers N] [--shards auto|single|N]
 //!                  [--wal PATH] [--durability none|buffered|fsync-N|fsync-epoch]
 //!                  [--snapshot-every N]
-//!                  # --runtime switches to the wall-clock concurrent driver
+//!                  # --concurrent switches to the wall-clock concurrent driver
 //!                  # --epoch N batches certification/commit in N-event
 //!                  # epochs (0 = per-event path, the default)
 //!                  # --wal journals the run write-ahead to PATH; --durability
@@ -22,16 +22,16 @@
 //!                  # with --wal the in-memory image is discarded and the
 //!                  # scheduler state is rebuilt from the log alone
 //! txproc bench     [--smoke] [--out PATH] [--seed N] [--processes CSV]
-//!                  [--density CSV] [--policy CSV] [--certifier batch|incremental]
+//!                  [--density CSV] [--policy CSV]
 //!                  [--arrival-gap N]           # perf trajectory → BENCH_scheduler.json
 //!                  [--shards auto|single|N]    # concurrent-driver shard topology
 //!                  [--clusters N]              # tenants in the sharding comparison
-//!                  [--runtime events|threads] [--workers N]
+//!                  [--workers N]
 //!                  [--open-processes CSV] [--open-gap US]  # Poisson open-arrival sweep
 //!                  [--epoch N]                 # epoch size of the epoch sweep entries
 //!                  [--durability-processes N]  # E26 durability sweep size (0 = skip)
 //! txproc trace     [--seed N] [--processes N] [--density F] [--failures F]
-//!                  [--policy …] [--certifier …] [--arrival-gap N]
+//!                  [--policy …] [--arrival-gap N]
 //!                  [--pid N] [--kind SUBSTR]   # filter the printed journal
 //!                  [--explain PID]             # why was P blocked/aborted?
 //!                  [--json PATH]               # JSONL event journal
@@ -39,25 +39,24 @@
 //!                  [--dot-dir DIR]             # per-step conflict-graph dots
 //!                  [--trace-sample N]          # keep every Nth process chain
 //! txproc stats     [--seed N] [--processes N] [--density F] [--failures F]
-//!                  [--policy …] [--certifier …] [--arrival-gap N]
-//!                  [--runtime events|threads] [--shards …] [--workers N]
+//!                  [--policy …] [--arrival-gap N]
+//!                  [--concurrent] [--shards …] [--workers N]
 //!                  [--prom PATH]               # Prometheus text (default: stdout)
 //!                  [--timeseries PATH]         # sampled series as JSON
 //!                  [--samples N]               # time-series ring capacity
 //!                  [--sample-ms N]             # wall sampler period (concurrent)
 //!                  [--sample-events N]         # virtual-time period (engine)
 //! txproc top       [--seed N] [--processes N] [--density F] [--failures F]
-//!                  [--policy …] [--certifier …] [--runtime events|threads]
-//!                  [--shards …] [--workers N] [--refresh-ms N]
+//!                  [--policy …] [--shards …] [--workers N] [--refresh-ms N]
 //!                  # live per-shard/per-worker metrics while the
 //!                  # concurrent driver runs the workload
 //! txproc regression [--baseline PATH] [--current PATH]
 //!                  # perf-regression gate: diff a fresh BENCH_scheduler.json
 //!                  # against the committed BENCH_baseline.json; exit 1 on
 //!                  # per-point throughput/latency deviations past the gate
-//! txproc gauntlet  [--seeds N] [--scenario NAME] [--policy …] [--certifier …]
-//!                  [--shards auto|single|N] [--runtime events|threads]
-//!                  [--workers N] [--epoch N] [--json PATH]
+//! txproc gauntlet  [--seeds N] [--scenario NAME] [--policy …]
+//!                  [--shards auto|single|N] [--workers N] [--epoch N]
+//!                  [--json PATH]
 //!                  # run the named adversarial scenarios (engine + sharded
 //!                  # concurrent) through the PRED / Proc-REC checkers and
 //!                  # their acceptance envelopes; non-zero exit on failure
@@ -72,9 +71,9 @@ use txproc_core::pred::check_pred;
 use txproc_core::schedule::{render, Schedule};
 use txproc_core::spec::Spec;
 use txproc_core::wal::{DurabilityPolicy, FileWal, WalWriter};
-use txproc_engine::concurrent::{ConcurrentConfig, RuntimeKind, ShardMode};
+use txproc_engine::concurrent::{ConcurrentConfig, ShardMode};
 use txproc_engine::engine::{Engine, RunConfig};
-use txproc_engine::policy::{CertifierKind, PolicyKind};
+use txproc_engine::policy::PolicyKind;
 use txproc_engine::recovery::{recover, Recovery, RecoverySource};
 use txproc_engine::RunBuilder;
 use txproc_sim::workload::{try_generate, WorkloadConfig};
@@ -93,7 +92,7 @@ impl Args {
         while i < raw.len() {
             let a = &raw[i];
             if let Some(key) = a.strip_prefix("--") {
-                if key == "check" || key == "smoke" {
+                if matches!(key, "check" | "smoke" | "concurrent") {
                     values.insert(key.to_string(), "true".to_string());
                 } else {
                     i += 1;
@@ -135,18 +134,6 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
         .ok_or_else(|| format!("unknown policy: {name}"))
 }
 
-fn parse_certifier(name: &str) -> Result<CertifierKind, String> {
-    CertifierKind::all()
-        .into_iter()
-        .find(|k| k.label() == name)
-        .ok_or_else(|| format!("unknown certifier: {name} (expected batch|incremental)"))
-}
-
-fn parse_runtime(raw: &str) -> Result<RuntimeKind, String> {
-    RuntimeKind::parse(raw)
-        .ok_or_else(|| format!("invalid --runtime value: {raw} (want events|threads)"))
-}
-
 fn parse_shards(raw: &str) -> Result<ShardMode, String> {
     ShardMode::parse(raw)
         .ok_or_else(|| format!("invalid --shards value: {raw} (want auto|single|N)"))
@@ -173,9 +160,6 @@ fn workload_from(args: &Args) -> Result<txproc_sim::workload::Workload, String> 
     .map_err(|e| e.to_string())
 }
 
-/// `simulate --runtime events|threads`: the wall-clock concurrent driver
-/// instead of the virtual-time engine. Config errors (e.g. a workload past
-/// the thread runtime's cap) surface as CLI errors naming the knob to turn.
 /// Parses the shared WAL options: `--wal PATH` turns journaling on,
 /// `--durability` picks the fsync policy (default `fsync-epoch`),
 /// `--snapshot-every N` the engine snapshot cadence (default 64).
@@ -203,12 +187,13 @@ fn open_wal(
     Ok(WalWriter::new(Box::new(file), policy, seed))
 }
 
+/// `simulate --concurrent`: the wall-clock concurrent driver instead of the
+/// virtual-time engine. Config errors (e.g. `--workers 0`) surface as CLI
+/// errors naming the knob to turn.
 fn simulate_concurrent(
     args: &Args,
     w: &txproc_sim::workload::Workload,
     policy: PolicyKind,
-    certifier: CertifierKind,
-    runtime: RuntimeKind,
 ) -> Result<(), String> {
     let shards = match args.values.get("shards") {
         Some(raw) => parse_shards(raw)?,
@@ -219,9 +204,7 @@ fn simulate_concurrent(
     let mut builder = RunBuilder::new(w).concurrent(ConcurrentConfig {
         policy,
         seed,
-        certifier,
         shards,
-        runtime,
         workers: parse_workers(args)?,
         epoch: args.get("epoch", 0usize)?,
         ..ConcurrentConfig::default()
@@ -231,7 +214,6 @@ fn simulate_concurrent(
     }
     let r = builder.try_run()?.into_concurrent();
     println!("policy:            {}", policy.label());
-    println!("runtime:           {}", runtime.label());
     println!("shards:            {}", r.metrics.shards.len());
     if r.metrics.epoch_batches > 0 {
         println!(
@@ -275,9 +257,8 @@ fn simulate_concurrent(
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let w = workload_from(args)?;
     let policy = parse_policy(&args.get("policy", "pred".to_string())?)?;
-    let certifier = parse_certifier(&args.get("certifier", "incremental".to_string())?)?;
-    if let Some(raw) = args.values.get("runtime") {
-        return simulate_concurrent(args, &w, policy, certifier, parse_runtime(raw)?);
+    if args.flag("concurrent") {
+        return simulate_concurrent(args, &w, policy);
     }
     let seed = args.get("seed", 42u64)?;
     let cfg = RunConfig {
@@ -285,7 +266,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         seed,
         arrival_gap: args.get("arrival-gap", 0u64)?,
         check_pred: args.flag("check"),
-        certifier,
         epoch: args.get("epoch", 0usize)?,
         ..RunConfig::default()
     };
@@ -296,9 +276,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     }
     let r = builder.try_run()?.into_engine();
     println!("policy:            {}", policy.label());
-    if policy.certified() {
-        println!("certifier:         {}", certifier.label());
-    }
     println!("makespan:          {}", r.metrics.makespan);
     println!(
         "committed/aborted: {}/{}",
@@ -471,14 +448,8 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             .map(|s| parse_policy(s.trim()))
             .collect::<Result<Vec<_>, _>>()?;
     }
-    if let Some(raw) = args.values.get("certifier") {
-        cfg.certifier = parse_certifier(raw)?;
-    }
     if let Some(raw) = args.values.get("shards") {
         cfg.shards = parse_shards(raw)?;
-    }
-    if let Some(raw) = args.values.get("runtime") {
-        cfg.runtime = parse_runtime(raw)?;
     }
     cfg.workers = parse_workers(args)?.or(cfg.workers);
     if let Some(raw) = args.values.get("open-processes") {
@@ -491,23 +462,13 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let report = run_scheduler_bench(&cfg);
     for e in &report.runs {
         let shard = match &e.shard_mode {
-            Some(m) => format!(
-                " shards={m}/{} runtime={}",
-                e.shards,
-                e.runtime.as_deref().unwrap_or("?")
-            ),
+            Some(m) => format!(" shards={m}/{}", e.shards),
             None => String::new(),
         };
         println!(
             "{:<10} {:<14} n={:<4} d={:<4} {:>10.2} ms  {:>12.0} events/s  ({} committed, {} aborted){shard}",
             e.mode, e.policy, e.processes, e.density, e.wall_ms, e.events_per_sec,
             e.committed, e.aborted
-        );
-    }
-    for p in &report.runtime_ratio {
-        println!(
-            "ratio      n={:<5} d={:<4} events {:>12.0} ev/s  threads {:>12.0} ev/s  {:>5.2}x",
-            p.processes, p.density, p.events_per_sec_events, p.events_per_sec_threads, p.ratio
         );
     }
     for o in &report.open_runs {
@@ -562,12 +523,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     };
     let w = workload_from(args)?;
     let policy = parse_policy(&args.get("policy", "pred".to_string())?)?;
-    let certifier = parse_certifier(&args.get("certifier", "incremental".to_string())?)?;
     let cfg = RunConfig {
         policy,
         seed: args.get("seed", 42u64)?,
         arrival_gap: args.get("arrival-gap", 0u64)?,
-        certifier,
         ..RunConfig::default()
     };
     let sample_n: u32 = args.get("trace-sample", 1u32)?;
@@ -660,46 +619,41 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// export the result two ways — Prometheus text (stdout, or `--prom PATH`)
 /// and the sampled time-series ring as a `txproc-timeseries/v1` JSON
 /// document (`--timeseries PATH`). Engine runs sample on virtual time every
-/// `--sample-events`; concurrent runs (`--runtime events|threads`) attach a
-/// wall-clock sampler thread ticking every `--sample-ms`.
+/// `--sample-events`; concurrent runs (`--concurrent`) attach a wall-clock
+/// sampler thread ticking every `--sample-ms`.
 fn cmd_stats(args: &Args) -> Result<(), String> {
     use txproc_core::telemetry::{prometheus_text, Telemetry};
     use txproc_sim::timeseries::{Sampler, TimeSeries};
 
     let w = workload_from(args)?;
     let policy = parse_policy(&args.get("policy", "pred".to_string())?)?;
-    let certifier = parse_certifier(&args.get("certifier", "incremental".to_string())?)?;
     let tele = Telemetry::on();
     let series = TimeSeries::new(args.get("samples", 1024usize)?.max(1));
-    let (committed, aborted) = if let Some(raw) = args.values.get("runtime") {
+    let (committed, aborted) = if args.flag("concurrent") {
         let cfg = ConcurrentConfig {
             policy,
             seed: args.get("seed", 42u64)?,
-            certifier,
             shards: match args.values.get("shards") {
                 Some(raw) => parse_shards(raw)?,
                 None => ShardMode::Auto,
             },
-            runtime: parse_runtime(raw)?,
             workers: parse_workers(args)?,
             ..ConcurrentConfig::default()
         };
-        cfg.validate(w.spec.processes().count())?;
         let every = std::time::Duration::from_millis(args.get("sample-ms", 1u64)?.max(1));
         let sampler = Sampler::spawn(tele.clone(), every, series.clone());
         let r = txproc_engine::RunBuilder::new(&w)
             .concurrent(cfg)
             .telemetry(tele.clone())
-            .run()
-            .into_concurrent();
+            .try_run();
         sampler.stop();
+        let r = r?.into_concurrent();
         (r.metrics.committed, r.metrics.aborted)
     } else {
         let cfg = RunConfig {
             policy,
             seed: args.get("seed", 42u64)?,
             arrival_gap: args.get("arrival-gap", 0u64)?,
-            certifier,
             ..RunConfig::default()
         };
         let r = txproc_engine::RunBuilder::new(&w)
@@ -822,19 +776,13 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let cfg = ConcurrentConfig {
         policy: parse_policy(&args.get("policy", "pred".to_string())?)?,
         seed: args.get("seed", 42u64)?,
-        certifier: parse_certifier(&args.get("certifier", "incremental".to_string())?)?,
         shards: match args.values.get("shards") {
             Some(raw) => parse_shards(raw)?,
             None => ShardMode::Auto,
         },
-        runtime: match args.values.get("runtime") {
-            Some(raw) => parse_runtime(raw)?,
-            None => RuntimeKind::Events,
-        },
         workers: parse_workers(args)?,
         ..ConcurrentConfig::default()
     };
-    cfg.validate(w.spec.processes().count())?;
     let refresh = std::time::Duration::from_millis(args.get("refresh-ms", 200u64)?.max(10));
     let ansi = std::io::stdout().is_terminal();
     let tele = Telemetry::on();
@@ -845,8 +793,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
             let r = txproc_engine::RunBuilder::new(&w)
                 .concurrent(cfg)
                 .telemetry(tele.clone())
-                .run()
-                .into_concurrent();
+                .try_run();
             *result.lock().expect("result mutex") = Some(r);
             done.store(true, Ordering::Release);
         });
@@ -863,7 +810,8 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let r = result
         .into_inner()
         .expect("result mutex")
-        .expect("run thread stores its result before setting done");
+        .expect("run thread stores its result before setting done")?
+        .into_concurrent();
     if let Some(snap) = tele.snapshot() {
         if ansi {
             print!("\x1b[2J\x1b[H");
@@ -924,12 +872,8 @@ fn cmd_gauntlet(args: &Args) -> Result<(), String> {
     cfg.seeds = args.get("seeds", cfg.seeds)?;
     cfg.seed_base = args.get("seed-base", cfg.seed_base)?;
     cfg.policy = parse_policy(&args.get("policy", cfg.policy.label().to_string())?)?;
-    cfg.certifier = parse_certifier(&args.get("certifier", cfg.certifier.label().to_string())?)?;
     if let Some(raw) = args.values.get("shards") {
         cfg.shards = parse_shards(raw)?;
-    }
-    if let Some(raw) = args.values.get("runtime") {
-        cfg.runtime = parse_runtime(raw)?;
     }
     cfg.workers = parse_workers(args)?.or(cfg.workers);
     cfg.epoch = args.get("epoch", cfg.epoch)?;
@@ -944,14 +888,10 @@ fn cmd_gauntlet(args: &Args) -> Result<(), String> {
     for s in &scenarios {
         let report = run_scenario(s, &cfg);
         for m in &report.modes {
-            let mode_label = match &m.runtime {
-                Some(rt) => format!("{}/{rt}", m.mode),
-                None => m.mode.to_string(),
-            };
             println!(
                 "{:<15} {:<16} seeds={:<4} commit-rate={:.3} p50={:?} p95={:?} pred-violations={} proc-rec-violations={} [{}] ({:.0} ms)",
                 report.name,
-                mode_label,
+                m.mode,
                 m.runs,
                 m.commit_rate,
                 m.latency_p50,
@@ -1073,6 +1013,12 @@ mod tests {
         Args::parse(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
+    /// A temp path no other test of this binary, and no other process
+    /// running the same binary, uses.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("{}-{name}", std::process::id()))
+    }
+
     #[test]
     fn arg_parsing() {
         let a = args(&["--seed", "7", "--density", "0.4", "fig7", "--check"]);
@@ -1098,8 +1044,7 @@ mod tests {
 
     #[test]
     fn crash_recovers_from_a_wal_file() {
-        let path =
-            std::env::temp_dir().join(format!("txproc-cli-crash-{}.wal", std::process::id()));
+        let path = scratch("txproc-cli-crash.wal");
         let a = args(&[
             "--seed",
             "5",
@@ -1119,8 +1064,7 @@ mod tests {
 
     #[test]
     fn simulate_journals_through_the_wal_flag() {
-        let path =
-            std::env::temp_dir().join(format!("txproc-cli-simulate-{}.wal", std::process::id()));
+        let path = scratch("txproc-cli-simulate.wal");
         let a = args(&[
             "--seed",
             "3",
@@ -1150,7 +1094,7 @@ mod tests {
 
     #[test]
     fn bench_smoke_writes_report() {
-        let out = std::env::temp_dir().join("txproc_bench_smoke_test.json");
+        let out = scratch("txproc_bench_smoke_test.json");
         let a = args(&[
             "--smoke",
             "--processes",
@@ -1162,10 +1106,9 @@ mod tests {
         ]);
         cmd_bench(&a).unwrap();
         let raw = std::fs::read_to_string(&out).unwrap();
-        assert!(raw.contains("txproc-bench-scheduler/v9"));
+        assert!(raw.contains("txproc-bench-scheduler/v10"));
         assert!(raw.contains("pred-scan"));
         assert!(raw.contains("zipf-hotspot"));
-        assert!(raw.contains("runtime_ratio"));
         assert!(raw.contains("open_runs"));
         assert!(raw.contains("\"phases\""));
         assert!(raw.contains("telemetry_overhead"));
@@ -1175,7 +1118,7 @@ mod tests {
 
     #[test]
     fn stats_exports_prometheus_and_timeseries() {
-        let dir = std::env::temp_dir().join("txproc_stats_cli_test");
+        let dir = scratch("txproc_stats_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let prom = dir.join("metrics.prom");
         let series = dir.join("series.json");
@@ -1212,8 +1155,7 @@ mod tests {
             "4",
             "--processes",
             "6",
-            "--runtime",
-            "events",
+            "--concurrent",
             "--prom",
             prom.to_str().unwrap(),
             "--timeseries",
@@ -1261,7 +1203,7 @@ mod tests {
 
     #[test]
     fn trace_sampling_drops_chains() {
-        let dir = std::env::temp_dir().join("txproc_trace_sample_cli_test");
+        let dir = scratch("txproc_trace_sample_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let full = dir.join("full.jsonl");
         let sampled = dir.join("sampled.jsonl");
@@ -1284,7 +1226,7 @@ mod tests {
 
     #[test]
     fn regression_gate_passes_self_and_fails_doctored() {
-        let dir = std::env::temp_dir().join("txproc_regression_cli_test");
+        let dir = scratch("txproc_regression_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let baseline = dir.join("baseline.json");
         let a = args(&[
@@ -1340,42 +1282,32 @@ mod tests {
     }
 
     #[test]
-    fn simulate_concurrent_runtimes() {
-        let events = args(&[
+    fn simulate_concurrent_driver() {
+        let run = args(&[
             "--seed",
             "3",
             "--processes",
             "6",
-            "--runtime",
-            "events",
+            "--concurrent",
+            "--workers",
+            "2",
             "--epoch",
             "8",
             "--check",
         ]);
-        cmd_simulate(&events).unwrap();
-        let threads = args(&[
-            "--seed",
-            "3",
-            "--processes",
-            "6",
-            "--runtime",
-            "threads",
-            "--workers",
-            "2",
-        ]);
-        cmd_simulate(&threads).unwrap();
-        let bad = args(&["--runtime", "fibers"]);
-        assert!(cmd_simulate(&bad).is_err());
-        // The thread runtime's process cap surfaces as a CLI error naming
-        // the knob that lifts it.
-        let capped = args(&["--processes", "600", "--runtime", "threads"]);
-        let err = cmd_simulate(&capped).unwrap_err();
-        assert!(err.contains("--runtime events"), "{err}");
+        cmd_simulate(&run).unwrap();
+        // No process-count ceiling on the worker pool.
+        let large = args(&["--processes", "600", "--concurrent"]);
+        cmd_simulate(&large).unwrap();
+        // An empty pool surfaces as a CLI error naming the knob.
+        let bad = args(&["--concurrent", "--workers", "0"]);
+        let err = cmd_simulate(&bad).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
     }
 
     #[test]
     fn gauntlet_runs_one_scenario() {
-        let out = std::env::temp_dir().join("txproc_gauntlet_cli_test.json");
+        let out = scratch("txproc_gauntlet_cli_test.json");
         let a = args(&[
             "--scenario",
             "zipf-hotspot",
@@ -1427,7 +1359,7 @@ mod tests {
 
     #[test]
     fn trace_exports_and_explains() {
-        let dir = std::env::temp_dir().join("txproc_trace_cli_test");
+        let dir = scratch("txproc_trace_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let json = dir.join("trace.jsonl");
         let chrome = dir.join("trace.json");

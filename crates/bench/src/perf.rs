@@ -18,6 +18,7 @@
 use crate::scenarios::{run_gauntlet, GauntletConfig, ScenarioReport};
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use txproc_core::domains::DomainPartition;
 use txproc_core::ids::{GlobalActivityId, ProcessId};
@@ -29,10 +30,10 @@ use txproc_core::spec::Spec;
 use txproc_core::telemetry::Telemetry;
 use txproc_core::trace::{JsonlSink, NoopSink, RingSink, TraceSink};
 use txproc_core::wal::{read_wal_file, DurabilityPolicy, FileWal, WalRecord, WalWriter};
-use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig, RuntimeKind, ShardMode};
+use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig, ShardMode};
 use txproc_engine::durability::rebuild_image;
 use txproc_engine::engine::{run, Engine, RunConfig};
-use txproc_engine::policy::{CertifierKind, PolicyKind};
+use txproc_engine::policy::PolicyKind;
 use txproc_engine::recovery::recover;
 use txproc_engine::RunBuilder;
 use txproc_sim::metrics::AbortReasons;
@@ -51,28 +52,15 @@ pub struct SchedulerBenchConfig {
     pub densities: Vec<f64>,
     /// Policies to compare.
     pub policies: Vec<PolicyKind>,
-    /// Certifier used by certified policies.
-    pub certifier: CertifierKind,
     /// Virtual time between arrivals (engine runs).
     pub arrival_gap: u64,
     /// Failure-injection probability.
     pub failure_probability: f64,
-    /// Runtime of the concurrent closed-sweep entries (`events` by
-    /// default). The thread-per-process baseline is additionally driven at
-    /// every closed point for the events-vs-threads ratio pairs.
-    pub runtime: RuntimeKind,
-    /// Worker-pool override for the events runtime (`None` = auto:
+    /// Worker-pool override of the concurrent driver (`None` = auto:
     /// `min(cores, shards)`).
     pub workers: Option<usize>,
-    /// Largest process count driven through the **thread-per-process
-    /// baseline** (a time-box: each process is one 2 MB-stack OS thread);
-    /// the events runtime runs every sweep point. Recorded in the report so
-    /// the cap is never silent.
-    pub concurrent_max_processes: usize,
-    /// In-flight process counts of the open-arrival sweep (events runtime,
-    /// Poisson arrivals; empty disables it). These exceed the thread
-    /// runtime's hard cap by design — the open sweep is the workload shape
-    /// thread-per-process cannot run.
+    /// In-flight process counts of the open-arrival sweep (Poisson
+    /// arrivals; empty disables it).
     pub open_processes: Vec<usize>,
     /// Mean Poisson inter-arrival gap of the open sweep, in microseconds.
     pub open_mean_gap_us: u64,
@@ -113,12 +101,9 @@ impl SchedulerBenchConfig {
                 PolicyKind::Pred,
                 PolicyKind::Serial,
             ],
-            certifier: CertifierKind::Incremental,
             arrival_gap: 0,
             failure_probability: 0.1,
-            runtime: RuntimeKind::Events,
             workers: None,
-            concurrent_max_processes: 256,
             open_processes: vec![1_000, 10_000, 100_000],
             open_mean_gap_us: 20,
             shards: ShardMode::Auto,
@@ -131,16 +116,14 @@ impl SchedulerBenchConfig {
     }
 
     /// CI smoke mode: the same pipeline at token sizes. Keeps one 1k-process
-    /// open-arrival point: that size is beyond the thread runtime's cap, so
-    /// it is the cheapest regression guard for the events runtime's whole
-    /// reason to exist.
+    /// open-arrival point: a blocked process must stay a queue entry, and
+    /// this is the cheapest regression guard for it.
     pub fn smoke() -> Self {
         Self {
             smoke: true,
             processes: vec![8, 32],
             densities: vec![0.3],
             policies: vec![PolicyKind::PredProtocol, PolicyKind::PredScan],
-            concurrent_max_processes: 32,
             open_processes: vec![1_000],
             open_mean_gap_us: 50,
             sharding_clusters: 4,
@@ -155,12 +138,10 @@ impl SchedulerBenchConfig {
 /// One end-to-end run measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchEntry {
-    /// `engine` (virtual time) or `concurrent` (thread per process).
+    /// `engine` (virtual time) or `concurrent` (wall-clock worker pool).
     pub mode: &'static str,
     /// Policy label.
     pub policy: String,
-    /// Certifier label (certified policies only).
-    pub certifier: Option<String>,
     /// Processes in the workload.
     pub processes: usize,
     /// Conflict density of the workload.
@@ -191,28 +172,23 @@ pub struct BenchEntry {
     /// Total time threads spent blocked acquiring shard locks, in
     /// milliseconds (concurrent runs only).
     pub lock_wait_ms: f64,
-    /// Total time threads spent holding shard locks (condvar waits
-    /// excluded), in milliseconds (concurrent runs only).
+    /// Total time threads spent holding shard locks, in milliseconds
+    /// (concurrent runs only).
     pub lock_hold_ms: f64,
-    /// Condvar wakeups across shards (concurrent runs only).
-    pub wakeups: u64,
-    /// Wakeups that observed no shard-state change (concurrent runs only;
-    /// with targeted notification these are fallback-timeout polls).
-    pub spurious_wakeups: u64,
-    /// Execution runtime of concurrent entries (`events` or `threads`);
-    /// `None` for engine entries.
+    /// Runtime label of concurrent entries (`events`, the worker pool: the
+    /// regression-gate key of every committed baseline carries it); `None`
+    /// for engine entries.
     pub runtime: Option<String>,
-    /// Worker threads the runtime used (thread runtime: one per process;
-    /// 0 for engine entries).
+    /// Worker threads the pool used (0 for engine entries).
     pub workers: u64,
-    /// Peak single-shard run-queue depth (events runtime; 0 elsewhere).
+    /// Peak single-shard run-queue depth (concurrent runs; 0 elsewhere).
     pub run_queue_peak: u64,
     /// Peak concurrently in-flight processes (concurrent runs; 0 for
     /// engine entries).
     pub in_flight_peak: u64,
-    /// Scheduling-delay p50 upper bucket edge, ns (events runtime).
+    /// Scheduling-delay p50 upper bucket edge, ns (concurrent runs).
     pub sched_delay_p50_ns: Option<u64>,
-    /// Scheduling-delay p95 upper bucket edge, ns (events runtime).
+    /// Scheduling-delay p95 upper bucket edge, ns (concurrent runs).
     pub sched_delay_p95_ns: Option<u64>,
     /// Total virtual time processes spent blocked (engine runs; the
     /// concurrent driver has no virtual clock and reports 0).
@@ -229,31 +205,11 @@ pub struct BenchEntry {
     pub durability: Option<String>,
 }
 
-/// One events-vs-threads throughput pair at a closed sweep point (Pred
-/// policy, best of 3 repetitions per runtime). The acceptance floor is
-/// `ratio >= 0.9` at every point: the worker-pool runtime must not regress
-/// the closed workloads thread-per-process handles comfortably.
-#[derive(Debug, Clone, Serialize)]
-pub struct RuntimeRatioEntry {
-    /// Processes in the workload.
-    pub processes: usize,
-    /// Conflict density of the workload.
-    pub density: f64,
-    /// Events/second of the events (worker-pool) runtime.
-    pub events_per_sec_events: f64,
-    /// Events/second of the thread-per-process baseline.
-    pub events_per_sec_threads: f64,
-    /// `events_per_sec_events / events_per_sec_threads`.
-    pub ratio: f64,
-}
-
-/// One open-arrival (Poisson) sweep point: the events runtime carrying an
-/// in-flight population the thread runtime's cap forbids, with the merged
-/// history verified domain by domain (E23).
+/// One open-arrival (Poisson) sweep point: the worker pool carrying a large
+/// in-flight population, with the merged history verified domain by domain
+/// (E23).
 #[derive(Debug, Clone, Serialize)]
 pub struct OpenRunEntry {
-    /// Runtime label (always `events`; recorded for self-description).
-    pub runtime: String,
     /// Processes in the workload.
     pub processes: usize,
     /// Disjoint tenant clusters of the workload.
@@ -317,7 +273,7 @@ pub struct TraceOverheadEntry {
 /// wait/hold, queue delay, 2PC prepare→decide, compensation, policy).
 #[derive(Debug, Clone, Serialize)]
 pub struct PhaseBreakdownEntry {
-    /// `engine` (virtual time) or `concurrent` (events runtime).
+    /// `engine` (virtual time) or `concurrent` (wall clock).
     pub mode: &'static str,
     /// Processes in the workload.
     pub processes: usize,
@@ -438,9 +394,7 @@ pub struct BenchReport {
     pub config: SchedulerBenchConfig,
     /// End-to-end entries (engine + concurrent driver).
     pub runs: Vec<BenchEntry>,
-    /// Events-vs-threads throughput pairs at the closed sweep points.
-    pub runtime_ratio: Vec<RuntimeRatioEntry>,
-    /// Open-arrival sweep (events runtime; sizes beyond the thread cap).
+    /// Open-arrival sweep of the concurrent driver.
     pub open_runs: Vec<OpenRunEntry>,
     /// Per-decision protocol cost.
     pub decision: Vec<DecisionBenchEntry>,
@@ -502,7 +456,6 @@ fn engine_entry_wal(
         policy,
         seed: cfg.seed,
         arrival_gap: cfg.arrival_gap,
-        certifier: cfg.certifier,
         epoch,
         ..RunConfig::default()
     };
@@ -524,9 +477,6 @@ fn engine_entry_wal(
     BenchEntry {
         mode: "engine",
         policy: policy.label().to_string(),
-        certifier: policy
-            .certified()
-            .then(|| cfg.certifier.label().to_string()),
         processes: w.spec.process_count(),
         density: w.config.conflict_density,
         wall_ms: wall.as_secs_f64() * 1e3,
@@ -542,8 +492,6 @@ fn engine_entry_wal(
         clusters: w.config.clusters.max(1),
         lock_wait_ms: 0.0,
         lock_hold_ms: 0.0,
-        wakeups: 0,
-        spurious_wakeups: 0,
         blocked_time_total: r.metrics.blocked_total(),
         cert_failures: r.metrics.cert_failures,
         abort_reasons: r.metrics.abort_reasons,
@@ -558,12 +506,11 @@ fn engine_entry_wal(
     }
 }
 
-pub(crate) fn concurrent_entry(
+fn concurrent_entry(
     cfg: &SchedulerBenchConfig,
     w: &Workload,
     policy: PolicyKind,
     shards: ShardMode,
-    runtime: RuntimeKind,
     epoch: usize,
 ) -> BenchEntry {
     let t = Instant::now();
@@ -572,9 +519,7 @@ pub(crate) fn concurrent_entry(
         ConcurrentConfig {
             policy,
             seed: cfg.seed,
-            certifier: cfg.certifier,
             shards,
-            runtime,
             workers: cfg.workers,
             epoch,
             ..ConcurrentConfig::default()
@@ -586,9 +531,6 @@ pub(crate) fn concurrent_entry(
     BenchEntry {
         mode: "concurrent",
         policy: policy.label().to_string(),
-        certifier: policy
-            .certified()
-            .then(|| cfg.certifier.label().to_string()),
         processes: w.spec.process_count(),
         density: w.config.conflict_density,
         wall_ms: wall.as_secs_f64() * 1e3,
@@ -604,12 +546,10 @@ pub(crate) fn concurrent_entry(
         clusters: w.config.clusters.max(1),
         lock_wait_ms: r.metrics.lock_wait_total_ns() as f64 / 1e6,
         lock_hold_ms: r.metrics.lock_hold_total_ns() as f64 / 1e6,
-        wakeups: r.metrics.wakeups_total(),
-        spurious_wakeups: r.metrics.spurious_wakeups_total(),
         blocked_time_total: r.metrics.blocked_total(),
         cert_failures: r.metrics.cert_failures,
         abort_reasons: r.metrics.abort_reasons,
-        runtime: Some(runtime.label().to_string()),
+        runtime: rt.map(|m| m.runtime.clone()),
         workers: rt.map_or(0, |m| m.workers),
         run_queue_peak: rt.map_or(0, |m| m.run_queue_peak),
         in_flight_peak: rt.map_or(0, |m| m.in_flight_peak),
@@ -702,9 +642,7 @@ pub(crate) fn open_run_entry(cfg: &SchedulerBenchConfig, n: usize) -> OpenRunEnt
         ConcurrentConfig {
             policy: PolicyKind::Pred,
             seed: cfg.seed,
-            certifier: cfg.certifier,
             shards: cfg.shards,
-            runtime: RuntimeKind::Events,
             workers: cfg.workers,
             ..ConcurrentConfig::default()
         },
@@ -716,7 +654,6 @@ pub(crate) fn open_run_entry(cfg: &SchedulerBenchConfig, n: usize) -> OpenRunEnt
     let verify_ms = tv.elapsed().as_secs_f64() * 1e3;
     let rt = r.metrics.runtime.as_ref();
     OpenRunEntry {
-        runtime: RuntimeKind::Events.label().to_string(),
         processes: n,
         clusters,
         mean_gap_us: cfg.open_mean_gap_us.max(1),
@@ -754,7 +691,6 @@ pub fn trace_overhead_bench(cfg: &SchedulerBenchConfig) -> Vec<TraceOverheadEntr
         policy: PolicyKind::Pred,
         seed: cfg.seed,
         arrival_gap: cfg.arrival_gap,
-        certifier: cfg.certifier,
         ..RunConfig::default()
     };
     let reps = if cfg.smoke { 7 } else { 9 };
@@ -810,8 +746,8 @@ pub fn trace_overhead_bench(cfg: &SchedulerBenchConfig) -> Vec<TraceOverheadEntr
 }
 
 /// The per-phase breakdown of one instrumented run per driver, at the
-/// largest closed sweep point: engine (virtual-time) and concurrent (events
-/// runtime), Pred policy. The phase clocks are wall time in both drivers.
+/// largest closed sweep point: engine (virtual-time) and concurrent (wall
+/// clock), Pred policy. The phase clocks are wall time in both drivers.
 pub fn phase_breakdown_bench(cfg: &SchedulerBenchConfig) -> Vec<PhaseBreakdownEntry> {
     let density = cfg.densities.first().copied().unwrap_or(0.3);
     let n = cfg.processes.iter().copied().max().unwrap_or(8);
@@ -839,7 +775,6 @@ pub fn phase_breakdown_bench(cfg: &SchedulerBenchConfig) -> Vec<PhaseBreakdownEn
             policy: PolicyKind::Pred,
             seed: cfg.seed,
             arrival_gap: cfg.arrival_gap,
-            certifier: cfg.certifier,
             ..RunConfig::default()
         })
         .telemetry(tele.clone())
@@ -850,9 +785,7 @@ pub fn phase_breakdown_bench(cfg: &SchedulerBenchConfig) -> Vec<PhaseBreakdownEn
         .concurrent(ConcurrentConfig {
             policy: PolicyKind::Pred,
             seed: cfg.seed,
-            certifier: cfg.certifier,
             shards: cfg.shards,
-            runtime: RuntimeKind::Events,
             workers: cfg.workers,
             ..ConcurrentConfig::default()
         })
@@ -874,15 +807,12 @@ pub fn telemetry_overhead_bench(cfg: &SchedulerBenchConfig) -> Vec<TelemetryOver
         policy: PolicyKind::Pred,
         seed: cfg.seed,
         arrival_gap: cfg.arrival_gap,
-        certifier: cfg.certifier,
         ..RunConfig::default()
     };
     let conc_cfg = ConcurrentConfig {
         policy: PolicyKind::Pred,
         seed: cfg.seed,
-        certifier: cfg.certifier,
         shards: cfg.shards,
-        runtime: RuntimeKind::Events,
         workers: cfg.workers,
         ..ConcurrentConfig::default()
     };
@@ -1058,8 +988,9 @@ fn replay_records_through(
 
 /// E26: fsync-policy throughput sweep plus recovery-time-vs-log-length
 /// rows, at the highest-density point with `cfg.durability_processes`
-/// processes. WAL files live in (and are removed from) a per-process temp
-/// directory; the journaled [`BenchEntry`] rows are appended to `runs` so
+/// processes. WAL files live in (and are removed from) a temp directory of
+/// this call's own — sweeps of one process may run side by side, as the
+/// tests of one test binary do; the journaled [`BenchEntry`] rows are appended to `runs` so
 /// the regression gate tracks them under `/wal:`-suffixed keys.
 pub fn durability_bench(
     cfg: &SchedulerBenchConfig,
@@ -1074,7 +1005,12 @@ pub fn durability_bench(
     let density = cfg.densities.iter().copied().fold(0.3, f64::max);
     let epoch = cfg.epoch.max(1);
     let w = bench_workload(cfg.seed, n, density, cfg.failure_probability);
-    let dir = std::env::temp_dir().join(format!("txproc-bench-wal-{}", std::process::id()));
+    static SWEEPS: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "txproc-bench-wal-{}-{}",
+        std::process::id(),
+        SWEEPS.fetch_add(1, Ordering::Relaxed)
+    ));
     if let Err(e) = std::fs::create_dir_all(&dir) {
         notes.push(format!("durability sweep skipped: temp dir failed ({e})"));
         return (Vec::new(), Vec::new());
@@ -1167,7 +1103,6 @@ pub fn durability_bench(
                 policy: PolicyKind::Pred,
                 seed: cfg.seed,
                 arrival_gap: cfg.arrival_gap,
-                certifier: cfg.certifier,
                 epoch,
                 ..RunConfig::default()
             },
@@ -1230,64 +1165,15 @@ pub fn durability_bench(
 /// Runs the full scheduler bench and assembles the report.
 pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
     let mut runs = Vec::new();
-    let mut runtime_ratio = Vec::new();
     let mut notes = Vec::new();
     for &density in &cfg.densities {
         for &n in &cfg.processes {
             let w = bench_workload(cfg.seed, n, density, cfg.failure_probability);
             for &policy in &cfg.policies {
                 runs.push(engine_entry(cfg, &w, policy, 0));
-                runs.push(concurrent_entry(
-                    cfg,
-                    &w,
-                    policy,
-                    cfg.shards,
-                    cfg.runtime,
-                    0,
-                ));
-            }
-            // Events-vs-threads ratio pair (Pred policy). Best of 3 per
-            // runtime: one-shot wall clocks at these sizes are dominated by
-            // spawn noise, and the minimum is the robust estimator for a
-            // CPU-bound run.
-            if n <= cfg.concurrent_max_processes {
-                let best = |rt: RuntimeKind| {
-                    (0..3)
-                        .map(|_| concurrent_entry(cfg, &w, PolicyKind::Pred, cfg.shards, rt, 0))
-                        .max_by(|a, b| a.events_per_sec.total_cmp(&b.events_per_sec))
-                        .expect("three repetitions")
-                };
-                let ev = best(RuntimeKind::Events);
-                let th = best(RuntimeKind::Threads);
-                runtime_ratio.push(RuntimeRatioEntry {
-                    processes: n,
-                    density,
-                    events_per_sec_events: ev.events_per_sec,
-                    events_per_sec_threads: th.events_per_sec,
-                    ratio: ev.events_per_sec / th.events_per_sec.max(1e-9),
-                });
-                runs.push(th);
+                runs.push(concurrent_entry(cfg, &w, policy, cfg.shards, 0));
             }
         }
-    }
-    if cfg
-        .processes
-        .iter()
-        .any(|&n| n > cfg.concurrent_max_processes)
-    {
-        notes.push(format!(
-            "thread-per-process baseline time-boxed at {} processes; larger closed points run the events runtime only",
-            cfg.concurrent_max_processes
-        ));
-    }
-    if let Some(worst) = runtime_ratio
-        .iter()
-        .min_by(|a, b| a.ratio.total_cmp(&b.ratio))
-    {
-        notes.push(format!(
-            "events-vs-threads closed-sweep throughput ratio: worst {:.2}x at n={} d={} (acceptance floor 0.9x)",
-            worst.ratio, worst.processes, worst.density
-        ));
     }
     // Sharding comparison (E21 headline): the same multi-tenant workload —
     // disjoint clusters give the partitioner real domains to find — driven
@@ -1309,8 +1195,8 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
             alternative_probability: 0.5,
             ..WorkloadConfig::default()
         });
-        let single = concurrent_entry(cfg, &w, PolicyKind::Pred, ShardMode::Single, cfg.runtime, 0);
-        let auto = concurrent_entry(cfg, &w, PolicyKind::Pred, ShardMode::Auto, cfg.runtime, 0);
+        let single = concurrent_entry(cfg, &w, PolicyKind::Pred, ShardMode::Single, 0);
+        let auto = concurrent_entry(cfg, &w, PolicyKind::Pred, ShardMode::Auto, 0);
         notes.push(format!(
             "sharding: {} processes, density {density}, {} clusters -> {} shards; auto vs single-lock speedup {:.2}x events/sec",
             n,
@@ -1334,7 +1220,6 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
                 && e.processes == n
                 && e.density == density
                 && e.epoch == epoch
-                && (mode != "concurrent" || e.runtime.as_deref() == Some(cfg.runtime.label()))
         };
         for &n in &cfg.processes {
             let w = bench_workload(cfg.seed, n, density, cfg.failure_probability);
@@ -1342,14 +1227,7 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
                 runs.push(engine_entry(cfg, &w, PolicyKind::Pred, 0));
             }
             if !runs.iter().any(|e| is_pred_point(e, "concurrent", n, 0)) {
-                runs.push(concurrent_entry(
-                    cfg,
-                    &w,
-                    PolicyKind::Pred,
-                    cfg.shards,
-                    cfg.runtime,
-                    0,
-                ));
+                runs.push(concurrent_entry(cfg, &w, PolicyKind::Pred, cfg.shards, 0));
             }
             runs.push(engine_entry(cfg, &w, PolicyKind::Pred, cfg.epoch));
             runs.push(concurrent_entry(
@@ -1357,7 +1235,6 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
                 &w,
                 PolicyKind::Pred,
                 cfg.shards,
-                cfg.runtime,
                 cfg.epoch,
             ));
         }
@@ -1384,15 +1261,6 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         .iter()
         .map(|&n| open_run_entry(cfg, n))
         .collect();
-    if !cfg.open_processes.is_empty() {
-        let thread_cap = RuntimeKind::Threads
-            .max_processes()
-            .expect("thread runtime is capped");
-        notes.push(format!(
-            "open-arrival sweep runs the events runtime only: the thread-per-process \
-             runtime is hard-capped at {thread_cap} processes"
-        ));
-    }
     let decision = decision_bench(cfg);
     let trace_overhead = trace_overhead_bench(cfg);
     let phases = phase_breakdown_bench(cfg);
@@ -1410,7 +1278,6 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
     let scenarios = if cfg.gauntlet_seeds > 0 {
         run_gauntlet(&GauntletConfig {
             seeds: cfg.gauntlet_seeds,
-            runtime: cfg.runtime,
             workers: cfg.workers,
             ..GauntletConfig::full()
         })
@@ -1419,9 +1286,14 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         Vec::new()
     };
     BenchReport {
-        // v9 drops the `epoch_decision` array: the `certify_epoch` batch
-        // API it measured is gone (E25), so readers of the other arrays are
-        // unaffected. v8 (additive over v7): the per-run `durability` field
+        // v10 is subtractive: the thread-per-process runtime is gone, and
+        // with it the `runtime_ratio` pairs, the thread baseline rows, the
+        // per-run `wakeups`/`spurious_wakeups` counters, `open_runs[].runtime`
+        // and the `certifier`/`runtime`/`concurrent_max_processes` config
+        // keys (one certifier, one runtime). Concurrent rows still say
+        // `"runtime": "events"`, so regression keys of committed baselines
+        // keep matching. v9 dropped the `epoch_decision` array: the
+        // `certify_epoch` batch API it measured is gone (E25). v8 (additive over v7): the per-run `durability` field
         // (null on unlogged runs, so pre-v8 regression keys are unchanged),
         // the `durability` fsync-policy sweep, and the `recovery`
         // time-vs-log-length rows (E26). (v7 added the per-run `epoch`
@@ -1429,18 +1301,16 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         // v6 added the `phases` per-phase wall-time breakdown per driver
         // and the `telemetry_overhead` on-vs-off rows; v5 added per-entry
         // runtime/worker/run-queue/scheduling-delay fields, the
-        // `runtime_ratio` events-vs-threads pairs and the `open_runs`
-        // Poisson sweep; v4 added the `scenarios` gauntlet array; v3 added
-        // shard_mode/shards/clusters, lock contention and wakeup counters
+        // `open_runs` Poisson sweep; v4 added the `scenarios` gauntlet
+        // array; v3 added shard_mode/shards/clusters and lock contention
         // over v2.)
-        schema: "txproc-bench-scheduler/v9",
+        schema: "txproc-bench-scheduler/v10",
         created_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0),
         config: cfg.clone(),
         runs,
-        runtime_ratio,
         open_runs,
         decision,
         scenarios,
@@ -1461,17 +1331,15 @@ mod tests {
     fn smoke_bench_produces_entries() {
         let mut cfg = SchedulerBenchConfig::smoke();
         cfg.processes = vec![6];
-        cfg.concurrent_max_processes = 6;
         cfg.gauntlet_seeds = 2;
         cfg.open_processes = vec![40];
         cfg.durability_processes = 6;
         let report = run_scheduler_bench(&cfg);
-        // Per (density, n) point: engine + events-concurrent per policy,
-        // plus the threads ratio baseline; then the single/auto sharding
-        // pair; then the epoch sweep (per-event Pred baseline pair — smoke
-        // policies don't include Pred — plus the epoch-16 pair); then the
-        // four WAL-journaled durability runs (v8).
-        assert_eq!(report.runs.len(), 15);
+        // Per (density, n) point: engine + concurrent per policy; then the
+        // single/auto sharding pair; then the epoch sweep (per-event Pred
+        // baseline pair — smoke policies don't include Pred — plus the
+        // epoch-16 pair); then the four WAL-journaled durability runs (v8).
+        assert_eq!(report.runs.len(), 14);
         assert!(report.runs.iter().all(|e| e.events > 0));
         // v7: the epoch sweep drove both drivers at epoch 16 under Pred,
         // next to per-event baselines at the same point. (The durability
@@ -1501,8 +1369,7 @@ mod tests {
                 assert!(e.shards >= 1);
                 assert!(e.makespan > 0, "wall-clock makespan missing");
                 assert!(e.latency_p50.is_some() && e.latency_p95.is_some());
-                assert!(e.wakeups >= e.spurious_wakeups);
-                assert!(e.runtime.is_some());
+                assert_eq!(e.runtime.as_deref(), Some("events"));
                 assert!(e.workers >= 1);
                 assert!(e.in_flight_peak >= 1);
             } else {
@@ -1511,20 +1378,10 @@ mod tests {
                 assert!(e.runtime.is_none());
             }
         }
-        // The ratio pair measured both runtimes at the one closed point.
-        assert_eq!(report.runtime_ratio.len(), 1);
-        let pair = &report.runtime_ratio[0];
-        assert_eq!(pair.processes, 6);
-        assert!(pair.events_per_sec_events > 0.0 && pair.events_per_sec_threads > 0.0);
-        assert!(report
-            .runs
-            .iter()
-            .any(|e| e.runtime.as_deref() == Some("threads")));
-        // Open-arrival point: events runtime, Poisson arrivals, verified
-        // per conflict domain with zero violations.
+        // Open-arrival point: Poisson arrivals, verified per conflict
+        // domain with zero violations.
         assert_eq!(report.open_runs.len(), 1);
         let open = &report.open_runs[0];
-        assert_eq!(open.runtime, "events");
         assert_eq!(open.processes, 40);
         assert_eq!(open.committed + open.aborted, 40);
         assert!(open.domains_verified >= 1);
@@ -1634,7 +1491,7 @@ mod tests {
             .iter()
             .any(|n| n.starts_with("recovery (E26):")));
         let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("txproc-bench-scheduler/v9"));
+        assert!(json.contains("txproc-bench-scheduler/v10"));
         assert!(json.contains("throughput_vs_unlogged"));
         assert!(json.contains("wal_only_records_per_sec"));
         assert!(json.contains("snapshot_every"));
@@ -1643,10 +1500,8 @@ mod tests {
         assert!(json.contains("abort_reasons"));
         assert!(json.contains("blocked_time_total"));
         assert!(json.contains("shard_mode"));
-        assert!(json.contains("spurious_wakeups"));
         assert!(json.contains("zipf-hotspot"));
         assert!(json.contains("envelope_breaches"));
-        assert!(json.contains("runtime_ratio"));
         assert!(json.contains("open_runs"));
         assert!(json.contains("sched_delay_p95_ns"));
     }

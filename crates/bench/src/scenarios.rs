@@ -11,9 +11,9 @@ use txproc_core::ids::ProcessId;
 use txproc_core::pred_incremental::check_pred_incremental;
 use txproc_core::recoverability::proc_rec_violations;
 use txproc_core::schedule::Schedule;
-use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig, RuntimeKind, ShardMode};
+use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig, ShardMode};
 use txproc_engine::engine::{run, RunConfig};
-use txproc_engine::policy::{CertifierKind, PolicyKind};
+use txproc_engine::policy::PolicyKind;
 use txproc_sim::metrics::Metrics;
 use txproc_sim::scenario::{registry, Envelope, Scenario};
 use txproc_sim::workload::{try_generate, Workload, WorkloadConfig};
@@ -195,16 +195,12 @@ pub struct GauntletConfig {
     pub seed_base: u64,
     /// Scheduling policy driven through the gauntlet.
     pub policy: PolicyKind,
-    /// Certifier used by the policy.
-    pub certifier: CertifierKind,
     /// Whether to also drive the sharded concurrent driver (engine runs
     /// always happen).
     pub concurrent: bool,
     /// Shard topology for concurrent runs.
     pub shards: ShardMode,
-    /// Execution runtime of the concurrent runs (`events` by default).
-    pub runtime: RuntimeKind,
-    /// Worker-pool override for the events runtime (`None` = auto).
+    /// Worker-pool override for the concurrent runs (`None` = auto).
     pub workers: Option<usize>,
     /// Epoch size for group certification and batch commit on both drivers
     /// (0 = per-event path).
@@ -218,10 +214,8 @@ impl GauntletConfig {
             seeds: 128,
             seed_base: 0,
             policy: PolicyKind::Pred,
-            certifier: CertifierKind::Incremental,
             concurrent: true,
             shards: ShardMode::Auto,
-            runtime: RuntimeKind::Events,
             workers: None,
             epoch: 0,
         }
@@ -241,9 +235,6 @@ impl GauntletConfig {
 pub struct ScenarioModeReport {
     /// `engine` (virtual time) or `concurrent` (sharded wall-clock driver).
     pub mode: &'static str,
-    /// Execution runtime of concurrent modes (`events` or `threads`);
-    /// `None` for engine modes, which have no runtime to pick.
-    pub runtime: Option<String>,
     /// Runs aggregated (one per seed).
     pub runs: u64,
     /// Committed processes across all runs.
@@ -313,7 +304,6 @@ fn mode_report(
     scenario: &Scenario,
     cfg: &GauntletConfig,
     mode: &'static str,
-    runtime: Option<String>,
     mut one_run: impl FnMut(&Workload) -> (Schedule, Metrics),
 ) -> ScenarioModeReport {
     let t = Instant::now();
@@ -338,7 +328,6 @@ fn mode_report(
     breaches.retain(|b| !b.ends_with("correctness violations"));
     ScenarioModeReport {
         mode,
-        runtime,
         runs: cfg.seeds,
         committed: agg.committed,
         aborted: agg.aborted,
@@ -357,13 +346,12 @@ fn mode_report(
 /// plus sharded concurrent runs when `cfg.concurrent` is set, every history
 /// checked by the batch PRED and Proc-REC checkers.
 pub fn run_scenario(scenario: &Scenario, cfg: &GauntletConfig) -> ScenarioReport {
-    let mut modes = vec![mode_report(scenario, cfg, "engine", None, |w| {
+    let mut modes = vec![mode_report(scenario, cfg, "engine", |w| {
         let r = run(
             w,
             RunConfig {
                 policy: cfg.policy,
                 seed: w.config.seed,
-                certifier: cfg.certifier,
                 epoch: cfg.epoch,
                 ..RunConfig::default()
             },
@@ -371,16 +359,13 @@ pub fn run_scenario(scenario: &Scenario, cfg: &GauntletConfig) -> ScenarioReport
         (r.history, r.metrics)
     })];
     if cfg.concurrent {
-        let runtime = Some(cfg.runtime.label().to_string());
-        modes.push(mode_report(scenario, cfg, "concurrent", runtime, |w| {
+        modes.push(mode_report(scenario, cfg, "concurrent", |w| {
             let r = run_concurrent(
                 w,
                 ConcurrentConfig {
                     policy: cfg.policy,
                     seed: w.config.seed,
-                    certifier: cfg.certifier,
                     shards: cfg.shards,
-                    runtime: cfg.runtime,
                     workers: cfg.workers,
                     epoch: cfg.epoch,
                     ..ConcurrentConfig::default()
@@ -458,8 +443,6 @@ mod tests {
         assert_eq!(report.seeds, 2);
         let modes: Vec<&str> = report.modes.iter().map(|m| m.mode).collect();
         assert_eq!(modes, vec!["engine", "concurrent"]);
-        assert_eq!(report.modes[0].runtime, None);
-        assert_eq!(report.modes[1].runtime.as_deref(), Some("events"));
         for m in &report.modes {
             assert_eq!(m.runs, 2);
             assert_eq!(m.pred_violations, 0, "{}: non-PRED history", m.mode);

@@ -1,13 +1,8 @@
-//! The canonical run entry point: one builder on which trace sinks,
-//! telemetry, sampling, epochs, and durability compose as orthogonal
-//! options, for both the virtual-time engine and the concurrent driver.
-//!
-//! Before the builder, every option combination minted its own entry point
-//! (`run_concurrent` / `_traced` / `_instrumented`, `Engine::with_sink` /
-//! `with_telemetry` / `with_sampling`) and adding durability would have
-//! doubled that set again. Those entry points survive as thin deprecated
-//! shims delegating here, pinned bit-identical by the 256-seed
-//! differentials in `tests/builder_shims.rs`.
+//! The run entry point: one builder on which trace sinks, telemetry,
+//! sampling, epochs, and durability compose as orthogonal options, for both
+//! the virtual-time engine and the concurrent driver. [`crate::engine::run`]
+//! and [`crate::concurrent::run_concurrent`] are shorthands for a builder
+//! run with no option set; there is no other way in.
 //!
 //! ```ignore
 //! // Virtual-time engine, traced, journaled to a WAL:
@@ -123,8 +118,8 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Switches the run to the concurrent driver with `cfg` (runtime,
-    /// shards, workers, epoch, …).
+    /// Switches the run to the concurrent driver with `cfg` (shards,
+    /// workers, epoch, …).
     pub fn concurrent(mut self, cfg: ConcurrentConfig) -> Self {
         self.concurrent_cfg = Some(cfg);
         self
@@ -179,7 +174,7 @@ impl<'a> RunBuilder<'a> {
         let sink = self.sink.unwrap_or_else(|| Box::new(NoopSink));
         match self.concurrent_cfg {
             Some(cfg) => {
-                cfg.validate(self.workload.spec.processes().count())?;
+                cfg.validate()?;
                 Ok(RunOutcome::Concurrent(run_concurrent_impl(
                     self.workload,
                     cfg,
@@ -200,5 +195,33 @@ impl<'a> RunBuilder<'a> {
                 Ok(RunOutcome::Engine(engine.run()))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use txproc_sim::workload::{generate, WorkloadConfig};
+
+    #[test]
+    fn try_run_rejects_an_empty_worker_pool() {
+        let w = generate(&WorkloadConfig {
+            seed: 1,
+            processes: 4,
+            ..WorkloadConfig::default()
+        });
+        let err = RunBuilder::new(&w)
+            .concurrent(ConcurrentConfig {
+                workers: Some(0),
+                ..ConcurrentConfig::default()
+            })
+            .try_run()
+            .unwrap_err();
+        assert!(err.contains("--workers"), "error names the knob: {err}");
+        let ok = RunBuilder::new(&w)
+            .concurrent(ConcurrentConfig::default())
+            .try_run()
+            .expect("default configuration is valid");
+        assert_eq!(ok.metrics().terminated(), 4);
     }
 }

@@ -1,5 +1,6 @@
 //! Concurrent driver: the same scheduling protocol exercised under real
-//! concurrency, sharded by conflict domains, with two runtimes.
+//! concurrency, sharded by conflict domains and stepped by an event-driven
+//! worker pool.
 //!
 //! The virtual-time [`Engine`](crate::engine::Engine) is deterministic and
 //! fast — ideal for experiments. This driver runs the workload under real
@@ -9,7 +10,7 @@
 //! obligations on each other. The driver exploits that: a
 //! [`DomainPartition`] splits the workload into conflict domains, and each
 //! shard owns a complete scheduler state — its own [`Policy`] instance,
-//! incremental §3.5 certifier and history segment — so admission,
+//! §3.5 certification gate and history segment — so admission,
 //! certification, commit and abort decisions in disjoint domains proceed
 //! fully in parallel. A deterministic merge (events are stamped with a
 //! global atomic ticket at emission) produces one global [`Schedule`];
@@ -17,25 +18,19 @@
 //! global PRED (see DESIGN.md "Conflict-domain sharding" for the
 //! commutation argument, and the differential stress tests for the oracle).
 //!
-//! # Runtimes
+//! # Runtime
 //!
-//! Both runtimes drive the same non-blocking state-machine step
-//! ([`advance`]); they differ only in *who* calls it and what a blocked
-//! process costs:
-//!
-//! * [`RuntimeKind::Events`] (default) — a fixed worker pool (default
-//!   `min(cores, shards)`). Each worker owns a disjoint set of shards;
-//!   per shard it keeps a run queue of runnable processes and a waiting
-//!   set of blocked ones. A blocked process costs a queue entry, not a
-//!   parked 2 MB thread stack, so the runtime scales to 100k+ in-flight
-//!   processes. Any step that bumps the shard generation re-queues the
-//!   shard's waiters (notification-completeness is unchanged from the
-//!   thread runtime: a blocker is always a shard-mate, and every
-//!   unblocking mutation bumps the generation).
-//! * [`RuntimeKind::Threads`] — one OS thread per process, condvar-parked
-//!   while blocked. Kept as the differential baseline for the events
-//!   runtime (bit-equal outcomes on disjoint workloads); capped at
-//!   [`RuntimeKind::max_processes`] threads.
+//! Processes are state machines stepped by a fixed worker pool (default
+//! `min(cores, shards)`), one non-blocking `advance` call at a time.
+//! Each worker owns a disjoint set of shards; per shard it keeps a run
+//! queue of runnable processes and a waiting set of blocked ones. A
+//! blocked process costs a queue entry, not a parked thread stack, so the
+//! runtime scales to 100k+ in-flight processes. Any step that bumps the
+//! shard *generation* (every history event, and the policy live-op removal
+//! at finalize) re-queues the shard's waiters; that is complete because a
+//! blocker is always a shard-mate. With one worker and closed arrivals
+//! nothing nondeterministic is left, which makes the single-worker run the
+//! deterministic oracle of the differential tests.
 //!
 //! Lock order (never acquired in reverse):
 //!
@@ -50,26 +45,17 @@
 //! prepared invocation can only block a *conflicting* service (reads do not
 //! lock; additive writes share their lock), and conflicting services are by
 //! construction in the same domain — so cross-shard `Busy` outcomes cannot
-//! occur and shard-local notification is complete.
-//!
-//! In the thread runtime, waiting is notification-driven: every history
-//! mutation bumps the shard *generation* and broadcasts the shard condvar
-//! (the pre-sharding driver polled on fixed 2/5/10 ms sleeps instead). A
-//! woken waiter whose generation did not move counts as a spurious wakeup
-//! in [`ShardMetrics`]. Waits carry no timeout: when every live worker of
-//! a shard would be parked, the last one re-polls instead of sleeping, so
-//! deadlock escalation needs no timer (the historical 3 ms fallback wait
-//! only masked lost-notify bugs; it can be restored for debugging with
-//! [`ConcurrentConfig::fallback_wait`]).
+//! occur and shard-local re-queuing is complete.
 //!
 //! Failure injection is a pure function of `(seed, activity, attempt)`, so
 //! outcome draws are independent of thread interleaving: on workloads whose
 //! processes are pairwise non-conflicting the sharded and single-lock
-//! configurations — and the two runtimes — produce bit-equal commit/abort
+//! configurations, at any worker count, produce bit-equal commit/abort
 //! sets.
 
-use crate::policy::{CertifierKind, Policy, PolicyKind};
-use parking_lot::{Condvar, Mutex};
+use crate::certify::CertGate;
+use crate::policy::{Policy, PolicyKind};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -88,11 +74,9 @@ use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 use txproc_subsystem::deploy::ServiceSite;
 use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
 
-/// Debug-only bound on a condvar wait, restored by
-/// [`ConcurrentConfig::fallback_wait`]. Within a shard every unblocking
-/// mutation notifies, so in normal operation waits carry no timeout — a
-/// timeout only masks lost-notify bugs (see the lost-wakeup stress test).
-const FALLBACK_WAIT: Duration = Duration::from_millis(3);
+/// Label of the one runtime in [`RuntimeMetrics::runtime`] and the bench
+/// reports' `runtime` column (the committed baselines key on it).
+const RUNTIME_LABEL: &str = "events";
 
 /// Consecutive state-machine steps one event worker runs on a shard before
 /// moving to its next shard (bounds cross-shard starvation on a worker
@@ -104,7 +88,7 @@ const STEP_BUDGET: u32 = 128;
 /// the nap targets the exact arrival offset).
 const MAX_IDLE_NAP: Duration = Duration::from_millis(100);
 
-/// Per-shard admission cap of the events runtime: a due arrival is deferred
+/// Per-shard admission cap: a due arrival is deferred
 /// while the shard already has this many live processes. Certification cost
 /// grows superlinearly with the concurrently-active set (the §3.5 overlay
 /// pairs every pending completion activity against every other), so
@@ -173,68 +157,6 @@ impl serde::Deserialize for ShardMode {
     }
 }
 
-/// How processes are executed: parked threads or worker-pool state
-/// machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// One OS thread per process, condvar-parked while blocked. The
-    /// differential baseline; capped at [`RuntimeKind::max_processes`].
-    Threads,
-    /// Event-driven worker pool (the default): processes are state
-    /// machines on per-shard run queues, stepped by `min(cores, shards)`
-    /// workers. No per-process cap.
-    Events,
-}
-
-impl RuntimeKind {
-    /// Parses `threads` or `events`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threads" => Some(Self::Threads),
-            "events" => Some(Self::Events),
-            _ => None,
-        }
-    }
-
-    /// Stable label for reports and the `--runtime` flag.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Threads => "threads",
-            Self::Events => "events",
-        }
-    }
-
-    /// In-flight process ceiling of the runtime, if any. The thread
-    /// runtime spawns one OS thread (≈2 MB of stack) per process, so it is
-    /// capped; the events runtime holds a blocked process as a run-queue
-    /// entry and has no ceiling.
-    pub fn max_processes(&self) -> Option<usize> {
-        match self {
-            Self::Threads => Some(512),
-            Self::Events => None,
-        }
-    }
-}
-
-// Serialized as the CLI label so bench reports and `--runtime` agree.
-impl serde::Serialize for RuntimeKind {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label().to_string())
-    }
-}
-
-impl serde::Deserialize for RuntimeKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Str(s) => Self::parse(s)
-                .ok_or_else(|| serde::DeError::new(format!("invalid runtime kind `{s}`"))),
-            other => Err(serde::DeError::new(format!(
-                "expected runtime kind string, got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// Configuration of a concurrent run.
 #[derive(Debug, Clone)]
 pub struct ConcurrentConfig {
@@ -244,23 +166,12 @@ pub struct ConcurrentConfig {
     pub seed: u64,
     /// Whether failable activities may fail.
     pub inject_failures: bool,
-    /// Which §3.5 certifier implementation answers the per-event
-    /// certification (certified policies only).
-    pub certifier: CertifierKind,
     /// Shard topology. `Auto` (the default) shards by conflict domain;
     /// `Single` is the pre-sharding single-lock driver.
     pub shards: ShardMode,
-    /// Execution runtime. `Events` (the default) steps processes with a
-    /// fixed worker pool; `Threads` is the thread-per-process baseline.
-    pub runtime: RuntimeKind,
-    /// Worker-pool size for the events runtime. `None` (the default)
-    /// resolves to `min(available cores, shard count)`. Ignored by the
-    /// thread runtime.
+    /// Worker-pool size. `None` (the default) resolves to
+    /// `min(available cores, shard count)`.
     pub workers: Option<usize>,
-    /// Debug flag: restore the historical 3 ms fallback timeout on thread-
-    /// runtime condvar waits. Off by default — the timeout only masks
-    /// lost-notify bugs.
-    pub fallback_wait: bool,
     /// Epoch size for group certification and batch commit. `0` keeps the
     /// per-event path bit-identical to earlier releases. With `N > 0` each
     /// shard retains certified plans for their matching `record` (one
@@ -280,32 +191,18 @@ impl Default for ConcurrentConfig {
             policy: PolicyKind::Pred,
             seed: 99,
             inject_failures: true,
-            certifier: CertifierKind::Incremental,
             shards: ShardMode::Auto,
-            runtime: RuntimeKind::Events,
             workers: None,
-            fallback_wait: false,
             epoch: 0,
         }
     }
 }
 
 impl ConcurrentConfig {
-    /// Checks the configuration against a workload size. The in-flight
-    /// limit is derived from the runtime kind, not a hardcoded ceiling:
-    /// the error names the knob that lifts it.
-    pub fn validate(&self, processes: usize) -> Result<(), String> {
-        if let Some(cap) = self.runtime.max_processes() {
-            if processes > cap {
-                return Err(format!(
-                    "workload has {processes} processes but the `{}` runtime spawns one OS \
-                     thread per process and is capped at {cap}; select the event-driven \
-                     runtime (`--runtime events` / `ConcurrentConfig::runtime = \
-                     RuntimeKind::Events`) to lift the cap",
-                    self.runtime.label()
-                ));
-            }
-        }
+    /// Checks the configuration; the error names the knob to change. The
+    /// entry points ([`run_concurrent`], `RunBuilder::try_run`) call this
+    /// once before the run starts.
+    pub fn validate(&self) -> Result<(), String> {
         if self.workers == Some(0) {
             return Err("worker pool must have at least 1 worker (`--workers` / \
                  `ConcurrentConfig::workers`)"
@@ -314,8 +211,7 @@ impl ConcurrentConfig {
         Ok(())
     }
 
-    /// Worker-pool size the events runtime will use for a given shard
-    /// count.
+    /// Worker-pool size the run will use for a given shard count.
     pub fn resolved_workers(&self, shard_count: usize) -> usize {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -347,9 +243,8 @@ struct TraceShared<'a> {
     sink: Mutex<Box<dyn TraceSink + 'a>>,
     seq: AtomicU64,
     enabled: bool,
-    /// Static shard→worker assignment of the events runtime (`None` under
-    /// the thread runtime, which has no worker lane).
-    worker_of_shard: Option<Vec<u32>>,
+    /// Static shard→worker assignment (the `worker` lane of each record).
+    worker_of_shard: Vec<u32>,
 }
 
 impl TraceShared<'_> {
@@ -357,7 +252,7 @@ impl TraceShared<'_> {
         if !self.enabled {
             return;
         }
-        let worker = self.worker_of_shard.as_ref().map(|map| map[shard as usize]);
+        let worker = Some(self.worker_of_shard[shard as usize]);
         let mut sink = self.sink.lock();
         // Sequence assignment under the sink lock keeps journal order and
         // seq order identical even when shards race to record.
@@ -381,7 +276,7 @@ impl TraceShared<'_> {
         if !self.enabled || entries.is_empty() {
             return;
         }
-        let worker = self.worker_of_shard.as_ref().map(|map| map[shard as usize]);
+        let worker = Some(self.worker_of_shard[shard as usize]);
         let mut sink = self.sink.lock();
         for (history_len, event) in entries {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -438,17 +333,13 @@ impl RunCtx<'_, '_> {
 }
 
 /// One conflict-domain shard: a complete scheduler state behind its own
-/// lock and condvar, plus contention counters (atomics so they survive into
-/// the merge without locking).
+/// lock, plus contention counters (atomics so they survive into the merge
+/// without locking).
 struct Shard<'a> {
     id: u32,
     state: Mutex<ShardState<'a>>,
-    cond: Condvar,
     lock_wait_ns: AtomicU64,
     lock_hold_ns: AtomicU64,
-    notifies: AtomicU64,
-    wakeups: AtomicU64,
-    spurious_wakeups: AtomicU64,
     /// Telemetry handle for the lock-wait / lock-hold phase timers (off by
     /// default: one branch per lock operation).
     tele: Telemetry,
@@ -462,12 +353,8 @@ impl<'a> Shard<'a> {
         Self {
             id,
             state: Mutex::new(state),
-            cond: Condvar::new(),
             lock_wait_ns: AtomicU64::new(0),
             lock_hold_ns: AtomicU64::new(0),
-            notifies: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            spurious_wakeups: AtomicU64::new(0),
             tele,
             tele_lock_wait,
         }
@@ -486,7 +373,6 @@ impl<'a> Shard<'a> {
             guard,
             shard: self,
             acquired: Instant::now(),
-            excluded: Duration::ZERO,
         }
     }
 
@@ -503,9 +389,6 @@ impl<'a> Shard<'a> {
             events: st.history.len() as u64,
             lock_wait_ns: self.lock_wait_ns.into_inner(),
             lock_hold_ns: self.lock_hold_ns.into_inner(),
-            notifies: self.notifies.into_inner(),
-            wakeups: self.wakeups.into_inner(),
-            spurious_wakeups: self.spurious_wakeups.into_inner(),
         });
         ShardDone {
             id: self.id,
@@ -513,48 +396,6 @@ impl<'a> Shard<'a> {
             tickets: st.event_tickets,
             history: st.history,
         }
-    }
-
-    /// Broadcasts the shard condvar after a visible state change.
-    fn notify(&self) {
-        self.notifies.fetch_add(1, Ordering::Relaxed);
-        self.cond.notify_all();
-    }
-
-    /// Blocks until the shard generation moves past the value observed at
-    /// call time. Returns whether the generation moved; a `false` return is
-    /// counted as a spurious wakeup.
-    ///
-    /// Waits carry no timeout. A parked waiter can only be unblocked by a
-    /// shard-mate's mutation, and every mutation notifies — so if every
-    /// other live worker of the shard is already parked, nobody is left to
-    /// notify us and the wait would be forever. In that case the last
-    /// waiter returns immediately (an intentional re-poll) so the
-    /// no-progress escalation in [`advance`] can abort a deadlock victim.
-    /// With `fallback` (debug flag) the historical 3 ms timeout is used
-    /// instead.
-    fn wait_for_change(&self, g: &mut ShardGuard<'_, 'a>, fallback: bool) -> bool {
-        let seen = g.generation;
-        let t0 = Instant::now();
-        if fallback {
-            let _ = self.cond.wait_for(&mut g.guard, FALLBACK_WAIT);
-        } else if g.waiting_workers + 1 >= g.live_workers {
-            // Last non-parked worker: re-poll instead of sleeping.
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
-            return false;
-        } else {
-            g.waiting_workers += 1;
-            self.cond.wait(&mut g.guard);
-            g.waiting_workers -= 1;
-        }
-        g.excluded += t0.elapsed();
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-        let progressed = g.generation != seen;
-        if !progressed {
-            self.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
-        }
-        progressed
     }
 }
 
@@ -568,13 +409,11 @@ struct ShardDone {
     history: Schedule,
 }
 
-/// Shard lock guard that charges hold time (minus condvar-wait time) on
-/// release.
+/// Shard lock guard that charges hold time on release.
 struct ShardGuard<'g, 'a> {
     guard: parking_lot::MutexGuard<'g, ShardState<'a>>,
     shard: &'g Shard<'a>,
     acquired: Instant,
-    excluded: Duration,
 }
 
 impl<'a> std::ops::Deref for ShardGuard<'_, 'a> {
@@ -592,26 +431,17 @@ impl<'a> std::ops::DerefMut for ShardGuard<'_, 'a> {
 
 impl Drop for ShardGuard<'_, '_> {
     fn drop(&mut self) {
-        let held = self.acquired.elapsed().saturating_sub(self.excluded);
-        self.shard
-            .lock_hold_ns
-            .fetch_add(held.as_nanos() as u64, Ordering::Relaxed);
-        self.shard
-            .tele
-            .phase_ns(Phase::LockHold, held.as_nanos() as u64);
+        let held = self.acquired.elapsed().as_nanos() as u64;
+        self.shard.lock_hold_ns.fetch_add(held, Ordering::Relaxed);
+        self.shard.tele.phase_ns(Phase::LockHold, held);
     }
 }
 
 struct ShardState<'a> {
     shard_id: u32,
-    workload: &'a Workload,
-    certify: bool,
-    /// The incremental §3.5 certifier (when configured). Synced lazily with
-    /// the shard history inside `certified_ok`; the shard lock serializes
-    /// history order, so the certifier sees exactly the emitted sequence.
-    /// Certification against the shard-local segment is sound because
-    /// events of other shards commute with every event of this one.
-    incremental: Option<txproc_core::pred_incremental::IncrementalPred<'a>>,
+    /// The §3.5 certification gate over the shard-local segment (certified
+    /// policies only); the shard lock serializes history order for it.
+    gate: Option<CertGate<'a>>,
     policy: Box<dyn Policy + Send + 'a>,
     states: BTreeMap<ProcessId, ProcessState<'a>>,
     /// Shard-local history segment.
@@ -619,16 +449,9 @@ struct ShardState<'a> {
     /// Global merge ticket of each segment event (parallel to `history`).
     event_tickets: Vec<u64>,
     /// Bumped on every scheduler-visible mutation (history events, policy
-    /// live-op removal at finalize, worker exit); waiters key their condvar
-    /// waits on it to tell productive wakeups from spurious ones, and the
-    /// events runtime re-queues a shard's waiters when it moves.
+    /// live-op removal at finalize); the owning worker re-queues the
+    /// shard's waiters when it moves.
     generation: u64,
-    /// Thread runtime only: worker threads of this shard that have arrived
-    /// and not yet exited, and how many of them are parked on the condvar.
-    /// The last unparked worker re-polls instead of parking (see
-    /// [`Shard::wait_for_change`]).
-    live_workers: usize,
-    waiting_workers: usize,
     metrics: Metrics,
     invocations: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)>,
     /// Deferred activities released by a predecessor's termination.
@@ -782,13 +605,14 @@ impl<'a> ShardState<'a> {
         self.block_notes.remove(&pid);
     }
 
-    /// [`Self::certified_ok`] plus metrics accounting and a
+    /// §3.5 certification of the next effect event against the shard-local
+    /// segment (see [`CertGate`]), plus metrics accounting and a
     /// [`TraceEvent::CertifyOutcome`] record. Re-polls of a failed
     /// certification against an unchanged history are deduplicated.
     fn certified_traced(&mut self, ctx: &RunCtx<'_, 'a>, event: Event) -> bool {
-        if !self.certify {
+        let Some(gate) = &mut self.gate else {
             return true;
-        }
+        };
         let len = self.history.len();
         self.cert_fail_notes.retain(|&(_, stamp)| stamp >= len);
         if self
@@ -802,7 +626,7 @@ impl<'a> ShardState<'a> {
             // spins repeat this call hundreds of times per abort.
             return false;
         }
-        let ok = self.certified_ok(event.clone());
+        let ok = gate.admits(&self.history, &event, &self.tele);
         if !ok {
             self.cert_fail_notes.push((event.clone(), len));
             self.metrics.cert_failures += 1;
@@ -824,43 +648,6 @@ impl<'a> ShardState<'a> {
             // just recorded) out now.
             self.close_epoch(ctx);
         }
-        ok
-    }
-
-    /// §3.5 certification of the next effect event against the shard-local
-    /// segment (see the virtual-time engine for the rationale).
-    fn certified_ok(&mut self, event: Event) -> bool {
-        if !self.certify {
-            return true;
-        }
-        let t0 = self.tele.phase_start();
-        let ok = if let Some(inc) = &mut self.incremental {
-            for e in &self.history.events()[inc.len()..] {
-                inc.record(e).expect("emitted history event is legal");
-            }
-            // Epoch mode leaves an admitted event applied, so the admitting
-            // `record` above only drops its undo log — bit-identical
-            // answers either way.
-            let verdict = if self.epoch > 0 {
-                inc.certify_keep(&event)
-            } else {
-                inc.certify(&event)
-            };
-            match verdict {
-                Ok(verdict) => verdict.reducible,
-                Err(_) => false,
-            }
-        } else {
-            let mut candidate = self.history.clone();
-            candidate.push(event);
-            match txproc_core::completion::complete(&self.workload.spec, &candidate) {
-                Ok(completed) => {
-                    txproc_core::reduction::reduce(&self.workload.spec, &completed).reducible
-                }
-                Err(_) => false,
-            }
-        };
-        self.tele.phase_end(Phase::Certify, t0);
         ok
     }
 
@@ -969,88 +756,30 @@ fn p_fail(workload: &Workload, subsystem: SubsystemId) -> f64 {
     workload.config.failure_probability.clamp(0.0, 1.0)
 }
 
-/// Runs the workload under the configured runtime, sharded by conflict
-/// domain per `cfg.shards`. Panics on an invalid configuration (e.g. more
-/// processes than the thread runtime supports); use
-/// [`try_run_concurrent`] for a `Result`.
+/// Runs the workload on the worker pool, sharded by conflict domain per
+/// `cfg.shards`. Shorthand for `RunBuilder::new(w).concurrent(cfg).run()`
+/// with no sink, telemetry or WAL; like it, panics on an invalid
+/// configuration (`RunBuilder::try_run` returns the error instead).
+///
+/// [`Metrics::latencies`] holds wall-clock arrival→terminal times in
+/// microseconds and [`Metrics::makespan`] the wall-clock run time in
+/// microseconds (the virtual-time engine reports virtual ticks in those
+/// fields instead).
 pub fn run_concurrent(workload: &Workload, cfg: ConcurrentConfig) -> ConcurrentResult {
+    if let Err(msg) = cfg.validate() {
+        panic!("invalid concurrent configuration: {msg}");
+    }
     run_concurrent_impl(workload, cfg, Box::new(NoopSink), Telemetry::off(), None)
 }
 
-/// Fallible variant of [`run_concurrent`]: returns the configuration
-/// error (naming the knob to change) instead of panicking.
-pub fn try_run_concurrent(
-    workload: &Workload,
-    cfg: ConcurrentConfig,
-) -> Result<ConcurrentResult, String> {
-    cfg.validate(workload.spec.processes().count())?;
-    Ok(run_concurrent_impl(
-        workload,
-        cfg,
-        Box::new(NoopSink),
-        Telemetry::off(),
-        None,
-    ))
-}
-
-/// Same as [`run_concurrent`], delivering structured [`TraceEvent`]s to
-/// `sink`. The driver has no virtual clock, so records are stamped with
-/// `time == seq` (journal order) and the shard that served the decision;
-/// `history_len` is the shard-local segment length. Multi-process
-/// interleavings are nondeterministic (except under the events runtime
-/// with one worker and closed arrivals); a single-process run yields a
-/// bit-identical journal across repeats. [`Metrics::latencies`] holds
-/// wall-clock submit→terminal times in microseconds and
-/// [`Metrics::makespan`] the wall-clock run time in microseconds (the
-/// virtual-time engine reports virtual ticks in those fields instead).
-#[deprecated(
-    since = "0.10.0",
-    note = "compose the options on `RunBuilder` instead: \
-            `RunBuilder::new(w).concurrent(cfg).sink(sink).run()`"
-)]
-pub fn run_concurrent_traced<'a>(
-    workload: &'a Workload,
-    cfg: ConcurrentConfig,
-    sink: Box<dyn TraceSink + 'a>,
-) -> ConcurrentResult {
-    crate::builder::RunBuilder::new(workload)
-        .concurrent(cfg)
-        .sink(sink)
-        .run()
-        .into_concurrent()
-}
-
-/// Same as [`run_concurrent_traced`], additionally feeding the telemetry
-/// registry behind `tele`: scoped phase timers (certify / policy / lock wait
-/// / lock hold / queue delay / 2PC / compensation) and per-shard/per-worker
-/// instruments. A disabled handle ([`Telemetry::off`]) makes this identical
-/// to `run_concurrent_traced` — no clock reads, no allocation, one branch
-/// per instrumented site (the `NoopSink` discipline), and bit-identical
-/// histories and metrics.
-#[deprecated(
-    since = "0.10.0",
-    note = "compose the options on `RunBuilder` instead: \
-            `RunBuilder::new(w).concurrent(cfg).sink(sink).telemetry(tele).run()`"
-)]
-pub fn run_concurrent_instrumented<'a>(
-    workload: &'a Workload,
-    cfg: ConcurrentConfig,
-    sink: Box<dyn TraceSink + 'a>,
-    tele: Telemetry,
-) -> ConcurrentResult {
-    crate::builder::RunBuilder::new(workload)
-        .concurrent(cfg)
-        .sink(sink)
-        .telemetry(tele)
-        .run()
-        .into_concurrent()
-}
-
-/// The one concurrent-driver implementation behind [`run_concurrent`], the
-/// deprecated traced/instrumented shims, and
-/// [`crate::builder::RunBuilder`]: runs the workload with the given trace
-/// sink, telemetry handle, and (optionally) a durable WAL journaling every
-/// emitted shard event.
+/// The one concurrent-driver implementation behind [`run_concurrent`] and
+/// [`crate::builder::RunBuilder`]: runs an already validated `cfg` with the
+/// given trace sink, telemetry handle, and (optionally) a durable WAL
+/// journaling every emitted shard event. The driver has no virtual clock,
+/// so trace records are stamped with `time == seq` (journal order) and the
+/// shard that served the decision; `history_len` is the shard-local segment
+/// length. Multi-process interleavings are nondeterministic except with one
+/// worker and closed arrivals.
 pub(crate) fn run_concurrent_impl<'a>(
     workload: &'a Workload,
     cfg: ConcurrentConfig,
@@ -1058,9 +787,6 @@ pub(crate) fn run_concurrent_impl<'a>(
     tele: Telemetry,
     wal: Option<WalWriter>,
 ) -> ConcurrentResult {
-    if let Err(msg) = cfg.validate(workload.spec.processes().count()) {
-        panic!("invalid concurrent configuration: {msg}");
-    }
     let mut agents: Agents = BTreeMap::new();
     for sid in workload.deployment.subsystems() {
         agents.insert(
@@ -1104,20 +830,12 @@ pub(crate) fn run_concurrent_impl<'a>(
                 i as u32,
                 ShardState {
                     shard_id: i as u32,
-                    workload,
-                    certify: cfg.policy.certified(),
-                    incremental: (cfg.policy.certified()
-                        && cfg.certifier == CertifierKind::Incremental)
-                        .then(|| {
-                            txproc_core::pred_incremental::IncrementalPred::new(&workload.spec)
-                        }),
+                    gate: CertGate::for_policy(cfg.policy, &workload.spec, cfg.epoch),
                     policy,
                     states,
                     history: Schedule::new(),
                     event_tickets: Vec::new(),
                     generation: 0,
-                    live_workers: 0,
-                    waiting_workers: 0,
                     metrics: Metrics::new(),
                     invocations: BTreeMap::new(),
                     released: BTreeMap::new(),
@@ -1141,9 +859,9 @@ pub(crate) fn run_concurrent_impl<'a>(
 
     let worker_count = cfg.resolved_workers(shards.len());
     // Static shard→worker ownership: shard i belongs to worker i mod W.
-    // Disjoint ownership means shard locks are uncontended in the events
-    // runtime; they are kept for code reuse with the thread runtime and
-    // for the lock metrics.
+    // Disjoint ownership means the shard locks are uncontended; they feed
+    // the lock metrics and stay until ownership replaces them (ROADMAP
+    // open item 1b).
     let worker_of_shard: Vec<u32> = (0..shards.len())
         .map(|si| (si % worker_count) as u32)
         .collect();
@@ -1152,7 +870,7 @@ pub(crate) fn run_concurrent_impl<'a>(
         sink: Mutex::new(sink),
         seq: AtomicU64::new(0),
         enabled,
-        worker_of_shard: (cfg.runtime == RuntimeKind::Events).then(|| worker_of_shard.clone()),
+        worker_of_shard,
     };
     let tickets = AtomicU64::new(0);
     let wal_cell = wal.map(Mutex::new);
@@ -1176,57 +894,34 @@ pub(crate) fn run_concurrent_impl<'a>(
         wal: wal_cell.as_ref(),
     };
 
-    // Either runtime ends with every shard finished (`Shard::finish`); the
-    // event workers finish the shards they own before they return, so a
-    // shard's state is dropped by the thread that ran it.
-    let (mut runtime_metrics, mut done) = match cfg.runtime {
-        RuntimeKind::Threads => {
-            std::thread::scope(|scope| {
-                for (si, members) in groups.iter().enumerate() {
-                    for &pid in members {
-                        let shard = &shards[si];
-                        let ctx = &ctx;
-                        scope.spawn(move || worker(ctx, shard, pid));
-                    }
-                }
-            });
-            let processes: usize = groups.iter().map(Vec::len).sum();
-            (
-                RuntimeMetrics::new(RuntimeKind::Threads.label(), processes as u64),
-                shards.into_iter().map(|s| s.finish(&ctx)).collect(),
-            )
+    // Build each worker's shard schedulers up front (run queues, waiting
+    // sets, per-process machine bookkeeping). The workers finish the shards
+    // they own (`Shard::finish`) before they return, so a shard's state is
+    // dropped by the thread that ran it.
+    let mut per_worker: Vec<Vec<(ShardSched, Shard<'_>)>> =
+        (0..worker_count).map(|_| Vec::new()).collect();
+    for ((si, shard), members) in shards.into_iter().enumerate().zip(&groups) {
+        per_worker[trace.worker_of_shard[si] as usize]
+            .push((ShardSched::new(si, members, &ctx), shard));
+    }
+    let mut runtime_metrics = RuntimeMetrics::new(RUNTIME_LABEL, worker_count as u64);
+    let mut done: Vec<ShardDone> = Vec::with_capacity(groups.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = per_worker
+            .into_iter()
+            .enumerate()
+            .map(|(widx, owned)| {
+                let ctx = &ctx;
+                scope.spawn(move || event_worker(ctx, owned, widx))
+            })
+            .collect();
+        for h in handles {
+            let (rt, finished) = h.join().expect("event worker panicked");
+            runtime_metrics.merge(&rt);
+            done.extend(finished);
         }
-        RuntimeKind::Events => {
-            // Build each worker's shard schedulers up front (run queues,
-            // waiting sets, per-process machine bookkeeping).
-            let mut per_worker: Vec<Vec<(ShardSched, Shard<'_>)>> =
-                (0..worker_count).map(|_| Vec::new()).collect();
-            for ((si, shard), members) in shards.into_iter().enumerate().zip(&groups) {
-                per_worker[worker_of_shard[si] as usize]
-                    .push((ShardSched::new(si, members, &ctx), shard));
-            }
-            let mut collected =
-                RuntimeMetrics::new(RuntimeKind::Events.label(), worker_count as u64);
-            let mut done: Vec<ShardDone> = Vec::with_capacity(groups.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = per_worker
-                    .into_iter()
-                    .enumerate()
-                    .map(|(widx, owned)| {
-                        let ctx = &ctx;
-                        scope.spawn(move || event_worker(ctx, owned, widx))
-                    })
-                    .collect();
-                for h in handles {
-                    let (rt, finished) = h.join().expect("event worker panicked");
-                    collected.merge(&rt);
-                    done.extend(finished);
-                }
-            });
-            collected.workers = worker_count as u64;
-            (collected, done)
-        }
-    };
+    });
+    runtime_metrics.workers = worker_count as u64;
     runtime_metrics.in_flight_peak = ctx.live_peak.load(Ordering::Relaxed);
 
     // Deterministic merge: fold shard metrics into the aggregate in shard
@@ -1264,9 +959,8 @@ pub(crate) fn run_concurrent_impl<'a>(
     ConcurrentResult { history, metrics }
 }
 
-/// Per-process state-machine bookkeeping the thread runtime kept in
-/// thread-local variables: admission attempt counters and the no-progress
-/// escalation state.
+/// Per-process state-machine bookkeeping between [`advance`] calls:
+/// admission attempt counters and the no-progress escalation state.
 struct ProcSM {
     attempts: BTreeMap<ActivityId, u64>,
     no_progress: u32,
@@ -1302,9 +996,7 @@ struct ShardSched {
     /// The shard generation moved since waiters were last re-queued. Moves
     /// are *coalesced*: re-queuing every waiter on every move would cost an
     /// O(waiters) futile-poll round per event, where draining the runnable
-    /// work first folds a whole burst of moves into one round — the same
-    /// effect the thread runtime gets from waiters sleeping through a burst
-    /// of notifies.
+    /// work first folds a whole burst of moves into one round.
     dirty: bool,
     /// Live telemetry gauge mirroring `run_queue.len() + waiting.len()`
     /// (no-op when telemetry is disabled).
@@ -1344,9 +1036,8 @@ impl ShardSched {
     /// queue. Used when the run queue drains *without* a generation move:
     /// everyone is deadlocked, so stepping all of them is pure futile work
     /// under a certified policy — a single probe accumulates no-progress
-    /// toward the escalation in `advance` (mirroring the thread runtime,
-    /// where only the last unparked waiter spins), and the moment its abort
-    /// moves the generation the full requeue path wakes the rest.
+    /// toward the escalation in `advance`, and the moment its abort moves
+    /// the generation the full requeue path wakes the rest.
     fn requeue_one_waiter(&mut self) {
         if let Some(&pid) = self.waiting.iter().next() {
             self.waiting.remove(&pid);
@@ -1381,7 +1072,7 @@ fn event_worker<'a>(
     mut owned: Vec<(ShardSched, Shard<'a>)>,
     widx: usize,
 ) -> (RuntimeMetrics, Vec<ShardDone>) {
-    let mut rt = RuntimeMetrics::new(RuntimeKind::Events.label(), 1);
+    let mut rt = RuntimeMetrics::new(RUNTIME_LABEL, 1);
     let worker_steps = ctx
         .tele
         .counter("worker_steps_total", &[("worker", widx.to_string())]);
@@ -1444,8 +1135,7 @@ fn event_worker<'a>(
                 // uniformly, keeping a maximal unreduced frontier alive in
                 // the certifier for the whole run; running each process as
                 // deep as it can go completes (and reduces away) processes
-                // early, which is also how OS timeslices make the thread
-                // runtime behave.
+                // early.
                 loop {
                     budget -= 1;
                     rt.steps += 1;
@@ -1530,78 +1220,6 @@ fn event_worker<'a>(
                     rt.worker_idle_ns += nap.as_nanos() as u64;
                     std::thread::sleep(nap);
                 }
-            }
-        }
-    }
-}
-
-fn worker<'a>(ctx: &RunCtx<'_, 'a>, shard: &Shard<'a>, pid: ProcessId) {
-    // Open-system arrival: the worker thread exists from run start but the
-    // process only enters the scheduler after its arrival offset.
-    let arrival_us = ctx.arrivals.get(&pid).copied().unwrap_or(0);
-    if arrival_us > 0 {
-        let target = std::time::Duration::from_micros(arrival_us);
-        let since_start = ctx.run_start.elapsed();
-        if since_start < target {
-            std::thread::sleep(target - since_start);
-        }
-    }
-    // Register as a live worker of the shard: the timeout-free wait logic
-    // parks a waiter only while some other live worker can still notify it.
-    {
-        let mut g = shard.lock();
-        g.live_workers += 1;
-    }
-    ctx.process_arrived();
-    let mut sm = ProcSM::new();
-    loop {
-        let mut g = shard.lock();
-        let gen0 = g.generation;
-        let step = advance(
-            ctx,
-            &mut g,
-            pid,
-            &mut sm.attempts,
-            &mut sm.no_progress,
-            &mut sm.last_fingerprint,
-        );
-        if g.generation != gen0 {
-            shard.notify();
-        }
-        match step {
-            Step::Done => {
-                // Leaving changes the live-worker arithmetic the parked
-                // waiters depend on: bump the generation and notify so the
-                // last-waiter check re-evaluates.
-                g.live_workers -= 1;
-                g.generation += 1;
-                shard.notify();
-                drop(g);
-                ctx.process_terminated();
-                return;
-            }
-            Step::Wait => {
-                let progressed = shard.wait_for_change(&mut g, ctx.cfg.fallback_wait);
-                drop(g);
-                if !progressed {
-                    // Re-poll path (last unparked waiter): let shard-mates
-                    // that hold no lock run before re-acquiring.
-                    std::thread::yield_now();
-                }
-            }
-            Step::Yield(simulated) => {
-                drop(g);
-                // Failure-injected invocation: agent work only, no shared
-                // scheduling state — run it without the shard lock.
-                if let Some(sim) = simulated {
-                    let _ = ctx.agents[&sim.site.subsystem].lock().invoke(
-                        sim.svc,
-                        &sim.site.program,
-                        CommitMode::Immediate,
-                        true,
-                    );
-                }
-                std::thread::yield_now();
             }
         }
     }
@@ -1965,9 +1583,7 @@ fn finalize<'a>(ctx: &RunCtx<'_, 'a>, g: &mut ShardGuard<'_, 'a>, pid: ProcessId
     // `on_commit`/`on_abort` above removed the process's live operations
     // from the policy — a scheduler-visible change that can unblock a
     // waiter even when no history event was emitted here. Bump the
-    // generation so waiters re-poll (without this, the removal was only
-    // observed via the historical fallback-timeout wait — the lost-notify
-    // bug the lost-wakeup stress test pins).
+    // generation so the worker re-queues the waiters.
     g.generation += 1;
 }
 
@@ -2100,37 +1716,6 @@ mod tests {
             assert!(
                 txproc_core::pred::is_pred(&w.spec, &result.history).unwrap(),
                 "seed {seed}: concurrent history not PRED:\n{}",
-                txproc_core::schedule::render(&result.history)
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_run_with_batch_certifier_is_pred() {
-        // Thread interleavings are nondeterministic, so histories cannot be
-        // compared against an incremental run; the contract is that whatever
-        // interleaving the OS produces, a batch-certified history is still
-        // PRED.
-        for seed in 0..4 {
-            let w = generate(&WorkloadConfig {
-                seed,
-                processes: 5,
-                conflict_density: 0.4,
-                failure_probability: 0.15,
-                ..WorkloadConfig::default()
-            });
-            let result = run_concurrent(
-                &w,
-                ConcurrentConfig {
-                    seed,
-                    certifier: CertifierKind::Batch,
-                    ..ConcurrentConfig::default()
-                },
-            );
-            assert_eq!(result.metrics.terminated(), 5, "seed {seed}");
-            assert!(
-                txproc_core::pred::is_pred(&w.spec, &result.history).unwrap(),
-                "seed {seed}: batch-certified history not PRED:\n{}",
                 txproc_core::schedule::render(&result.history)
             );
         }
@@ -2316,70 +1901,6 @@ mod tests {
             "latency beyond makespan"
         );
         assert!(!result.metrics.shards.is_empty());
-        assert!(result.metrics.wakeups_total() >= result.metrics.spurious_wakeups_total());
-    }
-
-    #[test]
-    fn runtime_kind_parse_label_and_caps() {
-        assert_eq!(RuntimeKind::parse("threads"), Some(RuntimeKind::Threads));
-        assert_eq!(RuntimeKind::parse("events"), Some(RuntimeKind::Events));
-        assert_eq!(RuntimeKind::parse("bogus"), None);
-        assert_eq!(RuntimeKind::Threads.label(), "threads");
-        assert_eq!(RuntimeKind::Events.label(), "events");
-        assert!(RuntimeKind::Threads.max_processes().is_some());
-        assert_eq!(RuntimeKind::Events.max_processes(), None);
-    }
-
-    #[test]
-    fn validate_derives_cap_from_runtime_and_names_the_knob() {
-        let threads = ConcurrentConfig {
-            runtime: RuntimeKind::Threads,
-            ..ConcurrentConfig::default()
-        };
-        let cap = RuntimeKind::Threads.max_processes().unwrap();
-        assert!(threads.validate(cap).is_ok());
-        let err = threads.validate(cap + 1).unwrap_err();
-        assert!(
-            err.contains("--runtime events"),
-            "error names the knob: {err}"
-        );
-        assert!(
-            err.contains(&cap.to_string()),
-            "error states the cap: {err}"
-        );
-        // The events runtime has no ceiling.
-        let events = ConcurrentConfig::default();
-        assert!(events.validate(1_000_000).is_ok());
-        // A zero-sized worker pool is rejected, naming its knob.
-        let zero = ConcurrentConfig {
-            workers: Some(0),
-            ..ConcurrentConfig::default()
-        };
-        assert!(zero.validate(4).unwrap_err().contains("--workers"));
-    }
-
-    #[test]
-    fn threads_runtime_still_terminates_without_fallback_wait() {
-        let w = generate(&WorkloadConfig {
-            seed: 3,
-            processes: 6,
-            conflict_density: 0.5,
-            failure_probability: 0.2,
-            ..WorkloadConfig::default()
-        });
-        let result = run_concurrent(
-            &w,
-            ConcurrentConfig {
-                seed: 3,
-                runtime: RuntimeKind::Threads,
-                ..ConcurrentConfig::default()
-            },
-        );
-        assert_eq!(result.metrics.terminated(), 6);
-        let rt = result.metrics.runtime.expect("runtime metrics populated");
-        assert_eq!(rt.runtime, "threads");
-        assert_eq!(rt.workers, 6);
-        assert!(rt.in_flight_peak >= 1);
     }
 
     #[test]
@@ -2406,26 +1927,6 @@ mod tests {
         assert_eq!(rt.in_flight_peak, 8, "closed arrivals: all in flight");
         assert!(rt.sched_delay_ns.iter().sum::<u64>() > 0);
         assert!(rt.delay_percentile_ns(0.95).is_some());
-    }
-
-    #[test]
-    fn try_run_concurrent_reports_config_errors() {
-        let w = generate(&WorkloadConfig {
-            seed: 1,
-            processes: 4,
-            ..WorkloadConfig::default()
-        });
-        let err = try_run_concurrent(
-            &w,
-            ConcurrentConfig {
-                workers: Some(0),
-                ..ConcurrentConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(err.contains("--workers"));
-        let ok = try_run_concurrent(&w, ConcurrentConfig::default()).unwrap();
-        assert_eq!(ok.metrics.terminated(), 4);
     }
 
     #[test]

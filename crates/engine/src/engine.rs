@@ -12,11 +12,11 @@
 //! [`Schedule`](txproc_core::schedule::Schedule) that can be checked for
 //! PRED offline.
 
-use crate::policy::{CertifierKind, Policy, PolicyKind};
+use crate::certify::CertGate;
+use crate::policy::{Policy, PolicyKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 use txproc_core::activity::Termination;
@@ -48,9 +48,6 @@ pub struct RunConfig {
     pub arrival_gap: u64,
     /// Verify the emitted history for PRED after the run (expensive).
     pub check_pred: bool,
-    /// Which §3.5 certifier implementation answers the per-event
-    /// certification (certified policies only).
-    pub certifier: CertifierKind,
     /// Epoch size for group certification and batch commit. `0` keeps the
     /// per-event path bit-identical to earlier releases. With `N > 0` the
     /// engine retains each certified plan for its matching `record` (one
@@ -71,7 +68,6 @@ impl Default for RunConfig {
             inject_failures: true,
             arrival_gap: 0,
             check_pred: false,
-            certifier: CertifierKind::Incremental,
             epoch: 0,
         }
     }
@@ -135,15 +131,9 @@ pub struct Engine<'a> {
     /// of concurrently aborting processes are ordered consistently).
     abort_seq: BTreeMap<ProcessId, u64>,
     next_abort_seq: u64,
-    /// Whether every effect event is certified against the completed prefix
-    /// (§3.5) before it is emitted.
-    certify: bool,
-    /// The incremental §3.5 certifier (when configured). Kept in lock-step
-    /// with `history` lazily: `certified_ok` absorbs newly emitted events
-    /// before certifying the candidate, so each event is processed exactly
-    /// once over the whole run. `RefCell` because diagnostic probes certify
-    /// through `&self`.
-    incremental: Option<RefCell<txproc_core::pred_incremental::IncrementalPred<'a>>>,
+    /// The §3.5 certification gate every effect event passes before it is
+    /// emitted (certified policies only).
+    gate: Option<CertGate<'a>>,
     /// Deferred releases postponed by certification, stamped with the
     /// history length at failure time; retried only once the history
     /// actually advanced (the certifier's answer depends on nothing else).
@@ -160,8 +150,9 @@ pub struct Engine<'a> {
     /// Consecutive processed events without progress (livelock detector).
     no_progress_ticks: u32,
     /// Decision-trace sink ([`NoopSink`] unless installed via
-    /// [`Engine::with_sink`]). Emission sites consult `sink.enabled()`
-    /// before building payloads, so the no-op sink costs one branch.
+    /// [`RunBuilder::sink`](crate::builder::RunBuilder::sink)). Emission
+    /// sites consult `sink.enabled()` before building payloads, so the
+    /// no-op sink costs one branch.
     sink: Box<dyn TraceSink + 'a>,
     /// Next trace sequence number.
     trace_seq: u64,
@@ -169,16 +160,18 @@ pub struct Engine<'a> {
     /// wait, for the per-process blocked-time metric.
     blocked_since: BTreeMap<ProcessId, u64>,
     /// Telemetry registry handle (disabled unless installed via
-    /// [`Engine::with_telemetry`]). Phase timers consult `tele.enabled()`
-    /// before reading the clock, so the disabled handle costs one branch —
-    /// the same discipline as the [`NoopSink`] trace path.
+    /// [`RunBuilder::telemetry`](crate::builder::RunBuilder::telemetry)).
+    /// Phase timers consult `tele.enabled()` before reading the clock, so
+    /// the disabled handle costs one branch — the same discipline as the
+    /// [`NoopSink`] trace path.
     tele: Telemetry,
     /// Wall instant at which each process's deferred invocation prepared;
     /// populated only while telemetry is enabled (disabled runs stay
     /// byte-identical). Drives the [`Phase::TwoPc`] prepare→decide gap.
     prepared_at: BTreeMap<ProcessId, Instant>,
     /// Virtual-time sampling: every `K` processed events, snapshot the
-    /// registry into the ring (installed via [`Engine::with_sampling`]).
+    /// registry into the ring (installed via
+    /// [`RunBuilder::sampling`](crate::builder::RunBuilder::sampling)).
     sampling: Option<(u64, TimeSeries)>,
     /// Processed (non-stale) dispatch events, for the sampling cadence.
     events_processed: u64,
@@ -230,25 +223,8 @@ impl<'a> Engine<'a> {
         Self::assemble(workload, cfg, Box::new(NoopSink))
     }
 
-    /// Sets up a run that emits its decision trace into `sink`. Install a
-    /// cloned [`txproc_core::trace::Journal`] or
-    /// [`txproc_core::trace::RingSink`] handle to read the trace back after
-    /// [`Engine::run`] consumes the engine.
-    #[deprecated(
-        since = "0.10.0",
-        note = "compose the options on `RunBuilder` instead: \
-                `RunBuilder::new(w).config(cfg).sink(sink).run()`"
-    )]
-    pub fn with_sink(
-        workload: &'a Workload,
-        cfg: RunConfig,
-        sink: Box<dyn TraceSink + 'a>,
-    ) -> Self {
-        Self::assemble(workload, cfg, sink)
-    }
-
-    /// The one engine constructor behind [`Engine::new`], the deprecated
-    /// `with_sink` shim, and [`crate::builder::RunBuilder`].
+    /// The one engine constructor behind [`Engine::new`] and
+    /// [`crate::builder::RunBuilder`].
     pub(crate) fn assemble(
         workload: &'a Workload,
         cfg: RunConfig,
@@ -287,13 +263,7 @@ impl<'a> Engine<'a> {
             no_progress_ticks: 0,
             abort_seq: BTreeMap::new(),
             next_abort_seq: 0,
-            certify: cfg.policy.certified(),
-            incremental: (cfg.policy.certified() && cfg.certifier == CertifierKind::Incremental)
-                .then(|| {
-                    RefCell::new(txproc_core::pred_incremental::IncrementalPred::new(
-                        &workload.spec,
-                    ))
-                }),
+            gate: CertGate::for_policy(cfg.policy, &workload.spec, cfg.epoch),
             postponed_releases: Vec::new(),
             cert_failures: BTreeMap::new(),
             sink,
@@ -339,16 +309,6 @@ impl<'a> Engine<'a> {
     /// Installs a telemetry handle: phase timers (certify / policy /
     /// compensation / 2PC prepare→decide) feed its registry. With a
     /// disabled handle the hot paths cost one branch and read no clocks.
-    #[deprecated(
-        since = "0.10.0",
-        note = "compose the options on `RunBuilder` instead: \
-                `RunBuilder::new(w).config(cfg).telemetry(tele).run()`"
-    )]
-    pub fn with_telemetry(mut self, tele: Telemetry) -> Self {
-        self.set_telemetry(tele);
-        self
-    }
-
     pub(crate) fn set_telemetry(&mut self, tele: Telemetry) {
         self.tele = tele;
     }
@@ -356,16 +316,6 @@ impl<'a> Engine<'a> {
     /// Samples the telemetry registry into `series` every `every_events`
     /// processed dispatch events, stamped with the virtual clock. No-op
     /// while telemetry is disabled.
-    #[deprecated(
-        since = "0.10.0",
-        note = "compose the options on `RunBuilder` instead: \
-                `RunBuilder::new(w).config(cfg).sampling(n, series).run()`"
-    )]
-    pub fn with_sampling(mut self, every_events: u64, series: TimeSeries) -> Self {
-        self.set_sampling(every_events, series);
-        self
-    }
-
     pub(crate) fn set_sampling(&mut self, every_events: u64, series: TimeSeries) {
         self.sampling = Some((every_events.max(1), series));
     }
@@ -656,49 +606,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// §3.5 certification: would the history extended by `event` still have
-    /// a reducible completed schedule? Certified policies gate every effect
-    /// event on this — which makes every emitted prefix reducible, i.e. the
-    /// history PRED by construction.
-    fn certified_ok(&self, event: txproc_core::schedule::Event) -> bool {
-        if !self.certify {
-            return true;
-        }
-        let t0 = self.tele.phase_start();
-        let ok = self.certified_ok_inner(event);
-        self.tele.phase_end(Phase::Certify, t0);
-        ok
-    }
-
-    fn certified_ok_inner(&self, event: txproc_core::schedule::Event) -> bool {
-        if let Some(cell) = &self.incremental {
-            let mut inc = cell.borrow_mut();
-            // Absorb history events emitted since the last certification;
-            // amortized, every event is recorded exactly once per run.
-            for e in &self.history.events()[inc.len()..] {
-                inc.record(e).expect("emitted history event is legal");
-            }
-            // Epoch mode leaves an admitted event applied, so the admitting
-            // `record` above (next sync) only drops its undo log: one step
-            // per admitted event. `certify` and `certify_keep` answer
-            // identically, so histories stay bit-identical.
-            let verdict = if self.cfg.epoch > 0 {
-                inc.certify_keep(&event)
-            } else {
-                inc.certify(&event)
-            };
-            return match verdict {
-                Ok(verdict) => verdict.reducible,
-                Err(_) => false,
-            };
-        }
-        let mut candidate = self.history.clone();
-        candidate.push(event);
-        match txproc_core::completion::complete(&self.workload.spec, &candidate) {
-            Ok(completed) => {
-                txproc_core::reduction::reduce(&self.workload.spec, &completed).reducible
-            }
-            Err(_) => false,
+    /// §3.5 certification of the next effect event against the emitted
+    /// history (see [`CertGate`]); uncertified policies admit everything.
+    fn certified_ok(&mut self, event: &txproc_core::schedule::Event) -> bool {
+        match &mut self.gate {
+            Some(gate) => gate.admits(&self.history, event, &self.tele),
+            None => true,
         }
     }
 
@@ -706,10 +619,10 @@ impl<'a> Engine<'a> {
     /// the metrics and emits a [`TraceEvent::CertifyOutcome`] per decision
     /// (certified policies only).
     fn certified_traced(&mut self, event: txproc_core::schedule::Event) -> bool {
-        if !self.certify {
+        if self.gate.is_none() {
             return true;
         }
-        let ok = self.certified_ok(event.clone());
+        let ok = self.certified_ok(&event);
         if !ok {
             self.metrics.cert_failures += 1;
         }
@@ -1109,7 +1022,7 @@ impl<'a> Engine<'a> {
     /// order from the certifier itself (whose mandatory-rank choice is
     /// authoritative and may differ from abort-initiation order).
     fn forward_order_blocked(&self, pid: ProcessId, svc: txproc_core::ids::ServiceId) -> bool {
-        if self.certify {
+        if self.gate.is_some() {
             return false;
         }
         let Some(&my_seq) = self.abort_seq.get(&pid) else {
@@ -1516,16 +1429,17 @@ impl<'a> Engine<'a> {
         self.initiate_abort(pid, AbortReason::External, None);
     }
 
-    /// Evaluates (without side effects) why a process's next step is
-    /// blocked: gate verdicts and certification of the candidate event.
-    pub fn probe(&self, pid: ProcessId) -> String {
+    /// Evaluates (without scheduling side effects) why a process's next
+    /// step is blocked: gate verdicts and certification of the candidate
+    /// event.
+    pub fn probe(&mut self, pid: ProcessId) -> String {
         let st = &self.states[&pid];
         if let Some(c) = st.next_compensation() {
             let gid = Self::gid(pid, c);
             return format!(
                 "comp {gid}: gate={:?} cert={}",
                 self.policy.compensation_gate(gid),
-                self.certified_ok(txproc_core::schedule::Event::Compensate(gid))
+                self.certified_ok(&txproc_core::schedule::Event::Compensate(gid))
             );
         }
         if let Some(a) = st.next_activity() {
@@ -1535,7 +1449,7 @@ impl<'a> Engine<'a> {
                 "act {gid}: fwd_gate={:?} order_blocked={} cert={}",
                 self.policy.forward_gate(pid, svc),
                 self.forward_order_blocked(pid, svc),
-                self.certified_ok(txproc_core::schedule::Event::Execute(gid))
+                self.certified_ok(&txproc_core::schedule::Event::Execute(gid))
             );
         }
         "no step".into()
@@ -1630,47 +1544,6 @@ mod tests {
                 "seed {seed}: history not PRED:\n{}",
                 txproc_core::schedule::render(&result.history)
             );
-        }
-    }
-
-    #[test]
-    fn incremental_certifier_matches_batch_histories() {
-        // The virtual-time engine is deterministic, so two runs diverge only
-        // if the certifiers ever answer differently. Identical histories are
-        // therefore an end-to-end differential check of the incremental
-        // certifier against the batch reference.
-        for policy in [PolicyKind::Pred, PolicyKind::PredWait] {
-            for seed in 0..8 {
-                let w = small_workload(seed, 0.5, 0.2);
-                let batch = run(
-                    &w,
-                    RunConfig {
-                        policy,
-                        seed,
-                        check_pred: true,
-                        certifier: crate::policy::CertifierKind::Batch,
-                        ..RunConfig::default()
-                    },
-                );
-                let incr = run(
-                    &w,
-                    RunConfig {
-                        policy,
-                        seed,
-                        check_pred: true,
-                        certifier: crate::policy::CertifierKind::Incremental,
-                        ..RunConfig::default()
-                    },
-                );
-                assert_eq!(
-                    txproc_core::schedule::render(&batch.history),
-                    txproc_core::schedule::render(&incr.history),
-                    "{} seed {seed}: certifiers diverged",
-                    policy.label()
-                );
-                assert!(incr.stalled.is_empty(), "{} seed {seed}", policy.label());
-                assert_eq!(incr.pred_ok, Some(true), "{} seed {seed}", policy.label());
-            }
         }
     }
 

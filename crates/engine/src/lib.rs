@@ -13,16 +13,24 @@
 //! * [`engine`] — the deterministic virtual-time executor: admission
 //!   control, failure injection, alternative execution paths, compensation,
 //!   deferred 2PC commits, cascading aborts, metrics,
-//! * [`concurrent`] — the same protocol under realistic concurrency
-//!   (event-driven worker pool by default, thread-per-process as the
-//!   differential baseline; stress-tested for PRED),
+//! * [`concurrent`] — the same protocol under real concurrency: conflict-
+//!   domain shards stepped by an event-driven worker pool (stress-tested
+//!   for PRED),
 //! * [`recovery`] — scheduler crash recovery by group abort and completion
 //!   replay from the durable logs (§3.3, Definition 8).
+//!
+//! [`RunBuilder`] is the one entry point for a run (either driver, with
+//! tracing / telemetry / sampling / WAL journaling composed) and
+//! [`Recovery`] the one for recovery; [`run`], [`run_concurrent`] and
+//! [`recover`] are their no-option shorthands. Every effect event of a
+//! certified policy passes one §3.5 certification gate, shared by both
+//! drivers.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod builder;
+mod certify;
 pub mod concurrent;
 pub mod durability;
 pub mod engine;
@@ -30,13 +38,7 @@ pub mod policy;
 pub mod recovery;
 
 pub use builder::{RunBuilder, RunOutcome};
-#[allow(deprecated)]
-pub use concurrent::run_concurrent_traced;
-pub use concurrent::{
-    run_concurrent, try_run_concurrent, ConcurrentConfig, ConcurrentResult, RuntimeKind, ShardMode,
-};
+pub use concurrent::{run_concurrent, ConcurrentConfig, ConcurrentResult, ShardMode};
 pub use engine::{run, Engine, RunConfig, RunResult};
 pub use policy::{Policy, PolicyKind};
-#[allow(deprecated)]
-pub use recovery::recover_traced;
 pub use recovery::{recover, CrashImage, Recovery, RecoveryError, RecoveryReport, RecoverySource};

@@ -558,49 +558,6 @@ impl PolicyKind {
     }
 }
 
-/// Selectable implementation of the §3.5 certifier (run configuration).
-///
-/// Certified policies gate every effect event on the question "does the
-/// extended prefix still have a reducible completed schedule?". Two
-/// implementations answer it:
-///
-/// * [`CertifierKind::Batch`] — the reference: clone the history, append the
-///   candidate event, rebuild the completion (Definition 8) and reduce it
-///   from scratch. O(n²) per event, O(n³) over a run.
-/// * [`CertifierKind::Incremental`] — the incremental certifier
-///   ([`IncrementalPred`](txproc_core::pred_incremental::IncrementalPred)):
-///   maintains the serialization/weak-order closure, compensation-pair
-///   cancellation state and deferred-completion overlays as events append,
-///   answering each certification in amortized near-O(degree) work.
-///
-/// Both certifiers answer identically — the differential property tests pin
-/// this. `Incremental` is the default (it answers the same question in
-/// amortized near-O(degree) instead of O(n²) per event); `Batch` remains
-/// the semantic reference, selectable everywhere via `--certifier batch`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum CertifierKind {
-    /// Recompute completion + reduction from scratch per candidate event.
-    Batch,
-    /// Maintain the certification state incrementally across events.
-    #[default]
-    Incremental,
-}
-
-impl CertifierKind {
-    /// Display name.
-    pub fn label(self) -> &'static str {
-        match self {
-            CertifierKind::Batch => "batch",
-            CertifierKind::Incremental => "incremental",
-        }
-    }
-
-    /// All kinds (sweeps).
-    pub fn all() -> [CertifierKind; 2] {
-        [CertifierKind::Batch, CertifierKind::Incremental]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

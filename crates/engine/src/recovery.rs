@@ -198,21 +198,7 @@ pub fn recover(workload: &Workload, image: CrashImage) -> Result<RecoveryReport,
     recover_impl(workload, image, Box::new(NoopSink))
 }
 
-/// Same as [`recover`], delivering structured [`TraceEvent`]s to `sink`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Recovery::from(RecoverySource::Image(image)).sink(sink).run(workload)`"
-)]
-pub fn recover_traced<'s>(
-    workload: &Workload,
-    image: CrashImage,
-    sink: Box<dyn TraceSink + 's>,
-) -> Result<RecoveryReport, SubsystemError> {
-    recover_impl(workload, image, sink)
-}
-
-/// The one recovery implementation behind [`recover`], [`Recovery`], and
-/// the deprecated `recover_traced` shim.
+/// The one recovery implementation behind [`recover`] and [`Recovery`].
 pub(crate) fn recover_impl<'s>(
     workload: &Workload,
     mut image: CrashImage,
@@ -460,7 +446,14 @@ mod tests {
             let mut engine = Engine::new(&w, RunConfig::default());
             engine.run_until_history(crash_at);
             let image = engine.crash();
+            let unified = Recovery::from(RecoverySource::Image(image.clone()))
+                .run(&w)
+                .expect("recovery succeeds");
             let report = recover(&w, image).expect("recovery succeeds");
+            // The shorthand and the unified entry point are one recovery.
+            assert_eq!(report.history, unified.history, "crash at {crash_at}");
+            assert_eq!(report.aborted, unified.aborted, "crash at {crash_at}");
+            assert_eq!(report.compensations, unified.compensations);
             // The extended history must replay and reduce (RED).
             assert!(
                 is_reducible(&w.spec, &report.history).unwrap(),

@@ -6,7 +6,7 @@ use txproc_core::pred::is_pred;
 use txproc_core::recoverability::is_proc_rec;
 use txproc_core::schedule::render;
 use txproc_core::wal::{read_records, read_wal_file, DurabilityPolicy, FileWal, MemWal, WalWriter};
-use txproc_engine::concurrent::{ConcurrentConfig, RuntimeKind};
+use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::durability::{rebuild_image, wal_history};
 use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::recovery::{recover, Recovery, RecoverySource};
@@ -37,7 +37,6 @@ fn concurrent_wal_replays_to_the_merged_history() {
             let writer = WalWriter::new(Box::new(mem.clone()), DurabilityPolicy::Buffered, seed);
             let cfg = ConcurrentConfig {
                 seed,
-                runtime: RuntimeKind::Events,
                 workers,
                 epoch: 4,
                 ..ConcurrentConfig::default()
@@ -74,7 +73,6 @@ fn concurrent_wal_journaling_never_changes_the_run() {
         let w = workload(seed);
         let cfg = ConcurrentConfig {
             seed,
-            runtime: RuntimeKind::Events,
             workers: Some(1),
             epoch: 4,
             ..ConcurrentConfig::default()

@@ -11,7 +11,7 @@
 //! configuration); its time-valued metrics are wall-clock, so the oracle
 //! compares the history plus every deterministic counter.
 
-use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig, RuntimeKind, ShardMode};
+use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig, ShardMode};
 use txproc_engine::engine::{run, RunConfig};
 use txproc_sim::metrics::Metrics;
 use txproc_sim::workload::{generate, Workload, WorkloadConfig};
@@ -83,14 +83,13 @@ fn engine_epoch_one_is_bit_identical_to_per_event() {
 
 #[test]
 fn concurrent_epoch_one_is_bit_identical_to_per_event() {
-    // One worker + closed arrivals is the deterministic events-runtime
-    // configuration (documented on `run_concurrent_traced`), so the two
-    // runs see the same interleaving and only the epoch knob differs.
+    // One worker + closed arrivals is the deterministic configuration of
+    // the concurrent driver (see its module docs), so the two runs see the
+    // same interleaving and only the epoch knob differs.
     for seed in 0..SEEDS {
         let w = workload(seed);
         let base_cfg = ConcurrentConfig {
             seed,
-            runtime: RuntimeKind::Events,
             shards: ShardMode::Auto,
             workers: Some(1),
             ..ConcurrentConfig::default()

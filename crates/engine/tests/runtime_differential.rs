@@ -1,26 +1,31 @@
-//! Differential stress tests pinning the event-driven runtime to the
-//! thread-per-process baseline.
+//! Differential stress tests of the event-driven runtime against itself:
+//! the single-worker run is the deterministic oracle.
 //!
 //! Three oracles:
 //!
 //! 1. On workloads whose processes are pairwise non-conflicting,
 //!    scheduling decisions degenerate to the deterministic failure coins,
-//!    so the events and thread runtimes must produce bit-equal
-//!    commit/abort sets over 256 seeds.
-//! 2. With a single worker and closed arrivals the events runtime has no
+//!    so a multi-worker run and the single-worker run must produce
+//!    bit-equal commit/abort sets over 256 seeds.
+//! 2. With a single worker and closed arrivals the runtime has no
 //!    scheduling nondeterminism left: repeated runs must produce
 //!    bit-identical merged histories.
-//! 3. Lost-wakeup stress: the thread runtime with the fallback timeout
-//!    removed must still terminate on conflict-heavy, abort-heavy
-//!    workloads — a missed notify (e.g. the historical finalize
-//!    lost-notify bug) hangs it, which a watchdog converts into a test
-//!    failure.
+//! 3. Termination stress: abort-heavy workloads (failure probability 0.3,
+//!    dense conflicts) must terminate at one and at two workers; a
+//!    watchdog converts a hang into a test failure. What this can catch is
+//!    the worker loop's own accounting (live counts, arrivals, shard
+//!    hand-back). It cannot catch a lost re-queue: a worker owns its shard
+//!    and runs each dequeued process until it blocks, so on closed
+//!    workloads a process always finds its shard empty of live peers and
+//!    never blocks — checked by mutation when the thread-per-process
+//!    runtime was retired (neither dropping `finalize`'s generation bump
+//!    nor dropping waiters on the floor changes any run of this file).
 
 use std::collections::BTreeSet;
 use txproc_core::domains::DomainPartition;
 use txproc_core::ids::ProcessId;
 use txproc_core::schedule::{Event, Schedule};
-use txproc_engine::{run_concurrent, ConcurrentConfig, RuntimeKind};
+use txproc_engine::{run_concurrent, ConcurrentConfig};
 use txproc_sim::workload::{generate, WorkloadConfig};
 
 fn outcome_sets(history: &Schedule) -> (BTreeSet<ProcessId>, BTreeSet<ProcessId>) {
@@ -43,10 +48,10 @@ fn outcome_sets(history: &Schedule) -> (BTreeSet<ProcessId>, BTreeSet<ProcessId>
     (committed, aborted)
 }
 
-/// Oracle 1: events and threads runtimes commit and abort exactly the same
-/// processes on disjoint workloads, over 256 seeds.
+/// Oracle 1: a multi-worker run commits and aborts exactly the processes
+/// the single-worker run does on disjoint workloads, over 256 seeds.
 #[test]
-fn events_matches_threads_on_disjoint_workloads_over_256_seeds() {
+fn multi_worker_matches_single_worker_on_disjoint_workloads_over_256_seeds() {
     for seed in 0..256u64 {
         let processes = 3 + (seed % 4) as usize;
         let w = generate(&WorkloadConfig {
@@ -64,38 +69,38 @@ fn events_matches_threads_on_disjoint_workloads_over_256_seeds() {
         );
         let cfg = ConcurrentConfig {
             seed,
-            runtime: RuntimeKind::Events,
+            workers: Some(1),
             ..ConcurrentConfig::default()
         };
-        let events = run_concurrent(&w, cfg.clone());
-        let threads = run_concurrent(
+        let single = run_concurrent(&w, cfg.clone());
+        let multi = run_concurrent(
             &w,
             ConcurrentConfig {
-                runtime: RuntimeKind::Threads,
+                workers: Some(processes),
                 ..cfg
             },
         );
         assert_eq!(
-            outcome_sets(&events.history),
-            outcome_sets(&threads.history),
-            "seed {seed}: events vs threads outcome sets diverge"
+            outcome_sets(&multi.history),
+            outcome_sets(&single.history),
+            "seed {seed}: multi- vs single-worker outcome sets diverge"
         );
         assert_eq!(
-            events.metrics.committed, threads.metrics.committed,
+            multi.metrics.committed, single.metrics.committed,
             "seed {seed}: committed counts diverge"
         );
         assert_eq!(
-            events.metrics.aborted, threads.metrics.aborted,
+            multi.metrics.aborted, single.metrics.aborted,
             "seed {seed}: aborted counts diverge"
         );
         assert!(
-            txproc_core::pred::is_pred(&w.spec, &events.history).unwrap(),
-            "seed {seed}: events history not PRED"
+            txproc_core::pred::is_pred(&w.spec, &multi.history).unwrap(),
+            "seed {seed}: multi-worker history not PRED"
         );
     }
 }
 
-/// Oracle 2: one worker + closed arrivals ⇒ the events runtime is fully
+/// Oracle 2: one worker + closed arrivals ⇒ the runtime is fully
 /// deterministic — bit-identical histories across repeated runs, including
 /// on conflict-heavy multi-domain workloads.
 #[test]
@@ -111,7 +116,6 @@ fn single_worker_events_runtime_is_deterministic() {
         });
         let cfg = ConcurrentConfig {
             seed,
-            runtime: RuntimeKind::Events,
             workers: Some(1),
             ..ConcurrentConfig::default()
         };
@@ -132,11 +136,10 @@ fn single_worker_events_runtime_is_deterministic() {
     }
 }
 
-/// Oracle 3: the thread runtime without any fallback timeout terminates on
-/// abort-heavy contended workloads. Runs under a watchdog: a lost wakeup
-/// deadlocks the run, and the harness reports it instead of hanging.
+/// Oracle 3: abort-heavy workloads terminate at one and at two workers.
+/// Runs under a watchdog, which reports a hang instead of hanging.
 #[test]
-fn threads_runtime_survives_lost_wakeup_stress() {
+fn events_runtime_terminates_under_abort_stress() {
     let (tx, rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
         for seed in 0..24u64 {
@@ -148,24 +151,26 @@ fn threads_runtime_survives_lost_wakeup_stress() {
                 failure_probability: 0.3,
                 ..WorkloadConfig::default()
             });
-            let result = run_concurrent(
-                &w,
-                ConcurrentConfig {
-                    seed,
-                    runtime: RuntimeKind::Threads,
-                    fallback_wait: false,
-                    ..ConcurrentConfig::default()
-                },
-            );
-            assert_eq!(result.metrics.terminated(), 8, "seed {seed}");
+            for workers in [1, 2] {
+                let result = run_concurrent(
+                    &w,
+                    ConcurrentConfig {
+                        seed,
+                        workers: Some(workers),
+                        ..ConcurrentConfig::default()
+                    },
+                );
+                assert_eq!(
+                    result.metrics.terminated(),
+                    8,
+                    "seed {seed} workers {workers}"
+                );
+            }
         }
         tx.send(()).ok();
     });
     match rx.recv_timeout(std::time::Duration::from_secs(120)) {
         Ok(()) => handle.join().expect("stress runs clean"),
-        Err(_) => panic!(
-            "thread runtime hung without the fallback timeout: a wait was \
-             never notified (lost-wakeup bug)"
-        ),
+        Err(_) => panic!("events runtime hung on an abort-heavy workload"),
     }
 }

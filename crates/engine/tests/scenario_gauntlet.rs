@@ -20,7 +20,7 @@ use txproc_core::pred_incremental::check_pred_incremental;
 use txproc_core::recoverability::proc_rec_violations;
 use txproc_core::schedule::{Event, Schedule};
 use txproc_engine::engine::{run, RunConfig};
-use txproc_engine::policy::{CertifierKind, PolicyKind};
+use txproc_engine::policy::PolicyKind;
 use txproc_engine::{run_concurrent, ConcurrentConfig, ShardMode};
 use txproc_sim::scenario::{find, registry, Scenario};
 use txproc_sim::workload::{generate, ArrivalModel, Workload};
@@ -28,7 +28,6 @@ use txproc_sim::workload::{generate, ArrivalModel, Workload};
 fn certified_run_config(seed: u64) -> RunConfig {
     RunConfig {
         policy: PolicyKind::Pred,
-        certifier: CertifierKind::Incremental,
         seed,
         ..RunConfig::default()
     }
@@ -37,7 +36,6 @@ fn certified_run_config(seed: u64) -> RunConfig {
 fn certified_concurrent_config(seed: u64) -> ConcurrentConfig {
     ConcurrentConfig {
         policy: PolicyKind::Pred,
-        certifier: CertifierKind::Incremental,
         seed,
         ..ConcurrentConfig::default()
     }

@@ -46,16 +46,9 @@ impl AbortReasons {
     }
 }
 
-/// Per-shard lock and wakeup observability collected by the sharded
-/// concurrent driver (one entry per conflict-domain shard; the single-lock
-/// configuration reports exactly one).
-///
-/// `wakeups` counts condvar returns in the shard's workers; a wakeup is
-/// *spurious* when the shard generation did not change while waiting (the
-/// waiter re-checked state for nothing — with targeted notification these
-/// are almost exclusively fallback-timeout polls, whereas the pre-notify
-/// driver paid one speculative wakeup per fixed-interval poll). `notifies`
-/// counts `notify_all` broadcasts after a state change.
+/// Per-shard lock observability collected by the sharded concurrent driver
+/// (one entry per conflict-domain shard; the single-lock configuration
+/// reports exactly one).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardMetrics {
     /// Shard id (dense, ordered by smallest member process id).
@@ -66,15 +59,8 @@ pub struct ShardMetrics {
     pub events: u64,
     /// Total wall-clock time workers spent blocked acquiring the shard lock.
     pub lock_wait_ns: u64,
-    /// Total wall-clock time workers held the shard lock (condvar-wait time
-    /// excluded).
+    /// Total wall-clock time workers held the shard lock.
     pub lock_hold_ns: u64,
-    /// Condvar broadcasts sent after a visible state change.
-    pub notifies: u64,
-    /// Condvar wait returns observed by the shard's workers.
-    pub wakeups: u64,
-    /// Wait returns that observed no state change (avoidable re-checks).
-    pub spurious_wakeups: u64,
 }
 
 /// Number of log₂ buckets in the scheduling-delay histogram (bucket `i`
@@ -83,21 +69,18 @@ pub const SCHED_DELAY_BUCKETS: usize = 40;
 
 /// Runtime-level observability collected by the concurrent driver: worker
 /// utilization, run-queue depth and scheduling delay (time a runnable
-/// process sat in a run queue before its next step). Populated by both
-/// runtimes; queue/delay fields are meaningful for the event-driven one
-/// (the thread runtime has no run queues — a runnable process is a ready
-/// thread).
+/// process sat in a run queue before its next step).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuntimeMetrics {
-    /// Runtime kind label (`"threads"` or `"events"`).
+    /// Runtime label (`"events"`, the worker pool; kept so reports stay
+    /// self-describing and keyed as their committed baselines are).
     pub runtime: String,
-    /// Worker threads used (thread runtime: one per process).
+    /// Worker threads used.
     pub workers: u64,
     /// State-machine steps executed (one `advance` call each).
     pub steps: u64,
     /// Re-poll rounds: all runnable work drained with waiters left, so the
-    /// waiters were re-queued to drive deadlock escalation (the event
-    /// runtime's replacement for the removed fallback-timeout poll).
+    /// waiters were re-queued to drive deadlock escalation.
     pub repolls: u64,
     /// Peak run-queue depth observed on any single shard queue.
     pub run_queue_peak: u64,
@@ -391,16 +374,6 @@ impl Metrics {
         self.blocked_time.values().sum()
     }
 
-    /// Total condvar wakeups across shards.
-    pub fn wakeups_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.wakeups).sum()
-    }
-
-    /// Total spurious (no-state-change) wakeups across shards.
-    pub fn spurious_wakeups_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.spurious_wakeups).sum()
-    }
-
     /// Total wall-clock nanoseconds spent waiting for shard locks.
     pub fn lock_wait_total_ns(&self) -> u64 {
         self.shards.iter().map(|s| s.lock_wait_ns).sum()
@@ -514,9 +487,6 @@ mod tests {
                 events: 12,
                 lock_wait_ns: 100,
                 lock_hold_ns: 400,
-                notifies: 9,
-                wakeups: 20,
-                spurious_wakeups: 5,
             }],
             ..Metrics::new()
         };
@@ -527,16 +497,11 @@ mod tests {
                 events: 8,
                 lock_wait_ns: 50,
                 lock_hold_ns: 200,
-                notifies: 4,
-                wakeups: 10,
-                spurious_wakeups: 1,
             }],
             ..Metrics::new()
         };
         a.merge(&b);
         assert_eq!(a.shards.len(), 2);
-        assert_eq!(a.wakeups_total(), 30);
-        assert_eq!(a.spurious_wakeups_total(), 6);
         assert_eq!(a.lock_wait_total_ns(), 150);
         assert_eq!(a.lock_hold_total_ns(), 600);
     }
