@@ -7,48 +7,55 @@
 //! processes the *delta* of each one in place:
 //!
 //! * the per-process state machines advance by exactly one transition,
-//! * the `≪̃`-predecessor closure of every already-recorded operation is
-//!   final — a new operation of the original history is always a *sink*
-//!   among the original operations (8.3a orders conflicting pairs by history
-//!   position, per-process chains follow execution order), and its closure
-//!   is assembled from per-service closure aggregates,
+//! * `≪̃` among recorded operations is never materialised: the reduction
+//!   only asks whether `x` sits between a pair `(f, c)` it conflicts with, a
+//!   compensation carries the base service of the operation it undoes, and
+//!   8.3a orders conflicting operations by history position — so the answer
+//!   is `f < x < c`, read off the ascending per-service buckets,
 //! * permanence of an operation only flips when a process's pending
 //!   completion changes; the 8.3(d)/(f) pair counters (`m2`) follow by
 //!   flip-diff against the operation's conflict buckets,
-//! * the **reduction itself is persistent**: the set of original operations
-//!   the compensation rule cancelled and the rule-3-live pair counters net
-//!   of them (with the process graph they induce) are certifier state. A new
+//! * the **reduction is persistent**: the set of original operations the
+//!   compensation rule cancelled and the rule-3-live pair counters net of
+//!   them (with the process graph they induce) are certifier state. A new
 //!   forward operation cannot change the fate of any original pair; a new
 //!   compensation adds one pair and a worklist cascade from it; a commit
 //!   revives that process's effect-free operations and re-examines only the
-//!   pairs those operations sit between.
+//!   pairs those operations sit between,
+//! * the **completion overlay is persistent**: the operations Definition 8
+//!   appends for the still-active processes, one part per process. An event
+//!   replaces the part of the process whose cached
+//!   [`crate::state::Completion`] it changed and pairs only that part with
+//!   the rest, through per-service buckets of overlay operations. A
+//!   compensation's order against a conflicting compensation or forward
+//!   operation (Lemmas 2 and 3) is a function of the two and is stored;
+//!   forward/forward pairs read the 8.3(d)/(f) ranks per verdict. No closure
+//!   here either: every original conflicting with an overlay compensation
+//!   precedes it, and of two conflicting overlay operations one is a
+//!   *direct* predecessor of the other.
 //!
-//! Only the *completion overlay* — the operations Definition 8 appends for
-//! the still-active processes — is rebuilt per event, from cached
-//! [`crate::state::Completion`]s, layered on top of the persistent reduction
-//! and undone after the verdict.
+//! A verdict derives the overlay's part of the reduction — the fixpoint of
+//! the compensation rule over the overlay pairs (it cancels further
+//! originals, undone afterwards) and the process-graph edges into and among
+//! the surviving overlay operations.
 //!
 //! Every mutation logs its inverse ([`Undo`]). A what-if ([`certify`]) or a
 //! rejected candidate rolls the log back, so the state afterwards is the
 //! state before; an admitted candidate ([`certify_keep`]) stays applied and
 //! the matching [`record`] only drops the log.
 //!
-//! Per-event cost, `n` recorded operations, `w = ⌈n/64⌉` words, `d` the
-//! conflict degree of the touched operation (operations in conflicting
-//! service buckets), `k` overlay operations, `p` processes with operations,
-//! `c` compensation pairs. Before this state was persistent every step below
-//! also paid a clone of the state it touches, and the last two were
-//! re-derived from the whole history:
+//! Per-event cost: `d` operations in the service buckets conflicting with
+//! the touched operation, `k` overlay operations (`t` in the replaced part),
+//! `e` stored overlay order pairs, `p` processes, `c` compensation pairs.
 //!
-//! | step | was, per event | is, per event |
-//! |------|----------------|---------------|
-//! | state machines, completion caches | `O(|process|)` | same |
-//! | closure row of the new operation | `O(services · w)` + oracle per service | `O(conflicting services · w)` |
-//! | permanence flips, `m2` | `O(flips · d)` + `O(n + p²)` clone | `O(flips · d)` |
-//! | mandatory ranks 8.3(d)/(f) | `O(p² + k·d)` always | only when two overlay forward operations of different processes conflict |
-//! | overlay order and closure rows | `O(k² + k · services · w)` | `O(k² + k · conflicting services · w)` |
-//! | cancellation fixpoint | `O(rounds · (c + k) · d)` over all pairs | `O(d)` per new pair, `O(c)` per cancelled operation, `O(rounds · k · d)` for the overlay |
-//! | live pair counters and process graph | `O(n · d + p²)` rebuild + Kahn | `O(d)` per operation that changes liveness; Kahn `O(p · ⌈p/64⌉)` only when an edge appears |
+//! | step | per event |
+//! |------|-----------|
+//! | state machines, completion caches | `O(|process|)` |
+//! | permanence flips, `m2` | `O(flips · d)` |
+//! | mandatory ranks 8.3(d)/(f) | `O(p² + k · d)`, only when two live overlay forward operations of different processes conflict |
+//! | overlay operations and order | `O(t · conflicting overlay operations)` |
+//! | cancellation fixpoint | `O(d)` per new pair, `O(c)` per cancelled operation; overlay: `O(rounds · (k + e))` plus the originals after each pair's base |
+//! | live pair counters and process graph | `O(d)` per operation that changes liveness, `O(k · d + e)` overlay edges; Kahn `O(p · ⌈p/64⌉)` only when an edge appears |
 //!
 //! [`certify`]: IncrementalPred::certify
 //! [`certify_keep`]: IncrementalPred::certify_keep
@@ -67,30 +74,10 @@ use crate::pred::PredReport;
 use crate::schedule::{Event, OpKind, Schedule};
 use crate::spec::Spec;
 use crate::state::{Completion, FailureOutcome, ProcessState};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn words_for(n: usize) -> usize {
     n.div_ceil(64).max(1)
-}
-
-fn bit_get(row: &[u64], i: usize) -> bool {
-    row.get(i / 64).is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-}
-
-fn bit_set(row: &mut Vec<u64>, i: usize) {
-    if row.len() <= i / 64 {
-        row.resize(i / 64 + 1, 0);
-    }
-    row[i / 64] |= 1u64 << (i % 64);
-}
-
-fn or_into(dst: &mut Vec<u64>, src: &[u64]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d |= *s;
-    }
 }
 
 /// Dense process graph over node indices `0..n`; an edge is one bit.
@@ -167,28 +154,31 @@ impl DenseGraph {
         self.indeg[b] -= 1;
     }
 
-    /// Topological order of the node indices (FIFO Kahn in ascending
-    /// order), or `None` if cyclic.
-    fn topological_order(&self) -> Option<Vec<usize>> {
-        let mut indeg = self.indeg.clone();
-        let mut queue: VecDeque<usize> = (0..self.n).filter(|&i| indeg[i] == 0).collect();
-        let mut out = Vec::with_capacity(self.n);
-        while let Some(i) = queue.pop_front() {
-            out.push(i);
+    /// Kahn's traversal (FIFO, ascending) over a copy of the in-degrees in
+    /// `deg`; `order` doubles as the queue and ends up holding the visited
+    /// nodes in topological order. `true` iff the graph is acyclic.
+    fn kahn(&self, deg: &mut Vec<u32>, order: &mut Vec<usize>) -> bool {
+        deg.clear();
+        deg.extend_from_slice(&self.indeg);
+        order.clear();
+        order.extend((0..self.n).filter(|&i| deg[i] == 0));
+        let mut head = 0;
+        while let Some(&i) = order.get(head) {
+            head += 1;
             let row = &self.adj[i * self.words..(i + 1) * self.words];
             for (wi, &w) in row.iter().enumerate() {
                 let mut bits = w;
                 while bits != 0 {
                     let j = wi * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    indeg[j] -= 1;
-                    if indeg[j] == 0 {
-                        queue.push_back(j);
+                    deg[j] -= 1;
+                    if deg[j] == 0 {
+                        order.push(j);
                     }
                 }
             }
         }
-        (out.len() == self.n).then_some(out)
+        order.len() == self.n
     }
 }
 
@@ -257,6 +247,12 @@ struct LiveGraph {
     /// Memo of `graph`'s acyclicity; dropped when an edge appears (a
     /// removed edge cannot close a cycle).
     acyclic: Option<bool>,
+    /// Overlay edges [`Self::add_extra`] put into `graph` for the verdict in
+    /// flight, and the buffers of its Kahn traversal: scratch, kept for its
+    /// capacity only.
+    extra: Vec<(u32, u32)>,
+    deg: Vec<u32>,
+    order: Vec<usize>,
 }
 
 impl LiveGraph {
@@ -275,22 +271,24 @@ impl LiveGraph {
         }
     }
 
-    /// Whether the graph plus the `extra` (overlay) edges is acyclic. The
-    /// graph is re-checked only when an entry crossed zero since the last
-    /// check or the overlay contributes an edge.
-    fn is_acyclic_with(&mut self, extra: &[(u32, u32)]) -> bool {
-        let added: Vec<(u32, u32)> = extra
-            .iter()
-            .copied()
-            .filter(|&(a, b)| self.graph.add_edge(a as usize, b as usize))
-            .collect();
-        if added.is_empty() {
-            return *self
-                .acyclic
-                .get_or_insert_with(|| self.graph.topological_order().is_some());
+    /// Adds an overlay edge for the next [`Self::verdict`] only.
+    fn add_extra(&mut self, a: u32, b: u32) {
+        if self.graph.add_edge(a as usize, b as usize) {
+            self.extra.push((a, b));
         }
-        let acyclic = self.graph.topological_order().is_some();
-        for (a, b) in added {
+    }
+
+    /// Whether the graph plus the overlay edges added since the last verdict
+    /// is acyclic; takes them out again. The graph is re-checked only when
+    /// an entry crossed zero since the last check or the overlay contributed
+    /// an edge.
+    fn verdict(&mut self) -> bool {
+        if self.extra.is_empty() {
+            let check = || self.graph.kahn(&mut self.deg, &mut self.order);
+            return *self.acyclic.get_or_insert_with(check);
+        }
+        let acyclic = self.graph.kahn(&mut self.deg, &mut self.order);
+        for (a, b) in self.extra.drain(..) {
             self.graph.remove_edge(a as usize, b as usize);
         }
         acyclic
@@ -315,25 +313,47 @@ struct Service {
     id: ServiceId,
     /// Recorded operations of this service, ascending.
     bucket: Vec<usize>,
-    /// Union of `rows[i] | {i}` over `bucket` (closure aggregate for
-    /// `O(words)` row assembly).
-    agg: Vec<u64>,
+    /// Overlay operations of this service, ascending.
+    overlay: Vec<CopRef>,
     /// Indices of the known services this one conflicts with, asked of the
     /// oracle once when the service is first seen.
     conflicts: Vec<u32>,
 }
 
-/// A completion-overlay operation (rebuilt per event from cached
-/// completions; cheap because the overlay only covers active processes).
-#[derive(Debug, Clone, Copy)]
+/// An overlay operation by dense process index and position in that
+/// process's part of the overlay.
+type CopRef = (u32, u32);
+
+/// A completion-overlay operation: one activity Definition 8 appends for a
+/// still-active process. Built when the process's pending completion
+/// changes and kept until it changes again.
+#[derive(Debug, Clone)]
 struct Cop {
     gid: GlobalActivityId,
     service: ServiceId,
     sidx: u32,
     kind: OpKind,
-    pid: ProcessId,
-    pidx: u32,
     eff_free: bool,
+    /// The recorded operation a compensation undoes (unused for forward).
+    fwd: usize,
+    /// The conflicting overlay operations 8.3(b–f) order directly before
+    /// this one whatever the ranks: compensations of other processes
+    /// (before a forward operation; in reverse order of their base
+    /// operations among themselves, Lemma 2) and, for a compensation, those
+    /// earlier in its own chain. Ascending.
+    preds: Vec<CopRef>,
+    /// For a forward operation, the conflicting forward operations of other
+    /// processes with a smaller reference: 8.3(d)/(f) orient these pairs by
+    /// the mandatory ranks, per verdict. Ascending.
+    ff: Vec<CopRef>,
+    /// Scratch of the last verdict: survived rule 3 and the compensation
+    /// rule.
+    live: bool,
+}
+
+fn insert_sorted(refs: &mut Vec<CopRef>, r: CopRef) {
+    let at = refs.partition_point(|&x| x < r);
+    refs.insert(at, r);
 }
 
 /// The inverse of one in-place mutation. Rolling the log back in reverse
@@ -350,11 +370,12 @@ enum Undo {
     Revived(usize),
     CancelFlip(usize),
     Pair,
-    AggWord(u32, usize, u64),
-    AggLen(u32, usize),
     Op,
     Process,
     Service,
+    /// The overlay part of this dense process was replaced; the old one is
+    /// on top of [`UndoLog::parts`].
+    Overlay(u32),
 }
 
 #[derive(Clone, Default)]
@@ -362,6 +383,7 @@ struct UndoLog<'a> {
     ops: Vec<Undo>,
     states: Vec<(ProcessId, Option<ProcessState<'a>>)>,
     completions: Vec<(ProcessId, Option<Completion>)>,
+    parts: Vec<Vec<Cop>>,
 }
 
 /// Verdict for one planned or recorded event.
@@ -383,9 +405,8 @@ pub struct IncrementalPred<'a> {
     len: usize,
     states: BTreeMap<ProcessId, ProcessState<'a>>,
     committed: BTreeSet<ProcessId>,
-    // -- original operations and their ≪̃ closure --
+    // -- original operations --
     ops: Vec<OrigOp>,
-    rows: Vec<Vec<u64>>,
     svc_idx: BTreeMap<ServiceId, u32>,
     svcs: Vec<Service>,
     /// Dense index of every process with at least one operation, in
@@ -412,29 +433,28 @@ pub struct IncrementalPred<'a> {
     /// pair nothing live and conflicting sits between" over `pairs`.
     cancelled: Vec<bool>,
     live: LiveGraph,
+    // -- the completion overlay --
+    /// Per dense process, the operations its pending completion appends:
+    /// compensations, then the forward-recovery path (8.3b/c chain order).
+    overlay: Vec<Vec<Cop>>,
+    /// Dense indices of the processes with a non-empty part, ascending pid
+    /// (the order `complete` appends in).
+    active: Vec<u32>,
+    /// The overlay's compensation pairs `(base operation, compensation)`,
+    /// descending base: what can block a pair lies after its base, so this
+    /// is the order the pairs unblock in.
+    overlay_pairs: Vec<(usize, CopRef)>,
+    /// Worklist of [`Self::cancel`]: scratch, kept for its capacity only.
+    dead: Vec<usize>,
     // -- report --
     prefix_reducible: Vec<bool>,
     first_violation: Option<usize>,
-    /// Applied events in application order — the certifier's durable form
-    /// (see [`Self::snapshot`]).
-    events: Vec<Event>,
     /// Inverses of the mutations of the event in flight; empty between
     /// calls unless `kept` is set.
     log: UndoLog<'a>,
     /// The admitted event `certify_keep` left applied: the next `record` of
     /// the same event only drops the log; anything else rolls it back first.
     kept: Option<Event>,
-}
-
-/// Serializable image of an [`IncrementalPred`]: the applied event prefix.
-///
-/// The certifier is a pure fold over its event sequence, so its durable
-/// form is the sequence itself and [`IncrementalPred::restore`] is a
-/// replay — the same discipline the WAL uses for agents and history.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CertifierSnapshot {
-    /// Events folded into the certifier, in application order.
-    pub events: Vec<Event>,
 }
 
 /// The working copy of `pid`'s state machine for the event in flight.
@@ -495,7 +515,6 @@ impl<'a> IncrementalPred<'a> {
             states: BTreeMap::new(),
             committed: BTreeSet::new(),
             ops: Vec::new(),
-            rows: Vec::new(),
             svc_idx: BTreeMap::new(),
             svcs: Vec::new(),
             dense_pids: Vec::new(),
@@ -513,31 +532,19 @@ impl<'a> IncrementalPred<'a> {
                 counts: PairCounts::default(),
                 graph: DenseGraph::new(0),
                 acyclic: Some(true),
+                extra: Vec::new(),
+                deg: Vec::new(),
+                order: Vec::new(),
             },
+            overlay: Vec::new(),
+            active: Vec::new(),
+            overlay_pairs: Vec::new(),
+            dead: Vec::new(),
             prefix_reducible: vec![true],
             first_violation: None,
-            events: Vec::new(),
             log: UndoLog::default(),
             kept: None,
         }
-    }
-
-    /// Captures the certification state as a serializable snapshot.
-    pub fn snapshot(&self) -> CertifierSnapshot {
-        CertifierSnapshot {
-            events: self.events.clone(),
-        }
-    }
-
-    /// Rebuilds a certifier from a snapshot by replaying its prefix. The
-    /// result answers every query (`pred`, `report`, `certify`, …) exactly
-    /// as the snapshotted instance did.
-    pub fn restore(spec: &'a Spec, snapshot: &CertifierSnapshot) -> Result<Self, ScheduleError> {
-        let mut inc = Self::new(spec);
-        for event in &snapshot.events {
-            inc.record(event)?;
-        }
-        Ok(inc)
     }
 
     /// Events recorded so far.
@@ -621,8 +628,8 @@ impl<'a> IncrementalPred<'a> {
         self.log.ops.clear();
         self.log.states.clear();
         self.log.completions.clear();
+        self.log.parts.clear();
         self.len += 1;
-        self.events.push(event.clone());
         self.prefix_reducible.push(reducible);
         if !reducible && self.first_violation.is_none() {
             self.first_violation = Some(self.len);
@@ -761,7 +768,16 @@ impl<'a> IncrementalPred<'a> {
             self.push_op(gid, service, kind);
         }
 
-        // 5. The completion overlay on top, undone after the verdict.
+        // 5. The completion overlay: the parts of the processes whose
+        //    pending completion changed (after step 4, so a compensation of
+        //    the operation just appended finds it), then the verdict on top,
+        //    its cancellations of originals undone.
+        for at in 0..self.log.completions.len() {
+            let (pid, old) = &self.log.completions[at];
+            if old.as_ref() != self.completion_cache.get(pid) {
+                self.refresh_overlay(*pid);
+            }
+        }
         let mark = self.log.ops.len();
         let reducible = self.overlay_verdict();
         self.rollback_ops(mark);
@@ -789,7 +805,7 @@ impl<'a> IncrementalPred<'a> {
         self.svcs.push(Service {
             id: service,
             bucket: Vec::new(),
-            agg: Vec::new(),
+            overlay: Vec::new(),
             conflicts,
         });
         self.svc_idx.insert(service, k);
@@ -824,10 +840,8 @@ impl<'a> IncrementalPred<'a> {
         self.count_live(x, !cancelled);
     }
 
-    /// Appends an operation of the original history: closure row (chain
-    /// predecessor plus the aggregates of every conflicting service, 8.3a;
-    /// same-process aggregate members are chain predecessors anyway), the
-    /// pairs it forms, and — for a compensation — the pair it closes.
+    /// Appends an operation of the original history: the pairs it forms
+    /// and — for a compensation — the pair it closes.
     fn push_op(&mut self, gid: GlobalActivityId, service: ServiceId, kind: OpKind) {
         let sidx = self.intern(service);
         let pidx = match self.pid_dense.get(&gid.process) {
@@ -837,6 +851,7 @@ impl<'a> IncrementalPred<'a> {
                 self.dense_pids.push(gid.process);
                 self.pid_dense.insert(gid.process, p);
                 self.proc_ops.push(Vec::new());
+                self.overlay.push(Vec::new());
                 self.m2.resize(p as usize + 1);
                 self.live.counts.resize(p as usize + 1);
                 self.live.graph.push_node();
@@ -845,34 +860,11 @@ impl<'a> IncrementalPred<'a> {
             }
         };
         let idx = self.ops.len();
-        let mut row = vec![0u64; words_for(idx)];
-        if let Some(&prev) = self.proc_ops[pidx as usize].last() {
-            or_into(&mut row, &self.rows[prev]);
-            bit_set(&mut row, prev);
-        }
-        for &t in &self.svcs[sidx as usize].conflicts {
-            or_into(&mut row, &self.svcs[t as usize].agg);
-        }
-        let agg = &mut self.svcs[sidx as usize].agg;
-        self.log.ops.push(Undo::AggLen(sidx, agg.len()));
-        agg.resize(words_for(idx + 1).max(agg.len()), 0);
-        for (w, (word, new)) in agg.iter_mut().zip(&row).enumerate() {
-            if *word | *new != *word {
-                self.log.ops.push(Undo::AggWord(sidx, w, *word));
-                *word |= *new;
-            }
-        }
-        self.log
-            .ops
-            .push(Undo::AggWord(sidx, idx / 64, agg[idx / 64]));
-        agg[idx / 64] |= 1u64 << (idx % 64);
-
         let eff_free = self.spec.catalog.is_effect_free(service);
         let perm = kind == OpKind::Forward && self.uncompensated(gid);
         let live = !eff_free || self.committed.contains(&gid.process);
         self.svcs[sidx as usize].bucket.push(idx);
         self.proc_ops[pidx as usize].push(idx);
-        self.rows.push(row);
         self.perm.push(perm);
         self.live_base.push(live);
         self.cancelled.push(false);
@@ -904,11 +896,15 @@ impl<'a> IncrementalPred<'a> {
         }
     }
 
-    /// Whether operation `x` sits between the pair `(f, c)` and conflicts
-    /// with it — i.e. blocks the compensation rule while it is live.
+    /// Whether operation `x` sits between the recorded pair `(f, c)` and
+    /// conflicts with it — i.e. blocks the compensation rule while it is
+    /// live. A compensation carries the base service of the operation it
+    /// undoes, so `x` conflicts with both halves or neither, and 8.3a (or
+    /// the process chain) orders conflicting operations by history
+    /// position: `f ≪̃ x ≪̃ c` is `f < x < c`.
     fn between(&self, f: usize, x: usize, c: usize) -> bool {
-        bit_get(&self.rows[x], f)
-            && bit_get(&self.rows[c], x)
+        f < x
+            && x < c
             && self
                 .spec
                 .oracle()
@@ -916,46 +912,48 @@ impl<'a> IncrementalPred<'a> {
     }
 
     /// Whether a live original operation conflicting with `f` sits between
-    /// `f` and the operation whose closure row is `upper` — i.e. blocks the
-    /// compensation rule for that pair.
-    fn blocked(&self, f: usize, upper: &[u64]) -> bool {
-        self.svcs[self.ops[f].sidx as usize]
-            .conflicts
-            .iter()
-            .flat_map(|&t| &self.svcs[t as usize].bucket)
-            .any(|&k| self.alive(k) && bit_get(&self.rows[k], f) && bit_get(upper, k))
+    /// `f` and the other half `c` of its pair (see [`Self::between`]) —
+    /// i.e. blocks the compensation rule for that pair. Every original
+    /// precedes an overlay compensation it conflicts with, so an overlay
+    /// pair passes `usize::MAX`.
+    fn blocked(&self, f: usize, c: usize) -> bool {
+        let holds_blocker = |bucket: &Vec<usize>| {
+            let below_c = bucket.iter().rev().skip_while(|&&k| k >= c);
+            below_c.take_while(|&&k| k > f).any(|&k| self.alive(k))
+        };
+        let conflicts = &self.svcs[self.ops[f].sidx as usize].conflicts;
+        (conflicts.iter()).any(|&t| holds_blocker(&self.svcs[t as usize].bucket))
     }
 
     /// Cancels the recorded pair `(f, c)` if both are live and nothing
     /// blocks it, and follows the cascade.
     fn try_cancel(&mut self, f: usize, c: usize) {
-        if self.alive(f) && self.alive(c) && !self.blocked(f, &self.rows[c]) {
-            self.cancel(vec![f, c]);
+        if self.alive(f) && self.alive(c) && !self.blocked(f, c) {
+            self.cancel(&[f, c]);
         }
     }
 
-    /// Cancels the operations in `dead`, and every recorded pair that
+    /// Cancels the operations in `seed`, and every recorded pair that
     /// unblocks in turn: a pair can only unblock when an operation between
     /// its two halves dies, so only those pairs are re-examined. (Two
     /// partially overlapping conflicting pairs block each other for good,
     /// and a nested pair is decided before the pair around it is recorded;
     /// the cascade matters when a commit revives a nested pair later.)
-    fn cancel(&mut self, mut dead: Vec<usize>) {
+    fn cancel(&mut self, seed: &[usize]) {
+        let mut dead = std::mem::take(&mut self.dead);
+        dead.extend_from_slice(seed);
         while let Some(x) = dead.pop() {
             if !self.alive(x) {
                 continue;
             }
             self.set_cancelled(x, true);
             for &(f, c) in &self.pairs {
-                if self.alive(f)
-                    && self.alive(c)
-                    && self.between(f, x, c)
-                    && !self.blocked(f, &self.rows[c])
-                {
+                if self.alive(f) && self.alive(c) && self.between(f, x, c) && !self.blocked(f, c) {
                     dead.extend([f, c]);
                 }
             }
         }
+        self.dead = dead;
     }
 
     /// Rule 3 after `Commit(p)`: the effect-free operations of `p` become
@@ -1002,49 +1000,145 @@ impl<'a> IncrementalPred<'a> {
         }
     }
 
-    /// The completion overlay, in the same order `complete` appends:
-    /// processes ascending, compensations before forward recovery.
-    fn overlay_ops(&mut self) -> Vec<Cop> {
+    /// Replaces `pid`'s part of the overlay by what its cached completion
+    /// appends now: compensations, then forward recovery, each with its
+    /// service interned and a compensation's base operation resolved.
+    fn refresh_overlay(&mut self, pid: ProcessId) {
         let spec = self.spec;
-        let mut cops: Vec<Cop> = Vec::new();
-        for (&pid, completion) in &self.completion_cache {
-            if completion.is_empty() {
-                continue;
-            }
+        let mut part: Vec<Cop> = Vec::new();
+        if let Some(completion) = self.completion_cache.get(&pid) {
             let process = spec.process(pid).expect("process of a recorded state");
-            let pidx = *self
-                .pid_dense
-                .get(&pid)
-                .expect("a process with pending completion has recorded operations");
             for (&a, kind) in completion
                 .compensations
                 .iter()
                 .map(|a| (a, OpKind::Compensation))
                 .chain(completion.forward.iter().map(|a| (a, OpKind::Forward)))
             {
+                let gid = GlobalActivityId::new(pid, a);
                 let service = spec.catalog.base(process.service(a));
-                cops.push(Cop {
-                    gid: GlobalActivityId::new(pid, a),
+                let fwd = match kind {
+                    OpKind::Compensation => *self
+                        .fwd_of
+                        .get(&gid)
+                        .expect("a pending compensation undoes a recorded operation"),
+                    OpKind::Forward => usize::MAX,
+                };
+                debug_assert!(fwd == usize::MAX || self.ops[fwd].service == service);
+                part.push(Cop {
+                    gid,
                     service,
                     sidx: 0,
                     kind,
-                    pid,
-                    pidx,
                     eff_free: spec.catalog.is_effect_free(service),
+                    fwd,
+                    preds: Vec::new(),
+                    ff: Vec::new(),
+                    live: false,
                 });
             }
         }
-        for c in &mut cops {
+        // The order on the overlay is acyclic by construction as long as
+        // every chain undoes in reverse commit order (Lemma 2): then every
+        // edge `swap_part` or a verdict orients — chain, compensation before
+        // forward, compensations by descending base, forward operations by
+        // (rank, pid) — ascends in one linear order of all overlay operations.
+        assert!(
+            part.windows(2)
+                .all(|w| w[1].kind == OpKind::Forward || w[0].fwd > w[1].fwd),
+            "≪̃ construction must stay acyclic"
+        );
+        let pidx = self.pid_dense.get(&pid).copied();
+        if part.is_empty() && pidx.is_none_or(|p| self.overlay[p as usize].is_empty()) {
+            return;
+        }
+        let pidx = pidx.expect("a process with pending completion has recorded operations");
+        for c in &mut part {
             c.sidx = self.intern(c.service);
         }
-        cops
+        let old = self.swap_part(pidx, part);
+        self.log.parts.push(old);
+        self.log.ops.push(Undo::Overlay(pidx));
+    }
+
+    /// Installs `part` as the overlay operations of dense process `p` and
+    /// returns the part it replaces, its order lists emptied. Only the
+    /// operations of the two parts are paired with the rest of the overlay,
+    /// through the per-service buckets; every list touched stays sorted, so
+    /// the overlay is a function of the parts and swapping the old part back
+    /// restores it exactly.
+    fn swap_part(&mut self, p: u32, part: Vec<Cop>) -> Vec<Cop> {
+        let pi = p as usize;
+        for slot in 0..self.overlay[pi].len() {
+            let sidx = self.overlay[pi][slot].sidx as usize;
+            self.svcs[sidx].overlay.retain(|r| r.0 != p);
+            for &t in &self.svcs[sidx].conflicts {
+                for &(q, s) in &self.svcs[t as usize].overlay {
+                    if q != p {
+                        let other = &mut self.overlay[q as usize][s as usize];
+                        other.preds.retain(|r| r.0 != p);
+                        other.ff.retain(|r| r.0 != p);
+                    }
+                }
+            }
+        }
+        self.overlay_pairs.retain(|&(_, r)| r.0 != p);
+        let mut old = std::mem::replace(&mut self.overlay[pi], part);
+        for c in &mut old {
+            c.preds.clear();
+            c.ff.clear();
+        }
+        for slot in 0..self.overlay[pi].len() {
+            let me = (p, slot as u32);
+            let c = &self.overlay[pi][slot];
+            let (sidx, kind, fwd) = (c.sidx as usize, c.kind, c.fwd);
+            for &t in &self.svcs[sidx].conflicts {
+                for &other in &self.svcs[t as usize].overlay {
+                    let o = &self.overlay[other.0 as usize][other.1 as usize];
+                    let (before, after) = match (kind, o.kind) {
+                        // Own chain (8.3b/c): the bucket holds earlier slots.
+                        (OpKind::Forward, _) if other.0 == p => continue,
+                        (OpKind::Compensation, _) if other.0 == p => (other, me),
+                        // Lemma 3, and Lemma 2: reverse order of the bases.
+                        (OpKind::Compensation, OpKind::Forward) => (me, other),
+                        (OpKind::Forward, OpKind::Compensation) => (other, me),
+                        (OpKind::Compensation, OpKind::Compensation) => {
+                            if fwd > o.fwd {
+                                (me, other)
+                            } else {
+                                (other, me)
+                            }
+                        }
+                        (OpKind::Forward, OpKind::Forward) => {
+                            let (lo, hi) = (me.min(other), me.max(other));
+                            insert_sorted(&mut self.overlay[hi.0 as usize][hi.1 as usize].ff, lo);
+                            continue;
+                        }
+                    };
+                    insert_sorted(
+                        &mut self.overlay[after.0 as usize][after.1 as usize].preds,
+                        before,
+                    );
+                }
+            }
+            insert_sorted(&mut self.svcs[sidx].overlay, me);
+            if kind == OpKind::Compensation {
+                let at = self.overlay_pairs.partition_point(|&(f, _)| f > fwd);
+                self.overlay_pairs.insert(at, (fwd, me));
+            }
+        }
+        self.active.retain(|&q| q != p);
+        if !self.overlay[pi].is_empty() {
+            let before = |&q: &u32| self.dense_pids[q as usize] < self.dense_pids[pi];
+            self.active.insert(self.active.partition_point(before), p);
+        }
+        old
     }
 
     /// Mandatory ranks (8.3d/8.3f) per dense process index: permanent
     /// original pairs (m2) plus the forced 8.3e edges into permanent
     /// completion activities, in `ProcessGraph::topological_order`'s order.
     /// Relative order is all the tie-break consumes.
-    fn mandatory_ranks(&self, cops: &[Cop]) -> Vec<usize> {
+    fn mandatory_ranks(&self) -> Vec<usize> {
         let np = self.dense_pids.len();
         let mut by_pid: Vec<usize> = (0..np).collect();
         by_pid.sort_unstable_by_key(|&px| self.dense_pids[px]);
@@ -1056,20 +1150,23 @@ impl<'a> IncrementalPred<'a> {
         for (a, b) in self.m2.nonzero() {
             rg.add_edge(node_of[a], node_of[b]);
         }
-        for c in cops
-            .iter()
-            .filter(|c| c.kind == OpKind::Forward && self.uncompensated(c.gid))
-        {
-            for &t in &self.svcs[c.sidx as usize].conflicts {
-                for &i in &self.svcs[t as usize].bucket {
-                    if self.perm[i] && self.ops[i].pidx != c.pidx {
-                        rg.add_edge(node_of[self.ops[i].pidx as usize], node_of[c.pidx as usize]);
+        for &p in &self.active {
+            for c in self.overlay[p as usize]
+                .iter()
+                .filter(|c| c.kind == OpKind::Forward && self.uncompensated(c.gid))
+            {
+                for &t in &self.svcs[c.sidx as usize].conflicts {
+                    for &i in &self.svcs[t as usize].bucket {
+                        if self.perm[i] && self.ops[i].pidx != p {
+                            rg.add_edge(node_of[self.ops[i].pidx as usize], node_of[p as usize]);
+                        }
                     }
                 }
             }
         }
         let mut rank_of_node: Vec<usize> = (0..np).collect();
-        if let Some(order) = rg.topological_order() {
+        let (mut deg, mut order) = (Vec::new(), Vec::new());
+        if rg.kahn(&mut deg, &mut order) {
             for (rank, node) in order.into_iter().enumerate() {
                 rank_of_node[node] = rank;
             }
@@ -1077,145 +1174,34 @@ impl<'a> IncrementalPred<'a> {
         node_of.into_iter().map(|node| rank_of_node[node]).collect()
     }
 
-    /// Order edges among the overlay operations (8.3b/c chains plus the
-    /// 8.3d/f + Lemma 2/3 arms; overlay order equals the batch completion
-    /// order, so local index order matches global order). The mandatory
-    /// ranks are derived only if two forward operations of different
-    /// processes conflict.
-    fn overlay_edges(&self, cops: &[Cop]) -> Vec<(usize, usize)> {
-        let oracle = self.spec.oracle();
-        let mut ranks: Option<Vec<usize>> = None;
-        let mut cedges: Vec<(usize, usize)> = Vec::new();
-        for i in 0..cops.len() {
-            if i > 0 && cops[i].pid == cops[i - 1].pid {
-                cedges.push((i - 1, i));
-            }
-            for j in (i + 1)..cops.len() {
-                let (x, y) = (&cops[i], &cops[j]);
-                if x.pid == y.pid || !oracle.conflict(x.service, y.service) {
-                    continue;
-                }
-                cedges.push(match (x.kind, y.kind) {
-                    (OpKind::Compensation, OpKind::Forward) => (i, j),
-                    (OpKind::Forward, OpKind::Compensation) => (j, i),
-                    (OpKind::Compensation, OpKind::Compensation) => {
-                        match (self.fwd_of.get(&x.gid), self.fwd_of.get(&y.gid)) {
-                            (Some(bx), Some(by)) if bx < by => (j, i),
-                            _ => (i, j),
-                        }
-                    }
-                    (OpKind::Forward, OpKind::Forward) => {
-                        let ranks = ranks.get_or_insert_with(|| self.mandatory_ranks(cops));
-                        let rx = ranks[x.pidx as usize];
-                        let ry = ranks[y.pidx as usize];
-                        if (rx, x.pid) <= (ry, y.pid) {
-                            (i, j)
-                        } else {
-                            (j, i)
-                        }
-                    }
-                });
-            }
-        }
-        cedges
-    }
-
-    /// Closure rows of the overlay over originals and overlay, computed in
-    /// topological order of `cedges`: `cn` rows of the returned width.
-    fn overlay_rows(&self, cops: &[Cop], cedges: &[(usize, usize)]) -> (usize, Vec<u64>) {
-        let (n, cn) = (self.ops.len(), cops.len());
-        let mut indeg = vec![0usize; cn];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); cn];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); cn];
-        for &(a, b) in cedges {
-            indeg[b] += 1;
-            succ[a].push(b);
-            preds[b].push(a);
-        }
-        let mut queue: VecDeque<usize> = (0..cn).filter(|&i| indeg[i] == 0).collect();
-        let mut topo = Vec::with_capacity(cn);
-        while let Some(i) = queue.pop_front() {
-            topo.push(i);
-            for &j in &succ[i] {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push_back(j);
-                }
-            }
-        }
-        assert_eq!(topo.len(), cn, "≪̃ construction must stay acyclic");
-        let width = words_for(n + cn);
-        let mut crows = vec![0u64; cn * width];
-        let mut row: Vec<u64> = Vec::with_capacity(width);
-        for ci in topo {
-            let c = &cops[ci];
-            row.clear();
-            row.resize(width, 0);
-            if ci == 0 || cops[ci - 1].pid != c.pid {
-                if let Some(&last) = self.proc_ops[c.pidx as usize].last() {
-                    or_into(&mut row, &self.rows[last]);
-                    bit_set(&mut row, last);
-                }
-            }
-            for &t in &self.svcs[c.sidx as usize].conflicts {
-                or_into(&mut row, &self.svcs[t as usize].agg);
-            }
-            for &a in &preds[ci] {
-                or_into(&mut row, &crows[a * width..(a + 1) * width]);
-                bit_set(&mut row, n + a);
-            }
-            crows[ci * width..(ci + 1) * width].copy_from_slice(&row);
-        }
-        (width, crows)
-    }
-
     /// Reducibility of the completed schedule: layers the completion
     /// overlay on the persistent reduction — its compensation pairs may
     /// cancel further originals — and checks the process graph of what
-    /// remains. Leaves overlay cancellations in the log for the caller to
+    /// remains. Leaves those cancellations in the log for the caller to
     /// roll back.
     fn overlay_verdict(&mut self) -> bool {
-        let cops = self.overlay_ops();
-        if cops.is_empty() {
-            return self.live.is_acyclic_with(&[]);
+        // Rule 3 (an active process is not committed), then the
+        // compensation rule to its fixpoint: an overlay pair is blocked by
+        // live originals after its base or live overlay operations ordered
+        // before its compensation; cancelling its original half cascades
+        // through the recorded pairs.
+        for &p in &self.active {
+            let part = &mut self.overlay[p as usize];
+            part.iter_mut().for_each(|c| c.live = !c.eff_free);
         }
-        let oracle = self.spec.oracle();
-        let n = self.ops.len();
-        let cedges = self.overlay_edges(&cops);
-        let (width, crows) = self.overlay_rows(&cops, &cedges);
-        let crow = |ci: usize| &crows[ci * width..(ci + 1) * width];
-
-        // Rule 3, then the compensation rule to its fixpoint: an overlay
-        // pair is blocked by live originals or live overlay operations
-        // between its halves; cancelling its original half cascades through
-        // the recorded pairs.
-        let mut live_cop: Vec<bool> = cops
-            .iter()
-            .map(|c| !c.eff_free || self.committed.contains(&c.pid))
-            .collect();
-        let pairs: Vec<(usize, usize)> = cops
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.kind == OpKind::Compensation)
-            .filter_map(|(ci, c)| self.fwd_of.get(&c.gid).map(|&f| (f, ci)))
-            .collect();
         loop {
             let mut changed = false;
-            for &(f, ci) in &pairs {
-                if !self.alive(f) || !live_cop[ci] {
-                    continue;
-                }
-                let blocked = self.blocked(f, crow(ci))
-                    || cops.iter().enumerate().any(|(cj, d)| {
-                        cj != ci
-                            && live_cop[cj]
-                            && bit_get(crow(cj), f)
-                            && bit_get(crow(ci), n + cj)
-                            && oracle.conflict(self.ops[f].service, d.service)
-                    });
-                if !blocked {
-                    live_cop[ci] = false;
-                    self.cancel(vec![f]);
+            for at in 0..self.overlay_pairs.len() {
+                let (f, (p, slot)) = self.overlay_pairs[at];
+                let c = &self.overlay[p as usize][slot as usize];
+                let blocker = |&(q, s): &CopRef| self.overlay[q as usize][s as usize].live;
+                if c.live
+                    && self.alive(f)
+                    && !c.preds.iter().any(blocker)
+                    && !self.blocked(f, usize::MAX)
+                {
+                    self.overlay[p as usize][slot as usize].live = false;
+                    self.cancel(&[f]);
                     changed = true;
                 }
             }
@@ -1225,23 +1211,38 @@ impl<'a> IncrementalPred<'a> {
         }
 
         // Serializability of the remainder: the live original pairs plus
-        // the edges into and among the live overlay operations.
-        let mut extra: Vec<(u32, u32)> = Vec::new();
-        for (c, _) in cops.iter().zip(&live_cop).filter(|(_, &live)| live) {
-            for &t in &self.svcs[c.sidx as usize].conflicts {
-                for &i in &self.svcs[t as usize].bucket {
-                    if self.alive(i) && self.ops[i].pidx != c.pidx {
-                        extra.push((self.ops[i].pidx, c.pidx));
+        // the edges into and among the live overlay operations. The ranks
+        // are derived only if two live forward operations of different
+        // processes conflict.
+        let cops = || self.active.iter().flat_map(|&p| &self.overlay[p as usize]);
+        let ranks = cops()
+            .any(|c| c.live && !c.ff.is_empty())
+            .then(|| self.mandatory_ranks());
+        for &p in &self.active {
+            for c in self.overlay[p as usize].iter().filter(|c| c.live) {
+                for &t in &self.svcs[c.sidx as usize].conflicts {
+                    for &i in &self.svcs[t as usize].bucket {
+                        if self.live_base[i] && !self.cancelled[i] && self.ops[i].pidx != p {
+                            self.live.add_extra(self.ops[i].pidx, p);
+                        }
+                    }
+                }
+                for &(q, s) in &c.preds {
+                    if q != p && self.overlay[q as usize][s as usize].live {
+                        self.live.add_extra(q, p);
+                    }
+                }
+                for &(q, s) in &c.ff {
+                    if self.overlay[q as usize][s as usize].live {
+                        let r = ranks.as_ref().expect("derived above");
+                        let key = |x: u32| (r[x as usize], self.dense_pids[x as usize]);
+                        let (a, b) = if key(q) <= key(p) { (q, p) } else { (p, q) };
+                        self.live.add_extra(a, b);
                     }
                 }
             }
         }
-        for &(a, b) in &cedges {
-            if cops[a].pidx != cops[b].pidx && live_cop[a] && live_cop[b] {
-                extra.push((cops[a].pidx, cops[b].pidx));
-            }
-        }
-        self.live.is_acyclic_with(&extra)
+        self.live.verdict()
     }
 
     /// Undoes the logged operation-level mutations back to `mark`.
@@ -1264,11 +1265,8 @@ impl<'a> IncrementalPred<'a> {
                 Undo::Pair => {
                     self.pairs.pop();
                 }
-                Undo::AggWord(s, w, old) => self.svcs[s as usize].agg[w] = old,
-                Undo::AggLen(s, len) => self.svcs[s as usize].agg.truncate(len),
                 Undo::Op => {
                     let o = self.ops.pop().expect("logged operation");
-                    self.rows.pop();
                     self.perm.pop();
                     self.live_base.pop();
                     self.cancelled.pop();
@@ -1282,6 +1280,7 @@ impl<'a> IncrementalPred<'a> {
                     let pid = self.dense_pids.pop().expect("logged process");
                     self.pid_dense.remove(&pid);
                     self.proc_ops.pop();
+                    self.overlay.pop();
                     self.m2.resize(self.proc_ops.len());
                     self.live.counts.resize(self.proc_ops.len());
                     self.live.graph.pop_node();
@@ -1293,6 +1292,10 @@ impl<'a> IncrementalPred<'a> {
                     for &t in s.conflicts.iter().filter(|&&t| t != k) {
                         self.svcs[t as usize].conflicts.pop();
                     }
+                }
+                Undo::Overlay(p) => {
+                    let old = self.log.parts.pop().expect("logged overlay part");
+                    self.swap_part(p, old);
                 }
             }
         }
@@ -1333,16 +1336,24 @@ pub fn check_pred_incremental(
 mod tests {
     use super::*;
     use crate::activity::Catalog;
+    use crate::completion::{complete, CompletedSchedule};
     use crate::conflict::ConflictMatrix;
     use crate::fixtures;
     use crate::ids::ProcessId;
+    use crate::order::PartialOrder;
     use crate::pred::check_pred;
     use crate::process::ProcessBuilder;
-    use crate::serializability::ProcessGraph;
+    use crate::reduction::{reduce, ReductionOutcome};
+    use crate::schedule::Op;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     type PidPairs = BTreeMap<(ProcessId, ProcessId), u32>;
+    type OpKey = (GlobalActivityId, OpKind);
+
+    fn bit_get(row: &[u64], i: usize) -> bool {
+        row.get(i / 64).is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+    }
 
     impl IncrementalPred<'_> {
         fn by_pid(&self, counts: &PairCounts) -> PidPairs {
@@ -1352,172 +1363,74 @@ mod tests {
                 .collect()
         }
 
+        /// The persistent overlay operations in completion order.
+        fn cops(&self) -> impl Iterator<Item = &Cop> {
+            self.active.iter().flat_map(|&p| &self.overlay[p as usize])
+        }
+
         /// Everything that carries meaning, rendered for comparison: all
-        /// fields but the row stride and the acyclicity memo of `live.graph`.
+        /// fields but the row stride, the acyclicity memo and the scratch
+        /// buffers of `live`, the `dead` worklist and the `live` flags of
+        /// the overlay.
         fn logical_state(&self) -> String {
             let g = &self.live.graph;
             let edges: Vec<(usize, usize)> = (0..g.n)
                 .flat_map(|a| (0..g.n).map(move |b| (a, b)))
                 .filter(|&(a, b)| bit_get(&g.adj[a * g.words..(a + 1) * g.words], b))
                 .collect();
+            let mut overlay = self.overlay.clone();
+            overlay.iter_mut().flatten().for_each(|c| c.live = false);
             format!(
                 "{:?}",
                 (
                     (&self.len, &self.states, &self.committed, &self.ops),
-                    (&self.rows, &self.svc_idx, &self.svcs, &self.dense_pids),
-                    (
-                        &self.pid_dense,
-                        &self.proc_ops,
-                        &self.fwd_of,
-                        &self.comp_gids
-                    ),
-                    (&self.pairs, &self.perm),
+                    (&self.svc_idx, &self.svcs, &self.dense_pids),
+                    (&self.pid_dense, &self.proc_ops, &self.fwd_of),
+                    (&self.comp_gids, &self.pairs, &self.perm),
                     (&self.completion_cache, self.by_pid(&self.m2)),
                     (&self.live_base, &self.cancelled),
                     (self.by_pid(&self.live.counts), g.n, edges, &g.indeg),
-                    (&self.prefix_reducible, &self.first_violation, &self.events),
+                    (overlay, &self.active, &self.overlay_pairs, &self.live.extra),
+                    (&self.prefix_reducible, &self.first_violation),
                     (&self.log.ops, self.log.states.len(), &self.kept),
+                    (self.log.completions.len(), self.log.parts.len()),
                 )
             )
         }
 
-        /// The reduction re-derived from the whole history, the way every
-        /// plan derived it before it became certifier state: rule 3, the
-        /// compensation-pair cancellation fixpoint over the bitset
-        /// reachability, and the process graph of what remains. Returns the
-        /// liveness of the original operations, their live conflicting
-        /// cross-process pair counts, and the verdict. Without `overlay`
-        /// only the recorded operations take part — what the persistent
-        /// `cancelled` and `live` must equal between events.
-        fn reduction_from_scratch(&self, overlay: bool) -> (Vec<bool>, PidPairs, bool) {
-            let mut probe = self.clone();
-            let spec = probe.spec;
-            let oracle = spec.oracle();
-            let cops = if overlay {
-                probe.overlay_ops()
-            } else {
-                Vec::new()
-            };
-            let cedges = probe.overlay_edges(&cops);
-            let (width, crows) = probe.overlay_rows(&cops, &cedges);
-            let n = probe.ops.len();
-            let total = n + cops.len();
-            let committed_now = |p: ProcessId| probe.committed.contains(&p);
-
-            let mut live = vec![true; total];
-            for (lv, op) in live.iter_mut().zip(&probe.ops) {
-                *lv = !spec.catalog.is_effect_free(op.service) || committed_now(op.gid.process);
-            }
-            for (ci, c) in cops.iter().enumerate() {
-                live[n + ci] = !c.eff_free || committed_now(c.pid);
-            }
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            for (c, op) in probe.ops.iter().enumerate() {
-                if op.kind == OpKind::Compensation {
-                    if let Some(&f) = probe.fwd_of.get(&op.gid) {
-                        pairs.push((f, c));
-                    }
+        /// The persistent overlay's ordered pairs of different processes,
+        /// the 8.3(d)/(f) ones oriented by the current ranks.
+        fn overlay_order(&self) -> BTreeSet<(OpKey, OpKey)> {
+            let ranks = self.mandatory_ranks();
+            let rank = |q: u32| (ranks[q as usize], self.dense_pids[q as usize]);
+            let mut order = BTreeSet::new();
+            for &p in &self.active {
+                for c in &self.overlay[p as usize] {
+                    let pair = |&(q, s): &CopRef, before: bool| {
+                        let (o, c) = (&self.overlay[q as usize][s as usize], (c.gid, c.kind));
+                        let o = (o.gid, o.kind);
+                        if before {
+                            (o, c)
+                        } else {
+                            (c, o)
+                        }
+                    };
+                    order.extend(c.preds.iter().filter(|r| r.0 != p).map(|r| pair(r, true)));
+                    order.extend(c.ff.iter().map(|r| pair(r, rank(r.0) <= rank(p))));
                 }
             }
-            for (ci, c) in cops.iter().enumerate() {
-                if c.kind == OpKind::Compensation {
-                    if let Some(&f) = probe.fwd_of.get(&c.gid) {
-                        pairs.push((f, n + ci));
-                    }
-                }
-            }
-            let row_of = |x: usize| -> &[u64] {
-                if x < n {
-                    &probe.rows[x]
-                } else {
-                    &crows[(x - n) * width..(x - n + 1) * width]
-                }
-            };
-            let lt = |a: usize, b: usize| bit_get(row_of(b), a);
-            let service_at = |x: usize| -> ServiceId {
-                if x < n {
-                    probe.ops[x].service
-                } else {
-                    cops[x - n].service
-                }
-            };
-            loop {
-                let mut changed = false;
-                for &(f, c) in &pairs {
-                    if !live[f] || !live[c] {
-                        continue;
-                    }
-                    let blocked = (0..total).any(|k| {
-                        k != f
-                            && k != c
-                            && live[k]
-                            && oracle.conflict(service_at(k), service_at(f))
-                            && lt(f, k)
-                            && lt(k, c)
-                    });
-                    if !blocked {
-                        live[f] = false;
-                        live[c] = false;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-
-            let mut counts = PidPairs::new();
-            let mut pg = ProcessGraph::new();
-            let pid_at = |x: usize| {
-                if x < n {
-                    probe.ops[x].gid.process
-                } else {
-                    cops[x - n].pid
-                }
-            };
-            for j in 0..total {
-                for i in 0..total {
-                    // Original pairs are ordered by history position (8.3a),
-                    // pairs into and among the overlay by its order edges.
-                    let ordered = if j < n { i < j } else { lt(i, j) };
-                    if !ordered
-                        || !live[i]
-                        || !live[j]
-                        || pid_at(i) == pid_at(j)
-                        || !oracle.conflict(service_at(i), service_at(j))
-                    {
-                        continue;
-                    }
-                    if j < n {
-                        *counts.entry((pid_at(i), pid_at(j))).or_default() += 1;
-                    }
-                    pg.add_edge(pid_at(i), pid_at(j));
-                }
-            }
-            live.truncate(n);
-            (live, counts, pg.is_acyclic())
+            order
         }
 
-        /// Permanence and the 8.3(d)/(f) pair counts from their definitions.
-        fn mandatory_from_scratch(&self) -> (Vec<bool>, PidPairs) {
+        /// Conflicting cross-process pairs of the original operations `keep`
+        /// selects, per process pair in history order.
+        fn pair_counts(&self, keep: &[bool]) -> PidPairs {
             let oracle = self.spec.oracle();
-            let perm: Vec<bool> = self
-                .ops
-                .iter()
-                .map(|op| {
-                    op.kind == OpKind::Forward
-                        && !self.comp_gids.contains(&op.gid)
-                        && !self
-                            .completion_cache
-                            .get(&op.gid.process)
-                            .is_some_and(|c| c.compensations.contains(&op.gid.activity))
-                })
-                .collect();
             let mut counts = PidPairs::new();
             for (j, y) in self.ops.iter().enumerate() {
                 for (i, x) in self.ops[..j].iter().enumerate() {
-                    if perm[i]
-                        && perm[j]
+                    if keep[i]
+                        && keep[j]
                         && x.gid.process != y.gid.process
                         && oracle.conflict(x.service, y.service)
                     {
@@ -1525,15 +1438,49 @@ mod tests {
                     }
                 }
             }
-            (perm, counts)
+            counts
+        }
+
+        /// Permanence from its definition.
+        fn permanence_from_scratch(&self) -> Vec<bool> {
+            let permanent = |op: &OrigOp| op.kind == OpKind::Forward && self.uncompensated(op.gid);
+            self.ops.iter().map(permanent).collect()
         }
     }
 
-    /// A world the paper's fixture does not reach: five processes of P₁'s
-    /// shape over a shared pool of nine services with random conflicts
+    /// The completion overlay and the reduction derived from nothing but the
+    /// history, by the batch reference: `complete` builds the overlay
+    /// operations and `≪̃` over all of `S̃` (Definition 8), `reduce` runs
+    /// rule 3, the compensation rule over the closure of `≪̃` and the
+    /// process graph of what remains. Without `overlay` the completion is
+    /// cut off again — what the persistent `cancelled` and `live` describe
+    /// between events.
+    fn overlay_from_scratch(
+        spec: &Spec,
+        history: &Schedule,
+        overlay: bool,
+    ) -> (CompletedSchedule, ReductionOutcome) {
+        let mut completed = complete(spec, history).unwrap();
+        if !overlay {
+            let n = completed.original_len;
+            let mut order = PartialOrder::new(n);
+            for a in 0..n {
+                for &b in completed.order.successors(a).iter().filter(|&&b| b < n) {
+                    order.add(a, b);
+                }
+            }
+            completed.ops.truncate(n);
+            completed.order = order;
+        }
+        let outcome = reduce(spec, &completed);
+        (completed, outcome)
+    }
+
+    /// A world the paper's fixture does not reach: `processes` processes of
+    /// P₁'s shape over a shared pool of nine services with random conflicts
     /// (self-conflicts included) and random effect-free services, so that
     /// pairs nest across processes and commits revive operations (rule 3).
-    fn random_world(seed: u64) -> Spec {
+    fn random_world(seed: u64, processes: u32) -> Spec {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cat = Catalog::new();
         let comp: Vec<ServiceId> = (0..4)
@@ -1556,7 +1503,7 @@ mod tests {
             }
         }
         let mut spec = Spec::new(cat, conflicts);
-        for p in 1..=5u32 {
+        for p in 1..=processes {
             let mut pick = |pool: &[ServiceId]| pool[rng.gen_range(0..pool.len())];
             let mut b = ProcessBuilder::new(ProcessId(p), format!("P{p}"));
             let a1 = b.activity("a1", pick(&comp));
@@ -1577,22 +1524,27 @@ mod tests {
 
     /// A random legal history: each step picks an active process and runs
     /// its pending compensation, or aborts it, or executes or fails its
-    /// next activity; finished processes commit with probability 1/2.
-    fn random_history(spec: &Spec, seed: u64, max_events: usize) -> Schedule {
+    /// next activity; finished processes commit with probability 1/2. A
+    /// `wide` history starts every process before it picks at random.
+    fn random_history(spec: &Spec, seed: u64, max_events: usize, wide: bool) -> Schedule {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut schedule = Schedule::new();
         let mut states: Vec<ProcessState<'_>> = spec
             .processes()
             .map(|p| ProcessState::new(p, &spec.catalog).expect("tree process"))
             .collect();
-        for _ in 0..max_events {
+        for step in 0..max_events {
             let live: Vec<usize> = (0..states.len())
                 .filter(|&i| states[i].is_active())
                 .collect();
             if live.is_empty() {
                 break;
             }
-            let st = &mut states[live[rng.gen_range(0..live.len())]];
+            let st = if wide && step < states.len() {
+                &mut states[step]
+            } else {
+                &mut states[live[rng.gen_range(0..live.len())]]
+            };
             let pid = st.process().id;
             if let Some(c) = st.next_compensation() {
                 st.apply_compensation(c).expect("queued");
@@ -1625,11 +1577,14 @@ mod tests {
     /// Drives one certifier over `s` and demands, at every event: `certify`
     /// and an illegal event leave the full state untouched; the verdict is
     /// the batch checker's and the from-scratch derivation's; and the
-    /// persistent permanence, cancellation set and pair counts are what a
-    /// derivation from the whole history gives.
-    fn assert_reduction_state_tracks_scratch(spec: &Spec, s: &Schedule, label: &str) {
+    /// persistent permanence, cancellation set, pair counts and completion
+    /// overlay (operations, order, what its fixpoint left) are what a
+    /// derivation from the whole history gives. Returns the largest number
+    /// of processes the overlay covered at once.
+    fn assert_reduction_state_tracks_scratch(spec: &Spec, s: &Schedule, label: &str) -> usize {
         let batch = check_pred(spec, s).unwrap();
         let mut inc = IncrementalPred::new(spec);
+        let mut widest = 0;
         for (i, e) in s.events().iter().enumerate() {
             let at = format!("{label} event {i} ({e:?})");
             let before = inc.logical_state();
@@ -1639,32 +1594,65 @@ mod tests {
             assert_eq!(inc.logical_state(), before, "{at}: illegal event mutated");
             let recorded = inc.record(e).unwrap();
             assert_eq!(what_if, recorded, "{at}");
+            assert_eq!(recorded.prefix_len, i + 1, "{at}");
             assert_eq!(recorded.reducible, batch.prefix_reducible[i + 1], "{at}");
 
-            let (live, counts, _) = inc.reduction_from_scratch(false);
-            let alive: Vec<bool> = (0..inc.ops.len()).map(|x| inc.alive(x)).collect();
-            assert_eq!(alive, live, "{at}: cancellation set");
-            assert_eq!(inc.by_pid(&inc.live.counts), counts, "{at}: live pairs");
-            let (.., reducible) = inc.reduction_from_scratch(true);
-            assert_eq!(recorded.reducible, reducible, "{at}: verdict");
-            let (perm, mandatory) = inc.mandatory_from_scratch();
+            let n = inc.ops.len();
+            let (_, originals) = overlay_from_scratch(spec, &s.prefix(i + 1), false);
+            let alive: Vec<bool> = (0..n).map(|x| inc.alive(x)).collect();
+            assert_eq!(alive, originals.live, "{at}: cancellation set");
+            let live_pairs = inc.pair_counts(&originals.live);
+            assert_eq!(inc.by_pid(&inc.live.counts), live_pairs, "{at}: live pairs");
+            let perm = inc.permanence_from_scratch();
+            assert_eq!(inc.by_pid(&inc.m2), inc.pair_counts(&perm), "{at}: m2");
             assert_eq!(inc.perm, perm, "{at}: permanence");
-            assert_eq!(inc.by_pid(&inc.m2), mandatory, "{at}: mandatory pairs");
+
+            let (completed, scratch) = overlay_from_scratch(spec, &s.prefix(i + 1), true);
+            assert_eq!(recorded.reducible, scratch.reducible, "{at}: verdict");
+            let key = |o: &Op| (o.gid, o.kind);
+            let cops = completed.completion_ops();
+            let ops: Vec<OpKey> = inc.cops().map(|c| (c.gid, c.kind)).collect();
+            let expected: Vec<OpKey> = cops.iter().map(key).collect();
+            assert_eq!(ops, expected, "{at}: overlay operations");
+            // The direct `≪̃` edges between overlay operations of different
+            // processes.
+            let ordered: BTreeSet<(OpKey, OpKey)> = cops
+                .iter()
+                .flat_map(|b| {
+                    let (ops, preds) = (&completed.ops, completed.order.predecessors(b.index));
+                    preds.iter().map(move |&a| (&ops[a], b))
+                })
+                .filter(|(a, b)| a.from_completion && a.gid.process != b.gid.process)
+                .map(|(a, b)| (key(a), key(b)))
+                .collect();
+            assert_eq!(inc.overlay_order(), ordered, "{at}: overlay order");
+            let left: Vec<bool> = inc.cops().map(|c| c.live).collect();
+            assert_eq!(left, scratch.live[n..], "{at}: overlay fixpoint");
+            widest = widest.max(inc.active.len());
         }
         assert_eq!(inc.report(), batch, "{label}");
+        widest
     }
 
     #[test]
     fn persistent_reduction_equals_scratch_derivation_after_every_event() {
         let fx = fixtures::paper_world();
         for seed in 0..256u64 {
-            let s = random_history(&fx.spec, seed, 24);
+            let s = random_history(&fx.spec, seed, 24, false);
             assert_reduction_state_tracks_scratch(&fx.spec, &s, &format!("paper seed {seed}"));
         }
         for seed in 0..256u64 {
-            let spec = random_world(seed);
-            let s = random_history(&spec, seed, 40);
+            let spec = random_world(seed, 5);
+            let s = random_history(&spec, seed, 40, false);
             assert_reduction_state_tracks_scratch(&spec, &s, &format!("world seed {seed}"));
+        }
+        // The shape the engine driver runs: a whole input active at once.
+        for seed in 0..12u64 {
+            let spec = random_world(seed, 30);
+            let s = random_history(&spec, seed, 110, true);
+            let widest =
+                assert_reduction_state_tracks_scratch(&spec, &s, &format!("wide seed {seed}"));
+            assert!(widest >= 16, "wide seed {seed}: {widest} processes at once");
         }
     }
 
@@ -1694,104 +1682,93 @@ mod tests {
         s
     }
 
-    fn assert_parity(spec: &Spec, s: &Schedule) {
-        let batch = check_pred(spec, s).expect("batch succeeds");
-        let inc = check_pred_incremental(spec, s).expect("incremental succeeds");
-        assert_eq!(
-            batch,
-            inc,
-            "batch/incremental disagree on {}",
-            crate::schedule::render(s)
-        );
-    }
-
+    /// The paper's schedules and the event kinds they lack, each held
+    /// against the batch reference after every event.
     #[test]
-    fn parity_on_example_8_st2() {
+    fn paper_schedules_track_the_batch_reference() {
         let fx = fixtures::paper_world();
-        assert_parity(&fx.spec, &st2(&fx));
-        let report = check_pred_incremental(&fx.spec, &st2(&fx)).unwrap();
-        assert!(!report.pred);
-        assert_eq!(report.first_violation, Some(4));
-    }
-
-    #[test]
-    fn parity_on_example_9_figure7() {
-        let fx = fixtures::paper_world();
-        assert_parity(&fx.spec, &figure7(&fx));
-        assert!(
-            check_pred_incremental(&fx.spec, &figure7(&fx))
-                .unwrap()
-                .pred
-        );
-    }
-
-    #[test]
-    fn parity_with_failures_and_compensations() {
-        let fx = fixtures::paper_world();
-        let mut s = Schedule::new();
-        s.execute(fx.a(1, 1))
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let mut failure = Schedule::new();
+        failure
+            .execute(fx.a(1, 1))
             .execute(fx.a(1, 2))
             .execute(fx.a(1, 3))
             .fail(fx.a(1, 4))
             .compensate(fx.a(1, 3))
             .execute(fx.a(1, 5))
             .execute(fx.a(1, 6))
-            .commit(ProcessId(1));
-        assert_parity(&fx.spec, &s);
-    }
-
-    #[test]
-    fn parity_with_abort_and_completion_events() {
-        let fx = fixtures::paper_world();
-        let mut s = Schedule::new();
-        s.execute(fx.a(1, 1))
+            .commit(p1);
+        let mut abort = Schedule::new();
+        abort
+            .execute(fx.a(1, 1))
             .execute(fx.a(1, 2))
             .execute(fx.a(1, 3))
-            .abort(ProcessId(1))
+            .abort(p1)
             .compensate(fx.a(1, 3))
             .execute(fx.a(1, 5))
             .execute(fx.a(1, 6));
-        assert_parity(&fx.spec, &s);
-    }
-
-    #[test]
-    fn parity_with_group_abort() {
-        let fx = fixtures::paper_world();
-        let mut s = Schedule::new();
-        s.execute(fx.a(1, 1));
+        let mut group_abort = Schedule::new();
+        group_abort.execute(fx.a(1, 1));
         for k in 1..=5 {
-            s.execute(fx.a(2, k));
+            group_abort.execute(fx.a(2, k));
         }
-        s.commit(ProcessId(2));
-        s.group_abort(vec![ProcessId(1), ProcessId(2)]);
-        assert_parity(&fx.spec, &s);
-    }
-
-    #[test]
-    fn parity_on_quasi_commit_example_10() {
-        let fx = fixtures::paper_world();
-        let mut s = Schedule::new();
-        s.execute(fx.a(1, 1))
+        group_abort.commit(p2).group_abort(vec![p1, p2]);
+        let mut quasi_commit = Schedule::new();
+        quasi_commit
+            .execute(fx.a(1, 1))
             .execute(fx.a(1, 2))
             .execute(fx.a(3, 1))
             .execute(fx.a(1, 3));
-        assert_parity(&fx.spec, &s);
+        for (label, s, violation) in [
+            ("example 8, st2", st2(&fx), Some(4)),
+            ("example 9, figure 7", figure7(&fx), None),
+            ("failure and compensation", failure, None),
+            ("abort and completion", abort, None),
+            ("group abort", group_abort, Some(4)),
+            ("example 10, quasi commit", quasi_commit, None),
+        ] {
+            assert_reduction_state_tracks_scratch(&fx.spec, &s, label);
+            let report = check_pred_incremental(&fx.spec, &s).unwrap();
+            assert_eq!(report.first_violation, violation, "{label}");
+        }
     }
 
+    /// `GroupAbort` is the one event that touches many processes, and it
+    /// replaces no overlay part: Definition 8's completion *is* what an abort
+    /// executes, so aborting leaves every pending completion as it was. The
+    /// compensations that follow replace one part each.
     #[test]
-    fn verdicts_match_batch_prefixes_event_by_event() {
-        let fx = fixtures::paper_world();
-        let s = st2(&fx);
-        let batch = check_pred(&fx.spec, &s).unwrap();
-        let mut certifier = IncrementalPred::new(&fx.spec);
-        for (i, e) in s.events().iter().enumerate() {
-            let v = certifier.record(e).unwrap();
-            assert_eq!(v.prefix_len, i + 1);
-            assert_eq!(
-                v.reducible,
-                batch.prefix_reducible[i + 1],
-                "event {i}: verdict diverges"
-            );
+    fn group_abort_over_many_processes_replaces_no_overlay_part() {
+        for seed in 0..4u64 {
+            let spec = random_world(seed, 28);
+            let mut s = random_history(&spec, seed, 40, true);
+            let mut inc = IncrementalPred::new(&spec);
+            for e in s.events() {
+                inc.record(e).unwrap();
+            }
+            let group: Vec<ProcessId> = (inc.active.iter())
+                .map(|&p| inc.dense_pids[p as usize])
+                .collect();
+            assert!(group.len() >= 16, "seed {seed}: {} processes", group.len());
+            let abort = Event::GroupAbort(group.clone());
+            inc.step(&abort).unwrap();
+            assert_eq!(inc.log.parts.len(), 0, "seed {seed}: parts replaced");
+            inc.rollback();
+            inc.record(&abort).unwrap();
+            s.group_abort(group.clone());
+            for pid in group {
+                let mut st = inc.states[&pid].clone();
+                while let Some(c) = st.next_compensation() {
+                    st.apply_compensation(c).unwrap();
+                    let e = Event::Compensate(GlobalActivityId::new(pid, c));
+                    inc.step(&e).unwrap();
+                    assert_eq!(inc.log.parts.len(), 1, "seed {seed}: {e:?}");
+                    inc.rollback();
+                    inc.record(&e).unwrap();
+                    s.compensate(GlobalActivityId::new(pid, c));
+                }
+            }
+            assert_reduction_state_tracks_scratch(&spec, &s, &format!("group abort seed {seed}"));
         }
     }
 
@@ -1870,38 +1847,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_matches_the_live_certifier() {
+    fn replaying_the_history_rebuilds_the_live_certifier() {
         let fx = fixtures::paper_world();
         for s in [st2(&fx), figure7(&fx)] {
+            // The history is the certifier's durable form: one that lived
+            // through what-ifs and kept candidates and one rebuilt from the
+            // history's JSON image hold the same state, field for field —
+            // and so give every future certification the same answer.
             let mut live = IncrementalPred::new(&fx.spec);
             for e in s.events() {
+                live.certify(e).unwrap();
+                live.certify_keep(e).unwrap();
                 live.record(e).unwrap();
             }
-            // Restore must behave like a fresh replay of the same prefix —
-            // state, report, and every future certification answer.
-            let snap = live.snapshot();
-            let mut restored = IncrementalPred::restore(&fx.spec, &snap).unwrap();
-            assert_eq!(restored.len(), live.len());
-            assert_eq!(restored.report(), live.report());
-            assert_eq!(restored.first_violation(), live.first_violation());
-            for p in 1..=2u64 {
-                for a in 1..=5u64 {
-                    let probe = Event::Execute(fx.a(p as u32, a as u32));
-                    match (live.certify(&probe), restored.certify(&probe)) {
-                        (Ok(x), Ok(y)) => assert_eq!(x, y, "certify diverged on {probe:?}"),
-                        (Err(_), Err(_)) => {}
-                        other => panic!("certify diverged on {probe:?}: {other:?}"),
-                    }
-                }
+            let json = serde_json::to_string(&s).unwrap();
+            let back: Schedule = serde_json::from_str(&json).unwrap();
+            let mut replayed = IncrementalPred::new(&fx.spec);
+            for e in back.events() {
+                replayed.record(e).unwrap();
             }
-            // The snapshot is the durable form: it round-trips through JSON.
-            let json = serde_json::to_string(&snap).unwrap();
-            let back: CertifierSnapshot = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, snap);
-            assert_eq!(
-                IncrementalPred::restore(&fx.spec, &back).unwrap().report(),
-                live.report()
-            );
+            assert_eq!(replayed.logical_state(), live.logical_state());
+            assert_eq!(replayed.report(), live.report());
         }
     }
 
