@@ -30,6 +30,8 @@ use crate::ids::{GlobalActivityId, ProcessId};
 use crate::order::PartialOrder;
 use crate::schedule::{Op, OpKind, Schedule};
 use crate::spec::Spec;
+use crate::state::ProcessState;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A completed process schedule `S̃`.
@@ -59,74 +61,16 @@ impl CompletedSchedule {
 pub fn complete(spec: &Spec, schedule: &Schedule) -> Result<CompletedSchedule, ScheduleError> {
     let replay = schedule.replay(spec)?;
     let committed_in_s: BTreeSet<ProcessId> = replay.commit_event.keys().copied().collect();
-    let mut ops: Vec<Op> = replay.ops.clone();
-    let original_len = ops.len();
     let mut aborted: BTreeSet<ProcessId> = replay.abort_event.keys().copied().collect();
-
-    // 8.2b/8.2c: group-abort all active processes and append the remaining
-    // completion activities of every process that did not commit.
-    let event_base = schedule.len();
-    for (&pid, state) in &replay.states {
-        if !state.is_active() {
-            continue;
-        }
-        aborted.insert(pid);
-        let completion = state.completion();
-        let process = spec.process(pid)?;
-        for &a in &completion.compensations {
-            let service = spec.catalog.base(process.service(a));
-            let index = ops.len();
-            ops.push(Op {
-                index,
-                event_index: event_base + (index - original_len),
-                gid: GlobalActivityId::new(pid, a),
-                service,
-                kind: OpKind::Compensation,
-                from_completion: true,
-            });
-        }
-        for &a in &completion.forward {
-            let service = spec.catalog.base(process.service(a));
-            let index = ops.len();
-            ops.push(Op {
-                index,
-                event_index: event_base + (index - original_len),
-                gid: GlobalActivityId::new(pid, a),
-                service,
-                kind: OpKind::Forward,
-                from_completion: true,
-            });
-        }
-    }
-
-    // Permanence analysis: which operations survive every reduction? An
-    // operation is *permanent* when it will never cancel against a
-    // compensation — forward operations of committed processes, pre-boundary
-    // operations of forward-recoverable processes, and the forward recovery
-    // activities themselves. Permanent operations induce the mandatory
-    // ordering constraints that the 8.3(d)/(f) choices below must respect.
-    let mut permanent = vec![false; ops.len()];
-    {
-        let mut compensated_in_s: BTreeSet<GlobalActivityId> = BTreeSet::new();
-        for op in &ops[..original_len] {
-            if op.kind == OpKind::Compensation {
-                compensated_in_s.insert(op.gid);
-            }
-        }
-        let mut will_compensate: BTreeSet<GlobalActivityId> = BTreeSet::new();
-        for op in &ops[original_len..] {
-            if op.kind == OpKind::Compensation {
-                will_compensate.insert(op.gid);
-            }
-        }
-        for op in &ops {
-            permanent[op.index] = op.kind == OpKind::Forward
-                && !compensated_in_s.contains(&op.gid)
-                && !will_compensate.contains(&op.gid);
-        }
-    }
-
-    let order = build_order(spec, &ops, original_len, &permanent);
+    let mut ops = replay.ops;
+    let original_len = ops.len();
+    aborted.extend(append_completions(
+        spec,
+        &replay.states,
+        &mut ops,
+        schedule.len(),
+    )?);
+    let order = build_order(spec, &ops, original_len);
     Ok(CompletedSchedule {
         ops,
         order,
@@ -136,8 +80,172 @@ pub fn complete(spec: &Spec, schedule: &Schedule) -> Result<CompletedSchedule, S
     })
 }
 
+/// The completion operations of a replayed history, in an order recovery can
+/// execute: `ops` are the history's operations and `states` its final
+/// machines (`Replay::ops` / `Replay::states`), `event_base` the history's
+/// length. The result holds exactly [`CompletedSchedule::completion_ops`] of
+/// the same history, indexed the same, arranged as one linearisation of `≪̃`.
+///
+/// Definition 8.3 puts every completion activity after the original history
+/// (8.3b/c/e), so no path of `≪̃` between two completion activities passes
+/// through an original one: the order among them is the closure of the
+/// per-process chains and the conflicting cross-process pairs *of the tail*,
+/// and only those are built — pairs found through conflict rows, oriented by
+/// the rule [`complete`] uses.
+pub fn completion_tail(
+    spec: &Spec,
+    mut ops: Vec<Op>,
+    states: &BTreeMap<ProcessId, ProcessState<'_>>,
+    event_base: usize,
+) -> Result<Vec<Op>, ScheduleError> {
+    let original_len = ops.len();
+    append_completions(spec, states, &mut ops, event_base)?;
+    let tail = &ops[original_len..];
+    // `≪̃` over the tail alone, nodes numbered from the first tail operation.
+    let mut po = PartialOrder::new(tail.len());
+    // 8.3b/8.3c: a process's completion activities are adjacent in the tail.
+    for w in tail.windows(2) {
+        if w[0].gid.process == w[1].gid.process {
+            po.add(w[0].index - original_len, w[1].index - original_len);
+        }
+    }
+    let orientation = Orientation::new(spec, &ops, original_len);
+    let buckets = by_service(spec, tail);
+    for x in tail {
+        for s in spec.conflicts.row(&spec.catalog, x.service) {
+            for &j in &buckets[s.index()] {
+                let y = &ops[j];
+                if j <= x.index || x.gid.process == y.gid.process {
+                    continue;
+                }
+                let (i, j) = (x.index - original_len, j - original_len);
+                if orientation.precedes(x, y) {
+                    po.add(i, j);
+                } else {
+                    po.add(j, i);
+                }
+            }
+        }
+    }
+    let order = po
+        .topological_order()
+        .ok_or(ScheduleError::CyclicCompletionOrder)?;
+    Ok(order.into_iter().map(|v| tail[v]).collect())
+}
+
+/// 8.2b/8.2c: appends the completion activities of every still-active
+/// process — ascending process id, compensations before forward recovery —
+/// and returns the processes completed that way.
+fn append_completions(
+    spec: &Spec,
+    states: &BTreeMap<ProcessId, ProcessState<'_>>,
+    ops: &mut Vec<Op>,
+    event_base: usize,
+) -> Result<Vec<ProcessId>, ScheduleError> {
+    let original_len = ops.len();
+    let mut completed = Vec::new();
+    for (&pid, state) in states {
+        if !state.is_active() {
+            continue;
+        }
+        completed.push(pid);
+        let completion = state.completion();
+        let process = spec.process(pid)?;
+        let compensations = completion.compensations.iter();
+        let forward = completion.forward.iter();
+        for (&a, kind) in compensations
+            .map(|a| (a, OpKind::Compensation))
+            .chain(forward.map(|a| (a, OpKind::Forward)))
+        {
+            let index = ops.len();
+            ops.push(Op {
+                index,
+                event_index: event_base + (index - original_len),
+                gid: GlobalActivityId::new(pid, a),
+                service: spec.catalog.base(process.service(a)),
+                kind,
+                from_completion: true,
+            });
+        }
+    }
+    Ok(completed)
+}
+
+/// Operation indices by (base) service, each bucket ascending.
+fn by_service(spec: &Spec, ops: &[Op]) -> Vec<Vec<usize>> {
+    let mut buckets = vec![Vec::new(); spec.catalog.len()];
+    for op in ops {
+        buckets[op.service.index()].push(op.index);
+    }
+    buckets
+}
+
+/// The one orientation rule for a conflicting pair of completion activities
+/// of different processes (Lemmas 2 and 3, 8.3d/8.3f). [`complete`] applies
+/// it to every such pair, [`completion_tail`] to the pairs it finds through
+/// conflict rows.
+struct Orientation<'a> {
+    spec: &'a Spec,
+    ops: &'a [Op],
+    original_len: usize,
+    /// Position of the base activity of every completion compensation
+    /// (Lemma 2's reverse ordering).
+    base_pos: BTreeMap<GlobalActivityId, usize>,
+    /// Process ranks for 8.3d/8.3f, derived on the first forward/forward
+    /// pair (see [`mandatory_ranks`]).
+    ranks: OnceCell<BTreeMap<ProcessId, usize>>,
+}
+
+impl<'a> Orientation<'a> {
+    fn new(spec: &'a Spec, ops: &'a [Op], original_len: usize) -> Self {
+        let compensated: BTreeSet<GlobalActivityId> = ops[original_len..]
+            .iter()
+            .filter(|o| o.kind == OpKind::Compensation)
+            .map(|o| o.gid)
+            .collect();
+        let base_pos = ops
+            .iter()
+            .filter(|o| o.kind == OpKind::Forward && compensated.contains(&o.gid))
+            .map(|o| (o.gid, o.index))
+            .collect();
+        Self {
+            spec,
+            ops,
+            original_len,
+            base_pos,
+            ranks: OnceCell::new(),
+        }
+    }
+
+    /// Whether `x ≪̃ y`, for conflicting completion activities of different
+    /// processes with `x.index < y.index`; `y ≪̃ x` otherwise.
+    fn precedes(&self, x: &Op, y: &Op) -> bool {
+        match (x.kind, y.kind) {
+            // Lemma 3: compensation precedes conflicting forward recovery.
+            (OpKind::Compensation, OpKind::Forward) => true,
+            (OpKind::Forward, OpKind::Compensation) => false,
+            // Lemma 2: compensations in reverse order of their bases.
+            (OpKind::Compensation, OpKind::Compensation) => {
+                match (self.base_pos.get(&x.gid), self.base_pos.get(&y.gid)) {
+                    (Some(bx), Some(by)) => bx >= by,
+                    _ => true,
+                }
+            }
+            // 8.3d/8.3f: forward-recovery activities follow the
+            // serialization order of S.
+            (OpKind::Forward, OpKind::Forward) => {
+                let ranks = self
+                    .ranks
+                    .get_or_init(|| mandatory_ranks(self.spec, self.ops, self.original_len));
+                let rank = |p: ProcessId| (ranks.get(&p).copied().unwrap_or(usize::MAX), p);
+                rank(x.gid.process) <= rank(y.gid.process)
+            }
+        }
+    }
+}
+
 /// Builds `≪̃_S` (Definition 8.3).
-fn build_order(spec: &Spec, ops: &[Op], original_len: usize, permanent: &[bool]) -> PartialOrder {
+fn build_order(spec: &Spec, ops: &[Op], original_len: usize) -> PartialOrder {
     let oracle = spec.oracle();
     let mut po = PartialOrder::new(ops.len());
 
@@ -157,8 +265,10 @@ fn build_order(spec: &Spec, ops: &[Op], original_len: usize, permanent: &[bool])
     }
 
     // 8.3a: conflicting pairs of the original history keep their order.
+    // 8.3e: every completion activity follows the conflicting activities of
+    // the original history (the group abort sits at the end of S).
     for i in 0..original_len {
-        for j in (i + 1)..original_len {
+        for j in (i + 1)..ops.len() {
             if ops[i].gid.process != ops[j].gid.process
                 && oracle.conflict(ops[i].service, ops[j].service)
             {
@@ -167,98 +277,58 @@ fn build_order(spec: &Spec, ops: &[Op], original_len: usize, permanent: &[bool])
         }
     }
 
-    // 8.3e: every completion activity follows the conflicting activities of
-    // the original history (the group abort sits at the end of S).
-    for (j, cop) in ops.iter().enumerate().skip(original_len) {
-        for (i, sop) in ops.iter().enumerate().take(original_len) {
-            if sop.gid.process != cop.gid.process && oracle.conflict(sop.service, cop.service) {
-                po.add(i, j);
-            }
-        }
-        let _ = j;
-    }
-
     // 8.3d/8.3f + Lemmas 2 and 3: conflicting completion activities of
     // different processes.
-    // Base-activity position lookup for Lemma 2's reverse ordering.
-    let base_pos: BTreeMap<(GlobalActivityId, OpKind), usize> =
-        ops.iter().map(|o| ((o.gid, o.kind), o.index)).collect();
-    // Ranks for ordering conflicting forward-recovery activities of
-    // different processes (8.3d/8.3f): derived from the *mandatory* process
-    // dependencies — conflicting permanent operation pairs of the original
-    // history, plus the forced 8.3(e) edges from permanent original
-    // operations to permanent completion activities. Any 8.3(d) choice must
-    // be consistent with these or the completion is needlessly irreducible.
-    let ranks = mandatory_ranks(spec, ops, original_len, permanent);
+    let orientation = Orientation::new(spec, ops, original_len);
     for i in original_len..ops.len() {
         for j in (i + 1)..ops.len() {
             let (x, y) = (&ops[i], &ops[j]);
             if x.gid.process == y.gid.process || !oracle.conflict(x.service, y.service) {
                 continue;
             }
-            let edge = match (x.kind, y.kind) {
-                // Lemma 3: compensation precedes conflicting forward
-                // recovery.
-                (OpKind::Compensation, OpKind::Forward) => (i, j),
-                (OpKind::Forward, OpKind::Compensation) => (j, i),
-                // Lemma 2: compensations in reverse order of their bases.
-                (OpKind::Compensation, OpKind::Compensation) => {
-                    let bx = base_pos.get(&(x.gid, OpKind::Forward)).copied();
-                    let by = base_pos.get(&(y.gid, OpKind::Forward)).copied();
-                    match (bx, by) {
-                        (Some(bx), Some(by)) if bx < by => (j, i),
-                        (Some(_), Some(_)) => (i, j),
-                        _ => (i, j),
-                    }
-                }
-                // 8.3d/8.3f: forward-recovery activities follow the
-                // serialization order of S.
-                (OpKind::Forward, OpKind::Forward) => {
-                    let rx = ranks.get(&x.gid.process).copied().unwrap_or(usize::MAX);
-                    let ry = ranks.get(&y.gid.process).copied().unwrap_or(usize::MAX);
-                    if (rx, x.gid.process) <= (ry, y.gid.process) {
-                        (i, j)
-                    } else {
-                        (j, i)
-                    }
-                }
-            };
-            po.add(edge.0, edge.1);
+            if orientation.precedes(x, y) {
+                po.add(i, j);
+            } else {
+                po.add(j, i);
+            }
         }
     }
     debug_assert!(po.is_acyclic(), "≪̃_S construction must stay acyclic");
     po
 }
 
-/// Process ranks from the mandatory dependency graph (see `build_order`);
-/// falls back to process-id order when that graph is cyclic (the completion
-/// is irreducible regardless of the 8.3(d) choices then).
-fn mandatory_ranks(
-    spec: &Spec,
-    ops: &[Op],
-    original_len: usize,
-    permanent: &[bool],
-) -> BTreeMap<ProcessId, usize> {
-    let oracle = spec.oracle();
-    let mut g = crate::serializability::ProcessGraph::new();
-    for op in ops {
-        g.add_node(op.gid.process);
-    }
-    for (i, x) in ops.iter().enumerate() {
-        if !permanent[i] {
-            continue;
-        }
-        for (j, y) in ops.iter().enumerate().skip(i + 1) {
-            if !permanent[j]
-                || x.gid.process == y.gid.process
-                || !oracle.conflict(x.service, y.service)
-            {
-                continue;
-            }
-            let both_original = i < original_len && j < original_len;
-            let forced_8_3e = i < original_len && j >= original_len;
-            if both_original || forced_8_3e {
-                g.add_edge(x.gid.process, y.gid.process);
+/// Process ranks for ordering conflicting forward-recovery activities of
+/// different processes (8.3d/8.3f), from the *mandatory* process
+/// dependencies: conflicting permanent operation pairs of the original
+/// history, plus the forced 8.3(e) edges from permanent original operations
+/// to permanent completion activities. Any 8.3(d) choice must be consistent
+/// with these or the completion is needlessly irreducible. Falls back to
+/// process-id order when that graph is cyclic (the completion is irreducible
+/// regardless of the 8.3(d) choices then).
+///
+/// An operation is *permanent* when it survives every reduction, i.e. never
+/// cancels against a compensation: forward operations of committed
+/// processes, pre-boundary operations of forward-recoverable processes, and
+/// the forward recovery activities themselves.
+fn mandatory_ranks(spec: &Spec, ops: &[Op], original_len: usize) -> BTreeMap<ProcessId, usize> {
+    let compensated: BTreeSet<GlobalActivityId> = ops
+        .iter()
+        .filter(|o| o.kind == OpKind::Compensation)
+        .map(|o| o.gid)
+        .collect();
+    let permanent: Vec<Op> = ops
+        .iter()
+        .filter(|o| o.kind == OpKind::Forward && !compensated.contains(&o.gid))
+        .copied()
+        .collect();
+    let mut g = crate::serializability::ProcessGraph::over(ops.iter().map(|o| o.gid.process));
+    let buckets = by_service(spec, &permanent);
+    for x in permanent.iter().take_while(|x| x.index < original_len) {
+        for s in spec.conflicts.row(&spec.catalog, x.service) {
+            for &j in &buckets[s.index()] {
+                if j > x.index {
+                    g.add_edge(x.gid.process, ops[j].gid.process);
+                }
             }
         }
     }

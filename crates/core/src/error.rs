@@ -182,6 +182,9 @@ pub enum ScheduleError {
     PrematureCommit(ProcessId),
     /// The process could not switch to any alternative and cannot continue.
     NoAlternativeLeft(GlobalActivityId),
+    /// The completion order `≪̃` of the history's completion activities is
+    /// cyclic, so no execution order of them exists.
+    CyclicCompletionOrder,
 }
 
 impl fmt::Display for ScheduleError {
@@ -217,6 +220,9 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::NoAlternativeLeft(a) => {
                 write!(f, "no alternative left after failure of {a}")
+            }
+            ScheduleError::CyclicCompletionOrder => {
+                write!(f, "the completion activities have no acyclic order")
             }
         }
     }

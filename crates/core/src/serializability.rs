@@ -10,13 +10,15 @@ use crate::ids::ProcessId;
 use crate::order::Reachability;
 use crate::schedule::{Op, Schedule};
 use crate::spec::Spec;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Process-level conflict graph.
+/// Process-level conflict graph: a dense bit matrix over its nodes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcessGraph {
-    nodes: BTreeSet<ProcessId>,
-    edges: BTreeSet<(ProcessId, ProcessId)>,
+    /// Ascending.
+    nodes: Vec<ProcessId>,
+    /// Row `a`, `words` words long: bit `b` is the edge `nodes[a] → nodes[b]`.
+    succ: Vec<u64>,
+    words: usize,
 }
 
 impl ProcessGraph {
@@ -25,60 +27,99 @@ impl ProcessGraph {
         Self::default()
     }
 
-    /// Registers a node.
-    pub fn add_node(&mut self, p: ProcessId) {
-        self.nodes.insert(p);
-    }
-
-    /// Adds the dependency `from → to`.
-    pub fn add_edge(&mut self, from: ProcessId, to: ProcessId) {
-        self.nodes.insert(from);
-        self.nodes.insert(to);
-        if from != to {
-            self.edges.insert((from, to));
+    /// An edgeless graph over `nodes`.
+    pub fn over(nodes: impl IntoIterator<Item = ProcessId>) -> Self {
+        let mut nodes: Vec<ProcessId> = nodes.into_iter().collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let words = nodes.len().div_ceil(64);
+        Self {
+            succ: vec![0; nodes.len() * words],
+            nodes,
+            words,
         }
     }
 
-    /// All nodes.
+    /// Adds the dependency `from → to`; an endpoint that is no node yet
+    /// becomes one (the matrix is laid out anew).
+    pub fn add_edge(&mut self, from: ProcessId, to: ProcessId) {
+        if let (Some(a), Some(b)) = (self.index(from), self.index(to)) {
+            return self.set(a, b);
+        }
+        let edges: Vec<_> = self.edges().collect();
+        *self = Self::over(self.nodes().chain([from, to]));
+        for (a, b) in edges.into_iter().chain([(from, to)]) {
+            self.add_edge(a, b);
+        }
+    }
+
+    fn index(&self, p: ProcessId) -> Option<usize> {
+        self.nodes.binary_search(&p).ok()
+    }
+
+    /// Adds the edge from the `a`-th node to the `b`-th.
+    fn set(&mut self, a: usize, b: usize) {
+        if a != b {
+            self.succ[a * self.words + b / 64] |= 1 << (b % 64);
+        }
+    }
+
+    /// The successors of the `a`-th node, as node indices, ascending.
+    fn successors(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        let row = &self.succ[a * self.words..][..self.words];
+        row.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let b = (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits.wrapping_sub(1);
+                b
+            })
+        })
+    }
+
+    /// All nodes, ascending.
     pub fn nodes(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.nodes.iter().copied()
     }
 
-    /// All edges.
+    /// All edges, ascending.
     pub fn edges(&self) -> impl Iterator<Item = (ProcessId, ProcessId)> + '_ {
-        self.edges.iter().copied()
+        (0..self.nodes.len()).flat_map(move |a| {
+            self.successors(a)
+                .map(move |b| (self.nodes[a], self.nodes[b]))
+        })
     }
 
     /// Whether the edge exists.
     pub fn has_edge(&self, from: ProcessId, to: ProcessId) -> bool {
-        self.edges.contains(&(from, to))
+        match (self.index(from), self.index(to)) {
+            (Some(a), Some(b)) => self.succ[a * self.words + b / 64] >> (b % 64) & 1 == 1,
+            _ => false,
+        }
     }
 
-    /// Topological order over the nodes, or `None` if cyclic.
+    /// Topological order over the nodes (first in, first out, from the
+    /// sources in ascending order), or `None` if cyclic.
     pub fn topological_order(&self) -> Option<Vec<ProcessId>> {
-        let mut indeg: BTreeMap<ProcessId, usize> = self.nodes.iter().map(|&n| (n, 0)).collect();
-        let mut succ: BTreeMap<ProcessId, Vec<ProcessId>> = BTreeMap::new();
-        for &(a, b) in &self.edges {
-            *indeg.get_mut(&b).expect("edge endpoint registered") += 1;
-            succ.entry(a).or_default().push(b);
+        let n = self.nodes.len();
+        let mut indeg = vec![0usize; n];
+        for a in 0..n {
+            for b in self.successors(a) {
+                indeg[b] += 1;
+            }
         }
-        let mut queue: VecDeque<ProcessId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut out = Vec::with_capacity(self.nodes.len());
-        while let Some(n) = queue.pop_front() {
-            out.push(n);
-            for &m in succ.get(&n).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let d = indeg.get_mut(&m).expect("registered");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(m);
+        let mut order: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+        let mut head = 0;
+        while let Some(&a) = order.get(head) {
+            head += 1;
+            for b in self.successors(a) {
+                indeg[b] -= 1;
+                if indeg[b] == 0 {
+                    order.push(b);
                 }
             }
         }
-        (out.len() == self.nodes.len()).then_some(out)
+        (order.len() == n).then(|| order.into_iter().map(|v| self.nodes[v]).collect())
     }
 
     /// Whether the graph is acyclic.
@@ -88,19 +129,21 @@ impl ProcessGraph {
 }
 
 /// Builds the conflict graph of a *linear* operation history: conflicting
-/// cross-process operations are ordered by position.
+/// cross-process operations are ordered by position. No pair is probed: each
+/// operation walks its service's conflict row and meets only the operations
+/// already run on a service in it.
 pub fn process_graph_linear(spec: &Spec, ops: &[Op]) -> ProcessGraph {
-    let oracle = spec.oracle();
-    let mut g = ProcessGraph::new();
+    let mut g = ProcessGraph::over(ops.iter().map(|o| o.gid.process));
+    // Per (base) service, the processes of the operations run on it so far.
+    let mut ran: Vec<Vec<usize>> = vec![Vec::new(); spec.catalog.len()];
     for op in ops {
-        g.add_node(op.gid.process);
-    }
-    for (i, x) in ops.iter().enumerate() {
-        for y in &ops[i + 1..] {
-            if x.gid.process != y.gid.process && oracle.conflict(x.service, y.service) {
-                g.add_edge(x.gid.process, y.gid.process);
+        let b = g.nodes.partition_point(|&p| p < op.gid.process);
+        for s in spec.conflicts.row(&spec.catalog, op.service) {
+            for &a in &ran[s.index()] {
+                g.set(a, b);
             }
         }
+        ran[op.service.index()].push(b);
     }
     g
 }
@@ -114,12 +157,8 @@ pub fn process_graph_ordered(
     live: &[bool],
 ) -> ProcessGraph {
     let oracle = spec.oracle();
-    let mut g = ProcessGraph::new();
-    for (i, op) in ops.iter().enumerate() {
-        if live[i] {
-            g.add_node(op.gid.process);
-        }
-    }
+    let live_ops = ops.iter().enumerate().filter(|&(i, _)| live[i]);
+    let mut g = ProcessGraph::over(live_ops.map(|(_, op)| op.gid.process));
     for (i, x) in ops.iter().enumerate() {
         if !live[i] {
             continue;
@@ -185,8 +224,7 @@ pub fn serialization_order(
     spec: &Spec,
     schedule: &Schedule,
 ) -> Result<Option<Vec<ProcessId>>, ScheduleError> {
-    let ops = schedule.ops(spec)?;
-    Ok(process_graph_linear(spec, &ops).topological_order())
+    Ok(process_graph_linear(spec, &schedule.ops(spec)?).topological_order())
 }
 
 #[cfg(test)]
@@ -275,6 +313,28 @@ mod tests {
         g.add_edge(ProcessId(1), ProcessId(1));
         assert!(g.is_acyclic());
         assert_eq!(g.edges().count(), 0);
+    }
+
+    #[test]
+    fn nodes_registered_late_keep_the_edges() {
+        // A 130-node chain added tail first: every edge brings a node that
+        // sorts before all others, across a word boundary of the rows.
+        let mut g = ProcessGraph::new();
+        for k in (0..129u32).rev() {
+            g.add_edge(ProcessId(k), ProcessId(k + 1));
+        }
+        assert_eq!(g.edges().count(), 129);
+        assert!(g.has_edge(ProcessId(63), ProcessId(64)));
+        assert!(!g.has_edge(ProcessId(64), ProcessId(63)));
+        assert_eq!(
+            g.topological_order(),
+            Some((0..130).map(ProcessId).collect())
+        );
+        assert_eq!(g, {
+            let mut h = ProcessGraph::over((0..130).map(ProcessId));
+            (0..129).for_each(|k| h.add_edge(ProcessId(k), ProcessId(k + 1)));
+            h
+        });
     }
 
     #[test]

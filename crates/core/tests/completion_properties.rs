@@ -5,11 +5,27 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use txproc_core::completion::complete;
+use txproc_core::completion::{complete, completion_tail};
 use txproc_core::fixtures::{paper_world, PaperWorld};
 use txproc_core::ids::{GlobalActivityId, ProcessId};
-use txproc_core::schedule::{Event, OpKind, Schedule};
+use txproc_core::schedule::{Event, Op, OpKind, Schedule};
+use txproc_core::serializability::{process_graph_linear, ProcessGraph};
+use txproc_core::spec::Spec;
 use txproc_core::state::{FailureOutcome, ProcessState};
+
+/// The process graph by definition — every cross-process pair probed — that
+/// `process_graph_linear` must build through conflict rows.
+fn process_graph_all_pairs(spec: &Spec, ops: &[Op]) -> ProcessGraph {
+    let mut g = ProcessGraph::over(ops.iter().map(|o| o.gid.process));
+    for (i, x) in ops.iter().enumerate() {
+        for y in &ops[i + 1..] {
+            if x.gid.process != y.gid.process && spec.oracle().conflict(x.service, y.service) {
+                g.add_edge(x.gid.process, y.gid.process);
+            }
+        }
+    }
+    g
+}
 
 /// Random legal history over the paper world (same construction as the
 /// root-level property suite, duplicated here because integration tests of
@@ -143,6 +159,31 @@ proptest! {
         let s = random_history(&fx, seed, 40).prefix(cut);
         let completed = complete(&fx.spec, &s).unwrap();
         prop_assert!(completed.order.is_acyclic());
+    }
+
+    /// `completion_tail` yields exactly the reference's completion
+    /// operations, in an order no pair of which runs against `≪̃`; and the
+    /// row-built process graph is the all-pairs one.
+    #[test]
+    fn tail_linearises_the_reference_order(seed in 0u64..4000, cut in 0usize..30) {
+        let fx = paper_world();
+        let s = random_history(&fx, seed, 40).prefix(cut);
+        let completed = complete(&fx.spec, &s).unwrap();
+        let replay = s.replay(&fx.spec).unwrap();
+        prop_assert_eq!(
+            process_graph_linear(&fx.spec, &replay.ops),
+            process_graph_all_pairs(&fx.spec, &replay.ops)
+        );
+        let tail = completion_tail(&fx.spec, replay.ops, &replay.states, s.len()).unwrap();
+        let mut sorted = tail.clone();
+        sorted.sort_by_key(|o| o.index);
+        prop_assert_eq!(&sorted[..], completed.completion_ops());
+        let reach = completed.order.reachability();
+        for (i, x) in tail.iter().enumerate() {
+            for y in &tail[i + 1..] {
+                prop_assert!(!reach.lt(y.index, x.index), "{} before {} against ≪̃", x, y);
+            }
+        }
     }
 
     /// Committed processes contribute nothing to the completion.

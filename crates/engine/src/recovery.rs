@@ -13,22 +13,32 @@
 //! 3. treat all still-active processes as aborted via a **group abort**
 //!    appended to the history,
 //! 4. execute each aborted process's completion — compensations in reverse
-//!    order, then the retriable forward recovery path — with processes
-//!    ordered reverse to the serialization order of the history, so the
+//!    order, then the retriable forward recovery path — interleaved in one
+//!    linearisation of `≪̃` over the completion activities, so the
 //!    Lemma 2/3 orderings hold.
 //!
+//! It is one pass: the history is replayed once, and its states and
+//! operations serve the victim order (reverse serialization order, from a
+//! process graph built through conflict rows), the group abort (applied to
+//! the states in place) and the completion tail
+//! ([`txproc_core::completion::completion_tail`]). It fails closed: every
+//! lookup keyed by what the image holds answers with a [`RecoveryError`];
+//! this file has no `expect`/`unwrap`/`panic!` site.
+//!
 //! The resulting extended history is exactly a completed process schedule;
-//! the crash-recovery experiment (E16) verifies it reduces (RED).
+//! the crash-recovery experiment (E16) verifies it reduces (RED), and the
+//! crash sweeps check the tail against the reference `≪̃` of
+//! [`txproc_core::completion::complete`].
 
 use std::collections::BTreeMap;
-use txproc_core::completion::complete;
-use txproc_core::ids::{GlobalActivityId, ProcessId};
-use txproc_core::schedule::{Event, OpKind, Schedule};
+use txproc_core::completion::completion_tail;
+use txproc_core::error::{ModelError, ScheduleError};
+use txproc_core::ids::{GlobalActivityId, ProcessId, ServiceId};
+use txproc_core::schedule::{Event, OpKind, Replay, Schedule};
 use txproc_core::serializability::process_graph_linear;
-use txproc_core::spec::Spec;
 use txproc_core::trace::{AbortReason, NoopSink, TraceEvent, TraceRecord, TraceSink};
 use txproc_sim::workload::Workload;
-use txproc_subsystem::agent::{Agent, CommitMode, InvokeOutcome};
+use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 use txproc_subsystem::error::SubsystemError;
 use txproc_subsystem::subsystem::SubsystemId;
 use txproc_subsystem::tpc::{Coordinator, Decision};
@@ -114,6 +124,8 @@ pub enum RecoverySource {
 }
 
 /// What can go wrong between a durable log and a recovered history.
+/// Recovery fails closed: a lookup keyed by image contents that finds
+/// nothing answers with one of these.
 #[derive(Debug)]
 pub enum RecoveryError {
     /// The WAL file could not be read.
@@ -122,6 +134,22 @@ pub enum RecoveryError {
     Rebuild(crate::durability::RebuildError),
     /// A subsystem rejected a recovery action.
     Subsystem(SubsystemError),
+    /// The durable history is not a legal schedule of the workload, or its
+    /// completion cannot be applied to it.
+    History(ScheduleError),
+    /// The image names a subsystem it holds no agent for.
+    UnknownSubsystem(SubsystemId),
+    /// An activity to compensate has no committed invocation in the log.
+    NotLogged(GlobalActivityId),
+    /// A forward-recovery activity's service is deployed nowhere.
+    NotDeployed(ServiceId),
+    /// A completion activity did not commit at its subsystem.
+    Refused {
+        /// The activity executed or compensated.
+        gid: GlobalActivityId,
+        /// What the agent answered.
+        outcome: InvokeOutcome,
+    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -130,11 +158,36 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::Io(e) => write!(f, "reading WAL: {e}"),
             RecoveryError::Rebuild(e) => write!(f, "rebuilding crash image: {e}"),
             RecoveryError::Subsystem(e) => write!(f, "recovering: {e}"),
+            RecoveryError::History(e) => write!(f, "durable history: {e}"),
+            RecoveryError::UnknownSubsystem(s) => write!(f, "no agent for subsystem {}", s.0),
+            RecoveryError::NotLogged(g) => write!(f, "no committed invocation logged for {g}"),
+            RecoveryError::NotDeployed(s) => write!(f, "service {s} is not deployed"),
+            RecoveryError::Refused { gid, outcome } => {
+                write!(f, "completion activity {gid} did not commit: {outcome:?}")
+            }
         }
     }
 }
 
 impl std::error::Error for RecoveryError {}
+
+impl From<SubsystemError> for RecoveryError {
+    fn from(e: SubsystemError) -> Self {
+        RecoveryError::Subsystem(e)
+    }
+}
+
+impl From<ScheduleError> for RecoveryError {
+    fn from(e: ScheduleError) -> Self {
+        RecoveryError::History(e)
+    }
+}
+
+impl From<ModelError> for RecoveryError {
+    fn from(e: ModelError) -> Self {
+        RecoveryError::History(e.into())
+    }
+}
 
 /// The unified recovery entry point: image-based and WAL-based recovery
 /// share this one call site and one traced path.
@@ -187,83 +240,99 @@ impl<'s> Recovery<'s> {
                     .map_err(RecoveryError::Rebuild)?
             }
         };
-        recover_impl(workload, image, self.sink).map_err(RecoveryError::Subsystem)
+        recover_impl(workload, image, self.sink)
     }
 }
 
 /// Runs crash recovery over a crash image. Shorthand for
-/// `Recovery::from(RecoverySource::Image(image)).run(workload)` with the
-/// original `SubsystemError` error type.
-pub fn recover(workload: &Workload, image: CrashImage) -> Result<RecoveryReport, SubsystemError> {
+/// `Recovery::from(RecoverySource::Image(image)).run(workload)`.
+pub fn recover(workload: &Workload, image: CrashImage) -> Result<RecoveryReport, RecoveryError> {
     recover_impl(workload, image, Box::new(NoopSink))
 }
 
-/// The one recovery implementation behind [`recover`] and [`Recovery`].
+/// The one recovery implementation behind [`recover`] and [`Recovery`]: one
+/// replay of the history, whose states and operations every later step
+/// works on.
 pub(crate) fn recover_impl<'s>(
     workload: &Workload,
     mut image: CrashImage,
     sink: Box<dyn TraceSink + 's>,
-) -> Result<RecoveryReport, SubsystemError> {
+) -> Result<RecoveryReport, RecoveryError> {
     let mut tracer = Tracer { sink, seq: 0 };
     let spec = &workload.spec;
 
     // 1. Finish in-doubt 2PC groups from the decision log.
-    let resolved = image.coordinator.resolve_in_doubt(&mut image.agents)?;
-    let resolved_groups = resolved.len();
+    let resolved_groups = image.coordinator.resolve_in_doubt(&mut image.agents)?.len();
     // Committed releases missing their history event become visible. This
     // covers groups just resolved above *and* already-completed groups a
     // WAL truncation caught between phase 2 and the `Execute` append — an
     // applied decision whose history event never reached the log.
-    let executed_gids: Vec<GlobalActivityId> = history_executed(&image.history);
+    let mut executed: Vec<GlobalActivityId> = image
+        .history
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::Execute(g) => Some(*g),
+            _ => None,
+        })
+        .collect();
     for record in image.coordinator.log() {
         if record.decision != Decision::Commit {
             continue;
         }
         for p in &record.participants {
-            if let Some(entry) = image
+            let logged = image
                 .invocation_log
                 .iter()
-                .find(|e| e.subsystem == p.subsystem && e.invocation == p.invocation)
-            {
-                if !executed_gids.contains(&entry.gid) {
+                .find(|e| e.subsystem == p.subsystem && e.invocation == p.invocation);
+            if let Some(entry) = logged {
+                if !executed.contains(&entry.gid) {
+                    executed.push(entry.gid);
                     image.history.execute(entry.gid);
                 }
             }
         }
     }
 
-    // 2. Abort prepared invocations that were never decided.
-    let executed_gids: Vec<GlobalActivityId> = history_executed(&image.history);
+    // 2. Abort prepared invocations that were never decided; every other
+    //    logged invocation committed and is what a compensation undoes (an
+    //    activity's last one, when it ran more than once).
     let mut aborted_prepared = 0;
+    let mut committed: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)> = BTreeMap::new();
     for entry in &image.invocation_log {
-        if entry.prepared && !executed_gids.contains(&entry.gid) {
+        if entry.prepared && !executed.contains(&entry.gid) {
             let agent = image
                 .agents
                 .get_mut(&entry.subsystem)
-                .expect("agent exists");
+                .ok_or(RecoveryError::UnknownSubsystem(entry.subsystem))?;
             // The invocation may already be resolved; ignore stale entries.
             if agent.abort_prepared(entry.invocation).is_ok() {
                 aborted_prepared += 1;
             }
+        } else {
+            committed.insert(entry.gid, (entry.subsystem, entry.invocation));
         }
     }
 
     // 3. Replay the history to rebuild process states; group-abort actives.
-    let replay = image
-        .history
-        .replay(spec)
-        .expect("durable history is a legal schedule");
-    let mut actives: Vec<ProcessId> = replay
-        .states
+    let Replay {
+        mut states, ops, ..
+    } = image.history.replay(spec)?;
+    let mut actives: Vec<ProcessId> = states
         .iter()
         .filter(|(_, st)| st.is_active())
         .map(|(&p, _)| p)
         .collect();
-    // Reverse serialization order (dependents complete first — Lemma 2).
-    let ranks = serialization_ranks(spec, &image.history);
-    actives.sort_by_key(|p| std::cmp::Reverse((ranks.get(p).copied().unwrap_or(0), p.0)));
+    if actives.len() > 1 {
+        // Reverse serialization order (dependents complete first — Lemma 2).
+        let ranks: BTreeMap<ProcessId, usize> = process_graph_linear(spec, &ops)
+            .topological_order()
+            .map(|order| order.into_iter().enumerate().map(|(r, p)| (p, r)).collect())
+            .unwrap_or_default();
+        actives.sort_by_key(|p| std::cmp::Reverse((ranks.get(p).copied().unwrap_or(0), p.0)));
+    }
 
-    let mut history = image.history.clone();
+    let history = &mut image.history;
     if !actives.is_empty() {
         if tracer.enabled() {
             tracer.emit(
@@ -276,16 +345,17 @@ pub(crate) fn recover_impl<'s>(
             );
         }
         history.group_abort(actives.clone());
-        if tracer.enabled() {
-            for &pid in &actives {
-                tracer.emit(
-                    history.len(),
-                    TraceEvent::AbortStarted {
-                        pid,
-                        reason: AbortReason::External,
-                    },
-                );
+        for &pid in &actives {
+            if let Some(state) = states.get_mut(&pid) {
+                state.apply_process_abort()?;
             }
+            tracer.emit(
+                history.len(),
+                TraceEvent::AbortStarted {
+                    pid,
+                    reason: AbortReason::External,
+                },
+            );
         }
     }
 
@@ -293,86 +363,64 @@ pub(crate) fn recover_impl<'s>(
     //    Running each process's completion serially is NOT sound: a forward
     //    recovery activity of one process may then land between another
     //    process's base activity and its compensation, violating Lemma 3 and
-    //    leaving the recovered history irreducible. The completion
-    //    construction of Definition 8 already carries the correct partial
-    //    order `≪̃`, so recovery executes one of its linearisations.
-    let completed = complete(spec, &history).expect("group-aborted history has a completion");
-    let mut states = history
-        .replay(spec)
-        .expect("group-aborted history is a legal schedule")
-        .states;
+    //    leaving the recovered history irreducible. Definition 8.3 orders the
+    //    completion activities among themselves and after everything else,
+    //    so recovery executes one linearisation of that order.
     let mut compensations = 0;
     let mut forward = 0;
-    let invocation_of: BTreeMap<
-        GlobalActivityId,
-        (SubsystemId, txproc_subsystem::agent::InvocationId),
-    > = image
-        .invocation_log
-        .iter()
-        .filter(|e| !e.prepared || executed_gids.contains(&e.gid))
-        .map(|e| (e.gid, (e.subsystem, e.invocation)))
-        .collect();
-    let topo = completed
-        .order
-        .topological_order()
-        .expect("≪̃ construction is acyclic");
-    for idx in topo {
-        if idx < completed.original_len {
-            continue;
-        }
-        let op = &completed.ops[idx];
+    for op in completion_tail(spec, ops, &states, history.len())? {
         let gid = op.gid;
         let (pid, a) = (gid.process, gid.activity);
-        let state = states.get_mut(&pid).expect("completing state");
+        let service = spec.process(pid)?.service(a);
+        let state = states
+            .get_mut(&pid)
+            .ok_or(ModelError::UnknownProcess(pid))?;
         match op.kind {
             OpKind::Compensation => {
-                let &(sid, invocation) = invocation_of
-                    .get(&gid)
-                    .expect("compensatable activity was logged");
-                let agent = image.agents.get_mut(&sid).expect("agent");
+                let &(sid, invocation) =
+                    committed.get(&gid).ok_or(RecoveryError::NotLogged(gid))?;
+                let agent = image
+                    .agents
+                    .get_mut(&sid)
+                    .ok_or(RecoveryError::UnknownSubsystem(sid))?;
                 match agent.compensate(invocation)? {
-                    InvokeOutcome::Committed { .. } => {
-                        if tracer.enabled() {
-                            let service = spec.process(pid).expect("known").service(a);
-                            tracer.emit(
-                                history.len(),
-                                TraceEvent::CompensationStarted { gid, service },
-                            );
-                        }
-                        history.compensate(gid);
-                        state.apply_compensation(a).expect("queued compensation");
-                        compensations += 1;
-                    }
-                    other => panic!("compensation must succeed during recovery: {other:?}"),
+                    InvokeOutcome::Committed { .. } => {}
+                    outcome => return Err(RecoveryError::Refused { gid, outcome }),
                 }
+                tracer.emit(
+                    history.len(),
+                    TraceEvent::CompensationStarted { gid, service },
+                );
+                history.compensate(gid);
+                state.apply_compensation(a)?;
+                compensations += 1;
             }
             OpKind::Forward => {
-                let process = spec.process(pid).expect("known process");
-                let svc = process.service(a);
-                let site = workload.deployment.site(svc).expect("deployed");
-                let sid = site.subsystem;
-                let program = site.program.clone();
-                let agent = image.agents.get_mut(&sid).expect("agent");
-                match agent.invoke(svc, &program, CommitMode::Immediate, false)? {
-                    InvokeOutcome::Committed { .. } => {
-                        history.execute(gid);
-                        if tracer.enabled() {
-                            tracer.emit(
-                                history.len(),
-                                TraceEvent::RequestAdmitted {
-                                    gid,
-                                    service: svc,
-                                    deferred: false,
-                                    blockers: Vec::new(),
-                                    edges_added: Vec::new(),
-                                },
-                            );
-                        }
-                        state.apply_commit(a).expect("forward path");
-                        forward += 1;
-                    }
-                    other => panic!("forward recovery must succeed: {other:?}"),
+                let site = workload
+                    .deployment
+                    .site(service)
+                    .ok_or(RecoveryError::NotDeployed(service))?;
+                let agent = image
+                    .agents
+                    .get_mut(&site.subsystem)
+                    .ok_or(RecoveryError::UnknownSubsystem(site.subsystem))?;
+                match agent.invoke(service, &site.program, CommitMode::Immediate, false)? {
+                    InvokeOutcome::Committed { .. } => {}
+                    outcome => return Err(RecoveryError::Refused { gid, outcome }),
                 }
+                history.execute(gid);
+                tracer.emit(
+                    history.len(),
+                    TraceEvent::RequestAdmitted {
+                        gid,
+                        service,
+                        deferred: false,
+                        blockers: Vec::new(),
+                        edges_added: Vec::new(),
+                    },
+                );
+                state.apply_commit(a)?;
+                forward += 1;
             }
         }
     }
@@ -381,19 +429,12 @@ pub(crate) fn recover_impl<'s>(
             states.get(&pid).is_some_and(|s| !s.is_active()),
             "completion terminates process {pid:?}"
         );
-        if tracer.enabled() {
-            tracer.emit(history.len(), TraceEvent::ProcessAborted { pid });
-        }
+        tracer.emit(history.len(), TraceEvent::ProcessAborted { pid });
     }
 
     Ok(RecoveryReport {
-        image: CrashImage {
-            history: history.clone(),
-            agents: image.agents,
-            coordinator: image.coordinator,
-            invocation_log: image.invocation_log,
-        },
-        history,
+        history: image.history.clone(),
+        image,
         aborted: actives,
         compensations,
         forward,
@@ -402,32 +443,25 @@ pub(crate) fn recover_impl<'s>(
     })
 }
 
-fn history_executed(history: &Schedule) -> Vec<GlobalActivityId> {
-    history
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Execute(g) => Some(*g),
-            _ => None,
-        })
-        .collect()
-}
-
-fn serialization_ranks(spec: &Spec, history: &Schedule) -> BTreeMap<ProcessId, usize> {
-    let ops = history.ops(spec).expect("legal history");
-    let g = process_graph_linear(spec, &ops);
-    match g.topological_order() {
-        Some(order) => order.into_iter().enumerate().map(|(r, p)| (p, r)).collect(),
-        None => BTreeMap::new(),
-    }
-}
+#[cfg(test)]
+#[path = "../tests/support/tail_oracle.rs"]
+mod tail_oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Engine, RunConfig};
+    use txproc_core::ids::ActivityId;
     use txproc_core::reduction::is_reducible;
     use txproc_sim::workload::{generate, WorkloadConfig};
+
+    /// [`super::recover`], with the linear-extension oracle on its result.
+    fn recover(w: &Workload, image: CrashImage) -> Result<RecoveryReport, RecoveryError> {
+        let before = image.history.len();
+        let report = super::recover(w, image)?;
+        tail_oracle::assert_tail_linearises(&w.spec, before, &report.history, "recover");
+        Ok(report)
+    }
 
     fn workload(seed: u64) -> Workload {
         generate(&WorkloadConfig {
@@ -562,6 +596,67 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The first mid-run crash image whose recovery satisfies `wanted`.
+    fn crash_image(wanted: impl Fn(&RecoveryReport) -> bool) -> (Workload, CrashImage) {
+        for seed in 0..64u64 {
+            for crash_at in [4usize, 8, 12] {
+                let w = workload(seed);
+                let mut engine = Engine::new(&w, RunConfig::default());
+                engine.run_until_history(crash_at);
+                let image = engine.crash();
+                if wanted(&recover(&w, image.clone()).expect("baseline recovery")) {
+                    return (w, image);
+                }
+            }
+        }
+        panic!("no crash image of the wanted shape");
+    }
+
+    #[test]
+    fn unknown_process_or_activity_in_the_history_is_an_error() {
+        let (w, image) = crash_image(|_| true);
+        let mut foreign = image.clone();
+        foreign
+            .history
+            .execute(GlobalActivityId::new(ProcessId(999), ActivityId(0)));
+        assert!(matches!(
+            recover(&w, foreign),
+            Err(RecoveryError::History(ScheduleError::Model(
+                ModelError::UnknownProcess(ProcessId(999))
+            )))
+        ));
+        let mut foreign = image;
+        foreign
+            .history
+            .execute(GlobalActivityId::new(ProcessId(0), ActivityId(999)));
+        assert!(matches!(
+            recover(&w, foreign),
+            Err(RecoveryError::History(ScheduleError::Model(
+                ModelError::UnknownActivity(_)
+            )))
+        ));
+    }
+
+    #[test]
+    fn compensation_without_a_logged_invocation_is_an_error() {
+        let (w, mut image) = crash_image(|r| r.compensations > 0 && r.aborted_prepared == 0);
+        image.invocation_log.clear();
+        assert!(matches!(
+            recover(&w, image),
+            Err(RecoveryError::NotLogged(_))
+        ));
+    }
+
+    #[test]
+    fn invocation_on_a_missing_subsystem_is_an_error() {
+        let (w, mut image) = crash_image(|r| r.forward > 0 && r.resolved_groups == 0);
+        image.agents.clear();
+        assert!(matches!(
+            recover(&w, image),
+            Err(RecoveryError::UnknownSubsystem(_))
+        ));
     }
 
     #[test]

@@ -5,17 +5,38 @@
 //! boundary plus mid-record torn tails — the salvaged prefix must rebuild
 //! into a crash image whose recovery yields a PRED, Proc-REC history with
 //! every process terminated, no activity executed twice, and an idempotent
-//! second recovery. The sweep runs per-event mode, epoch (group-commit)
-//! mode, and snapshot-accelerated logs; `nightly_full_sweep` (ignored by
-//! default, run by the nightly CI job) widens the seed range.
+//! second recovery, and whose completion tail is a linearisation of the
+//! reference `≪̃` (`support/tail_oracle.rs`). The sweep runs per-event mode,
+//! epoch (group-commit) mode, and snapshot-accelerated logs at 6 processes,
+//! and 16 cuts per log at 32; `nightly_full_sweep` (ignored by default, run
+//! by the nightly CI job) widens the seed range.
+
+#[path = "support/tail_oracle.rs"]
+mod tail_oracle;
 
 use std::collections::BTreeSet;
-use txproc_core::schedule::{render, Event};
+use txproc_core::schedule::{render, Event, Op};
+use txproc_core::serializability::{process_graph_linear, ProcessGraph};
+use txproc_core::spec::Spec;
 use txproc_core::wal::{encode_record, read_records, DurabilityPolicy, MemWal, WalWriter};
 use txproc_engine::durability::rebuild_image;
 use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::recovery::recover;
 use txproc_sim::workload::{generate, Workload, WorkloadConfig};
+
+/// The process graph by definition — every cross-process pair probed — that
+/// `process_graph_linear` must build through conflict rows.
+fn process_graph_all_pairs(spec: &Spec, ops: &[Op]) -> ProcessGraph {
+    let mut g = ProcessGraph::over(ops.iter().map(|o| o.gid.process));
+    for (i, x) in ops.iter().enumerate() {
+        for y in &ops[i + 1..] {
+            if x.gid.process != y.gid.process && spec.oracle().conflict(x.service, y.service) {
+                g.add_edge(x.gid.process, y.gid.process);
+            }
+        }
+    }
+    g
+}
 
 fn workload(seed: u64) -> Workload {
     generate(&WorkloadConfig {
@@ -25,6 +46,27 @@ fn workload(seed: u64) -> Workload {
         failure_probability: 0.1,
         ..WorkloadConfig::default()
     })
+}
+
+/// The benchmark's `durable_recovery` shape.
+fn workload_32(seed: u64) -> Workload {
+    generate(&WorkloadConfig {
+        seed,
+        processes: 32,
+        conflict_density: 0.3,
+        failure_probability: 0.1,
+        ..WorkloadConfig::default()
+    })
+}
+
+/// A finished epoch-16 run's log and `n` evenly spaced record boundaries.
+fn logged_cuts(w: &Workload, n: usize) -> (Vec<u8>, Vec<usize>) {
+    let (engine, mem) = wal_engine(w, 16, 0);
+    assert!(engine.run().stalled.is_empty(), "run stalled");
+    let bytes = mem.contents();
+    let at = boundaries(&bytes);
+    let cuts = (1..=n).map(|k| at[(at.len() - 1) * k / n]).collect();
+    (bytes, cuts)
 }
 
 fn wal_engine(w: &Workload, epoch: usize, snapshot_every: usize) -> (Engine<'_>, MemWal) {
@@ -55,26 +97,35 @@ fn boundaries(bytes: &[u8]) -> Vec<usize> {
     at
 }
 
-/// The full sweep contract at one truncation offset.
-fn check_cut(w: &Workload, bytes: &[u8], cut: usize, label: &str) {
+/// The full sweep contract at one truncation offset: everything but
+/// Proc-REC is asserted; the Proc-REC objections are returned.
+fn check_cut(w: &Workload, bytes: &[u8], cut: usize, label: &str) -> usize {
     let (records, _) = read_records(&bytes[..cut]);
     let image = rebuild_image(w, &records)
         .unwrap_or_else(|e| panic!("{label} cut {cut}: rebuild failed: {e}"));
+    let before = image.history.len();
     let report = recover(w, image).unwrap_or_else(|e| panic!("{label} cut {cut}: recover: {e}"));
+    tail_oracle::assert_tail_linearises(
+        &w.spec,
+        before,
+        &report.history,
+        &format!("{label} cut {cut}"),
+    );
     assert!(
         txproc_core::pred::is_pred(&w.spec, &report.history).unwrap(),
         "{label} cut {cut}: recovered history not PRED:\n{}",
-        render(&report.history)
-    );
-    assert!(
-        txproc_core::recoverability::is_proc_rec(&w.spec, &report.history).unwrap(),
-        "{label} cut {cut}: recovered history not Proc-REC:\n{}",
         render(&report.history)
     );
     let replay = report.history.replay(&w.spec).unwrap();
     assert!(
         replay.active_processes().is_empty(),
         "{label} cut {cut}: processes left active"
+    );
+    // The graph recovery ranks its victims by is the all-pairs one.
+    assert_eq!(
+        process_graph_linear(&w.spec, &replay.ops),
+        process_graph_all_pairs(&w.spec, &replay.ops),
+        "{label} cut {cut}"
     );
     // No effect applied twice: each activity executes/compensates at most
     // once in the recovered history.
@@ -101,6 +152,18 @@ fn check_cut(w: &Workload, bytes: &[u8], cut: usize, label: &str) {
     assert_eq!(second.forward, 0, "{label} cut {cut}");
     assert_eq!(second.resolved_groups, 0, "{label} cut {cut}");
     assert_eq!(second.aborted_prepared, 0, "{label} cut {cut}");
+    txproc_core::recoverability::proc_rec_violations(&w.spec, &report.history)
+        .unwrap()
+        .len()
+}
+
+/// [`check_cut`] plus Proc-REC, which holds on every 6-process history.
+fn check_cut_proc_rec(w: &Workload, bytes: &[u8], cut: usize, label: &str) {
+    assert_eq!(
+        check_cut(w, bytes, cut, label),
+        0,
+        "{label} cut {cut}: recovered history not Proc-REC"
+    );
 }
 
 /// Sweeps every record boundary and one torn mid-record offset per frame.
@@ -112,7 +175,7 @@ fn sweep(seed: u64, epoch: usize, snapshot_every: usize, label: &str) {
     let bytes = mem.contents();
     let at = boundaries(&bytes);
     for (i, &cut) in at.iter().enumerate() {
-        check_cut(&w, &bytes, cut, label);
+        check_cut_proc_rec(&w, &bytes, cut, label);
         // A torn tail mid-way into the following record truncates back to
         // this boundary and must recover identically.
         if let Some(&next) = at.get(i + 1) {
@@ -122,7 +185,7 @@ fn sweep(seed: u64, epoch: usize, snapshot_every: usize, label: &str) {
             assert_eq!(c1, cut, "{label}: torn cut {torn} salvages to {cut}");
             assert_eq!(r1, r2);
             if i % 8 == 0 {
-                check_cut(&w, &bytes, torn, label);
+                check_cut_proc_rec(&w, &bytes, torn, label);
             }
         }
     }
@@ -198,6 +261,46 @@ fn crash_sweep_epoch_mode_with_snapshots() {
     for seed in 0..8u64 {
         sweep(seed, 4, 8, &format!("epoch seed {seed}"));
     }
+}
+
+/// The wider sweep: Proc-REC/PRED on recovered histories used to be asserted
+/// at 6 processes only. The Proc-REC objections at 32 are printed, not
+/// asserted: `PivotOrder` objects to about one recovered history in several
+/// hundred (ROADMAP item 6(i), the benchmark's `recover.proc_rec_objections`).
+#[test]
+fn crash_sweep_32_processes() {
+    let mut objections = 0;
+    for seed in 0..4u64 {
+        let w = workload_32(seed);
+        let (bytes, cuts) = logged_cuts(&w, 16);
+        for cut in cuts {
+            objections += check_cut(&w, &bytes, cut, &format!("32-process seed {seed}"));
+        }
+    }
+    println!("crash_sweep_32_processes: {objections} Proc-REC objections over 64 recoveries");
+}
+
+/// The group abort is not part of what the one-pass recovery may reorder:
+/// the victim list of this history is the one the all-pairs process graph
+/// gave before the rewrite.
+#[test]
+fn group_abort_victims_are_pinned() {
+    let w = workload_32(1);
+    let (bytes, cuts) = logged_cuts(&w, 16);
+    let (records, _) = read_records(&bytes[..cuts[3]]);
+    let report = recover(&w, rebuild_image(&w, &records).expect("rebuild")).expect("recover");
+    let victims: Vec<u32> = report.aborted.iter().map(|p| p.0).collect();
+    assert_eq!(
+        victims,
+        [
+            13, 24, 15, 11, 10, 0, 12, 9, 7, 8, 31, 29, 28, 27, 25, 23, 22, 21, 20, 17, 14, 5, 4,
+            3, 2, 1
+        ]
+    );
+    assert!(report
+        .history
+        .events()
+        .contains(&Event::GroupAbort(report.aborted.clone())));
 }
 
 #[test]

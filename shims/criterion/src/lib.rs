@@ -79,6 +79,42 @@ impl Bencher {
         samples.sort_by(|a, b| a.total_cmp(b));
         self.last_ns = samples[samples.len() / 2];
     }
+
+    /// Times `routine` over inputs built by `setup` outside the timed
+    /// region (for routines that consume their input); outputs are dropped
+    /// outside it too.
+    pub fn iter_batched<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+        _size: BatchSize,
+    ) {
+        let mut batch_ns = |batch: u64| {
+            let inputs: Vec<I> = (0..batch).map(|_| setup()).collect();
+            let t = Instant::now();
+            let outputs: Vec<O> = inputs.into_iter().map(&mut routine).collect();
+            let elapsed = t.elapsed();
+            std::hint::black_box(outputs);
+            elapsed
+        };
+        let mut batch = 1u64;
+        while batch_ns(batch) < Duration::from_millis(1) && batch < 1 << 20 {
+            batch *= 2;
+        }
+        let mut samples: Vec<f64> = (0..self.samples)
+            .map(|_| batch_ns(batch).as_nanos() as f64 / batch as f64)
+            .collect();
+        samples.sort_by(|a, b| a.total_cmp(b));
+        self.last_ns = samples[samples.len() / 2];
+    }
+}
+
+/// How many inputs `iter_batched` may hold at once (accepted for API
+/// compatibility; the batch is sized by time).
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// Inputs are small.
+    SmallInput,
 }
 
 fn run_one(group: Option<&str>, name: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
