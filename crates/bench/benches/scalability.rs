@@ -11,13 +11,22 @@
 //! `DomainPartition::partition` and a fresh `Protocol`'s first admission —
 //! the first read of a service's conflict row, which every shard pays per
 //! service and which must not grow with the catalog.
+//!
+//! `scalability-domains` runs the concurrent driver (`Pred`, epoch 16, 1 and
+//! 2 workers) over 64, 512 and 2 048 clusters of 8 processes. A worker holds
+//! scheduler state only for the domains it is running, so per-domain cost
+//! must stay level along the curve; the 512-cluster run with telemetry on
+//! registers four instruments per shard from the workers and shows a
+//! registry whose registration cost grows with what is already registered.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use txproc_core::domains::DomainPartition;
 use txproc_core::protocol::{DeferPolicy, Protocol};
+use txproc_core::telemetry::Telemetry;
 use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig};
 use txproc_engine::engine::{run, RunConfig};
 use txproc_engine::policy::PolicyKind;
+use txproc_engine::RunBuilder;
 use txproc_sim::workload::{generate, WorkloadConfig};
 
 fn workload(n: usize) -> txproc_sim::workload::Workload {
@@ -28,6 +37,20 @@ fn workload(n: usize) -> txproc_sim::workload::Workload {
         failure_probability: 0.1,
         ..WorkloadConfig::default()
     })
+}
+
+/// `clusters` independent clusters of 8 processes, 12 services each.
+fn clustered(clusters: usize) -> WorkloadConfig {
+    WorkloadConfig {
+        seed: 3,
+        processes: 8 * clusters,
+        clusters,
+        services_per_kind: 4,
+        subsystems: 2,
+        conflict_density: 0.3,
+        failure_probability: 0.1,
+        ..WorkloadConfig::default()
+    }
 }
 
 fn bench(c: &mut Criterion) {
@@ -80,19 +103,37 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
+    let mut g = c.benchmark_group("scalability-domains");
+    g.sample_size(10);
+    for &clusters in &[64usize, 512, 2048] {
+        let w = generate(&clustered(clusters));
+        for workers in [1usize, 2] {
+            let cfg = ConcurrentConfig {
+                workers: Some(workers),
+                epoch: 16,
+                ..ConcurrentConfig::default()
+            };
+            let id = BenchmarkId::new(format!("workers-{workers}"), clusters);
+            g.bench_with_input(id, &w, |b, w| b.iter(|| run_concurrent(w, cfg.clone())));
+            if clusters == 512 {
+                let id = BenchmarkId::new(format!("telemetry-workers-{workers}"), clusters);
+                g.bench_with_input(id, &w, |b, w| {
+                    b.iter(|| {
+                        RunBuilder::new(w)
+                            .concurrent(cfg.clone())
+                            .telemetry(Telemetry::on())
+                            .run()
+                    })
+                });
+            }
+        }
+    }
+    g.finish();
+
     let mut g = c.benchmark_group("scalability-catalog");
     g.sample_size(10);
     for &clusters in &[8usize, 64, 512] {
-        let config = WorkloadConfig {
-            seed: 3,
-            processes: 8 * clusters,
-            clusters,
-            services_per_kind: 4,
-            subsystems: 2,
-            conflict_density: 0.3,
-            failure_probability: 0.1,
-            ..WorkloadConfig::default()
-        };
+        let config = clustered(clusters);
         g.bench_with_input(BenchmarkId::new("generate", clusters), &config, |b, c| {
             b.iter(|| generate(c))
         });

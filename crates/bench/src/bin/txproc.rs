@@ -237,6 +237,7 @@ fn simulate_concurrent(
         println!("steps/repolls:     {}/{}", rt.steps, rt.repolls);
         println!("run-queue peak:    {}", rt.run_queue_peak);
         println!("in-flight peak:    {}", rt.in_flight_peak);
+        println!("built-shard peak:  {}", rt.shards_live_peak);
         println!(
             "sched delay p50/p95: {:?}/{:?} ns",
             rt.delay_percentile_ns(0.5),

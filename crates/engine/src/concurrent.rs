@@ -32,6 +32,21 @@
 //! nothing nondeterministic is left, which makes the single-worker run the
 //! deterministic oracle of the differential tests.
 //!
+//! # Shard lifecycle
+//!
+//! A shard lives as long as its domain has work. The main thread only
+//! partitions and assigns; the owning worker builds a shard's state (policy,
+//! gate, process states, instruments) when it admits the domain's first due
+//! arrival, and retires it — `Shard::finish`, which flushes the last partial
+//! epoch to the journal — in the visit in which its last process terminates
+//! *and* no arrival is pending. Retirement waits for the arrival queue
+//! because a drained domain's history still constrains its later arrivals.
+//! So a worker holds state only for domains with live or due work (peak
+//! built shards: [`RuntimeMetrics::shards_live_peak`]). Step order is that
+//! of a run with every shard built up front, so single-worker histories,
+//! tickets and metrics are unchanged by the lifecycle; only *when* memory is
+//! live, the journal flush point and instrument registration time follow it.
+//!
 //! Lock order (never acquired in reverse):
 //!
 //! | level | lock                | protects                              |
@@ -311,8 +326,10 @@ struct RunCtx<'r, 'a> {
     arrivals: BTreeMap<ProcessId, u64>,
     /// Processes currently in flight (arrived, not yet terminated) and the
     /// peak observed — the open-system concurrency level actually reached.
-    live_now: AtomicU64,
-    live_peak: AtomicU64,
+    live: Level,
+    /// Shards built and not yet finished, and the peak: the scheduler state
+    /// the run held at once.
+    shards_live: Level,
     /// Durable journal of the merged history: every emitted shard event is
     /// appended as a ticket-stamped [`WalRecord::ShardEvent`], so the
     /// ticket-sorted log replays to the exact returned history. The shard
@@ -321,14 +338,21 @@ struct RunCtx<'r, 'a> {
     wal: Option<&'r Mutex<WalWriter>>,
 }
 
-impl RunCtx<'_, '_> {
-    fn process_arrived(&self) {
-        let now = 1 + self.live_now.fetch_add(1, Ordering::Relaxed);
-        self.live_peak.fetch_max(now, Ordering::Relaxed);
+/// A run-wide count of things currently live, and its peak.
+#[derive(Default)]
+struct Level {
+    now: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl Level {
+    fn enter(&self) {
+        let now = 1 + self.now.fetch_add(1, Ordering::Relaxed);
+        self.peak.fetch_max(now, Ordering::Relaxed);
     }
 
-    fn process_terminated(&self) {
-        self.live_now.fetch_sub(1, Ordering::Relaxed);
+    fn leave(&self) {
+        self.now.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -348,15 +372,52 @@ struct Shard<'a> {
 }
 
 impl<'a> Shard<'a> {
-    fn new(id: u32, state: ShardState<'a>, tele: Telemetry) -> Self {
-        let tele_lock_wait = tele.counter("lock_wait_ns_total", &[("shard", id.to_string())]);
+    /// Builds the scheduler state of the domain with these `members`: its
+    /// own policy, certification gate, process states and instruments. The
+    /// one construction site — the owning worker calls it when it admits
+    /// the domain's first due arrival.
+    fn build(id: u32, members: &[ProcessId], ctx: &RunCtx<'_, 'a>) -> Self {
+        let (spec, cfg, tele) = (&ctx.workload.spec, ctx.cfg, &ctx.tele);
+        let mut policy = cfg.policy.build(spec);
+        let mut states = BTreeMap::new();
+        for &pid in members {
+            policy.register(pid);
+            let process = spec.process(pid).expect("partitioned pid is known");
+            let state = ProcessState::new(process, &spec.catalog).expect("tree process");
+            states.insert(pid, state);
+        }
+        let label = [("shard", id.to_string())];
+        ctx.shards_live.enter();
         Self {
             id,
-            state: Mutex::new(state),
+            state: Mutex::new(ShardState {
+                shard_id: id,
+                gate: CertGate::for_policy(cfg.policy, spec, cfg.epoch),
+                policy,
+                states,
+                history: Schedule::new(),
+                event_tickets: Vec::new(),
+                generation: 0,
+                metrics: Metrics::new(),
+                invocations: BTreeMap::new(),
+                released: BTreeMap::new(),
+                pending_release: BTreeMap::new(),
+                ready_releases: Vec::new(),
+                stalled_releases: Vec::new(),
+                block_notes: BTreeMap::new(),
+                cert_fail_notes: Vec::new(),
+                tele: tele.clone(),
+                tele_events: tele.counter("events_total", &label),
+                tele_committed: tele.counter("committed_total", &label),
+                prepared_at: BTreeMap::new(),
+                epoch: cfg.epoch,
+                epoch_pending: 0,
+                trace_buf: Vec::new(),
+            }),
             lock_wait_ns: AtomicU64::new(0),
             lock_hold_ns: AtomicU64::new(0),
-            tele,
-            tele_lock_wait,
+            tele: tele.clone(),
+            tele_lock_wait: tele.counter("lock_wait_ns_total", &label),
         }
     }
 
@@ -376,10 +437,11 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Ends the shard's run on the calling thread: closes the partial epoch
+    /// Retires the shard on its owning worker: closes the partial epoch
     /// (trace records and fill accounting since the last boundary), keeps
     /// what the merge needs and drops the rest — policy, certifier, maps.
     fn finish(self, ctx: &RunCtx<'_, 'a>) -> ShardDone {
+        ctx.shards_live.leave();
         let mut st = self.state.into_inner();
         st.close_epoch(ctx);
         let mut metrics = st.metrics;
@@ -497,20 +559,20 @@ struct ShardState<'a> {
 /// A failure-injected ("simulated") agent invocation to run after the
 /// shard lock is dropped: its outcome is ignored and it leaves no trace in
 /// history or policy, so only the agent's own lock is needed.
-struct SimulatedInvoke {
+struct SimulatedInvoke<'a> {
     svc: ServiceId,
-    site: ServiceSite,
+    site: &'a ServiceSite,
 }
 
 /// Outcome of one worker-loop iteration.
-enum Step {
+enum Step<'a> {
     /// Process reached a terminal state; the worker exits.
     Done,
     /// Blocked on shard state; wait for the generation to move.
     Wait,
     /// Made progress (or must re-poll immediately); optionally runs a
     /// simulated invocation after releasing the shard lock.
-    Yield(Option<SimulatedInvoke>),
+    Yield(Option<SimulatedInvoke<'a>>),
 }
 
 impl<'a> ShardState<'a> {
@@ -806,63 +868,12 @@ pub(crate) fn run_concurrent_impl<'a>(
         ShardMode::Fixed(n) => DomainPartition::partition(&workload.spec).shard_groups(n as usize),
     };
 
-    let shards: Vec<Shard<'_>> = groups
-        .iter()
-        .enumerate()
-        .map(|(i, members)| {
-            let mut policy = cfg.policy.build(&workload.spec);
-            let mut states = BTreeMap::new();
-            for &pid in members {
-                policy.register(pid);
-                states.insert(
-                    pid,
-                    ProcessState::new(
-                        workload
-                            .spec
-                            .process(pid)
-                            .expect("partitioned pid is known"),
-                        &workload.spec.catalog,
-                    )
-                    .expect("tree process"),
-                );
-            }
-            Shard::new(
-                i as u32,
-                ShardState {
-                    shard_id: i as u32,
-                    gate: CertGate::for_policy(cfg.policy, &workload.spec, cfg.epoch),
-                    policy,
-                    states,
-                    history: Schedule::new(),
-                    event_tickets: Vec::new(),
-                    generation: 0,
-                    metrics: Metrics::new(),
-                    invocations: BTreeMap::new(),
-                    released: BTreeMap::new(),
-                    pending_release: BTreeMap::new(),
-                    ready_releases: Vec::new(),
-                    stalled_releases: Vec::new(),
-                    block_notes: BTreeMap::new(),
-                    cert_fail_notes: Vec::new(),
-                    tele: tele.clone(),
-                    tele_events: tele.counter("events_total", &[("shard", i.to_string())]),
-                    tele_committed: tele.counter("committed_total", &[("shard", i.to_string())]),
-                    prepared_at: BTreeMap::new(),
-                    epoch: cfg.epoch,
-                    epoch_pending: 0,
-                    trace_buf: Vec::new(),
-                },
-                tele.clone(),
-            )
-        })
-        .collect();
-
-    let worker_count = cfg.resolved_workers(shards.len());
+    let worker_count = cfg.resolved_workers(groups.len());
     // Static shard→worker ownership: shard i belongs to worker i mod W.
     // Disjoint ownership means the shard locks are uncontended; they feed
     // the lock metrics and stay until ownership replaces them (ROADMAP
     // open item 1b).
-    let worker_of_shard: Vec<u32> = (0..shards.len())
+    let worker_of_shard: Vec<u32> = (0..groups.len())
         .map(|si| (si % worker_count) as u32)
         .collect();
     let enabled = sink.enabled();
@@ -889,20 +900,17 @@ pub(crate) fn run_concurrent_impl<'a>(
         tele: tele.clone(),
         run_start: Instant::now(),
         arrivals,
-        live_now: AtomicU64::new(0),
-        live_peak: AtomicU64::new(0),
+        live: Level::default(),
+        shards_live: Level::default(),
         wal: wal_cell.as_ref(),
     };
 
-    // Build each worker's shard schedulers up front (run queues, waiting
-    // sets, per-process machine bookkeeping). The workers finish the shards
-    // they own (`Shard::finish`) before they return, so a shard's state is
-    // dropped by the thread that ran it.
-    let mut per_worker: Vec<Vec<(ShardSched, Shard<'_>)>> =
-        (0..worker_count).map(|_| Vec::new()).collect();
-    for ((si, shard), members) in shards.into_iter().enumerate().zip(&groups) {
-        per_worker[trace.worker_of_shard[si] as usize]
-            .push((ShardSched::new(si, members, &ctx), shard));
+    // Each worker gets its domains' member lists, nothing built: a shard's
+    // state is built by its owner at first admission and finished by it at
+    // last termination (see `event_worker`).
+    let mut per_worker: Vec<Vec<(u32, &[ProcessId])>> = vec![Vec::new(); worker_count];
+    for (si, members) in groups.iter().enumerate() {
+        per_worker[trace.worker_of_shard[si] as usize].push((si as u32, members));
     }
     let mut runtime_metrics = RuntimeMetrics::new(RUNTIME_LABEL, worker_count as u64);
     let mut done: Vec<ShardDone> = Vec::with_capacity(groups.len());
@@ -922,7 +930,8 @@ pub(crate) fn run_concurrent_impl<'a>(
         }
     });
     runtime_metrics.workers = worker_count as u64;
-    runtime_metrics.in_flight_peak = ctx.live_peak.load(Ordering::Relaxed);
+    runtime_metrics.in_flight_peak = ctx.live.peak.load(Ordering::Relaxed);
+    runtime_metrics.shards_live_peak = ctx.shards_live.peak.load(Ordering::Relaxed);
 
     // Deterministic merge: fold shard metrics into the aggregate in shard
     // order, and interleave the shard segments in ticket order into one
@@ -960,27 +969,47 @@ pub(crate) fn run_concurrent_impl<'a>(
 }
 
 /// Per-process state-machine bookkeeping between [`advance`] calls:
-/// admission attempt counters and the no-progress escalation state.
+/// admission attempt counters and the no-progress escalation state. Created
+/// at the process's admission, dropped at its termination.
+#[derive(Default)]
 struct ProcSM {
     attempts: BTreeMap<ActivityId, u64>,
     no_progress: u32,
     last_fingerprint: Option<(usize, usize)>,
 }
 
-impl ProcSM {
-    fn new() -> Self {
+/// One conflict domain as its owning event worker holds it: the pending
+/// arrivals for the whole run, and the shard — scheduler plus state — only
+/// from the first admission to the retirement.
+struct Domain<'a, 'g> {
+    id: u32,
+    members: &'g [ProcessId],
+    /// Not-yet-arrived processes, ordered by arrival offset (µs).
+    arrivals: VecDeque<(u64, ProcessId)>,
+    built: Option<(ShardSched, Shard<'a>)>,
+}
+
+impl<'g> Domain<'_, 'g> {
+    fn new(id: u32, members: &'g [ProcessId], ctx: &RunCtx<'_, '_>) -> Self {
+        let mut arrivals: Vec<(u64, ProcessId)> = members
+            .iter()
+            .map(|&pid| (ctx.arrivals.get(&pid).copied().unwrap_or(0), pid))
+            .collect();
+        // Deterministic admission order: by arrival offset, ties by pid.
+        arrivals.sort();
         Self {
-            attempts: BTreeMap::new(),
-            no_progress: 0,
-            last_fingerprint: None,
+            id,
+            members,
+            arrivals: arrivals.into(),
+            built: None,
         }
     }
 }
 
 /// One shard's scheduler as seen by its owning event worker: the run queue
-/// of runnable processes, the waiting set of blocked ones, pending
-/// open-system arrivals and the per-process state machines. Owned by
-/// exactly one worker, so no lock guards it.
+/// of runnable processes, the waiting set of blocked ones and the state
+/// machines of the admitted processes. Owned by exactly one worker, so no
+/// lock guards it.
 struct ShardSched {
     /// Runnable processes with their enqueue instant (scheduling delay is
     /// measured from it).
@@ -988,8 +1017,6 @@ struct ShardSched {
     /// Blocked processes; re-queued when the run queue drains after one or
     /// more generation moves.
     waiting: BTreeSet<ProcessId>,
-    /// Not-yet-arrived processes, ordered by arrival offset (µs).
-    arrivals: VecDeque<(u64, ProcessId)>,
     sm: BTreeMap<ProcessId, ProcSM>,
     /// Arrived and not yet terminated.
     live: usize,
@@ -1004,23 +1031,16 @@ struct ShardSched {
 }
 
 impl ShardSched {
-    fn new(index: usize, members: &[ProcessId], ctx: &RunCtx<'_, '_>) -> Self {
-        let mut arrivals: Vec<(u64, ProcessId)> = members
-            .iter()
-            .map(|&pid| (ctx.arrivals.get(&pid).copied().unwrap_or(0), pid))
-            .collect();
-        // Deterministic admission order: by arrival offset, ties by pid.
-        arrivals.sort();
+    fn new(id: u32, ctx: &RunCtx<'_, '_>) -> Self {
         Self {
             run_queue: VecDeque::new(),
             waiting: BTreeSet::new(),
-            arrivals: arrivals.into(),
-            sm: members.iter().map(|&pid| (pid, ProcSM::new())).collect(),
+            sm: BTreeMap::new(),
             live: 0,
             dirty: false,
             depth: ctx
                 .tele
-                .gauge("run_queue_depth", &[("shard", index.to_string())]),
+                .gauge("run_queue_depth", &[("shard", id.to_string())]),
         }
     }
 
@@ -1049,10 +1069,13 @@ impl ShardSched {
 /// Event-worker loop: round-robins over the worker's owned shards, spending
 /// up to [`STEP_BUDGET`] `advance` steps per shard per pass, run-to-block
 /// within each dequeued process. Returns the worker's share of the runtime
-/// metrics.
+/// metrics and what its retired shards hand to the merge.
 ///
 /// Invariants (see DESIGN.md "Event-driven runtime"):
 ///
+/// * the worker holds a built shard only for domains with live or due work
+///   (module docs, "Shard lifecycle"): built at the first admission, retired
+///   at the last termination with no arrival pending;
 /// * every live process is in exactly one of `run_queue` / `waiting` /
 ///   mid-step;
 /// * waiters are re-queued whenever the shard generation has moved and the
@@ -1069,41 +1092,51 @@ impl ShardSched {
 ///   move (which re-queues everyone) can unblock them.
 fn event_worker<'a>(
     ctx: &RunCtx<'_, 'a>,
-    mut owned: Vec<(ShardSched, Shard<'a>)>,
+    owned: Vec<(u32, &[ProcessId])>,
     widx: usize,
 ) -> (RuntimeMetrics, Vec<ShardDone>) {
     let mut rt = RuntimeMetrics::new(RUNTIME_LABEL, 1);
     let worker_steps = ctx
         .tele
         .counter("worker_steps_total", &[("worker", widx.to_string())]);
-    loop {
-        let mut all_done = true;
+    let mut done = Vec::with_capacity(owned.len());
+    let mut owned: Vec<Domain<'a, '_>> = owned
+        .into_iter()
+        .map(|(id, members)| Domain::new(id, members, ctx))
+        .collect();
+    while !owned.is_empty() {
         let mut progressed = false;
         let mut next_arrival: Option<u64> = None;
-        for (sched, shard) in owned.iter_mut() {
+        // One visit per owned domain; a domain that retires leaves the list.
+        owned.retain_mut(|dom| {
             // Admit arrivals that are due (1 workload tick = 1 µs).
-            if !sched.arrivals.is_empty() {
+            if !dom.arrivals.is_empty() {
                 let now_us = ctx.run_start.elapsed().as_micros() as u64;
-                while let Some(&(at, pid)) = sched.arrivals.front() {
+                while let Some(&(at, pid)) = dom.arrivals.front() {
                     if at > now_us {
                         next_arrival = Some(next_arrival.map_or(at, |m| m.min(at)));
                         break;
                     }
+                    let (sched, _) = dom.built.get_or_insert_with(|| {
+                        let shard = Shard::build(dom.id, dom.members, ctx);
+                        (ShardSched::new(dom.id, ctx), shard)
+                    });
                     if sched.live >= ADMIT_CAP {
                         // Due but deferred: admission control. The process
                         // is admitted as soon as a live slot frees up.
                         break;
                     }
-                    sched.arrivals.pop_front();
+                    dom.arrivals.pop_front();
                     sched.live += 1;
-                    ctx.process_arrived();
+                    sched.sm.insert(pid, ProcSM::default());
+                    ctx.live.enter();
                     sched.run_queue.push_back((pid, Instant::now()));
                     progressed = true;
                 }
             }
-            if sched.live > 0 || !sched.arrivals.is_empty() {
-                all_done = false;
-            }
+            let Some((sched, shard)) = &mut dom.built else {
+                return true;
+            };
             let mut budget = STEP_BUDGET;
             while budget > 0 {
                 let Some((pid, enqueued)) = sched.run_queue.pop_front() else {
@@ -1166,7 +1199,7 @@ fn event_worker<'a>(
                         Step::Done => {
                             sched.live -= 1;
                             sched.sm.remove(&pid);
-                            ctx.process_terminated();
+                            ctx.live.leave();
                             progressed = true;
                             break;
                         }
@@ -1204,11 +1237,13 @@ fn event_worker<'a>(
             if !sched.run_queue.is_empty() {
                 progressed = true;
             }
-        }
-        if all_done {
-            let done = owned.into_iter().map(|(_, s)| s.finish(ctx)).collect();
-            return (rt, done);
-        }
+            if sched.live > 0 || !dom.arrivals.is_empty() {
+                return true;
+            }
+            let (_, shard) = dom.built.take().expect("visited shard is built");
+            done.push(shard.finish(ctx));
+            false
+        });
         if !progressed {
             if let Some(at) = next_arrival {
                 // Everything runnable is drained and the next event on any
@@ -1223,6 +1258,7 @@ fn event_worker<'a>(
             }
         }
     }
+    (rt, done)
 }
 
 /// One scheduling iteration for `pid` under the shard lock.
@@ -1233,7 +1269,7 @@ fn advance<'a>(
     attempts: &mut BTreeMap<ActivityId, u64>,
     no_progress: &mut u32,
     last_fingerprint: &mut Option<(usize, usize)>,
-) -> Step {
+) -> Step<'a> {
     g.drain_ready_releases(ctx);
     let fingerprint = (g.history.len(), g.states[&pid].steps().len());
     if *last_fingerprint == Some(fingerprint) {
@@ -1390,11 +1426,11 @@ fn step_activity<'a>(
     pid: ProcessId,
     a: ActivityId,
     attempts: &mut BTreeMap<ActivityId, u64>,
-) -> Step {
+) -> Step<'a> {
     let gid = GlobalActivityId::new(pid, a);
     let process = ctx.workload.spec.process(pid).expect("known");
     let svc = process.service(a);
-    let site = ctx.workload.deployment.site(svc).expect("deployed").clone();
+    let site = ctx.workload.deployment.site(svc).expect("deployed");
     let termination = ctx.workload.spec.catalog.termination(svc);
     let in_completion = g.states[&pid].abort_in_progress();
     let admission = if in_completion {
@@ -1693,7 +1729,7 @@ fn initiate_abort<'a>(
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use txproc_sim::workload::{generate, WorkloadConfig};
+    use txproc_sim::workload::{generate, ArrivalModel, WorkloadConfig};
 
     #[test]
     fn concurrent_run_terminates_and_is_pred() {
@@ -1927,6 +1963,117 @@ mod tests {
         assert_eq!(rt.in_flight_peak, 8, "closed arrivals: all in flight");
         assert!(rt.sched_delay_ns.iter().sum::<u64>() > 0);
         assert!(rt.delay_percentile_ns(0.95).is_some());
+    }
+
+    fn clustered(clusters: usize, per_cluster: usize, arrivals: ArrivalModel) -> Workload {
+        generate(&WorkloadConfig {
+            seed: 13,
+            processes: clusters * per_cluster,
+            clusters,
+            services_per_kind: 4,
+            subsystems: 2,
+            conflict_density: 0.3,
+            failure_probability: 0.1,
+            arrivals,
+            ..WorkloadConfig::default()
+        })
+    }
+
+    fn shards_live_peak(result: &ConcurrentResult) -> u64 {
+        let rt = result.metrics.runtime.as_ref().expect("runtime metrics");
+        rt.shards_live_peak
+    }
+
+    #[test]
+    fn built_shards_are_bounded_by_workers_not_by_domains() {
+        let w = clustered(64, 8, ArrivalModel::Closed);
+        let domains = DomainPartition::partition(&w.spec).domain_count();
+        assert!(domains >= 64);
+        for workers in [1usize, 2] {
+            let r = run_concurrent(
+                &w,
+                ConcurrentConfig {
+                    seed: 13,
+                    workers: Some(workers),
+                    ..ConcurrentConfig::default()
+                },
+            );
+            assert_eq!(r.metrics.shards.len(), domains, "{workers} workers");
+            assert_eq!(r.metrics.terminated(), 512, "{workers} workers");
+            let peak = shards_live_peak(&r);
+            assert!(
+                (1..=workers as u64).contains(&peak),
+                "{workers} workers held {peak} of {domains} shards at once"
+            );
+        }
+        let single = run_concurrent(
+            &w,
+            ConcurrentConfig {
+                seed: 13,
+                shards: ShardMode::Single,
+                ..ConcurrentConfig::default()
+            },
+        );
+        assert_eq!(shards_live_peak(&single), 1);
+    }
+
+    #[test]
+    fn draining_domain_keeps_its_state_until_its_last_arrival() {
+        // Mean gap far above a process's service time: most domains drain
+        // between two of their arrivals. A shard retired with arrivals
+        // pending would be built twice (two `metrics.shards` entries, a
+        // history the second build does not know); one never retired would
+        // be missing.
+        let w = clustered(4, 6, ArrivalModel::Poisson { mean_gap: 2_000 });
+        let partition = DomainPartition::partition(&w.spec);
+        let r = run_concurrent(
+            &w,
+            ConcurrentConfig {
+                seed: 13,
+                ..ConcurrentConfig::default()
+            },
+        );
+        assert_eq!(r.metrics.terminated(), 24);
+        let mut reported = r.metrics.shards.clone();
+        reported.sort_by_key(|s| s.shard);
+        assert_eq!(reported.len(), partition.domain_count());
+        for (i, (shard, members)) in reported.iter().zip(partition.domains()).enumerate() {
+            assert_eq!(shard.shard, i as u32, "each domain exactly once");
+            assert_eq!(shard.processes, members.len() as u64, "shard {i}");
+        }
+        let events: u64 = reported.iter().map(|s| s.events).sum();
+        assert_eq!(events as usize, r.history.len());
+        assert!(txproc_core::pred::is_pred(&w.spec, &r.history).unwrap());
+        let rt = r.metrics.runtime.as_ref().expect("runtime metrics");
+        assert!(
+            rt.in_flight_peak < 24,
+            "arrivals were spread out, not admitted at once"
+        );
+    }
+
+    #[test]
+    fn shard_is_not_built_before_its_first_arrival_is_due() {
+        // Two one-process domains, each on its own worker; the second
+        // process arrives 200 ms after the first, long after the first
+        // domain has retired. Building at first visit instead of at first
+        // admission would hold both shards at time zero.
+        let arrivals = ArrivalModel::Burst {
+            quiet: 1,
+            quiet_gap: 200_000,
+        };
+        let w = clustered(2, 1, arrivals);
+        assert_eq!(DomainPartition::partition(&w.spec).domain_count(), 2);
+        let r = run_concurrent(
+            &w,
+            ConcurrentConfig {
+                seed: 13,
+                workers: Some(2),
+                ..ConcurrentConfig::default()
+            },
+        );
+        assert_eq!(r.metrics.terminated(), 2);
+        assert_eq!(r.metrics.shards.len(), 2);
+        assert_eq!(shards_live_peak(&r), 1);
     }
 
     #[test]

@@ -191,3 +191,49 @@ fn concurrent_journal_is_consistent_with_history_and_metrics() {
         assert_eq!(r.seq, i as u64);
     }
 }
+
+#[test]
+fn retired_shard_journal_precedes_the_next_shard() {
+    // One worker, closed arrivals, epoch 16: the worker runs each shard to
+    // its last termination within one visit and retires it there, flushing
+    // the shard's last partial epoch. So the journal is one contiguous block
+    // per shard, in visit order — no shard's tail waits for the run's end.
+    let w = generate(&WorkloadConfig {
+        seed: 9,
+        processes: 24,
+        clusters: 4,
+        conflict_density: 0.4,
+        failure_probability: 0.15,
+        ..WorkloadConfig::default()
+    });
+    let journal = Journal::new();
+    let result = RunBuilder::new(&w)
+        .concurrent(ConcurrentConfig {
+            seed: 9,
+            workers: Some(1),
+            epoch: 16,
+            ..ConcurrentConfig::default()
+        })
+        .sink(Box::new(journal.clone()))
+        .run()
+        .into_concurrent();
+    let rt = result.metrics.runtime.as_ref().expect("runtime metrics");
+    assert_eq!(rt.shards_live_peak, 1, "every shard retired in its visit");
+    let shards: Vec<u32> = journal
+        .snapshot()
+        .iter()
+        .map(|r| r.shard.expect("concurrent records carry their shard"))
+        .collect();
+    let mut blocks = shards.clone();
+    blocks.dedup();
+    let expected: Vec<u32> = (0..result.metrics.shards.len() as u32).collect();
+    assert!(expected.len() >= 4, "multi-shard workload");
+    assert_eq!(blocks, expected, "one journal block per shard, in order");
+    // The order is the retirement's doing, not small shards': some shard
+    // flushed a full epoch mid-run and still has its tail in its own block.
+    let longest = expected
+        .iter()
+        .map(|s| shards.iter().filter(|x| *x == s).count())
+        .max();
+    assert!(longest > Some(16), "a shard spans more than one epoch");
+}

@@ -99,6 +99,12 @@ pub struct RuntimeMetrics {
     /// (absent in pre-v6 reports and defaulted on read).
     #[serde(default)]
     pub sched_delay_samples: u64,
+    /// Peak number of shards built and not yet finished across the whole
+    /// run: a shard's scheduler state lives from its domain's first
+    /// admission to its last termination (absent in earlier reports and
+    /// defaulted on read).
+    #[serde(default)]
+    pub shards_live_peak: u64,
 }
 
 impl RuntimeMetrics {
@@ -219,6 +225,7 @@ impl RuntimeMetrics {
         self.repolls += other.repolls;
         self.run_queue_peak = self.run_queue_peak.max(other.run_queue_peak);
         self.in_flight_peak = self.in_flight_peak.max(other.in_flight_peak);
+        self.shards_live_peak = self.shards_live_peak.max(other.shards_live_peak);
         self.worker_busy_ns += other.worker_busy_ns;
         self.worker_idle_ns += other.worker_idle_ns;
         if self.sched_delay_ns.len() < other.sched_delay_ns.len() {
