@@ -122,12 +122,6 @@ impl Args {
 }
 
 fn parse_policy(name: &str) -> Result<PolicyKind, String> {
-    // `pred-scan` is deliberately not in `all()` (it duplicates
-    // pred-protocol decisions); it stays selectable by name as the
-    // pre-index perf baseline.
-    if name == PolicyKind::PredScan.label() {
-        return Ok(PolicyKind::PredScan);
-    }
     PolicyKind::all()
         .into_iter()
         .find(|k| k.label() == name)
@@ -486,12 +480,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             o.pred_violations,
             o.proc_rec_violations,
             o.verify_ms,
-        );
-    }
-    for d in &report.decision {
-        println!(
-            "decision   live_ops={:<6} edges={:<5} indexed {:>9.0} ns/request  scan {:>9.0} ns/request",
-            d.live_ops, d.edges, d.ns_per_request_indexed, d.ns_per_request_scan
         );
     }
     for t in &report.trace_overhead {
@@ -1089,7 +1077,6 @@ mod tests {
     fn policy_parsing() {
         assert_eq!(parse_policy("pred").unwrap(), PolicyKind::Pred);
         assert_eq!(parse_policy("unsafe-cc").unwrap(), PolicyKind::UnsafeCc);
-        assert_eq!(parse_policy("pred-scan").unwrap(), PolicyKind::PredScan);
         assert!(parse_policy("bogus").is_err());
     }
 
@@ -1101,14 +1088,14 @@ mod tests {
             "--processes",
             "5",
             "--policy",
-            "pred-protocol,pred-scan",
+            "pred-protocol,pred",
             "--out",
             out.to_str().unwrap(),
         ]);
         cmd_bench(&a).unwrap();
         let raw = std::fs::read_to_string(&out).unwrap();
-        assert!(raw.contains("txproc-bench-scheduler/v10"));
-        assert!(raw.contains("pred-scan"));
+        assert!(raw.contains("txproc-bench-scheduler/v11"));
+        assert!(raw.contains("pred-protocol"));
         assert!(raw.contains("zipf-hotspot"));
         assert!(raw.contains("open_runs"));
         assert!(raw.contains("\"phases\""));

@@ -10,8 +10,7 @@
 //!   measurement, and self-assesses against the paper's claim,
 //! * [`tables`] — text-table rendering for the `report` binary,
 //! * [`perf`] — the scheduler perf trajectory (`txproc bench`): scalability
-//!   runs plus per-decision protocol cost, written to
-//!   `BENCH_scheduler.json` (E19),
+//!   runs written to `BENCH_scheduler.json` (E19),
 //! * [`regression`] — the perf-regression gate (`txproc regression`): diffs
 //!   a fresh bench report against the committed `BENCH_baseline.json`,
 //!   failing on per-point throughput/latency deviations beyond the gate.

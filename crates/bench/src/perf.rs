@@ -1,19 +1,10 @@
 //! Scheduler perf trajectory: scalability scenarios over the virtual-time
-//! engine and the concurrent driver, plus a protocol decision-cost
-//! microbenchmark, written to `BENCH_scheduler.json` so later PRs can
-//! detect regressions (E19).
-//!
-//! Two complementary measurements:
-//!
-//! * **End-to-end** — wall-clock per full run at 8→256 processes and
-//!   several conflict densities, per policy. `pred-scan` (the retained
-//!   scan-based oracle as a live policy) is the pre-index baseline;
-//!   `pred-protocol` is the same decision logic answered from the
-//!   maintained indexes — the ratio is the tentpole's end-to-end speedup.
-//! * **Per-decision** — nanoseconds per `request` (indexed vs scan) as the
-//!   number of live operations grows, driving the
-//!   [`Protocol`](txproc_core::protocol::Protocol) directly. This isolates
-//!   the O(degree)-vs-O(total ops) claim from engine overhead.
+//! engine and the concurrent driver, written to `BENCH_scheduler.json` so
+//! later PRs can detect regressions (E19): wall-clock per full run at 8→256
+//! processes and several conflict densities, per policy — `pred-protocol`
+//! (the Lemma 1–3 rules alone), `pred` (plus certification) and `serial`.
+//! (The protocol layer alone is the criterion group `protocol`; the scan
+//! formulation E19 first measured it against is test support now.)
 
 use crate::scenarios::{run_gauntlet, GauntletConfig, ScenarioReport};
 use serde::Serialize;
@@ -21,9 +12,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use txproc_core::domains::DomainPartition;
-use txproc_core::ids::{GlobalActivityId, ProcessId};
+use txproc_core::ids::ProcessId;
 use txproc_core::pred_incremental::check_pred_incremental;
-use txproc_core::protocol::{DeferPolicy, Protocol};
 use txproc_core::recoverability::proc_rec_violations;
 use txproc_core::schedule::{Event, Schedule};
 use txproc_core::spec::Spec;
@@ -87,8 +77,8 @@ pub struct SchedulerBenchConfig {
 }
 
 impl SchedulerBenchConfig {
-    /// The full trajectory: 8→256 processes, two densities, indexed vs
-    /// scan vs certified vs serial.
+    /// The full trajectory: 8→256 processes, two densities, protocol-only
+    /// vs certified vs serial.
     pub fn full() -> Self {
         Self {
             smoke: false,
@@ -97,7 +87,6 @@ impl SchedulerBenchConfig {
             densities: vec![0.3, 0.6],
             policies: vec![
                 PolicyKind::PredProtocol,
-                PolicyKind::PredScan,
                 PolicyKind::Pred,
                 PolicyKind::Serial,
             ],
@@ -123,7 +112,7 @@ impl SchedulerBenchConfig {
             smoke: true,
             processes: vec![8, 32],
             densities: vec![0.3],
-            policies: vec![PolicyKind::PredProtocol, PolicyKind::PredScan],
+            policies: vec![PolicyKind::PredProtocol],
             open_processes: vec![1_000],
             open_mean_gap_us: 50,
             sharding_clusters: 4,
@@ -370,19 +359,6 @@ pub struct RecoveryBenchEntry {
     pub recover_ms: f64,
 }
 
-/// One per-decision measurement point.
-#[derive(Debug, Clone, Serialize)]
-pub struct DecisionBenchEntry {
-    /// Live operations recorded in the protocol when probed.
-    pub live_ops: usize,
-    /// Dependency edges present when probed.
-    pub edges: usize,
-    /// Nanoseconds per indexed `request`.
-    pub ns_per_request_indexed: f64,
-    /// Nanoseconds per scan-oracle `request`.
-    pub ns_per_request_scan: f64,
-}
-
 /// The full report written to `BENCH_scheduler.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchReport {
@@ -396,8 +372,6 @@ pub struct BenchReport {
     pub runs: Vec<BenchEntry>,
     /// Open-arrival sweep of the concurrent driver.
     pub open_runs: Vec<OpenRunEntry>,
-    /// Per-decision protocol cost.
-    pub decision: Vec<DecisionBenchEntry>,
     /// Named-scenario gauntlet results: every scenario over
     /// `config.gauntlet_seeds` seeds, engine + sharded concurrent, with
     /// PRED/Proc-REC verdicts and envelope checks.
@@ -418,8 +392,7 @@ pub struct BenchReport {
 }
 
 /// Bench workloads use longer processes than the defaults so protocol
-/// decisions (not fixed engine overhead) dominate; both the indexed and the
-/// scan policy run the exact same workloads.
+/// decisions (not fixed engine overhead) dominate.
 fn bench_workload(seed: u64, processes: usize, density: f64, failures: f64) -> Workload {
     generate(&WorkloadConfig {
         seed,
@@ -870,92 +843,6 @@ pub fn telemetry_overhead_bench(cfg: &SchedulerBenchConfig) -> Vec<TelemetryOver
     out
 }
 
-/// Times `f` adaptively: batches until one batch exceeds ~2ms, then takes
-/// the median of a few batch samples. Returns nanoseconds per call.
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    let mut batch = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        if t.elapsed().as_micros() >= 2_000 || batch >= 1 << 22 {
-            break;
-        }
-        batch *= 2;
-    }
-    let mut samples: Vec<f64> = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..batch {
-                f();
-            }
-            t.elapsed().as_nanos() as f64 / batch as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Per-decision microbenchmark: grow a protocol state by recording live
-/// (uncommitted) operations process by process, probing `request` cost at
-/// checkpoints.
-fn decision_bench(cfg: &SchedulerBenchConfig) -> Vec<DecisionBenchEntry> {
-    let checkpoints: &[usize] = if cfg.smoke {
-        &[64, 256]
-    } else {
-        &[64, 256, 1024, 4096]
-    };
-    let max_ops = *checkpoints.last().expect("non-empty");
-    // Enough processes that recording every activity passes the last
-    // checkpoint (avg ≈ 7 ops per process at these length ranges).
-    let w = bench_workload(cfg.seed, max_ops / 4 + 32, 0.3, 0.0);
-    let mut prot = Protocol::new(&w.spec, DeferPolicy::PrepareAndDefer);
-    let mut out = Vec::new();
-    let mut recorded = 0usize;
-    let mut next_checkpoint = 0usize;
-    let processes: Vec<_> = w.spec.processes().collect();
-    // The probe is a registered process with no operations: its request
-    // cost is pure lookup work, not amortized maintenance.
-    let probe = ProcessId(u32::MAX);
-    prot.register(probe);
-    let probe_svcs: Vec<_> = processes[0]
-        .iter()
-        .map(|(id, _)| processes[0].service(id))
-        .collect();
-    'record: for p in &processes {
-        prot.register(p.id);
-        for (a, _) in p.iter() {
-            prot.record_executed(GlobalActivityId::new(p.id, a), false);
-            recorded += 1;
-            if next_checkpoint < checkpoints.len() && recorded >= checkpoints[next_checkpoint] {
-                let edges = prot.edges().count();
-                let indexed = time_ns(|| {
-                    for &svc in &probe_svcs {
-                        std::hint::black_box(prot.request(probe, svc));
-                    }
-                }) / probe_svcs.len() as f64;
-                let scan = time_ns(|| {
-                    for &svc in &probe_svcs {
-                        std::hint::black_box(prot.scan_request(probe, svc));
-                    }
-                }) / probe_svcs.len() as f64;
-                out.push(DecisionBenchEntry {
-                    live_ops: recorded,
-                    edges,
-                    ns_per_request_indexed: indexed,
-                    ns_per_request_scan: scan,
-                });
-                next_checkpoint += 1;
-                if next_checkpoint == checkpoints.len() {
-                    break 'record;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Streams an already-recorded WAL sequence through a fresh file-backed
 /// writer under `policy`, returning (wall ms, fsyncs issued). Epoch seals
 /// go through [`WalWriter::seal_epoch`] so `FsyncPerEpoch` groups its
@@ -1261,7 +1148,6 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         .iter()
         .map(|&n| open_run_entry(cfg, n))
         .collect();
-    let decision = decision_bench(cfg);
     let trace_overhead = trace_overhead_bench(cfg);
     let phases = phase_breakdown_bench(cfg);
     let telemetry_overhead = telemetry_overhead_bench(cfg);
@@ -1286,6 +1172,10 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         Vec::new()
     };
     BenchReport {
+        // v11 is subtractive: the `pred-scan` policy rows and the
+        // `decision[]` indexed-vs-scan microbenchmark are gone with the
+        // policy (the scan formulation is test support; the criterion group
+        // `protocol` measures the layer alone).
         // v10 is subtractive: the thread-per-process runtime is gone, and
         // with it the `runtime_ratio` pairs, the thread baseline rows, the
         // per-run `wakeups`/`spurious_wakeups` counters, `open_runs[].runtime`
@@ -1304,7 +1194,7 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         // `open_runs` Poisson sweep; v4 added the `scenarios` gauntlet
         // array; v3 added shard_mode/shards/clusters and lock contention
         // over v2.)
-        schema: "txproc-bench-scheduler/v10",
+        schema: "txproc-bench-scheduler/v11",
         created_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -1312,7 +1202,6 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         config: cfg.clone(),
         runs,
         open_runs,
-        decision,
         scenarios,
         trace_overhead,
         phases,
@@ -1339,7 +1228,7 @@ mod tests {
         // single/auto sharding pair; then the epoch sweep (per-event Pred
         // baseline pair — smoke policies don't include Pred — plus the
         // epoch-16 pair); then the four WAL-journaled durability runs (v8).
-        assert_eq!(report.runs.len(), 14);
+        assert_eq!(report.runs.len(), 12);
         assert!(report.runs.iter().all(|e| e.events > 0));
         // v7: the epoch sweep drove both drivers at epoch 16 under Pred,
         // next to per-event baselines at the same point. (The durability
@@ -1395,11 +1284,6 @@ mod tests {
         assert_eq!(pair[0].shards, 1);
         assert!(pair[1].shards > 1, "clustered workload found no domains");
         assert!(report.notes.iter().any(|n| n.starts_with("sharding:")));
-        assert_eq!(report.decision.len(), 2);
-        assert!(report
-            .decision
-            .iter()
-            .all(|d| d.ns_per_request_indexed > 0.0 && d.ns_per_request_scan > 0.0));
         // E20 sinks: untraced baseline plus the three sink variants.
         let sinks: Vec<_> = report.trace_overhead.iter().map(|t| t.sink).collect();
         assert_eq!(sinks, vec!["none", "noop", "ring-4096", "jsonl-devnull"]);
@@ -1491,7 +1375,7 @@ mod tests {
             .iter()
             .any(|n| n.starts_with("recovery (E26):")));
         let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("txproc-bench-scheduler/v10"));
+        assert!(json.contains("txproc-bench-scheduler/v11"));
         assert!(json.contains("throughput_vs_unlogged"));
         assert!(json.contains("wal_only_records_per_sec"));
         assert!(json.contains("snapshot_every"));

@@ -205,6 +205,12 @@ impl DomainPartition {
         &self.members
     }
 
+    /// The member lists themselves, for a caller that keeps nothing else of
+    /// the partition.
+    pub fn into_domains(self) -> Vec<Vec<ProcessId>> {
+        self.members
+    }
+
     /// Whether two processes share a domain.
     pub fn same_domain(&self, a: ProcessId, b: ProcessId) -> bool {
         match (self.domain_of(a), self.domain_of(b)) {

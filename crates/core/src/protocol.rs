@@ -29,32 +29,41 @@
 //!    reported in reverse dependency order so their completions respect
 //!    Lemmas 2 and 3.
 //!
-//! # Indexed hot path
+//! # State: bit rows over dense shard-local indices
 //!
-//! Decisions are answered from maintained indexes instead of rescanning the
-//! full operation log:
+//! A process gets a dense index the first time the protocol sees it
+//! (`register`, or the first call that names it); a base service gets a slot
+//! the first time it holds an operation. Everything a decision reads is a
+//! fixed-width bit row over the process indices, updated in place by the
+//! call that moved it:
 //!
-//! * [`Bucket`]s — an inverted index `base ServiceId → live operations`,
-//!   split into per-process live counts and per-process sets of
-//!   *non-stable* operation indices. Conflict queries touch only the
-//!   service's row of the conflict matrix
-//!   ([`ConflictMatrix::row`](crate::conflict::ConflictMatrix::row)) and the
-//!   processes actually holding live operations there.
-//! * `ops_by_process` / `op_index` — per-process and per-activity operation
-//!   lists, so stabilization and compensation touch only a process's own
-//!   records.
-//! * `succ_adj` / `pred_adj` plus the transitive-closure bitsets `reach` /
-//!   `rreach` over dense process indices — the `edges` relation with O(1)
-//!   reachability, maintained incrementally on edge insertion (the same
-//!   ancestor×descendant union used by `pred_incremental`).
+//! * `succ` / `pred` — the dependency edges, and `reach` / `rreach` their
+//!   transitive closure (strict descendants / ancestors), one row per
+//!   process;
+//! * `live` / `nonstable` — per service slot, the processes holding a live
+//!   (non-compensated) operation of it, and those holding one that is still
+//!   compensatable;
+//! * `terminated`, `aborting`, `deferring` — one row each.
 //!
-//! Every decision method retains the original scan formulation as a
-//! `scan_*` differential oracle; in debug builds each indexed answer is
-//! `debug_assert!`-checked against it bit-for-bit.
+//! A service slot also keeps the slots it conflicts with, so "who holds a
+//! live operation conflicting with `s`" is the OR of a few rows. Nothing is
+//! sized by the catalog or the spec: a protocol over 8 processes and 12
+//! services holds one word per row whatever the workload around it.
+//! [`request`](Protocol::request) keeps the predecessor row it derived, and
+//! the [`record_executed`](Protocol::record_executed) of the same activity
+//! reuses it unless a mutating call came between (a mutation stamp).
+//!
+//! Every returned list is sorted by process id (victims topologically), so
+//! answers do not depend on the order processes registered in. The scan
+//! formulation of every decision lives in test support
+//! (`tests/support/scan_protocol.rs`), not here.
 
 use crate::ids::{GlobalActivityId, ProcessId, ServiceId};
+use crate::process::Process;
+use crate::serializability::ones;
 use crate::spec::Spec;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How the scheduler handles a non-compensatable activity that conflicts
@@ -102,22 +111,6 @@ pub enum ProtStatus {
     Aborted,
 }
 
-/// One executed operation as tracked by the protocol.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ExecRecord {
-    gid: GlobalActivityId,
-    /// Base service (perfect commutativity).
-    service: ServiceId,
-    /// Whether a compensating activity has undone this operation.
-    compensated: bool,
-    /// Whether the operation can never be compensated anymore.
-    stable: bool,
-    /// Whether the subsystem commit is still deferred (prepared).
-    deferred: bool,
-    /// Whether the service is compensatable (base termination).
-    compensatable: bool,
-}
-
 /// Gate decision for a completion activity (§3.5: "the completed process
 /// schedule has always to be considered"). Compensations must run in reverse
 /// order of their conflicting originals (Lemma 2) and before conflicting
@@ -135,448 +128,581 @@ pub enum CompletionGate {
     Cascade(Vec<ProcessId>),
 }
 
-/// Growable bitset over dense process indices (reachability closure rows).
+/// One executed operation as tracked by the protocol.
+#[derive(Debug, Clone)]
+struct ExecRecord {
+    gid: GlobalActivityId,
+    /// Base service (perfect commutativity), and its slot.
+    service: ServiceId,
+    slot: usize,
+    /// Whether a compensating activity has undone this operation.
+    compensated: bool,
+    /// Whether the operation can never be compensated anymore.
+    stable: bool,
+    /// Whether the subsystem commit is still deferred (prepared).
+    deferred: bool,
+}
+
+/// What the protocol keeps per process, at its dense index.
+#[derive(Debug, Clone)]
+struct Proc<'a> {
+    pid: ProcessId,
+    /// Its definition, looked up in the spec by its first recorded activity.
+    process: Option<&'a Process>,
+    status: ProtStatus,
+    /// Indices (into `ops`) of its operation records, in execution order.
+    ops: Vec<usize>,
+    /// Activities executed under deferred commit, not yet released.
+    deferred: Vec<GlobalActivityId>,
+}
+
+/// Word `w` of a bit row; a word the row does not store reads as zero.
+#[inline]
+fn word(row: &[u64], w: usize) -> u64 {
+    row.get(w).copied().unwrap_or(0)
+}
+
+#[inline]
+fn test(row: &[u64], i: usize) -> bool {
+    word(row, i / 64) >> (i % 64) & 1 != 0
+}
+
+/// Bit `i` as seen from word `w` (zero from any other word, or for a
+/// process that has no index yet).
+#[inline]
+fn bit(i: Option<usize>, w: usize) -> u64 {
+    i.filter(|i| i / 64 == w).map_or(0, |i| 1u64 << (i % 64))
+}
+
+/// `acc` |= `bits`, over the words both have.
+#[inline]
+fn or(acc: &mut [u64], bits: &[u64]) {
+    for (a, b) in acc.iter_mut().zip(bits) {
+        *a |= b;
+    }
+}
+
+/// Sets or clears bit `i` of a single growable row.
+fn assign(row: &mut Vec<u64>, i: usize, on: bool) {
+    if on && row.len() <= i / 64 {
+        row.resize(i / 64 + 1, 0);
+    }
+    match row.get_mut(i / 64) {
+        Some(word) if on => *word |= 1u64 << (i % 64),
+        Some(word) => *word &= !(1u64 << (i % 64)),
+        None => {}
+    }
+}
+
+/// Fixed-width bit rows in one allocation: row `i` is words
+/// `i·width .. (i+1)·width`. Rows and width only grow
+/// ([`fit`](Self::fit)); a row or word not stored reads as zeros.
 #[derive(Debug, Clone, Default)]
-struct PidSet {
-    words: Vec<u64>,
+struct BitRows {
+    width: usize,
+    bits: Vec<u64>,
 }
 
-impl PidSet {
-    fn contains(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+impl BitRows {
+    /// Row `i`; empty when not stored.
+    #[inline]
+    fn row(&self, i: usize) -> &[u64] {
+        let stored = self.bits.get(i * self.width..(i + 1) * self.width);
+        stored.unwrap_or(&[])
     }
 
-    fn insert(&mut self, i: usize) {
-        let w = i / 64;
-        if self.words.len() <= w {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1u64 << (i % 64);
+    #[inline]
+    fn word(&self, i: usize, w: usize) -> u64 {
+        word(self.row(i), w)
     }
 
-    fn union_with(&mut self, other: &PidSet) {
-        if self.words.len() < other.words.len() {
-            self.words.resize(other.words.len(), 0);
+    /// Makes room for `rows` rows of `width` words, keeping every set bit.
+    fn fit(&mut self, rows: usize, width: usize) {
+        if width > self.width {
+            let old = std::mem::replace(&mut self.bits, vec![0; rows * width]);
+            let narrow = old.chunks_exact(self.width.max(1));
+            for (from, to) in narrow.zip(self.bits.chunks_exact_mut(width)) {
+                to[..from.len()].copy_from_slice(from);
+            }
+            self.width = width;
         }
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
+        if self.bits.len() < rows * self.width {
+            self.bits.resize(rows * self.width, 0);
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+    /// The stored row `i` (fitted before a bit is set in it).
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.width..(i + 1) * self.width]
+    }
+
+    fn set(&mut self, i: usize, j: usize) {
+        self.row_mut(i)[j / 64] |= 1u64 << (j % 64);
+    }
+
+    /// Clears a bit; one outside the stored rows was never set.
+    fn clear(&mut self, i: usize, j: usize) {
+        if j / 64 < self.width && (i + 1) * self.width <= self.bits.len() {
+            self.row_mut(i)[j / 64] &= !(1u64 << (j % 64));
+        }
+    }
+
+    /// Row `dst` |= row `src`, in place.
+    fn or_row(&mut self, dst: usize, src: usize) {
+        for w in 0..self.width {
+            let bits = self.bits[src * self.width + w];
+            self.bits[dst * self.width + w] |= bits;
+        }
+    }
+
+    /// `acc` |= the union of the rows `slots`.
+    fn or_rows(&self, slots: &[usize], acc: &mut [u64]) {
+        slots.iter().for_each(|&s| or(acc, self.row(s)));
+    }
+
+    /// Word `w` of the union of the rows `slots`.
+    fn union_word(&self, slots: &[usize], w: usize) -> u64 {
+        slots.iter().fold(0, |acc, &s| acc | self.word(s, w))
     }
 }
 
-/// Inverted index entry for one base service: which processes hold live
-/// (non-compensated) operations of it, and which of those operations are
-/// still non-stable (compensatable in principle).
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    /// Live operation count per process (entries are strictly positive).
-    live: BTreeMap<ProcessId, u32>,
-    /// Indices (into `ops`) of live non-stable operations, per process
-    /// (entries are non-empty).
-    nonstable: BTreeMap<ProcessId, BTreeSet<usize>>,
-}
-
-/// The protocol state machine (single-threaded core; the engine wraps it in
-/// a lock).
+/// The protocol state machine (single-threaded core; a shard owns one).
 #[derive(Debug, Clone)]
 pub struct Protocol<'a> {
     spec: &'a Spec,
     policy: DeferPolicy,
     ops: Vec<ExecRecord>,
-    /// Conflict-dependency edges `P_i → P_j`.
-    edges: BTreeSet<(ProcessId, ProcessId)>,
-    status: BTreeMap<ProcessId, ProtStatus>,
-    /// Per process: activities executed under deferred commit.
-    deferred: BTreeMap<ProcessId, Vec<GlobalActivityId>>,
+    // ---- processes, by dense index (order of first appearance) ----
+    /// The one id → dense-index lookup a call makes per process argument.
+    index: BTreeMap<ProcessId, u32>,
+    procs: Vec<Proc<'a>>,
+    /// Processes whose status is not [`ProtStatus::Active`] (ANDed out of
+    /// rows of processes; nothing to set when a process registers).
+    terminated: Vec<u64>,
     /// Processes currently executing their completion (abort in progress).
-    aborting: BTreeSet<ProcessId>,
-    // ---- maintained indexes (derived from the state above) ----
-    /// Per base service: live conflicting operations (inverted index).
-    /// Sparse: only services that ever held a live operation have an entry.
-    buckets: BTreeMap<ServiceId, Bucket>,
-    /// Per process: indices of its operation records, in execution order.
-    ops_by_process: BTreeMap<ProcessId, Vec<usize>>,
-    /// Per activity: indices of its operation records, in execution order
-    /// (retries can record the same activity more than once).
-    op_index: BTreeMap<GlobalActivityId, Vec<usize>>,
-    /// Dense index per process participating in `edges`.
-    dense: BTreeMap<ProcessId, u32>,
-    /// Direct successors / predecessors in the `edges` relation.
-    succ_adj: Vec<BTreeSet<ProcessId>>,
-    pred_adj: Vec<BTreeSet<ProcessId>>,
-    /// Strict descendants / ancestors (transitive closure over `edges`).
-    reach: Vec<PidSet>,
-    rreach: Vec<PidSet>,
+    aborting: Vec<u64>,
+    /// Processes with a non-empty `deferred` list.
+    deferring: Vec<u64>,
+    /// Conflict-dependency edges `P_i → P_j`: bit `j` of `succ` row `i`,
+    /// bit `i` of `pred` row `j`.
+    succ: BitRows,
+    pred: BitRows,
+    /// Strict descendants / ancestors (transitive closure of `succ`).
+    reach: BitRows,
+    rreach: BitRows,
+    // ---- base services holding an operation, by slot ----
+    /// The one id → slot lookup a call makes per service argument.
+    slot_of: BTreeMap<ServiceId, u32>,
+    services: Vec<ServiceId>,
+    /// Per slot: the slots of conflicting services, ascending.
+    conflicts: Vec<Vec<usize>>,
+    /// Per slot: processes holding a live (non-compensated) operation of
+    /// the service, and those holding a live non-stable one.
+    live: BitRows,
+    nonstable: BitRows,
+    // ---- the predecessor row `request` hands to `record_executed` ----
+    /// Bumped by every mutating call.
+    stamp: u64,
+    /// What `preds` was derived for, and at which stamp.
+    scanned: Option<(ProcessId, ServiceId, u64)>,
+    preds: Vec<u64>,
+    pred_scans: u64,
+    /// Reused row of `insert_edges`.
+    scratch: Vec<u64>,
 }
 
 impl<'a> Protocol<'a> {
-    /// Creates an empty protocol state.
+    /// Creates an empty protocol state (allocates nothing).
     pub fn new(spec: &'a Spec, policy: DeferPolicy) -> Self {
         Self {
             spec,
             policy,
             ops: Vec::new(),
-            edges: BTreeSet::new(),
-            status: BTreeMap::new(),
-            deferred: BTreeMap::new(),
-            aborting: BTreeSet::new(),
-            buckets: BTreeMap::new(),
-            ops_by_process: BTreeMap::new(),
-            op_index: BTreeMap::new(),
-            dense: BTreeMap::new(),
-            succ_adj: Vec::new(),
-            pred_adj: Vec::new(),
-            reach: Vec::new(),
-            rreach: Vec::new(),
+            index: BTreeMap::new(),
+            procs: Vec::new(),
+            terminated: Vec::new(),
+            aborting: Vec::new(),
+            deferring: Vec::new(),
+            succ: BitRows::default(),
+            pred: BitRows::default(),
+            reach: BitRows::default(),
+            rreach: BitRows::default(),
+            slot_of: BTreeMap::new(),
+            services: Vec::new(),
+            conflicts: Vec::new(),
+            live: BitRows::default(),
+            nonstable: BitRows::default(),
+            stamp: 0,
+            scanned: None,
+            preds: Vec::new(),
+            pred_scans: 0,
+            scratch: Vec::new(),
         }
     }
 
     /// Registers a newly admitted process.
     pub fn register(&mut self, pid: ProcessId) {
-        self.status.insert(pid, ProtStatus::Active);
+        self.stamp += 1;
+        let d = self.dense(pid);
+        self.set_status(d, ProtStatus::Active);
     }
 
     /// Status of a process (unknown processes are reported active).
     pub fn status(&self, pid: ProcessId) -> ProtStatus {
-        self.status.get(&pid).copied().unwrap_or(ProtStatus::Active)
+        let known = self.lookup(pid).map(|d| self.procs[d].status);
+        known.unwrap_or(ProtStatus::Active)
     }
 
-    /// Current dependency edges.
+    /// Current dependency edges, ascending.
     pub fn edges(&self) -> impl Iterator<Item = (ProcessId, ProcessId)> + '_ {
-        self.edges.iter().copied()
+        let successors = |a| ones(self.succ.row(a).iter().copied());
+        let mut edges: Vec<(ProcessId, ProcessId)> = (0..self.procs.len())
+            .flat_map(|a| successors(a).map(move |b| (self.procs[a].pid, self.procs[b].pid)))
+            .collect();
+        edges.sort_unstable();
+        edges.into_iter()
     }
 
     /// Deferred (prepared) activities of a process.
     pub fn deferred_of(&self, pid: ProcessId) -> &[GlobalActivityId] {
-        self.deferred.get(&pid).map(Vec::as_slice).unwrap_or(&[])
+        self.lookup(pid).map_or(&[], |d| &self.procs[d].deferred)
     }
 
-    fn is_active(&self, pid: ProcessId) -> bool {
-        self.status(pid) == ProtStatus::Active
+    /// How often the predecessor row was derived from the service rows
+    /// (test support: an admitted activity derives it once).
+    #[doc(hidden)]
+    pub fn predecessor_scans(&self) -> u64 {
+        self.pred_scans
     }
 
-    // ---- index maintenance ----------------------------------------------
+    // ---- dense indices ----------------------------------------------------
 
-    /// Conflicting base services of `service`: its row of the spec's conflict
-    /// matrix. Only base services appear as record services / bucket keys,
-    /// and only they appear in a row. The row borrows the spec, not `self`.
-    fn conflict_row(&self, service: ServiceId) -> &'a [ServiceId] {
-        self.spec.conflicts.row(&self.spec.catalog, service)
+    fn lookup(&self, pid: ProcessId) -> Option<usize> {
+        self.index.get(&pid).map(|&d| d as usize)
     }
 
-    /// Dense index of a process, allocated on first use.
-    fn densify(&mut self, pid: ProcessId) -> usize {
-        if let Some(&d) = self.dense.get(&pid) {
-            return d as usize;
+    /// Dense index of a process, allocated (as an active process) on first
+    /// use.
+    fn dense(&mut self, pid: ProcessId) -> usize {
+        let next = self.procs.len();
+        let d = *self.index.entry(pid).or_insert(next as u32) as usize;
+        if d == next {
+            self.procs.push(Proc {
+                pid,
+                process: None,
+                status: ProtStatus::Active,
+                ops: Vec::new(),
+                deferred: Vec::new(),
+            });
         }
-        let d = self.succ_adj.len();
-        self.dense.insert(pid, d as u32);
-        self.succ_adj.push(BTreeSet::new());
-        self.pred_adj.push(BTreeSet::new());
-        self.reach.push(PidSet::default());
-        self.rreach.push(PidSet::default());
         d
     }
 
-    /// Inserts edge `a → b` and updates adjacency + closure incrementally:
-    /// every ancestor of `a` (plus `a`) reaches every descendant of `b`
-    /// (plus `b`). Returns whether the edge was new (for decision tracing).
-    fn insert_edge(&mut self, a: ProcessId, b: ProcessId) -> bool {
-        if !self.edges.insert((a, b)) {
-            return false;
-        }
-        let da = self.densify(a);
-        let db = self.densify(b);
-        self.succ_adj[da].insert(b);
-        self.pred_adj[db].insert(a);
-        if self.reach[da].contains(db) {
-            return true;
-        }
-        let mut desc = self.reach[db].clone();
-        desc.insert(db);
-        let mut anc = self.rreach[da].clone();
-        anc.insert(da);
-        for x in anc.iter() {
-            self.reach[x].union_with(&desc);
-        }
-        for y in desc.iter() {
-            self.rreach[y].union_with(&anc);
-        }
-        true
+    /// Words per process row.
+    fn width(&self) -> usize {
+        self.procs.len().div_ceil(64)
     }
 
-    /// Updates the `compensated`/`stable` flags of one record, keeping the
-    /// service buckets in sync (the single mutation point for both flags).
-    fn apply_record_flags(&mut self, idx: usize, compensated: bool, stable: bool) {
-        let (old_c, old_s, svc, pid) = {
-            let r = &self.ops[idx];
-            (r.compensated, r.stable, r.service, r.gid.process)
-        };
-        if old_c == compensated && old_s == stable {
-            return;
-        }
-        let bucket = self.buckets.entry(svc).or_default();
-        let (was_live, is_live) = (!old_c, !compensated);
-        if was_live && !is_live {
-            let n = bucket.live.get_mut(&pid).expect("live count tracked");
-            *n -= 1;
-            if *n == 0 {
-                bucket.live.remove(&pid);
-            }
-        } else if !was_live && is_live {
-            *bucket.live.entry(pid).or_insert(0) += 1;
-        }
-        let (was_ns, is_ns) = (!old_c && !old_s, !compensated && !stable);
-        if was_ns && !is_ns {
-            let set = bucket.nonstable.get_mut(&pid).expect("nonstable tracked");
-            set.remove(&idx);
-            if set.is_empty() {
-                bucket.nonstable.remove(&pid);
-            }
-        } else if !was_ns && is_ns {
-            bucket.nonstable.entry(pid).or_default().insert(idx);
-        }
-        let r = &mut self.ops[idx];
-        r.compensated = compensated;
-        r.stable = stable;
+    fn set_status(&mut self, d: usize, status: ProtStatus) {
+        self.procs[d].status = status;
+        assign(&mut self.terminated, d, status != ProtStatus::Active);
     }
 
-    fn push_record(&mut self, rec: ExecRecord) {
-        let idx = self.ops.len();
-        let pid = rec.gid.process;
-        self.ops_by_process.entry(pid).or_default().push(idx);
-        self.op_index.entry(rec.gid).or_default().push(idx);
-        if !rec.compensated {
-            let bucket = self.buckets.entry(rec.service).or_default();
-            *bucket.live.entry(pid).or_insert(0) += 1;
-            if !rec.stable {
-                bucket.nonstable.entry(pid).or_default().insert(idx);
+    /// The processes of the set bits of a row given word by word, ascending
+    /// by process id whatever order they registered in.
+    fn pids(&self, words: impl IntoIterator<Item = u64>) -> Vec<ProcessId> {
+        let mut pids: Vec<ProcessId> = ones(words).map(|d| self.procs[d].pid).collect();
+        pids.sort_unstable();
+        pids
+    }
+
+    /// Slot of a base service, interned on first use: its conflict list is
+    /// one probe of the spec's matrix per service already interned.
+    fn intern(&mut self, base: ServiceId) -> usize {
+        if let Some(&s) = self.slot_of.get(&base) {
+            return s as usize;
+        }
+        let slot = self.services.len();
+        let mut conflicting = self.probe_slots(base);
+        for &t in &conflicting {
+            self.conflicts[t].push(slot);
+        }
+        if self.spec.oracle().conflict(base, base) {
+            conflicting.push(slot);
+        }
+        self.slot_of.insert(base, slot as u32);
+        self.services.push(base);
+        self.conflicts.push(conflicting);
+        slot
+    }
+
+    fn probe_slots(&self, base: ServiceId) -> Vec<usize> {
+        let oracle = self.spec.oracle();
+        let conflicts = |&t: &usize| oracle.conflict(self.services[t], base);
+        (0..self.services.len()).filter(conflicts).collect()
+    }
+
+    /// Slots of the services holding operations that conflict with `base`,
+    /// ascending: the kept list of an interned service, a probe of each
+    /// interned service for one that never held an operation here.
+    fn conflict_slots(&self, base: ServiceId) -> Cow<'_, [usize]> {
+        match self.slot_of.get(&base) {
+            Some(&s) => Cow::Borrowed(&self.conflicts[s as usize]),
+            None => Cow::Owned(self.probe_slots(base)),
+        }
+    }
+
+    // ---- edges ------------------------------------------------------------
+
+    /// Inserts the edges `p → me` for every `p` of the row `preds` that is
+    /// not a direct predecessor yet, and updates the closure in place, in
+    /// one pass: every process that newly reaches `me` — the new
+    /// predecessors and their ancestors, less those that reached it already
+    /// — reaches `me` and its descendants. Clobbers `preds`; returns the new
+    /// edges, ascending.
+    fn insert_edges(&mut self, preds: &mut [u64], me: usize) -> Vec<(ProcessId, ProcessId)> {
+        for (w, p) in preds.iter_mut().enumerate() {
+            *p &= !self.pred.word(me, w);
+        }
+        if preds.iter().all(|&p| p == 0) {
+            return Vec::new();
+        }
+        let (n, width) = (self.procs.len(), self.width());
+        let closure = [&mut self.reach, &mut self.rreach];
+        for rows in [&mut self.succ, &mut self.pred].into_iter().chain(closure) {
+            rows.fit(n, width);
+        }
+        let mut above = std::mem::take(&mut self.scratch);
+        above.clear();
+        above.resize(width, 0);
+        for p in ones(preds.iter().copied()) {
+            self.succ.set(p, me);
+            or(&mut above, self.rreach.row(p));
+        }
+        or(self.pred.row_mut(me), preds);
+        or(&mut above, preds);
+        for (a, reached) in above.iter_mut().zip(self.rreach.row(me)) {
+            *a &= !reached;
+        }
+        for x in ones(above.iter().copied()) {
+            self.reach.or_row(x, me);
+            self.reach.set(x, me);
+        }
+        if above.iter().any(|&a| a != 0) {
+            or(self.rreach.row_mut(me), &above);
+            for y in ones(self.reach.row(me).iter().copied()) {
+                or(self.rreach.row_mut(y), &above);
             }
         }
+        self.scratch = above;
+        let to = self.procs[me].pid;
+        self.pids(preds.iter().copied())
+            .into_iter()
+            .map(|from| (from, to))
+            .collect()
+    }
+
+    // ---- operation records ------------------------------------------------
+
+    fn push_record(&mut self, me: usize, rec: ExecRecord) {
+        let (slots, width) = (self.services.len(), self.width());
+        self.live.fit(slots, width);
+        self.nonstable.fit(slots, width);
+        self.live.set(rec.slot, me);
+        if !rec.stable {
+            self.nonstable.set(rec.slot, me);
+        }
+        self.procs[me].ops.push(self.ops.len());
         self.ops.push(rec);
     }
 
-    /// Rebuild-and-compare consistency check of every maintained index
+    /// Re-derives the two bits of one (service, process) pair from the
+    /// process's own records, after one of them was compensated or
+    /// stabilized.
+    fn refresh(&mut self, slot: usize, me: usize) {
+        let (mut live, mut nonstable) = (false, false);
+        for r in self.procs[me].ops.iter().map(|&i| &self.ops[i]) {
+            if r.slot == slot && !r.compensated {
+                live = true;
+                nonstable |= !r.stable;
+            }
+        }
+        if !live {
+            self.live.clear(slot, me);
+        }
+        if !nonstable {
+            self.nonstable.clear(slot, me);
+        }
+    }
+
+    /// Marks one record compensated (it leaves the service rows).
+    fn compensate(&mut self, idx: usize, me: usize) {
+        self.ops[idx].compensated = true;
+        self.refresh(self.ops[idx].slot, me);
+    }
+
+    /// Indices of the records of `gid` (a retried activity has several), in
+    /// execution order.
+    fn records_of(&self, me: usize, gid: GlobalActivityId) -> Vec<usize> {
+        let ops = self.procs[me].ops.iter().copied();
+        ops.filter(|&i| self.ops[i].gid == gid).collect()
+    }
+
+    /// Rebuild-and-compare consistency check of every maintained row
     /// (test support; called explicitly by the differential tests).
     #[doc(hidden)]
     pub fn check_index_invariants(&self) {
-        let mut services: BTreeSet<ServiceId> = self.buckets.keys().copied().collect();
-        services.extend(self.ops.iter().map(|r| r.service));
-        let (catalog, oracle) = (&self.spec.catalog, self.spec.oracle());
-        for s in services {
-            let probed: Vec<ServiceId> = catalog
-                .iter()
-                .map(|(t, _)| t)
-                .filter(|&t| catalog.base(t) == t && oracle.conflict(s, t))
-                .collect();
+        let n = self.procs.len();
+        let oracle = self.spec.oracle();
+        // Dense indices and slots are bijections with what they index, and
+        // the single rows mirror the per-process state.
+        assert_eq!(self.index.len(), n, "one dense index per process");
+        for (d, p) in self.procs.iter().enumerate() {
+            assert_eq!(self.lookup(p.pid), Some(d), "index of {}", p.pid);
+            let mine = |i: &usize| self.ops[*i].gid.process == p.pid;
+            let expect: Vec<usize> = (0..self.ops.len()).filter(mine).collect();
+            assert_eq!(p.ops, expect, "operation list diverged for {}", p.pid);
+            let terminated = p.status != ProtStatus::Active;
             assert_eq!(
-                self.conflict_row(s),
-                probed,
-                "conflict row diverged from the probe scan for service {s}"
+                test(&self.terminated, d),
+                terminated,
+                "terminated {}",
+                p.pid
             );
-            let mut live: BTreeMap<ProcessId, u32> = BTreeMap::new();
-            let mut nonstable: BTreeMap<ProcessId, BTreeSet<usize>> = BTreeMap::new();
-            for (i, r) in self.ops.iter().enumerate() {
-                if r.service != s || r.compensated {
-                    continue;
-                }
-                *live.entry(r.gid.process).or_insert(0) += 1;
-                if !r.stable {
-                    nonstable.entry(r.gid.process).or_default().insert(i);
-                }
-            }
-            let bucket = self.buckets.get(&s).cloned().unwrap_or_default();
-            assert_eq!(bucket.live, live, "live index diverged for service {s}");
-            assert_eq!(
-                bucket.nonstable, nonstable,
-                "nonstable index diverged for service {s}"
-            );
+            let deferring = !p.deferred.is_empty();
+            assert_eq!(test(&self.deferring, d), deferring, "deferring {}", p.pid);
         }
-        for (&pid, idxs) in &self.ops_by_process {
-            let expect: Vec<usize> = (0..self.ops.len())
-                .filter(|&i| self.ops[i].gid.process == pid)
-                .collect();
-            assert_eq!(idxs, &expect, "ops_by_process diverged for {pid}");
-        }
-        for (&(a, b), _) in self.edges.iter().zip(self.edges.iter()) {
-            assert!(self.reaches(a, b), "closure misses edge {a}→{b}");
-        }
-        for (&pid, &d) in &self.dense {
-            for q in self.reach[d as usize].iter() {
-                let to = self.pids_of_dense(q);
-                assert!(
-                    self.scan_reaches(pid, to),
-                    "closure claims {pid}→{to} but edges do not"
+        assert_eq!(self.slot_of.len(), self.services.len());
+        for (s, &service) in self.services.iter().enumerate() {
+            assert_eq!(self.slot_of.get(&service), Some(&(s as u32)));
+            let conflicts = |&t: &usize| oracle.conflict(service, self.services[t]);
+            let probed: Vec<usize> = (0..self.services.len()).filter(conflicts).collect();
+            assert_eq!(self.conflicts[s], probed, "conflict slots of {service}");
+            for (d, p) in self.procs.iter().enumerate() {
+                let mine = |r: &&ExecRecord| r.slot == s && r.gid.process == p.pid;
+                let live: Vec<&ExecRecord> = self
+                    .ops
+                    .iter()
+                    .filter(mine)
+                    .filter(|r| !r.compensated)
+                    .collect();
+                assert_eq!(
+                    test(self.live.row(s), d),
+                    !live.is_empty(),
+                    "live {service}"
+                );
+                let nonstable = live.iter().any(|r| !r.stable);
+                assert_eq!(
+                    test(self.nonstable.row(s), d),
+                    nonstable,
+                    "nonstable {service}"
                 );
             }
         }
-    }
-
-    fn pids_of_dense(&self, d: usize) -> ProcessId {
-        *self
-            .dense
-            .iter()
-            .find(|&(_, &v)| v as usize == d)
-            .expect("dense index allocated")
-            .0
-    }
-
-    // ---- reachability ---------------------------------------------------
-
-    /// Whether `from` can reach `to` through dependency edges (O(1) via the
-    /// maintained closure).
-    fn reaches(&self, from: ProcessId, to: ProcessId) -> bool {
-        if from == to {
-            return true;
+        assert!(self.ops.iter().all(|r| self.services[r.slot] == r.service));
+        // No row carries a bit beyond the registered processes.
+        let singles = [
+            &self.terminated,
+            &self.aborting,
+            &self.deferring,
+            &self.preds,
+        ];
+        let edges = [&self.succ, &self.pred, &self.reach, &self.rreach];
+        let rows = edges.into_iter().chain([&self.live, &self.nonstable]);
+        let stored = rows.flat_map(|rows| rows.bits.chunks(rows.width.max(1)));
+        for row in stored.chain(singles.map(|row| row.as_slice())) {
+            assert!(
+                ones(row.iter().copied()).all(|d| d < n),
+                "stray bit in a row"
+            );
         }
-        let answer = match (self.dense.get(&from), self.dense.get(&to)) {
-            (Some(&df), Some(&dt)) => self.reach[df as usize].contains(dt as usize),
-            _ => false,
-        };
-        debug_assert_eq!(
-            answer,
-            self.scan_reaches(from, to),
-            "closure/scan divergence for {from}→{to}"
-        );
-        answer
-    }
-
-    /// Scan oracle for [`reaches`](Self::reaches): DFS over the raw edge
-    /// set.
-    fn scan_reaches(&self, from: ProcessId, to: ProcessId) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(p) = stack.pop() {
-            if !seen.insert(p) {
-                continue;
-            }
-            for &(a, b) in &self.edges {
-                if a == p {
-                    if b == to {
-                        return true;
-                    }
-                    stack.push(b);
-                }
+        // `pred` is the transpose of `succ`; `reach` the closure of `succ`
+        // by naive saturation; `rreach` its transpose.
+        let pairs = || (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
+        let has = |rows: &BitRows, a: usize, b: usize| test(rows.row(a), b);
+        let edges: Vec<(usize, usize)> = pairs().filter(|&(a, b)| has(&self.succ, a, b)).collect();
+        let mut closure: BTreeSet<(usize, usize)> = edges.iter().copied().collect();
+        loop {
+            let step = |&(a, b): &(usize, usize)| {
+                let next = edges.iter().filter(move |e| e.0 == b);
+                next.map(move |e| (a, e.1))
+            };
+            let longer: Vec<(usize, usize)> = closure.iter().flat_map(step).collect();
+            let before = closure.len();
+            closure.extend(longer);
+            if closure.len() == before {
+                break;
             }
         }
-        false
+        for (a, b) in pairs() {
+            let (pa, pb) = (self.procs[a].pid, self.procs[b].pid);
+            let reaches = closure.contains(&(a, b));
+            assert_eq!(
+                has(&self.succ, a, b),
+                has(&self.pred, b, a),
+                "pred {pa}→{pb}"
+            );
+            assert_eq!(has(&self.reach, a, b), reaches, "closure {pa}→{pb}");
+            assert_eq!(has(&self.rreach, b, a), reaches, "rclosure {pa}→{pb}");
+        }
     }
 
     // ---- conflicting predecessors ---------------------------------------
 
-    /// Processes (≠ `pid`) holding a live conflicting operation against
-    /// `service`, with the stability of *all* their conflicting operations
-    /// (`true` iff none is still compensatable). Answered from the service
-    /// buckets: only conflicting services and the processes holding live
-    /// operations there are touched.
-    fn conflicting_predecessors(
-        &self,
-        pid: ProcessId,
-        service: ServiceId,
-    ) -> BTreeMap<ProcessId, bool> {
-        let base = self.spec.catalog.base(service);
-        let mut preds: BTreeMap<ProcessId, bool> = BTreeMap::new();
-        for &s in self.conflict_row(base) {
-            let Some(bucket) = self.buckets.get(&s) else {
-                continue;
-            };
-            for &p in bucket.live.keys() {
-                if p == pid {
-                    continue;
-                }
-                let all_stable = !bucket.nonstable.contains_key(&p);
-                let entry = preds.entry(p).or_insert(true);
-                *entry = *entry && all_stable;
-            }
+    /// Derives `preds`: the processes (≠ `pid`, at index `me`) holding a
+    /// live operation that conflicts with `base` — the OR of the `live` rows
+    /// of the conflicting slots. Returns whether one of them, aborting,
+    /// still holds a non-stable one (its compensation is due).
+    fn derive_predecessors(&mut self, pid: ProcessId, me: Option<usize>, base: ServiceId) -> bool {
+        let mut preds = std::mem::take(&mut self.preds);
+        preds.clear();
+        preds.resize(self.width(), 0);
+        let due = {
+            let slots = self.conflict_slots(base);
+            self.live.or_rows(&slots, &mut preds);
+            self.aborting.iter().any(|&a| a != 0)
+                && (0..preds.len()).any(|w| self.due_word(&slots, me, w) != 0)
+        };
+        for (w, p) in preds.iter_mut().enumerate() {
+            *p &= !bit(me, w);
         }
-        debug_assert_eq!(
-            preds,
-            self.scan_conflicting_predecessors(pid, service),
-            "conflicting_predecessors index/scan divergence"
-        );
-        preds
+        self.preds = preds;
+        self.scanned = Some((pid, base, self.stamp));
+        self.pred_scans += 1;
+        due
     }
 
-    /// Scan oracle for
-    /// [`conflicting_predecessors`](Self::conflicting_predecessors).
-    fn scan_conflicting_predecessors(
-        &self,
-        pid: ProcessId,
-        service: ServiceId,
-    ) -> BTreeMap<ProcessId, bool> {
-        let oracle = self.spec.oracle();
-        let mut preds: BTreeMap<ProcessId, bool> = BTreeMap::new();
-        for rec in &self.ops {
-            if rec.gid.process == pid || rec.compensated {
-                continue;
-            }
-            if oracle.conflict(rec.service, service) {
-                let entry = preds.entry(rec.gid.process).or_insert(true);
-                *entry = *entry && rec.stable;
-            }
-        }
-        preds
+    /// Word `w` of the aborting processes (≠ `me`) still holding a
+    /// non-stable operation of `slots`.
+    fn due_word(&self, slots: &[usize], me: Option<usize>, w: usize) -> u64 {
+        self.nonstable.union_word(slots, w) & word(&self.aborting, w) & !bit(me, w)
     }
 
     // ---- admission ------------------------------------------------------
 
-    /// Decides whether process `pid` may now execute the activity `gid`
-    /// invoking `service`.
-    pub fn request(&self, pid: ProcessId, service: ServiceId) -> Admission {
-        let preds = self.conflicting_predecessors(pid, service);
+    /// Decides whether process `pid` may now execute an activity invoking
+    /// `service`. Keeps the predecessor row it derived for the
+    /// [`record_executed`](Self::record_executed) that follows an admission.
+    pub fn request(&mut self, pid: ProcessId, service: ServiceId) -> Admission {
+        let base = self.spec.catalog.base(service);
+        let me = self.lookup(pid);
+        let due = self.derive_predecessors(pid, me, base);
+        let width = self.preds.len();
+        let own = |rows: &BitRows, w: usize| me.map_or(0, |d| rows.word(d, w));
         // Serializability: adding P_i → P_j must not close a cycle.
-        for &pi in preds.keys() {
-            if !self.edges.contains(&(pi, pid)) && self.reaches(pid, pi) {
-                let answer = Admission::Reject { conflicting: pi };
-                debug_assert_eq!(answer, self.scan_request(pid, service));
-                return answer;
-            }
+        let closing = |w| self.preds[w] & !own(&self.pred, w) & own(&self.reach, w);
+        if let Some(&conflicting) = self.pids((0..width).map(closing)).first() {
+            return Admission::Reject { conflicting };
         }
         // A conflict with a non-stable operation of an *aborting* process
         // would land between that operation and its imminent compensation —
         // the Example 8 cycle. Wait until the compensation ran.
-        let base = self.spec.catalog.base(service);
-        let mut due_compensation: BTreeSet<ProcessId> = BTreeSet::new();
-        for &s in self.conflict_row(base) {
-            let Some(bucket) = self.buckets.get(&s) else {
-                continue;
-            };
-            for &p in bucket.nonstable.keys() {
-                if p != pid && self.aborting.contains(&p) {
-                    due_compensation.insert(p);
-                }
-            }
+        if due {
+            let slots = self.conflict_slots(base);
+            let blockers = self.pids((0..width).map(|w| self.due_word(&slots, me, w)));
+            return Admission::Wait { blockers };
         }
-        if !due_compensation.is_empty() {
-            let answer = Admission::Wait {
-                blockers: due_compensation.into_iter().collect(),
-            };
-            debug_assert_eq!(answer, self.scan_request(pid, service));
-            return answer;
-        }
-        let compensatable = self.spec.catalog.termination(base).is_compensatable();
-        if compensatable {
-            debug_assert_eq!(Admission::Allow, self.scan_request(pid, service));
+        if self.spec.catalog.termination(base).is_compensatable() {
             return Admission::Allow;
         }
         // Lemma 1.1: *every* non-compensatable activity of P_j may only
@@ -584,79 +710,8 @@ impl<'a> Protocol<'a> {
         // depends on — whether the dependency comes from this activity or an
         // earlier one. Blockers include quasi-committed (stable) conflicts
         // too: Lemma 1.1 defers on C_i, not on stability.
-        let mut blockers: BTreeSet<ProcessId> = preds
-            .keys()
-            .copied()
-            .filter(|&pi| self.is_active(pi))
-            .collect();
-        if let Some(&d) = self.dense.get(&pid) {
-            for &pi in &self.pred_adj[d as usize] {
-                if self.is_active(pi) {
-                    blockers.insert(pi);
-                }
-            }
-        }
-        let blockers: Vec<ProcessId> = blockers.into_iter().collect();
-        let answer = if blockers.is_empty() {
-            Admission::Allow
-        } else {
-            match self.policy {
-                DeferPolicy::PrepareAndDefer => Admission::AllowDeferred { blockers },
-                DeferPolicy::DeferExecution => Admission::Wait { blockers },
-            }
-        };
-        debug_assert_eq!(answer, self.scan_request(pid, service));
-        answer
-    }
-
-    /// Scan oracle for [`request`](Self::request): the original O(total ops)
-    /// formulation, retained for differential checking and as the
-    /// `pred-scan` baseline policy.
-    pub fn scan_request(&self, pid: ProcessId, service: ServiceId) -> Admission {
-        let preds = self.scan_conflicting_predecessors(pid, service);
-        for &pi in preds.keys() {
-            if !self.edges.contains(&(pi, pid)) && self.scan_reaches(pid, pi) {
-                return Admission::Reject { conflicting: pi };
-            }
-        }
-        let oracle = self.spec.oracle();
-        let due_compensation: Vec<ProcessId> = self
-            .ops
-            .iter()
-            .filter(|r| {
-                r.gid.process != pid
-                    && !r.compensated
-                    && !r.stable
-                    && self.aborting.contains(&r.gid.process)
-                    && oracle.conflict(r.service, self.spec.catalog.base(service))
-            })
-            .map(|r| r.gid.process)
-            .collect();
-        if !due_compensation.is_empty() {
-            let mut blockers = due_compensation;
-            blockers.sort();
-            blockers.dedup();
-            return Admission::Wait { blockers };
-        }
-        let compensatable = self
-            .spec
-            .catalog
-            .termination(self.spec.catalog.base(service))
-            .is_compensatable();
-        if compensatable {
-            return Admission::Allow;
-        }
-        let mut blockers: BTreeSet<ProcessId> = preds
-            .keys()
-            .copied()
-            .filter(|&pi| self.is_active(pi))
-            .collect();
-        for &(pi, pj) in &self.edges {
-            if pj == pid && self.is_active(pi) {
-                blockers.insert(pi);
-            }
-        }
-        let blockers: Vec<ProcessId> = blockers.into_iter().collect();
+        let active = |w| (self.preds[w] | own(&self.pred, w)) & !word(&self.terminated, w);
+        let blockers = self.pids((0..width).map(active));
         if blockers.is_empty() {
             return Admission::Allow;
         }
@@ -678,59 +733,60 @@ impl<'a> Protocol<'a> {
         deferred: bool,
     ) -> Vec<(ProcessId, ProcessId)> {
         let pid = gid.process;
-        self.status.entry(pid).or_insert(ProtStatus::Active);
-        let service = self
-            .spec
-            .catalog
-            .base(self.spec.service_of(gid).expect("validated activity"));
-        let compensatable = self.spec.catalog.termination(service).is_compensatable();
-        // Dependency edges from every conflicting predecessor.
-        let preds = self.conflicting_predecessors(pid, service);
-        let mut edges_added = Vec::new();
-        for &pi in preds.keys() {
-            if self.insert_edge(pi, pid) {
-                edges_added.push((pi, pid));
-            }
+        let me = self.dense(pid);
+        let known = self.procs[me].process;
+        let process = known.unwrap_or_else(|| self.spec.process(pid).expect("validated activity"));
+        self.procs[me].process = Some(process);
+        let service = self.spec.catalog.base(process.service(gid.activity));
+        // Dependency edges from every conflicting predecessor: the row the
+        // admitting `request` derived, unless the state moved since.
+        if self.scanned != Some((pid, service, self.stamp)) {
+            self.derive_predecessors(pid, Some(me), service);
         }
+        self.stamp += 1;
+        let mut preds = std::mem::take(&mut self.preds);
+        let edges_added = self.insert_edges(&mut preds, me);
+        self.preds = preds;
         // A committed non-compensatable activity stabilizes every earlier
         // operation of the same process (quasi-commit, §3.5).
-        let stabilizes = !compensatable && !deferred;
-        if stabilizes {
-            if let Some(idxs) = self.ops_by_process.get(&pid) {
-                for idx in idxs.clone() {
-                    let compensated = self.ops[idx].compensated;
-                    self.apply_record_flags(idx, compensated, true);
-                }
+        let compensatable = self.spec.catalog.termination(service).is_compensatable();
+        let stable = !compensatable && !deferred;
+        if stable {
+            for &i in &self.procs[me].ops {
+                self.ops[i].stable = true;
+                self.nonstable.clear(self.ops[i].slot, me);
             }
         }
-        self.push_record(ExecRecord {
+        let (slot, compensated) = (self.intern(service), false);
+        let rec = ExecRecord {
             gid,
             service,
-            compensated: false,
-            stable: stabilizes,
+            slot,
+            compensated,
+            stable,
             deferred,
-            compensatable,
-        });
+        };
+        self.push_record(me, rec);
         if deferred {
-            self.deferred.entry(pid).or_default().push(gid);
+            self.procs[me].deferred.push(gid);
+            assign(&mut self.deferring, me, true);
         }
         edges_added
     }
 
     /// Records the compensation of a previously executed activity.
     pub fn record_compensated(&mut self, gid: GlobalActivityId) {
-        let idx = self
-            .op_index
-            .get(&gid)
-            .and_then(|idxs| idxs.iter().rev().find(|&&i| !self.ops[i].compensated))
-            .copied();
-        if let Some(idx) = idx {
+        self.stamp += 1;
+        let Some(me) = self.lookup(gid.process) else {
+            return;
+        };
+        let live = |&&i: &&usize| !self.ops[i].compensated;
+        if let Some(&idx) = self.records_of(me, gid).iter().rev().find(live) {
             debug_assert!(
                 !self.ops[idx].stable,
                 "stable operations are never compensated"
             );
-            let stable = self.ops[idx].stable;
-            self.apply_record_flags(idx, true, stable);
+            self.compensate(idx, me);
         }
     }
 
@@ -739,36 +795,21 @@ impl<'a> Protocol<'a> {
     /// Whether `pid` may commit: all processes it depends on have terminated
     /// (Definition 11.1) and it has no deferred activities left unreleased.
     pub fn can_commit(&self, pid: ProcessId) -> Result<(), Vec<ProcessId>> {
-        let blockers: Vec<ProcessId> = match self.dense.get(&pid) {
-            Some(&d) => self.pred_adj[d as usize]
-                .iter()
-                .copied()
-                .filter(|&pi| self.is_active(pi))
-                .collect(),
-            None => Vec::new(),
-        };
-        let answer = if blockers.is_empty() {
-            Ok(())
-        } else {
-            Err(blockers)
-        };
-        debug_assert_eq!(answer, self.scan_can_commit(pid));
-        answer
+        let blockers = self.lookup(pid).map(|me| self.pids(self.active_preds(me)));
+        match blockers {
+            Some(blockers) if !blockers.is_empty() => Err(blockers),
+            _ => Ok(()),
+        }
     }
 
-    /// Scan oracle for [`can_commit`](Self::can_commit).
-    pub fn scan_can_commit(&self, pid: ProcessId) -> Result<(), Vec<ProcessId>> {
-        let blockers: Vec<ProcessId> = self
-            .edges
+    /// The active direct predecessors of a process, as row words.
+    fn active_preds(&self, me: usize) -> impl Iterator<Item = u64> + '_ {
+        let active = self
+            .terminated
             .iter()
-            .filter(|&&(pi, pj)| pj == pid && self.is_active(pi))
-            .map(|&(pi, _)| pi)
-            .collect();
-        if blockers.is_empty() {
-            Ok(())
-        } else {
-            Err(blockers)
-        }
+            .map(|t| !t)
+            .chain(std::iter::repeat(!0));
+        self.pred.row(me).iter().zip(active).map(|(p, a)| p & a)
     }
 
     /// Records the commit of a process; returns, per dependent process, the
@@ -778,115 +819,80 @@ impl<'a> Protocol<'a> {
         &mut self,
         pid: ProcessId,
     ) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
-        self.status.insert(pid, ProtStatus::Committed);
+        self.stamp += 1;
+        let me = self.dense(pid);
+        self.set_status(me, ProtStatus::Committed);
         // Every operation of a committed process is final.
-        if let Some(idxs) = self.ops_by_process.get(&pid) {
-            for idx in idxs.clone() {
-                let compensated = self.ops[idx].compensated;
-                self.apply_record_flags(idx, compensated, !compensated);
-            }
+        for &i in &self.procs[me].ops {
+            self.ops[i].stable = !self.ops[i].compensated;
+            self.nonstable.clear(self.ops[i].slot, me);
         }
         self.collect_releasable()
     }
 
-    /// Releasable deferred commits: processes whose active blockers are gone.
+    /// Releasable deferred commits: processes whose active blockers are
+    /// gone, ascending.
     fn collect_releasable(&mut self) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
-        debug_assert_eq!(self.releasable_now(), self.scan_releasable_now());
-        let ready = self.releasable_now();
-        let mut out = Vec::new();
+        let waiting =
+            (0..self.deferring.len()).map(|w| self.deferring[w] & !word(&self.terminated, w));
+        let free = |&pj: &usize| self.active_preds(pj).all(|bits| bits == 0);
+        let ready: Vec<usize> = ones(waiting).filter(free).collect();
+        let mut out = Vec::with_capacity(ready.len());
         for pj in ready {
-            let acts = self.deferred.remove(&pj).unwrap_or_default();
-            if !acts.is_empty() {
-                out.push((pj, acts));
-            }
+            assign(&mut self.deferring, pj, false);
+            let acts = std::mem::take(&mut self.procs[pj].deferred);
+            out.push((self.procs[pj].pid, acts));
         }
+        out.sort_unstable_by_key(|&(pj, _)| pj);
         out
     }
 
-    /// Processes with deferred activities whose active blockers are gone
-    /// (indexed answer, no mutation).
-    fn releasable_now(&self) -> Vec<ProcessId> {
-        self.deferred
-            .keys()
-            .copied()
-            .filter(|&pj| {
-                if !self.is_active(pj) {
-                    return false;
-                }
-                match self.dense.get(&pj) {
-                    Some(&d) => !self.pred_adj[d as usize]
-                        .iter()
-                        .any(|&pi| self.is_active(pi)),
-                    None => true,
-                }
-            })
-            .collect()
-    }
-
-    /// Scan oracle for [`releasable_now`](Self::releasable_now).
-    fn scan_releasable_now(&self) -> Vec<ProcessId> {
-        self.deferred
-            .keys()
-            .copied()
-            .filter(|&pj| {
-                self.is_active(pj)
-                    && !self
-                        .edges
-                        .iter()
-                        .any(|&(pi, p)| p == pj && self.is_active(pi))
-            })
-            .collect()
+    /// Drops `gid` from its process's deferred list.
+    fn undefer(&mut self, me: usize, gid: GlobalActivityId) {
+        self.procs[me].deferred.retain(|&g| g != gid);
+        if self.procs[me].deferred.is_empty() {
+            assign(&mut self.deferring, me, false);
+        }
     }
 
     /// Records that a deferred (prepared) activity was aborted before its
     /// commit was released: it leaves no effects and stops participating in
     /// conflicts.
     pub fn record_prepared_aborted(&mut self, gid: GlobalActivityId) {
-        if let Some(idxs) = self.op_index.get(&gid) {
-            for idx in idxs.clone() {
-                if self.ops[idx].deferred {
-                    let stable = self.ops[idx].stable;
-                    self.apply_record_flags(idx, true, stable);
-                    self.ops[idx].deferred = false;
-                }
+        self.stamp += 1;
+        let Some(me) = self.lookup(gid.process) else {
+            return;
+        };
+        for i in self.records_of(me, gid) {
+            if self.ops[i].deferred {
+                self.ops[i].deferred = false;
+                self.compensate(i, me);
             }
         }
-        if let Some(list) = self.deferred.get_mut(&gid.process) {
-            list.retain(|&g| g != gid);
-            if list.is_empty() {
-                self.deferred.remove(&gid.process);
-            }
-        }
+        self.undefer(me, gid);
     }
 
     /// Marks a deferred activity as released (subsystem commit executed).
     /// Stabilizes the process's earlier operations like a direct commit.
     pub fn record_deferred_released(&mut self, gid: GlobalActivityId) {
-        let pid = gid.process;
-        let last = self.op_index.get(&gid).and_then(|idxs| {
-            for &idx in idxs {
-                self.ops[idx].deferred = false;
-            }
-            idxs.last().copied()
-        });
-        if let Some(last) = last {
-            // Stabilize everything up to and including the released op.
-            let idxs = self.ops_by_process.get(&pid).cloned().unwrap_or_default();
-            for idx in idxs {
-                if idx > last {
-                    break;
-                }
-                if !self.ops[idx].compensated {
-                    self.apply_record_flags(idx, false, true);
-                }
+        self.stamp += 1;
+        let Some(me) = self.lookup(gid.process) else {
+            return;
+        };
+        let released = self.records_of(me, gid);
+        for &i in &released {
+            self.ops[i].deferred = false;
+        }
+        // Stabilize everything up to and including the released op.
+        let upto = released.last().map_or(0, |&last| last + 1);
+        for k in 0..self.procs[me].ops.len() {
+            let i = self.procs[me].ops[k];
+            if i < upto && !self.ops[i].compensated {
+                self.ops[i].stable = true;
+                self.refresh(self.ops[i].slot, me);
             }
         }
-        if let Some(list) = self.deferred.get_mut(&pid) {
-            list.retain(|&g| g != gid);
-            if list.is_empty() {
-                self.deferred.remove(&pid);
-            }
-        }
+        self.undefer(me, gid);
     }
 
     // ---- abort ----------------------------------------------------------
@@ -906,125 +912,42 @@ impl<'a> Protocol<'a> {
         compensating: &[GlobalActivityId],
         forward_services: &[ServiceId],
     ) -> Vec<ProcessId> {
-        let comp_services = self.comp_services(compensating);
-        let victims = self.plan_abort_victims(pid, &comp_services, forward_services);
-        debug_assert_eq!(
-            victims,
-            self.scan_plan_abort_victims(pid, &comp_services, forward_services),
-            "plan_abort victim set index/scan divergence"
-        );
-        self.order_victims(victims)
-    }
-
-    /// Scan oracle for [`plan_abort`](Self::plan_abort): victim discovery by
-    /// edge-set and operation-log scans, identical ordering.
-    pub fn scan_plan_abort(
-        &self,
-        pid: ProcessId,
-        compensating: &[GlobalActivityId],
-        forward_services: &[ServiceId],
-    ) -> Vec<ProcessId> {
-        let comp_services = self.comp_services(compensating);
-        let victims = self.scan_plan_abort_victims(pid, &comp_services, forward_services);
-        self.order_victims(victims)
-    }
-
-    fn comp_services(&self, compensating: &[GlobalActivityId]) -> Vec<ServiceId> {
-        compensating
+        let Some(root) = self.lookup(pid) else {
+            return Vec::new();
+        };
+        let width = self.width();
+        // Who holds a live operation conflicting with what the root is
+        // about to compensate or forward-execute.
+        let mut holders = vec![0u64; width];
+        let compensated = compensating
             .iter()
-            .map(|g| {
-                self.spec
-                    .catalog
-                    .base(self.spec.service_of(*g).expect("validated"))
-            })
-            .collect()
-    }
-
-    /// Victim discovery over the adjacency index: walk direct successors of
-    /// the aborting process (then of each victim), pulling in any active
-    /// dependent holding a live operation that conflicts with what the
-    /// frontier process is about to compensate or forward-execute.
-    fn plan_abort_victims(
-        &self,
-        pid: ProcessId,
-        comp_services: &[ServiceId],
-        forward_services: &[ServiceId],
-    ) -> BTreeSet<ProcessId> {
-        let oracle = self.spec.oracle();
-        let mut victims: BTreeSet<ProcessId> = BTreeSet::new();
-        let mut frontier = vec![(pid, comp_services.to_vec(), forward_services.to_vec())];
-        while let Some((pi, comps, fwds)) = frontier.pop() {
-            let Some(&d) = self.dense.get(&pi) else {
-                continue;
-            };
-            for &b in &self.succ_adj[d as usize] {
-                if !self.is_active(b) || b == pid || victims.contains(&b) {
-                    continue;
+            .map(|g| self.spec.service_of(*g).expect("validated"));
+        for s in compensated.chain(forward_services.iter().copied()) {
+            let slots = self.conflict_slots(self.spec.catalog.base(s));
+            self.live.or_rows(&slots, &mut holders);
+        }
+        // Walk direct successors of the aborting process (then of each
+        // victim), pulling in every active dependent among the holders.
+        let mut victims = vec![0u64; width];
+        let mut frontier = vec![(root, holders)];
+        while let Some((pi, holders)) = frontier.pop() {
+            let dependents = |w| self.succ.word(pi, w) & holders[w] & !victims[w];
+            let active = |w| !word(&self.terminated, w) & !bit(Some(root), w);
+            let hit: Vec<u64> = (0..width).map(|w| dependents(w) & active(w)).collect();
+            or(&mut victims, &hit);
+            for b in ones(hit) {
+                // The victim's own completion cascades further; its
+                // compensations cover its non-stable operations.
+                let mut theirs = vec![0u64; width];
+                for r in self.procs[b].ops.iter().map(|&i| &self.ops[i]) {
+                    if !r.compensated && !r.stable {
+                        self.live.or_rows(&self.conflicts[r.slot], &mut theirs);
+                    }
                 }
-                let Some(idxs) = self.ops_by_process.get(&b) else {
-                    continue;
-                };
-                let pb_conflicts = idxs.iter().any(|&i| {
-                    let r = &self.ops[i];
-                    !r.compensated
-                        && comps
-                            .iter()
-                            .chain(fwds.iter())
-                            .any(|&s| oracle.conflict(r.service, s))
-                });
-                if pb_conflicts {
-                    victims.insert(b);
-                    // The victim's own completion cascades further; its
-                    // compensations cover its non-stable operations.
-                    let victim_comps: Vec<ServiceId> = idxs
-                        .iter()
-                        .map(|&i| &self.ops[i])
-                        .filter(|r| !r.compensated && !r.stable)
-                        .map(|r| r.service)
-                        .collect();
-                    frontier.push((b, victim_comps, Vec::new()));
-                }
+                frontier.push((b, theirs));
             }
         }
-        victims
-    }
-
-    /// Scan-based victim discovery (edge-set scans per frontier element).
-    fn scan_plan_abort_victims(
-        &self,
-        pid: ProcessId,
-        comp_services: &[ServiceId],
-        forward_services: &[ServiceId],
-    ) -> BTreeSet<ProcessId> {
-        let oracle = self.spec.oracle();
-        let mut victims: BTreeSet<ProcessId> = BTreeSet::new();
-        let mut frontier = vec![(pid, comp_services.to_vec(), forward_services.to_vec())];
-        while let Some((pi, comps, fwds)) = frontier.pop() {
-            for &(a, b) in &self.edges {
-                if a != pi || !self.is_active(b) || b == pid || victims.contains(&b) {
-                    continue;
-                }
-                let pb_conflicts = self.ops.iter().any(|r| {
-                    r.gid.process == b
-                        && !r.compensated
-                        && comps
-                            .iter()
-                            .chain(fwds.iter())
-                            .any(|&s| oracle.conflict(r.service, s))
-                });
-                if pb_conflicts {
-                    victims.insert(b);
-                    let victim_comps: Vec<ServiceId> = self
-                        .ops
-                        .iter()
-                        .filter(|r| r.gid.process == b && !r.compensated && !r.stable)
-                        .map(|r| r.service)
-                        .collect();
-                    frontier.push((b, victim_comps, Vec::new()));
-                }
-            }
-        }
-        victims
+        self.order_victims(&victims)
     }
 
     /// Reverse dependency order: dependents (later in the serialization)
@@ -1032,17 +955,23 @@ impl<'a> Protocol<'a> {
     /// highest-numbered victim whose remaining dependents are all emitted —
     /// rather than a comparator sort (reachability is not a total order, so
     /// a comparator-based sort is not well-defined over it).
-    fn order_victims(&self, victims: BTreeSet<ProcessId>) -> Vec<ProcessId> {
-        let mut remaining: Vec<ProcessId> = victims.into_iter().collect();
+    fn order_victims(&self, victims: &[u64]) -> Vec<ProcessId> {
+        let mut remaining: Vec<(ProcessId, usize)> = ones(victims.iter().copied())
+            .map(|d| (self.procs[d].pid, d))
+            .collect();
+        remaining.sort_unstable();
         let mut ordered = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
+            let reaches = |v, u| u != v && test(self.reach.row(v), u);
+            let last =
+                |&(_, v): &(ProcessId, usize)| !remaining.iter().any(|&(_, u)| reaches(v, u));
+            // Victims on a residual cycle cannot exist under the
+            // serializability invariant; emit highest-numbered first.
             let i = remaining
                 .iter()
-                .rposition(|&v| !remaining.iter().any(|&u| u != v && self.reaches(v, u)))
-                // Victims on a residual cycle cannot exist under the
-                // serializability invariant; emit highest-numbered first.
+                .rposition(last)
                 .unwrap_or(remaining.len() - 1);
-            ordered.push(remaining.remove(i));
+            ordered.push(remaining.remove(i).0);
         }
         ordered
     }
@@ -1063,12 +992,9 @@ impl<'a> Protocol<'a> {
     /// Until [`record_process_abort`](Self::record_process_abort), requests
     /// conflicting with its to-be-compensated operations wait.
     pub fn mark_aborting(&mut self, pid: ProcessId) {
-        self.aborting.insert(pid);
-    }
-
-    /// Whether a process is currently aborting.
-    pub fn is_aborting(&self, pid: ProcessId) -> bool {
-        self.aborting.contains(&pid)
+        self.stamp += 1;
+        let me = self.dense(pid);
+        assign(&mut self.aborting, me, true);
     }
 
     // ---- completion gates -----------------------------------------------
@@ -1078,71 +1004,20 @@ impl<'a> Protocol<'a> {
     /// must be compensated first (if its owner is aborting) or its owner
     /// must cascade (if still running).
     pub fn compensation_gate(&self, gid: GlobalActivityId) -> CompletionGate {
-        let pos = self
-            .op_index
-            .get(&gid)
-            .and_then(|idxs| idxs.iter().find(|&&i| !self.ops[i].compensated))
-            .copied();
-        let Some(pos) = pos else {
-            debug_assert_eq!(CompletionGate::Ready, self.scan_compensation_gate(gid));
+        let me = self.lookup(gid.process);
+        let records = me.map_or(Vec::new(), |me| self.records_of(me, gid));
+        let Some(&pos) = records.iter().find(|&&i| !self.ops[i].compensated) else {
             return CompletionGate::Ready;
         };
-        let service = self.ops[pos].service;
-        let mut wait: BTreeSet<ProcessId> = BTreeSet::new();
-        let mut cascade: BTreeSet<ProcessId> = BTreeSet::new();
-        for &s in self.conflict_row(service) {
-            let Some(bucket) = self.buckets.get(&s) else {
-                continue;
-            };
-            for (&p, set) in &bucket.nonstable {
-                // Only operations strictly *after* the compensated one gate
-                // its compensation; `set` is ordered, so the max index
-                // decides.
-                if p == gid.process || set.last().is_none_or(|&max| max <= pos) {
-                    continue;
-                }
-                match self.status(p) {
-                    ProtStatus::Active if self.aborting.contains(&p) => {
-                        wait.insert(p);
-                    }
-                    ProtStatus::Active => {
-                        cascade.insert(p);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let answer = Self::gate(wait.into_iter().collect(), cascade.into_iter().collect());
-        debug_assert_eq!(answer, self.scan_compensation_gate(gid));
-        answer
-    }
-
-    /// Scan oracle for [`compensation_gate`](Self::compensation_gate).
-    pub fn scan_compensation_gate(&self, gid: GlobalActivityId) -> CompletionGate {
-        let oracle = self.spec.oracle();
-        let Some(pos) = self.ops.iter().position(|r| r.gid == gid && !r.compensated) else {
-            return CompletionGate::Ready;
-        };
-        let service = self.ops[pos].service;
-        let mut wait = Vec::new();
-        let mut cascade = Vec::new();
-        for r in &self.ops[pos + 1..] {
-            if r.gid.process == gid.process
-                || r.compensated
-                || r.stable
-                || !oracle.conflict(r.service, service)
-            {
-                continue;
-            }
-            match self.status(r.gid.process) {
-                ProtStatus::Active if self.aborting.contains(&r.gid.process) => {
-                    wait.push(r.gid.process)
-                }
-                ProtStatus::Active => cascade.push(r.gid.process),
-                _ => {}
-            }
-        }
-        Self::gate(wait, cascade)
+        let slots = &self.conflicts[self.ops[pos].slot];
+        // Only operations strictly *after* the compensated one gate its
+        // compensation: a holder counts if its latest conflicting
+        // non-stable record is.
+        self.gate(me, slots, |p| {
+            let later = self.procs[p].ops.iter().rev().take_while(|&&i| i > pos);
+            let mut later = later.map(|&i| &self.ops[i]);
+            later.any(|r| !r.compensated && !r.stable && slots.contains(&r.slot))
+        })
     }
 
     /// Gate for executing a forward-recovery activity of aborting process
@@ -1150,66 +1025,35 @@ impl<'a> Protocol<'a> {
     /// conflicting live non-stable operations of other processes must be
     /// compensated first.
     pub fn forward_gate(&self, pid: ProcessId, service: ServiceId) -> CompletionGate {
-        let base = self.spec.catalog.base(service);
-        let mut wait: BTreeSet<ProcessId> = BTreeSet::new();
-        let mut cascade: BTreeSet<ProcessId> = BTreeSet::new();
-        for &s in self.conflict_row(base) {
-            let Some(bucket) = self.buckets.get(&s) else {
-                continue;
+        let slots = self.conflict_slots(self.spec.catalog.base(service));
+        self.gate(self.lookup(pid), &slots, |_| true)
+    }
+
+    /// The active processes (≠ `me`) holding a non-stable operation of
+    /// `slots` that `counts`: the aborting ones are waited for, unless a
+    /// running one must cascade first.
+    fn gate(
+        &self,
+        me: Option<usize>,
+        slots: &[usize],
+        counts: impl Fn(usize) -> bool,
+    ) -> CompletionGate {
+        let active = |w| !word(&self.terminated, w) & !bit(me, w);
+        let holders = |w| self.nonstable.union_word(slots, w) & active(w);
+        let (mut wait, mut cascade) = (Vec::new(), Vec::new());
+        for p in ones((0..self.nonstable.width).map(holders)).filter(|&p| counts(p)) {
+            let list = if test(&self.aborting, p) {
+                &mut wait
+            } else {
+                &mut cascade
             };
-            for &p in bucket.nonstable.keys() {
-                if p == pid {
-                    continue;
-                }
-                match self.status(p) {
-                    ProtStatus::Active if self.aborting.contains(&p) => {
-                        wait.insert(p);
-                    }
-                    ProtStatus::Active => {
-                        cascade.insert(p);
-                    }
-                    _ => {}
-                }
-            }
+            list.push(self.procs[p].pid);
         }
-        let answer = Self::gate(wait.into_iter().collect(), cascade.into_iter().collect());
-        debug_assert_eq!(answer, self.scan_forward_gate(pid, service));
-        answer
-    }
-
-    /// Scan oracle for [`forward_gate`](Self::forward_gate).
-    pub fn scan_forward_gate(&self, pid: ProcessId, service: ServiceId) -> CompletionGate {
-        let oracle = self.spec.oracle();
-        let base = self.spec.catalog.base(service);
-        let mut wait = Vec::new();
-        let mut cascade = Vec::new();
-        for r in &self.ops {
-            if r.gid.process == pid
-                || r.compensated
-                || r.stable
-                || !oracle.conflict(r.service, base)
-            {
-                continue;
-            }
-            match self.status(r.gid.process) {
-                ProtStatus::Active if self.aborting.contains(&r.gid.process) => {
-                    wait.push(r.gid.process)
-                }
-                ProtStatus::Active => cascade.push(r.gid.process),
-                _ => {}
-            }
-        }
-        Self::gate(wait, cascade)
-    }
-
-    fn gate(mut wait: Vec<ProcessId>, mut cascade: Vec<ProcessId>) -> CompletionGate {
         if !cascade.is_empty() {
-            cascade.sort();
-            cascade.dedup();
+            cascade.sort_unstable();
             CompletionGate::Cascade(cascade)
         } else if !wait.is_empty() {
-            wait.sort();
-            wait.dedup();
+            wait.sort_unstable();
             CompletionGate::WaitFor(wait)
         } else {
             CompletionGate::Ready
@@ -1221,30 +1065,24 @@ impl<'a> Protocol<'a> {
         &mut self,
         pid: ProcessId,
     ) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
-        self.status.insert(pid, ProtStatus::Aborted);
-        self.aborting.remove(&pid);
+        self.stamp += 1;
+        let me = self.dense(pid);
+        self.set_status(me, ProtStatus::Aborted);
+        assign(&mut self.aborting, me, false);
         // Whatever effects the completed abort left behind (pre-boundary
         // operations and forward-recovery activities) are final.
-        if let Some(idxs) = self.ops_by_process.get(&pid) {
-            for idx in idxs.clone() {
-                if !self.ops[idx].compensated {
-                    self.apply_record_flags(idx, false, true);
-                }
+        for &i in &self.procs[me].ops {
+            if !self.ops[i].compensated {
+                self.ops[i].stable = true;
+                self.nonstable.clear(self.ops[i].slot, me);
             }
         }
-        // Drop its unreleased deferred activities (they abort at prepare).
-        if let Some(acts) = self.deferred.remove(&pid) {
-            for gid in acts {
-                let idx = self
-                    .op_index
-                    .get(&gid)
-                    .and_then(|idxs| idxs.first())
-                    .copied();
-                if let Some(idx) = idx {
-                    let stable = self.ops[idx].stable;
-                    // Prepared-then-aborted: no effect.
-                    self.apply_record_flags(idx, true, stable);
-                }
+        // Drop its unreleased deferred activities (they abort at prepare):
+        // prepared-then-aborted, no effect.
+        assign(&mut self.deferring, me, false);
+        for gid in std::mem::take(&mut self.procs[me].deferred) {
+            if let Some(&first) = self.records_of(me, gid).first() {
+                self.compensate(first, me);
             }
         }
         self.collect_releasable()

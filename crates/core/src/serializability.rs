@@ -11,6 +11,17 @@ use crate::order::Reachability;
 use crate::schedule::{Op, Schedule};
 use crate::spec::Spec;
 
+/// The set bits of a bit row given word by word, as indices, ascending.
+pub(crate) fn ones(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            let b = (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits.wrapping_sub(1);
+            b
+        })
+    })
+}
+
 /// Process-level conflict graph: a dense bit matrix over its nodes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcessGraph {
@@ -66,15 +77,7 @@ impl ProcessGraph {
 
     /// The successors of the `a`-th node, as node indices, ascending.
     fn successors(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
-        let row = &self.succ[a * self.words..][..self.words];
-        row.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                let b = (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits.wrapping_sub(1);
-                b
-            })
-        })
+        ones(self.succ[a * self.words..][..self.words].iter().copied())
     }
 
     /// All nodes, ascending.

@@ -34,13 +34,15 @@
 //!
 //! # Shard lifecycle
 //!
-//! A shard lives as long as its domain has work. The main thread only
-//! partitions and assigns; the owning worker builds a shard's state (policy,
-//! gate, process states, instruments) when it admits the domain's first due
-//! arrival, and retires it — `Shard::finish`, which flushes the last partial
-//! epoch to the journal — in the visit in which its last process terminates
-//! *and* no arrival is pending. Retirement waits for the arrival queue
-//! because a drained domain's history still constrains its later arrivals.
+//! A shard lives as long as its domain has work. The calling thread
+//! partitions, assigns, and then is worker 0 (workers `1..W` are spawned; a
+//! one-worker run spawns no thread). The owning worker builds a shard's
+//! state (policy, gate, process states, instruments) when it admits the
+//! domain's first due arrival, and retires it — `Shard::finish`, which
+//! flushes the last partial epoch to the journal — in the visit in which its
+//! last process terminates *and* no arrival is pending. Retirement waits
+//! for the arrival queue because a drained domain's history still constrains
+//! its later arrivals.
 //! So a worker holds state only for domains with live or due work (peak
 //! built shards: [`RuntimeMetrics::shards_live_peak`]). Step order is that
 //! of a run with every shard built up front, so single-worker histories,
@@ -84,7 +86,7 @@ use txproc_core::telemetry::{Counter, Gauge, Phase, Telemetry};
 use txproc_core::trace::{AbortReason, NoopSink, TraceEvent, TraceRecord, TraceSink};
 use txproc_core::wal::{WalRecord, WalWriter};
 use txproc_sim::metrics::{Metrics, RuntimeMetrics, ShardMetrics};
-use txproc_sim::workload::Workload;
+use txproc_sim::workload::{ArrivalModel, Workload};
 use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 use txproc_subsystem::deploy::ServiceSite;
 use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
@@ -322,8 +324,9 @@ struct RunCtx<'r, 'a> {
     tele: Telemetry,
     run_start: Instant,
     /// Arrival offset per process in microseconds (one virtual tick of the
-    /// workload's arrival model = 1µs here). All zeros for closed arrivals.
-    arrivals: BTreeMap<ProcessId, u64>,
+    /// workload's arrival model = 1µs here), in process-id order. Empty for
+    /// closed arrivals: everything arrives at 0.
+    arrivals: Vec<(ProcessId, u64)>,
     /// Processes currently in flight (arrived, not yet terminated) and the
     /// peak observed — the open-system concurrency level actually reached.
     live: Level,
@@ -336,6 +339,15 @@ struct RunCtx<'r, 'a> {
     /// log carries no agent state — subsystem recovery stays an
     /// engine-WAL capability.
     wal: Option<&'r Mutex<WalWriter>>,
+}
+
+impl RunCtx<'_, '_> {
+    /// Arrival offset of a process in microseconds.
+    fn arrival_us(&self, pid: ProcessId) -> u64 {
+        self.arrivals
+            .binary_search_by_key(&pid, |&(p, _)| p)
+            .map_or(0, |i| self.arrivals[i].1)
+    }
 }
 
 /// A run-wide count of things currently live, and its peak.
@@ -862,9 +874,7 @@ pub(crate) fn run_concurrent_impl<'a>(
         ShardMode::Single => {
             vec![workload.spec.processes().map(|p| p.id).collect()]
         }
-        ShardMode::Auto => DomainPartition::partition(&workload.spec)
-            .domains()
-            .to_vec(),
+        ShardMode::Auto => DomainPartition::partition(&workload.spec).into_domains(),
         ShardMode::Fixed(n) => DomainPartition::partition(&workload.spec).shard_groups(n as usize),
     };
 
@@ -885,12 +895,15 @@ pub(crate) fn run_concurrent_impl<'a>(
     };
     let tickets = AtomicU64::new(0);
     let wal_cell = wal.map(Mutex::new);
-    let arrivals: BTreeMap<ProcessId, u64> = workload
-        .spec
-        .processes()
-        .map(|p| p.id)
-        .zip(txproc_sim::workload::arrival_times(&workload.config))
-        .collect();
+    let arrivals: Vec<(ProcessId, u64)> = match workload.config.arrivals {
+        ArrivalModel::Closed => Vec::new(),
+        _ => workload
+            .spec
+            .processes()
+            .map(|p| p.id)
+            .zip(txproc_sim::workload::arrival_times(&workload.config))
+            .collect(),
+    };
     let ctx = RunCtx {
         workload,
         cfg: &cfg,
@@ -915,16 +928,19 @@ pub(crate) fn run_concurrent_impl<'a>(
     let mut runtime_metrics = RuntimeMetrics::new(RUNTIME_LABEL, worker_count as u64);
     let mut done: Vec<ShardDone> = Vec::with_capacity(groups.len());
     std::thread::scope(|scope| {
+        // Worker 0 is the calling thread — it would only sleep in `join` —
+        // and workers `1..W` are spawned; results merge in worker order.
+        let ctx = &ctx;
+        let mut per_worker = per_worker.into_iter().enumerate();
+        let (_, first) = per_worker.next().expect("at least one worker");
         let handles: Vec<_> = per_worker
-            .into_iter()
-            .enumerate()
-            .map(|(widx, owned)| {
-                let ctx = &ctx;
-                scope.spawn(move || event_worker(ctx, owned, widx))
-            })
+            .map(|(widx, owned)| scope.spawn(move || event_worker(ctx, owned, widx)))
             .collect();
-        for h in handles {
-            let (rt, finished) = h.join().expect("event worker panicked");
+        let first = event_worker(ctx, first, 0);
+        let spawned = handles
+            .into_iter()
+            .map(|h| h.join().expect("event worker panicked"));
+        for (rt, finished) in std::iter::once(first).chain(spawned) {
             runtime_metrics.merge(&rt);
             done.extend(finished);
         }
@@ -993,7 +1009,7 @@ impl<'g> Domain<'_, 'g> {
     fn new(id: u32, members: &'g [ProcessId], ctx: &RunCtx<'_, '_>) -> Self {
         let mut arrivals: Vec<(u64, ProcessId)> = members
             .iter()
-            .map(|&pid| (ctx.arrivals.get(&pid).copied().unwrap_or(0), pid))
+            .map(|&pid| (ctx.arrival_us(pid), pid))
             .collect();
         // Deterministic admission order: by arrival offset, ties by pid.
         arrivals.sort();
@@ -1606,7 +1622,7 @@ fn finalize<'a>(ctx: &RunCtx<'_, 'a>, g: &mut ShardGuard<'_, 'a>, pid: ProcessId
     // Wall-clock arrival→terminal latency in microseconds (arrival offset
     // subtracted so open-system latencies measure time in system, not time
     // since run start).
-    let arrival_us = ctx.arrivals.get(&pid).copied().unwrap_or(0);
+    let arrival_us = ctx.arrival_us(pid);
     let latency = (ctx.run_start.elapsed().as_micros() as u64).saturating_sub(arrival_us);
     g.metrics.latencies.push(latency);
     g.metrics.latency_by_pid.insert(pid.0, latency);
@@ -1963,6 +1979,41 @@ mod tests {
         assert_eq!(rt.in_flight_peak, 8, "closed arrivals: all in flight");
         assert!(rt.sched_delay_ns.iter().sum::<u64>() > 0);
         assert!(rt.delay_percentile_ns(0.95).is_some());
+    }
+
+    /// A sink that notes which thread delivered each record: a shard's
+    /// records come from the worker that owns it.
+    struct ThreadsSeen(std::sync::Arc<Mutex<Vec<(u32, std::thread::ThreadId)>>>);
+
+    impl TraceSink for ThreadsSeen {
+        fn record(&mut self, rec: TraceRecord) {
+            let worker = rec.worker.expect("concurrent records name their worker");
+            self.0.lock().push((worker, std::thread::current().id()));
+        }
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        let w = clustered(8, 4, ArrivalModel::Closed);
+        let caller = std::thread::current().id();
+        for workers in [1u32, 2] {
+            let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+            let cfg = ConcurrentConfig {
+                seed: 13,
+                workers: Some(workers as usize),
+                ..ConcurrentConfig::default()
+            };
+            let sink = Box::new(ThreadsSeen(seen.clone()));
+            let r = run_concurrent_impl(&w, cfg, sink, Telemetry::off(), None);
+            assert_eq!(r.metrics.terminated(), 32);
+            let seen = seen.lock();
+            // One worker spawns no thread; of two, only worker 1 is spawned.
+            let ids: BTreeSet<u32> = seen.iter().map(|&(worker, _)| worker).collect();
+            assert_eq!(ids, (0..workers).collect(), "{workers} workers");
+            for &(worker, thread) in seen.iter() {
+                assert_eq!(thread == caller, worker == 0, "worker {worker}");
+            }
+        }
     }
 
     fn clustered(clusters: usize, per_cluster: usize, arrivals: ArrivalModel) -> Workload {

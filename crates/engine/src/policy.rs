@@ -166,85 +166,6 @@ impl Policy for PredPolicy<'_> {
     }
 }
 
-/// The PRED protocol answered exclusively by the retained scan-based
-/// oracle (`scan_*` methods of [`Protocol`]): identical decisions to
-/// [`PredPolicy`] under [`PolicyKind::PredProtocol`], but every decision
-/// rescans the full operation log / edge set — the pre-index formulation.
-///
-/// Kept as a live baseline: the bench harness measures the indexed hot
-/// path against it (E19), and the engine-level differential tests replay
-/// identical seeds under both and require bit-identical histories.
-pub struct ScanPredPolicy<'a> {
-    protocol: Protocol<'a>,
-}
-
-impl<'a> ScanPredPolicy<'a> {
-    /// Creates the policy over a spec.
-    pub fn new(spec: &'a Spec, defer: DeferPolicy) -> Self {
-        Self {
-            protocol: Protocol::new(spec, defer),
-        }
-    }
-}
-
-impl Policy for ScanPredPolicy<'_> {
-    fn name(&self) -> &'static str {
-        "pred-scan"
-    }
-    fn register(&mut self, pid: ProcessId) {
-        self.protocol.register(pid);
-    }
-    fn request(&mut self, pid: ProcessId, _gid: GlobalActivityId, service: ServiceId) -> Admission {
-        self.protocol.scan_request(pid, service)
-    }
-    fn record_executed(
-        &mut self,
-        gid: GlobalActivityId,
-        deferred: bool,
-    ) -> Vec<(ProcessId, ProcessId)> {
-        self.protocol.record_executed(gid, deferred)
-    }
-    fn record_deferred_released(&mut self, gid: GlobalActivityId) {
-        self.protocol.record_deferred_released(gid);
-    }
-    fn record_prepared_aborted(&mut self, gid: GlobalActivityId) {
-        self.protocol.record_prepared_aborted(gid);
-    }
-    fn record_compensated(&mut self, gid: GlobalActivityId) {
-        self.protocol.record_compensated(gid);
-    }
-    fn can_commit(&mut self, pid: ProcessId) -> Result<(), Vec<ProcessId>> {
-        self.protocol.scan_can_commit(pid)
-    }
-    fn on_commit(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
-        self.protocol.record_process_commit(pid)
-    }
-    fn plan_abort(
-        &mut self,
-        pid: ProcessId,
-        compensations: &[GlobalActivityId],
-        forward_services: &[ServiceId],
-    ) -> Vec<ProcessId> {
-        self.protocol
-            .scan_plan_abort(pid, compensations, forward_services)
-    }
-    fn on_abort(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
-        self.protocol.record_process_abort(pid)
-    }
-    fn on_abort_begin(&mut self, pid: ProcessId) {
-        self.protocol.mark_aborting(pid);
-    }
-    fn compensation_gate(&self, gid: GlobalActivityId) -> CompletionGate {
-        self.protocol.scan_compensation_gate(gid)
-    }
-    fn forward_gate(&self, pid: ProcessId, service: ServiceId) -> CompletionGate {
-        self.protocol.scan_forward_gate(pid, service)
-    }
-    fn debug_state(&self) -> String {
-        self.protocol.debug_ops()
-    }
-}
-
 /// Serial execution: one process at a time, admission order.
 #[derive(Debug, Default)]
 pub struct SerialPolicy {
@@ -492,10 +413,6 @@ pub enum PolicyKind {
     /// obligations are necessary but not sufficient; this measures how often
     /// they fall short).
     PredProtocol,
-    /// `PredProtocol` answered by the retained scan-based oracle — the
-    /// pre-index formulation, kept as a measurable baseline (not part of
-    /// [`PolicyKind::all`] sweeps).
-    PredScan,
     /// Serial execution.
     Serial,
     /// Process-level conflict locking.
@@ -515,9 +432,6 @@ impl PolicyKind {
                 "pred-protocol",
             )),
             PolicyKind::PredWait => Box::new(PredPolicy::new(spec, DeferPolicy::DeferExecution)),
-            PolicyKind::PredScan => {
-                Box::new(ScanPredPolicy::new(spec, DeferPolicy::PrepareAndDefer))
-            }
             PolicyKind::Serial => Box::new(SerialPolicy::new()),
             PolicyKind::Conservative => Box::new(ConservativePolicy::new(spec)),
             PolicyKind::UnsafeCc => Box::new(UnsafeCcPolicy::new(spec)),
@@ -536,16 +450,13 @@ impl PolicyKind {
             PolicyKind::Pred => "pred",
             PolicyKind::PredWait => "pred-wait",
             PolicyKind::PredProtocol => "pred-protocol",
-            PolicyKind::PredScan => "pred-scan",
             PolicyKind::Serial => "serial",
             PolicyKind::Conservative => "conservative",
             PolicyKind::UnsafeCc => "unsafe-cc",
         }
     }
 
-    /// All kinds swept by reports. Excludes [`PolicyKind::PredScan`], which
-    /// duplicates `pred-protocol` decisions and exists only as the
-    /// pre-index perf baseline.
+    /// All kinds.
     pub fn all() -> [PolicyKind; 6] {
         [
             PolicyKind::Pred,
