@@ -50,10 +50,6 @@
 //!                  [--policy …] [--shards …] [--workers N] [--refresh-ms N]
 //!                  # live per-shard/per-worker metrics while the
 //!                  # concurrent driver runs the workload
-//! txproc regression [--baseline PATH] [--current PATH]
-//!                  # perf-regression gate: diff a fresh BENCH_scheduler.json
-//!                  # against the committed BENCH_baseline.json; exit 1 on
-//!                  # per-point throughput/latency deviations past the gate
 //! txproc gauntlet  [--seeds N] [--scenario NAME] [--policy …]
 //!                  [--shards auto|single|N] [--workers N] [--epoch N]
 //!                  [--json PATH]
@@ -702,7 +698,7 @@ fn render_top(snap: &txproc_core::telemetry::Snapshot) -> String {
         );
     }
     // Pivot the flat instrument list into one row per shard / per worker.
-    let mut shards: std::collections::BTreeMap<u64, [u64; 4]> = Default::default();
+    let mut shards: std::collections::BTreeMap<u64, [u64; 3]> = Default::default();
     let mut workers: std::collections::BTreeMap<u64, u64> = Default::default();
     for ins in &snap.instruments {
         let lane = |key: &str| {
@@ -717,7 +713,6 @@ fn render_top(snap: &txproc_core::telemetry::Snapshot) -> String {
                 "events_total" => row[0] = ins.value,
                 "committed_total" => row[1] = ins.value,
                 "run_queue_depth" => row[2] = ins.value,
-                "lock_wait_ns_total" => row[3] = ins.value,
                 _ => {}
             }
         } else if let (Some(widx), "worker_steps_total") = (lane("worker"), ins.name.as_str()) {
@@ -727,19 +722,11 @@ fn render_top(snap: &txproc_core::telemetry::Snapshot) -> String {
     if !shards.is_empty() {
         let _ = writeln!(
             out,
-            "{:<6} {:>8} {:>10} {:>7} {:>14}",
-            "shard", "events", "committed", "queue", "lock-wait µs"
+            "{:<6} {:>8} {:>10} {:>7}",
+            "shard", "events", "committed", "queue"
         );
-        for (s, [events, committed, depth, wait_ns]) in &shards {
-            let _ = writeln!(
-                out,
-                "{:<6} {:>8} {:>10} {:>7} {:>14.1}",
-                s,
-                events,
-                committed,
-                depth,
-                *wait_ns as f64 / 1e3
-            );
+        for (s, [events, committed, depth]) in &shards {
+            let _ = writeln!(out, "{:<6} {:>8} {:>10} {:>7}", s, events, committed, depth);
         }
     }
     if !workers.is_empty() {
@@ -812,42 +799,6 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         r.metrics.committed, r.metrics.aborted, r.metrics.activities, r.metrics.compensations
     );
     Ok(())
-}
-
-/// `txproc regression`: the perf-regression gate. Reads the committed
-/// baseline (`--baseline`, default `BENCH_baseline.json`) and a freshly
-/// produced report (`--current`, default `BENCH_scheduler.json`), prints
-/// the per-point diff, and exits non-zero when any matched sweep point
-/// regresses past the gate (throughput −20% / p95 +30%, both relative to
-/// the run-wide median ratio so a uniformly slower host cancels out).
-fn cmd_regression(args: &Args) -> Result<(), String> {
-    use txproc_bench::regression::compare;
-    let baseline_path = args
-        .values
-        .get("baseline")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_baseline.json".to_string());
-    let current_path = args
-        .values
-        .get("current")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scheduler.json".to_string());
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let current = std::fs::read_to_string(&current_path)
-        .map_err(|e| format!("cannot read current report {current_path}: {e}"))?;
-    let report = compare(&baseline, &current).map_err(|e| e.to_string())?;
-    print!("{}", report.render());
-    if report.passed() {
-        println!("regression gate: pass ({baseline_path} vs {current_path})");
-        Ok(())
-    } else {
-        Err(format!(
-            "perf regression gate failed ({baseline_path} vs {current_path}); \
-             see the violating points above — refresh the baseline only for \
-             intentional perf changes (see CONTRIBUTING.md)"
-        ))
-    }
 }
 
 /// Runs the scenario gauntlet: every named scenario (or one, with
@@ -962,7 +913,7 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
         eprintln!(
-            "usage: txproc <simulate|generate|check|demo|dot|crash|bench|trace|stats|top|regression|gauntlet> [options]"
+            "usage: txproc <simulate|generate|check|demo|dot|crash|bench|trace|stats|top|gauntlet> [options]"
         );
         std::process::exit(2);
     };
@@ -984,7 +935,6 @@ fn main() {
         "trace" => cmd_trace(&args),
         "stats" => cmd_stats(&args),
         "top" => cmd_top(&args),
-        "regression" => cmd_regression(&args),
         "gauntlet" => cmd_gauntlet(&args),
         other => Err(format!("unknown command: {other}")),
     };
@@ -1094,7 +1044,7 @@ mod tests {
         ]);
         cmd_bench(&a).unwrap();
         let raw = std::fs::read_to_string(&out).unwrap();
-        assert!(raw.contains("txproc-bench-scheduler/v11"));
+        assert!(raw.contains("txproc-bench-scheduler/v12"));
         assert!(raw.contains("pred-protocol"));
         assert!(raw.contains("zipf-hotspot"));
         assert!(raw.contains("open_runs"));
@@ -1209,63 +1159,6 @@ mod tests {
             "sampling kept {sampled_lines} of {full_lines}"
         );
         assert!(cmd_trace(&args(&["--trace-sample", "0"])).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn regression_gate_passes_self_and_fails_doctored() {
-        let dir = scratch("txproc_regression_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let a = args(&[
-            "--smoke",
-            "--processes",
-            "5",
-            "--out",
-            baseline.to_str().unwrap(),
-        ]);
-        cmd_bench(&a).unwrap();
-
-        let self_check = args(&[
-            "--baseline",
-            baseline.to_str().unwrap(),
-            "--current",
-            baseline.to_str().unwrap(),
-        ]);
-        cmd_regression(&self_check).unwrap();
-
-        // Halve one point's throughput: it now sits far below the median
-        // ratio and must trip the gate.
-        let raw = std::fs::read_to_string(&baseline).unwrap();
-        let mut doc: serde::Value = serde_json::from_str(&raw).unwrap();
-        let mut halved = false;
-        if let serde::Value::Map(fields) = &mut doc {
-            if let Some((_, serde::Value::Seq(runs))) = fields.iter_mut().find(|(k, _)| k == "runs")
-            {
-                if let Some(serde::Value::Map(run)) = runs.first_mut() {
-                    if let Some((_, v)) = run.iter_mut().find(|(k, _)| k == "events_per_sec") {
-                        match v {
-                            serde::Value::F64(e) => *e /= 2.0,
-                            serde::Value::U64(e) => *e /= 2,
-                            serde::Value::I64(e) => *e /= 2,
-                            other => panic!("unexpected events_per_sec shape: {other:?}"),
-                        }
-                        halved = true;
-                    }
-                }
-            }
-        }
-        assert!(halved, "baseline report carries runs[0].events_per_sec");
-        let doctored = dir.join("doctored.json");
-        std::fs::write(&doctored, serde_json::to_string(&doc).unwrap()).unwrap();
-        let fail_check = args(&[
-            "--baseline",
-            baseline.to_str().unwrap(),
-            "--current",
-            doctored.to_str().unwrap(),
-        ]);
-        let err = cmd_regression(&fail_check).unwrap_err();
-        assert!(err.contains("regression"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,10 +10,7 @@
 //!   measurement, and self-assesses against the paper's claim,
 //! * [`tables`] — text-table rendering for the `report` binary,
 //! * [`perf`] — the scheduler perf trajectory (`txproc bench`): scalability
-//!   runs written to `BENCH_scheduler.json` (E19),
-//! * [`regression`] — the perf-regression gate (`txproc regression`): diffs
-//!   a fresh bench report against the committed `BENCH_baseline.json`,
-//!   failing on per-point throughput/latency deviations beyond the gate.
+//!   runs written to `BENCH_scheduler.json` (E19).
 //!
 //! Run `cargo run -p txproc-bench --bin report` for the full report, or
 //! `cargo bench` for the Criterion microbenchmarks (one per figure plus the
@@ -24,7 +21,6 @@
 
 pub mod experiments;
 pub mod perf;
-pub mod regression;
 pub mod scenarios;
 pub mod tables;
 

@@ -158,15 +158,8 @@ pub struct BenchEntry {
     pub shards: u64,
     /// Disjoint tenant clusters in the workload (1 = classic single pool).
     pub clusters: usize,
-    /// Total time threads spent blocked acquiring shard locks, in
-    /// milliseconds (concurrent runs only).
-    pub lock_wait_ms: f64,
-    /// Total time threads spent holding shard locks, in milliseconds
-    /// (concurrent runs only).
-    pub lock_hold_ms: f64,
-    /// Runtime label of concurrent entries (`events`, the worker pool: the
-    /// regression-gate key of every committed baseline carries it); `None`
-    /// for engine entries.
+    /// Runtime label of concurrent entries (`events`, the worker pool);
+    /// `None` for engine entries.
     pub runtime: Option<String>,
     /// Worker threads the pool used (0 for engine entries).
     pub workers: u64,
@@ -189,8 +182,7 @@ pub struct BenchEntry {
     /// Epoch size the run used (0 = per-event path).
     pub epoch: usize,
     /// Durability-policy label of WAL-journaled runs (schema v8); `None`
-    /// when the run wrote no WAL, which keeps pre-v8 regression keys
-    /// unchanged.
+    /// when the run wrote no WAL.
     pub durability: Option<String>,
 }
 
@@ -463,8 +455,6 @@ fn engine_entry_wal(
         shard_mode: None,
         shards: 0,
         clusters: w.config.clusters.max(1),
-        lock_wait_ms: 0.0,
-        lock_hold_ms: 0.0,
         blocked_time_total: r.metrics.blocked_total(),
         cert_failures: r.metrics.cert_failures,
         abort_reasons: r.metrics.abort_reasons,
@@ -517,8 +507,6 @@ fn concurrent_entry(
         shard_mode: Some(shards.label()),
         shards: r.metrics.shards.len() as u64,
         clusters: w.config.clusters.max(1),
-        lock_wait_ms: r.metrics.lock_wait_total_ns() as f64 / 1e6,
-        lock_hold_ms: r.metrics.lock_hold_total_ns() as f64 / 1e6,
         blocked_time_total: r.metrics.blocked_total(),
         cert_failures: r.metrics.cert_failures,
         abort_reasons: r.metrics.abort_reasons,
@@ -877,8 +865,8 @@ fn replay_records_through(
 /// rows, at the highest-density point with `cfg.durability_processes`
 /// processes. WAL files live in (and are removed from) a temp directory of
 /// this call's own — sweeps of one process may run side by side, as the
-/// tests of one test binary do; the journaled [`BenchEntry`] rows are appended to `runs` so
-/// the regression gate tracks them under `/wal:`-suffixed keys.
+/// tests of one test binary do; the journaled [`BenchEntry`] rows are
+/// appended to `runs`.
 pub fn durability_bench(
     cfg: &SchedulerBenchConfig,
     runs: &mut Vec<BenchEntry>,
@@ -1172,6 +1160,8 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         Vec::new()
     };
     BenchReport {
+        // v12 is subtractive: the per-run `lock_wait_ms` / `lock_hold_ms`
+        // columns are gone with the shard lock (a worker owns its shards).
         // v11 is subtractive: the `pred-scan` policy rows and the
         // `decision[]` indexed-vs-scan microbenchmark are gone with the
         // policy (the scan formulation is test support; the criterion group
@@ -1180,13 +1170,11 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         // with it the `runtime_ratio` pairs, the thread baseline rows, the
         // per-run `wakeups`/`spurious_wakeups` counters, `open_runs[].runtime`
         // and the `certifier`/`runtime`/`concurrent_max_processes` config
-        // keys (one certifier, one runtime). Concurrent rows still say
-        // `"runtime": "events"`, so regression keys of committed baselines
-        // keep matching. v9 dropped the `epoch_decision` array: the
-        // `certify_epoch` batch API it measured is gone (E25). v8 (additive over v7): the per-run `durability` field
-        // (null on unlogged runs, so pre-v8 regression keys are unchanged),
-        // the `durability` fsync-policy sweep, and the `recovery`
-        // time-vs-log-length rows (E26). (v7 added the per-run `epoch`
+        // keys (one certifier, one runtime). v9 dropped the `epoch_decision`
+        // array: the `certify_epoch` batch API it measured is gone (E25).
+        // v8 (additive over v7): the per-run `durability` field (null on
+        // unlogged runs), the `durability` fsync-policy sweep, and the
+        // `recovery` time-vs-log-length rows (E26). (v7 added the per-run `epoch`
         // field and the epoch sweep entries at the highest density (E25);
         // v6 added the `phases` per-phase wall-time breakdown per driver
         // and the `telemetry_overhead` on-vs-off rows; v5 added per-entry
@@ -1194,7 +1182,7 @@ pub fn run_scheduler_bench(cfg: &SchedulerBenchConfig) -> BenchReport {
         // `open_runs` Poisson sweep; v4 added the `scenarios` gauntlet
         // array; v3 added shard_mode/shards/clusters and lock contention
         // over v2.)
-        schema: "txproc-bench-scheduler/v11",
+        schema: "txproc-bench-scheduler/v12",
         created_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -1375,7 +1363,7 @@ mod tests {
             .iter()
             .any(|n| n.starts_with("recovery (E26):")));
         let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("txproc-bench-scheduler/v11"));
+        assert!(json.contains("txproc-bench-scheduler/v12"));
         assert!(json.contains("throughput_vs_unlogged"));
         assert!(json.contains("wal_only_records_per_sec"));
         assert!(json.contains("snapshot_every"));

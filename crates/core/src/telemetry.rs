@@ -5,8 +5,7 @@
 //! The paper's claim is quantitative — the unified scheduler admits more
 //! concurrency than locking at bounded decision cost — so the runtime must be
 //! able to answer *where wall time goes*: certification vs. policy decisions
-//! vs. shard lock wait vs. run-queue residency vs. the 2PC prepare→decide gap
-//! vs. compensation. This module decomposes metrics the same way the
+//! vs. run-queue residency vs. the 2PC prepare→decide gap vs. compensation. This module decomposes metrics the same way the
 //! architecture decomposes (certifier / policy / shard / worker / 2PC), per
 //! the level-by-level analyzability argument of multi-level transaction
 //! control.
@@ -69,10 +68,6 @@ pub enum Phase {
     /// Protocol policy decisions: `request` / `can_commit` / compensation and
     /// forward gates (Lemmas 1–3 admission logic).
     Policy,
-    /// Waiting to acquire a shard's state lock (concurrent driver).
-    LockWait,
-    /// Holding a shard's state lock, condvar wait time excluded.
-    LockHold,
     /// Run-queue residency: dequeue time minus enqueue time (events runtime).
     QueueDelay,
     /// Deferred-2PC gap: activity *prepared* → commit decided (released or
@@ -91,11 +86,9 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in reporting order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Certify,
         Phase::Policy,
-        Phase::LockWait,
-        Phase::LockHold,
         Phase::QueueDelay,
         Phase::TwoPc,
         Phase::Compensation,
@@ -111,8 +104,6 @@ impl Phase {
         match self {
             Phase::Certify => "certify",
             Phase::Policy => "policy",
-            Phase::LockWait => "lock_wait",
-            Phase::LockHold => "lock_hold",
             Phase::QueueDelay => "queue_delay",
             Phase::TwoPc => "two_pc",
             Phase::Compensation => "compensation",
@@ -386,8 +377,8 @@ impl Telemetry {
     }
 
     /// Record an externally measured duration for `phase` — the entry point
-    /// for call sites that already compute the duration (shard lock wait,
-    /// run-queue residency).
+    /// for call sites that already compute the duration (run-queue
+    /// residency).
     #[inline]
     pub fn phase_ns(&self, phase: Phase, ns: u64) {
         if let Some(reg) = &self.reg {
@@ -606,12 +597,11 @@ mod tests {
         assert_eq!(t.snapshot().unwrap().instruments.len(), 3);
     }
 
-    /// The four per-shard instruments the concurrent driver registers.
+    /// The three per-shard instruments the concurrent driver registers.
     fn register_shard(t: &Telemetry, shard: u32) {
         let label = [("shard", shard.to_string())];
         t.counter("events_total", &label).add(u64::from(shard));
         t.counter("committed_total", &label).inc();
-        t.counter("lock_wait_ns_total", &label).inc();
         t.gauge("run_queue_depth", &label).set(u64::from(shard));
     }
 
@@ -637,19 +627,19 @@ mod tests {
             }
         });
         let expected = forward.snapshot().unwrap().instruments;
-        assert_eq!(expected.len(), 4 * 64);
+        assert_eq!(expected.len(), 3 * 64);
         assert_eq!(backward.snapshot().unwrap().instruments, expected);
         assert_eq!(threaded.snapshot().unwrap().instruments, expected);
     }
 
     #[test]
     fn large_registry_snapshots_sorted() {
-        // 4 instruments × 4096 shards: registration must not scan what is
-        // already registered (this is 16 384 lookups, not 134 M compares).
+        // 3 instruments × 4096 shards: registration must not scan what is
+        // already registered (this is 12 288 lookups, not 75 M compares).
         let t = Telemetry::on();
         (0..4096).rev().for_each(|s| register_shard(&t, s));
         let snap = t.snapshot().unwrap();
-        assert_eq!(snap.instruments.len(), 4 * 4096);
+        assert_eq!(snap.instruments.len(), 3 * 4096);
         let keys: Vec<_> = snap
             .instruments
             .iter()

@@ -20,28 +20,25 @@ use txproc_core::telemetry::{Phase, Telemetry};
 /// history it certifies against.
 pub(crate) struct CertGate<'a> {
     certifier: IncrementalPred<'a>,
-    /// Epoch mode: an admitted event stays applied in the certifier, so the
-    /// `record` that absorbs it on the next call only drops its undo log —
-    /// one step per admitted event instead of two. Verdicts are identical
-    /// either way.
-    keep: bool,
 }
 
 impl<'a> CertGate<'a> {
-    /// The gate of a run under `policy` with the given epoch size; `None`
-    /// for an uncertified policy, which admits everything.
-    pub(crate) fn for_policy(policy: PolicyKind, spec: &'a Spec, epoch: usize) -> Option<Self> {
+    /// The gate of a run under `policy`; `None` for an uncertified policy,
+    /// which admits everything.
+    pub(crate) fn for_policy(policy: PolicyKind, spec: &'a Spec) -> Option<Self> {
         policy.certified().then(|| Self {
             certifier: IncrementalPred::new(spec),
-            keep: epoch > 0,
         })
     }
 
     /// Whether `history` extended by `event` still completes to a reducible
     /// schedule. First absorbs the history events emitted since the last
     /// call (the caller serializes history order, so the certifier sees
-    /// exactly the emitted sequence, each event once per run). The whole
-    /// call is one [`Phase::Certify`] interval.
+    /// exactly the emitted sequence, each event once per run). An admitted
+    /// event stays applied in the certifier, so the `record` that absorbs
+    /// it on the next call only drops its undo log — one step per admitted
+    /// event, not two (the certifier rolls it back itself if anything else
+    /// is asked first). The whole call is one [`Phase::Certify`] interval.
     pub(crate) fn admits(&mut self, history: &Schedule, event: &Event, tele: &Telemetry) -> bool {
         let t0 = tele.phase_start();
         for e in &history.events()[self.certifier.len()..] {
@@ -49,11 +46,7 @@ impl<'a> CertGate<'a> {
                 .record(e)
                 .expect("emitted history event is legal");
         }
-        let verdict = if self.keep {
-            self.certifier.certify_keep(event)
-        } else {
-            self.certifier.certify(event)
-        };
+        let verdict = self.certifier.certify_keep(event);
         tele.phase_end(Phase::Certify, t0);
         verdict.is_ok_and(|v| v.reducible)
     }

@@ -21,46 +21,49 @@
 //! # Runtime
 //!
 //! Processes are state machines stepped by a fixed worker pool (default
-//! `min(cores, shards)`), one non-blocking `advance` call at a time.
-//! Each worker owns a disjoint set of shards; per shard it keeps a run
-//! queue of runnable processes and a waiting set of blocked ones. A
+//! `min(cores, shards)`), one non-blocking `Shard::step` call at a time.
+//! Each worker *owns* a disjoint set of shards: a shard is one plain value —
+//! scheduler state, run queue of runnable processes, waiting set of blocked
+//! ones — that only its worker ever touches, so nothing guards it. A
 //! blocked process costs a queue entry, not a parked thread stack, so the
-//! runtime scales to 100k+ in-flight processes. Any step that bumps the
-//! shard *generation* (every history event, and the policy live-op removal
-//! at finalize) re-queues the shard's waiters; that is complete because a
-//! blocker is always a shard-mate. With one worker and closed arrivals
-//! nothing nondeterministic is left, which makes the single-worker run the
-//! deterministic oracle of the differential tests.
+//! runtime scales to 100k+ in-flight processes. Every scheduler-visible
+//! mutation (a history event, the policy live-op removal at finalize) marks
+//! the shard *dirty*, and a dirty shard re-queues its waiters once its
+//! runnable work has drained; that is complete because a blocker is always a
+//! shard-mate. With one worker and closed arrivals nothing nondeterministic
+//! is left, which makes the single-worker run the deterministic oracle of
+//! the differential tests.
 //!
 //! # Shard lifecycle
 //!
-//! A shard lives as long as its domain has work. The calling thread
-//! partitions, assigns, and then is worker 0 (workers `1..W` are spawned; a
-//! one-worker run spawns no thread). The owning worker builds a shard's
-//! state (policy, gate, process states, instruments) when it admits the
-//! domain's first due arrival, and retires it — `Shard::finish`, which
-//! flushes the last partial epoch to the journal — in the visit in which its
-//! last process terminates *and* no arrival is pending. Retirement waits
-//! for the arrival queue because a drained domain's history still constrains
-//! its later arrivals.
+//! A shard lives as long as its domain has work, and always in the hands of
+//! one worker. The calling thread partitions, assigns, and then is worker 0
+//! (workers `1..W` are spawned; a one-worker run spawns no thread). The
+//! owning worker builds the shard (`Shard::build`: policy, gate, process
+//! states, queues, instruments) when it admits the domain's first due
+//! arrival, holds it by value while it steps it, and retires it —
+//! `Shard::finish`, which flushes the last partial epoch to the journal —
+//! in the visit in which its last process terminates *and* no arrival is
+//! pending. Retirement waits for the arrival queue because a drained
+//! domain's history still constrains its later arrivals.
 //! So a worker holds state only for domains with live or due work (peak
 //! built shards: [`RuntimeMetrics::shards_live_peak`]). Step order is that
 //! of a run with every shard built up front, so single-worker histories,
 //! tickets and metrics are unchanged by the lifecycle; only *when* memory is
 //! live, the journal flush point and instrument registration time follow it.
 //!
-//! Lock order (never acquired in reverse):
+//! What two workers *can* reach is behind a lock, and these are all of them
+//! (none is ever held while acquiring another):
 //!
-//! | level | lock                | protects                              |
-//! |-------|---------------------|---------------------------------------|
-//! | 1     | shard mutex         | one domain's policy/certifier/history |
-//! | 2     | trace sink mutex    | global journal + dense trace seq      |
-//! | 2     | agent mutex (per subsystem) | subsystem state + key locks   |
+//! | lock                        | protects                              |
+//! |-----------------------------|---------------------------------------|
+//! | trace sink mutex            | global journal + dense trace seq      |
+//! | agent mutex (per subsystem) | subsystem state + key locks           |
+//! | WAL writer mutex            | the durable shard-event log           |
 //!
-//! No thread ever holds two shard locks, and two level-2 locks are never
-//! nested. Agents are shared across shards, but a key lock held by a
-//! prepared invocation can only block a *conflicting* service (reads do not
-//! lock; additive writes share their lock), and conflicting services are by
+//! Agents are shared across shards, but a key lock held by a prepared
+//! invocation can only block a *conflicting* service (reads do not lock;
+//! additive writes share their lock), and conflicting services are by
 //! construction in the same domain — so cross-shard `Busy` outcomes cannot
 //! occur and shard-local re-queuing is complete.
 //!
@@ -92,7 +95,7 @@ use txproc_subsystem::deploy::ServiceSite;
 use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
 
 /// Label of the one runtime in [`RuntimeMetrics::runtime`] and the bench
-/// reports' `runtime` column (the committed baselines key on it).
+/// reports' `runtime` column.
 const RUNTIME_LABEL: &str = "events";
 
 /// Consecutive state-machine steps one event worker runs on a shard before
@@ -132,15 +135,16 @@ pub enum ShardMode {
 }
 
 impl ShardMode {
-    /// Parses `auto`, `single`, or a shard count.
+    /// Parses `auto`, `single`, or a shard count of at least one.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "auto" => Some(Self::Auto),
             "single" => Some(Self::Single),
-            _ => s.parse::<u32>().ok().map(|n| match n {
-                1 => Self::Single,
-                n => Self::Fixed(n),
-            }),
+            _ => match s.parse::<u32>().ok()? {
+                0 => None,
+                1 => Some(Self::Single),
+                n => Some(Self::Fixed(n)),
+            },
         }
     }
 
@@ -189,12 +193,10 @@ pub struct ConcurrentConfig {
     /// Worker-pool size. `None` (the default) resolves to
     /// `min(available cores, shard count)`.
     pub workers: Option<usize>,
-    /// Epoch size for group certification and batch commit. `0` keeps the
-    /// per-event path bit-identical to earlier releases. With `N > 0` each
-    /// shard retains certified plans for their matching `record` (one
-    /// closure computation per admitted event instead of two), buffers its
-    /// trace records and appends them to the global journal one batch — one
-    /// sink lock acquisition — at a time, and groups deferred-commit
+    /// Epoch size for batch commit. `0` keeps the per-event path
+    /// bit-identical to earlier releases. With `N > 0` each shard buffers
+    /// its trace records and appends them to the global journal one batch —
+    /// one sink lock acquisition — at a time, and groups deferred-commit
     /// releases into per-subsystem rounds of at most `N`. Epochs close on
     /// fill, on certification failure (conflict pressure) and at run end.
     /// `N = 1` closes an epoch per event and stays bit-identical — history
@@ -310,17 +312,18 @@ impl TraceShared<'_> {
     }
 }
 
-/// Everything a worker needs besides its shard: immutable run-wide context.
-struct RunCtx<'r, 'a> {
+/// Everything a worker needs besides its shards: the run-wide context all
+/// workers share.
+struct RunCtx<'a> {
     workload: &'a Workload,
-    cfg: &'r ConcurrentConfig,
-    agents: &'r Agents,
+    cfg: ConcurrentConfig,
+    agents: Agents,
     /// Global event ticket counter: stamps every emitted event with its
     /// position in the merged schedule.
-    tickets: &'r AtomicU64,
-    trace: &'r TraceShared<'a>,
-    /// Telemetry handle shared by all workers (run-queue delay phase and
-    /// per-worker instruments).
+    tickets: AtomicU64,
+    trace: TraceShared<'a>,
+    /// Telemetry handle shared by all workers and their shards (phase
+    /// timers, per-shard and per-worker instruments; off by default).
     tele: Telemetry,
     run_start: Instant,
     /// Arrival offset per process in microseconds (one virtual tick of the
@@ -338,10 +341,54 @@ struct RunCtx<'r, 'a> {
     /// ticket-sorted log replays to the exact returned history. The shard
     /// log carries no agent state — subsystem recovery stays an
     /// engine-WAL capability.
-    wal: Option<&'r Mutex<WalWriter>>,
+    wal: Option<Mutex<WalWriter>>,
 }
 
-impl RunCtx<'_, '_> {
+impl<'a> RunCtx<'a> {
+    /// The context of one run of an already validated `cfg`;
+    /// `worker_of_shard` is the static shard→worker assignment.
+    fn new(
+        workload: &'a Workload,
+        cfg: ConcurrentConfig,
+        sink: Box<dyn TraceSink + 'a>,
+        tele: Telemetry,
+        wal: Option<WalWriter>,
+        worker_of_shard: Vec<u32>,
+    ) -> Self {
+        let agent = |sid: SubsystemId| {
+            let subsystem = Subsystem::new(sid, format!("sub{}", sid.0));
+            (sid, Mutex::new(Agent::new(subsystem)))
+        };
+        let agents = workload.deployment.subsystems().into_iter().map(agent);
+        let arrivals = match workload.config.arrivals {
+            ArrivalModel::Closed => Vec::new(),
+            _ => workload
+                .spec
+                .processes()
+                .map(|p| p.id)
+                .zip(txproc_sim::workload::arrival_times(&workload.config))
+                .collect(),
+        };
+        Self {
+            workload,
+            cfg,
+            agents: agents.collect(),
+            tickets: AtomicU64::new(0),
+            trace: TraceShared {
+                enabled: sink.enabled(),
+                sink: Mutex::new(sink),
+                seq: AtomicU64::new(0),
+                worker_of_shard,
+            },
+            tele,
+            run_start: Instant::now(),
+            arrivals,
+            live: Level::default(),
+            shards_live: Level::default(),
+            wal: wal.map(Mutex::new),
+        }
+    }
+
     /// Arrival offset of a process in microseconds.
     fn arrival_us(&self, pid: ProcessId) -> u64 {
         self.arrivals
@@ -368,109 +415,84 @@ impl Level {
     }
 }
 
-/// One conflict-domain shard: a complete scheduler state behind its own
-/// lock, plus contention counters (atomics so they survive into the merge
-/// without locking).
-struct Shard<'a> {
-    id: u32,
-    state: Mutex<ShardState<'a>>,
-    lock_wait_ns: AtomicU64,
-    lock_hold_ns: AtomicU64,
-    /// Telemetry handle for the lock-wait / lock-hold phase timers (off by
-    /// default: one branch per lock operation).
-    tele: Telemetry,
-    /// Per-shard lock-wait counter for the live view (`txproc top`).
-    tele_lock_wait: Counter,
+/// Per-process state-machine bookkeeping between [`Shard::step`] calls:
+/// admission attempt counters and the no-progress escalation state. Created
+/// at the process's admission, dropped at its termination.
+#[derive(Default)]
+struct ProcSM {
+    attempts: BTreeMap<ActivityId, u64>,
+    no_progress: u32,
+    last_fingerprint: Option<(usize, usize)>,
 }
 
-impl<'a> Shard<'a> {
-    /// Builds the scheduler state of the domain with these `members`: its
-    /// own policy, certification gate, process states and instruments. The
-    /// one construction site — the owning worker calls it when it admits
-    /// the domain's first due arrival.
-    fn build(id: u32, members: &[ProcessId], ctx: &RunCtx<'_, 'a>) -> Self {
-        let (spec, cfg, tele) = (&ctx.workload.spec, ctx.cfg, &ctx.tele);
-        let mut policy = cfg.policy.build(spec);
-        let mut states = BTreeMap::new();
-        for &pid in members {
-            policy.register(pid);
-            let process = spec.process(pid).expect("partitioned pid is known");
-            let state = ProcessState::new(process, &spec.catalog).expect("tree process");
-            states.insert(pid, state);
-        }
-        let label = [("shard", id.to_string())];
-        ctx.shards_live.enter();
-        Self {
-            id,
-            state: Mutex::new(ShardState {
-                shard_id: id,
-                gate: CertGate::for_policy(cfg.policy, spec, cfg.epoch),
-                policy,
-                states,
-                history: Schedule::new(),
-                event_tickets: Vec::new(),
-                generation: 0,
-                metrics: Metrics::new(),
-                invocations: BTreeMap::new(),
-                released: BTreeMap::new(),
-                pending_release: BTreeMap::new(),
-                ready_releases: Vec::new(),
-                stalled_releases: Vec::new(),
-                block_notes: BTreeMap::new(),
-                cert_fail_notes: Vec::new(),
-                tele: tele.clone(),
-                tele_events: tele.counter("events_total", &label),
-                tele_committed: tele.counter("committed_total", &label),
-                prepared_at: BTreeMap::new(),
-                epoch: cfg.epoch,
-                epoch_pending: 0,
-                trace_buf: Vec::new(),
-            }),
-            lock_wait_ns: AtomicU64::new(0),
-            lock_hold_ns: AtomicU64::new(0),
-            tele: tele.clone(),
-            tele_lock_wait: tele.counter("lock_wait_ns_total", &label),
-        }
-    }
-
-    /// Acquires the shard lock, charging the blocked time to `lock_wait_ns`
-    /// and (via the guard's `Drop`) the held time to `lock_hold_ns`.
-    fn lock(&self) -> ShardGuard<'_, 'a> {
-        let t0 = Instant::now();
-        let guard = self.state.lock();
-        let waited = t0.elapsed().as_nanos() as u64;
-        self.lock_wait_ns.fetch_add(waited, Ordering::Relaxed);
-        self.tele.phase_ns(Phase::LockWait, waited);
-        self.tele_lock_wait.add(waited);
-        ShardGuard {
-            guard,
-            shard: self,
-            acquired: Instant::now(),
-        }
-    }
-
-    /// Retires the shard on its owning worker: closes the partial epoch
-    /// (trace records and fill accounting since the last boundary), keeps
-    /// what the merge needs and drops the rest — policy, certifier, maps.
-    fn finish(self, ctx: &RunCtx<'_, 'a>) -> ShardDone {
-        ctx.shards_live.leave();
-        let mut st = self.state.into_inner();
-        st.close_epoch(ctx);
-        let mut metrics = st.metrics;
-        metrics.shards.push(ShardMetrics {
-            shard: self.id,
-            processes: st.states.len() as u64,
-            events: st.history.len() as u64,
-            lock_wait_ns: self.lock_wait_ns.into_inner(),
-            lock_hold_ns: self.lock_hold_ns.into_inner(),
-        });
-        ShardDone {
-            id: self.id,
-            metrics,
-            tickets: st.event_tickets,
-            history: st.history,
-        }
-    }
+/// One conflict domain's scheduler, complete: protocol state (policy, gate,
+/// process states, history segment) and scheduling state (run queue, waiting
+/// set, per-process state machines). A plain value its worker holds in
+/// [`Domain::built`]; exclusive access is that ownership, so nothing here is
+/// locked or atomic.
+struct Shard<'a> {
+    id: u32,
+    /// The §3.5 certification gate over the shard-local segment (certified
+    /// policies only); the one owner serializes history order for it.
+    gate: Option<CertGate<'a>>,
+    policy: Box<dyn Policy + Send + 'a>,
+    states: BTreeMap<ProcessId, ProcessState<'a>>,
+    /// Shard-local history segment.
+    history: Schedule,
+    /// Global merge ticket of each segment event (parallel to `history`).
+    event_tickets: Vec<u64>,
+    metrics: Metrics,
+    invocations: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)>,
+    /// Deferred activities released by a predecessor's termination.
+    released: BTreeMap<ProcessId, ActivityId>,
+    pending_release: BTreeMap<ProcessId, (GlobalActivityId, ActivityId, SubsystemId, InvocationId)>,
+    /// Releases granted by the policy but not yet certified/applied.
+    ready_releases: Vec<ProcessId>,
+    /// Releases that failed certification, stamped with the history length
+    /// at failure time. Certification is a pure function of the history, so
+    /// they are re-armed only once the history actually advanced — not
+    /// busy-retried on every step.
+    stalled_releases: Vec<(ProcessId, usize)>,
+    /// Last journalled block state per process (kind, wait set). Blocked
+    /// requests are re-polled on every wakeup; one journal record per
+    /// *distinct* blocked state keeps the trace readable.
+    block_notes: BTreeMap<ProcessId, (u8, Vec<ProcessId>)>,
+    /// Certification failures already journalled, stamped with the history
+    /// length: the verdict is a pure function of the history, so re-polls at
+    /// the same length are the same decision, not a new one.
+    cert_fail_notes: Vec<(Event, usize)>,
+    /// Per-shard instruments for the live view: emitted history events and
+    /// committed processes.
+    tele_events: Counter,
+    tele_committed: Counter,
+    /// Prepare instants of in-flight deferred commits, populated only while
+    /// telemetry is enabled (so the disabled path stays byte-identical):
+    /// feeds the 2PC prepare→decide phase histogram.
+    prepared_at: BTreeMap<ProcessId, Instant>,
+    /// History events emitted since the last epoch close
+    /// ([`ConcurrentConfig::epoch`] `> 0` only).
+    epoch_pending: usize,
+    /// Buffered trace records of the current epoch (`epoch > 0` and
+    /// tracing enabled only), flushed to the global journal as one batch.
+    trace_buf: Vec<(usize, TraceEvent)>,
+    /// Runnable processes with their enqueue instant (scheduling delay is
+    /// measured from it).
+    run_queue: VecDeque<(ProcessId, Instant)>,
+    /// Blocked processes; re-queued when the run queue drains on a dirty
+    /// shard.
+    waiting: BTreeSet<ProcessId>,
+    sm: BTreeMap<ProcessId, ProcSM>,
+    /// Arrived and not yet terminated.
+    live: usize,
+    /// A scheduler-visible mutation (a history event, the policy live-op
+    /// removal at finalize) happened since waiters were last re-queued.
+    /// Marks are *coalesced*: re-queuing every waiter on every mutation
+    /// would cost an O(waiters) futile-poll round per event, where draining
+    /// the runnable work first folds a whole burst into one round.
+    dirty: bool,
+    /// Live telemetry gauge mirroring `run_queue.len() + waiting.len()`
+    /// (no-op when telemetry is disabled).
+    depth: Gauge,
 }
 
 /// What a finished shard hands to the merge.
@@ -483,148 +505,187 @@ struct ShardDone {
     history: Schedule,
 }
 
-/// Shard lock guard that charges hold time on release.
-struct ShardGuard<'g, 'a> {
-    guard: parking_lot::MutexGuard<'g, ShardState<'a>>,
-    shard: &'g Shard<'a>,
-    acquired: Instant,
-}
-
-impl<'a> std::ops::Deref for ShardGuard<'_, 'a> {
-    type Target = ShardState<'a>;
-    fn deref(&self) -> &Self::Target {
-        &self.guard
-    }
-}
-
-impl<'a> std::ops::DerefMut for ShardGuard<'_, 'a> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.guard
-    }
-}
-
-impl Drop for ShardGuard<'_, '_> {
-    fn drop(&mut self) {
-        let held = self.acquired.elapsed().as_nanos() as u64;
-        self.shard.lock_hold_ns.fetch_add(held, Ordering::Relaxed);
-        self.shard.tele.phase_ns(Phase::LockHold, held);
-    }
-}
-
-struct ShardState<'a> {
-    shard_id: u32,
-    /// The §3.5 certification gate over the shard-local segment (certified
-    /// policies only); the shard lock serializes history order for it.
-    gate: Option<CertGate<'a>>,
-    policy: Box<dyn Policy + Send + 'a>,
-    states: BTreeMap<ProcessId, ProcessState<'a>>,
-    /// Shard-local history segment.
-    history: Schedule,
-    /// Global merge ticket of each segment event (parallel to `history`).
-    event_tickets: Vec<u64>,
-    /// Bumped on every scheduler-visible mutation (history events, policy
-    /// live-op removal at finalize); the owning worker re-queues the
-    /// shard's waiters when it moves.
-    generation: u64,
-    metrics: Metrics,
-    invocations: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)>,
-    /// Deferred activities released by a predecessor's termination.
-    released: BTreeMap<ProcessId, ActivityId>,
-    pending_release: BTreeMap<ProcessId, (GlobalActivityId, ActivityId, SubsystemId, InvocationId)>,
-    /// Releases granted by the policy but not yet certified/applied.
-    ready_releases: Vec<ProcessId>,
-    /// Releases that failed certification, stamped with the history length
-    /// at failure time. Certification is a pure function of the history, so
-    /// they are re-armed only once the history actually advanced — not
-    /// busy-retried on every lock acquisition.
-    stalled_releases: Vec<(ProcessId, usize)>,
-    /// Last journalled block state per process (kind, wait set). Blocked
-    /// requests are re-polled on every wakeup; one journal record per
-    /// *distinct* blocked state keeps the trace readable.
-    block_notes: BTreeMap<ProcessId, (u8, Vec<ProcessId>)>,
-    /// Certification failures already journalled, stamped with the history
-    /// length: the verdict is a pure function of the history, so re-polls at
-    /// the same length are the same decision, not a new one.
-    cert_fail_notes: Vec<(Event, usize)>,
-    /// Telemetry handle for the certify / policy / 2PC / compensation phase
-    /// timers (off by default).
-    tele: Telemetry,
-    /// Per-shard instruments for the live view: emitted history events and
-    /// committed processes.
-    tele_events: Counter,
-    tele_committed: Counter,
-    /// Prepare instants of in-flight deferred commits, populated only while
-    /// telemetry is enabled (so the disabled path stays byte-identical):
-    /// feeds the 2PC prepare→decide phase histogram.
-    prepared_at: BTreeMap<ProcessId, Instant>,
-    /// Epoch size (from [`ConcurrentConfig::epoch`]); `0` is the per-event
-    /// path.
-    epoch: usize,
-    /// History events emitted since the last epoch close (`epoch > 0`
-    /// only).
-    epoch_pending: usize,
-    /// Buffered trace records of the current epoch (`epoch > 0` and
-    /// tracing enabled only), flushed to the global journal as one batch.
-    trace_buf: Vec<(usize, TraceEvent)>,
-}
-
-/// A failure-injected ("simulated") agent invocation to run after the
-/// shard lock is dropped: its outcome is ignored and it leaves no trace in
-/// history or policy, so only the agent's own lock is needed.
-struct SimulatedInvoke<'a> {
-    svc: ServiceId,
-    site: &'a ServiceSite,
-}
-
-/// Outcome of one worker-loop iteration.
-enum Step<'a> {
-    /// Process reached a terminal state; the worker exits.
+/// Outcome of one [`Shard::step`].
+#[derive(Debug, PartialEq, Eq)]
+enum Step {
+    /// Process reached a terminal state and left the shard's live set.
     Done,
-    /// Blocked on shard state; wait for the generation to move.
+    /// Blocked on shard state; parked in the waiting set until the shard is
+    /// marked dirty.
     Wait,
-    /// Made progress (or must re-poll immediately); optionally runs a
-    /// simulated invocation after releasing the shard lock.
-    Yield(Option<SimulatedInvoke<'a>>),
+    /// Made progress (or must re-poll immediately): runnable again.
+    Yield,
 }
 
-impl<'a> ShardState<'a> {
+impl<'a> Shard<'a> {
+    /// Builds the scheduler of the domain with these `members`: its own
+    /// policy, certification gate, process states, queues and instruments.
+    /// The one construction site — the owning worker calls it when it admits
+    /// the domain's first due arrival.
+    fn build(id: u32, members: &[ProcessId], ctx: &RunCtx<'a>) -> Self {
+        let (spec, cfg, tele) = (&ctx.workload.spec, &ctx.cfg, &ctx.tele);
+        let mut policy = cfg.policy.build(spec);
+        let mut states = BTreeMap::new();
+        for &pid in members {
+            policy.register(pid);
+            let process = spec.process(pid).expect("partitioned pid is known");
+            let state = ProcessState::new(process, &spec.catalog).expect("tree process");
+            states.insert(pid, state);
+        }
+        let label = [("shard", id.to_string())];
+        ctx.shards_live.enter();
+        Self {
+            id,
+            gate: CertGate::for_policy(cfg.policy, spec),
+            policy,
+            states,
+            history: Schedule::new(),
+            event_tickets: Vec::new(),
+            metrics: Metrics::new(),
+            invocations: BTreeMap::new(),
+            released: BTreeMap::new(),
+            pending_release: BTreeMap::new(),
+            ready_releases: Vec::new(),
+            stalled_releases: Vec::new(),
+            block_notes: BTreeMap::new(),
+            cert_fail_notes: Vec::new(),
+            tele_events: tele.counter("events_total", &label),
+            tele_committed: tele.counter("committed_total", &label),
+            prepared_at: BTreeMap::new(),
+            epoch_pending: 0,
+            trace_buf: Vec::new(),
+            run_queue: VecDeque::new(),
+            waiting: BTreeSet::new(),
+            sm: BTreeMap::new(),
+            live: 0,
+            dirty: false,
+            depth: tele.gauge("run_queue_depth", &label),
+        }
+    }
+
+    /// Retires the shard on its owning worker: closes the partial epoch
+    /// (trace records and fill accounting since the last boundary), keeps
+    /// what the merge needs and drops the rest — policy, certifier, maps.
+    fn finish(mut self, ctx: &RunCtx<'a>) -> ShardDone {
+        ctx.shards_live.leave();
+        self.close_epoch(ctx);
+        let mut metrics = self.metrics;
+        metrics.shards.push(ShardMetrics {
+            shard: self.id,
+            processes: self.states.len() as u64,
+            events: self.history.len() as u64,
+        });
+        ShardDone {
+            id: self.id,
+            metrics,
+            tickets: self.event_tickets,
+            history: self.history,
+        }
+    }
+
+    /// Admits an arrived process: live, with a fresh state machine, at the
+    /// back of the run queue.
+    fn admit(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
+        self.live += 1;
+        self.sm.insert(pid, ProcSM::default());
+        ctx.live.enter();
+        self.run_queue.push_back((pid, Instant::now()));
+    }
+
+    /// Whether the shard has work that needs no arrival: a runnable process,
+    /// or waiters a mutation may have unblocked.
+    fn has_work(&self) -> bool {
+        !self.run_queue.is_empty() || (self.dirty && !self.waiting.is_empty())
+    }
+
+    /// Dequeues the next process to step, sampling its scheduling delay.
+    /// When the run queue has drained with waiters left, a dirty shard
+    /// re-queues them all — any of them may be unblocked, and one coalesced
+    /// round serves the whole burst of mutations. A clean one is a genuine
+    /// deadlock among the arrived: stepping all of them is pure futile work
+    /// under a certified policy, so a single probe (smallest pid, for
+    /// determinism; a counted re-poll round) accumulates no-progress toward
+    /// the escalation in [`Shard::step`], and the moment its abort marks the
+    /// shard dirty the full re-queue wakes the rest.
+    fn next_runnable(&mut self, ctx: &RunCtx<'a>, rt: &mut RuntimeMetrics) -> Option<ProcessId> {
+        loop {
+            if let Some((pid, enqueued)) = self.run_queue.pop_front() {
+                let delay_ns = enqueued.elapsed().as_nanos() as u64;
+                rt.record_delay_ns(delay_ns);
+                ctx.tele.phase_ns(Phase::QueueDelay, delay_ns);
+                return Some(pid);
+            }
+            let probe = self.waiting.first().copied()?;
+            if self.dirty {
+                self.dirty = false;
+                let woken = std::mem::take(&mut self.waiting).into_iter();
+                self.run_queue
+                    .extend(woken.map(|pid| (pid, Instant::now())));
+            } else {
+                rt.repolls += 1;
+                self.waiting.remove(&probe);
+                self.run_queue.push_back((probe, Instant::now()));
+            }
+        }
+    }
+
+    /// Moves `pid` one transition forward — the single entry point of the
+    /// protocol logic — and files it by the outcome: a terminated process
+    /// leaves the live set, a blocked one joins the waiting set, a runnable
+    /// one stays with the caller (which steps it again or re-queues it).
+    fn step(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
+        let step = self.advance(ctx, pid);
+        match step {
+            Step::Done => {
+                self.live -= 1;
+                self.sm.remove(&pid);
+                ctx.live.leave();
+            }
+            Step::Wait => {
+                self.waiting.insert(pid);
+            }
+            Step::Yield => {}
+        }
+        step
+    }
+
     /// Appends an event to the shard segment, stamping it with the global
-    /// merge ticket and bumping the generation.
-    fn emit(&mut self, ctx: &RunCtx<'_, 'a>, event: Event) {
+    /// merge ticket and marking the shard dirty.
+    fn emit(&mut self, ctx: &RunCtx<'a>, event: Event) {
         let ticket = ctx.tickets.fetch_add(1, Ordering::Relaxed);
-        if let Some(wal) = ctx.wal {
+        if let Some(wal) = &ctx.wal {
             wal.lock().append(&WalRecord::ShardEvent {
-                shard: self.shard_id,
+                shard: self.id,
                 ticket,
                 event: event.clone(),
             });
         }
         self.history.push(event);
         self.event_tickets.push(ticket);
-        self.generation += 1;
+        self.dirty = true;
         self.tele_events.inc();
-        if self.epoch > 0 {
+        if ctx.cfg.epoch > 0 {
             self.epoch_pending += 1;
-            if self.epoch_pending >= self.epoch {
+            if self.epoch_pending >= ctx.cfg.epoch {
                 self.close_epoch(ctx);
             }
         }
     }
 
-    fn trace(&mut self, ctx: &RunCtx<'_, 'a>, event: TraceEvent) {
-        if self.epoch > 0 {
+    fn trace(&mut self, ctx: &RunCtx<'a>, event: TraceEvent) {
+        if ctx.cfg.epoch > 0 {
             if !ctx.trace.enabled {
                 return;
             }
             self.trace_buf.push((self.history.len(), event));
             // Bound the buffer even when no history event closes the epoch
             // (e.g. a run of blocked-note records).
-            if self.trace_buf.len() >= self.epoch {
+            if self.trace_buf.len() >= ctx.cfg.epoch {
                 self.close_epoch(ctx);
             }
             return;
         }
-        ctx.trace.record(self.shard_id, self.history.len(), event);
+        ctx.trace.record(self.id, self.history.len(), event);
     }
 
     /// Closes the current epoch: counts the batch, samples the epoch-fill
@@ -633,35 +694,23 @@ impl<'a> ShardState<'a> {
     /// latency). The metrics counters require `epoch >= 2` — an epoch of
     /// one *is* the per-event path, and counting it would break the
     /// `epoch=1 ≡ per-event` metrics identity the differential oracle pins.
-    fn close_epoch(&mut self, ctx: &RunCtx<'_, 'a>) {
+    fn close_epoch(&mut self, ctx: &RunCtx<'a>) {
         if self.epoch_pending > 0 {
             let fill = self.epoch_pending as u64;
             self.epoch_pending = 0;
-            if self.epoch >= 2 {
+            if ctx.cfg.epoch >= 2 {
                 self.metrics.epoch_batches += 1;
                 self.metrics.epoch_events += fill;
             }
-            self.tele.phase_ns(Phase::EpochFill, fill);
+            ctx.tele.phase_ns(Phase::EpochFill, fill);
         }
         if self.trace_buf.is_empty() {
             return;
         }
-        let t0 = self.tele.phase_start();
+        let t0 = ctx.tele.phase_start();
         let buf = std::mem::take(&mut self.trace_buf);
-        ctx.trace.record_batch(self.shard_id, buf);
-        self.tele.phase_end(Phase::EpochFlush, t0);
-    }
-
-    fn count_abort_reason(&mut self, reason: AbortReason) {
-        let r = &mut self.metrics.abort_reasons;
-        match reason {
-            AbortReason::Rejected => r.rejected += 1,
-            AbortReason::Cascade => r.cascade += 1,
-            AbortReason::Failure => r.failure += 1,
-            AbortReason::CertStuck => r.cert_stuck += 1,
-            AbortReason::Deadlock => r.deadlock += 1,
-            AbortReason::External => r.external += 1,
-        }
+        ctx.trace.record_batch(self.id, buf);
+        ctx.tele.phase_end(Phase::EpochFlush, t0);
     }
 
     /// Whether this block state is new for `pid` (and notes it if so).
@@ -683,7 +732,7 @@ impl<'a> ShardState<'a> {
     /// segment (see [`CertGate`]), plus metrics accounting and a
     /// [`TraceEvent::CertifyOutcome`] record. Re-polls of a failed
     /// certification against an unchanged history are deduplicated.
-    fn certified_traced(&mut self, ctx: &RunCtx<'_, 'a>, event: Event) -> bool {
+    fn certified_traced(&mut self, ctx: &RunCtx<'a>, event: Event) -> bool {
         let Some(gate) = &mut self.gate else {
             return true;
         };
@@ -700,7 +749,7 @@ impl<'a> ShardState<'a> {
             // spins repeat this call hundreds of times per abort.
             return false;
         }
-        let ok = gate.admits(&self.history, &event, &self.tele);
+        let ok = gate.admits(&self.history, &event, &ctx.tele);
         if !ok {
             self.cert_fail_notes.push((event.clone(), len));
             self.metrics.cert_failures += 1;
@@ -716,7 +765,7 @@ impl<'a> ShardState<'a> {
                 },
             );
         }
-        if !ok && self.epoch > 0 {
+        if !ok && ctx.cfg.epoch > 0 {
             // Conflict pressure: the shard is about to stall-and-retry, so
             // get the current epoch's decision trace (including the refusal
             // just recorded) out now.
@@ -728,7 +777,7 @@ impl<'a> ShardState<'a> {
     /// Attempts every granted-but-unapplied deferred release. Releases whose
     /// history event does not certify yet are parked in `stalled_releases`
     /// and re-armed when the history grows.
-    fn drain_ready_releases(&mut self, ctx: &RunCtx<'_, 'a>) {
+    fn drain_ready_releases(&mut self, ctx: &RunCtx<'a>) {
         if !self.stalled_releases.is_empty() {
             let hist_len = self.history.len();
             let (rearm, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.stalled_releases)
@@ -756,14 +805,14 @@ impl<'a> ShardState<'a> {
             }
             self.pending_release.remove(&pj);
             if let Some(t0) = self.prepared_at.remove(&pj) {
-                self.tele
+                ctx.tele
                     .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
             }
-            if self.epoch == 0 {
+            if ctx.cfg.epoch == 0 {
                 ctx.agents[&sid].lock().release(inv).expect("prepared");
             } else {
                 group.push((sid, inv));
-                if group.len() >= self.epoch {
+                if group.len() >= ctx.cfg.epoch {
                     release_group(ctx, std::mem::take(&mut group));
                 }
             }
@@ -779,12 +828,449 @@ impl<'a> ShardState<'a> {
         }
         release_group(ctx, group);
     }
+
+    /// One scheduling iteration for `pid`.
+    fn advance(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
+        self.drain_ready_releases(ctx);
+        let fingerprint = (self.history.len(), self.states[&pid].steps().len());
+        let sm = self
+            .sm
+            .get_mut(&pid)
+            .expect("live process has a state machine");
+        if sm.last_fingerprint == Some(fingerprint) {
+            sm.no_progress += 1;
+        } else {
+            sm.no_progress = 0;
+        }
+        sm.last_fingerprint = Some(fingerprint);
+        let no_progress = sm.no_progress;
+        if no_progress > 0 && no_progress.is_multiple_of(200) && self.states[&pid].is_active() {
+            if self.states[&pid].abort_in_progress() {
+                // Our completion is blocked by other processes' hypothetical
+                // completions (§3.5): group-abort them so their real
+                // completions unblock ours. Only shard-mates can block us —
+                // cross-shard operations commute.
+                let others: Vec<ProcessId> = self
+                    .states
+                    .iter()
+                    .filter(|(&q, st)| q != pid && st.is_active() && !st.abort_in_progress())
+                    .map(|(&q, _)| q)
+                    .collect();
+                if ctx.trace.enabled && !others.is_empty() {
+                    self.trace(
+                        ctx,
+                        TraceEvent::GroupAbort {
+                            initiator: Some(pid),
+                            victims: others.iter().rev().copied().collect(),
+                            trigger: None,
+                        },
+                    );
+                }
+                for q in others.into_iter().rev() {
+                    self.begin_abort(ctx, q, AbortReason::Cascade);
+                }
+            } else {
+                // Nothing moved for a while: only an abort can resolve this.
+                self.metrics.rejections += 1;
+                self.initiate_abort(ctx, pid, AbortReason::Deadlock, None);
+            }
+            return Step::Yield;
+        }
+        if no_progress >= 20_000 {
+            let mut diag = String::new();
+            for (p, st) in &self.states {
+                diag.push_str(&format!(
+                    "\n  {p}: status={:?} aborting={} next_comp={:?} next_act={:?} can_commit={}",
+                    st.status(),
+                    st.abort_in_progress(),
+                    st.next_compensation(),
+                    st.next_activity(),
+                    st.can_commit()
+                ));
+            }
+            panic!(
+                "{pid}: concurrent run livelocked (shard {})\nshard history: {}{diag}",
+                self.id,
+                txproc_core::schedule::render(&self.history)
+            );
+        }
+        let status = self.states[&pid].status();
+        if status != ProcessStatus::Active {
+            self.finalize(ctx, pid);
+            return Step::Done;
+        }
+        // Deferred release arrived?
+        if let Some(a) = self.released.remove(&pid) {
+            self.states
+                .get_mut(&pid)
+                .expect("state")
+                .apply_commit(a)
+                .expect("released frontier");
+            return Step::Yield;
+        }
+        if self.pending_release.contains_key(&pid) {
+            // Waiting for a predecessor to release our deferred commit.
+            return Step::Wait;
+        }
+        // Pending compensation?
+        if let Some(c) = self.states[&pid].next_compensation() {
+            let gid = GlobalActivityId::new(pid, c);
+            if !self.certified_traced(ctx, Event::Compensate(gid)) {
+                return Step::Wait;
+            }
+            let (sid, inv) = self.invocations[&gid];
+            let t0 = ctx.tele.phase_start();
+            let outcome = ctx.agents[&sid]
+                .lock()
+                .compensate(inv)
+                .expect("subsystem up");
+            ctx.tele.phase_end(Phase::Compensation, t0);
+            return match outcome {
+                InvokeOutcome::Committed { .. } => {
+                    if ctx.trace.enabled {
+                        let service = ctx.workload.spec.process(pid).expect("known").service(c);
+                        self.trace(ctx, TraceEvent::CompensationStarted { gid, service });
+                    }
+                    self.emit(ctx, Event::Compensate(gid));
+                    self.policy.record_compensated(gid);
+                    self.states
+                        .get_mut(&pid)
+                        .expect("state")
+                        .apply_compensation(c)
+                        .expect("queued");
+                    self.metrics.compensations += 1;
+                    Step::Yield
+                }
+                InvokeOutcome::Busy { .. } => Step::Wait,
+                other => panic!("unexpected compensation outcome {other:?}"),
+            };
+        }
+        // Next forward activity?
+        if let Some(a) = self.states[&pid].next_activity() {
+            return self.step_activity(ctx, pid, a);
+        }
+        // Commit.
+        if self.states[&pid].can_commit() {
+            let t0 = ctx.tele.phase_start();
+            let verdict = self.policy.can_commit(pid);
+            ctx.tele.phase_end(Phase::Policy, t0);
+            return match verdict {
+                Ok(()) if !self.certified_traced(ctx, Event::Commit(pid)) => Step::Wait,
+                Ok(()) => {
+                    self.states
+                        .get_mut(&pid)
+                        .expect("state")
+                        .apply_process_commit()
+                        .expect("finished path");
+                    self.emit(ctx, Event::Commit(pid));
+                    self.finalize(ctx, pid);
+                    Step::Done
+                }
+                Err(blockers) => {
+                    self.metrics.waits += 1;
+                    if ctx.trace.enabled && self.note_blocked(pid, 1, &blockers) {
+                        self.trace(
+                            ctx,
+                            TraceEvent::CommitBlocked {
+                                pid,
+                                wait_for: blockers,
+                            },
+                        );
+                    }
+                    Step::Wait
+                }
+            };
+        }
+        // Nothing to do right now (e.self. mid-abort with empty completion).
+        Step::Wait
+    }
+
+    /// Runs one scheduling step for the next forward activity.
+    fn step_activity(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, a: ActivityId) -> Step {
+        let gid = GlobalActivityId::new(pid, a);
+        let process = ctx.workload.spec.process(pid).expect("known");
+        let svc = process.service(a);
+        let site = ctx.workload.deployment.site(svc).expect("deployed");
+        let termination = ctx.workload.spec.catalog.termination(svc);
+        let in_completion = self.states[&pid].abort_in_progress();
+        let admission = if in_completion {
+            Admission::Allow
+        } else {
+            let t0 = ctx.tele.phase_start();
+            let admission = self.policy.request(pid, gid, svc);
+            ctx.tele.phase_end(Phase::Policy, t0);
+            admission
+        };
+        let (mode, blockers) = match admission {
+            Admission::Allow => (CommitMode::Immediate, Vec::new()),
+            Admission::AllowDeferred { blockers } => (CommitMode::Deferred, blockers),
+            Admission::Wait { blockers } => {
+                self.metrics.waits += 1;
+                if ctx.trace.enabled && self.note_blocked(pid, 0, &blockers) {
+                    self.trace(
+                        ctx,
+                        TraceEvent::RequestBlocked {
+                            gid,
+                            service: svc,
+                            blockers,
+                        },
+                    );
+                }
+                // Blocked; re-evaluated when the shard state changes.
+                return Step::Wait;
+            }
+            Admission::Reject { conflicting } => {
+                self.metrics.rejections += 1;
+                if ctx.trace.enabled {
+                    self.trace(
+                        ctx,
+                        TraceEvent::RequestRejected {
+                            gid,
+                            service: svc,
+                            conflicting,
+                        },
+                    );
+                }
+                self.initiate_abort(ctx, pid, AbortReason::Rejected, Some(gid));
+                return Step::Yield;
+            }
+        };
+        // Failure injection: one deterministic draw per admission attempt.
+        let sm = self
+            .sm
+            .get_mut(&pid)
+            .expect("live process has a state machine");
+        let attempt = sm.attempts.entry(a).and_modify(|n| *n += 1).or_insert(1);
+        let coin = fail_coin(ctx.cfg.seed, gid, *attempt);
+        let inject = ctx.cfg.inject_failures && coin < p_fail(ctx.workload, site.subsystem);
+        if inject && termination.can_fail() {
+            self.emit(ctx, Event::Fail(gid));
+            if ctx.trace.enabled {
+                self.trace(ctx, TraceEvent::ActivityFailed { gid, service: svc });
+            }
+            let outcome = self
+                .states
+                .get_mut(&pid)
+                .expect("state")
+                .apply_failure(a)
+                .expect("frontier");
+            match outcome {
+                FailureOutcome::Stuck => panic!("guaranteed-termination process stuck at {gid}"),
+                FailureOutcome::ProcessAbort { .. } => {
+                    self.metrics.abort_reasons.count(AbortReason::Failure);
+                    self.clear_block_note(pid);
+                    if ctx.trace.enabled {
+                        self.trace(
+                            ctx,
+                            TraceEvent::AbortStarted {
+                                pid,
+                                reason: AbortReason::Failure,
+                            },
+                        );
+                    }
+                }
+                FailureOutcome::Alternative { .. } => {}
+            }
+            simulated_invoke(ctx, svc, site);
+            return Step::Yield;
+        }
+        if inject && termination == Termination::Retriable {
+            self.metrics.retries += 1;
+            simulated_invoke(ctx, svc, site);
+            return Step::Yield;
+        }
+        if mode == CommitMode::Immediate && !self.certified_traced(ctx, Event::Execute(gid)) {
+            // Certification is a function of the shard history; retry once it
+            // advances.
+            return Step::Wait;
+        }
+        let outcome = ctx.agents[&site.subsystem]
+            .lock()
+            .invoke(svc, &site.program, mode, false)
+            .expect("subsystem up");
+        match outcome {
+            InvokeOutcome::Committed { invocation, .. } => {
+                self.invocations.insert(gid, (site.subsystem, invocation));
+                self.emit(ctx, Event::Execute(gid));
+                let edges_added = self.policy.record_executed(gid, false);
+                self.states
+                    .get_mut(&pid)
+                    .expect("state")
+                    .apply_commit(a)
+                    .expect("frontier");
+                self.metrics.activities += 1;
+                self.clear_block_note(pid);
+                if ctx.trace.enabled {
+                    self.trace(
+                        ctx,
+                        TraceEvent::RequestAdmitted {
+                            gid,
+                            service: svc,
+                            deferred: false,
+                            blockers: Vec::new(),
+                            edges_added,
+                        },
+                    );
+                }
+                Step::Yield
+            }
+            InvokeOutcome::Prepared { invocation, .. } => {
+                self.invocations.insert(gid, (site.subsystem, invocation));
+                let edges_added = self.policy.record_executed(gid, true);
+                self.pending_release
+                    .insert(pid, (gid, a, site.subsystem, invocation));
+                if ctx.tele.enabled() {
+                    self.prepared_at.insert(pid, Instant::now());
+                }
+                self.metrics.deferred_commits += 1;
+                self.clear_block_note(pid);
+                if ctx.trace.enabled {
+                    self.trace(
+                        ctx,
+                        TraceEvent::RequestAdmitted {
+                            gid,
+                            service: svc,
+                            deferred: true,
+                            blockers: blockers.clone(),
+                            edges_added,
+                        },
+                    );
+                    self.trace(ctx, TraceEvent::CommitDeferred { gid, blockers });
+                }
+                Step::Yield
+            }
+            // A key lock held by a prepared invocation; holder is a shard-mate
+            // (conflicting services share a domain), so the release/abort that
+            // frees the key also marks our shard dirty.
+            InvokeOutcome::Busy { .. } => Step::Wait,
+            InvokeOutcome::Aborted => unreachable!("no injection requested"),
+        }
+    }
+
+    fn finalize(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
+        let status = self.states[&pid].status();
+        let released = match status {
+            ProcessStatus::Committed => {
+                self.metrics.committed += 1;
+                self.tele_committed.inc();
+                self.clear_block_note(pid);
+                if ctx.trace.enabled {
+                    self.trace(ctx, TraceEvent::ProcessCommitted { pid });
+                }
+                self.policy.on_commit(pid)
+            }
+            ProcessStatus::Aborted => {
+                self.metrics.aborted += 1;
+                self.clear_block_note(pid);
+                if ctx.trace.enabled {
+                    self.trace(ctx, TraceEvent::ProcessAborted { pid });
+                }
+                self.policy.on_abort(pid)
+            }
+            ProcessStatus::Active => return,
+        };
+        // Wall-clock arrival→terminal latency in microseconds (arrival offset
+        // subtracted so open-system latencies measure time in system, not time
+        // since run start).
+        let arrival_us = ctx.arrival_us(pid);
+        let latency = (ctx.run_start.elapsed().as_micros() as u64).saturating_sub(arrival_us);
+        self.metrics.latencies.push(latency);
+        self.metrics.latency_by_pid.insert(pid.0, latency);
+        for (pj, _gids) in released {
+            if self.pending_release.contains_key(&pj) {
+                self.ready_releases.push(pj);
+            }
+        }
+        self.drain_ready_releases(ctx);
+        // `on_commit`/`on_abort` above removed the process's live operations
+        // from the policy — a scheduler-visible change that can unblock a
+        // waiter even when no history event was emitted here.
+        self.dirty = true;
+    }
+
+    /// Starts the abort of `pid` for `reason` (a no-op unless it is active and
+    /// not already aborting): its prepared invocation is dropped first — it
+    /// vanishes atomically, leaving the process backward-recoverable — then the
+    /// abort is journalled, announced to the policy and emitted.
+    fn begin_abort(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, reason: AbortReason) {
+        if !self.states[&pid].is_active() || self.states[&pid].abort_in_progress() {
+            return;
+        }
+        if let Some((gid, _a, sid, inv)) = self.pending_release.remove(&pid) {
+            if let Some(t0) = self.prepared_at.remove(&pid) {
+                ctx.tele
+                    .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
+            }
+            ctx.agents[&sid]
+                .lock()
+                .abort_prepared(inv)
+                .expect("prepared");
+            self.invocations.remove(&gid);
+            self.policy.record_prepared_aborted(gid);
+        }
+        if reason == AbortReason::Cascade {
+            self.metrics.cascaded += 1;
+        }
+        self.metrics.abort_reasons.count(reason);
+        self.clear_block_note(pid);
+        if ctx.trace.enabled {
+            self.trace(ctx, TraceEvent::AbortStarted { pid, reason });
+        }
+        self.policy.on_abort_begin(pid);
+        self.emit(ctx, Event::Abort(pid));
+        self.states
+            .get_mut(&pid)
+            .expect("state")
+            .apply_process_abort()
+            .expect("active");
+    }
+
+    /// Aborts `pid` for `reason`, cascading first into the victims the policy
+    /// plans (dependents first, Lemma 2).
+    fn initiate_abort(
+        &mut self,
+        ctx: &RunCtx<'a>,
+        pid: ProcessId,
+        reason: AbortReason,
+        trigger: Option<GlobalActivityId>,
+    ) {
+        if self.states[&pid].abort_in_progress() || !self.states[&pid].is_active() {
+            return;
+        }
+        let completion = self.states[&pid].completion();
+        let comp_gids: Vec<GlobalActivityId> = completion
+            .compensations
+            .iter()
+            .map(|&a| GlobalActivityId::new(pid, a))
+            .collect();
+        let process = ctx.workload.spec.process(pid).expect("known");
+        let fwd: Vec<_> = completion
+            .forward
+            .iter()
+            .map(|&a| process.service(a))
+            .collect();
+        let victims = self.policy.plan_abort(pid, &comp_gids, &fwd);
+        if ctx.trace.enabled && !victims.is_empty() {
+            self.trace(
+                ctx,
+                TraceEvent::GroupAbort {
+                    initiator: Some(pid),
+                    victims: victims.clone(),
+                    trigger,
+                },
+            );
+        }
+        for v in victims {
+            self.begin_abort(ctx, v, AbortReason::Cascade);
+        }
+        self.begin_abort(ctx, pid, reason);
+    }
 }
 
 /// Commits one group of prepared invocations, one agent-lock acquisition
 /// per subsystem (the releases are sorted into per-subsystem runs by the
 /// `BTreeMap` grouping). No-op on an empty group.
-fn release_group(ctx: &RunCtx<'_, '_>, group: Vec<(SubsystemId, InvocationId)>) {
+fn release_group(ctx: &RunCtx<'_>, group: Vec<(SubsystemId, InvocationId)>) {
     if group.is_empty() {
         return;
     }
@@ -798,6 +1284,16 @@ fn release_group(ctx: &RunCtx<'_, '_>, group: Vec<(SubsystemId, InvocationId)>) 
             agent.release(inv).expect("prepared");
         }
     }
+}
+
+/// Runs a failure-injected ("simulated") invocation at its agent. The
+/// outcome is ignored and it leaves no trace in history or policy: only the
+/// agent sees it.
+fn simulated_invoke(ctx: &RunCtx<'_>, svc: ServiceId, site: &ServiceSite) {
+    let _ =
+        ctx.agents[&site.subsystem]
+            .lock()
+            .invoke(svc, &site.program, CommitMode::Immediate, true);
 }
 
 /// Deterministic failure-injection coin: a pure hash of
@@ -861,14 +1357,6 @@ pub(crate) fn run_concurrent_impl<'a>(
     tele: Telemetry,
     wal: Option<WalWriter>,
 ) -> ConcurrentResult {
-    let mut agents: Agents = BTreeMap::new();
-    for sid in workload.deployment.subsystems() {
-        agents.insert(
-            sid,
-            Mutex::new(Agent::new(Subsystem::new(sid, format!("sub{}", sid.0)))),
-        );
-    }
-
     // Shard topology: process groups with no conflicts across groups.
     let groups: Vec<Vec<ProcessId>> = match cfg.shards {
         ShardMode::Single => {
@@ -879,51 +1367,19 @@ pub(crate) fn run_concurrent_impl<'a>(
     };
 
     let worker_count = cfg.resolved_workers(groups.len());
-    // Static shard→worker ownership: shard i belongs to worker i mod W.
-    // Disjoint ownership means the shard locks are uncontended; they feed
-    // the lock metrics and stay until ownership replaces them (ROADMAP
-    // open item 1b).
+    // Static shard→worker ownership: shard i belongs to worker i mod W, and
+    // only that worker ever holds it.
     let worker_of_shard: Vec<u32> = (0..groups.len())
         .map(|si| (si % worker_count) as u32)
         .collect();
-    let enabled = sink.enabled();
-    let trace = TraceShared {
-        sink: Mutex::new(sink),
-        seq: AtomicU64::new(0),
-        enabled,
-        worker_of_shard,
-    };
-    let tickets = AtomicU64::new(0);
-    let wal_cell = wal.map(Mutex::new);
-    let arrivals: Vec<(ProcessId, u64)> = match workload.config.arrivals {
-        ArrivalModel::Closed => Vec::new(),
-        _ => workload
-            .spec
-            .processes()
-            .map(|p| p.id)
-            .zip(txproc_sim::workload::arrival_times(&workload.config))
-            .collect(),
-    };
-    let ctx = RunCtx {
-        workload,
-        cfg: &cfg,
-        agents: &agents,
-        tickets: &tickets,
-        trace: &trace,
-        tele: tele.clone(),
-        run_start: Instant::now(),
-        arrivals,
-        live: Level::default(),
-        shards_live: Level::default(),
-        wal: wal_cell.as_ref(),
-    };
+    let ctx = RunCtx::new(workload, cfg, sink, tele, wal, worker_of_shard);
 
     // Each worker gets its domains' member lists, nothing built: a shard's
     // state is built by its owner at first admission and finished by it at
     // last termination (see `event_worker`).
     let mut per_worker: Vec<Vec<(u32, &[ProcessId])>> = vec![Vec::new(); worker_count];
     for (si, members) in groups.iter().enumerate() {
-        per_worker[trace.worker_of_shard[si] as usize].push((si as u32, members));
+        per_worker[ctx.trace.worker_of_shard[si] as usize].push((si as u32, members));
     }
     let mut runtime_metrics = RuntimeMetrics::new(RUNTIME_LABEL, worker_count as u64);
     let mut done: Vec<ShardDone> = Vec::with_capacity(groups.len());
@@ -957,7 +1413,7 @@ pub(crate) fn run_concurrent_impl<'a>(
     done.sort_unstable_by_key(|d| d.id);
     let mut metrics = Metrics::new();
     let mut slots: Vec<Option<Event>> = Vec::new();
-    slots.resize_with(tickets.load(Ordering::Relaxed) as usize, || None);
+    slots.resize_with(ctx.tickets.load(Ordering::Relaxed) as usize, || None);
     for shard in done {
         metrics.merge(&shard.metrics);
         for (ticket, event) in shard.tickets.into_iter().zip(shard.history.into_events()) {
@@ -977,36 +1433,26 @@ pub(crate) fn run_concurrent_impl<'a>(
         runtime_metrics.invariant_violations(Some(makespan_us.saturating_mul(1000)))
     );
     metrics.runtime = Some(runtime_metrics);
-    if let Some(cell) = wal_cell {
+    if let Some(wal) = ctx.wal {
         // Land the journal tail; syncing follows the writer's policy.
-        cell.into_inner().finish();
+        wal.into_inner().finish();
     }
     ConcurrentResult { history, metrics }
 }
 
-/// Per-process state-machine bookkeeping between [`advance`] calls:
-/// admission attempt counters and the no-progress escalation state. Created
-/// at the process's admission, dropped at its termination.
-#[derive(Default)]
-struct ProcSM {
-    attempts: BTreeMap<ActivityId, u64>,
-    no_progress: u32,
-    last_fingerprint: Option<(usize, usize)>,
-}
-
 /// One conflict domain as its owning event worker holds it: the pending
-/// arrivals for the whole run, and the shard — scheduler plus state — only
-/// from the first admission to the retirement.
+/// arrivals for the whole run, and the shard itself, by value, only from the
+/// first admission to the retirement.
 struct Domain<'a, 'g> {
     id: u32,
     members: &'g [ProcessId],
     /// Not-yet-arrived processes, ordered by arrival offset (µs).
     arrivals: VecDeque<(u64, ProcessId)>,
-    built: Option<(ShardSched, Shard<'a>)>,
+    built: Option<Shard<'a>>,
 }
 
 impl<'g> Domain<'_, 'g> {
-    fn new(id: u32, members: &'g [ProcessId], ctx: &RunCtx<'_, '_>) -> Self {
+    fn new(id: u32, members: &'g [ProcessId], ctx: &RunCtx<'_>) -> Self {
         let mut arrivals: Vec<(u64, ProcessId)> = members
             .iter()
             .map(|&pid| (ctx.arrival_us(pid), pid))
@@ -1022,70 +1468,10 @@ impl<'g> Domain<'_, 'g> {
     }
 }
 
-/// One shard's scheduler as seen by its owning event worker: the run queue
-/// of runnable processes, the waiting set of blocked ones and the state
-/// machines of the admitted processes. Owned by exactly one worker, so no
-/// lock guards it.
-struct ShardSched {
-    /// Runnable processes with their enqueue instant (scheduling delay is
-    /// measured from it).
-    run_queue: VecDeque<(ProcessId, Instant)>,
-    /// Blocked processes; re-queued when the run queue drains after one or
-    /// more generation moves.
-    waiting: BTreeSet<ProcessId>,
-    sm: BTreeMap<ProcessId, ProcSM>,
-    /// Arrived and not yet terminated.
-    live: usize,
-    /// The shard generation moved since waiters were last re-queued. Moves
-    /// are *coalesced*: re-queuing every waiter on every move would cost an
-    /// O(waiters) futile-poll round per event, where draining the runnable
-    /// work first folds a whole burst of moves into one round.
-    dirty: bool,
-    /// Live telemetry gauge mirroring `run_queue.len() + waiting.len()`
-    /// (no-op when telemetry is disabled).
-    depth: Gauge,
-}
-
-impl ShardSched {
-    fn new(id: u32, ctx: &RunCtx<'_, '_>) -> Self {
-        Self {
-            run_queue: VecDeque::new(),
-            waiting: BTreeSet::new(),
-            sm: BTreeMap::new(),
-            live: 0,
-            dirty: false,
-            depth: ctx
-                .tele
-                .gauge("run_queue_depth", &[("shard", id.to_string())]),
-        }
-    }
-
-    /// Moves every waiter back onto the run queue (the shard generation
-    /// moved, so any of them may now be unblocked).
-    fn requeue_waiters(&mut self) {
-        for pid in std::mem::take(&mut self.waiting) {
-            self.run_queue.push_back((pid, Instant::now()));
-        }
-    }
-
-    /// Moves one waiter (smallest pid, for determinism) back onto the run
-    /// queue. Used when the run queue drains *without* a generation move:
-    /// everyone is deadlocked, so stepping all of them is pure futile work
-    /// under a certified policy — a single probe accumulates no-progress
-    /// toward the escalation in `advance`, and the moment its abort moves
-    /// the generation the full requeue path wakes the rest.
-    fn requeue_one_waiter(&mut self) {
-        if let Some(&pid) = self.waiting.iter().next() {
-            self.waiting.remove(&pid);
-            self.run_queue.push_back((pid, Instant::now()));
-        }
-    }
-}
-
 /// Event-worker loop: round-robins over the worker's owned shards, spending
-/// up to [`STEP_BUDGET`] `advance` steps per shard per pass, run-to-block
-/// within each dequeued process. Returns the worker's share of the runtime
-/// metrics and what its retired shards hand to the merge.
+/// up to [`STEP_BUDGET`] [`Shard::step`] calls per shard per pass,
+/// run-to-block within each dequeued process. Returns the worker's share of
+/// the runtime metrics and what its retired shards hand to the merge.
 ///
 /// Invariants (see DESIGN.md "Event-driven runtime"):
 ///
@@ -1094,20 +1480,16 @@ impl ShardSched {
 ///   at the last termination with no arrival pending;
 /// * every live process is in exactly one of `run_queue` / `waiting` /
 ///   mid-step;
-/// * waiters are re-queued whenever the shard generation has moved and the
-///   runnable work has drained (moves are coalesced via the `dirty` flag) —
-///   and a blocker is always a shard-mate (domain invariant), so no wakeup
-///   is ever missed;
-/// * when a shard's run queue drains with waiters left, every live process
-///   of the shard is blocked. A future arrival only *adds* conflicts and
-///   can never unblock an existing waiter, so this is a genuine deadlock
-///   among the arrived: one waiter is re-queued as a probe (a counted
-///   re-poll round) to drive the no-progress escalation in [`advance`]
-///   instead of sleeping on a timeout — stepping *all* waiters would only
-///   multiply futile certify attempts, since nothing short of a generation
-///   move (which re-queues everyone) can unblock them.
+/// * waiters are re-queued whenever the shard is dirty and the runnable work
+///   has drained — and a blocker is always a shard-mate (domain invariant),
+///   so no wakeup is ever missed;
+/// * when a clean shard's run queue drains with waiters left, every live
+///   process of the shard is blocked. A future arrival only *adds* conflicts
+///   and can never unblock an existing waiter, so this is a genuine deadlock
+///   among the arrived, resolved by probing (see [`Shard::next_runnable`])
+///   instead of sleeping on a timeout.
 fn event_worker<'a>(
-    ctx: &RunCtx<'_, 'a>,
+    ctx: &RunCtx<'a>,
     owned: Vec<(u32, &[ProcessId])>,
     widx: usize,
 ) -> (RuntimeMetrics, Vec<ShardDone>) {
@@ -1133,51 +1515,27 @@ fn event_worker<'a>(
                         next_arrival = Some(next_arrival.map_or(at, |m| m.min(at)));
                         break;
                     }
-                    let (sched, _) = dom.built.get_or_insert_with(|| {
-                        let shard = Shard::build(dom.id, dom.members, ctx);
-                        (ShardSched::new(dom.id, ctx), shard)
-                    });
-                    if sched.live >= ADMIT_CAP {
+                    let shard = dom
+                        .built
+                        .get_or_insert_with(|| Shard::build(dom.id, dom.members, ctx));
+                    if shard.live >= ADMIT_CAP {
                         // Due but deferred: admission control. The process
                         // is admitted as soon as a live slot frees up.
                         break;
                     }
                     dom.arrivals.pop_front();
-                    sched.live += 1;
-                    sched.sm.insert(pid, ProcSM::default());
-                    ctx.live.enter();
-                    sched.run_queue.push_back((pid, Instant::now()));
+                    shard.admit(ctx, pid);
                     progressed = true;
                 }
             }
-            let Some((sched, shard)) = &mut dom.built else {
+            let Some(shard) = &mut dom.built else {
                 return true;
             };
             let mut budget = STEP_BUDGET;
             while budget > 0 {
-                let Some((pid, enqueued)) = sched.run_queue.pop_front() else {
-                    if sched.waiting.is_empty() {
-                        break;
-                    }
-                    if sched.dirty {
-                        // Generation moved while the runnable work drained:
-                        // any waiter may be unblocked, so re-queue them all
-                        // (one coalesced round for the whole burst).
-                        sched.dirty = false;
-                        sched.requeue_waiters();
-                        continue;
-                    }
-                    // Run queue drained with live waiters and no generation
-                    // move: a genuine deadlock among the arrived. Probe one
-                    // waiter instead of spinning all of them through futile
-                    // certify attempts.
-                    rt.repolls += 1;
-                    sched.requeue_one_waiter();
-                    continue;
+                let Some(pid) = shard.next_runnable(ctx, &mut rt) else {
+                    break;
                 };
-                let delay_ns = enqueued.elapsed().as_nanos() as u64;
-                rt.record_delay_ns(delay_ns);
-                ctx.tele.phase_ns(Phase::QueueDelay, delay_ns);
                 // Run-to-block: keep stepping the dequeued process until it
                 // waits, terminates, or exhausts the pass budget. Rotating
                 // after every step would interleave all live processes
@@ -1190,73 +1548,29 @@ fn event_worker<'a>(
                     rt.steps += 1;
                     worker_steps.inc();
                     let t0 = Instant::now();
-                    let mut g = shard.lock();
-                    let gen0 = g.generation;
-                    let sm = sched
-                        .sm
-                        .get_mut(&pid)
-                        .expect("live process has a state machine");
-                    let step = advance(
-                        ctx,
-                        &mut g,
-                        pid,
-                        &mut sm.attempts,
-                        &mut sm.no_progress,
-                        &mut sm.last_fingerprint,
-                    );
-                    let moved = g.generation != gen0;
-                    drop(g);
+                    let step = shard.step(ctx, pid);
                     rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
-                    if moved {
-                        progressed = true;
-                        sched.dirty = true;
-                    }
                     match step {
-                        Step::Done => {
-                            sched.live -= 1;
-                            sched.sm.remove(&pid);
-                            ctx.live.leave();
-                            progressed = true;
-                            break;
-                        }
-                        Step::Wait => {
-                            sched.waiting.insert(pid);
-                            break;
-                        }
-                        Step::Yield(simulated) => {
-                            // Failure-injected invocation: agent work only,
-                            // no shared scheduling state — run it off the
-                            // shard lock, then the process is immediately
-                            // runnable again.
-                            if let Some(sim) = simulated {
-                                let _ = ctx.agents[&sim.site.subsystem].lock().invoke(
-                                    sim.svc,
-                                    &sim.site.program,
-                                    CommitMode::Immediate,
-                                    true,
-                                );
-                            }
-                            if budget == 0 {
-                                // Budget exhausted mid-process: stay at the
-                                // queue front so the next pass resumes the
-                                // same process (depth-first across passes).
-                                sched.run_queue.push_front((pid, Instant::now()));
-                                break;
-                            }
-                        }
+                        // A freed live slot may admit a deferred arrival.
+                        Step::Done => progressed = true,
+                        Step::Wait => {}
+                        Step::Yield if budget > 0 => continue,
+                        // Budget exhausted mid-process: stay at the queue
+                        // front so the next pass resumes the same process
+                        // (depth-first across passes).
+                        Step::Yield => shard.run_queue.push_front((pid, Instant::now())),
                     }
+                    break;
                 }
-                let depth = (sched.run_queue.len() + sched.waiting.len()) as u64;
+                let depth = (shard.run_queue.len() + shard.waiting.len()) as u64;
                 rt.run_queue_peak = rt.run_queue_peak.max(depth);
-                sched.depth.set(depth);
+                shard.depth.set(depth);
             }
-            if !sched.run_queue.is_empty() {
-                progressed = true;
-            }
-            if sched.live > 0 || !dom.arrivals.is_empty() {
+            progressed |= shard.has_work();
+            if shard.live > 0 || !dom.arrivals.is_empty() {
                 return true;
             }
-            let (_, shard) = dom.built.take().expect("visited shard is built");
+            let shard = dom.built.take().expect("visited shard is built");
             done.push(shard.finish(ctx));
             false
         });
@@ -1267,9 +1581,11 @@ fn event_worker<'a>(
                 let target = Duration::from_micros(at);
                 let since = ctx.run_start.elapsed();
                 if target > since {
-                    let nap = (target - since).min(MAX_IDLE_NAP);
-                    rt.worker_idle_ns += nap.as_nanos() as u64;
-                    std::thread::sleep(nap);
+                    // Idle time is what the nap took, not what was asked
+                    // for: sleeps overshoot.
+                    let t0 = Instant::now();
+                    std::thread::sleep((target - since).min(MAX_IDLE_NAP));
+                    rt.worker_idle_ns += t0.elapsed().as_nanos() as u64;
                 }
             }
         }
@@ -1277,475 +1593,13 @@ fn event_worker<'a>(
     (rt, done)
 }
 
-/// One scheduling iteration for `pid` under the shard lock.
-fn advance<'a>(
-    ctx: &RunCtx<'_, 'a>,
-    g: &mut ShardGuard<'_, 'a>,
-    pid: ProcessId,
-    attempts: &mut BTreeMap<ActivityId, u64>,
-    no_progress: &mut u32,
-    last_fingerprint: &mut Option<(usize, usize)>,
-) -> Step<'a> {
-    g.drain_ready_releases(ctx);
-    let fingerprint = (g.history.len(), g.states[&pid].steps().len());
-    if *last_fingerprint == Some(fingerprint) {
-        *no_progress += 1;
-    } else {
-        *no_progress = 0;
-    }
-    *last_fingerprint = Some(fingerprint);
-    if *no_progress > 0 && no_progress.is_multiple_of(200) && g.states[&pid].is_active() {
-        if g.states[&pid].abort_in_progress() {
-            // Our completion is blocked by other processes' hypothetical
-            // completions (§3.5): group-abort them so their real
-            // completions unblock ours. Only shard-mates can block us —
-            // cross-shard operations commute.
-            let others: Vec<ProcessId> = g
-                .states
-                .iter()
-                .filter(|(&q, st)| q != pid && st.is_active() && !st.abort_in_progress())
-                .map(|(&q, _)| q)
-                .collect();
-            if ctx.trace.enabled && !others.is_empty() {
-                g.trace(
-                    ctx,
-                    TraceEvent::GroupAbort {
-                        initiator: Some(pid),
-                        victims: others.iter().rev().copied().collect(),
-                        trigger: None,
-                    },
-                );
-            }
-            for q in others.into_iter().rev() {
-                cascade_abort(ctx, g, q);
-            }
-        } else {
-            // Nothing moved for a while: only an abort can resolve this.
-            g.metrics.rejections += 1;
-            initiate_abort(ctx, g, pid, AbortReason::Deadlock, None);
-        }
-        return Step::Yield(None);
-    }
-    if *no_progress >= 20_000 {
-        let mut diag = String::new();
-        for (p, st) in &g.states {
-            diag.push_str(&format!(
-                "\n  {p}: status={:?} aborting={} next_comp={:?} next_act={:?} can_commit={}",
-                st.status(),
-                st.abort_in_progress(),
-                st.next_compensation(),
-                st.next_activity(),
-                st.can_commit()
-            ));
-        }
-        panic!(
-            "{pid}: concurrent run livelocked (shard {})\nshard history: {}{diag}",
-            g.shard_id,
-            txproc_core::schedule::render(&g.history)
-        );
-    }
-    let status = g.states[&pid].status();
-    if status != ProcessStatus::Active {
-        finalize(ctx, g, pid);
-        return Step::Done;
-    }
-    // Deferred release arrived?
-    if let Some(a) = g.released.remove(&pid) {
-        g.states
-            .get_mut(&pid)
-            .expect("state")
-            .apply_commit(a)
-            .expect("released frontier");
-        return Step::Yield(None);
-    }
-    if g.pending_release.contains_key(&pid) {
-        // Waiting for a predecessor to release our deferred commit.
-        return Step::Wait;
-    }
-    // Pending compensation?
-    if let Some(c) = g.states[&pid].next_compensation() {
-        let gid = GlobalActivityId::new(pid, c);
-        if !g.certified_traced(ctx, Event::Compensate(gid)) {
-            return Step::Wait;
-        }
-        let (sid, inv) = g.invocations[&gid];
-        let t0 = g.tele.phase_start();
-        let outcome = ctx.agents[&sid]
-            .lock()
-            .compensate(inv)
-            .expect("subsystem up");
-        g.tele.phase_end(Phase::Compensation, t0);
-        return match outcome {
-            InvokeOutcome::Committed { .. } => {
-                if ctx.trace.enabled {
-                    let service = ctx.workload.spec.process(pid).expect("known").service(c);
-                    g.trace(ctx, TraceEvent::CompensationStarted { gid, service });
-                }
-                g.emit(ctx, Event::Compensate(gid));
-                g.policy.record_compensated(gid);
-                g.states
-                    .get_mut(&pid)
-                    .expect("state")
-                    .apply_compensation(c)
-                    .expect("queued");
-                g.metrics.compensations += 1;
-                Step::Yield(None)
-            }
-            InvokeOutcome::Busy { .. } => Step::Wait,
-            other => panic!("unexpected compensation outcome {other:?}"),
-        };
-    }
-    // Next forward activity?
-    if let Some(a) = g.states[&pid].next_activity() {
-        return step_activity(ctx, g, pid, a, attempts);
-    }
-    // Commit.
-    if g.states[&pid].can_commit() {
-        let t0 = g.tele.phase_start();
-        let verdict = g.policy.can_commit(pid);
-        g.tele.phase_end(Phase::Policy, t0);
-        return match verdict {
-            Ok(()) if !g.certified_traced(ctx, Event::Commit(pid)) => Step::Wait,
-            Ok(()) => {
-                g.states
-                    .get_mut(&pid)
-                    .expect("state")
-                    .apply_process_commit()
-                    .expect("finished path");
-                g.emit(ctx, Event::Commit(pid));
-                finalize(ctx, g, pid);
-                Step::Done
-            }
-            Err(blockers) => {
-                g.metrics.waits += 1;
-                if ctx.trace.enabled && g.note_blocked(pid, 1, &blockers) {
-                    g.trace(
-                        ctx,
-                        TraceEvent::CommitBlocked {
-                            pid,
-                            wait_for: blockers,
-                        },
-                    );
-                }
-                Step::Wait
-            }
-        };
-    }
-    // Nothing to do right now (e.g. mid-abort with empty completion).
-    Step::Wait
-}
-
-/// Runs one scheduling step for the next forward activity.
-fn step_activity<'a>(
-    ctx: &RunCtx<'_, 'a>,
-    g: &mut ShardGuard<'_, 'a>,
-    pid: ProcessId,
-    a: ActivityId,
-    attempts: &mut BTreeMap<ActivityId, u64>,
-) -> Step<'a> {
-    let gid = GlobalActivityId::new(pid, a);
-    let process = ctx.workload.spec.process(pid).expect("known");
-    let svc = process.service(a);
-    let site = ctx.workload.deployment.site(svc).expect("deployed");
-    let termination = ctx.workload.spec.catalog.termination(svc);
-    let in_completion = g.states[&pid].abort_in_progress();
-    let admission = if in_completion {
-        Admission::Allow
-    } else {
-        let t0 = g.tele.phase_start();
-        let admission = g.policy.request(pid, gid, svc);
-        g.tele.phase_end(Phase::Policy, t0);
-        admission
-    };
-    let (mode, blockers) = match admission {
-        Admission::Allow => (CommitMode::Immediate, Vec::new()),
-        Admission::AllowDeferred { blockers } => (CommitMode::Deferred, blockers),
-        Admission::Wait { blockers } => {
-            g.metrics.waits += 1;
-            if ctx.trace.enabled && g.note_blocked(pid, 0, &blockers) {
-                g.trace(
-                    ctx,
-                    TraceEvent::RequestBlocked {
-                        gid,
-                        service: svc,
-                        blockers,
-                    },
-                );
-            }
-            // Blocked; re-evaluated when the shard state changes.
-            return Step::Wait;
-        }
-        Admission::Reject { conflicting } => {
-            g.metrics.rejections += 1;
-            if ctx.trace.enabled {
-                g.trace(
-                    ctx,
-                    TraceEvent::RequestRejected {
-                        gid,
-                        service: svc,
-                        conflicting,
-                    },
-                );
-            }
-            initiate_abort(ctx, g, pid, AbortReason::Rejected, Some(gid));
-            return Step::Yield(None);
-        }
-    };
-    // Failure injection: one deterministic draw per admission attempt.
-    let attempt = attempts.entry(a).and_modify(|n| *n += 1).or_insert(1);
-    let coin = fail_coin(ctx.cfg.seed, gid, *attempt);
-    let inject = ctx.cfg.inject_failures && coin < p_fail(ctx.workload, site.subsystem);
-    if inject && termination.can_fail() {
-        g.emit(ctx, Event::Fail(gid));
-        if ctx.trace.enabled {
-            g.trace(ctx, TraceEvent::ActivityFailed { gid, service: svc });
-        }
-        let outcome = g
-            .states
-            .get_mut(&pid)
-            .expect("state")
-            .apply_failure(a)
-            .expect("frontier");
-        match outcome {
-            FailureOutcome::Stuck => panic!("guaranteed-termination process stuck at {gid}"),
-            FailureOutcome::ProcessAbort { .. } => {
-                g.count_abort_reason(AbortReason::Failure);
-                g.clear_block_note(pid);
-                if ctx.trace.enabled {
-                    g.trace(
-                        ctx,
-                        TraceEvent::AbortStarted {
-                            pid,
-                            reason: AbortReason::Failure,
-                        },
-                    );
-                }
-            }
-            FailureOutcome::Alternative { .. } => {}
-        }
-        return Step::Yield(Some(SimulatedInvoke { svc, site }));
-    }
-    if inject && termination == Termination::Retriable {
-        g.metrics.retries += 1;
-        return Step::Yield(Some(SimulatedInvoke { svc, site }));
-    }
-    if mode == CommitMode::Immediate && !g.certified_traced(ctx, Event::Execute(gid)) {
-        // Certification is a function of the shard history; retry once it
-        // advances.
-        return Step::Wait;
-    }
-    let outcome = ctx.agents[&site.subsystem]
-        .lock()
-        .invoke(svc, &site.program, mode, false)
-        .expect("subsystem up");
-    match outcome {
-        InvokeOutcome::Committed { invocation, .. } => {
-            g.invocations.insert(gid, (site.subsystem, invocation));
-            g.emit(ctx, Event::Execute(gid));
-            let edges_added = g.policy.record_executed(gid, false);
-            g.states
-                .get_mut(&pid)
-                .expect("state")
-                .apply_commit(a)
-                .expect("frontier");
-            g.metrics.activities += 1;
-            g.clear_block_note(pid);
-            if ctx.trace.enabled {
-                g.trace(
-                    ctx,
-                    TraceEvent::RequestAdmitted {
-                        gid,
-                        service: svc,
-                        deferred: false,
-                        blockers: Vec::new(),
-                        edges_added,
-                    },
-                );
-            }
-            Step::Yield(None)
-        }
-        InvokeOutcome::Prepared { invocation, .. } => {
-            g.invocations.insert(gid, (site.subsystem, invocation));
-            let edges_added = g.policy.record_executed(gid, true);
-            g.pending_release
-                .insert(pid, (gid, a, site.subsystem, invocation));
-            if g.tele.enabled() {
-                g.prepared_at.insert(pid, Instant::now());
-            }
-            g.metrics.deferred_commits += 1;
-            g.clear_block_note(pid);
-            if ctx.trace.enabled {
-                g.trace(
-                    ctx,
-                    TraceEvent::RequestAdmitted {
-                        gid,
-                        service: svc,
-                        deferred: true,
-                        blockers: blockers.clone(),
-                        edges_added,
-                    },
-                );
-                g.trace(ctx, TraceEvent::CommitDeferred { gid, blockers });
-            }
-            Step::Yield(None)
-        }
-        // A key lock held by a prepared invocation; holder is a shard-mate
-        // (conflicting services share a domain), so the release/abort that
-        // frees the key also bumps our generation.
-        InvokeOutcome::Busy { .. } => Step::Wait,
-        InvokeOutcome::Aborted => unreachable!("no injection requested"),
-    }
-}
-
-fn finalize<'a>(ctx: &RunCtx<'_, 'a>, g: &mut ShardGuard<'_, 'a>, pid: ProcessId) {
-    let status = g.states[&pid].status();
-    let released = match status {
-        ProcessStatus::Committed => {
-            g.metrics.committed += 1;
-            g.tele_committed.inc();
-            g.clear_block_note(pid);
-            if ctx.trace.enabled {
-                g.trace(ctx, TraceEvent::ProcessCommitted { pid });
-            }
-            g.policy.on_commit(pid)
-        }
-        ProcessStatus::Aborted => {
-            g.metrics.aborted += 1;
-            g.clear_block_note(pid);
-            if ctx.trace.enabled {
-                g.trace(ctx, TraceEvent::ProcessAborted { pid });
-            }
-            g.policy.on_abort(pid)
-        }
-        ProcessStatus::Active => return,
-    };
-    // Wall-clock arrival→terminal latency in microseconds (arrival offset
-    // subtracted so open-system latencies measure time in system, not time
-    // since run start).
-    let arrival_us = ctx.arrival_us(pid);
-    let latency = (ctx.run_start.elapsed().as_micros() as u64).saturating_sub(arrival_us);
-    g.metrics.latencies.push(latency);
-    g.metrics.latency_by_pid.insert(pid.0, latency);
-    for (pj, _gids) in released {
-        if g.pending_release.contains_key(&pj) {
-            g.ready_releases.push(pj);
-        }
-    }
-    g.drain_ready_releases(ctx);
-    // `on_commit`/`on_abort` above removed the process's live operations
-    // from the policy — a scheduler-visible change that can unblock a
-    // waiter even when no history event was emitted here. Bump the
-    // generation so the worker re-queues the waiters.
-    g.generation += 1;
-}
-
-/// Cascade-aborts a single process (prepared invocations dropped first).
-fn cascade_abort<'a>(ctx: &RunCtx<'_, 'a>, g: &mut ShardGuard<'_, 'a>, v: ProcessId) {
-    if !g.states[&v].is_active() || g.states[&v].abort_in_progress() {
-        return;
-    }
-    g.metrics.cascaded += 1;
-    g.count_abort_reason(AbortReason::Cascade);
-    g.clear_block_note(v);
-    if ctx.trace.enabled {
-        g.trace(
-            ctx,
-            TraceEvent::AbortStarted {
-                pid: v,
-                reason: AbortReason::Cascade,
-            },
-        );
-    }
-    if let Some((gid, _a, sid, inv)) = g.pending_release.remove(&v) {
-        if let Some(t0) = g.prepared_at.remove(&v) {
-            g.tele
-                .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
-        }
-        ctx.agents[&sid]
-            .lock()
-            .abort_prepared(inv)
-            .expect("prepared");
-        g.invocations.remove(&gid);
-        g.policy.record_prepared_aborted(gid);
-    }
-    g.policy.on_abort_begin(v);
-    g.emit(ctx, Event::Abort(v));
-    g.states
-        .get_mut(&v)
-        .expect("state")
-        .apply_process_abort()
-        .expect("active");
-}
-
-fn initiate_abort<'a>(
-    ctx: &RunCtx<'_, 'a>,
-    g: &mut ShardGuard<'_, 'a>,
-    pid: ProcessId,
-    reason: AbortReason,
-    trigger: Option<GlobalActivityId>,
-) {
-    if g.states[&pid].abort_in_progress() || !g.states[&pid].is_active() {
-        return;
-    }
-    let completion = g.states[&pid].completion();
-    let comp_gids: Vec<GlobalActivityId> = completion
-        .compensations
-        .iter()
-        .map(|&a| GlobalActivityId::new(pid, a))
-        .collect();
-    let process = ctx.workload.spec.process(pid).expect("known");
-    let fwd: Vec<_> = completion
-        .forward
-        .iter()
-        .map(|&a| process.service(a))
-        .collect();
-    let victims = g.policy.plan_abort(pid, &comp_gids, &fwd);
-    if ctx.trace.enabled && !victims.is_empty() {
-        g.trace(
-            ctx,
-            TraceEvent::GroupAbort {
-                initiator: Some(pid),
-                victims: victims.clone(),
-                trigger,
-            },
-        );
-    }
-    for v in victims {
-        cascade_abort(ctx, g, v);
-    }
-    if g.states[&pid].is_active() && !g.states[&pid].abort_in_progress() {
-        if let Some((gid, _a, sid, inv)) = g.pending_release.remove(&pid) {
-            if let Some(t0) = g.prepared_at.remove(&pid) {
-                g.tele
-                    .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
-            }
-            ctx.agents[&sid]
-                .lock()
-                .abort_prepared(inv)
-                .expect("prepared");
-            g.invocations.remove(&gid);
-            g.policy.record_prepared_aborted(gid);
-        }
-        g.count_abort_reason(reason);
-        g.clear_block_note(pid);
-        if ctx.trace.enabled {
-            g.trace(ctx, TraceEvent::AbortStarted { pid, reason });
-        }
-        g.policy.on_abort_begin(pid);
-        g.emit(ctx, Event::Abort(pid));
-        g.states
-            .get_mut(&pid)
-            .expect("state")
-            .apply_process_abort()
-            .expect("active");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use txproc_sim::workload::{generate, ArrivalModel, WorkloadConfig};
+    use txproc_subsystem::kv::{Key, Program};
+    use txproc_subsystem::subsystem::LogRecord;
 
     #[test]
     fn concurrent_run_terminates_and_is_pred() {
@@ -2128,12 +1982,184 @@ mod tests {
     }
 
     #[test]
+    fn idle_time_is_the_time_slept() {
+        // Arrivals far enough apart that the one worker naps between them,
+        // close enough that a nap's overshoot is as long as the nap: the
+        // worker is busy or asleep nearly all the run, and its accounts
+        // must say so.
+        let w = clustered(1, 64, ArrivalModel::Poisson { mean_gap: 200 });
+        let r = run_concurrent(
+            &w,
+            ConcurrentConfig {
+                seed: 13,
+                workers: Some(1),
+                ..ConcurrentConfig::default()
+            },
+        );
+        assert_eq!(r.metrics.terminated(), 64);
+        let wall_ns = r.metrics.makespan * 1000;
+        let rt = r.metrics.runtime.as_ref().expect("runtime metrics");
+        assert!(rt.worker_idle_ns > 0, "the worker never napped");
+        let accounted = rt.worker_busy_ns + rt.worker_idle_ns;
+        assert!(
+            accounted as f64 >= 0.8 * wall_ns as f64,
+            "busy {} + idle {} ns accounts for under 80% of the {wall_ns} ns run",
+            rt.worker_busy_ns,
+            rt.worker_idle_ns
+        );
+        assert_eq!(rt.invariant_violations(Some(wall_ns)), Vec::<String>::new());
+    }
+
+    /// The paper world (Figures 2, 4 and 9) deployed on one subsystem, each
+    /// service on a key of its own.
+    fn paper_workload(failure_probability: f64) -> Workload {
+        let spec = txproc_core::fixtures::paper_world().spec;
+        let mut deployment = txproc_subsystem::deploy::Deployment::new();
+        for process in spec.processes() {
+            for (a, _) in process.iter() {
+                let svc = process.service(a);
+                let program = Program::set(Key(u64::from(svc.0)), 1);
+                deployment.place(svc, SubsystemId(0), program);
+            }
+        }
+        let config = WorkloadConfig {
+            failure_probability,
+            ..WorkloadConfig::default()
+        };
+        Workload {
+            spec,
+            deployment,
+            config,
+        }
+    }
+
+    /// A run context with no worker behind it: one shard, worker 0.
+    fn scripted_ctx(w: &Workload, cfg: ConcurrentConfig) -> RunCtx<'_> {
+        RunCtx::new(w, cfg, Box::new(NoopSink), Telemetry::off(), None, vec![0])
+    }
+
+    /// Steps `pid` until it stops yielding; returns the step that stopped it
+    /// and how many yields came before.
+    fn run_to_block<'a>(shard: &mut Shard<'a>, ctx: &RunCtx<'a>, pid: ProcessId) -> (Step, usize) {
+        for yields in 0.. {
+            match shard.step(ctx, pid) {
+                Step::Yield => {}
+                stop => return (stop, yields),
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn scripted_interleaving_blocks_on_a_predecessor_and_wakes_at_its_finalize() {
+        // P₁ = a1₁ᶜ ≪ a1₂ᵖ ≪ … with the alternative a1₂ ≪ a1₅ʳ ≪ a1₆ʳ;
+        // P₂ = a2₁ᶜ ≪ a2₂ᶜ ≪ a2₃ᵖ ≪ …, a2₁ conflicting with a1₁. A worker
+        // runs each process until it blocks, so it never produces the
+        // interleaving stepped here by hand.
+        let w = paper_workload(0.0);
+        let cfg = ConcurrentConfig {
+            policy: PolicyKind::PredWait,
+            inject_failures: false,
+            ..ConcurrentConfig::default()
+        };
+        let ctx = scripted_ctx(&w, cfg);
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let mut shard = Shard::build(0, &[p1, p2], &ctx);
+        let mut rt = RuntimeMetrics::new(RUNTIME_LABEL, 1);
+        shard.admit(&ctx, p1);
+        shard.admit(&ctx, p2);
+
+        // P₁ executes a1₁ and is held mid-run; P₂ runs as far as it goes:
+        // past its conflicting a2₁ (now P₁ → P₂), up to its pivot, which
+        // Lemma 1.1 holds back until P₁ terminates.
+        assert_eq!(shard.next_runnable(&ctx, &mut rt), Some(p1));
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.next_runnable(&ctx, &mut rt), Some(p2));
+        assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 2));
+        assert_eq!(shard.metrics.waits, 1);
+        assert!(shard.waiting.contains(&p2));
+
+        // P₁ commits its pivot, is aborted from outside and recovers forward
+        // over a1₅, a1₆. Every event marks the shard dirty, so P₂ is
+        // re-polled — in vain, P₁ is still active — and the shard is clean
+        // again.
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        shard.initiate_abort(&ctx, p1, AbortReason::External, None);
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.states[&p1].status(), ProcessStatus::Aborted);
+        assert_eq!(shard.next_runnable(&ctx, &mut rt), Some(p2));
+        assert_eq!(shard.step(&ctx, p2), Step::Wait);
+        assert_eq!(shard.metrics.waits, 2);
+        assert!(!shard.dirty);
+
+        // P₁'s last step emits nothing: `finalize` takes its operations out
+        // of the policy, and only its dirty mark tells the shard that a
+        // waiter may now run.
+        let events = shard.history.len();
+        assert_eq!(shard.step(&ctx, p1), Step::Done);
+        assert_eq!(shard.history.len(), events);
+        assert!(shard.dirty, "finalize marks the shard dirty");
+        assert_eq!(shard.next_runnable(&ctx, &mut rt), Some(p2));
+        assert_eq!(rt.repolls, 0, "woken by the mark, not by a deadlock probe");
+        assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Done, 3));
+
+        assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
+        assert_eq!(shard.metrics.abort_reasons.external, 1);
+        assert_eq!((shard.live, shard.next_runnable(&ctx, &mut rt)), (0, None));
+        let done = shard.finish(&ctx);
+        assert!(txproc_core::pred::is_pred(&w.spec, &done.history).unwrap());
+    }
+
+    #[test]
+    fn injected_retry_runs_at_the_agent_and_leaves_no_event() {
+        // P₃ = a3₁ᶜ ≪ a3₂ʳ. The failure coin is a pure function of (seed,
+        // activity, attempt): pick a seed under which a3₁ succeeds and a3₂
+        // fails once, then succeeds.
+        let w = paper_workload(0.5);
+        let p3 = ProcessId(3);
+        let (a31, a32) = (ActivityId(0), ActivityId(1));
+        let coin = |seed, a, attempt| fail_coin(seed, GlobalActivityId::new(p3, a), attempt);
+        let seed = (0..1000)
+            .find(|&s| coin(s, a31, 1) >= 0.5 && coin(s, a32, 1) < 0.5 && coin(s, a32, 2) >= 0.5)
+            .expect("some seed draws succeed / fail / succeed");
+        let ctx = scripted_ctx(
+            &w,
+            ConcurrentConfig {
+                seed,
+                ..ConcurrentConfig::default()
+            },
+        );
+        let mut shard = Shard::build(0, &[p3], &ctx);
+        shard.admit(&ctx, p3);
+        let log_len = || ctx.agents[&SubsystemId(0)].lock().subsystem.log().len();
+
+        assert_eq!(shard.step(&ctx, p3), Step::Yield);
+        assert_eq!((shard.history.len(), shard.metrics.retries), (1, 0));
+        // The injected attempt: counted, run and rolled back at the agent
+        // within the step, invisible to history and policy.
+        let before = log_len();
+        assert_eq!(shard.step(&ctx, p3), Step::Yield);
+        assert_eq!((shard.history.len(), shard.metrics.retries), (1, 1));
+        assert!(log_len() > before, "the agent ran the injected attempt");
+        let agent = ctx.agents[&SubsystemId(0)].lock();
+        assert!(matches!(
+            agent.subsystem.log().last(),
+            Some(LogRecord::Abort(_))
+        ));
+        drop(agent);
+        assert_eq!(run_to_block(&mut shard, &ctx, p3), (Step::Done, 1));
+        assert_eq!((shard.metrics.committed, shard.metrics.activities), (1, 2));
+    }
+
+    #[test]
     fn shard_mode_parse_and_label_round_trip() {
         assert_eq!(ShardMode::parse("auto"), Some(ShardMode::Auto));
         assert_eq!(ShardMode::parse("single"), Some(ShardMode::Single));
         assert_eq!(ShardMode::parse("1"), Some(ShardMode::Single));
         assert_eq!(ShardMode::parse("4"), Some(ShardMode::Fixed(4)));
         assert_eq!(ShardMode::parse("bogus"), None);
+        assert_eq!(ShardMode::parse("0"), None, "a run has at least one shard");
         assert_eq!(ShardMode::Auto.label(), "auto");
         assert_eq!(ShardMode::Single.label(), "single");
         assert_eq!(ShardMode::Fixed(4).label(), "4");

@@ -48,12 +48,10 @@ pub struct RunConfig {
     pub arrival_gap: u64,
     /// Verify the emitted history for PRED after the run (expensive).
     pub check_pred: bool,
-    /// Epoch size for group certification and batch commit. `0` keeps the
-    /// per-event path bit-identical to earlier releases. With `N > 0` the
-    /// engine retains each certified plan for its matching `record` (one
-    /// closure computation per admitted event instead of two), groups up to
-    /// `N` deferred 2PC releases into one prepare→decide round, and flushes
-    /// the trace sink once per `N` emitted events (or earlier under
+    /// Epoch size for batch commit. `0` keeps the per-event path
+    /// bit-identical to earlier releases. With `N > 0` the engine groups up
+    /// to `N` deferred 2PC releases into one prepare→decide round, and
+    /// flushes the trace sink once per `N` emitted events (or earlier under
     /// conflict pressure). `N = 1` closes an epoch per event and stays
     /// bit-identical — history *and* metrics — to `N = 0`.
     #[serde(default)]
@@ -263,7 +261,7 @@ impl<'a> Engine<'a> {
             no_progress_ticks: 0,
             abort_seq: BTreeMap::new(),
             next_abort_seq: 0,
-            gate: CertGate::for_policy(cfg.policy, &workload.spec, cfg.epoch),
+            gate: CertGate::for_policy(cfg.policy, &workload.spec),
             postponed_releases: Vec::new(),
             cert_failures: BTreeMap::new(),
             sink,
@@ -424,18 +422,6 @@ impl<'a> Engine<'a> {
     fn mark_unblocked(&mut self, pid: ProcessId) {
         if let Some(t) = self.blocked_since.remove(&pid) {
             *self.metrics.blocked_time.entry(pid.0).or_insert(0) += self.now.0.saturating_sub(t);
-        }
-    }
-
-    fn count_abort_reason(&mut self, reason: AbortReason) {
-        let r = &mut self.metrics.abort_reasons;
-        match reason {
-            AbortReason::Rejected => r.rejected += 1,
-            AbortReason::Cascade => r.cascade += 1,
-            AbortReason::Failure => r.failure += 1,
-            AbortReason::CertStuck => r.cert_stuck += 1,
-            AbortReason::Deadlock => r.deadlock += 1,
-            AbortReason::External => r.external += 1,
         }
     }
 
@@ -1072,7 +1058,7 @@ impl<'a> Engine<'a> {
             FailureOutcome::ProcessAbort { .. } => {
                 // The state machine entered its completion directly; record
                 // the abort initiation for the trace and the breakdown.
-                self.count_abort_reason(AbortReason::Failure);
+                self.metrics.abort_reasons.count(AbortReason::Failure);
                 self.trace(TraceEvent::AbortStarted {
                     pid,
                     reason: AbortReason::Failure,
@@ -1405,7 +1391,7 @@ impl<'a> Engine<'a> {
         if cascade {
             self.metrics.cascaded += 1;
         }
-        self.count_abort_reason(reason);
+        self.metrics.abort_reasons.count(reason);
         self.trace(TraceEvent::AbortStarted { pid, reason });
         let seq = self.next_abort_seq;
         self.next_abort_seq += 1;

@@ -113,12 +113,7 @@ fn enabled_telemetry_captures_concurrent_phases() {
         .into_concurrent();
     assert!(r.metrics.committed + r.metrics.aborted > 0);
     let snap = tele.snapshot().expect("enabled registry snapshots");
-    for phase in [
-        Phase::Certify,
-        Phase::Policy,
-        Phase::LockWait,
-        Phase::LockHold,
-    ] {
+    for phase in [Phase::Certify, Phase::Policy, Phase::QueueDelay] {
         let p = snap.phase(phase).expect("phase accumulator present");
         assert!(p.count > 0, "{}: no intervals recorded", p.phase);
         assert!(p.p50_ns <= p.p95_ns && p.p95_ns <= p.max_ns, "{}", p.phase);

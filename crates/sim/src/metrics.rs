@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use txproc_core::trace::AbortReason;
 
 /// Abort counts broken down by first cause (mirrors
 /// `txproc_core::trace::AbortReason`). A trace-derived aggregate: the sum of
@@ -35,6 +36,18 @@ impl AbortReasons {
             + self.external
     }
 
+    /// Counts one abort initiation under its first cause.
+    pub fn count(&mut self, reason: AbortReason) {
+        match reason {
+            AbortReason::Rejected => self.rejected += 1,
+            AbortReason::Cascade => self.cascade += 1,
+            AbortReason::Failure => self.failure += 1,
+            AbortReason::CertStuck => self.cert_stuck += 1,
+            AbortReason::Deadlock => self.deadlock += 1,
+            AbortReason::External => self.external += 1,
+        }
+    }
+
     /// Accumulates another run's breakdown.
     pub fn merge(&mut self, other: &AbortReasons) {
         self.rejected += other.rejected;
@@ -46,9 +59,9 @@ impl AbortReasons {
     }
 }
 
-/// Per-shard lock observability collected by the sharded concurrent driver
-/// (one entry per conflict-domain shard; the single-lock configuration
-/// reports exactly one).
+/// Per-shard sizes collected by the sharded concurrent driver (one entry per
+/// conflict-domain shard; the single-shard configuration reports exactly
+/// one).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardMetrics {
     /// Shard id (dense, ordered by smallest member process id).
@@ -57,10 +70,6 @@ pub struct ShardMetrics {
     pub processes: u64,
     /// History events emitted by this shard.
     pub events: u64,
-    /// Total wall-clock time workers spent blocked acquiring the shard lock.
-    pub lock_wait_ns: u64,
-    /// Total wall-clock time workers held the shard lock.
-    pub lock_hold_ns: u64,
 }
 
 /// Number of log₂ buckets in the scheduling-delay histogram (bucket `i`
@@ -73,7 +82,7 @@ pub const SCHED_DELAY_BUCKETS: usize = 40;
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuntimeMetrics {
     /// Runtime label (`"events"`, the worker pool; kept so reports stay
-    /// self-describing and keyed as their committed baselines are).
+    /// self-describing).
     pub runtime: String,
     /// Worker threads used.
     pub workers: u64,
@@ -283,8 +292,8 @@ pub struct Metrics {
     /// Certification attempts answered "not PRED" (each forces a defer,
     /// retry or escalation).
     pub cert_failures: u64,
-    /// Per-shard lock/wakeup observability (sharded concurrent driver only;
-    /// empty for the virtual-time engine).
+    /// Per-shard sizes (sharded concurrent driver only; empty for the
+    /// virtual-time engine).
     pub shards: Vec<ShardMetrics>,
     /// Runtime-level observability (concurrent driver only; `None` for the
     /// virtual-time engine).
@@ -381,14 +390,17 @@ impl Metrics {
         self.blocked_time.values().sum()
     }
 
-    /// Total wall-clock nanoseconds spent waiting for shard locks.
+    /// Always 0: a shard is owned by its worker, not locked. Kept only
+    /// because the frozen benchmark's `runtime.lock_wait_ms` row calls it;
+    /// leaves with that row at the next benchmark re-definition.
     pub fn lock_wait_total_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock_wait_ns).sum()
+        0
     }
 
-    /// Total wall-clock nanoseconds shard locks were held.
+    /// Always 0, kept only for the frozen benchmark's
+    /// `runtime.lock_hold_ms` row (see [`Metrics::lock_wait_total_ns`]).
     pub fn lock_hold_total_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock_hold_ns).sum()
+        0
     }
 }
 
@@ -486,30 +498,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_metrics_merge_and_totals() {
+    fn shard_metrics_merge_appends() {
+        let shard = |shard, processes, events| ShardMetrics {
+            shard,
+            processes,
+            events,
+        };
         let mut a = Metrics {
-            shards: vec![ShardMetrics {
-                shard: 0,
-                processes: 3,
-                events: 12,
-                lock_wait_ns: 100,
-                lock_hold_ns: 400,
-            }],
+            shards: vec![shard(0, 3, 12)],
             ..Metrics::new()
         };
         let b = Metrics {
-            shards: vec![ShardMetrics {
-                shard: 1,
-                processes: 2,
-                events: 8,
-                lock_wait_ns: 50,
-                lock_hold_ns: 200,
-            }],
+            shards: vec![shard(1, 2, 8)],
             ..Metrics::new()
         };
         a.merge(&b);
-        assert_eq!(a.shards.len(), 2);
-        assert_eq!(a.lock_wait_total_ns(), 150);
-        assert_eq!(a.lock_hold_total_ns(), 600);
+        assert_eq!(a.shards, vec![shard(0, 3, 12), shard(1, 2, 8)]);
     }
 }

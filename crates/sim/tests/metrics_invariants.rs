@@ -89,22 +89,23 @@ proptest! {
             shards: specs
                 .iter()
                 .enumerate()
-                .map(|(i, &(wait, hold))| ShardMetrics {
+                .map(|(i, &(processes, events))| ShardMetrics {
                     shard: base + i as u32,
-                    lock_wait_ns: wait,
-                    lock_hold_ns: hold,
-                    ..ShardMetrics::default()
+                    processes,
+                    events,
                 })
                 .collect(),
             ..Metrics::new()
         };
+        let total = |m: &Metrics| {
+            let add = |(p, e), s: &ShardMetrics| (p + s.processes, e + s.events);
+            m.shards.iter().fold((0, 0), add)
+        };
         let mut a = build(&shards_a, 0);
         let b = build(&shards_b, shards_a.len() as u32);
-        let expect_wait = a.lock_wait_total_ns() + b.lock_wait_total_ns();
-        let expect_hold = a.lock_hold_total_ns() + b.lock_hold_total_ns();
+        let ((pa, ea), (pb, eb)) = (total(&a), total(&b));
         a.merge(&b);
         prop_assert_eq!(a.shards.len(), shards_a.len() + shards_b.len());
-        prop_assert_eq!(a.lock_wait_total_ns(), expect_wait);
-        prop_assert_eq!(a.lock_hold_total_ns(), expect_hold);
+        prop_assert_eq!(total(&a), (pa + pb, ea + eb));
     }
 }
