@@ -5,7 +5,7 @@
 //! txproc simulate  [--seed N] [--processes N] [--density F] [--failures F]
 //!                  [--policy pred|pred-wait|pred-protocol|serial|conservative|unsafe-cc]
 //!                  [--arrival-gap N] [--check] [--epoch N]
-//!                  [--concurrent] [--workers N] [--shards auto|single|N]
+//!                  [--concurrent] [--workers N] [--shards auto|single]
 //!                  [--wal PATH] [--durability none|buffered|fsync-N|fsync-epoch]
 //!                  [--snapshot-every N]
 //!                  # --concurrent switches to the wall-clock concurrent driver
@@ -21,15 +21,6 @@
 //!                  [--wal PATH] [--durability …] [--snapshot-every N]
 //!                  # with --wal the in-memory image is discarded and the
 //!                  # scheduler state is rebuilt from the log alone
-//! txproc bench     [--smoke] [--out PATH] [--seed N] [--processes CSV]
-//!                  [--density CSV] [--policy CSV]
-//!                  [--arrival-gap N]           # perf trajectory → BENCH_scheduler.json
-//!                  [--shards auto|single|N]    # concurrent-driver shard topology
-//!                  [--clusters N]              # tenants in the sharding comparison
-//!                  [--workers N]
-//!                  [--open-processes CSV] [--open-gap US]  # Poisson open-arrival sweep
-//!                  [--epoch N]                 # epoch size of the epoch sweep entries
-//!                  [--durability-processes N]  # E26 durability sweep size (0 = skip)
 //! txproc trace     [--seed N] [--processes N] [--density F] [--failures F]
 //!                  [--policy …] [--arrival-gap N]
 //!                  [--pid N] [--kind SUBSTR]   # filter the printed journal
@@ -51,7 +42,7 @@
 //!                  # live per-shard/per-worker metrics while the
 //!                  # concurrent driver runs the workload
 //! txproc gauntlet  [--seeds N] [--scenario NAME] [--policy …]
-//!                  [--shards auto|single|N] [--workers N] [--epoch N]
+//!                  [--shards auto|single] [--workers N] [--epoch N]
 //!                  [--json PATH]
 //!                  # run the named adversarial scenarios (engine + sharded
 //!                  # concurrent) through the PRED / Proc-REC checkers and
@@ -88,7 +79,7 @@ impl Args {
         while i < raw.len() {
             let a = &raw[i];
             if let Some(key) = a.strip_prefix("--") {
-                if matches!(key, "check" | "smoke" | "concurrent") {
+                if matches!(key, "check" | "concurrent") {
                     values.insert(key.to_string(), "true".to_string());
                 } else {
                     i += 1;
@@ -125,8 +116,7 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
 }
 
 fn parse_shards(raw: &str) -> Result<ShardMode, String> {
-    ShardMode::parse(raw)
-        .ok_or_else(|| format!("invalid --shards value: {raw} (want auto|single|N)"))
+    ShardMode::parse(raw).ok_or_else(|| format!("invalid --shards value: {raw} (want auto|single)"))
 }
 
 fn parse_workers(args: &Args) -> Result<Option<usize>, String> {
@@ -405,96 +395,6 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown process: {other}")),
     };
     print!("{out}");
-    Ok(())
-}
-
-fn parse_csv<T: std::str::FromStr>(raw: &str, what: &str) -> Result<Vec<T>, String> {
-    raw.split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("invalid {what} value: {s}"))
-        })
-        .collect()
-}
-
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    use txproc_bench::perf::{run_scheduler_bench, SchedulerBenchConfig};
-    let mut cfg = if args.flag("smoke") {
-        SchedulerBenchConfig::smoke()
-    } else {
-        SchedulerBenchConfig::full()
-    };
-    cfg.seed = args.get("seed", cfg.seed)?;
-    cfg.arrival_gap = args.get("arrival-gap", cfg.arrival_gap)?;
-    if let Some(raw) = args.values.get("processes") {
-        cfg.processes = parse_csv(raw, "--processes")?;
-    }
-    if let Some(raw) = args.values.get("density") {
-        cfg.densities = parse_csv(raw, "--density")?;
-    }
-    if let Some(raw) = args.values.get("policy") {
-        cfg.policies = raw
-            .split(',')
-            .map(|s| parse_policy(s.trim()))
-            .collect::<Result<Vec<_>, _>>()?;
-    }
-    if let Some(raw) = args.values.get("shards") {
-        cfg.shards = parse_shards(raw)?;
-    }
-    cfg.workers = parse_workers(args)?.or(cfg.workers);
-    if let Some(raw) = args.values.get("open-processes") {
-        cfg.open_processes = parse_csv(raw, "--open-processes")?;
-    }
-    cfg.open_mean_gap_us = args.get("open-gap", cfg.open_mean_gap_us)?;
-    cfg.sharding_clusters = args.get("clusters", cfg.sharding_clusters)?;
-    cfg.epoch = args.get("epoch", cfg.epoch)?;
-    cfg.durability_processes = args.get("durability-processes", cfg.durability_processes)?;
-    let report = run_scheduler_bench(&cfg);
-    for e in &report.runs {
-        let shard = match &e.shard_mode {
-            Some(m) => format!(" shards={m}/{}", e.shards),
-            None => String::new(),
-        };
-        println!(
-            "{:<10} {:<14} n={:<4} d={:<4} {:>10.2} ms  {:>12.0} events/s  ({} committed, {} aborted){shard}",
-            e.mode, e.policy, e.processes, e.density, e.wall_ms, e.events_per_sec,
-            e.committed, e.aborted
-        );
-    }
-    for o in &report.open_runs {
-        println!(
-            "open       n={:<6} gap={}µs shards={} workers={} {:>10.2} ms  {:>12.0} events/s  \
-             in-flight-peak={} pred-violations={} proc-rec-violations={} (verify {:.0} ms)",
-            o.processes,
-            o.mean_gap_us,
-            o.shards,
-            o.workers,
-            o.wall_ms,
-            o.events_per_sec,
-            o.in_flight_peak,
-            o.pred_violations,
-            o.proc_rec_violations,
-            o.verify_ms,
-        );
-    }
-    for t in &report.trace_overhead {
-        println!(
-            "trace      {:<14} n={:<4} d={:<4} {:>10.2} ms  ({:+.1}% vs untraced)",
-            t.sink, t.processes, t.density, t.wall_ms, t.overhead_pct
-        );
-    }
-    for n in &report.notes {
-        println!("note: {n}");
-    }
-    let out = args
-        .values
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scheduler.json".to_string());
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&out, json).map_err(|e| e.to_string())?;
-    println!("wrote {out}");
     Ok(())
 }
 
@@ -913,7 +813,7 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
         eprintln!(
-            "usage: txproc <simulate|generate|check|demo|dot|crash|bench|trace|stats|top|gauntlet> [options]"
+            "usage: txproc <simulate|generate|check|demo|dot|crash|trace|stats|top|gauntlet> [options]"
         );
         std::process::exit(2);
     };
@@ -931,7 +831,6 @@ fn main() {
         "demo" => cmd_demo(&args),
         "dot" => cmd_dot(&args),
         "crash" => cmd_crash(&args),
-        "bench" => cmd_bench(&args),
         "trace" => cmd_trace(&args),
         "stats" => cmd_stats(&args),
         "top" => cmd_top(&args),
@@ -1028,30 +927,6 @@ mod tests {
         assert_eq!(parse_policy("pred").unwrap(), PolicyKind::Pred);
         assert_eq!(parse_policy("unsafe-cc").unwrap(), PolicyKind::UnsafeCc);
         assert!(parse_policy("bogus").is_err());
-    }
-
-    #[test]
-    fn bench_smoke_writes_report() {
-        let out = scratch("txproc_bench_smoke_test.json");
-        let a = args(&[
-            "--smoke",
-            "--processes",
-            "5",
-            "--policy",
-            "pred-protocol,pred",
-            "--out",
-            out.to_str().unwrap(),
-        ]);
-        cmd_bench(&a).unwrap();
-        let raw = std::fs::read_to_string(&out).unwrap();
-        assert!(raw.contains("txproc-bench-scheduler/v12"));
-        assert!(raw.contains("pred-protocol"));
-        assert!(raw.contains("zipf-hotspot"));
-        assert!(raw.contains("open_runs"));
-        assert!(raw.contains("\"phases\""));
-        assert!(raw.contains("telemetry_overhead"));
-        assert!(raw.contains("\"epoch\": 16"));
-        std::fs::remove_file(&out).ok();
     }
 
     #[test]

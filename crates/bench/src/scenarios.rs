@@ -187,7 +187,7 @@ pub fn paper_workload(failure_probability: f64) -> (PaperWorld, Workload) {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a gauntlet sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GauntletConfig {
     /// Seeds per scenario (`seed_base..seed_base + seeds`).
     pub seeds: u64,

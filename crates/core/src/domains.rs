@@ -234,22 +234,6 @@ impl DomainPartition {
             false
         }
     }
-
-    /// Groups domains into at most `max_shards` shard buckets (round-robin by
-    /// domain id), returning for each shard its member pids. `max_shards` of
-    /// 0 is treated as 1. Used by the sharded driver's `--shards N` mode.
-    pub fn shard_groups(&self, max_shards: usize) -> Vec<Vec<ProcessId>> {
-        let shards = self.domain_count().min(max_shards.max(1)).max(1);
-        let mut groups: Vec<Vec<ProcessId>> = vec![Vec::new(); shards];
-        for (domain, members) in self.members.iter().enumerate() {
-            groups[domain % shards].extend(members.iter().copied());
-        }
-        for g in &mut groups {
-            g.sort_unstable();
-        }
-        groups.retain(|g| !g.is_empty());
-        groups
-    }
 }
 
 /// Naive O(n²) reference: pairwise potential-conflict test + BFS components.
@@ -436,23 +420,6 @@ mod tests {
         assert!(!part.merge(ProcessId(1), ProcessId(3)));
         // Unknown pids are a no-op.
         assert!(!part.merge(ProcessId(1), ProcessId(99)));
-    }
-
-    #[test]
-    fn shard_groups_cap_and_preserve_domains() {
-        let spec = spec_with(|cat, _| {
-            let svcs: Vec<_> = (0..5).map(|i| cat.pivot(format!("s{i}"))).collect();
-            svcs.iter().map(|&s| vec![s]).collect()
-        });
-        let part = DomainPartition::partition(&spec);
-        assert_eq!(part.domain_count(), 5);
-        let groups = part.shard_groups(2);
-        assert_eq!(groups.len(), 2);
-        let mut all: Vec<_> = groups.concat();
-        all.sort_unstable();
-        assert_eq!(all, (1..=5).map(ProcessId).collect::<Vec<_>>());
-        assert_eq!(part.shard_groups(0).len(), 1);
-        assert_eq!(part.shard_groups(16).len(), 5);
     }
 
     #[test]

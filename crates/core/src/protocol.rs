@@ -976,18 +976,6 @@ impl<'a> Protocol<'a> {
         ordered
     }
 
-    /// Debug dump of the tracked operation records.
-    pub fn debug_ops(&self) -> String {
-        let mut out = String::new();
-        for r in &self.ops {
-            out.push_str(&format!(
-                "{} svc={} comp'd={} stable={} deferred={}\n",
-                r.gid, r.service, r.compensated, r.stable, r.deferred
-            ));
-        }
-        out
-    }
-
     /// Marks a process as aborting: its completion is about to execute.
     /// Until [`record_process_abort`](Self::record_process_abort), requests
     /// conflicting with its to-be-compensated operations wait.

@@ -198,14 +198,6 @@ impl Gauge {
         }
     }
 
-    /// Raise the gauge to at least `v` (peak tracking).
-    #[inline]
-    pub fn raise(&self, v: u64) {
-        if let Some(c) = &self.cell {
-            c.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
     /// Current value (0 when disabled).
     pub fn get(&self) -> u64 {
         self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))

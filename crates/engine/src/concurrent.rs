@@ -128,52 +128,15 @@ pub enum ShardMode {
     /// One shard per conflict domain of the workload (the partition of the
     /// potential-conflict graph computed by [`DomainPartition`]).
     Auto,
-    /// Conflict domains grouped round-robin into at most N shards. Whole
-    /// domains only: the partition invariant (no cross-shard conflicts) is
-    /// never violated, so `Fixed(1)` is semantically the single-lock driver.
-    Fixed(u32),
 }
 
 impl ShardMode {
-    /// Parses `auto`, `single`, or a shard count of at least one.
+    /// Parses `auto` or `single` (the `--shards` vocabulary).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "auto" => Some(Self::Auto),
             "single" => Some(Self::Single),
-            _ => match s.parse::<u32>().ok()? {
-                0 => None,
-                1 => Some(Self::Single),
-                n => Some(Self::Fixed(n)),
-            },
-        }
-    }
-
-    /// Stable label for reports (`auto`, `single`, or the count).
-    pub fn label(&self) -> String {
-        match self {
-            Self::Auto => "auto".into(),
-            Self::Single => "single".into(),
-            Self::Fixed(n) => n.to_string(),
-        }
-    }
-}
-
-// Serialized as the CLI label (`auto` / `single` / a count) so bench
-// reports and the `--shards` flag speak the same vocabulary.
-impl serde::Serialize for ShardMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label())
-    }
-}
-
-impl serde::Deserialize for ShardMode {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Str(s) => Self::parse(s)
-                .ok_or_else(|| serde::DeError::new(format!("invalid shard mode `{s}`"))),
-            other => Err(serde::DeError::new(format!(
-                "expected shard mode string, got {other:?}"
-            ))),
+            _ => None,
         }
     }
 }
@@ -200,7 +163,9 @@ pub struct ConcurrentConfig {
     /// releases into per-subsystem rounds of at most `N`. Epochs close on
     /// fill, on certification failure (conflict pressure) and at run end.
     /// `N = 1` closes an epoch per event and stays bit-identical — history
-    /// *and* metrics — to `N = 0`.
+    /// *and* metrics — to `N = 0`. A journal is sealed (and, under
+    /// `FsyncPerEpoch`, synced) at every epoch close of every shard; at `0`
+    /// every emitted event is its own epoch for the log.
     pub epoch: usize,
 }
 
@@ -394,6 +359,17 @@ impl<'a> RunCtx<'a> {
         self.arrivals
             .binary_search_by_key(&pid, |&(p, _)| p)
             .map_or(0, |i| self.arrivals[i].1)
+    }
+
+    /// Seals the journal at a shard's epoch boundary — the sync point of
+    /// `DurabilityPolicy::FsyncPerEpoch` (no-op without a journal). Seals
+    /// are numbered in the order the shards reach the writer.
+    fn seal_wal(&self) {
+        if let Some(wal) = &self.wal {
+            let mut w = wal.lock();
+            let epoch = w.epochs_sealed();
+            w.seal_epoch(epoch);
+        }
     }
 }
 
@@ -669,6 +645,10 @@ impl<'a> Shard<'a> {
             if self.epoch_pending >= ctx.cfg.epoch {
                 self.close_epoch(ctx);
             }
+        } else {
+            // Per-event path: an event is its own epoch for the log, or
+            // `FsyncPerEpoch` would sync only at the end of the run.
+            ctx.seal_wal();
         }
     }
 
@@ -703,6 +683,7 @@ impl<'a> Shard<'a> {
                 self.metrics.epoch_events += fill;
             }
             ctx.tele.phase_ns(Phase::EpochFill, fill);
+            ctx.seal_wal();
         }
         if self.trace_buf.is_empty() {
             return;
@@ -1363,7 +1344,6 @@ pub(crate) fn run_concurrent_impl<'a>(
             vec![workload.spec.processes().map(|p| p.id).collect()]
         }
         ShardMode::Auto => DomainPartition::partition(&workload.spec).into_domains(),
-        ShardMode::Fixed(n) => DomainPartition::partition(&workload.spec).shard_groups(n as usize),
     };
 
     let worker_count = cfg.resolved_workers(groups.len());
@@ -1728,17 +1708,6 @@ mod tests {
         );
         assert_eq!(single.metrics.shards.len(), 1);
         assert_eq!(single.metrics.terminated(), 16);
-
-        let fixed = run_concurrent(
-            &w,
-            ConcurrentConfig {
-                seed: 7,
-                shards: ShardMode::Fixed(2),
-                ..ConcurrentConfig::default()
-            },
-        );
-        assert_eq!(fixed.metrics.shards.len(), 2);
-        assert_eq!(fixed.metrics.terminated(), 16);
     }
 
     #[test]
@@ -2153,15 +2122,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_mode_parse_and_label_round_trip() {
+    fn shard_mode_parses_auto_and_single_only() {
         assert_eq!(ShardMode::parse("auto"), Some(ShardMode::Auto));
         assert_eq!(ShardMode::parse("single"), Some(ShardMode::Single));
-        assert_eq!(ShardMode::parse("1"), Some(ShardMode::Single));
-        assert_eq!(ShardMode::parse("4"), Some(ShardMode::Fixed(4)));
-        assert_eq!(ShardMode::parse("bogus"), None);
-        assert_eq!(ShardMode::parse("0"), None, "a run has at least one shard");
-        assert_eq!(ShardMode::Auto.label(), "auto");
-        assert_eq!(ShardMode::Single.label(), "single");
-        assert_eq!(ShardMode::Fixed(4).label(), "4");
+        for bad in ["bogus", "0", "1", "4"] {
+            assert_eq!(ShardMode::parse(bad), None, "{bad}");
+        }
     }
 }

@@ -53,7 +53,9 @@ pub struct RunConfig {
     /// to `N` deferred 2PC releases into one prepare→decide round, and
     /// flushes the trace sink once per `N` emitted events (or earlier under
     /// conflict pressure). `N = 1` closes an epoch per event and stays
-    /// bit-identical — history *and* metrics — to `N = 0`.
+    /// bit-identical — history *and* metrics — to `N = 0`. A journal is
+    /// sealed (and, under `FsyncPerEpoch`, synced) at every epoch close; at
+    /// `0` every emitting tick is its own epoch for the log.
     #[serde(default)]
     pub epoch: usize,
 }
@@ -194,8 +196,6 @@ pub struct Engine<'a> {
     snapshot_every: usize,
     /// History length at the last snapshot marker.
     last_snapshot: usize,
-    /// Monotonic counter for WAL epoch-seal records.
-    wal_epoch: u64,
 }
 
 /// One durable invocation-log entry: enough to find the subsystem
@@ -276,7 +276,6 @@ impl<'a> Engine<'a> {
             wal: None,
             snapshot_every: 0,
             last_snapshot: 0,
-            wal_epoch: 0,
         };
         // Closed arrivals keep the config's `arrival_gap` staggering; open
         // models (Poisson / Burst) take their times from the workload.
@@ -333,13 +332,6 @@ impl<'a> Engine<'a> {
     pub(crate) fn set_wal(&mut self, writer: WalWriter, snapshot_every: usize) {
         self.wal = Some(writer);
         self.snapshot_every = snapshot_every;
-    }
-
-    /// WAL writer counters `(records, bytes, syncs)`, when journaling.
-    pub fn wal_stats(&self) -> Option<(u64, u64, u64)> {
-        self.wal
-            .as_ref()
-            .map(|w| (w.records(), w.bytes(), w.syncs()))
     }
 
     /// Appends one record to the journal (no-op without one).
@@ -503,6 +495,11 @@ impl<'a> Engine<'a> {
                 if self.epoch_pending >= self.cfg.epoch {
                     self.close_epoch();
                 }
+            } else if after.0 > before.0 {
+                // Per-event path: an emitting tick is its own epoch for the
+                // log, or `FsyncPerEpoch` would sync only at the end of the
+                // run.
+                self.seal_wal();
             }
             // Snapshot at tick boundaries only: the release group is empty
             // and no 2PC decision window is open, so the captured state is
@@ -643,9 +640,14 @@ impl<'a> Engine<'a> {
         let t0 = self.tele.phase_start();
         self.sink.flush();
         self.tele.phase_end(Phase::EpochFlush, t0);
+        self.seal_wal();
+    }
+
+    /// Seals the journal at an epoch boundary — the sync point of
+    /// `DurabilityPolicy::FsyncPerEpoch` (no-op without a journal).
+    fn seal_wal(&mut self) {
         if let Some(w) = &mut self.wal {
-            let epoch = self.wal_epoch;
-            self.wal_epoch += 1;
+            let epoch = w.epochs_sealed();
             w.seal_epoch(epoch);
         }
     }
@@ -1415,52 +1417,6 @@ impl<'a> Engine<'a> {
         self.initiate_abort(pid, AbortReason::External, None);
     }
 
-    /// Evaluates (without scheduling side effects) why a process's next
-    /// step is blocked: gate verdicts and certification of the candidate
-    /// event.
-    pub fn probe(&mut self, pid: ProcessId) -> String {
-        let st = &self.states[&pid];
-        if let Some(c) = st.next_compensation() {
-            let gid = Self::gid(pid, c);
-            return format!(
-                "comp {gid}: gate={:?} cert={}",
-                self.policy.compensation_gate(gid),
-                self.certified_ok(&txproc_core::schedule::Event::Compensate(gid))
-            );
-        }
-        if let Some(a) = st.next_activity() {
-            let gid = Self::gid(pid, a);
-            let svc = self.workload.spec.process(pid).unwrap().service(a);
-            return format!(
-                "act {gid}: fwd_gate={:?} order_blocked={} cert={}",
-                self.policy.forward_gate(pid, svc),
-                self.forward_order_blocked(pid, svc),
-                self.certified_ok(&txproc_core::schedule::Event::Execute(gid))
-            );
-        }
-        "no step".into()
-    }
-
-    /// Human-readable snapshot of every live process's scheduling state
-    /// (stall diagnostics).
-    pub fn diagnostics(&self) -> String {
-        let mut out = String::new();
-        for pid in self.live_processes() {
-            let st = &self.states[&pid];
-            out.push_str(&format!(
-                "{pid}: status={:?} aborting={} waiting={:?} next_comp={:?} next_act={:?} can_commit={} pending_release={}\n",
-                st.status(),
-                st.abort_in_progress(),
-                self.waiting.get(&pid),
-                st.next_compensation(),
-                st.next_activity(),
-                st.can_commit(),
-                self.pending_release.contains_key(&pid),
-            ));
-        }
-        out
-    }
-
     /// Simulates a scheduler crash: volatile state (policy, process states,
     /// event queue) is lost; the durable pieces — emitted history,
     /// invocation log, 2PC decision log, and the subsystems themselves —
@@ -1472,13 +1428,6 @@ impl<'a> Engine<'a> {
             coordinator: self.coordinator,
             invocation_log: self.invocation_log,
         }
-    }
-}
-
-impl Engine<'_> {
-    /// Policy-internal debug dump (diagnostics only).
-    pub fn policy_debug(&self) -> String {
-        self.policy.debug_state()
     }
 }
 

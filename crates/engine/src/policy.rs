@@ -74,10 +74,6 @@ pub trait Policy {
     fn forward_gate(&self, _pid: ProcessId, _service: ServiceId) -> CompletionGate {
         CompletionGate::Ready
     }
-    /// Debug dump of internal state (diagnostics only).
-    fn debug_state(&self) -> String {
-        String::new()
-    }
 }
 
 /// The paper's PRED scheduling protocol.
@@ -160,9 +156,6 @@ impl Policy for PredPolicy<'_> {
     }
     fn forward_gate(&self, pid: ProcessId, service: ServiceId) -> CompletionGate {
         self.protocol.forward_gate(pid, service)
-    }
-    fn debug_state(&self) -> String {
-        self.protocol.debug_ops()
     }
 }
 

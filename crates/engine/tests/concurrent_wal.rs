@@ -64,6 +64,47 @@ fn concurrent_wal_replays_to_the_merged_history() {
     }
 }
 
+/// `FsyncPerEpoch` group-syncs on both drivers at every epoch size: with
+/// `epoch = 0` each emitting tick (engine) / emitted event (shard) is its
+/// own epoch for the log, exactly as with `epoch = 1`. One sync — the one
+/// at the end of the run — would mean a crash loses the whole log.
+#[test]
+fn fsync_per_epoch_syncs_during_the_run_on_both_drivers() {
+    let w = generate(&WorkloadConfig {
+        seed: 5,
+        processes: 16,
+        conflict_density: 0.4,
+        ..WorkloadConfig::default()
+    });
+    let syncs = |concurrent: bool, epoch: usize| {
+        let mem = MemWal::new();
+        let writer = WalWriter::new(Box::new(mem.clone()), DurabilityPolicy::FsyncPerEpoch, 5);
+        let builder = RunBuilder::new(&w).durability(writer, 0);
+        let builder = if concurrent {
+            builder.concurrent(ConcurrentConfig {
+                seed: 5,
+                workers: Some(1),
+                epoch,
+                ..ConcurrentConfig::default()
+            })
+        } else {
+            builder.config(RunConfig {
+                seed: 5,
+                epoch,
+                ..RunConfig::default()
+            })
+        };
+        builder.run();
+        mem.syncs()
+    };
+    for concurrent in [false, true] {
+        let [per_event, one, sixteen] = [0, 1, 16].map(|epoch| syncs(concurrent, epoch));
+        let got = format!("concurrent {concurrent}: {per_event} / {one} / {sixteen} sync(s)");
+        assert_eq!(per_event, one, "{got}: epoch 0 is epoch 1 for the log");
+        assert!(1 < sixteen && sixteen < one, "{got}: epochs group syncs");
+    }
+}
+
 /// Journaling must not perturb the concurrent run itself: under the
 /// deterministic single-worker envelope, WAL-on and WAL-off runs are
 /// bit-identical.

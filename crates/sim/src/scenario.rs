@@ -2,11 +2,10 @@
 //!
 //! A [`Scenario`] is a [`WorkloadConfig`] shape (the seed varies per run)
 //! plus an [`Envelope`]: the commit-rate floor, virtual-latency ceiling and
-//! structural guards a correct scheduler must satisfy on that shape. One
-//! definition serves two harnesses — the benchmark reports scenario entries
-//! (`BENCH_scheduler.json` schema v4) and the correctness gauntlet
-//! (`txproc gauntlet`, `scenario_gauntlet.rs`) replays every scenario over
-//! many seeds through the batch PRED and Proc-REC checkers.
+//! structural guards a correct scheduler must satisfy on that shape. The
+//! correctness gauntlet (`txproc gauntlet`, `scenario_gauntlet.rs`,
+//! experiment E22) replays every scenario over many seeds through the batch
+//! PRED and Proc-REC checkers.
 
 use crate::metrics::Metrics;
 use crate::workload::{ArrivalModel, CrashStorm, TenantMix, WorkloadConfig};

@@ -156,11 +156,6 @@ impl Subsystem {
         &self.log
     }
 
-    /// Debug dump of currently held locks (diagnostics only).
-    pub fn debug_locks(&self) -> String {
-        format!("{:?}", self.locks)
-    }
-
     /// Begins a local transaction.
     pub fn begin(&mut self) -> Result<TxId, SubsystemError> {
         self.check_up()?;
