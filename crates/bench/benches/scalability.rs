@@ -12,7 +12,7 @@
 //! the first read of a service's conflict row, which every shard pays per
 //! service and which must not grow with the catalog.
 //!
-//! `scalability-domains` runs the concurrent driver (`Pred`, epoch 16, 1 and
+//! `scalability-domains` runs the concurrent driver (`Pred`, 1 and
 //! 2 workers) over 64, 512 and 2 048 clusters of 8 processes. A worker holds
 //! scheduler state only for the domains it is running, so per-domain cost
 //! must stay level along the curve; the 512-cluster run with telemetry on
@@ -110,7 +110,6 @@ fn bench(c: &mut Criterion) {
         for workers in [1usize, 2] {
             let cfg = ConcurrentConfig {
                 workers: Some(workers),
-                epoch: 16,
                 ..ConcurrentConfig::default()
             };
             let id = BenchmarkId::new(format!("workers-{workers}"), clusters);

@@ -9,11 +9,13 @@
 //!                  [--wal PATH] [--durability none|buffered|fsync-N|fsync-epoch]
 //!                  [--snapshot-every N]
 //!                  # --concurrent switches to the wall-clock concurrent driver
-//!                  # --epoch N batches certification/commit in N-event
-//!                  # epochs (0 = per-event path, the default)
 //!                  # --wal journals the run write-ahead to PATH; --durability
-//!                  # picks the fsync policy (default fsync-epoch)
-//! txproc generate  [--seed N] [--processes N] [--density F] [--json PATH]
+//!                  # picks the fsync policy (default fsync-epoch); --epoch N
+//!                  # seals (and, under fsync-epoch, syncs) the journal every
+//!                  # N history events (0 = every event, the default) and
+//!                  # changes nothing else
+//! txproc generate  [--seed N] [--processes N] [--density F] [--failures F]
+//!                  [--json PATH]
 //! txproc check     --scenario PATH.json        # {"spec": …, "history": …}
 //! txproc demo      fig4a|fig4b|fig7|fig9       # PRED-check a paper schedule
 //! txproc dot       p1|p2|p3|cim-construction|cim-production
@@ -41,13 +43,14 @@
 //!                  [--policy …] [--shards …] [--workers N] [--refresh-ms N]
 //!                  # live per-shard/per-worker metrics while the
 //!                  # concurrent driver runs the workload
-//! txproc gauntlet  [--seeds N] [--scenario NAME] [--policy …]
-//!                  [--shards auto|single] [--workers N] [--epoch N]
-//!                  [--json PATH]
+//! txproc gauntlet  [--seeds N] [--seed-base N] [--scenario NAME] [--policy …]
+//!                  [--shards auto|single] [--workers N] [--json PATH]
 //!                  # run the named adversarial scenarios (engine + sharded
 //!                  # concurrent) through the PRED / Proc-REC checkers and
 //!                  # their acceptance envelopes; non-zero exit on failure
 //! ```
+//!
+//! A flag its subcommand does not read is an error (exit 1), not ignored.
 
 use serde::Deserialize;
 use txproc_bench::scenarios;
@@ -65,10 +68,14 @@ use txproc_engine::recovery::{recover, Recovery, RecoverySource};
 use txproc_engine::RunBuilder;
 use txproc_sim::workload::{try_generate, WorkloadConfig};
 
-/// Simple `--key value` argument map.
+/// Simple `--key value` argument map. It notes every key a command asks
+/// for, so [`Args::finish`] can refuse the flags the command did not read on
+/// the path it took: what a subcommand accepts is what it reads, with no
+/// second list to keep in step.
 struct Args {
     values: std::collections::BTreeMap<String, String>,
     positional: Vec<String>,
+    asked: std::cell::RefCell<std::collections::BTreeSet<String>>,
 }
 
 impl Args {
@@ -91,11 +98,20 @@ impl Args {
             }
             i += 1;
         }
-        Ok(Args { values, positional })
+        Ok(Args {
+            values,
+            positional,
+            asked: Default::default(),
+        })
+    }
+
+    fn raw(&self, key: &str) -> Option<&String> {
+        self.asked.borrow_mut().insert(key.to_string());
+        self.values.get(key)
     }
 
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.values.get(key) {
+        match self.raw(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -104,7 +120,19 @@ impl Args {
     }
 
     fn flag(&self, key: &str) -> bool {
-        self.values.contains_key(key)
+        self.raw(key).is_some()
+    }
+
+    /// Refuses a given flag that `cmd` did not ask for: a left-over
+    /// `--key value` must fail the script that carries it, not silently
+    /// select a default. Every command calls this once it has read its
+    /// options and before it does any work.
+    fn finish(&self, cmd: &str) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        match self.values.keys().find(|k| !asked.contains(*k)) {
+            Some(key) => Err(format!("unknown or unused flag --{key} for `{cmd}`")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -120,7 +148,7 @@ fn parse_shards(raw: &str) -> Result<ShardMode, String> {
 }
 
 fn parse_workers(args: &Args) -> Result<Option<usize>, String> {
-    match args.values.get("workers") {
+    match args.raw("workers") {
         None => Ok(None),
         Some(raw) => raw
             .parse()
@@ -140,31 +168,40 @@ fn workload_from(args: &Args) -> Result<txproc_sim::workload::Workload, String> 
     .map_err(|e| e.to_string())
 }
 
+/// What `--wal PATH` and the options only a journaled run reads select.
+struct WalOpts {
+    path: std::path::PathBuf,
+    policy: DurabilityPolicy,
+    snapshot_every: usize,
+    /// The journal's seal cadence, `--epoch N`.
+    epoch: usize,
+}
+
 /// Parses the shared WAL options: `--wal PATH` turns journaling on,
 /// `--durability` picks the fsync policy (default `fsync-epoch`),
-/// `--snapshot-every N` the engine snapshot cadence (default 64).
-fn parse_wal(args: &Args) -> Result<Option<(std::path::PathBuf, DurabilityPolicy, usize)>, String> {
-    let Some(path) = args.values.get("wal") else {
+/// `--snapshot-every N` the engine snapshot cadence (default 64), `--epoch N`
+/// the seal cadence (default 0). Without `--wal` none of the others is read,
+/// so [`Args::finish`] refuses them rather than let them do nothing.
+fn parse_wal(args: &Args) -> Result<Option<WalOpts>, String> {
+    let Some(path) = args.raw("wal") else {
         return Ok(None);
     };
     let raw = args.get("durability", "fsync-epoch".to_string())?;
     let policy = DurabilityPolicy::parse(&raw).ok_or_else(|| {
         format!("unknown durability policy `{raw}` (none|buffered|fsync-N|fsync-epoch)")
     })?;
-    Ok(Some((
-        path.into(),
+    Ok(Some(WalOpts {
+        path: path.into(),
         policy,
-        args.get("snapshot-every", 64usize)?,
-    )))
+        snapshot_every: args.get("snapshot-every", 64usize)?,
+        epoch: args.get("epoch", 0usize)?,
+    }))
 }
 
-fn open_wal(
-    path: &std::path::Path,
-    policy: DurabilityPolicy,
-    seed: u64,
-) -> Result<WalWriter, String> {
-    let file = FileWal::create(path).map_err(|e| format!("create WAL {}: {e}", path.display()))?;
-    Ok(WalWriter::new(Box::new(file), policy, seed))
+fn open_wal(wal: &WalOpts, seed: u64) -> Result<WalWriter, String> {
+    let file = FileWal::create(&wal.path)
+        .map_err(|e| format!("create WAL {}: {e}", wal.path.display()))?;
+    Ok(WalWriter::new(Box::new(file), wal.policy, seed))
 }
 
 /// `simulate --concurrent`: the wall-clock concurrent driver instead of the
@@ -175,7 +212,7 @@ fn simulate_concurrent(
     w: &txproc_sim::workload::Workload,
     policy: PolicyKind,
 ) -> Result<(), String> {
-    let shards = match args.values.get("shards") {
+    let shards = match args.raw("shards") {
         Some(raw) => parse_shards(raw)?,
         None => ShardMode::Auto,
     };
@@ -186,21 +223,17 @@ fn simulate_concurrent(
         seed,
         shards,
         workers: parse_workers(args)?,
-        epoch: args.get("epoch", 0usize)?,
+        epoch: wal.as_ref().map_or(0, |wal| wal.epoch),
         ..ConcurrentConfig::default()
     });
-    if let Some((path, dpolicy, snapshot_every)) = &wal {
-        builder = builder.durability(open_wal(path, *dpolicy, seed)?, *snapshot_every);
+    let check = args.flag("check");
+    args.finish("simulate")?;
+    if let Some(wal) = &wal {
+        builder = builder.durability(open_wal(wal, seed)?, wal.snapshot_every);
     }
     let r = builder.try_run()?.into_concurrent();
     println!("policy:            {}", policy.label());
     println!("shards:            {}", r.metrics.shards.len());
-    if r.metrics.epoch_batches > 0 {
-        println!(
-            "epoch batches:     {} ({} events)",
-            r.metrics.epoch_batches, r.metrics.epoch_events
-        );
-    }
     println!(
         "committed/aborted: {}/{}",
         r.metrics.committed, r.metrics.aborted
@@ -225,7 +258,7 @@ fn simulate_concurrent(
         );
         println!("worker utilization: {:.1}%", rt.utilization() * 100.0);
     }
-    if args.flag("check") {
+    if check {
         let ok = txproc_core::pred::is_pred(&w.spec, &r.history).map_err(|e| e.to_string())?;
         println!("history PRED:      {ok}");
         if !ok {
@@ -242,18 +275,19 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         return simulate_concurrent(args, &w, policy);
     }
     let seed = args.get("seed", 42u64)?;
+    let wal = parse_wal(args)?;
     let cfg = RunConfig {
         policy,
         seed,
         arrival_gap: args.get("arrival-gap", 0u64)?,
         check_pred: args.flag("check"),
-        epoch: args.get("epoch", 0usize)?,
+        epoch: wal.as_ref().map_or(0, |wal| wal.epoch),
         ..RunConfig::default()
     };
-    let wal = parse_wal(args)?;
+    args.finish("simulate")?;
     let mut builder = RunBuilder::new(&w).config(cfg);
-    if let Some((path, dpolicy, snapshot_every)) = &wal {
-        builder = builder.durability(open_wal(path, *dpolicy, seed)?, *snapshot_every);
+    if let Some(wal) = &wal {
+        builder = builder.durability(open_wal(wal, seed)?, wal.snapshot_every);
     }
     let r = builder.try_run()?.into_engine();
     println!("policy:            {}", policy.label());
@@ -266,12 +300,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     println!("compensations:     {}", r.metrics.compensations);
     println!("retries:           {}", r.metrics.retries);
     println!("deferred commits:  {}", r.metrics.deferred_commits);
-    if r.metrics.epoch_batches > 0 {
-        println!(
-            "epoch batches:     {} ({} events)",
-            r.metrics.epoch_batches, r.metrics.epoch_events
-        );
-    }
     println!(
         "waits/rejections:  {}/{}",
         r.metrics.waits, r.metrics.rejections
@@ -284,12 +312,12 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     if let Some(ok) = r.pred_ok {
         println!("history PRED:      {ok}");
     }
-    if let Some((path, dpolicy, _)) = &wal {
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    if let Some(wal) = &wal {
+        let bytes = std::fs::metadata(&wal.path).map(|m| m.len()).unwrap_or(0);
         println!(
             "wal:               {} ({}, {bytes} bytes)",
-            path.display(),
-            dpolicy.label()
+            wal.path.display(),
+            wal.policy.label()
         );
     }
     if !r.stalled.is_empty() {
@@ -300,6 +328,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
     let w = workload_from(args)?;
+    let json_path = args.raw("json");
+    args.finish("generate")?;
     println!("processes: {}", w.spec.process_count());
     for p in w.spec.processes() {
         let analysis = txproc_core::flex::FlexAnalysis::analyze(p, &w.spec.catalog);
@@ -316,7 +346,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         w.spec.conflicts.declared_pairs()
     );
     println!("subsystems: {}", w.deployment.subsystems().len());
-    if let Some(path) = args.values.get("json") {
+    if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&w.spec).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         println!("wrote spec to {path}");
@@ -332,16 +362,15 @@ struct Scenario {
 }
 
 fn cmd_check(args: &Args) -> Result<(), String> {
-    let path = args
-        .values
-        .get("scenario")
-        .ok_or("check needs --scenario PATH")?;
+    let path = args.raw("scenario").ok_or("check needs --scenario PATH")?;
+    args.finish("check")?;
     let raw = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let scenario: Scenario = serde_json::from_str(&raw).map_err(|e| e.to_string())?;
     print_pred_report(&scenario.spec, &scenario.history)
 }
 
 fn cmd_demo(args: &Args) -> Result<(), String> {
+    args.finish("demo")?;
     let which = args
         .positional
         .first()
@@ -372,6 +401,7 @@ fn print_pred_report(spec: &Spec, s: &Schedule) -> Result<(), String> {
 }
 
 fn cmd_dot(args: &Args) -> Result<(), String> {
+    args.finish("dot")?;
     let which = args.positional.first().ok_or("dot needs a process name")?;
     let out = match which.as_str() {
         "p1" | "p2" | "p3" => {
@@ -418,6 +448,22 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     if sample_n == 0 {
         return Err("--trace-sample must be ≥ 1".to_string());
     }
+    let (json, chrome, dot_dir) = (args.raw("json"), args.raw("chrome"), args.raw("dot-dir"));
+    let explain = match args.raw("explain") {
+        Some(raw) => Some(ProcessId(
+            raw.parse()
+                .map_err(|_| format!("invalid --explain pid: {raw}"))?,
+        )),
+        None => None,
+    };
+    let pid_filter: Option<ProcessId> = match args.raw("pid") {
+        Some(raw) => Some(ProcessId(
+            raw.parse().map_err(|_| format!("invalid --pid: {raw}"))?,
+        )),
+        None => None,
+    };
+    let kind_filter = args.raw("kind");
+    args.finish("trace")?;
     let journal = Journal::new();
     let sink: Box<dyn TraceSink> = if sample_n > 1 {
         Box::new(SampleSink::new(journal.clone(), sample_n))
@@ -437,15 +483,15 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = args.values.get("json") {
+    if let Some(path) = json {
         std::fs::write(path, to_jsonl(&records)).map_err(|e| e.to_string())?;
         println!("wrote {} trace records to {path}", records.len());
     }
-    if let Some(path) = args.values.get("chrome") {
+    if let Some(path) = chrome {
         std::fs::write(path, chrome_trace(&records)).map_err(|e| e.to_string())?;
         println!("wrote chrome trace to {path} (load in chrome://tracing or Perfetto)");
     }
-    if let Some(dir) = args.values.get("dot-dir") {
+    if let Some(dir) = dot_dir {
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
         let mut prefix = Schedule::new();
         for (i, e) in r.history.events().iter().enumerate() {
@@ -460,21 +506,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             r.history.len()
         );
     }
-    if let Some(raw) = args.values.get("explain") {
-        let pid = ProcessId(
-            raw.parse()
-                .map_err(|_| format!("invalid --explain pid: {raw}"))?,
-        );
+    if let Some(pid) = explain {
         print!("{}", explain_process(&records, pid));
         return Ok(());
     }
-    let pid_filter: Option<ProcessId> = match args.values.get("pid") {
-        Some(raw) => Some(ProcessId(
-            raw.parse().map_err(|_| format!("invalid --pid: {raw}"))?,
-        )),
-        None => None,
-    };
-    let kind_filter = args.values.get("kind");
     let mut shown = 0usize;
     for rec in &records {
         if let Some(p) = pid_filter {
@@ -514,11 +549,12 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     let policy = parse_policy(&args.get("policy", "pred".to_string())?)?;
     let tele = Telemetry::on();
     let series = TimeSeries::new(args.get("samples", 1024usize)?.max(1));
+    let (prom, timeseries) = (args.raw("prom"), args.raw("timeseries"));
     let (committed, aborted) = if args.flag("concurrent") {
         let cfg = ConcurrentConfig {
             policy,
             seed: args.get("seed", 42u64)?,
-            shards: match args.values.get("shards") {
+            shards: match args.raw("shards") {
                 Some(raw) => parse_shards(raw)?,
                 None => ShardMode::Auto,
             },
@@ -526,6 +562,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
             ..ConcurrentConfig::default()
         };
         let every = std::time::Duration::from_millis(args.get("sample-ms", 1u64)?.max(1));
+        args.finish("stats")?;
         let sampler = Sampler::spawn(tele.clone(), every, series.clone());
         let r = txproc_engine::RunBuilder::new(&w)
             .concurrent(cfg)
@@ -541,10 +578,12 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
             arrival_gap: args.get("arrival-gap", 0u64)?,
             ..RunConfig::default()
         };
+        let every = args.get("sample-events", 64u64)?;
+        args.finish("stats")?;
         let r = txproc_engine::RunBuilder::new(&w)
             .config(cfg)
             .telemetry(tele.clone())
-            .sampling(args.get("sample-events", 64u64)?, series.clone())
+            .sampling(every, series.clone())
             .run()
             .into_engine();
         (r.metrics.committed, r.metrics.aborted)
@@ -552,14 +591,14 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     let snap = tele
         .snapshot()
         .ok_or("telemetry registry produced no snapshot")?;
-    match args.values.get("prom") {
+    match prom {
         Some(path) => {
             std::fs::write(path, prometheus_text(&snap)).map_err(|e| e.to_string())?;
             println!("wrote Prometheus metrics to {path}");
         }
         None => print!("{}", prometheus_text(&snap)),
     }
-    if let Some(path) = args.values.get("timeseries") {
+    if let Some(path) = timeseries {
         std::fs::write(path, series.to_json()).map_err(|e| e.to_string())?;
         println!(
             "wrote {} time-series sample(s) to {path} ({} evicted by the ring)",
@@ -652,7 +691,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let cfg = ConcurrentConfig {
         policy: parse_policy(&args.get("policy", "pred".to_string())?)?,
         seed: args.get("seed", 42u64)?,
-        shards: match args.values.get("shards") {
+        shards: match args.raw("shards") {
             Some(raw) => parse_shards(raw)?,
             None => ShardMode::Auto,
         },
@@ -660,6 +699,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         ..ConcurrentConfig::default()
     };
     let refresh = std::time::Duration::from_millis(args.get("refresh-ms", 200u64)?.max(10));
+    args.finish("top")?;
     let ansi = std::io::stdout().is_terminal();
     let tele = Telemetry::on();
     let done = AtomicBool::new(false);
@@ -712,17 +752,18 @@ fn cmd_gauntlet(args: &Args) -> Result<(), String> {
     cfg.seeds = args.get("seeds", cfg.seeds)?;
     cfg.seed_base = args.get("seed-base", cfg.seed_base)?;
     cfg.policy = parse_policy(&args.get("policy", cfg.policy.label().to_string())?)?;
-    if let Some(raw) = args.values.get("shards") {
+    if let Some(raw) = args.raw("shards") {
         cfg.shards = parse_shards(raw)?;
     }
     cfg.workers = parse_workers(args)?.or(cfg.workers);
-    cfg.epoch = args.get("epoch", cfg.epoch)?;
     let scenarios =
-        match args.values.get("scenario") {
+        match args.raw("scenario") {
             Some(name) => vec![txproc_sim::scenario::find(name)
                 .ok_or_else(|| format!("unknown scenario: {name}"))?],
             None => txproc_sim::scenario::registry(),
         };
+    let json_path = args.raw("json");
+    args.finish("gauntlet")?;
     let mut failed = Vec::new();
     let mut reports = Vec::new();
     for s in &scenarios {
@@ -751,7 +792,7 @@ fn cmd_gauntlet(args: &Args) -> Result<(), String> {
         }
         reports.push(report);
     }
-    if let Some(path) = args.values.get("json") {
+    if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&reports).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         println!("wrote {path}");
@@ -775,22 +816,23 @@ fn cmd_crash(args: &Args) -> Result<(), String> {
     let seed = args.get("seed", 42u64)?;
     let run_cfg = RunConfig {
         seed,
-        epoch: args.get("epoch", 0usize)?,
+        epoch: wal.as_ref().map_or(0, |wal| wal.epoch),
         ..RunConfig::default()
     };
+    args.finish("crash")?;
     let mut engine = Engine::new(&w, run_cfg);
-    if let Some((path, dpolicy, snapshot_every)) = &wal {
-        engine = engine.with_wal(open_wal(path, *dpolicy, seed)?, *snapshot_every);
+    if let Some(wal) = &wal {
+        engine = engine.with_wal(open_wal(wal, seed)?, wal.snapshot_every);
     }
     engine.run_until_history(at);
     println!("history at crash: {}", render(engine.history()));
     let report = match &wal {
         // The honest crash path: discard the in-memory image and rebuild
         // everything from the durable log alone.
-        Some((path, _, _)) => {
+        Some(wal) => {
             drop(engine.crash());
-            println!("replaying WAL:    {}", path.display());
-            Recovery::from(RecoverySource::Wal(path.clone()))
+            println!("replaying WAL:    {}", wal.path.display());
+            Recovery::from(RecoverySource::Wal(wal.path.clone()))
                 .run(&w)
                 .map_err(|e| e.to_string())?
         }
@@ -809,6 +851,23 @@ fn cmd_crash(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs subcommand `cmd`.
+fn dispatch(cmd: &str, args: &Args) -> Result<(), String> {
+    match cmd {
+        "simulate" => cmd_simulate(args),
+        "generate" => cmd_generate(args),
+        "check" => cmd_check(args),
+        "demo" => cmd_demo(args),
+        "dot" => cmd_dot(args),
+        "crash" => cmd_crash(args),
+        "trace" => cmd_trace(args),
+        "stats" => cmd_stats(args),
+        "top" => cmd_top(args),
+        "gauntlet" => cmd_gauntlet(args),
+        other => Err(format!("unknown command: {other}")),
+    }
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
@@ -824,19 +883,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = match cmd.as_str() {
-        "simulate" => cmd_simulate(&args),
-        "generate" => cmd_generate(&args),
-        "check" => cmd_check(&args),
-        "demo" => cmd_demo(&args),
-        "dot" => cmd_dot(&args),
-        "crash" => cmd_crash(&args),
-        "trace" => cmd_trace(&args),
-        "stats" => cmd_stats(&args),
-        "top" => cmd_top(&args),
-        "gauntlet" => cmd_gauntlet(&args),
-        other => Err(format!("unknown command: {other}")),
-    };
+    let result = dispatch(cmd, &args);
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -1047,8 +1094,6 @@ mod tests {
             "--concurrent",
             "--workers",
             "2",
-            "--epoch",
-            "8",
             "--check",
         ]);
         cmd_simulate(&run).unwrap();
@@ -1069,8 +1114,6 @@ mod tests {
             "zipf-hotspot",
             "--seeds",
             "2",
-            "--epoch",
-            "16",
             "--json",
             out.to_str().unwrap(),
         ]);
@@ -1094,22 +1137,14 @@ mod tests {
     #[test]
     fn demo_schedules_check_cleanly() {
         for which in ["fig4a", "fig4b", "fig7", "fig9"] {
-            let a = Args {
-                values: Default::default(),
-                positional: vec![which.to_string()],
-            };
-            cmd_demo(&a).unwrap();
+            cmd_demo(&args(&[which])).unwrap();
         }
     }
 
     #[test]
     fn dot_export_runs() {
         for which in ["p1", "p2", "p3", "cim-construction", "cim-production"] {
-            let a = Args {
-                values: Default::default(),
-                positional: vec![which.to_string()],
-            };
-            cmd_dot(&a).unwrap();
+            cmd_dot(&args(&[which])).unwrap();
         }
     }
 
@@ -1157,11 +1192,47 @@ mod tests {
 
     #[test]
     fn simulate_and_crash_run() {
-        let a = args(&["--seed", "3", "--processes", "4", "--check"]);
-        cmd_simulate(&a).unwrap();
-        let epoch = args(&["--seed", "3", "--processes", "4", "--check", "--epoch", "4"]);
-        cmd_simulate(&epoch).unwrap();
+        let a = args(&["--seed", "3", "--processes", "4"]);
+        let check = args(&["--seed", "3", "--processes", "4", "--check"]);
+        cmd_simulate(&check).unwrap();
         cmd_crash(&a).unwrap();
         cmd_generate(&a).unwrap();
+    }
+
+    /// One row per subcommand: a flag it does not read is refused before
+    /// anything runs, and the error names the flag and the subcommand. The
+    /// first two are the left-overs that were once swallowed: `--runtime`
+    /// after the thread runtime went, `--epoch` on the non-journaling
+    /// gauntlet. The last rows are flags a subcommand reads on another path
+    /// only: journal options without `--wal`, engine options under
+    /// `--concurrent`.
+    #[test]
+    fn each_subcommand_rejects_flags_it_does_not_read() {
+        for (cmd, raw) in [
+            ("simulate", &["--runtime", "events"][..]),
+            ("gauntlet", &["--epoch", "16"]),
+            ("generate", &["--check"]),
+            ("check", &["--scenario", "x.json", "--seed", "1"]),
+            ("demo", &["fig7", "--seed", "1"]),
+            ("dot", &["p1", "--json", "x"]),
+            ("crash", &["--check"]),
+            ("trace", &["--workers", "2"]),
+            ("stats", &["--epoch", "4"]),
+            ("top", &["--concurrent"]),
+            ("simulate", &["--epoch", "8"]),
+            ("simulate", &["--durability", "none"]),
+            ("crash", &["--snapshot-every", "4"]),
+            ("simulate", &["--concurrent", "--arrival-gap", "5"]),
+            ("stats", &["--concurrent", "--sample-events", "8"]),
+            ("stats", &["--sample-ms", "2"]),
+        ] {
+            let err = dispatch(cmd, &args(raw)).unwrap_err();
+            let flag = raw.iter().rev().find(|a| a.starts_with("--")).unwrap();
+            assert!(
+                err.contains(flag) && err.contains(&format!("`{cmd}`")),
+                "{cmd}: {err}"
+            );
+        }
+        assert!(dispatch("bench", &args(&[])).is_err(), "unknown command");
     }
 }

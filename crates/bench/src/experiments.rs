@@ -19,7 +19,7 @@ use txproc_engine::policy::PolicyKind;
 use txproc_engine::recovery::recover;
 use txproc_sim::workload::{generate, WorkloadConfig};
 
-/// Runs one experiment by id (`"e1"`..`"e17"`, `"e21"`, `"e22"`, `"e25"`).
+/// Runs one experiment by id (`"e1"`..`"e17"`, `"e21"`, `"e22"`).
 /// The other numbers of EXPERIMENTS.md are measurements, not experiments:
 /// `cargo bench` and the repository benchmark (`benchmark/`) regenerate
 /// them. No `pass` below reads a wall clock.
@@ -44,17 +44,13 @@ pub fn run_experiment(id: &str) -> Option<ExperimentResult> {
         "e17" => Some(e17_scalability()),
         "e21" => Some(e21_conflict_domain_sharding()),
         "e22" => Some(e22_scenario_gauntlet()),
-        "e25" => Some(e25_epoch_certification()),
         _ => None,
     }
 }
 
 /// All experiment ids in order.
 pub fn all_ids() -> Vec<String> {
-    (1..=17)
-        .chain([21, 22, 25])
-        .map(|i| format!("e{i}"))
-        .collect()
+    (1..=17).chain([21, 22]).map(|i| format!("e{i}")).collect()
 }
 
 /// E1 — Figure 1: the CIM interleaving is incorrect; the PRED scheduler
@@ -943,95 +939,6 @@ pub fn e22_scenario_gauntlet() -> ExperimentResult {
     }
 }
 
-/// E25 — epoch batches: an end-to-end epoch-16 slice on both drivers at a
-/// high-conflict point, every history checked PRED. (The `certify_epoch`
-/// amortization microbench this experiment used to carry is gone with the
-/// API: once the certifier stopped copying its state per event, a
-/// scratch-clone epoch no longer beat per-event certification — see
-/// EXPERIMENTS.md E25 for the measurement that retired it.)
-pub fn e25_epoch_certification() -> ExperimentResult {
-    use txproc_core::spec::Spec;
-    use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig};
-
-    const SEED: u64 = 3;
-
-    // End-to-end slice: epoch 16 vs per-event on both drivers, same
-    // workload, every history checked PRED.
-    let w = generate(&WorkloadConfig {
-        seed: SEED,
-        processes: 64,
-        conflict_density: 0.6,
-        failure_probability: 0.1,
-        prefix_len: (2, 5),
-        tail_len: (1, 3),
-        alternative_probability: 0.5,
-        ..WorkloadConfig::default()
-    });
-    let mut e2e = Table::new(
-        "End-to-end epoch slice, 64 processes, density 0.6",
-        &[
-            "driver",
-            "epoch",
-            "events",
-            "epoch batches",
-            "history PRED?",
-        ],
-    );
-    let mut all_pred = true;
-    let checked = |spec: &Spec, history: &txproc_core::schedule::Schedule| {
-        is_pred(spec, history).unwrap_or(false)
-    };
-    for epoch in [0usize, 16] {
-        let r = run(
-            &w,
-            RunConfig {
-                policy: PolicyKind::Pred,
-                seed: SEED,
-                epoch,
-                ..RunConfig::default()
-            },
-        );
-        let ok = checked(&w.spec, &r.history);
-        all_pred &= ok;
-        e2e.row(cells![
-            "engine",
-            epoch,
-            r.history.len(),
-            r.metrics.epoch_batches,
-            ok
-        ]);
-    }
-    for epoch in [0usize, 16] {
-        let r = run_concurrent(
-            &w,
-            ConcurrentConfig {
-                policy: PolicyKind::Pred,
-                seed: SEED,
-                epoch,
-                ..ConcurrentConfig::default()
-            },
-        );
-        let ok = checked(&w.spec, &r.history);
-        all_pred &= ok;
-        e2e.row(cells![
-            "concurrent",
-            epoch,
-            r.history.len(),
-            r.metrics.epoch_batches,
-            ok
-        ]);
-    }
-
-    ExperimentResult {
-        id: "E25".into(),
-        source: "extrapolated (epoch group certification and batch commit)".into(),
-        title: "Epoch batches (group 2PC, one certification per admitted event) stay PRED".into(),
-        expectation: "every epoch-16 history PRED on both drivers".into(),
-        pass: all_pred,
-        tables: vec![e2e],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1050,11 +957,12 @@ mod tests {
     fn unknown_experiment_is_none() {
         // e18–e20, e23 and e24 are measurements, not experiments: `cargo
         // bench` and the repository benchmark own every number that depends
-        // on a clock.
-        for id in ["e99", "e18", "e19", "e20", "e23", "e24"] {
+        // on a clock. E25 compared epoch sizes; the epoch selects nothing but
+        // the journal's seal cadence now (EXPERIMENTS.md E34).
+        for id in ["e99", "e18", "e19", "e20", "e23", "e24", "e25"] {
             assert!(run_experiment(id).is_none(), "{id}");
         }
-        assert_eq!(all_ids().len(), 20);
-        assert_eq!(all_ids().last().map(String::as_str), Some("e25"));
+        assert_eq!(all_ids().len(), 19);
+        assert_eq!(all_ids().last().map(String::as_str), Some("e22"));
     }
 }

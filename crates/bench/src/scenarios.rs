@@ -202,9 +202,6 @@ pub struct GauntletConfig {
     pub shards: ShardMode,
     /// Worker-pool override for the concurrent runs (`None` = auto).
     pub workers: Option<usize>,
-    /// Epoch size for group certification and batch commit on both drivers
-    /// (0 = per-event path).
-    pub epoch: usize,
 }
 
 impl GauntletConfig {
@@ -217,7 +214,6 @@ impl GauntletConfig {
             concurrent: true,
             shards: ShardMode::Auto,
             workers: None,
-            epoch: 0,
         }
     }
 
@@ -352,7 +348,6 @@ pub fn run_scenario(scenario: &Scenario, cfg: &GauntletConfig) -> ScenarioReport
             RunConfig {
                 policy: cfg.policy,
                 seed: w.config.seed,
-                epoch: cfg.epoch,
                 ..RunConfig::default()
             },
         );
@@ -367,7 +362,6 @@ pub fn run_scenario(scenario: &Scenario, cfg: &GauntletConfig) -> ScenarioReport
                     seed: w.config.seed,
                     shards: cfg.shards,
                     workers: cfg.workers,
-                    epoch: cfg.epoch,
                     ..ConcurrentConfig::default()
                 },
             );
@@ -446,22 +440,6 @@ mod tests {
         for m in &report.modes {
             assert_eq!(m.runs, 2);
             assert_eq!(m.pred_violations, 0, "{}: non-PRED history", m.mode);
-            assert_eq!(m.proc_rec_violations, 0, "{}: Proc-REC violation", m.mode);
-            assert!(m.committed + m.aborted > 0);
-        }
-    }
-
-    #[test]
-    fn gauntlet_epoch_runs_stay_clean() {
-        let cfg = GauntletConfig {
-            seeds: 2,
-            epoch: 16,
-            ..GauntletConfig::smoke()
-        };
-        let s = txproc_sim::scenario::find("zipf-hotspot").expect("registered");
-        let report = run_scenario(&s, &cfg);
-        for m in &report.modes {
-            assert_eq!(m.pred_violations, 0, "{}: non-PRED epoch history", m.mode);
             assert_eq!(m.proc_rec_violations, 0, "{}: Proc-REC violation", m.mode);
             assert!(m.committed + m.aborted > 0);
         }

@@ -75,25 +75,16 @@ pub enum Phase {
     TwoPc,
     /// Compensation execution at the subsystem (backward recovery).
     Compensation,
-    /// Epoch fill at close time. Samples are *event counts per epoch*, not
-    /// nanoseconds: the log₂ histogram shows how full epochs are when the
-    /// size-N / deadline / conflict-pressure close conditions fire.
-    EpochFill,
-    /// Latency of one epoch flush: the batched trace/journal append plus
-    /// group-commit round, one sample per closed epoch.
-    EpochFlush,
 }
 
 impl Phase {
     /// All phases, in reporting order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Certify,
         Phase::Policy,
         Phase::QueueDelay,
         Phase::TwoPc,
         Phase::Compensation,
-        Phase::EpochFill,
-        Phase::EpochFlush,
     ];
 
     /// Number of phases.
@@ -107,8 +98,6 @@ impl Phase {
             Phase::QueueDelay => "queue_delay",
             Phase::TwoPc => "two_pc",
             Phase::Compensation => "compensation",
-            Phase::EpochFill => "epoch_fill",
-            Phase::EpochFlush => "epoch_flush",
         }
     }
 

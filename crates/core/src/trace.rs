@@ -420,9 +420,10 @@ pub trait TraceSink: Send {
     }
     /// Deliver one record.
     fn record(&mut self, rec: TraceRecord);
-    /// Epoch boundary: a buffering sink pushes everything it holds to its
-    /// backing store. Drivers call this when an epoch closes; the default is
-    /// a no-op because most sinks deliver on `record`.
+    /// A buffering sink pushes everything it holds to its backing store.
+    /// The engine calls this once, at the end of the run; the concurrent
+    /// driver after each batch of a shard's records. The default is a no-op
+    /// because most sinks deliver on `record`.
     fn flush(&mut self) {}
 }
 
@@ -547,8 +548,8 @@ impl TraceSink for RingSink {
 /// Records are serialized into an internal buffer and written out `batch`
 /// records at a time (one syscall per batch instead of one per record — the
 /// old per-record `writeln!` dominated traced runs on buffered files).
-/// Drivers additionally flush at epoch boundaries via [`TraceSink::flush`],
-/// and the sink flushes on drop, so early termination loses nothing.
+/// Drivers additionally flush via [`TraceSink::flush`] (see there), and the
+/// sink flushes on drop, so early termination loses nothing.
 pub struct JsonlSink<W: Write + Send> {
     /// `Some` until `into_inner`; the `Option` lets `Drop` and `into_inner`
     /// coexist (drop of a hollowed-out sink is a no-op).

@@ -26,13 +26,21 @@
 //!    `crates/engine/tests/wal_crash_sweep.rs` pins both.
 //!
 //! Sync cadence is a [`DurabilityPolicy`]: per-record fsync for the
-//! paranoid, group fsync on PR-9 epoch boundaries for throughput, buffered
+//! paranoid, group fsync on epoch seals for throughput, buffered
 //! (OS-flushed, never fsynced) for tests and benches, or none.
+//!
+//! The seal cadence belongs to the writer, not to the driver feeding it: a
+//! driver calls [`WalWriter::seal_every`] once, when it installs the writer,
+//! and from then on the writer appends an [`WalRecord::EpochSeal`] after
+//! every `N`-th record that carries a history event
+//! ([`WalRecord::carries_event`]). No driver decides when to seal, so none
+//! can forget to.
 
 use crate::ids::GlobalActivityId;
 use crate::schedule::Event;
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
+use std::num::NonZeroU64;
 use std::sync::{Arc, Mutex};
 
 /// Version tag written in the [`WalRecord::Begin`] header record.
@@ -50,8 +58,8 @@ pub enum DurabilityPolicy {
     /// fsync after every `n` appended records (`n = 1` is classic
     /// commit-record-to-disk-before-ack).
     FsyncEveryN(u64),
-    /// Group fsync once per sealed epoch (PR-9 epoch boundaries double as
-    /// group-commit points).
+    /// Group fsync once per sealed epoch (at most
+    /// [`WalWriter::seal_every`] history events between two syncs).
     FsyncPerEpoch,
 }
 
@@ -171,6 +179,23 @@ pub enum WalRecord {
         /// Serialized snapshot document.
         payload: String,
     },
+}
+
+impl WalRecord {
+    /// Whether replaying this record appends a history event: an `Event`, a
+    /// `ShardEvent`, or an immediate `Invocation` (which implies its
+    /// `Execute`). These are what [`WalWriter::seal_every`] counts.
+    pub fn carries_event(&self) -> bool {
+        matches!(
+            self,
+            WalRecord::Event { .. }
+                | WalRecord::ShardEvent { .. }
+                | WalRecord::Invocation {
+                    prepared: false,
+                    ..
+                }
+        )
+    }
 }
 
 /// Computes the CRC-32 (IEEE 802.3, reflected) of `bytes`.
@@ -370,6 +395,10 @@ pub struct WalWriter {
     bytes: u64,
     syncs: u64,
     epochs_sealed: u64,
+    /// Seal after this many event-carrying records (`None`: never on its own).
+    seal_every: Option<NonZeroU64>,
+    /// Event-carrying records appended since the last seal.
+    unsealed: u64,
 }
 
 /// Flush the buffer to the store once it crosses this many bytes, even
@@ -389,6 +418,8 @@ impl WalWriter {
             bytes: 0,
             syncs: 0,
             epochs_sealed: 0,
+            seal_every: None,
+            unsealed: 0,
         };
         w.append(&WalRecord::Begin {
             version: WAL_VERSION,
@@ -397,7 +428,17 @@ impl WalWriter {
         w
     }
 
-    /// Appends one record, applying the sync policy.
+    /// Turns on the writer's own seal cadence: from now on every `n`-th
+    /// record that carries a history event is followed by an
+    /// [`WalRecord::EpochSeal`] (`0` means every such record, like `1`), so
+    /// under `FsyncPerEpoch` at most `max(n, 1)` history events are ever
+    /// unsynced. A writer this was never called on seals only when told to
+    /// ([`Self::seal_epoch`]).
+    pub fn seal_every(&mut self, n: usize) {
+        self.seal_every = NonZeroU64::new((n as u64).max(1));
+    }
+
+    /// Appends one record, applying the sync policy and the seal cadence.
     pub fn append(&mut self, record: &WalRecord) {
         let frame = encode_record(record);
         self.bytes += frame.len() as u64;
@@ -422,13 +463,22 @@ impl WalWriter {
                 }
             }
         }
+        if let (Some(every), true) = (self.seal_every, record.carries_event()) {
+            self.unsealed += 1;
+            if self.unsealed >= every.get() {
+                self.seal_epoch(self.epochs_sealed);
+            }
+        }
     }
 
     /// Appends an [`WalRecord::EpochSeal`] and, under `FsyncPerEpoch`,
-    /// group-fsyncs everything the epoch appended.
+    /// group-fsyncs everything the epoch appended. The writer numbers its
+    /// own seals ([`Self::seal_every`]); `epoch` stays a parameter only for
+    /// the frozen benchmark's replay, until benchmark v2 can drop it.
     pub fn seal_epoch(&mut self, epoch: u64) {
         self.append(&WalRecord::EpochSeal { epoch });
         self.epochs_sealed += 1;
+        self.unsealed = 0;
         match self.policy {
             DurabilityPolicy::FsyncPerEpoch => {
                 self.flush();
@@ -484,11 +534,6 @@ impl WalWriter {
     /// How many times the store was synced.
     pub fn syncs(&self) -> u64 {
         self.syncs
-    }
-
-    /// How many epoch seals were appended.
-    pub fn epochs_sealed(&self) -> u64 {
-        self.epochs_sealed
     }
 }
 

@@ -1,5 +1,5 @@
 //! The run entry point: one builder on which trace sinks, telemetry,
-//! sampling, epochs, and durability compose as orthogonal options, for both
+//! sampling, and durability compose as orthogonal options, for both
 //! the virtual-time engine and the concurrent driver. [`crate::engine::run`]
 //! and [`crate::concurrent::run_concurrent`] are shorthands for a builder
 //! run with no option set; there is no other way in.
@@ -111,7 +111,8 @@ impl<'a> RunBuilder<'a> {
         }
     }
 
-    /// Engine configuration (seed, policy, epoch, failure injection, …).
+    /// Engine configuration (seed, policy, failure injection, the journal's
+    /// seal cadence, …).
     /// Ignored after [`Self::concurrent`].
     pub fn config(mut self, cfg: RunConfig) -> Self {
         self.engine_cfg = cfg;
@@ -119,7 +120,7 @@ impl<'a> RunBuilder<'a> {
     }
 
     /// Switches the run to the concurrent driver with `cfg` (shards,
-    /// workers, epoch, …).
+    /// workers, the journal's seal cadence, …).
     pub fn concurrent(mut self, cfg: ConcurrentConfig) -> Self {
         self.concurrent_cfg = Some(cfg);
         self
@@ -149,7 +150,8 @@ impl<'a> RunBuilder<'a> {
     }
 
     /// Journals every durable state transition through `writer` (policy
-    /// decides flush/fsync cadence). For engine runs, `snapshot_every > 0`
+    /// decides flush/fsync cadence; the driver's `epoch` becomes the writer's
+    /// seal cadence, [`WalWriter::seal_every`]). For engine runs, `snapshot_every > 0`
     /// additionally appends a full-state snapshot marker each time that
     /// many history events accumulated, so recovery replays only the log
     /// tail; concurrent runs journal ticket-stamped shard events and

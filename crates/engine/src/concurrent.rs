@@ -42,7 +42,7 @@
 //! owning worker builds the shard (`Shard::build`: policy, gate, process
 //! states, queues, instruments) when it admits the domain's first due
 //! arrival, holds it by value while it steps it, and retires it —
-//! `Shard::finish`, which flushes the last partial epoch to the journal —
+//! `Shard::finish`, which flushes its buffered trace records to the journal —
 //! in the visit in which its last process terminates *and* no arrival is
 //! pending. Retirement waits for the arrival queue because a drained
 //! domain's history still constrains its later arrivals.
@@ -141,6 +141,10 @@ impl ShardMode {
     }
 }
 
+/// Trace records a shard buffers before appending them to the global journal
+/// under one sink-lock acquisition (the tail goes out at [`Shard::finish`]).
+const TRACE_BATCH: usize = 16;
+
 /// Configuration of a concurrent run.
 #[derive(Debug, Clone)]
 pub struct ConcurrentConfig {
@@ -156,16 +160,12 @@ pub struct ConcurrentConfig {
     /// Worker-pool size. `None` (the default) resolves to
     /// `min(available cores, shard count)`.
     pub workers: Option<usize>,
-    /// Epoch size for batch commit. `0` keeps the per-event path
-    /// bit-identical to earlier releases. With `N > 0` each shard buffers
-    /// its trace records and appends them to the global journal one batch —
-    /// one sink lock acquisition — at a time, and groups deferred-commit
-    /// releases into per-subsystem rounds of at most `N`. Epochs close on
-    /// fill, on certification failure (conflict pressure) and at run end.
-    /// `N = 1` closes an epoch per event and stays bit-identical — history
-    /// *and* metrics — to `N = 0`. A journal is sealed (and, under
-    /// `FsyncPerEpoch`, synced) at every epoch close of every shard; at `0`
-    /// every emitted event is its own epoch for the log.
+    /// Journal seal cadence: an installed WAL is sealed (and, under
+    /// `FsyncPerEpoch`, synced) every `epoch` history events, counted
+    /// across shards in the order they reach the writer; `0` seals every
+    /// event. Read once, where the WAL is installed; it selects nothing
+    /// else, so no value can change a history, a metric or a decision
+    /// journal.
     pub epoch: usize,
 }
 
@@ -232,32 +232,13 @@ struct TraceShared<'a> {
 }
 
 impl TraceShared<'_> {
-    fn record(&self, shard: u32, history_len: usize, event: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
-        let worker = Some(self.worker_of_shard[shard as usize]);
-        let mut sink = self.sink.lock();
-        // Sequence assignment under the sink lock keeps journal order and
-        // seq order identical even when shards race to record.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        sink.record(TraceRecord {
-            seq,
-            time: seq,
-            history_len,
-            shard: Some(shard),
-            worker,
-            event,
-        });
-    }
-
-    /// Appends a whole epoch of one shard's trace records under a single
-    /// sink-lock acquisition. Sequence numbers are assigned at flush time
-    /// (still under the lock), so journal order and seq order stay
-    /// identical; the flush lets a buffering sink write the batch as one
-    /// I/O operation.
+    /// Appends a batch of one shard's trace records under a single
+    /// sink-lock acquisition. Sequence numbers are assigned here (under the
+    /// lock), so journal order and seq order stay identical even when
+    /// shards race to record; the flush lets a buffering sink write the
+    /// batch as one I/O operation.
     fn record_batch(&self, shard: u32, entries: Vec<(usize, TraceEvent)>) {
-        if !self.enabled || entries.is_empty() {
+        if entries.is_empty() {
             return;
         }
         let worker = Some(self.worker_of_shard[shard as usize]);
@@ -336,7 +317,6 @@ impl<'a> RunCtx<'a> {
         };
         Self {
             workload,
-            cfg,
             agents: agents.collect(),
             tickets: AtomicU64::new(0),
             trace: TraceShared {
@@ -350,7 +330,11 @@ impl<'a> RunCtx<'a> {
             arrivals,
             live: Level::default(),
             shards_live: Level::default(),
-            wal: wal.map(Mutex::new),
+            wal: wal.map(|mut w| {
+                w.seal_every(cfg.epoch);
+                Mutex::new(w)
+            }),
+            cfg,
         }
     }
 
@@ -359,17 +343,6 @@ impl<'a> RunCtx<'a> {
         self.arrivals
             .binary_search_by_key(&pid, |&(p, _)| p)
             .map_or(0, |i| self.arrivals[i].1)
-    }
-
-    /// Seals the journal at a shard's epoch boundary — the sync point of
-    /// `DurabilityPolicy::FsyncPerEpoch` (no-op without a journal). Seals
-    /// are numbered in the order the shards reach the writer.
-    fn seal_wal(&self) {
-        if let Some(wal) = &self.wal {
-            let mut w = wal.lock();
-            let epoch = w.epochs_sealed();
-            w.seal_epoch(epoch);
-        }
     }
 }
 
@@ -445,11 +418,8 @@ struct Shard<'a> {
     /// telemetry is enabled (so the disabled path stays byte-identical):
     /// feeds the 2PC prepare→decide phase histogram.
     prepared_at: BTreeMap<ProcessId, Instant>,
-    /// History events emitted since the last epoch close
-    /// ([`ConcurrentConfig::epoch`] `> 0` only).
-    epoch_pending: usize,
-    /// Buffered trace records of the current epoch (`epoch > 0` and
-    /// tracing enabled only), flushed to the global journal as one batch.
+    /// Trace records not yet in the global journal (tracing enabled only),
+    /// appended [`TRACE_BATCH`] at a time.
     trace_buf: Vec<(usize, TraceEvent)>,
     /// Runnable processes with their enqueue instant (scheduling delay is
     /// measured from it).
@@ -528,7 +498,6 @@ impl<'a> Shard<'a> {
             tele_events: tele.counter("events_total", &label),
             tele_committed: tele.counter("committed_total", &label),
             prepared_at: BTreeMap::new(),
-            epoch_pending: 0,
             trace_buf: Vec::new(),
             run_queue: VecDeque::new(),
             waiting: BTreeSet::new(),
@@ -539,12 +508,13 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Retires the shard on its owning worker: closes the partial epoch
-    /// (trace records and fill accounting since the last boundary), keeps
-    /// what the merge needs and drops the rest — policy, certifier, maps.
+    /// Retires the shard on its owning worker: flushes the trace records
+    /// still buffered, keeps what the merge needs and drops the rest —
+    /// policy, certifier, maps.
     fn finish(mut self, ctx: &RunCtx<'a>) -> ShardDone {
         ctx.shards_live.leave();
-        self.close_epoch(ctx);
+        ctx.trace
+            .record_batch(self.id, std::mem::take(&mut self.trace_buf));
         let mut metrics = self.metrics;
         metrics.shards.push(ShardMetrics {
             shard: self.id,
@@ -640,58 +610,19 @@ impl<'a> Shard<'a> {
         self.event_tickets.push(ticket);
         self.dirty = true;
         self.tele_events.inc();
-        if ctx.cfg.epoch > 0 {
-            self.epoch_pending += 1;
-            if self.epoch_pending >= ctx.cfg.epoch {
-                self.close_epoch(ctx);
-            }
-        } else {
-            // Per-event path: an event is its own epoch for the log, or
-            // `FsyncPerEpoch` would sync only at the end of the run.
-            ctx.seal_wal();
-        }
     }
 
+    /// Buffers one decision record. A no-op while tracing is off, so callers
+    /// guard only the payloads that cost something to build.
     fn trace(&mut self, ctx: &RunCtx<'a>, event: TraceEvent) {
-        if ctx.cfg.epoch > 0 {
-            if !ctx.trace.enabled {
-                return;
-            }
-            self.trace_buf.push((self.history.len(), event));
-            // Bound the buffer even when no history event closes the epoch
-            // (e.g. a run of blocked-note records).
-            if self.trace_buf.len() >= ctx.cfg.epoch {
-                self.close_epoch(ctx);
-            }
+        if !ctx.trace.enabled {
             return;
         }
-        ctx.trace.record(self.id, self.history.len(), event);
-    }
-
-    /// Closes the current epoch: counts the batch, samples the epoch-fill
-    /// histogram, and flushes the buffered trace records to the global
-    /// journal under one sink-lock acquisition (sampling the flush
-    /// latency). The metrics counters require `epoch >= 2` — an epoch of
-    /// one *is* the per-event path, and counting it would break the
-    /// `epoch=1 ≡ per-event` metrics identity the differential oracle pins.
-    fn close_epoch(&mut self, ctx: &RunCtx<'a>) {
-        if self.epoch_pending > 0 {
-            let fill = self.epoch_pending as u64;
-            self.epoch_pending = 0;
-            if ctx.cfg.epoch >= 2 {
-                self.metrics.epoch_batches += 1;
-                self.metrics.epoch_events += fill;
-            }
-            ctx.tele.phase_ns(Phase::EpochFill, fill);
-            ctx.seal_wal();
+        self.trace_buf.push((self.history.len(), event));
+        if self.trace_buf.len() >= TRACE_BATCH {
+            ctx.trace
+                .record_batch(self.id, std::mem::take(&mut self.trace_buf));
         }
-        if self.trace_buf.is_empty() {
-            return;
-        }
-        let t0 = ctx.tele.phase_start();
-        let buf = std::mem::take(&mut self.trace_buf);
-        ctx.trace.record_batch(self.id, buf);
-        ctx.tele.phase_end(Phase::EpochFlush, t0);
     }
 
     /// Whether this block state is new for `pid` (and notes it if so).
@@ -746,12 +677,6 @@ impl<'a> Shard<'a> {
                 },
             );
         }
-        if !ok && ctx.cfg.epoch > 0 {
-            // Conflict pressure: the shard is about to stall-and-retry, so
-            // get the current epoch's decision trace (including the refusal
-            // just recorded) out now.
-            self.close_epoch(ctx);
-        }
         ok
     }
 
@@ -769,13 +694,6 @@ impl<'a> Shard<'a> {
                 .extend(rearm.into_iter().map(|(pj, _)| pj));
         }
         let ready = std::mem::take(&mut self.ready_releases);
-        // Epoch mode groups the agent-side releases: each chunk of at most
-        // `epoch` invocations commits as one round, one agent-lock
-        // acquisition per subsystem per chunk. Sound because a release
-        // unconditionally commits a prepared invocation, and invisible to
-        // history/metrics because nothing below reads agent state between
-        // emit and release.
-        let mut group: Vec<(SubsystemId, InvocationId)> = Vec::new();
         for pj in ready {
             let Some(&(gid, a, sid, inv)) = self.pending_release.get(&pj) else {
                 continue;
@@ -789,25 +707,15 @@ impl<'a> Shard<'a> {
                 ctx.tele
                     .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
             }
-            if ctx.cfg.epoch == 0 {
-                ctx.agents[&sid].lock().release(inv).expect("prepared");
-            } else {
-                group.push((sid, inv));
-                if group.len() >= ctx.cfg.epoch {
-                    release_group(ctx, std::mem::take(&mut group));
-                }
-            }
+            ctx.agents[&sid].lock().release(inv).expect("prepared");
             self.emit(ctx, Event::Execute(gid));
             self.policy.record_deferred_released(gid);
             self.metrics.activities += 1;
             self.clear_block_note(pj);
-            if ctx.trace.enabled {
-                self.trace(ctx, TraceEvent::CommitReleased { gid });
-            }
+            self.trace(ctx, TraceEvent::CommitReleased { gid });
             // The owner thread applies the state advance.
             self.released.insert(pj, a);
         }
-        release_group(ctx, group);
     }
 
     /// One scheduling iteration for `pid`.
@@ -1026,9 +934,7 @@ impl<'a> Shard<'a> {
         let inject = ctx.cfg.inject_failures && coin < p_fail(ctx.workload, site.subsystem);
         if inject && termination.can_fail() {
             self.emit(ctx, Event::Fail(gid));
-            if ctx.trace.enabled {
-                self.trace(ctx, TraceEvent::ActivityFailed { gid, service: svc });
-            }
+            self.trace(ctx, TraceEvent::ActivityFailed { gid, service: svc });
             let outcome = self
                 .states
                 .get_mut(&pid)
@@ -1040,15 +946,13 @@ impl<'a> Shard<'a> {
                 FailureOutcome::ProcessAbort { .. } => {
                     self.metrics.abort_reasons.count(AbortReason::Failure);
                     self.clear_block_note(pid);
-                    if ctx.trace.enabled {
-                        self.trace(
-                            ctx,
-                            TraceEvent::AbortStarted {
-                                pid,
-                                reason: AbortReason::Failure,
-                            },
-                        );
-                    }
+                    self.trace(
+                        ctx,
+                        TraceEvent::AbortStarted {
+                            pid,
+                            reason: AbortReason::Failure,
+                        },
+                    );
                 }
                 FailureOutcome::Alternative { .. } => {}
             }
@@ -1135,17 +1039,13 @@ impl<'a> Shard<'a> {
                 self.metrics.committed += 1;
                 self.tele_committed.inc();
                 self.clear_block_note(pid);
-                if ctx.trace.enabled {
-                    self.trace(ctx, TraceEvent::ProcessCommitted { pid });
-                }
+                self.trace(ctx, TraceEvent::ProcessCommitted { pid });
                 self.policy.on_commit(pid)
             }
             ProcessStatus::Aborted => {
                 self.metrics.aborted += 1;
                 self.clear_block_note(pid);
-                if ctx.trace.enabled {
-                    self.trace(ctx, TraceEvent::ProcessAborted { pid });
-                }
+                self.trace(ctx, TraceEvent::ProcessAborted { pid });
                 self.policy.on_abort(pid)
             }
             ProcessStatus::Active => return,
@@ -1194,9 +1094,7 @@ impl<'a> Shard<'a> {
         }
         self.metrics.abort_reasons.count(reason);
         self.clear_block_note(pid);
-        if ctx.trace.enabled {
-            self.trace(ctx, TraceEvent::AbortStarted { pid, reason });
-        }
+        self.trace(ctx, TraceEvent::AbortStarted { pid, reason });
         self.policy.on_abort_begin(pid);
         self.emit(ctx, Event::Abort(pid));
         self.states
@@ -1245,25 +1143,6 @@ impl<'a> Shard<'a> {
             self.begin_abort(ctx, v, AbortReason::Cascade);
         }
         self.begin_abort(ctx, pid, reason);
-    }
-}
-
-/// Commits one group of prepared invocations, one agent-lock acquisition
-/// per subsystem (the releases are sorted into per-subsystem runs by the
-/// `BTreeMap` grouping). No-op on an empty group.
-fn release_group(ctx: &RunCtx<'_>, group: Vec<(SubsystemId, InvocationId)>) {
-    if group.is_empty() {
-        return;
-    }
-    let mut by_subsystem: BTreeMap<SubsystemId, Vec<InvocationId>> = BTreeMap::new();
-    for (sid, inv) in group {
-        by_subsystem.entry(sid).or_default().push(inv);
-    }
-    for (sid, invs) in by_subsystem {
-        let mut agent = ctx.agents[&sid].lock();
-        for inv in invs {
-            agent.release(inv).expect("prepared");
-        }
     }
 }
 

@@ -18,7 +18,12 @@
 //! history event, a `Compensate` event record implies the compensating
 //! transaction at the agent, and the `Decision`/`DecisionApplied` pair
 //! brackets 2PC phase 2 so a truncation between them leaves the group
-//! in doubt for [`Coordinator::resolve_in_doubt`].
+//! in doubt for [`Coordinator::resolve_in_doubt`]. The engine decides every
+//! deferred release alone and logs its `Decision` before the `Execute` event
+//! of its participant, so no prefix shows an executed-but-undecided prepared
+//! invocation: replay never has to guess a decision, and [`rebuild_image`]
+//! refuses a log that shows one (an older build's group commit) as
+//! [`RebuildError::Inconsistent`].
 //!
 //! ## Determinism of agent replay
 //!
@@ -29,21 +34,11 @@
 //! workload/log mismatch. Transaction ids *inside* a rebuilt agent differ
 //! from the original run (unlogged busy/abort attempts advanced the
 //! original counter) but are self-consistent; nothing durable reads them.
-//!
-//! ## The epoch-release window
-//!
-//! In epoch mode the engine emits the `Execute` events of a release group
-//! before the group's single 2PC decision is logged. A log truncated inside
-//! that window shows an executed-but-undecided prepared invocation. The
-//! group was a pure batching artifact (per-event mode decides each release
-//! singly), so [`rebuild_image`] synthesizes an individual in-doubt commit
-//! decision for each such invocation; recovery then finishes it like any
-//! other in-doubt group.
 
 use crate::engine::InvocationLogEntry;
 use crate::recovery::CrashImage;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use txproc_core::ids::GlobalActivityId;
 use txproc_core::schedule::{Event, Schedule};
 use txproc_core::wal::{WalRecord, WAL_VERSION};
@@ -174,11 +169,13 @@ pub fn rebuild_image(
             )
         }
     };
-    // gid → agent handle, for compensation replay and the post-pass.
-    let mut invocation_of: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)> = invocation_log
-        .iter()
-        .map(|e| (e.gid, (e.subsystem, e.invocation)))
-        .collect();
+    // gid → agent handle and whether it was prepared, for compensation
+    // replay and the decided-before-executed check.
+    let mut invocation_of: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId, bool)> =
+        invocation_log
+            .iter()
+            .map(|e| (e.gid, (e.subsystem, e.invocation, e.prepared)))
+            .collect();
 
     for record in tail {
         match record {
@@ -240,14 +237,14 @@ pub fn rebuild_image(
                     invocation: got_id,
                     prepared: *prepared,
                 });
-                invocation_of.insert(*gid, (sid, got_id));
+                invocation_of.insert(*gid, (sid, got_id, *prepared));
                 if !prepared {
                     history.execute(*gid);
                 }
             }
             WalRecord::Event { event } => {
                 if let Event::Compensate(gid) = event {
-                    let &(sid, inv) = invocation_of.get(gid).ok_or_else(|| {
+                    let &(sid, inv, _) = invocation_of.get(gid).ok_or_else(|| {
                         RebuildError::Inconsistent(format!("compensating unlogged {gid}"))
                     })?;
                     let agent = agents.get_mut(&sid).expect("mapped agent exists");
@@ -258,6 +255,24 @@ pub fn rebuild_image(
                         return Err(RebuildError::Inconsistent(format!(
                             "compensation of {gid} replayed to {out:?}"
                         )));
+                    }
+                }
+                // A release is decided before its event is logged. A log that
+                // shows the event first (the group commit of format-1 logs
+                // written at a non-zero `epoch` before the seal cadence moved
+                // into the writer) would rebuild to an executed activity that
+                // recovery then aborts: refuse it instead.
+                if let Event::Execute(gid) = event {
+                    if let Some(&(subsystem, invocation, true)) = invocation_of.get(gid) {
+                        let p = Participant {
+                            subsystem,
+                            invocation,
+                        };
+                        if !(coordinator.log().iter().rev()).any(|r| r.participants.contains(&p)) {
+                            return Err(RebuildError::Inconsistent(format!(
+                                "{gid} executed before its release was decided"
+                            )));
+                        }
                     }
                 }
                 history.push(event.clone());
@@ -309,39 +324,6 @@ pub fn rebuild_image(
             }
             WalRecord::ShardEvent { .. } => return Err(RebuildError::ShardLog),
         }
-    }
-
-    // Epoch-release window: an executed deferred invocation whose group
-    // decision never reached the log gets a synthesized individual in-doubt
-    // commit decision (sound — the group was only a batching artifact).
-    let executed: BTreeSet<GlobalActivityId> = history
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Execute(g) => Some(*g),
-            _ => None,
-        })
-        .collect();
-    // `holds_prepared` is the release precondition: it screens out stale
-    // log entries — an invocation that was later `PreparedAborted` while a
-    // re-run of the same activity produced the Execute event.
-    let synthesized: Vec<Participant> = invocation_log
-        .iter()
-        .filter(|e| e.prepared && executed.contains(&e.gid))
-        .filter(|e| {
-            agents
-                .get(&e.subsystem)
-                .is_some_and(|a| a.holds_prepared(e.invocation))
-        })
-        .map(|e| Participant {
-            subsystem: e.subsystem,
-            invocation: e.invocation,
-        })
-        .filter(|p| !coordinator.log().iter().any(|r| r.participants.contains(p)))
-        .collect();
-    for p in synthesized {
-        let group = coordinator.next_group_id();
-        coordinator.restore_decision(group, vec![p], Decision::Commit);
     }
 
     Ok(CrashImage {

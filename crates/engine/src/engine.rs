@@ -7,7 +7,8 @@
 //! scheduling policy before every activity, invokes services at the
 //! subsystem agents (with failure injection), handles alternative execution
 //! paths and compensations via the per-process state machines, defers
-//! non-compensatable commits via 2PC where the protocol demands it, cascades
+//! non-compensatable commits via 2PC where the protocol demands it (each
+//! release decided alone, its decision journalled before its event), cascades
 //! aborts, and records the emitted history as a
 //! [`Schedule`](txproc_core::schedule::Schedule) that can be checked for
 //! PRED offline.
@@ -22,7 +23,7 @@ use std::time::Instant;
 use txproc_core::activity::Termination;
 use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId};
 use txproc_core::protocol::Admission;
-use txproc_core::schedule::Schedule;
+use txproc_core::schedule::{Event, Schedule};
 use txproc_core::state::{FailureOutcome, ProcessState, ProcessStatus};
 use txproc_core::telemetry::{Phase, Telemetry};
 use txproc_core::trace::{AbortReason, NoopSink, TraceEvent, TraceRecord, TraceSink};
@@ -48,14 +49,11 @@ pub struct RunConfig {
     pub arrival_gap: u64,
     /// Verify the emitted history for PRED after the run (expensive).
     pub check_pred: bool,
-    /// Epoch size for batch commit. `0` keeps the per-event path
-    /// bit-identical to earlier releases. With `N > 0` the engine groups up
-    /// to `N` deferred 2PC releases into one prepare→decide round, and
-    /// flushes the trace sink once per `N` emitted events (or earlier under
-    /// conflict pressure). `N = 1` closes an epoch per event and stays
-    /// bit-identical — history *and* metrics — to `N = 0`. A journal is
-    /// sealed (and, under `FsyncPerEpoch`, synced) at every epoch close; at
-    /// `0` every emitting tick is its own epoch for the log.
+    /// Journal seal cadence: an installed WAL is sealed (and, under
+    /// `FsyncPerEpoch`, synced) every `epoch` history events; `0` seals
+    /// every event. Read once, where the WAL is installed
+    /// ([`Engine::with_wal`]); it selects nothing else, so no value can
+    /// change a history, a metric or a decision journal.
     #[serde(default)]
     pub epoch: usize,
 }
@@ -175,15 +173,6 @@ pub struct Engine<'a> {
     sampling: Option<(u64, TimeSeries)>,
     /// Processed (non-stale) dispatch events, for the sampling cadence.
     events_processed: u64,
-    /// History events emitted since the last epoch close (`cfg.epoch > 0`
-    /// only). An epoch closes on fill (`>= cfg.epoch`), on certification
-    /// failure (conflict pressure — get the decision trace out while the
-    /// run stalls), and at run end.
-    epoch_pending: usize,
-    /// Deferred 2PC releases accumulated for the current group-commit
-    /// round (`cfg.epoch > 0` only); flushed as one
-    /// [`Coordinator::commit_group`] call per `cfg.epoch` participants.
-    epoch_group: Vec<Participant>,
     /// Durable write-ahead journal (absent unless installed via
     /// [`Engine::with_wal`]). Every durable state transition appends a
     /// typed record; `engine::durability::rebuild_image` replays the log
@@ -271,8 +260,6 @@ impl<'a> Engine<'a> {
             prepared_at: BTreeMap::new(),
             sampling: None,
             events_processed: 0,
-            epoch_pending: 0,
-            epoch_group: Vec::new(),
             wal: None,
             snapshot_every: 0,
             last_snapshot: 0,
@@ -322,14 +309,16 @@ impl<'a> Engine<'a> {
     /// typed record before the run proceeds past it. `snapshot_every > 0`
     /// additionally appends a full-state snapshot marker each time that
     /// many history events accumulated since the last one, so recovery
-    /// replays only the log tail. Journaling is pure observation — the
-    /// emitted history is bit-identical with and without it.
+    /// replays only the log tail. The writer seals itself every
+    /// [`RunConfig::epoch`] history events. Journaling is pure observation —
+    /// the emitted history is bit-identical with and without it.
     pub fn with_wal(mut self, writer: WalWriter, snapshot_every: usize) -> Self {
         self.set_wal(writer, snapshot_every);
         self
     }
 
-    pub(crate) fn set_wal(&mut self, writer: WalWriter, snapshot_every: usize) {
+    pub(crate) fn set_wal(&mut self, mut writer: WalWriter, snapshot_every: usize) {
+        writer.seal_every(self.cfg.epoch);
         self.wal = Some(writer);
         self.snapshot_every = snapshot_every;
     }
@@ -342,12 +331,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Appends a history-event record to the journal (no-op without one).
-    #[inline]
-    fn wal_event(&mut self, event: txproc_core::schedule::Event) {
-        if self.wal.is_some() {
-            self.wal_append(WalRecord::Event { event });
+    /// Appends an event to the history, journalled first: the one way a
+    /// history event that no invocation record implies is emitted.
+    fn emit(&mut self, event: Event) {
+        if let Some(w) = &mut self.wal {
+            w.append(&WalRecord::Event {
+                event: event.clone(),
+            });
         }
+        self.history.push(event);
     }
 
     /// The emitted history so far.
@@ -490,20 +482,8 @@ impl<'a> Engine<'a> {
                 self.invocation_log.len(),
                 self.done.len(),
             );
-            if self.cfg.epoch > 0 {
-                self.epoch_pending += after.0 - before.0;
-                if self.epoch_pending >= self.cfg.epoch {
-                    self.close_epoch();
-                }
-            } else if after.0 > before.0 {
-                // Per-event path: an emitting tick is its own epoch for the
-                // log, or `FsyncPerEpoch` would sync only at the end of the
-                // run.
-                self.seal_wal();
-            }
-            // Snapshot at tick boundaries only: the release group is empty
-            // and no 2PC decision window is open, so the captured state is
-            // consistent by construction.
+            // Snapshot at tick boundaries only: no 2PC decision window is
+            // open, so the captured state is consistent by construction.
             if self.wal.is_some()
                 && self.snapshot_every > 0
                 && self.history.len() - self.last_snapshot >= self.snapshot_every
@@ -565,9 +545,7 @@ impl<'a> Engine<'a> {
                 break;
             }
         }
-        if self.cfg.epoch > 0 {
-            self.close_epoch();
-        }
+        self.sink.flush();
         if let Some(w) = &mut self.wal {
             w.finish();
         }
@@ -591,7 +569,7 @@ impl<'a> Engine<'a> {
 
     /// §3.5 certification of the next effect event against the emitted
     /// history (see [`CertGate`]); uncertified policies admit everything.
-    fn certified_ok(&mut self, event: &txproc_core::schedule::Event) -> bool {
+    fn certified_ok(&mut self, event: &Event) -> bool {
         match &mut self.gate {
             Some(gate) => gate.admits(&self.history, event, &self.tele),
             None => true,
@@ -601,7 +579,7 @@ impl<'a> Engine<'a> {
     /// [`Engine::certified_ok`] plus bookkeeping: counts failed verdicts in
     /// the metrics and emits a [`TraceEvent::CertifyOutcome`] per decision
     /// (certified policies only).
-    fn certified_traced(&mut self, event: txproc_core::schedule::Event) -> bool {
+    fn certified_traced(&mut self, event: Event) -> bool {
         if self.gate.is_none() {
             return true;
         }
@@ -618,38 +596,6 @@ impl<'a> Engine<'a> {
             });
         }
         ok
-    }
-
-    /// Closes the current epoch: flushes the trace sink (one write for the
-    /// whole batch), samples the epoch-fill and flush-latency histograms,
-    /// and counts the batch in the metrics. `epoch >= 2` only for the
-    /// counters — an epoch of one *is* the per-event path, and counting it
-    /// would break the `epoch=1 ≡ per-event` metrics identity the
-    /// differential oracle pins.
-    fn close_epoch(&mut self) {
-        if self.epoch_pending == 0 {
-            return;
-        }
-        let fill = self.epoch_pending as u64;
-        self.epoch_pending = 0;
-        if self.cfg.epoch >= 2 {
-            self.metrics.epoch_batches += 1;
-            self.metrics.epoch_events += fill;
-        }
-        self.tele.phase_ns(Phase::EpochFill, fill);
-        let t0 = self.tele.phase_start();
-        self.sink.flush();
-        self.tele.phase_end(Phase::EpochFlush, t0);
-        self.seal_wal();
-    }
-
-    /// Seals the journal at an epoch boundary — the sync point of
-    /// `DurabilityPolicy::FsyncPerEpoch` (no-op without a journal).
-    fn seal_wal(&mut self) {
-        if let Some(w) = &mut self.wal {
-            let epoch = w.epochs_sealed();
-            w.seal_epoch(epoch);
-        }
     }
 
     /// Appends a full-state snapshot marker: history, invocation log, 2PC
@@ -722,7 +668,7 @@ impl<'a> Engine<'a> {
                 return;
             }
         }
-        if !self.certified_traced(txproc_core::schedule::Event::Compensate(gid)) {
+        if !self.certified_traced(Event::Compensate(gid)) {
             // Another process's completion step must come first (Lemma 2/3
             // ordering); retry after it progressed, escalating if stuck.
             self.cert_failure_backoff(pid);
@@ -742,8 +688,7 @@ impl<'a> Engine<'a> {
                     let service = self.workload.spec.process(pid).expect("known").service(a);
                     self.trace(TraceEvent::CompensationStarted { gid, service });
                 }
-                self.wal_event(txproc_core::schedule::Event::Compensate(gid));
-                self.history.compensate(gid);
+                self.emit(Event::Compensate(gid));
                 self.policy.record_compensated(gid);
                 self.states
                     .get_mut(&pid)
@@ -904,9 +849,7 @@ impl<'a> Engine<'a> {
         // §3.5 certification: the extended prefix's completion must reduce.
         // (Deferred executions emit their history event at release time and
         // are certified there.)
-        if mode == CommitMode::Immediate
-            && !self.certified_traced(txproc_core::schedule::Event::Execute(gid))
-        {
+        if mode == CommitMode::Immediate && !self.certified_traced(Event::Execute(gid)) {
             self.cert_failure_backoff(pid);
             return;
         }
@@ -1048,8 +991,7 @@ impl<'a> Engine<'a> {
             let service = self.workload.spec.process(pid).expect("known").service(a);
             self.trace(TraceEvent::ActivityFailed { gid, service });
         }
-        self.wal_event(txproc_core::schedule::Event::Fail(gid));
-        self.history.fail(gid);
+        self.emit(Event::Fail(gid));
         let outcome = self
             .states
             .get_mut(&pid)
@@ -1085,7 +1027,7 @@ impl<'a> Engine<'a> {
         let verdict = self.policy.can_commit(pid);
         self.tele.phase_end(Phase::Policy, t0);
         match verdict {
-            Ok(()) if !self.certified_traced(txproc_core::schedule::Event::Commit(pid)) => {
+            Ok(()) if !self.certified_traced(Event::Commit(pid)) => {
                 self.cert_failure_backoff(pid);
             }
             Ok(()) => {
@@ -1094,8 +1036,7 @@ impl<'a> Engine<'a> {
                     .expect("state")
                     .apply_process_commit()
                     .expect("path finished");
-                self.wal_event(txproc_core::schedule::Event::Commit(pid));
-                self.history.commit(pid);
+                self.emit(Event::Commit(pid));
                 self.finalize(pid);
             }
             Err(blockers) => {
@@ -1143,25 +1084,18 @@ impl<'a> Engine<'a> {
         self.wake_waiters();
     }
 
-    /// Releases deferred commits atomically via 2PC. Releases whose history
-    /// event does not certify yet are postponed and retried on progress.
-    ///
-    /// With `cfg.epoch > 0`, releases arriving in one call are
-    /// group-committed: up to `epoch` participants share a single
-    /// prepare→decide round ([`Coordinator::commit_group`] logs one
-    /// decision record for the whole group). The group decision runs after
-    /// its members' history events are emitted — sound, because phase 2
-    /// releases every prepared participant unconditionally, and invisible
-    /// to history/metrics, because nothing between emit and decision reads
-    /// agent state.
+    /// Releases deferred commits atomically via 2PC, each decided alone and
+    /// its decision logged before its `Execute` event, so no log prefix
+    /// shows an executed-but-undecided prepared invocation. Releases whose
+    /// history event does not certify yet are postponed and retried on
+    /// progress.
     fn release_deferred(&mut self, released: Vec<(ProcessId, Vec<GlobalActivityId>)>) {
-        debug_assert!(self.epoch_group.is_empty());
         for (pj, gids) in released {
             if !self.pending_release.contains_key(&pj) {
                 continue;
             }
             let gid = self.pending_release[&pj].gid;
-            if !self.certified_traced(txproc_core::schedule::Event::Execute(gid)) {
+            if !self.certified_traced(Event::Execute(gid)) {
                 self.postponed_releases
                     .push((pj, gids, self.history.events().len()));
                 continue;
@@ -1176,32 +1110,22 @@ impl<'a> Engine<'a> {
                 subsystem: pending.subsystem,
                 invocation: pending.invocation,
             };
-            if self.cfg.epoch == 0 {
-                if self.wal.is_some() {
-                    // Decision before phase 2, DecisionApplied after: a log
-                    // truncated between the two leaves the group in doubt
-                    // and recovery finishes it from the decision record.
-                    self.wal_append(WalRecord::Decision {
-                        group: self.coordinator.next_group_id(),
-                        commit: true,
-                        participants: vec![(participant.subsystem.0, participant.invocation.0)],
-                    });
-                }
-                let group = self
-                    .coordinator
-                    .commit_group(&mut self.agents, vec![participant], false)
-                    .expect("participants prepared");
-                if self.wal.is_some() {
-                    self.wal_append(WalRecord::DecisionApplied { group });
-                }
-            } else {
-                self.epoch_group.push(participant);
-                if self.epoch_group.len() >= self.cfg.epoch {
-                    self.flush_release_group();
-                }
+            if self.wal.is_some() {
+                // Decision before phase 2, DecisionApplied after: a log
+                // truncated between the two leaves the group in doubt and
+                // recovery finishes it from the decision record.
+                self.wal_append(WalRecord::Decision {
+                    group: self.coordinator.next_group_id(),
+                    commit: true,
+                    participants: vec![(participant.subsystem.0, participant.invocation.0)],
+                });
             }
-            self.wal_event(txproc_core::schedule::Event::Execute(pending.gid));
-            self.history.execute(pending.gid);
+            let group = self
+                .coordinator
+                .commit_group(&mut self.agents, vec![participant], false)
+                .expect("participants prepared");
+            self.wal_append(WalRecord::DecisionApplied { group });
+            self.emit(Event::Execute(pending.gid));
             self.policy.record_deferred_released(pending.gid);
             self.trace(TraceEvent::CommitReleased { gid: pending.gid });
             self.states
@@ -1214,33 +1138,6 @@ impl<'a> Engine<'a> {
             self.waiting.insert(pj, Waiting::No);
             let at = self.now;
             self.schedule_dispatch(pj, at);
-        }
-        self.flush_release_group();
-    }
-
-    /// Commits the accumulated release group in one 2PC round (no-op while
-    /// empty, so per-event mode never reaches the coordinator from here).
-    fn flush_release_group(&mut self) {
-        if self.epoch_group.is_empty() {
-            return;
-        }
-        let participants = std::mem::take(&mut self.epoch_group);
-        if self.wal.is_some() {
-            self.wal_append(WalRecord::Decision {
-                group: self.coordinator.next_group_id(),
-                commit: true,
-                participants: participants
-                    .iter()
-                    .map(|p| (p.subsystem.0, p.invocation.0))
-                    .collect(),
-            });
-        }
-        let group = self
-            .coordinator
-            .commit_group(&mut self.agents, participants, false)
-            .expect("participants prepared");
-        if self.wal.is_some() {
-            self.wal_append(WalRecord::DecisionApplied { group });
         }
     }
 
@@ -1269,13 +1166,6 @@ impl<'a> Engine<'a> {
     /// (§3.5's "new conflicts"): group-abort them — a full group abort
     /// always reduces, so their real completions unblock ours.
     fn cert_failure_backoff(&mut self, pid: ProcessId) {
-        // Conflict pressure: certification just refused an event, so the
-        // run is about to stall-and-retry. Close the epoch early — the
-        // decision trace of the refusal should reach the sink now, not
-        // after the backoff resolves.
-        if self.cfg.epoch > 0 {
-            self.close_epoch();
-        }
         let count = self.cert_failures.entry(pid).or_insert(0);
         *count += 1;
         if *count > 50 {
@@ -1399,8 +1289,7 @@ impl<'a> Engine<'a> {
         self.next_abort_seq += 1;
         self.abort_seq.insert(pid, seq);
         self.policy.on_abort_begin(pid);
-        self.wal_event(txproc_core::schedule::Event::Abort(pid));
-        self.history.abort(pid);
+        self.emit(Event::Abort(pid));
         self.states
             .get_mut(&pid)
             .expect("state")

@@ -81,44 +81,38 @@ fn certify_decisions_agree_with_batch_reference() {
         let w = generate(&wcfg);
         let seed = wcfg.seed;
         for policy in [PolicyKind::Pred, PolicyKind::PredWait] {
-            for epoch in [0, 16] {
-                let what = format!("engine {} seed {seed} epoch {epoch}", policy.label());
-                let journal = Journal::new();
-                let run = RunBuilder::new(&w)
-                    .config(RunConfig {
-                        policy,
-                        seed,
-                        epoch,
-                        ..RunConfig::default()
-                    })
-                    .sink(Box::new(journal.clone()))
-                    .run()
-                    .into_engine();
-                assert!(run.stalled.is_empty(), "{what}: stalled");
-                let (t, r) = check_decisions(&w, &run.history, &journal.take(), &what);
-                total += t;
-                refused += r;
-            }
+            let what = format!("engine {} seed {seed}", policy.label());
+            let journal = Journal::new();
+            let run = RunBuilder::new(&w)
+                .config(RunConfig {
+                    policy,
+                    seed,
+                    ..RunConfig::default()
+                })
+                .sink(Box::new(journal.clone()))
+                .run()
+                .into_engine();
+            assert!(run.stalled.is_empty(), "{what}: stalled");
+            let (t, r) = check_decisions(&w, &run.history, &journal.take(), &what);
+            total += t;
+            refused += r;
         }
         // The concurrent driver through the same gate. One shard and one
         // worker: the shard segment is the merged history, so journalled
         // frontiers index it directly.
-        for epoch in [0, 16] {
-            let what = format!("concurrent seed {seed} epoch {epoch}");
-            let journal = Journal::new();
-            let run = RunBuilder::new(&w)
-                .concurrent(ConcurrentConfig {
-                    seed,
-                    epoch,
-                    shards: ShardMode::Single,
-                    workers: Some(1),
-                    ..ConcurrentConfig::default()
-                })
-                .sink(Box::new(journal.clone()))
-                .run()
-                .into_concurrent();
-            total += check_decisions(&w, &run.history, &journal.take(), &what).0;
-        }
+        let what = format!("concurrent seed {seed}");
+        let journal = Journal::new();
+        let run = RunBuilder::new(&w)
+            .concurrent(ConcurrentConfig {
+                seed,
+                shards: ShardMode::Single,
+                workers: Some(1),
+                ..ConcurrentConfig::default()
+            })
+            .sink(Box::new(journal.clone()))
+            .run()
+            .into_concurrent();
+        total += check_decisions(&w, &run.history, &journal.take(), &what).0;
     }
     // The sweep must reach both answers, or it pins nothing.
     assert!(total > 1_000, "only {total} decisions checked");

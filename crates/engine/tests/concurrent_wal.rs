@@ -1,11 +1,14 @@
 //! Concurrent-driver durability: the ticket-stamped shard-event journal
-//! reconstructs the exact merged history, and the unified recovery API
+//! reconstructs the exact merged history, the journal's seal cadence bounds
+//! what a crash can lose on both drivers, and the unified recovery API
 //! reads engine WALs from files and byte buffers interchangeably.
 
 use txproc_core::pred::is_pred;
 use txproc_core::recoverability::is_proc_rec;
 use txproc_core::schedule::render;
-use txproc_core::wal::{read_records, read_wal_file, DurabilityPolicy, FileWal, MemWal, WalWriter};
+use txproc_core::wal::{
+    read_records, read_wal_file, DurabilityPolicy, FileWal, MemWal, WalRecord, WalWriter,
+};
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::durability::{rebuild_image, wal_history};
 use txproc_engine::engine::{Engine, RunConfig};
@@ -64,45 +67,104 @@ fn concurrent_wal_replays_to_the_merged_history() {
     }
 }
 
-/// `FsyncPerEpoch` group-syncs on both drivers at every epoch size: with
-/// `epoch = 0` each emitting tick (engine) / emitted event (shard) is its
-/// own epoch for the log, exactly as with `epoch = 1`. One sync — the one
-/// at the end of the run — would mean a crash loses the whole log.
-#[test]
-fn fsync_per_epoch_syncs_during_the_run_on_both_drivers() {
-    let w = generate(&WorkloadConfig {
+/// A finished 16-process run's log under `FsyncPerEpoch` with `epoch` as
+/// the seal cadence, and how often the store was synced.
+fn sealed_log(w: &Workload, concurrent: bool, epoch: usize) -> (Vec<WalRecord>, u64) {
+    let mem = MemWal::new();
+    let writer = WalWriter::new(Box::new(mem.clone()), DurabilityPolicy::FsyncPerEpoch, 5);
+    let builder = RunBuilder::new(w).durability(writer, 0);
+    let builder = if concurrent {
+        builder.concurrent(ConcurrentConfig {
+            seed: 5,
+            workers: Some(1),
+            epoch,
+            ..ConcurrentConfig::default()
+        })
+    } else {
+        builder.config(RunConfig {
+            seed: 5,
+            epoch,
+            ..RunConfig::default()
+        })
+    };
+    builder.run();
+    let (records, clean) = read_records(&mem.contents());
+    assert_eq!(clean, mem.len(), "finish() lands whole frames");
+    (records, mem.syncs())
+}
+
+fn sixteen_processes() -> Workload {
+    generate(&WorkloadConfig {
         seed: 5,
         processes: 16,
         conflict_density: 0.4,
         ..WorkloadConfig::default()
-    });
-    let syncs = |concurrent: bool, epoch: usize| {
-        let mem = MemWal::new();
-        let writer = WalWriter::new(Box::new(mem.clone()), DurabilityPolicy::FsyncPerEpoch, 5);
-        let builder = RunBuilder::new(&w).durability(writer, 0);
-        let builder = if concurrent {
-            builder.concurrent(ConcurrentConfig {
-                seed: 5,
-                workers: Some(1),
-                epoch,
-                ..ConcurrentConfig::default()
-            })
-        } else {
-            builder.config(RunConfig {
-                seed: 5,
-                epoch,
-                ..RunConfig::default()
-            })
-        };
-        builder.run();
-        mem.syncs()
-    };
+    })
+}
+
+/// `FsyncPerEpoch` group-syncs on both drivers at every epoch size: with
+/// `epoch = 0` the journal is sealed after every event, exactly as with
+/// `epoch = 1`. One sync — the one at the end of the run — would mean a
+/// crash loses the whole log.
+#[test]
+fn fsync_per_epoch_syncs_during_the_run_on_both_drivers() {
+    let w = sixteen_processes();
     for concurrent in [false, true] {
-        let [per_event, one, sixteen] = [0, 1, 16].map(|epoch| syncs(concurrent, epoch));
+        let [per_event, one, sixteen] = [0, 1, 16].map(|epoch| sealed_log(&w, concurrent, epoch).1);
         let got = format!("concurrent {concurrent}: {per_event} / {one} / {sixteen} sync(s)");
         assert_eq!(per_event, one, "{got}: epoch 0 is epoch 1 for the log");
         assert!(1 < sixteen && sixteen < one, "{got}: epochs group syncs");
     }
+}
+
+/// The durability bound: under `FsyncPerEpoch` with `epoch = N` a crash
+/// loses at most `max(N, 1)` history events, on both drivers. The writer
+/// owns the cadence (`WalWriter::seal_every`), so this fails if sealing is
+/// mutated away or made lazier, whichever driver feeds the writer.
+#[test]
+fn at_most_n_events_are_ever_unsealed_on_both_drivers() {
+    let w = sixteen_processes();
+    for concurrent in [false, true] {
+        for epoch in [0usize, 1, 4, 16] {
+            let what = format!("concurrent {concurrent} epoch {epoch}");
+            let (records, syncs) = sealed_log(&w, concurrent, epoch);
+            let bound = epoch.max(1);
+            let (mut unsealed, mut events, mut seals) = (0, 0, 0u64);
+            for r in &records {
+                if let WalRecord::EpochSeal { epoch: number } = r {
+                    assert_eq!(unsealed, bound, "{what}: seal {number} came early");
+                    assert_eq!(*number, seals, "{what}: seals are numbered densely");
+                    seals += 1;
+                    unsealed = 0;
+                } else if r.carries_event() {
+                    unsealed += 1;
+                    events += 1;
+                    assert!(unsealed <= bound, "{what}: {unsealed} events unsealed");
+                }
+            }
+            assert!(events > 3 * 16, "{what}: the run spans several epochs");
+            assert_eq!(seals, (events / bound) as u64, "{what}");
+            // Every seal is a sync, and `finish` syncs the tail after the
+            // last one.
+            assert_eq!(syncs, seals + 1, "{what}");
+        }
+    }
+}
+
+/// What the writer counts toward a seal is what replay turns into a history
+/// event, on a real log of each driver. (That a writer nobody called
+/// `seal_every` on — the benchmark's `wal.append.*` replay builds one —
+/// appends no seal of its own is `writer_policies_drive_sync_cadence` in
+/// `core::wal`.)
+#[test]
+fn the_writer_counts_exactly_the_records_replay_turns_into_events() {
+    let w = sixteen_processes();
+    let (engine_log, _) = sealed_log(&w, false, 4);
+    let (shard_log, _) = sealed_log(&w, true, 4);
+    let carried = |log: &[WalRecord]| log.iter().filter(|r| r.carries_event()).count();
+    let image = rebuild_image(&w, &engine_log).expect("rebuild");
+    assert_eq!(carried(&engine_log), image.history.len());
+    assert_eq!(carried(&shard_log), wal_history(&shard_log).len());
 }
 
 /// Journaling must not perturb the concurrent run itself: under the

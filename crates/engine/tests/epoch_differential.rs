@@ -1,22 +1,28 @@
-//! Differential oracle for the epoch path (ISSUE 9, satellite 1): an epoch
-//! size of **1** must be bit-identical to the per-event path (`epoch = 0`)
-//! on both drivers — same history, same metrics — because an epoch of one
-//! *is* the per-event path: every batch boundary falls after exactly one
-//! event, the plan cache replays what `certify` just planned, and the
-//! group-commit rounds hold one participant each.
+//! Epoch independence: `RunConfig::epoch` / `ConcurrentConfig::epoch` is the
+//! journal's seal cadence and nothing else, so for every `N` a run makes the
+//! same decisions — same history, same metrics, same decision journal — and
+//! writes the same WAL record stream once the `EpochSeal` records are
+//! filtered out. Every run is also held to what the histories must be on
+//! their own — PRED, every process terminated, nothing stalled — so a history
+//! that is wrong the same way at every `N` fails here too.
 //!
 //! The virtual-time engine is fully deterministic, so the oracle compares
-//! complete [`Metrics`] values. The concurrent driver is pinned to the
-//! events runtime with one worker and closed arrivals (the deterministic
-//! configuration); its time-valued metrics are wall-clock, so the oracle
-//! compares the history plus every deterministic counter.
+//! complete [`Metrics`] values. The concurrent driver is pinned to one worker
+//! and closed arrivals (its deterministic configuration); its time-valued
+//! metrics are wall-clock, so the oracle compares every deterministic counter.
 
-use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig, ShardMode};
-use txproc_engine::engine::{run, RunConfig};
+use txproc_core::pred::is_pred;
+use txproc_core::schedule::render;
+use txproc_core::trace::{Journal, TraceRecord};
+use txproc_core::wal::{read_records, DurabilityPolicy, MemWal, WalRecord, WalWriter};
+use txproc_engine::concurrent::{ConcurrentConfig, ShardMode};
+use txproc_engine::engine::RunConfig;
+use txproc_engine::{RunBuilder, RunOutcome};
 use txproc_sim::metrics::Metrics;
 use txproc_sim::workload::{generate, Workload, WorkloadConfig};
 
 const SEEDS: u64 = 256;
+const EPOCHS: [usize; 5] = [0, 1, 4, 16, 1000];
 
 fn workload(seed: u64) -> Workload {
     generate(&WorkloadConfig {
@@ -29,8 +35,8 @@ fn workload(seed: u64) -> Workload {
 }
 
 /// The deterministic (non-wall-clock) counters of a metrics value.
-fn counters(m: &Metrics) -> impl PartialEq + std::fmt::Debug {
-    (
+fn counters(m: &Metrics) -> String {
+    let counters = (
         (
             m.committed,
             m.aborted,
@@ -47,120 +53,118 @@ fn counters(m: &Metrics) -> impl PartialEq + std::fmt::Debug {
             m.violations,
             m.abort_reasons,
         ),
-        (m.epoch_batches, m.epoch_events),
-    )
+    );
+    format!("{counters:?}")
 }
 
-#[test]
-fn engine_epoch_one_is_bit_identical_to_per_event() {
+/// What one run decided and logged: history, metrics (as `shown`), decision
+/// journal, and the WAL record stream without its seals.
+type Observed = (String, String, Vec<TraceRecord>, Vec<WalRecord>);
+
+/// Runs `builder` traced and journaled. Beside the observation: how many
+/// seals the log held — the one thing the epoch may change — and the run's
+/// outcome, for the driver's own safety assertions.
+fn observed(
+    seed: u64,
+    builder: RunBuilder<'_>,
+    shown: fn(&Metrics) -> String,
+) -> (Observed, usize, RunOutcome) {
+    let journal = Journal::new();
+    let mem = MemWal::new();
+    let writer = WalWriter::new(Box::new(mem.clone()), DurabilityPolicy::Buffered, seed);
+    let out = builder
+        .sink(Box::new(journal.clone()))
+        .durability(writer, 0)
+        .run();
+    let (mut log, clean) = read_records(&mem.contents());
+    assert_eq!(clean, mem.len(), "seed {seed}: torn log");
+    let records = log.len();
+    log.retain(|r| !matches!(r, WalRecord::EpochSeal { .. }));
+    let seals = records - log.len();
+    let history = render(out.history());
+    let observation = (history, shown(out.metrics()), journal.snapshot(), log);
+    (observation, seals, out)
+}
+
+/// Over every seed, the observation at each epoch equals the one at epoch 0,
+/// and the log holds a seal per `max(epoch, 1)` events. `run` returns the
+/// observation, the seal count and the history length, having asserted the
+/// run safe.
+fn assert_independent(run: impl Fn(&Workload, u64, usize) -> (Observed, (usize, usize))) {
     for seed in 0..SEEDS {
         let w = workload(seed);
-        let base_cfg = RunConfig {
-            seed,
-            check_pred: true,
-            ..RunConfig::default()
-        };
-        let per_event = run(&w, base_cfg.clone());
-        let epoch_one = run(
-            &w,
-            RunConfig {
-                epoch: 1,
-                ..base_cfg
-            },
-        );
-        assert_eq!(
-            txproc_core::schedule::render(&per_event.history),
-            txproc_core::schedule::render(&epoch_one.history),
-            "seed {seed}: histories diverge"
-        );
-        assert_eq!(
-            per_event.metrics, epoch_one.metrics,
-            "seed {seed}: metrics diverge"
-        );
-        assert_eq!(epoch_one.pred_ok, Some(true), "seed {seed}");
+        let (base, _) = run(&w, seed, EPOCHS[0]);
+        for epoch in EPOCHS {
+            let (at_epoch, (seals, events)) = run(&w, seed, epoch);
+            assert_eq!(base, at_epoch, "seed {seed} epoch {epoch}");
+            assert_eq!(seals, events / epoch.max(1), "seed {seed} epoch {epoch}");
+        }
     }
 }
 
+/// Every process of the five terminated and the history is PRED.
+fn assert_terminated_and_pred(w: &Workload, out: &RunOutcome, what: &str) {
+    assert_eq!(out.metrics().terminated(), 5, "{what}");
+    assert!(
+        is_pred(&w.spec, out.history()).unwrap(),
+        "{what}: history not PRED:\n{}",
+        render(out.history())
+    );
+}
+
 #[test]
-fn concurrent_epoch_one_is_bit_identical_to_per_event() {
+fn engine_runs_are_independent_of_the_epoch() {
+    assert_independent(|w, seed, epoch| {
+        let cfg = RunConfig {
+            seed,
+            check_pred: true,
+            epoch,
+            ..RunConfig::default()
+        };
+        let (observation, seals, out) =
+            observed(seed, RunBuilder::new(w).config(cfg), |m| format!("{m:?}"));
+        let engine = out.into_engine();
+        assert!(
+            engine.stalled.is_empty(),
+            "seed {seed} epoch {epoch}: stalled"
+        );
+        assert_eq!(engine.pred_ok, Some(true), "seed {seed} epoch {epoch}");
+        (observation, (seals, engine.history.len()))
+    });
+}
+
+#[test]
+fn concurrent_runs_are_independent_of_the_epoch() {
     // One worker + closed arrivals is the deterministic configuration of
-    // the concurrent driver (see its module docs), so the two runs see the
-    // same interleaving and only the epoch knob differs.
-    for seed in 0..SEEDS {
-        let w = workload(seed);
-        let base_cfg = ConcurrentConfig {
+    // the concurrent driver (see its module docs), so the runs see the same
+    // interleaving and only the epoch differs.
+    assert_independent(|w, seed, epoch| {
+        let cfg = ConcurrentConfig {
             seed,
             shards: ShardMode::Auto,
             workers: Some(1),
+            epoch,
             ..ConcurrentConfig::default()
         };
-        let per_event = run_concurrent(&w, base_cfg.clone());
-        let epoch_one = run_concurrent(
-            &w,
-            ConcurrentConfig {
-                epoch: 1,
-                ..base_cfg
-            },
-        );
-        assert_eq!(
-            txproc_core::schedule::render(&per_event.history),
-            txproc_core::schedule::render(&epoch_one.history),
-            "seed {seed}: histories diverge"
-        );
-        assert_eq!(
-            counters(&per_event.metrics),
-            counters(&epoch_one.metrics),
-            "seed {seed}: deterministic counters diverge"
-        );
-    }
+        let (observation, seals, out) =
+            observed(seed, RunBuilder::new(w).concurrent(cfg), counters);
+        assert_terminated_and_pred(w, &out, &format!("seed {seed} epoch {epoch}"));
+        (observation, (seals, out.history().len()))
+    });
 }
 
 #[test]
-fn epoch_sixteen_histories_stay_pred_on_both_drivers() {
-    // Larger epochs are not bit-identical (group sizes differ) but every
-    // safety property must hold: termination, PRED, and non-zero batch
-    // accounting once epochs actually fill.
+fn default_worker_concurrent_histories_stay_pred() {
+    // The independence oracle pins one worker; real interleavings are not
+    // comparable run to run, but each must still terminate and be PRED.
     for seed in 0..16 {
         let w = workload(seed);
-        let engine = run(
-            &w,
-            RunConfig {
-                seed,
-                check_pred: true,
-                epoch: 16,
-                ..RunConfig::default()
-            },
-        );
-        assert!(engine.stalled.is_empty(), "seed {seed}: stalled");
-        assert_eq!(engine.pred_ok, Some(true), "seed {seed}: engine not PRED");
-        assert!(
-            engine.metrics.epoch_batches > 0,
-            "seed {seed}: no epochs closed"
-        );
-        assert_eq!(
-            engine.metrics.epoch_events,
-            engine.history.len() as u64,
-            "seed {seed}: every event belongs to exactly one epoch"
-        );
-
-        let conc = run_concurrent(
-            &w,
-            ConcurrentConfig {
-                seed,
-                epoch: 16,
-                ..ConcurrentConfig::default()
-            },
-        );
-        assert_eq!(conc.metrics.terminated(), 5, "seed {seed}");
-        assert!(
-            txproc_core::pred::is_pred(&w.spec, &conc.history).unwrap(),
-            "seed {seed}: concurrent epoch-16 history not PRED:\n{}",
-            txproc_core::schedule::render(&conc.history)
-        );
-        assert_eq!(
-            conc.metrics.epoch_events,
-            conc.history.len() as u64,
-            "seed {seed}: every event belongs to exactly one epoch"
-        );
+        let cfg = ConcurrentConfig {
+            seed,
+            epoch: 16,
+            ..ConcurrentConfig::default()
+        };
+        let (_, _, out) = observed(seed, RunBuilder::new(&w).concurrent(cfg), counters);
+        assert_terminated_and_pred(&w, &out, &format!("seed {seed}"));
     }
 }

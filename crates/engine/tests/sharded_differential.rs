@@ -161,7 +161,6 @@ fn single_worker_histories_pinned_over_256_seeds() {
             ConcurrentConfig {
                 seed,
                 workers: Some(1),
-                epoch: if seed % 2 == 0 { 16 } else { 0 },
                 ..ConcurrentConfig::default()
             },
         );

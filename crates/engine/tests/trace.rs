@@ -194,9 +194,9 @@ fn concurrent_journal_is_consistent_with_history_and_metrics() {
 
 #[test]
 fn retired_shard_journal_precedes_the_next_shard() {
-    // One worker, closed arrivals, epoch 16: the worker runs each shard to
-    // its last termination within one visit and retires it there, flushing
-    // the shard's last partial epoch. So the journal is one contiguous block
+    // One worker, closed arrivals: the worker runs each shard to its last
+    // termination within one visit and retires it there, flushing the trace
+    // records the shard still buffers. So the journal is one contiguous block
     // per shard, in visit order — no shard's tail waits for the run's end.
     let w = generate(&WorkloadConfig {
         seed: 9,
@@ -211,7 +211,6 @@ fn retired_shard_journal_precedes_the_next_shard() {
         .concurrent(ConcurrentConfig {
             seed: 9,
             workers: Some(1),
-            epoch: 16,
             ..ConcurrentConfig::default()
         })
         .sink(Box::new(journal.clone()))
@@ -230,10 +229,10 @@ fn retired_shard_journal_precedes_the_next_shard() {
     assert!(expected.len() >= 4, "multi-shard workload");
     assert_eq!(blocks, expected, "one journal block per shard, in order");
     // The order is the retirement's doing, not small shards': some shard
-    // flushed a full epoch mid-run and still has its tail in its own block.
+    // flushed a full batch mid-run and still has its tail in its own block.
     let longest = expected
         .iter()
         .map(|s| shards.iter().filter(|x| *x == s).count())
         .max();
-    assert!(longest > Some(16), "a shard spans more than one epoch");
+    assert!(longest > Some(16), "a shard spans more than one batch");
 }

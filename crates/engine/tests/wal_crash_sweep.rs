@@ -6,9 +6,11 @@
 //! into a crash image whose recovery yields a PRED, Proc-REC history with
 //! every process terminated, no activity executed twice, and an idempotent
 //! second recovery, and whose completion tail is a linearisation of the
-//! reference `≪̃` (`support/tail_oracle.rs`). The sweep runs per-event mode,
-//! epoch (group-commit) mode, and snapshot-accelerated logs at 6 processes,
-//! and 16 cuts per log at 32; `nightly_full_sweep` (ignored by default, run
+//! reference `≪̃` (`support/tail_oracle.rs`). The sweep runs logs sealed per
+//! event, logs sealed every 4 events with snapshots, at 6 processes, and 16
+//! cuts per log at 32; every swept log shows each 2PC decision before the
+//! `Execute` of its participants, so no cut can fall between the two the
+//! wrong way round; `nightly_full_sweep` (ignored by default, run
 //! by the nightly CI job) widens the seed range.
 
 #[path = "support/tail_oracle.rs"]
@@ -18,8 +20,10 @@ use std::collections::BTreeSet;
 use txproc_core::schedule::{render, Event, Op};
 use txproc_core::serializability::{process_graph_linear, ProcessGraph};
 use txproc_core::spec::Spec;
-use txproc_core::wal::{encode_record, read_records, DurabilityPolicy, MemWal, WalWriter};
-use txproc_engine::durability::rebuild_image;
+use txproc_core::wal::{
+    encode_record, read_records, DurabilityPolicy, MemWal, WalRecord, WalWriter,
+};
+use txproc_engine::durability::{rebuild_image, RebuildError};
 use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::recovery::recover;
 use txproc_sim::workload::{generate, Workload, WorkloadConfig};
@@ -64,6 +68,7 @@ fn logged_cuts(w: &Workload, n: usize) -> (Vec<u8>, Vec<usize>) {
     let (engine, mem) = wal_engine(w, 16, 0);
     assert!(engine.run().stalled.is_empty(), "run stalled");
     let bytes = mem.contents();
+    assert_decided_before_executed(&bytes, "32-process log");
     let at = boundaries(&bytes);
     let cuts = (1..=n).map(|k| at[(at.len() - 1) * k / n]).collect();
     (bytes, cuts)
@@ -166,6 +171,33 @@ fn check_cut_proc_rec(w: &Workload, bytes: &[u8], cut: usize, label: &str) {
     );
 }
 
+/// Every released invocation of the log was decided first: the `Decision`
+/// naming it precedes its `Execute` event. (An `Execute` event record is
+/// always a release — an immediate execution is its `Invocation` record —
+/// and of the activity's latest prepared invocation.)
+fn assert_decided_before_executed(bytes: &[u8], label: &str) {
+    let mut prepared = std::collections::BTreeMap::new();
+    let mut decided = BTreeSet::new();
+    for r in read_records(bytes).0 {
+        match r {
+            WalRecord::Invocation {
+                gid,
+                subsystem,
+                invocation,
+                prepared: true,
+            } => drop(prepared.insert(gid, (subsystem, invocation))),
+            WalRecord::Decision { participants, .. } => decided.extend(participants),
+            WalRecord::Event {
+                event: Event::Execute(gid),
+            } => assert!(
+                decided.contains(&prepared[&gid]),
+                "{label}: {gid} executed undecided"
+            ),
+            _ => {}
+        }
+    }
+}
+
 /// Sweeps every record boundary and one torn mid-record offset per frame.
 fn sweep(seed: u64, epoch: usize, snapshot_every: usize, label: &str) {
     let w = workload(seed);
@@ -173,6 +205,7 @@ fn sweep(seed: u64, epoch: usize, snapshot_every: usize, label: &str) {
     let result = engine.run();
     assert!(result.stalled.is_empty(), "{label}: run stalled");
     let bytes = mem.contents();
+    assert_decided_before_executed(&bytes, label);
     let at = boundaries(&bytes);
     for (i, &cut) in at.iter().enumerate() {
         check_cut_proc_rec(&w, &bytes, cut, label);
@@ -313,6 +346,41 @@ fn rebuild_rejects_mismatched_workload() {
     assert!(
         rebuild_image(&other, &records).is_err(),
         "log of seed 1 must not rebuild against workload seed 2"
+    );
+}
+
+#[test]
+fn rebuild_refuses_an_executed_but_undecided_release() {
+    // What a log written with group commit (a non-zero `epoch` before the seal
+    // cadence moved into the writer) and cut inside the release window shows:
+    // the `Execute` event of a prepared invocation with no `Decision` naming
+    // it. No current run writes this; rebuild must not fold it silently.
+    let w = workload(1);
+    let (engine, mem) = wal_engine(&w, 0, 0);
+    engine.run();
+    let (records, _) = read_records(&mem.contents());
+    let executed = records
+        .iter()
+        .position(|r| {
+            matches!(
+                r,
+                WalRecord::Event {
+                    event: Event::Execute(_),
+                }
+            )
+        })
+        .expect("seed 1 releases a deferred commit");
+    let decided = records[..executed]
+        .iter()
+        .rposition(|r| matches!(r, WalRecord::Decision { .. }))
+        .expect("the release was decided first");
+    assert!(rebuild_image(&w, &records[..=executed]).is_ok());
+    let mut undecided = records[..decided].to_vec();
+    undecided.push(records[executed].clone());
+    let err = rebuild_image(&w, &undecided).expect_err("undecided release must not rebuild");
+    assert!(
+        matches!(&err, RebuildError::Inconsistent(msg) if msg.contains("before its release was decided")),
+        "{err}"
     );
 }
 

@@ -299,16 +299,6 @@ pub struct Metrics {
     /// virtual-time engine).
     #[serde(default)]
     pub runtime: Option<RuntimeMetrics>,
-    /// Epochs closed by the batching path (trace flushes and grouped 2PC
-    /// release rounds). Zero whenever `epoch ≤ 1`: a batch of one *is* the
-    /// per-event path, and counting it would break the epoch-1 ≡ per-event
-    /// metrics identity the differential oracle pins.
-    #[serde(default)]
-    pub epoch_batches: u64,
-    /// Events covered by those epochs (fill × batches; mean fill =
-    /// `epoch_events / epoch_batches`).
-    #[serde(default)]
-    pub epoch_events: u64,
 }
 
 impl Metrics {
@@ -381,8 +371,6 @@ impl Metrics {
                 None => self.runtime = Some(rt.clone()),
             }
         }
-        self.epoch_batches += other.epoch_batches;
-        self.epoch_events += other.epoch_events;
     }
 
     /// Total blocked time across all processes.

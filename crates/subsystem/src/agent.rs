@@ -176,16 +176,6 @@ impl Agent {
         Ok(())
     }
 
-    /// True when `invocation` is known and its transaction is still in the
-    /// prepared state — i.e. `release` / `abort_prepared` would succeed.
-    /// Stays false for released, aborted, or superseded invocations, which
-    /// is what crash rebuild needs to avoid resurrecting stale 2PC votes.
-    pub fn holds_prepared(&self, invocation: InvocationId) -> bool {
-        self.invocations
-            .get(&invocation)
-            .is_some_and(|r| self.subsystem.tx_status(r.tx) == Some(TxStatus::Prepared))
-    }
-
     fn tx_of(&self, invocation: InvocationId) -> Result<TxId, SubsystemError> {
         self.invocations
             .get(&invocation)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The exact work-count gate (ROADMAP item 5b). On the benchmark's two
+# The exact work-count gate (ROADMAP item 4). On the benchmark's two
 # deterministic workloads a traced smoke run at a fixed seed repeats its
 # work counts bit for bit on any host, so a change in the amount of work the
 # scheduler does — certifier calls, protocol calls, log bytes, fsyncs,
