@@ -34,7 +34,7 @@ fn half_log_image(w: &Workload) -> CrashImage {
         epoch: 16,
         ..RunConfig::default()
     };
-    Engine::new(w, cfg).with_wal(writer, 0).run();
+    Engine::new(w, cfg).with_wal(writer).run();
     let (mut records, _) = read_records(&mem.contents());
     records.truncate(records.len() / 2);
     rebuild_image(w, &records).expect("a record prefix rebuilds")

@@ -6,8 +6,7 @@
 //!                  [--policy pred|pred-wait|pred-protocol|serial|conservative|unsafe-cc]
 //!                  [--arrival-gap N] [--check] [--epoch N]
 //!                  [--concurrent] [--workers N] [--shards auto|single]
-//!                  [--wal PATH] [--durability none|buffered|fsync-N|fsync-epoch]
-//!                  [--snapshot-every N]
+//!                  [--wal PATH] [--durability buffered|fsync-N|fsync-epoch]
 //!                  # --concurrent switches to the wall-clock concurrent driver
 //!                  # --wal journals the run write-ahead to PATH; --durability
 //!                  # picks the fsync policy (default fsync-epoch); --epoch N
@@ -20,7 +19,7 @@
 //! txproc demo      fig4a|fig4b|fig7|fig9       # PRED-check a paper schedule
 //! txproc dot       p1|p2|p3|cim-construction|cim-production
 //! txproc crash     [--seed N] [--at N] [--epoch N]  # crash/recovery demo
-//!                  [--wal PATH] [--durability …] [--snapshot-every N]
+//!                  [--wal PATH] [--durability …]
 //!                  # with --wal the in-memory image is discarded and the
 //!                  # scheduler state is rebuilt from the log alone
 //! txproc trace     [--seed N] [--processes N] [--density F] [--failures F]
@@ -172,28 +171,25 @@ fn workload_from(args: &Args) -> Result<txproc_sim::workload::Workload, String> 
 struct WalOpts {
     path: std::path::PathBuf,
     policy: DurabilityPolicy,
-    snapshot_every: usize,
     /// The journal's seal cadence, `--epoch N`.
     epoch: usize,
 }
 
 /// Parses the shared WAL options: `--wal PATH` turns journaling on,
-/// `--durability` picks the fsync policy (default `fsync-epoch`),
-/// `--snapshot-every N` the engine snapshot cadence (default 64), `--epoch N`
-/// the seal cadence (default 0). Without `--wal` none of the others is read,
-/// so [`Args::finish`] refuses them rather than let them do nothing.
+/// `--durability` picks the fsync policy (default `fsync-epoch`), `--epoch N`
+/// the seal cadence (default 0). Without `--wal` neither of the others is
+/// read, so [`Args::finish`] refuses them rather than let them do nothing.
 fn parse_wal(args: &Args) -> Result<Option<WalOpts>, String> {
     let Some(path) = args.raw("wal") else {
         return Ok(None);
     };
     let raw = args.get("durability", "fsync-epoch".to_string())?;
     let policy = DurabilityPolicy::parse(&raw).ok_or_else(|| {
-        format!("unknown durability policy `{raw}` (none|buffered|fsync-N|fsync-epoch)")
+        format!("unknown durability policy `{raw}` (buffered|fsync-N|fsync-epoch)")
     })?;
     Ok(Some(WalOpts {
         path: path.into(),
         policy,
-        snapshot_every: args.get("snapshot-every", 64usize)?,
         epoch: args.get("epoch", 0usize)?,
     }))
 }
@@ -229,7 +225,7 @@ fn simulate_concurrent(
     let check = args.flag("check");
     args.finish("simulate")?;
     if let Some(wal) = &wal {
-        builder = builder.durability(open_wal(wal, seed)?, wal.snapshot_every);
+        builder = builder.durability(open_wal(wal, seed)?, 0);
     }
     let r = builder.try_run()?.into_concurrent();
     println!("policy:            {}", policy.label());
@@ -287,7 +283,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     args.finish("simulate")?;
     let mut builder = RunBuilder::new(&w).config(cfg);
     if let Some(wal) = &wal {
-        builder = builder.durability(open_wal(wal, seed)?, wal.snapshot_every);
+        builder = builder.durability(open_wal(wal, seed)?, 0);
     }
     let r = builder.try_run()?.into_engine();
     println!("policy:            {}", policy.label());
@@ -822,7 +818,7 @@ fn cmd_crash(args: &Args) -> Result<(), String> {
     args.finish("crash")?;
     let mut engine = Engine::new(&w, run_cfg);
     if let Some(wal) = &wal {
-        engine = engine.with_wal(open_wal(wal, seed)?, wal.snapshot_every);
+        engine = engine.with_wal(open_wal(wal, seed)?);
     }
     engine.run_until_history(at);
     println!("history at crash: {}", render(engine.history()));
@@ -1204,8 +1200,8 @@ mod tests {
     /// first two are the left-overs that were once swallowed: `--runtime`
     /// after the thread runtime went, `--epoch` on the non-journaling
     /// gauntlet. The last rows are flags a subcommand reads on another path
-    /// only: journal options without `--wal`, engine options under
-    /// `--concurrent`.
+    /// only — journal options without `--wal`, engine options under
+    /// `--concurrent` — and `--snapshot-every`, which went with the snapshots.
     #[test]
     fn each_subcommand_rejects_flags_it_does_not_read() {
         for (cmd, raw) in [
@@ -1220,8 +1216,8 @@ mod tests {
             ("stats", &["--epoch", "4"]),
             ("top", &["--concurrent"]),
             ("simulate", &["--epoch", "8"]),
-            ("simulate", &["--durability", "none"]),
-            ("crash", &["--snapshot-every", "4"]),
+            ("simulate", &["--durability", "buffered"]),
+            ("crash", &["--wal", "x.wal", "--snapshot-every", "4"]),
             ("simulate", &["--concurrent", "--arrival-gap", "5"]),
             ("stats", &["--concurrent", "--sample-events", "8"]),
             ("stats", &["--sample-ms", "2"]),

@@ -101,5 +101,5 @@ pub use process::{Process, ProcessBuilder};
 pub use schedule::{Event, Schedule};
 pub use spec::Spec;
 pub use telemetry::{Phase, Registry, Snapshot, Telemetry};
-pub use trace::{Journal, JsonlSink, NoopSink, RingSink, TraceEvent, TraceRecord, TraceSink};
+pub use trace::{Journal, JsonlSink, NoopSink, TraceEvent, TraceRecord, TraceSink};
 pub use wal::{DurabilityPolicy, MemWal, WalRecord, WalWriter};

@@ -11,9 +11,8 @@
 //! the default and is zero-cost: emission sites consult
 //! [`TraceSink::enabled`] before building any payload, so an untraced run
 //! performs no allocation and no branching beyond one predictable `bool`
-//! check. [`Journal`] (shared in-memory vector), [`RingSink`] (bounded, keeps
-//! the most recent records) and [`JsonlSink`] (streaming JSON-lines writer)
-//! are provided for collection.
+//! check. [`Journal`] (shared in-memory vector) and [`JsonlSink`] (streaming
+//! JSON-lines writer) are provided for collection.
 //!
 //! On top of the raw journal sit three pure exporters: a pretty-printer
 //! (`Display` on [`TraceRecord`]), a Chrome-trace JSON exporter
@@ -29,7 +28,6 @@
 use crate::ids::{GlobalActivityId, ProcessId, ServiceId};
 use crate::schedule::Event;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -486,61 +484,6 @@ impl TraceSink for Journal {
     }
 }
 
-#[derive(Debug)]
-struct RingInner {
-    cap: usize,
-    buf: VecDeque<TraceRecord>,
-    dropped: u64,
-}
-
-/// A bounded shared journal keeping only the most recent `cap` records —
-/// the flight-recorder mode for long runs. Cloning yields another handle.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    inner: Arc<Mutex<RingInner>>,
-}
-
-impl RingSink {
-    /// New ring holding at most `cap` records (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(RingInner {
-                cap: cap.max(1),
-                buf: VecDeque::with_capacity(cap.clamp(1, 4096)),
-                dropped: 0,
-            })),
-        }
-    }
-
-    /// Poison-tolerant lock: ring mutations keep the buffer consistent at
-    /// every panic point, so a crashed producer leaves a readable ring.
-    fn guard(&self) -> std::sync::MutexGuard<'_, RingInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Copy of the retained records, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let g = self.guard();
-        g.buf.iter().cloned().collect()
-    }
-
-    /// Number of records evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.guard().dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: TraceRecord) {
-        let mut g = self.guard();
-        if g.buf.len() == g.cap {
-            g.buf.pop_front();
-            g.dropped += 1;
-        }
-        g.buf.push_back(rec);
-    }
-}
-
 /// A streaming JSON-lines writer: one JSON object per record per line.
 /// Records that fail to serialize or write are counted, not propagated —
 /// tracing must never fail the traced run.
@@ -981,59 +924,6 @@ pub fn explain_process(records: &[TraceRecord], pid: ProcessId) -> String {
     out
 }
 
-/// Explain why an operation was blocked: every block decision recorded for
-/// `gid`, with the blocking owners and how (whether) it was finally admitted.
-pub fn explain_op(records: &[TraceRecord], gid: GlobalActivityId) -> String {
-    let mut out = String::new();
-    let mut seen = false;
-    for r in records {
-        match &r.event {
-            TraceEvent::RequestBlocked {
-                gid: g, blockers, ..
-            } if *g == gid => {
-                seen = true;
-                out.push_str(&format!(
-                    "{gid} blocked at t={} h={} on [{}]\n",
-                    r.time,
-                    r.history_len,
-                    blockers
-                        .iter()
-                        .map(|p| p.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ));
-            }
-            TraceEvent::RequestAdmitted {
-                gid: g, deferred, ..
-            } if *g == gid => {
-                seen = true;
-                out.push_str(&format!(
-                    "{gid} admitted at t={} h={}{}\n",
-                    r.time,
-                    r.history_len,
-                    if *deferred { " (deferred)" } else { "" }
-                ));
-            }
-            TraceEvent::RequestRejected {
-                gid: g,
-                conflicting,
-                ..
-            } if *g == gid => {
-                seen = true;
-                out.push_str(&format!(
-                    "{gid} rejected at t={} h={}: cycle witness {conflicting}\n",
-                    r.time, r.history_len
-                ));
-            }
-            _ => {}
-        }
-    }
-    if !seen {
-        out.push_str(&format!("no admission decisions recorded for {gid}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1198,28 +1088,22 @@ mod tests {
     }
 
     #[test]
-    fn journal_and_ring_survive_a_poisoning_panic() {
+    fn journal_survives_a_poisoning_panic() {
         // A worker that dies while holding the journal lock poisons the std
         // mutex; the surviving handles must keep reading and writing — the
-        // push/pop mutations are atomic, so the buffer is always coherent.
+        // push mutation is atomic, so the buffer is always coherent.
         let journal = Journal::new();
-        let ring = RingSink::new(8);
-        let (j, r) = (journal.clone(), ring.clone());
+        let j = journal.clone();
         std::thread::spawn(move || {
             let _jg = j.inner.lock().unwrap();
-            let _rg = r.inner.lock().unwrap();
             panic!("simulated worker crash");
         })
         .join()
         .unwrap_err();
         let recs = fixture();
         let mut j = journal.clone();
-        let mut r = ring.clone();
         j.record(recs[0].clone());
-        r.record(recs[0].clone());
         assert_eq!(journal.snapshot(), recs[..1]);
-        assert_eq!(ring.snapshot(), recs[..1]);
-        assert_eq!(ring.dropped(), 0);
         assert_eq!(journal.take(), recs[..1]);
         assert!(journal.is_empty());
     }
@@ -1276,19 +1160,6 @@ mod tests {
         let bytes = sink.into_inner();
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(from_jsonl(&text).unwrap(), recs);
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let ring = RingSink::new(3);
-        let mut handle = ring.clone();
-        for rec in fixture() {
-            handle.record(rec);
-        }
-        let kept = ring.snapshot();
-        assert_eq!(kept.len(), 3);
-        assert_eq!(kept[0].seq, 3);
-        assert_eq!(ring.dropped(), 3);
     }
 
     #[test]
@@ -1376,13 +1247,5 @@ mod tests {
         assert!(out.contains("cascaded from another abort"));
         assert!(out.contains("victim of P1's group abort"));
         assert!(out.contains("triggered by a1_1"));
-    }
-
-    #[test]
-    fn explain_op_reports_block_then_admit() {
-        let out = explain_op(&fixture(), gid(2, 0));
-        assert!(out.contains("blocked at t=2"));
-        assert!(out.contains("admitted at t=5"));
-        assert!(out.contains("(deferred)"));
     }
 }

@@ -27,7 +27,8 @@
 //!
 //! Sync cadence is a [`DurabilityPolicy`]: per-record fsync for the
 //! paranoid, group fsync on epoch seals for throughput, buffered
-//! (OS-flushed, never fsynced) for tests and benches, or none.
+//! (OS-flushed, never fsynced) for tests and benches; no durability is no
+//! writer.
 //!
 //! The seal cadence belongs to the writer, not to the driver feeding it: a
 //! driver calls [`WalWriter::seal_every`] once, when it installs the writer,
@@ -43,15 +44,15 @@ use std::io::Write as _;
 use std::num::NonZeroU64;
 use std::sync::{Arc, Mutex};
 
-/// Version tag written in the [`WalRecord::Begin`] header record.
-pub const WAL_VERSION: u32 = 1;
+/// Version tag written in the [`WalRecord::Begin`] header record. Version 1
+/// logs could carry full-state snapshot markers, a record this reader no
+/// longer knows: it would take one for a torn tail and recover a *prefix*,
+/// so replay refuses a version-1 log at its first record instead.
+pub const WAL_VERSION: u32 = 2;
 
 /// How aggressively the WAL writer makes appended records durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityPolicy {
-    /// No durability: records are buffered and only flushed on drop.
-    /// (Config level: no WAL at all.)
-    None,
     /// Records are written to the store promptly but never fsynced —
     /// survives a process crash, not a machine crash.
     Buffered,
@@ -67,17 +68,15 @@ impl DurabilityPolicy {
     /// Short CLI/bench label, e.g. `fsync-epoch`.
     pub fn label(&self) -> String {
         match self {
-            DurabilityPolicy::None => "none".to_string(),
             DurabilityPolicy::Buffered => "buffered".to_string(),
             DurabilityPolicy::FsyncEveryN(n) => format!("fsync-{n}"),
             DurabilityPolicy::FsyncPerEpoch => "fsync-epoch".to_string(),
         }
     }
 
-    /// Parses a CLI label: `none | buffered | fsync-N | fsync-epoch`.
+    /// Parses a CLI label: `buffered | fsync-N | fsync-epoch`.
     pub fn parse(raw: &str) -> Option<DurabilityPolicy> {
         match raw {
-            "none" => Some(DurabilityPolicy::None),
             "buffered" => Some(DurabilityPolicy::Buffered),
             "fsync-epoch" => Some(DurabilityPolicy::FsyncPerEpoch),
             other => other
@@ -171,13 +170,6 @@ pub enum WalRecord {
         ticket: u64,
         /// The history event.
         event: Event,
-    },
-    /// A full state snapshot. The payload is an opaque JSON document owned
-    /// by the layer that wrote it (the engine's `DurableSnapshot`); replay
-    /// restores from the last complete snapshot and applies the log tail.
-    SnapshotMarker {
-        /// Serialized snapshot document.
-        payload: String,
     },
 }
 
@@ -402,7 +394,7 @@ pub struct WalWriter {
 }
 
 /// Flush the buffer to the store once it crosses this many bytes, even
-/// under `Buffered`/`None` (keeps memory bounded on long runs).
+/// under `Buffered` (keeps memory bounded on long runs).
 const FLUSH_THRESHOLD: usize = 64 * 1024;
 
 impl WalWriter {
@@ -457,7 +449,7 @@ impl WalWriter {
                     self.flush();
                 }
             }
-            DurabilityPolicy::None | DurabilityPolicy::FsyncPerEpoch => {
+            DurabilityPolicy::FsyncPerEpoch => {
                 if self.buf.len() >= FLUSH_THRESHOLD {
                     self.flush();
                 }
@@ -509,8 +501,8 @@ impl WalWriter {
     }
 
     /// Clean end of run: flushes, and makes the store durable under the
-    /// fsync policies. `None`/`Buffered` stay unsynced — they never
-    /// promised durability and must not masquerade as having it.
+    /// fsync policies. `Buffered` stays unsynced — it never promised
+    /// durability and must not masquerade as having it.
     pub fn finish(&mut self) {
         self.flush();
         if matches!(
@@ -541,7 +533,7 @@ impl Drop for WalWriter {
     fn drop(&mut self) {
         // Best-effort flush — including during a panic unwind, so the log's
         // durable prefix is as long as the run got. Never sync here: a
-        // crashing `None`/`Buffered` run should not masquerade as durable.
+        // crashing `Buffered` run should not masquerade as durable.
         if !self.buf.is_empty() {
             let _ = self.store.append(&self.buf);
             self.buf.clear();
@@ -678,7 +670,6 @@ mod tests {
             (DurabilityPolicy::FsyncEveryN(2), 4, 0, 2),          // Begin+1, then 2
             (DurabilityPolicy::FsyncPerEpoch, 4, 2, 2),
             (DurabilityPolicy::Buffered, 4, 2, 0),
-            (DurabilityPolicy::None, 4, 0, 0),
         ] {
             let mem = MemWal::new();
             let mut w = WalWriter::new(Box::new(mem.clone()), policy, 1);
@@ -737,20 +728,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_marker_carries_opaque_payload() {
-        let payload = "{\"history\": [1, 2, 3]}".to_string();
-        let rec = WalRecord::SnapshotMarker {
-            payload: payload.clone(),
-        };
-        let bytes = encode_record(&rec);
-        let (parsed, _) = read_records(&bytes);
-        assert_eq!(parsed, vec![WalRecord::SnapshotMarker { payload }]);
-    }
-
-    #[test]
     fn durability_policy_labels_round_trip() {
         for p in [
-            DurabilityPolicy::None,
             DurabilityPolicy::Buffered,
             DurabilityPolicy::FsyncEveryN(1),
             DurabilityPolicy::FsyncEveryN(8),

@@ -115,6 +115,43 @@ fn exploration_guarantees(process: &Process, catalog: &Catalog) -> bool {
     valid_executions(process, catalog, 100_000).is_ok()
 }
 
+/// The body of `syntactic_gt_is_sound`, as a plain function of the drawn tree
+/// (`regression_fallback_behind_an_all_retriable_branch` replays one).
+fn syntactic_gt_is_sound_on(node: &Node) -> TestCaseResult {
+    let Some((catalog, process)) = build(node) else {
+        return Ok(());
+    };
+    if process.len() > 14 {
+        // Keep the exhaustive exploration affordable.
+        return Ok(());
+    }
+    let analysis = FlexAnalysis::analyze(&process, &catalog);
+    if analysis.has_guaranteed_termination() {
+        prop_assert!(
+            exploration_guarantees(&process, &catalog),
+            "syntactic check accepted a process with an unhandled failure: {process:?}"
+        );
+    }
+    Ok(())
+}
+
+/// The one case the retired `flex_properties.proptest-regressions` recorded,
+/// `Choice(Chain([Retriable], None), Chain([Pivot, Comp], None))`: the
+/// fallback's pivot is never reached because the preferred branch cannot
+/// fail, so exploration passes a process the syntactic criterion rejects —
+/// why the property is soundness and not equivalence.
+#[test]
+fn regression_fallback_behind_an_all_retriable_branch() {
+    let node = Node::Choice(
+        Box::new(Node::Chain(vec![Kind::Retriable], None)),
+        Box::new(Node::Chain(vec![Kind::Pivot, Kind::Comp], None)),
+    );
+    syntactic_gt_is_sound_on(&node).unwrap();
+    let (catalog, process) = build(&node).expect("the tree builds");
+    assert!(!FlexAnalysis::analyze(&process, &catalog).has_guaranteed_termination());
+    assert!(exploration_guarantees(&process, &catalog));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -126,20 +163,7 @@ proptest! {
     /// preferred branch that can never fail.)
     #[test]
     fn syntactic_gt_is_sound(node in node_strategy()) {
-        let Some((catalog, process)) = build(&node) else {
-            return Ok(());
-        };
-        if process.len() > 14 {
-            // Keep the exhaustive exploration affordable.
-            return Ok(());
-        }
-        let analysis = FlexAnalysis::analyze(&process, &catalog);
-        if analysis.has_guaranteed_termination() {
-            prop_assert!(
-                exploration_guarantees(&process, &catalog),
-                "syntactic check accepted a process with an unhandled failure: {process:?}"
-            );
-        }
+        syntactic_gt_is_sound_on(&node)?;
     }
 
     /// Strict well-formed flex structure implies guaranteed termination

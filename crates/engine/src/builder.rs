@@ -9,7 +9,7 @@
 //! let out = RunBuilder::new(&workload)
 //!     .config(RunConfig { seed, epoch: 16, ..RunConfig::default() })
 //!     .sink(Box::new(journal.clone()))
-//!     .durability(WalWriter::new(store, DurabilityPolicy::FsyncPerEpoch, seed), 64)
+//!     .durability(WalWriter::new(store, DurabilityPolicy::FsyncPerEpoch, seed), 0)
 //!     .run()
 //!     .into_engine();
 //!
@@ -85,8 +85,7 @@ impl RunOutcome {
 /// [`RunConfig::default`]; [`Self::concurrent`] switches to the concurrent
 /// driver. Every other option composes with either driver (sampling is
 /// engine-only — the concurrent driver has no virtual clock to stamp
-/// samples with — and snapshot cadence is engine-only, since shard logs
-/// carry no agent state to snapshot).
+/// samples with).
 pub struct RunBuilder<'a> {
     workload: &'a Workload,
     engine_cfg: RunConfig,
@@ -94,7 +93,7 @@ pub struct RunBuilder<'a> {
     sink: Option<Box<dyn TraceSink + 'a>>,
     tele: Telemetry,
     sampling: Option<(u64, TimeSeries)>,
-    wal: Option<(WalWriter, usize)>,
+    wal: Option<WalWriter>,
 }
 
 impl<'a> RunBuilder<'a> {
@@ -127,8 +126,8 @@ impl<'a> RunBuilder<'a> {
     }
 
     /// Emits the decision trace into `sink`. Install a cloned
-    /// [`txproc_core::trace::Journal`] or [`txproc_core::trace::RingSink`]
-    /// handle to read the trace back after the run.
+    /// [`txproc_core::trace::Journal`] handle to read the trace back after
+    /// the run.
     pub fn sink(mut self, sink: Box<dyn TraceSink + 'a>) -> Self {
         self.sink = Some(sink);
         self
@@ -151,13 +150,11 @@ impl<'a> RunBuilder<'a> {
 
     /// Journals every durable state transition through `writer` (policy
     /// decides flush/fsync cadence; the driver's `epoch` becomes the writer's
-    /// seal cadence, [`WalWriter::seal_every`]). For engine runs, `snapshot_every > 0`
-    /// additionally appends a full-state snapshot marker each time that
-    /// many history events accumulated, so recovery replays only the log
-    /// tail; concurrent runs journal ticket-stamped shard events and
-    /// ignore the snapshot cadence.
-    pub fn durability(mut self, writer: WalWriter, snapshot_every: usize) -> Self {
-        self.wal = Some((writer, snapshot_every));
+    /// seal cadence, [`WalWriter::seal_every`]); concurrent runs journal
+    /// ticket-stamped shard events.
+    /// `_snapshot_every` is unused: the frozen benchmark passes `0` (gone with v2).
+    pub fn durability(mut self, writer: WalWriter, _snapshot_every: usize) -> Self {
+        self.wal = Some(writer);
         self
     }
 
@@ -182,7 +179,7 @@ impl<'a> RunBuilder<'a> {
                     cfg,
                     sink,
                     self.tele,
-                    self.wal.map(|(writer, _)| writer),
+                    self.wal,
                 )))
             }
             None => {
@@ -191,8 +188,8 @@ impl<'a> RunBuilder<'a> {
                 if let Some((every, series)) = self.sampling {
                     engine.set_sampling(every, series);
                 }
-                if let Some((writer, snapshot_every)) = self.wal {
-                    engine.set_wal(writer, snapshot_every);
+                if let Some(writer) = self.wal {
+                    engine.set_wal(writer);
                 }
                 Ok(RunOutcome::Engine(engine.run()))
             }

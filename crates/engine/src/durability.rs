@@ -1,4 +1,4 @@
-//! Snapshot + log-replay recovery: rebuilding a crash image from the WAL.
+//! Log-replay recovery: rebuilding a crash image from the WAL.
 //!
 //! [`crate::engine::Engine::with_wal`] appends a typed
 //! [`WalRecord`](txproc_core::wal::WalRecord) at every durable state
@@ -22,8 +22,7 @@
 //! deferred release alone and logs its `Decision` before the `Execute` event
 //! of its participant, so no prefix shows an executed-but-undecided prepared
 //! invocation: replay never has to guess a decision, and [`rebuild_image`]
-//! refuses a log that shows one (an older build's group commit) as
-//! [`RebuildError::Inconsistent`].
+//! refuses a log that shows one as [`RebuildError::Inconsistent`].
 //!
 //! ## Determinism of agent replay
 //!
@@ -37,7 +36,6 @@
 
 use crate::engine::InvocationLogEntry;
 use crate::recovery::CrashImage;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use txproc_core::ids::GlobalActivityId;
 use txproc_core::schedule::{Event, Schedule};
@@ -46,37 +44,6 @@ use txproc_sim::workload::Workload;
 use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
 use txproc_subsystem::tpc::{Coordinator, Decision, Participant};
-
-/// The engine's full durable state at a snapshot point, serialized into a
-/// [`WalRecord::SnapshotMarker`] payload. Restoring it and replaying the
-/// records that follow is equivalent to replaying the whole log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DurableSnapshot {
-    /// Emitted history prefix.
-    pub history: Schedule,
-    /// Durable invocation log.
-    pub invocation_log: Vec<InvocationLogEntry>,
-    /// 2PC decision log.
-    pub coordinator: Coordinator,
-    /// Subsystem agents with their full transactional state.
-    pub agents: BTreeMap<SubsystemId, Agent>,
-}
-
-/// Serializes a snapshot payload for a [`WalRecord::SnapshotMarker`].
-pub fn snapshot_payload(
-    history: &Schedule,
-    invocation_log: &[InvocationLogEntry],
-    coordinator: &Coordinator,
-    agents: &BTreeMap<SubsystemId, Agent>,
-) -> String {
-    let snap = DurableSnapshot {
-        history: history.clone(),
-        invocation_log: invocation_log.to_vec(),
-        coordinator: coordinator.clone(),
-        agents: agents.clone(),
-    };
-    serde_json::to_string(&snap).expect("snapshot serializes infallibly")
-}
 
 /// Why a WAL could not be folded back into a crash image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,10 +60,9 @@ pub enum RebuildError {
         /// Seed of the workload given to [`rebuild_image`].
         expected: u64,
     },
-    /// A snapshot payload did not deserialize.
-    BadSnapshot(String),
     /// A record references state the workload or log prefix does not
-    /// contain, or replaying it diverged from what was logged.
+    /// contain, replaying it diverged from what was logged, or the records
+    /// are not one run's log (no `Begin` at the head, or a second one).
     Inconsistent(String),
     /// The log contains concurrent-driver shard records; those carry
     /// history only (see `wal_history`) and cannot rebuild agents.
@@ -112,7 +78,6 @@ impl std::fmt::Display for RebuildError {
             RebuildError::SeedMismatch { found, expected } => {
                 write!(f, "WAL seed {found} != workload seed {expected}")
             }
-            RebuildError::BadSnapshot(msg) => write!(f, "snapshot payload: {msg}"),
             RebuildError::Inconsistent(msg) => write!(f, "log/workload mismatch: {msg}"),
             RebuildError::ShardLog => write!(
                 f,
@@ -127,68 +92,54 @@ impl std::error::Error for RebuildError {}
 /// Rebuilds the durable state a record sequence describes, returning the
 /// same [`CrashImage`] the in-memory crash path produces. `records` is
 /// whatever [`read_records`](txproc_core::wal::read_records) salvaged — any
-/// clean prefix of a run's log is valid input. Replay starts from the last
-/// complete snapshot marker when one survived, else from genesis.
+/// clean prefix of a run's log is valid input, the empty one (a cut inside
+/// the `Begin` frame) included. Replay is from genesis: the log is the only
+/// durable form of the state, and its `Begin` header is checked first.
 pub fn rebuild_image(
     workload: &Workload,
     records: &[WalRecord],
 ) -> Result<CrashImage, RebuildError> {
-    // Restore the most recent snapshot; everything before it is absorbed.
-    let snap_at = records
-        .iter()
-        .rposition(|r| matches!(r, WalRecord::SnapshotMarker { .. }));
-    let (mut history, mut invocation_log, mut coordinator, mut agents, tail) = match snap_at {
-        Some(i) => {
-            let WalRecord::SnapshotMarker { payload } = &records[i] else {
-                unreachable!("rposition matched a snapshot marker");
-            };
-            let snap: DurableSnapshot = serde_json::from_str(payload)
-                .map_err(|e| RebuildError::BadSnapshot(format!("{e:?}")))?;
-            (
-                snap.history,
-                snap.invocation_log,
-                snap.coordinator,
-                snap.agents,
-                &records[i + 1..],
-            )
-        }
-        None => {
-            let mut agents = BTreeMap::new();
-            for sid in workload.deployment.subsystems() {
-                agents.insert(
-                    sid,
-                    Agent::new(Subsystem::new(sid, format!("sub{}", sid.0))),
-                );
-            }
-            (
-                Schedule::new(),
-                Vec::new(),
-                Coordinator::new(),
-                agents,
-                records,
-            )
-        }
-    };
+    let mut history = Schedule::new();
+    let mut invocation_log = Vec::new();
+    let mut coordinator = Coordinator::new();
+    let mut agents = BTreeMap::new();
+    for sid in workload.deployment.subsystems() {
+        agents.insert(
+            sid,
+            Agent::new(Subsystem::new(sid, format!("sub{}", sid.0))),
+        );
+    }
     // gid → agent handle and whether it was prepared, for compensation
     // replay and the decided-before-executed check.
     let mut invocation_of: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId, bool)> =
-        invocation_log
-            .iter()
-            .map(|e| (e.gid, (e.subsystem, e.invocation, e.prepared)))
-            .collect();
+        BTreeMap::new();
 
-    for record in tail {
+    let body = match records {
+        [] => records,
+        [WalRecord::Begin { version, seed }, body @ ..] => {
+            if *version != WAL_VERSION {
+                return Err(RebuildError::VersionMismatch { found: *version });
+            }
+            if *seed != workload.config.seed {
+                return Err(RebuildError::SeedMismatch {
+                    found: *seed,
+                    expected: workload.config.seed,
+                });
+            }
+            body
+        }
+        [first, ..] => {
+            return Err(RebuildError::Inconsistent(format!(
+                "log starts with {first:?}, not Begin"
+            )))
+        }
+    };
+    for record in body {
         match record {
-            WalRecord::Begin { version, seed } => {
-                if *version != WAL_VERSION {
-                    return Err(RebuildError::VersionMismatch { found: *version });
-                }
-                if *seed != workload.config.seed {
-                    return Err(RebuildError::SeedMismatch {
-                        found: *seed,
-                        expected: workload.config.seed,
-                    });
-                }
+            WalRecord::Begin { .. } => {
+                return Err(RebuildError::Inconsistent(
+                    "a second Begin record".to_string(),
+                ))
             }
             WalRecord::Invocation {
                 gid,
@@ -247,7 +198,9 @@ pub fn rebuild_image(
                     let &(sid, inv, _) = invocation_of.get(gid).ok_or_else(|| {
                         RebuildError::Inconsistent(format!("compensating unlogged {gid}"))
                     })?;
-                    let agent = agents.get_mut(&sid).expect("mapped agent exists");
+                    let agent = agents.get_mut(&sid).ok_or_else(|| {
+                        RebuildError::Inconsistent(format!("no agent for subsystem {}", sid.0))
+                    })?;
                     let out = agent.compensate(inv).map_err(|e| {
                         RebuildError::Inconsistent(format!("compensate {gid}: {e}"))
                     })?;
@@ -258,10 +211,8 @@ pub fn rebuild_image(
                     }
                 }
                 // A release is decided before its event is logged. A log that
-                // shows the event first (the group commit of format-1 logs
-                // written at a non-zero `epoch` before the seal cadence moved
-                // into the writer) would rebuild to an executed activity that
-                // recovery then aborts: refuse it instead.
+                // shows the event first would rebuild to an executed activity
+                // that recovery then aborts: refuse it instead.
                 if let Event::Execute(gid) = event {
                     if let Some(&(subsystem, invocation, true)) = invocation_of.get(gid) {
                         let p = Participant {
@@ -319,9 +270,6 @@ pub fn rebuild_image(
                     })?;
             }
             WalRecord::EpochSeal { .. } => {}
-            WalRecord::SnapshotMarker { .. } => {
-                unreachable!("replay starts after the last snapshot marker")
-            }
             WalRecord::ShardEvent { .. } => return Err(RebuildError::ShardLog),
         }
     }

@@ -180,11 +180,6 @@ pub struct Engine<'a> {
     /// pure observation: installing it never changes scheduling decisions,
     /// so WAL-on and WAL-off runs emit bit-identical histories.
     wal: Option<WalWriter>,
-    /// Append a full-state snapshot marker every this many emitted history
-    /// events (`0`: never — recovery replays from the log head).
-    snapshot_every: usize,
-    /// History length at the last snapshot marker.
-    last_snapshot: usize,
 }
 
 /// One durable invocation-log entry: enough to find the subsystem
@@ -261,8 +256,6 @@ impl<'a> Engine<'a> {
             sampling: None,
             events_processed: 0,
             wal: None,
-            snapshot_every: 0,
-            last_snapshot: 0,
         };
         // Closed arrivals keep the config's `arrival_gap` staggering; open
         // models (Poisson / Burst) take their times from the workload.
@@ -306,21 +299,17 @@ impl<'a> Engine<'a> {
 
     /// Installs a durable write-ahead journal: every durable state
     /// transition (invocation, release, decision, history event) appends a
-    /// typed record before the run proceeds past it. `snapshot_every > 0`
-    /// additionally appends a full-state snapshot marker each time that
-    /// many history events accumulated since the last one, so recovery
-    /// replays only the log tail. The writer seals itself every
-    /// [`RunConfig::epoch`] history events. Journaling is pure observation —
-    /// the emitted history is bit-identical with and without it.
-    pub fn with_wal(mut self, writer: WalWriter, snapshot_every: usize) -> Self {
-        self.set_wal(writer, snapshot_every);
+    /// typed record before the run proceeds past it. The writer seals
+    /// itself every [`RunConfig::epoch`] history events. Journaling is pure
+    /// observation — the emitted history is bit-identical with and without it.
+    pub fn with_wal(mut self, writer: WalWriter) -> Self {
+        self.set_wal(writer);
         self
     }
 
-    pub(crate) fn set_wal(&mut self, mut writer: WalWriter, snapshot_every: usize) {
+    pub(crate) fn set_wal(&mut self, mut writer: WalWriter) {
         writer.seal_every(self.cfg.epoch);
         self.wal = Some(writer);
-        self.snapshot_every = snapshot_every;
     }
 
     /// Appends one record to the journal (no-op without one).
@@ -482,14 +471,6 @@ impl<'a> Engine<'a> {
                 self.invocation_log.len(),
                 self.done.len(),
             );
-            // Snapshot at tick boundaries only: no 2PC decision window is
-            // open, so the captured state is consistent by construction.
-            if self.wal.is_some()
-                && self.snapshot_every > 0
-                && self.history.len() - self.last_snapshot >= self.snapshot_every
-            {
-                self.append_snapshot();
-            }
             if before != after {
                 // Real progress: effects, prepares, or terminations.
                 self.stall_guard = 0;
@@ -596,20 +577,6 @@ impl<'a> Engine<'a> {
             });
         }
         ok
-    }
-
-    /// Appends a full-state snapshot marker: history, invocation log, 2PC
-    /// decision log, and agents, serialized so recovery restores them and
-    /// replays only the records that follow.
-    fn append_snapshot(&mut self) {
-        self.last_snapshot = self.history.len();
-        let payload = crate::durability::snapshot_payload(
-            &self.history,
-            &self.invocation_log,
-            &self.coordinator,
-            &self.agents,
-        );
-        self.wal_append(WalRecord::SnapshotMarker { payload });
     }
 
     fn dispatch(&mut self, pid: ProcessId) {

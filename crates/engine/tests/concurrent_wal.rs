@@ -218,7 +218,7 @@ fn recovery_sources_agree_on_files_and_bytes() {
             epoch: 4,
             ..RunConfig::default()
         };
-        let mut engine = Engine::new(&w, cfg).with_wal(writer, 16);
+        let mut engine = Engine::new(&w, cfg).with_wal(writer);
         engine.run_until_history(7 + seed as usize);
         drop(engine.crash());
 

@@ -78,7 +78,7 @@ fn panicking_run_leaves_parseable_jsonl_and_wal_tails() {
     let builder = RunBuilder::new(&w)
         .config(cfg)
         .sink(Box::new(sink))
-        .durability(writer, 8);
+        .durability(writer, 0);
     let panicked = catch_unwind(AssertUnwindSafe(move || builder.run())).is_err();
     assert!(panicked, "the injected sink crash must unwind the run");
 

@@ -7,11 +7,12 @@
 //! every process terminated, no activity executed twice, and an idempotent
 //! second recovery, and whose completion tail is a linearisation of the
 //! reference `≪̃` (`support/tail_oracle.rs`). The sweep runs logs sealed per
-//! event, logs sealed every 4 events with snapshots, at 6 processes, and 16
-//! cuts per log at 32; every swept log shows each 2PC decision before the
+//! event and logs sealed every 4 events, at 6 processes, and 16 cuts per log
+//! at 32; every swept log shows each 2PC decision before the
 //! `Execute` of its participants, so no cut can fall between the two the
 //! wrong way round; `nightly_full_sweep` (ignored by default, run
-//! by the nightly CI job) widens the seed range.
+//! by the nightly CI job) widens the seed range. What is not a prefix of this
+//! workload's log is refused: one test per [`RebuildError`] variant.
 
 #[path = "support/tail_oracle.rs"]
 mod tail_oracle;
@@ -23,9 +24,11 @@ use txproc_core::spec::Spec;
 use txproc_core::wal::{
     encode_record, read_records, DurabilityPolicy, MemWal, WalRecord, WalWriter,
 };
+use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::durability::{rebuild_image, RebuildError};
 use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::recovery::recover;
+use txproc_engine::RunBuilder;
 use txproc_sim::workload::{generate, Workload, WorkloadConfig};
 
 /// The process graph by definition — every cross-process pair probed — that
@@ -65,7 +68,7 @@ fn workload_32(seed: u64) -> Workload {
 
 /// A finished epoch-16 run's log and `n` evenly spaced record boundaries.
 fn logged_cuts(w: &Workload, n: usize) -> (Vec<u8>, Vec<usize>) {
-    let (engine, mem) = wal_engine(w, 16, 0);
+    let (engine, mem) = wal_engine(w, 16);
     assert!(engine.run().stalled.is_empty(), "run stalled");
     let bytes = mem.contents();
     assert_decided_before_executed(&bytes, "32-process log");
@@ -74,7 +77,7 @@ fn logged_cuts(w: &Workload, n: usize) -> (Vec<u8>, Vec<usize>) {
     (bytes, cuts)
 }
 
-fn wal_engine(w: &Workload, epoch: usize, snapshot_every: usize) -> (Engine<'_>, MemWal) {
+fn wal_engine(w: &Workload, epoch: usize) -> (Engine<'_>, MemWal) {
     let mem = MemWal::new();
     let writer = WalWriter::new(
         Box::new(mem.clone()),
@@ -86,7 +89,7 @@ fn wal_engine(w: &Workload, epoch: usize, snapshot_every: usize) -> (Engine<'_>,
         epoch,
         ..RunConfig::default()
     };
-    let engine = Engine::new(w, cfg).with_wal(writer, snapshot_every);
+    let engine = Engine::new(w, cfg).with_wal(writer);
     (engine, mem)
 }
 
@@ -199,9 +202,9 @@ fn assert_decided_before_executed(bytes: &[u8], label: &str) {
 }
 
 /// Sweeps every record boundary and one torn mid-record offset per frame.
-fn sweep(seed: u64, epoch: usize, snapshot_every: usize, label: &str) {
+fn sweep(seed: u64, epoch: usize, label: &str) {
     let w = workload(seed);
-    let (engine, mem) = wal_engine(&w, epoch, snapshot_every);
+    let (engine, mem) = wal_engine(&w, epoch);
     let result = engine.run();
     assert!(result.stalled.is_empty(), "{label}: run stalled");
     let bytes = mem.contents();
@@ -235,7 +238,7 @@ fn wal_journaling_never_changes_the_run() {
                 ..RunConfig::default()
             };
             let plain = Engine::new(&w, cfg.clone()).run();
-            let (engine, _mem) = wal_engine(&w, epoch, 8);
+            let (engine, _mem) = wal_engine(&w, epoch);
             let logged = engine.run();
             assert_eq!(
                 render(&plain.history),
@@ -253,7 +256,7 @@ fn full_log_rebuild_matches_the_crash_image() {
     for seed in 0..8u64 {
         for crash_at in [3usize, 9, 100_000] {
             let w = workload(seed);
-            let (mut engine, mem) = wal_engine(&w, 0, 0);
+            let (mut engine, mem) = wal_engine(&w, 0);
             engine.run_until_history(crash_at);
             let image = engine.crash();
             let (records, _) = read_records(&mem.contents());
@@ -285,14 +288,14 @@ fn full_log_rebuild_matches_the_crash_image() {
 #[test]
 fn crash_sweep_per_event_mode() {
     for seed in 0..8u64 {
-        sweep(seed, 0, 0, &format!("per-event seed {seed}"));
+        sweep(seed, 0, &format!("per-event seed {seed}"));
     }
 }
 
 #[test]
-fn crash_sweep_epoch_mode_with_snapshots() {
+fn crash_sweep_sealed_every_4() {
     for seed in 0..8u64 {
-        sweep(seed, 4, 8, &format!("epoch seed {seed}"));
+        sweep(seed, 4, &format!("epoch seed {seed}"));
     }
 }
 
@@ -336,29 +339,110 @@ fn group_abort_victims_are_pinned() {
         .contains(&Event::GroupAbort(report.aborted.clone())));
 }
 
-#[test]
-fn rebuild_rejects_mismatched_workload() {
-    let w = workload(1);
-    let (engine, mem) = wal_engine(&w, 0, 0);
+/// The records of a finished per-event run of `w`.
+fn full_log(w: &Workload) -> Vec<WalRecord> {
+    let (engine, mem) = wal_engine(w, 0);
     engine.run();
-    let (records, _) = read_records(&mem.contents());
-    let other = workload(2);
-    assert!(
-        rebuild_image(&other, &records).is_err(),
-        "log of seed 1 must not rebuild against workload seed 2"
+    read_records(&mem.contents()).0
+}
+
+#[test]
+fn rebuild_refuses_a_version_1_log() {
+    // Version 1 could carry snapshot markers, which `read_records` would now
+    // take for a torn tail: the log is refused whole, not recovered in part.
+    let w = workload(1);
+    let mut records = full_log(&w);
+    records[0] = WalRecord::Begin {
+        version: 1,
+        seed: 1,
+    };
+    assert_eq!(
+        rebuild_image(&w, &records).unwrap_err(),
+        RebuildError::VersionMismatch { found: 1 }
     );
 }
 
 #[test]
-fn rebuild_refuses_an_executed_but_undecided_release() {
-    // What a log written with group commit (a non-zero `epoch` before the seal
-    // cadence moved into the writer) and cut inside the release window shows:
-    // the `Execute` event of a prepared invocation with no `Decision` naming
-    // it. No current run writes this; rebuild must not fold it silently.
+fn rebuild_refuses_a_foreign_seed() {
+    let records = full_log(&workload(1));
+    assert_eq!(
+        rebuild_image(&workload(2), &records).unwrap_err(),
+        RebuildError::SeedMismatch {
+            found: 1,
+            expected: 2
+        }
+    );
+}
+
+#[test]
+fn rebuild_refuses_a_concurrent_driver_log() {
     let w = workload(1);
-    let (engine, mem) = wal_engine(&w, 0, 0);
-    engine.run();
+    let mem = MemWal::new();
+    let writer = WalWriter::new(Box::new(mem.clone()), DurabilityPolicy::Buffered, 1);
+    RunBuilder::new(&w)
+        .concurrent(ConcurrentConfig {
+            seed: 1,
+            workers: Some(1),
+            ..ConcurrentConfig::default()
+        })
+        .durability(writer, 0)
+        .run();
     let (records, _) = read_records(&mem.contents());
+    assert_eq!(
+        rebuild_image(&w, &records).unwrap_err(),
+        RebuildError::ShardLog
+    );
+}
+
+#[test]
+fn rebuild_refuses_an_invocation_on_an_unknown_subsystem() {
+    let w = workload(1);
+    let mut records = full_log(&w);
+    let subsystem = records
+        .iter_mut()
+        .find_map(|r| match r {
+            WalRecord::Invocation { subsystem, .. } => Some(subsystem),
+            _ => None,
+        })
+        .expect("seed 1 invokes a service");
+    *subsystem = u32::MAX;
+    let err = rebuild_image(&w, &records).unwrap_err();
+    assert!(
+        matches!(&err, RebuildError::Inconsistent(msg) if msg.contains("unknown subsystem")),
+        "{err}"
+    );
+}
+
+#[test]
+fn rebuild_refuses_a_headless_log() {
+    // The header is what ties a log to a format and a workload; records that
+    // do not start with exactly one were never checked against either. The
+    // empty sequence — a cut inside the `Begin` frame — is still genesis.
+    let w = workload(1);
+    let records = full_log(&w);
+    assert!(matches!(records[0], WalRecord::Begin { .. }));
+    let err = rebuild_image(&w, &records[1..]).unwrap_err();
+    assert!(
+        matches!(&err, RebuildError::Inconsistent(msg) if msg.contains("not Begin")),
+        "{err}"
+    );
+    let twice = [&records[..1], &records[..]].concat();
+    let err = rebuild_image(&w, &twice).unwrap_err();
+    assert!(
+        matches!(&err, RebuildError::Inconsistent(msg) if msg.contains("second Begin")),
+        "{err}"
+    );
+    let genesis = rebuild_image(&w, &[]).expect("an empty log is genesis");
+    assert!(genesis.history.is_empty() && genesis.invocation_log.is_empty());
+}
+
+#[test]
+fn rebuild_refuses_an_executed_but_undecided_release() {
+    // The `Execute` event of a prepared invocation with no `Decision` naming
+    // it (what a version-1 group commit cut inside its release window showed).
+    // No current run writes this; rebuild must not fold it silently.
+    let w = workload(1);
+    let records = full_log(&w);
     let executed = records
         .iter()
         .position(|r| {
@@ -390,7 +474,7 @@ fn rebuild_refuses_an_executed_but_undecided_release() {
 #[ignore = "nightly: 64-seed sweep"]
 fn nightly_full_sweep() {
     for seed in 0..64u64 {
-        sweep(seed, 0, 0, &format!("nightly per-event seed {seed}"));
-        sweep(seed, 4, 8, &format!("nightly epoch seed {seed}"));
+        sweep(seed, 0, &format!("nightly per-event seed {seed}"));
+        sweep(seed, 4, &format!("nightly epoch seed {seed}"));
     }
 }

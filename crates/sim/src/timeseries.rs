@@ -10,8 +10,8 @@
 //! * [`TimeSeries::push_virtual`] — an in-loop hook the virtual-time engine
 //!   calls every K processed events, stamping the simulated clock.
 //!
-//! The ring keeps the most recent `cap` samples (flight-recorder semantics,
-//! like `trace::RingSink`) and exports the whole series as a JSON document
+//! The ring keeps the most recent `cap` samples (flight-recorder semantics)
+//! and exports the whole series as a JSON document
 //! (`txproc-timeseries/v1`) for `txproc stats` and the CI artifacts.
 
 use serde::{Deserialize, Serialize};
