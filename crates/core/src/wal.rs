@@ -160,28 +160,16 @@ pub enum WalRecord {
         /// Monotonic epoch counter.
         epoch: u64,
     },
-    /// A history event of one shard of the concurrent driver, stamped with
-    /// its global merge ticket. Sorting by ticket reconstructs the merged
-    /// history.
-    ShardEvent {
-        /// Shard that appended the event.
-        shard: u32,
-        /// Global merge ticket (total order across shards).
-        ticket: u64,
-        /// The history event.
-        event: Event,
-    },
 }
 
 impl WalRecord {
-    /// Whether replaying this record appends a history event: an `Event`, a
-    /// `ShardEvent`, or an immediate `Invocation` (which implies its
-    /// `Execute`). These are what [`WalWriter::seal_every`] counts.
+    /// Whether replaying this record appends a history event: an `Event`, or
+    /// an immediate `Invocation` (which implies its `Execute`). These are
+    /// what [`WalWriter::seal_every`] counts.
     pub fn carries_event(&self) -> bool {
         matches!(
             self,
             WalRecord::Event { .. }
-                | WalRecord::ShardEvent { .. }
                 | WalRecord::Invocation {
                     prepared: false,
                     ..
@@ -590,9 +578,7 @@ mod tests {
                 invocation: 6,
             },
             WalRecord::EpochSeal { epoch: 1 },
-            WalRecord::ShardEvent {
-                shard: 1,
-                ticket: 42,
+            WalRecord::Event {
                 event: Event::Commit(ProcessId(1)),
             },
         ]

@@ -31,10 +31,12 @@ use txproc_sim::metrics::Metrics;
 use txproc_sim::timeseries::TimeSeries;
 use txproc_sim::workload::Workload;
 
-/// What a [`RunBuilder`] run produced: the engine and the concurrent
-/// driver keep their distinct result types (virtual ticks vs wall-clock
-/// metrics, PRED verdict vs shard metrics), unified behind one enum with
-/// accessors for the fields every run has.
+/// What a [`RunBuilder`] run produced. History and metrics come from one
+/// scheduler step either way and differ only in the clock their times were
+/// read off (virtual ticks or wall microseconds); the two
+/// result types differ in what their driver adds — a PRED verdict and the
+/// stalled list, or runtime metrics and the durable state the run ended
+/// with.
 #[derive(Debug)]
 pub enum RunOutcome {
     /// A virtual-time engine run.
@@ -84,8 +86,7 @@ impl RunOutcome {
 /// Builder over one workload run. Defaults to the virtual-time engine with
 /// [`RunConfig::default`]; [`Self::concurrent`] switches to the concurrent
 /// driver. Every other option composes with either driver (sampling is
-/// engine-only — the concurrent driver has no virtual clock to stamp
-/// samples with).
+/// engine-only — samples are stamped with the virtual clock).
 pub struct RunBuilder<'a> {
     workload: &'a Workload,
     engine_cfg: RunConfig,
@@ -141,8 +142,8 @@ impl<'a> RunBuilder<'a> {
     }
 
     /// Samples the telemetry registry into `series` every `every_events`
-    /// dispatch events (engine runs only; ignored by the concurrent
-    /// driver, which has no virtual clock).
+    /// steps (engine runs only; ignored by the concurrent driver, whose
+    /// clock is the wall's).
     pub fn sampling(mut self, every_events: u64, series: TimeSeries) -> Self {
         self.sampling = Some((every_events, series));
         self
@@ -150,8 +151,8 @@ impl<'a> RunBuilder<'a> {
 
     /// Journals every durable state transition through `writer` (policy
     /// decides flush/fsync cadence; the driver's `epoch` becomes the writer's
-    /// seal cadence, [`WalWriter::seal_every`]); concurrent runs journal
-    /// ticket-stamped shard events.
+    /// seal cadence, [`WalWriter::seal_every`]), the same records on either
+    /// driver.
     /// `_snapshot_every` is unused: the frozen benchmark passes `0` (gone with v2).
     pub fn durability(mut self, writer: WalWriter, _snapshot_every: usize) -> Self {
         self.wal = Some(writer);
@@ -183,8 +184,7 @@ impl<'a> RunBuilder<'a> {
                 )))
             }
             None => {
-                let mut engine = Engine::assemble(self.workload, self.engine_cfg, sink);
-                engine.set_telemetry(self.tele);
+                let mut engine = Engine::assemble(self.workload, self.engine_cfg, sink, self.tele);
                 if let Some((every, series)) = self.sampling {
                     engine.set_sampling(every, series);
                 }

@@ -1,10 +1,12 @@
-//! Concurrent driver: the same scheduling protocol exercised under real
-//! concurrency, sharded by conflict domains and stepped by an event-driven
-//! worker pool.
+//! The scheduler — `Shard::step`, the one implementation of the protocol's
+//! transitions — and its wall-clock driver: the workload sharded by conflict
+//! domains and stepped by an event-driven worker pool.
 //!
-//! The virtual-time [`Engine`](crate::engine::Engine) is deterministic and
-//! fast — ideal for experiments. This driver runs the workload under real
-//! OS concurrency. The paper's protocol (Lemmas 1–3) only ever orders
+//! The virtual-time [`Engine`](crate::engine::Engine) is deterministic —
+//! ideal for experiments — and is a second clock around the same step: one
+//! `RunCtx`, one worker, one shard holding every process. This driver
+//! runs the workload under real OS concurrency. The paper's protocol
+//! (Lemmas 1–3) only ever orders
 //! operations that *conflict*, so processes in different connected
 //! components of the potential-conflict graph impose no ordering
 //! obligations on each other. The driver exploits that: a
@@ -52,14 +54,19 @@
 //! tickets and metrics are unchanged by the lifecycle; only *when* memory is
 //! live, the journal flush point and instrument registration time follow it.
 //!
-//! What two workers *can* reach is behind a lock, and these are all of them
-//! (none is ever held while acquiring another):
+//! What two workers *can* reach is behind a lock, and these are all of
+//! them. Two are taken while another is held, always in the order
+//! coordinator → agent → writer: a release holds the coordinator from its
+//! `Decision` record to its `DecisionApplied` (group ids are log order), and
+//! an invocation is journalled while its agent stays locked (invocation ids
+//! are log order, which is what replay reproduces them from).
 //!
 //! | lock                        | protects                              |
 //! |-----------------------------|---------------------------------------|
 //! | trace sink mutex            | global journal + dense trace seq      |
+//! | coordinator mutex           | 2PC decision log + group ids          |
 //! | agent mutex (per subsystem) | subsystem state + key locks           |
-//! | WAL writer mutex            | the durable shard-event log           |
+//! | WAL writer mutex            | the durable log + the merge ticket    |
 //!
 //! Agents are shared across shards, but a key lock held by a prepared
 //! invocation can only block a *conflicting* service (reads do not lock;
@@ -75,6 +82,7 @@
 
 use crate::certify::CertGate;
 use crate::policy::{Policy, PolicyKind};
+use crate::recovery::InvocationLogEntry;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +90,7 @@ use std::time::{Duration, Instant};
 use txproc_core::activity::Termination;
 use txproc_core::domains::DomainPartition;
 use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId, ServiceId};
-use txproc_core::protocol::Admission;
+use txproc_core::protocol::{Admission, CompletionGate};
 use txproc_core::schedule::{Event, Schedule};
 use txproc_core::state::{FailureOutcome, ProcessState, ProcessStatus};
 use txproc_core::telemetry::{Counter, Gauge, Phase, Telemetry};
@@ -93,6 +101,7 @@ use txproc_sim::workload::{ArrivalModel, Workload};
 use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 use txproc_subsystem::deploy::ServiceSite;
 use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
+use txproc_subsystem::tpc::{Coordinator, Participant};
 
 /// Label of the one runtime in [`RuntimeMetrics::runtime`] and the bench
 /// reports' `runtime` column.
@@ -214,6 +223,13 @@ pub struct ConcurrentResult {
     pub history: Schedule,
     /// Aggregate metrics; `metrics.shards` holds one entry per shard.
     pub metrics: Metrics,
+    /// The subsystems as the run left them.
+    pub agents: BTreeMap<SubsystemId, Agent>,
+    /// The 2PC coordinator's decision log.
+    pub coordinator: Coordinator,
+    /// Every service invocation of the run, shard by shard (so in
+    /// invocation order per activity and per process).
+    pub invocation_log: Vec<InvocationLogEntry>,
 }
 
 /// Per-subsystem agents, each behind its own lock so agent work does not
@@ -228,6 +244,8 @@ struct TraceShared<'a> {
     seq: AtomicU64,
     enabled: bool,
     /// Static shard→worker assignment (the `worker` lane of each record).
+    /// Empty for a run that is not sharded out to workers: its records
+    /// name no lane.
     worker_of_shard: Vec<u32>,
 }
 
@@ -237,19 +255,20 @@ impl TraceShared<'_> {
     /// lock), so journal order and seq order stay identical even when
     /// shards race to record; the flush lets a buffering sink write the
     /// batch as one I/O operation.
-    fn record_batch(&self, shard: u32, entries: Vec<(usize, TraceEvent)>) {
+    fn record_batch(&self, shard: u32, entries: Vec<(usize, Option<u64>, TraceEvent)>) {
         if entries.is_empty() {
             return;
         }
-        let worker = Some(self.worker_of_shard[shard as usize]);
+        let worker = self.worker_of_shard.get(shard as usize).copied();
+        let shard = worker.map(|_| shard);
         let mut sink = self.sink.lock();
-        for (history_len, event) in entries {
+        for (history_len, time, event) in entries {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             sink.record(TraceRecord {
                 seq,
-                time: seq,
+                time: time.unwrap_or(seq),
                 history_len,
-                shard: Some(shard),
+                shard,
                 worker,
                 event,
             });
@@ -258,23 +277,66 @@ impl TraceShared<'_> {
     }
 }
 
+/// The clock a run reads — the one thing a driver tells the run context
+/// about itself. Latency, makespan, blocked time, the trace stamp and the
+/// crash-storm window are read off it; nothing else asks.
+pub(crate) enum Clock {
+    /// Wall time since the run started, in microseconds (one tick of the
+    /// workload's arrival model = 1µs).
+    Wall(Instant),
+    /// The engine's virtual `now`, in ticks; the engine sets it before each
+    /// step.
+    Virtual(u64),
+}
+
+impl Clock {
+    /// Time since the run started.
+    pub(crate) fn now(&self) -> u64 {
+        match self {
+            Clock::Wall(start) => start.elapsed().as_micros() as u64,
+            Clock::Virtual(now) => *now,
+        }
+    }
+
+    /// The `time` of a trace record emitted now. Wall time would make no
+    /// two journals alike, so a wall-clock record is stamped with its
+    /// journal position instead (`None` here).
+    fn trace_time(&self) -> Option<u64> {
+        match self {
+            Clock::Wall(_) => None,
+            Clock::Virtual(now) => Some(*now),
+        }
+    }
+
+    /// Whether `window` (in ticks) is open. Wall time has no ticks to
+    /// scope it with, so there it is open for the whole run (documented on
+    /// [`txproc_sim::workload::CrashStorm`]).
+    fn within(&self, window: (u64, u64)) -> bool {
+        match self {
+            Clock::Wall(_) => true,
+            Clock::Virtual(now) => (window.0..window.1).contains(now),
+        }
+    }
+}
+
 /// Everything a worker needs besides its shards: the run-wide context all
 /// workers share.
-struct RunCtx<'a> {
-    workload: &'a Workload,
+pub(crate) struct RunCtx<'a> {
+    pub(crate) workload: &'a Workload,
     cfg: ConcurrentConfig,
     agents: Agents,
+    /// The 2PC coordinator every deferred release is decided by.
+    coordinator: Mutex<Coordinator>,
     /// Global event ticket counter: stamps every emitted event with its
     /// position in the merged schedule.
     tickets: AtomicU64,
     trace: TraceShared<'a>,
     /// Telemetry handle shared by all workers and their shards (phase
     /// timers, per-shard and per-worker instruments; off by default).
-    tele: Telemetry,
-    run_start: Instant,
-    /// Arrival offset per process in microseconds (one virtual tick of the
-    /// workload's arrival model = 1µs here), in process-id order. Empty for
-    /// closed arrivals: everything arrives at 0.
+    pub(crate) tele: Telemetry,
+    pub(crate) clock: Clock,
+    /// Arrival time per process on the run's clock, in process-id order.
+    /// Empty when everything arrives at 0.
     arrivals: Vec<(ProcessId, u64)>,
     /// Processes currently in flight (arrived, not yet terminated) and the
     /// peak observed — the open-system concurrency level actually reached.
@@ -282,42 +344,45 @@ struct RunCtx<'a> {
     /// Shards built and not yet finished, and the peak: the scheduler state
     /// the run held at once.
     shards_live: Level,
-    /// Durable journal of the merged history: every emitted shard event is
-    /// appended as a ticket-stamped [`WalRecord::ShardEvent`], so the
-    /// ticket-sorted log replays to the exact returned history. The shard
-    /// log carries no agent state — subsystem recovery stays an
-    /// engine-WAL capability.
+    /// Durable journal (absent unless installed): every durable transition
+    /// of a step appends its typed record before the run proceeds past it,
+    /// history events in ticket order (see [`RunCtx::ticket`]), so
+    /// `durability::rebuild_image` replays the log of any run the same way.
+    /// Pure observation: installing it never changes a decision.
     wal: Option<Mutex<WalWriter>>,
 }
 
 impl<'a> RunCtx<'a> {
-    /// The context of one run of an already validated `cfg`;
-    /// `worker_of_shard` is the static shard→worker assignment.
-    fn new(
+    /// The context of one run of an already validated `cfg` on `clock`;
+    /// `worker_of_shard` is the static shard→worker assignment. Open
+    /// arrival models take their times from the workload; closed arrivals
+    /// are `closed_gap` ticks apart.
+    pub(crate) fn new(
         workload: &'a Workload,
         cfg: ConcurrentConfig,
         sink: Box<dyn TraceSink + 'a>,
         tele: Telemetry,
-        wal: Option<WalWriter>,
         worker_of_shard: Vec<u32>,
+        clock: Clock,
+        closed_gap: u64,
     ) -> Self {
         let agent = |sid: SubsystemId| {
             let subsystem = Subsystem::new(sid, format!("sub{}", sid.0));
             (sid, Mutex::new(Agent::new(subsystem)))
         };
         let agents = workload.deployment.subsystems().into_iter().map(agent);
+        let pids = workload.spec.processes().map(|p| p.id);
         let arrivals = match workload.config.arrivals {
-            ArrivalModel::Closed => Vec::new(),
-            _ => workload
-                .spec
-                .processes()
-                .map(|p| p.id)
+            ArrivalModel::Closed if closed_gap == 0 => Vec::new(),
+            ArrivalModel::Closed => pids.zip((0..).map(|i| i * closed_gap)).collect(),
+            _ => pids
                 .zip(txproc_sim::workload::arrival_times(&workload.config))
                 .collect(),
         };
         Self {
             workload,
             agents: agents.collect(),
+            coordinator: Mutex::new(Coordinator::new()),
             tickets: AtomicU64::new(0),
             trace: TraceShared {
                 enabled: sink.enabled(),
@@ -326,23 +391,68 @@ impl<'a> RunCtx<'a> {
                 worker_of_shard,
             },
             tele,
-            run_start: Instant::now(),
+            clock,
             arrivals,
             live: Level::default(),
             shards_live: Level::default(),
-            wal: wal.map(|mut w| {
-                w.seal_every(cfg.epoch);
-                Mutex::new(w)
-            }),
+            wal: None,
             cfg,
         }
     }
 
-    /// Arrival offset of a process in microseconds.
-    fn arrival_us(&self, pid: ProcessId) -> u64 {
+    /// Installs the durable journal, sealed every `cfg.epoch` history
+    /// events.
+    pub(crate) fn set_wal(&mut self, mut writer: WalWriter) {
+        writer.seal_every(self.cfg.epoch);
+        self.wal = Some(Mutex::new(writer));
+    }
+
+    /// Arrival time of a process on the run's clock.
+    pub(crate) fn arrival(&self, pid: ProcessId) -> u64 {
         self.arrivals
             .binary_search_by_key(&pid, |&(p, _)| p)
             .map_or(0, |i| self.arrivals[i].1)
+    }
+
+    /// Appends one record that carries no history event to the journal
+    /// (no-op, and `record` unbuilt, without one).
+    fn journal(&self, record: impl FnOnce() -> WalRecord) {
+        if let Some(wal) = &self.wal {
+            wal.lock().append(&record());
+        }
+    }
+
+    /// The merge ticket of the next history event. With a journal
+    /// installed, `record` is what it holds for the event, appended first
+    /// and the ticket taken under the writer lock — so log order is ticket
+    /// order.
+    fn ticket(&self, record: impl FnOnce() -> WalRecord) -> u64 {
+        let _writer = self.wal.as_ref().map(|wal| {
+            let mut writer = wal.lock();
+            writer.append(&record());
+            writer
+        });
+        self.tickets.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Clean end of run: lands the journal's tail (syncing follows the
+    /// writer's policy), then [`Self::into_durable`].
+    pub(crate) fn finish(mut self) -> (BTreeMap<SubsystemId, Agent>, Coordinator) {
+        if let Some(wal) = self.wal.take() {
+            wal.into_inner().finish();
+        }
+        self.into_durable()
+    }
+
+    /// The durable state every worker shared — the subsystems and the
+    /// decision log — however the run ended: a journal still installed is
+    /// dropped as a crash drops it, unsynced.
+    pub(crate) fn into_durable(self) -> (BTreeMap<SubsystemId, Agent>, Coordinator) {
+        let agents = self.agents.into_iter();
+        (
+            agents.map(|(sid, a)| (sid, a.into_inner())).collect(),
+            self.coordinator.into_inner(),
+        )
     }
 }
 
@@ -379,19 +489,27 @@ struct ProcSM {
 /// set, per-process state machines). A plain value its worker holds in
 /// [`Domain::built`]; exclusive access is that ownership, so nothing here is
 /// locked or atomic.
-struct Shard<'a> {
+pub(crate) struct Shard<'a> {
     id: u32,
     /// The §3.5 certification gate over the shard-local segment (certified
     /// policies only); the one owner serializes history order for it.
     gate: Option<CertGate<'a>>,
     policy: Box<dyn Policy + Send + 'a>,
-    states: BTreeMap<ProcessId, ProcessState<'a>>,
+    pub(crate) states: BTreeMap<ProcessId, ProcessState<'a>>,
     /// Shard-local history segment.
-    history: Schedule,
+    pub(crate) history: Schedule,
     /// Global merge ticket of each segment event (parallel to `history`).
     event_tickets: Vec<u64>,
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
+    /// Committed forward invocations, for later compensation.
     invocations: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)>,
+    /// Durable invocation log (survives scheduler crashes): every service
+    /// invocation with its subsystem transaction handle.
+    pub(crate) invocation_log: Vec<InvocationLogEntry>,
+    /// Processes in the order their aborts were initiated (Definition
+    /// 8.3(f): completions of concurrently aborting processes are ordered
+    /// consistently).
+    abort_order: Vec<ProcessId>,
     /// Deferred activities released by a predecessor's termination.
     released: BTreeMap<ProcessId, ActivityId>,
     pending_release: BTreeMap<ProcessId, (GlobalActivityId, ActivityId, SubsystemId, InvocationId)>,
@@ -420,13 +538,16 @@ struct Shard<'a> {
     prepared_at: BTreeMap<ProcessId, Instant>,
     /// Trace records not yet in the global journal (tracing enabled only),
     /// appended [`TRACE_BATCH`] at a time.
-    trace_buf: Vec<(usize, TraceEvent)>,
+    trace_buf: Vec<(usize, Option<u64>, TraceEvent)>,
     /// Runnable processes with their enqueue instant (scheduling delay is
     /// measured from it).
-    run_queue: VecDeque<(ProcessId, Instant)>,
+    pub(crate) run_queue: VecDeque<(ProcessId, Instant)>,
     /// Blocked processes; re-queued when the run queue drains on a dirty
     /// shard.
     waiting: BTreeSet<ProcessId>,
+    /// When each currently blocked process entered its wait, on the run's
+    /// clock, for the per-process blocked-time metric.
+    blocked_since: BTreeMap<ProcessId, u64>,
     sm: BTreeMap<ProcessId, ProcSM>,
     /// Arrived and not yet terminated.
     live: usize,
@@ -442,18 +563,19 @@ struct Shard<'a> {
 }
 
 /// What a finished shard hands to the merge.
-struct ShardDone {
+pub(crate) struct ShardDone {
     id: u32,
     /// The shard's counters, its [`ShardMetrics`] entry included.
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     /// Global merge ticket of each segment event (parallel to `history`).
     tickets: Vec<u64>,
-    history: Schedule,
+    pub(crate) history: Schedule,
+    pub(crate) invocation_log: Vec<InvocationLogEntry>,
 }
 
 /// Outcome of one [`Shard::step`].
 #[derive(Debug, PartialEq, Eq)]
-enum Step {
+pub(crate) enum Step {
     /// Process reached a terminal state and left the shard's live set.
     Done,
     /// Blocked on shard state; parked in the waiting set until the shard is
@@ -468,7 +590,7 @@ impl<'a> Shard<'a> {
     /// policy, certification gate, process states, queues and instruments.
     /// The one construction site — the owning worker calls it when it admits
     /// the domain's first due arrival.
-    fn build(id: u32, members: &[ProcessId], ctx: &RunCtx<'a>) -> Self {
+    pub(crate) fn build(id: u32, members: &[ProcessId], ctx: &RunCtx<'a>) -> Self {
         let (spec, cfg, tele) = (&ctx.workload.spec, &ctx.cfg, &ctx.tele);
         let mut policy = cfg.policy.build(spec);
         let mut states = BTreeMap::new();
@@ -489,6 +611,8 @@ impl<'a> Shard<'a> {
             event_tickets: Vec::new(),
             metrics: Metrics::new(),
             invocations: BTreeMap::new(),
+            invocation_log: Vec::new(),
+            abort_order: Vec::new(),
             released: BTreeMap::new(),
             pending_release: BTreeMap::new(),
             ready_releases: Vec::new(),
@@ -501,6 +625,7 @@ impl<'a> Shard<'a> {
             trace_buf: Vec::new(),
             run_queue: VecDeque::new(),
             waiting: BTreeSet::new(),
+            blocked_since: BTreeMap::new(),
             sm: BTreeMap::new(),
             live: 0,
             dirty: false,
@@ -511,7 +636,7 @@ impl<'a> Shard<'a> {
     /// Retires the shard on its owning worker: flushes the trace records
     /// still buffered, keeps what the merge needs and drops the rest —
     /// policy, certifier, maps.
-    fn finish(mut self, ctx: &RunCtx<'a>) -> ShardDone {
+    pub(crate) fn finish(mut self, ctx: &RunCtx<'a>) -> ShardDone {
         ctx.shards_live.leave();
         ctx.trace
             .record_batch(self.id, std::mem::take(&mut self.trace_buf));
@@ -526,12 +651,13 @@ impl<'a> Shard<'a> {
             metrics,
             tickets: self.event_tickets,
             history: self.history,
+            invocation_log: self.invocation_log,
         }
     }
 
     /// Admits an arrived process: live, with a fresh state machine, at the
     /// back of the run queue.
-    fn admit(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
+    pub(crate) fn admit(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
         self.live += 1;
         self.sm.insert(pid, ProcSM::default());
         ctx.live.enter();
@@ -555,31 +681,52 @@ impl<'a> Shard<'a> {
     /// shard dirty the full re-queue wakes the rest.
     fn next_runnable(&mut self, ctx: &RunCtx<'a>, rt: &mut RuntimeMetrics) -> Option<ProcessId> {
         loop {
-            if let Some((pid, enqueued)) = self.run_queue.pop_front() {
+            if let Some((pid, enqueued)) = self.pop_runnable() {
                 let delay_ns = enqueued.elapsed().as_nanos() as u64;
                 rt.record_delay_ns(delay_ns);
                 ctx.tele.phase_ns(Phase::QueueDelay, delay_ns);
                 return Some(pid);
             }
-            let probe = self.waiting.first().copied()?;
-            if self.dirty {
-                self.dirty = false;
-                let woken = std::mem::take(&mut self.waiting).into_iter();
-                self.run_queue
-                    .extend(woken.map(|pid| (pid, Instant::now())));
-            } else {
-                rt.repolls += 1;
-                self.waiting.remove(&probe);
-                self.run_queue.push_back((probe, Instant::now()));
+            if !self.probe() {
+                return None;
             }
+            rt.repolls += 1;
         }
+    }
+
+    /// The front of the run queue, a dirty shard's waiters re-queued first
+    /// when it has drained — except those waiting for their own deferred
+    /// commit: such a process has two wake-up calls, the release and its
+    /// abort, both take it out of `pending_release`, and until then its step
+    /// is a no-op.
+    pub(crate) fn pop_runnable(&mut self) -> Option<(ProcessId, Instant)> {
+        if self.run_queue.is_empty() && self.dirty && !self.waiting.is_empty() {
+            self.dirty = false;
+            self.waiting.retain(|pid| {
+                let parked = self.pending_release.contains_key(pid);
+                if !parked {
+                    self.run_queue.push_back((*pid, Instant::now()));
+                }
+                parked
+            });
+        }
+        self.run_queue.pop_front()
+    }
+
+    /// Re-queues one waiter of a clean, drained shard (smallest pid);
+    /// `false` when nobody waits.
+    pub(crate) fn probe(&mut self) -> bool {
+        let probe = self.waiting.pop_first();
+        self.run_queue
+            .extend(probe.map(|pid| (pid, Instant::now())));
+        probe.is_some()
     }
 
     /// Moves `pid` one transition forward — the single entry point of the
     /// protocol logic — and files it by the outcome: a terminated process
     /// leaves the live set, a blocked one joins the waiting set, a runnable
     /// one stays with the caller (which steps it again or re-queues it).
-    fn step(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
+    pub(crate) fn step(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
         let step = self.advance(ctx, pid);
         match step {
             Step::Done => {
@@ -589,23 +736,31 @@ impl<'a> Shard<'a> {
             }
             Step::Wait => {
                 self.waiting.insert(pid);
+                let now = ctx.clock.now();
+                self.blocked_since.entry(pid).or_insert(now);
+                return step;
             }
             Step::Yield => {}
+        }
+        if let Some(since) = self.blocked_since.remove(&pid) {
+            let blocked = ctx.clock.now().saturating_sub(since);
+            *self.metrics.blocked_time.entry(pid.0).or_insert(0) += blocked;
         }
         step
     }
 
-    /// Appends an event to the shard segment, stamping it with the global
-    /// merge ticket and marking the shard dirty.
+    /// Appends an event that no invocation record implies to the shard
+    /// segment, journalled first.
     fn emit(&mut self, ctx: &RunCtx<'a>, event: Event) {
-        let ticket = ctx.tickets.fetch_add(1, Ordering::Relaxed);
-        if let Some(wal) = &ctx.wal {
-            wal.lock().append(&WalRecord::ShardEvent {
-                shard: self.id,
-                ticket,
-                event: event.clone(),
-            });
-        }
+        let ticket = ctx.ticket(|| WalRecord::Event {
+            event: event.clone(),
+        });
+        self.append(event, ticket);
+    }
+
+    /// Appends an event to the shard segment under its global merge ticket
+    /// and marks the shard dirty.
+    fn append(&mut self, event: Event, ticket: u64) {
         self.history.push(event);
         self.event_tickets.push(ticket);
         self.dirty = true;
@@ -618,7 +773,8 @@ impl<'a> Shard<'a> {
         if !ctx.trace.enabled {
             return;
         }
-        self.trace_buf.push((self.history.len(), event));
+        self.trace_buf
+            .push((self.history.len(), ctx.clock.trace_time(), event));
         if self.trace_buf.len() >= TRACE_BATCH {
             ctx.trace
                 .record_batch(self.id, std::mem::take(&mut self.trace_buf));
@@ -680,9 +836,11 @@ impl<'a> Shard<'a> {
         ok
     }
 
-    /// Attempts every granted-but-unapplied deferred release. Releases whose
-    /// history event does not certify yet are parked in `stalled_releases`
-    /// and re-armed when the history grows.
+    /// Attempts every granted-but-unapplied deferred release, each decided
+    /// alone by 2PC and its decision journalled before its `Execute` event,
+    /// so no log prefix shows an executed-but-undecided prepared invocation.
+    /// Releases whose history event does not certify yet are parked in
+    /// `stalled_releases` and re-armed when the history grows.
     fn drain_ready_releases(&mut self, ctx: &RunCtx<'a>) {
         if !self.stalled_releases.is_empty() {
             let hist_len = self.history.len();
@@ -707,7 +865,28 @@ impl<'a> Shard<'a> {
                 ctx.tele
                     .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
             }
-            ctx.agents[&sid].lock().release(inv).expect("prepared");
+            let participant = Participant {
+                subsystem: sid,
+                invocation: inv,
+            };
+            {
+                // Decision before phase 2, DecisionApplied after: a log cut
+                // between the two leaves the group in doubt and recovery
+                // finishes it from the decision record.
+                let mut coordinator = ctx.coordinator.lock();
+                let group = coordinator.next_group_id();
+                ctx.journal(|| WalRecord::Decision {
+                    group,
+                    commit: true,
+                    participants: vec![(sid.0, inv.0)],
+                });
+                coordinator
+                    .commit_group_with(vec![participant], |p| {
+                        ctx.agents[&p.subsystem].lock().release(p.invocation)
+                    })
+                    .expect("participant prepared");
+                ctx.journal(|| WalRecord::DecisionApplied { group });
+            }
             self.emit(ctx, Event::Execute(gid));
             self.policy.record_deferred_released(gid);
             self.metrics.activities += 1;
@@ -804,7 +983,15 @@ impl<'a> Shard<'a> {
         // Pending compensation?
         if let Some(c) = self.states[&pid].next_compensation() {
             let gid = GlobalActivityId::new(pid, c);
+            // Lemma 2 / Example 8: conflicting operations executed after the
+            // compensated one must vanish first (or their owners cascade).
+            let gate = self.policy.compensation_gate(gid);
+            if let Some(step) = self.gated(ctx, pid, gate) {
+                return step;
+            }
             if !self.certified_traced(ctx, Event::Compensate(gid)) {
+                // Another process's completion step must come first; retry
+                // once it progressed.
                 return Step::Wait;
             }
             let (sid, inv) = self.invocations[&gid];
@@ -870,8 +1057,63 @@ impl<'a> Shard<'a> {
                 }
             };
         }
-        // Nothing to do right now (e.self. mid-abort with empty completion).
+        // Nothing to do right now (e.g. mid-abort with empty completion).
         Step::Wait
+    }
+
+    /// Applies the verdict of a Lemma 2/3 completion gate: `None` when the
+    /// completion step may run now, else what the step comes to instead —
+    /// a wait for the aborting holders to compensate, or their cascade (a
+    /// wait too, when every holder named is aborting already: one whose
+    /// own failure started its completion is not marked so in the policy).
+    fn gated(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, gate: CompletionGate) -> Option<Step> {
+        match gate {
+            CompletionGate::Ready => None,
+            CompletionGate::WaitFor(wait_for) => {
+                if ctx.trace.enabled && self.note_blocked(pid, 2, &wait_for) {
+                    self.trace(ctx, TraceEvent::CompletionBlocked { pid, wait_for });
+                }
+                Some(Step::Wait)
+            }
+            CompletionGate::Cascade(victims) => {
+                let mut began = false;
+                for v in victims {
+                    began |= self.begin_abort(ctx, v, AbortReason::Cascade);
+                }
+                Some(if began { Step::Yield } else { Step::Wait })
+            }
+        }
+    }
+
+    /// Definition 8.3(f): when several processes abort concurrently, their
+    /// conflicting completion activities must be consistently ordered. A
+    /// forward-recovery step is blocked while an *earlier-initiated* abort
+    /// still has conflicting completion work pending.
+    ///
+    /// Only used in uncertified mode: certified runs derive the completion
+    /// order from the certifier itself (whose mandatory-rank choice is
+    /// authoritative and may differ from abort-initiation order).
+    fn forward_order_blocked(&self, ctx: &RunCtx<'a>, pid: ProcessId, svc: ServiceId) -> bool {
+        if self.gate.is_some() {
+            return false;
+        }
+        let Some(mine) = self.abort_order.iter().position(|&q| q == pid) else {
+            return false;
+        };
+        let spec = &ctx.workload.spec;
+        let base = spec.catalog.base(svc);
+        self.abort_order[..mine].iter().any(|q| {
+            let state = &self.states[q];
+            if !state.abort_in_progress() {
+                return false;
+            }
+            let completion = state.completion();
+            let mut remaining = (completion.compensations.iter()).chain(&completion.forward);
+            remaining.any(|&a| {
+                let s = spec.catalog.base(state.process().service(a));
+                spec.oracle().conflict(s, base)
+            })
+        })
     }
 
     /// Runs one scheduling step for the next forward activity.
@@ -883,6 +1125,16 @@ impl<'a> Shard<'a> {
         let termination = ctx.workload.spec.catalog.termination(svc);
         let in_completion = self.states[&pid].abort_in_progress();
         let admission = if in_completion {
+            // Completion activities are mandated by recovery; Definition 8
+            // orders them after everything already executed. Lemma 3 /
+            // §3.5: conflicting live operations must be compensated first.
+            let gate = self.policy.forward_gate(pid, svc);
+            if let Some(step) = self.gated(ctx, pid, gate) {
+                return step;
+            }
+            if self.forward_order_blocked(ctx, pid, svc) {
+                return Step::Wait;
+            }
             Admission::Allow
         } else {
             let t0 = ctx.tele.phase_start();
@@ -931,7 +1183,7 @@ impl<'a> Shard<'a> {
             .expect("live process has a state machine");
         let attempt = sm.attempts.entry(a).and_modify(|n| *n += 1).or_insert(1);
         let coin = fail_coin(ctx.cfg.seed, gid, *attempt);
-        let inject = ctx.cfg.inject_failures && coin < p_fail(ctx.workload, site.subsystem);
+        let inject = ctx.cfg.inject_failures && coin < p_fail(ctx, site.subsystem);
         if inject && termination.can_fail() {
             self.emit(ctx, Event::Fail(gid));
             self.trace(ctx, TraceEvent::ActivityFailed { gid, service: svc });
@@ -969,14 +1221,47 @@ impl<'a> Shard<'a> {
             // advances.
             return Step::Wait;
         }
-        let outcome = ctx.agents[&site.subsystem]
-            .lock()
+        // The invocation is journalled while its agent stays locked, and
+        // nothing else is done there: agents allocate invocation ids in
+        // invoke order, and replay reproduces them only if that is log order
+        // too. An immediate execution's one record covers both the agent
+        // commit and the history event — no log prefix separates them — so
+        // it is appended under the event's ticket.
+        let mut agent = ctx.agents[&site.subsystem].lock();
+        let outcome = agent
             .invoke(svc, &site.program, mode, false)
             .expect("subsystem up");
-        match outcome {
+        let record = |invocation: InvocationId, prepared| WalRecord::Invocation {
+            gid,
+            subsystem: site.subsystem.0,
+            invocation: invocation.0,
+            prepared,
+        };
+        let ticket = match outcome {
             InvokeOutcome::Committed { invocation, .. } => {
-                self.invocations.insert(gid, (site.subsystem, invocation));
-                self.emit(ctx, Event::Execute(gid));
+                Some(ctx.ticket(|| record(invocation, false)))
+            }
+            InvokeOutcome::Prepared { invocation, .. } => {
+                ctx.journal(|| record(invocation, true));
+                None
+            }
+            _ => None,
+        };
+        drop(agent);
+        if let InvokeOutcome::Committed { invocation, .. }
+        | InvokeOutcome::Prepared { invocation, .. } = outcome
+        {
+            self.invocations.insert(gid, (site.subsystem, invocation));
+            self.invocation_log.push(InvocationLogEntry {
+                gid,
+                subsystem: site.subsystem,
+                invocation,
+                prepared: mode == CommitMode::Deferred,
+            });
+        }
+        match outcome {
+            InvokeOutcome::Committed { .. } => {
+                self.append(Event::Execute(gid), ticket.expect("committed"));
                 let edges_added = self.policy.record_executed(gid, false);
                 self.states
                     .get_mut(&pid)
@@ -1000,7 +1285,6 @@ impl<'a> Shard<'a> {
                 Step::Yield
             }
             InvokeOutcome::Prepared { invocation, .. } => {
-                self.invocations.insert(gid, (site.subsystem, invocation));
                 let edges_added = self.policy.record_executed(gid, true);
                 self.pending_release
                     .insert(pid, (gid, a, site.subsystem, invocation));
@@ -1050,11 +1334,10 @@ impl<'a> Shard<'a> {
             }
             ProcessStatus::Active => return,
         };
-        // Wall-clock arrival→terminal latency in microseconds (arrival offset
-        // subtracted so open-system latencies measure time in system, not time
-        // since run start).
-        let arrival_us = ctx.arrival_us(pid);
-        let latency = (ctx.run_start.elapsed().as_micros() as u64).saturating_sub(arrival_us);
+        // Arrival→terminal latency on the run's clock (arrival subtracted so
+        // open-system latencies measure time in system, not time since run
+        // start).
+        let latency = ctx.clock.now().saturating_sub(ctx.arrival(pid));
         self.metrics.latencies.push(latency);
         self.metrics.latency_by_pid.insert(pid.0, latency);
         for (pj, _gids) in released {
@@ -1069,19 +1352,24 @@ impl<'a> Shard<'a> {
         self.dirty = true;
     }
 
-    /// Starts the abort of `pid` for `reason` (a no-op unless it is active and
-    /// not already aborting): its prepared invocation is dropped first — it
-    /// vanishes atomically, leaving the process backward-recoverable — then the
-    /// abort is journalled, announced to the policy and emitted.
-    fn begin_abort(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, reason: AbortReason) {
+    /// Starts the abort of `pid` for `reason` (a no-op, answering `false`,
+    /// unless it is active and not already aborting): its prepared invocation
+    /// is dropped first — it vanishes atomically, leaving the process
+    /// backward-recoverable — then the abort is journalled, announced to the
+    /// policy and emitted.
+    fn begin_abort(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, reason: AbortReason) -> bool {
         if !self.states[&pid].is_active() || self.states[&pid].abort_in_progress() {
-            return;
+            return false;
         }
         if let Some((gid, _a, sid, inv)) = self.pending_release.remove(&pid) {
             if let Some(t0) = self.prepared_at.remove(&pid) {
                 ctx.tele
                     .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
             }
+            ctx.journal(|| WalRecord::PreparedAborted {
+                subsystem: sid.0,
+                invocation: inv.0,
+            });
             ctx.agents[&sid]
                 .lock()
                 .abort_prepared(inv)
@@ -1095,6 +1383,7 @@ impl<'a> Shard<'a> {
         self.metrics.abort_reasons.count(reason);
         self.clear_block_note(pid);
         self.trace(ctx, TraceEvent::AbortStarted { pid, reason });
+        self.abort_order.push(pid);
         self.policy.on_abort_begin(pid);
         self.emit(ctx, Event::Abort(pid));
         self.states
@@ -1102,11 +1391,12 @@ impl<'a> Shard<'a> {
             .expect("state")
             .apply_process_abort()
             .expect("active");
+        true
     }
 
     /// Aborts `pid` for `reason`, cascading first into the victims the policy
     /// plans (dependents first, Lemma 2).
-    fn initiate_abort(
+    pub(crate) fn initiate_abort(
         &mut self,
         ctx: &RunCtx<'a>,
         pid: ProcessId,
@@ -1173,17 +1463,16 @@ fn fail_coin(seed: u64, gid: GlobalActivityId, attempt: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Failure probability of an activity on `subsystem`. The wall-clock driver
-/// has no virtual clock to scope a crash-storm window, so a configured storm
-/// applies to its subsystems for the whole run (documented on
-/// [`txproc_sim::workload::CrashStorm`]).
-fn p_fail(workload: &Workload, subsystem: SubsystemId) -> f64 {
-    if let Some(storm) = &workload.config.storm {
-        if subsystem.0 < storm.subsystems {
+/// Failure probability of an activity on `subsystem` now: a crash storm
+/// overrides the base rate on its subsystems while its window is open.
+fn p_fail(ctx: &RunCtx<'_>, subsystem: SubsystemId) -> f64 {
+    let config = &ctx.workload.config;
+    if let Some(storm) = &config.storm {
+        if subsystem.0 < storm.subsystems && ctx.clock.within(storm.window) {
             return storm.failure_probability.clamp(0.0, 1.0);
         }
     }
-    workload.config.failure_probability.clamp(0.0, 1.0)
+    config.failure_probability.clamp(0.0, 1.0)
 }
 
 /// Runs the workload on the worker pool, sharded by conflict domain per
@@ -1205,8 +1494,8 @@ pub fn run_concurrent(workload: &Workload, cfg: ConcurrentConfig) -> ConcurrentR
 /// The one concurrent-driver implementation behind [`run_concurrent`] and
 /// [`crate::builder::RunBuilder`]: runs an already validated `cfg` with the
 /// given trace sink, telemetry handle, and (optionally) a durable WAL
-/// journaling every emitted shard event. The driver has no virtual clock,
-/// so trace records are stamped with `time == seq` (journal order) and the
+/// journaling every durable transition. The run is on the wall clock, so
+/// trace records are stamped with `time == seq` (journal order) and the
 /// shard that served the decision; `history_len` is the shard-local segment
 /// length. Multi-process interleavings are nondeterministic except with one
 /// worker and closed arrivals.
@@ -1231,7 +1520,11 @@ pub(crate) fn run_concurrent_impl<'a>(
     let worker_of_shard: Vec<u32> = (0..groups.len())
         .map(|si| (si % worker_count) as u32)
         .collect();
-    let ctx = RunCtx::new(workload, cfg, sink, tele, wal, worker_of_shard);
+    let clock = Clock::Wall(Instant::now());
+    let mut ctx = RunCtx::new(workload, cfg, sink, tele, worker_of_shard, clock, 0);
+    if let Some(writer) = wal {
+        ctx.set_wal(writer);
+    }
 
     // Each worker gets its domains' member lists, nothing built: a shard's
     // state is built by its owner at first admission and finished by it at
@@ -1268,13 +1561,15 @@ pub(crate) fn run_concurrent_impl<'a>(
     // order, and interleave the shard segments in ticket order into one
     // global schedule. Tickets are the dense `0..N` one counter handed out,
     // so each event moves straight to its slot — no sort.
-    let makespan_us = ctx.run_start.elapsed().as_micros() as u64;
+    let makespan_us = ctx.clock.now();
     done.sort_unstable_by_key(|d| d.id);
     let mut metrics = Metrics::new();
+    let mut invocation_log = Vec::new();
     let mut slots: Vec<Option<Event>> = Vec::new();
     slots.resize_with(ctx.tickets.load(Ordering::Relaxed) as usize, || None);
     for shard in done {
         metrics.merge(&shard.metrics);
+        invocation_log.extend(shard.invocation_log);
         for (ticket, event) in shard.tickets.into_iter().zip(shard.history.into_events()) {
             slots[ticket as usize] = Some(event);
         }
@@ -1292,11 +1587,14 @@ pub(crate) fn run_concurrent_impl<'a>(
         runtime_metrics.invariant_violations(Some(makespan_us.saturating_mul(1000)))
     );
     metrics.runtime = Some(runtime_metrics);
-    if let Some(wal) = ctx.wal {
-        // Land the journal tail; syncing follows the writer's policy.
-        wal.into_inner().finish();
+    let (agents, coordinator) = ctx.finish();
+    ConcurrentResult {
+        history,
+        metrics,
+        agents,
+        coordinator,
+        invocation_log,
     }
-    ConcurrentResult { history, metrics }
 }
 
 /// One conflict domain as its owning event worker holds it: the pending
@@ -1312,10 +1610,8 @@ struct Domain<'a, 'g> {
 
 impl<'g> Domain<'_, 'g> {
     fn new(id: u32, members: &'g [ProcessId], ctx: &RunCtx<'_>) -> Self {
-        let mut arrivals: Vec<(u64, ProcessId)> = members
-            .iter()
-            .map(|&pid| (ctx.arrival_us(pid), pid))
-            .collect();
+        let mut arrivals: Vec<(u64, ProcessId)> =
+            members.iter().map(|&pid| (ctx.arrival(pid), pid)).collect();
         // Deterministic admission order: by arrival offset, ties by pid.
         arrivals.sort();
         Self {
@@ -1368,7 +1664,7 @@ fn event_worker<'a>(
         owned.retain_mut(|dom| {
             // Admit arrivals that are due (1 workload tick = 1 µs).
             if !dom.arrivals.is_empty() {
-                let now_us = ctx.run_start.elapsed().as_micros() as u64;
+                let now_us = ctx.clock.now();
                 while let Some(&(at, pid)) = dom.arrivals.front() {
                     if at > now_us {
                         next_arrival = Some(next_arrival.map_or(at, |m| m.min(at)));
@@ -1437,13 +1733,12 @@ fn event_worker<'a>(
             if let Some(at) = next_arrival {
                 // Everything runnable is drained and the next event on any
                 // owned shard is an arrival: nap until it is due.
-                let target = Duration::from_micros(at);
-                let since = ctx.run_start.elapsed();
-                if target > since {
+                let now_us = ctx.clock.now();
+                if at > now_us {
                     // Idle time is what the nap took, not what was asked
                     // for: sleeps overshoot.
                     let t0 = Instant::now();
-                    std::thread::sleep((target - since).min(MAX_IDLE_NAP));
+                    std::thread::sleep(Duration::from_micros(at - now_us).min(MAX_IDLE_NAP));
                     rt.worker_idle_ns += t0.elapsed().as_nanos() as u64;
                 }
             }
@@ -1858,10 +2153,16 @@ mod tests {
         assert_eq!(rt.invariant_violations(Some(wall_ns)), Vec::<String>::new());
     }
 
-    /// The paper world (Figures 2, 4 and 9) deployed on one subsystem, each
-    /// service on a key of its own.
+    /// The paper world (Figures 2, 4 and 9), deployed.
     fn paper_workload(failure_probability: f64) -> Workload {
-        let spec = txproc_core::fixtures::paper_world().spec;
+        deployed(
+            txproc_core::fixtures::paper_world().spec,
+            failure_probability,
+        )
+    }
+
+    /// `spec` deployed on one subsystem, each service on a key of its own.
+    fn deployed(spec: txproc_core::spec::Spec, failure_probability: f64) -> Workload {
         let mut deployment = txproc_subsystem::deploy::Deployment::new();
         for process in spec.processes() {
             for (a, _) in process.iter() {
@@ -1883,7 +2184,16 @@ mod tests {
 
     /// A run context with no worker behind it: one shard, worker 0.
     fn scripted_ctx(w: &Workload, cfg: ConcurrentConfig) -> RunCtx<'_> {
-        RunCtx::new(w, cfg, Box::new(NoopSink), Telemetry::off(), None, vec![0])
+        let clock = Clock::Wall(Instant::now());
+        RunCtx::new(
+            w,
+            cfg,
+            Box::new(NoopSink),
+            Telemetry::off(),
+            vec![0],
+            clock,
+            0,
+        )
     }
 
     /// Steps `pid` until it stops yielding; returns the step that stopped it
@@ -1959,6 +2269,109 @@ mod tests {
         assert!(txproc_core::pred::is_pred(&w.spec, &done.history).unwrap());
     }
 
+    /// An Example-8-shaped pair: P₁ = aᶜ ≪ pᵖ ≪ rʳ and P₂ = bᶜ ≪ qᵖ ≪ tʳ,
+    /// where b conflicts with a and with r.
+    fn example8_workload(failure_probability: f64) -> Workload {
+        use txproc_core::process::ProcessBuilder;
+        let mut cat = txproc_core::activity::Catalog::new();
+        let (a, p, r) = (cat.compensatable("a").0, cat.pivot("p"), cat.retriable("r"));
+        let (b, q, t) = (cat.compensatable("b").0, cat.pivot("q"), cat.retriable("t"));
+        let mut conflicts = txproc_core::conflict::ConflictMatrix::new(&cat);
+        conflicts.declare_conflict(&cat, a, b).unwrap();
+        conflicts.declare_conflict(&cat, r, b).unwrap();
+        let mut spec = txproc_core::spec::Spec::new(cat, conflicts);
+        for (id, services) in [(1, [a, p, r]), (2, [b, q, t])] {
+            let mut builder = ProcessBuilder::new(ProcessId(id), format!("P{id}"));
+            let chain = services.map(|s| builder.activity(format!("s{}", s.0), s));
+            builder.chain(&chain);
+            spec.add_process(builder.build(&spec.catalog).unwrap());
+        }
+        deployed(spec, failure_probability)
+    }
+
+    fn position(shard: &Shard<'_>, event: Event) -> Option<usize> {
+        shard.history.events().iter().position(|e| *e == event)
+    }
+
+    #[test]
+    fn compensation_cascades_a_later_conflicting_operation_first() {
+        // Lemma 2 / Example 8 under the uncertified protocol, where nothing
+        // but the completion gate stands between P₁'s a⁻¹ and P₂'s live b.
+        // P₁'s own failure starts its completion, so no `plan_abort` has
+        // cascaded P₂: pick a seed under which a and b succeed and p fails.
+        let w = example8_workload(0.5);
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let [a, p] = [0, 1].map(|i| GlobalActivityId::new(p1, ActivityId(i)));
+        let b = GlobalActivityId::new(p2, ActivityId(0));
+        let seed = (0..1000)
+            .find(|&s| {
+                fail_coin(s, a, 1) >= 0.5 && fail_coin(s, b, 1) >= 0.5 && fail_coin(s, p, 1) < 0.5
+            })
+            .expect("some seed draws succeed / succeed / fail");
+        let cfg = ConcurrentConfig {
+            policy: PolicyKind::PredProtocol,
+            seed,
+            ..ConcurrentConfig::default()
+        };
+        let ctx = scripted_ctx(&w, cfg);
+        let mut shard = Shard::build(0, &[p1, p2], &ctx);
+        shard.admit(&ctx, p1);
+        shard.admit(&ctx, p2);
+
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.step(&ctx, p2), Step::Yield);
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        let so_far = [Event::Execute(a), Event::Execute(b), Event::Fail(p)];
+        assert_eq!(shard.history.events(), so_far);
+        assert!(shard.states[&p1].abort_in_progress());
+
+        // b was executed after a and conflicts with it: P₂ cascades, and a⁻¹
+        // waits until b⁻¹ is in the history.
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.history.events().last(), Some(&Event::Abort(p2)));
+        assert_eq!(shard.metrics.cascaded, 1);
+        assert_eq!(shard.step(&ctx, p1), Step::Wait);
+        assert_eq!(position(&shard, Event::Compensate(a)), None);
+        assert_eq!(shard.step(&ctx, p2), Step::Yield);
+        assert_eq!(shard.history.events().last(), Some(&Event::Compensate(b)));
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.history.events().last(), Some(&Event::Compensate(a)));
+    }
+
+    #[test]
+    fn forward_recovery_waits_for_a_conflicting_live_compensation() {
+        // Lemma 3: P₁, aborted past its pivot, recovers forward over r; P₂
+        // is aborting too and has yet to compensate b, which conflicts with
+        // r. b⁻¹ comes first.
+        let w = example8_workload(0.0);
+        let cfg = ConcurrentConfig {
+            policy: PolicyKind::PredProtocol,
+            inject_failures: false,
+            ..ConcurrentConfig::default()
+        };
+        let ctx = scripted_ctx(&w, cfg);
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let r = GlobalActivityId::new(p1, ActivityId(2));
+        let b = GlobalActivityId::new(p2, ActivityId(0));
+        let mut shard = Shard::build(0, &[p1, p2], &ctx);
+        shard.admit(&ctx, p1);
+        shard.admit(&ctx, p2);
+
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.step(&ctx, p2), Step::Yield);
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.history.len(), 3, "a, b and the pivot p");
+        shard.initiate_abort(&ctx, p2, AbortReason::External, None);
+        shard.initiate_abort(&ctx, p1, AbortReason::External, None);
+
+        assert_eq!(shard.step(&ctx, p1), Step::Wait);
+        assert_eq!(position(&shard, Event::Execute(r)), None);
+        assert_eq!(shard.step(&ctx, p2), Step::Yield);
+        assert_eq!(shard.history.events().last(), Some(&Event::Compensate(b)));
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.history.events().last(), Some(&Event::Execute(r)));
+    }
+
     #[test]
     fn injected_retry_runs_at_the_agent_and_leaves_no_event() {
         // P₃ = a3₁ᶜ ≪ a3₂ʳ. The failure coin is a pure function of (seed,
@@ -1998,6 +2411,25 @@ mod tests {
         drop(agent);
         assert_eq!(run_to_block(&mut shard, &ctx, p3), (Step::Done, 1));
         assert_eq!((shard.metrics.committed, shard.metrics.activities), (1, 2));
+    }
+
+    #[test]
+    fn crash_storm_is_windowed_on_the_virtual_clock_and_whole_run_on_the_wall_clock() {
+        let mut w = paper_workload(0.1);
+        w.config.storm = Some(txproc_sim::workload::CrashStorm {
+            subsystems: 1,
+            window: (10, 20),
+            failure_probability: 0.9,
+        });
+        let mut ctx = scripted_ctx(&w, ConcurrentConfig::default());
+        // Wall time has no ticks to find the window in.
+        assert_eq!(p_fail(&ctx, SubsystemId(0)), 0.9);
+        assert_eq!(p_fail(&ctx, SubsystemId(1)), 0.1, "not a storm subsystem");
+        for (now, p) in [(0, 0.1), (9, 0.1), (10, 0.9), (19, 0.9), (20, 0.1)] {
+            ctx.clock = Clock::Virtual(now);
+            assert_eq!(p_fail(&ctx, SubsystemId(0)), p, "tick {now}");
+            assert_eq!(p_fail(&ctx, SubsystemId(1)), 0.1, "tick {now}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Log-replay recovery: rebuilding a crash image from the WAL.
 //!
-//! [`crate::engine::Engine::with_wal`] appends a typed
-//! [`WalRecord`](txproc_core::wal::WalRecord) at every durable state
-//! transition. This module is the read side: [`rebuild_image`] folds a
+//! A journalled run — either driver, through
+//! [`RunBuilder::durability`](crate::builder::RunBuilder::durability) —
+//! appends a typed [`WalRecord`] at every durable state transition of the
+//! scheduler step. This module is the read side: [`rebuild_image`] folds a
 //! (possibly torn-tail-truncated) record sequence back into the
 //! [`CrashImage`] the in-memory crash path produces, so the existing
 //! recovery procedure (`recover`) runs unchanged on top of either source.
@@ -18,7 +19,7 @@
 //! history event, a `Compensate` event record implies the compensating
 //! transaction at the agent, and the `Decision`/`DecisionApplied` pair
 //! brackets 2PC phase 2 so a truncation between them leaves the group
-//! in doubt for [`Coordinator::resolve_in_doubt`]. The engine decides every
+//! in doubt for [`Coordinator::resolve_in_doubt`]. The step decides every
 //! deferred release alone and logs its `Decision` before the `Execute` event
 //! of its participant, so no prefix shows an executed-but-undecided prepared
 //! invocation: replay never has to guess a decision, and [`rebuild_image`]
@@ -30,12 +31,14 @@
 //! injected transient aborts return before allocation), so replaying the
 //! logged invocations in order against fresh agents reproduces the logged
 //! ids exactly — [`rebuild_image`] asserts this and fails loudly on a
-//! workload/log mismatch. Transaction ids *inside* a rebuilt agent differ
+//! workload/log mismatch. (Workers sharing an agent journal an invocation
+//! while the agent is still locked, so log order is invoke order per agent,
+//! and they take an event's merge ticket under the writer lock, so log
+//! order is history order.) Transaction ids *inside* a rebuilt agent differ
 //! from the original run (unlogged busy/abort attempts advanced the
 //! original counter) but are self-consistent; nothing durable reads them.
 
-use crate::engine::InvocationLogEntry;
-use crate::recovery::CrashImage;
+use crate::recovery::{CrashImage, InvocationLogEntry};
 use std::collections::BTreeMap;
 use txproc_core::ids::GlobalActivityId;
 use txproc_core::schedule::{Event, Schedule};
@@ -64,9 +67,6 @@ pub enum RebuildError {
     /// contain, replaying it diverged from what was logged, or the records
     /// are not one run's log (no `Begin` at the head, or a second one).
     Inconsistent(String),
-    /// The log contains concurrent-driver shard records; those carry
-    /// history only (see `wal_history`) and cannot rebuild agents.
-    ShardLog,
 }
 
 impl std::fmt::Display for RebuildError {
@@ -79,10 +79,6 @@ impl std::fmt::Display for RebuildError {
                 write!(f, "WAL seed {found} != workload seed {expected}")
             }
             RebuildError::Inconsistent(msg) => write!(f, "log/workload mismatch: {msg}"),
-            RebuildError::ShardLog => write!(
-                f,
-                "log holds concurrent-driver shard events; rebuild history with wal_history"
-            ),
         }
     }
 }
@@ -270,7 +266,6 @@ pub fn rebuild_image(
                     })?;
             }
             WalRecord::EpochSeal { .. } => {}
-            WalRecord::ShardEvent { .. } => return Err(RebuildError::ShardLog),
         }
     }
 
@@ -280,24 +275,4 @@ pub fn rebuild_image(
         coordinator,
         invocation_log,
     })
-}
-
-/// Rebuilds the merged history of a *concurrent-driver* WAL: shard events
-/// sorted by their global merge ticket. Shard logs carry no agent state —
-/// subsystem recovery stays an engine-WAL capability — but the recovered
-/// history supports the same PRED/Proc-REC audits as a returned one.
-pub fn wal_history(records: &[WalRecord]) -> Schedule {
-    let mut stamped: Vec<(u64, Event)> = records
-        .iter()
-        .filter_map(|r| match r {
-            WalRecord::ShardEvent { ticket, event, .. } => Some((*ticket, event.clone())),
-            _ => None,
-        })
-        .collect();
-    stamped.sort_by_key(|&(t, _)| t);
-    let mut history = Schedule::new();
-    for (_, e) in stamped {
-        history.push(e);
-    }
-    history
 }

@@ -10,21 +10,21 @@
 //!   (Lemmas 1–3, §3.5) and three baselines (serial, conservative
 //!   process-level locking, and an *unsafe* concurrency-control-only
 //!   scheduler that demonstrates why recovery must be considered jointly),
-//! * [`engine`] — the deterministic virtual-time executor: admission
-//!   control, failure injection, alternative execution paths, compensation,
-//!   deferred 2PC commits, cascading aborts, metrics,
-//! * [`concurrent`] — the same protocol under real concurrency: conflict-
-//!   domain shards stepped by an event-driven worker pool (stress-tested
-//!   for PRED),
+//! * [`concurrent`] — the scheduler step (admission control, the Lemma 2/3
+//!   completion gates, certification, failure injection, alternative
+//!   execution paths, compensation, deferred 2PC commits, cascading aborts,
+//!   the journal, metrics) and its wall-clock driver: conflict-domain shards
+//!   stepped by an event-driven worker pool (stress-tested for PRED),
+//! * [`engine`] — the same step on a virtual clock: a deterministic
+//!   discrete-event loop over one shard holding every process,
 //! * [`recovery`] — scheduler crash recovery by group abort and completion
 //!   replay from the durable logs (§3.3, Definition 8).
 //!
 //! [`RunBuilder`] is the one entry point for a run (either driver, with
 //! tracing / telemetry / sampling / WAL journaling composed) and
 //! [`Recovery`] the one for recovery; [`run`], [`run_concurrent`] and
-//! [`recover`] are their no-option shorthands. Every effect event of a
-//! certified policy passes one §3.5 certification gate, shared by both
-//! drivers.
+//! [`recover`] are their no-option shorthands. The two drivers are two
+//! clocks around one implementation of the protocol's transitions.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

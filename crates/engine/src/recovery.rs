@@ -30,6 +30,7 @@
 //! crash sweeps check the tail against the reference `≪̃` of
 //! [`txproc_core::completion::complete`].
 
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use txproc_core::completion::completion_tail;
 use txproc_core::error::{ModelError, ScheduleError};
@@ -43,7 +44,19 @@ use txproc_subsystem::error::SubsystemError;
 use txproc_subsystem::subsystem::SubsystemId;
 use txproc_subsystem::tpc::{Coordinator, Decision};
 
-pub use crate::engine::InvocationLogEntry;
+/// One durable invocation-log entry: enough to find the subsystem
+/// transaction of an activity after a scheduler crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct InvocationLogEntry {
+    /// The activity.
+    pub gid: GlobalActivityId,
+    /// Where it ran.
+    pub subsystem: SubsystemId,
+    /// The invocation handle at the agent.
+    pub invocation: InvocationId,
+    /// Whether the invocation was left prepared (commit deferred).
+    pub prepared: bool,
+}
 
 /// The durable state surviving a scheduler crash.
 #[derive(Debug, Clone)]

@@ -1,7 +1,7 @@
-//! Concurrent-driver durability: the ticket-stamped shard-event journal
-//! reconstructs the exact merged history, the journal's seal cadence bounds
+//! Concurrent-driver durability: the journal, appended in ticket order,
+//! rebuilds to the exact merged history, the journal's seal cadence bounds
 //! what a crash can lose on both drivers, and the unified recovery API
-//! reads engine WALs from files and byte buffers interchangeably.
+//! reads WALs from files and byte buffers interchangeably.
 
 use txproc_core::pred::is_pred;
 use txproc_core::recoverability::is_proc_rec;
@@ -10,7 +10,7 @@ use txproc_core::wal::{
     read_records, read_wal_file, DurabilityPolicy, FileWal, MemWal, WalRecord, WalWriter,
 };
 use txproc_engine::concurrent::ConcurrentConfig;
-use txproc_engine::durability::{rebuild_image, wal_history};
+use txproc_engine::durability::rebuild_image;
 use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::recovery::{recover, Recovery, RecoverySource};
 use txproc_engine::RunBuilder;
@@ -27,10 +27,10 @@ fn workload(seed: u64) -> Workload {
     })
 }
 
-/// A concurrent run journaled through the builder leaves a WAL whose
-/// ticket-sorted shard events replay to the exact merged history — even
-/// with multiple workers racing to append — and that history passes the
-/// same PRED / Proc-REC audits as the returned one.
+/// A concurrent run journaled through the builder leaves a WAL that
+/// rebuilds, read front to back like any log, to the exact merged history —
+/// even with multiple workers racing to append — and that history passes
+/// the same PRED / Proc-REC audits as the returned one.
 #[test]
 fn concurrent_wal_replays_to_the_merged_history() {
     for seed in 0..16u64 {
@@ -52,7 +52,7 @@ fn concurrent_wal_replays_to_the_merged_history() {
 
             let (records, clean) = read_records(&mem.contents());
             assert_eq!(clean, mem.len(), "seed {seed}: finish() lands whole frames");
-            let replayed = wal_history(&records);
+            let replayed = rebuild_image(&w, &records).expect("rebuild").history;
             assert_eq!(
                 render(&replayed),
                 render(&result.history),
@@ -161,10 +161,11 @@ fn the_writer_counts_exactly_the_records_replay_turns_into_events() {
     let w = sixteen_processes();
     let (engine_log, _) = sealed_log(&w, false, 4);
     let (shard_log, _) = sealed_log(&w, true, 4);
-    let carried = |log: &[WalRecord]| log.iter().filter(|r| r.carries_event()).count();
-    let image = rebuild_image(&w, &engine_log).expect("rebuild");
-    assert_eq!(carried(&engine_log), image.history.len());
-    assert_eq!(carried(&shard_log), wal_history(&shard_log).len());
+    for log in [engine_log, shard_log] {
+        let carried = log.iter().filter(|r| r.carries_event()).count();
+        let image = rebuild_image(&w, &log).expect("rebuild");
+        assert_eq!(carried, image.history.len());
+    }
 }
 
 /// Journaling must not perturb the concurrent run itself: under the

@@ -1,11 +1,13 @@
-//! Differential stress tests of the event-driven runtime against itself:
-//! the single-worker run is the deterministic oracle.
+//! Differential stress tests of the event-driven runtime against itself
+//! and against the virtual-time engine: the single-worker run is the
+//! deterministic oracle.
 //!
 //! Three oracles:
 //!
 //! 1. On workloads whose processes are pairwise non-conflicting,
 //!    scheduling decisions degenerate to the deterministic failure coins,
-//!    so a multi-worker run and the single-worker run must produce
+//!    so a multi-worker run, the single-worker run and the virtual-time
+//!    engine — three clocks around one `Shard::step` — must produce
 //!    bit-equal commit/abort sets over 256 seeds.
 //! 2. With a single worker and closed arrivals the runtime has no
 //!    scheduling nondeterminism left: repeated runs must produce
@@ -25,7 +27,7 @@ use std::collections::BTreeSet;
 use txproc_core::domains::DomainPartition;
 use txproc_core::ids::ProcessId;
 use txproc_core::schedule::{Event, Schedule};
-use txproc_engine::{run_concurrent, ConcurrentConfig};
+use txproc_engine::{run, run_concurrent, ConcurrentConfig, RunConfig};
 use txproc_sim::workload::{generate, WorkloadConfig};
 
 fn outcome_sets(history: &Schedule) -> (BTreeSet<ProcessId>, BTreeSet<ProcessId>) {
@@ -48,8 +50,9 @@ fn outcome_sets(history: &Schedule) -> (BTreeSet<ProcessId>, BTreeSet<ProcessId>
     (committed, aborted)
 }
 
-/// Oracle 1: a multi-worker run commits and aborts exactly the processes
-/// the single-worker run does on disjoint workloads, over 256 seeds.
+/// Oracle 1: a multi-worker run and the virtual-time engine commit and abort
+/// exactly the processes the single-worker run does on disjoint workloads,
+/// over 256 seeds.
 #[test]
 fn multi_worker_matches_single_worker_on_disjoint_workloads_over_256_seeds() {
     for seed in 0..256u64 {
@@ -84,6 +87,16 @@ fn multi_worker_matches_single_worker_on_disjoint_workloads_over_256_seeds() {
             outcome_sets(&multi.history),
             outcome_sets(&single.history),
             "seed {seed}: multi- vs single-worker outcome sets diverge"
+        );
+        let cfg = RunConfig {
+            seed,
+            ..RunConfig::default()
+        };
+        let engine = run(&w, cfg);
+        assert_eq!(
+            outcome_sets(&engine.history),
+            outcome_sets(&single.history),
+            "seed {seed}: engine vs single-worker outcome sets diverge"
         );
         assert_eq!(
             multi.metrics.committed, single.metrics.committed,

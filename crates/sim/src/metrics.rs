@@ -283,17 +283,17 @@ pub struct Metrics {
     pub latency_by_pid: BTreeMap<u32, u64>,
     /// Virtual makespan of the whole run.
     pub makespan: u64,
-    /// Per-process time spent blocked (virtual time in the deterministic
-    /// engine; the concurrent driver does not populate this — its waits are
-    /// wall-clock and counted in [`Metrics::waits`] instead).
+    /// Per-process time spent blocked, from a step that waits to the next
+    /// that does not, on the run's clock (virtual ticks in the engine, wall
+    /// microseconds in the concurrent driver).
     pub blocked_time: BTreeMap<u32, u64>,
     /// Abort initiations broken down by first cause.
     pub abort_reasons: AbortReasons,
     /// Certification attempts answered "not PRED" (each forces a defer,
     /// retry or escalation).
     pub cert_failures: u64,
-    /// Per-shard sizes (sharded concurrent driver only; empty for the
-    /// virtual-time engine).
+    /// Per-shard sizes (one entry per conflict-domain shard; the engine's
+    /// one shard holds every process).
     pub shards: Vec<ShardMetrics>,
     /// Runtime-level observability (concurrent driver only; `None` for the
     /// virtual-time engine).

@@ -75,8 +75,8 @@ pub struct TenantMix {
 /// A correlated subsystem crash-storm: during a virtual-time window, every
 /// failable activity on the storm subsystems fails with `failure_probability`
 /// instead of the base rate — the "half the machine room lost power mid-2PC"
-/// shape. The wall-clock concurrent driver has no virtual clock; it applies
-/// the storm probability to the storm subsystems for the whole run instead.
+/// shape. A run on the wall clock has no ticks to find the window in; it
+/// applies the storm probability to the storm subsystems for the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrashStorm {
     /// Number of affected subsystems (absolute ids `0..subsystems`).

@@ -123,19 +123,43 @@ impl Coordinator {
         participants: Vec<Participant>,
         crash_after_decision: bool,
     ) -> Result<u64, SubsystemError> {
-        let group = self.next_group;
-        self.next_group += 1;
-        self.log.push(DecisionRecord {
-            group,
-            participants: participants.clone(),
-            decision: Decision::Commit,
-            completed: false,
-        });
+        let group = self.log_commit(participants);
         if crash_after_decision {
             return Ok(group);
         }
         self.run_phase2(agents, group)?;
         Ok(group)
+    }
+
+    /// [`Coordinator::commit_group`] for agents that are not in one map
+    /// (each behind its own lock, say): logs the decision, then hands every
+    /// participant to `release` — phase 2 at its agent — and completes the
+    /// group.
+    pub fn commit_group_with(
+        &mut self,
+        participants: Vec<Participant>,
+        mut release: impl FnMut(&Participant) -> Result<(), SubsystemError>,
+    ) -> Result<u64, SubsystemError> {
+        let group = self.log_commit(participants);
+        let record = self.log.last_mut().expect("just logged");
+        for p in &record.participants {
+            release(p)?;
+        }
+        record.completed = true;
+        Ok(group)
+    }
+
+    /// Logs the commit decision of a new group; phase 2 has yet to run.
+    fn log_commit(&mut self, participants: Vec<Participant>) -> u64 {
+        let group = self.next_group;
+        self.next_group += 1;
+        self.log.push(DecisionRecord {
+            group,
+            participants,
+            decision: Decision::Commit,
+            completed: false,
+        });
+        group
     }
 
     /// Atomically aborts a group of prepared invocations.
@@ -258,6 +282,21 @@ mod tests {
         assert_eq!(agents[&SubsystemId(0)].subsystem.peek(Key(1)), Some(1));
         assert_eq!(agents[&SubsystemId(1)].subsystem.peek(Key(2)), Some(1));
         assert!(coord.log()[0].completed);
+    }
+
+    #[test]
+    fn commit_through_a_callback_completes_the_group() {
+        let (mut agents, pivot) = setup();
+        let p0 = prepare_on(&mut agents, SubsystemId(0), pivot, Key(1));
+        let mut coord = Coordinator::new();
+        let group = coord
+            .commit_group_with(vec![p0], |p| {
+                agents.get_mut(&p.subsystem).unwrap().release(p.invocation)
+            })
+            .unwrap();
+        assert_eq!(agents[&SubsystemId(0)].subsystem.peek(Key(1)), Some(1));
+        assert_eq!((group, coord.log()[0].completed), (0, true));
+        assert!(coord.resolve_in_doubt(&mut agents).unwrap().is_empty());
     }
 
     #[test]
