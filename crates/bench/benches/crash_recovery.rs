@@ -1,10 +1,16 @@
 //! E16/E29 benchmark: crash-recovery cost (group abort + completion) — of
 //! a crash image alone; building the image is outside the timed region.
 //! Three crash points of an 8-process run, and the half-log cut of a
-//! journaled run at 32, 128 and 512 processes.
+//! journaled run at 32, 128 and 512 processes. E37's `wal_codec` group is
+//! the log's codec alone: one frame of each record shape encoded and read
+//! back, and `read_records` over one whole `durable_recovery`-shaped log.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use txproc_core::wal::{read_records, DurabilityPolicy, MemWal, WalWriter};
+use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId};
+use txproc_core::schedule::Event;
+use txproc_core::wal::{
+    encode_record, read_records, DurabilityPolicy, MemWal, WalRecord, WalWriter, WAL_VERSION,
+};
 use txproc_engine::durability::rebuild_image;
 use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::recovery::{recover, CrashImage};
@@ -20,9 +26,9 @@ fn workload(seed: u64, processes: usize, conflict_density: f64) -> Workload {
     })
 }
 
-/// The image a crash leaves after the first half of a finished run's log
-/// (the benchmark's `durable_recovery` shape: epoch 16, one seal per epoch).
-fn half_log_image(w: &Workload) -> CrashImage {
+/// The log of a finished run (the benchmark's `durable_recovery` shape:
+/// epoch 16, one seal per epoch).
+fn journaled_log(w: &Workload) -> Vec<u8> {
     let mem = MemWal::new();
     let writer = WalWriter::new(
         Box::new(mem.clone()),
@@ -35,7 +41,12 @@ fn half_log_image(w: &Workload) -> CrashImage {
         ..RunConfig::default()
     };
     Engine::new(w, cfg).with_wal(writer).run();
-    let (mut records, _) = read_records(&mem.contents());
+    mem.contents()
+}
+
+/// The image a crash leaves after the first half of a finished run's log.
+fn half_log_image(w: &Workload) -> CrashImage {
+    let (mut records, _) = read_records(&journaled_log(w));
     records.truncate(records.len() / 2);
     rebuild_image(w, &records).expect("a record prefix rebuilds")
 }
@@ -66,5 +77,75 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+/// One record of each shape the log can hold.
+fn record_shapes() -> Vec<(&'static str, WalRecord)> {
+    let gid = GlobalActivityId::new(ProcessId(17), ActivityId(3));
+    let event = |event| WalRecord::Event { event };
+    vec![
+        (
+            "begin",
+            WalRecord::Begin {
+                version: WAL_VERSION,
+                seed: 1,
+            },
+        ),
+        ("execute", event(Event::Execute(gid))),
+        ("fail", event(Event::Fail(gid))),
+        ("compensate", event(Event::Compensate(gid))),
+        ("commit", event(Event::Commit(ProcessId(17)))),
+        ("abort", event(Event::Abort(ProcessId(17)))),
+        (
+            "group_abort_4",
+            event(Event::GroupAbort((4..8).map(ProcessId).collect())),
+        ),
+        (
+            "invocation",
+            WalRecord::Invocation {
+                gid,
+                subsystem: 2,
+                invocation: 41,
+                prepared: false,
+            },
+        ),
+        (
+            "prepared_aborted",
+            WalRecord::PreparedAborted {
+                subsystem: 2,
+                invocation: 41,
+            },
+        ),
+        (
+            "decision_2",
+            WalRecord::Decision {
+                group: 9,
+                commit: true,
+                participants: vec![(2, 41), (0, 7)],
+            },
+        ),
+        ("decision_applied", WalRecord::DecisionApplied { group: 9 }),
+        ("epoch_seal", WalRecord::EpochSeal { epoch: 12 }),
+    ]
+}
+
+fn bench_codec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("wal_codec");
+    g.sample_size(20);
+    for (shape, record) in record_shapes() {
+        g.bench_with_input(BenchmarkId::new("encode", shape), &record, |b, record| {
+            b.iter(|| encode_record(record))
+        });
+        let frame = encode_record(&record);
+        g.bench_with_input(BenchmarkId::new("decode", shape), &frame, |b, frame| {
+            b.iter(|| read_records(frame))
+        });
+    }
+    let log = journaled_log(&workload(1, 32, 0.3));
+    let records = read_records(&log).0.len();
+    g.bench_with_input(BenchmarkId::new("read_log", records), &log, |b, log| {
+        b.iter(|| read_records(log))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench, bench_codec);
 criterion_main!(benches);

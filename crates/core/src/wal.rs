@@ -5,13 +5,21 @@
 //! module gives that record a durable on-disk form. Each frame is
 //!
 //! ```text
-//! [u32 LE payload length][u32 LE CRC-32 of payload][payload JSON]
+//! [u32 LE payload length][u32 LE CRC-32 of payload][u8 tag][little-endian fields]
 //! ```
 //!
-//! and the reader stops at the first frame that is short, fails its CRC, or
-//! does not parse — the *torn tail* a kill -9 mid-write leaves behind. The
-//! clean byte length is reported so recovery can truncate the log back to
-//! the last complete record and re-append from there.
+//! The payload is one tag byte per record shape — [`WalRecord::Event`]'s six
+//! kinds are flattened into the tag — followed by that shape's fields at
+//! fixed widths (`u32` ids, `u64` counters, one byte per `bool`); the two
+//! lists (`GroupAbort`'s processes, `Decision`'s participants) are a `u32`
+//! count and then the entries. The encoding is canonical: a payload decodes
+//! only if every byte of it is accounted for, so a record has exactly one
+//! encoding. The reader stops at the first frame that is short, fails its
+//! CRC, or does not decode (unknown tag, a `bool` byte that is neither 0 nor
+//! 1, a count that disagrees with the bytes left, trailing bytes) — the *torn
+//! tail* a kill -9 mid-write leaves behind. The clean byte length is reported
+//! so recovery can truncate the log back to the last complete record and
+//! re-append from there.
 //!
 //! Two disciplines are load-bearing (the icydb audit in SNIPPETS.md #2):
 //!
@@ -37,18 +45,17 @@
 //! ([`WalRecord::carries_event`]). No driver decides when to seal, so none
 //! can forget to.
 
-use crate::ids::GlobalActivityId;
+use crate::ids::{ActivityId, GlobalActivityId, ProcessId};
 use crate::schedule::Event;
-use serde::{Deserialize, Serialize};
 use std::io::Write as _;
 use std::num::NonZeroU64;
 use std::sync::{Arc, Mutex};
 
-/// Version tag written in the [`WalRecord::Begin`] header record. Version 1
-/// logs could carry full-state snapshot markers, a record this reader no
-/// longer knows: it would take one for a torn tail and recover a *prefix*,
-/// so replay refuses a version-1 log at its first record instead.
-pub const WAL_VERSION: u32 = 2;
+/// Version tag written in the [`WalRecord::Begin`] header record. Versions
+/// 1 and 2 framed JSON payloads, which this reader does not decode: it would
+/// take such a log's `Begin` for a torn tail and recover the *empty* prefix,
+/// so recovery asks [`foreign_head`] first and refuses the log instead.
+pub const WAL_VERSION: u32 = 3;
 
 /// How aggressively the WAL writer makes appended records durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +100,7 @@ impl DurabilityPolicy {
 /// Subsystem and invocation identifiers are carried as raw integers so the
 /// core crate stays decoupled from `txproc-subsystem`; the engine's
 /// durability layer owns the mapping back to typed ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// First record of every log: format version and workload seed.
     Begin {
@@ -208,50 +215,255 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// Frame header: payload length and payload CRC, four bytes each.
+const HEADER: usize = 8;
+/// The smallest frame: header, tag and one `u32` (`Commit` / `Abort`).
+const MIN_FRAME: usize = HEADER + 1 + 4;
+
+// Payload tags, one per record shape, with the fields that follow the tag.
+const TAG_BEGIN: u8 = 1; // version u32, seed u64
+const TAG_EXECUTE: u8 = 2; // process u32, activity u32
+const TAG_FAIL: u8 = 3; // process u32, activity u32
+const TAG_COMPENSATE: u8 = 4; // process u32, activity u32
+const TAG_COMMIT: u8 = 5; // process u32
+const TAG_ABORT: u8 = 6; // process u32
+const TAG_GROUP_ABORT: u8 = 7; // count u32, count × process u32
+const TAG_INVOCATION: u8 = 8; // process u32, activity u32, subsystem u32, invocation u64, prepared u8
+const TAG_PREPARED_ABORTED: u8 = 9; // subsystem u32, invocation u64
+const TAG_DECISION: u8 = 10; // group u64, commit u8, count u32, count × (subsystem u32, invocation u64)
+const TAG_DECISION_APPLIED: u8 = 11; // group u64
+const TAG_EPOCH_SEAL: u8 = 12; // epoch u64
+/// Bytes of one `Decision` participant: subsystem `u32`, invocation `u64`.
+const PARTICIPANT: usize = 4 + 8;
+
+/// Chainable little-endian field writers over the frame buffer.
+trait Put {
+    fn u8(&mut self, v: u8) -> &mut Self;
+    fn u32(&mut self, v: u32) -> &mut Self;
+    fn u64(&mut self, v: u64) -> &mut Self;
+    fn gid(&mut self, gid: &GlobalActivityId) -> &mut Self {
+        self.u32(gid.process.0).u32(gid.activity.0)
+    }
+}
+
+impl Put for Vec<u8> {
+    fn u8(&mut self, v: u8) -> &mut Self {
+        self.push(v);
+        self
+    }
+    fn u32(&mut self, v: u32) -> &mut Self {
+        self.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+    fn u64(&mut self, v: u64) -> &mut Self {
+        self.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+}
+
+/// Appends `record`'s payload — tag, then fields — to `out`.
+fn encode_payload(out: &mut Vec<u8>, record: &WalRecord) {
+    match record {
+        WalRecord::Begin { version, seed } => out.u8(TAG_BEGIN).u32(*version).u64(*seed),
+        WalRecord::Event { event } => match event {
+            Event::Execute(gid) => out.u8(TAG_EXECUTE).gid(gid),
+            Event::Fail(gid) => out.u8(TAG_FAIL).gid(gid),
+            Event::Compensate(gid) => out.u8(TAG_COMPENSATE).gid(gid),
+            Event::Commit(p) => out.u8(TAG_COMMIT).u32(p.0),
+            Event::Abort(p) => out.u8(TAG_ABORT).u32(p.0),
+            Event::GroupAbort(ps) => {
+                out.u8(TAG_GROUP_ABORT).u32(ps.len() as u32);
+                ps.iter().fold(out, |out, p| out.u32(p.0))
+            }
+        },
+        WalRecord::Invocation {
+            gid,
+            subsystem,
+            invocation,
+            prepared,
+        } => out
+            .u8(TAG_INVOCATION)
+            .gid(gid)
+            .u32(*subsystem)
+            .u64(*invocation)
+            .u8(u8::from(*prepared)),
+        WalRecord::PreparedAborted {
+            subsystem,
+            invocation,
+        } => out
+            .u8(TAG_PREPARED_ABORTED)
+            .u32(*subsystem)
+            .u64(*invocation),
+        WalRecord::Decision {
+            group,
+            commit,
+            participants,
+        } => {
+            out.u8(TAG_DECISION).u64(*group).u8(u8::from(*commit));
+            out.u32(participants.len() as u32);
+            participants
+                .iter()
+                .fold(out, |out, &(s, i)| out.u32(s).u64(i))
+        }
+        WalRecord::DecisionApplied { group } => out.u8(TAG_DECISION_APPLIED).u64(*group),
+        WalRecord::EpochSeal { epoch } => out.u8(TAG_EPOCH_SEAL).u64(*epoch),
+    };
+}
+
+/// Appends `record`'s frame to `out`: the payload is encoded in place behind
+/// an eight-byte gap, then its length and CRC are patched into the gap. (A
+/// list too long for the `u32` length would wrap it; the frame then fails
+/// its CRC on the read side, like any other torn write.)
+fn encode_into(out: &mut Vec<u8>, record: &WalRecord) {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER]);
+    encode_payload(out, record);
+    let payload = &out[start + HEADER..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + HEADER].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Encodes one record as a framed byte sequence.
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let payload = serde_json::to_string(record)
-        .expect("WAL records serialize infallibly")
-        .into_bytes();
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    // Room for any list-free frame (the largest is `Invocation`, 8 + 22).
+    let mut out = Vec::with_capacity(32);
+    encode_into(&mut out, record);
     out
+}
+
+/// Reads fixed-width little-endian fields off the front of a payload.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.take()? {
+            [0] => Some(false),
+            [1] => Some(true),
+            _ => None,
+        }
+    }
+
+    fn gid(&mut self) -> Option<GlobalActivityId> {
+        Some(GlobalActivityId {
+            process: ProcessId(self.u32()?),
+            activity: ActivityId(self.u32()?),
+        })
+    }
+
+    /// A list's count, accepted only when `count` entries of `width` bytes
+    /// are exactly what is left of the payload (a list is its record's last
+    /// field) — so the caller may allocate for `count` entries.
+    fn count(&mut self, width: usize) -> Option<usize> {
+        let count = self.u32()? as usize;
+        (count.checked_mul(width)? == self.0.len()).then_some(count)
+    }
+}
+
+/// Decodes one payload; `None` unless every byte of it belongs to the record.
+fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
+    let (&tag, fields) = payload.split_first()?;
+    let mut f = Fields(fields);
+    let event = |event| WalRecord::Event { event };
+    let record = match tag {
+        TAG_BEGIN => WalRecord::Begin {
+            version: f.u32()?,
+            seed: f.u64()?,
+        },
+        TAG_EXECUTE => event(Event::Execute(f.gid()?)),
+        TAG_FAIL => event(Event::Fail(f.gid()?)),
+        TAG_COMPENSATE => event(Event::Compensate(f.gid()?)),
+        TAG_COMMIT => event(Event::Commit(ProcessId(f.u32()?))),
+        TAG_ABORT => event(Event::Abort(ProcessId(f.u32()?))),
+        TAG_GROUP_ABORT => {
+            let count = f.count(4)?;
+            let mut processes = Vec::with_capacity(count);
+            for _ in 0..count {
+                processes.push(ProcessId(f.u32()?));
+            }
+            event(Event::GroupAbort(processes))
+        }
+        TAG_INVOCATION => WalRecord::Invocation {
+            gid: f.gid()?,
+            subsystem: f.u32()?,
+            invocation: f.u64()?,
+            prepared: f.bool()?,
+        },
+        TAG_PREPARED_ABORTED => WalRecord::PreparedAborted {
+            subsystem: f.u32()?,
+            invocation: f.u64()?,
+        },
+        TAG_DECISION => {
+            let (group, commit) = (f.u64()?, f.bool()?);
+            let count = f.count(PARTICIPANT)?;
+            let mut participants = Vec::with_capacity(count);
+            for _ in 0..count {
+                participants.push((f.u32()?, f.u64()?));
+            }
+            WalRecord::Decision {
+                group,
+                commit,
+                participants,
+            }
+        }
+        TAG_DECISION_APPLIED => WalRecord::DecisionApplied { group: f.u64()? },
+        TAG_EPOCH_SEAL => WalRecord::EpochSeal { epoch: f.u64()? },
+        _ => return None,
+    };
+    f.0.is_empty().then_some(record)
+}
+
+/// Splits the first length- and CRC-clean frame off `bytes`: its payload and
+/// the bytes after it. `None` is a short header, a short payload or a CRC
+/// mismatch (bit rot or a torn rewrite).
+fn next_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let (crc, rest) = rest.split_first_chunk::<4>()?;
+    let (payload, rest) = rest.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+    (crc32(payload) == u32::from_le_bytes(*crc)).then_some((payload, rest))
 }
 
 /// Parses every complete, CRC-clean record from `bytes`.
 ///
 /// Returns the records plus the *clean length*: the byte offset just past
 /// the last intact frame. Anything beyond it is a torn tail (short header,
-/// short payload, CRC mismatch, or unparseable JSON) and must be truncated
-/// before appending resumes.
+/// short payload, CRC mismatch, or a payload that does not decode) and must
+/// be truncated before appending resumes.
 pub fn read_records(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut records = Vec::new();
-    let mut at = 0usize;
-    while bytes.len() - at >= 8 {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-        let Some(end) = at.checked_add(8).and_then(|s| s.checked_add(len)) else {
-            break;
-        };
-        if end > bytes.len() {
-            break; // torn payload
-        }
-        let payload = &bytes[at + 8..end];
-        if crc32(payload) != crc {
-            break; // bit rot or a torn rewrite
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break;
-        };
-        let Ok(record) = serde_json::from_str::<WalRecord>(text) else {
+    let mut records = Vec::with_capacity(bytes.len() / MIN_FRAME);
+    let mut rest = bytes;
+    while let Some((payload, after)) = next_frame(rest) {
+        let Some(record) = decode_payload(payload) else {
             break;
         };
         records.push(record);
-        at = end;
+        rest = after;
     }
-    (records, at)
+    (records, bytes.len() - rest.len())
+}
+
+/// Whether `bytes` opens with a frame that is intact — full length, matching
+/// CRC — yet is no record of this format: a log of another version (1 and 2
+/// framed JSON) or of another program. [`read_records`] reads such a log as
+/// empty, which recovery must not mistake for a crash inside the `Begin`
+/// write: *that* leaves a short or CRC-failing first frame, and is not
+/// foreign.
+pub fn foreign_head(bytes: &[u8]) -> bool {
+    next_frame(bytes).is_some_and(|(payload, _)| decode_payload(payload).is_none())
 }
 
 /// Byte sink a [`WalWriter`] appends frames to.
@@ -353,12 +565,6 @@ impl WalStore for FileWal {
     }
 }
 
-/// Reads a WAL file, returning its records and clean byte length.
-pub fn read_wal_file(path: &std::path::Path) -> std::io::Result<(Vec<WalRecord>, usize)> {
-    let bytes = std::fs::read(path)?;
-    Ok(read_records(&bytes))
-}
-
 /// Buffering, policy-driven writer of framed records.
 ///
 /// Encoded frames accumulate in an internal buffer; the policy decides when
@@ -420,10 +626,10 @@ impl WalWriter {
 
     /// Appends one record, applying the sync policy and the seal cadence.
     pub fn append(&mut self, record: &WalRecord) {
-        let frame = encode_record(record);
-        self.bytes += frame.len() as u64;
+        let before = self.buf.len();
+        encode_into(&mut self.buf, record);
+        self.bytes += (self.buf.len() - before) as u64;
         self.records += 1;
-        self.buf.extend_from_slice(&frame);
         match self.policy {
             DurabilityPolicy::FsyncEveryN(n) => {
                 self.since_sync += 1;
@@ -432,12 +638,7 @@ impl WalWriter {
                     self.sync();
                 }
             }
-            DurabilityPolicy::Buffered => {
-                if self.buf.len() >= FLUSH_THRESHOLD {
-                    self.flush();
-                }
-            }
-            DurabilityPolicy::FsyncPerEpoch => {
+            DurabilityPolicy::Buffered | DurabilityPolicy::FsyncPerEpoch => {
                 if self.buf.len() >= FLUSH_THRESHOLD {
                     self.flush();
                 }
@@ -543,7 +744,7 @@ impl std::fmt::Debug for WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ActivityId, GlobalActivityId, ProcessId};
+    use proptest::prelude::*;
 
     fn gid(p: u32, a: u32) -> GlobalActivityId {
         GlobalActivityId {
@@ -552,7 +753,9 @@ mod tests {
         }
     }
 
+    /// One record of each of the twelve shapes.
     fn sample_records() -> Vec<WalRecord> {
+        let event = |event| WalRecord::Event { event };
         vec![
             WalRecord::Begin {
                 version: WAL_VERSION,
@@ -564,9 +767,7 @@ mod tests {
                 invocation: 5,
                 prepared: true,
             },
-            WalRecord::Event {
-                event: Event::Execute(gid(1, 0)),
-            },
+            event(Event::Execute(gid(1, 0))),
             WalRecord::Decision {
                 group: 3,
                 commit: true,
@@ -578,9 +779,11 @@ mod tests {
                 invocation: 6,
             },
             WalRecord::EpochSeal { epoch: 1 },
-            WalRecord::Event {
-                event: Event::Commit(ProcessId(1)),
-            },
+            event(Event::Fail(gid(2, 1))),
+            event(Event::Compensate(gid(2, 0))),
+            event(Event::Abort(ProcessId(2))),
+            event(Event::GroupAbort(vec![ProcessId(3), ProcessId(4)])),
+            event(Event::Commit(ProcessId(1))),
         ]
     }
 
@@ -649,6 +852,172 @@ mod tests {
         assert_eq!(clean, clean_len);
     }
 
+    /// `payload` framed under a freshly computed CRC: damage the CRC cannot
+    /// see, so only the decoder stands between it and replay.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Reads `head ++ frame ++ tail` for an intact `head` and `tail`: the
+    /// middle record if the read went through it, `None` if the read stopped
+    /// at the boundary before it. Anything else fails the test.
+    fn read_between(frame: &[u8]) -> Option<WalRecord> {
+        let head = encode_record(&WalRecord::EpochSeal { epoch: 0 });
+        let tail = encode_record(&WalRecord::DecisionApplied { group: 9 });
+        let log = [&head[..], frame, &tail[..]].concat();
+        let (mut records, clean) = read_records(&log);
+        match records.len() {
+            1 => assert_eq!(clean, head.len()),
+            3 => assert_eq!(clean, log.len()),
+            n => panic!("{n} records read around {frame:?}"),
+        }
+        (records.len() == 3).then(|| records.swap_remove(1))
+    }
+
+    #[test]
+    fn every_payload_byte_mutation_fails_closed_or_is_canonical() {
+        for record in sample_records() {
+            let clean = encode_record(&record);
+            assert_eq!(read_between(&clean), Some(record.clone()));
+            for at in HEADER..clean.len() {
+                for byte in (0..=u8::MAX).filter(|&b| b != clean[at]) {
+                    let mut payload = clean[HEADER..].to_vec();
+                    payload[at - HEADER] = byte;
+                    let mutated = frame(&payload);
+                    if let Some(read) = read_between(&mutated) {
+                        assert_ne!(read, record, "{record:?} has two encodings");
+                        assert_eq!(encode_record(&read), mutated, "{read:?} is not canonical");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn undecodable_payloads_stop_the_read() {
+        assert_eq!(read_between(&frame(&[])), None, "empty payload");
+        for tag in [0, TAG_EPOCH_SEAL + 1, u8::MAX] {
+            let payload = [&[tag][..], &[0; 8]].concat();
+            assert_eq!(read_between(&frame(&payload)), None, "tag {tag}");
+        }
+        for record in sample_records() {
+            let payload = &encode_record(&record)[HEADER..];
+            let longer = [payload, &[0]].concat();
+            assert_eq!(read_between(&frame(&longer)), None, "{record:?} + 1 byte");
+            let shorter = &payload[..payload.len() - 1];
+            assert_eq!(read_between(&frame(shorter)), None, "{record:?} - 1 byte");
+        }
+        // A `bool` is one byte, 0 or 1: `prepared` ends an `Invocation`,
+        // `commit` follows a `Decision`'s tag and group.
+        let mut invocation = encode_record(&sample_records()[1])[HEADER..].to_vec();
+        *invocation.last_mut().unwrap() = 2;
+        assert_eq!(read_between(&frame(&invocation)), None);
+        let mut decision = encode_record(&sample_records()[3])[HEADER..].to_vec();
+        decision[1 + 8] = 2;
+        assert_eq!(read_between(&frame(&decision)), None);
+    }
+
+    #[test]
+    fn list_count_must_match_the_bytes_left() {
+        let group_abort = |count: u32, entries: usize| {
+            let mut payload = vec![TAG_GROUP_ABORT];
+            payload.extend_from_slice(&count.to_le_bytes());
+            payload.extend_from_slice(&vec![0; entries * 4]);
+            frame(&payload)
+        };
+        let decision = |count: u32, entries: usize| {
+            let mut payload = vec![TAG_DECISION];
+            payload.extend_from_slice(&[0; 8 + 1]);
+            payload.extend_from_slice(&count.to_le_bytes());
+            payload.extend_from_slice(&vec![0; entries * PARTICIPANT]);
+            frame(&payload)
+        };
+        for list in [group_abort, decision] {
+            assert!(read_between(&list(0, 0)).is_some());
+            assert!(read_between(&list(2, 2)).is_some());
+            assert_eq!(read_between(&list(3, 2)), None);
+            assert_eq!(read_between(&list(1, 2)), None);
+            // The count is checked before anything is reserved for it: were
+            // it not, this would ask the allocator for 16–48 GiB.
+            assert_eq!(read_between(&list(u32::MAX, 2)), None);
+            assert_eq!(read_between(&list(u32::MAX, 0)), None);
+        }
+    }
+
+    #[test]
+    fn foreign_head_is_an_intact_frame_that_does_not_decode() {
+        let v2 = frame(br#"{"Begin":{"version":2,"seed":7}}"#);
+        assert!(foreign_head(&v2));
+        assert_eq!(read_records(&v2), (vec![], 0));
+        let begin = encode_record(&sample_records()[0]);
+        assert!(!foreign_head(&begin));
+        for cut in 0..begin.len() {
+            assert!(!foreign_head(&begin[..cut]), "cut at {cut} is a torn tail");
+            assert!(!foreign_head(&v2[..cut]), "cut at {cut} is a torn tail");
+        }
+        let mut rotten = v2.clone();
+        rotten[HEADER] ^= 1;
+        assert!(!foreign_head(&rotten), "a CRC failure is a torn tail");
+    }
+
+    fn record_strategy() -> impl Strategy<Value = WalRecord> {
+        let gid = || (any::<u32>(), any::<u32>()).prop_map(|(p, a)| gid(p, a));
+        let pid = || any::<u32>().prop_map(ProcessId);
+        let event = prop_oneof![
+            gid().prop_map(Event::Execute),
+            gid().prop_map(Event::Fail),
+            gid().prop_map(Event::Compensate),
+            pid().prop_map(Event::Commit),
+            pid().prop_map(Event::Abort),
+            proptest::collection::vec(pid(), 0..9).prop_map(Event::GroupAbort),
+        ];
+        prop_oneof![
+            (any::<u32>(), any::<u64>())
+                .prop_map(|(version, seed)| WalRecord::Begin { version, seed }),
+            event.prop_map(|event| WalRecord::Event { event }),
+            (gid(), any::<u32>(), any::<u64>(), any::<bool>()).prop_map(
+                |(gid, subsystem, invocation, prepared)| WalRecord::Invocation {
+                    gid,
+                    subsystem,
+                    invocation,
+                    prepared,
+                }
+            ),
+            (any::<u32>(), any::<u64>()).prop_map(|(subsystem, invocation)| {
+                WalRecord::PreparedAborted {
+                    subsystem,
+                    invocation,
+                }
+            }),
+            (
+                any::<u64>(),
+                any::<bool>(),
+                proptest::collection::vec((any::<u32>(), any::<u64>()), 0..9)
+            )
+                .prop_map(|(group, commit, participants)| WalRecord::Decision {
+                    group,
+                    commit,
+                    participants,
+                }),
+            any::<u64>().prop_map(|group| WalRecord::DecisionApplied { group }),
+            any::<u64>().prop_map(|epoch| WalRecord::EpochSeal { epoch }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A log of generated records reads back as itself, to its last byte.
+        #[test]
+        fn generated_records_round_trip(records in proptest::collection::vec(record_strategy(), 0..24)) {
+            let bytes: Vec<u8> = records.iter().flat_map(encode_record).collect();
+            prop_assert_eq!(read_records(&bytes), (records, bytes.len()));
+        }
+    }
+
     #[test]
     fn writer_policies_drive_sync_cadence() {
         for (policy, appends, seals, want_syncs) in [
@@ -687,7 +1056,7 @@ mod tests {
         });
         w.seal_epoch(0);
         drop(w);
-        let (records, clean) = read_wal_file(&path).unwrap();
+        let (records, clean) = read_records(&std::fs::read(&path).unwrap());
         assert_eq!(records.len(), 3);
         assert_eq!(clean, std::fs::metadata(&path).unwrap().len() as usize);
         assert!(matches!(
@@ -700,7 +1069,7 @@ mod tests {
         // Truncate to the torn tail and confirm append_to resumes cleanly.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..clean - 3]).unwrap();
-        let (records, clean2) = read_wal_file(&path).unwrap();
+        let (records, clean2) = read_records(&std::fs::read(&path).unwrap());
         assert_eq!(records.len(), 2);
         let keep = bytes[..clean2].to_vec();
         std::fs::write(&path, &keep).unwrap();
@@ -708,7 +1077,7 @@ mod tests {
         let mut w = WalWriter::new(Box::new(store), DurabilityPolicy::Buffered, 9);
         w.append(&WalRecord::EpochSeal { epoch: 7 });
         drop(w);
-        let (records, _) = read_wal_file(&path).unwrap();
+        let (records, _) = read_records(&std::fs::read(&path).unwrap());
         assert_eq!(records.len(), 4, "resumed log parses end to end");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -56,6 +56,10 @@ pub enum RebuildError {
         /// Version found in the log.
         found: u32,
     },
+    /// The log opens with an intact frame that is not a record of this
+    /// format ([`foreign_head`](txproc_core::wal::foreign_head)): written by
+    /// a version whose payloads this reader does not decode, or not a log.
+    ForeignLog,
     /// The `Begin` header names a different workload seed.
     SeedMismatch {
         /// Seed found in the log.
@@ -75,6 +79,10 @@ impl std::fmt::Display for RebuildError {
             RebuildError::VersionMismatch { found } => {
                 write!(f, "WAL version {found} != supported {WAL_VERSION}")
             }
+            RebuildError::ForeignLog => write!(
+                f,
+                "the log's first frame is intact but is not a version-{WAL_VERSION} record"
+            ),
             RebuildError::SeedMismatch { found, expected } => {
                 write!(f, "WAL seed {found} != workload seed {expected}")
             }

@@ -30,6 +30,7 @@
 //! crash sweeps check the tail against the reference `≪̃` of
 //! [`txproc_core::completion::complete`].
 
+use crate::durability::{rebuild_image, RebuildError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use txproc_core::completion::completion_tail;
@@ -38,6 +39,7 @@ use txproc_core::ids::{GlobalActivityId, ProcessId, ServiceId};
 use txproc_core::schedule::{Event, OpKind, Replay, Schedule};
 use txproc_core::serializability::process_graph_linear;
 use txproc_core::trace::{AbortReason, NoopSink, TraceEvent, TraceRecord, TraceSink};
+use txproc_core::wal::{foreign_head, read_records};
 use txproc_sim::workload::Workload;
 use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 use txproc_subsystem::error::SubsystemError;
@@ -144,7 +146,7 @@ pub enum RecoveryError {
     /// The WAL file could not be read.
     Io(std::io::Error),
     /// The salvaged log does not replay into a consistent crash image.
-    Rebuild(crate::durability::RebuildError),
+    Rebuild(RebuildError),
     /// A subsystem rejected a recovery action.
     Subsystem(SubsystemError),
     /// The durable history is not a legal schedule of the workload, or its
@@ -242,19 +244,23 @@ impl<'s> Recovery<'s> {
         let image = match self.source {
             RecoverySource::Image(image) => image,
             RecoverySource::Wal(path) => {
-                let (records, _clean) =
-                    txproc_core::wal::read_wal_file(&path).map_err(RecoveryError::Io)?;
-                crate::durability::rebuild_image(workload, &records)
-                    .map_err(RecoveryError::Rebuild)?
+                image_of_log(workload, &std::fs::read(path).map_err(RecoveryError::Io)?)?
             }
-            RecoverySource::WalBytes(bytes) => {
-                let (records, _clean) = txproc_core::wal::read_records(&bytes);
-                crate::durability::rebuild_image(workload, &records)
-                    .map_err(RecoveryError::Rebuild)?
-            }
+            RecoverySource::WalBytes(bytes) => image_of_log(workload, &bytes)?,
         };
         recover_impl(workload, image, self.sink)
     }
+}
+
+/// Salvages the clean prefix of a log and rebuilds its crash image. A log
+/// whose first frame is intact yet undecodable has no clean prefix to
+/// salvage — it is another format's log, not a torn one — and is refused.
+fn image_of_log(workload: &Workload, bytes: &[u8]) -> Result<CrashImage, RecoveryError> {
+    let (records, _clean) = read_records(bytes);
+    if records.is_empty() && foreign_head(bytes) {
+        return Err(RecoveryError::Rebuild(RebuildError::ForeignLog));
+    }
+    rebuild_image(workload, &records).map_err(RecoveryError::Rebuild)
 }
 
 /// Runs crash recovery over a crash image. Shorthand for

@@ -6,9 +6,7 @@
 use txproc_core::pred::is_pred;
 use txproc_core::recoverability::is_proc_rec;
 use txproc_core::schedule::render;
-use txproc_core::wal::{
-    read_records, read_wal_file, DurabilityPolicy, FileWal, MemWal, WalRecord, WalWriter,
-};
+use txproc_core::wal::{read_records, DurabilityPolicy, FileWal, MemWal, WalRecord, WalWriter};
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::durability::rebuild_image;
 use txproc_engine::engine::{Engine, RunConfig};
@@ -224,7 +222,7 @@ fn recovery_sources_agree_on_files_and_bytes() {
         drop(engine.crash());
 
         let bytes = std::fs::read(&path).expect("read wal back");
-        let (records, _) = read_wal_file(&path).expect("salvage wal");
+        let (records, _) = read_records(&std::fs::read(&path).expect("read wal"));
         let by_hand = recover(&w, rebuild_image(&w, &records).expect("rebuild"))
             .expect("recover rebuilt image");
         let from_file = Recovery::from(RecoverySource::Wal(path.clone()))

@@ -24,12 +24,14 @@ use txproc_core::schedule::{render, Event, Op};
 use txproc_core::serializability::{process_graph_linear, ProcessGraph};
 use txproc_core::spec::Spec;
 use txproc_core::wal::{
-    encode_record, read_records, DurabilityPolicy, MemWal, WalRecord, WalWriter,
+    encode_record, read_records, DurabilityPolicy, MemWal, WalRecord, WalWriter, WAL_VERSION,
 };
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::durability::{rebuild_image, RebuildError};
 use txproc_engine::engine::{Engine, RunConfig};
-use txproc_engine::recovery::{recover, InvocationLogEntry};
+use txproc_engine::recovery::{
+    recover, InvocationLogEntry, Recovery, RecoveryError, RecoverySource,
+};
 use txproc_engine::RunBuilder;
 use txproc_sim::workload::{generate, Workload, WorkloadConfig};
 use txproc_subsystem::agent::Agent;
@@ -422,19 +424,60 @@ fn full_log(w: &Workload) -> Vec<WalRecord> {
 }
 
 #[test]
-fn rebuild_refuses_a_version_1_log() {
-    // Version 1 could carry snapshot markers, which `read_records` would now
-    // take for a torn tail: the log is refused whole, not recovered in part.
+fn rebuild_refuses_another_version() {
+    // A `Begin` that decodes but names a version other than this reader's:
+    // the log is refused whole, not read on the guess that the rest matches.
     let w = workload(1);
     let mut records = full_log(&w);
     records[0] = WalRecord::Begin {
-        version: 1,
+        version: WAL_VERSION + 1,
         seed: 1,
     };
     assert_eq!(
         rebuild_image(&w, &records).unwrap_err(),
-        RebuildError::VersionMismatch { found: 1 }
+        RebuildError::VersionMismatch {
+            found: WAL_VERSION + 1
+        }
     );
+}
+
+#[test]
+fn recovery_refuses_a_version_2_log_but_takes_a_torn_begin_as_genesis() {
+    // Version 2 framed JSON. Its `Begin` — these are the bytes that writer
+    // produced for seed 7 — is length- and CRC-clean and does not decode, so
+    // `read_records` salvages nothing; recovering "nothing" would be silent
+    // loss of the whole history.
+    let w = workload(7);
+    let v2_begin: &[u8] = include_bytes!("fixtures/wal_v2_begin.bin");
+    assert_eq!(read_records(v2_begin), (vec![], 0));
+    let path = std::env::temp_dir().join(format!("txproc-v2-{}.wal", std::process::id()));
+    std::fs::write(&path, v2_begin).expect("write fixture copy");
+    for source in [
+        RecoverySource::WalBytes(v2_begin.to_vec()),
+        RecoverySource::Wal(path.clone()),
+    ] {
+        let err = Recovery::from(source).run(&w).unwrap_err();
+        assert!(
+            matches!(err, RecoveryError::Rebuild(RebuildError::ForeignLog)),
+            "{err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    // A crash inside the first write leaves a short frame, which is the
+    // empty prefix of *this* format: genesis, as before — also for a cut
+    // inside the old `Begin`, which no reader could tell from it.
+    let begin = encode_record(&WalRecord::Begin {
+        version: WAL_VERSION,
+        seed: 7,
+    });
+    for torn in [&begin[..], v2_begin] {
+        for cut in 0..torn.len() {
+            let report = Recovery::from(RecoverySource::WalBytes(torn[..cut].to_vec()))
+                .run(&w)
+                .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert!(report.history.is_empty(), "cut at {cut}");
+        }
+    }
 }
 
 #[test]
