@@ -16,8 +16,8 @@
 //! 2 workers) over 64, 512 and 2 048 clusters of 8 processes. A worker holds
 //! scheduler state only for the domains it is running, so per-domain cost
 //! must stay level along the curve; the 512-cluster run with telemetry on
-//! registers four instruments per shard from the workers and shows a
-//! registry whose registration cost grows with what is already registered.
+//! adds the phase timers alone (the registry holds no per-shard state), so
+//! it should sit just above the run without.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use txproc_core::domains::DomainPartition;

@@ -34,14 +34,10 @@
 //!                  [--policy …] [--arrival-gap N]
 //!                  [--concurrent] [--shards …] [--workers N]
 //!                  [--prom PATH]               # Prometheus text (default: stdout)
-//!                  [--timeseries PATH]         # sampled series as JSON
-//!                  [--samples N]               # time-series ring capacity
-//!                  [--sample-ms N]             # wall sampler period (concurrent)
-//!                  [--sample-events N]         # virtual-time period (engine)
 //! txproc top       [--seed N] [--processes N] [--density F] [--failures F]
 //!                  [--policy …] [--shards …] [--workers N] [--refresh-ms N]
-//!                  # live per-shard/per-worker metrics while the
-//!                  # concurrent driver runs the workload
+//!                  # live phase table while the concurrent driver runs the
+//!                  # workload, then its shard table and runtime line
 //! txproc gauntlet  [--seeds N] [--seed-base N] [--scenario NAME] [--policy …]
 //!                  [--shards auto|single] [--workers N] [--json PATH]
 //!                  # run the named adversarial scenarios (engine + sharded
@@ -532,22 +528,17 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 }
 
 /// `txproc stats`: run one workload with the telemetry registry enabled and
-/// export the result two ways — Prometheus text (stdout, or `--prom PATH`)
-/// and the sampled time-series ring as a `txproc-timeseries/v1` JSON
-/// document (`--timeseries PATH`). Engine runs sample on virtual time every
-/// `--sample-events`; concurrent runs (`--concurrent`) attach a wall-clock
-/// sampler thread ticking every `--sample-ms`.
+/// print it as Prometheus text (stdout, or `--prom PATH`): the phase
+/// histograms, then the run's own counts ([`metrics_text`]).
 fn cmd_stats(args: &Args) -> Result<(), String> {
     use txproc_core::telemetry::{prometheus_text, Telemetry};
-    use txproc_sim::timeseries::{Sampler, TimeSeries};
 
     let w = workload_from(args)?;
     let policy = parse_policy(&args.get("policy", "pred".to_string())?)?;
     let tele = Telemetry::on();
-    let series = TimeSeries::new(args.get("samples", 1024usize)?.max(1));
-    let (prom, timeseries) = (args.raw("prom"), args.raw("timeseries"));
-    let (committed, aborted) = if args.flag("concurrent") {
-        let cfg = ConcurrentConfig {
+    let prom = args.raw("prom");
+    let builder = if args.flag("concurrent") {
+        RunBuilder::new(&w).concurrent(ConcurrentConfig {
             policy,
             seed: args.get("seed", 42u64)?,
             shards: match args.raw("shards") {
@@ -556,60 +547,61 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
             },
             workers: parse_workers(args)?,
             ..ConcurrentConfig::default()
-        };
-        let every = std::time::Duration::from_millis(args.get("sample-ms", 1u64)?.max(1));
-        args.finish("stats")?;
-        let sampler = Sampler::spawn(tele.clone(), every, series.clone());
-        let r = txproc_engine::RunBuilder::new(&w)
-            .concurrent(cfg)
-            .telemetry(tele.clone())
-            .try_run();
-        sampler.stop();
-        let r = r?.into_concurrent();
-        (r.metrics.committed, r.metrics.aborted)
+        })
     } else {
-        let cfg = RunConfig {
+        RunBuilder::new(&w).config(RunConfig {
             policy,
             seed: args.get("seed", 42u64)?,
             arrival_gap: args.get("arrival-gap", 0u64)?,
             ..RunConfig::default()
-        };
-        let every = args.get("sample-events", 64u64)?;
-        args.finish("stats")?;
-        let r = txproc_engine::RunBuilder::new(&w)
-            .config(cfg)
-            .telemetry(tele.clone())
-            .sampling(every, series.clone())
-            .run()
-            .into_engine();
-        (r.metrics.committed, r.metrics.aborted)
+        })
     };
+    args.finish("stats")?;
+    let out = builder.telemetry(tele.clone()).try_run()?;
     let snap = tele
         .snapshot()
         .ok_or("telemetry registry produced no snapshot")?;
+    let text = prometheus_text(&snap) + &metrics_text(out.metrics());
     match prom {
         Some(path) => {
-            std::fs::write(path, prometheus_text(&snap)).map_err(|e| e.to_string())?;
+            std::fs::write(path, text).map_err(|e| e.to_string())?;
             println!("wrote Prometheus metrics to {path}");
         }
-        None => print!("{}", prometheus_text(&snap)),
+        None => print!("{text}"),
     }
-    if let Some(path) = timeseries {
-        std::fs::write(path, series.to_json()).map_err(|e| e.to_string())?;
-        println!(
-            "wrote {} time-series sample(s) to {path} ({} evicted by the ring)",
-            series.len(),
-            series.dropped()
-        );
-    }
-    eprintln!("run: {committed} committed, {aborted} aborted");
+    let m = out.metrics();
+    eprintln!("run: {} committed, {} aborted", m.committed, m.aborted);
     Ok(())
 }
 
-/// One frame of the `txproc top` display: phase totals plus the per-shard
-/// and per-worker instrument tables, derived purely from a registry
-/// snapshot so it can be unit-tested without a terminal.
-fn render_top(snap: &txproc_core::telemetry::Snapshot) -> String {
+/// A run's counts as Prometheus sample lines, read off its `Metrics`:
+/// history events per shard, committed processes, and scheduler steps
+/// (concurrent driver only).
+fn metrics_text(m: &txproc_sim::metrics::Metrics) -> String {
+    let mut out = String::from("# TYPE txproc_events_total counter\n");
+    for s in &m.shards {
+        out += &format!(
+            "txproc_events_total{{shard=\"{}\"}} {}\n",
+            s.shard, s.events
+        );
+    }
+    out += "# TYPE txproc_committed_total counter\n";
+    out += &format!("txproc_committed_total {}\n", m.committed);
+    if let Some(rt) = &m.runtime {
+        out += "# TYPE txproc_worker_steps_total counter\n";
+        out += &format!("txproc_worker_steps_total {}\n", rt.steps);
+    }
+    out
+}
+
+/// One frame of the `txproc top` display: the phase table of a registry
+/// snapshot and, once the run has ended, its shard table and runtime line
+/// from the run's `Metrics`. A pure function, so it is unit-tested without
+/// a terminal.
+fn render_top(
+    snap: &txproc_core::telemetry::Snapshot,
+    done: Option<&txproc_sim::metrics::Metrics>,
+) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -632,52 +624,28 @@ fn render_top(snap: &txproc_core::telemetry::Snapshot) -> String {
             p.p95_ns
         );
     }
-    // Pivot the flat instrument list into one row per shard / per worker.
-    let mut shards: std::collections::BTreeMap<u64, [u64; 3]> = Default::default();
-    let mut workers: std::collections::BTreeMap<u64, u64> = Default::default();
-    for ins in &snap.instruments {
-        let lane = |key: &str| {
-            ins.labels
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.parse::<u64>().ok())
-        };
-        if let Some(s) = lane("shard") {
-            let row = shards.entry(s).or_default();
-            match ins.name.as_str() {
-                "events_total" => row[0] = ins.value,
-                "committed_total" => row[1] = ins.value,
-                "run_queue_depth" => row[2] = ins.value,
-                _ => {}
-            }
-        } else if let (Some(widx), "worker_steps_total") = (lane("worker"), ins.name.as_str()) {
-            workers.insert(widx, ins.value);
-        }
+    let Some(m) = done else {
+        return out;
+    };
+    let _ = writeln!(out, "{:<6} {:>9} {:>8}", "shard", "processes", "events");
+    for s in &m.shards {
+        let _ = writeln!(out, "{:<6} {:>9} {:>8}", s.shard, s.processes, s.events);
     }
-    if !shards.is_empty() {
+    if let Some(rt) = &m.runtime {
         let _ = writeln!(
             out,
-            "{:<6} {:>8} {:>10} {:>7}",
-            "shard", "events", "committed", "queue"
+            "workers {} · steps {} · repolls {} · run-queue peak {} · in-flight peak {}",
+            rt.workers, rt.steps, rt.repolls, rt.run_queue_peak, rt.in_flight_peak
         );
-        for (s, [events, committed, depth]) in &shards {
-            let _ = writeln!(out, "{:<6} {:>8} {:>10} {:>7}", s, events, committed, depth);
-        }
-    }
-    if !workers.is_empty() {
-        let steps: Vec<String> = workers
-            .iter()
-            .map(|(widx, steps)| format!("w{widx}:{steps}"))
-            .collect();
-        let _ = writeln!(out, "worker steps: {}", steps.join(" "));
     }
     out
 }
 
-/// `txproc top`: run the concurrent driver with telemetry on and repaint a
-/// per-shard/per-worker metrics table every `--refresh-ms` until the run
-/// finishes. Uses ANSI clear-screen when stdout is a terminal, plain
-/// appended frames otherwise (pipes, CI logs).
+/// `txproc top`: run the concurrent driver with telemetry on, repaint the
+/// phase table every `--refresh-ms` until the run finishes, then print the
+/// final frame with the run's shard table and runtime line. Uses ANSI
+/// clear-screen when stdout is a terminal, plain appended frames otherwise
+/// (pipes, CI logs).
 fn cmd_top(args: &Args) -> Result<(), String> {
     use std::io::IsTerminal;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -697,6 +665,12 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let refresh = std::time::Duration::from_millis(args.get("refresh-ms", 200u64)?.max(10));
     args.finish("top")?;
     let ansi = std::io::stdout().is_terminal();
+    let paint = |frame: String| {
+        if ansi {
+            print!("\x1b[2J\x1b[H");
+        }
+        print!("{frame}");
+    };
     let tele = Telemetry::on();
     let done = AtomicBool::new(false);
     let result = std::sync::Mutex::new(None);
@@ -711,10 +685,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         });
         while !done.load(Ordering::Acquire) {
             if let Some(snap) = tele.snapshot() {
-                if ansi {
-                    print!("\x1b[2J\x1b[H");
-                }
-                print!("{}", render_top(&snap));
+                paint(render_top(&snap, None));
             }
             std::thread::sleep(refresh);
         }
@@ -725,10 +696,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         .expect("run thread stores its result before setting done")?
         .into_concurrent();
     if let Some(snap) = tele.snapshot() {
-        if ansi {
-            print!("\x1b[2J\x1b[H");
-        }
-        print!("{}", render_top(&snap));
+        paint(render_top(&snap, Some(&r.metrics)));
     }
     println!(
         "done: {} committed, {} aborted, {} activities, {} compensations",
@@ -973,57 +941,29 @@ mod tests {
     }
 
     #[test]
-    fn stats_exports_prometheus_and_timeseries() {
-        let dir = scratch("txproc_stats_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let prom = dir.join("metrics.prom");
-        let series = dir.join("series.json");
-
-        // Engine run: virtual-time sampling.
-        let a = args(&[
-            "--seed",
-            "4",
-            "--processes",
-            "6",
-            "--density",
-            "0.4",
-            "--sample-events",
-            "8",
-            "--prom",
-            prom.to_str().unwrap(),
-            "--timeseries",
-            series.to_str().unwrap(),
-        ]);
-        cmd_stats(&a).unwrap();
+    fn stats_exports_phases_and_run_counts() {
+        let prom = scratch("txproc_stats_cli_test.prom");
+        let base = ["--seed", "4", "--processes", "6", "--density", "0.4"];
+        // Engine run: one shard, no runtime metrics.
+        let mut a = base.to_vec();
+        a.extend(["--prom", prom.to_str().unwrap()]);
+        cmd_stats(&args(&a)).unwrap();
         let text = std::fs::read_to_string(&prom).unwrap();
         assert!(
             text.contains("txproc_phase_duration_ns_count{phase=\"certify\"}"),
             "{text}"
         );
-        assert!(text.contains("# TYPE"), "{text}");
-        let doc =
-            txproc_sim::timeseries::from_json(&std::fs::read_to_string(&series).unwrap()).unwrap();
-        assert!(!doc.samples.is_empty());
+        assert!(text.contains("txproc_events_total{shard=\"0\"}"), "{text}");
+        assert!(text.contains("txproc_committed_total "), "{text}");
+        assert!(!text.contains("txproc_worker_steps_total"), "{text}");
 
-        // Concurrent run: wall-clock sampler.
-        let b = args(&[
-            "--seed",
-            "4",
-            "--processes",
-            "6",
-            "--concurrent",
-            "--prom",
-            prom.to_str().unwrap(),
-            "--timeseries",
-            series.to_str().unwrap(),
-        ]);
-        cmd_stats(&b).unwrap();
+        // Concurrent run: the steps of the worker pool as well.
+        a.push("--concurrent");
+        cmd_stats(&args(&a)).unwrap();
         let text = std::fs::read_to_string(&prom).unwrap();
-        assert!(text.contains("txproc_events_total"), "{text}");
-        let doc =
-            txproc_sim::timeseries::from_json(&std::fs::read_to_string(&series).unwrap()).unwrap();
-        assert!(!doc.samples.is_empty(), "final sample on sampler stop");
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(text.contains("txproc_events_total{shard="), "{text}");
+        assert!(text.contains("txproc_worker_steps_total "), "{text}");
+        std::fs::remove_file(&prom).ok();
     }
 
     #[test]
@@ -1031,30 +971,33 @@ mod tests {
         let a = args(&["--seed", "4", "--processes", "6", "--refresh-ms", "10"]);
         cmd_top(&a).unwrap();
 
-        // The frame renderer pivots instruments into per-shard rows.
-        use txproc_core::telemetry::{InstrumentSnapshot, Snapshot};
+        // Live frames show phases only; the final frame adds the run's
+        // shard table and runtime line.
+        use txproc_core::telemetry::Snapshot;
+        use txproc_sim::metrics::{Metrics, RuntimeMetrics, ShardMetrics};
         let snap = Snapshot {
             wall_ns: 2_000_000,
             phases: Vec::new(),
-            instruments: vec![
-                InstrumentSnapshot {
-                    name: "events_total".into(),
-                    labels: vec![("shard".into(), "0".into())],
-                    kind: "counter".into(),
-                    value: 17,
-                },
-                InstrumentSnapshot {
-                    name: "worker_steps_total".into(),
-                    labels: vec![("worker".into(), "1".into())],
-                    kind: "counter".into(),
-                    value: 9,
-                },
-            ],
         };
-        let frame = render_top(&snap);
-        assert!(frame.contains("shard"), "{frame}");
-        assert!(frame.contains("17"), "{frame}");
-        assert!(frame.contains("w1:9"), "{frame}");
+        let m = Metrics {
+            shards: vec![ShardMetrics {
+                shard: 3,
+                processes: 5,
+                events: 17,
+            }],
+            runtime: Some(RuntimeMetrics {
+                workers: 2,
+                steps: 9,
+                ..RuntimeMetrics::default()
+            }),
+            ..Metrics::new()
+        };
+        let live = render_top(&snap, None);
+        assert!(!live.contains("shard"), "{live}");
+        let last = render_top(&snap, Some(&m));
+        let row = |l: &str| l.split_whitespace().collect::<Vec<_>>() == ["3", "5", "17"];
+        assert!(last.lines().any(row), "{last}");
+        assert!(last.contains("workers 2 · steps 9"), "{last}");
     }
 
     #[test]
@@ -1219,8 +1162,7 @@ mod tests {
             ("simulate", &["--durability", "buffered"]),
             ("crash", &["--wal", "x.wal", "--snapshot-every", "4"]),
             ("simulate", &["--concurrent", "--arrival-gap", "5"]),
-            ("stats", &["--concurrent", "--sample-events", "8"]),
-            ("stats", &["--sample-ms", "2"]),
+            ("stats", &["--concurrent", "--arrival-gap", "5"]),
         ] {
             let err = dispatch(cmd, &args(raw)).unwrap_err();
             let flag = raw.iter().rev().find(|a| a.starts_with("--")).unwrap();

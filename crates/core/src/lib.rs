@@ -34,7 +34,7 @@
 //! | [`protocol`] | the online scheduling protocol (Lemmas 1–3, §3.5) |
 //! | [`trace`] | structured decision tracing (event journal, sinks, explain) |
 //! | [`wal`] | durable write-ahead journal (framed records, fsync policies) |
-//! | [`telemetry`] | metrics registry, phase timers, Prometheus/JSON export |
+//! | [`telemetry`] | phase-duration histograms, phase timers, Prometheus/JSON export |
 //! | [`weak`] | strong vs. weak orders (§3.6) |
 //! | [`fixtures`] | the paper's running examples, ready made |
 //!
@@ -101,5 +101,5 @@ pub use process::{Process, ProcessBuilder};
 pub use schedule::{Event, Schedule};
 pub use spec::Spec;
 pub use telemetry::{Phase, Registry, Snapshot, Telemetry};
-pub use trace::{Journal, JsonlSink, NoopSink, TraceEvent, TraceRecord, TraceSink};
+pub use trace::{Journal, NoopSink, TraceEvent, TraceRecord, TraceSink};
 pub use wal::{DurabilityPolicy, MemWal, WalRecord, WalWriter};

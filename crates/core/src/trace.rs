@@ -11,8 +11,8 @@
 //! the default and is zero-cost: emission sites consult
 //! [`TraceSink::enabled`] before building any payload, so an untraced run
 //! performs no allocation and no branching beyond one predictable `bool`
-//! check. [`Journal`] (shared in-memory vector) and [`JsonlSink`] (streaming
-//! JSON-lines writer) are provided for collection.
+//! check. [`Journal`] (shared in-memory vector) is provided for collection;
+//! [`to_jsonl`] writes a collected journal out.
 //!
 //! On top of the raw journal sit three pure exporters: a pretty-printer
 //! (`Display` on [`TraceRecord`]), a Chrome-trace JSON exporter
@@ -29,7 +29,6 @@ use crate::ids::{GlobalActivityId, ProcessId, ServiceId};
 use crate::schedule::Event;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 /// Why an abort was initiated — the first cause, not the mechanism.
@@ -44,9 +43,6 @@ pub enum AbortReason {
     /// A non-retriable activity failed definitively with no remaining
     /// alternative execution path.
     Failure,
-    /// Certification of a deferred release or commit kept failing and the
-    /// scheduler escalated (livelock breaker).
-    CertStuck,
     /// The deadlock breaker picked this process as the youngest victim of a
     /// wait cycle.
     Deadlock,
@@ -61,7 +57,6 @@ impl fmt::Display for AbortReason {
             AbortReason::Rejected => "admission rejected (cycle)",
             AbortReason::Cascade => "cascaded from another abort",
             AbortReason::Failure => "definitive activity failure",
-            AbortReason::CertStuck => "certification livelock breaker",
             AbortReason::Deadlock => "deadlock victim",
             AbortReason::External => "external request",
         };
@@ -418,11 +413,6 @@ pub trait TraceSink: Send {
     }
     /// Deliver one record.
     fn record(&mut self, rec: TraceRecord);
-    /// A buffering sink pushes everything it holds to its backing store.
-    /// The engine calls this once, at the end of the run; the concurrent
-    /// driver after each batch of a shard's records. The default is a no-op
-    /// because most sinks deliver on `record`.
-    fn flush(&mut self) {}
 }
 
 /// The default sink: disabled, discards everything, costs nothing.
@@ -484,118 +474,6 @@ impl TraceSink for Journal {
     }
 }
 
-/// A streaming JSON-lines writer: one JSON object per record per line.
-/// Records that fail to serialize or write are counted, not propagated —
-/// tracing must never fail the traced run.
-///
-/// Records are serialized into an internal buffer and written out `batch`
-/// records at a time (one syscall per batch instead of one per record — the
-/// old per-record `writeln!` dominated traced runs on buffered files).
-/// Drivers additionally flush via [`TraceSink::flush`] (see there), and the
-/// sink flushes on drop, so early termination loses nothing.
-pub struct JsonlSink<W: Write + Send> {
-    /// `Some` until `into_inner`; the `Option` lets `Drop` and `into_inner`
-    /// coexist (drop of a hollowed-out sink is a no-op).
-    w: Option<W>,
-    buf: String,
-    pending: u64,
-    batch: usize,
-    errors: u64,
-}
-
-/// Default record batch per write for [`JsonlSink`].
-pub const JSONL_BATCH: usize = 64;
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wrap a writer, flushing every [`JSONL_BATCH`] records.
-    pub fn new(w: W) -> Self {
-        Self::with_batch(w, JSONL_BATCH)
-    }
-
-    /// Wrap a writer, flushing every `batch` records (`batch` ≥ 1; 1
-    /// restores the old write-per-record behaviour).
-    pub fn with_batch(w: W, batch: usize) -> Self {
-        Self {
-            w: Some(w),
-            buf: String::new(),
-            pending: 0,
-            batch: batch.max(1),
-            errors: 0,
-        }
-    }
-
-    /// Number of records lost to serialization or I/O errors.
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    /// Buffered records not yet handed to the writer.
-    pub fn pending(&self) -> u64 {
-        self.pending
-    }
-
-    fn flush_buf(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let w = self.w.as_mut().expect("writer taken only by into_inner");
-        if w.write_all(self.buf.as_bytes()).is_err() {
-            self.errors += self.pending;
-        }
-        self.buf.clear();
-        self.pending = 0;
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        self.flush_buf();
-        let mut w = self.w.take().expect("writer taken only by into_inner");
-        let _ = w.flush();
-        w
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&mut self, rec: TraceRecord) {
-        match serde_json::to_string(&rec) {
-            Ok(line) => {
-                self.buf.push_str(&line);
-                self.buf.push('\n');
-                self.pending += 1;
-                if self.pending >= self.batch as u64 {
-                    self.flush_buf();
-                }
-            }
-            Err(_) => self.errors += 1,
-        }
-    }
-
-    fn flush(&mut self) {
-        self.flush_buf();
-        if let Some(w) = self.w.as_mut() {
-            let _ = w.flush();
-        }
-    }
-}
-
-impl<W: Write + Send> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        if self.w.is_some() {
-            // This drop also runs while unwinding a panicked run; the final
-            // flush must not double-panic (abort) if the writer is backed
-            // by a lock the panicking thread poisoned. Swallow a secondary
-            // panic — the primary keeps propagating, and everything the
-            // writer accepted before it stays on disk.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.flush_buf();
-                if let Some(w) = self.w.as_mut() {
-                    let _ = w.flush();
-                }
-            }));
-        }
-    }
-}
-
 /// A sampling wrapper around any sink: keeps the records of 1-in-N
 /// processes (those with `pid % n == 0`) plus every record that names no
 /// process (group aborts initiated by recovery). Selecting by pid rather
@@ -638,10 +516,6 @@ impl<S: TraceSink> TraceSink for SampleSink<S> {
             Some(pid) if pid.0 % self.n != 0 => self.dropped += 1,
             _ => self.inner.record(rec),
         }
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
     }
 }
 
@@ -1021,72 +895,6 @@ mod tests {
         assert_eq!(back, recs);
     }
 
-    /// A writer whose bytes stay observable after the sink is gone.
-    #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_sink_batches_writes() {
-        let buf = SharedBuf::default();
-        let mut sink = JsonlSink::with_batch(buf.clone(), 4);
-        let recs = fixture();
-        for rec in &recs[..3] {
-            sink.record(rec.clone());
-        }
-        // Below the batch size: nothing written yet, records held.
-        assert_eq!(buf.0.lock().unwrap().len(), 0);
-        assert_eq!(sink.pending(), 3);
-        sink.record(recs[3].clone());
-        // Fourth record closes the batch: one write for all four.
-        assert_eq!(sink.pending(), 0);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(from_jsonl(&text).unwrap(), recs[..4]);
-        assert_eq!(sink.errors(), 0);
-    }
-
-    #[test]
-    fn jsonl_sink_flush_drains_partial_epoch() {
-        let buf = SharedBuf::default();
-        let mut sink = JsonlSink::with_batch(buf.clone(), 1024);
-        let recs = fixture();
-        for rec in &recs {
-            sink.record(rec.clone());
-        }
-        assert_eq!(buf.0.lock().unwrap().len(), 0);
-        sink.flush();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(from_jsonl(&text).unwrap(), recs);
-    }
-
-    #[test]
-    fn jsonl_sink_loses_nothing_on_early_termination() {
-        // Drop the sink with a partially filled batch — the moral equivalent
-        // of a run ending (or unwinding) mid-epoch — and round-trip the
-        // bytes: every record must be on disk.
-        let buf = SharedBuf::default();
-        let recs = fixture();
-        {
-            let mut sink = JsonlSink::with_batch(buf.clone(), 1024);
-            for rec in &recs {
-                sink.record(rec.clone());
-            }
-            assert_eq!(sink.pending(), recs.len() as u64);
-            // No into_inner, no flush: the sink is simply dropped.
-        }
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(from_jsonl(&text).unwrap(), recs);
-    }
-
     #[test]
     fn journal_survives_a_poisoning_panic() {
         // A worker that dies while holding the journal lock poisons the std
@@ -1106,60 +914,6 @@ mod tests {
         assert_eq!(journal.snapshot(), recs[..1]);
         assert_eq!(journal.take(), recs[..1]);
         assert!(journal.is_empty());
-    }
-
-    /// A writer backed by a lock a panicking run poisoned: every write
-    /// observes the poison the way `Arc<Mutex<W>>` writers do.
-    struct PoisonedWriter(std::sync::Arc<Mutex<Vec<u8>>>);
-
-    impl Write for PoisonedWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_sink_drop_through_poisoned_writer_leaves_prefix_complete_tail() {
-        let shared = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let recs = fixture();
-        // Two records land before the crash (batch 2 → one completed
-        // write); the rest sit in the sink's buffer when the writer's lock
-        // gets poisoned and the sink is dropped by the unwinding run.
-        let mut sink = JsonlSink::with_batch(PoisonedWriter(shared.clone()), 2);
-        for rec in &recs[..3] {
-            sink.record(rec.clone());
-        }
-        let s = shared.clone();
-        std::thread::spawn(move || {
-            let _g = s.lock().unwrap();
-            panic!("simulated crash mid-run");
-        })
-        .join()
-        .unwrap_err();
-        // Dropping the sink now hits the poisoned lock. The drop guard must
-        // swallow the secondary panic instead of aborting the process.
-        drop(sink);
-        let bytes = shared.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let text = String::from_utf8(bytes).unwrap();
-        // The tail is a parseable, prefix-complete journal: exactly the
-        // records whose batch completed before the crash, nothing torn.
-        assert_eq!(from_jsonl(&text).unwrap(), recs[..2]);
-    }
-
-    #[test]
-    fn jsonl_sink_into_inner_flushes_once() {
-        let recs = fixture();
-        let mut sink = JsonlSink::new(Vec::new());
-        for rec in &recs {
-            sink.record(rec.clone());
-        }
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(from_jsonl(&text).unwrap(), recs);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The run entry point: one builder on which trace sinks, telemetry,
-//! sampling, and durability compose as orthogonal options, for both
-//! the virtual-time engine and the concurrent driver. [`crate::engine::run`]
+//! The run entry point: one builder on which trace sinks, telemetry and
+//! durability compose as orthogonal options, for both the virtual-time
+//! engine and the concurrent driver. [`crate::engine::run`]
 //! and [`crate::concurrent::run_concurrent`] are shorthands for a builder
 //! run with no option set; there is no other way in.
 //!
@@ -28,7 +28,6 @@ use txproc_core::telemetry::Telemetry;
 use txproc_core::trace::{NoopSink, TraceSink};
 use txproc_core::wal::WalWriter;
 use txproc_sim::metrics::Metrics;
-use txproc_sim::timeseries::TimeSeries;
 use txproc_sim::workload::Workload;
 
 /// What a [`RunBuilder`] run produced. History and metrics come from one
@@ -85,15 +84,13 @@ impl RunOutcome {
 
 /// Builder over one workload run. Defaults to the virtual-time engine with
 /// [`RunConfig::default`]; [`Self::concurrent`] switches to the concurrent
-/// driver. Every other option composes with either driver (sampling is
-/// engine-only — samples are stamped with the virtual clock).
+/// driver. Every other option composes with either driver.
 pub struct RunBuilder<'a> {
     workload: &'a Workload,
     engine_cfg: RunConfig,
     concurrent_cfg: Option<ConcurrentConfig>,
     sink: Option<Box<dyn TraceSink + 'a>>,
     tele: Telemetry,
-    sampling: Option<(u64, TimeSeries)>,
     wal: Option<WalWriter>,
 }
 
@@ -106,7 +103,6 @@ impl<'a> RunBuilder<'a> {
             concurrent_cfg: None,
             sink: None,
             tele: Telemetry::off(),
-            sampling: None,
             wal: None,
         }
     }
@@ -134,18 +130,10 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Feeds phase timers and instruments into `tele`'s registry. A
-    /// disabled handle keeps the hot paths at one branch per site.
+    /// Feeds phase timers into `tele`'s registry. A disabled handle keeps
+    /// the hot paths at one branch per site.
     pub fn telemetry(mut self, tele: Telemetry) -> Self {
         self.tele = tele;
-        self
-    }
-
-    /// Samples the telemetry registry into `series` every `every_events`
-    /// steps (engine runs only; ignored by the concurrent driver, whose
-    /// clock is the wall's).
-    pub fn sampling(mut self, every_events: u64, series: TimeSeries) -> Self {
-        self.sampling = Some((every_events, series));
         self
     }
 
@@ -185,9 +173,6 @@ impl<'a> RunBuilder<'a> {
             }
             None => {
                 let mut engine = Engine::assemble(self.workload, self.engine_cfg, sink, self.tele);
-                if let Some((every, series)) = self.sampling {
-                    engine.set_sampling(every, series);
-                }
                 if let Some(writer) = self.wal {
                     engine.set_wal(writer);
                 }

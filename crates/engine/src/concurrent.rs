@@ -42,7 +42,7 @@
 //! one worker. The calling thread partitions, assigns, and then is worker 0
 //! (workers `1..W` are spawned; a one-worker run spawns no thread). The
 //! owning worker builds the shard (`Shard::build`: policy, gate, process
-//! states, queues, instruments) when it admits the domain's first due
+//! states, queues) when it admits the domain's first due
 //! arrival, holds it by value while it steps it, and retires it —
 //! `Shard::finish`, which flushes its buffered trace records to the journal —
 //! in the visit in which its last process terminates *and* no arrival is
@@ -52,7 +52,7 @@
 //! built shards: [`RuntimeMetrics::shards_live_peak`]). Step order is that
 //! of a run with every shard built up front, so single-worker histories,
 //! tickets and metrics are unchanged by the lifecycle; only *when* memory is
-//! live, the journal flush point and instrument registration time follow it.
+//! live and the journal flush point follow it.
 //!
 //! What two workers *can* reach is behind a lock, and these are all of
 //! them. Two are taken while another is held, always in the order
@@ -93,7 +93,7 @@ use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId, ServiceId};
 use txproc_core::protocol::{Admission, CompletionGate};
 use txproc_core::schedule::{Event, Schedule};
 use txproc_core::state::{FailureOutcome, ProcessState, ProcessStatus};
-use txproc_core::telemetry::{Counter, Gauge, Phase, Telemetry};
+use txproc_core::telemetry::{Phase, Telemetry};
 use txproc_core::trace::{AbortReason, NoopSink, TraceEvent, TraceRecord, TraceSink};
 use txproc_core::wal::{WalRecord, WalWriter};
 use txproc_sim::metrics::{Metrics, RuntimeMetrics, ShardMetrics};
@@ -253,8 +253,7 @@ impl TraceShared<'_> {
     /// Appends a batch of one shard's trace records under a single
     /// sink-lock acquisition. Sequence numbers are assigned here (under the
     /// lock), so journal order and seq order stay identical even when
-    /// shards race to record; the flush lets a buffering sink write the
-    /// batch as one I/O operation.
+    /// shards race to record.
     fn record_batch(&self, shard: u32, entries: Vec<(usize, Option<u64>, TraceEvent)>) {
         if entries.is_empty() {
             return;
@@ -273,7 +272,6 @@ impl TraceShared<'_> {
                 event,
             });
         }
-        sink.flush();
     }
 }
 
@@ -332,7 +330,7 @@ pub(crate) struct RunCtx<'a> {
     tickets: AtomicU64,
     trace: TraceShared<'a>,
     /// Telemetry handle shared by all workers and their shards (phase
-    /// timers, per-shard and per-worker instruments; off by default).
+    /// timers; off by default).
     pub(crate) tele: Telemetry,
     pub(crate) clock: Clock,
     /// Arrival time per process on the run's clock, in process-id order.
@@ -528,10 +526,6 @@ pub(crate) struct Shard<'a> {
     /// length: the verdict is a pure function of the history, so re-polls at
     /// the same length are the same decision, not a new one.
     cert_fail_notes: Vec<(Event, usize)>,
-    /// Per-shard instruments for the live view: emitted history events and
-    /// committed processes.
-    tele_events: Counter,
-    tele_committed: Counter,
     /// Prepare instants of in-flight deferred commits, populated only while
     /// telemetry is enabled (so the disabled path stays byte-identical):
     /// feeds the 2PC prepare→decide phase histogram.
@@ -557,9 +551,6 @@ pub(crate) struct Shard<'a> {
     /// would cost an O(waiters) futile-poll round per event, where draining
     /// the runnable work first folds a whole burst into one round.
     dirty: bool,
-    /// Live telemetry gauge mirroring `run_queue.len() + waiting.len()`
-    /// (no-op when telemetry is disabled).
-    depth: Gauge,
 }
 
 /// What a finished shard hands to the merge.
@@ -587,11 +578,11 @@ pub(crate) enum Step {
 
 impl<'a> Shard<'a> {
     /// Builds the scheduler of the domain with these `members`: its own
-    /// policy, certification gate, process states, queues and instruments.
+    /// policy, certification gate, process states and queues.
     /// The one construction site — the owning worker calls it when it admits
     /// the domain's first due arrival.
     pub(crate) fn build(id: u32, members: &[ProcessId], ctx: &RunCtx<'a>) -> Self {
-        let (spec, cfg, tele) = (&ctx.workload.spec, &ctx.cfg, &ctx.tele);
+        let (spec, cfg) = (&ctx.workload.spec, &ctx.cfg);
         let mut policy = cfg.policy.build(spec);
         let mut states = BTreeMap::new();
         for &pid in members {
@@ -600,7 +591,6 @@ impl<'a> Shard<'a> {
             let state = ProcessState::new(process, &spec.catalog).expect("tree process");
             states.insert(pid, state);
         }
-        let label = [("shard", id.to_string())];
         ctx.shards_live.enter();
         Self {
             id,
@@ -619,8 +609,6 @@ impl<'a> Shard<'a> {
             stalled_releases: Vec::new(),
             block_notes: BTreeMap::new(),
             cert_fail_notes: Vec::new(),
-            tele_events: tele.counter("events_total", &label),
-            tele_committed: tele.counter("committed_total", &label),
             prepared_at: BTreeMap::new(),
             trace_buf: Vec::new(),
             run_queue: VecDeque::new(),
@@ -629,7 +617,6 @@ impl<'a> Shard<'a> {
             sm: BTreeMap::new(),
             live: 0,
             dirty: false,
-            depth: tele.gauge("run_queue_depth", &label),
         }
     }
 
@@ -764,7 +751,6 @@ impl<'a> Shard<'a> {
         self.history.push(event);
         self.event_tickets.push(ticket);
         self.dirty = true;
-        self.tele_events.inc();
     }
 
     /// Buffers one decision record. A no-op while tracing is off, so callers
@@ -1321,7 +1307,6 @@ impl<'a> Shard<'a> {
         let released = match status {
             ProcessStatus::Committed => {
                 self.metrics.committed += 1;
-                self.tele_committed.inc();
                 self.clear_block_note(pid);
                 self.trace(ctx, TraceEvent::ProcessCommitted { pid });
                 self.policy.on_commit(pid)
@@ -1539,12 +1524,12 @@ pub(crate) fn run_concurrent_impl<'a>(
         // Worker 0 is the calling thread — it would only sleep in `join` —
         // and workers `1..W` are spawned; results merge in worker order.
         let ctx = &ctx;
-        let mut per_worker = per_worker.into_iter().enumerate();
-        let (_, first) = per_worker.next().expect("at least one worker");
+        let mut per_worker = per_worker.into_iter();
+        let first = per_worker.next().expect("at least one worker");
         let handles: Vec<_> = per_worker
-            .map(|(widx, owned)| scope.spawn(move || event_worker(ctx, owned, widx)))
+            .map(|owned| scope.spawn(move || event_worker(ctx, owned)))
             .collect();
-        let first = event_worker(ctx, first, 0);
+        let first = event_worker(ctx, first);
         let spawned = handles
             .into_iter()
             .map(|h| h.join().expect("event worker panicked"));
@@ -1646,12 +1631,8 @@ impl<'g> Domain<'_, 'g> {
 fn event_worker<'a>(
     ctx: &RunCtx<'a>,
     owned: Vec<(u32, &[ProcessId])>,
-    widx: usize,
 ) -> (RuntimeMetrics, Vec<ShardDone>) {
     let mut rt = RuntimeMetrics::new(RUNTIME_LABEL, 1);
-    let worker_steps = ctx
-        .tele
-        .counter("worker_steps_total", &[("worker", widx.to_string())]);
     let mut done = Vec::with_capacity(owned.len());
     let mut owned: Vec<Domain<'a, '_>> = owned
         .into_iter()
@@ -1701,7 +1682,6 @@ fn event_worker<'a>(
                 loop {
                     budget -= 1;
                     rt.steps += 1;
-                    worker_steps.inc();
                     let t0 = Instant::now();
                     let step = shard.step(ctx, pid);
                     rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
@@ -1719,7 +1699,6 @@ fn event_worker<'a>(
                 }
                 let depth = (shard.run_queue.len() + shard.waiting.len()) as u64;
                 rt.run_queue_peak = rt.run_queue_peak.max(depth);
-                shard.depth.set(depth);
             }
             progressed |= shard.has_work();
             if shard.live > 0 || !dom.arrivals.is_empty() {

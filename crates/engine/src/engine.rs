@@ -24,7 +24,6 @@ use txproc_core::trace::{AbortReason, NoopSink, TraceSink};
 use txproc_core::wal::WalWriter;
 use txproc_sim::clock::{EventQueue, SimTime};
 use txproc_sim::metrics::Metrics;
-use txproc_sim::timeseries::TimeSeries;
 use txproc_sim::workload::Workload;
 
 /// Run configuration.
@@ -96,12 +95,6 @@ pub struct Engine<'a> {
     /// Wake-ups in virtual time: arrivals, and the ends of the activities
     /// in progress. What is due now sits in the shard's run queue.
     queue: EventQueue<(Wake, ProcessId)>,
-    /// Virtual-time sampling: every `K` steps, snapshot the telemetry
-    /// registry into the ring (installed via
-    /// [`RunBuilder::sampling`](crate::builder::RunBuilder::sampling)).
-    sampling: Option<(u64, TimeSeries)>,
-    /// Steps taken, for the sampling cadence.
-    steps: u64,
 }
 
 impl<'a> Engine<'a> {
@@ -111,8 +104,8 @@ impl<'a> Engine<'a> {
     }
 
     /// The one engine constructor behind [`Engine::new`] and
-    /// [`crate::builder::RunBuilder`]. Phase timers and instruments feed
-    /// `tele`'s registry; a disabled handle costs one branch per site.
+    /// [`crate::builder::RunBuilder`]. Phase timers feed `tele`'s registry;
+    /// a disabled handle costs one branch per site.
     pub(crate) fn assemble(
         workload: &'a Workload,
         cfg: RunConfig,
@@ -150,16 +143,7 @@ impl<'a> Engine<'a> {
             ctx,
             shard,
             queue,
-            sampling: None,
-            steps: 0,
         }
-    }
-
-    /// Samples the telemetry registry into `series` every `every_steps`
-    /// steps, stamped with the virtual clock. No-op while telemetry is
-    /// disabled.
-    pub(crate) fn set_sampling(&mut self, every_steps: u64, series: TimeSeries) {
-        self.sampling = Some((every_steps.max(1), series));
     }
 
     /// Installs a durable write-ahead journal: every durable state
@@ -234,14 +218,6 @@ impl<'a> Engine<'a> {
     /// duration; any other takes none, and the process stays runnable now.
     fn step(&mut self, pid: ProcessId) {
         let now = self.ctx.clock.now();
-        self.steps += 1;
-        if let Some((every, series)) = &self.sampling {
-            if self.steps.is_multiple_of(*every) {
-                if let Some(snap) = self.ctx.tele.snapshot() {
-                    series.push_virtual(now, snap);
-                }
-            }
-        }
         let emitted = self.shard.history.len();
         if self.shard.step(&self.ctx, pid) != Step::Yield {
             return;

@@ -21,7 +21,7 @@
 //!   replay from the durable logs (§3.3, Definition 8).
 //!
 //! [`RunBuilder`] is the one entry point for a run (either driver, with
-//! tracing / telemetry / sampling / WAL journaling composed) and
+//! tracing / phase telemetry / WAL journaling composed) and
 //! [`Recovery`] the one for recovery; [`run`], [`run_concurrent`] and
 //! [`recover`] are their no-option shorthands. The two drivers are two
 //! clocks around one implementation of the protocol's transitions.

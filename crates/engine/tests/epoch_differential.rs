@@ -35,7 +35,7 @@ fn workload(seed: u64) -> Workload {
 }
 
 /// The deterministic (non-wall-clock) counters of a metrics value.
-fn counters(m: &Metrics) -> String {
+fn counts(m: &Metrics) -> String {
     let counters = (
         (
             m.committed,
@@ -146,8 +146,7 @@ fn concurrent_runs_are_independent_of_the_epoch() {
             epoch,
             ..ConcurrentConfig::default()
         };
-        let (observation, seals, out) =
-            observed(seed, RunBuilder::new(w).concurrent(cfg), counters);
+        let (observation, seals, out) = observed(seed, RunBuilder::new(w).concurrent(cfg), counts);
         assert_terminated_and_pred(w, &out, &format!("seed {seed} epoch {epoch}"));
         (observation, (seals, out.history().len()))
     });
@@ -164,7 +163,7 @@ fn default_worker_concurrent_histories_stay_pred() {
             epoch: 16,
             ..ConcurrentConfig::default()
         };
-        let (_, _, out) = observed(seed, RunBuilder::new(&w).concurrent(cfg), counters);
+        let (_, _, out) = observed(seed, RunBuilder::new(&w).concurrent(cfg), counts);
         assert_terminated_and_pred(&w, &out, &format!("seed {seed}"));
     }
 }

@@ -1,7 +1,7 @@
 //! Telemetry-subsystem contracts against real driver runs: a disabled
 //! registry is observationally free (bit-identical schedules and metrics),
-//! an enabled one captures every hot-path phase, and the exports
-//! (Prometheus text, time-series JSON) round-trip on live output.
+//! an enabled one captures every hot-path phase, and the Prometheus export
+//! renders live output.
 
 use txproc_core::schedule::render;
 use txproc_core::telemetry::{prometheus_text, Phase, Telemetry};
@@ -9,7 +9,6 @@ use txproc_core::trace::NoopSink;
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::RunBuilder;
-use txproc_sim::timeseries::{from_json, TimeSeries};
 use txproc_sim::workload::{generate, Workload, WorkloadConfig};
 
 fn workload(seed: u64, processes: usize) -> Workload {
@@ -118,35 +117,18 @@ fn enabled_telemetry_captures_concurrent_phases() {
         assert!(p.count > 0, "{}: no intervals recorded", p.phase);
         assert!(p.p50_ns <= p.p95_ns && p.p95_ns <= p.max_ns, "{}", p.phase);
     }
-    // Per-shard instruments agree with the run's own metrics.
-    let committed: u64 = snap
-        .instruments
-        .iter()
-        .filter(|i| i.name == "committed_total")
-        .map(|i| i.value)
-        .sum();
-    assert_eq!(committed, r.metrics.committed);
-    let events: u64 = snap
-        .instruments
-        .iter()
-        .filter(|i| i.name == "events_total")
-        .map(|i| i.value)
-        .sum();
-    assert_eq!(events, r.history.len() as u64);
 }
 
 #[test]
-fn exports_round_trip_on_live_run() {
+fn prometheus_export_renders_a_live_run() {
     let w = workload(4, 6);
     let tele = Telemetry::on();
-    let series = TimeSeries::new(64);
     let _ = RunBuilder::new(&w)
         .config(RunConfig {
             seed: 4,
             ..RunConfig::default()
         })
         .telemetry(tele.clone())
-        .sampling(8, series.clone())
         .run();
 
     let snap = tele.snapshot().expect("snapshot");
@@ -154,18 +136,4 @@ fn exports_round_trip_on_live_run() {
     assert!(prom.contains("# TYPE txproc_phase_duration_ns histogram"));
     assert!(prom.contains("txproc_phase_duration_ns_count{phase=\"certify\"}"));
     assert!(prom.contains("txproc_uptime_ns"));
-
-    assert!(!series.is_empty(), "virtual-time sampling recorded nothing");
-    let doc = from_json(&series.to_json()).expect("series JSON parses back");
-    assert_eq!(doc.schema, "txproc-timeseries/v1");
-    assert_eq!(doc.samples.len(), series.len());
-    // Virtual timestamps are monotone non-decreasing along the ring.
-    let stamps: Vec<Option<u64>> = doc.samples.iter().map(|s| s.virtual_time).collect();
-    assert!(
-        stamps.iter().all(Option::is_some),
-        "engine samples carry vt"
-    );
-    let mut sorted = stamps.clone();
-    sorted.sort_unstable();
-    assert_eq!(stamps, sorted, "sample timestamps out of order");
 }

@@ -9,9 +9,7 @@
 //!   structure controlled by `conflict_density`,
 //! * [`metrics`] — counters and latency statistics collected per run,
 //! * [`scenario`] — named adversarial workload shapes with machine-checked
-//!   acceptance envelopes, shared by the benchmark and the gauntlet,
-//! * [`timeseries`] — bounded sample ring + background sampler over the
-//!   `txproc_core::telemetry` registry, with JSON export.
+//!   acceptance envelopes, shared by the benchmark and the gauntlet.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -19,11 +17,9 @@
 pub mod clock;
 pub mod metrics;
 pub mod scenario;
-pub mod timeseries;
 pub mod workload;
 
 pub use clock::{EventQueue, SimTime};
 pub use metrics::{Metrics, RuntimeMetrics, ShardMetrics};
 pub use scenario::{Envelope, Scenario};
-pub use timeseries::{Sample, Sampler, TimeSeries};
 pub use workload::{generate, try_generate, Workload, WorkloadConfig, WorkloadError};

@@ -3,7 +3,10 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use txproc_core::telemetry::{bucket_edge, bucket_of, hist_percentile};
 use txproc_core::trace::AbortReason;
+
+pub use txproc_core::telemetry::HIST_BUCKETS;
 
 /// Abort counts broken down by first cause (mirrors
 /// `txproc_core::trace::AbortReason`). A trace-derived aggregate: the sum of
@@ -17,8 +20,6 @@ pub struct AbortReasons {
     pub cascade: u64,
     /// Definitive activity failure with no remaining alternative.
     pub failure: u64,
-    /// Certification livelock breaker escalated.
-    pub cert_stuck: u64,
     /// Deadlock breaker picked the process as victim.
     pub deadlock: u64,
     /// Abort requested from outside the scheduler.
@@ -28,12 +29,7 @@ pub struct AbortReasons {
 impl AbortReasons {
     /// Total abort initiations across all causes.
     pub fn total(&self) -> u64 {
-        self.rejected
-            + self.cascade
-            + self.failure
-            + self.cert_stuck
-            + self.deadlock
-            + self.external
+        self.rejected + self.cascade + self.failure + self.deadlock + self.external
     }
 
     /// Counts one abort initiation under its first cause.
@@ -42,7 +38,6 @@ impl AbortReasons {
             AbortReason::Rejected => self.rejected += 1,
             AbortReason::Cascade => self.cascade += 1,
             AbortReason::Failure => self.failure += 1,
-            AbortReason::CertStuck => self.cert_stuck += 1,
             AbortReason::Deadlock => self.deadlock += 1,
             AbortReason::External => self.external += 1,
         }
@@ -53,7 +48,6 @@ impl AbortReasons {
         self.rejected += other.rejected;
         self.cascade += other.cascade;
         self.failure += other.failure;
-        self.cert_stuck += other.cert_stuck;
         self.deadlock += other.deadlock;
         self.external += other.external;
     }
@@ -71,10 +65,6 @@ pub struct ShardMetrics {
     /// History events emitted by this shard.
     pub events: u64,
 }
-
-/// Number of log₂ buckets in the scheduling-delay histogram (bucket `i`
-/// holds delays in `[2^i, 2^(i+1))` ns; bucket 0 also holds 0).
-pub const SCHED_DELAY_BUCKETS: usize = 40;
 
 /// Runtime-level observability collected by the concurrent driver: worker
 /// utilization, run-queue depth and scheduling delay (time a runnable
@@ -100,8 +90,9 @@ pub struct RuntimeMetrics {
     pub worker_busy_ns: u64,
     /// Wall-clock nanoseconds workers spent idle (napping for arrivals).
     pub worker_idle_ns: u64,
-    /// Log₂ histogram of scheduling delays in nanoseconds: bucket `i`
-    /// counts delays in `[2^i, 2^(i+1))`.
+    /// Log₂ histogram of scheduling delays in nanoseconds, bucketed as the
+    /// telemetry phase histograms are (`txproc_core::telemetry::bucket_of`):
+    /// bucket `i` counts delays in `[2^i, 2^(i+1))`, bucket 0 also 0.
     pub sched_delay_ns: Vec<u64>,
     /// Number of scheduling-delay samples recorded. Kept explicitly so the
     /// invariant *histogram mass = sample count* is checkable after merges
@@ -122,7 +113,7 @@ impl RuntimeMetrics {
         Self {
             runtime: runtime.to_string(),
             workers,
-            sched_delay_ns: vec![0; SCHED_DELAY_BUCKETS],
+            sched_delay_ns: vec![0; HIST_BUCKETS],
             ..Self::default()
         }
     }
@@ -130,35 +121,16 @@ impl RuntimeMetrics {
     /// Records one scheduling-delay sample.
     pub fn record_delay_ns(&mut self, ns: u64) {
         if self.sched_delay_ns.is_empty() {
-            self.sched_delay_ns = vec![0; SCHED_DELAY_BUCKETS];
+            self.sched_delay_ns = vec![0; HIST_BUCKETS];
         }
-        let bucket = if ns == 0 {
-            0
-        } else {
-            (63 - ns.leading_zeros() as usize).min(SCHED_DELAY_BUCKETS - 1)
-        };
-        self.sched_delay_ns[bucket] += 1;
+        self.sched_delay_ns[bucket_of(ns)] += 1;
         self.sched_delay_samples += 1;
     }
 
     /// Scheduling-delay percentile (0.0..=1.0) in nanoseconds, resolved to
     /// the upper edge of the histogram bucket containing the quantile.
     pub fn delay_percentile_ns(&self, q: f64) -> Option<u64> {
-        let total: u64 = self.sched_delay_ns.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((total - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.sched_delay_ns.iter().enumerate() {
-            seen += n;
-            if n > 0 && seen > rank {
-                return Some(1u64 << (i + 1).min(63));
-            }
-        }
-        // Unreachable when rank < total, but resolve to the top non-empty
-        // bucket rather than pretending the histogram was empty.
-        self.delay_max_ns()
+        hist_percentile(&self.sched_delay_ns, q)
     }
 
     /// Upper edge of the highest non-empty delay bucket (the histogram's
@@ -167,7 +139,7 @@ impl RuntimeMetrics {
         self.sched_delay_ns
             .iter()
             .rposition(|&n| n > 0)
-            .map(|i| 1u64 << (i + 1).min(63))
+            .map(bucket_edge)
     }
 
     /// Checks the aggregation invariants this structure promises and returns
@@ -371,11 +343,6 @@ impl Metrics {
                 None => self.runtime = Some(rt.clone()),
             }
         }
-    }
-
-    /// Total blocked time across all processes.
-    pub fn blocked_total(&self) -> u64 {
-        self.blocked_time.values().sum()
     }
 
     /// Always 0: a shard is owned by its worker, not locked. Kept only

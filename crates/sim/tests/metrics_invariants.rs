@@ -4,7 +4,7 @@
 //! per-worker and per-shard partitions.
 
 use proptest::prelude::*;
-use txproc_sim::metrics::{Metrics, RuntimeMetrics, ShardMetrics, SCHED_DELAY_BUCKETS};
+use txproc_sim::metrics::{Metrics, RuntimeMetrics, ShardMetrics, HIST_BUCKETS};
 
 proptest! {
     #[test]
@@ -38,7 +38,7 @@ proptest! {
         // The resolved max is the true max at log2-bucket resolution: within
         // one power of two above the largest sample.
         let true_max = *samples.iter().max().unwrap();
-        prop_assert!(max >= true_max.min(1u64 << (SCHED_DELAY_BUCKETS as u32)),
+        prop_assert!(max >= true_max.min(1u64 << (HIST_BUCKETS as u32)),
             "max edge {} below true max {}", max, true_max);
     }
 

@@ -61,13 +61,6 @@ impl Coordinator {
         Self::default()
     }
 
-    /// Rebuilds a coordinator from a replayed decision log (WAL recovery).
-    /// The group counter resumes past the highest logged group id.
-    pub fn from_log(log: Vec<DecisionRecord>) -> Self {
-        let next_group = log.iter().map(|r| r.group + 1).max().unwrap_or(0);
-        Self { log, next_group }
-    }
-
     /// The decision log.
     pub fn log(&self) -> &[DecisionRecord] {
         &self.log
