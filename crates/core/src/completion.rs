@@ -28,7 +28,7 @@
 use crate::error::ScheduleError;
 use crate::ids::{GlobalActivityId, ProcessId};
 use crate::order::PartialOrder;
-use crate::schedule::{Op, OpKind, Schedule};
+use crate::schedule::{Event, Op, OpKind, Schedule};
 use crate::spec::Spec;
 use crate::state::ProcessState;
 use std::cell::OnceCell;
@@ -80,57 +80,37 @@ pub fn complete(spec: &Spec, schedule: &Schedule) -> Result<CompletedSchedule, S
     })
 }
 
-/// The completion operations of a replayed history, in an order recovery can
-/// execute: `ops` are the history's operations and `states` its final
-/// machines (`Replay::ops` / `Replay::states`), `event_base` the history's
-/// length. The result holds exactly [`CompletedSchedule::completion_ops`] of
-/// the same history, indexed the same, arranged as one linearisation of `≪̃`.
-///
-/// Definition 8.3 puts every completion activity after the original history
-/// (8.3b/c/e), so no path of `≪̃` between two completion activities passes
-/// through an original one: the order among them is the closure of the
-/// per-process chains and the conflicting cross-process pairs *of the tail*,
-/// and only those are built — pairs found through conflict rows, oriented by
-/// the rule [`complete`] uses.
-pub fn completion_tail(
+/// The rank of each process of a history that [`complete`] orders
+/// conflicting forward-recovery activities by (8.3d/8.3f, the mandatory
+/// ranks below): a lower-ranked process's go first. `states` are the
+/// machines the history left (`Replay::states`, or a scheduler's own); a
+/// process with no operation has no rank.
+pub fn forward_ranks(
     spec: &Spec,
-    mut ops: Vec<Op>,
+    schedule: &Schedule,
     states: &BTreeMap<ProcessId, ProcessState<'_>>,
-    event_base: usize,
-) -> Result<Vec<Op>, ScheduleError> {
+) -> Result<BTreeMap<ProcessId, usize>, ScheduleError> {
+    let mut ops = Vec::new();
+    for (event_index, event) in schedule.events().iter().enumerate() {
+        let (gid, kind) = match *event {
+            Event::Execute(g) => (g, OpKind::Forward),
+            Event::Compensate(g) => (g, OpKind::Compensation),
+            _ => continue,
+        };
+        let service = spec.catalog.base(spec.service_of(gid)?);
+        let (index, from_completion) = (ops.len(), false);
+        ops.push(Op {
+            index,
+            event_index,
+            gid,
+            service,
+            kind,
+            from_completion,
+        });
+    }
     let original_len = ops.len();
-    append_completions(spec, states, &mut ops, event_base)?;
-    let tail = &ops[original_len..];
-    // `≪̃` over the tail alone, nodes numbered from the first tail operation.
-    let mut po = PartialOrder::new(tail.len());
-    // 8.3b/8.3c: a process's completion activities are adjacent in the tail.
-    for w in tail.windows(2) {
-        if w[0].gid.process == w[1].gid.process {
-            po.add(w[0].index - original_len, w[1].index - original_len);
-        }
-    }
-    let orientation = Orientation::new(spec, &ops, original_len);
-    let buckets = by_service(spec, tail);
-    for x in tail {
-        for s in spec.conflicts.row(&spec.catalog, x.service) {
-            for &j in &buckets[s.index()] {
-                let y = &ops[j];
-                if j <= x.index || x.gid.process == y.gid.process {
-                    continue;
-                }
-                let (i, j) = (x.index - original_len, j - original_len);
-                if orientation.precedes(x, y) {
-                    po.add(i, j);
-                } else {
-                    po.add(j, i);
-                }
-            }
-        }
-    }
-    let order = po
-        .topological_order()
-        .ok_or(ScheduleError::CyclicCompletionOrder)?;
-    Ok(order.into_iter().map(|v| tail[v]).collect())
+    append_completions(spec, states, &mut ops, schedule.len())?;
+    Ok(mandatory_ranks(spec, &ops, original_len))
 }
 
 /// 8.2b/8.2c: appends the completion activities of every still-active
@@ -181,9 +161,8 @@ fn by_service(spec: &Spec, ops: &[Op]) -> Vec<Vec<usize>> {
 }
 
 /// The one orientation rule for a conflicting pair of completion activities
-/// of different processes (Lemmas 2 and 3, 8.3d/8.3f). [`complete`] applies
-/// it to every such pair, [`completion_tail`] to the pairs it finds through
-/// conflict rows.
+/// of different processes (Lemmas 2 and 3, 8.3d/8.3f), which [`complete`]
+/// applies to every such pair.
 struct Orientation<'a> {
     spec: &'a Spec,
     ops: &'a [Op],

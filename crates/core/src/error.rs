@@ -182,8 +182,8 @@ pub enum ScheduleError {
     PrematureCommit(ProcessId),
     /// The process could not switch to any alternative and cannot continue.
     NoAlternativeLeft(GlobalActivityId),
-    /// The completion order `≪̃` of the history's completion activities is
-    /// cyclic, so no execution order of them exists.
+    /// The history's completion activities cannot all be executed: no order
+    /// of them the scheduler may run exists.
     CyclicCompletionOrder,
 }
 

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use txproc_core::completion::{complete, completion_tail};
+use txproc_core::completion::{complete, forward_ranks};
 use txproc_core::fixtures::{paper_world, PaperWorld};
 use txproc_core::ids::{GlobalActivityId, ProcessId};
 use txproc_core::schedule::{Event, Op, OpKind, Schedule};
@@ -161,11 +161,12 @@ proptest! {
         prop_assert!(completed.order.is_acyclic());
     }
 
-    /// `completion_tail` yields exactly the reference's completion
-    /// operations, in an order no pair of which runs against `≪̃`; and the
-    /// row-built process graph is the all-pairs one.
+    /// Every pair of forward-recovery activities of different processes
+    /// that `≪̃` orders runs in `forward_ranks` order, the order recovery
+    /// begins its aborts in; and the row-built process graph is the
+    /// all-pairs one.
     #[test]
-    fn tail_linearises_the_reference_order(seed in 0u64..4000, cut in 0usize..30) {
+    fn forward_ranks_order_the_reference_forward_pairs(seed in 0u64..4000, cut in 0usize..30) {
         let fx = paper_world();
         let s = random_history(&fx, seed, 40).prefix(cut);
         let completed = complete(&fx.spec, &s).unwrap();
@@ -174,14 +175,15 @@ proptest! {
             process_graph_linear(&fx.spec, &replay.ops),
             process_graph_all_pairs(&fx.spec, &replay.ops)
         );
-        let tail = completion_tail(&fx.spec, replay.ops, &replay.states, s.len()).unwrap();
-        let mut sorted = tail.clone();
-        sorted.sort_by_key(|o| o.index);
-        prop_assert_eq!(&sorted[..], completed.completion_ops());
+        let ranks = forward_ranks(&fx.spec, &s, &replay.states).unwrap();
         let reach = completed.order.reachability();
-        for (i, x) in tail.iter().enumerate() {
-            for y in &tail[i + 1..] {
-                prop_assert!(!reach.lt(y.index, x.index), "{} before {} against ≪̃", x, y);
+        let forward = || completed.completion_ops().iter().filter(|o| o.kind == OpKind::Forward);
+        for x in forward() {
+            for y in forward().filter(|y| y.gid.process != x.gid.process) {
+                if reach.lt(x.index, y.index) {
+                    let (px, py) = (x.gid.process, y.gid.process);
+                    prop_assert!(ranks[&px] < ranks[&py], "{} before {} against the ranks", x, y);
+                }
             }
         }
     }

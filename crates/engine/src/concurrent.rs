@@ -82,13 +82,14 @@
 
 use crate::certify::CertGate;
 use crate::policy::{Policy, PolicyKind};
-use crate::recovery::InvocationLogEntry;
+use crate::recovery::{CrashImage, InvocationLogEntry};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use txproc_core::activity::Termination;
 use txproc_core::domains::DomainPartition;
+use txproc_core::error::{ModelError, ScheduleError};
 use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId, ServiceId};
 use txproc_core::protocol::{Admission, CompletionGate};
 use txproc_core::schedule::{Event, Schedule};
@@ -101,7 +102,7 @@ use txproc_sim::workload::{ArrivalModel, Workload};
 use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 use txproc_subsystem::deploy::ServiceSite;
 use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
-use txproc_subsystem::tpc::{Coordinator, Participant};
+use txproc_subsystem::tpc::{Coordinator, Decision, Participant};
 
 /// Label of the one runtime in [`RuntimeMetrics::runtime`] and the bench
 /// reports' `runtime` column.
@@ -350,25 +351,31 @@ pub(crate) struct RunCtx<'a> {
     wal: Option<Mutex<WalWriter>>,
 }
 
+/// One fresh agent per deployed subsystem: the durable state a run starts
+/// from when nothing precedes it.
+pub(crate) fn fresh_agents(workload: &Workload) -> BTreeMap<SubsystemId, Agent> {
+    let agent = |sid: SubsystemId| Agent::new(Subsystem::new(sid, format!("sub{}", sid.0)));
+    let subsystems = workload.deployment.subsystems().into_iter();
+    subsystems.map(|sid| (sid, agent(sid))).collect()
+}
+
 impl<'a> RunCtx<'a> {
-    /// The context of one run of an already validated `cfg` on `clock`;
-    /// `worker_of_shard` is the static shard→worker assignment. Open
-    /// arrival models take their times from the workload; closed arrivals
-    /// are `closed_gap` ticks apart.
+    /// The context of one run of an already validated `cfg` on `clock`,
+    /// over the subsystems and decision log of `durable` ([`fresh_agents`]
+    /// and an empty log, or what a crash left); `worker_of_shard` is the
+    /// static shard→worker assignment. Open arrival models take their times
+    /// from the workload; closed arrivals are `closed_gap` ticks apart.
+    /// Telemetry is off until the caller sets [`RunCtx::tele`].
     pub(crate) fn new(
         workload: &'a Workload,
         cfg: ConcurrentConfig,
         sink: Box<dyn TraceSink + 'a>,
-        tele: Telemetry,
         worker_of_shard: Vec<u32>,
         clock: Clock,
         closed_gap: u64,
+        (agents, coordinator): (BTreeMap<SubsystemId, Agent>, Coordinator),
     ) -> Self {
-        let agent = |sid: SubsystemId| {
-            let subsystem = Subsystem::new(sid, format!("sub{}", sid.0));
-            (sid, Mutex::new(Agent::new(subsystem)))
-        };
-        let agents = workload.deployment.subsystems().into_iter().map(agent);
+        let agents = agents.into_iter().map(|(sid, a)| (sid, Mutex::new(a)));
         let pids = workload.spec.processes().map(|p| p.id);
         let arrivals = match workload.config.arrivals {
             ArrivalModel::Closed if closed_gap == 0 => Vec::new(),
@@ -380,7 +387,7 @@ impl<'a> RunCtx<'a> {
         Self {
             workload,
             agents: agents.collect(),
-            coordinator: Mutex::new(Coordinator::new()),
+            coordinator: Mutex::new(coordinator),
             tickets: AtomicU64::new(0),
             trace: TraceShared {
                 enabled: sink.enabled(),
@@ -388,7 +395,7 @@ impl<'a> RunCtx<'a> {
                 seq: AtomicU64::new(0),
                 worker_of_shard,
             },
-            tele,
+            tele: Telemetry::off(),
             clock,
             arrivals,
             live: Level::default(),
@@ -410,6 +417,12 @@ impl<'a> RunCtx<'a> {
         self.arrivals
             .binary_search_by_key(&pid, |&(p, _)| p)
             .map_or(0, |i| self.arrivals[i].1)
+    }
+
+    /// The service subsystem `sid` ran as invocation `inv`, while it holds
+    /// the invocation (a prepared one it aborted is gone).
+    pub(crate) fn invoked(&self, sid: SubsystemId, inv: InvocationId) -> Option<ServiceId> {
+        self.agents.get(&sid)?.lock().service_of(inv)
     }
 
     /// Appends one record that carries no history event to the journal
@@ -500,7 +513,7 @@ pub(crate) struct Shard<'a> {
     event_tickets: Vec<u64>,
     pub(crate) metrics: Metrics,
     /// Committed forward invocations, for later compensation.
-    invocations: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)>,
+    pub(crate) invocations: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)>,
     /// Durable invocation log (survives scheduler crashes): every service
     /// invocation with its subsystem transaction handle.
     pub(crate) invocation_log: Vec<InvocationLogEntry>,
@@ -510,7 +523,8 @@ pub(crate) struct Shard<'a> {
     abort_order: Vec<ProcessId>,
     /// Deferred activities released by a predecessor's termination.
     released: BTreeMap<ProcessId, ActivityId>,
-    pending_release: BTreeMap<ProcessId, (GlobalActivityId, ActivityId, SubsystemId, InvocationId)>,
+    /// Prepared invocations awaiting their release, by process.
+    pending_release: BTreeMap<ProcessId, (GlobalActivityId, SubsystemId, InvocationId)>,
     /// Releases granted by the policy but not yet certified/applied.
     ready_releases: Vec<ProcessId>,
     /// Releases that failed certification, stamped with the history length
@@ -642,6 +656,310 @@ impl<'a> Shard<'a> {
         }
     }
 
+    /// The scheduler a crash left, resumed from its image with admissions
+    /// closed: a run context over the image's subsystems and decision log,
+    /// with no arrival queued, and one shard holding every process the image
+    /// names. Its process states are the history's replayed (the
+    /// `ProcessState` half of [`transition`](Self::transition), which
+    /// refuses an illegal history); the policy half ([`record`](Self::record))
+    /// is folded for the processes the crash left live, and a terminated
+    /// process is only finalized — its operations can gate, block or be
+    /// aborted by nothing again. The invocation log adds what the history
+    /// does not show: each execution's invocation, and each prepared one,
+    /// folded at the latest point its log position and its process allow
+    /// (the image does not record where among the events around it the
+    /// prepare fell). The fold traces, counts and journals nothing. The run
+    /// has the protocol's gates without the §3.5 certifier (`PredProtocol`)
+    /// and injects no failures.
+    pub(crate) fn restore(
+        workload: &'a Workload,
+        image: CrashImage,
+        sink: Box<dyn TraceSink + 'a>,
+    ) -> Result<(RunCtx<'a>, Self), ScheduleError> {
+        let run = ConcurrentConfig {
+            policy: PolicyKind::PredProtocol,
+            seed: workload.config.seed,
+            inject_failures: false,
+            ..ConcurrentConfig::default()
+        };
+        // No decision of a recovery reads its clock; on the wall clock its
+        // journal records are stamped in journal order.
+        let clock = Clock::Wall(Instant::now());
+        let durable = (image.agents, image.coordinator);
+        let ctx = RunCtx::new(workload, run, sink, Vec::new(), clock, 0, durable);
+        let (spec, log) = (&workload.spec, image.invocation_log);
+        let mut states = image.history.replay(spec)?.states;
+        for e in log.iter().filter(|e| e.prepared) {
+            let process = spec.process(e.gid.process)?;
+            spec.service_of(e.gid)?;
+            let state = || ProcessState::new(process, &spec.catalog).expect("tree process");
+            states.entry(e.gid.process).or_insert_with(state);
+        }
+        let live = |p: &ProcessId| states.get(p).is_some_and(|s| s.is_active());
+        let mut shard = Self::build(0, &[], &ctx);
+        spec.processes().for_each(|p| shard.policy.register(p.id));
+        let mut next = 0;
+        for event in image.history.events() {
+            let pids = match event {
+                Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => vec![g.process],
+                Event::Commit(p) | Event::Abort(p) => vec![*p],
+                Event::GroupAbort(ps) => ps.clone(),
+            };
+            let run = log[next..].iter().take_while(|e| e.prepared).count();
+            let own = match event {
+                Event::Execute(g) => log.get(next + run).is_some_and(|e| e.gid == *g),
+                _ => false,
+            };
+            let due = match own {
+                true => run + 1,
+                false => (log[next..next + run].iter())
+                    .rposition(|e| pids.contains(&e.gid.process))
+                    .map_or(0, |i| i + 1),
+            };
+            for e in log[next..next + due]
+                .iter()
+                .filter(|e| live(&e.gid.process))
+            {
+                shard.refold_invocation(e);
+            }
+            next += due;
+            match event {
+                Event::GroupAbort(ps) => {
+                    let aborts = ps.iter().filter(|p| live(p));
+                    aborts.for_each(|&p| shard.record_abort(p));
+                }
+                _ if live(&pids[0]) => drop(shard.record(event)),
+                _ => {}
+            }
+        }
+        for e in log[next..]
+            .iter()
+            .filter(|e| e.prepared && live(&e.gid.process))
+        {
+            shard.refold_invocation(e);
+        }
+        shard.released.clear();
+        for (&pid, state) in &states {
+            match state.status() {
+                ProcessStatus::Active => {}
+                ProcessStatus::Committed => drop(shard.policy.on_commit(pid)),
+                ProcessStatus::Aborted => drop(shard.policy.on_abort(pid)),
+            }
+        }
+        let live: Vec<ProcessId> = states.keys().copied().filter(live).collect();
+        shard.states = states;
+        live.into_iter().for_each(|pid| shard.admit(&ctx, pid));
+        let events = image.history.len() as u64;
+        ctx.tickets.store(events, Ordering::Relaxed);
+        (shard.history, shard.event_tickets) = (image.history, (0..events).collect());
+        shard.invocation_log = log;
+        Ok((ctx, shard))
+    }
+
+    /// What the step made of a logged invocation besides its event: the
+    /// handle a compensation uses, and a prepared one's pending release.
+    fn refold_invocation(&mut self, e: &InvocationLogEntry) {
+        self.invocations.insert(e.gid, (e.subsystem, e.invocation));
+        if e.prepared {
+            self.prepare(e.gid, e.subsystem, e.invocation);
+        }
+    }
+
+    /// What a prepared invocation does to the policy: its release is
+    /// pending. Returns the dependency edges it added.
+    fn prepare(
+        &mut self,
+        gid: GlobalActivityId,
+        sid: SubsystemId,
+        inv: InvocationId,
+    ) -> Vec<(ProcessId, ProcessId)> {
+        self.pending_release.insert(gid.process, (gid, sid, inv));
+        self.policy.record_executed(gid, true)
+    }
+
+    /// Lands `pid`'s released commit: the step applies it at the process's
+    /// next step, before anything else the process does.
+    fn land_released(&mut self, pid: ProcessId) -> Result<(), ScheduleError> {
+        let Some(a) = self.released.remove(&pid) else {
+            return Ok(());
+        };
+        let state = self.states.get_mut(&pid);
+        state
+            .ok_or(ModelError::UnknownProcess(pid))?
+            .apply_commit(a)
+    }
+
+    /// What `event` does — the one implementation of the step's transitions,
+    /// applied to every event the step emits: the process's released commit
+    /// lands, the policy [records](Self::record) the event, and the process
+    /// state makes the event's move (the move `Schedule::replay` makes of
+    /// it). Returns the dependency edges an execution added.
+    fn transition(&mut self, event: &Event) -> Result<Vec<(ProcessId, ProcessId)>, ScheduleError> {
+        let (pid, gid) = match *event {
+            Event::GroupAbort(ref ps) => {
+                for &p in ps {
+                    if self.states.get(&p).is_some_and(|s| s.is_active()) {
+                        self.transition(&Event::Abort(p))?;
+                    }
+                }
+                return Ok(Vec::new());
+            }
+            Event::Commit(p) | Event::Abort(p) => (p, None),
+            Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => (g.process, Some(g)),
+        };
+        self.land_released(pid)?;
+        let edges = self.record(event);
+        let state = (self.states.get_mut(&pid)).ok_or(ModelError::UnknownProcess(pid))?;
+        match (event, gid) {
+            (Event::Execute(_), Some(g)) if self.released.get(&pid) == Some(&g.activity) => {}
+            (Event::Execute(_), Some(g)) => state.apply_commit(g.activity)?,
+            (Event::Compensate(_), Some(g)) => state.apply_compensation(g.activity)?,
+            (Event::Fail(_), Some(g)) => {
+                if state.apply_failure(g.activity)? == FailureOutcome::Stuck {
+                    return Err(ScheduleError::NoAlternativeLeft(g));
+                }
+            }
+            (Event::Abort(_), _) => drop(state.apply_process_abort()?),
+            _ => state.apply_process_commit()?,
+        }
+        Ok(edges)
+    }
+
+    /// What `event` does to the policy and the shard's bookkeeping: the
+    /// `Execute` of a pending deferred activity is its release (landed at
+    /// the process's next step), any other executes; an `Abort` drops a
+    /// prepared invocation and starts the completion. Returns the
+    /// dependency edges an execution added.
+    fn record(&mut self, event: &Event) -> Vec<(ProcessId, ProcessId)> {
+        match *event {
+            Event::Execute(g) => match self.pending_release.get(&g.process) {
+                Some(&(prepared, ..)) if prepared == g => {
+                    self.pending_release.remove(&g.process);
+                    self.policy.record_deferred_released(g);
+                    self.released.insert(g.process, g.activity);
+                }
+                _ => return self.policy.record_executed(g, false),
+            },
+            Event::Compensate(g) => self.policy.record_compensated(g),
+            Event::Abort(p) => self.record_abort(p),
+            Event::GroupAbort(_) | Event::Fail(_) | Event::Commit(_) => {}
+        }
+        Vec::new()
+    }
+
+    /// An `Abort`'s record: a prepared invocation leaves the policy, and the
+    /// process joins the abort order.
+    fn record_abort(&mut self, pid: ProcessId) {
+        if let Some((gid, ..)) = self.pending_release.remove(&pid) {
+            self.invocations.remove(&gid);
+            self.policy.record_prepared_aborted(gid);
+        }
+        self.abort_order.push(pid);
+        self.policy.on_abort_begin(pid);
+    }
+
+    /// Settles the prepared invocations a restore left pending against the
+    /// subsystems and decision log it restored with, as the records a cut
+    /// log lost would have: one with a logged commit decision was released
+    /// — its `Execute` is emitted now — and one its subsystem no longer
+    /// holds was aborted with its process. Every released commit then lands
+    /// (as the process's next step, or its abort, would land it). Returns
+    /// how many remain pending, the undecided ones.
+    pub(crate) fn settle_prepared(&mut self, ctx: &RunCtx<'a>) -> Result<usize, ScheduleError> {
+        let coordinator = ctx.coordinator.lock();
+        let decided: BTreeSet<(SubsystemId, InvocationId)> = (coordinator.log().iter())
+            .filter(|r| r.decision == Decision::Commit)
+            .flat_map(|r| r.participants.iter().map(|p| (p.subsystem, p.invocation)))
+            .collect();
+        drop(coordinator);
+        let pending: Vec<_> = self.pending_release.values().copied().collect();
+        for (gid, sid, inv) in pending {
+            if decided.contains(&(sid, inv)) {
+                self.release(ctx, gid);
+            } else if ctx.invoked(sid, inv).is_none() {
+                self.pending_release.remove(&gid.process);
+                self.invocations.remove(&gid);
+                self.policy.record_prepared_aborted(gid);
+            }
+        }
+        while let Some(&pid) = self.released.keys().next() {
+            self.land_released(pid)?;
+        }
+        Ok(self.pending_release.len())
+    }
+
+    /// Recovery's one decision: the abort of every live process, for
+    /// [`AbortReason::External`], journalled as a group abort the scheduler
+    /// itself initiated. The live processes take their place in the abort
+    /// order by `ranks`, lowest first — those already aborting too — so the
+    /// uncertified step's rule that a forward-recovery step waits for the
+    /// conflicting completion work of earlier aborts
+    /// (`forward_order_blocked`) runs forward recovery in that order.
+    /// Returns them in that order.
+    pub(crate) fn abort_live(
+        &mut self,
+        ctx: &RunCtx<'a>,
+        ranks: &BTreeMap<ProcessId, usize>,
+    ) -> Vec<ProcessId> {
+        let mut live: Vec<ProcessId> = self.sm.keys().copied().collect();
+        live.sort_by_key(|p| ranks.get(p).copied().unwrap_or(usize::MAX));
+        self.abort_order.retain(|p| !self.sm.contains_key(p));
+        if ctx.trace.enabled && !live.is_empty() {
+            let victims = live.clone();
+            let group = TraceEvent::GroupAbort {
+                initiator: None,
+                victims,
+                trigger: None,
+            };
+            self.trace(ctx, group);
+        }
+        for &pid in &live {
+            if !self.begin_abort(ctx, pid, AbortReason::External) {
+                self.abort_order.push(pid);
+            }
+        }
+        live
+    }
+
+    /// Steps the live processes until none is left — each one run until it
+    /// blocks, as a worker runs it, and a clean shard's deadlock probed —
+    /// or, answering `false`, until a step budget that only a livelock
+    /// exhausts runs out.
+    pub(crate) fn run_to_end(&mut self, ctx: &RunCtx<'a>) -> bool {
+        let mut budget = 10_000 * (self.states.len() + 1);
+        loop {
+            let Some((pid, _)) = self.pop_runnable() else {
+                if self.probe() {
+                    continue;
+                }
+                return true;
+            };
+            loop {
+                budget = match budget.checked_sub(1) {
+                    Some(left) => left,
+                    None => return false,
+                };
+                if self.step(ctx, pid) != Step::Yield {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// What a crash leaves of the run this shard is part of (its only
+    /// shard): the history, the invocation log, the subsystems and the
+    /// decision log.
+    pub(crate) fn crash(self, ctx: RunCtx<'a>) -> CrashImage {
+        let done = self.finish(&ctx);
+        let (agents, coordinator) = ctx.into_durable();
+        CrashImage {
+            history: done.history,
+            agents,
+            coordinator,
+            invocation_log: done.invocation_log,
+        }
+    }
+
     /// Admits an arrived process: live, with a fresh state machine, at the
     /// back of the run queue.
     pub(crate) fn admit(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
@@ -742,15 +1060,23 @@ impl<'a> Shard<'a> {
         let ticket = ctx.ticket(|| WalRecord::Event {
             event: event.clone(),
         });
-        self.append(event, ticket);
+        self.append(event, ticket)
+            .expect("the step emits what its states allow");
     }
 
-    /// Appends an event to the shard segment under its global merge ticket
-    /// and marks the shard dirty.
-    fn append(&mut self, event: Event, ticket: u64) {
+    /// Appends an event the step took to the shard segment under its global
+    /// merge ticket, applies its [`transition`](Self::transition) and marks
+    /// the shard dirty. Returns the dependency edges an execution added.
+    fn append(
+        &mut self,
+        event: Event,
+        ticket: u64,
+    ) -> Result<Vec<(ProcessId, ProcessId)>, ScheduleError> {
+        let edges = self.transition(&event)?;
         self.history.push(event);
         self.event_tickets.push(ticket);
         self.dirty = true;
+        Ok(edges)
     }
 
     /// Buffers one decision record. A no-op while tracing is off, so callers
@@ -839,14 +1165,13 @@ impl<'a> Shard<'a> {
         }
         let ready = std::mem::take(&mut self.ready_releases);
         for pj in ready {
-            let Some(&(gid, a, sid, inv)) = self.pending_release.get(&pj) else {
+            let Some(&(gid, sid, inv)) = self.pending_release.get(&pj) else {
                 continue;
             };
             if !self.certified_traced(ctx, Event::Execute(gid)) {
                 self.stalled_releases.push((pj, self.history.len()));
                 continue;
             }
-            self.pending_release.remove(&pj);
             if let Some(t0) = self.prepared_at.remove(&pj) {
                 ctx.tele
                     .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
@@ -873,14 +1198,17 @@ impl<'a> Shard<'a> {
                     .expect("participant prepared");
                 ctx.journal(|| WalRecord::DecisionApplied { group });
             }
-            self.emit(ctx, Event::Execute(gid));
-            self.policy.record_deferred_released(gid);
-            self.metrics.activities += 1;
-            self.clear_block_note(pj);
-            self.trace(ctx, TraceEvent::CommitReleased { gid });
-            // The owner thread applies the state advance.
-            self.released.insert(pj, a);
+            self.release(ctx, gid);
         }
+    }
+
+    /// Emits the `Execute` of a pending deferred activity whose commit its
+    /// subsystem applied.
+    fn release(&mut self, ctx: &RunCtx<'a>, gid: GlobalActivityId) {
+        self.emit(ctx, Event::Execute(gid));
+        self.metrics.activities += 1;
+        self.clear_block_note(gid.process);
+        self.trace(ctx, TraceEvent::CommitReleased { gid });
     }
 
     /// One scheduling iteration for `pid`.
@@ -954,12 +1282,8 @@ impl<'a> Shard<'a> {
             return Step::Done;
         }
         // Deferred release arrived?
-        if let Some(a) = self.released.remove(&pid) {
-            self.states
-                .get_mut(&pid)
-                .expect("state")
-                .apply_commit(a)
-                .expect("released frontier");
+        if self.released.contains_key(&pid) {
+            self.land_released(pid).expect("released frontier");
             return Step::Yield;
         }
         if self.pending_release.contains_key(&pid) {
@@ -994,12 +1318,6 @@ impl<'a> Shard<'a> {
                         self.trace(ctx, TraceEvent::CompensationStarted { gid, service });
                     }
                     self.emit(ctx, Event::Compensate(gid));
-                    self.policy.record_compensated(gid);
-                    self.states
-                        .get_mut(&pid)
-                        .expect("state")
-                        .apply_compensation(c)
-                        .expect("queued");
                     self.metrics.compensations += 1;
                     Step::Yield
                 }
@@ -1019,11 +1337,6 @@ impl<'a> Shard<'a> {
             return match verdict {
                 Ok(()) if !self.certified_traced(ctx, Event::Commit(pid)) => Step::Wait,
                 Ok(()) => {
-                    self.states
-                        .get_mut(&pid)
-                        .expect("state")
-                        .apply_process_commit()
-                        .expect("finished path");
                     self.emit(ctx, Event::Commit(pid));
                     self.finalize(ctx, pid);
                     Step::Done
@@ -1173,26 +1486,13 @@ impl<'a> Shard<'a> {
         if inject && termination.can_fail() {
             self.emit(ctx, Event::Fail(gid));
             self.trace(ctx, TraceEvent::ActivityFailed { gid, service: svc });
-            let outcome = self
-                .states
-                .get_mut(&pid)
-                .expect("state")
-                .apply_failure(a)
-                .expect("frontier");
-            match outcome {
-                FailureOutcome::Stuck => panic!("guaranteed-termination process stuck at {gid}"),
-                FailureOutcome::ProcessAbort { .. } => {
-                    self.metrics.abort_reasons.count(AbortReason::Failure);
-                    self.clear_block_note(pid);
-                    self.trace(
-                        ctx,
-                        TraceEvent::AbortStarted {
-                            pid,
-                            reason: AbortReason::Failure,
-                        },
-                    );
-                }
-                FailureOutcome::Alternative { .. } => {}
+            // No alternative was left: the process aborts (or already has).
+            let state = &self.states[&pid];
+            if state.abort_in_progress() || !state.is_active() {
+                self.metrics.abort_reasons.count(AbortReason::Failure);
+                self.clear_block_note(pid);
+                let reason = AbortReason::Failure;
+                self.trace(ctx, TraceEvent::AbortStarted { pid, reason });
             }
             simulated_invoke(ctx, svc, site);
             return Step::Yield;
@@ -1247,13 +1547,8 @@ impl<'a> Shard<'a> {
         }
         match outcome {
             InvokeOutcome::Committed { .. } => {
-                self.append(Event::Execute(gid), ticket.expect("committed"));
-                let edges_added = self.policy.record_executed(gid, false);
-                self.states
-                    .get_mut(&pid)
-                    .expect("state")
-                    .apply_commit(a)
-                    .expect("frontier");
+                let ticket = ticket.expect("committed");
+                let edges_added = self.append(Event::Execute(gid), ticket).expect("frontier");
                 self.metrics.activities += 1;
                 self.clear_block_note(pid);
                 if ctx.trace.enabled {
@@ -1271,9 +1566,7 @@ impl<'a> Shard<'a> {
                 Step::Yield
             }
             InvokeOutcome::Prepared { invocation, .. } => {
-                let edges_added = self.policy.record_executed(gid, true);
-                self.pending_release
-                    .insert(pid, (gid, a, site.subsystem, invocation));
+                let edges_added = self.prepare(gid, site.subsystem, invocation);
                 if ctx.tele.enabled() {
                     self.prepared_at.insert(pid, Instant::now());
                 }
@@ -1340,13 +1633,12 @@ impl<'a> Shard<'a> {
     /// Starts the abort of `pid` for `reason` (a no-op, answering `false`,
     /// unless it is active and not already aborting): its prepared invocation
     /// is dropped first — it vanishes atomically, leaving the process
-    /// backward-recoverable — then the abort is journalled, announced to the
-    /// policy and emitted.
+    /// backward-recoverable — then the abort is journalled and emitted.
     fn begin_abort(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, reason: AbortReason) -> bool {
         if !self.states[&pid].is_active() || self.states[&pid].abort_in_progress() {
             return false;
         }
-        if let Some((gid, _a, sid, inv)) = self.pending_release.remove(&pid) {
+        if let Some(&(_, sid, inv)) = self.pending_release.get(&pid) {
             if let Some(t0) = self.prepared_at.remove(&pid) {
                 ctx.tele
                     .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
@@ -1359,8 +1651,6 @@ impl<'a> Shard<'a> {
                 .lock()
                 .abort_prepared(inv)
                 .expect("prepared");
-            self.invocations.remove(&gid);
-            self.policy.record_prepared_aborted(gid);
         }
         if reason == AbortReason::Cascade {
             self.metrics.cascaded += 1;
@@ -1368,14 +1658,7 @@ impl<'a> Shard<'a> {
         self.metrics.abort_reasons.count(reason);
         self.clear_block_note(pid);
         self.trace(ctx, TraceEvent::AbortStarted { pid, reason });
-        self.abort_order.push(pid);
-        self.policy.on_abort_begin(pid);
         self.emit(ctx, Event::Abort(pid));
-        self.states
-            .get_mut(&pid)
-            .expect("state")
-            .apply_process_abort()
-            .expect("active");
         true
     }
 
@@ -1506,7 +1789,9 @@ pub(crate) fn run_concurrent_impl<'a>(
         .map(|si| (si % worker_count) as u32)
         .collect();
     let clock = Clock::Wall(Instant::now());
-    let mut ctx = RunCtx::new(workload, cfg, sink, tele, worker_of_shard, clock, 0);
+    let durable = (fresh_agents(workload), Coordinator::new());
+    let mut ctx = RunCtx::new(workload, cfg, sink, worker_of_shard, clock, 0, durable);
+    ctx.tele = tele;
     if let Some(writer) = wal {
         ctx.set_wal(writer);
     }
@@ -2164,15 +2449,8 @@ mod tests {
     /// A run context with no worker behind it: one shard, worker 0.
     fn scripted_ctx(w: &Workload, cfg: ConcurrentConfig) -> RunCtx<'_> {
         let clock = Clock::Wall(Instant::now());
-        RunCtx::new(
-            w,
-            cfg,
-            Box::new(NoopSink),
-            Telemetry::off(),
-            vec![0],
-            clock,
-            0,
-        )
+        let durable = (fresh_agents(w), Coordinator::new());
+        RunCtx::new(w, cfg, Box::new(NoopSink), vec![0], clock, 0, durable)
     }
 
     /// Steps `pid` until it stops yielding; returns the step that stopped it
@@ -2408,6 +2686,78 @@ mod tests {
             ctx.clock = Clock::Virtual(now);
             assert_eq!(p_fail(&ctx, SubsystemId(0)), p, "tick {now}");
             assert_eq!(p_fail(&ctx, SubsystemId(1)), 0.1, "tick {now}");
+        }
+    }
+
+    /// What a crash must hand back to the scheduler it restores, over the
+    /// processes its image names: their states and the protocol's statuses,
+    /// and — for those it left live, the only ones a later step can gate,
+    /// block or abort — the protocol's edges among them, their pending
+    /// releases and their invocations. An aborted process's status is left
+    /// out: the step that finalizes it emits nothing, so no image says
+    /// whether it ran; the restore runs it.
+    fn durable_view(shard: &Shard<'_>, named: &BTreeSet<ProcessId>) -> String {
+        let protocol = shard.policy.protocol().expect("a PRED policy");
+        let live = |p: &ProcessId| named.contains(p) && shard.states[p].is_active();
+        let states = named.iter().map(|&p| {
+            let st = &shard.states[&p];
+            let status = (st.status() != ProcessStatus::Aborted).then(|| protocol.status(p));
+            let machine = (st.steps(), st.abort_in_progress(), st.completion());
+            format!("{p} {:?} {status:?} {machine:?}", st.status())
+        });
+        let states: Vec<String> = states.collect();
+        let edges: Vec<_> = protocol
+            .edges()
+            .filter(|(a, b)| live(a) && live(b))
+            .collect();
+        let invocations = shard.invocations.iter().filter(|(g, _)| live(&g.process));
+        let invocations: Vec<_> = invocations.collect();
+        let pending = &shard.pending_release;
+        format!("{states:?} {edges:?} {pending:?} {invocations:?}")
+    }
+
+    #[test]
+    fn restore_is_the_inverse_of_crash() {
+        use crate::engine::{Engine, RunConfig};
+        for seed in 0..16u64 {
+            let w = generate(&WorkloadConfig {
+                seed,
+                processes: 6,
+                conflict_density: 0.4,
+                failure_probability: 0.15,
+                ..WorkloadConfig::default()
+            });
+            for at in [2usize, 5, 9, 14, 20, 30] {
+                let cfg = RunConfig {
+                    seed,
+                    ..RunConfig::default()
+                };
+                let mut engine = Engine::new(&w, cfg);
+                engine.run_until_history(at);
+                // A release lands at its process's next step; the history
+                // replayed has it landed.
+                let released: Vec<ProcessId> = engine.shard.released.keys().copied().collect();
+                for pid in released {
+                    engine.shard.land_released(pid).expect("released frontier");
+                }
+                let shard = &engine.shard;
+                let pids = shard.history.events().iter().flat_map(|e| match e {
+                    Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => vec![g.process],
+                    Event::Commit(p) | Event::Abort(p) => vec![*p],
+                    Event::GroupAbort(ps) => ps.clone(),
+                });
+                let logged = shard.invocation_log.iter().map(|e| e.gid.process);
+                let named: BTreeSet<ProcessId> = pids.chain(logged).collect();
+                let crashed = durable_view(shard, &named);
+                let image = engine.crash();
+                let (_, restored) =
+                    Shard::restore(&w, image, Box::new(NoopSink)).expect("restores");
+                assert_eq!(
+                    durable_view(&restored, &named),
+                    crashed,
+                    "seed {seed} at {at}"
+                );
+            }
         }
     }
 

@@ -5,8 +5,9 @@
 //! appends a typed [`WalRecord`] at every durable state transition of the
 //! scheduler step. This module is the read side: [`rebuild_image`] folds a
 //! (possibly torn-tail-truncated) record sequence back into the
-//! [`CrashImage`] the in-memory crash path produces, so the existing
-//! recovery procedure (`recover`) runs unchanged on top of either source.
+//! [`CrashImage`] the in-memory crash path produces, and recovery restores
+//! the engine from either one the same way (`Engine::restore`, then the
+//! step runs the completions; see [`crate::recovery`]).
 //!
 //! ## The crash model
 //!
@@ -38,14 +39,15 @@
 //! from the original run (unlogged busy/abort attempts advanced the
 //! original counter) but are self-consistent; nothing durable reads them.
 
+use crate::concurrent::fresh_agents;
 use crate::recovery::{CrashImage, InvocationLogEntry};
 use std::collections::BTreeMap;
 use txproc_core::ids::GlobalActivityId;
 use txproc_core::schedule::{Event, Schedule};
 use txproc_core::wal::{WalRecord, WAL_VERSION};
 use txproc_sim::workload::Workload;
-use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
-use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
+use txproc_subsystem::agent::{CommitMode, InvocationId, InvokeOutcome};
+use txproc_subsystem::subsystem::SubsystemId;
 use txproc_subsystem::tpc::{Coordinator, Decision, Participant};
 
 /// Why a WAL could not be folded back into a crash image.
@@ -106,13 +108,7 @@ pub fn rebuild_image(
     let mut history = Schedule::new();
     let mut invocation_log = Vec::new();
     let mut coordinator = Coordinator::new();
-    let mut agents = BTreeMap::new();
-    for sid in workload.deployment.subsystems() {
-        agents.insert(
-            sid,
-            Agent::new(Subsystem::new(sid, format!("sub{}", sid.0))),
-        );
-    }
+    let mut agents = fresh_agents(workload);
     // gid → agent handle and whether it was prepared, for compensation
     // replay and the decided-before-executed check.
     let mut invocation_of: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId, bool)> =

@@ -13,8 +13,9 @@
 //! duration in virtual time. Same seed, same history, tick for tick; the
 //! emitted [`Schedule`] can be checked for PRED offline.
 
-use crate::concurrent::{Clock, ConcurrentConfig, RunCtx, Shard, ShardMode, Step};
+use crate::concurrent::{fresh_agents, Clock, ConcurrentConfig, RunCtx, Shard, ShardMode, Step};
 use crate::policy::PolicyKind;
+use crate::recovery::CrashImage;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use txproc_core::ids::{GlobalActivityId, ProcessId};
@@ -25,6 +26,7 @@ use txproc_core::wal::WalWriter;
 use txproc_sim::clock::{EventQueue, SimTime};
 use txproc_sim::metrics::Metrics;
 use txproc_sim::workload::Workload;
+use txproc_subsystem::tpc::Coordinator;
 
 /// Run configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,7 +93,7 @@ pub struct Engine<'a> {
     /// worker, this loop, and the clock is the virtual `now`.
     ctx: RunCtx<'a>,
     /// Every process of the workload, in one shard.
-    shard: Shard<'a>,
+    pub(crate) shard: Shard<'a>,
     /// Wake-ups in virtual time: arrivals, and the ends of the activities
     /// in progress. What is due now sits in the shard's run queue.
     queue: EventQueue<(Wake, ProcessId)>,
@@ -122,16 +124,18 @@ impl<'a> Engine<'a> {
         };
         // Closed arrivals keep the config's `arrival_gap` staggering; open
         // models (Poisson / Burst) take their times from the workload.
+        let durable = (fresh_agents(workload), Coordinator::new());
         let clock = Clock::Virtual(0);
-        let ctx = RunCtx::new(
+        let mut ctx = RunCtx::new(
             workload,
             run,
             sink,
-            tele,
             Vec::new(),
             clock,
             cfg.arrival_gap,
+            durable,
         );
+        ctx.tele = tele;
         let members: Vec<ProcessId> = workload.spec.processes().map(|p| p.id).collect();
         let shard = Shard::build(0, &members, &ctx);
         let mut queue = EventQueue::new();
@@ -278,7 +282,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Requests an abort of a process from outside (tests, crash recovery).
+    /// Requests an abort of a process from outside (an operator, a test).
     pub fn abort_process(&mut self, pid: ProcessId) {
         self.shard
             .initiate_abort(&self.ctx, pid, AbortReason::External, None);
@@ -287,16 +291,9 @@ impl<'a> Engine<'a> {
     /// Simulates a scheduler crash: volatile state (policy, process states,
     /// event queue) is lost; the durable pieces — emitted history,
     /// invocation log, 2PC decision log, and the subsystems themselves —
-    /// survive as a [`CrashImage`](crate::recovery::CrashImage).
-    pub fn crash(self) -> crate::recovery::CrashImage {
-        let done = self.shard.finish(&self.ctx);
-        let (agents, coordinator) = self.ctx.into_durable();
-        crate::recovery::CrashImage {
-            history: done.history,
-            agents,
-            coordinator,
-            invocation_log: done.invocation_log,
-        }
+    /// survive as a [`CrashImage`].
+    pub fn crash(self) -> CrashImage {
+        self.shard.crash(self.ctx)
     }
 }
 

@@ -17,14 +17,15 @@
 //!   stepped by an event-driven worker pool (stress-tested for PRED),
 //! * [`engine`] — the same step on a virtual clock: a deterministic
 //!   discrete-event loop over one shard holding every process,
-//! * [`recovery`] — scheduler crash recovery by group abort and completion
-//!   replay from the durable logs (§3.3, Definition 8).
+//! * [`recovery`] — scheduler crash recovery (§3.3, Definition 8): the
+//!   engine restored from the durable state, every live process aborted,
+//!   and the step run until the completions are done.
 //!
 //! [`RunBuilder`] is the one entry point for a run (either driver, with
 //! tracing / phase telemetry / WAL journaling composed) and
 //! [`Recovery`] the one for recovery; [`run`], [`run_concurrent`] and
-//! [`recover`] are their no-option shorthands. The two drivers are two
-//! clocks around one implementation of the protocol's transitions.
+//! [`recover`] are their no-option shorthands. The two drivers and recovery
+//! all run one implementation of the protocol's transitions.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

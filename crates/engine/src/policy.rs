@@ -74,6 +74,11 @@ pub trait Policy {
     fn forward_gate(&self, _pid: ProcessId, _service: ServiceId) -> CompletionGate {
         CompletionGate::Ready
     }
+    /// The protocol state the policy decides by, if it is the paper's.
+    #[cfg(test)]
+    fn protocol(&self) -> Option<&Protocol<'_>> {
+        None
+    }
 }
 
 /// The paper's PRED scheduling protocol.
@@ -156,6 +161,10 @@ impl Policy for PredPolicy<'_> {
     }
     fn forward_gate(&self, pid: ProcessId, service: ServiceId) -> CompletionGate {
         self.protocol.forward_gate(pid, service)
+    }
+    #[cfg(test)]
+    fn protocol(&self) -> Option<&Protocol<'_>> {
+        Some(&self.protocol)
     }
 }
 

@@ -1,50 +1,44 @@
 //! Scheduler crash recovery (§3.3): completing all active processes from the
-//! durable logs.
+//! durable state — the crash run backwards, then the scheduler's own step.
 //!
 //! When the process scheduler crashes, its volatile state (policy graph,
 //! process cursors, event queue) is gone. What survives is the emitted
 //! history, the invocation log, the 2PC decision log, and the subsystems
 //! themselves (holding committed state and in-doubt prepared transactions).
-//! Recovery proceeds exactly as the completion construction of Definition 8
-//! prescribes:
+//! Recovery then
 //!
-//! 1. finish in-doubt 2PC groups from the coordinator's decision log,
-//! 2. abort prepared invocations that were never decided,
-//! 3. treat all still-active processes as aborted via a **group abort**
-//!    appended to the history,
-//! 4. execute each aborted process's completion — compensations in reverse
-//!    order, then the retriable forward recovery path — interleaved in one
-//!    linearisation of `≪̃` over the completion activities, so the
-//!    Lemma 2/3 orderings hold.
+//! 1. finishes in-doubt 2PC groups from the coordinator's decision log;
+//! 2. restores the scheduler from the image (`Shard::restore`) with
+//!    admissions closed, and re-emits what a cut log lost: a release the
+//!    decision log shows applied (`Shard::settle_prepared`);
+//! 3. checks that every completion step left names what the step will look
+//!    up, and aborts every live process for one reason (`External`), in the
+//!    order `complete` runs conflicting forward recovery in (Definition
+//!    8.3(d)) — an undecided prepared invocation is dropped on the way;
+//! 4. steps the processes until none is left: `Shard::step` executes each
+//!    completion, ordered by the Lemma 2/3 gates as online.
 //!
-//! It is one pass: the history is replayed once, and its states and
-//! operations serve the victim order (reverse serialization order, from a
-//! process graph built through conflict rows), the group abort (applied to
-//! the states in place) and the completion tail
-//! ([`txproc_core::completion::completion_tail`]). It fails closed: every
-//! lookup keyed by what the image holds answers with a [`RecoveryError`];
-//! this file has no `expect`/`unwrap`/`panic!` site.
-//!
-//! The resulting extended history is exactly a completed process schedule;
-//! the crash-recovery experiment (E16) verifies it reduces (RED), and the
-//! crash sweeps check the tail against the reference `≪̃` of
+//! It fails closed: what the image lacks answers with a [`RecoveryError`]
+//! before the first step, and this file has no `expect`/`unwrap`/`panic!`
+//! site. The extended history is a completed process schedule; the crash
+//! sweeps check its tail against the reference `≪̃` of
 //! [`txproc_core::completion::complete`].
 
+use crate::concurrent::{RunCtx, Shard};
 use crate::durability::{rebuild_image, RebuildError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use txproc_core::completion::completion_tail;
+use txproc_core::completion::forward_ranks;
 use txproc_core::error::{ModelError, ScheduleError};
 use txproc_core::ids::{GlobalActivityId, ProcessId, ServiceId};
-use txproc_core::schedule::{Event, OpKind, Replay, Schedule};
-use txproc_core::serializability::process_graph_linear;
-use txproc_core::trace::{AbortReason, NoopSink, TraceEvent, TraceRecord, TraceSink};
+use txproc_core::schedule::Schedule;
+use txproc_core::trace::{NoopSink, TraceSink};
 use txproc_core::wal::{foreign_head, read_records};
 use txproc_sim::workload::Workload;
-use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
+use txproc_subsystem::agent::{Agent, InvocationId};
 use txproc_subsystem::error::SubsystemError;
 use txproc_subsystem::subsystem::SubsystemId;
-use txproc_subsystem::tpc::{Coordinator, Decision};
+use txproc_subsystem::tpc::Coordinator;
 
 /// One durable invocation-log entry: enough to find the subsystem
 /// transaction of an activity after a scheduler crash.
@@ -76,9 +70,9 @@ pub struct CrashImage {
 /// Outcome of recovery.
 #[derive(Debug)]
 pub struct RecoveryReport {
-    /// The extended history (original + group abort + completions).
+    /// The extended history (original + recovery's aborts + completions).
     pub history: Schedule,
-    /// Processes completed through the group abort, in completion order.
+    /// Processes recovery completed, in the order it began their aborts.
     pub aborted: Vec<ProcessId>,
     /// Compensating activities executed during recovery.
     pub compensations: usize,
@@ -93,35 +87,6 @@ pub struct RecoveryReport {
     /// after recovery resumes from this image — recovering it again must be
     /// a no-op (idempotence, exercised by the tests).
     pub image: CrashImage,
-}
-
-/// Decision trace of a recovery run. Recovery has no virtual clock, so
-/// records are stamped with `time == seq` (journal order).
-struct Tracer<'s> {
-    sink: Box<dyn TraceSink + 's>,
-    seq: u64,
-}
-
-impl Tracer<'_> {
-    fn enabled(&self) -> bool {
-        self.sink.enabled()
-    }
-
-    fn emit(&mut self, history_len: usize, event: TraceEvent) {
-        if !self.sink.enabled() {
-            return;
-        }
-        let rec = TraceRecord {
-            seq: self.seq,
-            time: self.seq,
-            history_len,
-            shard: None,
-            worker: None,
-            event,
-        };
-        self.seq += 1;
-        self.sink.record(rec);
-    }
 }
 
 /// Where [`Recovery`] reads its durable state from.
@@ -150,21 +115,15 @@ pub enum RecoveryError {
     /// A subsystem rejected a recovery action.
     Subsystem(SubsystemError),
     /// The durable history is not a legal schedule of the workload, or its
-    /// completion cannot be applied to it.
+    /// completion cannot be run to the end.
     History(ScheduleError),
     /// The image names a subsystem it holds no agent for.
     UnknownSubsystem(SubsystemId),
-    /// An activity to compensate has no committed invocation in the log.
+    /// An activity to compensate has no committed invocation in the log
+    /// that its subsystem holds.
     NotLogged(GlobalActivityId),
     /// A forward-recovery activity's service is deployed nowhere.
     NotDeployed(ServiceId),
-    /// A completion activity did not commit at its subsystem.
-    Refused {
-        /// The activity executed or compensated.
-        gid: GlobalActivityId,
-        /// What the agent answered.
-        outcome: InvokeOutcome,
-    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -177,9 +136,6 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::UnknownSubsystem(s) => write!(f, "no agent for subsystem {}", s.0),
             RecoveryError::NotLogged(g) => write!(f, "no committed invocation logged for {g}"),
             RecoveryError::NotDeployed(s) => write!(f, "service {s} is not deployed"),
-            RecoveryError::Refused { gid, outcome } => {
-                write!(f, "completion activity {gid} did not commit: {outcome:?}")
-            }
         }
     }
 }
@@ -228,10 +184,10 @@ impl<'s> Recovery<'s> {
         }
     }
 
-    /// Delivers the recovery decision trace into `sink`: the
-    /// recovery-initiated group abort (`initiator: None` — the scheduler
-    /// itself is the initiator), each victim's `AbortStarted` (reason
-    /// `External`), every completion operation, and the final
+    /// Delivers the decision trace of recovery's run into `sink`: the
+    /// scheduler-initiated group abort (`initiator: None`), each abort it
+    /// starts (`AbortStarted`, reason `External`), every release it
+    /// surfaces and completion step it takes, and the
     /// `ProcessAborted` terminations.
     pub fn sink(mut self, sink: Box<dyn TraceSink + 's>) -> Self {
         self.sink = sink;
@@ -269,197 +225,77 @@ pub fn recover(workload: &Workload, image: CrashImage) -> Result<RecoveryReport,
     recover_impl(workload, image, Box::new(NoopSink))
 }
 
-/// The one recovery implementation behind [`recover`] and [`Recovery`]: one
-/// replay of the history, whose states and operations every later step
-/// works on.
+/// The one recovery implementation behind [`recover`] and [`Recovery`]: the
+/// scheduler restored from the image, its live processes aborted, and run.
 pub(crate) fn recover_impl<'s>(
-    workload: &Workload,
+    workload: &'s Workload,
     mut image: CrashImage,
     sink: Box<dyn TraceSink + 's>,
 ) -> Result<RecoveryReport, RecoveryError> {
-    let mut tracer = Tracer { sink, seq: 0 };
-    let spec = &workload.spec;
-
-    // 1. Finish in-doubt 2PC groups from the decision log.
+    let logged = image.invocation_log.iter().map(|e| e.subsystem);
+    let named = workload.deployment.subsystems().into_iter().chain(logged);
+    if let Some(sid) = named.filter(|s| !image.agents.contains_key(s)).min() {
+        return Err(RecoveryError::UnknownSubsystem(sid));
+    }
     let resolved_groups = image.coordinator.resolve_in_doubt(&mut image.agents)?.len();
-    // Committed releases missing their history event become visible. This
-    // covers groups just resolved above *and* already-completed groups a
-    // WAL truncation caught between phase 2 and the `Execute` append — an
-    // applied decision whose history event never reached the log.
-    let mut executed: Vec<GlobalActivityId> = image
-        .history
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Execute(g) => Some(*g),
-            _ => None,
-        })
-        .collect();
-    for record in image.coordinator.log() {
-        if record.decision != Decision::Commit {
-            continue;
-        }
-        for p in &record.participants {
-            let logged = image
-                .invocation_log
-                .iter()
-                .find(|e| e.subsystem == p.subsystem && e.invocation == p.invocation);
-            if let Some(entry) = logged {
-                if !executed.contains(&entry.gid) {
-                    executed.push(entry.gid);
-                    image.history.execute(entry.gid);
-                }
-            }
-        }
+    let (ctx, mut shard) = Shard::restore(workload, image, sink)?;
+    let aborted_prepared = shard.settle_prepared(&ctx)?;
+    let surfaced = shard.metrics.activities;
+    let ranks = completion_order(workload, &ctx, &shard)?;
+    let aborted = shard.abort_live(&ctx, &ranks);
+    if !shard.run_to_end(&ctx) {
+        return Err(RecoveryError::History(ScheduleError::CyclicCompletionOrder));
     }
-
-    // 2. Abort prepared invocations that were never decided; every other
-    //    logged invocation committed and is what a compensation undoes (an
-    //    activity's last one, when it ran more than once).
-    let mut aborted_prepared = 0;
-    let mut committed: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)> = BTreeMap::new();
-    for entry in &image.invocation_log {
-        if entry.prepared && !executed.contains(&entry.gid) {
-            let agent = image
-                .agents
-                .get_mut(&entry.subsystem)
-                .ok_or(RecoveryError::UnknownSubsystem(entry.subsystem))?;
-            // The invocation may already be resolved; ignore stale entries.
-            if agent.abort_prepared(entry.invocation).is_ok() {
-                aborted_prepared += 1;
-            }
-        } else {
-            committed.insert(entry.gid, (entry.subsystem, entry.invocation));
-        }
-    }
-
-    // 3. Replay the history to rebuild process states; group-abort actives.
-    let Replay {
-        mut states, ops, ..
-    } = image.history.replay(spec)?;
-    let mut actives: Vec<ProcessId> = states
-        .iter()
-        .filter(|(_, st)| st.is_active())
-        .map(|(&p, _)| p)
-        .collect();
-    if actives.len() > 1 {
-        // Reverse serialization order (dependents complete first — Lemma 2).
-        let ranks: BTreeMap<ProcessId, usize> = process_graph_linear(spec, &ops)
-            .topological_order()
-            .map(|order| order.into_iter().enumerate().map(|(r, p)| (p, r)).collect())
-            .unwrap_or_default();
-        actives.sort_by_key(|p| std::cmp::Reverse((ranks.get(p).copied().unwrap_or(0), p.0)));
-    }
-
-    let history = &mut image.history;
-    if !actives.is_empty() {
-        if tracer.enabled() {
-            tracer.emit(
-                history.len(),
-                TraceEvent::GroupAbort {
-                    initiator: None,
-                    victims: actives.clone(),
-                    trigger: None,
-                },
-            );
-        }
-        history.group_abort(actives.clone());
-        for &pid in &actives {
-            if let Some(state) = states.get_mut(&pid) {
-                state.apply_process_abort()?;
-            }
-            tracer.emit(
-                history.len(),
-                TraceEvent::AbortStarted {
-                    pid,
-                    reason: AbortReason::External,
-                },
-            );
-        }
-    }
-
-    // 4. Execute completions in a single ≪̃-respecting interleaved order.
-    //    Running each process's completion serially is NOT sound: a forward
-    //    recovery activity of one process may then land between another
-    //    process's base activity and its compensation, violating Lemma 3 and
-    //    leaving the recovered history irreducible. Definition 8.3 orders the
-    //    completion activities among themselves and after everything else,
-    //    so recovery executes one linearisation of that order.
-    let mut compensations = 0;
-    let mut forward = 0;
-    for op in completion_tail(spec, ops, &states, history.len())? {
-        let gid = op.gid;
-        let (pid, a) = (gid.process, gid.activity);
-        let service = spec.process(pid)?.service(a);
-        let state = states
-            .get_mut(&pid)
-            .ok_or(ModelError::UnknownProcess(pid))?;
-        match op.kind {
-            OpKind::Compensation => {
-                let &(sid, invocation) =
-                    committed.get(&gid).ok_or(RecoveryError::NotLogged(gid))?;
-                let agent = image
-                    .agents
-                    .get_mut(&sid)
-                    .ok_or(RecoveryError::UnknownSubsystem(sid))?;
-                match agent.compensate(invocation)? {
-                    InvokeOutcome::Committed { .. } => {}
-                    outcome => return Err(RecoveryError::Refused { gid, outcome }),
-                }
-                tracer.emit(
-                    history.len(),
-                    TraceEvent::CompensationStarted { gid, service },
-                );
-                history.compensate(gid);
-                state.apply_compensation(a)?;
-                compensations += 1;
-            }
-            OpKind::Forward => {
-                let site = workload
-                    .deployment
-                    .site(service)
-                    .ok_or(RecoveryError::NotDeployed(service))?;
-                let agent = image
-                    .agents
-                    .get_mut(&site.subsystem)
-                    .ok_or(RecoveryError::UnknownSubsystem(site.subsystem))?;
-                match agent.invoke(service, &site.program, CommitMode::Immediate, false)? {
-                    InvokeOutcome::Committed { .. } => {}
-                    outcome => return Err(RecoveryError::Refused { gid, outcome }),
-                }
-                history.execute(gid);
-                tracer.emit(
-                    history.len(),
-                    TraceEvent::RequestAdmitted {
-                        gid,
-                        service,
-                        deferred: false,
-                        blockers: Vec::new(),
-                        edges_added: Vec::new(),
-                    },
-                );
-                state.apply_commit(a)?;
-                forward += 1;
-            }
-        }
-    }
-    for &pid in &actives {
-        debug_assert!(
-            states.get(&pid).is_some_and(|s| !s.is_active()),
-            "completion terminates process {pid:?}"
-        );
-        tracer.emit(history.len(), TraceEvent::ProcessAborted { pid });
-    }
-
+    let metrics = &shard.metrics;
+    let (compensations, forward) = (metrics.compensations, metrics.activities - surfaced);
+    let image = shard.crash(ctx);
     Ok(RecoveryReport {
         history: image.history.clone(),
         image,
-        aborted: actives,
-        compensations,
-        forward,
+        aborted,
+        compensations: compensations as usize,
+        forward: forward as usize,
         resolved_groups,
         aborted_prepared,
     })
+}
+
+/// Fails closed before the first step, and ranks the aborts. Every
+/// completion step left names what the step will look up: a compensation
+/// an invocation its subsystem holds, a forward-recovery activity a deployed
+/// service. The ranks are `complete`'s forward-recovery order, which only
+/// two live processes with conflicting forward-recovery activities need —
+/// the gates order every other pair of completion steps.
+fn completion_order(
+    workload: &Workload,
+    ctx: &RunCtx<'_>,
+    shard: &Shard<'_>,
+) -> Result<BTreeMap<ProcessId, usize>, RecoveryError> {
+    let spec = &workload.spec;
+    let mut forward: Vec<Vec<ServiceId>> = Vec::new();
+    for (&pid, state) in shard.states.iter().filter(|(_, s)| s.is_active()) {
+        let (completion, service) = (state.completion(), |a| state.process().service(a));
+        for &a in &completion.compensations {
+            let gid = GlobalActivityId::new(pid, a);
+            let logged = shard.invocations.get(&gid);
+            if logged.and_then(|&(sid, inv)| ctx.invoked(sid, inv)) != Some(service(a)) {
+                return Err(RecoveryError::NotLogged(gid));
+            }
+        }
+        let services: Vec<ServiceId> = completion.forward.into_iter().map(service).collect();
+        if let Some(&s) = (services.iter()).find(|&&s| workload.deployment.site(s).is_none()) {
+            return Err(RecoveryError::NotDeployed(s));
+        }
+        forward.push(services);
+    }
+    let conflict = |a: &[ServiceId], b: &[ServiceId]| {
+        (a.iter()).any(|&x| b.iter().any(|&y| spec.oracle().conflict(x, y)))
+    };
+    let mut pairs = forward.iter().enumerate();
+    if !pairs.any(|(i, a)| forward[i + 1..].iter().any(|b| conflict(a, b))) {
+        return Ok(BTreeMap::new());
+    }
+    Ok(forward_ranks(spec, &shard.history, &shard.states)?)
 }
 
 #[cfg(test)]
@@ -675,6 +511,39 @@ mod tests {
         assert!(matches!(
             recover(&w, image),
             Err(RecoveryError::UnknownSubsystem(_))
+        ));
+    }
+
+    #[test]
+    fn forward_recovery_of_an_undeployed_service_is_an_error() {
+        let (mut w, image) = crash_image(|r| r.forward > 0 && r.resolved_groups == 0);
+        let before = image.history.len();
+        let tail = recover(&w, image.clone())
+            .expect("baseline recovery")
+            .history;
+        let forward: Vec<ServiceId> = (tail.events()[before..].iter())
+            .filter_map(|e| match e {
+                txproc_core::schedule::Event::Execute(g) => w.spec.service_of(*g).ok(),
+                _ => None,
+            })
+            .collect();
+        let mut deployment = txproc_subsystem::deploy::Deployment::new();
+        for (svc, site) in w
+            .deployment
+            .services()
+            .filter(|(s, _)| !forward.contains(s))
+        {
+            deployment.place_with_duration(
+                svc,
+                site.subsystem,
+                site.program.clone(),
+                site.duration,
+            );
+        }
+        w.deployment = deployment;
+        assert!(matches!(
+            super::recover(&w, image),
+            Err(RecoveryError::NotDeployed(_))
         ));
     }
 

@@ -1,11 +1,11 @@
 //! Linear-extension oracle for recovery, shared by `wal_crash_sweep` and
 //! the unit tests of `recovery` (both include this file by path).
 //!
-//! Recovery executes the completion activities in an order it builds over
-//! the completion tail alone; Definition 8's reference is [`complete`],
-//! which builds `≪̃` over the whole history. The oracle ties the two: what
-//! recovery appended after its group abort must be exactly the reference's
-//! completion operations, and no two of them may run against `≪̃`.
+//! Recovery's engine orders the completion activities by the protocol's
+//! gates; Definition 8's reference is [`complete`], which builds `≪̃` over
+//! the whole history. The oracle ties the two: what recovery appended after
+//! its run of aborts must be exactly the reference's completion operations,
+//! and no two of them may run against `≪̃`.
 
 use std::collections::BTreeMap;
 use txproc_core::completion::complete;
@@ -16,8 +16,7 @@ use txproc_core::spec::Spec;
 /// image's history) against the reference completion.
 pub fn assert_tail_linearises(spec: &Spec, before: usize, recovered: &Schedule, label: &str) {
     let events = recovered.events();
-    let Some(abort) = (before..events.len()).find(|&i| matches!(events[i], Event::GroupAbort(_)))
-    else {
+    let Some(abort) = aborts_end(spec, before, recovered) else {
         // Nothing was active: recovery may only have surfaced releases.
         assert!(
             events[before..]
@@ -62,4 +61,26 @@ pub fn assert_tail_linearises(spec: &Spec, before: usize, recovered: &Schedule, 
             );
         }
     }
+}
+
+/// The index of the last event before the completion tail, when recovery
+/// appended anything but releases. Recovery appends the releases it
+/// surfaced (`Execute`s of processes not aborting), then its run of
+/// `Abort`s, then the completion steps; a process whose completion was
+/// under way at the crash needs no `Abort`, so the tail may follow the
+/// releases directly.
+fn aborts_end(spec: &Spec, before: usize, recovered: &Schedule) -> Option<usize> {
+    let events = recovered.events();
+    let states = recovered.prefix(before).replay(spec).expect("legal").states;
+    let aborting = |p| states.get(&p).is_some_and(|s| s.abort_in_progress());
+    let mut aborted = false;
+    let tail = (before..events.len()).find(|&i| match events[i] {
+        Event::Abort(_) => {
+            aborted = true;
+            false
+        }
+        Event::Execute(g) => aborted || aborting(g.process),
+        _ => true,
+    });
+    (aborted || tail.is_some()).then(|| tail.unwrap_or(events.len()) - 1)
 }

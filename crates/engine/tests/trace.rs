@@ -1,16 +1,27 @@
 //! Trace-subsystem contracts: journals are deterministic where the driver
 //! is, the no-op sink is observationally free, every decision counter of
-//! `Metrics` is a fold of the journal, and the exports round-trip.
+//! `Metrics` is a fold of the journal, a recovery's journal folds to its
+//! report, and the exports round-trip.
 
+use txproc_core::activity::Catalog;
+use txproc_core::conflict::ConflictMatrix;
+use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId};
+use txproc_core::process::ProcessBuilder;
 use txproc_core::schedule::{render, Event, Schedule};
+use txproc_core::spec::Spec;
 use txproc_core::trace::{
     chrome_trace, from_jsonl, to_jsonl, AbortReason, Journal, TraceEvent, TraceRecord,
 };
+use txproc_core::wal::{encode_record, read_records, DurabilityPolicy, MemWal, WalWriter};
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::engine::{Engine, RunConfig};
+use txproc_engine::recovery::{Recovery, RecoverySource};
 use txproc_engine::RunBuilder;
 use txproc_sim::metrics::Metrics;
 use txproc_sim::workload::{generate, Workload, WorkloadConfig};
+use txproc_subsystem::deploy::Deployment;
+use txproc_subsystem::kv::{Key, Program};
+use txproc_subsystem::subsystem::SubsystemId;
 
 fn workload(seed: u64, processes: usize) -> Workload {
     generate(&WorkloadConfig {
@@ -271,4 +282,140 @@ fn retired_shard_journal_precedes_the_next_shard() {
         .map(|s| shards.iter().filter(|x| *x == s).count())
         .max();
     assert!(longest > Some(16), "a shard spans more than one batch");
+}
+
+/// Recovery's journal is a view of its report: over the crash sweep's seeds
+/// and every record boundary of their logs, the compensations, forward steps
+/// and aborts it records are the ones the report counts, and every abort it
+/// starts is for the one reason, `External`.
+#[test]
+fn recovery_journals_fold_to_their_reports() {
+    let (mut victims, mut compensations) = (0, 0);
+    for seed in 0..8u64 {
+        let w = generate(&WorkloadConfig {
+            failure_probability: 0.1,
+            ..workload(seed, 6).config
+        });
+        let mem = MemWal::new();
+        let writer = WalWriter::new(Box::new(mem.clone()), DurabilityPolicy::Buffered, seed);
+        let cfg = RunConfig {
+            seed,
+            ..RunConfig::default()
+        };
+        RunBuilder::new(&w).config(cfg).durability(writer, 0).run();
+        let log = mem.contents();
+        let mut cut = 0;
+        for record in read_records(&log).0 {
+            cut += encode_record(&record).len();
+            let journal = Journal::new();
+            let report = Recovery::from(RecoverySource::WalBytes(log[..cut].to_vec()))
+                .sink(Box::new(journal.clone()))
+                .run(&w)
+                .expect("a prefix of the log recovers");
+            let records = journal.snapshot();
+            let count =
+                |f: &dyn Fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.event)).count();
+            let at = format!("seed {seed} cut {cut}");
+            let compensated = count(&|e| matches!(e, TraceEvent::CompensationStarted { .. }));
+            let forward = |e: &TraceEvent| {
+                matches!(
+                    e,
+                    TraceEvent::RequestAdmitted {
+                        deferred: false,
+                        ..
+                    }
+                )
+            };
+            let aborted = count(&|e| matches!(e, TraceEvent::ProcessAborted { .. }));
+            assert_eq!(compensated, report.compensations, "{at}");
+            assert_eq!(count(&forward), report.forward, "{at}");
+            assert_eq!(aborted, report.aborted.len(), "{at}");
+            let external = AbortReason::External;
+            let other = |e: &TraceEvent| matches!(e, TraceEvent::AbortStarted { reason, .. } if *reason != external);
+            assert_eq!(count(&other), 0, "{at}");
+            victims += report.aborted.len();
+            compensations += report.compensations;
+        }
+    }
+    assert!(victims > 0 && compensations > 0, "not vacuous");
+}
+
+/// ROADMAP 1(iii) in recovery: a process whose own failure started its
+/// completion is not marked aborting in the policy — the restore folds the
+/// history through the step's calls, and the step marks only `Abort` events.
+/// Its completion gated behind a process recovery aborts waits for that
+/// process's compensation, and recovery ends without a cascade or a stall.
+/// Example 8's shape: P₁ = a ≪ p ≪ r, P₂ = b ≪ q ≪ t, b conflicts with a;
+/// the crash falls right after `a b fail(p)`.
+#[test]
+fn a_failure_started_completion_recovers_behind_an_aborting_process() {
+    let mut cat = Catalog::new();
+    let (a, p, r) = (cat.compensatable("a").0, cat.pivot("p"), cat.retriable("r"));
+    let (b, q, t) = (cat.compensatable("b").0, cat.pivot("q"), cat.retriable("t"));
+    let mut conflicts = ConflictMatrix::new(&cat);
+    conflicts.declare_conflict(&cat, a, b).unwrap();
+    let mut spec = Spec::new(cat, conflicts);
+    let mut deployment = Deployment::new();
+    for (id, services) in [(1, [a, p, r]), (2, [b, q, t])] {
+        let mut builder = ProcessBuilder::new(ProcessId(id), format!("P{id}"));
+        let chain = services.map(|s| builder.activity(format!("s{}", s.0), s));
+        builder.chain(&chain);
+        spec.add_process(builder.build(&spec.catalog).unwrap());
+        for s in services {
+            deployment.place(s, SubsystemId(0), Program::set(Key(u64::from(s.0)), 1));
+        }
+    }
+    let config = WorkloadConfig {
+        failure_probability: 0.5,
+        ..WorkloadConfig::default()
+    };
+    let w = Workload {
+        spec,
+        deployment,
+        config,
+    };
+    let (p1, p2) = (ProcessId(1), ProcessId(2));
+    let [a1, p1p] = [0, 1].map(|i| GlobalActivityId::new(p1, ActivityId(i)));
+    let b2 = GlobalActivityId::new(p2, ActivityId(0));
+    let shape = [Event::Execute(a1), Event::Execute(b2), Event::Fail(p1p)];
+    let image = (0..1000)
+        .find_map(|seed| {
+            let mut engine = Engine::new(
+                &w,
+                RunConfig {
+                    seed,
+                    ..RunConfig::default()
+                },
+            );
+            engine.run_until_history(3);
+            (engine.history().events() == shape).then(|| engine.crash())
+        })
+        .expect("some seed runs a, b and fails p");
+    let journal = Journal::new();
+    let report = Recovery::from(RecoverySource::Image(image))
+        .sink(Box::new(journal.clone()))
+        .run(&w)
+        .expect("recovers");
+    assert_eq!(report.aborted, [p1, p2]);
+    let tail = &report.history.events()[3..];
+    assert_eq!(
+        tail,
+        [
+            Event::Abort(p2),
+            Event::Compensate(b2),
+            Event::Compensate(a1)
+        ]
+    );
+    let records = journal.snapshot();
+    assert!(records.iter().any(|r| matches!(
+        &r.event,
+        TraceEvent::CompletionBlocked { pid, wait_for } if *pid == p1 && wait_for == &[p2]
+    )));
+    let started: Vec<_> = (records.iter())
+        .filter_map(|r| match r.event {
+            TraceEvent::AbortStarted { pid, reason } => Some((pid, reason)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(started, [(p2, AbortReason::External)], "no cascade");
 }

@@ -135,7 +135,9 @@ fn check_cut(w: &Workload, bytes: &[u8], cut: usize, label: &str) -> usize {
         replay.active_processes().is_empty(),
         "{label} cut {cut}: processes left active"
     );
-    // The graph recovery ranks its victims by is the all-pairs one.
+    // The process graph the serializability checks of a recovered history
+    // build through conflict rows (`is_serializable`, `serialization_order`)
+    // is the all-pairs one.
     assert_eq!(
         process_graph_linear(&w.spec, &replay.ops),
         process_graph_all_pairs(&w.spec, &replay.ops),
@@ -376,8 +378,10 @@ fn crash_sweep_concurrent_driver() {
 
 /// The wider sweep: Proc-REC/PRED on recovered histories used to be asserted
 /// at 6 processes only. The Proc-REC objections at 32 are printed, not
-/// asserted: `PivotOrder` objects to about one recovered history in several
-/// hundred (ROADMAP item 6(i), the benchmark's `recover.proc_rec_objections`).
+/// asserted: `PivotOrder` objected to about one recovered history in several
+/// hundred while recovery ordered its own completion tail, and to none since
+/// the step runs it (ROADMAP item 7(d), the benchmark's
+/// `recover.proc_rec_objections`).
 #[test]
 fn crash_sweep_32_processes() {
     let mut objections = 0;
@@ -391,29 +395,31 @@ fn crash_sweep_32_processes() {
     println!("crash_sweep_32_processes: {objections} Proc-REC objections over 64 recoveries");
 }
 
-/// The group abort is not part of what the one-pass recovery may reorder:
-/// the victim list of this history is pinned. (Re-pinned once, when the
-/// failure coin replaced the engine's RNG stream and the log it is read off
-/// changed; recovery did not. `check_cut` holds every sweep's victim graph
-/// to the all-pairs one, which is what the first pin was taken from.)
+/// Recovery begins its aborts in the order `complete` runs conflicting
+/// forward recovery in (`completion::forward_ranks`, Definition 8.3(d)),
+/// where two live processes have conflicting forward-recovery activities:
+/// the victim list of this history, which has such a pair, is pinned, and
+/// the `Abort` events recovery appends — one per victim not already
+/// aborting — follow it.
 #[test]
-fn group_abort_victims_are_pinned() {
-    let w = workload_32(1);
+fn recovery_abort_order_is_pinned() {
+    let w = workload_32(0);
     let (bytes, cuts) = logged_cuts(&w, 16);
-    let (records, _) = read_records(&bytes[..cuts[3]]);
-    let report = recover(&w, rebuild_image(&w, &records).expect("rebuild")).expect("recover");
+    let (records, _) = read_records(&bytes[..cuts[14]]);
+    let image = rebuild_image(&w, &records).expect("rebuild");
+    let before = image.history.len();
+    let report = recover(&w, image).expect("recover");
     let victims: Vec<u32> = report.aborted.iter().map(|p| p.0).collect();
-    assert_eq!(
-        victims,
-        [
-            13, 24, 15, 11, 0, 25, 10, 23, 12, 9, 7, 8, 31, 30, 29, 28, 22, 21, 20, 19, 18, 17, 16,
-            14, 6, 5, 3, 2, 1
-        ]
-    );
-    assert!(report
-        .history
-        .events()
-        .contains(&Event::GroupAbort(report.aborted.clone())));
+    assert_eq!(victims, [8, 24, 27, 31, 10, 13, 19]);
+    let aborts: Vec<u32> = report.history.events()[before..]
+        .iter()
+        .filter_map(|e| match e {
+            Event::Abort(p) => Some(p.0),
+            _ => None,
+        })
+        .collect();
+    let begun = victims.iter().filter(|p| aborts.contains(p));
+    assert_eq!(begun.copied().collect::<Vec<_>>(), aborts);
 }
 
 /// The records of a finished per-event run of `w`.

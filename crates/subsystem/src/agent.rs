@@ -18,7 +18,6 @@ use crate::error::SubsystemError;
 use crate::kv::{Key, KvOp, Program};
 use crate::subsystem::{ReturnValues, Subsystem, SubsystemId, TxId, TxStatus};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use txproc_core::ids::ServiceId;
 
 /// Identifier of one service invocation at an agent.
@@ -74,8 +73,9 @@ struct InvocationRecord {
 pub struct Agent {
     /// The wrapped subsystem.
     pub subsystem: Subsystem,
-    invocations: BTreeMap<InvocationId, InvocationRecord>,
-    next_invocation: u64,
+    /// Every invocation that ran, indexed by its (dense) id; an aborted
+    /// prepared one is gone.
+    invocations: Vec<Option<InvocationRecord>>,
 }
 
 impl Agent {
@@ -83,8 +83,7 @@ impl Agent {
     pub fn new(subsystem: Subsystem) -> Self {
         Self {
             subsystem,
-            invocations: BTreeMap::new(),
-            next_invocation: 0,
+            invocations: Vec::new(),
         }
     }
 
@@ -133,17 +132,13 @@ impl Agent {
                 })
                 .collect(),
         };
-        let invocation = InvocationId(self.next_invocation);
-        self.next_invocation += 1;
-        self.invocations.insert(
-            invocation,
-            InvocationRecord {
-                service,
-                tx,
-                inverse,
-                compensated: false,
-            },
-        );
+        let invocation = InvocationId(self.invocations.len() as u64);
+        self.invocations.push(Some(InvocationRecord {
+            service,
+            tx,
+            inverse,
+            compensated: false,
+        }));
         match mode {
             CommitMode::Immediate => {
                 self.subsystem.commit(tx)?;
@@ -172,13 +167,16 @@ impl Agent {
     pub fn abort_prepared(&mut self, invocation: InvocationId) -> Result<(), SubsystemError> {
         let tx = self.tx_of(invocation)?;
         self.subsystem.abort(tx)?;
-        self.invocations.remove(&invocation);
+        self.invocations[invocation.0 as usize] = None;
         Ok(())
     }
 
+    fn record(&self, invocation: InvocationId) -> Option<&InvocationRecord> {
+        self.invocations.get(invocation.0 as usize)?.as_ref()
+    }
+
     fn tx_of(&self, invocation: InvocationId) -> Result<TxId, SubsystemError> {
-        self.invocations
-            .get(&invocation)
+        self.record(invocation)
             .map(|r| r.tx)
             .ok_or(SubsystemError::UnknownTx(TxId(u64::MAX)))
     }
@@ -192,8 +190,7 @@ impl Agent {
         invocation: InvocationId,
     ) -> Result<InvokeOutcome, SubsystemError> {
         let record = self
-            .invocations
-            .get(&invocation)
+            .record(invocation)
             .ok_or(SubsystemError::UnknownTx(TxId(u64::MAX)))?;
         if record.compensated {
             return Err(SubsystemError::UnknownTx(record.tx));
@@ -208,10 +205,9 @@ impl Agent {
             Err(e) => return Err(e),
         };
         self.subsystem.commit(tx)?;
-        self.invocations
-            .get_mut(&invocation)
-            .expect("present")
-            .compensated = true;
+        if let Some(Some(record)) = self.invocations.get_mut(invocation.0 as usize) {
+            record.compensated = true;
+        }
         Ok(InvokeOutcome::Committed {
             invocation,
             returns,
@@ -220,7 +216,7 @@ impl Agent {
 
     /// The service an invocation executed.
     pub fn service_of(&self, invocation: InvocationId) -> Option<ServiceId> {
-        self.invocations.get(&invocation).map(|r| r.service)
+        self.record(invocation).map(|r| r.service)
     }
 
     /// Declares a commit-order constraint between two invocations (weak

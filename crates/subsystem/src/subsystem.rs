@@ -108,13 +108,13 @@ pub struct Subsystem {
     pub name: String,
     store: BTreeMap<Key, Value>,
     locks: BTreeMap<Key, LockState>,
-    txs: BTreeMap<TxId, TxState>,
+    /// Every transaction begun, indexed by its (dense) id.
+    txs: Vec<TxState>,
     /// Commit-order constraints `(first, second)` (weak order, §3.6).
     commit_order: Vec<(TxId, TxId)>,
     log: Vec<LogRecord>,
     /// Whether the subsystem supports commit-order serializability.
     pub supports_commit_order: bool,
-    next_tx: u64,
     crashed: bool,
 }
 
@@ -126,11 +126,10 @@ impl Subsystem {
             name: name.into(),
             store: BTreeMap::new(),
             locks: BTreeMap::new(),
-            txs: BTreeMap::new(),
+            txs: Vec::new(),
             commit_order: Vec::new(),
             log: Vec::new(),
             supports_commit_order: true,
-            next_tx: 0,
             crashed: false,
         }
     }
@@ -138,7 +137,15 @@ impl Subsystem {
     /// The undo log of a transaction, in write order. Used by agents to
     /// derive compensation programs.
     pub fn tx_undo(&self, tx: TxId) -> Option<&[UndoOp]> {
-        self.txs.get(&tx).map(|t| t.undo.as_slice())
+        self.tx(tx).map(|t| t.undo.as_slice())
+    }
+
+    fn tx(&self, tx: TxId) -> Option<&TxState> {
+        self.txs.get(tx.0 as usize)
+    }
+
+    fn tx_mut(&mut self, tx: TxId) -> &mut TxState {
+        &mut self.txs[tx.0 as usize]
     }
 
     /// Reads a committed value (outside any transaction).
@@ -159,9 +166,8 @@ impl Subsystem {
     /// Begins a local transaction.
     pub fn begin(&mut self) -> Result<TxId, SubsystemError> {
         self.check_up()?;
-        let tx = TxId(self.next_tx);
-        self.next_tx += 1;
-        self.txs.insert(tx, TxState::new());
+        let tx = TxId(self.txs.len() as u64);
+        self.txs.push(TxState::new());
         self.log.push(LogRecord::Begin(tx));
         Ok(tx)
     }
@@ -221,7 +227,7 @@ impl Subsystem {
             }
         };
         if newly {
-            self.txs.get_mut(&tx).expect("active").locks.push(key);
+            self.tx_mut(tx).locks.push(key);
         }
         Ok(())
     }
@@ -243,8 +249,8 @@ impl Subsystem {
     }
 
     fn active_tx(&mut self, tx: TxId) -> Result<&mut TxState, SubsystemError> {
-        match self.txs.get(&tx).map(|t| t.status) {
-            Some(TxStatus::Active) => Ok(self.txs.get_mut(&tx).expect("present")),
+        match self.txs.get_mut(tx.0 as usize) {
+            Some(t) if t.status == TxStatus::Active => Ok(t),
             _ => Err(SubsystemError::UnknownTx(tx)),
         }
     }
@@ -263,8 +269,7 @@ impl Subsystem {
                 KvOp::Read(_) => unreachable!("writes only"),
             };
             self.store.insert(key, after);
-            let st = self.txs.get_mut(&tx).expect("active");
-            st.undo.push(undo);
+            self.tx_mut(tx).undo.push(undo);
             self.log.push(LogRecord::Write {
                 tx,
                 key,
@@ -275,7 +280,7 @@ impl Subsystem {
             // Reads see the current (possibly own-uncommitted) state; the
             // scheduler above prevents dirty cross-process reads.
             let v = self.store.get(&key).copied().unwrap_or(0);
-            self.txs.get_mut(&tx).expect("active").reads.push((key, v));
+            self.tx_mut(tx).reads.push((key, v));
         }
         Ok(())
     }
@@ -291,7 +296,7 @@ impl Subsystem {
                 return Err(e);
             }
         }
-        let reads = ReturnValues(self.txs[&tx].reads.clone());
+        let reads = ReturnValues(std::mem::take(&mut self.tx_mut(tx).reads));
         Ok((tx, reads))
     }
 
@@ -309,7 +314,7 @@ impl Subsystem {
     fn commit_blocked_by(&self, tx: TxId) -> Option<TxId> {
         self.commit_order.iter().find_map(|&(first, second)| {
             if second == tx {
-                match self.txs.get(&first).map(|t| t.status) {
+                match self.tx(first).map(|t| t.status) {
                     Some(TxStatus::Active) | Some(TxStatus::Prepared) => Some(first),
                     _ => None,
                 }
@@ -334,7 +339,7 @@ impl Subsystem {
     }
 
     fn finish_commit(&mut self, tx: TxId) {
-        let st = self.txs.get_mut(&tx).expect("present");
+        let st = self.tx_mut(tx);
         st.status = TxStatus::Committed;
         let locks = std::mem::take(&mut st.locks);
         self.release_locks(tx, locks);
@@ -344,15 +349,11 @@ impl Subsystem {
     /// Rolls back an active or prepared transaction.
     pub fn abort(&mut self, tx: TxId) -> Result<(), SubsystemError> {
         self.check_up()?;
-        let status = self
-            .txs
-            .get(&tx)
-            .map(|t| t.status)
-            .ok_or(SubsystemError::UnknownTx(tx))?;
-        if !matches!(status, TxStatus::Active | TxStatus::Prepared) {
+        let status = self.tx(tx).map(|t| t.status);
+        if !matches!(status, Some(TxStatus::Active | TxStatus::Prepared)) {
             return Err(SubsystemError::UnknownTx(tx));
         }
-        let st = self.txs.get_mut(&tx).expect("present");
+        let st = self.tx_mut(tx);
         st.status = TxStatus::Aborted;
         let undo = std::mem::take(&mut st.undo);
         let locks = std::mem::take(&mut st.locks);
@@ -380,8 +381,7 @@ impl Subsystem {
     /// transaction keeps its locks and stays in doubt.
     pub fn prepare(&mut self, tx: TxId) -> Result<(), SubsystemError> {
         self.check_up()?;
-        self.active_tx(tx)?;
-        self.txs.get_mut(&tx).expect("present").status = TxStatus::Prepared;
+        self.active_tx(tx)?.status = TxStatus::Prepared;
         self.log.push(LogRecord::Prepare(tx));
         Ok(())
     }
@@ -389,7 +389,7 @@ impl Subsystem {
     /// 2PC phase 2: commits a prepared transaction.
     pub fn commit_prepared(&mut self, tx: TxId) -> Result<(), SubsystemError> {
         self.check_up()?;
-        match self.txs.get(&tx).map(|t| t.status) {
+        match self.tx(tx).map(|t| t.status) {
             Some(TxStatus::Prepared) => {}
             _ => return Err(SubsystemError::NotPrepared(tx)),
         }
@@ -405,7 +405,7 @@ impl Subsystem {
 
     /// Status of a transaction.
     pub fn tx_status(&self, tx: TxId) -> Option<TxStatus> {
-        self.txs.get(&tx).map(|t| t.status)
+        self.tx(tx).map(|t| t.status)
     }
 
     /// Simulates a crash: all active transactions roll back, prepared
@@ -415,8 +415,9 @@ impl Subsystem {
         let actives: Vec<TxId> = self
             .txs
             .iter()
+            .enumerate()
             .filter(|(_, t)| t.status == TxStatus::Active)
-            .map(|(&t, _)| t)
+            .map(|(t, _)| TxId(t as u64))
             .collect();
         for tx in actives {
             self.abort(tx).ok();
@@ -430,8 +431,9 @@ impl Subsystem {
         self.crashed = false;
         self.txs
             .iter()
+            .enumerate()
             .filter(|(_, t)| t.status == TxStatus::Prepared)
-            .map(|(&t, _)| t)
+            .map(|(t, _)| TxId(t as u64))
             .collect()
     }
 
