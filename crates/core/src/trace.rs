@@ -7,12 +7,12 @@
 //! service, virtual time, history index) to answer "why was this operation
 //! blocked?" and "why was this process aborted?" after the fact.
 //!
-//! Drivers emit [`TraceRecord`]s through a [`TraceSink`]. The [`NoopSink`] is
-//! the default and is zero-cost: emission sites consult
-//! [`TraceSink::enabled`] before building any payload, so an untraced run
-//! performs no allocation and no branching beyond one predictable `bool`
-//! check. [`Journal`] (shared in-memory vector) is provided for collection;
-//! [`to_jsonl`] writes a collected journal out.
+//! Drivers emit [`TraceRecord`]s through a [`TraceSink`]. The scheduler step
+//! builds every decision as a [`TraceEvent`] whatever the sink — the same
+//! value is what its counters fold — and delivers it only when
+//! [`TraceSink::enabled`]: under the default [`NoopSink`] no record is
+//! stamped, buffered or locked for. [`Journal`] (shared in-memory vector) is
+//! provided for collection; [`to_jsonl`] writes a collected journal out.
 //!
 //! On top of the raw journal sit three pure exporters: a pretty-printer
 //! (`Display` on [`TraceRecord`]), a Chrome-trace JSON exporter
@@ -402,8 +402,9 @@ impl fmt::Display for TraceRecord {
 /// Receiver of trace records.
 ///
 /// Contract: `record` is called at most once per decision, in decision order
-/// per driver; callers MUST consult [`TraceSink::enabled`] before building a
-/// record so that a disabled sink costs one branch and nothing else. Sinks
+/// per driver. The caller builds each decision regardless and consults
+/// [`TraceSink::enabled`] (once per run) before delivering it: a disabled
+/// sink is never called, and no record is stamped or buffered for it. Sinks
 /// must be `Send` so the concurrent driver can share them behind its global
 /// lock.
 pub trait TraceSink: Send {

@@ -532,17 +532,17 @@ pub(crate) struct Shard<'a> {
     /// they are re-armed only once the history actually advanced — not
     /// busy-retried on every step.
     stalled_releases: Vec<(ProcessId, usize)>,
-    /// Last journalled block state per process (kind, wait set). Blocked
-    /// requests are re-polled on every wakeup; one journal record per
+    /// Last journalled block state per process (record kind, wait set).
+    /// Blocked requests are re-polled on every wakeup; one journal record per
     /// *distinct* blocked state keeps the trace readable.
-    block_notes: BTreeMap<ProcessId, (u8, Vec<ProcessId>)>,
+    block_notes: BTreeMap<ProcessId, (&'static str, Vec<ProcessId>)>,
     /// Certification failures already journalled, stamped with the history
     /// length: the verdict is a pure function of the history, so re-polls at
     /// the same length are the same decision, not a new one.
     cert_fail_notes: Vec<(Event, usize)>,
     /// Prepare instants of in-flight deferred commits, populated only while
     /// telemetry is enabled (so the disabled path stays byte-identical):
-    /// feeds the 2PC prepare→decide phase histogram.
+    /// feeds the 2PC phase histogram, prepare to release or abort.
     prepared_at: BTreeMap<ProcessId, Instant>,
     /// Trace records not yet in the global journal (tracing enabled only),
     /// appended [`TRACE_BATCH`] at a time.
@@ -637,10 +637,9 @@ impl<'a> Shard<'a> {
     /// Retires the shard on its owning worker: flushes the trace records
     /// still buffered, keeps what the merge needs and drops the rest —
     /// policy, certifier, maps.
-    pub(crate) fn finish(mut self, ctx: &RunCtx<'a>) -> ShardDone {
+    pub(crate) fn finish(self, ctx: &RunCtx<'a>) -> ShardDone {
         ctx.shards_live.leave();
-        ctx.trace
-            .record_batch(self.id, std::mem::take(&mut self.trace_buf));
+        ctx.trace.record_batch(self.id, self.trace_buf);
         let mut metrics = self.metrics;
         metrics.shards.push(ShardMetrics {
             shard: self.id,
@@ -904,14 +903,13 @@ impl<'a> Shard<'a> {
         let mut live: Vec<ProcessId> = self.sm.keys().copied().collect();
         live.sort_by_key(|p| ranks.get(p).copied().unwrap_or(usize::MAX));
         self.abort_order.retain(|p| !self.sm.contains_key(p));
-        if ctx.trace.enabled && !live.is_empty() {
-            let victims = live.clone();
+        if !live.is_empty() {
             let group = TraceEvent::GroupAbort {
                 initiator: None,
-                victims,
+                victims: live.clone(),
                 trigger: None,
             };
-            self.trace(ctx, group);
+            self.note(ctx, group);
         }
         for &pid in &live {
             if !self.begin_abort(ctx, pid, AbortReason::External) {
@@ -1079,11 +1077,53 @@ impl<'a> Shard<'a> {
         Ok(edges)
     }
 
-    /// Buffers one decision record. A no-op while tracing is off, so callers
-    /// guard only the payloads that cost something to build.
-    fn trace(&mut self, ctx: &RunCtx<'a>, event: TraceEvent) {
+    /// The one place a decision of the step touches anything beyond the
+    /// protocol state: it is counted ([`Metrics::observe`]); with telemetry
+    /// on, a `CommitDeferred` starts its process's 2PC phase, which that
+    /// process's `CommitReleased` or `AbortStarted` ends; with tracing on, it
+    /// is buffered for the journal unless it repeats the blocked state its
+    /// process last journalled, which an admission, a release, an abort and
+    /// a termination forget.
+    fn note(&mut self, ctx: &RunCtx<'a>, event: TraceEvent) {
+        self.metrics.observe(&event);
+        let pid = event.pid();
+        match (&event, pid) {
+            (TraceEvent::CommitDeferred { .. }, Some(p)) if ctx.tele.enabled() => {
+                self.prepared_at.insert(p, Instant::now());
+            }
+            (TraceEvent::CommitReleased { .. } | TraceEvent::AbortStarted { .. }, Some(p)) => {
+                if let Some(t0) = self.prepared_at.remove(&p) {
+                    ctx.tele
+                        .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
+                }
+            }
+            _ => {}
+        }
         if !ctx.trace.enabled {
             return;
+        }
+        match (&event, pid) {
+            (
+                TraceEvent::RequestBlocked { blockers: w, .. }
+                | TraceEvent::CommitBlocked { wait_for: w, .. }
+                | TraceEvent::CompletionBlocked { wait_for: w, .. },
+                Some(p),
+            ) => {
+                let kind = event.kind();
+                if (self.block_notes.get(&p)).is_some_and(|(k, v)| *k == kind && v == w) {
+                    return;
+                }
+                self.block_notes.insert(p, (kind, w.clone()));
+            }
+            (
+                TraceEvent::RequestAdmitted { .. }
+                | TraceEvent::CommitReleased { .. }
+                | TraceEvent::AbortStarted { .. }
+                | TraceEvent::ProcessCommitted { .. }
+                | TraceEvent::ProcessAborted { .. },
+                Some(p),
+            ) => drop(self.block_notes.remove(&p)),
+            _ => {}
         }
         self.trace_buf
             .push((self.history.len(), ctx.clock.trace_time(), event));
@@ -1093,25 +1133,10 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Whether this block state is new for `pid` (and notes it if so).
-    fn note_blocked(&mut self, pid: ProcessId, kind: u8, wait_for: &[ProcessId]) -> bool {
-        match self.block_notes.get(&pid) {
-            Some((k, w)) if *k == kind && w == wait_for => false,
-            _ => {
-                self.block_notes.insert(pid, (kind, wait_for.to_vec()));
-                true
-            }
-        }
-    }
-
-    fn clear_block_note(&mut self, pid: ProcessId) {
-        self.block_notes.remove(&pid);
-    }
-
     /// §3.5 certification of the next effect event against the shard-local
-    /// segment (see [`CertGate`]), plus metrics accounting and a
-    /// [`TraceEvent::CertifyOutcome`] record. Re-polls of a failed
-    /// certification against an unchanged history are deduplicated.
+    /// segment (see [`CertGate`]), noted as a
+    /// [`TraceEvent::CertifyOutcome`]. Re-polls of a failed certification
+    /// against an unchanged history are deduplicated.
     fn certified_traced(&mut self, ctx: &RunCtx<'a>, event: Event) -> bool {
         let Some(gate) = &mut self.gate else {
             return true;
@@ -1132,19 +1157,14 @@ impl<'a> Shard<'a> {
         let ok = gate.admits(&self.history, &event, &ctx.tele);
         if !ok {
             self.cert_fail_notes.push((event.clone(), len));
-            self.metrics.cert_failures += 1;
         }
-        if ctx.trace.enabled {
-            let frontier = self.history.len() + 1;
-            self.trace(
-                ctx,
-                TraceEvent::CertifyOutcome {
-                    event,
-                    ok,
-                    frontier,
-                },
-            );
-        }
+        let frontier = len + 1;
+        let outcome = TraceEvent::CertifyOutcome {
+            event,
+            ok,
+            frontier,
+        };
+        self.note(ctx, outcome);
         ok
     }
 
@@ -1171,10 +1191,6 @@ impl<'a> Shard<'a> {
             if !self.certified_traced(ctx, Event::Execute(gid)) {
                 self.stalled_releases.push((pj, self.history.len()));
                 continue;
-            }
-            if let Some(t0) = self.prepared_at.remove(&pj) {
-                ctx.tele
-                    .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
             }
             let participant = Participant {
                 subsystem: sid,
@@ -1206,9 +1222,7 @@ impl<'a> Shard<'a> {
     /// subsystem applied.
     fn release(&mut self, ctx: &RunCtx<'a>, gid: GlobalActivityId) {
         self.emit(ctx, Event::Execute(gid));
-        self.metrics.activities += 1;
-        self.clear_block_note(gid.process);
-        self.trace(ctx, TraceEvent::CommitReleased { gid });
+        self.note(ctx, TraceEvent::CommitReleased { gid });
     }
 
     /// One scheduling iteration for `pid`.
@@ -1235,25 +1249,13 @@ impl<'a> Shard<'a> {
                 let others: Vec<ProcessId> = self
                     .states
                     .iter()
+                    .rev()
                     .filter(|(&q, st)| q != pid && st.is_active() && !st.abort_in_progress())
                     .map(|(&q, _)| q)
                     .collect();
-                if ctx.trace.enabled && !others.is_empty() {
-                    self.trace(
-                        ctx,
-                        TraceEvent::GroupAbort {
-                            initiator: Some(pid),
-                            victims: others.iter().rev().copied().collect(),
-                            trigger: None,
-                        },
-                    );
-                }
-                for q in others.into_iter().rev() {
-                    self.begin_abort(ctx, q, AbortReason::Cascade);
-                }
+                self.group_abort(ctx, pid, &others, None);
             } else {
                 // Nothing moved for a while: only an abort can resolve this.
-                self.metrics.rejections += 1;
                 self.initiate_abort(ctx, pid, AbortReason::Deadlock, None);
             }
             return Step::Yield;
@@ -1313,12 +1315,9 @@ impl<'a> Shard<'a> {
             ctx.tele.phase_end(Phase::Compensation, t0);
             return match outcome {
                 InvokeOutcome::Committed { .. } => {
-                    if ctx.trace.enabled {
-                        let service = ctx.workload.spec.process(pid).expect("known").service(c);
-                        self.trace(ctx, TraceEvent::CompensationStarted { gid, service });
-                    }
+                    let service = self.states[&pid].process().service(c);
+                    self.note(ctx, TraceEvent::CompensationStarted { gid, service });
                     self.emit(ctx, Event::Compensate(gid));
-                    self.metrics.compensations += 1;
                     Step::Yield
                 }
                 InvokeOutcome::Busy { .. } => Step::Wait,
@@ -1341,17 +1340,8 @@ impl<'a> Shard<'a> {
                     self.finalize(ctx, pid);
                     Step::Done
                 }
-                Err(blockers) => {
-                    self.metrics.waits += 1;
-                    if ctx.trace.enabled && self.note_blocked(pid, 1, &blockers) {
-                        self.trace(
-                            ctx,
-                            TraceEvent::CommitBlocked {
-                                pid,
-                                wait_for: blockers,
-                            },
-                        );
-                    }
+                Err(wait_for) => {
+                    self.note(ctx, TraceEvent::CommitBlocked { pid, wait_for });
                     Step::Wait
                 }
             };
@@ -1369,9 +1359,7 @@ impl<'a> Shard<'a> {
         match gate {
             CompletionGate::Ready => None,
             CompletionGate::WaitFor(wait_for) => {
-                if ctx.trace.enabled && self.note_blocked(pid, 2, &wait_for) {
-                    self.trace(ctx, TraceEvent::CompletionBlocked { pid, wait_for });
-                }
+                self.note(ctx, TraceEvent::CompletionBlocked { pid, wait_for });
                 Some(Step::Wait)
             }
             CompletionGate::Cascade(victims) => {
@@ -1445,32 +1433,22 @@ impl<'a> Shard<'a> {
             Admission::Allow => (CommitMode::Immediate, Vec::new()),
             Admission::AllowDeferred { blockers } => (CommitMode::Deferred, blockers),
             Admission::Wait { blockers } => {
-                self.metrics.waits += 1;
-                if ctx.trace.enabled && self.note_blocked(pid, 0, &blockers) {
-                    self.trace(
-                        ctx,
-                        TraceEvent::RequestBlocked {
-                            gid,
-                            service: svc,
-                            blockers,
-                        },
-                    );
-                }
+                let blocked = TraceEvent::RequestBlocked {
+                    gid,
+                    service: svc,
+                    blockers,
+                };
+                self.note(ctx, blocked);
                 // Blocked; re-evaluated when the shard state changes.
                 return Step::Wait;
             }
             Admission::Reject { conflicting } => {
-                self.metrics.rejections += 1;
-                if ctx.trace.enabled {
-                    self.trace(
-                        ctx,
-                        TraceEvent::RequestRejected {
-                            gid,
-                            service: svc,
-                            conflicting,
-                        },
-                    );
-                }
+                let rejected = TraceEvent::RequestRejected {
+                    gid,
+                    service: svc,
+                    conflicting,
+                };
+                self.note(ctx, rejected);
                 self.initiate_abort(ctx, pid, AbortReason::Rejected, Some(gid));
                 return Step::Yield;
             }
@@ -1485,14 +1463,12 @@ impl<'a> Shard<'a> {
         let inject = ctx.cfg.inject_failures && coin < p_fail(ctx, site.subsystem);
         if inject && termination.can_fail() {
             self.emit(ctx, Event::Fail(gid));
-            self.trace(ctx, TraceEvent::ActivityFailed { gid, service: svc });
+            self.note(ctx, TraceEvent::ActivityFailed { gid, service: svc });
             // No alternative was left: the process aborts (or already has).
             let state = &self.states[&pid];
             if state.abort_in_progress() || !state.is_active() {
-                self.metrics.abort_reasons.count(AbortReason::Failure);
-                self.clear_block_note(pid);
                 let reason = AbortReason::Failure;
-                self.trace(ctx, TraceEvent::AbortStarted { pid, reason });
+                self.note(ctx, TraceEvent::AbortStarted { pid, reason });
             }
             simulated_invoke(ctx, svc, site);
             return Step::Yield;
@@ -1517,97 +1493,63 @@ impl<'a> Shard<'a> {
         let outcome = agent
             .invoke(svc, &site.program, mode, false)
             .expect("subsystem up");
-        let record = |invocation: InvocationId, prepared| WalRecord::Invocation {
-            gid,
-            subsystem: site.subsystem.0,
-            invocation: invocation.0,
-            prepared,
-        };
-        let ticket = match outcome {
-            InvokeOutcome::Committed { invocation, .. } => {
-                Some(ctx.ticket(|| record(invocation, false)))
-            }
-            InvokeOutcome::Prepared { invocation, .. } => {
-                ctx.journal(|| record(invocation, true));
-                None
-            }
-            _ => None,
-        };
-        drop(agent);
-        if let InvokeOutcome::Committed { invocation, .. }
-        | InvokeOutcome::Prepared { invocation, .. } = outcome
-        {
-            self.invocations.insert(gid, (site.subsystem, invocation));
-            self.invocation_log.push(InvocationLogEntry {
-                gid,
-                subsystem: site.subsystem,
-                invocation,
-                prepared: mode == CommitMode::Deferred,
-            });
-        }
-        match outcome {
-            InvokeOutcome::Committed { .. } => {
-                let ticket = ticket.expect("committed");
-                let edges_added = self.append(Event::Execute(gid), ticket).expect("frontier");
-                self.metrics.activities += 1;
-                self.clear_block_note(pid);
-                if ctx.trace.enabled {
-                    self.trace(
-                        ctx,
-                        TraceEvent::RequestAdmitted {
-                            gid,
-                            service: svc,
-                            deferred: false,
-                            blockers: Vec::new(),
-                            edges_added,
-                        },
-                    );
-                }
-                Step::Yield
-            }
-            InvokeOutcome::Prepared { invocation, .. } => {
-                let edges_added = self.prepare(gid, site.subsystem, invocation);
-                if ctx.tele.enabled() {
-                    self.prepared_at.insert(pid, Instant::now());
-                }
-                self.metrics.deferred_commits += 1;
-                self.clear_block_note(pid);
-                if ctx.trace.enabled {
-                    self.trace(
-                        ctx,
-                        TraceEvent::RequestAdmitted {
-                            gid,
-                            service: svc,
-                            deferred: true,
-                            blockers: blockers.clone(),
-                            edges_added,
-                        },
-                    );
-                    self.trace(ctx, TraceEvent::CommitDeferred { gid, blockers });
-                }
-                Step::Yield
-            }
+        let invocation = match outcome {
+            InvokeOutcome::Committed { invocation, .. }
+            | InvokeOutcome::Prepared { invocation, .. } => invocation,
             // A key lock held by a prepared invocation; holder is a shard-mate
             // (conflicting services share a domain), so the release/abort that
             // frees the key also marks our shard dirty.
-            InvokeOutcome::Busy { .. } => Step::Wait,
+            InvokeOutcome::Busy { .. } => return Step::Wait,
             InvokeOutcome::Aborted => unreachable!("no injection requested"),
+        };
+        let deferred = mode == CommitMode::Deferred;
+        let record = || WalRecord::Invocation {
+            gid,
+            subsystem: site.subsystem.0,
+            invocation: invocation.0,
+            prepared: deferred,
+        };
+        let ticket = if deferred {
+            ctx.journal(record);
+            None
+        } else {
+            Some(ctx.ticket(record))
+        };
+        drop(agent);
+        self.invocations.insert(gid, (site.subsystem, invocation));
+        self.invocation_log.push(InvocationLogEntry {
+            gid,
+            subsystem: site.subsystem,
+            invocation,
+            prepared: deferred,
+        });
+        let edges_added = match ticket {
+            Some(ticket) => self.append(Event::Execute(gid), ticket).expect("frontier"),
+            None => self.prepare(gid, site.subsystem, invocation),
+        };
+        let admitted = TraceEvent::RequestAdmitted {
+            gid,
+            service: svc,
+            deferred,
+            blockers: blockers.clone(),
+            edges_added,
+        };
+        self.note(ctx, admitted);
+        if deferred {
+            self.note(ctx, TraceEvent::CommitDeferred { gid, blockers });
         }
+        Step::Yield
     }
 
     fn finalize(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
         let status = self.states[&pid].status();
         let released = match status {
             ProcessStatus::Committed => {
-                self.metrics.committed += 1;
-                self.clear_block_note(pid);
-                self.trace(ctx, TraceEvent::ProcessCommitted { pid });
+                self.note(ctx, TraceEvent::ProcessCommitted { pid });
                 self.policy.on_commit(pid)
             }
             ProcessStatus::Aborted => {
-                self.metrics.aborted += 1;
-                self.clear_block_note(pid);
-                self.trace(ctx, TraceEvent::ProcessAborted { pid });
+                self.note(ctx, TraceEvent::ProcessAborted { pid });
                 self.policy.on_abort(pid)
             }
             ProcessStatus::Active => return,
@@ -1639,10 +1581,6 @@ impl<'a> Shard<'a> {
             return false;
         }
         if let Some(&(_, sid, inv)) = self.pending_release.get(&pid) {
-            if let Some(t0) = self.prepared_at.remove(&pid) {
-                ctx.tele
-                    .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
-            }
             ctx.journal(|| WalRecord::PreparedAborted {
                 subsystem: sid.0,
                 invocation: inv.0,
@@ -1652,14 +1590,31 @@ impl<'a> Shard<'a> {
                 .abort_prepared(inv)
                 .expect("prepared");
         }
-        if reason == AbortReason::Cascade {
-            self.metrics.cascaded += 1;
-        }
-        self.metrics.abort_reasons.count(reason);
-        self.clear_block_note(pid);
-        self.trace(ctx, TraceEvent::AbortStarted { pid, reason });
+        self.note(ctx, TraceEvent::AbortStarted { pid, reason });
         self.emit(ctx, Event::Abort(pid));
         true
+    }
+
+    /// The group abort `initiator` leads, noted as one decision: the
+    /// `victims` begin their aborts as its cascade, in order.
+    fn group_abort(
+        &mut self,
+        ctx: &RunCtx<'a>,
+        initiator: ProcessId,
+        victims: &[ProcessId],
+        trigger: Option<GlobalActivityId>,
+    ) {
+        if !victims.is_empty() {
+            let group = TraceEvent::GroupAbort {
+                initiator: Some(initiator),
+                victims: victims.to_vec(),
+                trigger,
+            };
+            self.note(ctx, group);
+        }
+        for &v in victims {
+            self.begin_abort(ctx, v, AbortReason::Cascade);
+        }
     }
 
     /// Aborts `pid` for `reason`, cascading first into the victims the policy
@@ -1687,19 +1642,7 @@ impl<'a> Shard<'a> {
             .map(|&a| process.service(a))
             .collect();
         let victims = self.policy.plan_abort(pid, &comp_gids, &fwd);
-        if ctx.trace.enabled && !victims.is_empty() {
-            self.trace(
-                ctx,
-                TraceEvent::GroupAbort {
-                    initiator: Some(pid),
-                    victims: victims.clone(),
-                    trigger,
-                },
-            );
-        }
-        for v in victims {
-            self.begin_abort(ctx, v, AbortReason::Cascade);
-        }
+        self.group_abort(ctx, pid, &victims, trigger);
         self.begin_abort(ctx, pid, reason);
     }
 }
@@ -1898,7 +1841,7 @@ impl<'g> Domain<'_, 'g> {
 /// run-to-block within each dequeued process. Returns the worker's share of
 /// the runtime metrics and what its retired shards hand to the merge.
 ///
-/// Invariants (see DESIGN.md "Event-driven runtime"):
+/// Invariants (see DESIGN.md "The wall-clock driver"):
 ///
 /// * the worker holds a built shard only for domains with live or due work
 ///   (module docs, "Shard lifecycle"): built at the first admission, retired

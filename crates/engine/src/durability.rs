@@ -6,7 +6,7 @@
 //! scheduler step. This module is the read side: [`rebuild_image`] folds a
 //! (possibly torn-tail-truncated) record sequence back into the
 //! [`CrashImage`] the in-memory crash path produces, and recovery restores
-//! the engine from either one the same way (`Engine::restore`, then the
+//! the scheduler from either one the same way (`Shard::restore`, then the
 //! step runs the completions; see [`crate::recovery`]).
 //!
 //! ## The crash model

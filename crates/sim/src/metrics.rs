@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use txproc_core::telemetry::{bucket_edge, bucket_of, hist_percentile};
-use txproc_core::trace::AbortReason;
+use txproc_core::trace::{AbortReason, TraceEvent};
 
 pub use txproc_core::telemetry::HIST_BUCKETS;
 
@@ -224,26 +224,30 @@ impl RuntimeMetrics {
     }
 }
 
-/// Counters and latency samples of one scheduler run.
+/// Counters and latency samples of one scheduler run. Each decision counter
+/// but `retries` is [`Metrics::observe`]'s fold of the records it names.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
-    /// Processes that committed.
+    /// Processes that committed: `ProcessCommitted`.
     pub committed: u64,
-    /// Processes that aborted (including cascades).
+    /// Processes that aborted, cascades included: `ProcessAborted`.
     pub aborted: u64,
-    /// Cascading aborts triggered by other processes' aborts.
+    /// Aborts begun as another process's cascade: `AbortStarted{Cascade}`.
     pub cascaded: u64,
-    /// Forward activities executed (committed at a subsystem).
+    /// Forward activities committed at a subsystem: an immediate
+    /// `RequestAdmitted`, or a `CommitReleased`.
     pub activities: u64,
-    /// Compensating activities executed.
+    /// Compensating activities executed: `CompensationStarted`.
     pub compensations: u64,
-    /// Retriable invocation retries.
+    /// Retriable invocation retries, counted by hand: no record carries one.
     pub retries: u64,
-    /// Activities executed under deferred commit (2PC prepared).
+    /// Activities executed under deferred commit: `CommitDeferred`.
     pub deferred_commits: u64,
-    /// Scheduling requests answered with "wait".
+    /// Requests and commits answered "wait": `RequestBlocked` and
+    /// `CommitBlocked`, every re-poll (the journal keeps distinct ones).
     pub waits: u64,
-    /// Scheduling requests rejected (would close a cycle).
+    /// Cycle-closing requests and deadlock escalations: `RequestRejected`
+    /// and `AbortStarted{Deadlock}`.
     pub rejections: u64,
     /// Correctness violations observed (non-PRED histories emitted).
     pub violations: u64,
@@ -259,10 +263,10 @@ pub struct Metrics {
     /// that does not, on the run's clock (virtual ticks in the engine, wall
     /// microseconds in the concurrent driver).
     pub blocked_time: BTreeMap<u32, u64>,
-    /// Abort initiations broken down by first cause.
+    /// Abort initiations broken down by first cause: `AbortStarted`.
     pub abort_reasons: AbortReasons,
     /// Certification attempts answered "not PRED" (each forces a defer,
-    /// retry or escalation).
+    /// retry or escalation): `CertifyOutcome` refusals.
     pub cert_failures: u64,
     /// Per-shard sizes (one entry per conflict-domain shard; the engine's
     /// one shard holds every process).
@@ -277,6 +281,29 @@ impl Metrics {
     /// Creates zeroed metrics.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Folds one decision of the scheduler step into the decision counters.
+    pub fn observe(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::ProcessCommitted { .. } => self.committed += 1,
+            TraceEvent::ProcessAborted { .. } => self.aborted += 1,
+            TraceEvent::RequestAdmitted {
+                deferred: false, ..
+            }
+            | TraceEvent::CommitReleased { .. } => self.activities += 1,
+            TraceEvent::CompensationStarted { .. } => self.compensations += 1,
+            TraceEvent::CommitDeferred { .. } => self.deferred_commits += 1,
+            TraceEvent::RequestBlocked { .. } | TraceEvent::CommitBlocked { .. } => self.waits += 1,
+            TraceEvent::RequestRejected { .. } => self.rejections += 1,
+            TraceEvent::AbortStarted { reason, .. } => {
+                self.cascaded += u64::from(*reason == AbortReason::Cascade);
+                self.rejections += u64::from(*reason == AbortReason::Deadlock);
+                self.abort_reasons.count(*reason);
+            }
+            TraceEvent::CertifyOutcome { ok: false, .. } => self.cert_failures += 1,
+            _ => {}
+        }
     }
 
     /// Total terminated processes.
