@@ -272,10 +272,10 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         policy,
         seed,
         arrival_gap: args.get("arrival-gap", 0u64)?,
-        check_pred: args.flag("check"),
         epoch: wal.as_ref().map_or(0, |wal| wal.epoch),
         ..RunConfig::default()
     };
+    let check = args.flag("check");
     args.finish("simulate")?;
     let mut builder = RunBuilder::new(&w).config(cfg);
     if let Some(wal) = &wal {
@@ -301,7 +301,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         r.metrics.latency_percentile(0.5),
         r.metrics.latency_percentile(0.95)
     );
-    if let Some(ok) = r.pred_ok {
+    if check {
+        let ok = txproc_core::pred::is_pred(&w.spec, &r.history).unwrap_or(false);
         println!("history PRED:      {ok}");
     }
     if let Some(wal) = &wal {
@@ -796,7 +797,9 @@ fn cmd_crash(args: &Args) -> Result<(), String> {
         Some(wal) => {
             drop(engine.crash());
             println!("replaying WAL:    {}", wal.path.display());
-            Recovery::from(RecoverySource::Wal(wal.path.clone()))
+            let bytes = std::fs::read(&wal.path)
+                .map_err(|e| format!("read WAL {}: {e}", wal.path.display()))?;
+            Recovery::from(RecoverySource::WalBytes(bytes))
                 .run(&w)
                 .map_err(|e| e.to_string())?
         }

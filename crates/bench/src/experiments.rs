@@ -79,7 +79,6 @@ pub fn e1_cim() -> ExperimentResult {
                 RunConfig {
                     policy: kind,
                     seed,
-                    check_pred: true,
                     // Stagger arrivals so production reads the BOM the
                     // construction process wrote (Figure 1's timeline).
                     arrival_gap: 70,
@@ -96,7 +95,7 @@ pub fn e1_cim() -> ExperimentResult {
             }
         }
         let r = chosen.expect("a seed with a failing test activity exists");
-        let ok = r.pred_ok.unwrap_or(false);
+        let ok = is_pred(&w.spec, &r.history).unwrap_or(false);
         if kind != PolicyKind::UnsafeCc && !ok {
             pass = false;
         }
@@ -604,11 +603,10 @@ pub fn e14_violations() -> ExperimentResult {
                 RunConfig {
                     policy: kind,
                     seed,
-                    check_pred: true,
                     ..RunConfig::default()
                 },
             );
-            if r.pred_ok == Some(false) {
+            if !is_pred(&w.spec, &r.history).unwrap_or(false) {
                 violations += 1;
             }
         }

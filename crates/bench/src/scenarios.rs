@@ -316,12 +316,9 @@ fn mode_report(
         agg.merge(&metrics);
     }
     let processes_total = scenario.config.processes * cfg.seeds as usize;
-    let mut breaches = scenario
+    let breaches = scenario
         .envelope
         .check(&agg, processes_total, mode == "engine");
-    // `Envelope::check` folds per-run violation counters in; PRED/Proc-REC
-    // history verdicts are reported separately below, so don't double-count.
-    breaches.retain(|b| !b.ends_with("correctness violations"));
     ScenarioModeReport {
         mode,
         runs: cfg.seeds,
@@ -331,7 +328,7 @@ fn mode_report(
         commit_rate: agg.committed as f64 / processes_total.max(1) as f64,
         latency_p50: agg.latency_percentile(0.5),
         latency_p95: agg.latency_percentile(0.95),
-        pred_violations: pred_bad + agg.violations,
+        pred_violations: pred_bad,
         proc_rec_violations: proc_rec_bad,
         envelope_breaches: breaches,
         wall_ms: t.elapsed().as_secs_f64() * 1e3,

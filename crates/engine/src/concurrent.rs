@@ -76,7 +76,7 @@
 //!
 //! Failure injection is a pure function of `(seed, activity, attempt)`, so
 //! outcome draws are independent of thread interleaving: on workloads whose
-//! processes are pairwise non-conflicting the sharded and single-lock
+//! processes are pairwise non-conflicting the sharded and one-shard
 //! configurations, at any worker count, produce bit-equal commit/abort
 //! sets.
 
@@ -104,14 +104,10 @@ use txproc_subsystem::deploy::ServiceSite;
 use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
 use txproc_subsystem::tpc::{Coordinator, Decision, Participant};
 
-/// Label of the one runtime in [`RuntimeMetrics::runtime`] and the bench
-/// reports' `runtime` column.
-const RUNTIME_LABEL: &str = "events";
-
 /// Consecutive state-machine steps one event worker runs on a shard before
 /// moving to its next shard (bounds cross-shard starvation on a worker
 /// that owns several).
-const STEP_BUDGET: u32 = 128;
+const STEP_BUDGET: usize = 128;
 
 /// Longest nap an idle event worker takes while waiting for the next
 /// open-system arrival on one of its shards (a bound, not a poll period:
@@ -132,8 +128,7 @@ const ADMIT_CAP: usize = 32;
 /// How the driver maps processes onto scheduler shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// One scheduler state for all processes — the classic single-lock
-    /// driver, kept as the differential baseline.
+    /// One shard for all processes, kept as the differential baseline.
     Single,
     /// One shard per conflict domain of the workload (the partition of the
     /// potential-conflict graph computed by [`DomainPartition`]).
@@ -165,7 +160,7 @@ pub struct ConcurrentConfig {
     /// Whether failable activities may fail.
     pub inject_failures: bool,
     /// Shard topology. `Auto` (the default) shards by conflict domain;
-    /// `Single` is the pre-sharding single-lock driver.
+    /// `Single` runs every process in one shard.
     pub shards: ShardMode,
     /// Worker-pool size. `None` (the default) resolves to
     /// `min(available cores, shard count)`.
@@ -426,24 +421,29 @@ impl<'a> RunCtx<'a> {
     }
 
     /// Appends one record that carries no history event to the journal
-    /// (no-op, and `record` unbuilt, without one).
-    fn journal(&self, record: impl FnOnce() -> WalRecord) {
-        if let Some(wal) = &self.wal {
-            wal.lock().append(&record());
-        }
+    /// (no-op, and `record` unbuilt, without one). Returns how many history
+    /// events were ticketed before it.
+    fn journal(&self, record: impl FnOnce() -> WalRecord) -> u64 {
+        self.log(record, 0)
     }
 
     /// The merge ticket of the next history event. With a journal
-    /// installed, `record` is what it holds for the event, appended first
-    /// and the ticket taken under the writer lock — so log order is ticket
-    /// order.
+    /// installed, `record` is what it holds for the event, appended first.
     fn ticket(&self, record: impl FnOnce() -> WalRecord) -> u64 {
+        self.log(record, 1)
+    }
+
+    /// Appends `record` (with a journal installed) and takes `events`
+    /// tickets, returning the ticket count before them. Both happen under
+    /// the writer lock, so log order is ticket order and the count is the
+    /// record's position among the log's history events.
+    fn log(&self, record: impl FnOnce() -> WalRecord, events: u64) -> u64 {
         let _writer = self.wal.as_ref().map(|wal| {
             let mut writer = wal.lock();
             writer.append(&record());
             writer
         });
-        self.tickets.fetch_add(1, Ordering::Relaxed)
+        self.tickets.fetch_add(events, Ordering::Relaxed)
     }
 
     /// Clean end of run: lands the journal's tail (syncing follows the
@@ -664,12 +664,12 @@ impl<'a> Shard<'a> {
     /// is folded for the processes the crash left live, and a terminated
     /// process is only finalized — its operations can gate, block or be
     /// aborted by nothing again. The invocation log adds what the history
-    /// does not show: each execution's invocation, and each prepared one,
-    /// folded at the latest point its log position and its process allow
-    /// (the image does not record where among the events around it the
-    /// prepare fell). The fold traces, counts and journals nothing. The run
-    /// has the protocol's gates without the §3.5 certifier (`PredProtocol`)
-    /// and injects no failures.
+    /// does not show — each execution's invocation, and each prepared one —
+    /// and is merged into the fold by position: an entry goes in after the
+    /// `at` events the log put before it (which `recover` has checked run
+    /// forwards and within the history). The fold traces, counts and
+    /// journals nothing. The run has the protocol's gates without the §3.5
+    /// certifier (`PredProtocol`) and injects no failures.
     pub(crate) fn restore(
         workload: &'a Workload,
         image: CrashImage,
@@ -697,46 +697,25 @@ impl<'a> Shard<'a> {
         let live = |p: &ProcessId| states.get(p).is_some_and(|s| s.is_active());
         let mut shard = Self::build(0, &[], &ctx);
         spec.processes().for_each(|p| shard.policy.register(p.id));
-        let mut next = 0;
-        for event in image.history.events() {
-            let pids = match event {
-                Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => vec![g.process],
-                Event::Commit(p) | Event::Abort(p) => vec![*p],
-                Event::GroupAbort(ps) => ps.clone(),
-            };
-            let run = log[next..].iter().take_while(|e| e.prepared).count();
-            let own = match event {
-                Event::Execute(g) => log.get(next + run).is_some_and(|e| e.gid == *g),
-                _ => false,
-            };
-            let due = match own {
-                true => run + 1,
-                false => (log[next..next + run].iter())
-                    .rposition(|e| pids.contains(&e.gid.process))
-                    .map_or(0, |i| i + 1),
-            };
-            for e in log[next..next + due]
-                .iter()
-                .filter(|e| live(&e.gid.process))
-            {
+        let mut logged = log.iter().filter(|e| live(&e.gid.process)).peekable();
+        for (at, event) in (0..).zip(image.history.events()) {
+            while let Some(e) = logged.next_if(|e| e.at <= at) {
                 shard.refold_invocation(e);
             }
-            next += due;
-            match event {
+            let pid = match event {
                 Event::GroupAbort(ps) => {
                     let aborts = ps.iter().filter(|p| live(p));
                     aborts.for_each(|&p| shard.record_abort(p));
+                    continue;
                 }
-                _ if live(&pids[0]) => drop(shard.record(event)),
-                _ => {}
+                Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => g.process,
+                Event::Commit(p) | Event::Abort(p) => *p,
+            };
+            if live(&pid) {
+                drop(shard.record(event));
             }
         }
-        for e in log[next..]
-            .iter()
-            .filter(|e| e.prepared && live(&e.gid.process))
-        {
-            shard.refold_invocation(e);
-        }
+        logged.for_each(|e| shard.refold_invocation(e));
         shard.released.clear();
         for (&pid, state) in &states {
             match state.status() {
@@ -919,31 +898,6 @@ impl<'a> Shard<'a> {
         live
     }
 
-    /// Steps the live processes until none is left — each one run until it
-    /// blocks, as a worker runs it, and a clean shard's deadlock probed —
-    /// or, answering `false`, until a step budget that only a livelock
-    /// exhausts runs out.
-    pub(crate) fn run_to_end(&mut self, ctx: &RunCtx<'a>) -> bool {
-        let mut budget = 10_000 * (self.states.len() + 1);
-        loop {
-            let Some((pid, _)) = self.pop_runnable() else {
-                if self.probe() {
-                    continue;
-                }
-                return true;
-            };
-            loop {
-                budget = match budget.checked_sub(1) {
-                    Some(left) => left,
-                    None => return false,
-                };
-                if self.step(ctx, pid) != Step::Yield {
-                    break;
-                }
-            }
-        }
-    }
-
     /// What a crash leaves of the run this shard is part of (its only
     /// shard): the history, the invocation log, the subsystems and the
     /// decision log.
@@ -973,28 +927,53 @@ impl<'a> Shard<'a> {
         !self.run_queue.is_empty() || (self.dirty && !self.waiting.is_empty())
     }
 
-    /// Dequeues the next process to step, sampling its scheduling delay.
+    /// The one run-to-block loop, an event worker's visit and all of a
+    /// recovery: steps the run queue until it drains or `budget` steps are
+    /// spent, and returns how many processes are left live. A dequeued
+    /// process is stepped until it waits or terminates — rotating after
+    /// every step would keep a maximal unreduced frontier alive in the
+    /// certifier, where running each process as deep as it goes completes
+    /// (and reduces away) processes early — and one still runnable when the
+    /// budget is spent goes back to the front, so the next call resumes it.
     /// When the run queue has drained with waiters left, a dirty shard
-    /// re-queues them all — any of them may be unblocked, and one coalesced
-    /// round serves the whole burst of mutations. A clean one is a genuine
-    /// deadlock among the arrived: stepping all of them is pure futile work
-    /// under a certified policy, so a single probe (smallest pid, for
-    /// determinism; a counted re-poll round) accumulates no-progress toward
-    /// the escalation in [`Shard::step`], and the moment its abort marks the
-    /// shard dirty the full re-queue wakes the rest.
-    fn next_runnable(&mut self, ctx: &RunCtx<'a>, rt: &mut RuntimeMetrics) -> Option<ProcessId> {
-        loop {
-            if let Some((pid, enqueued)) = self.pop_runnable() {
-                let delay_ns = enqueued.elapsed().as_nanos() as u64;
-                rt.record_delay_ns(delay_ns);
-                ctx.tele.phase_ns(Phase::QueueDelay, delay_ns);
-                return Some(pid);
+    /// re-queues them all ([`pop_runnable`](Self::pop_runnable)). A clean
+    /// one is a genuine deadlock among the arrived: stepping all of them is
+    /// pure futile work under a certified policy, so a single probe (a
+    /// counted re-poll) accumulates no-progress toward the escalation in
+    /// [`Shard::step`], and the moment its abort marks the shard dirty the
+    /// full re-queue wakes the rest. Each dequeue samples the process's
+    /// scheduling delay, and each process's run the queue depth.
+    pub(crate) fn run(
+        &mut self,
+        ctx: &RunCtx<'a>,
+        rt: &mut RuntimeMetrics,
+        mut budget: usize,
+    ) -> usize {
+        while budget > 0 {
+            let Some((pid, enqueued)) = self.pop_runnable() else {
+                if !self.probe() {
+                    break;
+                }
+                rt.repolls += 1;
+                continue;
+            };
+            let delay_ns = enqueued.elapsed().as_nanos() as u64;
+            rt.record_delay_ns(delay_ns);
+            ctx.tele.phase_ns(Phase::QueueDelay, delay_ns);
+            loop {
+                budget -= 1;
+                rt.steps += 1;
+                match self.step(ctx, pid) {
+                    Step::Yield if budget > 0 => continue,
+                    Step::Yield => self.run_queue.push_front((pid, Instant::now())),
+                    Step::Wait | Step::Done => {}
+                }
+                break;
             }
-            if !self.probe() {
-                return None;
-            }
-            rt.repolls += 1;
+            let depth = (self.run_queue.len() + self.waiting.len()) as u64;
+            rt.run_queue_peak = rt.run_queue_peak.max(depth);
         }
+        self.live
     }
 
     /// The front of the run queue, a dirty shard's waiters re-queued first
@@ -1016,8 +995,8 @@ impl<'a> Shard<'a> {
         self.run_queue.pop_front()
     }
 
-    /// Re-queues one waiter of a clean, drained shard (smallest pid);
-    /// `false` when nobody waits.
+    /// Re-queues one waiter of a clean, drained shard (smallest pid, for
+    /// determinism); `false` when nobody waits.
     pub(crate) fn probe(&mut self) -> bool {
         let probe = self.waiting.pop_first();
         self.run_queue
@@ -1509,11 +1488,10 @@ impl<'a> Shard<'a> {
             invocation: invocation.0,
             prepared: deferred,
         };
-        let ticket = if deferred {
-            ctx.journal(record);
-            None
+        let at = if deferred {
+            ctx.journal(record)
         } else {
-            Some(ctx.ticket(record))
+            ctx.ticket(record)
         };
         drop(agent);
         self.invocations.insert(gid, (site.subsystem, invocation));
@@ -1522,10 +1500,12 @@ impl<'a> Shard<'a> {
             subsystem: site.subsystem,
             invocation,
             prepared: deferred,
+            at,
         });
-        let edges_added = match ticket {
-            Some(ticket) => self.append(Event::Execute(gid), ticket).expect("frontier"),
-            None => self.prepare(gid, site.subsystem, invocation),
+        let edges_added = if deferred {
+            self.prepare(gid, site.subsystem, invocation)
+        } else {
+            self.append(Event::Execute(gid), at).expect("frontier")
         };
         let admitted = TraceEvent::RequestAdmitted {
             gid,
@@ -1746,7 +1726,7 @@ pub(crate) fn run_concurrent_impl<'a>(
     for (si, members) in groups.iter().enumerate() {
         per_worker[ctx.trace.worker_of_shard[si] as usize].push((si as u32, members));
     }
-    let mut runtime_metrics = RuntimeMetrics::new(RUNTIME_LABEL, worker_count as u64);
+    let mut runtime_metrics = RuntimeMetrics::new(worker_count as u64);
     let mut done: Vec<ShardDone> = Vec::with_capacity(groups.len());
     std::thread::scope(|scope| {
         // Worker 0 is the calling thread — it would only sleep in `join` —
@@ -1836,10 +1816,10 @@ impl<'g> Domain<'_, 'g> {
     }
 }
 
-/// Event-worker loop: round-robins over the worker's owned shards, spending
-/// up to [`STEP_BUDGET`] [`Shard::step`] calls per shard per pass,
-/// run-to-block within each dequeued process. Returns the worker's share of
-/// the runtime metrics and what its retired shards hand to the merge.
+/// Event-worker loop: round-robins over the worker's owned shards, admitting
+/// due arrivals and spending up to [`STEP_BUDGET`] steps of [`Shard::run`]
+/// per shard per pass. Returns the worker's share of the runtime metrics and
+/// what its retired shards hand to the merge.
 ///
 /// Invariants (see DESIGN.md "The wall-clock driver"):
 ///
@@ -1854,13 +1834,13 @@ impl<'g> Domain<'_, 'g> {
 /// * when a clean shard's run queue drains with waiters left, every live
 ///   process of the shard is blocked. A future arrival only *adds* conflicts
 ///   and can never unblock an existing waiter, so this is a genuine deadlock
-///   among the arrived, resolved by probing (see [`Shard::next_runnable`])
-///   instead of sleeping on a timeout.
+///   among the arrived, resolved by probing (see [`Shard::run`]) instead of
+///   sleeping on a timeout.
 fn event_worker<'a>(
     ctx: &RunCtx<'a>,
     owned: Vec<(u32, &[ProcessId])>,
 ) -> (RuntimeMetrics, Vec<ShardDone>) {
-    let mut rt = RuntimeMetrics::new(RUNTIME_LABEL, 1);
+    let mut rt = RuntimeMetrics::new(1);
     let mut done = Vec::with_capacity(owned.len());
     let mut owned: Vec<Domain<'a, '_>> = owned
         .into_iter()
@@ -1895,39 +1875,10 @@ fn event_worker<'a>(
             let Some(shard) = &mut dom.built else {
                 return true;
             };
-            let mut budget = STEP_BUDGET;
-            while budget > 0 {
-                let Some(pid) = shard.next_runnable(ctx, &mut rt) else {
-                    break;
-                };
-                // Run-to-block: keep stepping the dequeued process until it
-                // waits, terminates, or exhausts the pass budget. Rotating
-                // after every step would interleave all live processes
-                // uniformly, keeping a maximal unreduced frontier alive in
-                // the certifier for the whole run; running each process as
-                // deep as it can go completes (and reduces away) processes
-                // early.
-                loop {
-                    budget -= 1;
-                    rt.steps += 1;
-                    let t0 = Instant::now();
-                    let step = shard.step(ctx, pid);
-                    rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
-                    match step {
-                        // A freed live slot may admit a deferred arrival.
-                        Step::Done => progressed = true,
-                        Step::Wait => {}
-                        Step::Yield if budget > 0 => continue,
-                        // Budget exhausted mid-process: stay at the queue
-                        // front so the next pass resumes the same process
-                        // (depth-first across passes).
-                        Step::Yield => shard.run_queue.push_front((pid, Instant::now())),
-                    }
-                    break;
-                }
-                let depth = (shard.run_queue.len() + shard.waiting.len()) as u64;
-                rt.run_queue_peak = rt.run_queue_peak.max(depth);
-            }
+            let (live, t0) = (shard.live, Instant::now());
+            // A freed live slot may admit a deferred arrival.
+            progressed |= shard.run(ctx, &mut rt, STEP_BUDGET) < live;
+            rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
             progressed |= shard.has_work();
             if shard.live > 0 || !dom.arrivals.is_empty() {
                 return true;
@@ -2094,7 +2045,7 @@ mod tests {
     #[test]
     fn sharded_and_single_agree_on_disjoint_workloads() {
         // On a workload whose processes never conflict the failure coins
-        // fully determine every outcome, so the sharded and single-lock
+        // fully determine every outcome, so the sharded and one-shard
         // drivers must produce bit-equal commit/abort sets.
         for seed in 0..6 {
             let w = generate(&WorkloadConfig {
@@ -2177,7 +2128,6 @@ mod tests {
         );
         assert_eq!(result.metrics.terminated(), 8);
         let rt = result.metrics.runtime.expect("runtime metrics populated");
-        assert_eq!(rt.runtime, "events");
         assert!(rt.workers >= 1);
         assert!(rt.steps >= 8, "at least one step per process");
         assert_eq!(rt.in_flight_peak, 8, "closed arrivals: all in flight");
@@ -2408,6 +2358,12 @@ mod tests {
         unreachable!()
     }
 
+    /// The next process of the run queue, a dirty shard's waiters re-queued
+    /// first — never a deadlock probe.
+    fn next(shard: &mut Shard<'_>) -> Option<ProcessId> {
+        shard.pop_runnable().map(|(pid, _)| pid)
+    }
+
     #[test]
     fn scripted_interleaving_blocks_on_a_predecessor_and_wakes_at_its_finalize() {
         // P₁ = a1₁ᶜ ≪ a1₂ᵖ ≪ … with the alternative a1₂ ≪ a1₅ʳ ≪ a1₆ʳ;
@@ -2423,16 +2379,15 @@ mod tests {
         let ctx = scripted_ctx(&w, cfg);
         let (p1, p2) = (ProcessId(1), ProcessId(2));
         let mut shard = Shard::build(0, &[p1, p2], &ctx);
-        let mut rt = RuntimeMetrics::new(RUNTIME_LABEL, 1);
         shard.admit(&ctx, p1);
         shard.admit(&ctx, p2);
 
         // P₁ executes a1₁ and is held mid-run; P₂ runs as far as it goes:
         // past its conflicting a2₁ (now P₁ → P₂), up to its pivot, which
         // Lemma 1.1 holds back until P₁ terminates.
-        assert_eq!(shard.next_runnable(&ctx, &mut rt), Some(p1));
+        assert_eq!(next(&mut shard), Some(p1));
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
-        assert_eq!(shard.next_runnable(&ctx, &mut rt), Some(p2));
+        assert_eq!(next(&mut shard), Some(p2));
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 2));
         assert_eq!(shard.metrics.waits, 1);
         assert!(shard.waiting.contains(&p2));
@@ -2446,7 +2401,7 @@ mod tests {
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         assert_eq!(shard.states[&p1].status(), ProcessStatus::Aborted);
-        assert_eq!(shard.next_runnable(&ctx, &mut rt), Some(p2));
+        assert_eq!(next(&mut shard), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Wait);
         assert_eq!(shard.metrics.waits, 2);
         assert!(!shard.dirty);
@@ -2458,15 +2413,67 @@ mod tests {
         assert_eq!(shard.step(&ctx, p1), Step::Done);
         assert_eq!(shard.history.len(), events);
         assert!(shard.dirty, "finalize marks the shard dirty");
-        assert_eq!(shard.next_runnable(&ctx, &mut rt), Some(p2));
-        assert_eq!(rt.repolls, 0, "woken by the mark, not by a deadlock probe");
+        assert_eq!(next(&mut shard), Some(p2), "woken by the mark, not a probe");
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Done, 3));
 
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
         assert_eq!(shard.metrics.abort_reasons.external, 1);
-        assert_eq!((shard.live, shard.next_runnable(&ctx, &mut rt)), (0, None));
+        assert_eq!(
+            (shard.live, next(&mut shard), shard.probe()),
+            (0, None, false)
+        );
         let done = shard.finish(&ctx);
         assert!(txproc_core::pred::is_pred(&w.spec, &done.history).unwrap());
+    }
+
+    #[test]
+    fn a_blocked_note_is_forgotten_at_each_clearing_decision() {
+        // With tracing on, `note` journals a blocked state once while it
+        // repeats. An admission, a release, an abort start and either
+        // termination forget it: the same state blocked again after one of
+        // them is a new decision, journalled again.
+        let w = paper_workload(0.0);
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let gid = GlobalActivityId::new(p1, ActivityId(0));
+        let service = w.spec.service_of(gid).expect("paper activity");
+        let blocked = || TraceEvent::RequestBlocked {
+            gid,
+            service,
+            blockers: vec![p2],
+        };
+        let admitted = TraceEvent::RequestAdmitted {
+            gid,
+            service,
+            deferred: false,
+            blockers: Vec::new(),
+            edges_added: Vec::new(),
+        };
+        let reason = AbortReason::External;
+        let clearing = [
+            admitted,
+            TraceEvent::CommitReleased { gid },
+            TraceEvent::AbortStarted { pid: p1, reason },
+            TraceEvent::ProcessCommitted { pid: p1 },
+            TraceEvent::ProcessAborted { pid: p1 },
+        ];
+        for between in clearing.into_iter().map(Some).chain([None]) {
+            let journal = txproc_core::trace::Journal::new();
+            let sink = Box::new(journal.clone());
+            let clock = Clock::Wall(Instant::now());
+            let durable = (fresh_agents(&w), Coordinator::new());
+            let cfg = ConcurrentConfig::default();
+            let ctx = RunCtx::new(&w, cfg, sink, vec![0], clock, 0, durable);
+            let mut shard = Shard::build(0, &[p1, p2], &ctx);
+            shard.note(&ctx, blocked());
+            let expected = if between.is_some() { 2 } else { 1 };
+            if let Some(e) = between.clone() {
+                shard.note(&ctx, e);
+            }
+            shard.note(&ctx, blocked());
+            drop(shard.finish(&ctx));
+            let journalled = journal.take().into_iter().filter(|r| r.event == blocked());
+            assert_eq!(journalled.count(), expected, "{between:?}");
+        }
     }
 
     /// An Example-8-shaped pair: P₁ = aᶜ ≪ pᵖ ≪ rʳ and P₂ = bᶜ ≪ qᵖ ≪ tʳ,
@@ -2659,49 +2666,69 @@ mod tests {
         format!("{states:?} {edges:?} {pending:?} {invocations:?}")
     }
 
-    #[test]
-    fn restore_is_the_inverse_of_crash() {
+    /// Crashes the engine after every tick of `seeds` × two shapes — every
+    /// history length, and every prepare between two events — and checks
+    /// that the restored shard is the crashed one.
+    fn restore_inverts_crash(seeds: std::ops::Range<u64>) {
         use crate::engine::{Engine, RunConfig};
-        for seed in 0..16u64 {
-            let w = generate(&WorkloadConfig {
-                seed,
-                processes: 6,
-                conflict_density: 0.4,
-                failure_probability: 0.15,
-                ..WorkloadConfig::default()
-            });
-            for at in [2usize, 5, 9, 14, 20, 30] {
+        for seed in seeds {
+            for (processes, conflict_density) in [(6, 0.4), (10, 0.7)] {
+                let w = generate(&WorkloadConfig {
+                    seed,
+                    processes,
+                    conflict_density,
+                    failure_probability: 0.15,
+                    ..WorkloadConfig::default()
+                });
                 let cfg = RunConfig {
                     seed,
                     ..RunConfig::default()
                 };
-                let mut engine = Engine::new(&w, cfg);
-                engine.run_until_history(at);
-                // A release lands at its process's next step; the history
-                // replayed has it landed.
-                let released: Vec<ProcessId> = engine.shard.released.keys().copied().collect();
-                for pid in released {
-                    engine.shard.land_released(pid).expect("released frontier");
+                let mut full = Engine::new(&w, cfg.clone());
+                let ticks = std::iter::from_fn(|| full.tick().then_some(())).count();
+                for at in 0..=ticks {
+                    let mut engine = Engine::new(&w, cfg.clone());
+                    for _ in 0..at {
+                        engine.tick();
+                    }
+                    // A release lands at its process's next step; the
+                    // history replayed has it landed.
+                    let released: Vec<ProcessId> = engine.shard.released.keys().copied().collect();
+                    for pid in released {
+                        engine.shard.land_released(pid).expect("released frontier");
+                    }
+                    let shard = &engine.shard;
+                    let pids = shard.history.events().iter().flat_map(|e| match e {
+                        Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => {
+                            vec![g.process]
+                        }
+                        Event::Commit(p) | Event::Abort(p) => vec![*p],
+                        Event::GroupAbort(ps) => ps.clone(),
+                    });
+                    let logged = shard.invocation_log.iter().map(|e| e.gid.process);
+                    let named: BTreeSet<ProcessId> = pids.chain(logged).collect();
+                    let crashed = durable_view(shard, &named);
+                    let image = engine.crash();
+                    let (_, restored) =
+                        Shard::restore(&w, image, Box::new(NoopSink)).expect("restores");
+                    let label = format!("seed {seed}, {processes} processes, tick {at}");
+                    assert_eq!(durable_view(&restored, &named), crashed, "{label}");
                 }
-                let shard = &engine.shard;
-                let pids = shard.history.events().iter().flat_map(|e| match e {
-                    Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => vec![g.process],
-                    Event::Commit(p) | Event::Abort(p) => vec![*p],
-                    Event::GroupAbort(ps) => ps.clone(),
-                });
-                let logged = shard.invocation_log.iter().map(|e| e.gid.process);
-                let named: BTreeSet<ProcessId> = pids.chain(logged).collect();
-                let crashed = durable_view(shard, &named);
-                let image = engine.crash();
-                let (_, restored) =
-                    Shard::restore(&w, image, Box::new(NoopSink)).expect("restores");
-                assert_eq!(
-                    durable_view(&restored, &named),
-                    crashed,
-                    "seed {seed} at {at}"
-                );
             }
         }
+    }
+
+    #[test]
+    fn restore_is_the_inverse_of_crash() {
+        restore_inverts_crash(0..16);
+    }
+
+    /// The same at 96 seeds. Run with `cargo test --release -p
+    /// txproc-engine --lib -- --ignored`.
+    #[test]
+    #[ignore = "nightly: 96-seed restore sweep"]
+    fn restore_is_the_inverse_of_crash_over_96_seeds() {
+        restore_inverts_crash(0..96);
     }
 
     #[test]

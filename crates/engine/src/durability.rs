@@ -14,7 +14,11 @@
 //! A crash truncates the durable log at an arbitrary byte offset;
 //! everything else — agents, coordinator, history, scheduler — is volatile
 //! and rebuilt by replaying the surviving record prefix against fresh
-//! state. Every prefix replays to a consistent state because each record is
+//! state. So the subsystems crash with the log, unlike those of the
+//! in-memory crash image (see [`CrashImage::agents`]; ROADMAP item 12
+//! makes the two one model). Each invocation is stamped with the number of
+//! history events before its record, the position recovery restores it
+//! at. Every prefix replays to a consistent state because each record is
 //! atomic: an [`Invocation`](txproc_core::wal::WalRecord::Invocation)
 //! record implies both the agent transaction *and* (when immediate) its
 //! history event, a `Compensate` event record implies the compensating
@@ -187,6 +191,7 @@ pub fn rebuild_image(
                     subsystem: sid,
                     invocation: got_id,
                     prepared: *prepared,
+                    at: history.len() as u64,
                 });
                 invocation_of.insert(*gid, (sid, got_id, *prepared));
                 if !prepared {

@@ -16,7 +16,6 @@
 use crate::concurrent::{fresh_agents, Clock, ConcurrentConfig, RunCtx, Shard, ShardMode, Step};
 use crate::policy::PolicyKind;
 use crate::recovery::CrashImage;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use txproc_core::ids::{GlobalActivityId, ProcessId};
 use txproc_core::schedule::{Event, Schedule};
@@ -29,7 +28,7 @@ use txproc_sim::workload::Workload;
 use txproc_subsystem::tpc::Coordinator;
 
 /// Run configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Scheduling policy.
     pub policy: PolicyKind,
@@ -39,14 +38,11 @@ pub struct RunConfig {
     pub inject_failures: bool,
     /// Virtual time between process arrivals (0: all at time zero).
     pub arrival_gap: u64,
-    /// Verify the emitted history for PRED after the run (expensive).
-    pub check_pred: bool,
     /// Journal seal cadence: an installed WAL is sealed (and, under
     /// `FsyncPerEpoch`, synced) every `epoch` history events; `0` seals
     /// every event. Read once, where the WAL is installed
     /// ([`Engine::with_wal`]); it selects nothing else, so no value can
     /// change a history, a metric or a decision journal.
-    #[serde(default)]
     pub epoch: usize,
 }
 
@@ -57,7 +53,6 @@ impl Default for RunConfig {
             seed: 7,
             inject_failures: true,
             arrival_gap: 0,
-            check_pred: false,
             epoch: 0,
         }
     }
@@ -70,8 +65,6 @@ pub struct RunResult {
     pub metrics: Metrics,
     /// The emitted history.
     pub history: Schedule,
-    /// PRED verdict of the history (when `check_pred` was set).
-    pub pred_ok: Option<bool>,
     /// Processes that could not make progress (scheduling stall — should
     /// always be empty; reported instead of hanging).
     pub stalled: Vec<ProcessId>,
@@ -87,8 +80,6 @@ enum Wake {
 
 /// The engine.
 pub struct Engine<'a> {
-    /// [`RunConfig::check_pred`].
-    check_pred: bool,
     /// What the workers of a concurrent run share; here there is one
     /// worker, this loop, and the clock is the virtual `now`.
     ctx: RunCtx<'a>,
@@ -142,12 +133,7 @@ impl<'a> Engine<'a> {
         for pid in members {
             queue.schedule(SimTime(ctx.arrival(pid)), (Wake::Arrival, pid));
         }
-        Self {
-            check_pred: cfg.check_pred,
-            ctx,
-            shard,
-            queue,
-        }
+        Self { ctx, shard, queue }
     }
 
     /// Installs a durable write-ahead journal: every durable state
@@ -263,21 +249,13 @@ impl<'a> Engine<'a> {
         }
         let stalled = self.live_processes();
         let makespan = self.ctx.clock.now();
-        let spec = &self.ctx.workload.spec;
         let done = self.shard.finish(&self.ctx);
         self.ctx.finish();
         let mut metrics = done.metrics;
         metrics.makespan = makespan;
-        let pred_ok = self
-            .check_pred
-            .then(|| txproc_core::pred::is_pred(spec, &done.history).unwrap_or(false));
-        if let Some(false) = pred_ok {
-            metrics.violations += 1;
-        }
         RunResult {
             metrics,
             history: done.history,
-            pred_ok,
             stalled,
         }
     }
@@ -317,6 +295,10 @@ mod tests {
         })
     }
 
+    fn is_pred(w: &Workload, result: &RunResult) -> bool {
+        txproc_core::pred::is_pred(&w.spec, &result.history).expect("a legal history")
+    }
+
     #[test]
     fn all_processes_terminate_under_pred() {
         let w = small_workload(1, 0.4, 0.15);
@@ -334,14 +316,12 @@ mod tests {
                 &w,
                 RunConfig {
                     seed,
-                    check_pred: true,
                     ..RunConfig::default()
                 },
             );
             assert!(result.stalled.is_empty(), "seed {seed}: stalled");
-            assert_eq!(
-                result.pred_ok,
-                Some(true),
+            assert!(
+                is_pred(&w, &result),
                 "seed {seed}: history not PRED:\n{}",
                 txproc_core::schedule::render(&result.history)
             );
@@ -375,12 +355,11 @@ mod tests {
             &w,
             RunConfig {
                 policy: PolicyKind::Conservative,
-                check_pred: true,
                 ..RunConfig::default()
             },
         );
         assert!(result.stalled.is_empty());
-        assert_eq!(result.pred_ok, Some(true));
+        assert!(is_pred(&w, &result));
     }
 
     #[test]
@@ -395,11 +374,10 @@ mod tests {
                 RunConfig {
                     policy: PolicyKind::UnsafeCc,
                     seed,
-                    check_pred: true,
                     ..RunConfig::default()
                 },
             );
-            if result.pred_ok == Some(false) {
+            if !is_pred(&w, &result) {
                 violations += 1;
             }
         }
@@ -419,7 +397,6 @@ mod tests {
             &w,
             RunConfig {
                 inject_failures: false,
-                check_pred: true,
                 ..RunConfig::default()
             },
         );
@@ -428,7 +405,7 @@ mod tests {
             result.metrics.aborted,
             result.metrics.rejections + result.metrics.cascaded
         );
-        assert_eq!(result.pred_ok, Some(true));
+        assert!(is_pred(&w, &result));
     }
 
     #[test]
@@ -440,12 +417,11 @@ mod tests {
             &w,
             RunConfig {
                 inject_failures: false,
-                check_pred: true,
                 ..RunConfig::default()
             },
         );
         assert_eq!(result.metrics.terminated(), 6);
-        assert_eq!(result.pred_ok, Some(true));
+        assert!(is_pred(&w, &result));
     }
 
     #[test]

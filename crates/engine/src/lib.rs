@@ -17,9 +17,10 @@
 //!   stepped by an event-driven worker pool (stress-tested for PRED),
 //! * [`engine`] — the same step on a virtual clock: a deterministic
 //!   discrete-event loop over one shard holding every process,
-//! * [`recovery`] — scheduler crash recovery (§3.3, Definition 8): the
-//!   engine restored from the durable state, every live process aborted,
-//!   and the step run until the completions are done.
+//! * [`recovery`] — scheduler crash recovery (§3.3, Definition 8): one
+//!   shard restored from the durable state, every live process aborted,
+//!   and the shard run as an event worker runs it until the completions
+//!   are done.
 //!
 //! [`RunBuilder`] is the one entry point for a run (either driver, with
 //! tracing / phase telemetry / WAL journaling composed) and

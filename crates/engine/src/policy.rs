@@ -402,7 +402,7 @@ impl Policy for UnsafeCcPolicy<'_> {
 }
 
 /// Selectable policy kind (run configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// The paper's PRED scheduler: protocol pre-filter (Lemmas 1–3) *plus*
     /// per-event certification of the completed prefix (§3.5: "the

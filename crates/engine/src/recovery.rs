@@ -8,15 +8,18 @@
 //! Recovery then
 //!
 //! 1. finishes in-doubt 2PC groups from the coordinator's decision log;
-//! 2. restores the scheduler from the image (`Shard::restore`) with
-//!    admissions closed, and re-emits what a cut log lost: a release the
-//!    decision log shows applied (`Shard::settle_prepared`);
+//! 2. restores the scheduler from the image (`Shard::restore`: the history
+//!    and the invocation log folded as one sequence, each invocation at the
+//!    position the log gave it) with admissions closed, and re-emits what a
+//!    cut log lost: a release the decision log shows applied
+//!    (`Shard::settle_prepared`);
 //! 3. checks that every completion step left names what the step will look
 //!    up, and aborts every live process for one reason (`External`), in the
 //!    order `complete` runs conflicting forward recovery in (Definition
 //!    8.3(d)) — an undecided prepared invocation is dropped on the way;
-//! 4. steps the processes until none is left: `Shard::step` executes each
-//!    completion, ordered by the Lemma 2/3 gates as online.
+//! 4. runs the shard as an event worker does (`Shard::run`) until no
+//!    process is left: `Shard::step` executes each completion, ordered by
+//!    the Lemma 2/3 gates as online.
 //!
 //! It fails closed: what the image lacks answers with a [`RecoveryError`]
 //! before the first step, and this file has no `expect`/`unwrap`/`panic!`
@@ -26,7 +29,6 @@
 
 use crate::concurrent::{RunCtx, Shard};
 use crate::durability::{rebuild_image, RebuildError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use txproc_core::completion::forward_ranks;
 use txproc_core::error::{ModelError, ScheduleError};
@@ -34,6 +36,7 @@ use txproc_core::ids::{GlobalActivityId, ProcessId, ServiceId};
 use txproc_core::schedule::Schedule;
 use txproc_core::trace::{NoopSink, TraceSink};
 use txproc_core::wal::{foreign_head, read_records};
+use txproc_sim::metrics::RuntimeMetrics;
 use txproc_sim::workload::Workload;
 use txproc_subsystem::agent::{Agent, InvocationId};
 use txproc_subsystem::error::SubsystemError;
@@ -42,7 +45,7 @@ use txproc_subsystem::tpc::Coordinator;
 
 /// One durable invocation-log entry: enough to find the subsystem
 /// transaction of an activity after a scheduler crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvocationLogEntry {
     /// The activity.
     pub gid: GlobalActivityId,
@@ -52,6 +55,10 @@ pub struct InvocationLogEntry {
     pub invocation: InvocationId,
     /// Whether the invocation was left prepared (commit deferred).
     pub prepared: bool,
+    /// How many history events were emitted before the invocation was
+    /// logged: an immediate one's own `Execute` is event `at`, a prepared
+    /// one's release comes later. Recovery restores it at this position.
+    pub at: u64,
 }
 
 /// The durable state surviving a scheduler crash.
@@ -59,7 +66,11 @@ pub struct InvocationLogEntry {
 pub struct CrashImage {
     /// The emitted history (the scheduler's durable log).
     pub history: Schedule,
-    /// The subsystems (independent systems; they did not crash).
+    /// The subsystems, under one of two crash models. The in-memory crash
+    /// path (`Engine::crash`, a recovery's report) hands them over as the
+    /// crash left them: they did not crash. `rebuild_image` rebuilds them
+    /// from the log prefix: they crashed with the log and lost the effects
+    /// of its lost tail. ROADMAP item 12 makes the first the only one.
     pub agents: BTreeMap<SubsystemId, Agent>,
     /// The 2PC coordinator's decision log.
     pub coordinator: Coordinator,
@@ -95,11 +106,10 @@ pub enum RecoverySource {
     /// A live crash image — the volatile-state path the tests and the
     /// `crash` CLI command use.
     Image(CrashImage),
-    /// A WAL file on disk: salvage the clean prefix (torn tails are
-    /// truncated), rebuild the crash image by replay, then recover.
-    Wal(std::path::PathBuf),
-    /// Raw WAL bytes (e.g. a [`txproc_core::wal::MemWal`] snapshot): the
-    /// same salvage and rebuild as [`RecoverySource::Wal`].
+    /// The bytes of a WAL (a file read back, a
+    /// [`txproc_core::wal::MemWal`] snapshot): salvage the clean prefix
+    /// (torn tails are truncated), rebuild the crash image by replay, then
+    /// recover.
     WalBytes(Vec<u8>),
 }
 
@@ -108,8 +118,6 @@ pub enum RecoverySource {
 /// nothing answers with one of these.
 #[derive(Debug)]
 pub enum RecoveryError {
-    /// The WAL file could not be read.
-    Io(std::io::Error),
     /// The salvaged log does not replay into a consistent crash image.
     Rebuild(RebuildError),
     /// A subsystem rejected a recovery action.
@@ -124,18 +132,21 @@ pub enum RecoveryError {
     NotLogged(GlobalActivityId),
     /// A forward-recovery activity's service is deployed nowhere.
     NotDeployed(ServiceId),
+    /// The invocation log places this invocation before the one logged
+    /// ahead of it, or past the end of the history.
+    Misplaced(GlobalActivityId),
 }
 
 impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecoveryError::Io(e) => write!(f, "reading WAL: {e}"),
             RecoveryError::Rebuild(e) => write!(f, "rebuilding crash image: {e}"),
             RecoveryError::Subsystem(e) => write!(f, "recovering: {e}"),
             RecoveryError::History(e) => write!(f, "durable history: {e}"),
             RecoveryError::UnknownSubsystem(s) => write!(f, "no agent for subsystem {}", s.0),
             RecoveryError::NotLogged(g) => write!(f, "no committed invocation logged for {g}"),
             RecoveryError::NotDeployed(s) => write!(f, "service {s} is not deployed"),
+            RecoveryError::Misplaced(g) => write!(f, "invocation of {g} logged out of order"),
         }
     }
 }
@@ -164,7 +175,7 @@ impl From<ModelError> for RecoveryError {
 /// share this one call site and one traced path.
 ///
 /// ```ignore
-/// let report = Recovery::from(RecoverySource::Wal(path)).run(&workload)?;
+/// let report = Recovery::from(RecoverySource::WalBytes(bytes)).run(&workload)?;
 /// let report = Recovery::from(RecoverySource::Image(image))
 ///     .sink(Box::new(journal.clone()))
 ///     .run(&workload)?;
@@ -199,9 +210,6 @@ impl<'s> Recovery<'s> {
     pub fn run(self, workload: &Workload) -> Result<RecoveryReport, RecoveryError> {
         let image = match self.source {
             RecoverySource::Image(image) => image,
-            RecoverySource::Wal(path) => {
-                image_of_log(workload, &std::fs::read(path).map_err(RecoveryError::Io)?)?
-            }
             RecoverySource::WalBytes(bytes) => image_of_log(workload, &bytes)?,
         };
         recover_impl(workload, image, self.sink)
@@ -237,13 +245,21 @@ pub(crate) fn recover_impl<'s>(
     if let Some(sid) = named.filter(|s| !image.agents.contains_key(s)).min() {
         return Err(RecoveryError::UnknownSubsystem(sid));
     }
+    let log = &image.invocation_log;
+    let backwards = log.windows(2).find(|w| w[1].at < w[0].at).map(|w| &w[1]);
+    let past = || log.iter().find(|e| e.at > image.history.len() as u64);
+    if let Some(e) = backwards.or_else(past) {
+        return Err(RecoveryError::Misplaced(e.gid));
+    }
     let resolved_groups = image.coordinator.resolve_in_doubt(&mut image.agents)?.len();
     let (ctx, mut shard) = Shard::restore(workload, image, sink)?;
     let aborted_prepared = shard.settle_prepared(&ctx)?;
     let surfaced = shard.metrics.activities;
     let ranks = completion_order(workload, &ctx, &shard)?;
     let aborted = shard.abort_live(&ctx, &ranks);
-    if !shard.run_to_end(&ctx) {
+    // A step budget only a livelock exhausts.
+    let budget = 10_000 * (shard.states.len() + 1);
+    if shard.run(&ctx, &mut RuntimeMetrics::default(), budget) > 0 {
         return Err(RecoveryError::History(ScheduleError::CyclicCompletionOrder));
     }
     let metrics = &shard.metrics;
@@ -545,6 +561,27 @@ mod tests {
             super::recover(&w, image),
             Err(RecoveryError::NotDeployed(_))
         ));
+    }
+
+    #[test]
+    fn an_invocation_logged_out_of_order_is_an_error() {
+        let w = workload(11);
+        let mut engine = Engine::new(&w, RunConfig::default());
+        engine.run_until_history(10);
+        let image = engine.crash();
+        let at: Vec<u64> = image.invocation_log.iter().map(|e| e.at).collect();
+        assert!(at.first() < at.last(), "two positions: {at:?}");
+        let mut backwards = image.clone();
+        backwards.invocation_log.reverse();
+        let mut past = image;
+        let len = past.history.len() as u64;
+        past.invocation_log.last_mut().expect("logged").at = len + 1;
+        for image in [backwards, past] {
+            assert!(matches!(
+                recover(&w, image),
+                Err(RecoveryError::Misplaced(_))
+            ));
+        }
     }
 
     #[test]

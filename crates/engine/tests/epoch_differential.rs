@@ -50,7 +50,6 @@ fn counts(m: &Metrics) -> String {
             m.retries,
             m.deferred_commits,
             m.cascaded,
-            m.violations,
             m.abort_reasons,
         ),
     );
@@ -117,7 +116,6 @@ fn engine_runs_are_independent_of_the_epoch() {
     assert_independent(|w, seed, epoch| {
         let cfg = RunConfig {
             seed,
-            check_pred: true,
             epoch,
             ..RunConfig::default()
         };
@@ -128,7 +126,8 @@ fn engine_runs_are_independent_of_the_epoch() {
             engine.stalled.is_empty(),
             "seed {seed} epoch {epoch}: stalled"
         );
-        assert_eq!(engine.pred_ok, Some(true), "seed {seed} epoch {epoch}");
+        let pred = is_pred(&w.spec, &engine.history).unwrap();
+        assert!(pred, "seed {seed} epoch {epoch}");
         (observation, (seals, engine.history.len()))
     });
 }

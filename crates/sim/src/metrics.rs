@@ -1,7 +1,6 @@
 //! Execution metrics collected by the engine and reported by the benchmark
 //! harness.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use txproc_core::telemetry::{bucket_edge, bucket_of, hist_percentile};
 use txproc_core::trace::{AbortReason, TraceEvent};
@@ -12,7 +11,7 @@ pub use txproc_core::telemetry::HIST_BUCKETS;
 /// `txproc_core::trace::AbortReason`). A trace-derived aggregate: the sum of
 /// the fields equals the number of `AbortStarted` decisions, which can exceed
 /// [`Metrics::aborted`] when an abort is initiated but the run ends first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AbortReasons {
     /// Admission rejected: execution would close a serialization cycle.
     pub rejected: u64,
@@ -56,7 +55,7 @@ impl AbortReasons {
 /// Per-shard sizes collected by the sharded concurrent driver (one entry per
 /// conflict-domain shard; the single-shard configuration reports exactly
 /// one).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Shard id (dense, ordered by smallest member process id).
     pub shard: u32,
@@ -69,11 +68,8 @@ pub struct ShardMetrics {
 /// Runtime-level observability collected by the concurrent driver: worker
 /// utilization, run-queue depth and scheduling delay (time a runnable
 /// process sat in a run queue before its next step).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeMetrics {
-    /// Runtime label (`"events"`, the worker pool; kept so reports stay
-    /// self-describing).
-    pub runtime: String,
     /// Worker threads used.
     pub workers: u64,
     /// State-machine steps executed (one `advance` call each).
@@ -94,24 +90,16 @@ pub struct RuntimeMetrics {
     /// telemetry phase histograms are (`txproc_core::telemetry::bucket_of`):
     /// bucket `i` counts delays in `[2^i, 2^(i+1))`, bucket 0 also 0.
     pub sched_delay_ns: Vec<u64>,
-    /// Number of scheduling-delay samples recorded. Kept explicitly so the
-    /// invariant *histogram mass = sample count* is checkable after merges
-    /// (absent in pre-v6 reports and defaulted on read).
-    #[serde(default)]
-    pub sched_delay_samples: u64,
     /// Peak number of shards built and not yet finished across the whole
     /// run: a shard's scheduler state lives from its domain's first
-    /// admission to its last termination (absent in earlier reports and
-    /// defaulted on read).
-    #[serde(default)]
+    /// admission to its last termination.
     pub shards_live_peak: u64,
 }
 
 impl RuntimeMetrics {
-    /// Creates zeroed metrics for a runtime label.
-    pub fn new(runtime: &str, workers: u64) -> Self {
+    /// Creates zeroed metrics for a pool of `workers`.
+    pub fn new(workers: u64) -> Self {
         Self {
-            runtime: runtime.to_string(),
             workers,
             sched_delay_ns: vec![0; HIST_BUCKETS],
             ..Self::default()
@@ -124,7 +112,6 @@ impl RuntimeMetrics {
             self.sched_delay_ns = vec![0; HIST_BUCKETS];
         }
         self.sched_delay_ns[bucket_of(ns)] += 1;
-        self.sched_delay_samples += 1;
     }
 
     /// Scheduling-delay percentile (0.0..=1.0) in nanoseconds, resolved to
@@ -145,22 +132,14 @@ impl RuntimeMetrics {
     /// Checks the aggregation invariants this structure promises and returns
     /// a human-readable description of each violation (empty = all hold):
     ///
-    /// 1. histogram mass = sample count (`sched_delay_samples`);
-    /// 2. quantile monotonicity: p50 ≤ p95 ≤ max;
-    /// 3. when the run's wall-clock duration is known: busy + idle time does
+    /// 1. quantile monotonicity: p50 ≤ p95 ≤ max;
+    /// 2. when the run's wall-clock duration is known: busy + idle time does
     ///    not exceed `workers × wall` (5% slack for timer skew — idle only
     ///    counts intentional naps, so the sum is one-sided).
     ///
     /// Drivers `debug_assert!` on this after merging per-worker metrics.
     pub fn invariant_violations(&self, wall_ns: Option<u64>) -> Vec<String> {
         let mut bad = Vec::new();
-        let mass: u64 = self.sched_delay_ns.iter().sum();
-        if mass != self.sched_delay_samples {
-            bad.push(format!(
-                "histogram mass {mass} != sample count {}",
-                self.sched_delay_samples
-            ));
-        }
         if let (Some(p50), Some(p95), Some(max)) = (
             self.delay_percentile_ns(0.50),
             self.delay_percentile_ns(0.95),
@@ -198,9 +177,6 @@ impl RuntimeMetrics {
 
     /// Accumulates another run's (or worker's) counters.
     pub fn merge(&mut self, other: &RuntimeMetrics) {
-        if self.runtime.is_empty() {
-            self.runtime = other.runtime.clone();
-        }
         self.workers = self.workers.max(other.workers);
         self.steps += other.steps;
         self.repolls += other.repolls;
@@ -215,18 +191,12 @@ impl RuntimeMetrics {
         for (i, &n) in other.sched_delay_ns.iter().enumerate() {
             self.sched_delay_ns[i] += n;
         }
-        self.sched_delay_samples += other.sched_delay_samples;
-        debug_assert_eq!(
-            self.sched_delay_ns.iter().sum::<u64>(),
-            self.sched_delay_samples,
-            "merge broke histogram mass = sample count"
-        );
     }
 }
 
 /// Counters and latency samples of one scheduler run. Each decision counter
 /// but `retries` is [`Metrics::observe`]'s fold of the records it names.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Processes that committed: `ProcessCommitted`.
     pub committed: u64,
@@ -249,13 +219,10 @@ pub struct Metrics {
     /// Cycle-closing requests and deadlock escalations: `RequestRejected`
     /// and `AbortStarted{Deadlock}`.
     pub rejections: u64,
-    /// Correctness violations observed (non-PRED histories emitted).
-    pub violations: u64,
     /// Virtual end-to-end latency samples, one per terminated process.
     pub latencies: Vec<u64>,
     /// End-to-end latency keyed by process id (same samples as
     /// [`Metrics::latencies`]; lets reports segment latency by tenant).
-    #[serde(default)]
     pub latency_by_pid: BTreeMap<u32, u64>,
     /// Virtual makespan of the whole run.
     pub makespan: u64,
@@ -273,7 +240,6 @@ pub struct Metrics {
     pub shards: Vec<ShardMetrics>,
     /// Runtime-level observability (concurrent driver only; `None` for the
     /// virtual-time engine).
-    #[serde(default)]
     pub runtime: Option<RuntimeMetrics>,
 }
 
@@ -352,7 +318,6 @@ impl Metrics {
         self.deferred_commits += other.deferred_commits;
         self.waits += other.waits;
         self.rejections += other.rejections;
-        self.violations += other.violations;
         self.latencies.extend_from_slice(&other.latencies);
         for (&pid, &lat) in &other.latency_by_pid {
             self.latency_by_pid.entry(pid).or_insert(lat);
@@ -442,7 +407,7 @@ mod tests {
 
     #[test]
     fn runtime_metrics_delay_histogram_and_merge() {
-        let mut a = RuntimeMetrics::new("events", 4);
+        let mut a = RuntimeMetrics::new(4);
         for ns in [0, 1, 3, 1000, 1_000_000] {
             a.record_delay_ns(ns);
         }
@@ -450,12 +415,9 @@ mod tests {
         // p0 resolves to the smallest non-empty bucket's upper edge.
         assert_eq!(a.delay_percentile_ns(0.0), Some(2));
         assert!(a.delay_percentile_ns(1.0).unwrap() >= 1_000_000);
-        assert_eq!(
-            RuntimeMetrics::new("events", 1).delay_percentile_ns(0.5),
-            None
-        );
+        assert_eq!(RuntimeMetrics::new(1).delay_percentile_ns(0.5), None);
 
-        let mut b = RuntimeMetrics::new("events", 2);
+        let mut b = RuntimeMetrics::new(2);
         b.steps = 10;
         b.run_queue_peak = 7;
         b.in_flight_peak = 3;

@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 
 /// Acceptance envelope of a scenario: the floor/ceiling bounds a run's
 /// [`Metrics`] must satisfy. PRED / Proc-REC violations are always
-/// unacceptable; the remaining knobs are scenario-specific.
+/// unacceptable, and the gauntlet checks the histories for them; the knobs
+/// here are scenario-specific.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Envelope {
     /// Commit-rate floor: `committed / processes` must be at least this.
@@ -33,9 +34,6 @@ impl Envelope {
     /// concurrent runs). Returns every breach, empty when the run passes.
     pub fn check(&self, m: &Metrics, processes: usize, virtual_time: bool) -> Vec<String> {
         let mut breaches = Vec::new();
-        if m.violations > 0 {
-            breaches.push(format!("{} correctness violations", m.violations));
-        }
         let rate = m.committed as f64 / processes.max(1) as f64;
         if rate < self.min_commit_rate {
             breaches.push(format!(
@@ -87,7 +85,7 @@ impl Scenario {
     }
 
     /// The scenario's shape with one cluster per process: processes become
-    /// pairwise non-conflicting, so sharded and single-lock concurrent
+    /// pairwise non-conflicting, so sharded and one-shard concurrent
     /// drivers must produce bit-equal commit/abort sets (the shard-mode
     /// determinism oracle). Structure knobs are preserved.
     pub fn disjoint_variant(&self, seed: u64) -> WorkloadConfig {
@@ -302,12 +300,11 @@ mod tests {
         };
         let mut m = Metrics::new();
         m.committed = 2;
-        m.violations = 1;
         m.latencies = vec![50, 500];
         let breaches = env.check(&m, 10, true);
-        assert_eq!(breaches.len(), 4, "{breaches:?}");
+        assert_eq!(breaches.len(), 3, "{breaches:?}");
         // Wall-clock mode skips the latency ceiling.
-        assert_eq!(env.check(&m, 10, false).len(), 3);
+        assert_eq!(env.check(&m, 10, false).len(), 2);
         // A passing run reports nothing.
         let mut ok = Metrics::new();
         ok.committed = 8;

@@ -1,5 +1,5 @@
 //! Property tests for the metrics aggregation invariants: histogram mass =
-//! sample count, quantile monotonicity (p50 ≤ p95 ≤ max), worker time
+//! samples recorded, quantile monotonicity (p50 ≤ p95 ≤ max), worker time
 //! accounting (busy + idle ≤ workers × wall), and merge additivity across
 //! per-worker and per-shard partitions.
 
@@ -9,19 +9,18 @@ use txproc_sim::metrics::{Metrics, RuntimeMetrics, ShardMetrics, HIST_BUCKETS};
 proptest! {
     #[test]
     fn histogram_mass_equals_sample_count(samples in proptest::collection::vec(0u64..=u64::MAX, 0..200)) {
-        let mut rt = RuntimeMetrics::new("events", 4);
+        let mut rt = RuntimeMetrics::new(4);
         for ns in &samples {
             rt.record_delay_ns(*ns);
         }
         prop_assert_eq!(rt.sched_delay_ns.iter().sum::<u64>(), samples.len() as u64);
-        prop_assert_eq!(rt.sched_delay_samples, samples.len() as u64);
         prop_assert!(rt.invariant_violations(None).is_empty(),
             "violations: {:?}", rt.invariant_violations(None));
     }
 
     #[test]
     fn delay_quantiles_are_monotone(samples in proptest::collection::vec(0u64..1u64 << 40, 1..200)) {
-        let mut rt = RuntimeMetrics::new("events", 1);
+        let mut rt = RuntimeMetrics::new(1);
         for ns in &samples {
             rt.record_delay_ns(*ns);
         }
@@ -47,13 +46,12 @@ proptest! {
         a in proptest::collection::vec(0u64..1u64 << 30, 0..100),
         b in proptest::collection::vec(0u64..1u64 << 30, 0..100),
     ) {
-        let mut ra = RuntimeMetrics::new("events", 2);
-        let mut rb = RuntimeMetrics::new("events", 3);
+        let mut ra = RuntimeMetrics::new(2);
+        let mut rb = RuntimeMetrics::new(3);
         for ns in &a { ra.record_delay_ns(*ns); }
         for ns in &b { rb.record_delay_ns(*ns); }
         ra.merge(&rb);
-        prop_assert_eq!(ra.sched_delay_samples, (a.len() + b.len()) as u64);
-        prop_assert_eq!(ra.sched_delay_ns.iter().sum::<u64>(), ra.sched_delay_samples);
+        prop_assert_eq!(ra.sched_delay_ns.iter().sum::<u64>(), (a.len() + b.len()) as u64);
         prop_assert!(ra.invariant_violations(None).is_empty());
     }
 
@@ -69,7 +67,7 @@ proptest! {
         let split = busy_frac.min(idle_frac);
         let busy = (wall_ns as f64 * split) as u64;
         let idle = (wall_ns as f64 * (busy_frac.max(idle_frac) - split)) as u64;
-        let mut rt = RuntimeMetrics::new("events", workers);
+        let mut rt = RuntimeMetrics::new(workers);
         rt.worker_busy_ns = busy * workers;
         rt.worker_idle_ns = idle * workers;
         prop_assert!(rt.invariant_violations(Some(wall_ns)).is_empty(),

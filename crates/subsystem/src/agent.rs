@@ -17,15 +17,14 @@
 use crate::error::SubsystemError;
 use crate::kv::{Key, KvOp, Program};
 use crate::subsystem::{ReturnValues, Subsystem, SubsystemId, TxId, TxStatus};
-use serde::{Deserialize, Serialize};
 use txproc_core::ids::ServiceId;
 
 /// Identifier of one service invocation at an agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InvocationId(pub u64);
 
 /// How the invocation's local transaction terminates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitMode {
     /// Commit at the subsystem immediately.
     Immediate,
@@ -59,7 +58,7 @@ pub enum InvokeOutcome {
     },
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct InvocationRecord {
     service: ServiceId,
     tx: TxId,
@@ -69,7 +68,7 @@ struct InvocationRecord {
 }
 
 /// A transactional coordination agent wrapping one subsystem.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Agent {
     /// The wrapped subsystem.
     pub subsystem: Subsystem,

@@ -9,14 +9,13 @@
 
 use crate::kv::Program;
 use crate::subsystem::SubsystemId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use txproc_core::activity::Catalog;
 use txproc_core::conflict::ConflictMatrix;
 use txproc_core::ids::ServiceId;
 
 /// Physical placement and behaviour of one service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSite {
     /// The subsystem executing the service.
     pub subsystem: SubsystemId,
@@ -27,7 +26,7 @@ pub struct ServiceSite {
 }
 
 /// Maps services to their physical sites.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Deployment {
     sites: BTreeMap<ServiceId, ServiceSite>,
 }

@@ -7,11 +7,10 @@
 //! conflict physically when one writes a key the other reads or writes
 //! non-commutatively.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A storage key within one subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key(pub u64);
 
 impl fmt::Display for Key {
@@ -24,7 +23,7 @@ impl fmt::Display for Key {
 pub type Value = i64;
 
 /// One primitive operation of a service program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvOp {
     /// Read a key; the value becomes part of the service's return value.
     Read(Key),
@@ -49,7 +48,7 @@ impl KvOp {
 }
 
 /// The physical program run by one service invocation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     /// Operations in order.
     pub ops: Vec<KvOp>,

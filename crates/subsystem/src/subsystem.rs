@@ -5,19 +5,18 @@
 
 use crate::error::SubsystemError;
 use crate::kv::{Key, KvOp, Program, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubsystemId(pub u32);
 
 /// Identifier of a local transaction within one subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
 
 /// Lifecycle of a local transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TxStatus {
     /// Running.
     #[default]
@@ -31,7 +30,7 @@ pub enum TxStatus {
 }
 
 /// Durable log records (used by the crash-recovery simulation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// Transaction began.
     Begin(TxId),
@@ -56,7 +55,7 @@ pub enum LogRecord {
 
 /// One undo-log entry. `Add` operations use operation-based undo so that
 /// concurrent additive transactions (which commute) roll back correctly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UndoOp {
     /// Restore a before-image (undo of `Set`).
     Restore(Key, Option<Value>),
@@ -65,7 +64,7 @@ pub enum UndoOp {
 }
 
 /// Lock state of one key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum LockState {
     /// Held exclusively (a `Set` writer).
     Exclusive(TxId),
@@ -73,7 +72,7 @@ enum LockState {
     Additive(Vec<TxId>),
 }
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct TxState {
     /// Undo log in write order.
     undo: Vec<UndoOp>,
@@ -96,11 +95,11 @@ impl TxState {
 }
 
 /// Return value of a service invocation: the values read, in program order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReturnValues(pub Vec<(Key, Value)>);
 
 /// A simulated transactional subsystem.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Subsystem {
     /// Subsystem identifier.
     pub id: SubsystemId,

@@ -14,11 +14,10 @@
 use crate::agent::{Agent, InvocationId};
 use crate::error::SubsystemError;
 use crate::subsystem::SubsystemId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A participant: one prepared invocation at one agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Participant {
     /// The agent/subsystem holding the prepared transaction.
     pub subsystem: SubsystemId,
@@ -27,7 +26,7 @@ pub struct Participant {
 }
 
 /// Coordinator decision for one atomic commit group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Commit all participants.
     Commit,
@@ -36,7 +35,7 @@ pub enum Decision {
 }
 
 /// One durable decision-log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionRecord {
     /// Group id.
     pub group: u64,
@@ -49,7 +48,7 @@ pub struct DecisionRecord {
 }
 
 /// The 2PC coordinator with a durable decision log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Coordinator {
     log: Vec<DecisionRecord>,
     next_group: u64,

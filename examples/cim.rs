@@ -29,7 +29,6 @@ fn main() {
                 RunConfig {
                     policy: kind,
                     seed,
-                    check_pred: true,
                     // Stagger arrivals so production reads the BOM the
                     // construction process wrote (Figure 1's timeline).
                     arrival_gap: 70,

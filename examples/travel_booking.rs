@@ -12,6 +12,7 @@
 use txproc_core::activity::Catalog;
 use txproc_core::conflict::ConflictMatrix;
 use txproc_core::ids::ProcessId;
+use txproc_core::pred::is_pred;
 use txproc_core::process::ProcessBuilder;
 use txproc_core::spec::Spec;
 use txproc_engine::engine::{run, RunConfig};
@@ -91,7 +92,6 @@ fn main() {
             RunConfig {
                 policy: kind,
                 seed: 2026,
-                check_pred: true,
                 ..RunConfig::default()
             },
         );
@@ -111,6 +111,7 @@ fn main() {
             result.metrics.waits,
             result.metrics.deferred_commits,
         );
-        println!("history PRED: {:?}\n", result.pred_ok);
+        let pred = is_pred(&workload.spec, &result.history).unwrap_or(false);
+        println!("history PRED: {pred}\n");
     }
 }

@@ -34,12 +34,14 @@ fn certified_scheduler_is_pred_across_seeds() {
             &w,
             RunConfig {
                 seed,
-                check_pred: true,
                 ..RunConfig::default()
             },
         );
         assert!(r.stalled.is_empty(), "seed {seed} stalled");
-        assert_eq!(r.pred_ok, Some(true), "seed {seed} violated PRED");
+        assert!(
+            is_pred(&w.spec, &r.history).unwrap(),
+            "seed {seed} violated PRED"
+        );
         assert_eq!(r.metrics.terminated(), 6, "seed {seed} lost processes");
     }
 }
@@ -92,11 +94,10 @@ fn unsafe_scheduler_violates_but_serial_never_does() {
             RunConfig {
                 policy: PolicyKind::UnsafeCc,
                 seed,
-                check_pred: true,
                 ..RunConfig::default()
             },
         );
-        if unsafe_run.pred_ok == Some(false) {
+        if !is_pred(&w.spec, &unsafe_run.history).unwrap_or(false) {
             unsafe_violations += 1;
         }
         let serial_run = run(
@@ -104,13 +105,11 @@ fn unsafe_scheduler_violates_but_serial_never_does() {
             RunConfig {
                 policy: PolicyKind::Serial,
                 seed,
-                check_pred: true,
                 ..RunConfig::default()
             },
         );
-        assert_eq!(
-            serial_run.pred_ok,
-            Some(true),
+        assert!(
+            is_pred(&w.spec, &serial_run.history).unwrap(),
             "seed {seed}: serial violated PRED"
         );
     }
@@ -135,12 +134,11 @@ fn cim_production_never_starts_before_construction_outcome() {
             &w,
             RunConfig {
                 seed,
-                check_pred: true,
                 arrival_gap: 70,
                 ..RunConfig::default()
             },
         );
-        assert_eq!(r.pred_ok, Some(true), "seed {seed}");
+        assert!(is_pred(&w.spec, &r.history).unwrap(), "seed {seed}");
         let events = r.history.events();
         // The outcome of the construction's test activity: success or
         // definitive failure.
