@@ -116,11 +116,6 @@ impl Process {
         &self.edges
     }
 
-    /// Declared preference pairs as `(edge index, edge index)`.
-    pub fn preference_pairs(&self) -> &[(usize, usize)] {
-        &self.preference
-    }
-
     /// The successor structure of an activity.
     pub fn successors(&self, id: ActivityId) -> &Successors {
         &self.successors[id.index()]

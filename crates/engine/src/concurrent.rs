@@ -485,19 +485,9 @@ impl Level {
     }
 }
 
-/// Per-process state-machine bookkeeping between [`Shard::step`] calls:
-/// admission attempt counters and the no-progress escalation state. Created
-/// at the process's admission, dropped at its termination.
-#[derive(Default)]
-struct ProcSM {
-    attempts: BTreeMap<ActivityId, u64>,
-    no_progress: u32,
-    last_fingerprint: Option<(usize, usize)>,
-}
-
 /// One conflict domain's scheduler, complete: protocol state (policy, gate,
 /// process states, history segment) and scheduling state (run queue, waiting
-/// set, per-process state machines). A plain value its worker holds in
+/// set, per-process attempt counters). A plain value its worker holds in
 /// [`Domain::built`]; exclusive access is that ownership, so nothing here is
 /// locked or atomic.
 pub(crate) struct Shard<'a> {
@@ -556,7 +546,10 @@ pub(crate) struct Shard<'a> {
     /// When each currently blocked process entered its wait, on the run's
     /// clock, for the per-process blocked-time metric.
     blocked_since: BTreeMap<ProcessId, u64>,
-    sm: BTreeMap<ProcessId, ProcSM>,
+    /// Admission attempts per activity (the failure coin's `attempt`) of
+    /// each admitted process, from its admission to its termination: the
+    /// keys are the admitted, live processes.
+    attempts: BTreeMap<ProcessId, BTreeMap<ActivityId, u64>>,
     /// Arrived and not yet terminated.
     live: usize,
     /// A scheduler-visible mutation (a history event, the policy live-op
@@ -628,7 +621,7 @@ impl<'a> Shard<'a> {
             run_queue: VecDeque::new(),
             waiting: BTreeSet::new(),
             blocked_since: BTreeMap::new(),
-            sm: BTreeMap::new(),
+            attempts: BTreeMap::new(),
             live: 0,
             dirty: false,
         }
@@ -879,9 +872,9 @@ impl<'a> Shard<'a> {
         ctx: &RunCtx<'a>,
         ranks: &BTreeMap<ProcessId, usize>,
     ) -> Vec<ProcessId> {
-        let mut live: Vec<ProcessId> = self.sm.keys().copied().collect();
+        let mut live: Vec<ProcessId> = self.attempts.keys().copied().collect();
         live.sort_by_key(|p| ranks.get(p).copied().unwrap_or(usize::MAX));
-        self.abort_order.retain(|p| !self.sm.contains_key(p));
+        self.abort_order.retain(|p| !self.attempts.contains_key(p));
         if !live.is_empty() {
             let group = TraceEvent::GroupAbort {
                 initiator: None,
@@ -912,11 +905,11 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Admits an arrived process: live, with a fresh state machine, at the
+    /// Admits an arrived process: live, with no attempt counted yet, at the
     /// back of the run queue.
     pub(crate) fn admit(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
         self.live += 1;
-        self.sm.insert(pid, ProcSM::default());
+        self.attempts.insert(pid, BTreeMap::new());
         ctx.live.enter();
         self.run_queue.push_back((pid, Instant::now()));
     }
@@ -937,12 +930,11 @@ impl<'a> Shard<'a> {
     /// budget is spent goes back to the front, so the next call resumes it.
     /// When the run queue has drained with waiters left, a dirty shard
     /// re-queues them all ([`pop_runnable`](Self::pop_runnable)). A clean
-    /// one is a genuine deadlock among the arrived: stepping all of them is
-    /// pure futile work under a certified policy, so a single probe (a
-    /// counted re-poll) accumulates no-progress toward the escalation in
-    /// [`Shard::step`], and the moment its abort marks the shard dirty the
-    /// full re-queue wakes the rest. Each dequeue samples the process's
-    /// scheduling delay, and each process's run the queue depth.
+    /// one is a genuine deadlock among the arrived, broken at once by a
+    /// counted re-poll ([`break_deadlock`](Self::break_deadlock)); its abort
+    /// marks the shard dirty, so the next drain wakes the rest. Each dequeue
+    /// samples the process's scheduling delay, and each process's run the
+    /// queue depth.
     pub(crate) fn run(
         &mut self,
         ctx: &RunCtx<'a>,
@@ -951,7 +943,7 @@ impl<'a> Shard<'a> {
     ) -> usize {
         while budget > 0 {
             let Some((pid, enqueued)) = self.pop_runnable() else {
-                if !self.probe() {
+                if !self.break_deadlock(ctx) {
                     break;
                 }
                 rt.repolls += 1;
@@ -995,13 +987,54 @@ impl<'a> Shard<'a> {
         self.run_queue.pop_front()
     }
 
-    /// Re-queues one waiter of a clean, drained shard (smallest pid, for
-    /// determinism); `false` when nobody waits.
-    pub(crate) fn probe(&mut self) -> bool {
-        let probe = self.waiting.pop_first();
-        self.run_queue
-            .extend(probe.map(|pid| (pid, Instant::now())));
-        probe.is_some()
+    /// Breaks the deadlock of a clean shard whose run queue has drained;
+    /// `false` when nobody waits. Every waiter was stepped after the last
+    /// mutation and blocks on a shard-mate, so stepping one again changes
+    /// nothing: only an abort resolves it (DESIGN.md decision 1). The victim
+    /// is the smallest waiter, for determinism. Ready releases are drained
+    /// first; then the victim is aborted for [`AbortReason::Deadlock`] — or,
+    /// if it is aborting already, its completion waits on the hypothetical
+    /// completions of the others (§3.5), and the admitted processes that are
+    /// active and not aborting are group-aborted under it. The victim goes
+    /// to the back of the run queue. A break that emits nothing is a stall,
+    /// and panics with every process's state.
+    pub(crate) fn break_deadlock(&mut self, ctx: &RunCtx<'a>) -> bool {
+        let Some(pid) = self.waiting.pop_first() else {
+            return false;
+        };
+        let events = self.history.len();
+        self.drain_ready_releases(ctx);
+        if self.states[&pid].abort_in_progress() {
+            let blocking = |q: &ProcessId| {
+                let st = &self.states[q];
+                *q != pid && st.is_active() && !st.abort_in_progress()
+            };
+            let admitted = self.attempts.keys().rev().copied();
+            let others: Vec<ProcessId> = admitted.filter(blocking).collect();
+            self.group_abort(ctx, pid, &others, None);
+        } else {
+            self.initiate_abort(ctx, pid, AbortReason::Deadlock, None);
+        }
+        if self.history.len() == events {
+            let mut diag = String::new();
+            for (p, st) in &self.states {
+                diag.push_str(&format!(
+                    "\n  {p}: status={:?} aborting={} next_comp={:?} next_act={:?} can_commit={}",
+                    st.status(),
+                    st.abort_in_progress(),
+                    st.next_compensation(),
+                    st.next_activity(),
+                    st.can_commit()
+                ));
+            }
+            panic!(
+                "{pid}: deadlock break emitted nothing (shard {})\nshard history: {}{diag}",
+                self.id,
+                txproc_core::schedule::render(&self.history)
+            );
+        }
+        self.run_queue.push_back((pid, Instant::now()));
+        true
     }
 
     /// Moves `pid` one transition forward — the single entry point of the
@@ -1013,7 +1046,7 @@ impl<'a> Shard<'a> {
         match step {
             Step::Done => {
                 self.live -= 1;
-                self.sm.remove(&pid);
+                self.attempts.remove(&pid);
                 ctx.live.leave();
             }
             Step::Wait => {
@@ -1128,9 +1161,9 @@ impl<'a> Shard<'a> {
             .any(|(e, stamp)| *stamp == len && *e == event)
         {
             // The verdict is a pure function of the history: a re-poll at
-            // the same length is the same failed decision, so skip the
-            // O(closure) certify preview entirely — deadlock-escalation
-            // spins repeat this call hundreds of times per abort.
+            // the same length is the same failed decision — not a new one
+            // for the journal or `cert_failures` — so the certify preview
+            // is skipped too.
             return false;
         }
         let ok = gate.admits(&self.history, &event, &ctx.tele);
@@ -1207,56 +1240,6 @@ impl<'a> Shard<'a> {
     /// One scheduling iteration for `pid`.
     fn advance(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
         self.drain_ready_releases(ctx);
-        let fingerprint = (self.history.len(), self.states[&pid].steps().len());
-        let sm = self
-            .sm
-            .get_mut(&pid)
-            .expect("live process has a state machine");
-        if sm.last_fingerprint == Some(fingerprint) {
-            sm.no_progress += 1;
-        } else {
-            sm.no_progress = 0;
-        }
-        sm.last_fingerprint = Some(fingerprint);
-        let no_progress = sm.no_progress;
-        if no_progress > 0 && no_progress.is_multiple_of(200) && self.states[&pid].is_active() {
-            if self.states[&pid].abort_in_progress() {
-                // Our completion is blocked by other processes' hypothetical
-                // completions (§3.5): group-abort them so their real
-                // completions unblock ours. Only shard-mates can block us —
-                // cross-shard operations commute.
-                let others: Vec<ProcessId> = self
-                    .states
-                    .iter()
-                    .rev()
-                    .filter(|(&q, st)| q != pid && st.is_active() && !st.abort_in_progress())
-                    .map(|(&q, _)| q)
-                    .collect();
-                self.group_abort(ctx, pid, &others, None);
-            } else {
-                // Nothing moved for a while: only an abort can resolve this.
-                self.initiate_abort(ctx, pid, AbortReason::Deadlock, None);
-            }
-            return Step::Yield;
-        }
-        if no_progress >= 20_000 {
-            let mut diag = String::new();
-            for (p, st) in &self.states {
-                diag.push_str(&format!(
-                    "\n  {p}: status={:?} aborting={} next_comp={:?} next_act={:?} can_commit={}",
-                    st.status(),
-                    st.abort_in_progress(),
-                    st.next_compensation(),
-                    st.next_activity(),
-                    st.can_commit()
-                ));
-            }
-            panic!(
-                "{pid}: concurrent run livelocked (shard {})\nshard history: {}{diag}",
-                self.id,
-                txproc_core::schedule::render(&self.history)
-            );
-        }
         let status = self.states[&pid].status();
         if status != ProcessStatus::Active {
             self.finalize(ctx, pid);
@@ -1290,7 +1273,7 @@ impl<'a> Shard<'a> {
             let outcome = ctx.agents[&sid]
                 .lock()
                 .compensate(inv)
-                .expect("subsystem up");
+                .expect("the subsystem holds the invocation");
             ctx.tele.phase_end(Phase::Compensation, t0);
             return match outcome {
                 InvokeOutcome::Committed { .. } => {
@@ -1433,11 +1416,8 @@ impl<'a> Shard<'a> {
             }
         };
         // Failure injection: one deterministic draw per admission attempt.
-        let sm = self
-            .sm
-            .get_mut(&pid)
-            .expect("live process has a state machine");
-        let attempt = sm.attempts.entry(a).and_modify(|n| *n += 1).or_insert(1);
+        let attempts = self.attempts.get_mut(&pid).expect("live process");
+        let attempt = attempts.entry(a).and_modify(|n| *n += 1).or_insert(1);
         let coin = fail_coin(ctx.cfg.seed, gid, *attempt);
         let inject = ctx.cfg.inject_failures && coin < p_fail(ctx, site.subsystem);
         if inject && termination.can_fail() {
@@ -1471,7 +1451,7 @@ impl<'a> Shard<'a> {
         let mut agent = ctx.agents[&site.subsystem].lock();
         let outcome = agent
             .invoke(svc, &site.program, mode, false)
-            .expect("subsystem up");
+            .expect("a lock conflict is the one refusal");
         let invocation = match outcome {
             InvokeOutcome::Committed { invocation, .. }
             | InvokeOutcome::Prepared { invocation, .. } => invocation,
@@ -1834,8 +1814,8 @@ impl<'g> Domain<'_, 'g> {
 /// * when a clean shard's run queue drains with waiters left, every live
 ///   process of the shard is blocked. A future arrival only *adds* conflicts
 ///   and can never unblock an existing waiter, so this is a genuine deadlock
-///   among the arrived, resolved by probing (see [`Shard::run`]) instead of
-///   sleeping on a timeout.
+///   among the arrived, broken at once by aborting a victim
+///   ([`Shard::break_deadlock`]) instead of sleeping on a timeout.
 fn event_worker<'a>(
     ctx: &RunCtx<'a>,
     owned: Vec<(u32, &[ProcessId])>,
@@ -1909,6 +1889,7 @@ fn event_worker<'a>(
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use txproc_core::activity::Catalog;
     use txproc_sim::workload::{generate, ArrivalModel, WorkloadConfig};
     use txproc_subsystem::kv::{Key, Program};
     use txproc_subsystem::subsystem::LogRecord;
@@ -2359,7 +2340,7 @@ mod tests {
     }
 
     /// The next process of the run queue, a dirty shard's waiters re-queued
-    /// first — never a deadlock probe.
+    /// first — never a deadlock break.
     fn next(shard: &mut Shard<'_>) -> Option<ProcessId> {
         shard.pop_runnable().map(|(pid, _)| pid)
     }
@@ -2413,13 +2394,13 @@ mod tests {
         assert_eq!(shard.step(&ctx, p1), Step::Done);
         assert_eq!(shard.history.len(), events);
         assert!(shard.dirty, "finalize marks the shard dirty");
-        assert_eq!(next(&mut shard), Some(p2), "woken by the mark, not a probe");
+        assert_eq!(next(&mut shard), Some(p2), "woken by the mark, not a break");
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Done, 3));
 
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
         assert_eq!(shard.metrics.abort_reasons.external, 1);
         assert_eq!(
-            (shard.live, next(&mut shard), shard.probe()),
+            (shard.live, next(&mut shard), shard.break_deadlock(&ctx)),
             (0, None, false)
         );
         let done = shard.finish(&ctx);
@@ -2457,12 +2438,7 @@ mod tests {
             TraceEvent::ProcessAborted { pid: p1 },
         ];
         for between in clearing.into_iter().map(Some).chain([None]) {
-            let journal = txproc_core::trace::Journal::new();
-            let sink = Box::new(journal.clone());
-            let clock = Clock::Wall(Instant::now());
-            let durable = (fresh_agents(&w), Coordinator::new());
-            let cfg = ConcurrentConfig::default();
-            let ctx = RunCtx::new(&w, cfg, sink, vec![0], clock, 0, durable);
+            let (ctx, journal) = journalled_ctx(&w, ConcurrentConfig::default());
             let mut shard = Shard::build(0, &[p1, p2], &ctx);
             shard.note(&ctx, blocked());
             let expected = if between.is_some() { 2 } else { 1 };
@@ -2476,24 +2452,201 @@ mod tests {
         }
     }
 
-    /// An Example-8-shaped pair: P₁ = aᶜ ≪ pᵖ ≪ rʳ and P₂ = bᶜ ≪ qᵖ ≪ tʳ,
-    /// where b conflicts with a and with r.
-    fn example8_workload(failure_probability: f64) -> Workload {
+    /// P₁, P₂, … as chains of `processes` over `cat`, with `conflicts`
+    /// declared, deployed.
+    fn chains(
+        cat: Catalog,
+        conflicts: &[(ServiceId, ServiceId)],
+        processes: &[&[ServiceId]],
+        failure_probability: f64,
+    ) -> Workload {
         use txproc_core::process::ProcessBuilder;
-        let mut cat = txproc_core::activity::Catalog::new();
-        let (a, p, r) = (cat.compensatable("a").0, cat.pivot("p"), cat.retriable("r"));
-        let (b, q, t) = (cat.compensatable("b").0, cat.pivot("q"), cat.retriable("t"));
-        let mut conflicts = txproc_core::conflict::ConflictMatrix::new(&cat);
-        conflicts.declare_conflict(&cat, a, b).unwrap();
-        conflicts.declare_conflict(&cat, r, b).unwrap();
-        let mut spec = txproc_core::spec::Spec::new(cat, conflicts);
-        for (id, services) in [(1, [a, p, r]), (2, [b, q, t])] {
+        let mut matrix = txproc_core::conflict::ConflictMatrix::new(&cat);
+        for &(x, y) in conflicts {
+            matrix.declare_conflict(&cat, x, y).unwrap();
+        }
+        let mut spec = txproc_core::spec::Spec::new(cat, matrix);
+        for (id, services) in (1..).zip(processes) {
             let mut builder = ProcessBuilder::new(ProcessId(id), format!("P{id}"));
-            let chain = services.map(|s| builder.activity(format!("s{}", s.0), s));
+            let chain: Vec<ActivityId> = (services.iter())
+                .map(|&s| builder.activity(format!("s{}", s.0), s))
+                .collect();
             builder.chain(&chain);
             spec.add_process(builder.build(&spec.catalog).unwrap());
         }
         deployed(spec, failure_probability)
+    }
+
+    /// An Example-8-shaped pair: P₁ = aᶜ ≪ pᵖ ≪ rʳ and P₂ = bᶜ ≪ qᵖ ≪ tʳ,
+    /// where b conflicts with a and with r.
+    fn example8_workload(failure_probability: f64) -> Workload {
+        let mut cat = Catalog::new();
+        let (a, p, r) = (cat.compensatable("a").0, cat.pivot("p"), cat.retriable("r"));
+        let (b, q, t) = (cat.compensatable("b").0, cat.pivot("q"), cat.retriable("t"));
+        let processes: [&[ServiceId]; 2] = [&[a, p, r], &[b, q, t]];
+        chains(cat, &[(a, b), (r, b)], &processes, failure_probability)
+    }
+
+    /// A run context over `w` whose decisions go to the returned journal.
+    fn journalled_ctx(
+        w: &Workload,
+        cfg: ConcurrentConfig,
+    ) -> (RunCtx<'_>, txproc_core::trace::Journal) {
+        let journal = txproc_core::trace::Journal::new();
+        let clock = Clock::Wall(Instant::now());
+        let durable = (fresh_agents(w), Coordinator::new());
+        let sink = Box::new(journal.clone());
+        let ctx = RunCtx::new(w, cfg, sink, vec![0], clock, 0, durable);
+        (ctx, journal)
+    }
+
+    #[test]
+    fn an_all_compensatable_process_commits_only_after_its_predecessor() {
+        // Lemma 1.1 under the uncertified protocol, where the commit gate is
+        // the only guard: P₂ = bᶜ conflict-depends on P₁ = aᶜ ≪ cᶜ, still
+        // active. P₂ has no non-compensatable activity to defer, so nothing
+        // but `can_commit` holds its commit back.
+        let mut cat = Catalog::new();
+        let [a, c, b] = ["a", "c", "b"].map(|name| cat.compensatable(name).0);
+        let processes: [&[ServiceId]; 2] = [&[a, c], &[b]];
+        let w = chains(cat, &[(a, b)], &processes, 0.0);
+        let cfg = ConcurrentConfig {
+            policy: PolicyKind::PredProtocol,
+            inject_failures: false,
+            ..ConcurrentConfig::default()
+        };
+        let (ctx, journal) = journalled_ctx(&w, cfg);
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let mut shard = Shard::build(0, &[p1, p2], &ctx);
+        shard.admit(&ctx, p1);
+        shard.admit(&ctx, p2);
+
+        // P₁ executes a; P₂ executes b after it, then asks to commit.
+        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 1));
+        assert_eq!(position(&shard, Event::Commit(p2)), None);
+
+        // P₁ runs to its commit; its finalize wakes P₂, which commits.
+        assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
+        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(shard.step(&ctx, p2), Step::Done);
+        assert!(position(&shard, Event::Commit(p1)) < position(&shard, Event::Commit(p2)));
+        assert_eq!(shard.metrics.committed, 2);
+        drop(shard.finish(&ctx));
+        let blocked = journal.take().into_iter().filter_map(|r| match r.event {
+            TraceEvent::CommitBlocked { pid, wait_for } => Some((pid, wait_for)),
+            _ => None,
+        });
+        assert_eq!(blocked.collect::<Vec<_>>(), [(p2, vec![p1])]);
+    }
+
+    #[test]
+    fn a_wall_clock_deadlock_is_broken_at_once_by_aborting_the_smallest_waiter() {
+        // Under pred-wait, P₁ = aᶜ ≪ pᵖ and P₂ = bᶜ ≪ qᵖ with p conflicting
+        // with b and q with a. Stepped by hand to a and b, each pivot then
+        // waits for the other process to terminate. The worker's loop finds
+        // the shard clean with both waiting and breaks the deadlock once.
+        let mut cat = Catalog::new();
+        let (a, p) = (cat.compensatable("a").0, cat.pivot("p"));
+        let (b, q) = (cat.compensatable("b").0, cat.pivot("q"));
+        let processes: [&[ServiceId]; 2] = [&[a, p], &[b, q]];
+        let w = chains(cat, &[(p, b), (q, a)], &processes, 0.0);
+        let cfg = ConcurrentConfig {
+            policy: PolicyKind::PredWait,
+            inject_failures: false,
+            ..ConcurrentConfig::default()
+        };
+        let (ctx, journal) = journalled_ctx(&w, cfg);
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let mut shard = Shard::build(0, &[p1, p2], &ctx);
+        shard.admit(&ctx, p1);
+        shard.admit(&ctx, p2);
+        // Both stay queued from their admission, for the loop to dequeue.
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(shard.step(&ctx, p2), Step::Yield);
+
+        let mut rt = RuntimeMetrics::new(1);
+        assert_eq!(shard.run(&ctx, &mut rt, STEP_BUDGET), 0, "the shard drains");
+        assert_eq!(rt.repolls, 1, "one break");
+        assert_eq!(shard.metrics.abort_reasons.deadlock, 1);
+        assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
+        assert!(position(&shard, Event::Abort(p1)).is_some());
+        assert!(position(&shard, Event::Commit(p2)).is_some());
+        let done = shard.finish(&ctx);
+        assert!(txproc_core::pred::is_pred(&w.spec, &done.history).unwrap());
+        let victims = journal.take().into_iter().filter_map(|r| match r.event {
+            TraceEvent::AbortStarted { pid, reason } => Some((pid, reason)),
+            _ => None,
+        });
+        assert_eq!(victims.collect::<Vec<_>>(), [(p1, AbortReason::Deadlock)]);
+    }
+
+    #[test]
+    fn an_aborting_waiter_breaks_the_deadlock_by_group_aborting_its_blockers() {
+        // The break's other branch: the smallest waiter is aborting already,
+        // and its completion waits on the others. Of seeds 0..256 of this
+        // engine shape, seed 81 alone reaches it.
+        use crate::builder::RunBuilder;
+        use crate::engine::RunConfig;
+        let w = generate(&WorkloadConfig {
+            seed: 81,
+            processes: 6,
+            conflict_density: 0.4,
+            failure_probability: 0.15,
+            ..WorkloadConfig::default()
+        });
+        let journal = txproc_core::trace::Journal::new();
+        let cfg = RunConfig {
+            seed: 81,
+            ..RunConfig::default()
+        };
+        let out = RunBuilder::new(&w)
+            .config(cfg)
+            .sink(Box::new(journal.clone()))
+            .run()
+            .into_engine();
+        assert!(out.stalled.is_empty());
+        assert!(txproc_core::pred::is_pred(&w.spec, &out.history).unwrap());
+        let mut aborting = BTreeSet::new();
+        let mut breaks = Vec::new();
+        for record in journal.take() {
+            match record.event {
+                TraceEvent::AbortStarted { pid, .. } => drop(aborting.insert(pid)),
+                TraceEvent::GroupAbort {
+                    initiator: Some(initiator),
+                    victims,
+                    ..
+                } if aborting.contains(&initiator) => breaks.push((initiator, victims)),
+                _ => {}
+            }
+        }
+        assert_eq!(breaks.len(), 1, "{breaks:?}");
+        let (initiator, victims) = &breaks[0];
+        assert!(!victims.is_empty() && !victims.contains(initiator));
+        assert!(victims.iter().all(|v| aborting.contains(v)));
+    }
+
+    #[test]
+    fn a_break_group_aborts_only_admitted_processes() {
+        // The aborting branch's group is drawn from the admitted processes:
+        // a member that has not arrived blocks nobody and is left alone.
+        let w = paper_workload(0.0);
+        let ctx = scripted_ctx(&w, ConcurrentConfig::default());
+        let [p1, p2, p3] = [1, 2, 3].map(ProcessId);
+        let mut shard = Shard::build(0, &[p1, p2, p3], &ctx);
+        shard.admit(&ctx, p1);
+        shard.admit(&ctx, p2);
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        shard.initiate_abort(&ctx, p1, AbortReason::External, None);
+        // Aborting P₁ is the one waiter left on a drained shard.
+        shard.run_queue.clear();
+        shard.waiting.insert(p1);
+        assert!(shard.break_deadlock(&ctx));
+        assert!(position(&shard, Event::Abort(p2)).is_some());
+        assert_eq!(position(&shard, Event::Abort(p3)), None);
+        assert_eq!(shard.run_queue.front().map(|&(p, _)| p), Some(p1));
     }
 
     fn position(shard: &Shard<'_>, event: Event) -> Option<usize> {

@@ -184,17 +184,16 @@ impl<'a> Engine<'a> {
             // Nothing is runnable at `now`. The clock moves to the next
             // wake-up and everything due then becomes runnable together;
             // only when no wake-up is left is a clean shard's blocked set a
-            // deadlock, resolved by probing like any drained shard's.
-            if let Some(at) = self.queue.next_time() {
-                self.ctx.clock = Clock::Virtual(at.0);
-                while self.queue.next_time() == Some(at) {
-                    match self.queue.pop().expect("peeked").1 {
-                        (Wake::Arrival, pid) => self.shard.admit(&self.ctx, pid),
-                        (Wake::Resume, pid) => self.resume(pid),
-                    }
+            // deadlock, broken like any drained shard's, in one tick.
+            let Some(at) = self.queue.next_time() else {
+                return self.shard.break_deadlock(&self.ctx);
+            };
+            self.ctx.clock = Clock::Virtual(at.0);
+            while self.queue.next_time() == Some(at) {
+                match self.queue.pop().expect("peeked").1 {
+                    (Wake::Arrival, pid) => self.shard.admit(&self.ctx, pid),
+                    (Wake::Resume, pid) => self.resume(pid),
                 }
-            } else if !self.shard.probe() {
-                return false;
             }
         }
     }

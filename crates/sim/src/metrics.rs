@@ -74,8 +74,9 @@ pub struct RuntimeMetrics {
     pub workers: u64,
     /// State-machine steps executed (one `advance` call each).
     pub steps: u64,
-    /// Re-poll rounds: all runnable work drained with waiters left, so the
-    /// waiters were re-queued to drive deadlock escalation.
+    /// Deadlock breaks: all runnable work drained on a shard no mutation
+    /// had marked, with waiters left, so one of them was aborted at once
+    /// (`Shard::break_deadlock`).
     pub repolls: u64,
     /// Peak run-queue depth observed on any single shard queue.
     pub run_queue_peak: u64,
@@ -216,7 +217,7 @@ pub struct Metrics {
     /// Requests and commits answered "wait": `RequestBlocked` and
     /// `CommitBlocked`, every re-poll (the journal keeps distinct ones).
     pub waits: u64,
-    /// Cycle-closing requests and deadlock escalations: `RequestRejected`
+    /// Cycle-closing requests and deadlock breaks: `RequestRejected`
     /// and `AbortStarted{Deadlock}`.
     pub rejections: u64,
     /// Virtual end-to-end latency samples, one per terminated process.
@@ -233,7 +234,7 @@ pub struct Metrics {
     /// Abort initiations broken down by first cause: `AbortStarted`.
     pub abort_reasons: AbortReasons,
     /// Certification attempts answered "not PRED" (each forces a defer,
-    /// retry or escalation): `CertifyOutcome` refusals.
+    /// retry or deadlock break): `CertifyOutcome` refusals.
     pub cert_failures: u64,
     /// Per-shard sizes (one entry per conflict-domain shard; the engine's
     /// one shard holds every process).
@@ -295,15 +296,6 @@ impl Metrics {
         v.sort_unstable();
         let idx = ((v.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
         Some(v[idx])
-    }
-
-    /// Mean latency.
-    pub fn latency_mean(&self) -> Option<f64> {
-        if self.latencies.is_empty() {
-            None
-        } else {
-            Some(self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64)
-        }
     }
 
     /// Merges another run's counters into this one (for aggregation over
@@ -375,9 +367,7 @@ mod tests {
         assert_eq!(m.latency_percentile(0.0), Some(10));
         assert_eq!(m.latency_percentile(0.5), Some(30));
         assert_eq!(m.latency_percentile(1.0), Some(50));
-        assert_eq!(m.latency_mean(), Some(30.0));
         assert_eq!(Metrics::new().latency_percentile(0.5), None);
-        assert_eq!(Metrics::new().latency_mean(), None);
     }
 
     #[test]

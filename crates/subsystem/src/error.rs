@@ -29,8 +29,6 @@ pub enum SubsystemError {
     /// The subsystem deliberately aborted the transaction (failure
     /// injection).
     InjectedAbort,
-    /// The subsystem crashed mid-operation (crash injection).
-    Crashed,
 }
 
 impl fmt::Display for SubsystemError {
@@ -49,7 +47,6 @@ impl fmt::Display for SubsystemError {
                 "transaction {attempted:?} must wait for {must_commit_first:?} (commit order)"
             ),
             SubsystemError::InjectedAbort => write!(f, "transaction aborted (injected failure)"),
-            SubsystemError::Crashed => write!(f, "subsystem crashed"),
         }
     }
 }

@@ -13,8 +13,7 @@
 //!   operation programs whose read/write sets materialize conflicts,
 //! * [`subsystem`] — the resource manager: local transactions with write
 //!   locks and undo, a durable log, 2PC participation (prepare / commit /
-//!   abort of in-doubt transactions), commit-order constraints, and crash
-//!   simulation,
+//!   abort of in-doubt transactions) and commit-order constraints,
 //! * [`deploy`] — the mapping from catalog services to subsystems and
 //!   programs, with a soundness check of the declared conflict relation,
 //! * [`agent`] — the transactional coordination agent wrapping a subsystem:

@@ -29,7 +29,7 @@ pub enum TxStatus {
     Aborted,
 }
 
-/// Durable log records (used by the crash-recovery simulation).
+/// Durable log records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// Transaction began.
@@ -114,7 +114,6 @@ pub struct Subsystem {
     log: Vec<LogRecord>,
     /// Whether the subsystem supports commit-order serializability.
     pub supports_commit_order: bool,
-    crashed: bool,
 }
 
 impl Subsystem {
@@ -129,7 +128,6 @@ impl Subsystem {
             commit_order: Vec::new(),
             log: Vec::new(),
             supports_commit_order: true,
-            crashed: false,
         }
     }
 
@@ -163,20 +161,11 @@ impl Subsystem {
     }
 
     /// Begins a local transaction.
-    pub fn begin(&mut self) -> Result<TxId, SubsystemError> {
-        self.check_up()?;
+    fn begin(&mut self) -> TxId {
         let tx = TxId(self.txs.len() as u64);
         self.txs.push(TxState::new());
         self.log.push(LogRecord::Begin(tx));
-        Ok(tx)
-    }
-
-    fn check_up(&self) -> Result<(), SubsystemError> {
-        if self.crashed {
-            Err(SubsystemError::Crashed)
-        } else {
-            Ok(())
-        }
+        tx
     }
 
     /// Acquires a lock on `key` for `tx`. `Add` writers share an additive
@@ -256,7 +245,6 @@ impl Subsystem {
 
     /// Executes one program operation inside a transaction.
     pub fn apply(&mut self, tx: TxId, op: KvOp) -> Result<(), SubsystemError> {
-        self.check_up()?;
         self.active_tx(tx)?;
         let key = op.key();
         if op.is_write() {
@@ -288,7 +276,7 @@ impl Subsystem {
     /// returns the transaction and its read values. On a lock conflict the
     /// transaction rolls back and the error is returned.
     pub fn execute(&mut self, program: &Program) -> Result<(TxId, ReturnValues), SubsystemError> {
-        let tx = self.begin()?;
+        let tx = self.begin();
         for &op in &program.ops {
             if let Err(e) = self.apply(tx, op) {
                 self.abort(tx).ok();
@@ -302,7 +290,6 @@ impl Subsystem {
     /// Declares a commit-order constraint: `first` must commit before
     /// `second` (weak order, §3.6).
     pub fn order_commits(&mut self, first: TxId, second: TxId) -> Result<(), SubsystemError> {
-        self.check_up()?;
         if !self.supports_commit_order {
             return Err(SubsystemError::NotPrepared(second));
         }
@@ -325,7 +312,6 @@ impl Subsystem {
 
     /// Commits an active transaction (one-phase).
     pub fn commit(&mut self, tx: TxId) -> Result<(), SubsystemError> {
-        self.check_up()?;
         self.active_tx(tx)?;
         if let Some(first) = self.commit_blocked_by(tx) {
             return Err(SubsystemError::CommitOrderViolation {
@@ -347,7 +333,6 @@ impl Subsystem {
 
     /// Rolls back an active or prepared transaction.
     pub fn abort(&mut self, tx: TxId) -> Result<(), SubsystemError> {
-        self.check_up()?;
         let status = self.tx(tx).map(|t| t.status);
         if !matches!(status, Some(TxStatus::Active | TxStatus::Prepared)) {
             return Err(SubsystemError::UnknownTx(tx));
@@ -379,7 +364,6 @@ impl Subsystem {
     /// 2PC phase 1: prepares an active transaction (vote yes). The
     /// transaction keeps its locks and stays in doubt.
     pub fn prepare(&mut self, tx: TxId) -> Result<(), SubsystemError> {
-        self.check_up()?;
         self.active_tx(tx)?.status = TxStatus::Prepared;
         self.log.push(LogRecord::Prepare(tx));
         Ok(())
@@ -387,7 +371,6 @@ impl Subsystem {
 
     /// 2PC phase 2: commits a prepared transaction.
     pub fn commit_prepared(&mut self, tx: TxId) -> Result<(), SubsystemError> {
-        self.check_up()?;
         match self.tx(tx).map(|t| t.status) {
             Some(TxStatus::Prepared) => {}
             _ => return Err(SubsystemError::NotPrepared(tx)),
@@ -405,40 +388,6 @@ impl Subsystem {
     /// Status of a transaction.
     pub fn tx_status(&self, tx: TxId) -> Option<TxStatus> {
         self.tx(tx).map(|t| t.status)
-    }
-
-    /// Simulates a crash: all active transactions roll back, prepared
-    /// transactions stay in doubt (their locks held), committed state
-    /// survives.
-    pub fn crash(&mut self) {
-        let actives: Vec<TxId> = self
-            .txs
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.status == TxStatus::Active)
-            .map(|(t, _)| TxId(t as u64))
-            .collect();
-        for tx in actives {
-            self.abort(tx).ok();
-        }
-        self.crashed = true;
-    }
-
-    /// Restarts after a crash; returns the in-doubt (prepared) transactions
-    /// that the 2PC coordinator must resolve.
-    pub fn recover(&mut self) -> Vec<TxId> {
-        self.crashed = false;
-        self.txs
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.status == TxStatus::Prepared)
-            .map(|(t, _)| TxId(t as u64))
-            .collect()
-    }
-
-    /// Whether the subsystem is currently crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
     }
 }
 
@@ -541,24 +490,6 @@ mod tests {
         s.commit(t1).unwrap();
         s.commit(t2).unwrap();
         assert_eq!(s.peek(Key(1)), Some(2));
-    }
-
-    #[test]
-    fn crash_rolls_back_actives_keeps_prepared_in_doubt() {
-        let mut s = sub();
-        let (t1, _) = s.execute(&Program::set(Key(1), 1)).unwrap();
-        s.prepare(t1).unwrap();
-        let (_t2, _) = s.execute(&Program::set(Key(2), 2)).unwrap();
-        s.crash();
-        assert!(s.is_crashed());
-        assert!(matches!(s.begin().unwrap_err(), SubsystemError::Crashed));
-        let in_doubt = s.recover();
-        assert_eq!(in_doubt, vec![t1]);
-        // The active transaction's effects are gone.
-        assert_eq!(s.peek(Key(2)), None);
-        // The prepared transaction is resolvable.
-        s.commit_prepared(t1).unwrap();
-        assert_eq!(s.peek(Key(1)), Some(1));
     }
 
     #[test]

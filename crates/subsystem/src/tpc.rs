@@ -154,24 +154,6 @@ impl Coordinator {
         group
     }
 
-    /// Atomically aborts a group of prepared invocations.
-    pub fn abort_group(
-        &mut self,
-        agents: &mut BTreeMap<SubsystemId, Agent>,
-        participants: Vec<Participant>,
-    ) -> Result<u64, SubsystemError> {
-        let group = self.next_group;
-        self.next_group += 1;
-        self.log.push(DecisionRecord {
-            group,
-            participants,
-            decision: Decision::Abort,
-            completed: false,
-        });
-        self.run_phase2(agents, group)?;
-        Ok(group)
-    }
-
     fn run_phase2(
         &mut self,
         agents: &mut BTreeMap<SubsystemId, Agent>,
@@ -289,17 +271,6 @@ mod tests {
         assert_eq!(agents[&SubsystemId(0)].subsystem.peek(Key(1)), Some(1));
         assert_eq!((group, coord.log()[0].completed), (0, true));
         assert!(coord.resolve_in_doubt(&mut agents).unwrap().is_empty());
-    }
-
-    #[test]
-    fn atomic_abort_leaves_nothing() {
-        let (mut agents, pivot) = setup();
-        let p0 = prepare_on(&mut agents, SubsystemId(0), pivot, Key(1));
-        let p1 = prepare_on(&mut agents, SubsystemId(1), pivot, Key(2));
-        let mut coord = Coordinator::new();
-        coord.abort_group(&mut agents, vec![p0, p1]).unwrap();
-        assert_eq!(agents[&SubsystemId(0)].subsystem.peek(Key(1)), None);
-        assert_eq!(agents[&SubsystemId(1)].subsystem.peek(Key(2)), None);
     }
 
     #[test]
