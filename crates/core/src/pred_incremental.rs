@@ -55,7 +55,12 @@
 //! | mandatory ranks 8.3(d)/(f) | `O(p² + k · d)`, only when two live overlay forward operations of different processes conflict |
 //! | overlay operations and order | `O(t · conflicting overlay operations)` |
 //! | cancellation fixpoint | `O(d)` per new pair, `O(c)` per cancelled operation; overlay: `O(rounds · (k + e))` plus the originals after each pair's base |
-//! | live pair counters and process graph | `O(d)` per operation that changes liveness, `O(k · d + e)` overlay edges; Kahn `O(p · ⌈p/64⌉)` only when an edge appears |
+//! | live pair counters and process graph | `O(d)` per operation that changes liveness, `O(k · d + e)` overlay edges checked against the kept topological order; Kahn `O(p · ⌈p/64⌉)` only when an edge goes against the kept order |
+//!
+//! In steady state a step allocates only for amortized growth of its
+//! tables: the working copies of process states, completions and overlay
+//! parts are refilled in the values the previous event replaced, and every
+//! worklist is a buffer the certifier keeps.
 //!
 //! [`certify`]: IncrementalPred::certify
 //! [`certify_keep`]: IncrementalPred::certify_keep
@@ -75,6 +80,7 @@ use crate::schedule::{Event, OpKind, Schedule};
 use crate::spec::Spec;
 use crate::state::{Completion, FailureOutcome, ProcessState};
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem::take;
 
 fn words_for(n: usize) -> usize {
     n.div_ceil(64).max(1)
@@ -89,22 +95,33 @@ fn words_for(n: usize) -> usize {
 #[derive(Debug, Clone)]
 struct DenseGraph {
     n: usize,
-    /// Words per adjacency row (`words * 64 >= n`).
+    /// Words per adjacency row (`words * 64 >= n`, at least one).
     words: usize,
     /// Row-major adjacency bitmap (`n × words`).
     adj: Vec<u64>,
     indeg: Vec<u32>,
 }
 
-impl DenseGraph {
-    fn new(n: usize) -> Self {
-        let words = words_for(n);
+impl Default for DenseGraph {
+    fn default() -> Self {
         DenseGraph {
-            n,
-            words,
-            adj: vec![0u64; n * words],
-            indeg: vec![0u32; n],
+            n: 0,
+            words: 1,
+            adj: Vec::new(),
+            indeg: Vec::new(),
         }
+    }
+}
+
+impl DenseGraph {
+    /// Empties the graph to `n` isolated nodes, keeping its buffers.
+    fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words = words_for(n);
+        self.adj.clear();
+        self.adj.resize(n * self.words, 0);
+        self.indeg.clear();
+        self.indeg.resize(n, 0);
     }
 
     /// Appends an isolated node (row re-layout once per 64 nodes).
@@ -240,34 +257,76 @@ impl PairCounts {
 /// pairs of original operations that are both rule-3 live and not
 /// cancelled, and the process graph those pairs induce (an edge per
 /// non-zero entry, over dense process indices).
+///
+/// It also keeps a topological order of that graph (Pearce and Kelly's
+/// dynamic topological sort, without their local reordering): while
+/// `ordered` holds, every edge `(a, b)` has `pos[a] < pos[b]`, so the
+/// graph is acyclic, and so is any set of added edges that all ascend.
+/// Every mutation keeps that implication true: a new node goes last, an
+/// edge that appears against the order clears `ordered`, a removed edge
+/// cannot break it, and a traversal that finds the graph acyclic installs
+/// its order.
 #[derive(Debug, Clone)]
 struct LiveGraph {
     counts: PairCounts,
     graph: DenseGraph,
-    /// Memo of `graph`'s acyclicity; dropped when an edge appears (a
-    /// removed edge cannot close a cycle).
-    acyclic: Option<bool>,
+    /// Position of each node in the kept order. Positions need not be
+    /// distinct: a node rolled back after a traversal leaves a gap the next
+    /// new node may share, and an edge between equal positions counts as
+    /// against the order.
+    pos: Vec<usize>,
+    ordered: bool,
     /// Overlay edges [`Self::add_extra`] put into `graph` for the verdict in
     /// flight, and the buffers of its Kahn traversal: scratch, kept for its
     /// capacity only.
     extra: Vec<(u32, u32)>,
     deg: Vec<u32>,
     order: Vec<usize>,
+    /// Verdicts the order answered with at least one overlay edge, and
+    /// verdicts that fell back to Kahn (the sweeps' vacuity guard).
+    #[cfg(test)]
+    paths: [usize; 2],
 }
 
 impl LiveGraph {
+    fn new() -> Self {
+        LiveGraph {
+            counts: PairCounts::default(),
+            graph: DenseGraph::default(),
+            pos: Vec::new(),
+            ordered: true,
+            extra: Vec::new(),
+            deg: Vec::new(),
+            order: Vec::new(),
+            #[cfg(test)]
+            paths: [0; 2],
+        }
+    }
+
+    fn ascends(&self, a: u32, b: u32) -> bool {
+        self.pos[a as usize] < self.pos[b as usize]
+    }
+
+    /// Appends an isolated node, last in the order.
+    fn push_node(&mut self) {
+        self.pos.push(self.graph.n);
+        self.graph.push_node();
+    }
+
+    fn pop_node(&mut self) {
+        self.graph.pop_node();
+        self.pos.pop();
+    }
+
     fn bump(&mut self, a: u32, b: u32, up: bool) {
         if !self.counts.bump(a, b, up) {
             return;
         }
         if up {
             self.graph.add_edge(a as usize, b as usize);
-            self.acyclic = None;
+            self.ordered &= self.ascends(a, b);
         } else {
             self.graph.remove_edge(a as usize, b as usize);
-            if self.acyclic != Some(true) {
-                self.acyclic = None;
-            }
         }
     }
 
@@ -279,15 +338,23 @@ impl LiveGraph {
     }
 
     /// Whether the graph plus the overlay edges added since the last verdict
-    /// is acyclic; takes them out again. The graph is re-checked only when
-    /// an entry crossed zero since the last check or the overlay contributed
-    /// an edge.
+    /// is acyclic; takes them out again. Answered from the kept order when
+    /// it is valid and every overlay edge ascends in it; otherwise Kahn
+    /// traverses the union, and an acyclic union's order is kept (it orders
+    /// the graph without the overlay edges too).
     fn verdict(&mut self) -> bool {
-        if self.extra.is_empty() {
-            let check = || self.graph.kahn(&mut self.deg, &mut self.order);
-            return *self.acyclic.get_or_insert_with(check);
+        let from_order = self.ordered && self.extra.iter().all(|&(a, b)| self.ascends(a, b));
+        #[cfg(test)]
+        if !from_order || !self.extra.is_empty() {
+            self.paths[usize::from(!from_order)] += 1;
         }
-        let acyclic = self.graph.kahn(&mut self.deg, &mut self.order);
+        let acyclic = from_order || self.graph.kahn(&mut self.deg, &mut self.order);
+        if !from_order && acyclic {
+            for (at, &node) in self.order.iter().enumerate() {
+                self.pos[node] = at;
+            }
+            self.ordered = true;
+        }
         for (a, b) in self.extra.drain(..) {
             self.graph.remove_edge(a as usize, b as usize);
         }
@@ -323,6 +390,9 @@ struct Service {
 /// An overlay operation by dense process index and position in that
 /// process's part of the overlay.
 type CopRef = (u32, u32);
+
+/// The operation an event appends to the original history.
+type Appended = (GlobalActivityId, ServiceId, OpKind);
 
 /// A completion-overlay operation: one activity Definition 8 appends for a
 /// still-active process. Built when the process's pending completion
@@ -386,6 +456,42 @@ struct UndoLog<'a> {
     parts: Vec<Vec<Cop>>,
 }
 
+/// The buffers [`IncrementalPred::mandatory_ranks`] derives the ranks in.
+#[derive(Clone, Default)]
+struct RankScratch {
+    graph: DenseGraph,
+    by_pid: Vec<usize>,
+    node_of: Vec<usize>,
+    rank_of_node: Vec<usize>,
+    deg: Vec<u32>,
+    order: Vec<usize>,
+    /// The result: the rank of each dense process index.
+    ranks: Vec<usize>,
+}
+
+/// What one event's step works in, kept between events for its capacity
+/// only. The spares are the values the last event replaced or discarded —
+/// the undo log's old states, completions and overlay parts once `record`
+/// drops it, or the new ones a rollback discards — and the next event's
+/// working copies are refilled in them instead of allocated.
+#[derive(Clone, Default)]
+struct Scratch<'a> {
+    states: Vec<ProcessState<'a>>,
+    completions: Vec<Completion>,
+    parts: Vec<Vec<Cop>>,
+    /// The working copies of the event in flight.
+    touched: Vec<(ProcessId, ProcessState<'a>)>,
+    /// Activities whose will-compensate status the event changed.
+    changed: Vec<GlobalActivityId>,
+    /// [`IncrementalPred::revive_effect_free`]'s worklists.
+    flipped: Vec<usize>,
+    revived: Vec<usize>,
+    suspects: Vec<(usize, usize)>,
+    /// [`IncrementalPred::cancel`]'s worklist.
+    dead: Vec<usize>,
+    ranks: RankScratch,
+}
+
 /// Verdict for one planned or recorded event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepVerdict {
@@ -444,8 +550,6 @@ pub struct IncrementalPred<'a> {
     /// descending base: what can block a pair lies after its base, so this
     /// is the order the pairs unblock in.
     overlay_pairs: Vec<(usize, CopRef)>,
-    /// Worklist of [`Self::cancel`]: scratch, kept for its capacity only.
-    dead: Vec<usize>,
     // -- report --
     prefix_reducible: Vec<bool>,
     first_violation: Option<usize>,
@@ -455,29 +559,40 @@ pub struct IncrementalPred<'a> {
     /// The admitted event `certify_keep` left applied: the next `record` of
     /// the same event only drops the log; anything else rolls it back first.
     kept: Option<Event>,
+    scratch: Scratch<'a>,
 }
 
-/// The working copy of `pid`'s state machine for the event in flight.
+/// The working copy of `pid`'s state machine for the event in flight: a
+/// spare state refilled from the recorded one, or `pid`'s initial state.
 fn touch<'a, 'b>(
     spec: &'a Spec,
     base: &BTreeMap<ProcessId, ProcessState<'a>>,
-    touched: &'b mut Vec<(ProcessId, ProcessState<'a>)>,
+    scratch: &'b mut Scratch<'a>,
     pid: ProcessId,
 ) -> Result<&'b mut ProcessState<'a>, ScheduleError> {
+    let touched = &mut scratch.touched;
     if let Some(at) = touched.iter().position(|(p, _)| *p == pid) {
         return Ok(&mut touched[at].1);
     }
+    let initial = || {
+        let process = spec.process(pid)?;
+        ProcessState::new(process, &spec.catalog).map_err(|_| {
+            ScheduleError::Model(crate::error::ModelError::NotATree {
+                process: pid,
+                activity: crate::ids::ActivityId(0),
+            })
+        })
+    };
     let st = match base.get(&pid) {
-        Some(st) => st.clone(),
-        None => {
-            let process = spec.process(pid)?;
-            ProcessState::new(process, &spec.catalog).map_err(|_| {
-                ScheduleError::Model(crate::error::ModelError::NotATree {
-                    process: pid,
-                    activity: crate::ids::ActivityId(0),
-                })
-            })?
+        Some(st) => {
+            let mut spare = match scratch.states.pop() {
+                Some(spare) => spare,
+                None => initial()?,
+            };
+            spare.clone_from(st);
+            spare
         }
+        None => initial()?,
     };
     touched.push((pid, st));
     Ok(&mut touched.last_mut().expect("just pushed").1)
@@ -528,22 +643,15 @@ impl<'a> IncrementalPred<'a> {
             m2: PairCounts::default(),
             live_base: Vec::new(),
             cancelled: Vec::new(),
-            live: LiveGraph {
-                counts: PairCounts::default(),
-                graph: DenseGraph::new(0),
-                acyclic: Some(true),
-                extra: Vec::new(),
-                deg: Vec::new(),
-                order: Vec::new(),
-            },
+            live: LiveGraph::new(),
             overlay: Vec::new(),
             active: Vec::new(),
             overlay_pairs: Vec::new(),
-            dead: Vec::new(),
             prefix_reducible: vec![true],
             first_violation: None,
             log: UndoLog::default(),
             kept: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -625,10 +733,16 @@ impl<'a> IncrementalPred<'a> {
             self.drop_kept();
             self.step(event)?
         };
+        // What the event replaced becomes the next event's working copies.
         self.log.ops.clear();
-        self.log.states.clear();
-        self.log.completions.clear();
-        self.log.parts.clear();
+        let (log, spare) = (&mut self.log, &mut self.scratch);
+        spare
+            .states
+            .extend(log.states.drain(..).filter_map(|(_, st)| st));
+        spare
+            .completions
+            .extend(log.completions.drain(..).filter_map(|(_, c)| c));
+        spare.parts.append(&mut log.parts);
         self.len += 1;
         self.prefix_reducible.push(reducible);
         if !reducible && self.first_violation.is_none() {
@@ -665,55 +779,29 @@ impl<'a> IncrementalPred<'a> {
     /// extended prefix. An illegal event fails before anything changed.
     fn step(&mut self, event: &Event) -> Result<bool, ScheduleError> {
         debug_assert!(self.log.ops.is_empty() && self.log.states.is_empty());
-        let spec = self.spec;
 
         // 1. Advance the touched process state machines (on copies),
         //    mirroring `Schedule::replay` including its error behaviour.
-        let mut touched: Vec<(ProcessId, ProcessState<'a>)> = Vec::new();
-        let mut commit: Option<ProcessId> = None;
-        let mut appended: Option<(GlobalActivityId, ServiceId, OpKind)> = None;
-        match event {
-            Event::Execute(g) => {
-                let service = spec.catalog.base(spec.service_of(*g)?);
-                touch(spec, &self.states, &mut touched, g.process)?.apply_commit(g.activity)?;
-                appended = Some((*g, service, OpKind::Forward));
-            }
-            Event::Fail(g) => {
-                spec.service_of(*g)?;
-                let outcome = touch(spec, &self.states, &mut touched, g.process)?
-                    .apply_failure(g.activity)?;
-                if outcome == FailureOutcome::Stuck {
-                    return Err(ScheduleError::NoAlternativeLeft(*g));
-                }
-            }
-            Event::Compensate(g) => {
-                let service = spec.catalog.base(spec.service_of(*g)?);
-                touch(spec, &self.states, &mut touched, g.process)?
-                    .apply_compensation(g.activity)?;
-                appended = Some((*g, service, OpKind::Compensation));
-            }
-            Event::Commit(p) => {
-                touch(spec, &self.states, &mut touched, *p)?.apply_process_commit()?;
-                commit = Some(*p);
-            }
-            Event::Abort(p) => {
-                touch(spec, &self.states, &mut touched, *p)?.apply_process_abort()?;
-            }
-            Event::GroupAbort(ps) => {
-                for p in ps {
-                    let st = touch(spec, &self.states, &mut touched, *p)?;
-                    if st.is_active() {
-                        st.apply_process_abort()?;
-                    }
-                }
-            }
+        let advanced = self.advance(event);
+        if advanced.is_err() {
+            self.scratch.touched.clear();
         }
+        let (commit, appended) = advanced?;
 
         // 2. Fold the new states in, refresh their completion caches, and
         //    collect the activities whose will-compensate status changed.
-        let mut changed: Vec<GlobalActivityId> = Vec::new();
-        for (pid, st) in touched {
-            let next = st.is_active().then(|| st.completion());
+        let mut touched = take(&mut self.scratch.touched);
+        let mut changed = take(&mut self.scratch.changed);
+        for (pid, st) in touched.drain(..) {
+            let next = st
+                .is_active()
+                .then(|| match self.scratch.completions.pop() {
+                    Some(mut c) => {
+                        st.completion_into(&mut c);
+                        c
+                    }
+                    None => st.completion(),
+                });
             let old_comps = self
                 .completion_cache
                 .get(&pid)
@@ -736,6 +824,7 @@ impl<'a> IncrementalPred<'a> {
             let old = self.states.insert(pid, st);
             self.log.states.push((pid, old));
         }
+        self.scratch.touched = touched;
         if let Some(p) = commit {
             self.committed.insert(p);
             self.log.ops.push(Undo::Committed(p));
@@ -747,7 +836,7 @@ impl<'a> IncrementalPred<'a> {
         }
 
         // 3. Permanence flips and the mandatory-pair counters (m2).
-        for g in changed {
+        for g in changed.drain(..) {
             let Some(&i) = self.fwd_of.get(&g) else {
                 continue;
             };
@@ -758,6 +847,7 @@ impl<'a> IncrementalPred<'a> {
                 self.log.ops.push(Undo::PermFlip(i));
             }
         }
+        self.scratch.changed = changed;
 
         // 4. The reduction of the originals: rule-3 revivals of a commit,
         //    or the appended operation and the pair it may close.
@@ -782,6 +872,54 @@ impl<'a> IncrementalPred<'a> {
         let reducible = self.overlay_verdict();
         self.rollback_ops(mark);
         Ok(reducible)
+    }
+
+    /// Step 1 of [`Self::step`]: applies `event` to working copies of the
+    /// state machines it touches (`scratch.touched`) and returns the process
+    /// it commits and the operation it appends.
+    fn advance(
+        &mut self,
+        event: &Event,
+    ) -> Result<(Option<ProcessId>, Option<Appended>), ScheduleError> {
+        let spec = self.spec;
+        let (base, scratch) = (&self.states, &mut self.scratch);
+        Ok(match event {
+            Event::Execute(g) => {
+                let service = spec.catalog.base(spec.service_of(*g)?);
+                touch(spec, base, scratch, g.process)?.apply_commit(g.activity)?;
+                (None, Some((*g, service, OpKind::Forward)))
+            }
+            Event::Fail(g) => {
+                spec.service_of(*g)?;
+                let st = touch(spec, base, scratch, g.process)?;
+                if st.apply_failure(g.activity)? == FailureOutcome::Stuck {
+                    return Err(ScheduleError::NoAlternativeLeft(*g));
+                }
+                (None, None)
+            }
+            Event::Compensate(g) => {
+                let service = spec.catalog.base(spec.service_of(*g)?);
+                touch(spec, base, scratch, g.process)?.apply_compensation(g.activity)?;
+                (None, Some((*g, service, OpKind::Compensation)))
+            }
+            Event::Commit(p) => {
+                touch(spec, base, scratch, *p)?.apply_process_commit()?;
+                (Some(*p), None)
+            }
+            Event::Abort(p) => {
+                touch(spec, base, scratch, *p)?.apply_process_abort()?;
+                (None, None)
+            }
+            Event::GroupAbort(ps) => {
+                for p in ps {
+                    let st = touch(spec, base, scratch, *p)?;
+                    if st.is_active() {
+                        st.apply_process_abort()?;
+                    }
+                }
+                (None, None)
+            }
+        })
     }
 
     /// Index of `service` in `svcs`, asking the oracle for its conflicts
@@ -854,7 +992,7 @@ impl<'a> IncrementalPred<'a> {
                 self.overlay.push(Vec::new());
                 self.m2.resize(p as usize + 1);
                 self.live.counts.resize(p as usize + 1);
-                self.live.graph.push_node();
+                self.live.push_node();
                 self.log.ops.push(Undo::Process);
                 p
             }
@@ -940,7 +1078,7 @@ impl<'a> IncrementalPred<'a> {
     /// and a nested pair is decided before the pair around it is recorded;
     /// the cascade matters when a commit revives a nested pair later.)
     fn cancel(&mut self, seed: &[usize]) {
-        let mut dead = std::mem::take(&mut self.dead);
+        let mut dead = take(&mut self.scratch.dead);
         dead.extend_from_slice(seed);
         while let Some(x) = dead.pop() {
             if !self.alive(x) {
@@ -953,7 +1091,7 @@ impl<'a> IncrementalPred<'a> {
                 }
             }
         }
-        self.dead = dead;
+        self.scratch.dead = dead;
     }
 
     /// Rule 3 after `Commit(p)`: the effect-free operations of `p` become
@@ -966,18 +1104,17 @@ impl<'a> IncrementalPred<'a> {
         let Some(&px) = self.pid_dense.get(&p) else {
             return;
         };
-        let flipped: Vec<usize> = self.proc_ops[px as usize]
-            .iter()
-            .copied()
-            .filter(|&i| !self.live_base[i])
-            .collect();
+        let mut flipped = take(&mut self.scratch.flipped);
+        let mut revived = take(&mut self.scratch.revived);
+        let mut suspects = take(&mut self.scratch.suspects);
+        let ops = &self.proc_ops[px as usize];
+        flipped.extend(ops.iter().copied().filter(|&i| !self.live_base[i]));
         for &i in &flipped {
             self.live_base[i] = true;
             self.log.ops.push(Undo::Revived(i));
             self.count_live(i, true);
         }
-        let mut revived = flipped.clone();
-        let mut suspects: Vec<(usize, usize)> = Vec::new();
+        revived.extend_from_slice(&flipped);
         while let Some(x) = revived.pop() {
             for at in 0..self.pairs.len() {
                 let (f, c) = self.pairs[at];
@@ -995,9 +1132,13 @@ impl<'a> IncrementalPred<'a> {
                 .filter(|(f, c)| flipped.contains(f) || flipped.contains(c))
                 .copied(),
         );
-        for (f, c) in suspects {
+        for (f, c) in suspects.drain(..) {
             self.try_cancel(f, c);
         }
+        flipped.clear();
+        self.scratch.flipped = flipped;
+        self.scratch.revived = revived;
+        self.scratch.suspects = suspects;
     }
 
     /// Replaces `pid`'s part of the overlay by what its cached completion
@@ -1005,7 +1146,10 @@ impl<'a> IncrementalPred<'a> {
     /// service interned and a compensation's base operation resolved.
     fn refresh_overlay(&mut self, pid: ProcessId) {
         let spec = self.spec;
-        let mut part: Vec<Cop> = Vec::new();
+        // A spare part, its operations overwritten in place: their order
+        // lists are empty but keep their capacity.
+        let mut part = self.scratch.parts.pop().unwrap_or_default();
+        let mut len = 0;
         if let Some(completion) = self.completion_cache.get(&pid) {
             let process = spec.process(pid).expect("process of a recorded state");
             for (&a, kind) in completion
@@ -1024,7 +1168,7 @@ impl<'a> IncrementalPred<'a> {
                     OpKind::Forward => usize::MAX,
                 };
                 debug_assert!(fwd == usize::MAX || self.ops[fwd].service == service);
-                part.push(Cop {
+                let cop = Cop {
                     gid,
                     service,
                     sidx: 0,
@@ -1034,9 +1178,19 @@ impl<'a> IncrementalPred<'a> {
                     preds: Vec::new(),
                     ff: Vec::new(),
                     live: false,
-                });
+                };
+                match part.get_mut(len) {
+                    Some(spare) => {
+                        debug_assert!(spare.preds.is_empty() && spare.ff.is_empty());
+                        let (preds, ff) = (take(&mut spare.preds), take(&mut spare.ff));
+                        *spare = Cop { preds, ff, ..cop };
+                    }
+                    None => part.push(cop),
+                }
+                len += 1;
             }
         }
+        part.truncate(len);
         // The order on the overlay is acyclic by construction as long as
         // every chain undoes in reverse commit order (Lemma 2): then every
         // edge `swap_part` or a verdict orients — chain, compensation before
@@ -1048,8 +1202,12 @@ impl<'a> IncrementalPred<'a> {
             "≪̃ construction must stay acyclic"
         );
         let pidx = self.pid_dense.get(&pid).copied();
-        if part.is_empty() && pidx.is_none_or(|p| self.overlay[p as usize].is_empty()) {
-            return;
+        if part.is_empty() {
+            // A process with nothing pending holds no spare capacity.
+            self.scratch.parts.push(take(&mut part));
+            if pidx.is_none_or(|p| self.overlay[p as usize].is_empty()) {
+                return;
+            }
         }
         let pidx = pidx.expect("a process with pending completion has recorded operations");
         for c in &mut part {
@@ -1137,16 +1295,19 @@ impl<'a> IncrementalPred<'a> {
     /// Mandatory ranks (8.3d/8.3f) per dense process index: permanent
     /// original pairs (m2) plus the forced 8.3e edges into permanent
     /// completion activities, in `ProcessGraph::topological_order`'s order.
-    /// Relative order is all the tie-break consumes.
-    fn mandatory_ranks(&self) -> Vec<usize> {
+    /// Relative order is all the tie-break consumes. The result is left in
+    /// `r.ranks`.
+    fn mandatory_ranks(&self, r: &mut RankScratch) {
         let np = self.dense_pids.len();
-        let mut by_pid: Vec<usize> = (0..np).collect();
-        by_pid.sort_unstable_by_key(|&px| self.dense_pids[px]);
-        let mut node_of = vec![0usize; np];
-        for (node, &px) in by_pid.iter().enumerate() {
-            node_of[px] = node;
+        r.by_pid.clear();
+        r.by_pid.extend(0..np);
+        r.by_pid.sort_unstable_by_key(|&px| self.dense_pids[px]);
+        r.node_of.resize(np, 0);
+        for (node, &px) in r.by_pid.iter().enumerate() {
+            r.node_of[px] = node;
         }
-        let mut rg = DenseGraph::new(np);
+        let (node_of, rg) = (&r.node_of, &mut r.graph);
+        rg.reset(np);
         for (a, b) in self.m2.nonzero() {
             rg.add_edge(node_of[a], node_of[b]);
         }
@@ -1164,14 +1325,16 @@ impl<'a> IncrementalPred<'a> {
                 }
             }
         }
-        let mut rank_of_node: Vec<usize> = (0..np).collect();
-        let (mut deg, mut order) = (Vec::new(), Vec::new());
-        if rg.kahn(&mut deg, &mut order) {
-            for (rank, node) in order.into_iter().enumerate() {
-                rank_of_node[node] = rank;
+        r.rank_of_node.clear();
+        r.rank_of_node.extend(0..np);
+        if rg.kahn(&mut r.deg, &mut r.order) {
+            for (rank, &node) in r.order.iter().enumerate() {
+                r.rank_of_node[node] = rank;
             }
         }
-        node_of.into_iter().map(|node| rank_of_node[node]).collect()
+        r.ranks.clear();
+        r.ranks
+            .extend(node_of.iter().map(|&node| r.rank_of_node[node]));
     }
 
     /// Reducibility of the completed schedule: layers the completion
@@ -1215,9 +1378,13 @@ impl<'a> IncrementalPred<'a> {
         // are derived only if two live forward operations of different
         // processes conflict.
         let cops = || self.active.iter().flat_map(|&p| &self.overlay[p as usize]);
-        let ranks = cops()
-            .any(|c| c.live && !c.ff.is_empty())
-            .then(|| self.mandatory_ranks());
+        let mut rank_scratch = take(&mut self.scratch.ranks);
+        let ranks = if cops().any(|c| c.live && !c.ff.is_empty()) {
+            self.mandatory_ranks(&mut rank_scratch);
+            Some(&rank_scratch.ranks)
+        } else {
+            None
+        };
         for &p in &self.active {
             for c in self.overlay[p as usize].iter().filter(|c| c.live) {
                 for &t in &self.svcs[c.sidx as usize].conflicts {
@@ -1234,7 +1401,7 @@ impl<'a> IncrementalPred<'a> {
                 }
                 for &(q, s) in &c.ff {
                     if self.overlay[q as usize][s as usize].live {
-                        let r = ranks.as_ref().expect("derived above");
+                        let r = ranks.expect("derived above");
                         let key = |x: u32| (r[x as usize], self.dense_pids[x as usize]);
                         let (a, b) = if key(q) <= key(p) { (q, p) } else { (p, q) };
                         self.live.add_extra(a, b);
@@ -1242,6 +1409,7 @@ impl<'a> IncrementalPred<'a> {
                 }
             }
         }
+        self.scratch.ranks = rank_scratch;
         self.live.verdict()
     }
 
@@ -1283,7 +1451,7 @@ impl<'a> IncrementalPred<'a> {
                     self.overlay.pop();
                     self.m2.resize(self.proc_ops.len());
                     self.live.counts.resize(self.proc_ops.len());
-                    self.live.graph.pop_node();
+                    self.live.pop_node();
                 }
                 Undo::Service => {
                     let s = self.svcs.pop().expect("logged service");
@@ -1295,26 +1463,31 @@ impl<'a> IncrementalPred<'a> {
                 }
                 Undo::Overlay(p) => {
                     let old = self.log.parts.pop().expect("logged overlay part");
-                    self.swap_part(p, old);
+                    let discarded = self.swap_part(p, old);
+                    self.scratch.parts.push(discarded);
                 }
             }
         }
     }
 
-    /// Undoes the event in flight: the certifier is as before `step`.
+    /// Undoes the event in flight: the certifier is as before `step`. The
+    /// completions and working copies it discards become spares; a new
+    /// process's initial state is dropped, since `touch` takes no spare for
+    /// it, so the spare states never outnumber what one event touches.
     fn rollback(&mut self) {
         self.rollback_ops(0);
+        let spare = &mut self.scratch;
         for (pid, old) in self.log.completions.drain(..).rev() {
-            match old {
+            spare.completions.extend(match old {
                 Some(c) => self.completion_cache.insert(pid, c),
                 None => self.completion_cache.remove(&pid),
-            };
+            });
         }
         for (pid, old) in self.log.states.drain(..).rev() {
             match old {
-                Some(st) => self.states.insert(pid, st),
-                None => self.states.remove(&pid),
-            };
+                Some(st) => spare.states.extend(self.states.insert(pid, st)),
+                None => drop(self.states.remove(&pid)),
+            }
         }
     }
 }
@@ -1355,6 +1528,30 @@ mod tests {
         row.get(i / 64).is_some_and(|w| w & (1u64 << (i % 64)) != 0)
     }
 
+    impl DenseGraph {
+        fn edges(&self) -> Vec<(usize, usize)> {
+            (0..self.n)
+                .flat_map(|a| (0..self.n).map(move |b| (a, b)))
+                .filter(|&(a, b)| bit_get(&self.adj[a * self.words..(a + 1) * self.words], b))
+                .collect()
+        }
+    }
+
+    impl LiveGraph {
+        /// The kept order's invariant: while it is valid, every edge ascends.
+        fn assert_order_holds(&self, at: &str) {
+            assert_eq!(self.pos.len(), self.graph.n, "{at}: a position per node");
+            if self.ordered {
+                for (a, b) in self.graph.edges() {
+                    assert!(
+                        self.pos[a] < self.pos[b],
+                        "{at}: edge {a}→{b} against the order"
+                    );
+                }
+            }
+        }
+    }
+
     impl IncrementalPred<'_> {
         fn by_pid(&self, counts: &PairCounts) -> PidPairs {
             counts
@@ -1369,15 +1566,11 @@ mod tests {
         }
 
         /// Everything that carries meaning, rendered for comparison: all
-        /// fields but the row stride, the acyclicity memo and the scratch
-        /// buffers of `live`, the `dead` worklist and the `live` flags of
+        /// fields but the row stride, the kept order and the buffers of
+        /// `live`, the `scratch` buffers and spares, and the `live` flags of
         /// the overlay.
         fn logical_state(&self) -> String {
-            let g = &self.live.graph;
-            let edges: Vec<(usize, usize)> = (0..g.n)
-                .flat_map(|a| (0..g.n).map(move |b| (a, b)))
-                .filter(|&(a, b)| bit_get(&g.adj[a * g.words..(a + 1) * g.words], b))
-                .collect();
+            let (g, edges) = (&self.live.graph, self.live.graph.edges());
             let mut overlay = self.overlay.clone();
             overlay.iter_mut().flatten().for_each(|c| c.live = false);
             format!(
@@ -1401,8 +1594,9 @@ mod tests {
         /// The persistent overlay's ordered pairs of different processes,
         /// the 8.3(d)/(f) ones oriented by the current ranks.
         fn overlay_order(&self) -> BTreeSet<(OpKey, OpKey)> {
-            let ranks = self.mandatory_ranks();
-            let rank = |q: u32| (ranks[q as usize], self.dense_pids[q as usize]);
+            let mut r = RankScratch::default();
+            self.mandatory_ranks(&mut r);
+            let rank = |q: u32| (r.ranks[q as usize], self.dense_pids[q as usize]);
             let mut order = BTreeSet::new();
             for &p in &self.active {
                 for c in &self.overlay[p as usize] {
@@ -1579,9 +1773,15 @@ mod tests {
     /// the batch checker's and the from-scratch derivation's; and the
     /// persistent permanence, cancellation set, pair counts and completion
     /// overlay (operations, order, what its fixpoint left) are what a
-    /// derivation from the whole history gives. Returns the largest number
-    /// of processes the overlay covered at once.
-    fn assert_reduction_state_tracks_scratch(spec: &Spec, s: &Schedule, label: &str) -> usize {
+    /// derivation from the whole history gives, and a valid kept order
+    /// orders every live edge. Returns the largest number of processes the
+    /// overlay covered at once, and how often a verdict took each path
+    /// ([`LiveGraph::paths`]).
+    fn assert_reduction_state_tracks_scratch(
+        spec: &Spec,
+        s: &Schedule,
+        label: &str,
+    ) -> (usize, [usize; 2]) {
         let batch = check_pred(spec, s).unwrap();
         let mut inc = IncrementalPred::new(spec);
         let mut widest = 0;
@@ -1590,9 +1790,11 @@ mod tests {
             let before = inc.logical_state();
             let what_if = inc.certify(e).unwrap();
             assert_eq!(inc.logical_state(), before, "{at}: certify mutated");
+            inc.live.assert_order_holds(&at);
             assert!(inc.certify(&Event::Commit(ProcessId(99))).is_err());
             assert_eq!(inc.logical_state(), before, "{at}: illegal event mutated");
             let recorded = inc.record(e).unwrap();
+            inc.live.assert_order_holds(&at);
             assert_eq!(what_if, recorded, "{at}");
             assert_eq!(recorded.prefix_len, i + 1, "{at}");
             assert_eq!(recorded.reducible, batch.prefix_reducible[i + 1], "{at}");
@@ -1631,29 +1833,44 @@ mod tests {
             widest = widest.max(inc.active.len());
         }
         assert_eq!(inc.report(), batch, "{label}");
-        widest
+        (widest, inc.live.paths)
     }
 
     #[test]
     fn persistent_reduction_equals_scratch_derivation_after_every_event() {
         let fx = fixtures::paper_world();
+        let mut paths = [0; 2];
+        let mut tally = |(widest, [order, kahn]): (usize, [usize; 2])| {
+            paths[0] += order;
+            paths[1] += kahn;
+            widest
+        };
         for seed in 0..256u64 {
             let s = random_history(&fx.spec, seed, 24, false);
-            assert_reduction_state_tracks_scratch(&fx.spec, &s, &format!("paper seed {seed}"));
+            let label = format!("paper seed {seed}");
+            tally(assert_reduction_state_tracks_scratch(&fx.spec, &s, &label));
         }
         for seed in 0..256u64 {
             let spec = random_world(seed, 5);
             let s = random_history(&spec, seed, 40, false);
-            assert_reduction_state_tracks_scratch(&spec, &s, &format!("world seed {seed}"));
+            let label = format!("world seed {seed}");
+            tally(assert_reduction_state_tracks_scratch(&spec, &s, &label));
         }
         // The shape the engine driver runs: a whole input active at once.
         for seed in 0..12u64 {
             let spec = random_world(seed, 30);
             let s = random_history(&spec, seed, 110, true);
-            let widest =
-                assert_reduction_state_tracks_scratch(&spec, &s, &format!("wide seed {seed}"));
+            let label = format!("wide seed {seed}");
+            let widest = tally(assert_reduction_state_tracks_scratch(&spec, &s, &label));
             assert!(widest >= 16, "wide seed {seed}: {widest} processes at once");
         }
+        // Vacuity guard: the sweeps reach both ways of answering a verdict
+        // with overlay edges.
+        let [order, kahn] = paths;
+        assert!(
+            order > 0 && kahn > 0,
+            "order-only {order}, fallback Kahn {kahn}"
+        );
     }
 
     fn st2(fx: &fixtures::PaperWorld) -> Schedule {
@@ -1770,6 +1987,92 @@ mod tests {
             }
             assert_reduction_state_tracks_scratch(&spec, &s, &format!("group abort seed {seed}"));
         }
+    }
+
+    /// A live graph of `n` isolated nodes, in index order.
+    fn live_graph(n: usize) -> LiveGraph {
+        let mut g = LiveGraph::new();
+        g.counts.resize(n);
+        (0..n).for_each(|_| g.push_node());
+        g
+    }
+
+    #[test]
+    fn an_overlay_edge_against_the_kept_order_falls_back_and_replaces_it() {
+        let mut g = live_graph(3);
+        g.bump(0, 1, true);
+        g.add_extra(2, 0);
+        assert!(g.verdict(), "0→1 plus 2→0 is acyclic");
+        assert_eq!(g.paths, [0, 1], "answered by Kahn");
+        assert!(g.ordered);
+        assert_eq!(g.pos, [1, 2, 0], "Kahn's order 2, 0, 1 is kept");
+        assert_eq!(g.graph.edges(), [(0, 1)], "the overlay edge is taken out");
+        // The same overlay edge now ascends: no traversal.
+        g.add_extra(2, 0);
+        assert!(g.verdict());
+        assert_eq!(g.paths, [1, 1]);
+    }
+
+    #[test]
+    fn an_overlay_edge_closing_a_cycle_is_refused_and_the_order_stays_valid() {
+        let mut g = live_graph(3);
+        g.bump(0, 1, true);
+        g.add_extra(1, 0);
+        assert!(!g.verdict(), "0→1 plus 1→0 is a cycle");
+        assert_eq!(g.paths, [0, 1]);
+        assert!(g.ordered, "the live graph alone still ascends");
+        assert_eq!(
+            (g.pos.as_slice(), g.graph.edges()),
+            ([0, 1, 2].as_slice(), vec![(0, 1)])
+        );
+        // The next verdicts are still right, from the order.
+        assert!(g.verdict());
+        g.add_extra(1, 2);
+        assert!(g.verdict());
+        g.add_extra(2, 0);
+        g.add_extra(1, 2);
+        assert!(!g.verdict(), "0→1→2→0");
+        assert_eq!(g.paths, [1, 2]);
+    }
+
+    #[test]
+    fn a_live_edge_against_the_order_clears_it_until_a_traversal_reorders() {
+        let mut g = live_graph(2);
+        g.bump(1, 0, true);
+        assert!(!g.ordered, "1→0 runs against positions 0, 1");
+        assert!(g.verdict());
+        assert_eq!((g.ordered, g.pos.as_slice()), (true, [1, 0].as_slice()));
+        // A second pair count on the same edge is no new edge.
+        g.bump(1, 0, true);
+        g.bump(0, 1, true);
+        assert!(!g.ordered);
+        assert!(!g.verdict(), "1→0→1");
+        assert!(!g.ordered, "a cyclic graph installs no order");
+        // Removing an edge never clears the order, nor restores it.
+        g.bump(0, 1, false);
+        assert!(!g.ordered);
+        assert!(g.verdict());
+        assert!(g.ordered);
+        assert_eq!(g.paths, [0, 3]);
+    }
+
+    /// St₂'s fourth event closes a cycle only through the completion
+    /// overlay (P₁'s pending `a1_1⁻¹` after P₂'s permanent `a2_1`), so
+    /// refusing it, like a what-if before it, leaves the order valid.
+    #[test]
+    fn a_what_if_and_a_refused_candidate_leave_the_order_valid() {
+        let fx = fixtures::paper_world();
+        let events = st2(&fx).events().to_vec();
+        let mut inc = IncrementalPred::new(&fx.spec);
+        for e in &events[..3] {
+            inc.record(e).unwrap();
+        }
+        assert!(!inc.live.graph.edges().is_empty());
+        assert!(inc.certify(&Event::Execute(fx.a(1, 2))).unwrap().reducible);
+        assert!(!inc.certify_keep(&events[3]).unwrap().reducible);
+        assert!(inc.live.ordered, "the order survived");
+        inc.live.assert_order_holds("after the refusal");
+        assert_eq!(inc.live.paths[1], 1, "only the refusal traversed");
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl Completion {
 }
 
 /// Execution state of one process.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProcessState<'a> {
     process: &'a Process,
     catalog: &'a Catalog,
@@ -128,6 +128,48 @@ pub struct ProcessState<'a> {
     resume: Option<ActivityId>,
     /// Whether a process-level abort is in progress.
     abort_requested: bool,
+}
+
+/// Written by hand for `clone_from`: `#[derive(Clone)]` leaves it at the
+/// default (`*self = source.clone()`), which allocates every vector afresh.
+/// Forwarding it to each vector copies into the capacity `self` already
+/// holds, so the certifier can refill a spare state instead of allocating
+/// one per event.
+impl Clone for ProcessState<'_> {
+    fn clone(&self) -> Self {
+        Self {
+            process: self.process,
+            catalog: self.catalog,
+            status: self.status,
+            steps: self.steps.clone(),
+            exec_order: self.exec_order.clone(),
+            committed: self.committed.clone(),
+            compensated: self.compensated.clone(),
+            branch_taken: self.branch_taken.clone(),
+            frontier: self.frontier,
+            last_ncp: self.last_ncp,
+            pending_compensations: self.pending_compensations.clone(),
+            resume: self.resume,
+            abort_requested: self.abort_requested,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.process = source.process;
+        self.catalog = source.catalog;
+        self.status = source.status;
+        self.steps.clone_from(&source.steps);
+        self.exec_order.clone_from(&source.exec_order);
+        self.committed.clone_from(&source.committed);
+        self.compensated.clone_from(&source.compensated);
+        self.branch_taken.clone_from(&source.branch_taken);
+        self.frontier = source.frontier;
+        self.last_ncp = source.last_ncp;
+        self.pending_compensations
+            .clone_from(&source.pending_compensations);
+        self.resume = source.resume;
+        self.abort_requested = source.abort_requested;
+    }
 }
 
 impl<'a> ProcessState<'a> {
@@ -472,56 +514,49 @@ impl<'a> ProcessState<'a> {
     ///
     /// A terminated process has an empty completion.
     pub fn completion(&self) -> Completion {
+        let mut completion = Completion {
+            compensations: Vec::new(),
+            forward: Vec::new(),
+            guaranteed: true,
+        };
+        self.completion_into(&mut completion);
+        completion
+    }
+
+    /// [`Self::completion`] written into `out`, reusing its vectors'
+    /// capacity.
+    pub fn completion_into(&self, out: &mut Completion) {
+        out.compensations.clear();
+        out.forward.clear();
+        out.guaranteed = true;
         if self.status != ProcessStatus::Active {
-            return Completion {
-                compensations: Vec::new(),
-                forward: Vec::new(),
-                guaranteed: true,
-            };
+            return;
         }
         let boundary_pos = self.boundary_position();
-        let mut compensations: Vec<ActivityId> = self
-            .exec_order
-            .iter()
-            .enumerate()
-            .filter(|(p, &x)| (*p as isize) > boundary_pos && self.is_effective(x))
-            .map(|(_, &x)| x)
-            .collect();
-        compensations.reverse();
-        // Include compensations already queued but not yet applied: they are
-        // part of what recovery still must execute. (They are exactly the
-        // effective activities after the boundary, so the filter above
-        // already covers them.)
-        let mut forward = Vec::new();
-        let mut guaranteed = true;
+        // Compensations already queued but not yet applied are part of what
+        // recovery still must execute; they are exactly the effective
+        // activities after the boundary, so this filter covers them.
+        out.compensations.extend(
+            (self.exec_order.iter().enumerate().rev())
+                .filter(|(p, &x)| (*p as isize) > boundary_pos && self.is_effective(x))
+                .map(|(_, &x)| x),
+        );
         if let Some(boundary) = self.last_ncp {
             let mut cur = boundary;
             loop {
-                match self.process.successors(cur) {
+                cur = match self.process.successors(cur) {
                     Successors::None => break,
-                    Successors::Seq(y) => {
-                        cur = *y;
-                        self.push_forward(cur, &mut forward, &mut guaranteed);
-                    }
+                    Successors::Seq(y) => *y,
                     Successors::Alternatives(branches) => {
-                        cur = *branches.last().expect("non-empty alternatives");
-                        self.push_forward(cur, &mut forward, &mut guaranteed);
+                        *branches.last().expect("non-empty alternatives")
                     }
                     Successors::Parallel(_) => unreachable!("rejected at construction"),
+                };
+                out.forward.push(cur);
+                if self.termination(cur) != Termination::Retriable {
+                    out.guaranteed = false;
                 }
             }
-        }
-        Completion {
-            compensations,
-            forward,
-            guaranteed,
-        }
-    }
-
-    fn push_forward(&self, a: ActivityId, forward: &mut Vec<ActivityId>, guaranteed: &mut bool) {
-        forward.push(a);
-        if self.termination(a) != Termination::Retriable {
-            *guaranteed = false;
         }
     }
 }
