@@ -32,10 +32,9 @@ use txproc_sim::workload::Workload;
 
 /// What a [`RunBuilder`] run produced. History and metrics come from one
 /// scheduler step either way and differ only in the clock their times were
-/// read off (virtual ticks or wall microseconds); the two
-/// result types differ in what their driver adds — a PRED verdict and the
-/// stalled list, or runtime metrics and the durable state the run ended
-/// with.
+/// read off (virtual ticks or wall microseconds); the two result types
+/// differ in what their driver adds — the stalled list, or runtime metrics
+/// and the durable state the run ended with.
 #[derive(Debug)]
 pub enum RunOutcome {
     /// A virtual-time engine run.
@@ -174,7 +173,7 @@ impl<'a> RunBuilder<'a> {
             None => {
                 let mut engine = Engine::assemble(self.workload, self.engine_cfg, sink, self.tele);
                 if let Some(writer) = self.wal {
-                    engine.set_wal(writer);
+                    engine = engine.with_wal(writer);
                 }
                 Ok(RunOutcome::Engine(engine.run()))
             }

@@ -1,13 +1,13 @@
 //! The scheduler — `Shard::step`, the one implementation of the protocol's
-//! transitions — and its wall-clock driver: the workload sharded by conflict
-//! domains and stepped by an event-driven worker pool.
+//! transitions, and `Shard::run`, the one loop around it — and its
+//! wall-clock driver: the workload sharded by conflict domains and stepped
+//! by an event-driven worker pool.
 //!
-//! The virtual-time [`Engine`](crate::engine::Engine) is deterministic —
-//! ideal for experiments — and is a second clock around the same step: one
-//! `RunCtx`, one worker, one shard holding every process. This driver
-//! runs the workload under real OS concurrency. The paper's protocol
-//! (Lemmas 1–3) only ever orders
-//! operations that *conflict*, so processes in different connected
+//! The deterministic virtual-time [`Engine`](crate::engine::Engine) is the
+//! same loop in another [`RunOrder`], over one shard holding every process.
+//! This driver runs the workload under real OS concurrency. The paper's
+//! protocol (Lemmas 1–3) only ever orders operations that *conflict*, so
+//! processes in different connected
 //! components of the potential-conflict graph impose no ordering
 //! obligations on each other. The driver exploits that: a
 //! [`DomainPartition`] splits the workload into conflict domains, and each
@@ -23,11 +23,11 @@
 //! # Runtime
 //!
 //! Processes are state machines stepped by a fixed worker pool (default
-//! `min(cores, shards)`), one non-blocking `Shard::step` call at a time.
-//! Each worker *owns* a disjoint set of shards: a shard is one plain value —
-//! scheduler state, run queue of runnable processes, waiting set of blocked
-//! ones — that only its worker ever touches, so nothing guards it. A
-//! blocked process costs a queue entry, not a parked thread stack, so the
+//! `min(cores, shards)`), [`Fifo`], one non-blocking `Shard::step` call at a
+//! time. Each worker *owns* a disjoint set of shards: a shard is one plain
+//! value — scheduler state, run queue of runnable processes, waiting set of
+//! blocked ones — that only its worker ever touches, so nothing guards it.
+//! A blocked process costs a queue entry, not a parked thread stack, so the
 //! runtime scales to 100k+ in-flight processes. Every scheduler-visible
 //! mutation (a history event, the policy live-op removal at finalize) marks
 //! the shard *dirty*, and a dirty shard re-queues its waiters once its
@@ -278,9 +278,9 @@ pub(crate) enum Clock {
     /// Wall time since the run started, in microseconds (one tick of the
     /// workload's arrival model = 1µs).
     Wall(Instant),
-    /// The engine's virtual `now`, in ticks; the engine sets it before each
-    /// step.
-    Virtual(u64),
+    /// The engine's virtual `now`, in ticks, which only its order moves
+    /// ([`Clock::advance_to`]); atomic so that a `&RunCtx` can move it.
+    Virtual(AtomicU64),
 }
 
 impl Clock {
@@ -288,28 +288,23 @@ impl Clock {
     pub(crate) fn now(&self) -> u64 {
         match self {
             Clock::Wall(start) => start.elapsed().as_micros() as u64,
-            Clock::Virtual(now) => *now,
+            Clock::Virtual(now) => now.load(Ordering::Relaxed),
         }
     }
 
-    /// The `time` of a trace record emitted now. Wall time would make no
-    /// two journals alike, so a wall-clock record is stamped with its
-    /// journal position instead (`None` here).
-    fn trace_time(&self) -> Option<u64> {
-        match self {
-            Clock::Wall(_) => None,
-            Clock::Virtual(now) => Some(*now),
+    /// Moves a virtual clock to `t`; wall time moves by itself.
+    pub(crate) fn advance_to(&self, t: u64) {
+        if let Clock::Virtual(now) = self {
+            now.store(t, Ordering::Relaxed);
         }
     }
 
-    /// Whether `window` (in ticks) is open. Wall time has no ticks to
-    /// scope it with, so there it is open for the whole run (documented on
-    /// [`txproc_sim::workload::CrashStorm`]).
-    fn within(&self, window: (u64, u64)) -> bool {
-        match self {
-            Clock::Wall(_) => true,
-            Clock::Virtual(now) => (window.0..window.1).contains(now),
-        }
+    /// The virtual `now` that trace records and crash-storm windows read;
+    /// `None` on the wall clock, which has no ticks: a record is stamped with
+    /// its journal position instead, and a window is open for the whole run
+    /// ([`txproc_sim::workload::CrashStorm`]).
+    fn ticks(&self) -> Option<u64> {
+        matches!(self, Clock::Virtual(_)).then(|| self.now())
     }
 }
 
@@ -412,6 +407,14 @@ impl<'a> RunCtx<'a> {
         self.arrivals
             .binary_search_by_key(&pid, |&(p, _)| p)
             .map_or(0, |i| self.arrivals[i].1)
+    }
+
+    /// `members` in the order both drivers admit them: by arrival time,
+    /// ties by pid.
+    pub(crate) fn arrival_queue(&self, members: &[ProcessId]) -> VecDeque<(u64, ProcessId)> {
+        let mut queue: Vec<_> = members.iter().map(|&p| (self.arrival(p), p)).collect();
+        queue.sort();
+        queue.into()
     }
 
     /// The service subsystem `sid` ran as invocation `inv`, while it holds
@@ -573,7 +576,7 @@ pub(crate) struct ShardDone {
 
 /// Outcome of one [`Shard::step`].
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Step {
+enum Step {
     /// Process reached a terminal state and left the shard's live set.
     Done,
     /// Blocked on shard state; parked in the waiting set until the shard is
@@ -581,6 +584,41 @@ pub(crate) enum Step {
     Wait,
     /// Made progress (or must re-poll immediately): runnable again.
     Yield,
+}
+
+/// Which process [`Shard::run`] steps next, and when: the one free choice
+/// of a run, since the protocol must hold under every interleaving. The
+/// defaults are [`Fifo`]'s; the engine's virtual time is the other order.
+pub(crate) trait RunOrder<'a> {
+    /// Whether a deadlock break spends a unit of the budget, as a step does.
+    const BREAK_SPENDS_BUDGET: bool = false;
+
+    /// `pid` yielded, emitting the events of `shard`'s history from
+    /// `emitted` on: `true` steps it again at once; otherwise the order has
+    /// put it back in the run queue or holds it until a wake-up of its own.
+    fn after_yield(&mut self, _: &RunCtx<'a>, _: &mut Shard<'a>, _: ProcessId, _: usize) -> bool {
+        true
+    }
+
+    /// The run queue drained: make what is due runnable. `false` when
+    /// nothing is left to come, so the shard's waiters are deadlocked.
+    fn on_drain(&mut self, _: &RunCtx<'a>, _: &mut Shard<'a>) -> bool {
+        false
+    }
+}
+
+/// Run to block, first in first out — the event worker's and recovery's
+/// order: a dequeued process is stepped until it waits or terminates.
+/// Rotating after every step would keep a maximal unreduced frontier alive
+/// in the certifier, where running each process as deep as it goes
+/// completes (and reduces away) processes early.
+pub(crate) struct Fifo;
+
+impl RunOrder<'_> for Fifo {}
+
+/// The step budget only a livelock exhausts, for a run of `processes`.
+pub(crate) fn livelock_budget(processes: usize) -> usize {
+    10_000 * (processes + 1)
 }
 
 impl<'a> Shard<'a> {
@@ -920,33 +958,31 @@ impl<'a> Shard<'a> {
         !self.run_queue.is_empty() || (self.dirty && !self.waiting.is_empty())
     }
 
-    /// The one run-to-block loop, an event worker's visit and all of a
-    /// recovery: steps the run queue until it drains or `budget` steps are
-    /// spent, and returns how many processes are left live. A dequeued
-    /// process is stepped until it waits or terminates — rotating after
-    /// every step would keep a maximal unreduced frontier alive in the
-    /// certifier, where running each process as deep as it goes completes
-    /// (and reduces away) processes early — and one still runnable when the
-    /// budget is spent goes back to the front, so the next call resumes it.
-    /// When the run queue has drained with waiters left, a dirty shard
-    /// re-queues them all ([`pop_runnable`](Self::pop_runnable)). A clean
-    /// one is a genuine deadlock among the arrived, broken at once by a
-    /// counted re-poll ([`break_deadlock`](Self::break_deadlock)); its abort
-    /// marks the shard dirty, so the next drain wakes the rest. Each dequeue
-    /// samples the process's scheduling delay, and each process's run the
-    /// queue depth.
-    pub(crate) fn run(
+    /// The one run loop — an event worker's visit, a recovery, an engine
+    /// tick: steps the run queue in `order` until nothing is left or
+    /// `budget` steps are spent, and returns how many processes are left
+    /// live. One continued when the budget is spent goes back to the front.
+    /// A drained queue takes a dirty shard's waiters
+    /// ([`pop_runnable`](Self::pop_runnable)), then what `order` has due; a
+    /// clean shard with nothing due is deadlocked, and broken at once
+    /// ([`break_deadlock`](Self::break_deadlock)). Each dequeue samples the
+    /// scheduling delay, and each process's run the queue depth.
+    pub(crate) fn run<O: RunOrder<'a>>(
         &mut self,
         ctx: &RunCtx<'a>,
         rt: &mut RuntimeMetrics,
         mut budget: usize,
+        order: &mut O,
     ) -> usize {
         while budget > 0 {
             let Some((pid, enqueued)) = self.pop_runnable() else {
-                if !self.break_deadlock(ctx) {
+                if order.on_drain(ctx, self) {
+                    continue;
+                } else if !self.break_deadlock(ctx) {
                     break;
                 }
                 rt.repolls += 1;
+                budget -= usize::from(O::BREAK_SPENDS_BUDGET);
                 continue;
             };
             let delay_ns = enqueued.elapsed().as_nanos() as u64;
@@ -955,10 +991,13 @@ impl<'a> Shard<'a> {
             loop {
                 budget -= 1;
                 rt.steps += 1;
-                match self.step(ctx, pid) {
-                    Step::Yield if budget > 0 => continue,
-                    Step::Yield => self.run_queue.push_front((pid, Instant::now())),
-                    Step::Wait | Step::Done => {}
+                let emitted = self.history.len();
+                if self.step(ctx, pid) == Step::Yield && order.after_yield(ctx, self, pid, emitted)
+                {
+                    if budget > 0 {
+                        continue;
+                    }
+                    self.run_queue.push_front((pid, Instant::now()));
                 }
                 break;
             }
@@ -973,7 +1012,7 @@ impl<'a> Shard<'a> {
     /// commit: such a process has two wake-up calls, the release and its
     /// abort, both take it out of `pending_release`, and until then its step
     /// is a no-op.
-    pub(crate) fn pop_runnable(&mut self) -> Option<(ProcessId, Instant)> {
+    fn pop_runnable(&mut self) -> Option<(ProcessId, Instant)> {
         if self.run_queue.is_empty() && self.dirty && !self.waiting.is_empty() {
             self.dirty = false;
             self.waiting.retain(|pid| {
@@ -998,7 +1037,7 @@ impl<'a> Shard<'a> {
     /// active and not aborting are group-aborted under it. The victim goes
     /// to the back of the run queue. A break that emits nothing is a stall,
     /// and panics with every process's state.
-    pub(crate) fn break_deadlock(&mut self, ctx: &RunCtx<'a>) -> bool {
+    fn break_deadlock(&mut self, ctx: &RunCtx<'a>) -> bool {
         let Some(pid) = self.waiting.pop_first() else {
             return false;
         };
@@ -1016,21 +1055,15 @@ impl<'a> Shard<'a> {
             self.initiate_abort(ctx, pid, AbortReason::Deadlock, None);
         }
         if self.history.len() == events {
-            let mut diag = String::new();
-            for (p, st) in &self.states {
-                diag.push_str(&format!(
-                    "\n  {p}: status={:?} aborting={} next_comp={:?} next_act={:?} can_commit={}",
-                    st.status(),
-                    st.abort_in_progress(),
-                    st.next_compensation(),
-                    st.next_activity(),
-                    st.can_commit()
-                ));
-            }
+            let states = self.states.iter().map(|(p, st)| {
+                let (status, aborting) = (st.status(), st.abort_in_progress());
+                let next = (st.next_compensation(), st.next_activity(), st.can_commit());
+                format!("\n  {p}: {status:?} aborting {aborting} next {next:?}")
+            });
+            let (id, history) = (self.id, txproc_core::schedule::render(&self.history));
+            let states: String = states.collect();
             panic!(
-                "{pid}: deadlock break emitted nothing (shard {})\nshard history: {}{diag}",
-                self.id,
-                txproc_core::schedule::render(&self.history)
+                "{pid}: deadlock break emitted nothing (shard {id})\nhistory: {history}{states}"
             );
         }
         self.run_queue.push_back((pid, Instant::now()));
@@ -1041,7 +1074,7 @@ impl<'a> Shard<'a> {
     /// protocol logic — and files it by the outcome: a terminated process
     /// leaves the live set, a blocked one joins the waiting set, a runnable
     /// one stays with the caller (which steps it again or re-queues it).
-    pub(crate) fn step(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
+    fn step(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
         let step = self.advance(ctx, pid);
         match step {
             Step::Done => {
@@ -1138,7 +1171,7 @@ impl<'a> Shard<'a> {
             _ => {}
         }
         self.trace_buf
-            .push((self.history.len(), ctx.clock.trace_time(), event));
+            .push((self.history.len(), ctx.clock.ticks(), event));
         if self.trace_buf.len() >= TRACE_BATCH {
             ctx.trace
                 .record_batch(self.id, std::mem::take(&mut self.trace_buf));
@@ -1155,11 +1188,8 @@ impl<'a> Shard<'a> {
         };
         let len = self.history.len();
         self.cert_fail_notes.retain(|&(_, stamp)| stamp >= len);
-        if self
-            .cert_fail_notes
-            .iter()
-            .any(|(e, stamp)| *stamp == len && *e == event)
-        {
+        let notes = &self.cert_fail_notes;
+        if notes.iter().any(|(e, stamp)| *stamp == len && *e == event) {
             // The verdict is a pure function of the history: a re-poll at
             // the same length is the same failed decision — not a new one
             // for the journal or `cert_failures` — so the certify preview
@@ -1186,15 +1216,11 @@ impl<'a> Shard<'a> {
     /// Releases whose history event does not certify yet are parked in
     /// `stalled_releases` and re-armed when the history grows.
     fn drain_ready_releases(&mut self, ctx: &RunCtx<'a>) {
-        if !self.stalled_releases.is_empty() {
-            let hist_len = self.history.len();
-            let (rearm, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.stalled_releases)
-                .into_iter()
-                .partition(|&(_, stamp)| stamp < hist_len);
-            self.stalled_releases = keep;
-            self.ready_releases
-                .extend(rearm.into_iter().map(|(pj, _)| pj));
-        }
+        let len = self.history.len();
+        let rearm = self
+            .stalled_releases
+            .extract_if(.., |&mut (_, stamp)| stamp < len);
+        self.ready_releases.extend(rearm.map(|(pj, _)| pj));
         let ready = std::mem::take(&mut self.ready_releases);
         for pj in ready {
             let Some(&(gid, sid, inv)) = self.pending_release.get(&pj) else {
@@ -1589,17 +1615,13 @@ impl<'a> Shard<'a> {
         if self.states[&pid].abort_in_progress() || !self.states[&pid].is_active() {
             return;
         }
-        let completion = self.states[&pid].completion();
-        let comp_gids: Vec<GlobalActivityId> = completion
-            .compensations
-            .iter()
-            .map(|&a| GlobalActivityId::new(pid, a))
-            .collect();
-        let process = ctx.workload.spec.process(pid).expect("known");
+        let (state, gid) = (&self.states[&pid], |&a| GlobalActivityId::new(pid, a));
+        let completion = state.completion();
+        let comp_gids: Vec<GlobalActivityId> = completion.compensations.iter().map(gid).collect();
         let fwd: Vec<_> = completion
             .forward
             .iter()
-            .map(|&a| process.service(a))
+            .map(|&a| state.process().service(a))
             .collect();
         let victims = self.policy.plan_abort(pid, &comp_gids, &fwd);
         self.group_abort(ctx, pid, &victims, trigger);
@@ -1639,7 +1661,8 @@ fn fail_coin(seed: u64, gid: GlobalActivityId, attempt: u64) -> f64 {
 fn p_fail(ctx: &RunCtx<'_>, subsystem: SubsystemId) -> f64 {
     let config = &ctx.workload.config;
     if let Some(storm) = &config.storm {
-        if subsystem.0 < storm.subsystems && ctx.clock.within(storm.window) {
+        let (from, to) = storm.window;
+        if subsystem.0 < storm.subsystems && ctx.clock.ticks().is_none_or(|t| from <= t && t < to) {
             return storm.failure_probability.clamp(0.0, 1.0);
         }
     }
@@ -1781,51 +1804,28 @@ struct Domain<'a, 'g> {
     built: Option<Shard<'a>>,
 }
 
-impl<'g> Domain<'_, 'g> {
-    fn new(id: u32, members: &'g [ProcessId], ctx: &RunCtx<'_>) -> Self {
-        let mut arrivals: Vec<(u64, ProcessId)> =
-            members.iter().map(|&pid| (ctx.arrival(pid), pid)).collect();
-        // Deterministic admission order: by arrival offset, ties by pid.
-        arrivals.sort();
-        Self {
-            id,
-            members,
-            arrivals: arrivals.into(),
-            built: None,
-        }
-    }
-}
-
 /// Event-worker loop: round-robins over the worker's owned shards, admitting
 /// due arrivals and spending up to [`STEP_BUDGET`] steps of [`Shard::run`]
 /// per shard per pass. Returns the worker's share of the runtime metrics and
-/// what its retired shards hand to the merge.
-///
-/// Invariants (see DESIGN.md "The wall-clock driver"):
-///
-/// * the worker holds a built shard only for domains with live or due work
-///   (module docs, "Shard lifecycle"): built at the first admission, retired
-///   at the last termination with no arrival pending;
-/// * every live process is in exactly one of `run_queue` / `waiting` /
-///   mid-step;
-/// * waiters are re-queued whenever the shard is dirty and the runnable work
-///   has drained — and a blocker is always a shard-mate (domain invariant),
-///   so no wakeup is ever missed;
-/// * when a clean shard's run queue drains with waiters left, every live
-///   process of the shard is blocked. A future arrival only *adds* conflicts
-///   and can never unblock an existing waiter, so this is a genuine deadlock
-///   among the arrived, broken at once by aborting a victim
-///   ([`Shard::break_deadlock`]) instead of sleeping on a timeout.
+/// what its retired shards hand to the merge. Every live process is in
+/// exactly one of `run_queue` / `waiting` / mid-step, and a built shard is
+/// one with live or due work (module docs, "Shard lifecycle"). A future
+/// arrival only *adds* conflicts and never unblocks a waiter, so a clean
+/// drained shard with waiters is a genuine deadlock among the arrived
+/// (DESIGN.md "The wall-clock driver").
 fn event_worker<'a>(
     ctx: &RunCtx<'a>,
     owned: Vec<(u32, &[ProcessId])>,
 ) -> (RuntimeMetrics, Vec<ShardDone>) {
     let mut rt = RuntimeMetrics::new(1);
     let mut done = Vec::with_capacity(owned.len());
-    let mut owned: Vec<Domain<'a, '_>> = owned
-        .into_iter()
-        .map(|(id, members)| Domain::new(id, members, ctx))
-        .collect();
+    let domains = owned.into_iter().map(|(id, members)| Domain {
+        id,
+        members,
+        arrivals: ctx.arrival_queue(members),
+        built: None,
+    });
+    let mut owned: Vec<Domain<'a, '_>> = domains.collect();
     while !owned.is_empty() {
         let mut progressed = false;
         let mut next_arrival: Option<u64> = None;
@@ -1857,7 +1857,7 @@ fn event_worker<'a>(
             };
             let (live, t0) = (shard.live, Instant::now());
             // A freed live slot may admit a deferred arrival.
-            progressed |= shard.run(ctx, &mut rt, STEP_BUDGET) < live;
+            progressed |= shard.run(ctx, &mut rt, STEP_BUDGET, &mut Fifo) < live;
             rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
             progressed |= shard.has_work();
             if shard.live > 0 || !dom.arrivals.is_empty() {
@@ -2568,7 +2568,11 @@ mod tests {
         assert_eq!(shard.step(&ctx, p2), Step::Yield);
 
         let mut rt = RuntimeMetrics::new(1);
-        assert_eq!(shard.run(&ctx, &mut rt, STEP_BUDGET), 0, "the shard drains");
+        assert_eq!(
+            shard.run(&ctx, &mut rt, STEP_BUDGET, &mut Fifo),
+            0,
+            "the shard drains"
+        );
         assert_eq!(rt.repolls, 1, "one break");
         assert_eq!(shard.metrics.abort_reasons.deadlock, 1);
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
@@ -2786,7 +2790,7 @@ mod tests {
         assert_eq!(p_fail(&ctx, SubsystemId(0)), 0.9);
         assert_eq!(p_fail(&ctx, SubsystemId(1)), 0.1, "not a storm subsystem");
         for (now, p) in [(0, 0.1), (9, 0.1), (10, 0.9), (19, 0.9), (20, 0.1)] {
-            ctx.clock = Clock::Virtual(now);
+            ctx.clock = Clock::Virtual(now.into());
             assert_eq!(p_fail(&ctx, SubsystemId(0)), p, "tick {now}");
             assert_eq!(p_fail(&ctx, SubsystemId(1)), 0.1, "tick {now}");
         }

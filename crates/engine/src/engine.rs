@@ -1,5 +1,5 @@
 //! The transactional process scheduler runtime on a virtual clock: a
-//! deterministic discrete-event loop around `Shard::step`.
+//! deterministic discrete-event order over `Shard::run`.
 //!
 //! The engine is the WISE-style system the paper describes in its
 //! conclusion, and every transition of it — admission by the scheduling
@@ -7,23 +7,28 @@
 //! certification, service invocation with failure injection, alternative
 //! paths and compensations, deferred commits released by 2PC, cascading
 //! aborts, the journal — is the one the concurrent driver takes: a
-//! `RunCtx` with one worker (this loop) and one `Shard` holding every
-//! process. What the engine adds is *when*: it pops the next wake-up,
-//! steps that process once, and charges the activity the step executed its
-//! duration in virtual time. Same seed, same history, tick for tick; the
-//! emitted [`Schedule`] can be checked for PRED offline.
+//! `RunCtx` with one worker and one `Shard` holding every process, run by
+//! the worker's own loop. What the engine adds is the order of that loop,
+//! [`VirtualTime`]: a step that executed, compensated or failed an activity
+//! holds its process for the activity's duration in virtual time, and the
+//! clock moves to the next wake-up only when nothing is runnable now. Same
+//! seed, same history, tick for tick; the emitted [`Schedule`] can be
+//! checked for PRED offline.
 
-use crate::concurrent::{fresh_agents, Clock, ConcurrentConfig, RunCtx, Shard, ShardMode, Step};
+use crate::concurrent::{
+    fresh_agents, livelock_budget, Clock, ConcurrentConfig, RunCtx, RunOrder, Shard, ShardMode,
+};
 use crate::policy::PolicyKind;
 use crate::recovery::CrashImage;
+use std::collections::VecDeque;
 use std::time::Instant;
-use txproc_core::ids::{GlobalActivityId, ProcessId};
+use txproc_core::ids::ProcessId;
 use txproc_core::schedule::{Event, Schedule};
 use txproc_core::telemetry::Telemetry;
 use txproc_core::trace::{AbortReason, NoopSink, TraceSink};
 use txproc_core::wal::WalWriter;
 use txproc_sim::clock::{EventQueue, SimTime};
-use txproc_sim::metrics::Metrics;
+use txproc_sim::metrics::{Metrics, RuntimeMetrics};
 use txproc_sim::workload::Workload;
 use txproc_subsystem::tpc::Coordinator;
 
@@ -65,29 +70,83 @@ pub struct RunResult {
     pub metrics: Metrics,
     /// The emitted history.
     pub history: Schedule,
-    /// Processes that could not make progress (scheduling stall — should
-    /// always be empty; reported instead of hanging).
+    /// Live processes left when the budget ran out (a scheduling livelock;
+    /// empty on every run that ends).
     pub stalled: Vec<ProcessId>,
 }
 
-/// What a wake-up is for.
-enum Wake {
-    /// The process arrives: it is admitted to the shard.
-    Arrival,
-    /// The activity the process was executing ends: it is runnable again.
-    Resume,
+/// The engine's order: virtual time, a discrete-event `pop_min` over the
+/// arrivals and the activities in progress. A `Yield` that executed,
+/// compensated or failed an activity holds its process until the
+/// activity's duration has passed; any other goes to the back of the run
+/// queue at the same instant. When the run queue drains, the clock moves to
+/// the next wake-up and everything due then becomes runnable together,
+/// arrivals first.
+struct VirtualTime {
+    /// Processes yet to arrive, by arrival time (ties in process order).
+    arrivals: VecDeque<(u64, ProcessId)>,
+    /// Processes held while their activity runs, by the time it ends.
+    in_progress: EventQueue<ProcessId>,
 }
 
-/// The engine.
+impl<'a> RunOrder<'a> for VirtualTime {
+    /// A break is a tick of its own ([`Engine::tick`]).
+    const BREAK_SPENDS_BUDGET: bool = true;
+
+    fn after_yield(
+        &mut self,
+        ctx: &RunCtx<'a>,
+        shard: &mut Shard<'a>,
+        pid: ProcessId,
+        emitted: usize,
+    ) -> bool {
+        let activity = shard.history.events()[emitted..]
+            .iter()
+            .find_map(|e| match e {
+                Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) if g.process == pid => {
+                    Some(g.activity)
+                }
+                _ => None,
+            });
+        let Some(a) = activity else {
+            shard.run_queue.push_back((pid, Instant::now()));
+            return false;
+        };
+        let service = ctx.workload.spec.process(pid).expect("known").service(a);
+        let site = ctx.workload.deployment.site(service);
+        let at = ctx.clock.now() + site.map_or(1, |s| s.duration);
+        self.in_progress.schedule(SimTime(at), pid);
+        false
+    }
+
+    fn on_drain(&mut self, ctx: &RunCtx<'a>, shard: &mut Shard<'a>) -> bool {
+        let arrival = self.arrivals.front().map(|&(at, _)| at);
+        let resume = self.in_progress.next_time().map(|t| t.0);
+        let Some(at) = arrival.into_iter().chain(resume).min() else {
+            return false;
+        };
+        ctx.clock.advance_to(at);
+        while let Some((_, pid)) = self.arrivals.pop_front_if(|&mut (t, _)| t == at) {
+            shard.admit(ctx, pid);
+        }
+        while self.in_progress.next_time() == Some(SimTime(at)) {
+            let (_, pid) = self.in_progress.pop().expect("peeked");
+            shard.run_queue.push_back((pid, Instant::now()));
+        }
+        true
+    }
+}
+
+/// The engine: one worker's run context and shard, in virtual time.
 pub struct Engine<'a> {
     /// What the workers of a concurrent run share; here there is one
-    /// worker, this loop, and the clock is the virtual `now`.
+    /// worker, and the clock is the virtual `now`.
     ctx: RunCtx<'a>,
     /// Every process of the workload, in one shard.
     pub(crate) shard: Shard<'a>,
-    /// Wake-ups in virtual time: arrivals, and the ends of the activities
-    /// in progress. What is due now sits in the shard's run queue.
-    queue: EventQueue<(Wake, ProcessId)>,
+    order: VirtualTime,
+    /// What the loop counts of itself; a tick reads it, the run drops it.
+    rt: RuntimeMetrics,
 }
 
 impl<'a> Engine<'a> {
@@ -116,24 +175,22 @@ impl<'a> Engine<'a> {
         // Closed arrivals keep the config's `arrival_gap` staggering; open
         // models (Poisson / Burst) take their times from the workload.
         let durable = (fresh_agents(workload), Coordinator::new());
-        let clock = Clock::Virtual(0);
-        let mut ctx = RunCtx::new(
-            workload,
-            run,
-            sink,
-            Vec::new(),
-            clock,
-            cfg.arrival_gap,
-            durable,
-        );
+        let (clock, gap) = (Clock::Virtual(0.into()), cfg.arrival_gap);
+        let mut ctx = RunCtx::new(workload, run, sink, Vec::new(), clock, gap, durable);
         ctx.tele = tele;
         let members: Vec<ProcessId> = workload.spec.processes().map(|p| p.id).collect();
         let shard = Shard::build(0, &members, &ctx);
-        let mut queue = EventQueue::new();
-        for pid in members {
-            queue.schedule(SimTime(ctx.arrival(pid)), (Wake::Arrival, pid));
+        let order = VirtualTime {
+            arrivals: ctx.arrival_queue(&members),
+            in_progress: EventQueue::new(),
+        };
+        let rt = RuntimeMetrics::default();
+        Self {
+            ctx,
+            shard,
+            order,
+            rt,
         }
-        Self { ctx, shard, queue }
     }
 
     /// Installs a durable write-ahead journal: every durable state
@@ -142,12 +199,8 @@ impl<'a> Engine<'a> {
     /// itself every [`RunConfig::epoch`] history events. Journaling is pure
     /// observation — the emitted history is bit-identical with and without it.
     pub fn with_wal(mut self, writer: WalWriter) -> Self {
-        self.set_wal(writer);
-        self
-    }
-
-    pub(crate) fn set_wal(&mut self, writer: WalWriter) {
         self.ctx.set_wal(writer);
+        self
     }
 
     /// The emitted history so far.
@@ -166,65 +219,14 @@ impl<'a> Engine<'a> {
         live.map(|(&pid, _)| pid).collect()
     }
 
-    fn duration_of(&self, gid: GlobalActivityId) -> u64 {
-        let workload = self.ctx.workload;
-        let process = workload.spec.process(gid.process).expect("known");
-        let site = workload.deployment.site(process.service(gid.activity));
-        site.map(|s| s.duration).unwrap_or(1)
-    }
-
-    /// Takes one step of one process. Returns `false` when nothing remains
-    /// (all processes terminated).
+    /// Takes one step of one process, or breaks one deadlock: a run of
+    /// budget 1. Returns `false` when nothing remains (all processes
+    /// terminated).
     pub fn tick(&mut self) -> bool {
-        loop {
-            if let Some((pid, _)) = self.shard.pop_runnable() {
-                self.step(pid);
-                return true;
-            }
-            // Nothing is runnable at `now`. The clock moves to the next
-            // wake-up and everything due then becomes runnable together;
-            // only when no wake-up is left is a clean shard's blocked set a
-            // deadlock, broken like any drained shard's, in one tick.
-            let Some(at) = self.queue.next_time() else {
-                return self.shard.break_deadlock(&self.ctx);
-            };
-            self.ctx.clock = Clock::Virtual(at.0);
-            while self.queue.next_time() == Some(at) {
-                match self.queue.pop().expect("peeked").1 {
-                    (Wake::Arrival, pid) => self.shard.admit(&self.ctx, pid),
-                    (Wake::Resume, pid) => self.resume(pid),
-                }
-            }
-        }
-    }
-
-    fn resume(&mut self, pid: ProcessId) {
-        self.shard.run_queue.push_back((pid, Instant::now()));
-    }
-
-    /// One [`Shard::step`] of `pid`, and its cost in virtual time: a step
-    /// that executed, compensated or failed an activity takes the activity's
-    /// duration; any other takes none, and the process stays runnable now.
-    fn step(&mut self, pid: ProcessId) {
-        let now = self.ctx.clock.now();
-        let emitted = self.shard.history.len();
-        if self.shard.step(&self.ctx, pid) != Step::Yield {
-            return;
-        }
-        let emitted = &self.shard.history.events()[emitted..];
-        let activity = emitted.iter().find_map(|e| match e {
-            Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) if g.process == pid => {
-                Some(*g)
-            }
-            _ => None,
-        });
-        match activity {
-            Some(gid) => {
-                let at = SimTime(now + self.duration_of(gid));
-                self.queue.schedule(at, (Wake::Resume, pid));
-            }
-            None => self.resume(pid),
-        }
+        let done = self.rt.steps + self.rt.repolls;
+        let (ctx, order) = (&self.ctx, &mut self.order);
+        self.shard.run(ctx, &mut self.rt, 1, order);
+        self.rt.steps + self.rt.repolls > done
     }
 
     /// Runs until the emitted history holds at least `n` events (or nothing
@@ -233,19 +235,12 @@ impl<'a> Engine<'a> {
         while self.history().len() < n && self.tick() {}
     }
 
-    /// Runs to completion; returns the result.
+    /// Runs to completion, or until the livelock budget runs out; returns
+    /// the result.
     pub fn run(mut self) -> RunResult {
-        // Safety bound: a run of n processes needs O(n · activities) steps;
-        // hitting the bound indicates a scheduling livelock, which is
-        // reported via `stalled` instead of hanging.
-        let max_ticks = 10_000 * (self.shard.states.len() as u64 + 1);
-        let mut ticks = 0u64;
-        while self.tick() {
-            ticks += 1;
-            if ticks > max_ticks {
-                break;
-            }
-        }
+        let budget = livelock_budget(self.shard.states.len());
+        let (ctx, order) = (&self.ctx, &mut self.order);
+        self.shard.run(ctx, &mut self.rt, budget, order);
         let stalled = self.live_processes();
         let makespan = self.ctx.clock.now();
         let done = self.shard.finish(&self.ctx);
@@ -345,6 +340,39 @@ mod tests {
             serial.metrics.makespan,
             pred.metrics.makespan
         );
+    }
+
+    #[test]
+    fn serial_makespan_is_the_sum_of_charged_durations() {
+        // The virtual-time charge rule: an `Execute`, `Compensate` or `Fail`
+        // costs its activity's deployed duration (DESIGN.md, "cost of a
+        // retry / a `Busy`"); a retry, a `Busy` and a step that emits
+        // nothing cost no time. Serial runs one process at a time, so with
+        // every arrival at 0 the makespan is exactly the sum.
+        for seed in 0..6 {
+            for failure in [0.0, 0.3] {
+                let w = small_workload(seed, 0.5, failure);
+                let cfg = RunConfig {
+                    policy: PolicyKind::Serial,
+                    seed,
+                    inject_failures: failure > 0.0,
+                    arrival_gap: 0,
+                    ..RunConfig::default()
+                };
+                let result = run(&w, cfg);
+                let charged = result.history.events().iter().map(|e| match e {
+                    Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => {
+                        let process = w.spec.process(g.process).expect("known");
+                        let site = w.deployment.site(process.service(g.activity));
+                        site.map_or(1, |s| s.duration)
+                    }
+                    _ => 0,
+                });
+                let label = format!("seed {seed}, failure probability {failure}");
+                assert!(result.stalled.is_empty(), "{label}");
+                assert_eq!(result.metrics.makespan, charged.sum::<u64>(), "{label}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! sweeps check its tail against the reference `≪̃` of
 //! [`txproc_core::completion::complete`].
 
-use crate::concurrent::{RunCtx, Shard};
+use crate::concurrent::{livelock_budget, Fifo, RunCtx, Shard};
 use crate::durability::{rebuild_image, RebuildError};
 use std::collections::BTreeMap;
 use txproc_core::completion::forward_ranks;
@@ -257,9 +257,8 @@ pub(crate) fn recover_impl<'s>(
     let surfaced = shard.metrics.activities;
     let ranks = completion_order(workload, &ctx, &shard)?;
     let aborted = shard.abort_live(&ctx, &ranks);
-    // A step budget only a livelock exhausts.
-    let budget = 10_000 * (shard.states.len() + 1);
-    if shard.run(&ctx, &mut RuntimeMetrics::default(), budget) > 0 {
+    let budget = livelock_budget(shard.states.len());
+    if shard.run(&ctx, &mut RuntimeMetrics::default(), budget, &mut Fifo) > 0 {
         return Err(RecoveryError::History(ScheduleError::CyclicCompletionOrder));
     }
     let metrics = &shard.metrics;
