@@ -549,9 +549,9 @@ pub(crate) struct Shard<'a> {
     /// When each currently blocked process entered its wait, on the run's
     /// clock, for the per-process blocked-time metric.
     blocked_since: BTreeMap<ProcessId, u64>,
-    /// Admission attempts per activity (the failure coin's `attempt`) of
-    /// each admitted process, from its admission to its termination: the
-    /// keys are the admitted, live processes.
+    /// Attempts per activity (the failure coin's `attempt`: one per pass of
+    /// admission and certification) of each admitted process, from its
+    /// admission to its termination; the keys are the admitted, live ones.
     attempts: BTreeMap<ProcessId, BTreeMap<ActivityId, u64>>,
     /// Arrived and not yet terminated.
     live: usize,
@@ -1441,7 +1441,12 @@ impl<'a> Shard<'a> {
                 return Step::Yield;
             }
         };
-        // Failure injection: one deterministic draw per admission attempt.
+        if mode == CommitMode::Immediate && !self.certified_traced(ctx, Event::Execute(gid)) {
+            // A function of the shard history; retried once it advances.
+            return Step::Wait;
+        }
+        // Failure injection: one deterministic draw per attempt that passed
+        // admission and certification, never per refused re-poll.
         let attempts = self.attempts.get_mut(&pid).expect("live process");
         let attempt = attempts.entry(a).and_modify(|n| *n += 1).or_insert(1);
         let coin = fail_coin(ctx.cfg.seed, gid, *attempt);
@@ -1462,11 +1467,6 @@ impl<'a> Shard<'a> {
             self.metrics.retries += 1;
             simulated_invoke(ctx, svc, site);
             return Step::Yield;
-        }
-        if mode == CommitMode::Immediate && !self.certified_traced(ctx, Event::Execute(gid)) {
-            // Certification is a function of the shard history; retry once it
-            // advances.
-            return Step::Wait;
         }
         // The invocation is journalled while its agent stays locked, and
         // nothing else is done there: agents allocate invocation ids in

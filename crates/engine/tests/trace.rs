@@ -38,10 +38,15 @@ fn workload(seed: u64, processes: usize) -> Workload {
 /// order and `history_len`. The digest (FNV-1a over the JSONL of each seed's
 /// engine journal, then its one-worker concurrent journal) was computed at
 /// the commit before every decision of the step went through one `note`,
-/// and moved once since, by decision, when a deadlock came to be broken as
-/// soon as it is found: in seed 30's engine run P6 no longer steps its
-/// blocked `a6_2` until a failure coin fails it, but is the deadlock victim
-/// at history length 21 and cascades P7 (one more record).
+/// and moved twice since, by decision. When a deadlock came to be broken as
+/// soon as it is found, seed 30's engine run P6 no longer stepped its
+/// blocked `a6_2` until a failure coin failed it, but was the deadlock
+/// victim at history length 21 and cascaded P7 (one more record). When the
+/// failure coin came to be drawn after certification, every injected
+/// failure or retry of a certified run follows its `Execute`'s
+/// `CertifyOutcome` (682 more records over both drivers), and in seed 58's
+/// engine run P7's `a7_1` is refused at history length 14 where the coin
+/// used to fail it uncertified.
 #[test]
 fn journals_pinned_over_64_seeds() {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
@@ -70,7 +75,7 @@ fn journals_pinned_over_64_seeds() {
     }
     assert_eq!(
         (records, digest),
-        (9_497, 0x22e3_55e4_fe86_4096),
+        (10_179, 0x778d_935a_ddad_f693),
         "got ({records}, {digest:#018x})"
     );
 }
