@@ -16,9 +16,8 @@
 //!   completion changes; the 8.3(d)/(f) pair counters (`m2`) follow by
 //!   flip-diff against the operation's conflict buckets,
 //! * the **reduction is persistent**: the set of original operations the
-//!   compensation rule cancelled and the rule-3-live pair counters net of
-//!   them (with the process graph they induce) are certifier state. A new
-//!   forward operation cannot change the fate of any original pair; a new
+//!   compensation rule cancelled is certifier state. A new forward
+//!   operation cannot change the fate of any original pair; a new
 //!   compensation adds one pair and a worklist cascade from it; a commit
 //!   revives that process's effect-free operations and re-examines only the
 //!   pairs those operations sit between,
@@ -32,12 +31,21 @@
 //!   forward/forward pairs read the 8.3(d)/(f) ranks per verdict. No closure
 //!   here either: every original conflicting with an overlay compensation
 //!   precedes it, and of two conflicting overlay operations one is a
-//!   *direct* predecessor of the other.
+//!   *direct* predecessor of the other,
+//! * the **reduction of the completed schedule is persistent** as well. Its
+//!   compensation rule runs over the recorded and the overlay pairs, and no
+//!   overlay operation sits between two originals, so it cancels what the
+//!   history's reduction cancels and more — but only overlay pairs, never a
+//!   further recorded pair (DESIGN.md invariant 4). Their bases are a set
+//!   of their own (`ocancelled`, disjoint from `cancelled`) and the
+//!   cancelled overlay compensations are the ones whose `live` flag is
+//!   down, so `cancelled` stays the history's reduction. The live pair
+//!   counters, and the process graph they induce, count the pairs of
+//!   originals that survive both. An event moves both fixpoints by its
+//!   delta, over-delete then re-derive ([`IncrementalPred::settle`]).
 //!
-//! A verdict derives the overlay's part of the reduction — the fixpoint of
-//! the compensation rule over the overlay pairs (it cancels further
-//! originals, undone afterwards) and the process-graph edges into and among
-//! the surviving overlay operations.
+//! A verdict then only adds the process-graph edges into and among the
+//! surviving overlay operations and checks them against the kept order.
 //!
 //! Every mutation logs its inverse ([`Undo`]). A what-if ([`certify`]) or a
 //! rejected candidate rolls the log back, so the state afterwards is the
@@ -46,7 +54,7 @@
 //!
 //! Per-event cost: `d` operations in the service buckets conflicting with
 //! the touched operation, `k` overlay operations (`t` in the replaced part),
-//! `e` stored overlay order pairs, `p` processes, `c` compensation pairs.
+//! `e` stored overlay order pairs, `p` processes.
 //!
 //! | step | per event |
 //! |------|-----------|
@@ -54,7 +62,7 @@
 //! | permanence flips, `m2` | `O(flips · d)` |
 //! | mandatory ranks 8.3(d)/(f) | `O(p² + k · d)`, only when two live overlay forward operations of different processes conflict |
 //! | overlay operations and order | `O(t · conflicting overlay operations)` |
-//! | cancellation fixpoint | `O(d)` per new pair, `O(c)` per cancelled operation; overlay: `O(rounds · (k + e))` plus the originals after each pair's base |
+//! | cancellation fixpoints | `O(d)` per new pair; `O(d + c_s + k_s)` per operation whose fate in either fixpoint changes, where `c_s` and `k_s` are the recorded and overlay pairs of the services it conflicts with |
 //! | live pair counters and process graph | `O(d)` per operation that changes liveness, `O(k · d + e)` overlay edges checked against the kept topological order; Kahn `O(p · ⌈p/64⌉)` only when an edge goes against the kept order |
 //!
 //! In steady state a step allocates only for amortized growth of its
@@ -253,10 +261,11 @@ impl PairCounts {
     }
 }
 
-/// The reduced history's serialization state: conflicting cross-process
-/// pairs of original operations that are both rule-3 live and not
-/// cancelled, and the process graph those pairs induce (an edge per
-/// non-zero entry, over dense process indices).
+/// The serialization state of the completed schedule's reduction, over the
+/// originals: conflicting cross-process pairs of original operations that
+/// are both rule-3 live and in neither cancelled set, and the process graph
+/// those pairs induce (an edge per non-zero entry, over dense process
+/// indices).
 ///
 /// It also keeps a topological order of that graph (Pearce and Kelly's
 /// dynamic topological sort, without their local reordering): while
@@ -283,9 +292,8 @@ struct LiveGraph {
     deg: Vec<u32>,
     order: Vec<usize>,
     /// Verdicts the order answered with at least one overlay edge, and
-    /// verdicts that fell back to Kahn (the sweeps' vacuity guard).
-    #[cfg(test)]
-    paths: [usize; 2],
+    /// verdicts that fell back to Kahn.
+    paths: [u64; 2],
 }
 
 impl LiveGraph {
@@ -298,7 +306,6 @@ impl LiveGraph {
             extra: Vec::new(),
             deg: Vec::new(),
             order: Vec::new(),
-            #[cfg(test)]
             paths: [0; 2],
         }
     }
@@ -344,7 +351,6 @@ impl LiveGraph {
     /// the graph without the overlay edges too).
     fn verdict(&mut self) -> bool {
         let from_order = self.ordered && self.extra.iter().all(|&(a, b)| self.ascends(a, b));
-        #[cfg(test)]
         if !from_order || !self.extra.is_empty() {
             self.paths[usize::from(!from_order)] += 1;
         }
@@ -380,6 +386,9 @@ struct Service {
     id: ServiceId,
     /// Recorded operations of this service, ascending.
     bucket: Vec<usize>,
+    /// Recorded compensation pairs `(forward, compensation)` of this
+    /// service, ascending compensation.
+    pairs: Vec<(usize, usize)>,
     /// Overlay operations of this service, ascending.
     overlay: Vec<CopRef>,
     /// Indices of the known services this one conflicts with, asked of the
@@ -416,14 +425,29 @@ struct Cop {
     /// processes with a smaller reference: 8.3(d)/(f) orient these pairs by
     /// the mandatory ranks, per verdict. Ascending.
     ff: Vec<CopRef>,
-    /// Scratch of the last verdict: survived rule 3 and the compensation
-    /// rule.
+    /// Survives rule 3 and the compensation rule of the completed schedule:
+    /// not effect-free, and for a compensation, its pair is not cancelled.
     live: bool,
 }
 
 fn insert_sorted(refs: &mut Vec<CopRef>, r: CopRef) {
     let at = refs.partition_point(|&x| x < r);
     refs.insert(at, r);
+}
+
+/// An operation of the completed schedule: an original or an overlay one.
+#[derive(Debug, Clone, Copy)]
+enum Member {
+    Orig(usize),
+    Cop(CopRef),
+}
+
+/// A compensation pair of the completed schedule: recorded `(forward,
+/// compensation)`, or an overlay compensation, which names its base.
+#[derive(Debug, Clone, Copy)]
+enum Pair {
+    Recorded(usize, usize),
+    Overlay(CopRef),
 }
 
 /// The inverse of one in-place mutation. Rolling the log back in reverse
@@ -438,8 +462,12 @@ enum Undo {
     /// A [`LiveGraph`] bump to invert.
     Live(u32, u32, bool),
     Revived(usize),
-    CancelFlip(usize),
-    Pair,
+    /// A flip of `cancelled`, or of `ocancelled` when set.
+    CancelFlip(usize, bool),
+    /// A flip of an overlay compensation's `live` flag.
+    CopLive(CopRef),
+    /// A recorded pair appended to this service.
+    Pair(u32),
     Op,
     Process,
     Service,
@@ -483,13 +511,26 @@ struct Scratch<'a> {
     touched: Vec<(ProcessId, ProcessState<'a>)>,
     /// Activities whose will-compensate status the event changed.
     changed: Vec<GlobalActivityId>,
-    /// [`IncrementalPred::revive_effect_free`]'s worklists.
-    flipped: Vec<usize>,
-    revived: Vec<usize>,
-    suspects: Vec<(usize, usize)>,
-    /// [`IncrementalPred::cancel`]'s worklist.
-    dead: Vec<usize>,
+    /// What the event changed in the history's reduction (index 0) and the
+    /// completed schedule's (index 1), for [`IncrementalPred::settle`]:
+    /// operations that came alive, operations that died, and pairs to
+    /// re-examine.
+    rose: [Vec<Member>; 2],
+    fell: [Vec<Member>; 2],
+    retry: [Vec<Pair>; 2],
+    /// The pairs a lookup found, before they are acted on.
+    hits: Vec<Pair>,
     ranks: RankScratch,
+}
+
+impl Scratch<'_> {
+    /// Notes for [`IncrementalPred::settle`] that `m` died (`dead`) or
+    /// came alive in the history's reduction, or with `completed` in the
+    /// completed schedule's.
+    fn moved(&mut self, completed: bool, dead: bool, m: Member) {
+        let list = if dead { &mut self.fell } else { &mut self.rose };
+        list[usize::from(completed)].push(m);
+    }
 }
 
 /// Verdict for one planned or recorded event.
@@ -522,8 +563,6 @@ pub struct IncrementalPred<'a> {
     proc_ops: Vec<Vec<usize>>,
     fwd_of: BTreeMap<GlobalActivityId, usize>,
     comp_gids: BTreeSet<GlobalActivityId>,
-    /// Recorded compensation pairs `(forward, compensation)`.
-    pairs: Vec<(usize, usize)>,
     // -- permanence --
     /// Forward, not compensated, and not to be compensated by its
     /// process's pending completion (Definition 8).
@@ -536,8 +575,15 @@ pub struct IncrementalPred<'a> {
     /// Rule 3: not effect-free, or of a committed process.
     live_base: Vec<bool>,
     /// Removed by the compensation rule: the least fixpoint of "cancel a
-    /// pair nothing live and conflicting sits between" over `pairs`.
+    /// pair nothing live and conflicting sits between" over the recorded
+    /// pairs ([`Service::pairs`]).
     cancelled: Vec<bool>,
+    /// Removed by the same rule over the completed schedule, and not by
+    /// the history's: the overlay's share of its reduction, the bases of
+    /// the cancelled overlay pairs.
+    ocancelled: Vec<bool>,
+    /// Pair counters and process graph over the originals that survive
+    /// both cancelled sets.
     live: LiveGraph,
     // -- the completion overlay --
     /// Per dense process, the operations its pending completion appends:
@@ -546,10 +592,6 @@ pub struct IncrementalPred<'a> {
     /// Dense indices of the processes with a non-empty part, ascending pid
     /// (the order `complete` appends in).
     active: Vec<u32>,
-    /// The overlay's compensation pairs `(base operation, compensation)`,
-    /// descending base: what can block a pair lies after its base, so this
-    /// is the order the pairs unblock in.
-    overlay_pairs: Vec<(usize, CopRef)>,
     // -- report --
     prefix_reducible: Vec<bool>,
     first_violation: Option<usize>,
@@ -560,6 +602,8 @@ pub struct IncrementalPred<'a> {
     /// the same event only drops the log; anything else rolls it back first.
     kept: Option<Event>,
     scratch: Scratch<'a>,
+    /// Entries of `cancelled` and `ocancelled` flipped, rollbacks included.
+    flips: u64,
 }
 
 /// The working copy of `pid`'s state machine for the event in flight: a
@@ -637,22 +681,38 @@ impl<'a> IncrementalPred<'a> {
             proc_ops: Vec::new(),
             fwd_of: BTreeMap::new(),
             comp_gids: BTreeSet::new(),
-            pairs: Vec::new(),
             perm: Vec::new(),
             completion_cache: BTreeMap::new(),
             m2: PairCounts::default(),
             live_base: Vec::new(),
             cancelled: Vec::new(),
+            ocancelled: Vec::new(),
             live: LiveGraph::new(),
             overlay: Vec::new(),
             active: Vec::new(),
-            overlay_pairs: Vec::new(),
             prefix_reducible: vec![true],
             first_violation: None,
             log: UndoLog::default(),
             kept: None,
             scratch: Scratch::default(),
+            flips: 0,
         }
+    }
+
+    /// How often an original entered or left a cancelled set, rolled-back
+    /// steps included (test support: the work a verdict does on the
+    /// reduction, counted independently of the host).
+    #[doc(hidden)]
+    pub fn cancel_flips(&self) -> u64 {
+        self.flips
+    }
+
+    /// How many verdicts the kept topological order could not answer, so
+    /// that Kahn traversed the graph (test support, like
+    /// [`Self::cancel_flips`]).
+    #[doc(hidden)]
+    pub fn kahn_fallbacks(&self) -> u64 {
+        self.live.paths[1]
     }
 
     /// Events recorded so far.
@@ -760,8 +820,18 @@ impl<'a> IncrementalPred<'a> {
         }
     }
 
+    /// In the history's reduction.
     fn alive(&self, i: usize) -> bool {
         self.live_base[i] && !self.cancelled[i]
+    }
+
+    /// In the completed schedule's reduction.
+    fn survives(&self, i: usize) -> bool {
+        self.alive(i) && !self.ocancelled[i]
+    }
+
+    fn cop(&self, (p, slot): CopRef) -> &Cop {
+        &self.overlay[p as usize][slot as usize]
     }
 
     /// Neither compensated in the history nor by the pending completion of
@@ -849,29 +919,28 @@ impl<'a> IncrementalPred<'a> {
         }
         self.scratch.changed = changed;
 
-        // 4. The reduction of the originals: rule-3 revivals of a commit,
-        //    or the appended operation and the pair it may close.
+        // 4. The history's reduction: rule-3 revivals of a commit, or the
+        //    appended operation and the pair it may close.
         if let Some(p) = commit {
             self.revive_effect_free(p);
         }
         if let Some((gid, service, kind)) = appended {
             self.push_op(gid, service, kind);
         }
+        self.settle(false);
 
         // 5. The completion overlay: the parts of the processes whose
         //    pending completion changed (after step 4, so a compensation of
-        //    the operation just appended finds it), then the verdict on top,
-        //    its cancellations of originals undone.
+        //    the operation just appended finds it), then the reduction of
+        //    the completed schedule, then the verdict.
         for at in 0..self.log.completions.len() {
             let (pid, old) = &self.log.completions[at];
             if old.as_ref() != self.completion_cache.get(pid) {
                 self.refresh_overlay(*pid);
             }
         }
-        let mark = self.log.ops.len();
-        let reducible = self.overlay_verdict();
-        self.rollback_ops(mark);
-        Ok(reducible)
+        self.settle(true);
+        Ok(self.overlay_verdict())
     }
 
     /// Step 1 of [`Self::step`]: applies `event` to working copies of the
@@ -943,6 +1012,7 @@ impl<'a> IncrementalPred<'a> {
         self.svcs.push(Service {
             id: service,
             bucket: Vec::new(),
+            pairs: Vec::new(),
             overlay: Vec::new(),
             conflicts,
         });
@@ -964,18 +1034,41 @@ impl<'a> IncrementalPred<'a> {
     /// Adds (`up`) or removes the live pairs operation `x` forms.
     fn count_live(&mut self, x: usize, up: bool) {
         for (j, a, b) in partners(&self.ops, &self.svcs, x) {
-            if self.live_base[j] && !self.cancelled[j] {
+            if self.survives(j) {
                 self.live.bump(a, b, up);
                 self.log.ops.push(Undo::Live(a, b, up));
             }
         }
     }
 
-    fn set_cancelled(&mut self, x: usize, cancelled: bool) {
-        debug_assert!(self.live_base[x] && self.cancelled[x] != cancelled);
-        self.cancelled[x] = cancelled;
-        self.log.ops.push(Undo::CancelFlip(x));
+    fn flip(&mut self, x: usize, overlay: bool) {
+        let set = if overlay {
+            &mut self.ocancelled
+        } else {
+            &mut self.cancelled
+        };
+        set[x] = !set[x];
+        self.flips += 1;
+        self.log.ops.push(Undo::CancelFlip(x, overlay));
+    }
+
+    /// Puts `x` into (`cancelled`) or takes it out of the history's
+    /// cancelled set, or with `overlay` the overlay's. The live pairs follow,
+    /// and [`Self::settle`] learns what rose or fell in each reduction. The
+    /// history cancelling an original the overlay had cancelled moves it
+    /// from one set to the other.
+    fn set_cancelled(&mut self, x: usize, overlay: bool, cancelled: bool) {
+        debug_assert!(self.live_base[x]);
+        self.flip(x, overlay);
+        if !overlay {
+            self.scratch.moved(false, cancelled, Member::Orig(x));
+            if cancelled && self.ocancelled[x] {
+                self.flip(x, true);
+                return;
+            }
+        }
         self.count_live(x, !cancelled);
+        self.scratch.moved(true, cancelled, Member::Orig(x));
     }
 
     /// Appends an operation of the original history: the pairs it forms
@@ -1006,6 +1099,7 @@ impl<'a> IncrementalPred<'a> {
         self.perm.push(perm);
         self.live_base.push(live);
         self.cancelled.push(false);
+        self.ocancelled.push(false);
         self.ops.push(OrigOp {
             gid,
             service,
@@ -1018,7 +1112,10 @@ impl<'a> IncrementalPred<'a> {
             self.count_mandatory(idx, true);
         }
         if live {
+            // The newest original blocks no recorded pair, only overlay
+            // pairs before it.
             self.count_live(idx, true);
+            self.scratch.moved(true, false, Member::Orig(idx));
         }
         match kind {
             OpKind::Forward => {
@@ -1026,119 +1123,112 @@ impl<'a> IncrementalPred<'a> {
             }
             OpKind::Compensation => {
                 if let Some(&f) = self.fwd_of.get(&gid) {
-                    self.pairs.push((f, idx));
-                    self.log.ops.push(Undo::Pair);
-                    self.try_cancel(f, idx);
+                    self.svcs[sidx as usize].pairs.push((f, idx));
+                    self.log.ops.push(Undo::Pair(sidx));
+                    self.scratch.retry[0].push(Pair::Recorded(f, idx));
                 }
             }
         }
     }
 
-    /// Whether operation `x` sits between the recorded pair `(f, c)` and
-    /// conflicts with it — i.e. blocks the compensation rule while it is
-    /// live. A compensation carries the base service of the operation it
-    /// undoes, so `x` conflicts with both halves or neither, and 8.3a (or
-    /// the process chain) orders conflicting operations by history
-    /// position: `f ≪̃ x ≪̃ c` is `f < x < c`.
-    fn between(&self, f: usize, x: usize, c: usize) -> bool {
-        f < x
-            && x < c
-            && self
-                .spec
-                .oracle()
-                .conflict(self.ops[f].service, self.ops[x].service)
+    /// Whether original `x` is live in the history's reduction, or with
+    /// `completed` in the completed schedule's.
+    fn live_in(&self, x: usize, completed: bool) -> bool {
+        if completed {
+            self.survives(x)
+        } else {
+            self.alive(x)
+        }
     }
 
-    /// Whether a live original operation conflicting with `f` sits between
-    /// `f` and the other half `c` of its pair (see [`Self::between`]) —
-    /// i.e. blocks the compensation rule for that pair. Every original
-    /// precedes an overlay compensation it conflicts with, so an overlay
-    /// pair passes `usize::MAX`.
-    fn blocked(&self, f: usize, c: usize) -> bool {
+    /// The pairs that original `x` sits between and conflicts with — i.e.
+    /// blocks while it is live — into `out`: the recorded pairs, or with
+    /// `completed` the overlay pairs, the only pairs the overlay's share
+    /// of the reduction cancels (DESIGN.md invariant 4). A compensation
+    /// carries the base service of the operation it undoes, so `x`
+    /// conflicts with both halves or neither, and 8.3a (or the process
+    /// chain) orders conflicting operations by history position:
+    /// `f ≪̃ x ≪̃ c` is `f < x < c`, and every original precedes an overlay
+    /// compensation it conflicts with. Only the pairs of the services `x`
+    /// conflicts with are read.
+    fn pairs_around(&self, x: usize, completed: bool, out: &mut Vec<Pair>) {
+        for &t in &self.svcs[self.ops[x].sidx as usize].conflicts {
+            let s = &self.svcs[t as usize];
+            if !completed {
+                let after = s.pairs.partition_point(|&(_, c)| c <= x);
+                out.extend(
+                    s.pairs[after..]
+                        .iter()
+                        .filter(|&&(f, _)| f < x)
+                        .map(|&(f, c)| Pair::Recorded(f, c)),
+                );
+            } else {
+                out.extend(
+                    (s.overlay.iter())
+                        .filter(|&&r| {
+                            let c = self.cop(r);
+                            c.kind == OpKind::Compensation && c.fwd < x
+                        })
+                        .map(|&r| Pair::Overlay(r)),
+                );
+            }
+        }
+    }
+
+    /// The overlay compensations overlay operation `r` is ordered directly
+    /// before and conflicts with — the overlay pairs it blocks while it is
+    /// live — into `out`.
+    fn pairs_after(&self, r: CopRef, out: &mut Vec<Pair>) {
+        for &t in &self.svcs[self.cop(r).sidx as usize].conflicts {
+            out.extend(
+                (self.svcs[t as usize].overlay.iter())
+                    .filter(|&&o| {
+                        let c = self.cop(o);
+                        c.kind == OpKind::Compensation && c.preds.binary_search(&r).is_ok()
+                    })
+                    .map(|&o| Pair::Overlay(o)),
+            );
+        }
+    }
+
+    /// Whether an original conflicting with `f` sits between `f` and the
+    /// other half `c` of its pair and is live — in the completed schedule's
+    /// reduction when `completed`, else in the history's — i.e. blocks the
+    /// compensation rule for that pair (see [`Self::pairs_around`]). An
+    /// overlay pair passes `usize::MAX`.
+    fn blocked(&self, f: usize, c: usize, completed: bool) -> bool {
         let holds_blocker = |bucket: &Vec<usize>| {
             let below_c = bucket.iter().rev().skip_while(|&&k| k >= c);
-            below_c.take_while(|&&k| k > f).any(|&k| self.alive(k))
+            below_c
+                .take_while(|&&k| k > f)
+                .any(|&k| self.live_in(k, completed))
         };
         let conflicts = &self.svcs[self.ops[f].sidx as usize].conflicts;
         (conflicts.iter()).any(|&t| holds_blocker(&self.svcs[t as usize].bucket))
     }
 
-    /// Cancels the recorded pair `(f, c)` if both are live and nothing
-    /// blocks it, and follows the cascade.
-    fn try_cancel(&mut self, f: usize, c: usize) {
-        if self.alive(f) && self.alive(c) && !self.blocked(f, c) {
-            self.cancel(&[f, c]);
-        }
-    }
-
-    /// Cancels the operations in `seed`, and every recorded pair that
-    /// unblocks in turn: a pair can only unblock when an operation between
-    /// its two halves dies, so only those pairs are re-examined. (Two
-    /// partially overlapping conflicting pairs block each other for good,
-    /// and a nested pair is decided before the pair around it is recorded;
-    /// the cascade matters when a commit revives a nested pair later.)
-    fn cancel(&mut self, seed: &[usize]) {
-        let mut dead = take(&mut self.scratch.dead);
-        dead.extend_from_slice(seed);
-        while let Some(x) = dead.pop() {
-            if !self.alive(x) {
-                continue;
-            }
-            self.set_cancelled(x, true);
-            for &(f, c) in &self.pairs {
-                if self.alive(f) && self.alive(c) && self.between(f, x, c) && !self.blocked(f, c) {
-                    dead.extend([f, c]);
-                }
-            }
-        }
-        self.scratch.dead = dead;
-    }
-
     /// Rule 3 after `Commit(p)`: the effect-free operations of `p` become
-    /// live. A revived operation blocks every cancelled pair it sits
-    /// between; un-cancelling such a pair revives its two halves, which may
-    /// block further pairs. Everything un-cancelled, and every pair a
-    /// revived operation belongs to, is then re-examined — the least
-    /// fixpoint under the larger live set lies between the two.
+    /// live in both reductions, and the recorded pairs they form may cancel.
     fn revive_effect_free(&mut self, p: ProcessId) {
         let Some(&px) = self.pid_dense.get(&p) else {
             return;
         };
-        let mut flipped = take(&mut self.scratch.flipped);
-        let mut revived = take(&mut self.scratch.revived);
-        let mut suspects = take(&mut self.scratch.suspects);
-        let ops = &self.proc_ops[px as usize];
-        flipped.extend(ops.iter().copied().filter(|&i| !self.live_base[i]));
-        for &i in &flipped {
+        for at in 0..self.proc_ops[px as usize].len() {
+            let i = self.proc_ops[px as usize][at];
+            if self.live_base[i] {
+                continue;
+            }
             self.live_base[i] = true;
             self.log.ops.push(Undo::Revived(i));
             self.count_live(i, true);
-        }
-        revived.extend_from_slice(&flipped);
-        while let Some(x) = revived.pop() {
-            for at in 0..self.pairs.len() {
-                let (f, c) = self.pairs[at];
-                if self.cancelled[f] && self.cancelled[c] && self.between(f, x, c) {
-                    self.set_cancelled(f, false);
-                    self.set_cancelled(c, false);
-                    revived.extend([f, c]);
-                    suspects.push((f, c));
-                }
+            for completed in [false, true] {
+                self.scratch.moved(completed, false, Member::Orig(i));
+            }
+            let pairs = &self.svcs[self.ops[i].sidx as usize].pairs;
+            if let Some(&(f, c)) = pairs.iter().find(|&&(f, c)| f == i || c == i) {
+                self.scratch.retry[0].push(Pair::Recorded(f, c));
             }
         }
-        suspects.extend(
-            self.pairs
-                .iter()
-                .filter(|(f, c)| flipped.contains(f) || flipped.contains(c))
-                .copied(),
-        );
-        for (f, c) in suspects.drain(..) {
-            self.try_cancel(f, c);
-        }
-        flipped.clear();
-        self.scratch.flipped = flipped;
-        self.scratch.revived = revived;
-        self.scratch.suspects = suspects;
     }
 
     /// Replaces `pid`'s part of the overlay by what its cached completion
@@ -1168,16 +1258,17 @@ impl<'a> IncrementalPred<'a> {
                     OpKind::Forward => usize::MAX,
                 };
                 debug_assert!(fwd == usize::MAX || self.ops[fwd].service == service);
+                let eff_free = spec.catalog.is_effect_free(service);
                 let cop = Cop {
                     gid,
                     service,
                     sidx: 0,
                     kind,
-                    eff_free: spec.catalog.is_effect_free(service),
+                    eff_free,
                     fwd,
                     preds: Vec::new(),
                     ff: Vec::new(),
-                    live: false,
+                    live: !eff_free,
                 };
                 match part.get_mut(len) {
                     Some(spare) => {
@@ -1213,9 +1304,63 @@ impl<'a> IncrementalPred<'a> {
         for c in &mut part {
             c.sidx = self.intern(c.service);
         }
+        self.carry_over(pidx, &mut part);
         let old = self.swap_part(pidx, part);
         self.log.parts.push(old);
         self.log.ops.push(Undo::Overlay(pidx));
+    }
+
+    /// Before `part` replaces dense process `p`'s part of the overlay: a
+    /// compensation both parts hold keeps its pair's fate. Of the others, an
+    /// old cancelled one gives its base back, an old live one stops blocking
+    /// the pairs after it, which are re-examined, and a new live one is a
+    /// new blocker ([`Self::settle`]'s `rose`) and a new pair.
+    fn carry_over(&mut self, p: u32, part: &mut [Cop]) {
+        let pi = p as usize;
+        // A part lists its compensations first, by descending base.
+        let comps = |part: &[Cop]| {
+            (part.iter())
+                .take_while(|c| c.kind == OpKind::Compensation)
+                .count()
+        };
+        let held = |comps: &[Cop], fwd: usize| comps.binary_search_by(|c| fwd.cmp(&c.fwd)).ok();
+        let (new, old) = (comps(part), comps(&self.overlay[pi]));
+        let mut hits = take(&mut self.scratch.hits);
+        let mut unblocked = false;
+        for slot in 0..old {
+            let o = &self.overlay[pi][slot];
+            let f = o.fwd;
+            if held(&part[..new], f).is_some() {
+                continue;
+            }
+            if o.live {
+                unblocked = true;
+                self.pairs_after((p, slot as u32), &mut hits);
+                let others = hits
+                    .drain(..)
+                    .filter(|q| !matches!(q, Pair::Overlay(r) if r.0 == p));
+                self.scratch.retry[1].extend(others);
+            } else if !o.eff_free && self.ocancelled[f] {
+                self.set_cancelled(f, true, false);
+            }
+        }
+        self.scratch.hits = hits;
+        for (slot, c) in part[..new].iter_mut().enumerate() {
+            let r = (p, slot as u32);
+            let fresh = match held(&self.overlay[pi][..old], c.fwd) {
+                Some(at) => {
+                    c.live = self.overlay[pi][at].live;
+                    false
+                }
+                None => true,
+            };
+            if fresh && c.live {
+                self.scratch.moved(true, false, Member::Cop(r));
+            }
+            if c.live && (fresh || unblocked) {
+                self.scratch.retry[1].push(Pair::Overlay(r));
+            }
+        }
     }
 
     /// Installs `part` as the overlay operations of dense process `p` and
@@ -1239,7 +1384,6 @@ impl<'a> IncrementalPred<'a> {
                 }
             }
         }
-        self.overlay_pairs.retain(|&(_, r)| r.0 != p);
         let mut old = std::mem::replace(&mut self.overlay[pi], part);
         for c in &mut old {
             c.preds.clear();
@@ -1279,10 +1423,6 @@ impl<'a> IncrementalPred<'a> {
                 }
             }
             insert_sorted(&mut self.svcs[sidx].overlay, me);
-            if kind == OpKind::Compensation {
-                let at = self.overlay_pairs.partition_point(|&(f, _)| f > fwd);
-                self.overlay_pairs.insert(at, (fwd, me));
-            }
         }
         self.active.retain(|&q| q != p);
         if !self.overlay[pi].is_empty() {
@@ -1337,46 +1477,136 @@ impl<'a> IncrementalPred<'a> {
             .extend(node_of.iter().map(|&node| r.rank_of_node[node]));
     }
 
-    /// Reducibility of the completed schedule: layers the completion
-    /// overlay on the persistent reduction — its compensation pairs may
-    /// cancel further originals — and checks the process graph of what
-    /// remains. Leaves those cancellations in the log for the caller to
-    /// roll back.
-    fn overlay_verdict(&mut self) -> bool {
-        // Rule 3 (an active process is not committed), then the
-        // compensation rule to its fixpoint: an overlay pair is blocked by
-        // live originals after its base or live overlay operations ordered
-        // before its compensation; cancelling its original half cascades
-        // through the recorded pairs.
-        for &p in &self.active {
-            let part = &mut self.overlay[p as usize];
-            part.iter_mut().for_each(|c| c.live = !c.eff_free);
+    /// The overlay operation `r` names, if its part still holds it.
+    fn cop_at(&self, (p, slot): CopRef) -> Option<&Cop> {
+        self.overlay.get(p as usize)?.get(slot as usize)
+    }
+
+    /// Whether `m` is live in the history's reduction, or with `completed`
+    /// in the completed schedule's.
+    fn member_live(&self, m: Member, completed: bool) -> bool {
+        match m {
+            Member::Orig(x) => self.live_in(x, completed),
+            Member::Cop(r) => self.cop_at(r).is_some_and(|c| c.live),
         }
-        loop {
-            let mut changed = false;
-            for at in 0..self.overlay_pairs.len() {
-                let (f, (p, slot)) = self.overlay_pairs[at];
-                let c = &self.overlay[p as usize][slot as usize];
-                let blocker = |&(q, s): &CopRef| self.overlay[q as usize][s as usize].live;
-                if c.live
-                    && self.alive(f)
-                    && !c.preds.iter().any(blocker)
-                    && !self.blocked(f, usize::MAX)
-                {
-                    self.overlay[p as usize][slot as usize].live = false;
-                    self.cancel(&[f]);
-                    changed = true;
+    }
+
+    /// The pairs `m` blocks while it is live, into `out`.
+    fn pairs_blocked_by(&self, m: Member, completed: bool, out: &mut Vec<Pair>) {
+        match m {
+            Member::Orig(x) => self.pairs_around(x, completed, out),
+            Member::Cop(r) if self.cop_at(r).is_some() => self.pairs_after(r, out),
+            Member::Cop(_) => {}
+        }
+    }
+
+    /// Whether `pair` is cancelled: a recorded pair by the history's
+    /// reduction, an overlay pair by the overlay's share.
+    fn is_cancelled(&self, pair: Pair) -> bool {
+        match pair {
+            Pair::Recorded(f, c) => self.cancelled[f] && self.cancelled[c],
+            Pair::Overlay(r) => self.cop_at(r).is_some_and(|c| !c.live && !c.eff_free),
+        }
+    }
+
+    fn set_live(&mut self, r: CopRef, live: bool) {
+        let c = &mut self.overlay[r.0 as usize][r.1 as usize];
+        debug_assert!(c.kind == OpKind::Compensation && c.live != live && !c.eff_free);
+        c.live = live;
+        self.log.ops.push(Undo::CopLive(r));
+        self.scratch.moved(true, !live, Member::Cop(r));
+    }
+
+    /// Takes `pair` out of the cancellations, to be re-examined.
+    fn restore(&mut self, pair: Pair) {
+        match pair {
+            Pair::Recorded(f, c) => {
+                self.set_cancelled(f, false, false);
+                self.set_cancelled(c, false, false);
+                self.scratch.retry[0].push(pair);
+            }
+            Pair::Overlay(r) => {
+                self.set_live(r, true);
+                let f = self.cop(r).fwd;
+                if self.ocancelled[f] {
+                    self.set_cancelled(f, true, false);
+                }
+                self.scratch.retry[1].push(pair);
+            }
+        }
+    }
+
+    /// Cancels `pair` if both halves are live and no live conflicting
+    /// operation sits between them: an original after the base, or for an
+    /// overlay pair also an overlay operation ordered directly before its
+    /// compensation. A recorded pair cancels in the history's reduction, an
+    /// overlay pair in the overlay's share.
+    fn try_pair(&mut self, pair: Pair) {
+        match pair {
+            Pair::Recorded(f, c) => {
+                if self.alive(f) && self.alive(c) && !self.blocked(f, c, false) {
+                    self.set_cancelled(f, false, true);
+                    self.set_cancelled(c, false, true);
                 }
             }
-            if !changed {
-                break;
+            Pair::Overlay(r) => {
+                let Some(c) = self.cop_at(r) else {
+                    return;
+                };
+                let f = c.fwd;
+                if c.kind == OpKind::Compensation
+                    && c.live
+                    && self.survives(f)
+                    && !c.preds.iter().any(|&q| self.cop(q).live)
+                    && !self.blocked(f, usize::MAX, true)
+                {
+                    self.set_live(r, false);
+                    self.set_cancelled(f, true, true);
+                }
             }
         }
+    }
 
-        // Serializability of the remainder: the live original pairs plus
-        // the edges into and among the live overlay operations. The ranks
-        // are derived only if two live forward operations of different
-        // processes conflict.
+    /// Brings the history's reduction (or with `completed` the completed
+    /// schedule's) back to the least fixpoint of the compensation rule,
+    /// after the event's delta: the operations that came alive (`rose`) or
+    /// died (`fell`) in it, and the pairs to re-examine (`retry`). The rule
+    /// is over-delete, then re-derive; DESIGN.md invariant 4 gives the
+    /// argument. Over-delete: every cancelled pair something live sits in
+    /// is restored, and its halves rise in turn. Re-derive: every restored
+    /// pair and every pair around an operation that dies is re-examined.
+    fn settle(&mut self, completed: bool) {
+        let l = usize::from(completed);
+        let mut hits = take(&mut self.scratch.hits);
+        while let Some(m) = self.scratch.rose[l].pop() {
+            if !self.member_live(m, completed) {
+                continue;
+            }
+            self.pairs_blocked_by(m, completed, &mut hits);
+            for pair in hits.drain(..) {
+                if self.is_cancelled(pair) {
+                    self.restore(pair);
+                }
+            }
+        }
+        while let Some(pair) = self.scratch.retry[l].pop() {
+            self.try_pair(pair);
+        }
+        while let Some(m) = self.scratch.fell[l].pop() {
+            self.pairs_blocked_by(m, completed, &mut hits);
+            for pair in hits.drain(..) {
+                self.try_pair(pair);
+            }
+        }
+        self.scratch.hits = hits;
+    }
+
+    /// Reducibility of the completed schedule: the process graph of the
+    /// surviving originals plus the edges into and among the live overlay
+    /// operations, checked against the kept order.
+    fn overlay_verdict(&mut self) -> bool {
+        // The ranks are derived only if two live forward operations of
+        // different processes conflict.
         let cops = || self.active.iter().flat_map(|&p| &self.overlay[p as usize]);
         let mut rank_scratch = take(&mut self.scratch.ranks);
         let ranks = if cops().any(|c| c.live && !c.ff.is_empty()) {
@@ -1389,7 +1619,7 @@ impl<'a> IncrementalPred<'a> {
             for c in self.overlay[p as usize].iter().filter(|c| c.live) {
                 for &t in &self.svcs[c.sidx as usize].conflicts {
                     for &i in &self.svcs[t as usize].bucket {
-                        if self.live_base[i] && !self.cancelled[i] && self.ops[i].pidx != p {
+                        if self.survives(i) && self.ops[i].pidx != p {
                             self.live.add_extra(self.ops[i].pidx, p);
                         }
                     }
@@ -1413,10 +1643,13 @@ impl<'a> IncrementalPred<'a> {
         self.live.verdict()
     }
 
-    /// Undoes the logged operation-level mutations back to `mark`.
-    fn rollback_ops(&mut self, mark: usize) {
-        while self.log.ops.len() > mark {
-            match self.log.ops.pop().expect("length checked") {
+    /// Undoes the event in flight: the certifier is as before `step`. The
+    /// completions and working copies it discards become spares; a new
+    /// process's initial state is dropped, since `touch` takes no spare for
+    /// it, so the spare states never outnumber what one event touches.
+    fn rollback(&mut self) {
+        while let Some(undo) = self.log.ops.pop() {
+            match undo {
                 Undo::Committed(p) => {
                     self.committed.remove(&p);
                 }
@@ -1429,15 +1662,28 @@ impl<'a> IncrementalPred<'a> {
                 }
                 Undo::Live(a, b, up) => self.live.bump(a, b, !up),
                 Undo::Revived(i) => self.live_base[i] = false,
-                Undo::CancelFlip(i) => self.cancelled[i] = !self.cancelled[i],
-                Undo::Pair => {
-                    self.pairs.pop();
+                Undo::CancelFlip(i, overlay) => {
+                    let set = if overlay {
+                        &mut self.ocancelled
+                    } else {
+                        &mut self.cancelled
+                    };
+                    set[i] = !set[i];
+                    self.flips += 1;
+                }
+                Undo::CopLive((p, slot)) => {
+                    let c = &mut self.overlay[p as usize][slot as usize];
+                    c.live = !c.live;
+                }
+                Undo::Pair(s) => {
+                    self.svcs[s as usize].pairs.pop();
                 }
                 Undo::Op => {
                     let o = self.ops.pop().expect("logged operation");
                     self.perm.pop();
                     self.live_base.pop();
                     self.cancelled.pop();
+                    self.ocancelled.pop();
                     self.svcs[o.sidx as usize].bucket.pop();
                     self.proc_ops[o.pidx as usize].pop();
                     if o.kind == OpKind::Forward {
@@ -1468,14 +1714,6 @@ impl<'a> IncrementalPred<'a> {
                 }
             }
         }
-    }
-
-    /// Undoes the event in flight: the certifier is as before `step`. The
-    /// completions and working copies it discards become spares; a new
-    /// process's initial state is dropped, since `touch` takes no spare for
-    /// it, so the spare states never outnumber what one event touches.
-    fn rollback(&mut self) {
-        self.rollback_ops(0);
         let spare = &mut self.scratch;
         for (pid, old) in self.log.completions.drain(..).rev() {
             spare.completions.extend(match old {
@@ -1512,7 +1750,7 @@ mod tests {
     use crate::completion::{complete, CompletedSchedule};
     use crate::conflict::ConflictMatrix;
     use crate::fixtures;
-    use crate::ids::ProcessId;
+    use crate::ids::{ActivityId, ProcessId};
     use crate::order::PartialOrder;
     use crate::pred::check_pred;
     use crate::process::ProcessBuilder;
@@ -1567,23 +1805,20 @@ mod tests {
 
         /// Everything that carries meaning, rendered for comparison: all
         /// fields but the row stride, the kept order and the buffers of
-        /// `live`, the `scratch` buffers and spares, and the `live` flags of
-        /// the overlay.
+        /// `live`, the `scratch` buffers and spares, and the counters.
         fn logical_state(&self) -> String {
             let (g, edges) = (&self.live.graph, self.live.graph.edges());
-            let mut overlay = self.overlay.clone();
-            overlay.iter_mut().flatten().for_each(|c| c.live = false);
             format!(
                 "{:?}",
                 (
                     (&self.len, &self.states, &self.committed, &self.ops),
                     (&self.svc_idx, &self.svcs, &self.dense_pids),
                     (&self.pid_dense, &self.proc_ops, &self.fwd_of),
-                    (&self.comp_gids, &self.pairs, &self.perm),
+                    (&self.comp_gids, &self.perm),
                     (&self.completion_cache, self.by_pid(&self.m2)),
-                    (&self.live_base, &self.cancelled),
+                    (&self.live_base, &self.cancelled, &self.ocancelled),
                     (self.by_pid(&self.live.counts), g.n, edges, &g.indeg),
-                    (overlay, &self.active, &self.overlay_pairs, &self.live.extra),
+                    (&self.overlay, &self.active, &self.live.extra),
                     (&self.prefix_reducible, &self.first_violation),
                     (&self.log.ops, self.log.states.len(), &self.kept),
                     (self.log.completions.len(), self.log.parts.len()),
@@ -1646,9 +1881,9 @@ mod tests {
     /// history, by the batch reference: `complete` builds the overlay
     /// operations and `≪̃` over all of `S̃` (Definition 8), `reduce` runs
     /// rule 3, the compensation rule over the closure of `≪̃` and the
-    /// process graph of what remains. Without `overlay` the completion is
-    /// cut off again — what the persistent `cancelled` and `live` describe
-    /// between events.
+    /// process graph of what remains — what `live`, `ocancelled` and the
+    /// overlay's `live` flags describe between events. Without `overlay` the
+    /// completion is cut off again — what `cancelled` describes.
     fn overlay_from_scratch(
         spec: &Spec,
         history: &Schedule,
@@ -1768,31 +2003,40 @@ mod tests {
         schedule
     }
 
-    /// Drives one certifier over `s` and demands, at every event: `certify`
-    /// and an illegal event leave the full state untouched; the verdict is
-    /// the batch checker's and the from-scratch derivation's; and the
-    /// persistent permanence, cancellation set, pair counts and completion
-    /// overlay (operations, order, what its fixpoint left) are what a
-    /// derivation from the whole history gives, and a valid kept order
-    /// orders every live edge. Returns the largest number of processes the
-    /// overlay covered at once, and how often a verdict took each path
-    /// ([`LiveGraph::paths`]).
+    /// Drives one certifier over `s` and demands, at every event: `certify`,
+    /// a refused `certify_keep` and an illegal event leave the full state
+    /// untouched (the overlay-cancelled set included); the verdict is the
+    /// batch checker's and the from-scratch derivation's; and the
+    /// persistent permanence, both cancelled sets, pair counts and
+    /// completion overlay (operations, order, what its fixpoint left) are
+    /// what a derivation from the whole history gives, and a valid kept
+    /// order orders every live edge. Returns the largest number of
+    /// processes the overlay covered at once, and how often a verdict took
+    /// each path ([`LiveGraph::paths`]).
     fn assert_reduction_state_tracks_scratch(
         spec: &Spec,
         s: &Schedule,
         label: &str,
-    ) -> (usize, [usize; 2]) {
+    ) -> (usize, [u64; 2]) {
         let batch = check_pred(spec, s).unwrap();
         let mut inc = IncrementalPred::new(spec);
         let mut widest = 0;
         for (i, e) in s.events().iter().enumerate() {
             let at = format!("{label} event {i} ({e:?})");
             let before = inc.logical_state();
+            let overlay_set = inc.ocancelled.clone();
             let what_if = inc.certify(e).unwrap();
             assert_eq!(inc.logical_state(), before, "{at}: certify mutated");
+            assert_eq!(inc.ocancelled, overlay_set, "{at}: certify moved the set");
             inc.live.assert_order_holds(&at);
             assert!(inc.certify(&Event::Commit(ProcessId(99))).is_err());
             assert_eq!(inc.logical_state(), before, "{at}: illegal event mutated");
+            let kept = inc.certify_keep(e).unwrap();
+            assert_eq!(kept, what_if, "{at}: kept");
+            if !kept.reducible {
+                assert_eq!(inc.logical_state(), before, "{at}: refusal mutated");
+                assert_eq!(inc.ocancelled, overlay_set, "{at}: refusal moved the set");
+            }
             let recorded = inc.record(e).unwrap();
             inc.live.assert_order_holds(&at);
             assert_eq!(what_if, recorded, "{at}");
@@ -1803,14 +2047,30 @@ mod tests {
             let (_, originals) = overlay_from_scratch(spec, &s.prefix(i + 1), false);
             let alive: Vec<bool> = (0..n).map(|x| inc.alive(x)).collect();
             assert_eq!(alive, originals.live, "{at}: cancellation set");
-            let live_pairs = inc.pair_counts(&originals.live);
-            assert_eq!(inc.by_pid(&inc.live.counts), live_pairs, "{at}: live pairs");
             let perm = inc.permanence_from_scratch();
             assert_eq!(inc.by_pid(&inc.m2), inc.pair_counts(&perm), "{at}: m2");
             assert_eq!(inc.perm, perm, "{at}: permanence");
 
             let (completed, scratch) = overlay_from_scratch(spec, &s.prefix(i + 1), true);
             assert_eq!(recorded.reducible, scratch.reducible, "{at}: verdict");
+            // The completed schedule's reduction of the originals: the
+            // history's plus the overlay's disjoint share, which the live
+            // pairs count.
+            let survives: Vec<bool> = (0..n).map(|x| inc.survives(x)).collect();
+            assert_eq!(survives, scratch.live[..n], "{at}: overlay-cancelled set");
+            let both = (0..n).filter(|&x| inc.cancelled[x] && inc.ocancelled[x]);
+            assert_eq!(both.count(), 0, "{at}: the cancelled sets overlap");
+            // The overlay's share cancels overlay pairs only.
+            let bases: Vec<bool> = (0..n)
+                .map(|x| {
+                    let cancelled = |c: &Cop| c.kind == OpKind::Compensation && !c.live;
+                    inc.cops()
+                        .any(|c| c.fwd == x && cancelled(c) && !c.eff_free)
+                })
+                .collect();
+            assert_eq!(inc.ocancelled, bases, "{at}: overlay share");
+            let live_pairs = inc.pair_counts(&scratch.live[..n]);
+            assert_eq!(inc.by_pid(&inc.live.counts), live_pairs, "{at}: live pairs");
             let key = |o: &Op| (o.gid, o.kind);
             let cops = completed.completion_ops();
             let ops: Vec<OpKey> = inc.cops().map(|c| (c.gid, c.kind)).collect();
@@ -1840,7 +2100,7 @@ mod tests {
     fn persistent_reduction_equals_scratch_derivation_after_every_event() {
         let fx = fixtures::paper_world();
         let mut paths = [0; 2];
-        let mut tally = |(widest, [order, kahn]): (usize, [usize; 2])| {
+        let mut tally = |(widest, [order, kahn]): (usize, [u64; 2])| {
             paths[0] += order;
             paths[1] += kahn;
             widest
@@ -2059,6 +2319,8 @@ mod tests {
     /// St₂'s fourth event closes a cycle only through the completion
     /// overlay (P₁'s pending `a1_1⁻¹` after P₂'s permanent `a2_1`), so
     /// refusing it, like a what-if before it, leaves the order valid.
+    /// Before it, both processes' pending compensations cancel every
+    /// original, so the live graph has its two nodes and no edge.
     #[test]
     fn a_what_if_and_a_refused_candidate_leave_the_order_valid() {
         let fx = fixtures::paper_world();
@@ -2067,12 +2329,102 @@ mod tests {
         for e in &events[..3] {
             inc.record(e).unwrap();
         }
-        assert!(!inc.live.graph.edges().is_empty());
+        assert_eq!(inc.ocancelled, [true; 3]);
+        assert_eq!((inc.live.graph.n, inc.live.graph.edges()), (2, vec![]));
         assert!(inc.certify(&Event::Execute(fx.a(1, 2))).unwrap().reducible);
         assert!(!inc.certify_keep(&events[3]).unwrap().reducible);
         assert!(inc.live.ordered, "the order survived");
         inc.live.assert_order_holds("after the refusal");
         assert_eq!(inc.live.paths[1], 1, "only the refusal traversed");
+    }
+
+    /// Three processes over a service `c`: P compensates `c` until its
+    /// pivot; Q runs a pivot that conflicts with `c`; R runs an effect-free
+    /// read of what `c` writes, then a pivot. While P has not passed its
+    /// pivot, its pending `a1⁻¹` forms the overlay pair `(P.a1, a1⁻¹)`.
+    fn overlay_pair_world() -> Spec {
+        let mut cat = Catalog::new();
+        let (c, _) = cat.compensatable("c");
+        let (read, _) = cat.compensatable("read");
+        let writes = cat.pivot("writes");
+        let pivot = cat.pivot("pivot");
+        let retriable = cat.retriable("retriable");
+        let mut conflicts = ConflictMatrix::new(&cat);
+        conflicts.declare_conflict(&cat, c, writes).unwrap();
+        conflicts.declare_conflict(&cat, c, read).unwrap();
+        cat.mark_effect_free(read).unwrap();
+        let mut spec = Spec::new(cat, conflicts);
+        for (pid, first, second) in [(1, c, pivot), (2, writes, retriable), (3, read, pivot)] {
+            let mut b = ProcessBuilder::new(ProcessId(pid), format!("P{pid}"));
+            let a1 = b.activity("a1", first);
+            let a2 = b.activity("a2", second);
+            b.precede(a1, a2);
+            let process = b.build(&spec.catalog).unwrap();
+            spec.add_process(process);
+        }
+        spec
+    }
+
+    /// Records `events` and returns the certifier, having held every step
+    /// against the from-scratch derivation.
+    fn recorded<'a>(spec: &'a Spec, events: &Schedule, label: &str) -> IncrementalPred<'a> {
+        assert_reduction_state_tracks_scratch(spec, events, label);
+        let mut inc = IncrementalPred::new(spec);
+        for e in events.events() {
+            inc.record(e).unwrap();
+        }
+        inc
+    }
+
+    /// A new live original after an overlay pair's base that conflicts
+    /// with it blocks the pair: its base survives again.
+    #[test]
+    fn a_new_original_uncancels_the_overlay_pair_it_sits_in() {
+        let spec = overlay_pair_world();
+        let g = |p, a| GlobalActivityId::new(ProcessId(p), ActivityId(a));
+        let mut s = Schedule::new();
+        s.execute(g(1, 0));
+        let inc = recorded(&spec, &s, "P.a1");
+        assert_eq!(inc.ocancelled, [true]);
+        assert!(!inc.cop((0, 0)).live, "a1⁻¹ cancelled with P.a1");
+        s.execute(g(2, 0));
+        let inc = recorded(&spec, &s, "P.a1, Q.a1");
+        assert_eq!(inc.ocancelled, [false, false]);
+        assert!(inc.cop((0, 0)).live, "a1⁻¹ restored");
+        assert_eq!(inc.live.graph.edges(), [(0, 1)], "P → Q counted");
+    }
+
+    /// A part replacement that drops a cancelled overlay pair gives its
+    /// base back: P's pivot leaves nothing to compensate.
+    #[test]
+    fn a_part_replacement_removes_a_cancelled_overlay_pair() {
+        let spec = overlay_pair_world();
+        let g = |p, a| GlobalActivityId::new(ProcessId(p), ActivityId(a));
+        let mut s = Schedule::new();
+        s.execute(g(1, 0));
+        assert_eq!(recorded(&spec, &s, "P.a1").ocancelled, [true]);
+        s.execute(g(1, 1));
+        let inc = recorded(&spec, &s, "P.a1, P.a2");
+        assert!(inc.active.is_empty(), "P has nothing left to complete");
+        assert_eq!(inc.ocancelled, [false, false]);
+    }
+
+    /// A commit's revived operation blocks the overlay pair it sits in: R's
+    /// read of `c` is dead (effect-free, R uncommitted) until R commits.
+    #[test]
+    fn a_commit_revival_blocks_an_overlay_pair() {
+        let spec = overlay_pair_world();
+        let g = |p, a| GlobalActivityId::new(ProcessId(p), ActivityId(a));
+        let mut s = Schedule::new();
+        s.execute(g(1, 0)).execute(g(3, 0)).execute(g(3, 1));
+        let inc = recorded(&spec, &s, "before C_R");
+        assert_eq!(inc.live_base, [true, false, true]);
+        assert_eq!(inc.ocancelled, [true, false, false]);
+        s.commit(ProcessId(3));
+        let inc = recorded(&spec, &s, "after C_R");
+        assert_eq!(inc.live_base, [true; 3]);
+        assert_eq!(inc.ocancelled, [false; 3]);
+        assert_eq!(inc.live.graph.edges(), [(0, 1)], "P → R counted");
     }
 
     #[test]
