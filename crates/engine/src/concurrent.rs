@@ -514,12 +514,10 @@ pub(crate) struct Shard<'a> {
     /// 8.3(f): completions of concurrently aborting processes are ordered
     /// consistently).
     abort_order: Vec<ProcessId>,
-    /// Deferred activities released by a predecessor's termination.
-    released: BTreeMap<ProcessId, ActivityId>,
-    /// Prepared invocations awaiting their release, by process.
+    /// Prepared invocations awaiting their release, by process. A process
+    /// with one is parked: its release's `Execute` applies the commit, and
+    /// its abort drops the invocation (DESIGN.md decision 4).
     pending_release: BTreeMap<ProcessId, (GlobalActivityId, SubsystemId, InvocationId)>,
-    /// Releases granted by the policy but not yet certified/applied.
-    ready_releases: Vec<ProcessId>,
     /// Releases that failed certification, stamped with the history length
     /// at failure time. Certification is a pure function of the history, so
     /// they are re-armed only once the history actually advanced — not
@@ -553,8 +551,6 @@ pub(crate) struct Shard<'a> {
     /// admission and certification) of each admitted process, from its
     /// admission to its termination; the keys are the admitted, live ones.
     attempts: BTreeMap<ProcessId, BTreeMap<ActivityId, u64>>,
-    /// Arrived and not yet terminated.
-    live: usize,
     /// A scheduler-visible mutation (a history event, the policy live-op
     /// removal at finalize) happened since waiters were last re-queued.
     /// Marks are *coalesced*: re-queuing every waiter on every mutation
@@ -648,9 +644,7 @@ impl<'a> Shard<'a> {
             invocations: BTreeMap::new(),
             invocation_log: Vec::new(),
             abort_order: Vec::new(),
-            released: BTreeMap::new(),
             pending_release: BTreeMap::new(),
-            ready_releases: Vec::new(),
             stalled_releases: Vec::new(),
             block_notes: BTreeMap::new(),
             cert_fail_notes: Vec::new(),
@@ -660,7 +654,6 @@ impl<'a> Shard<'a> {
             waiting: BTreeSet::new(),
             blocked_since: BTreeMap::new(),
             attempts: BTreeMap::new(),
-            live: 0,
             dirty: false,
         }
     }
@@ -691,7 +684,8 @@ impl<'a> Shard<'a> {
     /// with no arrival queued, and one shard holding every process the image
     /// names. Its process states are the history's replayed (the
     /// `ProcessState` half of [`transition`](Self::transition), which
-    /// refuses an illegal history); the policy half ([`record`](Self::record))
+    /// refuses an illegal history), as the step's are after every event,
+    /// released commits included; the policy half ([`record`](Self::record))
     /// is folded for the processes the crash left live, and a terminated
     /// process is only finalized — its operations can gate, block or be
     /// aborted by nothing again. The invocation log adds what the history
@@ -747,7 +741,6 @@ impl<'a> Shard<'a> {
             }
         }
         logged.for_each(|e| shard.refold_invocation(e));
-        shard.released.clear();
         for (&pid, state) in &states {
             match state.status() {
                 ProcessStatus::Active => {}
@@ -786,23 +779,12 @@ impl<'a> Shard<'a> {
         self.policy.record_executed(gid, true)
     }
 
-    /// Lands `pid`'s released commit: the step applies it at the process's
-    /// next step, before anything else the process does.
-    fn land_released(&mut self, pid: ProcessId) -> Result<(), ScheduleError> {
-        let Some(a) = self.released.remove(&pid) else {
-            return Ok(());
-        };
-        let state = self.states.get_mut(&pid);
-        state
-            .ok_or(ModelError::UnknownProcess(pid))?
-            .apply_commit(a)
-    }
-
     /// What `event` does — the one implementation of the step's transitions,
-    /// applied to every event the step emits: the process's released commit
-    /// lands, the policy [records](Self::record) the event, and the process
-    /// state makes the event's move (the move `Schedule::replay` makes of
-    /// it). Returns the dependency edges an execution added.
+    /// applied to every event the step emits: the policy
+    /// [records](Self::record) the event, and the process state makes the
+    /// event's move, the move `Schedule::replay` makes of it (a release's
+    /// `Execute` commits its activity, as every `Execute` does). Returns the
+    /// dependency edges an execution added.
     fn transition(&mut self, event: &Event) -> Result<Vec<(ProcessId, ProcessId)>, ScheduleError> {
         let (pid, gid) = match *event {
             Event::GroupAbort(ref ps) => {
@@ -816,11 +798,9 @@ impl<'a> Shard<'a> {
             Event::Commit(p) | Event::Abort(p) => (p, None),
             Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => (g.process, Some(g)),
         };
-        self.land_released(pid)?;
         let edges = self.record(event);
         let state = (self.states.get_mut(&pid)).ok_or(ModelError::UnknownProcess(pid))?;
         match (event, gid) {
-            (Event::Execute(_), Some(g)) if self.released.get(&pid) == Some(&g.activity) => {}
             (Event::Execute(_), Some(g)) => state.apply_commit(g.activity)?,
             (Event::Compensate(_), Some(g)) => state.apply_compensation(g.activity)?,
             (Event::Fail(_), Some(g)) => {
@@ -835,8 +815,8 @@ impl<'a> Shard<'a> {
     }
 
     /// What `event` does to the policy and the shard's bookkeeping: the
-    /// `Execute` of a pending deferred activity is its release (landed at
-    /// the process's next step), any other executes; an `Abort` drops a
+    /// `Execute` of a pending deferred activity is its release, which
+    /// unparks its process, and any other executes; an `Abort` drops a
     /// prepared invocation and starts the completion. Returns the
     /// dependency edges an execution added.
     fn record(&mut self, event: &Event) -> Vec<(ProcessId, ProcessId)> {
@@ -845,7 +825,6 @@ impl<'a> Shard<'a> {
                 Some(&(prepared, ..)) if prepared == g => {
                     self.pending_release.remove(&g.process);
                     self.policy.record_deferred_released(g);
-                    self.released.insert(g.process, g.activity);
                 }
                 _ => return self.policy.record_executed(g, false),
             },
@@ -870,10 +849,10 @@ impl<'a> Shard<'a> {
     /// Settles the prepared invocations a restore left pending against the
     /// subsystems and decision log it restored with, as the records a cut
     /// log lost would have: one with a logged commit decision was released
-    /// — its `Execute` is emitted now — and one its subsystem no longer
-    /// holds was aborted with its process. Every released commit then lands
-    /// (as the process's next step, or its abort, would land it). Returns
-    /// how many remain pending, the undecided ones.
+    /// — its `Execute` is emitted now, and commits its activity — and one
+    /// its subsystem no longer holds was aborted with its process. Returns
+    /// how many remain pending, the undecided ones; a release its process's
+    /// state refuses is an error.
     pub(crate) fn settle_prepared(&mut self, ctx: &RunCtx<'a>) -> Result<usize, ScheduleError> {
         let coordinator = ctx.coordinator.lock();
         let decided: BTreeSet<(SubsystemId, InvocationId)> = (coordinator.log().iter())
@@ -884,15 +863,12 @@ impl<'a> Shard<'a> {
         let pending: Vec<_> = self.pending_release.values().copied().collect();
         for (gid, sid, inv) in pending {
             if decided.contains(&(sid, inv)) {
-                self.release(ctx, gid);
+                self.release(ctx, gid)?;
             } else if ctx.invoked(sid, inv).is_none() {
                 self.pending_release.remove(&gid.process);
                 self.invocations.remove(&gid);
                 self.policy.record_prepared_aborted(gid);
             }
-        }
-        while let Some(&pid) = self.released.keys().next() {
-            self.land_released(pid)?;
         }
         Ok(self.pending_release.len())
     }
@@ -946,7 +922,6 @@ impl<'a> Shard<'a> {
     /// Admits an arrived process: live, with no attempt counted yet, at the
     /// back of the run queue.
     pub(crate) fn admit(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
-        self.live += 1;
         self.attempts.insert(pid, BTreeMap::new());
         ctx.live.enter();
         self.run_queue.push_back((pid, Instant::now()));
@@ -1004,14 +979,14 @@ impl<'a> Shard<'a> {
             let depth = (self.run_queue.len() + self.waiting.len()) as u64;
             rt.run_queue_peak = rt.run_queue_peak.max(depth);
         }
-        self.live
+        self.attempts.len()
     }
 
     /// The front of the run queue, a dirty shard's waiters re-queued first
     /// when it has drained — except those waiting for their own deferred
     /// commit: such a process has two wake-up calls, the release and its
-    /// abort, both take it out of `pending_release`, and until then its step
-    /// is a no-op.
+    /// abort, both take it out of `pending_release`, and until then a step
+    /// of it would only wait again.
     fn pop_runnable(&mut self) -> Option<(ProcessId, Instant)> {
         if self.run_queue.is_empty() && self.dirty && !self.waiting.is_empty() {
             self.dirty = false;
@@ -1042,7 +1017,7 @@ impl<'a> Shard<'a> {
             return false;
         };
         let events = self.history.len();
-        self.drain_ready_releases(ctx);
+        self.drain_ready_releases(ctx, Vec::new());
         if self.states[&pid].abort_in_progress() {
             let blocking = |q: &ProcessId| {
                 let st = &self.states[q];
@@ -1078,7 +1053,6 @@ impl<'a> Shard<'a> {
         let step = self.advance(ctx, pid);
         match step {
             Step::Done => {
-                self.live -= 1;
                 self.attempts.remove(&pid);
                 ctx.live.leave();
             }
@@ -1210,18 +1184,19 @@ impl<'a> Shard<'a> {
         ok
     }
 
-    /// Attempts every granted-but-unapplied deferred release, each decided
-    /// alone by 2PC and its decision journalled before its `Execute` event,
-    /// so no log prefix shows an executed-but-undecided prepared invocation.
-    /// Releases whose history event does not certify yet are parked in
-    /// `stalled_releases` and re-armed when the history grows.
-    fn drain_ready_releases(&mut self, ctx: &RunCtx<'a>) {
+    /// Attempts the releases of the processes in `ready` — those a
+    /// termination granted — and then of the stalled ones the history has
+    /// grown past, each decided alone by 2PC and its decision journalled
+    /// before its `Execute` event, so no log prefix shows an
+    /// executed-but-undecided prepared invocation. A process no longer
+    /// pending is skipped. Releases whose history event does not certify yet
+    /// are parked in `stalled_releases` and re-armed when the history grows.
+    fn drain_ready_releases(&mut self, ctx: &RunCtx<'a>, mut ready: Vec<ProcessId>) {
         let len = self.history.len();
         let rearm = self
             .stalled_releases
             .extract_if(.., |&mut (_, stamp)| stamp < len);
-        self.ready_releases.extend(rearm.map(|(pj, _)| pj));
-        let ready = std::mem::take(&mut self.ready_releases);
+        ready.extend(rearm.map(|(pj, _)| pj));
         for pj in ready {
             let Some(&(gid, sid, inv)) = self.pending_release.get(&pj) else {
                 continue;
@@ -1252,32 +1227,36 @@ impl<'a> Shard<'a> {
                     .expect("participant prepared");
                 ctx.journal(|| WalRecord::DecisionApplied { group });
             }
-            self.release(ctx, gid);
+            self.release(ctx, gid)
+                .expect("a release commits its frontier");
         }
     }
 
     /// Emits the `Execute` of a pending deferred activity whose commit its
-    /// subsystem applied.
-    fn release(&mut self, ctx: &RunCtx<'a>, gid: GlobalActivityId) {
-        self.emit(ctx, Event::Execute(gid));
+    /// subsystem applied; the event commits the activity in its process's
+    /// state, which refuses it if it is not the frontier.
+    fn release(&mut self, ctx: &RunCtx<'a>, gid: GlobalActivityId) -> Result<(), ScheduleError> {
+        let event = Event::Execute(gid);
+        let ticket = ctx.ticket(|| WalRecord::Event {
+            event: event.clone(),
+        });
+        self.append(event, ticket)?;
         self.note(ctx, TraceEvent::CommitReleased { gid });
+        Ok(())
     }
 
     /// One scheduling iteration for `pid`.
     fn advance(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
-        self.drain_ready_releases(ctx);
+        self.drain_ready_releases(ctx, Vec::new());
         let status = self.states[&pid].status();
         if status != ProcessStatus::Active {
             self.finalize(ctx, pid);
             return Step::Done;
         }
-        // Deferred release arrived?
-        if self.released.contains_key(&pid) {
-            self.land_released(pid).expect("released frontier");
-            return Step::Yield;
-        }
         if self.pending_release.contains_key(&pid) {
-            // Waiting for a predecessor to release our deferred commit.
+            // Parked on its own release. A safety check: the prepare step
+            // waits, and no waiter parked is re-queued, so only a parked
+            // process stepped by hand gets here.
             return Step::Wait;
         }
         // Pending compensation?
@@ -1521,10 +1500,12 @@ impl<'a> Shard<'a> {
             edges_added,
         };
         self.note(ctx, admitted);
-        if deferred {
-            self.note(ctx, TraceEvent::CommitDeferred { gid, blockers });
+        if !deferred {
+            return Step::Yield;
         }
-        Step::Yield
+        // Parked on its own release until it or an abort comes.
+        self.note(ctx, TraceEvent::CommitDeferred { gid, blockers });
+        Step::Wait
     }
 
     fn finalize(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
@@ -1546,12 +1527,8 @@ impl<'a> Shard<'a> {
         let latency = ctx.clock.now().saturating_sub(ctx.arrival(pid));
         self.metrics.latencies.push(latency);
         self.metrics.latency_by_pid.insert(pid.0, latency);
-        for (pj, _gids) in released {
-            if self.pending_release.contains_key(&pj) {
-                self.ready_releases.push(pj);
-            }
-        }
-        self.drain_ready_releases(ctx);
+        let granted = released.into_iter().map(|(pj, _)| pj).collect();
+        self.drain_ready_releases(ctx, granted);
         // `on_commit`/`on_abort` above removed the process's live operations
         // from the policy — a scheduler-visible change that can unblock a
         // waiter even when no history event was emitted here.
@@ -1842,7 +1819,7 @@ fn event_worker<'a>(
                     let shard = dom
                         .built
                         .get_or_insert_with(|| Shard::build(dom.id, dom.members, ctx));
-                    if shard.live >= ADMIT_CAP {
+                    if shard.attempts.len() >= ADMIT_CAP {
                         // Due but deferred: admission control. The process
                         // is admitted as soon as a live slot frees up.
                         break;
@@ -1855,12 +1832,12 @@ fn event_worker<'a>(
             let Some(shard) = &mut dom.built else {
                 return true;
             };
-            let (live, t0) = (shard.live, Instant::now());
+            let (live, t0) = (shard.attempts.len(), Instant::now());
             // A freed live slot may admit a deferred arrival.
             progressed |= shard.run(ctx, &mut rt, STEP_BUDGET, &mut Fifo) < live;
             rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
             progressed |= shard.has_work();
-            if shard.live > 0 || !dom.arrivals.is_empty() {
+            if !shard.attempts.is_empty() || !dom.arrivals.is_empty() {
                 return true;
             }
             let shard = dom.built.take().expect("visited shard is built");
@@ -2400,7 +2377,11 @@ mod tests {
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
         assert_eq!(shard.metrics.abort_reasons.external, 1);
         assert_eq!(
-            (shard.live, next(&mut shard), shard.break_deadlock(&ctx)),
+            (
+                shard.attempts.len(),
+                next(&mut shard),
+                shard.break_deadlock(&ctx)
+            ),
             (0, None, false)
         );
         let done = shard.finish(&ctx);
@@ -2540,6 +2521,92 @@ mod tests {
             _ => None,
         });
         assert_eq!(blocked.collect::<Vec<_>>(), [(p2, vec![p1])]);
+    }
+
+    #[test]
+    fn a_release_commits_its_parked_process_at_its_own_execute() {
+        // Lemma 1.1 under `pred`: P₂ = pᵖ conflicts with a of P₁ = aᶜ ≪ cᶜ,
+        // still active, so p is admitted deferred. Its prepare parks P₂, and
+        // the release's `Execute` after P₁'s commit is p's commit — in the
+        // history, and in P₂'s state, with no step of P₂ in between.
+        let mut cat = Catalog::new();
+        let [a, c] = ["a", "c"].map(|name| cat.compensatable(name).0);
+        let p = cat.pivot("p");
+        let processes: [&[ServiceId]; 2] = [&[a, c], &[p]];
+        let w = chains(cat, &[(a, p)], &processes, 0.0);
+        let cfg = ConcurrentConfig {
+            inject_failures: false,
+            ..ConcurrentConfig::default()
+        };
+        let (mut ctx, journal) = journalled_ctx(&w, cfg);
+        let wal = txproc_core::wal::MemWal::new();
+        let policy = txproc_core::wal::DurabilityPolicy::Buffered;
+        ctx.set_wal(WalWriter::new(Box::new(wal.clone()), policy, 0));
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let released = Event::Execute(GlobalActivityId::new(p2, ActivityId(0)));
+        let mut shard = Shard::build(0, &[p1, p2], &ctx);
+        shard.admit(&ctx, p1);
+        shard.admit(&ctx, p2);
+
+        // P₁ executes a; P₂'s prepare step ends in a wait, and the dirty
+        // shard's drain does not re-queue the parked P₂.
+        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(shard.step(&ctx, p2), Step::Wait);
+        assert!(shard.pending_release.contains_key(&p2));
+        assert_eq!(next(&mut shard), None, "parked on its own release");
+        assert!(shard.waiting.contains(&p2));
+
+        // P₁ runs to its commit, whose finalize releases p. P₂ is still
+        // waiting, never stepped since its prepare, and already holds p's
+        // commit: only the commit of P₂ itself is left.
+        assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
+        assert_eq!(shard.history.events().last(), Some(&released));
+        assert!(shard.waiting.contains(&p2) && shard.pending_release.is_empty());
+        let state = &shard.states[&p2];
+        assert_eq!(
+            state.steps(),
+            [txproc_core::state::ExecStep::Executed(ActivityId(0))]
+        );
+        assert!(state.can_commit());
+        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(shard.step(&ctx, p2), Step::Done);
+        assert_eq!(shard.metrics.committed, 2);
+        let tail = [Event::Commit(p1), released.clone(), Event::Commit(p2)];
+        assert_eq!(shard.history.events()[2..], tail);
+
+        // The journal has the release's 2PC decision right before its event.
+        drop(shard.finish(&ctx));
+        drop(ctx.finish());
+        let (records, _) = txproc_core::wal::read_records(&wal.contents());
+        let decision = |r: &WalRecord| matches!(r, WalRecord::Decision { commit: true, .. });
+        let d = records
+            .iter()
+            .position(decision)
+            .expect("a commit decision");
+        let WalRecord::Decision { group, .. } = records[d] else {
+            unreachable!()
+        };
+        let committed = WalRecord::Event {
+            event: Event::Commit(p1),
+        };
+        assert!(records[..d].contains(&committed));
+        let applied = [
+            WalRecord::DecisionApplied { group },
+            WalRecord::Event { event: released },
+        ];
+        assert_eq!(records[d + 1..d + 3], applied);
+        let ours = journal.take().into_iter().map(|r| r.event);
+        let ours = ours.filter(|e| e.pid() == Some(p2) && e.kind() != "certify_outcome");
+        let kinds: Vec<&str> = ours.map(|e| e.kind()).collect();
+        let expected = [
+            "request_admitted",
+            "commit_deferred",
+            "commit_released",
+            "process_committed",
+        ];
+        assert_eq!(kinds, expected);
     }
 
     #[test]
@@ -2823,9 +2890,18 @@ mod tests {
         format!("{states:?} {edges:?} {pending:?} {invocations:?}")
     }
 
+    /// A process state's fields, without the process and catalog it reads.
+    fn machine(state: &ProcessState<'_>) -> String {
+        let debug = format!("{state:?}");
+        debug
+            .split_once(" status: ")
+            .map_or(debug.clone(), |(_, m)| m.into())
+    }
+
     /// Crashes the engine after every tick of `seeds` × two shapes — every
     /// history length, and every prepare between two events — and checks
-    /// that the restored shard is the crashed one.
+    /// that the shard's states are its history replayed and that the
+    /// restored shard is the crashed one.
     fn restore_inverts_crash(seeds: std::ops::Range<u64>) {
         use crate::engine::{Engine, RunConfig};
         for seed in seeds {
@@ -2848,13 +2924,18 @@ mod tests {
                     for _ in 0..at {
                         engine.tick();
                     }
-                    // A release lands at its process's next step; the
-                    // history replayed has it landed.
-                    let released: Vec<ProcessId> = engine.shard.released.keys().copied().collect();
-                    for pid in released {
-                        engine.shard.land_released(pid).expect("released frontier");
-                    }
                     let shard = &engine.shard;
+                    let label = format!("seed {seed}, {processes} processes, tick {at}");
+                    // Each event made its move in the step that emitted it,
+                    // so the states are the history's replayed.
+                    let replayed = shard.history.replay(&w.spec).expect("replays");
+                    for (pid, state) in &replayed.states {
+                        assert_eq!(
+                            machine(&shard.states[pid]),
+                            machine(state),
+                            "{label}: {pid}"
+                        );
+                    }
                     let pids = shard.history.events().iter().flat_map(|e| match e {
                         Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => {
                             vec![g.process]
@@ -2868,7 +2949,6 @@ mod tests {
                     let image = engine.crash();
                     let (_, restored) =
                         Shard::restore(&w, image, Box::new(NoopSink)).expect("restores");
-                    let label = format!("seed {seed}, {processes} processes, tick {at}");
                     assert_eq!(durable_view(&restored, &named), crashed, "{label}");
                 }
             }
