@@ -103,20 +103,30 @@ impl Completion {
     }
 }
 
+/// What the machine knows of one activity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Slot {
+    committed: bool,
+    compensated: bool,
+    /// At a choice node: index of the branch currently being tried.
+    branch: Option<u32>,
+}
+
 /// Execution state of one process.
+///
+/// Its vectors are allocated at construction: an activity executes at most
+/// once and is compensated at most once, so `steps` (at most 2n long for n
+/// activities) is sized up front, and no commit or compensation grows it.
 #[derive(Debug)]
 pub struct ProcessState<'a> {
     process: &'a Process,
     catalog: &'a Catalog,
     status: ProcessStatus,
-    /// Effect-leaving steps in order.
+    /// Effect-leaving steps in order; its `Executed` steps are the commit
+    /// order (compensated activities retained).
     steps: Vec<ExecStep>,
-    /// Commit order of committed activities (compensated ones retained).
-    exec_order: Vec<ActivityId>,
-    committed: Vec<bool>,
-    compensated: Vec<bool>,
-    /// Per choice node: index of the branch currently being tried.
-    branch_taken: Vec<Option<usize>>,
+    /// Per activity, indexed by [`ActivityId::index`].
+    slots: Vec<Slot>,
     /// Next activity to execute (None: path end reached).
     frontier: Option<ActivityId>,
     /// Last committed (and not compensated) non-compensatable activity: the
@@ -134,18 +144,20 @@ pub struct ProcessState<'a> {
 /// default (`*self = source.clone()`), which allocates every vector afresh.
 /// Forwarding it to each vector copies into the capacity `self` already
 /// holds, so the certifier can refill a spare state instead of allocating
-/// one per event.
+/// one per event. Both size `steps` for the whole process, as `new` does,
+/// so a copy never grows either.
 impl Clone for ProcessState<'_> {
     fn clone(&self) -> Self {
         Self {
             process: self.process,
             catalog: self.catalog,
             status: self.status,
-            steps: self.steps.clone(),
-            exec_order: self.exec_order.clone(),
-            committed: self.committed.clone(),
-            compensated: self.compensated.clone(),
-            branch_taken: self.branch_taken.clone(),
+            steps: {
+                let mut steps = Vec::with_capacity(2 * self.process.len());
+                steps.extend_from_slice(&self.steps);
+                steps
+            },
+            slots: self.slots.clone(),
             frontier: self.frontier,
             last_ncp: self.last_ncp,
             pending_compensations: self.pending_compensations.clone(),
@@ -158,11 +170,10 @@ impl Clone for ProcessState<'_> {
         self.process = source.process;
         self.catalog = source.catalog;
         self.status = source.status;
-        self.steps.clone_from(&source.steps);
-        self.exec_order.clone_from(&source.exec_order);
-        self.committed.clone_from(&source.committed);
-        self.compensated.clone_from(&source.compensated);
-        self.branch_taken.clone_from(&source.branch_taken);
+        self.steps.clear();
+        self.steps.reserve(2 * source.process.len());
+        self.steps.extend_from_slice(&source.steps);
+        self.slots.clone_from(&source.slots);
         self.frontier = source.frontier;
         self.last_ncp = source.last_ncp;
         self.pending_compensations
@@ -190,11 +201,8 @@ impl<'a> ProcessState<'a> {
             process,
             catalog,
             status: ProcessStatus::Active,
-            steps: Vec::new(),
-            exec_order: Vec::new(),
-            committed: vec![false; n],
-            compensated: vec![false; n],
-            branch_taken: vec![None; n],
+            steps: Vec::with_capacity(2 * n),
+            slots: vec![Slot::default(); n],
             frontier: Some(root),
             last_ncp: None,
             pending_compensations: VecDeque::new(),
@@ -246,7 +254,8 @@ impl<'a> ProcessState<'a> {
 
     /// Whether an activity committed and has not been compensated.
     pub fn is_effective(&self, a: ActivityId) -> bool {
-        self.committed[a.index()] && !self.compensated[a.index()]
+        let slot = self.slots[a.index()];
+        slot.committed && !slot.compensated
     }
 
     /// The next regular activity eligible for invocation, or `None` when the
@@ -299,14 +308,13 @@ impl<'a> ProcessState<'a> {
                 activity: self.gid(a),
             });
         }
-        if self.committed[a.index()] {
+        if self.slots[a.index()].committed {
             return Err(ScheduleError::DuplicateInvocation(self.gid(a)));
         }
         if self.frontier != Some(a) {
             return Err(ScheduleError::NotOnActiveBranch(self.gid(a)));
         }
-        self.committed[a.index()] = true;
-        self.exec_order.push(a);
+        self.slots[a.index()].committed = true;
         self.steps.push(ExecStep::Executed(a));
         if !self.termination(a).is_compensatable() {
             self.last_ncp = Some(a);
@@ -317,9 +325,8 @@ impl<'a> ProcessState<'a> {
             Successors::Alternatives(branches) => {
                 // Respect a branch pre-selected by a process-level abort
                 // (forward recovery takes the lowest-priority alternative).
-                let idx = self.branch_taken[a.index()].unwrap_or(0);
-                self.branch_taken[a.index()] = Some(idx);
-                Some(branches[idx])
+                let idx = *self.slots[a.index()].branch.get_or_insert(0);
+                Some(branches[idx as usize])
             }
             Successors::Parallel(_) => unreachable!("rejected at construction"),
         };
@@ -343,33 +350,20 @@ impl<'a> ProcessState<'a> {
         }
         // Scan the committed, not-yet-compensated activities from newest back
         // to the recovery boundary for a choice point with an untried branch.
-        let boundary_pos = self.boundary_position();
-        let effective: Vec<(usize, ActivityId)> = self
-            .exec_order
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| self.is_effective(x))
-            .map(|(i, &x)| (i, x))
-            .collect();
-        for &(pos, x) in effective.iter().rev() {
-            if (pos as isize) < boundary_pos {
-                break;
-            }
+        let mut effective = Vec::new();
+        self.effective_back_to_boundary(true, &mut effective);
+        for (i, &x) in effective.iter().enumerate() {
             if let Successors::Alternatives(branches) = self.process.successors(x) {
-                let tried = self.branch_taken[x.index()].unwrap_or(0);
+                let tried = self.slots[x.index()].branch.unwrap_or(0) as usize;
                 if tried + 1 < branches.len() {
                     // Compensate everything committed strictly after x.
-                    let comps: Vec<ActivityId> = effective
-                        .iter()
-                        .filter(|&&(p, _)| p > pos)
-                        .map(|&(_, y)| y)
-                        .rev()
-                        .collect();
+                    effective.truncate(i);
+                    let comps = effective;
                     debug_assert!(comps
                         .iter()
                         .all(|&y| self.termination(y).is_compensatable()));
                     let next = branches[tried + 1];
-                    self.branch_taken[x.index()] = Some(tried + 1);
+                    self.slots[x.index()].branch = Some(tried as u32 + 1);
                     self.pending_compensations = comps.iter().copied().collect();
                     self.resume = Some(next);
                     if self.pending_compensations.is_empty() {
@@ -386,7 +380,7 @@ impl<'a> ProcessState<'a> {
         }
         if self.last_ncp.is_none() {
             // B-REC: abort the whole process backward.
-            let comps: Vec<ActivityId> = effective.iter().map(|&(_, y)| y).rev().collect();
+            let comps = effective;
             self.pending_compensations = comps.iter().copied().collect();
             self.resume = None;
             self.frontier = None;
@@ -401,16 +395,22 @@ impl<'a> ProcessState<'a> {
         Ok(FailureOutcome::Stuck)
     }
 
-    /// Position (in commit order) of the recovery boundary, or -1.
-    fn boundary_position(&self) -> isize {
-        match self.last_ncp {
-            None => -1,
-            Some(b) => self
-                .exec_order
-                .iter()
-                .position(|&x| x == b)
-                .map(|p| p as isize)
-                .expect("boundary is committed"),
+    /// Appends to `out` the committed, not-yet-compensated activities, newest
+    /// first, back to the recovery boundary (the last state-determining
+    /// element), which is included if `with_boundary`.
+    fn effective_back_to_boundary(&self, with_boundary: bool, out: &mut Vec<ActivityId>) {
+        let executed = self.steps.iter().rev().filter_map(|s| match s {
+            ExecStep::Executed(x) => Some(*x),
+            ExecStep::Compensated(_) => None,
+        });
+        for x in executed {
+            let boundary = Some(x) == self.last_ncp;
+            if (!boundary || with_boundary) && self.is_effective(x) {
+                out.push(x);
+            }
+            if boundary {
+                break;
+            }
         }
     }
 
@@ -423,7 +423,7 @@ impl<'a> ProcessState<'a> {
             return Err(ScheduleError::InvalidCompensation(self.gid(a)));
         }
         self.pending_compensations.pop_front();
-        self.compensated[a.index()] = true;
+        self.slots[a.index()].compensated = true;
         self.steps.push(ExecStep::Compensated(a));
         if self.pending_compensations.is_empty() {
             self.frontier = self.resume.take();
@@ -496,7 +496,7 @@ impl<'a> ProcessState<'a> {
                 Successors::Seq(y) => cur = *y,
                 Successors::Alternatives(branches) => {
                     let last = branches.len() - 1;
-                    self.branch_taken[cur.index()] = Some(last);
+                    self.slots[cur.index()].branch = Some(last as u32);
                     cur = branches[last];
                 }
                 Successors::Parallel(_) => unreachable!("rejected at construction"),
@@ -532,15 +532,10 @@ impl<'a> ProcessState<'a> {
         if self.status != ProcessStatus::Active {
             return;
         }
-        let boundary_pos = self.boundary_position();
         // Compensations already queued but not yet applied are part of what
         // recovery still must execute; they are exactly the effective
         // activities after the boundary, so this filter covers them.
-        out.compensations.extend(
-            (self.exec_order.iter().enumerate().rev())
-                .filter(|(p, &x)| (*p as isize) > boundary_pos && self.is_effective(x))
-                .map(|(_, &x)| x),
-        );
+        self.effective_back_to_boundary(false, &mut out.compensations);
         if let Some(boundary) = self.last_ncp {
             let mut cur = boundary;
             loop {

@@ -7,7 +7,11 @@
 //!   local transaction; it either commits or leaves no trace,
 //! * **compensation** — for compensatable services, the agent captures the
 //!   forward invocation's before-images and synthesizes the compensating
-//!   program so that `⟨a, a⁻¹⟩` is effect-free (Definition 2),
+//!   program so that `⟨a, a⁻¹⟩` is effect-free (Definition 2): the
+//!   operation-level inverse of what ran, derived from the undo log while
+//!   the transaction is still open (the subsystem keeps none once it
+//!   finishes), stored once in the agent's arena of inverse operations and
+//!   run in place from there,
 //! * **deferred commit** — non-compensatable services can execute under 2PC
 //!   prepare, staying in doubt until the scheduler releases them (§3.5),
 //! * **failure injection** — the caller decides per invocation whether the
@@ -16,7 +20,7 @@
 
 use crate::error::SubsystemError;
 use crate::kv::{Key, KvOp, Program};
-use crate::subsystem::{ReturnValues, Subsystem, SubsystemId, TxId, TxStatus};
+use crate::subsystem::{ReturnValues, Subsystem, SubsystemId, TxId, TxStatus, UndoOp};
 use txproc_core::ids::ServiceId;
 
 /// Identifier of one service invocation at an agent.
@@ -62,8 +66,9 @@ pub enum InvokeOutcome {
 struct InvocationRecord {
     service: ServiceId,
     tx: TxId,
-    /// Compensating program derived from before-images (reverse order).
-    inverse: Program,
+    /// Where the compensating program, derived from before-images in
+    /// reverse write order, lies in [`Agent::inverses`].
+    inverse: (usize, usize),
     compensated: bool,
 }
 
@@ -75,6 +80,9 @@ pub struct Agent {
     /// Every invocation that ran, indexed by its (dense) id; an aborted
     /// prepared one is gone.
     invocations: Vec<Option<InvocationRecord>>,
+    /// The operations of every invocation's compensating program, one range
+    /// per invocation, stored once and run in place.
+    inverses: Vec<KvOp>,
 }
 
 impl Agent {
@@ -83,6 +91,7 @@ impl Agent {
         Self {
             subsystem,
             invocations: Vec::new(),
+            inverses: Vec::new(),
         }
     }
 
@@ -113,29 +122,20 @@ impl Agent {
             return Ok(InvokeOutcome::Aborted);
         }
         // Derive the compensating program from the undo log, in reverse
-        // write order, before the log is dropped on commit: `Set` restores
+        // write order, while the transaction is still open: `Set` restores
         // the before-image, `Add` applies the negated delta (so concurrent
         // commuting adds compensate correctly).
-        let inverse = Program {
-            ops: self
-                .subsystem
-                .tx_undo(tx)
-                .expect("transaction exists")
-                .iter()
-                .rev()
-                .map(|&u| match u {
-                    crate::subsystem::UndoOp::Restore(key, before) => {
-                        KvOp::Set(key, before.unwrap_or(0))
-                    }
-                    crate::subsystem::UndoOp::Sub(key, d) => KvOp::Add(key, -d),
-                })
-                .collect(),
-        };
+        let start = self.inverses.len();
+        let undo = self.subsystem.tx_undo(tx).expect("open transaction");
+        self.inverses.extend(undo.iter().rev().map(|&u| match u {
+            UndoOp::Restore(key, before) => KvOp::Set(key, before.unwrap_or(0)),
+            UndoOp::Sub(key, d) => KvOp::Add(key, -d),
+        }));
         let invocation = InvocationId(self.invocations.len() as u64);
         self.invocations.push(Some(InvocationRecord {
             service,
             tx,
-            inverse,
+            inverse: (start, self.inverses.len()),
             compensated: false,
         }));
         match mode {
@@ -197,8 +197,9 @@ impl Agent {
         if self.subsystem.tx_status(record.tx) != Some(TxStatus::Committed) {
             return Err(SubsystemError::NotPrepared(record.tx));
         }
-        let inverse = record.inverse.clone();
-        let (tx, returns) = match self.subsystem.execute(&inverse) {
+        let (start, end) = record.inverse;
+        let inverse = &self.inverses[start..end];
+        let (tx, returns) = match self.subsystem.execute_ops(inverse) {
             Ok(x) => x,
             Err(SubsystemError::KeyLocked { key, .. }) => return Ok(InvokeOutcome::Busy { key }),
             Err(e) => return Err(e),

@@ -2,6 +2,14 @@
 //! atomic local transactions, write locks, a durable log, two-phase commit
 //! participation (prepare / commit / abort of in-doubt transactions), and
 //! optional commit-order serializability for weak orders (§3.6, \[BBG89\]).
+//!
+//! A finished (committed or aborted) transaction keeps only its status. Its
+//! undo, lock and read buffers go back, emptied, to a spare list that the
+//! next transaction begins from, so [`Subsystem::tx_undo`] answers for
+//! active and prepared transactions only. Held locks live in a small table
+//! of the keys of active and prepared transactions, and an additive lock's
+//! holder list is recycled like the buffers: in steady state a transaction
+//! allocates nothing but its share of the durable log.
 
 use crate::error::SubsystemError;
 use crate::kv::{Key, KvOp, Program, Value};
@@ -72,6 +80,8 @@ enum LockState {
     Additive(Vec<TxId>),
 }
 
+/// The buffers of an active or prepared transaction. A finished one hands
+/// them back to [`Subsystem::spare`], emptied.
 #[derive(Debug, Clone, Default)]
 struct TxState {
     /// Undo log in write order.
@@ -80,18 +90,6 @@ struct TxState {
     locks: Vec<Key>,
     /// Values read (returned to the caller).
     reads: Vec<(Key, Value)>,
-    status: TxStatus,
-}
-
-impl TxState {
-    fn new() -> Self {
-        Self {
-            undo: Vec::new(),
-            locks: Vec::new(),
-            reads: Vec::new(),
-            status: TxStatus::Active,
-        }
-    }
 }
 
 /// Return value of a service invocation: the values read, in program order.
@@ -106,9 +104,18 @@ pub struct Subsystem {
     /// Human-readable name (e.g. `"PDM"`).
     pub name: String,
     store: BTreeMap<Key, Value>,
-    locks: BTreeMap<Key, LockState>,
-    /// Every transaction begun, indexed by its (dense) id.
-    txs: Vec<TxState>,
+    /// Held locks, scanned linearly: only the keys of active and prepared
+    /// transactions are in it.
+    locks: Vec<(Key, LockState)>,
+    /// The status of every transaction begun, indexed by its (dense) id.
+    txs: Vec<TxStatus>,
+    /// The buffers of the active and prepared transactions.
+    open: Vec<(TxId, TxState)>,
+    /// Emptied buffers of finished transactions, and emptied holder lists
+    /// of released additive locks, for the next ones to fill. A list, not
+    /// one scratch transaction: weak orders (§3.6) keep two open at once.
+    spare: Vec<TxState>,
+    spare_holders: Vec<Vec<TxId>>,
     /// Commit-order constraints `(first, second)` (weak order, §3.6).
     commit_order: Vec<(TxId, TxId)>,
     log: Vec<LogRecord>,
@@ -123,26 +130,28 @@ impl Subsystem {
             id,
             name: name.into(),
             store: BTreeMap::new(),
-            locks: BTreeMap::new(),
+            locks: Vec::new(),
             txs: Vec::new(),
+            open: Vec::new(),
+            spare: Vec::new(),
+            spare_holders: Vec::new(),
             commit_order: Vec::new(),
             log: Vec::new(),
             supports_commit_order: true,
         }
     }
 
-    /// The undo log of a transaction, in write order. Used by agents to
-    /// derive compensation programs.
+    /// The undo log of an active or prepared transaction, in write order
+    /// (`None` for a finished or unknown one). Used by agents to derive
+    /// compensation programs before they commit.
     pub fn tx_undo(&self, tx: TxId) -> Option<&[UndoOp]> {
-        self.tx(tx).map(|t| t.undo.as_slice())
+        let (_, st) = self.open.iter().find(|(t, _)| *t == tx)?;
+        Some(&st.undo)
     }
 
-    fn tx(&self, tx: TxId) -> Option<&TxState> {
-        self.txs.get(tx.0 as usize)
-    }
-
-    fn tx_mut(&mut self, tx: TxId) -> &mut TxState {
-        &mut self.txs[tx.0 as usize]
+    fn open_tx_mut(&mut self, tx: TxId) -> &mut TxState {
+        let (_, st) = (self.open.iter_mut().find(|(t, _)| *t == tx)).expect("open transaction");
+        st
     }
 
     /// Reads a committed value (outside any transaction).
@@ -160,92 +169,123 @@ impl Subsystem {
         &self.log
     }
 
-    /// Begins a local transaction.
+    /// Begins a local transaction in spare buffers.
     fn begin(&mut self) -> TxId {
         let tx = TxId(self.txs.len() as u64);
-        self.txs.push(TxState::new());
+        self.txs.push(TxStatus::Active);
+        let st = self.spare.pop().unwrap_or_default();
+        self.open.push((tx, st));
         self.log.push(LogRecord::Begin(tx));
         tx
+    }
+
+    /// Ends an open transaction with `status`, first rolling its writes
+    /// back if it aborts: releases its locks and hands its buffers back,
+    /// emptied.
+    fn finish(&mut self, tx: TxId, status: TxStatus) {
+        self.txs[tx.0 as usize] = status;
+        let at = (self.open.iter().position(|(t, _)| *t == tx)).expect("open transaction");
+        let (_, mut st) = self.open.swap_remove(at);
+        if status == TxStatus::Aborted {
+            // Undo in reverse write order.
+            for &op in st.undo.iter().rev() {
+                match op {
+                    UndoOp::Restore(key, Some(v)) => {
+                        self.store.insert(key, v);
+                    }
+                    UndoOp::Restore(key, None) => {
+                        self.store.remove(&key);
+                    }
+                    UndoOp::Sub(key, d) => {
+                        let v = self.store.get(&key).copied().unwrap_or(0) - d;
+                        self.store.insert(key, v);
+                    }
+                }
+            }
+        }
+        self.release_locks(tx, &st.locks);
+        st.undo.clear();
+        st.locks.clear();
+        st.reads.clear();
+        self.spare.push(st);
     }
 
     /// Acquires a lock on `key` for `tx`. `Add` writers share an additive
     /// lock (their operations commute); `Set` writers need exclusivity.
     fn acquire_lock(&mut self, tx: TxId, key: Key, additive: bool) -> Result<(), SubsystemError> {
-        let newly = match self.locks.get_mut(&key) {
-            None => {
-                self.locks.insert(
-                    key,
-                    if additive {
-                        LockState::Additive(vec![tx])
-                    } else {
-                        LockState::Exclusive(tx)
-                    },
-                );
-                true
-            }
-            Some(LockState::Exclusive(holder)) => {
-                if *holder != tx {
-                    return Err(SubsystemError::KeyLocked {
-                        key,
-                        holder: *holder,
-                    });
-                }
-                false
-            }
-            Some(LockState::Additive(holders)) => {
-                if additive || (holders.len() == 1 && holders[0] == tx) {
-                    if additive {
-                        if holders.contains(&tx) {
-                            false
-                        } else {
-                            holders.push(tx);
-                            true
-                        }
-                    } else {
-                        // Upgrade the sole additive holder to exclusive.
-                        *self.locks.get_mut(&key).expect("present") = LockState::Exclusive(tx);
-                        false
-                    }
-                } else {
-                    return Err(SubsystemError::KeyLocked {
-                        key,
-                        holder: holders[0],
-                    });
-                }
-            }
+        let Some(at) = self.locks.iter().position(|(k, _)| *k == key) else {
+            let lock = if additive {
+                let mut holders = self.spare_holders.pop().unwrap_or_default();
+                holders.push(tx);
+                LockState::Additive(holders)
+            } else {
+                LockState::Exclusive(tx)
+            };
+            self.locks.push((key, lock));
+            self.open_tx_mut(tx).locks.push(key);
+            return Ok(());
         };
-        if newly {
-            self.tx_mut(tx).locks.push(key);
+        let lock = &mut self.locks[at].1;
+        match lock {
+            LockState::Exclusive(holder) if *holder != tx => {
+                return Err(SubsystemError::KeyLocked {
+                    key,
+                    holder: *holder,
+                });
+            }
+            LockState::Exclusive(_) => {}
+            LockState::Additive(holders) if additive => {
+                if !holders.contains(&tx) {
+                    holders.push(tx);
+                    self.open_tx_mut(tx).locks.push(key);
+                }
+            }
+            LockState::Additive(holders) => {
+                // Shared with another writer, exclusivity waits; the holder
+                // named is never the requester itself.
+                if let Some(&holder) = holders.iter().find(|&&h| h != tx) {
+                    return Err(SubsystemError::KeyLocked { key, holder });
+                }
+                // Upgrade the sole additive holder to exclusive.
+                let mut holders = std::mem::take(holders);
+                holders.clear();
+                self.spare_holders.push(holders);
+                *lock = LockState::Exclusive(tx);
+            }
         }
         Ok(())
     }
 
-    fn release_locks(&mut self, tx: TxId, locks: Vec<Key>) {
-        for key in locks {
-            let remove = match self.locks.get_mut(&key) {
-                Some(LockState::Exclusive(holder)) => *holder == tx,
-                Some(LockState::Additive(holders)) => {
+    fn release_locks(&mut self, tx: TxId, keys: &[Key]) {
+        for key in keys {
+            let Some(at) = self.locks.iter().position(|(k, _)| k == key) else {
+                continue;
+            };
+            let remove = match &mut self.locks[at].1 {
+                LockState::Exclusive(holder) => *holder == tx,
+                LockState::Additive(holders) => {
                     holders.retain(|&h| h != tx);
                     holders.is_empty()
                 }
-                None => false,
             };
             if remove {
-                self.locks.remove(&key);
+                if let (_, LockState::Additive(holders)) = self.locks.swap_remove(at) {
+                    self.spare_holders.push(holders);
+                }
             }
         }
     }
 
-    fn active_tx(&mut self, tx: TxId) -> Result<&mut TxState, SubsystemError> {
-        match self.txs.get_mut(tx.0 as usize) {
-            Some(t) if t.status == TxStatus::Active => Ok(t),
+    fn check_active(&self, tx: TxId) -> Result<(), SubsystemError> {
+        match self.txs.get(tx.0 as usize) {
+            Some(TxStatus::Active) => Ok(()),
             _ => Err(SubsystemError::UnknownTx(tx)),
         }
     }
 
     /// Executes one program operation inside a transaction.
     pub fn apply(&mut self, tx: TxId, op: KvOp) -> Result<(), SubsystemError> {
-        self.active_tx(tx)?;
+        self.check_active(tx)?;
         let key = op.key();
         if op.is_write() {
             self.acquire_lock(tx, key, matches!(op, KvOp::Add(..)))?;
@@ -256,7 +296,7 @@ impl Subsystem {
                 KvOp::Read(_) => unreachable!("writes only"),
             };
             self.store.insert(key, after);
-            self.tx_mut(tx).undo.push(undo);
+            self.open_tx_mut(tx).undo.push(undo);
             self.log.push(LogRecord::Write {
                 tx,
                 key,
@@ -267,7 +307,7 @@ impl Subsystem {
             // Reads see the current (possibly own-uncommitted) state; the
             // scheduler above prevents dirty cross-process reads.
             let v = self.store.get(&key).copied().unwrap_or(0);
-            self.tx_mut(tx).reads.push((key, v));
+            self.open_tx_mut(tx).reads.push((key, v));
         }
         Ok(())
     }
@@ -276,14 +316,22 @@ impl Subsystem {
     /// returns the transaction and its read values. On a lock conflict the
     /// transaction rolls back and the error is returned.
     pub fn execute(&mut self, program: &Program) -> Result<(TxId, ReturnValues), SubsystemError> {
+        self.execute_ops(&program.ops)
+    }
+
+    /// [`Subsystem::execute`] over a slice of operations.
+    pub(crate) fn execute_ops(
+        &mut self,
+        ops: &[KvOp],
+    ) -> Result<(TxId, ReturnValues), SubsystemError> {
         let tx = self.begin();
-        for &op in &program.ops {
+        for &op in ops {
             if let Err(e) = self.apply(tx, op) {
                 self.abort(tx).ok();
                 return Err(e);
             }
         }
-        let reads = ReturnValues(std::mem::take(&mut self.tx_mut(tx).reads));
+        let reads = ReturnValues(self.open_tx_mut(tx).reads.drain(..).collect());
         Ok((tx, reads))
     }
 
@@ -300,7 +348,7 @@ impl Subsystem {
     fn commit_blocked_by(&self, tx: TxId) -> Option<TxId> {
         self.commit_order.iter().find_map(|&(first, second)| {
             if second == tx {
-                match self.tx(first).map(|t| t.status) {
+                match self.tx_status(first) {
                     Some(TxStatus::Active) | Some(TxStatus::Prepared) => Some(first),
                     _ => None,
                 }
@@ -312,7 +360,7 @@ impl Subsystem {
 
     /// Commits an active transaction (one-phase).
     pub fn commit(&mut self, tx: TxId) -> Result<(), SubsystemError> {
-        self.active_tx(tx)?;
+        self.check_active(tx)?;
         if let Some(first) = self.commit_blocked_by(tx) {
             return Err(SubsystemError::CommitOrderViolation {
                 must_commit_first: first,
@@ -324,39 +372,19 @@ impl Subsystem {
     }
 
     fn finish_commit(&mut self, tx: TxId) {
-        let st = self.tx_mut(tx);
-        st.status = TxStatus::Committed;
-        let locks = std::mem::take(&mut st.locks);
-        self.release_locks(tx, locks);
+        self.finish(tx, TxStatus::Committed);
         self.log.push(LogRecord::Commit(tx));
     }
 
     /// Rolls back an active or prepared transaction.
     pub fn abort(&mut self, tx: TxId) -> Result<(), SubsystemError> {
-        let status = self.tx(tx).map(|t| t.status);
-        if !matches!(status, Some(TxStatus::Active | TxStatus::Prepared)) {
+        if !matches!(
+            self.tx_status(tx),
+            Some(TxStatus::Active | TxStatus::Prepared)
+        ) {
             return Err(SubsystemError::UnknownTx(tx));
         }
-        let st = self.tx_mut(tx);
-        st.status = TxStatus::Aborted;
-        let undo = std::mem::take(&mut st.undo);
-        let locks = std::mem::take(&mut st.locks);
-        // Undo in reverse write order.
-        for op in undo.into_iter().rev() {
-            match op {
-                UndoOp::Restore(key, Some(v)) => {
-                    self.store.insert(key, v);
-                }
-                UndoOp::Restore(key, None) => {
-                    self.store.remove(&key);
-                }
-                UndoOp::Sub(key, d) => {
-                    let v = self.store.get(&key).copied().unwrap_or(0) - d;
-                    self.store.insert(key, v);
-                }
-            }
-        }
-        self.release_locks(tx, locks);
+        self.finish(tx, TxStatus::Aborted);
         self.log.push(LogRecord::Abort(tx));
         Ok(())
     }
@@ -364,16 +392,16 @@ impl Subsystem {
     /// 2PC phase 1: prepares an active transaction (vote yes). The
     /// transaction keeps its locks and stays in doubt.
     pub fn prepare(&mut self, tx: TxId) -> Result<(), SubsystemError> {
-        self.active_tx(tx)?.status = TxStatus::Prepared;
+        self.check_active(tx)?;
+        self.txs[tx.0 as usize] = TxStatus::Prepared;
         self.log.push(LogRecord::Prepare(tx));
         Ok(())
     }
 
     /// 2PC phase 2: commits a prepared transaction.
     pub fn commit_prepared(&mut self, tx: TxId) -> Result<(), SubsystemError> {
-        match self.tx(tx).map(|t| t.status) {
-            Some(TxStatus::Prepared) => {}
-            _ => return Err(SubsystemError::NotPrepared(tx)),
+        if self.tx_status(tx) != Some(TxStatus::Prepared) {
+            return Err(SubsystemError::NotPrepared(tx));
         }
         if let Some(first) = self.commit_blocked_by(tx) {
             return Err(SubsystemError::CommitOrderViolation {
@@ -387,7 +415,7 @@ impl Subsystem {
 
     /// Status of a transaction.
     pub fn tx_status(&self, tx: TxId) -> Option<TxStatus> {
-        self.tx(tx).map(|t| t.status)
+        self.txs.get(tx.0 as usize).copied()
     }
 }
 
@@ -440,6 +468,30 @@ mod tests {
         let (t2, _) = s.execute(&Program::set(Key(1), 2)).unwrap();
         s.commit(t2).unwrap();
         assert_eq!(s.peek(Key(1)), Some(2));
+    }
+
+    #[test]
+    fn shared_additive_lock_names_another_holder() {
+        // t1 and t2 share an additive lock; t1 asking for exclusivity must
+        // be told about t2, not about itself.
+        let mut s = sub();
+        let (t1, _) = s.execute(&Program::add(Key(1), 1)).unwrap();
+        let (t2, _) = s.execute(&Program::add(Key(1), 2)).unwrap();
+        let err = s.apply(t1, KvOp::Set(Key(1), 9)).unwrap_err();
+        assert_eq!(
+            err,
+            SubsystemError::KeyLocked {
+                key: Key(1),
+                holder: t2
+            }
+        );
+        // Alone again, t1 upgrades to exclusive and t2 is refused.
+        s.commit(t2).unwrap();
+        s.apply(t1, KvOp::Set(Key(1), 9)).unwrap();
+        let err = s.execute(&Program::add(Key(1), 1)).unwrap_err();
+        assert!(matches!(err, SubsystemError::KeyLocked { holder, .. } if holder == t1));
+        s.commit(t1).unwrap();
+        assert_eq!(s.peek(Key(1)), Some(9));
     }
 
     #[test]
