@@ -140,13 +140,13 @@ fn replay(policy: &mut dyn Policy, calls: &[Call]) {
             Call::Released(g) => policy.record_deferred_released(*g),
             Call::Compensated(g) => policy.record_compensated(*g),
             Call::CanCommit(p) => drop(black_box(policy.can_commit(*p))),
-            Call::Commit(p) => drop(black_box(policy.on_commit(*p))),
+            Call::Commit(p) => policy.on_commit(*p),
             Call::PlanAbort(p, comps, forward) => {
                 drop(black_box(policy.plan_abort(*p, comps, forward)))
             }
             Call::PreparedAborted(g) => policy.record_prepared_aborted(*g),
             Call::AbortBegin(p) => policy.on_abort_begin(*p),
-            Call::Abort(p) => drop(black_box(policy.on_abort(*p))),
+            Call::Abort(p) => policy.on_abort(*p),
         }
     }
 }

@@ -21,8 +21,9 @@
 //!    activity in that situation executes with deferred commit (or waits,
 //!    depending on [`DeferPolicy`]).
 //! 3. **Lemma 1.1 / Definition 11.1** — a process may only commit after all
-//!    processes it conflict-depends on terminated; deferred activity commits
-//!    are released (atomically) at that point.
+//!    processes it conflict-depends on terminated; a deferred activity's
+//!    commit is released (atomically) under the same condition
+//!    ([`can_commit`](Protocol::can_commit)).
 //! 4. **Cascading aborts** — when a process aborts, every dependent process
 //!    that conflicts with a compensated operation, or with the aborting
 //!    process's forward-recovery activities, is aborted too; victims are
@@ -43,7 +44,7 @@
 //! * `live` / `nonstable` — per service slot, the processes holding a live
 //!   (non-compensated) operation of it, and those holding one that is still
 //!   compensatable;
-//! * `terminated`, `aborting`, `deferring` — one row each.
+//! * `terminated`, `aborting` — one row each.
 //!
 //! A service slot also keeps the slots it conflicts with, so "who holds a
 //! live operation conflicting with `s`" is the OR of a few rows. Nothing is
@@ -281,8 +282,6 @@ pub struct Protocol<'a> {
     terminated: Vec<u64>,
     /// Processes currently executing their completion (abort in progress).
     aborting: Vec<u64>,
-    /// Processes with a non-empty `deferred` list.
-    deferring: Vec<u64>,
     /// Conflict-dependency edges `P_i → P_j`: bit `j` of `succ` row `i`,
     /// bit `i` of `pred` row `j`.
     succ: BitRows,
@@ -322,7 +321,6 @@ impl<'a> Protocol<'a> {
             procs: Vec::new(),
             terminated: Vec::new(),
             aborting: Vec::new(),
-            deferring: Vec::new(),
             succ: BitRows::default(),
             pred: BitRows::default(),
             reach: BitRows::default(),
@@ -569,8 +567,6 @@ impl<'a> Protocol<'a> {
                 "terminated {}",
                 p.pid
             );
-            let deferring = !p.deferred.is_empty();
-            assert_eq!(test(&self.deferring, d), deferring, "deferring {}", p.pid);
         }
         assert_eq!(self.slot_of.len(), self.services.len());
         for (s, &service) in self.services.iter().enumerate() {
@@ -601,12 +597,7 @@ impl<'a> Protocol<'a> {
         }
         assert!(self.ops.iter().all(|r| self.services[r.slot] == r.service));
         // No row carries a bit beyond the registered processes.
-        let singles = [
-            &self.terminated,
-            &self.aborting,
-            &self.deferring,
-            &self.preds,
-        ];
+        let singles = [&self.terminated, &self.aborting, &self.preds];
         let edges = [&self.succ, &self.pred, &self.reach, &self.rreach];
         let rows = edges.into_iter().chain([&self.live, &self.nonstable]);
         let stored = rows.flat_map(|rows| rows.bits.chunks(rows.width.max(1)));
@@ -769,7 +760,6 @@ impl<'a> Protocol<'a> {
         self.push_record(me, rec);
         if deferred {
             self.procs[me].deferred.push(gid);
-            assign(&mut self.deferring, me, true);
         }
         edges_added
     }
@@ -792,8 +782,10 @@ impl<'a> Protocol<'a> {
 
     // ---- commit ---------------------------------------------------------
 
-    /// Whether `pid` may commit: all processes it depends on have terminated
-    /// (Definition 11.1) and it has no deferred activities left unreleased.
+    /// Whether `pid` may commit: every process it conflict-depends on has
+    /// terminated (Definition 11.1); otherwise the active ones, ascending.
+    /// The same condition releases a deferred activity's commit (Lemma 1.1),
+    /// so it is also the gate of that release.
     pub fn can_commit(&self, pid: ProcessId) -> Result<(), Vec<ProcessId>> {
         let blockers = self.lookup(pid).map(|me| self.pids(self.active_preds(me)));
         match blockers {
@@ -812,13 +804,8 @@ impl<'a> Protocol<'a> {
         self.pred.row(me).iter().zip(active).map(|(p, a)| p & a)
     }
 
-    /// Records the commit of a process; returns, per dependent process, the
-    /// deferred activities whose subsystem commits may now be released
-    /// **atomically** (2PC) because their last active blocker terminated.
-    pub fn record_process_commit(
-        &mut self,
-        pid: ProcessId,
-    ) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
+    /// Records the commit of a process.
+    pub fn record_process_commit(&mut self, pid: ProcessId) {
         self.stamp += 1;
         let me = self.dense(pid);
         self.set_status(me, ProtStatus::Committed);
@@ -826,32 +813,6 @@ impl<'a> Protocol<'a> {
         for &i in &self.procs[me].ops {
             self.ops[i].stable = !self.ops[i].compensated;
             self.nonstable.clear(self.ops[i].slot, me);
-        }
-        self.collect_releasable()
-    }
-
-    /// Releasable deferred commits: processes whose active blockers are
-    /// gone, ascending.
-    fn collect_releasable(&mut self) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
-        let waiting =
-            (0..self.deferring.len()).map(|w| self.deferring[w] & !word(&self.terminated, w));
-        let free = |&pj: &usize| self.active_preds(pj).all(|bits| bits == 0);
-        let ready: Vec<usize> = ones(waiting).filter(free).collect();
-        let mut out = Vec::with_capacity(ready.len());
-        for pj in ready {
-            assign(&mut self.deferring, pj, false);
-            let acts = std::mem::take(&mut self.procs[pj].deferred);
-            out.push((self.procs[pj].pid, acts));
-        }
-        out.sort_unstable_by_key(|&(pj, _)| pj);
-        out
-    }
-
-    /// Drops `gid` from its process's deferred list.
-    fn undefer(&mut self, me: usize, gid: GlobalActivityId) {
-        self.procs[me].deferred.retain(|&g| g != gid);
-        if self.procs[me].deferred.is_empty() {
-            assign(&mut self.deferring, me, false);
         }
     }
 
@@ -869,7 +830,7 @@ impl<'a> Protocol<'a> {
                 self.compensate(i, me);
             }
         }
-        self.undefer(me, gid);
+        self.procs[me].deferred.retain(|&g| g != gid);
     }
 
     /// Marks a deferred activity as released (subsystem commit executed).
@@ -892,7 +853,7 @@ impl<'a> Protocol<'a> {
                 self.refresh(self.ops[i].slot, me);
             }
         }
-        self.undefer(me, gid);
+        self.procs[me].deferred.retain(|&g| g != gid);
     }
 
     // ---- abort ----------------------------------------------------------
@@ -1049,10 +1010,7 @@ impl<'a> Protocol<'a> {
     }
 
     /// Records the completion of a process abort.
-    pub fn record_process_abort(
-        &mut self,
-        pid: ProcessId,
-    ) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
+    pub fn record_process_abort(&mut self, pid: ProcessId) {
         self.stamp += 1;
         let me = self.dense(pid);
         self.set_status(me, ProtStatus::Aborted);
@@ -1067,13 +1025,11 @@ impl<'a> Protocol<'a> {
         }
         // Drop its unreleased deferred activities (they abort at prepare):
         // prepared-then-aborted, no effect.
-        assign(&mut self.deferring, me, false);
         for gid in std::mem::take(&mut self.procs[me].deferred) {
             if let Some(&first) = self.records_of(me, gid).first() {
                 self.compensate(first, me);
             }
         }
-        self.collect_releasable()
     }
 }
 
@@ -1143,13 +1099,13 @@ mod tests {
         prot.record_executed(fx.a(2, 1), false);
         prot.record_executed(fx.a(2, 2), false);
         prot.record_executed(fx.a(2, 3), true);
-        let released = prot.record_process_commit(ProcessId(1));
-        assert_eq!(released.len(), 1);
-        assert_eq!(released[0].0, ProcessId(2));
-        assert_eq!(released[0].1, vec![fx.a(2, 3)]);
+        // The release is gated like P₂'s own commit: open once P₁ terminated.
+        assert_eq!(prot.can_commit(ProcessId(2)), Err(vec![ProcessId(1)]));
+        prot.record_process_commit(ProcessId(1));
+        assert!(prot.can_commit(ProcessId(2)).is_ok());
+        assert_eq!(prot.deferred_of(ProcessId(2)), &[fx.a(2, 3)]);
         prot.record_deferred_released(fx.a(2, 3));
         assert!(prot.deferred_of(ProcessId(2)).is_empty());
-        assert!(prot.can_commit(ProcessId(2)).is_ok());
     }
 
     #[test]

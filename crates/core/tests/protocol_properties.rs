@@ -9,7 +9,7 @@ mod scan_protocol;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scan_protocol::{Released, ScanProtocol};
+use scan_protocol::ScanProtocol;
 use std::fmt::Debug;
 use txproc_core::activity::Catalog;
 use txproc_core::conflict::ConflictMatrix;
@@ -83,20 +83,14 @@ impl<'a> Both<'a> {
         self.scan.mark_aborting(pid);
     }
 
-    fn commit(&mut self, pid: ProcessId) -> Released {
-        let released = (
-            self.rows.record_process_commit(pid),
-            self.scan.record_process_commit(pid),
-        );
-        self.same("commit release", released.0, released.1)
+    fn commit(&mut self, pid: ProcessId) {
+        self.rows.record_process_commit(pid);
+        self.scan.record_process_commit(pid);
     }
 
-    fn abort(&mut self, pid: ProcessId) -> Released {
-        let released = (
-            self.rows.record_process_abort(pid),
-            self.scan.record_process_abort(pid),
-        );
-        self.same("abort release", released.0, released.1)
+    fn abort(&mut self, pid: ProcessId) {
+        self.rows.record_process_abort(pid);
+        self.scan.record_process_abort(pid);
     }
 
     fn can_commit(&self, pid: ProcessId) -> Result<(), Vec<ProcessId>> {
@@ -146,6 +140,8 @@ struct Run {
 /// admissions, deferred commits, releases and, with `aborts`, compensations
 /// and full process aborts — over the processes of `spec`, registered in
 /// the order given (a process left out is first seen by `record_executed`).
+/// A process parked on a deferred commit is released at its own turn, once
+/// `can_commit` admits it (Lemma 1.1), as the engine's step releases it.
 /// At every step each decision is compared (see [`Both`]) and the maintained
 /// rows are rebuilt from scratch; the edges must stay acyclic.
 fn drive(
@@ -196,7 +192,7 @@ fn drive(
             both.rows.check_index_invariants();
         }
         // Occasionally abort a process outright instead of progressing it.
-        let released = if aborts && !executed[i].is_empty() && rng.gen_range(0..10u32) == 0 {
+        if aborts && !executed[i].is_empty() && rng.gen_range(0..10u32) == 0 {
             both.mark_aborting(pid);
             // Compensate only what the protocol still considers undoable:
             // nothing before the stable boundary, and not the prepared but
@@ -213,8 +209,16 @@ fn drive(
                     both.record_compensated(gid);
                 }
             }
-            both.abort(pid)
-        } else if deferred_at[i].is_some() {
+            both.abort(pid);
+        } else if let Some(gid) = deferred_at[i] {
+            if both.can_commit(pid).is_ok() {
+                // The deferred activity is the last the process executed.
+                both.record_deferred_released(gid);
+                states[i].apply_commit(gid.activity).unwrap();
+                stable_upto[i] = executed[i].len();
+                deferred_at[i] = None;
+                transcript.push(format!("released {gid}"));
+            }
             continue;
         } else if let Some(a) = states[i].next_activity() {
             let gid = GlobalActivityId::new(pid, a);
@@ -241,23 +245,12 @@ fn drive(
             }
             continue;
         } else if states[i].can_commit() && both.can_commit(pid).is_ok() {
-            both.commit(pid)
+            both.commit(pid);
         } else {
             continue;
-        };
-        terminated[i] = true;
-        transcript.push(format!("terminated {pid}: {released:?}"));
-        for (pj, gids) in released {
-            let j = processes.iter().position(|p| p.id == pj).unwrap();
-            for gid in gids {
-                both.record_deferred_released(gid);
-                states[j].apply_commit(gid.activity).unwrap();
-                if let Some(pos) = executed[j].iter().position(|g| *g == gid) {
-                    stable_upto[j] = stable_upto[j].max(pos + 1);
-                }
-            }
-            deferred_at[j] = None;
         }
+        terminated[i] = true;
+        transcript.push(format!("terminated {pid}"));
     }
     both.rows.check_index_invariants();
     let edges: Vec<_> = both.rows.edges().collect();
@@ -406,9 +399,10 @@ fn answers_do_not_depend_on_registration_order() {
             }
         }
     }
-    // Directed: one commit releasing two dependents at once, registered in
-    // descending order — the release list is still ascending. P23 runs c0
-    // then c1; P46 follows it on c0, P24 on c1; both tails defer behind it.
+    // Directed: one commit opening the releases of two dependents at once,
+    // registered in descending order. P23 runs c0 then c1; P46 follows it on
+    // c0, P24 on c1; both tails defer behind it, and both dependents may
+    // commit — so release — once it committed.
     let spec = wide_world(70);
     let mut both = Both::new(&spec, DeferPolicy::PrepareAndDefer);
     pids(&spec).iter().rev().for_each(|&pid| both.register(pid));
@@ -423,9 +417,11 @@ fn answers_do_not_depend_on_registration_order() {
         );
         both.record_executed(act(q, 3), true);
     }
-    let released = both.commit(ProcessId(23));
-    let expect = [24, 46].map(|q| (ProcessId(q), vec![act(q, 3)]));
-    assert_eq!(released, expect);
+    both.commit(ProcessId(23));
+    for q in [24, 46] {
+        assert_eq!(both.can_commit(ProcessId(q)), Ok(()));
+        assert_eq!(both.rows.deferred_of(ProcessId(q)), [act(q, 3)]);
+    }
     both.rows.check_index_invariants();
 }
 

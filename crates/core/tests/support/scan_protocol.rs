@@ -24,9 +24,6 @@ struct Rec {
     deferred: bool,
 }
 
-/// What a commit or abort releases: per dependent, its deferred activities.
-pub type Released = Vec<(ProcessId, Vec<GlobalActivityId>)>;
-
 /// The reference protocol: same calls, same answers, by scanning.
 pub struct ScanProtocol<'a> {
     spec: &'a Spec,
@@ -207,26 +204,11 @@ impl<'a> ScanProtocol<'a> {
         }
     }
 
-    pub fn record_process_commit(&mut self, pid: ProcessId) -> Released {
+    pub fn record_process_commit(&mut self, pid: ProcessId) {
         self.status.insert(pid, ProtStatus::Committed);
         for r in self.ops.iter_mut().filter(|r| r.gid.process == pid) {
             r.stable = !r.compensated;
         }
-        self.collect_releasable()
-    }
-
-    fn collect_releasable(&mut self) -> Released {
-        let ready: Vec<ProcessId> = self
-            .deferred
-            .keys()
-            .copied()
-            .filter(|&pj| self.is_active(pj) && self.can_commit(pj).is_ok())
-            .collect();
-        ready
-            .into_iter()
-            .filter_map(|pj| self.deferred.remove(&pj).map(|acts| (pj, acts)))
-            .filter(|(_, acts)| !acts.is_empty())
-            .collect()
     }
 
     fn undefer(&mut self, gid: GlobalActivityId) {
@@ -342,7 +324,7 @@ impl<'a> ScanProtocol<'a> {
         self.gate(holders.filter(|r| !r.stable))
     }
 
-    pub fn record_process_abort(&mut self, pid: ProcessId) -> Released {
+    pub fn record_process_abort(&mut self, pid: ProcessId) {
         self.status.insert(pid, ProtStatus::Aborted);
         self.aborting.remove(&pid);
         for r in self.ops.iter_mut().filter(|r| r.gid.process == pid) {
@@ -355,6 +337,5 @@ impl<'a> ScanProtocol<'a> {
                 r.compensated = true;
             }
         }
-        self.collect_releasable()
     }
 }

@@ -514,15 +514,11 @@ pub(crate) struct Shard<'a> {
     /// 8.3(f): completions of concurrently aborting processes are ordered
     /// consistently).
     abort_order: Vec<ProcessId>,
-    /// Prepared invocations awaiting their release, by process. A process
-    /// with one is parked: its release's `Execute` applies the commit, and
-    /// its abort drops the invocation (DESIGN.md decision 4).
-    pending_release: BTreeMap<ProcessId, (GlobalActivityId, SubsystemId, InvocationId)>,
-    /// Releases that failed certification, stamped with the history length
-    /// at failure time. Certification is a pure function of the history, so
-    /// they are re-armed only once the history actually advanced — not
-    /// busy-retried on every step.
-    stalled_releases: Vec<(ProcessId, usize)>,
+    /// Prepared activities awaiting their release, by process; the handle
+    /// is in `invocations`. A process with one is parked: its next step is
+    /// the release, once `Policy::can_commit` and certification admit it,
+    /// and its abort drops the invocation (DESIGN.md decision 4).
+    pending_release: BTreeMap<ProcessId, GlobalActivityId>,
     /// Last journalled block state per process (record kind, wait set).
     /// Blocked requests are re-polled on every wakeup; one journal record per
     /// *distinct* blocked state keeps the trace readable.
@@ -645,7 +641,6 @@ impl<'a> Shard<'a> {
             invocation_log: Vec::new(),
             abort_order: Vec::new(),
             pending_release: BTreeMap::new(),
-            stalled_releases: Vec::new(),
             block_notes: BTreeMap::new(),
             cert_fail_notes: Vec::new(),
             prepared_at: BTreeMap::new(),
@@ -744,8 +739,8 @@ impl<'a> Shard<'a> {
         for (&pid, state) in &states {
             match state.status() {
                 ProcessStatus::Active => {}
-                ProcessStatus::Committed => drop(shard.policy.on_commit(pid)),
-                ProcessStatus::Aborted => drop(shard.policy.on_abort(pid)),
+                ProcessStatus::Committed => shard.policy.on_commit(pid),
+                ProcessStatus::Aborted => shard.policy.on_abort(pid),
             }
         }
         let live: Vec<ProcessId> = states.keys().copied().filter(live).collect();
@@ -763,19 +758,14 @@ impl<'a> Shard<'a> {
     fn refold_invocation(&mut self, e: &InvocationLogEntry) {
         self.invocations.insert(e.gid, (e.subsystem, e.invocation));
         if e.prepared {
-            self.prepare(e.gid, e.subsystem, e.invocation);
+            self.prepare(e.gid);
         }
     }
 
-    /// What a prepared invocation does to the policy: its release is
-    /// pending. Returns the dependency edges it added.
-    fn prepare(
-        &mut self,
-        gid: GlobalActivityId,
-        sid: SubsystemId,
-        inv: InvocationId,
-    ) -> Vec<(ProcessId, ProcessId)> {
-        self.pending_release.insert(gid.process, (gid, sid, inv));
+    /// What a prepared invocation, its handle in `invocations`, does to the
+    /// policy: its release is pending. Returns the dependency edges it added.
+    fn prepare(&mut self, gid: GlobalActivityId) -> Vec<(ProcessId, ProcessId)> {
+        self.pending_release.insert(gid.process, gid);
         self.policy.record_executed(gid, true)
     }
 
@@ -822,7 +812,7 @@ impl<'a> Shard<'a> {
     fn record(&mut self, event: &Event) -> Vec<(ProcessId, ProcessId)> {
         match *event {
             Event::Execute(g) => match self.pending_release.get(&g.process) {
-                Some(&(prepared, ..)) if prepared == g => {
+                Some(&prepared) if prepared == g => {
                     self.pending_release.remove(&g.process);
                     self.policy.record_deferred_released(g);
                 }
@@ -838,7 +828,7 @@ impl<'a> Shard<'a> {
     /// An `Abort`'s record: a prepared invocation leaves the policy, and the
     /// process joins the abort order.
     fn record_abort(&mut self, pid: ProcessId) {
-        if let Some((gid, ..)) = self.pending_release.remove(&pid) {
+        if let Some(gid) = self.pending_release.remove(&pid) {
             self.invocations.remove(&gid);
             self.policy.record_prepared_aborted(gid);
         }
@@ -861,7 +851,8 @@ impl<'a> Shard<'a> {
             .collect();
         drop(coordinator);
         let pending: Vec<_> = self.pending_release.values().copied().collect();
-        for (gid, sid, inv) in pending {
+        for gid in pending {
+            let (sid, inv) = self.invocations[&gid];
             if decided.contains(&(sid, inv)) {
                 self.release(ctx, gid)?;
             } else if ctx.invoked(sid, inv).is_none() {
@@ -983,15 +974,16 @@ impl<'a> Shard<'a> {
     }
 
     /// The front of the run queue, a dirty shard's waiters re-queued first
-    /// when it has drained — except those waiting for their own deferred
-    /// commit: such a process has two wake-up calls, the release and its
-    /// abort, both take it out of `pending_release`, and until then a step
-    /// of it would only wait again.
+    /// when it has drained — except a process parked on its own deferred
+    /// commit whose `Policy::can_commit` still refuses: its release would
+    /// only wait again, and every termination, which may open that gate,
+    /// marks the shard dirty.
     fn pop_runnable(&mut self) -> Option<(ProcessId, Instant)> {
         if self.run_queue.is_empty() && self.dirty && !self.waiting.is_empty() {
             self.dirty = false;
             self.waiting.retain(|pid| {
-                let parked = self.pending_release.contains_key(pid);
+                let parked =
+                    self.pending_release.contains_key(pid) && self.policy.can_commit(*pid).is_err();
                 if !parked {
                     self.run_queue.push_back((*pid, Instant::now()));
                 }
@@ -1005,19 +997,18 @@ impl<'a> Shard<'a> {
     /// `false` when nobody waits. Every waiter was stepped after the last
     /// mutation and blocks on a shard-mate, so stepping one again changes
     /// nothing: only an abort resolves it (DESIGN.md decision 1). The victim
-    /// is the smallest waiter, for determinism. Ready releases are drained
-    /// first; then the victim is aborted for [`AbortReason::Deadlock`] — or,
-    /// if it is aborting already, its completion waits on the hypothetical
-    /// completions of the others (§3.5), and the admitted processes that are
-    /// active and not aborting are group-aborted under it. The victim goes
-    /// to the back of the run queue. A break that emits nothing is a stall,
-    /// and panics with every process's state.
+    /// is the smallest waiter, for determinism. It is aborted for
+    /// [`AbortReason::Deadlock`] — or, if it is aborting already, its
+    /// completion waits on the hypothetical completions of the others
+    /// (§3.5), and the admitted processes that are active and not aborting
+    /// are group-aborted under it. The victim goes to the back of the run
+    /// queue. A break that emits nothing is a stall, and panics with every
+    /// process's state.
     fn break_deadlock(&mut self, ctx: &RunCtx<'a>) -> bool {
         let Some(pid) = self.waiting.pop_first() else {
             return false;
         };
         let events = self.history.len();
-        self.drain_ready_releases(ctx, Vec::new());
         if self.states[&pid].abort_in_progress() {
             let blocking = |q: &ProcessId| {
                 let st = &self.states[q];
@@ -1184,54 +1175,6 @@ impl<'a> Shard<'a> {
         ok
     }
 
-    /// Attempts the releases of the processes in `ready` — those a
-    /// termination granted — and then of the stalled ones the history has
-    /// grown past, each decided alone by 2PC and its decision journalled
-    /// before its `Execute` event, so no log prefix shows an
-    /// executed-but-undecided prepared invocation. A process no longer
-    /// pending is skipped. Releases whose history event does not certify yet
-    /// are parked in `stalled_releases` and re-armed when the history grows.
-    fn drain_ready_releases(&mut self, ctx: &RunCtx<'a>, mut ready: Vec<ProcessId>) {
-        let len = self.history.len();
-        let rearm = self
-            .stalled_releases
-            .extract_if(.., |&mut (_, stamp)| stamp < len);
-        ready.extend(rearm.map(|(pj, _)| pj));
-        for pj in ready {
-            let Some(&(gid, sid, inv)) = self.pending_release.get(&pj) else {
-                continue;
-            };
-            if !self.certified_traced(ctx, Event::Execute(gid)) {
-                self.stalled_releases.push((pj, self.history.len()));
-                continue;
-            }
-            let participant = Participant {
-                subsystem: sid,
-                invocation: inv,
-            };
-            {
-                // Decision before phase 2, DecisionApplied after: a log cut
-                // between the two leaves the group in doubt and recovery
-                // finishes it from the decision record.
-                let mut coordinator = ctx.coordinator.lock();
-                let group = coordinator.next_group_id();
-                ctx.journal(|| WalRecord::Decision {
-                    group,
-                    commit: true,
-                    participants: vec![(sid.0, inv.0)],
-                });
-                coordinator
-                    .commit_group_with(vec![participant], |p| {
-                        ctx.agents[&p.subsystem].lock().release(p.invocation)
-                    })
-                    .expect("participant prepared");
-                ctx.journal(|| WalRecord::DecisionApplied { group });
-            }
-            self.release(ctx, gid)
-                .expect("a release commits its frontier");
-        }
-    }
-
     /// Emits the `Execute` of a pending deferred activity whose commit its
     /// subsystem applied; the event commits the activity in its process's
     /// state, which refuses it if it is not the frontier.
@@ -1247,17 +1190,44 @@ impl<'a> Shard<'a> {
 
     /// One scheduling iteration for `pid`.
     fn advance(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
-        self.drain_ready_releases(ctx, Vec::new());
         let status = self.states[&pid].status();
         if status != ProcessStatus::Active {
             self.finalize(ctx, pid);
             return Step::Done;
         }
-        if self.pending_release.contains_key(&pid) {
-            // Parked on its own release. A safety check: the prepare step
-            // waits, and no waiter parked is re-queued, so only a parked
-            // process stepped by hand gets here.
-            return Step::Wait;
+        if let Some(&gid) = self.pending_release.get(&pid) {
+            // Parked on its own deferred commit: Lemma 1.1 releases it once
+            // the process could commit (Definition 11.1), if its `Execute`
+            // certifies. Decided alone by 2PC: the decision is journalled
+            // before phase 2 and `DecisionApplied` after, so a log cut
+            // between the two leaves the group in doubt and recovery
+            // finishes it. Then the step goes on to the next activity.
+            if self.policy.can_commit(pid).is_err()
+                || !self.certified_traced(ctx, Event::Execute(gid))
+            {
+                return Step::Wait;
+            }
+            let (sid, inv) = self.invocations[&gid];
+            let mut coordinator = ctx.coordinator.lock();
+            let group = coordinator.next_group_id();
+            ctx.journal(|| WalRecord::Decision {
+                group,
+                commit: true,
+                participants: vec![(sid.0, inv.0)],
+            });
+            let participant = Participant {
+                subsystem: sid,
+                invocation: inv,
+            };
+            coordinator
+                .commit_group_with(vec![participant], |p| {
+                    ctx.agents[&p.subsystem].lock().release(p.invocation)
+                })
+                .expect("participant prepared");
+            ctx.journal(|| WalRecord::DecisionApplied { group });
+            drop(coordinator);
+            self.release(ctx, gid)
+                .expect("a release commits its frontier");
         }
         // Pending compensation?
         if let Some(c) = self.states[&pid].next_compensation() {
@@ -1488,7 +1458,7 @@ impl<'a> Shard<'a> {
             at,
         });
         let edges_added = if deferred {
-            self.prepare(gid, site.subsystem, invocation)
+            self.prepare(gid)
         } else {
             self.append(Event::Execute(gid), at).expect("frontier")
         };
@@ -1509,29 +1479,27 @@ impl<'a> Shard<'a> {
     }
 
     fn finalize(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
-        let status = self.states[&pid].status();
-        let released = match status {
+        match self.states[&pid].status() {
             ProcessStatus::Committed => {
                 self.note(ctx, TraceEvent::ProcessCommitted { pid });
-                self.policy.on_commit(pid)
+                self.policy.on_commit(pid);
             }
             ProcessStatus::Aborted => {
                 self.note(ctx, TraceEvent::ProcessAborted { pid });
-                self.policy.on_abort(pid)
+                self.policy.on_abort(pid);
             }
             ProcessStatus::Active => return,
-        };
+        }
         // Arrival→terminal latency on the run's clock (arrival subtracted so
         // open-system latencies measure time in system, not time since run
         // start).
         let latency = ctx.clock.now().saturating_sub(ctx.arrival(pid));
         self.metrics.latencies.push(latency);
         self.metrics.latency_by_pid.insert(pid.0, latency);
-        let granted = released.into_iter().map(|(pj, _)| pj).collect();
-        self.drain_ready_releases(ctx, granted);
         // `on_commit`/`on_abort` above removed the process's live operations
         // from the policy — a scheduler-visible change that can unblock a
-        // waiter even when no history event was emitted here.
+        // waiter, or open a parked one's release, even when no history event
+        // was emitted here.
         self.dirty = true;
     }
 
@@ -1543,7 +1511,8 @@ impl<'a> Shard<'a> {
         if !self.states[&pid].is_active() || self.states[&pid].abort_in_progress() {
             return false;
         }
-        if let Some(&(_, sid, inv)) = self.pending_release.get(&pid) {
+        if let Some(gid) = self.pending_release.get(&pid) {
+            let (sid, inv) = self.invocations[gid];
             ctx.journal(|| WalRecord::PreparedAborted {
                 subsystem: sid.0,
                 invocation: inv.0,
@@ -2527,8 +2496,9 @@ mod tests {
     fn a_release_commits_its_parked_process_at_its_own_execute() {
         // Lemma 1.1 under `pred`: P₂ = pᵖ conflicts with a of P₁ = aᶜ ≪ cᶜ,
         // still active, so p is admitted deferred. Its prepare parks P₂, and
-        // the release's `Execute` after P₁'s commit is p's commit — in the
-        // history, and in P₂'s state, with no step of P₂ in between.
+        // P₂'s first step after P₁'s commit is the release, whose `Execute`
+        // is p's commit — in the history and in P₂'s state — and then P₂'s
+        // own commit.
         let mut cat = Catalog::new();
         let [a, c] = ["a", "c"].map(|name| cat.compensatable(name).0);
         let p = cat.pivot("p");
@@ -2557,21 +2527,22 @@ mod tests {
         assert!(shard.pending_release.contains_key(&p2));
         assert_eq!(next(&mut shard), None, "parked on its own release");
         assert!(shard.waiting.contains(&p2));
+        // Stepped by hand while P₁ is active, P₂ waits and emits nothing.
+        let before = shard.history.len();
+        assert_eq!(shard.step(&ctx, p2), Step::Wait);
+        assert_eq!(shard.history.len(), before);
 
-        // P₁ runs to its commit, whose finalize releases p. P₂ is still
-        // waiting, never stepped since its prepare, and already holds p's
-        // commit: only the commit of P₂ itself is left.
+        // P₁ runs to its commit, which releases nothing itself but opens
+        // P₂'s gate: the drain re-queues P₂, and its one step is the
+        // release and then its own commit.
         assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
-        assert_eq!(shard.history.events().last(), Some(&released));
-        assert!(shard.waiting.contains(&p2) && shard.pending_release.is_empty());
-        let state = &shard.states[&p2];
-        assert_eq!(
-            state.steps(),
-            [txproc_core::state::ExecStep::Executed(ActivityId(0))]
-        );
-        assert!(state.can_commit());
+        assert_eq!(shard.history.events().last(), Some(&Event::Commit(p1)));
+        assert!(shard.pending_release.contains_key(&p2));
         assert_eq!(next(&mut shard), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Done);
+        assert!(shard.pending_release.is_empty());
+        let executed = txproc_core::state::ExecStep::Executed(ActivityId(0));
+        assert_eq!(shard.states[&p2].steps(), [executed]);
         assert_eq!(shard.metrics.committed, 2);
         let tail = [Event::Commit(p1), released.clone(), Event::Commit(p2)];
         assert_eq!(shard.history.events()[2..], tail);

@@ -77,11 +77,11 @@ pub struct RunResult {
 
 /// The engine's order: virtual time, a discrete-event `pop_min` over the
 /// arrivals and the activities in progress. A `Yield` that executed,
-/// compensated or failed an activity holds its process until the
-/// activity's duration has passed; any other goes to the back of the run
-/// queue at the same instant. When the run queue drains, the clock moves to
-/// the next wake-up and everything due then becomes runnable together,
-/// arrivals first.
+/// compensated or failed an activity holds its process for the duration of
+/// the last one it started (a release before it costs no time); any other
+/// goes to the back of the run queue at the same instant. When the run
+/// queue drains, the clock moves to the next wake-up and everything due
+/// then becomes runnable together, arrivals first.
 struct VirtualTime {
     /// Processes yet to arrive, by arrival time (ties in process order).
     arrivals: VecDeque<(u64, ProcessId)>,
@@ -100,14 +100,13 @@ impl<'a> RunOrder<'a> for VirtualTime {
         pid: ProcessId,
         emitted: usize,
     ) -> bool {
-        let activity = shard.history.events()[emitted..]
-            .iter()
-            .find_map(|e| match e {
-                Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) if g.process == pid => {
-                    Some(g.activity)
-                }
-                _ => None,
-            });
+        let mut started = shard.history.events()[emitted..].iter().rev();
+        let activity = started.find_map(|e| match e {
+            Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) if g.process == pid => {
+                Some(g.activity)
+            }
+            _ => None,
+        });
         let Some(a) = activity else {
             shard.run_queue.push_back((pid, Instant::now()));
             return false;

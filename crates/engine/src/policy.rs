@@ -46,11 +46,12 @@ pub trait Policy {
     fn record_prepared_aborted(&mut self, _gid: GlobalActivityId) {}
     /// A compensating activity executed.
     fn record_compensated(&mut self, gid: GlobalActivityId);
-    /// May the process commit now (Definition 11.1)?
+    /// May the process commit now (Definition 11.1)? `Err` names the
+    /// processes it waits for. A process parked on a deferred activity asks
+    /// the same before its release (Lemma 1.1).
     fn can_commit(&mut self, pid: ProcessId) -> Result<(), Vec<ProcessId>>;
-    /// The process committed; returns deferred activities to release, per
-    /// dependent process.
-    fn on_commit(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)>;
+    /// The process committed.
+    fn on_commit(&mut self, pid: ProcessId);
     /// Which dependents must cascade when `pid` aborts (victims in reverse
     /// dependency order).
     fn plan_abort(
@@ -59,9 +60,8 @@ pub trait Policy {
         compensations: &[GlobalActivityId],
         forward_services: &[ServiceId],
     ) -> Vec<ProcessId>;
-    /// The process aborted (completion finished); returns deferred
-    /// activities to release, per dependent process.
-    fn on_abort(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)>;
+    /// The process aborted (completion finished).
+    fn on_abort(&mut self, pid: ProcessId);
     /// The process's abort was initiated (its completion starts executing).
     fn on_abort_begin(&mut self, _pid: ProcessId) {}
     /// Gate for a compensation step of a completion (see
@@ -138,8 +138,8 @@ impl Policy for PredPolicy<'_> {
     fn can_commit(&mut self, pid: ProcessId) -> Result<(), Vec<ProcessId>> {
         self.protocol.can_commit(pid)
     }
-    fn on_commit(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
-        self.protocol.record_process_commit(pid)
+    fn on_commit(&mut self, pid: ProcessId) {
+        self.protocol.record_process_commit(pid);
     }
     fn plan_abort(
         &mut self,
@@ -150,8 +150,8 @@ impl Policy for PredPolicy<'_> {
         self.protocol
             .plan_abort(pid, compensations, forward_services)
     }
-    fn on_abort(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
-        self.protocol.record_process_abort(pid)
+    fn on_abort(&mut self, pid: ProcessId) {
+        self.protocol.record_process_abort(pid);
     }
     fn on_abort_begin(&mut self, pid: ProcessId) {
         self.protocol.mark_aborting(pid);
@@ -222,9 +222,8 @@ impl Policy for SerialPolicy {
     fn can_commit(&mut self, _pid: ProcessId) -> Result<(), Vec<ProcessId>> {
         Ok(())
     }
-    fn on_commit(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
+    fn on_commit(&mut self, pid: ProcessId) {
         self.terminated.insert(pid);
-        Vec::new()
     }
     fn plan_abort(
         &mut self,
@@ -234,9 +233,8 @@ impl Policy for SerialPolicy {
     ) -> Vec<ProcessId> {
         Vec::new()
     }
-    fn on_abort(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
+    fn on_abort(&mut self, pid: ProcessId) {
         self.terminated.insert(pid);
-        Vec::new()
     }
 }
 
@@ -322,9 +320,8 @@ impl Policy for ConservativePolicy<'_> {
     fn can_commit(&mut self, _pid: ProcessId) -> Result<(), Vec<ProcessId>> {
         Ok(())
     }
-    fn on_commit(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
+    fn on_commit(&mut self, pid: ProcessId) {
         self.held.remove(&pid);
-        Vec::new()
     }
     fn plan_abort(
         &mut self,
@@ -334,9 +331,8 @@ impl Policy for ConservativePolicy<'_> {
     ) -> Vec<ProcessId> {
         Vec::new()
     }
-    fn on_abort(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
+    fn on_abort(&mut self, pid: ProcessId) {
         self.held.remove(&pid);
-        Vec::new()
     }
 }
 
@@ -383,9 +379,8 @@ impl Policy for UnsafeCcPolicy<'_> {
     fn can_commit(&mut self, _pid: ProcessId) -> Result<(), Vec<ProcessId>> {
         Ok(())
     }
-    fn on_commit(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
+    fn on_commit(&mut self, pid: ProcessId) {
         self.protocol.record_process_commit(pid);
-        Vec::new()
     }
     fn plan_abort(
         &mut self,
@@ -395,9 +390,8 @@ impl Policy for UnsafeCcPolicy<'_> {
     ) -> Vec<ProcessId> {
         Vec::new()
     }
-    fn on_abort(&mut self, pid: ProcessId) -> Vec<(ProcessId, Vec<GlobalActivityId>)> {
+    fn on_abort(&mut self, pid: ProcessId) {
         self.protocol.record_process_abort(pid);
-        Vec::new()
     }
 }
 

@@ -52,6 +52,10 @@ fn workload(seed: u64, processes: usize) -> Workload {
 /// longer went to the back of the run queue. Seeds 48 and 52 of the engine
 /// half moved (the same 4 988 records; seed 48's history runs `a0_3`
 /// before `a4_2`), and the one-worker half, which defers no commit, did not.
+/// When a parked process came to release its own deferred commit, at its
+/// own step, 12 seeds of the engine half moved: 9 histories (seed 12 drops
+/// three retries of a refused release, and a rejection moves: 6 records
+/// fewer) and 3 journals. The one-worker half did not move.
 #[test]
 fn journals_pinned_over_64_seeds() {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
@@ -80,7 +84,7 @@ fn journals_pinned_over_64_seeds() {
     }
     assert_eq!(
         (records, digest),
-        (10_179, 0x2d50_61f9_b7d2_751a),
+        (10_173, 0x8c21_ca90_97c8_a598),
         "got ({records}, {digest:#018x})"
     );
 }
@@ -454,4 +458,56 @@ fn a_failure_started_completion_recovers_behind_an_aborting_process() {
         })
         .collect();
     assert_eq!(started, [(p2, AbortReason::External)], "no cascade");
+}
+
+/// Lemma 1.1 on the engine's journals: a deferred commit is released only
+/// after every process its `CommitDeferred` named has terminated, which
+/// certification alone does not enforce. Under `Pred` a release refused
+/// certification is released later (seed 12 refuses one six times).
+#[test]
+fn a_deferred_commit_is_released_only_after_its_blockers_terminated() {
+    use std::collections::{BTreeMap, BTreeSet};
+    for policy in [PolicyKind::Pred, PolicyKind::PredProtocol] {
+        let mut refused_then_released = 0;
+        for seed in 0..64u64 {
+            let w = contended(seed);
+            let cfg = RunConfig {
+                policy,
+                seed,
+                ..RunConfig::default()
+            };
+            let (mut terminated, mut deferred) = (BTreeSet::new(), BTreeMap::new());
+            let mut refused = BTreeMap::new();
+            for r in traced(RunBuilder::new(&w).config(cfg)).2 {
+                match r.event {
+                    TraceEvent::ProcessCommitted { pid } | TraceEvent::ProcessAborted { pid } => {
+                        terminated.insert(pid);
+                    }
+                    TraceEvent::CommitDeferred { gid, blockers } => {
+                        deferred.insert(gid, blockers);
+                    }
+                    TraceEvent::CertifyOutcome {
+                        event: Event::Execute(gid),
+                        ok: false,
+                        ..
+                    } if deferred.contains_key(&gid) => *refused.entry(gid).or_insert(0) += 1,
+                    TraceEvent::CommitReleased { gid } => {
+                        let early = deferred[&gid].iter().filter(|p| !terminated.contains(p));
+                        let early: Vec<_> = early.collect();
+                        assert!(
+                            early.is_empty(),
+                            "{policy:?}, seed {seed}: {gid} before {early:?}"
+                        );
+                        refused_then_released += refused.remove(&gid).unwrap_or(0);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let retried = refused_then_released > 0;
+        assert!(
+            retried || policy != PolicyKind::Pred,
+            "no refused release retried"
+        );
+    }
 }
