@@ -6,7 +6,11 @@
 //! prefix reducible, i.e. the history PRED by construction. The virtual-time
 //! engine asks it of its whole history, the concurrent driver of one
 //! shard's segment (sound because events of other shards commute with every
-//! event of this one). The from-scratch answer — `complete` + `reduce` on
+//! event of this one). Every effect event is asked, but the certifier
+//! answers the events of a *lone* process — the only one with events since
+//! every process before it terminated — from its state machine alone, and
+//! runs its derivation only where processes interleave (DESIGN.md,
+//! certifier invariant 7). The from-scratch answer — `complete` + `reduce` on
 //! the extended history — is the reference the tests hold each verdict
 //! against (`tests/certify_reference.rs`), not a second shipped path.
 

@@ -8,48 +8,31 @@
 //! the history events emitted since (`record`), then plans the candidate
 //! (`certify_keep`). Only `certify_keep` is counted. Once a certifier is
 //! warm, a step refills the working copies the last event left behind, so
-//! what it still allocates is amortized growth of its tables.
+//! what it still allocates is amortized growth of its tables. Every domain
+//! history of these runs is serial, so every certification is a lone
+//! process's, answered by its state machine alone: 0.54 allocations per
+//! call, against 2.05 when each ran the full derivation.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
+#[path = "support/certify_replay.rs"]
+mod certify_replay;
+
+use certify_replay::{per_shard, replay};
 use counting_alloc::counted;
 use txproc_core::domains::DomainPartition;
 use txproc_core::pred_incremental::IncrementalPred;
-use txproc_core::schedule::{Event, Schedule};
-use txproc_core::trace::{Journal, TraceEvent};
+use txproc_core::trace::Journal;
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::{PolicyKind, RunBuilder};
 use txproc_sim::workload::{generate, WorkloadConfig};
 
-/// The history's projection onto each conflict domain, i.e. each shard's
-/// own history. A group abort is split along the domains of its members.
-fn per_shard(partition: &DomainPartition, history: &Schedule) -> Vec<Schedule> {
-    let domain = |pid| partition.domain_of(pid).expect("partitioned process") as usize;
-    let mut out = vec![Schedule::new(); partition.domain_count()];
-    for e in history.events() {
-        match e {
-            Event::Execute(g) | Event::Fail(g) | Event::Compensate(g) => {
-                out[domain(g.process)].push(e.clone());
-            }
-            Event::Commit(p) | Event::Abort(p) => {
-                out[domain(*p)].push(e.clone());
-            }
-            Event::GroupAbort(ps) => {
-                for (d, local) in out.iter_mut().enumerate() {
-                    let members: Vec<_> = ps.iter().copied().filter(|&p| domain(p) == d).collect();
-                    if !members.is_empty() {
-                        local.push(Event::GroupAbort(members));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
+/// The bound on allocations per `certify_keep`: 1.1 × the 0.54 measured.
+const ALLOCATIONS_PER_CALL: f64 = 0.6;
 
 #[test]
-fn a_warm_certifier_allocates_at_most_four_times_per_certification() {
+fn a_warm_certifier_allocates_less_than_once_per_certification() {
     let (mut calls, mut allocations) = (0u64, 0u64);
     for seed in 1..=4u64 {
         let w = generate(&WorkloadConfig {
@@ -75,31 +58,27 @@ fn a_warm_certifier_allocates_at_most_four_times_per_certification() {
             .iter()
             .map(|_| IncrementalPred::new(&w.spec))
             .collect();
-        for rec in journal.take() {
-            let TraceEvent::CertifyOutcome { event, ok, .. } = &rec.event else {
-                continue;
-            };
-            let s = rec.shard.expect("the concurrent driver names the shard") as usize;
-            let (inc, local) = (&mut certifiers[s], locals[s].events());
-            while inc.len() < rec.history_len {
-                inc.record(&local[inc.len()])
-                    .expect("a recorded event is legal");
-            }
-            let (verdict, n) = counted(|| inc.certify_keep(event));
-            assert_eq!(
-                verdict.expect("the run certified it").reducible,
-                *ok,
-                "seed {seed}"
-            );
-            calls += 1;
-            allocations += n;
-        }
+        replay(
+            &mut certifiers,
+            &locals,
+            &journal.take(),
+            |inc, event, ok| {
+                let (verdict, n) = counted(|| inc.certify_keep(event));
+                assert_eq!(
+                    verdict.expect("the run certified it").reducible,
+                    ok,
+                    "seed {seed}"
+                );
+                calls += 1;
+                allocations += n;
+            },
+        );
     }
     let per_call = allocations as f64 / calls as f64;
     println!("certify_keep: {calls} calls, {allocations} allocations, {per_call:.2} per call");
     assert!(calls > 1_000, "{calls} certifications replayed");
     assert!(
-        per_call <= 4.0,
+        per_call <= ALLOCATIONS_PER_CALL,
         "{per_call:.2} allocations per certify_keep"
     );
 }

@@ -16,7 +16,9 @@
 //! allocations per recovered-history event (`PARENT_RECOVERY`: 56 339 over
 //! 7 631 events).
 //!
-//! Both thresholds are 70 % of those counts.
+//! The threshold of (a) is 50 % of its count: 4.55 since a lone process's
+//! certification runs its state machine only (6.11 before). That of (b) is
+//! 70 %.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -48,7 +50,7 @@ fn workload(seed: u64, processes: usize) -> Workload {
 }
 
 #[test]
-fn a_single_worker_run_allocates_at_most_seventy_percent_of_before_per_event() {
+fn a_single_worker_run_allocates_at_most_half_of_before_per_event() {
     let (mut events, mut allocations) = (0u64, 0u64);
     for seed in 1..=4u64 {
         let w = workload(seed, 96);
@@ -72,7 +74,7 @@ fn a_single_worker_run_allocates_at_most_seventy_percent_of_before_per_event() {
     println!("runs: {events} history events, {allocations} allocations, {per_event:.2} per event");
     assert!(events > 2_000, "{events} history events");
     assert!(
-        per_event <= 0.7 * PARENT_RUN,
+        per_event <= 0.5 * PARENT_RUN,
         "{per_event:.2} allocations per history event"
     );
 }

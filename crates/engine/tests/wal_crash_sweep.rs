@@ -380,7 +380,7 @@ fn crash_sweep_concurrent_driver() {
 /// at 6 processes only. The Proc-REC objections at 32 are printed, not
 /// asserted: `PivotOrder` objected to about one recovered history in several
 /// hundred while recovery ordered its own completion tail, and to none since
-/// the step runs it (ROADMAP item 7(d), the benchmark's
+/// the step runs it (ROADMAP item 4(g), the benchmark's
 /// `recover.proc_rec_objections`).
 #[test]
 fn crash_sweep_32_processes() {
