@@ -102,17 +102,20 @@ pub struct DomainPartition {
 impl DomainPartition {
     /// Computes the workload-static partition for `spec`'s processes.
     ///
-    /// Cost: O(Σ activities) to collect the footprints, then for each of the
-    /// F touched base services its conflict-matrix row
+    /// Cost: O(Σ activities) to collect the footprints, O(catalog) for the
+    /// tables indexed by base service, then for each touched base service
+    /// its conflict-matrix row
     /// ([`ConflictMatrix::row`](crate::conflict::ConflictMatrix::row), read
-    /// in time proportional to its length) and `|touched[s]| + |touched[t]|`
-    /// unions per conflicting touched pair —
-    /// every process touching a service conflicting with a touched service
-    /// joins one component, which is exactly the transitive closure of the
-    /// pairwise potential-conflict edges (a complete bipartite block between
-    /// `touched[s]` and `touched[t]` is connected whenever both sides are
-    /// non-empty).
+    /// in time proportional to its length), and one union per footprint
+    /// entry. Every process touching a service that has a touched
+    /// conflicting partner (itself included) joins that service's first
+    /// toucher, and the first touchers of every conflicting touched pair
+    /// join each other: exactly the transitive closure of the pairwise
+    /// potential-conflict edges (a complete bipartite block between the
+    /// touchers of `s` and of `t` is connected whenever both sides are
+    /// non-empty). A service with no touched partner joins nobody.
     pub fn partition(spec: &Spec) -> Self {
+        const NONE: u32 = u32::MAX;
         let pids: Vec<ProcessId> = spec.processes().map(|p| p.id).collect();
         let index: BTreeMap<ProcessId, u32> = pids
             .iter()
@@ -121,37 +124,39 @@ impl DomainPartition {
             .collect();
         let mut uf = UnionFind::new(pids.len());
 
-        // Base-service footprints: which processes touch each base service.
-        let mut touched: BTreeMap<ServiceId, Vec<u32>> = BTreeMap::new();
-        for p in spec.processes() {
-            let dense = index[&p.id];
-            let mut seen: Vec<ServiceId> = Vec::new();
+        // Base-service footprints, `(process, service)` once per pair, and
+        // each touched service's first toucher.
+        let mut first = vec![NONE; spec.catalog.len()];
+        let mut footprints: Vec<(u32, ServiceId)> = Vec::new();
+        for (dense, p) in (0..).zip(spec.processes()) {
+            let mine = footprints.len();
             for (aid, _) in p.iter() {
                 let base = spec.catalog.base(p.service(aid));
-                if !seen.contains(&base) {
-                    seen.push(base);
+                if !footprints[mine..].iter().any(|&(_, s)| s == base) {
+                    footprints.push((dense, base));
+                    let slot = &mut first[base.index()];
+                    if *slot == NONE {
+                        *slot = dense;
+                    }
                 }
-            }
-            for s in seen {
-                touched.entry(s).or_default().push(dense);
             }
         }
 
-        // Union across every conflicting pair of touched services, found by
-        // walking each touched service's row. For s ≠ t the bipartite block
-        // touched[s] × touched[t] is connected, so one chain through both
-        // lists suffices; for a self-conflicting s every pair in touched[s]
-        // is an edge, which the same chain covers.
-        for (&s, ps) in &touched {
-            for &t in spec.conflicts.row(&spec.catalog, s) {
-                // The relation is symmetric: take each pair from its
-                // smaller side.
-                let Some(pt) = touched.get(&t).filter(|_| t >= s) else {
-                    continue;
-                };
-                for &p in ps[1..].iter().chain(pt) {
-                    uf.union(ps[0], p);
+        // Walk each touched service's row: a touched partner links the two
+        // first touchers, and marks the service as one whose touchers join.
+        let mut linked = vec![false; first.len()];
+        for (s, &ps) in first.iter().enumerate().filter(|&(_, &p)| p != NONE) {
+            for t in spec.conflicts.row(&spec.catalog, ServiceId(s as u32)) {
+                let pt = first[t.index()];
+                if pt != NONE {
+                    linked[s] = true;
+                    uf.union(ps, pt);
                 }
+            }
+        }
+        for &(p, s) in &footprints {
+            if linked[s.index()] {
+                uf.union(first[s.index()], p);
             }
         }
 
@@ -171,15 +176,17 @@ impl DomainPartition {
         let n = self.pids.len();
         self.label = vec![u32::MAX; n];
         self.members.clear();
-        let mut root_to_domain: BTreeMap<u32, u32> = BTreeMap::new();
+        // Domain of each root, by root index.
+        let mut root_to_domain = vec![u32::MAX; n];
         // Dense indices ascend with pid, so scanning in order yields domains
         // ordered by smallest member pid.
         for i in 0..n as u32 {
-            let root = self.uf.find(i);
-            let domain = *root_to_domain.entry(root).or_insert_with(|| {
+            let root = self.uf.find(i) as usize;
+            if root_to_domain[root] == u32::MAX {
+                root_to_domain[root] = self.members.len() as u32;
                 self.members.push(Vec::new());
-                (self.members.len() - 1) as u32
-            });
+            }
+            let domain = root_to_domain[root];
             self.label[i as usize] = domain;
             self.members[domain as usize].push(self.pids[i as usize]);
         }

@@ -74,7 +74,10 @@ impl fmt::Display for AbortReason {
 pub enum TraceEvent {
     /// The request was admitted and the activity executed (Lemma 1.1 /
     /// Lemma 2 deferred mode). `edges_added` lists serialization-order edges
-    /// `p → q` newly inserted by this execution.
+    /// `p → q` newly inserted by this execution. A predecessor the protocol
+    /// retired at a quiescent point (it terminated before this process's
+    /// first record) is not listed, so a `--pid` filter of the journal does
+    /// not match such a predecessor here.
     RequestAdmitted {
         /// The executed activity.
         gid: GlobalActivityId,
@@ -84,7 +87,8 @@ pub enum TraceEvent {
         deferred: bool,
         /// Processes whose live conflicting operations precede this one.
         blockers: Vec<ProcessId>,
-        /// Serialization edges `(predecessor, this process)` added.
+        /// Serialization edges `(predecessor, this process)` added, among
+        /// the processes the protocol still holds.
         edges_added: Vec<(ProcessId, ProcessId)>,
     },
     /// The request must wait (Lemma 1.1 with a non-compensatable follower,

@@ -200,13 +200,13 @@ impl ConcurrentConfig {
         Ok(())
     }
 
-    /// Worker-pool size the run will use for a given shard count.
+    /// Worker-pool size the run will use for a given shard count. Asks the
+    /// host for its cores (cgroup and affinity reads) only when `workers`
+    /// is unset.
     pub fn resolved_workers(&self, shard_count: usize) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
         self.workers
-            .unwrap_or_else(|| cores.min(shard_count.max(1)))
+            .unwrap_or_else(|| cores().min(shard_count.max(1)))
             .max(1)
     }
 }

@@ -55,7 +55,13 @@ fn workload(seed: u64, processes: usize) -> Workload {
 /// When a parked process came to release its own deferred commit, at its
 /// own step, 12 seeds of the engine half moved: 9 histories (seed 12 drops
 /// three retries of a refused release, and a rejection moves: 6 records
-/// fewer) and 3 journals. The one-worker half did not move.
+/// fewer) and 3 journals. The one-worker half did not move. When the
+/// protocol came to retire every process at a quiescent point, 58 seeds of
+/// the one-worker half moved and no record was added or lost: the worker
+/// runs each process to its end, so every process follows a quiescent
+/// point, and a `RequestAdmitted`'s `edges_added` no longer lists a
+/// predecessor that terminated before it started. The engine half, which
+/// interleaves and retires only at the end of a run, did not move.
 #[test]
 fn journals_pinned_over_64_seeds() {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
@@ -84,7 +90,7 @@ fn journals_pinned_over_64_seeds() {
     }
     assert_eq!(
         (records, digest),
-        (10_173, 0x8c21_ca90_97c8_a598),
+        (10_173, 0xc13f_06df_5ac6_21ae),
         "got ({records}, {digest:#018x})"
     );
 }
