@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use txproc_core::ids::{GlobalActivityId, ProcessId, ServiceId};
-use txproc_core::protocol::{Admission, CompletionGate, DeferPolicy, Protocol};
+use txproc_core::protocol::{Admission, CompletionGate, DeferPolicy, ProtStatus, Protocol};
 use txproc_core::spec::Spec;
 
 /// Scheduler policy interface used by the engine.
@@ -107,6 +107,17 @@ impl<'a> PredPolicy<'a> {
             name,
         }
     }
+
+    /// A completion is planned and gated only while its process is active:
+    /// the protocol answers these for a process it retired as for one
+    /// without records.
+    fn debug_assert_active(&self, pid: ProcessId) {
+        debug_assert_eq!(
+            self.protocol.status(pid),
+            ProtStatus::Active,
+            "{pid}'s completion asked after it terminated"
+        );
+    }
 }
 
 impl Policy for PredPolicy<'_> {
@@ -147,6 +158,7 @@ impl Policy for PredPolicy<'_> {
         compensations: &[GlobalActivityId],
         forward_services: &[ServiceId],
     ) -> Vec<ProcessId> {
+        self.debug_assert_active(pid);
         self.protocol
             .plan_abort(pid, compensations, forward_services)
     }
@@ -157,9 +169,11 @@ impl Policy for PredPolicy<'_> {
         self.protocol.mark_aborting(pid);
     }
     fn compensation_gate(&self, gid: GlobalActivityId) -> CompletionGate {
+        self.debug_assert_active(gid.process);
         self.protocol.compensation_gate(gid)
     }
     fn forward_gate(&self, pid: ProcessId, service: ServiceId) -> CompletionGate {
+        self.debug_assert_active(pid);
         self.protocol.forward_gate(pid, service)
     }
     #[cfg(test)]
