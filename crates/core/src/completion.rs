@@ -31,6 +31,7 @@ use crate::order::PartialOrder;
 use crate::schedule::{Event, Op, OpKind, Schedule};
 use crate::spec::Spec;
 use crate::state::ProcessState;
+use std::borrow::Borrow;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -83,12 +84,13 @@ pub fn complete(spec: &Spec, schedule: &Schedule) -> Result<CompletedSchedule, S
 /// The rank of each process of a history that [`complete`] orders
 /// conflicting forward-recovery activities by (8.3d/8.3f, the mandatory
 /// ranks below): a lower-ranked process's go first. `states` are the
-/// machines the history left (`Replay::states`, or a scheduler's own); a
-/// process with no operation has no rank.
-pub fn forward_ranks(
+/// machines the history left, ascending by pid (`&Replay::states`, or a
+/// scheduler's own, read in place); a process with no operation has no
+/// rank.
+pub fn forward_ranks<'s, 'p: 's, P: Borrow<ProcessId>>(
     spec: &Spec,
     schedule: &Schedule,
-    states: &BTreeMap<ProcessId, ProcessState<'_>>,
+    states: impl IntoIterator<Item = (P, &'s ProcessState<'p>)>,
 ) -> Result<BTreeMap<ProcessId, usize>, ScheduleError> {
     let mut ops = Vec::new();
     for (event_index, event) in schedule.events().iter().enumerate() {
@@ -114,17 +116,18 @@ pub fn forward_ranks(
 }
 
 /// 8.2b/8.2c: appends the completion activities of every still-active
-/// process — ascending process id, compensations before forward recovery —
-/// and returns the processes completed that way.
-fn append_completions(
+/// process of `states` — ascending process id, compensations before
+/// forward recovery — and returns the processes completed that way.
+fn append_completions<'s, 'p: 's, P: Borrow<ProcessId>>(
     spec: &Spec,
-    states: &BTreeMap<ProcessId, ProcessState<'_>>,
+    states: impl IntoIterator<Item = (P, &'s ProcessState<'p>)>,
     ops: &mut Vec<Op>,
     event_base: usize,
 ) -> Result<Vec<ProcessId>, ScheduleError> {
     let original_len = ops.len();
     let mut completed = Vec::new();
-    for (&pid, state) in states {
+    for (pid, state) in states {
+        let pid = *pid.borrow();
         if !state.is_active() {
             continue;
         }

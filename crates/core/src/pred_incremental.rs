@@ -93,7 +93,7 @@
 //! histories. The batch decider remains the reference implementation.
 
 use crate::error::ScheduleError;
-use crate::ids::{GlobalActivityId, ProcessId, ServiceId};
+use crate::ids::{GlobalActivityId, IdIndex, ProcessId, ServiceId};
 use crate::pred::PredReport;
 use crate::schedule::{Event, OpKind, Schedule};
 use crate::spec::Spec;
@@ -567,12 +567,12 @@ pub struct IncrementalPred<'a> {
     committed: BTreeSet<ProcessId>,
     // -- original operations --
     ops: Vec<OrigOp>,
-    svc_idx: BTreeMap<ServiceId, u32>,
+    svc_idx: IdIndex<ServiceId>,
     svcs: Vec<Service>,
     /// Dense index of every process with at least one operation, in
     /// first-operation order (index ↔ [`OrigOp::pidx`]), and its operations.
     dense_pids: Vec<ProcessId>,
-    pid_dense: BTreeMap<ProcessId, u32>,
+    pid_dense: IdIndex<ProcessId>,
     proc_ops: Vec<Vec<usize>>,
     fwd_of: BTreeMap<GlobalActivityId, usize>,
     comp_gids: BTreeSet<GlobalActivityId>,
@@ -706,10 +706,10 @@ impl<'a> IncrementalPred<'a> {
             states: BTreeMap::new(),
             committed: BTreeSet::new(),
             ops: Vec::new(),
-            svc_idx: BTreeMap::new(),
+            svc_idx: IdIndex::new(),
             svcs: Vec::new(),
             dense_pids: Vec::new(),
-            pid_dense: BTreeMap::new(),
+            pid_dense: IdIndex::new(),
             proc_ops: Vec::new(),
             fwd_of: BTreeMap::new(),
             comp_gids: BTreeSet::new(),
@@ -1111,7 +1111,7 @@ impl<'a> IncrementalPred<'a> {
     /// Index of `service` in `svcs`, asking the oracle for its conflicts
     /// with the known services the first time it is seen.
     fn intern(&mut self, service: ServiceId) -> u32 {
-        if let Some(&s) = self.svc_idx.get(&service) {
+        if let Some(&s) = self.svc_idx.get(service) {
             return s;
         }
         let oracle = self.spec.oracle();
@@ -1192,7 +1192,7 @@ impl<'a> IncrementalPred<'a> {
     /// and — for a compensation — the pair it closes.
     fn push_op(&mut self, gid: GlobalActivityId, service: ServiceId, kind: OpKind) {
         let sidx = self.intern(service);
-        let pidx = match self.pid_dense.get(&gid.process) {
+        let pidx = match self.pid_dense.get(gid.process) {
             Some(&p) => p,
             None => {
                 let p = self.dense_pids.len() as u32;
@@ -1327,7 +1327,7 @@ impl<'a> IncrementalPred<'a> {
     /// Rule 3 after `Commit(p)`: the effect-free operations of `p` become
     /// live in both reductions, and the recorded pairs they form may cancel.
     fn revive_effect_free(&mut self, p: ProcessId) {
-        let Some(&px) = self.pid_dense.get(&p) else {
+        let Some(&px) = self.pid_dense.get(p) else {
             return;
         };
         for at in 0..self.proc_ops[px as usize].len() {
@@ -1409,7 +1409,7 @@ impl<'a> IncrementalPred<'a> {
                 .all(|w| w[1].kind == OpKind::Forward || w[0].fwd > w[1].fwd),
             "≪̃ construction must stay acyclic"
         );
-        let pidx = self.pid_dense.get(&pid).copied();
+        let pidx = self.pid_dense.get(pid).copied();
         if part.is_empty() {
             // A process with nothing pending holds no spare capacity.
             self.scratch.parts.push(take(&mut part));
@@ -1809,7 +1809,7 @@ impl<'a> IncrementalPred<'a> {
                 }
                 Undo::Process => {
                     let pid = self.dense_pids.pop().expect("logged process");
-                    self.pid_dense.remove(&pid);
+                    self.pid_dense.remove(pid);
                     self.proc_ops.pop();
                     self.overlay.pop();
                     self.m2.resize(self.proc_ops.len());
@@ -1818,7 +1818,7 @@ impl<'a> IncrementalPred<'a> {
                 }
                 Undo::Service => {
                     let s = self.svcs.pop().expect("logged service");
-                    self.svc_idx.remove(&s.id);
+                    self.svc_idx.remove(s.id);
                     let k = self.svcs.len() as u32;
                     for &t in s.conflicts.iter().filter(|&&t| t != k) {
                         self.svcs[t as usize].conflicts.pop();
@@ -2371,6 +2371,37 @@ mod tests {
         }
         assert_eq!(asked.report(), plain.report());
         assert_eq!(asked.logical_state(), plain.logical_state());
+    }
+
+    /// A what-if that names a new process and a new service rolls back
+    /// `Undo::Process` and `Undo::Service`: each removes exactly the index
+    /// entry its step added, so both indices are as before, entry for entry.
+    #[test]
+    fn a_rolled_back_step_removes_exactly_the_entries_it_added() {
+        let fx = fixtures::paper_world();
+        let mut inc = IncrementalPred::always_engaged(&fx.spec);
+        for g in [fx.a(2, 1), fx.a(2, 2), fx.a(3, 1)] {
+            inc.record(&Event::Execute(g)).unwrap();
+        }
+        let (svcs, pids) = (inc.svc_idx.clone(), inc.pid_dense.clone());
+        assert_eq!((svcs.len(), pids.len()), (3, 2));
+        let p1 = fx.a(1, 1);
+        let s11 = fx.spec.service_of(p1).unwrap();
+        assert_eq!(
+            (inc.pid_dense.get(p1.process), inc.svc_idx.get(s11)),
+            (None, None)
+        );
+        inc.certify(&Event::Execute(p1)).unwrap();
+        assert_eq!(inc.pid_dense, pids, "Undo::Process");
+        assert_eq!(inc.svc_idx, svcs, "Undo::Service");
+        assert_eq!(inc.dense_pids.len(), pids.len());
+        assert_eq!(inc.svcs.len(), svcs.len());
+        // Kept, the step adds the two entries at the next dense indices.
+        inc.record(&Event::Execute(p1)).unwrap();
+        assert_eq!(inc.pid_dense.get(p1.process), Some(&2));
+        assert_eq!(inc.svc_idx.get(s11), Some(&3));
+        assert!(pids.iter().all(|(p, d)| inc.pid_dense.get(p) == Some(d)));
+        assert!(svcs.iter().all(|(s, k)| inc.svc_idx.get(s) == Some(k)));
     }
 
     fn st2(fx: &fixtures::PaperWorld) -> Schedule {

@@ -77,13 +77,13 @@
 //! formulation of every decision lives in test support
 //! (`tests/support/scan_protocol.rs`), not here.
 
-use crate::ids::{GlobalActivityId, ProcessId, ServiceId};
+use crate::ids::{GlobalActivityId, IdIndex, ProcessId, ServiceId};
 use crate::process::Process;
 use crate::serializability::ones;
 use crate::spec::Spec;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// How the scheduler handles a non-compensatable activity that conflicts
 /// with an active predecessor (Lemma 1).
@@ -302,7 +302,7 @@ pub struct Protocol<'a> {
     ops: Vec<ExecRecord>,
     // ---- processes, by dense index (order of first appearance) ----
     /// The one id → dense-index lookup a call makes per process argument.
-    index: BTreeMap<ProcessId, u32>,
+    index: IdIndex<ProcessId>,
     procs: Vec<Proc<'a>>,
     /// Processes whose status is not [`ProtStatus::Active`] (ANDed out of
     /// rows of processes; nothing to set when a process registers).
@@ -318,7 +318,7 @@ pub struct Protocol<'a> {
     rreach: BitRows,
     // ---- base services holding an operation, by slot ----
     /// The one id → slot lookup a call makes per service argument.
-    slot_of: BTreeMap<ServiceId, u32>,
+    slot_of: IdIndex<ServiceId>,
     services: Vec<ServiceId>,
     /// Per slot: the slots of conflicting services, ascending.
     conflicts: Vec<Vec<usize>>,
@@ -352,7 +352,7 @@ impl<'a> Protocol<'a> {
             spec,
             policy,
             ops: Vec::new(),
-            index: BTreeMap::new(),
+            index: IdIndex::new(),
             procs: Vec::new(),
             terminated: Vec::new(),
             aborting: Vec::new(),
@@ -360,7 +360,7 @@ impl<'a> Protocol<'a> {
             pred: BitRows::default(),
             reach: BitRows::default(),
             rreach: BitRows::default(),
-            slot_of: BTreeMap::new(),
+            slot_of: IdIndex::new(),
             services: Vec::new(),
             conflicts: Vec::new(),
             live: BitRows::default(),
@@ -441,23 +441,24 @@ impl<'a> Protocol<'a> {
     // ---- dense indices ----------------------------------------------------
 
     fn lookup(&self, pid: ProcessId) -> Option<usize> {
-        self.index.get(&pid).map(|&d| d as usize)
+        self.index.get(pid).map(|&d| d as usize)
     }
 
     /// Dense index of a process, allocated (as an active process) on first
     /// use.
     fn dense(&mut self, pid: ProcessId) -> usize {
-        let next = self.procs.len();
-        let d = *self.index.entry(pid).or_insert(next as u32) as usize;
-        if d == next {
-            self.procs.push(Proc {
-                pid,
-                process: None,
-                status: ProtStatus::Active,
-                ops: Vec::new(),
-                deferred: Vec::new(),
-            });
+        if let Some(d) = self.lookup(pid) {
+            return d;
         }
+        let d = self.procs.len();
+        self.index.insert(pid, d as u32);
+        self.procs.push(Proc {
+            pid,
+            process: None,
+            status: ProtStatus::Active,
+            ops: Vec::new(),
+            deferred: Vec::new(),
+        });
         d
     }
 
@@ -524,7 +525,7 @@ impl<'a> Protocol<'a> {
     /// Slot of a base service, interned on first use: its conflict list is
     /// one probe of the spec's matrix per service already interned.
     fn intern(&mut self, base: ServiceId) -> usize {
-        if let Some(&s) = self.slot_of.get(&base) {
+        if let Some(&s) = self.slot_of.get(base) {
             return s as usize;
         }
         let slot = self.services.len();
@@ -551,7 +552,7 @@ impl<'a> Protocol<'a> {
     /// ascending: the kept list of an interned service, a probe of each
     /// interned service for one that never held an operation here.
     fn conflict_slots(&self, base: ServiceId) -> Cow<'_, [usize]> {
-        match self.slot_of.get(&base) {
+        match self.slot_of.get(base) {
             Some(&s) => Cow::Borrowed(&self.conflicts[s as usize]),
             None => Cow::Owned(self.probe_slots(base)),
         }
@@ -693,7 +694,7 @@ impl<'a> Protocol<'a> {
         );
         assert_eq!(self.slot_of.len(), self.services.len());
         for (s, &service) in self.services.iter().enumerate() {
-            assert_eq!(self.slot_of.get(&service), Some(&(s as u32)));
+            assert_eq!(self.slot_of.get(service), Some(&(s as u32)));
             let conflicts = |&t: &usize| oracle.conflict(service, self.services[t]);
             let probed: Vec<usize> = (0..self.services.len()).filter(conflicts).collect();
             assert_eq!(self.conflicts[s], probed, "conflict slots of {service}");

@@ -7,12 +7,11 @@
 //! same loop in another [`RunOrder`], over one shard holding every process.
 //! This driver runs the workload under real OS concurrency. The paper's
 //! protocol (Lemmas 1–3) only ever orders operations that *conflict*, so
-//! processes in different connected
-//! components of the potential-conflict graph impose no ordering
-//! obligations on each other. The driver exploits that: a
-//! [`DomainPartition`] splits the workload into conflict domains, and each
-//! shard owns a complete scheduler state — its own [`Policy`] instance,
-//! §3.5 certification gate and history segment — so admission,
+//! processes in different connected components of the potential-conflict
+//! graph impose no ordering obligations on each other. The driver exploits
+//! that: a [`DomainPartition`] splits the workload into conflict domains,
+//! and each shard owns a complete scheduler state — its own [`Policy`]
+//! instance, §3.5 certification gate and history segment — so admission,
 //! certification, commit and abort decisions in disjoint domains proceed
 //! fully in parallel. A deterministic merge (events are stamped with a
 //! global atomic ticket at emission) produces one global [`Schedule`];
@@ -42,8 +41,8 @@
 //! one worker. The calling thread partitions, assigns, and then is worker 0
 //! (workers `1..W` are spawned; a one-worker run spawns no thread). The
 //! owning worker builds the shard (`Shard::build`: policy, gate, process
-//! states, queues) when it admits the domain's first due
-//! arrival, holds it by value while it steps it, and retires it —
+//! slots, queues) when it admits the domain's first due arrival, holds it
+//! by value while it steps it, and retires it —
 //! `Shard::finish`, which flushes its buffered trace records to the journal —
 //! in the visit in which its last process terminates *and* no arrival is
 //! pending. Retirement waits for the arrival queue because a drained
@@ -90,7 +89,7 @@ use std::time::{Duration, Instant};
 use txproc_core::activity::Termination;
 use txproc_core::domains::DomainPartition;
 use txproc_core::error::{ModelError, ScheduleError};
-use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId, ServiceId};
+use txproc_core::ids::{ActivityId, GlobalActivityId, IdIndex, ProcessId, ServiceId};
 use txproc_core::protocol::{Admission, CompletionGate};
 use txproc_core::schedule::{Event, Schedule};
 use txproc_core::state::{FailureOutcome, ProcessState, ProcessStatus};
@@ -205,9 +204,8 @@ impl ConcurrentConfig {
     /// is unset.
     pub fn resolved_workers(&self, shard_count: usize) -> usize {
         let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.workers
-            .unwrap_or_else(|| cores().min(shard_count.max(1)))
-            .max(1)
+        let default = || cores().min(shard_count.max(1));
+        self.workers.unwrap_or_else(default).max(1)
     }
 }
 
@@ -324,9 +322,8 @@ pub(crate) struct RunCtx<'a> {
     /// timers; off by default).
     pub(crate) tele: Telemetry,
     pub(crate) clock: Clock,
-    /// Arrival time per process on the run's clock, in process-id order.
-    /// Empty when everything arrives at 0.
-    arrivals: Vec<(ProcessId, u64)>,
+    /// Arrival time per process on the run's clock; empty if all arrive at 0.
+    arrivals: IdIndex<ProcessId, u64>,
     /// Processes currently in flight (arrived, not yet terminated) and the
     /// peak observed — the open-system concurrency level actually reached.
     live: Level,
@@ -368,7 +365,7 @@ impl<'a> RunCtx<'a> {
         let agents = agents.into_iter().map(|(sid, a)| (sid, Mutex::new(a)));
         let pids = workload.spec.processes().map(|p| p.id);
         let arrivals = match workload.config.arrivals {
-            ArrivalModel::Closed if closed_gap == 0 => Vec::new(),
+            ArrivalModel::Closed if closed_gap == 0 => IdIndex::new(),
             ArrivalModel::Closed => pids.zip((0..).map(|i| i * closed_gap)).collect(),
             _ => pids
                 .zip(txproc_sim::workload::arrival_times(&workload.config))
@@ -404,9 +401,7 @@ impl<'a> RunCtx<'a> {
 
     /// Arrival time of a process on the run's clock.
     pub(crate) fn arrival(&self, pid: ProcessId) -> u64 {
-        self.arrivals
-            .binary_search_by_key(&pid, |&(p, _)| p)
-            .map_or(0, |i| self.arrivals[i].1)
+        self.arrivals.get(pid).copied().unwrap_or(0)
     }
 
     /// `members` in the order both drivers admit them: by arrival time,
@@ -463,10 +458,8 @@ impl<'a> RunCtx<'a> {
     /// dropped as a crash drops it, unsynced.
     pub(crate) fn into_durable(self) -> (BTreeMap<SubsystemId, Agent>, Coordinator) {
         let agents = self.agents.into_iter();
-        (
-            agents.map(|(sid, a)| (sid, a.into_inner())).collect(),
-            self.coordinator.into_inner(),
-        )
+        let agents = agents.map(|(sid, a)| (sid, a.into_inner())).collect();
+        (agents, self.coordinator.into_inner())
     }
 }
 
@@ -488,25 +481,39 @@ impl Level {
     }
 }
 
+/// A member and what the step keeps of it: its cells' offset, whether it is
+/// live, the prepared activity it is parked on, and when its wait began.
+struct Slot<'a> {
+    state: ProcessState<'a>,
+    base: usize,
+    live: bool,
+    pending: Option<GlobalActivityId>,
+    blocked_since: Option<u64>,
+}
+
 /// One conflict domain's scheduler, complete: protocol state (policy, gate,
-/// process states, history segment) and scheduling state (run queue, waiting
-/// set, per-process attempt counters). A plain value its worker holds in
-/// [`Domain::built`]; exclusive access is that ownership, so nothing here is
-/// locked or atomic.
+/// member slots, history segment) and scheduling state (run queue, waiting
+/// set). A plain value its worker holds in [`Domain::built`]; exclusive
+/// access is that ownership, so nothing here is locked or atomic.
 pub(crate) struct Shard<'a> {
     id: u32,
     /// The §3.5 certification gate over the shard-local segment (certified
     /// policies only); the one owner serializes history order for it.
     gate: Option<CertGate<'a>>,
     policy: Box<dyn Policy + Send + 'a>,
-    pub(crate) states: BTreeMap<ProcessId, ProcessState<'a>>,
+    /// One slot per member, ascending by pid (every order callers see).
+    slots: IdIndex<ProcessId, Slot<'a>>,
+    /// Per member activity, at its slot's `base` plus the activity index: the
+    /// failure coin's attempts and the invocation a compensation uses.
+    attempts: Vec<u64>,
+    invocations: Vec<Option<(SubsystemId, InvocationId)>>,
+    /// How many slots are live.
+    admitted: usize,
     /// Shard-local history segment.
     pub(crate) history: Schedule,
     /// Global merge ticket of each segment event (parallel to `history`).
     event_tickets: Vec<u64>,
     pub(crate) metrics: Metrics,
-    /// Committed forward invocations, for later compensation.
-    pub(crate) invocations: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)>,
     /// Durable invocation log (survives scheduler crashes): every service
     /// invocation with its subsystem transaction handle.
     pub(crate) invocation_log: Vec<InvocationLogEntry>,
@@ -514,11 +521,6 @@ pub(crate) struct Shard<'a> {
     /// 8.3(f): completions of concurrently aborting processes are ordered
     /// consistently).
     abort_order: Vec<ProcessId>,
-    /// Prepared activities awaiting their release, by process; the handle
-    /// is in `invocations`. A process with one is parked: its next step is
-    /// the release, once `Policy::can_commit` and certification admit it,
-    /// and its abort drops the invocation (DESIGN.md decision 4).
-    pending_release: BTreeMap<ProcessId, GlobalActivityId>,
     /// Last journalled block state per process (record kind, wait set).
     /// Blocked requests are re-polled on every wakeup; one journal record per
     /// *distinct* blocked state keeps the trace readable.
@@ -540,13 +542,6 @@ pub(crate) struct Shard<'a> {
     /// Blocked processes; re-queued when the run queue drains on a dirty
     /// shard.
     waiting: BTreeSet<ProcessId>,
-    /// When each currently blocked process entered its wait, on the run's
-    /// clock, for the per-process blocked-time metric.
-    blocked_since: BTreeMap<ProcessId, u64>,
-    /// Attempts per activity (the failure coin's `attempt`: one per pass of
-    /// admission and certification) of each admitted process, from its
-    /// admission to its termination; the keys are the admitted, live ones.
-    attempts: BTreeMap<ProcessId, BTreeMap<ActivityId, u64>>,
     /// A scheduler-visible mutation (a history event, the policy live-op
     /// removal at finalize) happened since waiters were last re-queued.
     /// Marks are *coalesced*: re-queuing every waiter on every mutation
@@ -615,42 +610,71 @@ pub(crate) fn livelock_budget(processes: usize) -> usize {
 
 impl<'a> Shard<'a> {
     /// Builds the scheduler of the domain with these `members`: its own
-    /// policy, certification gate, process states and queues.
-    /// The one construction site — the owning worker calls it when it admits
-    /// the domain's first due arrival.
+    /// policy, certification gate, member slots and queues. The owning worker
+    /// calls it when it admits the domain's first due arrival.
     pub(crate) fn build(id: u32, members: &[ProcessId], ctx: &RunCtx<'a>) -> Self {
+        let spec = &ctx.workload.spec;
+        let process = |&pid: &ProcessId| spec.process(pid).expect("partitioned pid is known");
+        let state = |p| ProcessState::new(p, &spec.catalog).expect("tree process");
+        let mut shard = Self::new(id, members.iter().map(process).map(state), ctx);
+        members.iter().for_each(|&pid| shard.policy.register(pid));
+        shard
+    }
+
+    /// A shard with a slot per state and no process registered.
+    fn new(id: u32, states: impl Iterator<Item = ProcessState<'a>>, ctx: &RunCtx<'a>) -> Self {
         let (spec, cfg) = (&ctx.workload.spec, &ctx.cfg);
-        let mut policy = cfg.policy.build(spec);
-        let mut states = BTreeMap::new();
-        for &pid in members {
-            policy.register(pid);
-            let process = spec.process(pid).expect("partitioned pid is known");
-            let state = ProcessState::new(process, &spec.catalog).expect("tree process");
-            states.insert(pid, state);
+        let (mut slots, mut cells) = (IdIndex::with_capacity(states.size_hint().0), 0);
+        for state in states {
+            let (pid, base, pending, blocked_since) = (state.process().id, cells, None, None);
+            cells += state.process().len();
+            let slot = Slot {
+                state,
+                base,
+                live: false,
+                pending,
+                blocked_since,
+            };
+            slots.insert(pid, slot);
         }
         ctx.shards_live.enter();
         Self {
             id,
             gate: CertGate::for_policy(cfg.policy, spec),
-            policy,
-            states,
+            policy: cfg.policy.build(spec),
+            slots,
+            attempts: vec![0; cells],
+            invocations: vec![None; cells],
+            admitted: 0,
             history: Schedule::new(),
             event_tickets: Vec::new(),
             metrics: Metrics::new(),
-            invocations: BTreeMap::new(),
             invocation_log: Vec::new(),
             abort_order: Vec::new(),
-            pending_release: BTreeMap::new(),
             block_notes: BTreeMap::new(),
             cert_fail_notes: Vec::new(),
             prepared_at: BTreeMap::new(),
             trace_buf: Vec::new(),
             run_queue: VecDeque::new(),
             waiting: BTreeSet::new(),
-            blocked_since: BTreeMap::new(),
-            attempts: BTreeMap::new(),
             dirty: false,
         }
+    }
+
+    /// Every member's state, ascending by pid.
+    pub(crate) fn states(&self) -> impl ExactSizeIterator<Item = (ProcessId, &ProcessState<'a>)> {
+        self.slots.iter().map(|(pid, s)| (pid, &s.state))
+    }
+
+    /// Where an activity of a member sits in the per-activity tables.
+    fn cell(&self, gid: GlobalActivityId) -> Option<usize> {
+        let (slot, a) = (self.slots.get(gid.process)?, gid.activity.index());
+        (a < slot.state.process().len()).then(|| slot.base + a)
+    }
+
+    /// The committed (or prepared) invocation of an activity, if any.
+    pub(crate) fn invocation(&self, gid: GlobalActivityId) -> Option<(SubsystemId, InvocationId)> {
+        self.invocations[self.cell(gid)?]
     }
 
     /// Retires the shard on its owning worker: flushes the trace records
@@ -662,7 +686,7 @@ impl<'a> Shard<'a> {
         let mut metrics = self.metrics;
         metrics.shards.push(ShardMetrics {
             shard: self.id,
-            processes: self.states.len() as u64,
+            processes: self.slots.len() as u64,
             events: self.history.len() as u64,
         });
         ShardDone {
@@ -676,20 +700,20 @@ impl<'a> Shard<'a> {
 
     /// The scheduler a crash left, resumed from its image with admissions
     /// closed: a run context over the image's subsystems and decision log,
-    /// with no arrival queued, and one shard holding every process the image
-    /// names. Its process states are the history's replayed (the
-    /// `ProcessState` half of [`transition`](Self::transition), which
-    /// refuses an illegal history), as the step's are after every event,
-    /// released commits included; the policy half ([`record`](Self::record))
-    /// is folded for the processes the crash left live, and a terminated
-    /// process is only finalized — its operations can gate, block or be
-    /// aborted by nothing again. The invocation log adds what the history
-    /// does not show — each execution's invocation, and each prepared one —
-    /// and is merged into the fold by position: an entry goes in after the
-    /// `at` events the log put before it (which `recover` has checked run
-    /// forwards and within the history). The fold traces, counts and
-    /// journals nothing. The run has the protocol's gates without the §3.5
-    /// certifier (`PredProtocol`) and injects no failures.
+    /// no arrival queued, and one shard with a slot per process the image
+    /// names. Their states are the history's replayed (the `ProcessState`
+    /// half of [`transition`](Self::transition), which refuses an illegal
+    /// history), as the step's are after every event, released commits
+    /// included; the policy half ([`record`](Self::record)) is folded for the
+    /// processes the crash left live, and a terminated process is only
+    /// finalized — its operations can gate, block or be aborted by nothing
+    /// again. The invocation log adds what the history does not show — each
+    /// execution's invocation, and each prepared one — merged into the fold
+    /// by position: an entry goes in after the `at` events the log put before
+    /// it (which `recover` has checked run forwards and within the history).
+    /// The fold traces, counts and journals nothing. The run has the
+    /// protocol's gates without the §3.5 certifier (`PredProtocol`) and
+    /// injects no failures.
     pub(crate) fn restore(
         workload: &'a Workload,
         image: CrashImage,
@@ -714,9 +738,11 @@ impl<'a> Shard<'a> {
             let state = || ProcessState::new(process, &spec.catalog).expect("tree process");
             states.entry(e.gid.process).or_insert_with(state);
         }
-        let live = |p: &ProcessId| states.get(p).is_some_and(|s| s.is_active());
-        let mut shard = Self::build(0, &[], &ctx);
+        let mut shard = Self::new(0, states.into_values(), &ctx);
         spec.processes().for_each(|p| shard.policy.register(p.id));
+        let active = |(p, s): (ProcessId, &ProcessState<'_>)| s.is_active().then_some(p);
+        let live_pids: Vec<ProcessId> = shard.states().filter_map(active).collect();
+        let live = |p: &ProcessId| live_pids.binary_search(p).is_ok();
         let mut logged = log.iter().filter(|e| live(&e.gid.process)).peekable();
         for (at, event) in (0..).zip(image.history.events()) {
             while let Some(e) = logged.next_if(|e| e.at <= at) {
@@ -736,16 +762,14 @@ impl<'a> Shard<'a> {
             }
         }
         logged.for_each(|e| shard.refold_invocation(e));
-        for (&pid, state) in &states {
-            match state.status() {
+        for (pid, slot) in shard.slots.iter() {
+            match slot.state.status() {
                 ProcessStatus::Active => {}
                 ProcessStatus::Committed => shard.policy.on_commit(pid),
                 ProcessStatus::Aborted => shard.policy.on_abort(pid),
             }
         }
-        let live: Vec<ProcessId> = states.keys().copied().filter(live).collect();
-        shard.states = states;
-        live.into_iter().for_each(|pid| shard.admit(&ctx, pid));
+        live_pids.into_iter().for_each(|pid| shard.admit(&ctx, pid));
         let events = image.history.len() as u64;
         ctx.tickets.store(events, Ordering::Relaxed);
         (shard.history, shard.event_tickets) = (image.history, (0..events).collect());
@@ -756,16 +780,18 @@ impl<'a> Shard<'a> {
     /// What the step made of a logged invocation besides its event: the
     /// handle a compensation uses, and a prepared one's pending release.
     fn refold_invocation(&mut self, e: &InvocationLogEntry) {
-        self.invocations.insert(e.gid, (e.subsystem, e.invocation));
-        if e.prepared {
-            self.prepare(e.gid);
+        if let Some(c) = self.cell(e.gid) {
+            self.invocations[c] = Some((e.subsystem, e.invocation));
+            if e.prepared {
+                self.prepare(e.gid);
+            }
         }
     }
 
     /// What a prepared invocation, its handle in `invocations`, does to the
     /// policy: its release is pending. Returns the dependency edges it added.
     fn prepare(&mut self, gid: GlobalActivityId) -> Vec<(ProcessId, ProcessId)> {
-        self.pending_release.insert(gid.process, gid);
+        self.slots[gid.process].pending = Some(gid);
         self.policy.record_executed(gid, true)
     }
 
@@ -777,19 +803,13 @@ impl<'a> Shard<'a> {
     /// dependency edges an execution added.
     fn transition(&mut self, event: &Event) -> Result<Vec<(ProcessId, ProcessId)>, ScheduleError> {
         let (pid, gid) = match *event {
-            Event::GroupAbort(ref ps) => {
-                for &p in ps {
-                    if self.states.get(&p).is_some_and(|s| s.is_active()) {
-                        self.transition(&Event::Abort(p))?;
-                    }
-                }
-                return Ok(Vec::new());
-            }
             Event::Commit(p) | Event::Abort(p) => (p, None),
             Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => (g.process, Some(g)),
+            Event::GroupAbort(_) => unreachable!("the step emits a group's aborts one by one"),
         };
         let edges = self.record(event);
-        let state = (self.states.get_mut(&pid)).ok_or(ModelError::UnknownProcess(pid))?;
+        let slot = self.slots.get_mut(pid);
+        let state = &mut slot.ok_or(ModelError::UnknownProcess(pid))?.state;
         match (event, gid) {
             (Event::Execute(_), Some(g)) => state.apply_commit(g.activity)?,
             (Event::Compensate(_), Some(g)) => state.apply_compensation(g.activity)?,
@@ -811,9 +831,9 @@ impl<'a> Shard<'a> {
     /// dependency edges an execution added.
     fn record(&mut self, event: &Event) -> Vec<(ProcessId, ProcessId)> {
         match *event {
-            Event::Execute(g) => match self.pending_release.get(&g.process) {
-                Some(&prepared) if prepared == g => {
-                    self.pending_release.remove(&g.process);
+            Event::Execute(g) => match self.slots.get_mut(g.process) {
+                Some(slot) if slot.pending == Some(g) => {
+                    slot.pending = None;
                     self.policy.record_deferred_released(g);
                 }
                 _ => return self.policy.record_executed(g, false),
@@ -828,8 +848,9 @@ impl<'a> Shard<'a> {
     /// An `Abort`'s record: a prepared invocation leaves the policy, and the
     /// process joins the abort order.
     fn record_abort(&mut self, pid: ProcessId) {
-        if let Some(gid) = self.pending_release.remove(&pid) {
-            self.invocations.remove(&gid);
+        if let Some(gid) = self.slots.get_mut(pid).and_then(|s| s.pending.take()) {
+            let cell = self.cell(gid).expect("a member's activity");
+            self.invocations[cell] = None;
             self.policy.record_prepared_aborted(gid);
         }
         self.abort_order.push(pid);
@@ -850,18 +871,20 @@ impl<'a> Shard<'a> {
             .flat_map(|r| r.participants.iter().map(|p| (p.subsystem, p.invocation)))
             .collect();
         drop(coordinator);
-        let pending: Vec<_> = self.pending_release.values().copied().collect();
+        let pending: Vec<_> = self.slots.iter().filter_map(|(_, s)| s.pending).collect();
         for gid in pending {
-            let (sid, inv) = self.invocations[&gid];
+            let (sid, inv) = self.invocation(gid).expect("a prepared invocation");
             if decided.contains(&(sid, inv)) {
                 self.release(ctx, gid)?;
             } else if ctx.invoked(sid, inv).is_none() {
-                self.pending_release.remove(&gid.process);
-                self.invocations.remove(&gid);
+                self.slots[gid.process].pending = None;
+                let cell = self.cell(gid).expect("a member's activity");
+                self.invocations[cell] = None;
                 self.policy.record_prepared_aborted(gid);
             }
         }
-        Ok(self.pending_release.len())
+        let left = self.slots.iter().filter(|(_, s)| s.pending.is_some());
+        Ok(left.count())
     }
 
     /// Recovery's one decision: the abort of every live process, for
@@ -877,9 +900,10 @@ impl<'a> Shard<'a> {
         ctx: &RunCtx<'a>,
         ranks: &BTreeMap<ProcessId, usize>,
     ) -> Vec<ProcessId> {
-        let mut live: Vec<ProcessId> = self.attempts.keys().copied().collect();
+        let live = self.slots.iter().filter(|(_, s)| s.live).map(|(p, _)| p);
+        let mut live: Vec<ProcessId> = live.collect();
         live.sort_by_key(|p| ranks.get(p).copied().unwrap_or(usize::MAX));
-        self.abort_order.retain(|p| !self.attempts.contains_key(p));
+        self.abort_order.retain(|p| !live.contains(p));
         if !live.is_empty() {
             let group = TraceEvent::GroupAbort {
                 initiator: None,
@@ -913,7 +937,7 @@ impl<'a> Shard<'a> {
     /// Admits an arrived process: live, with no attempt counted yet, at the
     /// back of the run queue.
     pub(crate) fn admit(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
-        self.attempts.insert(pid, BTreeMap::new());
+        (self.slots[pid].live, self.admitted) = (true, self.admitted + 1);
         ctx.live.enter();
         self.run_queue.push_back((pid, Instant::now()));
     }
@@ -970,7 +994,7 @@ impl<'a> Shard<'a> {
             let depth = (self.run_queue.len() + self.waiting.len()) as u64;
             rt.run_queue_peak = rt.run_queue_peak.max(depth);
         }
-        self.attempts.len()
+        self.admitted
     }
 
     /// The front of the run queue, a dirty shard's waiters re-queued first
@@ -981,11 +1005,11 @@ impl<'a> Shard<'a> {
     fn pop_runnable(&mut self) -> Option<(ProcessId, Instant)> {
         if self.run_queue.is_empty() && self.dirty && !self.waiting.is_empty() {
             self.dirty = false;
-            self.waiting.retain(|pid| {
+            self.waiting.retain(|&pid| {
                 let parked =
-                    self.pending_release.contains_key(pid) && self.policy.can_commit(*pid).is_err();
+                    self.slots[pid].pending.is_some() && self.policy.can_commit(pid).is_err();
                 if !parked {
-                    self.run_queue.push_back((*pid, Instant::now()));
+                    self.run_queue.push_back((pid, Instant::now()));
                 }
                 parked
             });
@@ -1009,19 +1033,19 @@ impl<'a> Shard<'a> {
             return false;
         };
         let events = self.history.len();
-        if self.states[&pid].abort_in_progress() {
-            let blocking = |q: &ProcessId| {
-                let st = &self.states[q];
-                *q != pid && st.is_active() && !st.abort_in_progress()
+        if self.slots[pid].state.abort_in_progress() {
+            let blocking = |&(q, s): &(ProcessId, &Slot<'_>)| {
+                let st = &s.state;
+                s.live && q != pid && st.is_active() && !st.abort_in_progress()
             };
-            let admitted = self.attempts.keys().rev().copied();
-            let others: Vec<ProcessId> = admitted.filter(blocking).collect();
+            let others = self.slots.iter().rev().filter(blocking).map(|(q, _)| q);
+            let others: Vec<ProcessId> = others.collect();
             self.group_abort(ctx, pid, &others, None);
         } else {
             self.initiate_abort(ctx, pid, AbortReason::Deadlock, None);
         }
         if self.history.len() == events {
-            let states = self.states.iter().map(|(p, st)| {
+            let states = self.states().map(|(p, st)| {
                 let (status, aborting) = (st.status(), st.abort_in_progress());
                 let next = (st.next_compensation(), st.next_activity(), st.can_commit());
                 format!("\n  {p}: {status:?} aborting {aborting} next {next:?}")
@@ -1042,20 +1066,20 @@ impl<'a> Shard<'a> {
     /// one stays with the caller (which steps it again or re-queues it).
     fn step(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
         let step = self.advance(ctx, pid);
+        let slot = &mut self.slots[pid];
         match step {
             Step::Done => {
-                self.attempts.remove(&pid);
+                self.admitted -= usize::from(std::mem::take(&mut slot.live));
                 ctx.live.leave();
             }
             Step::Wait => {
                 self.waiting.insert(pid);
-                let now = ctx.clock.now();
-                self.blocked_since.entry(pid).or_insert(now);
+                slot.blocked_since.get_or_insert(ctx.clock.now());
                 return step;
             }
             Step::Yield => {}
         }
-        if let Some(since) = self.blocked_since.remove(&pid) {
+        if let Some(since) = slot.blocked_since.take() {
             let blocked = ctx.clock.now().saturating_sub(since);
             *self.metrics.blocked_time.entry(pid.0).or_insert(0) += blocked;
         }
@@ -1135,11 +1159,10 @@ impl<'a> Shard<'a> {
             ) => drop(self.block_notes.remove(&p)),
             _ => {}
         }
-        self.trace_buf
-            .push((self.history.len(), ctx.clock.ticks(), event));
-        if self.trace_buf.len() >= TRACE_BATCH {
-            ctx.trace
-                .record_batch(self.id, std::mem::take(&mut self.trace_buf));
+        let (buf, at) = (&mut self.trace_buf, self.history.len());
+        buf.push((at, ctx.clock.ticks(), event));
+        if buf.len() >= TRACE_BATCH {
+            ctx.trace.record_batch(self.id, std::mem::take(buf));
         }
     }
 
@@ -1190,12 +1213,11 @@ impl<'a> Shard<'a> {
 
     /// One scheduling iteration for `pid`.
     fn advance(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
-        let status = self.states[&pid].status();
-        if status != ProcessStatus::Active {
+        if self.slots[pid].state.status() != ProcessStatus::Active {
             self.finalize(ctx, pid);
             return Step::Done;
         }
-        if let Some(&gid) = self.pending_release.get(&pid) {
+        if let Some(gid) = self.slots[pid].pending {
             // Parked on its own deferred commit: Lemma 1.1 releases it once
             // the process could commit (Definition 11.1), if its `Execute`
             // certifies. Decided alone by 2PC: the decision is journalled
@@ -1207,7 +1229,7 @@ impl<'a> Shard<'a> {
             {
                 return Step::Wait;
             }
-            let (sid, inv) = self.invocations[&gid];
+            let (sid, inv) = self.invocation(gid).expect("a prepared invocation");
             let mut coordinator = ctx.coordinator.lock();
             let group = coordinator.next_group_id();
             ctx.journal(|| WalRecord::Decision {
@@ -1219,18 +1241,16 @@ impl<'a> Shard<'a> {
                 subsystem: sid,
                 invocation: inv,
             };
-            coordinator
-                .commit_group_with(vec![participant], |p| {
-                    ctx.agents[&p.subsystem].lock().release(p.invocation)
-                })
-                .expect("participant prepared");
+            let apply = |p: &Participant| ctx.agents[&p.subsystem].lock().release(p.invocation);
+            let applied = coordinator.commit_group_with(vec![participant], apply);
+            applied.expect("participant prepared");
             ctx.journal(|| WalRecord::DecisionApplied { group });
             drop(coordinator);
             self.release(ctx, gid)
                 .expect("a release commits its frontier");
         }
         // Pending compensation?
-        if let Some(c) = self.states[&pid].next_compensation() {
+        if let Some(c) = self.slots[pid].state.next_compensation() {
             let gid = GlobalActivityId::new(pid, c);
             // Lemma 2 / Example 8: conflicting operations executed after the
             // compensated one must vanish first (or their owners cascade).
@@ -1243,16 +1263,14 @@ impl<'a> Shard<'a> {
                 // once it progressed.
                 return Step::Wait;
             }
-            let (sid, inv) = self.invocations[&gid];
+            let (sid, inv) = self.invocation(gid).expect("a committed invocation");
             let t0 = ctx.tele.phase_start();
-            let outcome = ctx.agents[&sid]
-                .lock()
-                .compensate(inv)
-                .expect("the subsystem holds the invocation");
+            let compensated = ctx.agents[&sid].lock().compensate(inv);
+            let outcome = compensated.expect("the subsystem holds the invocation");
             ctx.tele.phase_end(Phase::Compensation, t0);
             return match outcome {
                 InvokeOutcome::Committed { .. } => {
-                    let service = self.states[&pid].process().service(c);
+                    let service = self.slots[pid].state.process().service(c);
                     self.note(ctx, TraceEvent::CompensationStarted { gid, service });
                     self.emit(ctx, Event::Compensate(gid));
                     Step::Yield
@@ -1262,11 +1280,11 @@ impl<'a> Shard<'a> {
             };
         }
         // Next forward activity?
-        if let Some(a) = self.states[&pid].next_activity() {
+        if let Some(a) = self.slots[pid].state.next_activity() {
             return self.step_activity(ctx, pid, a);
         }
         // Commit.
-        if self.states[&pid].can_commit() {
+        if self.slots[pid].state.can_commit() {
             let t0 = ctx.tele.phase_start();
             let verdict = self.policy.can_commit(pid);
             ctx.tele.phase_end(Phase::Policy, t0);
@@ -1300,10 +1318,8 @@ impl<'a> Shard<'a> {
                 Some(Step::Wait)
             }
             CompletionGate::Cascade(victims) => {
-                let mut began = false;
-                for v in victims {
-                    began |= self.begin_abort(ctx, v, AbortReason::Cascade);
-                }
+                let cascade = |v| self.begin_abort(ctx, v, AbortReason::Cascade);
+                let began = victims.into_iter().map(cascade).fold(false, |a, b| a | b);
                 Some(if began { Step::Yield } else { Step::Wait })
             }
         }
@@ -1326,8 +1342,8 @@ impl<'a> Shard<'a> {
         };
         let spec = &ctx.workload.spec;
         let base = spec.catalog.base(svc);
-        self.abort_order[..mine].iter().any(|q| {
-            let state = &self.states[q];
+        self.abort_order[..mine].iter().any(|&q| {
+            let state = &self.slots[q].state;
             if !state.abort_in_progress() {
                 return false;
             }
@@ -1347,7 +1363,7 @@ impl<'a> Shard<'a> {
         let svc = process.service(a);
         let site = ctx.workload.deployment.site(svc).expect("deployed");
         let termination = ctx.workload.spec.catalog.termination(svc);
-        let in_completion = self.states[&pid].abort_in_progress();
+        let in_completion = self.slots[pid].state.abort_in_progress();
         let admission = if in_completion {
             // Completion activities are mandated by recovery; Definition 8
             // orders them after everything already executed. Lemma 3 /
@@ -1396,15 +1412,15 @@ impl<'a> Shard<'a> {
         }
         // Failure injection: one deterministic draw per attempt that passed
         // admission and certification, never per refused re-poll.
-        let attempts = self.attempts.get_mut(&pid).expect("live process");
-        let attempt = attempts.entry(a).and_modify(|n| *n += 1).or_insert(1);
-        let coin = fail_coin(ctx.cfg.seed, gid, *attempt);
+        let cell = self.cell(gid).expect("a member's activity");
+        self.attempts[cell] += 1;
+        let coin = fail_coin(ctx.cfg.seed, gid, self.attempts[cell]);
         let inject = ctx.cfg.inject_failures && coin < p_fail(ctx, site.subsystem);
         if inject && termination.can_fail() {
             self.emit(ctx, Event::Fail(gid));
             self.note(ctx, TraceEvent::ActivityFailed { gid, service: svc });
             // No alternative was left: the process aborts (or already has).
-            let state = &self.states[&pid];
+            let state = &self.slots[pid].state;
             if state.abort_in_progress() || !state.is_active() {
                 let reason = AbortReason::Failure;
                 self.note(ctx, TraceEvent::AbortStarted { pid, reason });
@@ -1424,9 +1440,8 @@ impl<'a> Shard<'a> {
         // commit and the history event — no log prefix separates them — so
         // it is appended under the event's ticket.
         let mut agent = ctx.agents[&site.subsystem].lock();
-        let outcome = agent
-            .invoke(svc, &site.program, mode, false)
-            .expect("a lock conflict is the one refusal");
+        let outcome = agent.invoke(svc, &site.program, mode, false);
+        let outcome = outcome.expect("a lock conflict is the one refusal");
         let invocation = match outcome {
             InvokeOutcome::Committed { invocation, .. }
             | InvokeOutcome::Prepared { invocation, .. } => invocation,
@@ -1443,13 +1458,9 @@ impl<'a> Shard<'a> {
             invocation: invocation.0,
             prepared: deferred,
         };
-        let at = if deferred {
-            ctx.journal(record)
-        } else {
-            ctx.ticket(record)
-        };
+        let at = ctx.log(record, u64::from(!deferred));
         drop(agent);
-        self.invocations.insert(gid, (site.subsystem, invocation));
+        self.invocations[cell] = Some((site.subsystem, invocation));
         self.invocation_log.push(InvocationLogEntry {
             gid,
             subsystem: site.subsystem,
@@ -1479,7 +1490,7 @@ impl<'a> Shard<'a> {
     }
 
     fn finalize(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
-        match self.states[&pid].status() {
+        match self.slots[pid].state.status() {
             ProcessStatus::Committed => {
                 self.note(ctx, TraceEvent::ProcessCommitted { pid });
                 self.policy.on_commit(pid);
@@ -1508,19 +1519,18 @@ impl<'a> Shard<'a> {
     /// is dropped first — it vanishes atomically, leaving the process
     /// backward-recoverable — then the abort is journalled and emitted.
     fn begin_abort(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, reason: AbortReason) -> bool {
-        if !self.states[&pid].is_active() || self.states[&pid].abort_in_progress() {
+        let slot = &self.slots[pid];
+        if !slot.state.is_active() || slot.state.abort_in_progress() {
             return false;
         }
-        if let Some(gid) = self.pending_release.get(&pid) {
-            let (sid, inv) = self.invocations[gid];
+        if let Some(gid) = slot.pending {
+            let (sid, inv) = self.invocation(gid).expect("a prepared invocation");
             ctx.journal(|| WalRecord::PreparedAborted {
                 subsystem: sid.0,
                 invocation: inv.0,
             });
-            ctx.agents[&sid]
-                .lock()
-                .abort_prepared(inv)
-                .expect("prepared");
+            let mut agent = ctx.agents[&sid].lock();
+            agent.abort_prepared(inv).expect("prepared");
         }
         self.note(ctx, TraceEvent::AbortStarted { pid, reason });
         self.emit(ctx, Event::Abort(pid));
@@ -1558,17 +1568,17 @@ impl<'a> Shard<'a> {
         reason: AbortReason,
         trigger: Option<GlobalActivityId>,
     ) {
-        if self.states[&pid].abort_in_progress() || !self.states[&pid].is_active() {
+        let (state, gid) = (&self.slots[pid].state, |&a| GlobalActivityId::new(pid, a));
+        if state.abort_in_progress() || !state.is_active() {
             return;
         }
-        let (state, gid) = (&self.states[&pid], |&a| GlobalActivityId::new(pid, a));
         let completion = state.completion();
         let comp_gids: Vec<GlobalActivityId> = completion.compensations.iter().map(gid).collect();
-        let fwd: Vec<_> = completion
+        let fwd = completion
             .forward
             .iter()
-            .map(|&a| state.process().service(a))
-            .collect();
+            .map(|&a| state.process().service(a));
+        let fwd: Vec<_> = fwd.collect();
         let victims = self.policy.plan_abort(pid, &comp_gids, &fwd);
         self.group_abort(ctx, pid, &victims, trigger);
         self.begin_abort(ctx, pid, reason);
@@ -1579,10 +1589,8 @@ impl<'a> Shard<'a> {
 /// outcome is ignored and it leaves no trace in history or policy: only the
 /// agent sees it.
 fn simulated_invoke(ctx: &RunCtx<'_>, svc: ServiceId, site: &ServiceSite) {
-    let _ =
-        ctx.agents[&site.subsystem]
-            .lock()
-            .invoke(svc, &site.program, CommitMode::Immediate, true);
+    let mut agent = ctx.agents[&site.subsystem].lock();
+    let _ = agent.invoke(svc, &site.program, CommitMode::Immediate, true);
 }
 
 /// Deterministic failure-injection coin: a pure hash of
@@ -1648,18 +1656,15 @@ pub(crate) fn run_concurrent_impl<'a>(
 ) -> ConcurrentResult {
     // Shard topology: process groups with no conflicts across groups.
     let groups: Vec<Vec<ProcessId>> = match cfg.shards {
-        ShardMode::Single => {
-            vec![workload.spec.processes().map(|p| p.id).collect()]
-        }
+        ShardMode::Single => vec![workload.spec.processes().map(|p| p.id).collect()],
         ShardMode::Auto => DomainPartition::partition(&workload.spec).into_domains(),
     };
 
     let worker_count = cfg.resolved_workers(groups.len());
     // Static shard→worker ownership: shard i belongs to worker i mod W, and
     // only that worker ever holds it.
-    let worker_of_shard: Vec<u32> = (0..groups.len())
-        .map(|si| (si % worker_count) as u32)
-        .collect();
+    let worker_of = |si| (si % worker_count) as u32;
+    let worker_of_shard: Vec<u32> = (0..groups.len()).map(worker_of).collect();
     let clock = Clock::Wall(Instant::now());
     let durable = (fresh_agents(workload), Coordinator::new());
     let mut ctx = RunCtx::new(workload, cfg, sink, worker_of_shard, clock, 0, durable);
@@ -1683,9 +1688,8 @@ pub(crate) fn run_concurrent_impl<'a>(
         let ctx = &ctx;
         let mut per_worker = per_worker.into_iter();
         let first = per_worker.next().expect("at least one worker");
-        let handles: Vec<_> = per_worker
-            .map(|owned| scope.spawn(move || event_worker(ctx, owned)))
-            .collect();
+        let spawn = |owned| scope.spawn(move || event_worker(ctx, owned));
+        let handles: Vec<_> = per_worker.map(spawn).collect();
         let first = event_worker(ctx, first);
         let spawned = handles
             .into_iter()
@@ -1707,8 +1711,7 @@ pub(crate) fn run_concurrent_impl<'a>(
     done.sort_unstable_by_key(|d| d.id);
     let mut metrics = Metrics::new();
     let mut invocation_log = Vec::new();
-    let mut slots: Vec<Option<Event>> = Vec::new();
-    slots.resize_with(ctx.tickets.load(Ordering::Relaxed) as usize, || None);
+    let mut slots: Vec<Option<Event>> = vec![None; ctx.tickets.load(Ordering::Relaxed) as usize];
     for shard in done {
         metrics.merge(&shard.metrics);
         invocation_log.extend(shard.invocation_log);
@@ -1716,18 +1719,16 @@ pub(crate) fn run_concurrent_impl<'a>(
             slots[ticket as usize] = Some(event);
         }
     }
-    let history: Schedule = slots
-        .into_iter()
-        .map(|e| e.expect("event tickets are dense"))
-        .collect();
+    let dense = |e: Option<Event>| e.expect("event tickets are dense");
+    let history: Schedule = slots.into_iter().map(dense).collect();
     metrics.makespan = makespan_us;
-    debug_assert!(
-        runtime_metrics
-            .invariant_violations(Some(makespan_us.saturating_mul(1000)))
-            .is_empty(),
-        "runtime metrics invariants violated: {:?}",
-        runtime_metrics.invariant_violations(Some(makespan_us.saturating_mul(1000)))
-    );
+    if cfg!(debug_assertions) {
+        let broken = runtime_metrics.invariant_violations(Some(makespan_us.saturating_mul(1000)));
+        assert!(
+            broken.is_empty(),
+            "runtime metrics invariants violated: {broken:?}"
+        );
+    }
     metrics.runtime = Some(runtime_metrics);
     let (agents, coordinator) = ctx.finish();
     ConcurrentResult {
@@ -1785,10 +1786,9 @@ fn event_worker<'a>(
                         next_arrival = Some(next_arrival.map_or(at, |m| m.min(at)));
                         break;
                     }
-                    let shard = dom
-                        .built
-                        .get_or_insert_with(|| Shard::build(dom.id, dom.members, ctx));
-                    if shard.attempts.len() >= ADMIT_CAP {
+                    let build = || Shard::build(dom.id, dom.members, ctx);
+                    let shard = dom.built.get_or_insert_with(build);
+                    if shard.admitted >= ADMIT_CAP {
                         // Due but deferred: admission control. The process
                         // is admitted as soon as a live slot frees up.
                         break;
@@ -1801,12 +1801,12 @@ fn event_worker<'a>(
             let Some(shard) = &mut dom.built else {
                 return true;
             };
-            let (live, t0) = (shard.attempts.len(), Instant::now());
+            let (live, t0) = (shard.admitted, Instant::now());
             // A freed live slot may admit a deferred arrival.
             progressed |= shard.run(ctx, &mut rt, STEP_BUDGET, &mut Fifo) < live;
             rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
             progressed |= shard.has_work();
-            if !shard.attempts.is_empty() || !dom.arrivals.is_empty() {
+            if shard.admitted > 0 || !dom.arrivals.is_empty() {
                 return true;
             }
             let shard = dom.built.take().expect("visited shard is built");
@@ -2327,7 +2327,7 @@ mod tests {
         shard.initiate_abort(&ctx, p1, AbortReason::External, None);
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
-        assert_eq!(shard.states[&p1].status(), ProcessStatus::Aborted);
+        assert_eq!(shard.slots[p1].state.status(), ProcessStatus::Aborted);
         assert_eq!(next(&mut shard), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Wait);
         assert_eq!(shard.metrics.waits, 2);
@@ -2346,11 +2346,7 @@ mod tests {
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
         assert_eq!(shard.metrics.abort_reasons.external, 1);
         assert_eq!(
-            (
-                shard.attempts.len(),
-                next(&mut shard),
-                shard.break_deadlock(&ctx)
-            ),
+            (shard.admitted, next(&mut shard), shard.break_deadlock(&ctx)),
             (0, None, false)
         );
         let done = shard.finish(&ctx);
@@ -2524,7 +2520,7 @@ mod tests {
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         assert_eq!(next(&mut shard), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Wait);
-        assert!(shard.pending_release.contains_key(&p2));
+        assert!(pending(&shard).contains_key(&p2));
         assert_eq!(next(&mut shard), None, "parked on its own release");
         assert!(shard.waiting.contains(&p2));
         // Stepped by hand while P₁ is active, P₂ waits and emits nothing.
@@ -2537,12 +2533,12 @@ mod tests {
         // release and then its own commit.
         assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
         assert_eq!(shard.history.events().last(), Some(&Event::Commit(p1)));
-        assert!(shard.pending_release.contains_key(&p2));
+        assert!(pending(&shard).contains_key(&p2));
         assert_eq!(next(&mut shard), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Done);
-        assert!(shard.pending_release.is_empty());
+        assert!(pending(&shard).is_empty());
         let executed = txproc_core::state::ExecStep::Executed(ActivityId(0));
-        assert_eq!(shard.states[&p2].steps(), [executed]);
+        assert_eq!(shard.slots[p2].state.steps(), [executed]);
         assert_eq!(shard.metrics.committed, 2);
         let tail = [Event::Commit(p1), released.clone(), Event::Commit(p2)];
         assert_eq!(shard.history.events()[2..], tail);
@@ -2725,7 +2721,7 @@ mod tests {
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         let so_far = [Event::Execute(a), Event::Execute(b), Event::Fail(p)];
         assert_eq!(shard.history.events(), so_far);
-        assert!(shard.states[&p1].abort_in_progress());
+        assert!(shard.slots[p1].state.abort_in_progress());
 
         // b was executed after a and conflicts with it: P₂ cascades, and a⁻¹
         // waits until b⁻¹ is in the history.
@@ -2843,9 +2839,9 @@ mod tests {
     /// whether it ran; the restore runs it.
     fn durable_view(shard: &Shard<'_>, named: &BTreeSet<ProcessId>) -> String {
         let protocol = shard.policy.protocol().expect("a PRED policy");
-        let live = |p: &ProcessId| named.contains(p) && shard.states[p].is_active();
+        let live = |p: &ProcessId| named.contains(p) && shard.slots[*p].state.is_active();
         let states = named.iter().map(|&p| {
-            let st = &shard.states[&p];
+            let st = &shard.slots[p].state;
             let status = (st.status() != ProcessStatus::Aborted).then(|| protocol.status(p));
             let machine = (st.steps(), st.abort_in_progress(), st.completion());
             format!("{p} {:?} {status:?} {machine:?}", st.status())
@@ -2855,10 +2851,22 @@ mod tests {
             .edges()
             .filter(|(a, b)| live(a) && live(b))
             .collect();
-        let invocations = shard.invocations.iter().filter(|(g, _)| live(&g.process));
+        let activities = (shard.states().filter(|(p, _)| live(p))).flat_map(|(p, st)| {
+            (0..st.process().len() as u32).map(move |a| GlobalActivityId::new(p, ActivityId(a)))
+        });
+        let invocations = activities.filter_map(|g| Some((g, shard.invocation(g)?)));
         let invocations: Vec<_> = invocations.collect();
-        let pending = &shard.pending_release;
+        let pending = pending(shard);
         format!("{states:?} {edges:?} {pending:?} {invocations:?}")
+    }
+
+    /// The prepared activities awaiting release, by process.
+    fn pending(shard: &Shard<'_>) -> BTreeMap<ProcessId, GlobalActivityId> {
+        let pending = shard
+            .slots
+            .iter()
+            .filter_map(|(p, s)| Some((p, s.pending?)));
+        pending.collect()
     }
 
     /// A process state's fields, without the process and catalog it reads.
@@ -2902,7 +2910,7 @@ mod tests {
                     let replayed = shard.history.replay(&w.spec).expect("replays");
                     for (pid, state) in &replayed.states {
                         assert_eq!(
-                            machine(&shard.states[pid]),
+                            machine(&shard.slots[*pid].state),
                             machine(state),
                             "{label}: {pid}"
                         );

@@ -214,8 +214,8 @@ impl<'a> Engine<'a> {
 
     /// Processes that have not terminated.
     pub fn live_processes(&self) -> Vec<ProcessId> {
-        let live = self.shard.states.iter().filter(|(_, st)| st.is_active());
-        live.map(|(&pid, _)| pid).collect()
+        let live = self.shard.states().filter(|(_, st)| st.is_active());
+        live.map(|(pid, _)| pid).collect()
     }
 
     /// Takes one step of one process, or breaks one deadlock: a run of
@@ -237,7 +237,7 @@ impl<'a> Engine<'a> {
     /// Runs to completion, or until the livelock budget runs out; returns
     /// the result.
     pub fn run(mut self) -> RunResult {
-        let budget = livelock_budget(self.shard.states.len());
+        let budget = livelock_budget(self.shard.states().len());
         let (ctx, order) = (&self.ctx, &mut self.order);
         self.shard.run(ctx, &mut self.rt, budget, order);
         let stalled = self.live_processes();

@@ -257,7 +257,7 @@ pub(crate) fn recover_impl<'s>(
     let surfaced = shard.metrics.activities;
     let ranks = completion_order(workload, &ctx, &shard)?;
     let aborted = shard.abort_live(&ctx, &ranks);
-    let budget = livelock_budget(shard.states.len());
+    let budget = livelock_budget(shard.states().len());
     if shard.run(&ctx, &mut RuntimeMetrics::default(), budget, &mut Fifo) > 0 {
         return Err(RecoveryError::History(ScheduleError::CyclicCompletionOrder));
     }
@@ -288,12 +288,12 @@ fn completion_order(
 ) -> Result<BTreeMap<ProcessId, usize>, RecoveryError> {
     let spec = &workload.spec;
     let mut forward: Vec<Vec<ServiceId>> = Vec::new();
-    for (&pid, state) in shard.states.iter().filter(|(_, s)| s.is_active()) {
+    for (pid, state) in shard.states().filter(|(_, s)| s.is_active()) {
         let (completion, service) = (state.completion(), |a| state.process().service(a));
         for &a in &completion.compensations {
             let gid = GlobalActivityId::new(pid, a);
-            let logged = shard.invocations.get(&gid);
-            if logged.and_then(|&(sid, inv)| ctx.invoked(sid, inv)) != Some(service(a)) {
+            let logged = shard.invocation(gid);
+            if logged.and_then(|(sid, inv)| ctx.invoked(sid, inv)) != Some(service(a)) {
                 return Err(RecoveryError::NotLogged(gid));
             }
         }
@@ -310,7 +310,7 @@ fn completion_order(
     if !pairs.any(|(i, a)| forward[i + 1..].iter().any(|b| conflict(a, b))) {
         return Ok(BTreeMap::new());
     }
-    Ok(forward_ranks(spec, &shard.history, &shard.states)?)
+    Ok(forward_ranks(spec, &shard.history, shard.states())?)
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 
 use crate::kv::Program;
 use crate::subsystem::SubsystemId;
-use std::collections::BTreeMap;
 use txproc_core::activity::Catalog;
 use txproc_core::conflict::ConflictMatrix;
 use txproc_core::ids::ServiceId;
@@ -25,10 +24,11 @@ pub struct ServiceSite {
     pub duration: u64,
 }
 
-/// Maps services to their physical sites.
+/// Maps services to their physical sites: a table indexed by
+/// [`ServiceId`], built once per workload and read at every invocation.
 #[derive(Debug, Clone, Default)]
 pub struct Deployment {
-    sites: BTreeMap<ServiceId, ServiceSite>,
+    sites: Vec<Option<ServiceSite>>,
 }
 
 impl Deployment {
@@ -44,15 +44,7 @@ impl Deployment {
         subsystem: SubsystemId,
         program: Program,
     ) -> &mut Self {
-        self.sites.insert(
-            service,
-            ServiceSite {
-                subsystem,
-                program,
-                duration: 1,
-            },
-        );
-        self
+        self.place_with_duration(service, subsystem, program, 1)
     }
 
     /// Places a service with an explicit duration.
@@ -63,30 +55,32 @@ impl Deployment {
         program: Program,
         duration: u64,
     ) -> &mut Self {
-        self.sites.insert(
-            service,
-            ServiceSite {
-                subsystem,
-                program,
-                duration,
-            },
-        );
+        if self.sites.len() <= service.index() {
+            self.sites.resize(service.index() + 1, None);
+        }
+        self.sites[service.index()] = Some(ServiceSite {
+            subsystem,
+            program,
+            duration,
+        });
         self
     }
 
-    /// Site of a service.
+    /// Site of a service; `None` for one not placed.
+    #[inline]
     pub fn site(&self, service: ServiceId) -> Option<&ServiceSite> {
-        self.sites.get(&service)
+        self.sites.get(service.index())?.as_ref()
     }
 
-    /// All placed services.
+    /// All placed services, ascending by id.
     pub fn services(&self) -> impl Iterator<Item = (ServiceId, &ServiceSite)> {
-        self.sites.iter().map(|(&s, site)| (s, site))
+        let sites = self.sites.iter().enumerate();
+        sites.filter_map(|(s, site)| Some((ServiceId(s as u32), site.as_ref()?)))
     }
 
     /// Distinct subsystems used by the deployment.
     pub fn subsystems(&self) -> Vec<SubsystemId> {
-        let mut ids: Vec<SubsystemId> = self.sites.values().map(|s| s.subsystem).collect();
+        let mut ids: Vec<SubsystemId> = self.services().map(|(_, s)| s.subsystem).collect();
         ids.sort();
         ids.dedup();
         ids
@@ -134,6 +128,32 @@ mod tests {
         assert_eq!(site.subsystem, SubsystemId(3));
         assert_eq!(site.duration, 1);
         assert_eq!(d.subsystems(), vec![SubsystemId(3)]);
+    }
+
+    #[test]
+    fn unplaced_and_out_of_range_services_have_no_site() {
+        let mut cat = Catalog::new();
+        let ids: Vec<ServiceId> = (0..6).map(|i| cat.pivot(format!("s{i}"))).collect();
+        let mut d = Deployment::new();
+        assert!(d.site(ids[0]).is_none(), "empty table");
+        d.place_with_duration(ids[4], SubsystemId(2), Program::set(Key(4), 1), 7);
+        d.place(ids[1], SubsystemId(5), Program::read(Key(1)));
+        d.place(ids[3], SubsystemId(2), Program::read(Key(3)));
+        for unplaced in [ids[0], ids[2], ids[5], ServiceId(1_000)] {
+            assert!(d.site(unplaced).is_none(), "{unplaced}");
+        }
+        assert_eq!(d.site(ids[4]).map(|s| s.duration), Some(7));
+        // Placed out of order, listed ascending by id.
+        let listed: Vec<ServiceId> = d.services().map(|(s, _)| s).collect();
+        assert_eq!(listed, [ids[1], ids[3], ids[4]]);
+        assert_eq!(d.subsystems(), [SubsystemId(2), SubsystemId(5)]);
+        // A re-placement replaces the site.
+        d.place(ids[4], SubsystemId(9), Program::read(Key(4)));
+        assert_eq!(
+            d.site(ids[4]).map(|s| (s.subsystem, s.duration)),
+            Some((SubsystemId(9), 1))
+        );
+        assert_eq!(d.services().count(), 3);
     }
 
     #[test]
