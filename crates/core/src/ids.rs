@@ -158,11 +158,6 @@ impl<K: Ord + Copy, V> IdIndex<K, V> {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (K, &V)> + DoubleEndedIterator {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
-
-    /// The values, ascending by their ids.
-    pub fn values_mut(&mut self) -> impl ExactSizeIterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
-    }
 }
 
 /// `index[key]`: the value of a key the index holds; panics on any other.
@@ -187,7 +182,8 @@ impl<K: Ord + Copy + fmt::Debug, V> std::ops::IndexMut<K> for IdIndex<K, V> {
 impl<K: Ord + Copy, V> FromIterator<(K, V)> for IdIndex<K, V> {
     /// Collects the entries; a repeated id keeps its last value.
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut index = Self::new();
+        let iter = iter.into_iter();
+        let mut index = Self::with_capacity(iter.size_hint().0);
         for (k, v) in iter {
             index.insert(k, v);
         }
@@ -281,11 +277,11 @@ mod tests {
         assert_eq!(index.get(ProcessId(8)), None);
         index[ProcessId(9)] += 5;
         assert_eq!(index[ProcessId(9)], 7);
-        index.values_mut().for_each(|v| *v *= 2);
-        assert_eq!(index.iter().next_back(), Some((ProcessId(9), &14)));
+        *index.get_mut(ProcessId(2)).unwrap() *= 2;
+        assert_eq!(index.iter().next_back(), Some((ProcessId(9), &7)));
         assert_eq!(
             format!("{index:?}"),
-            "{ProcessId(2): 6, ProcessId(7): 0, ProcessId(9): 14}"
+            "{ProcessId(2): 6, ProcessId(7): 0, ProcessId(9): 7}"
         );
     }
 
