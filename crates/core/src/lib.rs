@@ -17,7 +17,7 @@
 //!
 //! | module | paper element |
 //! |---|---|
-//! | [`ids`] | identifiers for services, processes, activities |
+//! | [`ids`] | identifiers for services, processes, activities; the sorted id table `IdIndex` |
 //! | [`activity`] | Â and termination guarantees (Defs 1–4) |
 //! | [`conflict`] | commutativity / conflicts with perfect closure (Def 6) |
 //! | [`process`] | the process model `P = (A, ≪, ◁)` (Def 5) |
