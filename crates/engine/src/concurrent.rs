@@ -113,17 +113,6 @@ const STEP_BUDGET: usize = 128;
 /// the nap targets the exact arrival offset).
 const MAX_IDLE_NAP: Duration = Duration::from_millis(100);
 
-/// Per-shard admission cap: a due arrival is deferred
-/// while the shard already has this many live processes. Certification cost
-/// grows superlinearly with the concurrently-active set (the §3.5 overlay
-/// pairs every pending completion activity against every other), so
-/// throttling admission keeps the certifier frontier small and raises both
-/// throughput and commit rate on dense workloads — the same reason a real
-/// TP monitor runs with a bounded multiprogramming level. Deferred
-/// processes cost a queue entry, not a stack, so the cap bounds *churn*,
-/// not capacity.
-const ADMIT_CAP: usize = 32;
-
 /// How the driver maps processes onto scheduler shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
@@ -270,8 +259,8 @@ impl TraceShared<'_> {
 }
 
 /// The clock a run reads — the one thing a driver tells the run context
-/// about itself. Latency, makespan, blocked time, the trace stamp and the
-/// crash-storm window are read off it; nothing else asks.
+/// about itself. Latency, makespan, the trace stamp and the crash-storm
+/// window are read off it; nothing else asks.
 pub(crate) enum Clock {
     /// Wall time since the run started, in microseconds (one tick of the
     /// workload's arrival model = 1µs).
@@ -482,13 +471,12 @@ impl Level {
 }
 
 /// A member and what the step keeps of it: its cells' offset, whether it is
-/// live, the prepared activity it is parked on, and when its wait began.
+/// live, and the prepared activity it is parked on.
 struct Slot<'a> {
     state: ProcessState<'a>,
     base: usize,
     live: bool,
     pending: Option<GlobalActivityId>,
-    blocked_since: Option<u64>,
 }
 
 /// One conflict domain's scheduler, complete: protocol state (policy, gate,
@@ -626,14 +614,13 @@ impl<'a> Shard<'a> {
         let (spec, cfg) = (&ctx.workload.spec, &ctx.cfg);
         let (mut slots, mut cells) = (IdIndex::with_capacity(states.size_hint().0), 0);
         for state in states {
-            let (pid, base, pending, blocked_since) = (state.process().id, cells, None, None);
+            let (pid, base) = (state.process().id, cells);
             cells += state.process().len();
             let slot = Slot {
                 state,
                 base,
                 live: false,
-                pending,
-                blocked_since,
+                pending: None,
             };
             slots.insert(pid, slot);
         }
@@ -1066,22 +1053,15 @@ impl<'a> Shard<'a> {
     /// one stays with the caller (which steps it again or re-queues it).
     fn step(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
         let step = self.advance(ctx, pid);
-        let slot = &mut self.slots[pid];
         match step {
             Step::Done => {
-                self.admitted -= usize::from(std::mem::take(&mut slot.live));
+                self.admitted -= usize::from(std::mem::take(&mut self.slots[pid].live));
                 ctx.live.leave();
             }
             Step::Wait => {
                 self.waiting.insert(pid);
-                slot.blocked_since.get_or_insert(ctx.clock.now());
-                return step;
             }
             Step::Yield => {}
-        }
-        if let Some(since) = slot.blocked_since.take() {
-            let blocked = ctx.clock.now().saturating_sub(since);
-            *self.metrics.blocked_time.entry(pid.0).or_insert(0) += blocked;
         }
         step
     }
@@ -1506,7 +1486,6 @@ impl<'a> Shard<'a> {
         // start).
         let latency = ctx.clock.now().saturating_sub(ctx.arrival(pid));
         self.metrics.latencies.push(latency);
-        self.metrics.latency_by_pid.insert(pid.0, latency);
         // `on_commit`/`on_abort` above removed the process's live operations
         // from the policy — a scheduler-visible change that can unblock a
         // waiter, or open a parked one's release, even when no history event
@@ -1787,23 +1766,16 @@ fn event_worker<'a>(
                         break;
                     }
                     let build = || Shard::build(dom.id, dom.members, ctx);
-                    let shard = dom.built.get_or_insert_with(build);
-                    if shard.admitted >= ADMIT_CAP {
-                        // Due but deferred: admission control. The process
-                        // is admitted as soon as a live slot frees up.
-                        break;
-                    }
                     dom.arrivals.pop_front();
-                    shard.admit(ctx, pid);
+                    dom.built.get_or_insert_with(build).admit(ctx, pid);
                     progressed = true;
                 }
             }
             let Some(shard) = &mut dom.built else {
                 return true;
             };
-            let (live, t0) = (shard.admitted, Instant::now());
-            // A freed live slot may admit a deferred arrival.
-            progressed |= shard.run(ctx, &mut rt, STEP_BUDGET, &mut Fifo) < live;
+            let t0 = Instant::now();
+            shard.run(ctx, &mut rt, STEP_BUDGET, &mut Fifo);
             rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
             progressed |= shard.has_work();
             if shard.admitted > 0 || !dom.arrivals.is_empty() {
@@ -2060,6 +2032,32 @@ mod tests {
         assert_eq!(rt.in_flight_peak, 8, "closed arrivals: all in flight");
         assert!(rt.sched_delay_ns.iter().sum::<u64>() > 0);
         assert!(rt.delay_percentile_ns(0.95).is_some());
+    }
+
+    #[test]
+    fn a_due_arrival_is_admitted_in_the_visit_it_is_due() {
+        // `closed_contended`'s shape in one shard on one worker: every
+        // process is due at time zero, so the first visit admits all 96 and
+        // each is in flight before any terminates.
+        let w = generate(&WorkloadConfig {
+            seed: 1,
+            processes: 96,
+            conflict_density: 0.3,
+            failure_probability: 0.1,
+            ..WorkloadConfig::default()
+        });
+        let result = run_concurrent(
+            &w,
+            ConcurrentConfig {
+                seed: 1,
+                shards: ShardMode::Single,
+                workers: Some(1),
+                ..ConcurrentConfig::default()
+            },
+        );
+        assert_eq!(result.metrics.terminated(), 96);
+        let rt = result.metrics.runtime.expect("runtime metrics populated");
+        assert_eq!(rt.in_flight_peak, 96, "every due process admitted at once");
     }
 
     /// A sink that notes which thread delivered each record: a shard's

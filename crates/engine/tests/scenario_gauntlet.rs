@@ -183,9 +183,8 @@ fn shard_modes_agree_on_disjoint_scenario_variants() {
 }
 
 /// Concurrent-driver metrics under open-system arrivals (satellite 3):
-/// per-process latency samples exist for every process, percentiles are
-/// ordered, latencies fit inside the makespan, and the per-pid breakdown
-/// carries exactly the same samples as the flat vector.
+/// one latency sample per process, percentiles are ordered, and latencies
+/// fit inside the makespan.
 #[test]
 fn concurrent_metrics_under_open_arrivals() {
     for name in ["flash-crowd", "noisy-neighbor"] {
@@ -202,19 +201,6 @@ fn concurrent_metrics_under_open_arrivals() {
             w.config.processes,
             "{name}: one sample per process"
         );
-        assert_eq!(
-            m.latency_by_pid.len(),
-            w.config.processes,
-            "{name}: per-pid latency for every process"
-        );
-        let mut flat = m.latencies.clone();
-        let mut by_pid: Vec<u64> = m.latency_by_pid.values().copied().collect();
-        flat.sort_unstable();
-        by_pid.sort_unstable();
-        assert_eq!(
-            flat, by_pid,
-            "{name}: per-pid samples must match the flat vector"
-        );
         let (p50, p95) = (
             m.latency_percentile(0.5).unwrap(),
             m.latency_percentile(0.95).unwrap(),
@@ -229,8 +215,8 @@ fn concurrent_metrics_under_open_arrivals() {
 }
 
 /// The virtual-time engine under open arrivals: dispatches respect the
-/// arrival schedule (makespan at least the last arrival), and blocked-time
-/// accounting only names real processes.
+/// arrival schedule (makespan at least the last arrival), and every process
+/// leaves one latency sample.
 #[test]
 fn engine_metrics_under_open_arrivals() {
     let scenario = find("noisy-neighbor").unwrap();
@@ -245,7 +231,4 @@ fn engine_metrics_under_open_arrivals() {
         m.makespan
     );
     assert_eq!(m.latencies.len(), w.config.processes);
-    for pid in m.blocked_time.keys() {
-        assert!((*pid as usize) < w.config.processes, "unknown pid {pid}");
-    }
 }

@@ -1,7 +1,6 @@
 //! Execution metrics collected by the engine and reported by the benchmark
 //! harness.
 
-use std::collections::BTreeMap;
 use txproc_core::telemetry::{bucket_edge, bucket_of, hist_percentile};
 use txproc_core::trace::{AbortReason, TraceEvent};
 
@@ -222,15 +221,8 @@ pub struct Metrics {
     pub rejections: u64,
     /// Virtual end-to-end latency samples, one per terminated process.
     pub latencies: Vec<u64>,
-    /// End-to-end latency keyed by process id (same samples as
-    /// [`Metrics::latencies`]; lets reports segment latency by tenant).
-    pub latency_by_pid: BTreeMap<u32, u64>,
     /// Virtual makespan of the whole run.
     pub makespan: u64,
-    /// Per-process time spent blocked, from a step that waits to the next
-    /// that does not, on the run's clock (virtual ticks in the engine, wall
-    /// microseconds in the concurrent driver).
-    pub blocked_time: BTreeMap<u32, u64>,
     /// Abort initiations broken down by first cause: `AbortStarted`.
     pub abort_reasons: AbortReasons,
     /// Certification attempts answered "not PRED" (each forces a defer,
@@ -311,13 +303,7 @@ impl Metrics {
         self.waits += other.waits;
         self.rejections += other.rejections;
         self.latencies.extend_from_slice(&other.latencies);
-        for (&pid, &lat) in &other.latency_by_pid {
-            self.latency_by_pid.entry(pid).or_insert(lat);
-        }
         self.makespan += other.makespan;
-        for (&pid, &t) in &other.blocked_time {
-            *self.blocked_time.entry(pid).or_insert(0) += t;
-        }
         self.abort_reasons.merge(&other.abort_reasons);
         self.cert_failures += other.cert_failures;
         self.shards.extend_from_slice(&other.shards);
