@@ -28,7 +28,7 @@
 use crate::error::ScheduleError;
 use crate::ids::{GlobalActivityId, ProcessId};
 use crate::order::PartialOrder;
-use crate::schedule::{Event, Op, OpKind, Schedule};
+use crate::schedule::{Op, OpKind, Schedule};
 use crate::spec::Spec;
 use crate::state::ProcessState;
 use std::borrow::Borrow;
@@ -94,10 +94,8 @@ pub fn forward_ranks<'s, 'p: 's, P: Borrow<ProcessId>>(
 ) -> Result<BTreeMap<ProcessId, usize>, ScheduleError> {
     let mut ops = Vec::new();
     for (event_index, event) in schedule.events().iter().enumerate() {
-        let (gid, kind) = match *event {
-            Event::Execute(g) => (g, OpKind::Forward),
-            Event::Compensate(g) => (g, OpKind::Compensation),
-            _ => continue,
+        let Some((gid, kind)) = event.effect() else {
+            continue;
         };
         let service = spec.catalog.base(spec.service_of(gid)?);
         let (index, from_completion) = (ops.len(), false);
@@ -132,14 +130,8 @@ fn append_completions<'s, 'p: 's, P: Borrow<ProcessId>>(
             continue;
         }
         completed.push(pid);
-        let completion = state.completion();
         let process = spec.process(pid)?;
-        let compensations = completion.compensations.iter();
-        let forward = completion.forward.iter();
-        for (&a, kind) in compensations
-            .map(|a| (a, OpKind::Compensation))
-            .chain(forward.map(|a| (a, OpKind::Forward)))
-        {
+        for (a, kind) in state.completion().ops() {
             let index = ops.len();
             ops.push(Op {
                 index,

@@ -13,9 +13,7 @@
 //! The partition is workload-static — it is derived from the registered
 //! process definitions, not from the history — so it is a sound
 //! over-approximation: runtime choices (alternatives taken, activities
-//! skipped) can only shrink the real conflict graph. [`DomainPartition::merge`]
-//! provides the dynamic-merge path for drivers that discover a cross-domain
-//! edge at admission time (e.g. late-registered processes).
+//! skipped) can only shrink the real conflict graph.
 
 use crate::ids::{ProcessId, ServiceId};
 use crate::spec::Spec;
@@ -92,7 +90,6 @@ pub struct DomainPartition {
     pids: Vec<ProcessId>,
     /// pid → dense index.
     index: BTreeMap<ProcessId, u32>,
-    uf: UnionFind,
     /// Dense index → domain id.
     label: Vec<u32>,
     /// Domain id → member pids, each ascending.
@@ -163,16 +160,15 @@ impl DomainPartition {
         let mut out = Self {
             pids,
             index,
-            uf,
             label: Vec::new(),
             members: Vec::new(),
         };
-        out.relabel();
+        out.relabel(&mut uf);
         out
     }
 
-    /// Recomputes dense domain labels from the union-find state.
-    fn relabel(&mut self) {
+    /// Computes dense domain labels from the union-find state.
+    fn relabel(&mut self, uf: &mut UnionFind) {
         let n = self.pids.len();
         self.label = vec![u32::MAX; n];
         self.members.clear();
@@ -181,7 +177,7 @@ impl DomainPartition {
         // Dense indices ascend with pid, so scanning in order yields domains
         // ordered by smallest member pid.
         for i in 0..n as u32 {
-            let root = self.uf.find(i) as usize;
+            let root = uf.find(i) as usize;
             if root_to_domain[root] == u32::MAX {
                 root_to_domain[root] = self.members.len() as u32;
                 self.members.push(Vec::new());
@@ -223,22 +219,6 @@ impl DomainPartition {
         match (self.domain_of(a), self.domain_of(b)) {
             (Some(x), Some(y)) => x == y,
             _ => false,
-        }
-    }
-
-    /// Dynamic-merge path: fuses the domains of `a` and `b` (e.g. when an
-    /// admission would create a cross-shard conflict edge). Returns `true`
-    /// and relabels if the domains were distinct; labels stay dense and
-    /// ordered by smallest member pid.
-    pub fn merge(&mut self, a: ProcessId, b: ProcessId) -> bool {
-        let (Some(&ia), Some(&ib)) = (self.index.get(&a), self.index.get(&b)) else {
-            return false;
-        };
-        if self.uf.union(ia, ib) {
-            self.relabel();
-            true
-        } else {
-            false
         }
     }
 }
@@ -406,27 +386,6 @@ mod tests {
         });
         let part = DomainPartition::partition(&spec);
         assert_eq!(part.domain_count(), 1);
-    }
-
-    #[test]
-    fn dynamic_merge_fuses_and_relabels() {
-        let spec = spec_with(|cat, _| {
-            let s1 = cat.pivot("s1");
-            let s2 = cat.pivot("s2");
-            let s3 = cat.pivot("s3");
-            vec![vec![s1], vec![s2], vec![s3]]
-        });
-        let mut part = DomainPartition::partition(&spec);
-        assert_eq!(part.domain_count(), 3);
-        assert!(part.merge(ProcessId(1), ProcessId(3)));
-        assert_eq!(part.domain_count(), 2);
-        assert!(part.same_domain(ProcessId(1), ProcessId(3)));
-        assert_eq!(part.domain_of(ProcessId(1)), Some(0));
-        assert_eq!(part.domain_of(ProcessId(2)), Some(1));
-        // Idempotent.
-        assert!(!part.merge(ProcessId(1), ProcessId(3)));
-        // Unknown pids are a no-op.
-        assert!(!part.merge(ProcessId(1), ProcessId(99)));
     }
 
     #[test]

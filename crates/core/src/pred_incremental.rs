@@ -6,7 +6,8 @@
 //! a time, so the certifier carries the whole derivation across events and
 //! processes the *delta* of each one in place:
 //!
-//! * the per-process state machines advance by exactly one transition,
+//! * the state machines the event names make its one move
+//!   ([`ProcessState::apply`], as `Schedule::replay` does),
 //! * `≪̃` among recorded operations is never materialised: the reduction
 //!   only asks whether `x` sits between a pair `(f, c)` it conflicts with, a
 //!   compensation carries the base service of the operation it undoes, and
@@ -95,9 +96,9 @@
 use crate::error::ScheduleError;
 use crate::ids::{GlobalActivityId, IdIndex, ProcessId, ServiceId};
 use crate::pred::PredReport;
-use crate::schedule::{Event, OpKind, Schedule};
+use crate::schedule::{BaseOp, Event, OpKind, Schedule};
 use crate::spec::Spec;
-use crate::state::{Completion, FailureOutcome, ProcessState};
+use crate::state::{Completion, ProcessState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::take;
 
@@ -411,9 +412,6 @@ struct Service {
 /// process's part of the overlay.
 type CopRef = (u32, u32);
 
-/// The operation an event appends to the original history.
-type Appended = (GlobalActivityId, ServiceId, OpKind);
-
 /// A completion-overlay operation: one activity Definition 8 appends for a
 /// still-active process. Built when the process's pending completion
 /// changes and kept until it changes again.
@@ -640,38 +638,19 @@ fn touch<'a, 'b>(
     if let Some(at) = touched.iter().position(|(p, _)| *p == pid) {
         return Ok(&mut touched[at].1);
     }
-    let initial = || {
-        let process = spec.process(pid)?;
-        ProcessState::new(process, &spec.catalog).map_err(|_| {
-            ScheduleError::Model(crate::error::ModelError::NotATree {
-                process: pid,
-                activity: crate::ids::ActivityId(0),
-            })
-        })
-    };
     let st = match base.get(&pid) {
         Some(st) => {
             let mut spare = match scratch.states.pop() {
                 Some(spare) => spare,
-                None => initial()?,
+                None => ProcessState::of(spec, pid)?,
             };
             spare.clone_from(st);
             spare
         }
-        None => initial()?,
+        None => ProcessState::of(spec, pid)?,
     };
     touched.push((pid, st));
     Ok(&mut touched.last_mut().expect("just pushed").1)
-}
-
-/// The process an event of a lone segment names (a group abort in one
-/// names it alone).
-fn lone_process(event: &Event) -> ProcessId {
-    match event {
-        Event::Execute(g) | Event::Fail(g) | Event::Compensate(g) => g.process,
-        Event::Commit(p) | Event::Abort(p) => *p,
-        Event::GroupAbort(ps) => ps[0],
-    }
 }
 
 /// Every operation of another process that conflicts with operation `x`,
@@ -855,7 +834,7 @@ impl<'a> IncrementalPred<'a> {
         self.drop_log();
         // The lone process terminated: a quiescent point, which nothing
         // after it needs to see.
-        if let Some(pid) = self.segment.first().map(lone_process) {
+        if let Some(pid) = self.segment.first().map(|e| e.processes()[0]) {
             if !self.states[&pid].is_active() {
                 self.segment.clear();
             }
@@ -921,16 +900,20 @@ impl<'a> IncrementalPred<'a> {
     fn step(&mut self, event: &Event) -> Result<bool, ScheduleError> {
         debug_assert!(self.log.ops.is_empty() && self.log.states.is_empty());
 
-        // 1. Advance the touched process state machines (on copies),
-        //    mirroring `Schedule::replay` including its error behaviour.
+        // 1. Advance the touched process state machines (on copies) by
+        //    `ProcessState::apply`, errors included.
         let advanced = self.advance(event);
         if advanced.is_err() {
             self.scratch.touched.clear();
         }
-        let (commit, appended) = advanced?;
+        let appended = advanced?;
+        let commit = match *event {
+            Event::Commit(p) => Some(p),
+            _ => None,
+        };
         if !self.engaged {
             if let [(pid, _)] = self.scratch.touched[..] {
-                if self.segment.first().is_none_or(|e| lone_process(e) == pid) {
+                if self.segment.first().is_none_or(|e| e.processes()[0] == pid) {
                     return Ok(self.lone_step(event));
                 }
             }
@@ -1022,52 +1005,16 @@ impl<'a> IncrementalPred<'a> {
         Ok(self.overlay_verdict())
     }
 
-    /// Step 1 of [`Self::step`]: applies `event` to working copies of the
-    /// state machines it touches (`scratch.touched`) and returns the process
-    /// it commits and the operation it appends.
-    fn advance(
-        &mut self,
-        event: &Event,
-    ) -> Result<(Option<ProcessId>, Option<Appended>), ScheduleError> {
+    /// Step 1 of [`Self::step`]: makes `event`'s move of working copies of
+    /// the state machines it names (`scratch.touched`) and returns the
+    /// operation it appends.
+    fn advance(&mut self, event: &Event) -> Result<Option<BaseOp>, ScheduleError> {
         let spec = self.spec;
-        let (base, scratch) = (&self.states, &mut self.scratch);
-        Ok(match event {
-            Event::Execute(g) => {
-                let service = spec.catalog.base(spec.service_of(*g)?);
-                touch(spec, base, scratch, g.process)?.apply_commit(g.activity)?;
-                (None, Some((*g, service, OpKind::Forward)))
-            }
-            Event::Fail(g) => {
-                spec.service_of(*g)?;
-                let st = touch(spec, base, scratch, g.process)?;
-                if st.apply_failure(g.activity)? == FailureOutcome::Stuck {
-                    return Err(ScheduleError::NoAlternativeLeft(*g));
-                }
-                (None, None)
-            }
-            Event::Compensate(g) => {
-                let service = spec.catalog.base(spec.service_of(*g)?);
-                touch(spec, base, scratch, g.process)?.apply_compensation(g.activity)?;
-                (None, Some((*g, service, OpKind::Compensation)))
-            }
-            Event::Commit(p) => {
-                touch(spec, base, scratch, *p)?.apply_process_commit()?;
-                (Some(*p), None)
-            }
-            Event::Abort(p) => {
-                touch(spec, base, scratch, *p)?.apply_process_abort()?;
-                (None, None)
-            }
-            Event::GroupAbort(ps) => {
-                for p in ps {
-                    let st = touch(spec, base, scratch, *p)?;
-                    if st.is_active() {
-                        st.apply_process_abort()?;
-                    }
-                }
-                (None, None)
-            }
-        })
+        let appended = event.effect_in(spec)?;
+        for &pid in event.processes() {
+            touch(spec, &self.states, &mut self.scratch, pid)?.apply(event)?;
+        }
+        Ok(appended)
     }
 
     /// A legal event of the lone segment's process, its working copy in
@@ -1095,7 +1042,7 @@ impl<'a> IncrementalPred<'a> {
     fn engage(&mut self) {
         self.engaged = true;
         let segment = take(&mut self.segment);
-        let Some(pid) = segment.first().map(lone_process) else {
+        let Some(pid) = segment.first().map(|e| e.processes()[0]) else {
             return;
         };
         let in_flight = take(&mut self.scratch.touched);
@@ -1359,12 +1306,7 @@ impl<'a> IncrementalPred<'a> {
         let mut len = 0;
         if let Some(completion) = self.completion_cache.get(&pid) {
             let process = spec.process(pid).expect("process of a recorded state");
-            for (&a, kind) in completion
-                .compensations
-                .iter()
-                .map(|a| (a, OpKind::Compensation))
-                .chain(completion.forward.iter().map(|a| (a, OpKind::Forward)))
-            {
+            for (a, kind) in completion.ops() {
                 let gid = GlobalActivityId::new(pid, a);
                 let service = spec.catalog.base(process.service(a));
                 let fwd = match kind {
@@ -1876,6 +1818,7 @@ mod tests {
     use crate::process::ProcessBuilder;
     use crate::reduction::{reduce, ReductionOutcome};
     use crate::schedule::Op;
+    use crate::state::FailureOutcome;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

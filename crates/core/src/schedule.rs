@@ -14,9 +14,9 @@
 use crate::error::ScheduleError;
 use crate::ids::{GlobalActivityId, ProcessId, ServiceId};
 use crate::spec::Spec;
-use crate::state::{FailureOutcome, ProcessState};
+use crate::state::ProcessState;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 /// One event of a schedule history.
@@ -58,6 +58,44 @@ impl fmt::Display for Event {
         }
     }
 }
+
+impl Event {
+    /// The processes the event names: one, or a group abort's members.
+    #[inline]
+    pub fn processes(&self) -> &[ProcessId] {
+        match self {
+            Event::Execute(g) | Event::Fail(g) | Event::Compensate(g) => {
+                std::slice::from_ref(&g.process)
+            }
+            Event::Commit(p) | Event::Abort(p) => std::slice::from_ref(p),
+            Event::GroupAbort(ps) => ps,
+        }
+    }
+
+    /// The operation the event leaves: an `Execute`'s forward one or a
+    /// `Compensate`'s compensation.
+    #[inline]
+    pub fn effect(&self) -> Option<(GlobalActivityId, OpKind)> {
+        match *self {
+            Event::Execute(g) => Some((g, OpKind::Forward)),
+            Event::Compensate(g) => Some((g, OpKind::Compensation)),
+            _ => None,
+        }
+    }
+
+    /// [`Self::effect`] with its base service, once the activity the event
+    /// names is known to be `spec`'s (before any state is made for it).
+    pub(crate) fn effect_in(&self, spec: &Spec) -> Result<Option<BaseOp>, ScheduleError> {
+        if let Event::Fail(g) = self {
+            spec.service_of(*g)?;
+        }
+        let base = |(g, kind)| Ok((g, spec.catalog.base(spec.service_of(g)?), kind));
+        self.effect().map(base).transpose()
+    }
+}
+
+/// An operation an event leaves, with its activity's base service.
+pub(crate) type BaseOp = (GlobalActivityId, ServiceId, OpKind);
 
 /// Whether an operation is a regular (forward) activity or a compensating
 /// activity.
@@ -185,47 +223,30 @@ impl Schedule {
             ops: Vec::new(),
         };
         for (ei, event) in self.events.iter().enumerate() {
-            match event {
-                Event::Execute(g) => {
-                    let service = spec.catalog.base(spec.service_of(*g)?);
-                    replay
-                        .state_mut(spec, g.process)?
-                        .apply_commit(g.activity)?;
-                    replay.push_op(ei, *g, service, OpKind::Forward);
-                }
-                Event::Fail(g) => {
-                    spec.service_of(*g)?;
-                    let outcome = replay
-                        .state_mut(spec, g.process)?
-                        .apply_failure(g.activity)?;
-                    if outcome == FailureOutcome::Stuck {
-                        return Err(ScheduleError::NoAlternativeLeft(*g));
+            let effect = event.effect_in(spec)?;
+            for &pid in event.processes() {
+                let st = replay.state_mut(spec, pid)?;
+                let active = st.is_active();
+                st.apply(event)?;
+                match event {
+                    Event::Commit(_) => replay.commit_event.insert(pid, ei),
+                    Event::Abort(_) | Event::GroupAbort(_) if active => {
+                        replay.abort_event.insert(pid, ei)
                     }
-                }
-                Event::Compensate(g) => {
-                    let service = spec.catalog.base(spec.service_of(*g)?);
-                    replay
-                        .state_mut(spec, g.process)?
-                        .apply_compensation(g.activity)?;
-                    replay.push_op(ei, *g, service, OpKind::Compensation);
-                }
-                Event::Commit(p) => {
-                    replay.state_mut(spec, *p)?.apply_process_commit()?;
-                    replay.commit_event.insert(*p, ei);
-                }
-                Event::Abort(p) => {
-                    replay.state_mut(spec, *p)?.apply_process_abort()?;
-                    replay.abort_event.insert(*p, ei);
-                }
-                Event::GroupAbort(ps) => {
-                    for p in ps {
-                        let st = replay.state_mut(spec, *p)?;
-                        if st.is_active() {
-                            st.apply_process_abort()?;
-                            replay.abort_event.insert(*p, ei);
-                        }
-                    }
-                }
+                    _ => None,
+                };
+            }
+            if let Some((gid, service, kind)) = effect {
+                let (index, event_index, from_completion) = (replay.ops.len(), ei, false);
+                let op = Op {
+                    index,
+                    event_index,
+                    gid,
+                    service,
+                    kind,
+                    from_completion,
+                };
+                replay.ops.push(op);
             }
         }
         Ok(replay)
@@ -264,35 +285,10 @@ impl<'a> Replay<'a> {
         spec: &'a Spec,
         pid: ProcessId,
     ) -> Result<&mut ProcessState<'a>, ScheduleError> {
-        if let std::collections::btree_map::Entry::Vacant(e) = self.states.entry(pid) {
-            let process = spec.process(pid)?;
-            let st = ProcessState::new(process, &spec.catalog).map_err(|_| {
-                ScheduleError::Model(crate::error::ModelError::NotATree {
-                    process: pid,
-                    activity: crate::ids::ActivityId(0),
-                })
-            })?;
-            e.insert(st);
-        }
-        Ok(self.states.get_mut(&pid).expect("just inserted"))
-    }
-
-    fn push_op(
-        &mut self,
-        event_index: usize,
-        gid: GlobalActivityId,
-        service: ServiceId,
-        kind: OpKind,
-    ) {
-        let index = self.ops.len();
-        self.ops.push(Op {
-            index,
-            event_index,
-            gid,
-            service,
-            kind,
-            from_completion: false,
-        });
+        Ok(match self.states.entry(pid) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(ProcessState::of(spec, pid)?),
+        })
     }
 
     /// Whether a process committed in the history.

@@ -17,10 +17,12 @@
 //!   followed by the lowest-priority (all-retriable) forward path.
 
 use crate::activity::{Catalog, Termination};
-use crate::error::ScheduleError;
+use crate::error::{ModelError, ScheduleError};
 use crate::flex::FlexError;
-use crate::ids::{ActivityId, GlobalActivityId};
+use crate::ids::{ActivityId, GlobalActivityId, ProcessId};
 use crate::process::{Process, Successors};
+use crate::schedule::{Event, OpKind};
+use crate::spec::Spec;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -100,6 +102,14 @@ impl Completion {
     /// Total number of completion activities.
     pub fn len(&self) -> usize {
         self.compensations.len() + self.forward.len()
+    }
+
+    /// The completion's operations in the order they run: compensations,
+    /// then forward recovery.
+    pub fn ops(&self) -> impl Iterator<Item = (ActivityId, OpKind)> + '_ {
+        let (backward, forward) = (self.compensations.iter(), self.forward.iter());
+        let backward = backward.map(|&a| (a, OpKind::Compensation));
+        backward.chain(forward.map(|&a| (a, OpKind::Forward)))
     }
 }
 
@@ -208,6 +218,15 @@ impl<'a> ProcessState<'a> {
             pending_compensations: VecDeque::new(),
             resume: None,
             abort_requested: false,
+        })
+    }
+
+    /// The initial state of `spec`'s process `pid`.
+    pub fn of(spec: &'a Spec, pid: ProcessId) -> Result<Self, ScheduleError> {
+        let process = spec.process(pid)?;
+        Self::new(process, &spec.catalog).map_err(|_| {
+            let (process, activity) = (pid, ActivityId(0));
+            ModelError::NotATree { process, activity }.into()
         })
     }
 
@@ -432,6 +451,26 @@ impl<'a> ProcessState<'a> {
             }
         }
         Ok(())
+    }
+
+    /// The move `event` makes of this process, one of those it names
+    /// (Definition 7.1): the one move of a legal history, which every fold of
+    /// one — the batch checkers, the certifier, the step, the restore — makes.
+    /// A failure with no alternative left is [`ScheduleError::NoAlternativeLeft`];
+    /// a group abort aborts the process only if it is still active.
+    pub fn apply(&mut self, event: &Event) -> Result<(), ScheduleError> {
+        debug_assert!(event.processes().contains(&self.process.id));
+        match *event {
+            Event::Execute(g) => self.apply_commit(g.activity),
+            Event::Compensate(g) => self.apply_compensation(g.activity),
+            Event::Fail(g) => match self.apply_failure(g.activity)? {
+                FailureOutcome::Stuck => Err(ScheduleError::NoAlternativeLeft(g)),
+                _ => Ok(()),
+            },
+            Event::Commit(_) => self.apply_process_commit(),
+            Event::GroupAbort(_) if !self.is_active() => Ok(()),
+            Event::Abort(_) | Event::GroupAbort(_) => self.apply_process_abort().map(drop),
+        }
     }
 
     /// Applies all pending compensations (test/enumeration convenience).
@@ -818,6 +857,105 @@ mod tests {
         st.apply_commit(ActivityId(0)).unwrap();
         let outcome = st.apply_failure(ActivityId(1)).unwrap();
         assert_eq!(outcome, FailureOutcome::Stuck);
+    }
+
+    /// What a test can see of a machine.
+    fn view(st: &ProcessState<'_>) -> impl PartialEq + std::fmt::Debug {
+        let next = (st.next_activity(), st.next_compensation(), st.can_commit());
+        (st.status(), st.steps().to_vec(), next, st.completion())
+    }
+
+    #[test]
+    fn the_event_vocabulary_over_each_event_kind() {
+        let fx = fixtures::paper_world();
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        type Call = fn(&mut ProcessState<'_>) -> Result<(), ScheduleError>;
+        let abort: Call = |st| st.apply_process_abort().map(drop);
+        // (process, activities committed and whether it then aborted, the
+        // event, the `apply_*` call it is).
+        let table: [(&Process, (u32, bool), Event, Call); 9] = [
+            (&fx.p1, (0, false), Event::Execute(fx.a(1, 1)), |st| {
+                st.apply_commit(a(0))
+            }),
+            (&fx.p1, (3, false), Event::Fail(fx.a(1, 4)), |st| {
+                st.apply_failure(a(3)).map(drop)
+            }),
+            (&fx.p1, (1, false), Event::Fail(fx.a(1, 2)), |st| {
+                st.apply_failure(a(1)).map(drop)
+            }),
+            (&fx.p2, (2, true), Event::Compensate(fx.a(2, 2)), |st| {
+                st.apply_compensation(a(1))
+            }),
+            (&fx.p2, (5, false), Event::Commit(p2), |st| {
+                st.apply_process_commit()
+            }),
+            (&fx.p1, (3, false), Event::Abort(p1), abort),
+            (&fx.p1, (3, false), Event::GroupAbort(vec![p1, p2]), abort),
+            // An illegal event is the same error either way.
+            (&fx.p1, (1, false), Event::Execute(fx.a(1, 4)), |st| {
+                st.apply_commit(a(3))
+            }),
+            (&fx.p2, (1, false), Event::Commit(p2), |st| {
+                st.apply_process_commit()
+            }),
+        ];
+        for (process, (commits, aborted), event, call) in &table {
+            let mut by_apply = ProcessState::new(process, &fx.spec.catalog).unwrap();
+            (0..*commits).for_each(|i| by_apply.apply_commit(a(i)).unwrap());
+            if *aborted {
+                by_apply.apply_process_abort().unwrap();
+            }
+            let mut by_call = by_apply.clone();
+            assert_eq!(by_apply.apply(event), call(&mut by_call), "{event}");
+            assert_eq!(view(&by_apply), view(&by_call), "{event}");
+        }
+
+        // Of a terminated process, an abort is refused and a group abort is
+        // no move at all.
+        let mut st = ProcessState::of(&fx.spec, p2).unwrap();
+        (0..5).for_each(|i| st.apply(&Event::Execute(fx.a(2, i + 1))).unwrap());
+        st.apply(&Event::Commit(p2)).unwrap();
+        let before = view(&st);
+        let refused = ScheduleError::ProcessAlreadyTerminated(p2);
+        assert_eq!(st.apply(&Event::Abort(p2)), Err(refused));
+        assert_eq!(st.apply(&Event::GroupAbort(vec![p1, p2])), Ok(()));
+        assert_eq!(view(&st), before);
+
+        // A failure with no alternative left (no paper process has one: each
+        // guarantees termination).
+        let mut cat = Catalog::new();
+        let (s1, s2) = (cat.pivot("p1"), cat.pivot("p2"));
+        let mut b = crate::process::ProcessBuilder::new(ProcessId(7), "pp");
+        let (x, y) = (b.activity("x", s1), b.activity("y", s2));
+        b.precede(x, y);
+        let proc = b.build(&cat).unwrap();
+        let mut st = ProcessState::new(&proc, &cat).unwrap();
+        st.apply_commit(x).unwrap();
+        let fail = GlobalActivityId::new(ProcessId(7), y);
+        let stuck = Err(ScheduleError::NoAlternativeLeft(fail));
+        assert_eq!(st.apply(&Event::Fail(fail)), stuck);
+
+        // What each kind names and leaves.
+        let (g, comp, fwd) = (fx.a(1, 3), OpKind::Compensation, OpKind::Forward);
+        let table = [
+            (Event::Execute(g), vec![p1], Some((g, fwd))),
+            (Event::Compensate(g), vec![p1], Some((g, comp))),
+            (Event::Fail(g), vec![p1], None),
+            (Event::Commit(p2), vec![p2], None),
+            (Event::Abort(p2), vec![p2], None),
+            (Event::GroupAbort(vec![p2, p1]), vec![p2, p1], None),
+        ];
+        for (event, processes, effect) in table {
+            assert_eq!(event.processes(), processes, "{event}");
+            assert_eq!(event.effect(), effect, "{event}");
+        }
+        let c = Completion {
+            compensations: vec![a(2), a(1)],
+            forward: vec![a(4)],
+            guaranteed: true,
+        };
+        let ops: Vec<_> = c.ops().collect();
+        assert_eq!(ops, [(a(2), comp), (a(1), comp), (a(4), fwd)]);
     }
 
     #[test]

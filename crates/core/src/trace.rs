@@ -231,11 +231,7 @@ impl TraceEvent {
             | TraceEvent::ProcessCommitted { pid }
             | TraceEvent::ProcessAborted { pid } => Some(*pid),
             TraceEvent::GroupAbort { initiator, .. } => *initiator,
-            TraceEvent::CertifyOutcome { event, .. } => match event {
-                Event::Execute(g) | Event::Fail(g) | Event::Compensate(g) => Some(g.process),
-                Event::Commit(p) | Event::Abort(p) => Some(*p),
-                Event::GroupAbort(ps) => ps.first().copied(),
-            },
+            TraceEvent::CertifyOutcome { event, .. } => event.processes().first().copied(),
         }
     }
 
@@ -258,11 +254,7 @@ impl TraceEvent {
             TraceEvent::GroupAbort {
                 initiator, victims, ..
             } => *initiator == Some(pid) || victims.contains(&pid),
-            TraceEvent::CertifyOutcome { event, .. } => match event {
-                Event::Execute(g) | Event::Fail(g) | Event::Compensate(g) => g.process == pid,
-                Event::Commit(p) | Event::Abort(p) => *p == pid,
-                Event::GroupAbort(ps) => ps.contains(&pid),
-            },
+            TraceEvent::CertifyOutcome { event, .. } => event.processes().contains(&pid),
             _ => false,
         }
     }

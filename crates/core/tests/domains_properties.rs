@@ -160,33 +160,4 @@ proptest! {
             prop_assert!(part.domains()[d as usize].contains(&p.id));
         }
     }
-
-    #[test]
-    fn dynamic_merge_coarsens_consistently(
-        seed in 0u64..1_000_000,
-        services in 1usize..8,
-        processes in 2usize..10,
-    ) {
-        let spec = random_spec(seed, services, processes, 0.2);
-        let mut part = DomainPartition::partition(&spec);
-        let before = part.domain_count();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
-        let a = ProcessId(rng.gen_range(0..processes) as u32 + 1);
-        let b = ProcessId(rng.gen_range(0..processes) as u32 + 1);
-        let distinct = !part.same_domain(a, b);
-        let merged = part.merge(a, b);
-        prop_assert_eq!(merged, distinct, "merge must report whether domains fused");
-        prop_assert!(part.same_domain(a, b));
-        prop_assert_eq!(
-            part.domain_count(),
-            if distinct { before - 1 } else { before }
-        );
-        // Labels stay dense and ordered by smallest member after relabel.
-        let firsts: Vec<ProcessId> = part.domains().iter().map(|d| d[0]).collect();
-        let mut sorted = firsts.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(firsts, sorted);
-        let total: usize = part.domains().iter().map(Vec::len).sum();
-        prop_assert_eq!(total, processes);
-    }
 }

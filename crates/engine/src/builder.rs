@@ -4,14 +4,23 @@
 //! and [`crate::concurrent::run_concurrent`] are shorthands for a builder
 //! run with no option set; there is no other way in.
 //!
-//! ```ignore
+//! ```
+//! # use txproc_core::telemetry::Telemetry;
+//! # use txproc_core::trace::Journal;
+//! # use txproc_core::wal::{DurabilityPolicy, MemWal, WalWriter};
+//! # use txproc_engine::{ConcurrentConfig, RunBuilder, RunConfig};
+//! # use txproc_sim::workload::{generate, WorkloadConfig};
+//! # let seed = 4;
+//! # let workload = generate(&WorkloadConfig { seed, processes: 4, ..WorkloadConfig::default() });
+//! # let (journal, store, tele) = (Journal::new(), MemWal::new(), Telemetry::on());
 //! // Virtual-time engine, traced, journaled to a WAL:
 //! let out = RunBuilder::new(&workload)
 //!     .config(RunConfig { seed, epoch: 16, ..RunConfig::default() })
 //!     .sink(Box::new(journal.clone()))
-//!     .durability(WalWriter::new(store, DurabilityPolicy::FsyncPerEpoch, seed), 0)
+//!     .durability(WalWriter::new(Box::new(store), DurabilityPolicy::FsyncPerEpoch, seed), 0)
 //!     .run()
 //!     .into_engine();
+//! # assert!(!out.history.is_empty() && !journal.is_empty());
 //!
 //! // Concurrent driver with telemetry:
 //! let out = RunBuilder::new(&workload)
@@ -19,6 +28,7 @@
 //!     .telemetry(tele)
 //!     .run()
 //!     .into_concurrent();
+//! # assert!(!out.history.is_empty());
 //! ```
 
 use crate::concurrent::{run_concurrent_impl, ConcurrentConfig, ConcurrentResult};

@@ -83,6 +83,7 @@ use crate::certify::CertGate;
 use crate::policy::{Policy, PolicyKind};
 use crate::recovery::{CrashImage, InvocationLogEntry};
 use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -92,7 +93,7 @@ use txproc_core::error::{ModelError, ScheduleError};
 use txproc_core::ids::{ActivityId, GlobalActivityId, IdIndex, ProcessId, ServiceId};
 use txproc_core::protocol::{Admission, CompletionGate};
 use txproc_core::schedule::{Event, Schedule};
-use txproc_core::state::{FailureOutcome, ProcessState, ProcessStatus};
+use txproc_core::state::{ProcessState, ProcessStatus};
 use txproc_core::telemetry::{Phase, Telemetry};
 use txproc_core::trace::{AbortReason, NoopSink, TraceEvent, TraceRecord, TraceSink};
 use txproc_core::wal::{WalRecord, WalWriter};
@@ -602,9 +603,8 @@ impl<'a> Shard<'a> {
     /// calls it when it admits the domain's first due arrival.
     pub(crate) fn build(id: u32, members: &[ProcessId], ctx: &RunCtx<'a>) -> Self {
         let spec = &ctx.workload.spec;
-        let process = |&pid: &ProcessId| spec.process(pid).expect("partitioned pid is known");
-        let state = |p| ProcessState::new(p, &spec.catalog).expect("tree process");
-        let mut shard = Self::new(id, members.iter().map(process).map(state), ctx);
+        let state = |&pid: &ProcessId| ProcessState::of(spec, pid).expect("a tree process");
+        let mut shard = Self::new(id, members.iter().map(state), ctx);
         members.iter().for_each(|&pid| shard.policy.register(pid));
         shard
     }
@@ -688,10 +688,10 @@ impl<'a> Shard<'a> {
     /// The scheduler a crash left, resumed from its image with admissions
     /// closed: a run context over the image's subsystems and decision log,
     /// no arrival queued, and one shard with a slot per process the image
-    /// names. Their states are the history's replayed (the `ProcessState`
-    /// half of [`transition`](Self::transition), which refuses an illegal
-    /// history), as the step's are after every event, released commits
-    /// included; the policy half ([`record`](Self::record)) is folded for the
+    /// names. Their states are the history's replayed (each event's
+    /// [`ProcessState::apply`], which refuses an illegal history), as the
+    /// step's are after every event, released commits included; the policy's
+    /// half ([`record`](Self::record)) is folded for the
     /// processes the crash left live, and a terminated process is only
     /// finalized — its operations can gate, block or be aborted by nothing
     /// again. The invocation log adds what the history does not show — each
@@ -720,10 +720,10 @@ impl<'a> Shard<'a> {
         let (spec, log) = (&workload.spec, image.invocation_log);
         let mut states = image.history.replay(spec)?.states;
         for e in log.iter().filter(|e| e.prepared) {
-            let process = spec.process(e.gid.process)?;
             spec.service_of(e.gid)?;
-            let state = || ProcessState::new(process, &spec.catalog).expect("tree process");
-            states.entry(e.gid.process).or_insert_with(state);
+            if let Entry::Vacant(v) = states.entry(e.gid.process) {
+                v.insert(ProcessState::of(spec, e.gid.process)?);
+            }
         }
         let mut shard = Self::new(0, states.into_values(), &ctx);
         spec.processes().for_each(|p| shard.policy.register(p.id));
@@ -735,17 +735,11 @@ impl<'a> Shard<'a> {
             while let Some(e) = logged.next_if(|e| e.at <= at) {
                 shard.refold_invocation(e);
             }
-            let pid = match event {
-                Event::GroupAbort(ps) => {
-                    let aborts = ps.iter().filter(|p| live(p));
-                    aborts.for_each(|&p| shard.record_abort(p));
-                    continue;
+            for &pid in event.processes().iter().filter(|p| live(p)) {
+                match event {
+                    Event::GroupAbort(_) => shard.record_abort(pid),
+                    _ => drop(shard.record(event)),
                 }
-                Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => g.process,
-                Event::Commit(p) | Event::Abort(p) => *p,
-            };
-            if live(&pid) {
-                drop(shard.record(event));
             }
         }
         logged.for_each(|e| shard.refold_invocation(e));
@@ -782,35 +776,6 @@ impl<'a> Shard<'a> {
         self.policy.record_executed(gid, true)
     }
 
-    /// What `event` does — the one implementation of the step's transitions,
-    /// applied to every event the step emits: the policy
-    /// [records](Self::record) the event, and the process state makes the
-    /// event's move, the move `Schedule::replay` makes of it (a release's
-    /// `Execute` commits its activity, as every `Execute` does). Returns the
-    /// dependency edges an execution added.
-    fn transition(&mut self, event: &Event) -> Result<Vec<(ProcessId, ProcessId)>, ScheduleError> {
-        let (pid, gid) = match *event {
-            Event::Commit(p) | Event::Abort(p) => (p, None),
-            Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => (g.process, Some(g)),
-            Event::GroupAbort(_) => unreachable!("the step emits a group's aborts one by one"),
-        };
-        let edges = self.record(event);
-        let slot = self.slots.get_mut(pid);
-        let state = &mut slot.ok_or(ModelError::UnknownProcess(pid))?.state;
-        match (event, gid) {
-            (Event::Execute(_), Some(g)) => state.apply_commit(g.activity)?,
-            (Event::Compensate(_), Some(g)) => state.apply_compensation(g.activity)?,
-            (Event::Fail(_), Some(g)) => {
-                if state.apply_failure(g.activity)? == FailureOutcome::Stuck {
-                    return Err(ScheduleError::NoAlternativeLeft(g));
-                }
-            }
-            (Event::Abort(_), _) => drop(state.apply_process_abort()?),
-            _ => state.apply_process_commit()?,
-        }
-        Ok(edges)
-    }
-
     /// What `event` does to the policy and the shard's bookkeeping: the
     /// `Execute` of a pending deferred activity is its release, which
     /// unparks its process, and any other executes; an `Abort` drops a
@@ -835,13 +800,20 @@ impl<'a> Shard<'a> {
     /// An `Abort`'s record: a prepared invocation leaves the policy, and the
     /// process joins the abort order.
     fn record_abort(&mut self, pid: ProcessId) {
-        if let Some(gid) = self.slots.get_mut(pid).and_then(|s| s.pending.take()) {
-            let cell = self.cell(gid).expect("a member's activity");
-            self.invocations[cell] = None;
-            self.policy.record_prepared_aborted(gid);
+        if let Some(gid) = self.slots.get(pid).and_then(|s| s.pending) {
+            self.drop_prepared(gid);
         }
         self.abort_order.push(pid);
         self.policy.on_abort_begin(pid);
+    }
+
+    /// A prepared invocation leaves: its process's pending release, its
+    /// handle and its place in the policy.
+    fn drop_prepared(&mut self, gid: GlobalActivityId) {
+        self.slots[gid.process].pending = None;
+        let cell = self.cell(gid).expect("a member's activity");
+        self.invocations[cell] = None;
+        self.policy.record_prepared_aborted(gid);
     }
 
     /// Settles the prepared invocations a restore left pending against the
@@ -864,10 +836,7 @@ impl<'a> Shard<'a> {
             if decided.contains(&(sid, inv)) {
                 self.release(ctx, gid)?;
             } else if ctx.invoked(sid, inv).is_none() {
-                self.slots[gid.process].pending = None;
-                let cell = self.cell(gid).expect("a member's activity");
-                self.invocations[cell] = None;
-                self.policy.record_prepared_aborted(gid);
+                self.drop_prepared(gid);
             }
         }
         let left = self.slots.iter().filter(|(_, s)| s.pending.is_some());
@@ -891,19 +860,7 @@ impl<'a> Shard<'a> {
         let mut live: Vec<ProcessId> = live.collect();
         live.sort_by_key(|p| ranks.get(p).copied().unwrap_or(usize::MAX));
         self.abort_order.retain(|p| !live.contains(p));
-        if !live.is_empty() {
-            let group = TraceEvent::GroupAbort {
-                initiator: None,
-                victims: live.clone(),
-                trigger: None,
-            };
-            self.note(ctx, group);
-        }
-        for &pid in &live {
-            if !self.begin_abort(ctx, pid, AbortReason::External) {
-                self.abort_order.push(pid);
-            }
-        }
+        self.group_abort(ctx, None, &live, None, AbortReason::External);
         live
     }
 
@@ -1027,7 +984,7 @@ impl<'a> Shard<'a> {
             };
             let others = self.slots.iter().rev().filter(blocking).map(|(q, _)| q);
             let others: Vec<ProcessId> = others.collect();
-            self.group_abort(ctx, pid, &others, None);
+            self.group_abort(ctx, Some(pid), &others, None, AbortReason::Cascade);
         } else {
             self.initiate_abort(ctx, pid, AbortReason::Deadlock, None);
         }
@@ -1068,23 +1025,31 @@ impl<'a> Shard<'a> {
 
     /// Appends an event that no invocation record implies to the shard
     /// segment, journalled first.
-    fn emit(&mut self, ctx: &RunCtx<'a>, event: Event) {
+    fn emit(&mut self, ctx: &RunCtx<'a>, event: Event) -> Result<(), ScheduleError> {
         let ticket = ctx.ticket(|| WalRecord::Event {
             event: event.clone(),
         });
-        self.append(event, ticket)
-            .expect("the step emits what its states allow");
+        self.append(event, ticket).map(drop)
     }
 
     /// Appends an event the step took to the shard segment under its global
-    /// merge ticket, applies its [`transition`](Self::transition) and marks
-    /// the shard dirty. Returns the dependency edges an execution added.
+    /// merge ticket and marks the shard dirty — the one implementation of
+    /// the step's transitions, applied to every event the step emits: the
+    /// policy [records](Self::record) it, and the state of each process it
+    /// names makes its [`ProcessState::apply`] move (a release's `Execute`
+    /// commits its activity, as every `Execute` does). Returns the
+    /// dependency edges an execution added.
     fn append(
         &mut self,
         event: Event,
         ticket: u64,
     ) -> Result<Vec<(ProcessId, ProcessId)>, ScheduleError> {
-        let edges = self.transition(&event)?;
+        let edges = self.record(&event);
+        for &pid in event.processes() {
+            let slot = self.slots.get_mut(pid);
+            let state = &mut slot.ok_or(ModelError::UnknownProcess(pid))?.state;
+            state.apply(&event)?;
+        }
         self.history.push(event);
         self.event_tickets.push(ticket);
         self.dirty = true;
@@ -1182,11 +1147,7 @@ impl<'a> Shard<'a> {
     /// subsystem applied; the event commits the activity in its process's
     /// state, which refuses it if it is not the frontier.
     fn release(&mut self, ctx: &RunCtx<'a>, gid: GlobalActivityId) -> Result<(), ScheduleError> {
-        let event = Event::Execute(gid);
-        let ticket = ctx.ticket(|| WalRecord::Event {
-            event: event.clone(),
-        });
-        self.append(event, ticket)?;
+        self.emit(ctx, Event::Execute(gid))?;
         self.note(ctx, TraceEvent::CommitReleased { gid });
         Ok(())
     }
@@ -1252,7 +1213,7 @@ impl<'a> Shard<'a> {
                 InvokeOutcome::Committed { .. } => {
                     let service = self.slots[pid].state.process().service(c);
                     self.note(ctx, TraceEvent::CompensationStarted { gid, service });
-                    self.emit(ctx, Event::Compensate(gid));
+                    self.emit(ctx, Event::Compensate(gid)).expect("legal move");
                     Step::Yield
                 }
                 InvokeOutcome::Busy { .. } => Step::Wait,
@@ -1271,7 +1232,7 @@ impl<'a> Shard<'a> {
             return match verdict {
                 Ok(()) if !self.certified_traced(ctx, Event::Commit(pid)) => Step::Wait,
                 Ok(()) => {
-                    self.emit(ctx, Event::Commit(pid));
+                    self.emit(ctx, Event::Commit(pid)).expect("legal move");
                     self.finalize(ctx, pid);
                     Step::Done
                 }
@@ -1397,7 +1358,7 @@ impl<'a> Shard<'a> {
         let coin = fail_coin(ctx.cfg.seed, gid, self.attempts[cell]);
         let inject = ctx.cfg.inject_failures && coin < p_fail(ctx, site.subsystem);
         if inject && termination.can_fail() {
-            self.emit(ctx, Event::Fail(gid));
+            self.emit(ctx, Event::Fail(gid)).expect("legal move");
             self.note(ctx, TraceEvent::ActivityFailed { gid, service: svc });
             // No alternative was left: the process aborts (or already has).
             let state = &self.slots[pid].state;
@@ -1512,29 +1473,34 @@ impl<'a> Shard<'a> {
             agent.abort_prepared(inv).expect("prepared");
         }
         self.note(ctx, TraceEvent::AbortStarted { pid, reason });
-        self.emit(ctx, Event::Abort(pid));
+        self.emit(ctx, Event::Abort(pid)).expect("legal move");
         true
     }
 
-    /// The group abort `initiator` leads, noted as one decision: the
-    /// `victims` begin their aborts as its cascade, in order.
+    /// The group abort `initiator` leads — the scheduler itself with none —
+    /// noted as one decision: the `victims` begin their aborts for `reason`,
+    /// in order. Of a group the scheduler leads, a victim that began its
+    /// abort already takes its place in the abort order here.
     fn group_abort(
         &mut self,
         ctx: &RunCtx<'a>,
-        initiator: ProcessId,
+        initiator: Option<ProcessId>,
         victims: &[ProcessId],
         trigger: Option<GlobalActivityId>,
+        reason: AbortReason,
     ) {
         if !victims.is_empty() {
             let group = TraceEvent::GroupAbort {
-                initiator: Some(initiator),
+                initiator,
                 victims: victims.to_vec(),
                 trigger,
             };
             self.note(ctx, group);
         }
         for &v in victims {
-            self.begin_abort(ctx, v, AbortReason::Cascade);
+            if !self.begin_abort(ctx, v, reason) && initiator.is_none() {
+                self.abort_order.push(v);
+            }
         }
     }
 
@@ -1559,7 +1525,7 @@ impl<'a> Shard<'a> {
             .map(|&a| state.process().service(a));
         let fwd: Vec<_> = fwd.collect();
         let victims = self.policy.plan_abort(pid, &comp_gids, &fwd);
-        self.group_abort(ctx, pid, &victims, trigger);
+        self.group_abort(ctx, Some(pid), &victims, trigger, AbortReason::Cascade);
         self.begin_abort(ctx, pid, reason);
     }
 }
@@ -2913,13 +2879,8 @@ mod tests {
                             "{label}: {pid}"
                         );
                     }
-                    let pids = shard.history.events().iter().flat_map(|e| match e {
-                        Event::Execute(g) | Event::Compensate(g) | Event::Fail(g) => {
-                            vec![g.process]
-                        }
-                        Event::Commit(p) | Event::Abort(p) => vec![*p],
-                        Event::GroupAbort(ps) => ps.clone(),
-                    });
+                    let events = shard.history.events().iter();
+                    let pids = events.flat_map(|e| e.processes().iter().copied());
                     let logged = shard.invocation_log.iter().map(|e| e.gid.process);
                     let named: BTreeSet<ProcessId> = pids.chain(logged).collect();
                     let crashed = durable_view(shard, &named);

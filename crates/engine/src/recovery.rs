@@ -174,11 +174,27 @@ impl From<ModelError> for RecoveryError {
 /// The unified recovery entry point: image-based and WAL-based recovery
 /// share this one call site and one traced path.
 ///
-/// ```ignore
+/// ```
+/// # use txproc_core::trace::Journal;
+/// # use txproc_core::wal::{DurabilityPolicy, MemWal, WalWriter};
+/// # use txproc_engine::{Engine, Recovery, RecoverySource, RunBuilder, RunConfig};
+/// # use txproc_sim::workload::{generate, WorkloadConfig};
+/// # let seed = 4;
+/// # let workload = generate(&WorkloadConfig { seed, processes: 4, ..WorkloadConfig::default() });
+/// # let (journal, wal, cfg) = (Journal::new(), MemWal::new(), RunConfig { seed, ..RunConfig::default() });
+/// # let writer = WalWriter::new(Box::new(wal.clone()), DurabilityPolicy::FsyncPerEpoch, seed);
+/// # RunBuilder::new(&workload).config(cfg.clone()).durability(writer, 0).run();
+/// # let bytes = wal.contents();
+/// # let mut engine = Engine::new(&workload, cfg);
+/// # for _ in 0..8 {
+/// #     engine.tick();
+/// # }
+/// # let image = engine.crash();
 /// let report = Recovery::from(RecoverySource::WalBytes(bytes)).run(&workload)?;
 /// let report = Recovery::from(RecoverySource::Image(image))
 ///     .sink(Box::new(journal.clone()))
 ///     .run(&workload)?;
+/// # Ok::<(), txproc_engine::RecoveryError>(())
 /// ```
 pub struct Recovery<'s> {
     source: RecoverySource,

@@ -142,12 +142,7 @@ fn lemma1_noncompensatable_commits_after_conflicting_predecessor_terminates() {
         // Last event index per process (abort completions included).
         let mut last_pos: std::collections::BTreeMap<ProcessId, usize> = Default::default();
         for (i, e) in events.iter().enumerate() {
-            let p = match e {
-                Event::Execute(g) | Event::Fail(g) | Event::Compensate(g) => Some(g.process),
-                Event::Commit(p) | Event::Abort(p) => Some(*p),
-                Event::GroupAbort(_) => None,
-            };
-            if let Some(p) = p {
+            for &p in e.processes() {
                 last_pos.insert(p, i);
             }
         }

@@ -13,20 +13,14 @@ pub fn per_shard(partition: &DomainPartition, history: &Schedule) -> Vec<Schedul
     let domain = |pid| partition.domain_of(pid).expect("partitioned process") as usize;
     let mut out = vec![Schedule::new(); partition.domain_count()];
     for e in history.events() {
-        match e {
-            Event::Execute(g) | Event::Fail(g) | Event::Compensate(g) => {
-                out[domain(g.process)].push(e.clone());
-            }
-            Event::Commit(p) | Event::Abort(p) => {
-                out[domain(*p)].push(e.clone());
-            }
-            Event::GroupAbort(ps) => {
-                for (d, local) in out.iter_mut().enumerate() {
-                    let members: Vec<_> = ps.iter().copied().filter(|&p| domain(p) == d).collect();
-                    if !members.is_empty() {
-                        local.push(Event::GroupAbort(members));
-                    }
-                }
+        let Event::GroupAbort(ps) = e else {
+            out[domain(e.processes()[0])].push(e.clone());
+            continue;
+        };
+        for (d, local) in out.iter_mut().enumerate() {
+            let members: Vec<_> = ps.iter().copied().filter(|&p| domain(p) == d).collect();
+            if !members.is_empty() {
+                local.push(Event::GroupAbort(members));
             }
         }
     }
