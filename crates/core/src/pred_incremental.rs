@@ -48,15 +48,6 @@
 //! A verdict then only adds the process-graph edges into and among the
 //! surviving overlay operations and checks them against the kept order.
 //!
-//! * **lone segments**: the derivation does not run at all while every
-//!   event since the last *quiescent point* (every process with an event so
-//!   far has terminated) names one process. Such an event goes through that
-//!   process's state machine only, and the prefix reduces: one process has
-//!   no process-graph edge, and nothing before the point can reach the
-//!   events after it (DESIGN.md invariant 7). The first event that names a
-//!   second process *engages* the derivation, which replays the segment;
-//!   an engaged certifier stays engaged.
-//!
 //! Every mutation logs its inverse ([`Undo`]). A what-if ([`certify`]) or a
 //! rejected candidate rolls the log back, so the state afterwards is the
 //! state before; an admitted candidate ([`certify_keep`]) stays applied and
@@ -68,8 +59,6 @@
 //!
 //! | step | per event |
 //! |------|-----------|
-//! | lone segment, derivation not engaged | `O(|process|)`: the working copy and one transition, nothing below |
-//! | engagement, once per certifier | one step per event of the segment it replays |
 //! | state machines, completion caches | `O(|process|)` |
 //! | permanence flips, `m2` | `O(flips · d)` |
 //! | mandatory ranks 8.3(d)/(f) | `O(p² + k · d)`, only when two live overlay forward operations of different processes conflict |
@@ -483,8 +472,6 @@ enum Undo {
     /// The overlay part of this dense process was replaced; the old one is
     /// on top of [`UndoLog::parts`].
     Overlay(u32),
-    /// An event joined the lone segment.
-    Segment,
 }
 
 #[derive(Clone, Default)]
@@ -606,13 +593,6 @@ pub struct IncrementalPred<'a> {
     // -- report --
     prefix_reducible: Vec<bool>,
     first_violation: Option<usize>,
-    // -- lone segments --
-    /// Whether the derivation runs: since the first event that named a
-    /// second process after a quiescent point. Never reset.
-    engaged: bool,
-    /// Before that, the events since the last quiescent point, all naming
-    /// one process, which only its state machine has seen.
-    segment: Vec<Event>,
     /// Inverses of the mutations of the event in flight; empty between
     /// calls unless `kept` is set.
     log: UndoLog<'a>,
@@ -622,8 +602,6 @@ pub struct IncrementalPred<'a> {
     scratch: Scratch<'a>,
     /// Entries of `cancelled` and `ocancelled` flipped, rollbacks included.
     flips: u64,
-    /// Verdicts a lone segment answered, rollbacks included.
-    lone: u64,
 }
 
 /// The working copy of `pid`'s state machine for the event in flight: a
@@ -703,25 +681,10 @@ impl<'a> IncrementalPred<'a> {
             active: Vec::new(),
             prefix_reducible: vec![true],
             first_violation: None,
-            engaged: false,
-            segment: Vec::new(),
             log: UndoLog::default(),
             kept: None,
             scratch: Scratch::default(),
             flips: 0,
-            lone: 0,
-        }
-    }
-
-    /// A certifier whose derivation runs from the first event, as if every
-    /// event interleaved with another process's (test support: the
-    /// reference the lone segments are held against, and the state the
-    /// white-box tests dump). CI refuses a caller outside tests.
-    #[doc(hidden)]
-    pub fn always_engaged(spec: &'a Spec) -> Self {
-        IncrementalPred {
-            engaged: true,
-            ..Self::new(spec)
         }
     }
 
@@ -731,14 +694,6 @@ impl<'a> IncrementalPred<'a> {
     #[doc(hidden)]
     pub fn cancel_flips(&self) -> u64 {
         self.flips
-    }
-
-    /// How many verdicts a lone process's state machine answered without
-    /// the derivation, rolled-back steps included (test support, like
-    /// [`Self::cancel_flips`]).
-    #[doc(hidden)]
-    pub fn lone_verdicts(&self) -> u64 {
-        self.lone
     }
 
     /// How many verdicts the kept topological order could not answer, so
@@ -786,11 +741,7 @@ impl<'a> IncrementalPred<'a> {
 
     /// What-if: would the history extended by `event` still be reducible?
     /// Applies the event in place and rolls it back, so the certifier is
-    /// left as it was — also when the event is illegal. One thing stays: a
-    /// legal event that names a second process during a lone segment
-    /// engages the derivation, as recording it would. The replayed segment
-    /// is recorded history, so every later verdict and [`Self::report`]
-    /// are as if nothing had been asked.
+    /// left as it was — also when the event is illegal.
     pub fn certify(&mut self, event: &Event) -> Result<StepVerdict, ScheduleError> {
         self.drop_kept();
         let reducible = self.step(event)?;
@@ -832,13 +783,6 @@ impl<'a> IncrementalPred<'a> {
             self.step(event)?
         };
         self.drop_log();
-        // The lone process terminated: a quiescent point, which nothing
-        // after it needs to see.
-        if let Some(pid) = self.segment.first().map(|e| e.processes()[0]) {
-            if !self.states[&pid].is_active() {
-                self.segment.clear();
-            }
-        }
         self.len += 1;
         self.prefix_reducible.push(reducible);
         if !reducible && self.first_violation.is_none() {
@@ -911,14 +855,6 @@ impl<'a> IncrementalPred<'a> {
             Event::Commit(p) => Some(p),
             _ => None,
         };
-        if !self.engaged {
-            if let [(pid, _)] = self.scratch.touched[..] {
-                if self.segment.first().is_none_or(|e| e.processes()[0] == pid) {
-                    return Ok(self.lone_step(event));
-                }
-            }
-            self.engage();
-        }
 
         // 2. Fold the new states in, refresh their completion caches, and
         //    collect the activities whose will-compensate status changed.
@@ -1015,44 +951,6 @@ impl<'a> IncrementalPred<'a> {
             touch(spec, &self.states, &mut self.scratch, pid)?.apply(event)?;
         }
         Ok(appended)
-    }
-
-    /// A legal event of the lone segment's process, its working copy in
-    /// `scratch.touched`: the copy becomes the process's state machine and
-    /// the event joins the segment. The prefix reduces (DESIGN.md
-    /// invariant 7).
-    fn lone_step(&mut self, event: &Event) -> bool {
-        let (pid, st) = self.scratch.touched.pop().expect("the event's process");
-        let old = self.states.insert(pid, st);
-        self.log.states.push((pid, old));
-        self.segment.push(event.clone());
-        self.log.ops.push(Undo::Segment);
-        self.lone += 1;
-        true
-    }
-
-    /// Starts the derivation, before the legal event in flight names a
-    /// second process. It is fed the events since the last quiescent point
-    /// only (DESIGN.md invariant 7): the lone process's state machine goes
-    /// back to the segment start, where it had none (it was unseen, or the
-    /// segment would have closed at once), and the segment is replayed.
-    /// The replay is recorded history, so no rollback undoes it; the event's
-    /// working copies, taken from states the replay rebuilds as they were,
-    /// stay valid.
-    fn engage(&mut self) {
-        self.engaged = true;
-        let segment = take(&mut self.segment);
-        let Some(pid) = segment.first().map(|e| e.processes()[0]) else {
-            return;
-        };
-        let in_flight = take(&mut self.scratch.touched);
-        self.states.remove(&pid);
-        for e in &segment {
-            let reducible = self.step(e).expect("a recorded event replays");
-            debug_assert!(reducible, "a lone segment reduces");
-            self.drop_log();
-        }
-        self.scratch.touched = in_flight;
     }
 
     /// Index of `service` in `svcs`, asking the oracle for its conflicts
@@ -1771,9 +1669,6 @@ impl<'a> IncrementalPred<'a> {
                     let discarded = self.swap_part(p, old);
                     self.scratch.parts.push(discarded);
                 }
-                Undo::Segment => {
-                    self.segment.pop();
-                }
             }
         }
         let spare = &mut self.scratch;
@@ -1883,7 +1778,6 @@ mod tests {
                     (self.by_pid(&self.live.counts), g.n, edges, &g.indeg),
                     (&self.overlay, &self.active, &self.live.extra),
                     (&self.prefix_reducible, &self.first_violation),
-                    (&self.engaged, &self.segment),
                     (&self.log.ops, self.log.states.len(), &self.kept),
                     (self.log.completions.len(), self.log.parts.len()),
                 )
@@ -2023,10 +1917,6 @@ mod tests {
         /// Every process in turn first, so that all are active at once,
         /// then at random.
         Wide,
-        /// The last one again with probability 9/10 while it is active, so
-        /// that most processes run alone from a quiescent point to their
-        /// end (lone segments), and some interleave.
-        Sticky,
     }
 
     /// A random legal history: each step picks an active process and runs
@@ -2039,7 +1929,6 @@ mod tests {
             .processes()
             .map(|p| ProcessState::new(p, &spec.catalog).expect("tree process"))
             .collect();
-        let mut last = None;
         for step in 0..max_events {
             let live: Vec<usize> = (0..states.len())
                 .filter(|&i| states[i].is_active())
@@ -2047,12 +1936,10 @@ mod tests {
             if live.is_empty() {
                 break;
             }
-            let at = match (pick, last) {
-                (Pick::Wide, _) if step < states.len() => step,
-                (Pick::Sticky, Some(i)) if live.contains(&i) && rng.gen_bool(0.9) => i,
+            let at = match pick {
+                Pick::Wide if step < states.len() => step,
                 _ => live[rng.gen_range(0..live.len())],
             };
-            last = Some(at);
             let st = &mut states[at];
             let pid = st.process().id;
             if let Some(c) = st.next_compensation() {
@@ -2099,7 +1986,7 @@ mod tests {
         label: &str,
     ) -> (usize, [u64; 2]) {
         let batch = check_pred(spec, s).unwrap();
-        let mut inc = IncrementalPred::always_engaged(spec);
+        let mut inc = IncrementalPred::new(spec);
         let mut widest = 0;
         for (i, e) in s.events().iter().enumerate() {
             let at = format!("{label} event {i} ({e:?})");
@@ -2213,116 +2100,13 @@ mod tests {
         );
     }
 
-    /// Drives a certifier and the always-engaged reference over `s` and
-    /// demands, at every event, equal `certify`, `certify_keep` and `record`
-    /// verdicts, equal to batch `check_pred`'s, and no derivation before
-    /// engagement. Once engaged, the derivation holds the operations since
-    /// the quiescent point before the engaging event, and none before it.
-    /// Returns the lone verdicts and whether a quiescent point after the
-    /// first event preceded the engagement.
-    fn assert_lone_segments_track_the_reference(
-        spec: &Spec,
-        s: &Schedule,
-        label: &str,
-    ) -> (u64, bool) {
-        let batch = check_pred(spec, s).unwrap();
-        let mut inc = IncrementalPred::new(spec);
-        let mut reference = IncrementalPred::always_engaged(spec);
-        let (mut quiescent, mut fed_from) = (0, None);
-        for (i, e) in s.events().iter().enumerate() {
-            let at = format!("{label} event {i} ({e:?})");
-            let was_engaged = inc.engaged;
-            let what_if = inc.certify(e).unwrap();
-            assert_eq!(what_if, reference.certify(e).unwrap(), "{at}: certify");
-            let kept = inc.certify_keep(e).unwrap();
-            assert_eq!(kept, reference.certify_keep(e).unwrap(), "{at}: keep");
-            let recorded = inc.record(e).unwrap();
-            assert_eq!(recorded, reference.record(e).unwrap(), "{at}: record");
-            assert_eq!(recorded.reducible, batch.prefix_reducible[i + 1], "{at}");
-            if inc.engaged && !was_engaged {
-                fed_from = Some(quiescent);
-            }
-            if !inc.engaged {
-                assert!(inc.ops.is_empty() && inc.dense_pids.is_empty(), "{at}");
-                if inc.states.values().all(|st| !st.is_active()) {
-                    quiescent = i + 1;
-                    assert!(inc.segment.is_empty(), "{at}: segment left open");
-                }
-            }
-        }
-        if let Some(q) = fed_from {
-            let ops = s.events()[q..]
-                .iter()
-                .filter(|e| matches!(e, Event::Execute(_) | Event::Compensate(_)));
-            assert_eq!(inc.ops.len(), ops.count(), "{label}: fed from {q}");
-        }
-        assert_eq!(inc.report(), batch, "{label}");
-        (inc.lone_verdicts(), fed_from.is_some_and(|q| q > 0))
-    }
-
-    #[test]
-    fn lone_segments_answer_as_the_engaged_derivation() {
-        let fx = fixtures::paper_world();
-        let (mut lone, mut late) = (0, 0);
-        let mut tally = |(l, engaged_late): (u64, bool)| {
-            lone += l;
-            late += usize::from(engaged_late);
-        };
-        for seed in 0..256u64 {
-            let s = random_history(&fx.spec, seed, 40, Pick::Sticky);
-            let label = format!("paper seed {seed}");
-            tally(assert_lone_segments_track_the_reference(
-                &fx.spec, &s, &label,
-            ));
-        }
-        for seed in 0..256u64 {
-            let spec = random_world(seed, 8);
-            let s = random_history(&spec, seed, 60, Pick::Sticky);
-            let label = format!("world seed {seed}");
-            tally(assert_lone_segments_track_the_reference(&spec, &s, &label));
-        }
-        println!("{lone} lone verdicts; {late} derivations fed from a later quiescent point");
-        // Vacuity guard: lone verdicts, and derivations fed from a quiescent
-        // point after the first event.
-        assert!(
-            lone > 1_000 && late > 50,
-            "{lone} lone verdicts, {late} late"
-        );
-    }
-
-    /// A what-if that names a second process engages the certifier; the
-    /// report and every later verdict are as if it had not been asked.
-    #[test]
-    fn a_what_if_engages_and_changes_no_later_verdict() {
-        let fx = fixtures::paper_world();
-        let events = figure7(&fx).events().to_vec();
-        let mut asked = IncrementalPred::new(&fx.spec);
-        let mut plain = IncrementalPred::new(&fx.spec);
-        for e in &events[..4] {
-            asked.record(e).unwrap();
-            plain.record(e).unwrap();
-        }
-        assert_eq!((asked.lone_verdicts(), asked.engaged), (4, false));
-        let before = asked.report();
-        let what_if = asked.certify(&Event::Execute(fx.a(1, 1))).unwrap();
-        assert!(what_if.reducible && asked.engaged, "the what-if engaged");
-        assert_eq!(asked.report(), before);
-        assert_eq!(asked.ops.len(), 4, "P₂'s segment replayed");
-        for e in &events[4..] {
-            assert_eq!(asked.certify(e).unwrap(), plain.certify(e).unwrap());
-            assert_eq!(asked.record(e).unwrap(), plain.record(e).unwrap());
-        }
-        assert_eq!(asked.report(), plain.report());
-        assert_eq!(asked.logical_state(), plain.logical_state());
-    }
-
     /// A what-if that names a new process and a new service rolls back
     /// `Undo::Process` and `Undo::Service`: each removes exactly the index
     /// entry its step added, so both indices are as before, entry for entry.
     #[test]
     fn a_rolled_back_step_removes_exactly_the_entries_it_added() {
         let fx = fixtures::paper_world();
-        let mut inc = IncrementalPred::always_engaged(&fx.spec);
+        let mut inc = IncrementalPred::new(&fx.spec);
         for g in [fx.a(2, 1), fx.a(2, 2), fx.a(3, 1)] {
             inc.record(&Event::Execute(g)).unwrap();
         }
@@ -2433,7 +2217,7 @@ mod tests {
         for seed in 0..4u64 {
             let spec = random_world(seed, 28);
             let mut s = random_history(&spec, seed, 40, Pick::Wide);
-            let mut inc = IncrementalPred::always_engaged(&spec);
+            let mut inc = IncrementalPred::new(&spec);
             for e in s.events() {
                 inc.record(e).unwrap();
             }
@@ -2583,7 +2367,7 @@ mod tests {
     /// against the from-scratch derivation.
     fn recorded<'a>(spec: &'a Spec, events: &Schedule, label: &str) -> IncrementalPred<'a> {
         assert_reduction_state_tracks_scratch(spec, events, label);
-        let mut inc = IncrementalPred::always_engaged(spec);
+        let mut inc = IncrementalPred::new(spec);
         for e in events.events() {
             inc.record(e).unwrap();
         }
@@ -2646,7 +2430,7 @@ mod tests {
         let fx = fixtures::paper_world();
         let illegal = Event::Execute(fx.a(1, 6));
         for s in [st2(&fx), figure7(&fx)] {
-            let mut certifier = IncrementalPred::always_engaged(&fx.spec);
+            let mut certifier = IncrementalPred::new(&fx.spec);
             for e in s.events() {
                 let before = certifier.logical_state();
                 let what_if = certifier.certify(e).unwrap();
@@ -2822,7 +2606,7 @@ mod tests {
             .compensate(g(pp, a3))
             .abort(pq)
             .compensate(g(pq, qa));
-        let mut inc = IncrementalPred::always_engaged(&spec);
+        let mut inc = IncrementalPred::new(&spec);
         for e in s.events() {
             inc.record(e).unwrap();
         }

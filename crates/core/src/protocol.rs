@@ -70,7 +70,9 @@
 //! is `Ready` and [`plan_abort`](Protocol::plan_abort) empty, as for a
 //! process without records: a terminated process runs no completion, so
 //! no driver asks them. A `request` while every record is the requester's
-//! own derives nothing: it has no predecessor to find.
+//! own derives nothing: it has no predecessor to find. Nor does the
+//! certifier: such a process's every effect event keeps the history's
+//! completed prefix reducible ([`alone`](Protocol::alone)).
 //!
 //! Every returned list is sorted by process id (victims topologically), so
 //! answers do not depend on the order processes registered in. The scan
@@ -477,9 +479,12 @@ impl<'a> Protocol<'a> {
         assign(&mut self.terminated, d, !is);
     }
 
-    /// Whether every record held is `pid`'s own: then no other process
-    /// holds an operation or an edge, and `pid` has no predecessor.
-    fn alone(&self, pid: ProcessId) -> bool {
+    /// Whether every record held is `pid`'s own, i.e. since the last
+    /// quiescent point no other process executed an operation. Then no
+    /// other process holds an operation or an edge, `pid` has no
+    /// predecessor, and any effect event of `pid` keeps the completed
+    /// prefix reducible (DESIGN.md, certifier invariant 7).
+    pub fn alone(&self, pid: ProcessId) -> bool {
         match self.holders[..] {
             [] => true,
             [h] => self.procs[h as usize].pid == pid,

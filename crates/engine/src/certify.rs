@@ -6,11 +6,13 @@
 //! prefix reducible, i.e. the history PRED by construction. The virtual-time
 //! engine asks it of its whole history, the concurrent driver of one
 //! shard's segment (sound because events of other shards commute with every
-//! event of this one). Every effect event is asked, but the certifier
-//! answers the events of a *lone* process — the only one with events since
-//! every process before it terminated — from its state machine alone, and
-//! runs its derivation only where processes interleave (DESIGN.md,
-//! certifier invariant 7). The from-scratch answer — `complete` + `reduce` on
+//! event of this one). Every effect event is asked, and the policy's rule
+//! answers first: an event of a process that runs *alone* — no other
+//! process executed an operation since every process holding a record
+//! terminated (`Protocol::alone`) — keeps the completed prefix reducible
+//! (DESIGN.md, certifier invariant 7), so the certifier is not called. It
+//! still absorbs every history event on its next call and derives only
+//! where processes interleave. The from-scratch answer — `complete` + `reduce` on
 //! the extended history — is the reference the tests hold each verdict
 //! against (`tests/certify_reference.rs`), not a second shipped path.
 
@@ -20,10 +22,14 @@ use txproc_core::schedule::{Event, Schedule};
 use txproc_core::spec::Spec;
 use txproc_core::telemetry::{Phase, Telemetry};
 
-/// The incremental certifier plus the rule for keeping it in step with the
-/// history it certifies against.
+/// The incremental certifier, the rule for keeping it in step with the
+/// history it certifies against, and the refusals already decided.
 pub(crate) struct CertGate<'a> {
     certifier: IncrementalPred<'a>,
+    /// Refused events, stamped with the history length: the verdict is a
+    /// pure function of the history, so a re-poll at the same length is the
+    /// same decision, not a new one.
+    refused: Vec<(Event, usize)>,
 }
 
 impl<'a> CertGate<'a> {
@@ -32,7 +38,31 @@ impl<'a> CertGate<'a> {
     pub(crate) fn for_policy(policy: PolicyKind, spec: &'a Spec) -> Option<Self> {
         policy.certified().then(|| Self {
             certifier: IncrementalPred::new(spec),
+            refused: Vec::new(),
         })
+    }
+
+    /// The decision on `event` at the end of `history`: `None` for a re-poll
+    /// of a refusal at the same history length (decided already, nothing to
+    /// note), else whether the event is admitted — at once when its process
+    /// is `alone`, else by the certifier ([`Self::admits`]).
+    pub(crate) fn decide(
+        &mut self,
+        history: &Schedule,
+        event: &Event,
+        alone: bool,
+        tele: &Telemetry,
+    ) -> Option<bool> {
+        let len = history.len();
+        self.refused.retain(|&(_, at)| at >= len);
+        if self.refused.iter().any(|(e, at)| *at == len && e == event) {
+            return None;
+        }
+        let ok = alone || self.admits(history, event, tele);
+        if !ok {
+            self.refused.push((event.clone(), len));
+        }
+        Some(ok)
     }
 
     /// Whether `history` extended by `event` still completes to a reducible
@@ -43,7 +73,7 @@ impl<'a> CertGate<'a> {
     /// it on the next call only drops its undo log — one step per admitted
     /// event, not two (the certifier rolls it back itself if anything else
     /// is asked first). The whole call is one [`Phase::Certify`] interval.
-    pub(crate) fn admits(&mut self, history: &Schedule, event: &Event, tele: &Telemetry) -> bool {
+    fn admits(&mut self, history: &Schedule, event: &Event, tele: &Telemetry) -> bool {
         let t0 = tele.phase_start();
         for e in &history.events()[self.certifier.len()..] {
             self.certifier

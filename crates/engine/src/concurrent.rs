@@ -514,10 +514,6 @@ pub(crate) struct Shard<'a> {
     /// Blocked requests are re-polled on every wakeup; one journal record per
     /// *distinct* blocked state keeps the trace readable.
     block_notes: BTreeMap<ProcessId, (&'static str, Vec<ProcessId>)>,
-    /// Certification failures already journalled, stamped with the history
-    /// length: the verdict is a pure function of the history, so re-polls at
-    /// the same length are the same decision, not a new one.
-    cert_fail_notes: Vec<(Event, usize)>,
     /// Prepare instants of in-flight deferred commits, populated only while
     /// telemetry is enabled (so the disabled path stays byte-identical):
     /// feeds the 2PC phase histogram, prepare to release or abort.
@@ -639,7 +635,6 @@ impl<'a> Shard<'a> {
             invocation_log: Vec::new(),
             abort_order: Vec::new(),
             block_notes: BTreeMap::new(),
-            cert_fail_notes: Vec::new(),
             prepared_at: BTreeMap::new(),
             trace_buf: Vec::new(),
             run_queue: VecDeque::new(),
@@ -1112,28 +1107,18 @@ impl<'a> Shard<'a> {
     }
 
     /// §3.5 certification of the next effect event against the shard-local
-    /// segment (see [`CertGate`]), noted as a
-    /// [`TraceEvent::CertifyOutcome`]. Re-polls of a failed certification
-    /// against an unchanged history are deduplicated.
+    /// segment (see [`CertGate`]; the policy says whether its process runs
+    /// alone), noted as a [`TraceEvent::CertifyOutcome`] unless it repeats
+    /// a refusal against an unchanged history.
     fn certified_traced(&mut self, ctx: &RunCtx<'a>, event: Event) -> bool {
         let Some(gate) = &mut self.gate else {
             return true;
         };
-        let len = self.history.len();
-        self.cert_fail_notes.retain(|&(_, stamp)| stamp >= len);
-        let notes = &self.cert_fail_notes;
-        if notes.iter().any(|(e, stamp)| *stamp == len && *e == event) {
-            // The verdict is a pure function of the history: a re-poll at
-            // the same length is the same failed decision — not a new one
-            // for the journal or `cert_failures` — so the certify preview
-            // is skipped too.
+        let alone = self.policy.alone(event.processes()[0]);
+        let Some(ok) = gate.decide(&self.history, &event, alone, &ctx.tele) else {
             return false;
-        }
-        let ok = gate.admits(&self.history, &event, &ctx.tele);
-        if !ok {
-            self.cert_fail_notes.push((event.clone(), len));
-        }
-        let frontier = len + 1;
+        };
+        let frontier = self.history.len() + 1;
         let outcome = TraceEvent::CertifyOutcome {
             event,
             ok,
@@ -2450,6 +2435,87 @@ mod tests {
             _ => None,
         });
         assert_eq!(blocked.collect::<Vec<_>>(), [(p2, vec![p1])]);
+    }
+
+    #[test]
+    fn a_lone_process_skips_the_certifier_which_absorbs_its_events_later() {
+        // One shard, lone → interleaved → lone → interleaved, under `pred`:
+        // P₁ = aᶜ ≪ cᶜ, P₂ = bᶜ with b conflicting with a, P₃ = eᶜ ≪ fᶜ and
+        // P₄ = gᶜ with g conflicting with e. An event of a process the
+        // protocol says runs alone is admitted without the certifier; the
+        // next certification feeds the certifier every event it skipped.
+        let mut cat = Catalog::new();
+        let [a, c, b, e, f, g] = ["a", "c", "b", "e", "f", "g"].map(|s| cat.compensatable(s).0);
+        let processes: [&[ServiceId]; 4] = [&[a, c], &[b], &[e, f], &[g]];
+        let w = chains(cat, &[(a, b), (e, g)], &processes, 0.0);
+        let cfg = ConcurrentConfig {
+            inject_failures: false,
+            ..ConcurrentConfig::default()
+        };
+        let (mut ctx, journal) = journalled_ctx(&w, cfg);
+        ctx.tele = Telemetry::on();
+        let calls = |ctx: &RunCtx<'_>| {
+            let snap = ctx.tele.snapshot().expect("telemetry on");
+            snap.phase(Phase::Certify).map_or(0, |p| p.count)
+        };
+        let [p1, p2, p3, p4] = [1, 2, 3, 4].map(ProcessId);
+        let mut shard = Shard::build(0, &[p1, p2, p3, p4], &ctx);
+        shard.admit(&ctx, p1);
+        shard.admit(&ctx, p2);
+
+        // P₁ executes a alone and is held mid-run; P₂'s b is the first
+        // certifier call, which feeds it from event 0. P₂ waits for P₁'s
+        // commit, P₁ runs to it, and P₂ commits: a quiescent point.
+        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!(calls(&ctx), 0, "P₁ alone");
+        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 1));
+        assert_eq!(calls(&ctx), 1, "P₂ interleaves");
+        assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
+        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(shard.step(&ctx, p2), Step::Done);
+        assert_eq!(calls(&ctx), 4);
+
+        // P₃ executes e alone, after the certifier ran; P₄'s g feeds the
+        // certifier P₂'s commit and P₃'s e first.
+        shard.admit(&ctx, p3);
+        shard.admit(&ctx, p4);
+        assert_eq!(next(&mut shard), Some(p3));
+        assert_eq!(shard.step(&ctx, p3), Step::Yield);
+        assert_eq!(calls(&ctx), 4, "P₃ alone");
+        assert_eq!(next(&mut shard), Some(p4));
+        assert_eq!(run_to_block(&mut shard, &ctx, p4), (Step::Wait, 1));
+        assert_eq!(calls(&ctx), 5, "P₄ interleaves");
+        assert_eq!(run_to_block(&mut shard, &ctx, p3), (Step::Done, 1));
+        assert_eq!(next(&mut shard), Some(p4));
+        assert_eq!(shard.step(&ctx, p4), Step::Done);
+        assert_eq!(calls(&ctx), 8);
+        assert_eq!(shard.metrics.committed, 4);
+
+        // Every journalled verdict, the two answered alone included, is the
+        // verdict of a certifier fed every event from the first.
+        let done = shard.finish(&ctx);
+        let events = done.history.events();
+        let mut certifier = txproc_core::pred_incremental::IncrementalPred::new(&w.spec);
+        let mut certified = 0;
+        for rec in journal.take() {
+            let TraceEvent::CertifyOutcome { event, ok, .. } = rec.event else {
+                continue;
+            };
+            while certifier.len() < rec.history_len {
+                certifier.record(&events[certifier.len()]).unwrap();
+            }
+            let verdict = certifier.certify_keep(&event).unwrap();
+            assert_eq!(verdict.reducible, ok, "{event:?}");
+            certified += 1;
+        }
+        assert_eq!(certified, 10);
+        assert!(
+            txproc_core::pred::check_pred(&w.spec, &done.history)
+                .unwrap()
+                .pred
+        );
     }
 
     #[test]

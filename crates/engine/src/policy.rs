@@ -72,6 +72,13 @@ pub trait Policy {
     fn forward_gate(&self, _pid: ProcessId, _service: ServiceId) -> CompletionGate {
         CompletionGate::Ready
     }
+    /// Whether `pid` runs alone: no other process executed an operation
+    /// since every process holding a record terminated, so certifying an
+    /// effect event of `pid` cannot fail. Policies that do not track it say
+    /// no.
+    fn alone(&self, _pid: ProcessId) -> bool {
+        false
+    }
     /// The protocol state the policy decides by, if it is the paper's.
     #[cfg(test)]
     fn protocol(&self) -> Option<&Protocol<'_>> {
@@ -156,6 +163,9 @@ impl Policy for PredPolicy<'_> {
     fn forward_gate(&self, pid: ProcessId, service: ServiceId) -> CompletionGate {
         self.debug_assert_active(pid);
         self.protocol.forward_gate(pid, service)
+    }
+    fn alone(&self, pid: ProcessId) -> bool {
+        self.protocol.alone(pid)
     }
     #[cfg(test)]
     fn protocol(&self) -> Option<&Protocol<'_>> {

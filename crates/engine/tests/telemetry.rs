@@ -97,6 +97,11 @@ fn disabled_telemetry_is_bit_identical_on_single_process_concurrent() {
     );
 }
 
+/// The worker runs each process until it blocks, so every domain history
+/// of this run is serial and every process runs alone: the step calls the
+/// certifier never, and the `Certify` phase has no interval. A shard whose
+/// processes interleave times its certifier calls as the engine does
+/// (`concurrent.rs`, `a_lone_process_skips_the_certifier_which_absorbs_its_events_later`).
 #[test]
 fn enabled_telemetry_captures_concurrent_phases() {
     let w = workload(3, 8);
@@ -112,11 +117,13 @@ fn enabled_telemetry_captures_concurrent_phases() {
         .into_concurrent();
     assert!(r.metrics.committed + r.metrics.aborted > 0);
     let snap = tele.snapshot().expect("enabled registry snapshots");
-    for phase in [Phase::Certify, Phase::Policy, Phase::QueueDelay] {
+    for phase in [Phase::Policy, Phase::QueueDelay] {
         let p = snap.phase(phase).expect("phase accumulator present");
         assert!(p.count > 0, "{}: no intervals recorded", p.phase);
         assert!(p.p50_ns <= p.p95_ns && p.p95_ns <= p.max_ns, "{}", p.phase);
     }
+    let certify = snap.phase(Phase::Certify).map_or(0, |p| p.count);
+    assert_eq!(certify, 0, "a serial domain history called the certifier");
 }
 
 #[test]
