@@ -11,7 +11,7 @@
 
 use crate::activity::Catalog;
 use crate::error::ModelError;
-use crate::ids::ServiceId;
+use crate::ids::{IdIndex, ServiceId};
 use serde::{Deserialize, Serialize};
 
 /// Symmetric conflict relation over the services of Â.
@@ -176,6 +176,73 @@ impl<'a> ConflictOracle<'a> {
     #[inline]
     pub fn commute(&self, a: ServiceId, b: ServiceId) -> bool {
         !self.conflict(a, b)
+    }
+}
+
+/// The service table of the protocol and the certifier: base services in
+/// dense slots in order of first use, each with the ascending slots of the
+/// interned services it conflicts with. A list is asked of the oracle once,
+/// at the intern, and grows as conflicting services follow; a
+/// self-conflicting service lists itself, last at its intern.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ServiceSlots {
+    slot_of: IdIndex<ServiceId, u32>,
+    /// Per slot: the service and its conflicting slots.
+    entries: Vec<(ServiceId, Vec<u32>)>,
+}
+
+impl ServiceSlots {
+    /// Services interned.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The slot of an interned service.
+    #[inline]
+    pub(crate) fn get(&self, service: ServiceId) -> Option<u32> {
+        self.slot_of.get(service).copied()
+    }
+
+    /// The slots conflicting with `slot`, ascending.
+    #[inline]
+    pub(crate) fn conflicts(&self, slot: u32) -> &[u32] {
+        &self.entries[slot as usize].1
+    }
+
+    /// The slots conflicting with a service not interned: one probe of the
+    /// oracle per interned service.
+    pub(crate) fn probe(&self, oracle: ConflictOracle<'_>, service: ServiceId) -> Vec<u32> {
+        let conflicts = |&t: &u32| oracle.conflict(self.entries[t as usize].0, service);
+        (0..self.entries.len() as u32).filter(conflicts).collect()
+    }
+
+    /// The slot of `service`, interned on first use, and whether it is new.
+    pub(crate) fn intern(&mut self, oracle: ConflictOracle<'_>, service: ServiceId) -> (u32, bool) {
+        if let Some(slot) = self.get(service) {
+            return (slot, false);
+        }
+        let slot = self.entries.len() as u32;
+        let mut conflicting = self.probe(oracle, service);
+        for &t in &conflicting {
+            self.entries[t as usize].1.push(slot);
+        }
+        if oracle.conflict(service, service) {
+            conflicting.push(slot);
+        }
+        self.slot_of.insert(service, slot);
+        self.entries.push((service, conflicting));
+        (slot, true)
+    }
+
+    /// Undoes the last intern: the newest slot is last in every list that
+    /// names it.
+    pub(crate) fn pop(&mut self) {
+        let (service, conflicting) = self.entries.pop().expect("an interned service");
+        self.slot_of.remove(service);
+        let slot = self.entries.len() as u32;
+        for &t in conflicting.iter().filter(|&&t| t != slot) {
+            self.entries[t as usize].1.pop();
+        }
     }
 }
 
@@ -373,5 +440,99 @@ mod tests {
         }
         assert!(!m.conflict(&cat, svcs[0], svcs[2]));
         assert_eq!(m.declared_pairs(), 20);
+    }
+
+    /// `a` conflicts with `b` and `c`; `b` also with itself; `d` commutes
+    /// with everything.
+    fn slot_world() -> (Catalog, ConflictMatrix, [ServiceId; 4]) {
+        let mut cat = Catalog::new();
+        let ids = ["a", "b", "c", "d"].map(|n| cat.pivot(n));
+        let [a, b, c, _] = ids;
+        let mut m = ConflictMatrix::new(&cat);
+        m.declare_conflict(&cat, a, b).unwrap();
+        m.declare_conflict(&cat, a, c).unwrap();
+        m.declare_self_conflict(&cat, b).unwrap();
+        (cat, m, ids)
+    }
+
+    #[test]
+    fn service_slots_intern_in_order_of_first_use() {
+        let (cat, m, [a, b, c, d]) = slot_world();
+        let oracle = ConflictOracle::new(&cat, &m);
+        let mut slots = ServiceSlots::default();
+        assert_eq!(slots.probe(oracle, b), [] as [u32; 0]);
+        assert_eq!(slots.intern(oracle, c), (0, true));
+        assert_eq!(slots.intern(oracle, d), (1, true));
+        // `probe` answers what `intern` then lists, less the self-conflict.
+        assert_eq!(slots.probe(oracle, a), [0]);
+        assert_eq!(slots.intern(oracle, a), (2, true));
+        assert_eq!(slots.conflicts(2), [0]);
+        assert_eq!(slots.probe(oracle, b), [2]);
+        assert_eq!(slots.intern(oracle, b), (3, true));
+        // Self-conflicting: itself last; the earlier lists gain the new slot.
+        assert_eq!(slots.conflicts(3), [2, 3]);
+        assert_eq!(slots.conflicts(2), [0, 3]);
+        assert_eq!(
+            (slots.conflicts(0), slots.conflicts(1)),
+            (&[2][..], &[][..])
+        );
+        assert_eq!(slots.intern(oracle, a), (2, false));
+        assert_eq!(slots.len(), 4);
+        let ids: Vec<ServiceId> = slots.entries.iter().map(|e| e.0).collect();
+        assert_eq!(ids, [c, d, a, b]);
+        assert_eq!([a, b, c, d].map(|s| slots.get(s)), [2, 3, 0, 1].map(Some));
+    }
+
+    #[test]
+    fn service_slots_pop_undoes_exactly_one_intern() {
+        let (cat, m, [a, b, c, d]) = slot_world();
+        let oracle = ConflictOracle::new(&cat, &m);
+        let mut slots = ServiceSlots::default();
+        let mut before = Vec::new();
+        for s in [a, d, c, b] {
+            before.push(slots.clone());
+            slots.intern(oracle, s);
+        }
+        for (s, earlier) in [a, d, c, b].into_iter().zip(before).rev() {
+            assert_eq!(slots.get(s), Some(earlier.len() as u32));
+            slots.pop();
+            assert_eq!(slots, earlier, "pop after interning {s}");
+            assert_eq!(slots.get(s), None);
+        }
+        assert_eq!(slots, ServiceSlots::default());
+    }
+
+    #[test]
+    fn service_slots_agree_with_the_oracle_over_random_worlds() {
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cat = catalog_of(&mut rng, 40);
+            let mut m = ConflictMatrix::new(&cat);
+            for _ in 0..60 {
+                let a = ServiceId(rng.gen_range(0..40));
+                let b = ServiceId(rng.gen_range(0..40));
+                m.declare_conflict(&cat, a, b).unwrap();
+            }
+            let oracle = ConflictOracle::new(&cat, &m);
+            let mut slots = ServiceSlots::default();
+            for _ in 0..30 {
+                let s = cat.base(ServiceId(rng.gen_range(0..40)));
+                let fresh = slots.get(s).is_none();
+                let probed = slots.probe(oracle, s);
+                let (slot, new) = slots.intern(oracle, s);
+                assert_eq!(new, fresh);
+                if new {
+                    let self_conflict = oracle.conflict(s, s).then_some(slot);
+                    let listed: Vec<u32> = probed.into_iter().chain(self_conflict).collect();
+                    assert_eq!(slots.conflicts(slot), listed);
+                }
+            }
+            for k in 0..slots.len() as u32 {
+                let id = |t: u32| slots.entries[t as usize].0;
+                let conflicting = |&t: &u32| oracle.conflict(id(k), id(t));
+                let all: Vec<u32> = (0..slots.len() as u32).filter(conflicting).collect();
+                assert_eq!(slots.conflicts(k), all, "slot {k}");
+            }
+        }
     }
 }

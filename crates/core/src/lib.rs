@@ -65,6 +65,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod activity;
+mod bits;
 pub mod completion;
 pub mod compose;
 pub mod conflict;

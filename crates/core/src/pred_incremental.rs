@@ -46,7 +46,8 @@
 //!   delta, over-delete then re-derive ([`IncrementalPred::settle`]).
 //!
 //! A verdict then only adds the process-graph edges into and among the
-//! surviving overlay operations and checks them against the kept order.
+//! surviving overlay operations and checks them against the kept order. Its
+//! services and process graphs are the protocol's `ServiceSlots` and bit rows.
 //!
 //! Every mutation logs its inverse ([`Undo`]). A what-if ([`certify`]) or a
 //! rejected candidate rolls the log back, so the state afterwards is the
@@ -82,6 +83,8 @@
 //! [`crate::reduction::reduce_exhaustive`] on small inputs — over random
 //! histories. The batch decider remains the reference implementation.
 
+use crate::bits::{ones, BitRows};
+use crate::conflict::ServiceSlots;
 use crate::error::ScheduleError;
 use crate::ids::{GlobalActivityId, IdIndex, ProcessId, ServiceId};
 use crate::pred::PredReport;
@@ -91,92 +94,58 @@ use crate::state::{Completion, ProcessState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::take;
 
-fn words_for(n: usize) -> usize {
-    n.div_ceil(64).max(1)
-}
-
-/// Dense process graph over node indices `0..n`; an edge is one bit.
-/// The Kahn traversal reproduces
+/// Dense process graph over node indices `0..n`; an edge is one bit of
+/// `adj`'s row of its source. The Kahn traversal reproduces
 /// [`crate::serializability::ProcessGraph::topological_order`] exactly when
 /// the indices are assigned in ascending pid order — FIFO queue seeded in
 /// ascending order, successors visited in ascending order — because the
 /// 8.3(d)/(f) ranks feed order-sensitive tie-breaks downstream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct DenseGraph {
     n: usize,
-    /// Words per adjacency row (`words * 64 >= n`, at least one).
-    words: usize,
-    /// Row-major adjacency bitmap (`n × words`).
-    adj: Vec<u64>,
+    adj: BitRows,
     indeg: Vec<u32>,
-}
-
-impl Default for DenseGraph {
-    fn default() -> Self {
-        DenseGraph {
-            n: 0,
-            words: 1,
-            adj: Vec::new(),
-            indeg: Vec::new(),
-        }
-    }
 }
 
 impl DenseGraph {
     /// Empties the graph to `n` isolated nodes, keeping its buffers.
     fn reset(&mut self, n: usize) {
         self.n = n;
-        self.words = words_for(n);
-        self.adj.clear();
-        self.adj.resize(n * self.words, 0);
+        self.adj.reset(n, n.div_ceil(64));
         self.indeg.clear();
         self.indeg.resize(n, 0);
     }
 
-    /// Appends an isolated node (row re-layout once per 64 nodes).
+    /// Appends an isolated node.
     fn push_node(&mut self) {
-        if self.n == self.words * 64 {
-            let words = self.words + 1;
-            let mut adj = vec![0u64; self.n * words];
-            for (new, old) in adj
-                .chunks_exact_mut(words)
-                .zip(self.adj.chunks_exact(self.words))
-            {
-                new[..self.words].copy_from_slice(old);
-            }
-            self.adj = adj;
-            self.words = words;
-        }
         self.n += 1;
-        self.adj.resize(self.n * self.words, 0);
+        self.adj.fit(self.n, self.n.div_ceil(64));
         self.indeg.push(0);
     }
 
-    /// Removes the last node, which must be isolated.
+    /// Removes the last node, which must be isolated; its empty row stays
+    /// stored for the next node.
     fn pop_node(&mut self) {
         self.n -= 1;
-        self.adj.truncate(self.n * self.words);
         let indeg = self.indeg.pop();
         debug_assert_eq!(indeg, Some(0), "popped node must be isolated");
+        debug_assert!(self.adj.row(self.n).iter().all(|&w| w == 0));
     }
 
     /// Adds an edge; `false` if it is a self-loop or already present.
     fn add_edge(&mut self, a: usize, b: usize) -> bool {
-        let w = &mut self.adj[a * self.words + b / 64];
-        let bit = 1u64 << (b % 64);
-        if a == b || *w & bit != 0 {
+        if a == b || self.adj.test(a, b) {
             return false;
         }
-        *w |= bit;
+        self.adj.set(a, b);
         self.indeg[b] += 1;
         true
     }
 
     /// Removes an edge that is present.
     fn remove_edge(&mut self, a: usize, b: usize) {
-        let w = &mut self.adj[a * self.words + b / 64];
-        debug_assert!(*w & (1u64 << (b % 64)) != 0, "edge must be present");
-        *w &= !(1u64 << (b % 64));
+        debug_assert!(self.adj.test(a, b), "edge must be present");
+        self.adj.clear(a, b);
         self.indeg[b] -= 1;
     }
 
@@ -191,16 +160,10 @@ impl DenseGraph {
         let mut head = 0;
         while let Some(&i) = order.get(head) {
             head += 1;
-            let row = &self.adj[i * self.words..(i + 1) * self.words];
-            for (wi, &w) in row.iter().enumerate() {
-                let mut bits = w;
-                while bits != 0 {
-                    let j = wi * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    deg[j] -= 1;
-                    if deg[j] == 0 {
-                        order.push(j);
-                    }
+            for j in ones(self.adj.row(i).iter().copied()) {
+                deg[j] -= 1;
+                if deg[j] == 0 {
+                    order.push(j);
                 }
             }
         }
@@ -269,14 +232,13 @@ impl PairCounts {
 /// indices).
 ///
 /// It also keeps a topological order of that graph (Pearce and Kelly's
-/// dynamic topological sort, without their local reordering): while
-/// `ordered` holds, every edge `(a, b)` has `pos[a] < pos[b]`, so the
-/// graph is acyclic, and so is any set of added edges that all ascend.
-/// Every mutation keeps that implication true: a new node goes last, an
-/// edge that appears against the order clears `ordered`, a removed edge
-/// cannot break it, and a traversal that finds the graph acyclic installs
-/// its order.
-#[derive(Debug, Clone)]
+/// dynamic topological sort, without their local reordering): unless
+/// `stale` is set, every edge `(a, b)` has `pos[a] < pos[b]`, so the graph
+/// is acyclic, and so is any set of added edges that all ascend. Every
+/// mutation keeps that implication true: a new node goes last, an edge
+/// that appears against the order sets `stale`, a removed edge cannot break
+/// it, and a traversal that finds the graph acyclic installs its order.
+#[derive(Debug, Clone, Default)]
 struct LiveGraph {
     counts: PairCounts,
     graph: DenseGraph,
@@ -285,7 +247,7 @@ struct LiveGraph {
     /// new node may share, and an edge between equal positions counts as
     /// against the order.
     pos: Vec<usize>,
-    ordered: bool,
+    stale: bool,
     /// Overlay edges [`Self::add_extra`] put into `graph` for the verdict in
     /// flight, and the buffers of its Kahn traversal: scratch, kept for its
     /// capacity only.
@@ -298,19 +260,6 @@ struct LiveGraph {
 }
 
 impl LiveGraph {
-    fn new() -> Self {
-        LiveGraph {
-            counts: PairCounts::default(),
-            graph: DenseGraph::default(),
-            pos: Vec::new(),
-            ordered: true,
-            extra: Vec::new(),
-            deg: Vec::new(),
-            order: Vec::new(),
-            paths: [0; 2],
-        }
-    }
-
     fn ascends(&self, a: u32, b: u32) -> bool {
         self.pos[a as usize] < self.pos[b as usize]
     }
@@ -332,7 +281,7 @@ impl LiveGraph {
         }
         if up {
             self.graph.add_edge(a as usize, b as usize);
-            self.ordered &= self.ascends(a, b);
+            self.stale |= !self.ascends(a, b);
         } else {
             self.graph.remove_edge(a as usize, b as usize);
         }
@@ -351,7 +300,7 @@ impl LiveGraph {
     /// traverses the union, and an acyclic union's order is kept (it orders
     /// the graph without the overlay edges too).
     fn verdict(&mut self) -> bool {
-        let from_order = self.ordered && self.extra.iter().all(|&(a, b)| self.ascends(a, b));
+        let from_order = !self.stale && self.extra.iter().all(|&(a, b)| self.ascends(a, b));
         if !from_order || !self.extra.is_empty() {
             self.paths[usize::from(!from_order)] += 1;
         }
@@ -360,7 +309,7 @@ impl LiveGraph {
             for (at, &node) in self.order.iter().enumerate() {
                 self.pos[node] = at;
             }
-            self.ordered = true;
+            self.stale = false;
         }
         for (a, b) in self.extra.drain(..) {
             self.graph.remove_edge(a as usize, b as usize);
@@ -373,7 +322,7 @@ impl LiveGraph {
 #[derive(Debug, Clone, Copy)]
 struct OrigOp {
     gid: GlobalActivityId,
-    /// Base service, and its index in [`IncrementalPred::svcs`].
+    /// Base service, and its slot in [`IncrementalPred::slots`].
     service: ServiceId,
     sidx: u32,
     kind: OpKind,
@@ -381,10 +330,10 @@ struct OrigOp {
     pidx: u32,
 }
 
-/// A base service some operation (recorded or overlay) invoked.
-#[derive(Debug, Clone)]
+/// What the certifier keeps per base service some operation (recorded or
+/// overlay) invoked, at its slot in [`IncrementalPred::slots`].
+#[derive(Debug, Clone, Default)]
 struct Service {
-    id: ServiceId,
     /// Recorded operations of this service, ascending.
     bucket: Vec<usize>,
     /// Recorded compensation pairs `(forward, compensation)` of this
@@ -392,9 +341,6 @@ struct Service {
     pairs: Vec<(usize, usize)>,
     /// Overlay operations of this service, ascending.
     overlay: Vec<CopRef>,
-    /// Indices of the known services this one conflicts with, asked of the
-    /// oracle once when the service is first seen.
-    conflicts: Vec<u32>,
 }
 
 /// An overlay operation by dense process index and position in that
@@ -552,7 +498,9 @@ pub struct IncrementalPred<'a> {
     committed: BTreeSet<ProcessId>,
     // -- original operations --
     ops: Vec<OrigOp>,
-    svc_idx: IdIndex<ServiceId>,
+    /// The services met, by slot, with their conflicting slots; and what
+    /// the certifier keeps per slot.
+    slots: ServiceSlots,
     svcs: Vec<Service>,
     /// Dense index of every process with at least one operation, in
     /// first-operation order (index ↔ [`OrigOp::pidx`]), and its operations.
@@ -635,13 +583,12 @@ fn touch<'a, 'b>(
 /// with the pair's dense process indices in history order.
 fn partners<'s>(
     ops: &'s [OrigOp],
+    slots: &'s ServiceSlots,
     svcs: &'s [Service],
     x: usize,
 ) -> impl Iterator<Item = (usize, u32, u32)> + 's {
     let px = ops[x].pidx;
-    svcs[ops[x].sidx as usize]
-        .conflicts
-        .iter()
+    (slots.conflicts(ops[x].sidx).iter())
         .flat_map(move |&t| svcs[t as usize].bucket.iter().copied())
         .filter(move |&j| j != x && ops[j].pidx != px)
         .map(move |j| {
@@ -663,7 +610,7 @@ impl<'a> IncrementalPred<'a> {
             states: BTreeMap::new(),
             committed: BTreeSet::new(),
             ops: Vec::new(),
-            svc_idx: IdIndex::new(),
+            slots: ServiceSlots::default(),
             svcs: Vec::new(),
             dense_pids: Vec::new(),
             pid_dense: IdIndex::new(),
@@ -676,7 +623,7 @@ impl<'a> IncrementalPred<'a> {
             live_base: Vec::new(),
             cancelled: Vec::new(),
             ocancelled: Vec::new(),
-            live: LiveGraph::new(),
+            live: LiveGraph::default(),
             overlay: Vec::new(),
             active: Vec::new(),
             prefix_reducible: vec![true],
@@ -953,39 +900,19 @@ impl<'a> IncrementalPred<'a> {
         Ok(appended)
     }
 
-    /// Index of `service` in `svcs`, asking the oracle for its conflicts
-    /// with the known services the first time it is seen.
+    /// Slot of `service`, interned the first time it is seen.
     fn intern(&mut self, service: ServiceId) -> u32 {
-        if let Some(&s) = self.svc_idx.get(service) {
-            return s;
+        let (slot, new) = self.slots.intern(self.spec.oracle(), service);
+        if new {
+            self.svcs.push(Service::default());
+            self.log.ops.push(Undo::Service);
         }
-        let oracle = self.spec.oracle();
-        let k = self.svcs.len() as u32;
-        let mut conflicts = Vec::new();
-        for (t, other) in self.svcs.iter_mut().enumerate() {
-            if oracle.conflict(service, other.id) {
-                other.conflicts.push(k);
-                conflicts.push(t as u32);
-            }
-        }
-        if oracle.conflict(service, service) {
-            conflicts.push(k);
-        }
-        self.svcs.push(Service {
-            id: service,
-            bucket: Vec::new(),
-            pairs: Vec::new(),
-            overlay: Vec::new(),
-            conflicts,
-        });
-        self.svc_idx.insert(service, k);
-        self.log.ops.push(Undo::Service);
-        k
+        slot
     }
 
     /// Adds (`up`) or removes the permanent pairs operation `x` forms.
     fn count_mandatory(&mut self, x: usize, up: bool) {
-        for (j, a, b) in partners(&self.ops, &self.svcs, x) {
+        for (j, a, b) in partners(&self.ops, &self.slots, &self.svcs, x) {
             if self.perm[j] {
                 self.m2.bump(a, b, up);
                 self.log.ops.push(Undo::Mandatory(a, b, up));
@@ -995,7 +922,7 @@ impl<'a> IncrementalPred<'a> {
 
     /// Adds (`up`) or removes the live pairs operation `x` forms.
     fn count_live(&mut self, x: usize, up: bool) {
-        for (j, a, b) in partners(&self.ops, &self.svcs, x) {
+        for (j, a, b) in partners(&self.ops, &self.slots, &self.svcs, x) {
             if self.survives(j) {
                 self.live.bump(a, b, up);
                 self.log.ops.push(Undo::Live(a, b, up));
@@ -1114,7 +1041,7 @@ impl<'a> IncrementalPred<'a> {
     /// compensation it conflicts with. Only the pairs of the services `x`
     /// conflicts with are read.
     fn pairs_around(&self, x: usize, completed: bool, out: &mut Vec<Pair>) {
-        for &t in &self.svcs[self.ops[x].sidx as usize].conflicts {
+        for &t in self.slots.conflicts(self.ops[x].sidx) {
             let s = &self.svcs[t as usize];
             if !completed {
                 let after = s.pairs.partition_point(|&(_, c)| c <= x);
@@ -1141,7 +1068,7 @@ impl<'a> IncrementalPred<'a> {
     /// before and conflicts with — the overlay pairs it blocks while it is
     /// live — into `out`.
     fn pairs_after(&self, r: CopRef, out: &mut Vec<Pair>) {
-        for &t in &self.svcs[self.cop(r).sidx as usize].conflicts {
+        for &t in self.slots.conflicts(self.cop(r).sidx) {
             out.extend(
                 (self.svcs[t as usize].overlay.iter())
                     .filter(|&&o| {
@@ -1165,7 +1092,7 @@ impl<'a> IncrementalPred<'a> {
                 .take_while(|&&k| k > f)
                 .any(|&k| self.live_in(k, completed))
         };
-        let conflicts = &self.svcs[self.ops[f].sidx as usize].conflicts;
+        let conflicts = self.slots.conflicts(self.ops[f].sidx);
         (conflicts.iter()).any(|&t| holds_blocker(&self.svcs[t as usize].bucket))
     }
 
@@ -1329,9 +1256,9 @@ impl<'a> IncrementalPred<'a> {
     fn swap_part(&mut self, p: u32, part: Vec<Cop>) -> Vec<Cop> {
         let pi = p as usize;
         for slot in 0..self.overlay[pi].len() {
-            let sidx = self.overlay[pi][slot].sidx as usize;
-            self.svcs[sidx].overlay.retain(|r| r.0 != p);
-            for &t in &self.svcs[sidx].conflicts {
+            let sidx = self.overlay[pi][slot].sidx;
+            self.svcs[sidx as usize].overlay.retain(|r| r.0 != p);
+            for &t in self.slots.conflicts(sidx) {
                 for &(q, s) in &self.svcs[t as usize].overlay {
                     if q != p {
                         let other = &mut self.overlay[q as usize][s as usize];
@@ -1349,8 +1276,8 @@ impl<'a> IncrementalPred<'a> {
         for slot in 0..self.overlay[pi].len() {
             let me = (p, slot as u32);
             let c = &self.overlay[pi][slot];
-            let (sidx, kind, fwd) = (c.sidx as usize, c.kind, c.fwd);
-            for &t in &self.svcs[sidx].conflicts {
+            let (sidx, kind, fwd) = (c.sidx, c.kind, c.fwd);
+            for &t in self.slots.conflicts(sidx) {
                 for &other in &self.svcs[t as usize].overlay {
                     let o = &self.overlay[other.0 as usize][other.1 as usize];
                     let (before, after) = match (kind, o.kind) {
@@ -1379,7 +1306,7 @@ impl<'a> IncrementalPred<'a> {
                     );
                 }
             }
-            insert_sorted(&mut self.svcs[sidx].overlay, me);
+            insert_sorted(&mut self.svcs[sidx as usize].overlay, me);
         }
         self.active.retain(|&q| q != p);
         if !self.overlay[pi].is_empty() {
@@ -1413,7 +1340,7 @@ impl<'a> IncrementalPred<'a> {
                 .iter()
                 .filter(|c| c.kind == OpKind::Forward && self.uncompensated(c.gid))
             {
-                for &t in &self.svcs[c.sidx as usize].conflicts {
+                for &t in self.slots.conflicts(c.sidx) {
                     for &i in &self.svcs[t as usize].bucket {
                         if self.perm[i] && self.ops[i].pidx != p {
                             rg.add_edge(node_of[self.ops[i].pidx as usize], node_of[p as usize]);
@@ -1574,7 +1501,7 @@ impl<'a> IncrementalPred<'a> {
         };
         for &p in &self.active {
             for c in self.overlay[p as usize].iter().filter(|c| c.live) {
-                for &t in &self.svcs[c.sidx as usize].conflicts {
+                for &t in self.slots.conflicts(c.sidx) {
                     for &i in &self.svcs[t as usize].bucket {
                         if self.survives(i) && self.ops[i].pidx != p {
                             self.live.add_extra(self.ops[i].pidx, p);
@@ -1657,12 +1584,8 @@ impl<'a> IncrementalPred<'a> {
                     self.live.pop_node();
                 }
                 Undo::Service => {
-                    let s = self.svcs.pop().expect("logged service");
-                    self.svc_idx.remove(s.id);
-                    let k = self.svcs.len() as u32;
-                    for &t in s.conflicts.iter().filter(|&&t| t != k) {
-                        self.svcs[t as usize].conflicts.pop();
-                    }
+                    self.slots.pop();
+                    self.svcs.pop();
                 }
                 Undo::Overlay(p) => {
                     let old = self.log.parts.pop().expect("logged overlay part");
@@ -1720,15 +1643,11 @@ mod tests {
     type PidPairs = BTreeMap<(ProcessId, ProcessId), u32>;
     type OpKey = (GlobalActivityId, OpKind);
 
-    fn bit_get(row: &[u64], i: usize) -> bool {
-        row.get(i / 64).is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-    }
-
     impl DenseGraph {
         fn edges(&self) -> Vec<(usize, usize)> {
             (0..self.n)
                 .flat_map(|a| (0..self.n).map(move |b| (a, b)))
-                .filter(|&(a, b)| bit_get(&self.adj[a * self.words..(a + 1) * self.words], b))
+                .filter(|&(a, b)| self.adj.test(a, b))
                 .collect()
         }
     }
@@ -1737,7 +1656,7 @@ mod tests {
         /// The kept order's invariant: while it is valid, every edge ascends.
         fn assert_order_holds(&self, at: &str) {
             assert_eq!(self.pos.len(), self.graph.n, "{at}: a position per node");
-            if self.ordered {
+            if !self.stale {
                 for (a, b) in self.graph.edges() {
                     assert!(
                         self.pos[a] < self.pos[b],
@@ -1770,7 +1689,7 @@ mod tests {
                 "{:?}",
                 (
                     (&self.len, &self.states, &self.committed, &self.ops),
-                    (&self.svc_idx, &self.svcs, &self.dense_pids),
+                    (&self.slots, &self.svcs, &self.dense_pids),
                     (&self.pid_dense, &self.proc_ops, &self.fwd_of),
                     (&self.comp_gids, &self.perm),
                     (&self.completion_cache, self.by_pid(&self.m2)),
@@ -2110,25 +2029,26 @@ mod tests {
         for g in [fx.a(2, 1), fx.a(2, 2), fx.a(3, 1)] {
             inc.record(&Event::Execute(g)).unwrap();
         }
-        let (svcs, pids) = (inc.svc_idx.clone(), inc.pid_dense.clone());
-        assert_eq!((svcs.len(), pids.len()), (3, 2));
+        let (slots, pids) = (inc.slots.clone(), inc.pid_dense.clone());
+        assert_eq!((slots.len(), pids.len()), (3, 2));
         let p1 = fx.a(1, 1);
         let s11 = fx.spec.service_of(p1).unwrap();
         assert_eq!(
-            (inc.pid_dense.get(p1.process), inc.svc_idx.get(s11)),
+            (inc.pid_dense.get(p1.process), inc.slots.get(s11)),
             (None, None)
         );
         inc.certify(&Event::Execute(p1)).unwrap();
         assert_eq!(inc.pid_dense, pids, "Undo::Process");
-        assert_eq!(inc.svc_idx, svcs, "Undo::Service");
+        assert_eq!(inc.slots, slots, "Undo::Service");
         assert_eq!(inc.dense_pids.len(), pids.len());
-        assert_eq!(inc.svcs.len(), svcs.len());
+        assert_eq!(inc.svcs.len(), slots.len());
         // Kept, the step adds the two entries at the next dense indices.
         inc.record(&Event::Execute(p1)).unwrap();
         assert_eq!(inc.pid_dense.get(p1.process), Some(&2));
-        assert_eq!(inc.svc_idx.get(s11), Some(&3));
+        assert_eq!(inc.slots.get(s11), Some(3));
         assert!(pids.iter().all(|(p, d)| inc.pid_dense.get(p) == Some(d)));
-        assert!(svcs.iter().all(|(s, k)| inc.svc_idx.get(s) == Some(k)));
+        inc.slots.pop();
+        assert_eq!(inc.slots, slots, "the earlier slots are kept");
     }
 
     fn st2(fx: &fixtures::PaperWorld) -> Schedule {
@@ -2249,7 +2169,7 @@ mod tests {
 
     /// A live graph of `n` isolated nodes, in index order.
     fn live_graph(n: usize) -> LiveGraph {
-        let mut g = LiveGraph::new();
+        let mut g = LiveGraph::default();
         g.counts.resize(n);
         (0..n).for_each(|_| g.push_node());
         g
@@ -2262,7 +2182,7 @@ mod tests {
         g.add_extra(2, 0);
         assert!(g.verdict(), "0→1 plus 2→0 is acyclic");
         assert_eq!(g.paths, [0, 1], "answered by Kahn");
-        assert!(g.ordered);
+        assert!(!g.stale);
         assert_eq!(g.pos, [1, 2, 0], "Kahn's order 2, 0, 1 is kept");
         assert_eq!(g.graph.edges(), [(0, 1)], "the overlay edge is taken out");
         // The same overlay edge now ascends: no traversal.
@@ -2278,7 +2198,7 @@ mod tests {
         g.add_extra(1, 0);
         assert!(!g.verdict(), "0→1 plus 1→0 is a cycle");
         assert_eq!(g.paths, [0, 1]);
-        assert!(g.ordered, "the live graph alone still ascends");
+        assert!(!g.stale, "the live graph alone still ascends");
         assert_eq!(
             (g.pos.as_slice(), g.graph.edges()),
             ([0, 1, 2].as_slice(), vec![(0, 1)])
@@ -2297,20 +2217,20 @@ mod tests {
     fn a_live_edge_against_the_order_clears_it_until_a_traversal_reorders() {
         let mut g = live_graph(2);
         g.bump(1, 0, true);
-        assert!(!g.ordered, "1→0 runs against positions 0, 1");
+        assert!(g.stale, "1→0 runs against positions 0, 1");
         assert!(g.verdict());
-        assert_eq!((g.ordered, g.pos.as_slice()), (true, [1, 0].as_slice()));
+        assert_eq!((g.stale, g.pos.as_slice()), (false, [1, 0].as_slice()));
         // A second pair count on the same edge is no new edge.
         g.bump(1, 0, true);
         g.bump(0, 1, true);
-        assert!(!g.ordered);
+        assert!(g.stale);
         assert!(!g.verdict(), "1→0→1");
-        assert!(!g.ordered, "a cyclic graph installs no order");
+        assert!(g.stale, "a cyclic graph installs no order");
         // Removing an edge never clears the order, nor restores it.
         g.bump(0, 1, false);
-        assert!(!g.ordered);
+        assert!(g.stale);
         assert!(g.verdict());
-        assert!(g.ordered);
+        assert!(!g.stale);
         assert_eq!(g.paths, [0, 3]);
     }
 
@@ -2331,7 +2251,7 @@ mod tests {
         assert_eq!((inc.live.graph.n, inc.live.graph.edges()), (2, vec![]));
         assert!(inc.certify(&Event::Execute(fx.a(1, 2))).unwrap().reducible);
         assert!(!inc.certify_keep(&events[3]).unwrap().reducible);
-        assert!(inc.live.ordered, "the order survived");
+        assert!(!inc.live.stale, "the order survived");
         inc.live.assert_order_holds("after the refusal");
         assert_eq!(inc.live.paths[1], 1, "only the refusal traversed");
     }

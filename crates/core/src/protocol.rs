@@ -34,9 +34,10 @@
 //!
 //! A process gets a dense index the first time the protocol sees it
 //! (`register`, or the first call that names it); a base service gets a slot
-//! the first time it holds an operation. Everything a decision reads is a
-//! fixed-width bit row over the process indices, updated in place by the
-//! call that moved it:
+//! the first time it holds an operation, in a `ServiceSlots` table
+//! (`core::conflict`) with its conflicting slots. Everything a decision
+//! reads is a `core::bits` row over the process indices, updated in place
+//! by the call that moved it:
 //!
 //! * `succ` / `pred` — the dependency edges, and `reach` / `rreach` their
 //!   transitive closure (strict descendants / ancestors), one row per
@@ -46,10 +47,9 @@
 //!   compensatable;
 //! * `terminated`, `aborting` — one row each.
 //!
-//! A service slot also keeps the slots it conflicts with, so "who holds a
-//! live operation conflicting with `s`" is the OR of a few rows. Nothing is
-//! sized by the catalog or the spec: a protocol over 8 processes and 12
-//! services holds one word per row whatever the workload around it.
+//! So "who holds a live operation conflicting with `s`" is the OR of a few
+//! rows; the certifier is built on the same table and rows. Nothing is sized
+//! by the catalog: 8 processes over 12 services take one word per row.
 //! [`request`](Protocol::request) keeps the predecessor row it derived, and
 //! the [`record_executed`](Protocol::record_executed) of the same activity
 //! reuses it unless a mutating call came between (a mutation stamp).
@@ -79,13 +79,14 @@
 //! formulation of every decision lives in test support
 //! (`tests/support/scan_protocol.rs`), not here.
 
+use crate::bits::{assign, bit, ones, or, test, word, BitRows};
+use crate::conflict::ServiceSlots;
 use crate::ids::{GlobalActivityId, IdIndex, ProcessId, ServiceId};
+use crate::order::PartialOrder;
 use crate::process::Process;
-use crate::serializability::ones;
 use crate::spec::Spec;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 /// How the scheduler handles a non-compensatable activity that conflicts
 /// with an active predecessor (Lemma 1).
@@ -153,9 +154,8 @@ pub enum CompletionGate {
 #[derive(Debug, Clone)]
 struct ExecRecord {
     gid: GlobalActivityId,
-    /// Base service (perfect commutativity), and its slot.
-    service: ServiceId,
-    slot: usize,
+    /// The slot of its base service (perfect commutativity).
+    slot: u32,
     /// Whether a compensating activity has undone this operation.
     compensated: bool,
     /// Whether the operation can never be compensated anymore.
@@ -176,123 +176,6 @@ struct Proc<'a> {
     ops: Vec<usize>,
     /// Activities executed under deferred commit, not yet released.
     deferred: Vec<GlobalActivityId>,
-}
-
-/// Word `w` of a bit row; a word the row does not store reads as zero.
-#[inline]
-fn word(row: &[u64], w: usize) -> u64 {
-    row.get(w).copied().unwrap_or(0)
-}
-
-#[inline]
-fn test(row: &[u64], i: usize) -> bool {
-    word(row, i / 64) >> (i % 64) & 1 != 0
-}
-
-/// Bit `i` as seen from word `w` (zero from any other word, or for a
-/// process that has no index yet).
-#[inline]
-fn bit(i: Option<usize>, w: usize) -> u64 {
-    i.filter(|i| i / 64 == w).map_or(0, |i| 1u64 << (i % 64))
-}
-
-/// `acc` |= `bits`, over the words both have.
-#[inline]
-fn or(acc: &mut [u64], bits: &[u64]) {
-    for (a, b) in acc.iter_mut().zip(bits) {
-        *a |= b;
-    }
-}
-
-/// Sets or clears bit `i` of a single growable row.
-fn assign(row: &mut Vec<u64>, i: usize, on: bool) {
-    if on && row.len() <= i / 64 {
-        row.resize(i / 64 + 1, 0);
-    }
-    match row.get_mut(i / 64) {
-        Some(word) if on => *word |= 1u64 << (i % 64),
-        Some(word) => *word &= !(1u64 << (i % 64)),
-        None => {}
-    }
-}
-
-/// Fixed-width bit rows in one allocation: row `i` is words
-/// `i·width .. (i+1)·width`. Rows and width only grow
-/// ([`fit`](Self::fit)); a row or word not stored reads as zeros.
-#[derive(Debug, Clone, Default)]
-struct BitRows {
-    width: usize,
-    bits: Vec<u64>,
-}
-
-impl BitRows {
-    /// Row `i`; empty when not stored.
-    #[inline]
-    fn row(&self, i: usize) -> &[u64] {
-        let stored = self.bits.get(i * self.width..(i + 1) * self.width);
-        stored.unwrap_or(&[])
-    }
-
-    #[inline]
-    fn word(&self, i: usize, w: usize) -> u64 {
-        word(self.row(i), w)
-    }
-
-    /// Makes room for `rows` rows of `width` words, keeping every set bit.
-    fn fit(&mut self, rows: usize, width: usize) {
-        if width > self.width {
-            let old = std::mem::replace(&mut self.bits, vec![0; rows * width]);
-            let narrow = old.chunks_exact(self.width.max(1));
-            for (from, to) in narrow.zip(self.bits.chunks_exact_mut(width)) {
-                to[..from.len()].copy_from_slice(from);
-            }
-            self.width = width;
-        }
-        if self.bits.len() < rows * self.width {
-            self.bits.resize(rows * self.width, 0);
-        }
-    }
-
-    /// The stored row `i` (fitted before a bit is set in it).
-    fn row_mut(&mut self, i: usize) -> &mut [u64] {
-        &mut self.bits[i * self.width..(i + 1) * self.width]
-    }
-
-    fn set(&mut self, i: usize, j: usize) {
-        self.row_mut(i)[j / 64] |= 1u64 << (j % 64);
-    }
-
-    /// Clears row `i`; one not stored was never set.
-    fn clear_row(&mut self, i: usize) {
-        if let Some(row) = self.bits.get_mut(i * self.width..(i + 1) * self.width) {
-            row.fill(0);
-        }
-    }
-
-    /// Clears a bit; one outside the stored rows was never set.
-    fn clear(&mut self, i: usize, j: usize) {
-        if j / 64 < self.width && (i + 1) * self.width <= self.bits.len() {
-            self.row_mut(i)[j / 64] &= !(1u64 << (j % 64));
-        }
-    }
-
-    /// Row `dst` |= row `src`, in place.
-    fn or_row(&mut self, dst: usize, src: usize) {
-        for w in 0..self.width {
-            let bits = self.bits[src * self.width + w];
-            self.bits[dst * self.width + w] |= bits;
-        }
-    }
-
-    /// `acc` |= the union of the rows `slots`.
-    fn or_rows(&self, slots: &[usize], acc: &mut [u64]) {
-        slots.iter().for_each(|&s| or(acc, self.row(s)));
-    }
-
-    /// Word `w` of the union of the rows `slots`.
-    fn union_word(&self, slots: &[usize], w: usize) -> u64 {
-        slots.iter().fold(0, |acc, &s| acc | self.word(s, w))
-    }
 }
 
 /// The protocol state machine (single-threaded core; a shard owns one).
@@ -319,11 +202,9 @@ pub struct Protocol<'a> {
     reach: BitRows,
     rreach: BitRows,
     // ---- base services holding an operation, by slot ----
-    /// The one id → slot lookup a call makes per service argument.
-    slot_of: IdIndex<ServiceId>,
-    services: Vec<ServiceId>,
-    /// Per slot: the slots of conflicting services, ascending.
-    conflicts: Vec<Vec<usize>>,
+    /// The one id → slot lookup a call makes per service argument, and
+    /// each slot's conflicting slots.
+    slots: ServiceSlots,
     /// Per slot: processes holding a live (non-compensated) operation of
     /// the service, and those holding a live non-stable one.
     live: BitRows,
@@ -362,9 +243,7 @@ impl<'a> Protocol<'a> {
             pred: BitRows::default(),
             reach: BitRows::default(),
             rreach: BitRows::default(),
-            slot_of: IdIndex::new(),
-            services: Vec::new(),
-            conflicts: Vec::new(),
+            slots: ServiceSlots::default(),
             live: BitRows::default(),
             nonstable: BitRows::default(),
             stamp: 0,
@@ -502,8 +381,9 @@ impl<'a> Protocol<'a> {
         let mut holders = std::mem::take(&mut self.holders);
         for h in holders.drain(..).map(|h| h as usize) {
             for i in std::mem::take(&mut self.procs[h].ops) {
-                self.live.clear(self.ops[i].slot, h);
-                self.nonstable.clear(self.ops[i].slot, h);
+                let slot = self.ops[i].slot as usize;
+                self.live.clear(slot, h);
+                self.nonstable.clear(slot, h);
             }
             for rows in [
                 &mut self.succ,
@@ -527,39 +407,13 @@ impl<'a> Protocol<'a> {
         pids
     }
 
-    /// Slot of a base service, interned on first use: its conflict list is
-    /// one probe of the spec's matrix per service already interned.
-    fn intern(&mut self, base: ServiceId) -> usize {
-        if let Some(&s) = self.slot_of.get(base) {
-            return s as usize;
-        }
-        let slot = self.services.len();
-        let mut conflicting = self.probe_slots(base);
-        for &t in &conflicting {
-            self.conflicts[t].push(slot);
-        }
-        if self.spec.oracle().conflict(base, base) {
-            conflicting.push(slot);
-        }
-        self.slot_of.insert(base, slot as u32);
-        self.services.push(base);
-        self.conflicts.push(conflicting);
-        slot
-    }
-
-    fn probe_slots(&self, base: ServiceId) -> Vec<usize> {
-        let oracle = self.spec.oracle();
-        let conflicts = |&t: &usize| oracle.conflict(self.services[t], base);
-        (0..self.services.len()).filter(conflicts).collect()
-    }
-
     /// Slots of the services holding operations that conflict with `base`,
     /// ascending: the kept list of an interned service, a probe of each
     /// interned service for one that never held an operation here.
-    fn conflict_slots(&self, base: ServiceId) -> Cow<'_, [usize]> {
-        match self.slot_of.get(base) {
-            Some(&s) => Cow::Borrowed(&self.conflicts[s as usize]),
-            None => Cow::Owned(self.probe_slots(base)),
+    fn conflict_slots(&self, base: ServiceId) -> Cow<'_, [u32]> {
+        match self.slots.get(base) {
+            Some(s) => Cow::Borrowed(self.slots.conflicts(s)),
+            None => Cow::Owned(self.slots.probe(self.spec.oracle(), base)),
         }
     }
 
@@ -616,12 +470,12 @@ impl<'a> Protocol<'a> {
     // ---- operation records ------------------------------------------------
 
     fn push_record(&mut self, me: usize, rec: ExecRecord) {
-        let (slots, width) = (self.services.len(), self.width());
+        let (slots, width, slot) = (self.slots.len(), self.width(), rec.slot as usize);
         self.live.fit(slots, width);
         self.nonstable.fit(slots, width);
-        self.live.set(rec.slot, me);
+        self.live.set(slot, me);
         if !rec.stable {
-            self.nonstable.set(rec.slot, me);
+            self.nonstable.set(slot, me);
         }
         if self.procs[me].ops.is_empty() {
             self.holders.push(me as u32);
@@ -634,7 +488,7 @@ impl<'a> Protocol<'a> {
     /// Re-derives the two bits of one (service, process) pair from the
     /// process's own records, after one of them was compensated or
     /// stabilized.
-    fn refresh(&mut self, slot: usize, me: usize) {
+    fn refresh(&mut self, slot: u32, me: usize) {
         let (mut live, mut nonstable) = (false, false);
         for r in self.procs[me].ops.iter().map(|&i| &self.ops[i]) {
             if r.slot == slot && !r.compensated {
@@ -643,10 +497,10 @@ impl<'a> Protocol<'a> {
             }
         }
         if !live {
-            self.live.clear(slot, me);
+            self.live.clear(slot as usize, me);
         }
         if !nonstable {
-            self.nonstable.clear(slot, me);
+            self.nonstable.clear(slot as usize, me);
         }
     }
 
@@ -668,9 +522,8 @@ impl<'a> Protocol<'a> {
     #[doc(hidden)]
     pub fn check_index_invariants(&self) {
         let n = self.procs.len();
-        let oracle = self.spec.oracle();
-        // Dense indices and slots are bijections with what they index, and
-        // the single rows mirror the per-process state.
+        // Dense indices are a bijection with the processes, and the single
+        // rows mirror the per-process state. `ServiceSlots` checks itself.
         assert_eq!(self.index.len(), n, "one dense index per process");
         for (d, p) in self.procs.iter().enumerate() {
             assert_eq!(self.lookup(p.pid), Some(d), "index of {}", p.pid);
@@ -678,12 +531,7 @@ impl<'a> Protocol<'a> {
             let expect: Vec<usize> = (0..self.ops.len()).filter(mine).collect();
             assert_eq!(p.ops, expect, "operation list diverged for {}", p.pid);
             let terminated = p.status != ProtStatus::Active;
-            assert_eq!(
-                test(&self.terminated, d),
-                terminated,
-                "terminated {}",
-                p.pid
-            );
+            assert_eq!(test(&self.terminated, d), terminated, "terminated {d}");
         }
         // The holders are the processes with a record, each once, and
         // `running` counts the active ones; a quiescent point left none.
@@ -693,67 +541,37 @@ impl<'a> Protocol<'a> {
         assert_eq!(holders, holding, "holders");
         let active = |&&d: &&usize| self.procs[d].status == ProtStatus::Active;
         assert_eq!(self.running, holding.iter().filter(active).count());
-        assert!(
-            self.running > 0 || holding.is_empty(),
-            "missed quiescent point"
-        );
-        assert_eq!(self.slot_of.len(), self.services.len());
-        for (s, &service) in self.services.iter().enumerate() {
-            assert_eq!(self.slot_of.get(service), Some(&(s as u32)));
-            let conflicts = |&t: &usize| oracle.conflict(service, self.services[t]);
-            let probed: Vec<usize> = (0..self.services.len()).filter(conflicts).collect();
-            assert_eq!(self.conflicts[s], probed, "conflict slots of {service}");
+        let quiescent = self.running == 0;
+        assert!(!quiescent || holding.is_empty(), "missed quiescent point");
+        let slots = self.slots.len() as u32;
+        for s in 0..slots {
             for (d, p) in self.procs.iter().enumerate() {
-                let mine = |r: &&ExecRecord| r.slot == s && r.gid.process == p.pid;
-                let live: Vec<&ExecRecord> = self
-                    .ops
-                    .iter()
-                    .filter(mine)
-                    .filter(|r| !r.compensated)
-                    .collect();
-                assert_eq!(
-                    test(self.live.row(s), d),
-                    !live.is_empty(),
-                    "live {service}"
-                );
+                let mine =
+                    |r: &&ExecRecord| r.slot == s && r.gid.process == p.pid && !r.compensated;
+                let live: Vec<&ExecRecord> = self.ops.iter().filter(mine).collect();
+                let s = s as usize;
+                assert_eq!(self.live.test(s, d), !live.is_empty(), "live, slot {s}");
                 let nonstable = live.iter().any(|r| !r.stable);
-                assert_eq!(
-                    test(self.nonstable.row(s), d),
-                    nonstable,
-                    "nonstable {service}"
-                );
+                assert_eq!(self.nonstable.test(s, d), nonstable, "nonstable, slot {s}");
             }
         }
-        assert!(self.ops.iter().all(|r| self.services[r.slot] == r.service));
         // No row carries a bit beyond the registered processes.
-        let singles = [&self.terminated, &self.aborting, &self.preds];
-        let edges = [&self.succ, &self.pred, &self.reach, &self.rreach];
-        let rows = edges.into_iter().chain([&self.live, &self.nonstable]);
-        let stored = rows.flat_map(|rows| rows.bits.chunks(rows.width.max(1)));
-        for row in stored.chain(singles.map(|row| row.as_slice())) {
-            assert!(
-                ones(row.iter().copied()).all(|d| d < n),
-                "stray bit in a row"
-            );
+        let mut stored: Vec<&[u64]> = vec![&self.terminated, &self.aborting, &self.preds];
+        for rows in [&self.succ, &self.pred, &self.reach, &self.rreach] {
+            stored.extend((0..n).map(|a| rows.row(a)));
         }
-        // `pred` is the transpose of `succ`; `reach` the closure of `succ`
-        // by naive saturation; `rreach` its transpose.
+        for rows in [&self.live, &self.nonstable] {
+            stored.extend((0..slots as usize).map(|s| rows.row(s)));
+        }
+        let stray = stored.into_iter().flat_map(|row| ones(row.iter().copied()));
+        assert_eq!(stray.filter(|&d| d >= n).count(), 0, "stray bit in a row");
+        // `pred` is the transpose of `succ`; `reach` the closure of `succ`,
+        // as the reference order computes it; `rreach` its transpose.
         let pairs = || (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
-        let has = |rows: &BitRows, a: usize, b: usize| test(rows.row(a), b);
-        let edges: Vec<(usize, usize)> = pairs().filter(|&(a, b)| has(&self.succ, a, b)).collect();
-        let mut closure: BTreeSet<(usize, usize)> = edges.iter().copied().collect();
-        loop {
-            let step = |&(a, b): &(usize, usize)| {
-                let next = edges.iter().filter(move |e| e.0 == b);
-                next.map(move |e| (a, e.1))
-            };
-            let longer: Vec<(usize, usize)> = closure.iter().flat_map(step).collect();
-            let before = closure.len();
-            closure.extend(longer);
-            if closure.len() == before {
-                break;
-            }
-        }
+        let edges: Vec<(usize, usize)> = pairs().filter(|&(a, b)| self.succ.test(a, b)).collect();
+        let mut order = PartialOrder::new(n);
+        edges.iter().for_each(|&(a, b)| order.add(a, b));
+        let closure = order.reachability();
         let held = |d: usize| !self.procs[d].ops.is_empty();
         assert!(
             edges.iter().all(|&(a, b)| held(a) && held(b)),
@@ -761,14 +579,10 @@ impl<'a> Protocol<'a> {
         );
         for (a, b) in pairs() {
             let (pa, pb) = (self.procs[a].pid, self.procs[b].pid);
-            let reaches = closure.contains(&(a, b));
-            assert_eq!(
-                has(&self.succ, a, b),
-                has(&self.pred, b, a),
-                "pred {pa}→{pb}"
-            );
-            assert_eq!(has(&self.reach, a, b), reaches, "closure {pa}→{pb}");
-            assert_eq!(has(&self.rreach, b, a), reaches, "rclosure {pa}→{pb}");
+            let reaches = closure.lt(a, b);
+            assert_eq!(self.succ.test(a, b), self.pred.test(b, a), "pred {pa}→{pb}");
+            assert_eq!(self.reach.test(a, b), reaches, "closure {pa}→{pb}");
+            assert_eq!(self.rreach.test(b, a), reaches, "rclosure {pa}→{pb}");
         }
     }
 
@@ -799,7 +613,7 @@ impl<'a> Protocol<'a> {
 
     /// Word `w` of the aborting processes (≠ `me`) still holding a
     /// non-stable operation of `slots`.
-    fn due_word(&self, slots: &[usize], me: Option<usize>, w: usize) -> u64 {
+    fn due_word(&self, slots: &[u32], me: Option<usize>, w: usize) -> u64 {
         self.nonstable.union_word(slots, w) & word(&self.aborting, w) & !bit(me, w)
     }
 
@@ -889,13 +703,12 @@ impl<'a> Protocol<'a> {
         if stable {
             for &i in &self.procs[me].ops {
                 self.ops[i].stable = true;
-                self.nonstable.clear(self.ops[i].slot, me);
+                self.nonstable.clear(self.ops[i].slot as usize, me);
             }
         }
-        let (slot, compensated) = (self.intern(service), false);
+        let (slot, compensated) = (self.slots.intern(self.spec.oracle(), service).0, false);
         let rec = ExecRecord {
             gid,
-            service,
             slot,
             compensated,
             stable,
@@ -956,7 +769,7 @@ impl<'a> Protocol<'a> {
         // Every operation of a committed process is final.
         for &i in &self.procs[me].ops {
             self.ops[i].stable = !self.ops[i].compensated;
-            self.nonstable.clear(self.ops[i].slot, me);
+            self.nonstable.clear(self.ops[i].slot as usize, me);
         }
         self.retire_if_quiescent();
     }
@@ -1048,7 +861,7 @@ impl<'a> Protocol<'a> {
                 let mut theirs = vec![0u64; width];
                 for r in self.procs[b].ops.iter().map(|&i| &self.ops[i]) {
                     if !r.compensated && !r.stable {
-                        self.live.or_rows(&self.conflicts[r.slot], &mut theirs);
+                        self.live.or_rows(self.slots.conflicts(r.slot), &mut theirs);
                     }
                 }
                 frontier.push((b, theirs));
@@ -1069,7 +882,7 @@ impl<'a> Protocol<'a> {
         remaining.sort_unstable();
         let mut ordered = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
-            let reaches = |v, u| u != v && test(self.reach.row(v), u);
+            let reaches = |v, u| u != v && self.reach.test(v, u);
             let last =
                 |&(_, v): &(ProcessId, usize)| !remaining.iter().any(|&(_, u)| reaches(v, u));
             // Victims on a residual cycle cannot exist under the
@@ -1105,7 +918,7 @@ impl<'a> Protocol<'a> {
         let Some(&pos) = records.iter().find(|&&i| !self.ops[i].compensated) else {
             return CompletionGate::Ready;
         };
-        let slots = &self.conflicts[self.ops[pos].slot];
+        let slots = self.slots.conflicts(self.ops[pos].slot);
         // Only operations strictly *after* the compensated one gate its
         // compensation: a holder counts if its latest conflicting
         // non-stable record is.
@@ -1131,13 +944,13 @@ impl<'a> Protocol<'a> {
     fn gate(
         &self,
         me: Option<usize>,
-        slots: &[usize],
+        slots: &[u32],
         counts: impl Fn(usize) -> bool,
     ) -> CompletionGate {
         let active = |w| !word(&self.terminated, w) & !bit(me, w);
         let holders = |w| self.nonstable.union_word(slots, w) & active(w);
         let (mut wait, mut cascade) = (Vec::new(), Vec::new());
-        for p in ones((0..self.nonstable.width).map(holders)).filter(|&p| counts(p)) {
+        for p in ones((0..self.width()).map(holders)).filter(|&p| counts(p)) {
             let list = if test(&self.aborting, p) {
                 &mut wait
             } else {
@@ -1167,7 +980,7 @@ impl<'a> Protocol<'a> {
         for &i in &self.procs[me].ops {
             if !self.ops[i].compensated {
                 self.ops[i].stable = true;
-                self.nonstable.clear(self.ops[i].slot, me);
+                self.nonstable.clear(self.ops[i].slot as usize, me);
             }
         }
         // Drop its unreleased deferred activities (they abort at prepare):

@@ -5,22 +5,12 @@
 //! graph — one edge `P_i → P_j` per conflicting activity pair ordered
 //! `a_{i_k} ≪_S a_{j_l}` — is acyclic \[BHG87\].
 
+use crate::bits::ones;
 use crate::error::ScheduleError;
 use crate::ids::ProcessId;
 use crate::order::Reachability;
 use crate::schedule::{Op, Schedule};
 use crate::spec::Spec;
-
-/// The set bits of a bit row given word by word, as indices, ascending.
-pub(crate) fn ones(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
-    words.into_iter().enumerate().flat_map(|(w, mut bits)| {
-        std::iter::from_fn(move || {
-            let b = (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits.wrapping_sub(1);
-            b
-        })
-    })
-}
 
 /// Process-level conflict graph: a dense bit matrix over its nodes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -1761,7 +1761,7 @@ mod tests {
     use txproc_core::activity::Catalog;
     use txproc_sim::workload::{generate, ArrivalModel, WorkloadConfig};
     use txproc_subsystem::kv::{Key, Program};
-    use txproc_subsystem::subsystem::LogRecord;
+    use txproc_subsystem::subsystem::{TxId, TxStatus};
 
     #[test]
     fn concurrent_run_terminates_and_is_pred() {
@@ -2821,21 +2821,25 @@ mod tests {
         );
         let mut shard = Shard::build(0, &[p3], &ctx);
         shard.admit(&ctx, p3);
-        let log_len = || ctx.agents[&SubsystemId(0)].lock().subsystem.log().len();
+        // Transaction ids are dense: the next id is the number begun.
+        let begun = || {
+            let agent = ctx.agents[&SubsystemId(0)].lock();
+            let status = |t| agent.subsystem.tx_status(TxId(t));
+            (0..).take_while(|&t| status(t).is_some()).count() as u64
+        };
 
         assert_eq!(shard.step(&ctx, p3), Step::Yield);
         assert_eq!((shard.history.len(), shard.metrics.retries), (1, 0));
         // The injected attempt: counted, run and rolled back at the agent
         // within the step, invisible to history and policy.
-        let before = log_len();
+        let before = begun();
         assert_eq!(shard.step(&ctx, p3), Step::Yield);
         assert_eq!((shard.history.len(), shard.metrics.retries), (1, 1));
-        assert!(log_len() > before, "the agent ran the injected attempt");
+        let after = begun();
+        assert!(after > before, "the agent ran the injected attempt");
         let agent = ctx.agents[&SubsystemId(0)].lock();
-        assert!(matches!(
-            agent.subsystem.log().last(),
-            Some(LogRecord::Abort(_))
-        ));
+        let status = agent.subsystem.tx_status(TxId(after - 1));
+        assert_eq!(status, Some(TxStatus::Aborted));
         drop(agent);
         assert_eq!(run_to_block(&mut shard, &ctx, p3), (Step::Done, 1));
         assert_eq!((shard.metrics.committed, shard.metrics.activities), (1, 2));

@@ -1,10 +1,12 @@
 //! Scheduling policies: the paper's PRED protocol and the baselines it is
 //! evaluated against.
 //!
-//! * [`PredPolicy`] — the protocol of Lemmas 1–3 / §3.5 (wraps
-//!   [`txproc_core::protocol::Protocol`]): serializability enforcement,
-//!   deferment of non-compensatable activities behind active conflicting
-//!   predecessors, commit ordering, cascading aborts honouring quasi-commits.
+//! * [`Protocol`] — the protocol of Lemmas 1–3 / §3.5
+//!   ([`txproc_core::protocol`]), a policy as it stands: serializability
+//!   enforcement, deferment of non-compensatable activities behind active
+//!   conflicting predecessors, commit ordering, cascading aborts honouring
+//!   quasi-commits. It `debug_assert`s that no driver plans or gates the
+//!   completion of a process that terminated.
 //! * [`SerialPolicy`] — executes processes one at a time: trivially correct,
 //!   zero parallelism. The lower bound.
 //! * [`ConservativePolicy`] — process-level conflict locking (a static
@@ -86,59 +88,46 @@ pub trait Policy {
     }
 }
 
-/// The paper's PRED scheduling protocol.
-pub struct PredPolicy<'a> {
-    protocol: Protocol<'a>,
+/// A completion is planned and gated only while its process is active: the
+/// protocol answers these for a process it retired as for one without
+/// records.
+fn debug_assert_active(protocol: &Protocol<'_>, pid: ProcessId) {
+    debug_assert_eq!(
+        protocol.status(pid),
+        ProtStatus::Active,
+        "{pid}'s completion asked after it terminated"
+    );
 }
 
-impl<'a> PredPolicy<'a> {
-    /// Creates the policy over a spec.
-    pub fn new(spec: &'a Spec, defer: DeferPolicy) -> Self {
-        Self {
-            protocol: Protocol::new(spec, defer),
-        }
-    }
-
-    /// A completion is planned and gated only while its process is active:
-    /// the protocol answers these for a process it retired as for one
-    /// without records.
-    fn debug_assert_active(&self, pid: ProcessId) {
-        debug_assert_eq!(
-            self.protocol.status(pid),
-            ProtStatus::Active,
-            "{pid}'s completion asked after it terminated"
-        );
-    }
-}
-
-impl Policy for PredPolicy<'_> {
+/// The paper's PRED scheduling protocol is a policy as it stands.
+impl Policy for Protocol<'_> {
     fn register(&mut self, pid: ProcessId) {
-        self.protocol.register(pid);
+        Protocol::register(self, pid);
     }
     fn request(&mut self, pid: ProcessId, _gid: GlobalActivityId, service: ServiceId) -> Admission {
-        self.protocol.request(pid, service)
+        Protocol::request(self, pid, service)
     }
     fn record_executed(
         &mut self,
         gid: GlobalActivityId,
         deferred: bool,
     ) -> Vec<(ProcessId, ProcessId)> {
-        self.protocol.record_executed(gid, deferred)
+        Protocol::record_executed(self, gid, deferred)
     }
     fn record_deferred_released(&mut self, gid: GlobalActivityId) {
-        self.protocol.record_deferred_released(gid);
+        Protocol::record_deferred_released(self, gid);
     }
     fn record_prepared_aborted(&mut self, gid: GlobalActivityId) {
-        self.protocol.record_prepared_aborted(gid);
+        Protocol::record_prepared_aborted(self, gid);
     }
     fn record_compensated(&mut self, gid: GlobalActivityId) {
-        self.protocol.record_compensated(gid);
+        Protocol::record_compensated(self, gid);
     }
     fn can_commit(&mut self, pid: ProcessId) -> Result<(), Vec<ProcessId>> {
-        self.protocol.can_commit(pid)
+        Protocol::can_commit(self, pid)
     }
     fn on_commit(&mut self, pid: ProcessId) {
-        self.protocol.record_process_commit(pid);
+        self.record_process_commit(pid);
     }
     fn plan_abort(
         &mut self,
@@ -146,30 +135,29 @@ impl Policy for PredPolicy<'_> {
         compensations: &[GlobalActivityId],
         forward_services: &[ServiceId],
     ) -> Vec<ProcessId> {
-        self.debug_assert_active(pid);
-        self.protocol
-            .plan_abort(pid, compensations, forward_services)
+        debug_assert_active(self, pid);
+        Protocol::plan_abort(self, pid, compensations, forward_services)
     }
     fn on_abort(&mut self, pid: ProcessId) {
-        self.protocol.record_process_abort(pid);
+        self.record_process_abort(pid);
     }
     fn on_abort_begin(&mut self, pid: ProcessId) {
-        self.protocol.mark_aborting(pid);
+        self.mark_aborting(pid);
     }
     fn compensation_gate(&self, gid: GlobalActivityId) -> CompletionGate {
-        self.debug_assert_active(gid.process);
-        self.protocol.compensation_gate(gid)
+        debug_assert_active(self, gid.process);
+        Protocol::compensation_gate(self, gid)
     }
     fn forward_gate(&self, pid: ProcessId, service: ServiceId) -> CompletionGate {
-        self.debug_assert_active(pid);
-        self.protocol.forward_gate(pid, service)
+        debug_assert_active(self, pid);
+        Protocol::forward_gate(self, pid, service)
     }
     fn alone(&self, pid: ProcessId) -> bool {
-        self.protocol.alone(pid)
+        Protocol::alone(self, pid)
     }
     #[cfg(test)]
     fn protocol(&self) -> Option<&Protocol<'_>> {
-        Some(&self.protocol)
+        Some(self)
     }
 }
 
@@ -418,9 +406,9 @@ impl PolicyKind {
     pub fn build<'a>(self, spec: &'a Spec) -> Box<dyn Policy + Send + 'a> {
         match self {
             PolicyKind::Pred | PolicyKind::PredProtocol => {
-                Box::new(PredPolicy::new(spec, DeferPolicy::PrepareAndDefer))
+                Box::new(Protocol::new(spec, DeferPolicy::PrepareAndDefer))
             }
-            PolicyKind::PredWait => Box::new(PredPolicy::new(spec, DeferPolicy::DeferExecution)),
+            PolicyKind::PredWait => Box::new(Protocol::new(spec, DeferPolicy::DeferExecution)),
             PolicyKind::Serial => Box::new(SerialPolicy::new()),
             PolicyKind::Conservative => Box::new(ConservativePolicy::new(spec)),
             PolicyKind::UnsafeCc => Box::new(UnsafeCcPolicy::new(spec)),

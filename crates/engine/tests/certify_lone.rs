@@ -13,13 +13,24 @@
 //! processes of a domain, so on `durable_recovery`-shaped inputs (the
 //! `engine_ticks` runs) only the certifications before the second process
 //! starts are answered alone; that share is printed, not bounded.
+//!
+//! The worker's serial domains hold for every input, not only closed ones:
+//! a process that runs alone is allowed every request, its commit is never
+//! blocked and its certifications are answered by its own rule, so it never
+//! waits; a process that used up its step budget goes back to the front of
+//! the run queue, and arrivals join the back. Only a restore and the
+//! scripted unit tests start a run with several live processes in a domain.
+//! The second test pins that on open arrivals and heavy failures.
 
+use std::collections::{BTreeMap, BTreeSet};
+use txproc_core::domains::DomainPartition;
+use txproc_core::schedule::Schedule;
 use txproc_core::telemetry::{Phase, Telemetry};
 use txproc_core::trace::{Journal, TraceEvent};
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::engine::RunConfig;
-use txproc_engine::RunBuilder;
-use txproc_sim::workload::{generate, Workload, WorkloadConfig};
+use txproc_engine::{RunBuilder, RunOutcome};
+use txproc_sim::workload::{generate, ArrivalModel, Workload, WorkloadConfig};
 
 /// Journalled certifications and the certifier calls among them.
 #[derive(Default)]
@@ -30,9 +41,10 @@ struct Tally {
 
 impl Tally {
     /// Adds one run: its builder, journalled and with telemetry on.
-    fn run(&mut self, run: RunBuilder<'_>) {
+    fn run(&mut self, run: RunBuilder<'_>) -> RunOutcome {
         let (journal, tele) = (Journal::new(), Telemetry::on());
-        run.sink(Box::new(journal.clone()))
+        let outcome = run
+            .sink(Box::new(journal.clone()))
             .telemetry(tele.clone())
             .run();
         let records = journal.take();
@@ -42,6 +54,7 @@ impl Tally {
         self.certifications += outcomes.count() as u64;
         let snap = tele.snapshot().expect("enabled registry snapshots");
         self.calls += snap.phase(Phase::Certify).map_or(0, |p| p.count);
+        outcome
     }
 
     fn alone(&self) -> u64 {
@@ -105,4 +118,66 @@ fn a_single_worker_run_never_calls_the_certifier() {
     );
     assert_eq!(worker.calls, 0, "a single-worker domain history is serial");
     assert!(engine.calls > 0, "the engine interleaves");
+}
+
+/// Asserts that in each conflict domain's projection of `history` every
+/// process's events are contiguous: once another process of the domain has
+/// an event, the earlier one has none left.
+fn assert_serial_domains(domains: &DomainPartition, history: &Schedule, label: &str) {
+    let (mut current, mut left) = (BTreeMap::new(), BTreeSet::new());
+    for (at, event) in history.events().iter().enumerate() {
+        for &p in event.processes() {
+            let domain = domains.domain_of(p).expect("every process has a domain");
+            match current.insert(domain, p) {
+                Some(q) if q != p => assert!(left.insert(q), "{label}: {q} left twice"),
+                _ => {}
+            }
+            assert!(!left.contains(&p), "{label}: {p} resumes at event {at}");
+        }
+    }
+}
+
+#[test]
+fn open_arrivals_and_failures_keep_every_domain_history_serial() {
+    for workers in [1, 2] {
+        let (mut tally, mut aborted) = (Tally::default(), 0);
+        for seed in 1..=6u64 {
+            for (density, failures) in [(0.4, 0.15), (0.7, 0.3)] {
+                let w = generate(&WorkloadConfig {
+                    seed,
+                    processes: 32,
+                    conflict_density: density,
+                    failure_probability: failures,
+                    arrivals: ArrivalModel::Poisson { mean_gap: 50 },
+                    ..WorkloadConfig::default()
+                });
+                let outcome = tally.run(RunBuilder::new(&w).concurrent(ConcurrentConfig {
+                    seed,
+                    workers: Some(workers),
+                    ..ConcurrentConfig::default()
+                }));
+                let label = format!("{workers} workers, seed {seed}, failures {failures}");
+                let m = outcome.metrics();
+                aborted += m.aborted;
+                assert_eq!((m.waits, m.deferred_commits), (0, 0), "{label}");
+                let domains = DomainPartition::partition(&w.spec);
+                assert_serial_domains(&domains, outcome.history(), &label);
+            }
+        }
+        println!(
+            "{workers} workers, Poisson arrivals: {} certifications, {aborted} aborts, \
+             {} certifier calls",
+            tally.certifications, tally.calls
+        );
+        assert!(aborted > 0, "{workers} workers: failures abort processes");
+        assert!(
+            tally.certifications > 1_000,
+            "{} certifications",
+            tally.certifications
+        );
+        assert_eq!(
+            tally.calls, 0,
+            "{workers} workers: a domain history is serial"
+        );
+    }
 }

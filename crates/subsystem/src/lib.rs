@@ -12,7 +12,7 @@
 //! * [`kv`] — the physical data model: keyed integer stores mutated by small
 //!   operation programs whose read/write sets materialize conflicts,
 //! * [`subsystem`] — the resource manager: local transactions with write
-//!   locks and undo, a durable log, 2PC participation (prepare / commit /
+//!   locks and undo, 2PC participation (prepare / commit /
 //!   abort of in-doubt transactions) and commit-order constraints,
 //! * [`deploy`] — the mapping from catalog services to subsystems and
 //!   programs, with a soundness check of the declared conflict relation,
@@ -36,5 +36,5 @@ pub use agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 pub use deploy::{Deployment, ServiceSite};
 pub use error::SubsystemError;
 pub use kv::{Key, KvOp, Program, Value};
-pub use subsystem::{LogRecord, ReturnValues, Subsystem, SubsystemId, TxId, TxStatus};
+pub use subsystem::{ReturnValues, Subsystem, SubsystemId, TxId, TxStatus};
 pub use tpc::{Coordinator, Decision, Participant};

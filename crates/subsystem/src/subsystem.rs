@@ -1,6 +1,5 @@
 //! A simulated transactional subsystem (§2.3): a resource manager with
-//! atomic local transactions, write locks, a durable log, two-phase commit
-//! participation (prepare / commit / abort of in-doubt transactions), and
+//! atomic local transactions, write locks, two-phase commit participation (prepare / commit / abort of in-doubt transactions), and
 //! optional commit-order serializability for weak orders (§3.6, \[BBG89\]).
 //!
 //! A finished (committed or aborted) transaction keeps only its status. Its
@@ -9,7 +8,7 @@
 //! active and prepared transactions only. Held locks live in a small table
 //! of the keys of active and prepared transactions, and an additive lock's
 //! holder list is recycled like the buffers: in steady state a transaction
-//! allocates nothing but its share of the durable log.
+//! allocates nothing but its status entry.
 
 use crate::error::SubsystemError;
 use crate::kv::{Key, KvOp, Program, Value};
@@ -35,30 +34,6 @@ pub enum TxStatus {
     Committed,
     /// Rolled back.
     Aborted,
-}
-
-/// Durable log records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
-    /// Transaction began.
-    Begin(TxId),
-    /// A write with its before-image.
-    Write {
-        /// Writing transaction.
-        tx: TxId,
-        /// Written key.
-        key: Key,
-        /// Value before the write (None: key absent).
-        before: Option<Value>,
-        /// Value after the write.
-        after: Value,
-    },
-    /// Transaction prepared (2PC vote yes).
-    Prepare(TxId),
-    /// Transaction committed.
-    Commit(TxId),
-    /// Transaction aborted.
-    Abort(TxId),
 }
 
 /// One undo-log entry. `Add` operations use operation-based undo so that
@@ -118,7 +93,6 @@ pub struct Subsystem {
     spare_holders: Vec<Vec<TxId>>,
     /// Commit-order constraints `(first, second)` (weak order, §3.6).
     commit_order: Vec<(TxId, TxId)>,
-    log: Vec<LogRecord>,
     /// Whether the subsystem supports commit-order serializability.
     pub supports_commit_order: bool,
 }
@@ -136,7 +110,6 @@ impl Subsystem {
             spare: Vec::new(),
             spare_holders: Vec::new(),
             commit_order: Vec::new(),
-            log: Vec::new(),
             supports_commit_order: true,
         }
     }
@@ -164,18 +137,12 @@ impl Subsystem {
         &self.store
     }
 
-    /// The durable log.
-    pub fn log(&self) -> &[LogRecord] {
-        &self.log
-    }
-
     /// Begins a local transaction in spare buffers.
     fn begin(&mut self) -> TxId {
         let tx = TxId(self.txs.len() as u64);
         self.txs.push(TxStatus::Active);
         let st = self.spare.pop().unwrap_or_default();
         self.open.push((tx, st));
-        self.log.push(LogRecord::Begin(tx));
         tx
     }
 
@@ -297,12 +264,6 @@ impl Subsystem {
             };
             self.store.insert(key, after);
             self.open_tx_mut(tx).undo.push(undo);
-            self.log.push(LogRecord::Write {
-                tx,
-                key,
-                before,
-                after,
-            });
         } else {
             // Reads see the current (possibly own-uncommitted) state; the
             // scheduler above prevents dirty cross-process reads.
@@ -373,7 +334,6 @@ impl Subsystem {
 
     fn finish_commit(&mut self, tx: TxId) {
         self.finish(tx, TxStatus::Committed);
-        self.log.push(LogRecord::Commit(tx));
     }
 
     /// Rolls back an active or prepared transaction.
@@ -385,7 +345,6 @@ impl Subsystem {
             return Err(SubsystemError::UnknownTx(tx));
         }
         self.finish(tx, TxStatus::Aborted);
-        self.log.push(LogRecord::Abort(tx));
         Ok(())
     }
 
@@ -394,7 +353,6 @@ impl Subsystem {
     pub fn prepare(&mut self, tx: TxId) -> Result<(), SubsystemError> {
         self.check_active(tx)?;
         self.txs[tx.0 as usize] = TxStatus::Prepared;
-        self.log.push(LogRecord::Prepare(tx));
         Ok(())
     }
 
@@ -545,13 +503,18 @@ mod tests {
     }
 
     #[test]
-    fn log_records_written() {
+    fn tx_status_follows_each_transition() {
         let mut s = sub();
         let (t1, _) = s.execute(&Program::set(Key(1), 1)).unwrap();
+        assert_eq!(s.tx_status(t1), Some(TxStatus::Active));
         s.commit(t1).unwrap();
-        assert!(matches!(s.log()[0], LogRecord::Begin(_)));
-        assert!(s.log().iter().any(|r| matches!(r, LogRecord::Write { .. })));
-        assert!(matches!(s.log().last(), Some(LogRecord::Commit(_))));
+        assert_eq!(s.tx_status(t1), Some(TxStatus::Committed));
+        let (t2, _) = s.execute(&Program::set(Key(1), 2)).unwrap();
+        s.prepare(t2).unwrap();
+        assert_eq!(s.tx_status(t2), Some(TxStatus::Prepared));
+        s.abort(t2).unwrap();
+        assert_eq!(s.tx_status(t2), Some(TxStatus::Aborted));
+        assert_eq!(s.tx_status(TxId(2)), None);
     }
 
     #[test]
