@@ -17,7 +17,6 @@
 
 use crate::ids::{ProcessId, ServiceId};
 use crate::spec::Spec;
-use std::collections::BTreeMap;
 
 /// Union-find with path halving and union by rank.
 #[derive(Debug, Clone)]
@@ -86,10 +85,8 @@ impl UnionFind {
 /// regardless of union order.
 #[derive(Debug, Clone)]
 pub struct DomainPartition {
-    /// Dense index → pid, ascending.
+    /// Dense index → pid, ascending (so a pid's index is its binary search).
     pids: Vec<ProcessId>,
-    /// pid → dense index.
-    index: BTreeMap<ProcessId, u32>,
     /// Dense index → domain id.
     label: Vec<u32>,
     /// Domain id → member pids, each ascending.
@@ -114,11 +111,6 @@ impl DomainPartition {
     pub fn partition(spec: &Spec) -> Self {
         const NONE: u32 = u32::MAX;
         let pids: Vec<ProcessId> = spec.processes().map(|p| p.id).collect();
-        let index: BTreeMap<ProcessId, u32> = pids
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i as u32))
-            .collect();
         let mut uf = UnionFind::new(pids.len());
 
         // Base-service footprints, `(process, service)` once per pair, and
@@ -159,7 +151,6 @@ impl DomainPartition {
 
         let mut out = Self {
             pids,
-            index,
             label: Vec::new(),
             members: Vec::new(),
         };
@@ -200,7 +191,7 @@ impl DomainPartition {
 
     /// The domain id of `pid`, if registered.
     pub fn domain_of(&self, pid: ProcessId) -> Option<u32> {
-        self.index.get(&pid).map(|&i| self.label[i as usize])
+        self.pids.binary_search(&pid).ok().map(|i| self.label[i])
     }
 
     /// Member pids of each domain, indexed by domain id.

@@ -91,7 +91,7 @@ use crate::pred::PredReport;
 use crate::schedule::{BaseOp, Event, OpKind, Schedule};
 use crate::spec::Spec;
 use crate::state::{Completion, ProcessState};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::mem::take;
 
 /// Dense process graph over node indices `0..n`; an edge is one bit of
@@ -322,8 +322,7 @@ impl LiveGraph {
 #[derive(Debug, Clone, Copy)]
 struct OrigOp {
     gid: GlobalActivityId,
-    /// Base service, and its slot in [`IncrementalPred::slots`].
-    service: ServiceId,
+    /// The slot of its base service in [`IncrementalPred::slots`].
     sidx: u32,
     kind: OpKind,
     /// Dense index of `gid.process` (see [`PairCounts`]).
@@ -398,8 +397,6 @@ enum Pair {
 /// order restores the certifier exactly.
 #[derive(Debug, Clone, Copy)]
 enum Undo {
-    Committed(ProcessId),
-    Compensated(GlobalActivityId),
     PermFlip(usize),
     /// An `m2` bump to invert.
     Mandatory(u32, u32, bool),
@@ -495,7 +492,6 @@ pub struct IncrementalPred<'a> {
     spec: &'a Spec,
     len: usize,
     states: BTreeMap<ProcessId, ProcessState<'a>>,
-    committed: BTreeSet<ProcessId>,
     // -- original operations --
     ops: Vec<OrigOp>,
     /// The services met, by slot, with their conflicting slots; and what
@@ -503,12 +499,12 @@ pub struct IncrementalPred<'a> {
     slots: ServiceSlots,
     svcs: Vec<Service>,
     /// Dense index of every process with at least one operation, in
-    /// first-operation order (index ↔ [`OrigOp::pidx`]), and its operations.
+    /// first-operation order (index ↔ [`OrigOp::pidx`]), and its operations:
+    /// an activity's forward operation and its compensation, if recorded,
+    /// are found there ([`Self::op_of`]).
     dense_pids: Vec<ProcessId>,
     pid_dense: IdIndex<ProcessId>,
     proc_ops: Vec<Vec<usize>>,
-    fwd_of: BTreeMap<GlobalActivityId, usize>,
-    comp_gids: BTreeSet<GlobalActivityId>,
     // -- permanence --
     /// Forward, not compensated, and not to be compensated by its
     /// process's pending completion (Definition 8).
@@ -608,15 +604,12 @@ impl<'a> IncrementalPred<'a> {
             spec,
             len: 0,
             states: BTreeMap::new(),
-            committed: BTreeSet::new(),
             ops: Vec::new(),
             slots: ServiceSlots::default(),
             svcs: Vec::new(),
             dense_pids: Vec::new(),
             pid_dense: IdIndex::new(),
             proc_ops: Vec::new(),
-            fwd_of: BTreeMap::new(),
-            comp_gids: BTreeSet::new(),
             perm: Vec::new(),
             completion_cache: BTreeMap::new(),
             m2: PairCounts::default(),
@@ -775,10 +768,18 @@ impl<'a> IncrementalPred<'a> {
         &self.overlay[p as usize][slot as usize]
     }
 
-    /// Neither compensated in the history nor by the pending completion of
-    /// its process.
+    /// The recorded operation of activity `g` of this kind, if any: an
+    /// activity executes at most once, and is compensated at most once.
+    fn op_of(&self, g: GlobalActivityId, kind: OpKind) -> Option<usize> {
+        let ops = &self.proc_ops[*self.pid_dense.get(g.process)? as usize];
+        let of_g = |&&i: &&usize| self.ops[i].gid == g && self.ops[i].kind == kind;
+        ops.iter().rfind(of_g).copied()
+    }
+
+    /// Neither compensated in the history (a recorded compensation) nor by
+    /// the pending completion of its process.
     fn uncompensated(&self, g: GlobalActivityId) -> bool {
-        !self.comp_gids.contains(&g)
+        self.op_of(g, OpKind::Compensation).is_none()
             && !self
                 .completion_cache
                 .get(&g.process)
@@ -840,22 +841,20 @@ impl<'a> IncrementalPred<'a> {
             self.log.states.push((pid, old));
         }
         self.scratch.touched = touched;
-        if let Some(p) = commit {
-            self.committed.insert(p);
-            self.log.ops.push(Undo::Committed(p));
-        }
-        if let Some((g, _, OpKind::Compensation)) = appended {
-            self.comp_gids.insert(g);
-            self.log.ops.push(Undo::Compensated(g));
-            changed.push(g);
-        }
+        let compensating = match appended {
+            Some((g, _, OpKind::Compensation)) => Some(g),
+            _ => None,
+        };
+        changed.extend(compensating);
 
-        // 3. Permanence flips and the mandatory-pair counters (m2).
+        // 3. Permanence flips and the mandatory-pair counters (m2). Step 4
+        //    records the compensation in flight, so it is not read off the
+        //    operations yet.
         for g in changed.drain(..) {
-            let Some(&i) = self.fwd_of.get(&g) else {
+            let Some(i) = self.op_of(g, OpKind::Forward) else {
                 continue;
             };
-            let target = self.uncompensated(g);
+            let target = compensating != Some(g) && self.uncompensated(g);
             if target != self.perm[i] {
                 self.count_mandatory(i, target);
                 self.perm[i] = target;
@@ -982,7 +981,8 @@ impl<'a> IncrementalPred<'a> {
         let idx = self.ops.len();
         let eff_free = self.spec.catalog.is_effect_free(service);
         let perm = kind == OpKind::Forward && self.uncompensated(gid);
-        let live = !eff_free || self.committed.contains(&gid.process);
+        // Rule 3: the process of an operation being appended is active.
+        let live = !eff_free;
         self.svcs[sidx as usize].bucket.push(idx);
         self.proc_ops[pidx as usize].push(idx);
         self.perm.push(perm);
@@ -991,7 +991,6 @@ impl<'a> IncrementalPred<'a> {
         self.ocancelled.push(false);
         self.ops.push(OrigOp {
             gid,
-            service,
             sidx,
             kind,
             pidx,
@@ -1006,16 +1005,11 @@ impl<'a> IncrementalPred<'a> {
             self.count_live(idx, true);
             self.scratch.moved(true, false, Member::Orig(idx));
         }
-        match kind {
-            OpKind::Forward => {
-                self.fwd_of.insert(gid, idx);
-            }
-            OpKind::Compensation => {
-                if let Some(&f) = self.fwd_of.get(&gid) {
-                    self.svcs[sidx as usize].pairs.push((f, idx));
-                    self.log.ops.push(Undo::Pair(sidx));
-                    self.scratch.retry[0].push(Pair::Recorded(f, idx));
-                }
+        if kind == OpKind::Compensation {
+            if let Some(f) = self.op_of(gid, OpKind::Forward) {
+                self.svcs[sidx as usize].pairs.push((f, idx));
+                self.log.ops.push(Undo::Pair(sidx));
+                self.scratch.retry[0].push(Pair::Recorded(f, idx));
             }
         }
     }
@@ -1135,13 +1129,14 @@ impl<'a> IncrementalPred<'a> {
                 let gid = GlobalActivityId::new(pid, a);
                 let service = spec.catalog.base(process.service(a));
                 let fwd = match kind {
-                    OpKind::Compensation => *self
-                        .fwd_of
-                        .get(&gid)
+                    OpKind::Compensation => self
+                        .op_of(gid, OpKind::Forward)
                         .expect("a pending compensation undoes a recorded operation"),
                     OpKind::Forward => usize::MAX,
                 };
-                debug_assert!(fwd == usize::MAX || self.ops[fwd].service == service);
+                debug_assert!(
+                    fwd == usize::MAX || self.slots.get(service) == Some(self.ops[fwd].sidx)
+                );
                 let eff_free = spec.catalog.is_effect_free(service);
                 let cop = Cop {
                     gid,
@@ -1534,12 +1529,6 @@ impl<'a> IncrementalPred<'a> {
     fn rollback(&mut self) {
         while let Some(undo) = self.log.ops.pop() {
             match undo {
-                Undo::Committed(p) => {
-                    self.committed.remove(&p);
-                }
-                Undo::Compensated(g) => {
-                    self.comp_gids.remove(&g);
-                }
                 Undo::PermFlip(i) => self.perm[i] = !self.perm[i],
                 Undo::Mandatory(a, b, up) => {
                     self.m2.bump(a, b, !up);
@@ -1570,9 +1559,6 @@ impl<'a> IncrementalPred<'a> {
                     self.ocancelled.pop();
                     self.svcs[o.sidx as usize].bucket.pop();
                     self.proc_ops[o.pidx as usize].pop();
-                    if o.kind == OpKind::Forward {
-                        self.fwd_of.remove(&o.gid);
-                    }
                 }
                 Undo::Process => {
                     let pid = self.dense_pids.pop().expect("logged process");
@@ -1639,6 +1625,7 @@ mod tests {
     use crate::state::FailureOutcome;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     type PidPairs = BTreeMap<(ProcessId, ProcessId), u32>;
     type OpKey = (GlobalActivityId, OpKind);
@@ -1688,10 +1675,9 @@ mod tests {
             format!(
                 "{:?}",
                 (
-                    (&self.len, &self.states, &self.committed, &self.ops),
+                    (&self.len, &self.states, &self.ops),
                     (&self.slots, &self.svcs, &self.dense_pids),
-                    (&self.pid_dense, &self.proc_ops, &self.fwd_of),
-                    (&self.comp_gids, &self.perm),
+                    (&self.pid_dense, &self.proc_ops, &self.perm),
                     (&self.completion_cache, self.by_pid(&self.m2)),
                     (&self.live_base, &self.cancelled, &self.ocancelled),
                     (self.by_pid(&self.live.counts), g.n, edges, &g.indeg),
@@ -1732,13 +1718,14 @@ mod tests {
         /// selects, per process pair in history order.
         fn pair_counts(&self, keep: &[bool]) -> PidPairs {
             let oracle = self.spec.oracle();
+            let service = |o: &OrigOp| self.spec.service_of(o.gid).unwrap();
             let mut counts = PidPairs::new();
             for (j, y) in self.ops.iter().enumerate() {
                 for (i, x) in self.ops[..j].iter().enumerate() {
                     if keep[i]
                         && keep[j]
                         && x.gid.process != y.gid.process
-                        && oracle.conflict(x.service, y.service)
+                        && oracle.conflict(service(x), service(y))
                     {
                         *counts.entry((x.gid.process, y.gid.process)).or_default() += 1;
                     }

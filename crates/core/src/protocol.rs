@@ -83,7 +83,6 @@ use crate::bits::{assign, bit, ones, or, test, word, BitRows};
 use crate::conflict::ServiceSlots;
 use crate::ids::{GlobalActivityId, IdIndex, ProcessId, ServiceId};
 use crate::order::PartialOrder;
-use crate::process::Process;
 use crate::spec::Spec;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -160,22 +159,19 @@ struct ExecRecord {
     compensated: bool,
     /// Whether the operation can never be compensated anymore.
     stable: bool,
-    /// Whether the subsystem commit is still deferred (prepared).
+    /// Whether the subsystem commit is still deferred (prepared): the one
+    /// mark of a prepared activity, cleared at its release or abort.
     deferred: bool,
 }
 
 /// What the protocol keeps per process, at its dense index.
 #[derive(Debug, Clone)]
-struct Proc<'a> {
+struct Proc {
     pid: ProcessId,
-    /// Its definition, looked up in the spec by its first recorded activity.
-    process: Option<&'a Process>,
     status: ProtStatus,
     /// Indices (into `ops`) of its operation records, in execution order;
     /// empty once a quiescent point retired it.
     ops: Vec<usize>,
-    /// Activities executed under deferred commit, not yet released.
-    deferred: Vec<GlobalActivityId>,
 }
 
 /// The protocol state machine (single-threaded core; a shard owns one).
@@ -188,7 +184,7 @@ pub struct Protocol<'a> {
     // ---- processes, by dense index (order of first appearance) ----
     /// The one id → dense-index lookup a call makes per process argument.
     index: IdIndex<ProcessId>,
-    procs: Vec<Proc<'a>>,
+    procs: Vec<Proc>,
     /// Processes whose status is not [`ProtStatus::Active`] (ANDed out of
     /// rows of processes; nothing to set when a process registers).
     terminated: Vec<u64>,
@@ -281,9 +277,13 @@ impl<'a> Protocol<'a> {
         edges.into_iter()
     }
 
-    /// Deferred (prepared) activities of a process.
-    pub fn deferred_of(&self, pid: ProcessId) -> &[GlobalActivityId] {
-        self.lookup(pid).map_or(&[], |d| &self.procs[d].deferred)
+    /// Deferred (prepared) activities of a process, in execution order
+    /// (test support: the records still flagged).
+    #[doc(hidden)]
+    pub fn deferred_of(&self, pid: ProcessId) -> Vec<GlobalActivityId> {
+        let ops = self.lookup(pid).map_or(&[][..], |d| &self.procs[d].ops);
+        let prepared = ops.iter().map(|&i| &self.ops[i]).filter(|r| r.deferred);
+        prepared.map(|r| r.gid).collect()
     }
 
     /// How often the predecessor row was derived from the service rows
@@ -335,10 +335,8 @@ impl<'a> Protocol<'a> {
         self.index.insert(pid, d as u32);
         self.procs.push(Proc {
             pid,
-            process: None,
             status: ProtStatus::Active,
             ops: Vec::new(),
-            deferred: Vec::new(),
         });
         d
     }
@@ -676,10 +674,8 @@ impl<'a> Protocol<'a> {
     ) -> Vec<(ProcessId, ProcessId)> {
         let pid = gid.process;
         let me = self.dense(pid);
-        let known = self.procs[me].process;
-        let process = known.unwrap_or_else(|| self.spec.process(pid).expect("validated activity"));
-        self.procs[me].process = Some(process);
-        let service = self.spec.catalog.base(process.service(gid.activity));
+        let service = self.spec.service_of(gid).expect("validated activity");
+        let service = self.spec.catalog.base(service);
         // Dependency edges from every conflicting predecessor: the row the
         // admitting `request` derived, unless the state moved since. A
         // process alone with its records has none.
@@ -715,9 +711,6 @@ impl<'a> Protocol<'a> {
             deferred,
         };
         self.push_record(me, rec);
-        if deferred {
-            self.procs[me].deferred.push(gid);
-        }
         edges_added
     }
 
@@ -788,7 +781,6 @@ impl<'a> Protocol<'a> {
                 self.compensate(i, me);
             }
         }
-        self.procs[me].deferred.retain(|&g| g != gid);
     }
 
     /// Marks a deferred activity as released (subsystem commit executed).
@@ -811,7 +803,6 @@ impl<'a> Protocol<'a> {
                 self.refresh(self.ops[i].slot, me);
             }
         }
-        self.procs[me].deferred.retain(|&g| g != gid);
     }
 
     // ---- abort ----------------------------------------------------------
@@ -985,9 +976,11 @@ impl<'a> Protocol<'a> {
         }
         // Drop its unreleased deferred activities (they abort at prepare):
         // prepared-then-aborted, no effect.
-        for gid in std::mem::take(&mut self.procs[me].deferred) {
-            if let Some(&first) = self.records_of(me, gid).first() {
-                self.compensate(first, me);
+        for k in 0..self.procs[me].ops.len() {
+            let i = self.procs[me].ops[k];
+            if self.ops[i].deferred {
+                self.ops[i].deferred = false;
+                self.compensate(i, me);
             }
         }
         self.retire_if_quiescent();

@@ -145,7 +145,7 @@ impl<'a> Both<'a> {
     fn probe(&self, pid: ProcessId, executed: &[GlobalActivityId]) -> String {
         self.same("status", self.rows.status(pid), self.scan.status(pid));
         let deferred = (self.rows.deferred_of(pid), self.scan.deferred_of(pid));
-        self.same("deferred_of", deferred.0, deferred.1);
+        self.same("deferred_of", deferred.0, deferred.1.to_vec());
         let commit = self.can_commit(pid);
         if self.scan.status(pid) != ProtStatus::Active && !self.held.holds(pid) {
             let ready =

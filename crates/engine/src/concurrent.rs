@@ -472,12 +472,20 @@ impl Level {
 }
 
 /// A member and what the step keeps of it: its cells' offset, whether it is
-/// live, and the prepared activity it is parked on.
+/// live, the prepared activity it is parked on, and what [`Shard::note`]
+/// keeps of it.
 struct Slot<'a> {
     state: ProcessState<'a>,
     base: usize,
     live: bool,
     pending: Option<GlobalActivityId>,
+    /// The last journalled blocked state (record kind, wait set), set only
+    /// while tracing: one record per *distinct* blocked state of a re-polled
+    /// request keeps the trace readable.
+    block_note: Option<(&'static str, Vec<ProcessId>)>,
+    /// The prepare instant of its in-flight deferred commit (the 2PC phase's
+    /// start), set only while telemetry is on.
+    prepared_at: Option<Instant>,
 }
 
 /// One conflict domain's scheduler, complete: protocol state (policy, gate,
@@ -510,14 +518,6 @@ pub(crate) struct Shard<'a> {
     /// 8.3(f): completions of concurrently aborting processes are ordered
     /// consistently).
     abort_order: Vec<ProcessId>,
-    /// Last journalled block state per process (record kind, wait set).
-    /// Blocked requests are re-polled on every wakeup; one journal record per
-    /// *distinct* blocked state keeps the trace readable.
-    block_notes: BTreeMap<ProcessId, (&'static str, Vec<ProcessId>)>,
-    /// Prepare instants of in-flight deferred commits, populated only while
-    /// telemetry is enabled (so the disabled path stays byte-identical):
-    /// feeds the 2PC phase histogram, prepare to release or abort.
-    prepared_at: BTreeMap<ProcessId, Instant>,
     /// Trace records not yet in the global journal (tracing enabled only),
     /// appended [`TRACE_BATCH`] at a time.
     trace_buf: Vec<(usize, Option<u64>, TraceEvent)>,
@@ -617,6 +617,8 @@ impl<'a> Shard<'a> {
                 base,
                 live: false,
                 pending: None,
+                block_note: None,
+                prepared_at: None,
             };
             slots.insert(pid, slot);
         }
@@ -634,8 +636,6 @@ impl<'a> Shard<'a> {
             metrics: Metrics::new(),
             invocation_log: Vec::new(),
             abort_order: Vec::new(),
-            block_notes: BTreeMap::new(),
-            prepared_at: BTreeMap::new(),
             trace_buf: Vec::new(),
             run_queue: VecDeque::new(),
             waiting: BTreeSet::new(),
@@ -1063,10 +1063,10 @@ impl<'a> Shard<'a> {
         let pid = event.pid();
         match (&event, pid) {
             (TraceEvent::CommitDeferred { .. }, Some(p)) if ctx.tele.enabled() => {
-                self.prepared_at.insert(p, Instant::now());
+                self.slots[p].prepared_at = Some(Instant::now());
             }
             (TraceEvent::CommitReleased { .. } | TraceEvent::AbortStarted { .. }, Some(p)) => {
-                if let Some(t0) = self.prepared_at.remove(&p) {
+                if let Some(t0) = self.slots[p].prepared_at.take() {
                     ctx.tele
                         .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
                 }
@@ -1083,11 +1083,11 @@ impl<'a> Shard<'a> {
                 | TraceEvent::CompletionBlocked { wait_for: w, .. },
                 Some(p),
             ) => {
-                let kind = event.kind();
-                if (self.block_notes.get(&p)).is_some_and(|(k, v)| *k == kind && v == w) {
+                let (kind, note) = (event.kind(), &mut self.slots[p].block_note);
+                if (note.as_ref()).is_some_and(|(k, v)| *k == kind && v == w) {
                     return;
                 }
-                self.block_notes.insert(p, (kind, w.clone()));
+                *note = Some((kind, w.clone()));
             }
             (
                 TraceEvent::RequestAdmitted { .. }
@@ -1096,7 +1096,7 @@ impl<'a> Shard<'a> {
                 | TraceEvent::ProcessCommitted { .. }
                 | TraceEvent::ProcessAborted { .. },
                 Some(p),
-            ) => drop(self.block_notes.remove(&p)),
+            ) => self.slots[p].block_note = None,
             _ => {}
         }
         let (buf, at) = (&mut self.trace_buf, self.history.len());

@@ -33,33 +33,40 @@ pub trait Policy {
     /// A forward activity executed (`deferred`: prepared, commit deferred).
     /// Returns the serialization edges newly added by the execution, for
     /// decision tracing; policies without an explicit serialization order
-    /// return the empty vector.
+    /// add none.
     fn record_executed(
         &mut self,
-        gid: GlobalActivityId,
-        deferred: bool,
-    ) -> Vec<(ProcessId, ProcessId)>;
+        _gid: GlobalActivityId,
+        _deferred: bool,
+    ) -> Vec<(ProcessId, ProcessId)> {
+        Vec::new()
+    }
     /// A deferred activity's subsystem commit was released.
-    fn record_deferred_released(&mut self, gid: GlobalActivityId);
+    fn record_deferred_released(&mut self, _gid: GlobalActivityId) {}
     /// A deferred (prepared) activity was aborted before release: it leaves
     /// no effects.
     fn record_prepared_aborted(&mut self, _gid: GlobalActivityId) {}
     /// A compensating activity executed.
-    fn record_compensated(&mut self, gid: GlobalActivityId);
+    fn record_compensated(&mut self, _gid: GlobalActivityId) {}
     /// May the process commit now (Definition 11.1)? `Err` names the
     /// processes it waits for. A process parked on a deferred activity asks
-    /// the same before its release (Lemma 1.1).
-    fn can_commit(&mut self, pid: ProcessId) -> Result<(), Vec<ProcessId>>;
+    /// the same before its release (Lemma 1.1). Policies without commit
+    /// ordering always answer `Ok`.
+    fn can_commit(&mut self, _pid: ProcessId) -> Result<(), Vec<ProcessId>> {
+        Ok(())
+    }
     /// The process committed.
     fn on_commit(&mut self, pid: ProcessId);
     /// Which dependents must cascade when `pid` aborts (victims in reverse
-    /// dependency order).
+    /// dependency order). Policies without cascades name none.
     fn plan_abort(
         &mut self,
-        pid: ProcessId,
-        compensations: &[GlobalActivityId],
-        forward_services: &[ServiceId],
-    ) -> Vec<ProcessId>;
+        _pid: ProcessId,
+        _compensations: &[GlobalActivityId],
+        _forward_services: &[ServiceId],
+    ) -> Vec<ProcessId> {
+        Vec::new()
+    }
     /// The process aborted (completion finished).
     fn on_abort(&mut self, pid: ProcessId);
     /// The process's abort was initiated (its completion starts executing).
@@ -200,28 +207,8 @@ impl Policy for SerialPolicy {
             None => Admission::Allow,
         }
     }
-    fn record_executed(
-        &mut self,
-        _gid: GlobalActivityId,
-        _deferred: bool,
-    ) -> Vec<(ProcessId, ProcessId)> {
-        Vec::new()
-    }
-    fn record_deferred_released(&mut self, _gid: GlobalActivityId) {}
-    fn record_compensated(&mut self, _gid: GlobalActivityId) {}
-    fn can_commit(&mut self, _pid: ProcessId) -> Result<(), Vec<ProcessId>> {
-        Ok(())
-    }
     fn on_commit(&mut self, pid: ProcessId) {
         self.terminated.insert(pid);
-    }
-    fn plan_abort(
-        &mut self,
-        _pid: ProcessId,
-        _compensations: &[GlobalActivityId],
-        _forward_services: &[ServiceId],
-    ) -> Vec<ProcessId> {
-        Vec::new()
     }
     fn on_abort(&mut self, pid: ProcessId) {
         self.terminated.insert(pid);
@@ -295,28 +282,8 @@ impl Policy for ConservativePolicy<'_> {
             Admission::Wait { blockers }
         }
     }
-    fn record_executed(
-        &mut self,
-        _gid: GlobalActivityId,
-        _deferred: bool,
-    ) -> Vec<(ProcessId, ProcessId)> {
-        Vec::new()
-    }
-    fn record_deferred_released(&mut self, _gid: GlobalActivityId) {}
-    fn record_compensated(&mut self, _gid: GlobalActivityId) {}
-    fn can_commit(&mut self, _pid: ProcessId) -> Result<(), Vec<ProcessId>> {
-        Ok(())
-    }
     fn on_commit(&mut self, pid: ProcessId) {
         self.held.remove(&pid);
-    }
-    fn plan_abort(
-        &mut self,
-        _pid: ProcessId,
-        _compensations: &[GlobalActivityId],
-        _forward_services: &[ServiceId],
-    ) -> Vec<ProcessId> {
-        Vec::new()
     }
     fn on_abort(&mut self, pid: ProcessId) {
         self.held.remove(&pid);
@@ -356,23 +323,11 @@ impl Policy for UnsafeCcPolicy<'_> {
     ) -> Vec<(ProcessId, ProcessId)> {
         self.protocol.record_executed(gid, false)
     }
-    fn record_deferred_released(&mut self, _gid: GlobalActivityId) {}
     fn record_compensated(&mut self, gid: GlobalActivityId) {
         self.protocol.record_compensated(gid);
     }
-    fn can_commit(&mut self, _pid: ProcessId) -> Result<(), Vec<ProcessId>> {
-        Ok(())
-    }
     fn on_commit(&mut self, pid: ProcessId) {
         self.protocol.record_process_commit(pid);
-    }
-    fn plan_abort(
-        &mut self,
-        _pid: ProcessId,
-        _compensations: &[GlobalActivityId],
-        _forward_services: &[ServiceId],
-    ) -> Vec<ProcessId> {
-        Vec::new()
     }
     fn on_abort(&mut self, pid: ProcessId) {
         self.protocol.record_process_abort(pid);
