@@ -46,6 +46,7 @@ pub struct GlobalActivityId {
 
 impl GlobalActivityId {
     /// Convenience constructor.
+    #[inline]
     pub const fn new(process: ProcessId, activity: ActivityId) -> Self {
         Self { process, activity }
     }

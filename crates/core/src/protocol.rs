@@ -69,10 +69,11 @@
 //! a retired process itself, [`compensation_gate`](Protocol::compensation_gate)
 //! is `Ready` and [`plan_abort`](Protocol::plan_abort) empty, as for a
 //! process without records: a terminated process runs no completion, so
-//! no driver asks them. A `request` while every record is the requester's
-//! own derives nothing: it has no predecessor to find. Nor does the
-//! certifier: such a process's every effect event keeps the history's
-//! completed prefix reducible ([`alone`](Protocol::alone)).
+//! no driver asks them. Nor does the scheduler's step ask anything about a
+//! process whose records are the only ones held: every answer about it is
+//! fixed ([`alone`](Protocol::alone)), so the step gives it and tells the
+//! protocol that process's events only when a second process needs an
+//! answer.
 //!
 //! Every returned list is sorted by process id (victims topologically), so
 //! answers do not depend on the order processes registered in. The scan
@@ -356,11 +357,15 @@ impl<'a> Protocol<'a> {
         assign(&mut self.terminated, d, !is);
     }
 
-    /// Whether every record held is `pid`'s own, i.e. since the last
-    /// quiescent point no other process executed an operation. Then no
-    /// other process holds an operation or an edge, `pid` has no
-    /// predecessor, and any effect event of `pid` keeps the completed
-    /// prefix reducible (DESIGN.md, certifier invariant 7).
+    /// Whether no process holds a record (a quiescent point).
+    pub fn quiescent(&self) -> bool {
+        self.holders.is_empty()
+    }
+
+    /// Whether every record held is `pid`'s own: no other process executed
+    /// an operation since the last quiescent point. Then `pid` has no
+    /// predecessor and every answer about it is fixed (DESIGN.md, certifier
+    /// invariant 7), so the scheduler's step gives them without asking.
     pub fn alone(&self, pid: ProcessId) -> bool {
         match self.holders[..] {
             [] => true,
@@ -621,9 +626,6 @@ impl<'a> Protocol<'a> {
     /// `service`. Keeps the predecessor row it derived for the
     /// [`record_executed`](Self::record_executed) that follows an admission.
     pub fn request(&mut self, pid: ProcessId, service: ServiceId) -> Admission {
-        if self.alone(pid) {
-            return Admission::Allow;
-        }
         let base = self.spec.catalog.base(service);
         let me = self.lookup(pid);
         let due = self.derive_predecessors(pid, me, base);
@@ -677,21 +679,14 @@ impl<'a> Protocol<'a> {
         let service = self.spec.service_of(gid).expect("validated activity");
         let service = self.spec.catalog.base(service);
         // Dependency edges from every conflicting predecessor: the row the
-        // admitting `request` derived, unless the state moved since. A
-        // process alone with its records has none.
-        let alone = self.alone(pid);
-        if !alone && self.scanned != Some((pid, service, self.stamp)) {
+        // admitting `request` derived, unless the state moved since.
+        if self.scanned != Some((pid, service, self.stamp)) {
             self.derive_predecessors(pid, Some(me), service);
         }
         self.stamp += 1;
-        let edges_added = if alone {
-            Vec::new()
-        } else {
-            let mut preds = std::mem::take(&mut self.preds);
-            let edges = self.insert_edges(&mut preds, me);
-            self.preds = preds;
-            edges
-        };
+        let mut preds = std::mem::take(&mut self.preds);
+        let edges_added = self.insert_edges(&mut preds, me);
+        self.preds = preds;
         // A committed non-compensatable activity stabilizes every earlier
         // operation of the same process (quasi-commit, §3.5).
         let compensatable = self.spec.catalog.termination(service).is_compensatable();

@@ -231,16 +231,19 @@ impl<'a> ProcessState<'a> {
     }
 
     /// The process being executed.
+    #[inline]
     pub fn process(&self) -> &'a Process {
         self.process
     }
 
     /// Current lifecycle status.
+    #[inline]
     pub fn status(&self) -> ProcessStatus {
         self.status
     }
 
     /// Whether the process is still active.
+    #[inline]
     pub fn is_active(&self) -> bool {
         self.status == ProcessStatus::Active
     }
@@ -280,6 +283,7 @@ impl<'a> ProcessState<'a> {
     /// The next regular activity eligible for invocation, or `None` when the
     /// path end is reached, compensations are pending, or the process
     /// terminated.
+    #[inline]
     pub fn next_activity(&self) -> Option<ActivityId> {
         if self.status != ProcessStatus::Active || !self.pending_compensations.is_empty() {
             return None;
@@ -288,6 +292,7 @@ impl<'a> ProcessState<'a> {
     }
 
     /// The next pending compensation, if recovery is in progress.
+    #[inline]
     pub fn next_compensation(&self) -> Option<ActivityId> {
         if self.status != ProcessStatus::Active {
             return None;
@@ -297,11 +302,13 @@ impl<'a> ProcessState<'a> {
 
     /// Whether a process-level abort is in progress (the machine is
     /// executing its completion).
+    #[inline]
     pub fn abort_in_progress(&self) -> bool {
         self.abort_requested && self.status == ProcessStatus::Active
     }
 
     /// Whether the process finished a valid execution path and may commit.
+    #[inline]
     pub fn can_commit(&self) -> bool {
         self.status == ProcessStatus::Active
             && self.frontier.is_none()

@@ -29,7 +29,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of buckets of every log₂ histogram in the system (the phase
-/// histograms here and `RuntimeMetrics::sched_delay_ns`): bucket `i` holds
+/// histograms here; `RuntimeMetrics::sched_delay_ns` splits each into
+/// linear sub-buckets): bucket `i` holds
 /// values `v` with `⌊log₂ v⌋ = i` (bucket 0 also holds 0), and the last
 /// bucket absorbs everything larger.
 pub const HIST_BUCKETS: usize = 40;
@@ -194,19 +195,23 @@ impl Registry {
 /// Percentile over a log₂ histogram, resolved to the bucket's upper edge.
 /// `None` on an empty histogram. Monotone in `q` by construction.
 pub fn hist_percentile(buckets: &[u64], q: f64) -> Option<u64> {
+    hist_index(buckets, q).map(bucket_edge)
+}
+
+/// The bucket holding the sample of rank `round((n - 1) · q)` of a
+/// histogram's `n`, `None` when it is empty: the percentile of any bucket
+/// layout whose edges ascend with the index.
+pub fn hist_index(buckets: &[u64], q: f64) -> Option<usize> {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
         return None;
     }
     let rank = ((total - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
     let mut seen = 0u64;
-    for (i, &n) in buckets.iter().enumerate() {
+    buckets.iter().position(|&n| {
         seen += n;
-        if seen > rank {
-            return Some(bucket_edge(i));
-        }
-    }
-    Some(bucket_edge(buckets.len() - 1))
+        seen > rank
+    })
 }
 
 /// The cheap, cloneable driver-facing handle: either off (default, near-zero

@@ -6,11 +6,12 @@
 //! prefix reducible, i.e. the history PRED by construction. The virtual-time
 //! engine asks it of its whole history, the concurrent driver of one
 //! shard's segment (sound because events of other shards commute with every
-//! event of this one). Every effect event is asked, and the policy's rule
-//! answers first: an event of a process that runs *alone* — no other
+//! event of this one). Every effect event is asked, and the step's lone
+//! rule answers first: an event of a process that runs *alone* — no other
 //! process executed an operation since every process holding a record
-//! terminated (`Protocol::alone`) — keeps the completed prefix reducible
-//! (DESIGN.md, certifier invariant 7), so the certifier is not called. It
+//! terminated (`Protocol::alone`, which the step keeps itself) — keeps the
+//! completed prefix reducible (DESIGN.md, certifier invariant 7), so the
+//! certifier is not called. It
 //! still absorbs every history event on its next call and derives only
 //! where processes interleave. The from-scratch answer — `complete` + `reduce` on
 //! the extended history — is the reference the tests hold each verdict
@@ -44,8 +45,9 @@ impl<'a> CertGate<'a> {
 
     /// The decision on `event` at the end of `history`: `None` for a re-poll
     /// of a refusal at the same history length (decided already, nothing to
-    /// note), else whether the event is admitted — at once when its process
-    /// is `alone`, else by the certifier ([`Self::admits`]).
+    /// note), else whether the event is admitted — at once when the shard
+    /// says its process runs `alone`, else by the certifier
+    /// ([`Self::admits`]).
     pub(crate) fn decide(
         &mut self,
         history: &Schedule,

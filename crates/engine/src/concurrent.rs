@@ -6,52 +6,39 @@
 //! The deterministic virtual-time [`Engine`](crate::engine::Engine) is the
 //! same loop in another [`RunOrder`], over one shard holding every process.
 //! This driver runs the workload under real OS concurrency. The paper's
-//! protocol (Lemmas 1–3) only ever orders operations that *conflict*, so
-//! processes in different connected components of the potential-conflict
-//! graph impose no ordering obligations on each other. The driver exploits
-//! that: a [`DomainPartition`] splits the workload into conflict domains,
-//! and each shard owns a complete scheduler state — its own [`Policy`]
-//! instance, §3.5 certification gate and history segment — so admission,
-//! certification, commit and abort decisions in disjoint domains proceed
-//! fully in parallel. A deterministic merge (events are stamped with a
-//! global atomic ticket at emission) produces one global [`Schedule`];
-//! shard-local PRED plus the absence of cross-shard conflicts implies
-//! global PRED (see DESIGN.md "Conflict-domain sharding" for the
-//! commutation argument, and the differential stress tests for the oracle).
+//! protocol (Lemmas 1–3) only orders operations that *conflict*, so a
+//! [`DomainPartition`] splits the workload into conflict domains, and each
+//! shard owns a complete scheduler — its own [`Policy`], §3.5 certification
+//! gate and history segment — deciding in parallel with the others. A
+//! deterministic merge (events carry a global ticket taken at emission)
+//! produces one [`Schedule`]; shard-local PRED without cross-shard
+//! conflicts is global PRED (DESIGN.md "Conflict-domain sharding").
 //!
 //! # Runtime
 //!
 //! Processes are state machines stepped by a fixed worker pool (default
-//! `min(cores, shards)`), [`Fifo`], one non-blocking `Shard::step` call at a
-//! time. Each worker *owns* a disjoint set of shards: a shard is one plain
-//! value — scheduler state, run queue of runnable processes, waiting set of
-//! blocked ones — that only its worker ever touches, so nothing guards it.
-//! A blocked process costs a queue entry, not a parked thread stack, so the
-//! runtime scales to 100k+ in-flight processes. Every scheduler-visible
-//! mutation (a history event, the policy live-op removal at finalize) marks
-//! the shard *dirty*, and a dirty shard re-queues its waiters once its
-//! runnable work has drained; that is complete because a blocker is always a
-//! shard-mate. With one worker and closed arrivals nothing nondeterministic
-//! is left, which makes the single-worker run the deterministic oracle of
-//! the differential tests.
+//! `min(cores, shards)`), [`Fifo`], one non-blocking `Shard::step` at a
+//! time. Each worker *owns* a disjoint set of shards, plain values —
+//! scheduler state, run queue, waiting set — that nothing else touches. A
+//! blocked process costs a queue entry, not a thread. Every
+//! scheduler-visible mutation (a history event, a termination) marks the
+//! shard *dirty*, and a dirty shard re-queues its waiters once its runnable
+//! work has drained; that is complete because a blocker is always a
+//! shard-mate. One worker with closed arrivals is deterministic: the oracle
+//! of the differential tests.
 //!
 //! # Shard lifecycle
 //!
-//! A shard lives as long as its domain has work, and always in the hands of
-//! one worker. The calling thread partitions, assigns, and then is worker 0
-//! (workers `1..W` are spawned; a one-worker run spawns no thread). The
-//! owning worker builds the shard (`Shard::build`: policy, gate, process
-//! slots, queues) when it admits the domain's first due arrival, holds it
-//! by value while it steps it, and retires it —
-//! `Shard::finish`, which flushes its buffered trace records to the journal —
-//! in the visit in which its last process terminates *and* no arrival is
-//! pending. Retirement waits for the arrival queue because a drained
-//! domain's history still constrains its later arrivals.
-//! So a worker holds state only for domains with live or due work (peak
-//! built shards: [`RuntimeMetrics::shards_live_peak`]). Step order is that
-//! of a run with every shard built up front, so single-worker histories,
-//! tickets and metrics are unchanged by the lifecycle; only *when* memory is
-//! live and the journal flush point follow it.
+//! The calling thread partitions, assigns, and then is worker 0 (workers
+//! `1..W` are spawned). The owning worker builds a shard (`Shard::build`)
+//! when it admits the domain's first due arrival, and retires it
+//! (`Shard::finish`, which flushes its buffered trace records) in the visit
+//! in which its last process terminates *and* no arrival is pending: a
+//! drained domain's history still constrains its later arrivals. So a
+//! worker holds state only for domains with live or due work
+//! ([`RuntimeMetrics::shards_live_peak`]); step order, and so every
+//! single-worker history, ticket and metric, is that of a run with every
+//! shard built up front.
 //!
 //! What two workers *can* reach is behind a lock, and these are all of
 //! them. Two are taken while another is held, always in the order
@@ -68,16 +55,11 @@
 //! | WAL writer mutex            | the durable log + the merge ticket    |
 //!
 //! Agents are shared across shards, but a key lock held by a prepared
-//! invocation can only block a *conflicting* service (reads do not lock;
-//! additive writes share their lock), and conflicting services are by
-//! construction in the same domain — so cross-shard `Busy` outcomes cannot
-//! occur and shard-local re-queuing is complete.
-//!
+//! invocation only blocks a *conflicting* service, which is in the same
+//! domain: no `Busy` crosses shards, and shard-local re-queuing is complete.
 //! Failure injection is a pure function of `(seed, activity, attempt)`, so
-//! outcome draws are independent of thread interleaving: on workloads whose
-//! processes are pairwise non-conflicting the sharded and one-shard
-//! configurations, at any worker count, produce bit-equal commit/abort
-//! sets.
+//! on pairwise non-conflicting workloads every topology and worker count
+//! produces the same commit/abort sets.
 
 use crate::certify::CertGate;
 use crate::policy::{Policy, PolicyKind};
@@ -155,11 +137,9 @@ pub struct ConcurrentConfig {
     /// `min(available cores, shard count)`.
     pub workers: Option<usize>,
     /// Journal seal cadence: an installed WAL is sealed (and, under
-    /// `FsyncPerEpoch`, synced) every `epoch` history events, counted
-    /// across shards in the order they reach the writer; `0` seals every
-    /// event. Read once, where the WAL is installed; it selects nothing
-    /// else, so no value can change a history, a metric or a decision
-    /// journal.
+    /// `FsyncPerEpoch`, synced) every `epoch` history events, counted in
+    /// the order they reach the writer; `0` seals every event. It selects
+    /// nothing else: no value changes a history, a metric or a journal.
     pub epoch: usize,
 }
 
@@ -498,6 +478,11 @@ pub(crate) struct Shard<'a> {
     /// policies only); the one owner serializes history order for it.
     gate: Option<CertGate<'a>>,
     policy: Box<dyn Policy + Send + 'a>,
+    /// Who executed an operation since the policy's last quiescent point,
+    /// while at most one did ([`Shard::alone`]), and the first event the
+    /// policy was not told; `None` while it is told and decides everything.
+    lone: Option<Option<ProcessId>>,
+    untold: Option<usize>,
     /// One slot per member, ascending by pid (every order callers see).
     slots: IdIndex<ProcessId, Slot<'a>>,
     /// Per member activity, at its slot's `base` plus the activity index: the
@@ -515,23 +500,19 @@ pub(crate) struct Shard<'a> {
     /// invocation with its subsystem transaction handle.
     pub(crate) invocation_log: Vec<InvocationLogEntry>,
     /// Processes in the order their aborts were initiated (Definition
-    /// 8.3(f): completions of concurrently aborting processes are ordered
-    /// consistently).
+    /// 8.3(f): concurrent completions are ordered consistently).
     abort_order: Vec<ProcessId>,
     /// Trace records not yet in the global journal (tracing enabled only),
     /// appended [`TRACE_BATCH`] at a time.
     trace_buf: Vec<(usize, Option<u64>, TraceEvent)>,
-    /// Runnable processes with their enqueue instant (scheduling delay is
-    /// measured from it).
+    /// Runnable processes with their enqueue instant (the scheduling delay's
+    /// start).
     pub(crate) run_queue: VecDeque<(ProcessId, Instant)>,
-    /// Blocked processes; re-queued when the run queue drains on a dirty
-    /// shard.
+    /// Blocked processes, re-queued when a dirty shard's run queue drains.
     waiting: BTreeSet<ProcessId>,
-    /// A scheduler-visible mutation (a history event, the policy live-op
-    /// removal at finalize) happened since waiters were last re-queued.
-    /// Marks are *coalesced*: re-queuing every waiter on every mutation
-    /// would cost an O(waiters) futile-poll round per event, where draining
-    /// the runnable work first folds a whole burst into one round.
+    /// A scheduler-visible mutation (a history event, a termination)
+    /// happened since waiters were last re-queued. Marks are *coalesced*:
+    /// draining the runnable work first folds a burst into one poll round.
     dirty: bool,
 }
 
@@ -549,12 +530,11 @@ pub(crate) struct ShardDone {
 /// Outcome of one [`Shard::step`].
 #[derive(Debug, PartialEq, Eq)]
 enum Step {
-    /// Process reached a terminal state and left the shard's live set.
+    /// Terminated: left the shard's live set.
     Done,
-    /// Blocked on shard state; parked in the waiting set until the shard is
-    /// marked dirty.
+    /// Blocked: in the waiting set until the shard is marked dirty.
     Wait,
-    /// Made progress (or must re-poll immediately): runnable again.
+    /// Made progress (or must re-poll at once): runnable again.
     Yield,
 }
 
@@ -623,10 +603,13 @@ impl<'a> Shard<'a> {
             slots.insert(pid, slot);
         }
         ctx.shards_live.enter();
+        let policy = cfg.policy.build(spec);
         Self {
             id,
             gate: CertGate::for_policy(cfg.policy, spec),
-            policy: cfg.policy.build(spec),
+            lone: policy.quiescent().then_some(None),
+            untold: policy.quiescent().then_some(0),
+            policy,
             slots,
             attempts: vec![0; cells],
             invocations: vec![None; cells],
@@ -682,19 +665,15 @@ impl<'a> Shard<'a> {
 
     /// The scheduler a crash left, resumed from its image with admissions
     /// closed: a run context over the image's subsystems and decision log,
-    /// no arrival queued, and one shard with a slot per process the image
-    /// names. Their states are the history's replayed (each event's
-    /// [`ProcessState::apply`], which refuses an illegal history), as the
-    /// step's are after every event, released commits included; the policy's
-    /// half ([`record`](Self::record)) is folded for the
-    /// processes the crash left live, and a terminated process is only
-    /// finalized — its operations can gate, block or be aborted by nothing
-    /// again. The invocation log adds what the history does not show — each
-    /// execution's invocation, and each prepared one — merged into the fold
-    /// by position: an entry goes in after the `at` events the log put before
-    /// it (which `recover` has checked run forwards and within the history).
-    /// The fold traces, counts and journals nothing. The run has the
-    /// protocol's gates without the §3.5 certifier (`PredProtocol`) and
+    /// and one shard with a slot per process the image names. Their states
+    /// are the history's replayed ([`ProcessState::apply`], which refuses an
+    /// illegal history); each event is [`record`](Self::record)ed for the
+    /// processes the crash left live, and a terminated one is only
+    /// finalized — nothing of it can gate, block or abort again. The
+    /// invocation log adds each execution's invocation, and each prepared
+    /// one, after the `at` events the log put before it (which `recover`
+    /// checked). The fold traces, counts and journals nothing; the run has
+    /// the protocol's gates without the certifier (`PredProtocol`) and
     /// injects no failures.
     pub(crate) fn restore(
         workload: &'a Workload,
@@ -721,6 +700,7 @@ impl<'a> Shard<'a> {
             }
         }
         let mut shard = Self::new(0, states.into_values(), &ctx);
+        shard.untold = None;
         spec.processes().for_each(|p| shard.policy.register(p.id));
         let active = |(p, s): (ProcessId, &ProcessState<'_>)| s.is_active().then_some(p);
         let live_pids: Vec<ProcessId> = shard.states().filter_map(active).collect();
@@ -768,28 +748,75 @@ impl<'a> Shard<'a> {
     /// policy: its release is pending. Returns the dependency edges it added.
     fn prepare(&mut self, gid: GlobalActivityId) -> Vec<(ProcessId, ProcessId)> {
         self.slots[gid.process].pending = Some(gid);
+        self.executed(gid.process);
         self.policy.record_executed(gid, true)
     }
 
-    /// What `event` does to the policy and the shard's bookkeeping: the
-    /// `Execute` of a pending deferred activity is its release, which
-    /// unparks its process, and any other executes; an `Abort` drops a
-    /// prepared invocation and starts the completion. Returns the
-    /// dependency edges an execution added.
+    /// What `event` does to the shard's bookkeeping and, unless the step
+    /// holds the lone rule, to the policy ([`Policy::record`]): the `Execute`
+    /// of a pending deferred activity is its release, which unparks its
+    /// process; an `Abort` drops a prepared invocation and starts the
+    /// completion. Returns the dependency edges an execution added.
     fn record(&mut self, event: &Event) -> Vec<(ProcessId, ProcessId)> {
-        match *event {
+        let released = match *event {
             Event::Execute(g) => match self.slots.get_mut(g.process) {
                 Some(slot) if slot.pending == Some(g) => {
                     slot.pending = None;
-                    self.policy.record_deferred_released(g);
+                    true
                 }
-                _ => return self.policy.record_executed(g, false),
+                _ => {
+                    self.executed(g.process);
+                    false
+                }
             },
-            Event::Compensate(g) => self.policy.record_compensated(g),
-            Event::Abort(p) => self.record_abort(p),
-            Event::GroupAbort(_) | Event::Fail(_) | Event::Commit(_) => {}
+            Event::Abort(p) => {
+                self.record_abort(p);
+                false
+            }
+            _ => false,
+        };
+        match self.untold {
+            Some(_) => Vec::new(),
+            None => self.policy.record(event, released),
         }
-        Vec::new()
+    }
+
+    /// Notes that `pid` executed an operation (a second process asked the
+    /// policy first, so only the lone one executes untold).
+    fn executed(&mut self, pid: ProcessId) {
+        let alone = self.alone(pid);
+        debug_assert!(alone || self.untold.is_none(), "{pid} executed untold");
+        self.lone = alone.then_some(Some(pid));
+    }
+
+    /// Whether `pid` runs alone: no other process executed an operation
+    /// since the policy's last quiescent point, so every answer about it is
+    /// fixed (`Protocol::alone`).
+    fn alone(&self, pid: ProcessId) -> bool {
+        self.lone.is_some_and(|who| who.is_none_or(|p| p == pid))
+    }
+
+    /// `lone`, the fixed answer, if `pid` runs alone; else the policy's, in
+    /// one [`Phase::Policy`] interval, told first the history it missed as
+    /// [`Self::restore`] folds it (a lone process prepares nothing).
+    fn ask<T>(
+        &mut self,
+        ctx: &RunCtx<'a>,
+        pid: ProcessId,
+        lone: T,
+        ask: impl FnOnce(&mut dyn Policy) -> T,
+    ) -> T {
+        if self.alone(pid) {
+            return lone;
+        }
+        let t0 = ctx.tele.phase_start();
+        if let Some(since) = self.untold.take() {
+            let events = self.history.events()[since..].iter();
+            events.for_each(|e| drop(self.policy.record(e, false)));
+        }
+        let answer = ask(&mut *self.policy);
+        ctx.tele.phase_end(Phase::Policy, t0);
+        answer
     }
 
     /// An `Abort`'s record: a prepared invocation leaves the policy, and the
@@ -840,12 +867,9 @@ impl<'a> Shard<'a> {
 
     /// Recovery's one decision: the abort of every live process, for
     /// [`AbortReason::External`], journalled as a group abort the scheduler
-    /// itself initiated. The live processes take their place in the abort
-    /// order by `ranks`, lowest first — those already aborting too — so the
-    /// uncertified step's rule that a forward-recovery step waits for the
-    /// conflicting completion work of earlier aborts
-    /// (`forward_order_blocked`) runs forward recovery in that order.
-    /// Returns them in that order.
+    /// initiated. They take their place in the abort order by `ranks`,
+    /// lowest first — those already aborting too — so forward recovery runs
+    /// in that order (`forward_order_blocked`). Returns them in that order.
     pub(crate) fn abort_live(
         &mut self,
         ctx: &RunCtx<'a>,
@@ -859,9 +883,8 @@ impl<'a> Shard<'a> {
         live
     }
 
-    /// What a crash leaves of the run this shard is part of (its only
-    /// shard): the history, the invocation log, the subsystems and the
-    /// decision log.
+    /// What a crash leaves of the run this shard is the only shard of: the
+    /// history, the invocation log, the subsystems and the decision log.
     pub(crate) fn crash(self, ctx: RunCtx<'a>) -> CrashImage {
         let done = self.finish(&ctx);
         let (agents, coordinator) = ctx.into_durable();
@@ -889,13 +912,11 @@ impl<'a> Shard<'a> {
 
     /// The one run loop — an event worker's visit, a recovery, an engine
     /// tick: steps the run queue in `order` until nothing is left or
-    /// `budget` steps are spent, and returns how many processes are left
-    /// live. One continued when the budget is spent goes back to the front.
-    /// A drained queue takes a dirty shard's waiters
-    /// ([`pop_runnable`](Self::pop_runnable)), then what `order` has due; a
-    /// clean shard with nothing due is deadlocked, and broken at once
-    /// ([`break_deadlock`](Self::break_deadlock)). Each dequeue samples the
-    /// scheduling delay, and each process's run the queue depth.
+    /// `budget` steps are spent (one continued then goes back to the front),
+    /// and returns how many processes are left live. A drained queue takes a
+    /// dirty shard's waiters ([`pop_runnable`](Self::pop_runnable)), then
+    /// what `order` has due; a clean shard with nothing due is deadlocked,
+    /// and broken at once ([`break_deadlock`](Self::break_deadlock)).
     pub(crate) fn run<O: RunOrder<'a>>(
         &mut self,
         ctx: &RunCtx<'a>,
@@ -940,7 +961,8 @@ impl<'a> Shard<'a> {
     /// when it has drained — except a process parked on its own deferred
     /// commit whose `Policy::can_commit` still refuses: its release would
     /// only wait again, and every termination, which may open that gate,
-    /// marks the shard dirty.
+    /// marks the shard dirty. (A parked process waits on a predecessor, so
+    /// it does not run alone.)
     fn pop_runnable(&mut self) -> Option<(ProcessId, Instant)> {
         if self.run_queue.is_empty() && self.dirty && !self.waiting.is_empty() {
             self.dirty = false;
@@ -957,16 +979,13 @@ impl<'a> Shard<'a> {
     }
 
     /// Breaks the deadlock of a clean shard whose run queue has drained;
-    /// `false` when nobody waits. Every waiter was stepped after the last
-    /// mutation and blocks on a shard-mate, so stepping one again changes
-    /// nothing: only an abort resolves it (DESIGN.md decision 1). The victim
-    /// is the smallest waiter, for determinism. It is aborted for
-    /// [`AbortReason::Deadlock`] — or, if it is aborting already, its
-    /// completion waits on the hypothetical completions of the others
-    /// (§3.5), and the admitted processes that are active and not aborting
-    /// are group-aborted under it. The victim goes to the back of the run
-    /// queue. A break that emits nothing is a stall, and panics with every
-    /// process's state.
+    /// `false` when nobody waits. Every waiter blocks on a shard-mate, so
+    /// only an abort resolves it (DESIGN.md decision 1): the smallest
+    /// waiter's, for [`AbortReason::Deadlock`] — or, if it is aborting
+    /// already (its completion waits on the others' hypothetical ones,
+    /// §3.5), that of every admitted process active and not aborting, as
+    /// one group under it. The victim goes to the back of the run queue. A
+    /// break that emits nothing is a stall: it panics with every state.
     fn break_deadlock(&mut self, ctx: &RunCtx<'a>) -> bool {
         let Some(pid) = self.waiting.pop_first() else {
             return false;
@@ -1029,10 +1048,9 @@ impl<'a> Shard<'a> {
 
     /// Appends an event the step took to the shard segment under its global
     /// merge ticket and marks the shard dirty — the one implementation of
-    /// the step's transitions, applied to every event the step emits: the
-    /// policy [records](Self::record) it, and the state of each process it
-    /// names makes its [`ProcessState::apply`] move (a release's `Execute`
-    /// commits its activity, as every `Execute` does). Returns the
+    /// the step's transitions: the event is [recorded](Self::record), and
+    /// each process it names makes its [`ProcessState::apply`] move (a
+    /// release's `Execute` commits, as every `Execute` does). Returns the
     /// dependency edges an execution added.
     fn append(
         &mut self,
@@ -1053,11 +1071,10 @@ impl<'a> Shard<'a> {
 
     /// The one place a decision of the step touches anything beyond the
     /// protocol state: it is counted ([`Metrics::observe`]); with telemetry
-    /// on, a `CommitDeferred` starts its process's 2PC phase, which that
-    /// process's `CommitReleased` or `AbortStarted` ends; with tracing on, it
-    /// is buffered for the journal unless it repeats the blocked state its
-    /// process last journalled, which an admission, a release, an abort and
-    /// a termination forget.
+    /// on, a `CommitDeferred` starts its process's 2PC phase, which its
+    /// `CommitReleased` or `AbortStarted` ends; with tracing on, it is
+    /// journalled unless it repeats the process's last blocked state, which
+    /// an admission, a release, an abort and a termination forget.
     fn note(&mut self, ctx: &RunCtx<'a>, event: TraceEvent) {
         self.metrics.observe(&event);
         let pid = event.pid();
@@ -1107,14 +1124,14 @@ impl<'a> Shard<'a> {
     }
 
     /// §3.5 certification of the next effect event against the shard-local
-    /// segment (see [`CertGate`]; the policy says whether its process runs
-    /// alone), noted as a [`TraceEvent::CertifyOutcome`] unless it repeats
+    /// segment (see [`CertGate`]; at once if its process runs
+    /// [alone](Self::alone)), noted as a [`TraceEvent::CertifyOutcome`] unless it repeats
     /// a refusal against an unchanged history.
     fn certified_traced(&mut self, ctx: &RunCtx<'a>, event: Event) -> bool {
+        let alone = self.alone(event.processes()[0]);
         let Some(gate) = &mut self.gate else {
             return true;
         };
-        let alone = self.policy.alone(event.processes()[0]);
         let Some(ok) = gate.decide(&self.history, &event, alone, &ctx.tele) else {
             return false;
         };
@@ -1129,8 +1146,8 @@ impl<'a> Shard<'a> {
     }
 
     /// Emits the `Execute` of a pending deferred activity whose commit its
-    /// subsystem applied; the event commits the activity in its process's
-    /// state, which refuses it if it is not the frontier.
+    /// subsystem applied, which commits it in its process's state (if it is
+    /// the frontier).
     fn release(&mut self, ctx: &RunCtx<'a>, gid: GlobalActivityId) -> Result<(), ScheduleError> {
         self.emit(ctx, Event::Execute(gid))?;
         self.note(ctx, TraceEvent::CommitReleased { gid });
@@ -1146,11 +1163,10 @@ impl<'a> Shard<'a> {
         if let Some(gid) = self.slots[pid].pending {
             // Parked on its own deferred commit: Lemma 1.1 releases it once
             // the process could commit (Definition 11.1), if its `Execute`
-            // certifies. Decided alone by 2PC: the decision is journalled
-            // before phase 2 and `DecisionApplied` after, so a log cut
-            // between the two leaves the group in doubt and recovery
-            // finishes it. Then the step goes on to the next activity.
-            if self.policy.can_commit(pid).is_err()
+            // certifies. The 2PC decision is journalled before phase 2 and
+            // `DecisionApplied` after (a cut between leaves it in doubt, for
+            // recovery to finish). Then the step goes on.
+            if self.ask(ctx, pid, Ok(()), |p| p.can_commit(pid)).is_err()
                 || !self.certified_traced(ctx, Event::Execute(gid))
             {
                 return Step::Wait;
@@ -1175,13 +1191,11 @@ impl<'a> Shard<'a> {
             self.release(ctx, gid)
                 .expect("a release commits its frontier");
         }
-        // Pending compensation?
         if let Some(c) = self.slots[pid].state.next_compensation() {
             let gid = GlobalActivityId::new(pid, c);
             // Lemma 2 / Example 8: conflicting operations executed after the
             // compensated one must vanish first (or their owners cascade).
-            let gate = self.policy.compensation_gate(gid);
-            if let Some(step) = self.gated(ctx, pid, gate) {
+            if let Some(step) = self.gated(ctx, pid, |p| p.compensation_gate(gid)) {
                 return step;
             }
             if !self.certified_traced(ctx, Event::Compensate(gid)) {
@@ -1205,16 +1219,11 @@ impl<'a> Shard<'a> {
                 other => panic!("unexpected compensation outcome {other:?}"),
             };
         }
-        // Next forward activity?
         if let Some(a) = self.slots[pid].state.next_activity() {
             return self.step_activity(ctx, pid, a);
         }
-        // Commit.
         if self.slots[pid].state.can_commit() {
-            let t0 = ctx.tele.phase_start();
-            let verdict = self.policy.can_commit(pid);
-            ctx.tele.phase_end(Phase::Policy, t0);
-            return match verdict {
+            return match self.ask(ctx, pid, Ok(()), |p| p.can_commit(pid)) {
                 Ok(()) if !self.certified_traced(ctx, Event::Commit(pid)) => Step::Wait,
                 Ok(()) => {
                     self.emit(ctx, Event::Commit(pid)).expect("legal move");
@@ -1231,13 +1240,17 @@ impl<'a> Shard<'a> {
         Step::Wait
     }
 
-    /// Applies the verdict of a Lemma 2/3 completion gate: `None` when the
-    /// completion step may run now, else what the step comes to instead —
-    /// a wait for the aborting holders to compensate, or their cascade (a
-    /// wait too, when every holder named is aborting already: one whose
-    /// own failure started its completion is not marked so in the policy).
-    fn gated(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, gate: CompletionGate) -> Option<Step> {
-        match gate {
+    /// Asks a Lemma 2/3 completion gate and applies its verdict: `None`
+    /// when the completion step may run now, else a wait for the aborting
+    /// holders to compensate, or their cascade (a wait too if every holder
+    /// named is aborting already, by a failure the policy is not told).
+    fn gated(
+        &mut self,
+        ctx: &RunCtx<'a>,
+        pid: ProcessId,
+        gate: impl FnOnce(&mut dyn Policy) -> CompletionGate,
+    ) -> Option<Step> {
+        match self.ask(ctx, pid, CompletionGate::Ready, gate) {
             CompletionGate::Ready => None,
             CompletionGate::WaitFor(wait_for) => {
                 self.note(ctx, TraceEvent::CompletionBlocked { pid, wait_for });
@@ -1251,14 +1264,11 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Definition 8.3(f): when several processes abort concurrently, their
-    /// conflicting completion activities must be consistently ordered. A
-    /// forward-recovery step is blocked while an *earlier-initiated* abort
-    /// still has conflicting completion work pending.
-    ///
-    /// Only used in uncertified mode: certified runs derive the completion
-    /// order from the certifier itself (whose mandatory-rank choice is
-    /// authoritative and may differ from abort-initiation order).
+    /// Definition 8.3(f): concurrent completions are ordered consistently,
+    /// so a forward-recovery step is blocked while an *earlier-initiated*
+    /// abort still has conflicting completion work pending. Uncertified
+    /// runs only: a certified run's completion order is the certifier's
+    /// (whose mandatory ranks may differ from abort-initiation order).
     fn forward_order_blocked(&self, ctx: &RunCtx<'a>, pid: ProcessId, svc: ServiceId) -> bool {
         if self.gate.is_some() {
             return false;
@@ -1294,8 +1304,7 @@ impl<'a> Shard<'a> {
             // Completion activities are mandated by recovery; Definition 8
             // orders them after everything already executed. Lemma 3 /
             // §3.5: conflicting live operations must be compensated first.
-            let gate = self.policy.forward_gate(pid, svc);
-            if let Some(step) = self.gated(ctx, pid, gate) {
+            if let Some(step) = self.gated(ctx, pid, |p| p.forward_gate(pid, svc)) {
                 return step;
             }
             if self.forward_order_blocked(ctx, pid, svc) {
@@ -1303,10 +1312,7 @@ impl<'a> Shard<'a> {
             }
             Admission::Allow
         } else {
-            let t0 = ctx.tele.phase_start();
-            let admission = self.policy.request(pid, gid, svc);
-            ctx.tele.phase_end(Phase::Policy, t0);
-            admission
+            self.ask(ctx, pid, Admission::Allow, |p| p.request(pid, gid, svc))
         };
         let (mode, blockers) = match admission {
             Admission::Allow => (CommitMode::Immediate, Vec::new()),
@@ -1427,16 +1433,21 @@ impl<'a> Shard<'a> {
             }
             ProcessStatus::Active => return,
         }
-        // Arrival→terminal latency on the run's clock (arrival subtracted so
-        // open-system latencies measure time in system, not time since run
-        // start).
+        // Time in system: arrival→terminal on the run's clock.
         let latency = ctx.clock.now().saturating_sub(ctx.arrival(pid));
         self.metrics.latencies.push(latency);
-        // `on_commit`/`on_abort` above removed the process's live operations
-        // from the policy — a scheduler-visible change that can unblock a
-        // waiter, or open a parked one's release, even when no history event
-        // was emitted here.
+        // The termination can unblock a waiter, or open a parked one's
+        // release, even when no history event was emitted here.
         self.dirty = true;
+        // At a quiescent point — the untold lone process terminated, or the
+        // last holder the policy was told of — the step keeps the rule again.
+        let lone = self.lone == Some(Some(pid));
+        if self
+            .untold
+            .map_or_else(|| self.policy.quiescent(), |_| lone)
+        {
+            (self.lone, self.untold) = (Some(None), Some(self.history.len()));
+        }
     }
 
     /// Starts the abort of `pid` for `reason` (a no-op, answering `false`,
@@ -1503,13 +1514,10 @@ impl<'a> Shard<'a> {
             return;
         }
         let completion = state.completion();
-        let comp_gids: Vec<GlobalActivityId> = completion.compensations.iter().map(gid).collect();
-        let fwd = completion
-            .forward
-            .iter()
-            .map(|&a| state.process().service(a));
-        let fwd: Vec<_> = fwd.collect();
-        let victims = self.policy.plan_abort(pid, &comp_gids, &fwd);
+        let comps: Vec<GlobalActivityId> = completion.compensations.iter().map(gid).collect();
+        let fwd = completion.forward.iter();
+        let fwd: Vec<_> = fwd.map(|&a| state.process().service(a)).collect();
+        let victims = self.ask(ctx, pid, Vec::new(), |p| p.plan_abort(pid, &comps, &fwd));
         self.group_abort(ctx, Some(pid), &victims, trigger, AbortReason::Cascade);
         self.begin_abort(ctx, pid, reason);
     }
@@ -1557,11 +1565,8 @@ fn p_fail(ctx: &RunCtx<'_>, subsystem: SubsystemId) -> f64 {
 /// `cfg.shards`. Shorthand for `RunBuilder::new(w).concurrent(cfg).run()`
 /// with no sink, telemetry or WAL; like it, panics on an invalid
 /// configuration (`RunBuilder::try_run` returns the error instead).
-///
-/// [`Metrics::latencies`] holds wall-clock arrival→terminal times in
-/// microseconds and [`Metrics::makespan`] the wall-clock run time in
-/// microseconds (the virtual-time engine reports virtual ticks in those
-/// fields instead).
+/// [`Metrics::latencies`] and [`Metrics::makespan`] are wall-clock
+/// microseconds (the engine's are virtual ticks).
 pub fn run_concurrent(workload: &Workload, cfg: ConcurrentConfig) -> ConcurrentResult {
     if let Err(msg) = cfg.validate() {
         panic!("invalid concurrent configuration: {msg}");
@@ -1571,12 +1576,9 @@ pub fn run_concurrent(workload: &Workload, cfg: ConcurrentConfig) -> ConcurrentR
 
 /// The one concurrent-driver implementation behind [`run_concurrent`] and
 /// [`crate::builder::RunBuilder`]: runs an already validated `cfg` with the
-/// given trace sink, telemetry handle, and (optionally) a durable WAL
-/// journaling every durable transition. The run is on the wall clock, so
-/// trace records are stamped with `time == seq` (journal order) and the
-/// shard that served the decision; `history_len` is the shard-local segment
-/// length. Multi-process interleavings are nondeterministic except with one
-/// worker and closed arrivals.
+/// given trace sink, telemetry and optional WAL. Trace records are stamped
+/// `time == seq` and with their shard; `history_len` is the shard-local
+/// segment length.
 pub(crate) fn run_concurrent_impl<'a>(
     workload: &'a Workload,
     cfg: ConcurrentConfig,
@@ -1683,13 +1685,9 @@ struct Domain<'a, 'g> {
 
 /// Event-worker loop: round-robins over the worker's owned shards, admitting
 /// due arrivals and spending up to [`STEP_BUDGET`] steps of [`Shard::run`]
-/// per shard per pass. Returns the worker's share of the runtime metrics and
-/// what its retired shards hand to the merge. Every live process is in
-/// exactly one of `run_queue` / `waiting` / mid-step, and a built shard is
-/// one with live or due work (module docs, "Shard lifecycle"). A future
-/// arrival only *adds* conflicts and never unblocks a waiter, so a clean
-/// drained shard with waiters is a genuine deadlock among the arrived
-/// (DESIGN.md "The wall-clock driver").
+/// per shard per pass; returns the worker's runtime metrics and its retired
+/// shards. A future arrival only *adds* conflicts, so a clean drained shard
+/// with waiters is a genuine deadlock (DESIGN.md "The wall-clock driver").
 fn event_worker<'a>(
     ctx: &RunCtx<'a>,
     owned: Vec<(u32, &[ProcessId])>,
@@ -1759,6 +1757,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use txproc_core::activity::Catalog;
+    use txproc_core::protocol::Protocol;
     use txproc_sim::workload::{generate, ArrivalModel, WorkloadConfig};
     use txproc_subsystem::kv::{Key, Program};
     use txproc_subsystem::subsystem::{TxId, TxStatus};
@@ -2516,6 +2515,131 @@ mod tests {
                 .unwrap()
                 .pred
         );
+    }
+
+    #[test]
+    fn a_second_process_catches_the_protocol_up_on_the_lone_one() {
+        // P₁ = aᶜ ≪ cᶜ executes a alone and yields after one step: the
+        // protocol is told nothing. P₂ = bᶜ ≪ qᵖ, b conflicting with a, is
+        // admitted and requests b; the step first folds a into the protocol,
+        // which then orders P₂ after P₁ and defers q behind it. From then on
+        // the protocol decides, P₁'s commit gate too, until P₂'s commit is
+        // its next quiescent point. A protocol fed every event from the
+        // first answers every journalled decision the same.
+        let mut cat = Catalog::new();
+        let [a, c, b] = ["a", "c", "b"].map(|name| cat.compensatable(name).0);
+        let q = cat.pivot("q");
+        let processes: [&[ServiceId]; 2] = [&[a, c], &[b, q]];
+        let w = chains(cat, &[(a, b)], &processes, 0.0);
+        let cfg = ConcurrentConfig {
+            inject_failures: false,
+            ..ConcurrentConfig::default()
+        };
+        let (ctx, journal) = journalled_ctx(&w, cfg);
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        let told = |shard: &Shard<'_>| shard.policy.protocol().expect("PRED").records();
+        let mut shard = Shard::build(0, &[p1, p2], &ctx);
+        shard.admit(&ctx, p1);
+        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(shard.step(&ctx, p1), Step::Yield);
+        assert_eq!((shard.history.len(), told(&shard)), (1, 0));
+        let rule = |shard: &Shard<'_>| (shard.lone, shard.untold);
+        assert_eq!(rule(&shard), (Some(Some(p1)), Some(0)), "P₁ runs alone");
+
+        shard.admit(&ctx, p2);
+        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 1));
+        assert_eq!(told(&shard), 3, "a, b and the prepared q");
+        assert_eq!(rule(&shard), (None, None), "the protocol decides");
+        assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
+        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(shard.step(&ctx, p2), Step::Done);
+        let quiescent = (Some(None), Some(shard.history.len()));
+        assert_eq!((told(&shard), rule(&shard)), (0, quiescent));
+        assert_eq!(
+            (shard.metrics.committed, shard.metrics.deferred_commits),
+            (2, 1)
+        );
+
+        let done = shard.finish(&ctx);
+        let records = journal.take();
+        let admitted = records.iter().filter_map(|r| match &r.event {
+            TraceEvent::RequestAdmitted {
+                gid,
+                deferred,
+                blockers,
+                edges_added,
+                ..
+            } if gid.process == p2 => Some((*deferred, blockers.clone(), edges_added.clone())),
+            _ => None,
+        });
+        let expected = [(false, vec![], vec![(p1, p2)]), (true, vec![p1], vec![])];
+        assert_eq!(admitted.collect::<Vec<_>>(), expected);
+        let mut checked = crate::protocol_replay::Checked::new();
+        let history = [done.history];
+        let fed = crate::protocol_replay::replay::<Protocol<'_>>(
+            &w.spec,
+            &history,
+            &records,
+            "catch-up",
+            &mut checked,
+            |_, _| {},
+        );
+        assert_eq!(fed[0].retirements(), 1);
+        let asked = |kind| checked.get(kind).copied().unwrap_or(0);
+        assert_eq!(asked("request_admitted"), 4);
+        assert_eq!(asked("process_committed"), 2);
+        assert_eq!(asked("commit_released"), 1);
+    }
+
+    #[test]
+    fn a_single_worker_run_tells_the_protocol_nothing() {
+        // On inputs shaped like the benchmark's `closed_contended`, one
+        // worker runs each process of a domain until it blocks, so every
+        // process runs alone: each shard's protocol is told no event, holds
+        // no record after any step and never retires. A protocol told every
+        // event holds one record per execution until the process's
+        // termination retires it.
+        let (mut shards, mut executions, mut processes) = (0, 0, 0);
+        for seed in 1..=16u64 {
+            let w = generate(&WorkloadConfig {
+                seed,
+                processes: 96,
+                conflict_density: 0.3,
+                failure_probability: 0.1,
+                ..WorkloadConfig::default()
+            });
+            let cfg = ConcurrentConfig {
+                seed,
+                workers: Some(1),
+                ..ConcurrentConfig::default()
+            };
+            let ctx = scripted_ctx(&w, cfg);
+            let mut rt = RuntimeMetrics::new(1);
+            let domains = DomainPartition::partition(&w.spec).into_domains();
+            for (id, members) in (0..).zip(&domains) {
+                let mut shard = Shard::build(id, members, &ctx);
+                for (_, pid) in ctx.arrival_queue(members) {
+                    shard.admit(&ctx, pid);
+                }
+                while shard.run(&ctx, &mut rt, 1, &mut Fifo) > 0 {
+                    let protocol = shard.policy.protocol().expect("a PRED policy");
+                    let held = (protocol.records(), protocol.retirements());
+                    assert_eq!(held, (0, 0), "seed {seed}, shard {id}");
+                }
+                let events = shard.history.events().iter();
+                executions += events.filter(|e| matches!(e, Event::Execute(_))).count();
+                processes += members.len();
+                shards += 1;
+                drop(shard.finish(&ctx));
+            }
+        }
+        println!(
+            "single worker, closed_contended-shaped: {processes} processes in {shards} shards, \
+             0 protocol records held and 0 retirements; told every event, the protocol \
+             would have recorded {executions} executions"
+        );
+        assert!(executions > 5_000, "{executions} executions");
     }
 
     #[test]

@@ -39,6 +39,16 @@ pub mod engine;
 pub mod policy;
 pub mod recovery;
 
+// The journal replay the scripted tests in `concurrent` hold a shard's
+// decisions to, shared with the integration tests.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/support/protocol_replay.rs"]
+mod protocol_replay;
+#[cfg(test)]
+#[path = "../../core/tests/support/scan_protocol.rs"]
+mod scan_protocol;
+
 pub use builder::{RunBuilder, RunOutcome};
 pub use concurrent::{run_concurrent, ConcurrentConfig, ConcurrentResult, ShardMode};
 pub use engine::{run, Engine, RunConfig, RunResult};

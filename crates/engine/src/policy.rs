@@ -22,12 +22,26 @@
 use std::collections::{BTreeMap, BTreeSet};
 use txproc_core::ids::{GlobalActivityId, ProcessId, ServiceId};
 use txproc_core::protocol::{Admission, CompletionGate, DeferPolicy, ProtStatus, Protocol};
+use txproc_core::schedule::Event;
 use txproc_core::spec::Spec;
 
 /// Scheduler policy interface used by the engine.
 pub trait Policy {
     /// A process was admitted.
     fn register(&mut self, pid: ProcessId);
+    /// What a history event the driver recorded does here: an `Execute`
+    /// adds an operation — or, `released`, commits a prepared one — and a
+    /// `Compensate` undoes one; status changes are told by their own calls.
+    /// Returns the dependency edges an execution added.
+    fn record(&mut self, event: &Event, released: bool) -> Vec<(ProcessId, ProcessId)> {
+        match *event {
+            Event::Execute(g) if released => self.record_deferred_released(g),
+            Event::Execute(g) => return self.record_executed(g, false),
+            Event::Compensate(g) => self.record_compensated(g),
+            Event::Abort(_) | Event::GroupAbort(_) | Event::Fail(_) | Event::Commit(_) => {}
+        }
+        Vec::new()
+    }
     /// May `pid` execute `gid` (invoking `service`) now?
     fn request(&mut self, pid: ProcessId, gid: GlobalActivityId, service: ServiceId) -> Admission;
     /// A forward activity executed (`deferred`: prepared, commit deferred).
@@ -81,11 +95,11 @@ pub trait Policy {
     fn forward_gate(&self, _pid: ProcessId, _service: ServiceId) -> CompletionGate {
         CompletionGate::Ready
     }
-    /// Whether `pid` runs alone: no other process executed an operation
-    /// since every process holding a record terminated, so certifying an
-    /// effect event of `pid` cannot fail. Policies that do not track it say
-    /// no.
-    fn alone(&self, _pid: ProcessId) -> bool {
+    /// Whether no process holds a record: a quiescent point, from which a
+    /// process runs alone until a second one executes, and the step answers
+    /// its calls itself ([`Protocol::alone`]). Policies that do not retire
+    /// say no, and are asked every call.
+    fn quiescent(&self) -> bool {
         false
     }
     /// The protocol state the policy decides by, if it is the paper's.
@@ -159,8 +173,8 @@ impl Policy for Protocol<'_> {
         debug_assert_active(self, pid);
         Protocol::forward_gate(self, pid, service)
     }
-    fn alone(&self, pid: ProcessId) -> bool {
-        Protocol::alone(self, pid)
+    fn quiescent(&self) -> bool {
+        Protocol::quiescent(self)
     }
     #[cfg(test)]
     fn protocol(&self) -> Option<&Protocol<'_>> {

@@ -68,8 +68,12 @@ fn enabled_telemetry_does_not_perturb_engine_outcome() {
         assert_eq!(render(&plain.history), render(&on.history), "seed {seed}");
         assert_eq!(plain.metrics, on.metrics, "seed {seed}");
         let snap = tele.snapshot().expect("enabled registry snapshots");
-        let certify = snap.phase(Phase::Certify).expect("certify phase present");
-        assert!(certify.count > 0, "seed {seed}: no certify intervals");
+        // The engine interleaves processes, so the step asks the policy
+        // about a process that does not run alone, and certifies its events.
+        for phase in [Phase::Certify, Phase::Policy] {
+            let p = snap.phase(phase).expect("phase accumulator present");
+            assert!(p.count > 0, "seed {seed}: no {} intervals", p.phase);
+        }
     }
 }
 
@@ -98,9 +102,10 @@ fn disabled_telemetry_is_bit_identical_on_single_process_concurrent() {
 }
 
 /// The worker runs each process until it blocks, so every domain history
-/// of this run is serial and every process runs alone: the step calls the
-/// certifier never, and the `Certify` phase has no interval. A shard whose
-/// processes interleave times its certifier calls as the engine does
+/// of this run is serial and every process runs alone: the step answers
+/// its policy calls and certifications itself, and neither the `Policy`
+/// nor the `Certify` phase has an interval. A shard whose processes
+/// interleave times both as the engine does
 /// (`concurrent.rs`, `a_lone_process_skips_the_certifier_which_absorbs_its_events_later`).
 #[test]
 fn enabled_telemetry_captures_concurrent_phases() {
@@ -117,13 +122,22 @@ fn enabled_telemetry_captures_concurrent_phases() {
         .into_concurrent();
     assert!(r.metrics.committed + r.metrics.aborted > 0);
     let snap = tele.snapshot().expect("enabled registry snapshots");
-    for phase in [Phase::Policy, Phase::QueueDelay] {
-        let p = snap.phase(phase).expect("phase accumulator present");
-        assert!(p.count > 0, "{}: no intervals recorded", p.phase);
-        assert!(p.p50_ns <= p.p95_ns && p.p95_ns <= p.max_ns, "{}", p.phase);
-    }
-    let certify = snap.phase(Phase::Certify).map_or(0, |p| p.count);
-    assert_eq!(certify, 0, "a serial domain history called the certifier");
+    let p = snap
+        .phase(Phase::QueueDelay)
+        .expect("phase accumulator present");
+    assert!(p.count > 0, "{}: no intervals recorded", p.phase);
+    assert!(p.p50_ns <= p.p95_ns && p.p95_ns <= p.max_ns, "{}", p.phase);
+    let count = |phase| snap.phase(phase).map_or(0, |p| p.count);
+    assert_eq!(
+        count(Phase::Certify),
+        0,
+        "a serial domain history called the certifier"
+    );
+    assert_eq!(
+        count(Phase::Policy),
+        0,
+        "a serial domain history asked the policy"
+    );
 }
 
 #[test]
