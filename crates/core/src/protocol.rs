@@ -50,17 +50,14 @@
 //! So "who holds a live operation conflicting with `s`" is the OR of a few
 //! rows; the certifier is built on the same table and rows. Nothing is sized
 //! by the catalog: 8 processes over 12 services take one word per row.
-//! [`request`](Protocol::request) keeps the predecessor row it derived, and
-//! the [`record_executed`](Protocol::record_executed) of the same activity
-//! reuses it unless a mutating call came between (a mutation stamp).
 //!
 //! # Retirement at quiescent points
 //!
-//! The protocol keeps the processes that hold a record, and counts the
-//! active ones among them. When the last of those commits or aborts, the
-//! protocol is at a *quiescent point*, and it drops what every holder held:
-//! its records, its `succ` / `pred` / `reach` / `rreach` rows and its
-//! `live` / `nonstable` bits. Statuses and dense indices stay. Every edge
+//! The protocol keeps the processes that hold a record. When the last
+//! active one among them commits or aborts, the protocol is at a
+//! *quiescent point*, and it drops what every holder held: its records,
+//! its `succ` / `pred` / `reach` / `rreach` rows and its `live` /
+//! `nonstable` bits. Statuses and dense indices stay. Every edge
 //! runs from an earlier operation to a later conflicting one, so a process
 //! whose operations all follow the point can never reach a retired one, and
 //! every decision already masks terminated processes; no answer about an
@@ -71,9 +68,8 @@
 //! process without records: a terminated process runs no completion, so
 //! no driver asks them. Nor does the scheduler's step ask anything about a
 //! process whose records are the only ones held: every answer about it is
-//! fixed ([`alone`](Protocol::alone)), so the step gives it and tells the
-//! protocol that process's events only when a second process needs an
-//! answer.
+//! fixed, so the step gives it and tells the protocol that process's events
+//! only when a second process needs an answer.
 //!
 //! Every returned list is sorted by process id (victims topologically), so
 //! answers do not depend on the order processes registered in. The scan
@@ -206,22 +202,15 @@ pub struct Protocol<'a> {
     /// the service, and those holding a live non-stable one.
     live: BitRows,
     nonstable: BitRows,
-    // ---- the predecessor row `request` hands to `record_executed` ----
-    /// Bumped by every mutating call.
-    stamp: u64,
-    /// What `preds` was derived for, and at which stamp.
-    scanned: Option<(ProcessId, ServiceId, u64)>,
+    // ---- reused rows ----
+    /// The predecessor row `derive_predecessors` fills.
     preds: Vec<u64>,
-    pred_scans: u64,
     /// Reused row of `insert_edges`.
     scratch: Vec<u64>,
     // ---- retirement at quiescent points ----
     /// Dense indices of the processes holding a record, in order of their
     /// first one since the last quiescent point.
     holders: Vec<u32>,
-    /// How many of them are active; the last one to terminate makes a
-    /// quiescent point.
-    running: usize,
     retirements: u64,
 }
 
@@ -243,20 +232,15 @@ impl<'a> Protocol<'a> {
             slots: ServiceSlots::default(),
             live: BitRows::default(),
             nonstable: BitRows::default(),
-            stamp: 0,
-            scanned: None,
             preds: Vec::new(),
-            pred_scans: 0,
             scratch: Vec::new(),
             holders: Vec::new(),
-            running: 0,
             retirements: 0,
         }
     }
 
     /// Registers a newly admitted process.
     pub fn register(&mut self, pid: ProcessId) {
-        self.stamp += 1;
         let d = self.dense(pid);
         self.set_status(d, ProtStatus::Active);
     }
@@ -285,13 +269,6 @@ impl<'a> Protocol<'a> {
         let ops = self.lookup(pid).map_or(&[][..], |d| &self.procs[d].ops);
         let prepared = ops.iter().map(|&i| &self.ops[i]).filter(|r| r.deferred);
         prepared.map(|r| r.gid).collect()
-    }
-
-    /// How often the predecessor row was derived from the service rows
-    /// (test support: an admitted activity derives it once).
-    #[doc(hidden)]
-    pub fn predecessor_scans(&self) -> u64 {
-        self.pred_scans
     }
 
     /// The processes holding a record, ascending (test support: none right
@@ -348,13 +325,8 @@ impl<'a> Protocol<'a> {
     }
 
     fn set_status(&mut self, d: usize, status: ProtStatus) {
-        let was = self.procs[d].status == ProtStatus::Active;
-        let is = status == ProtStatus::Active;
-        if !self.procs[d].ops.is_empty() {
-            self.running = self.running + usize::from(is) - usize::from(was);
-        }
         self.procs[d].status = status;
-        assign(&mut self.terminated, d, !is);
+        assign(&mut self.terminated, d, status != ProtStatus::Active);
     }
 
     /// Whether no process holds a record (a quiescent point).
@@ -362,23 +334,11 @@ impl<'a> Protocol<'a> {
         self.holders.is_empty()
     }
 
-    /// Whether every record held is `pid`'s own: no other process executed
-    /// an operation since the last quiescent point. Then `pid` has no
-    /// predecessor and every answer about it is fixed (DESIGN.md, certifier
-    /// invariant 7), so the scheduler's step gives them without asking.
-    pub fn alone(&self, pid: ProcessId) -> bool {
-        match self.holders[..] {
-            [] => true,
-            [h] => self.procs[h as usize].pid == pid,
-            _ => false,
-        }
-    }
-
     /// At a quiescent point — every process holding a record terminated —
     /// drops what each of them held: its records, its edge and closure rows
     /// and its service bits, walking its own record list.
     fn retire_if_quiescent(&mut self) {
-        if self.running > 0 || self.holders.is_empty() {
+        if self.holders.is_empty() || self.holders.iter().any(|&h| self.holding_active(h)) {
             return;
         }
         let mut holders = std::mem::take(&mut self.holders);
@@ -418,6 +378,11 @@ impl<'a> Protocol<'a> {
             Some(s) => Cow::Borrowed(self.slots.conflicts(s)),
             None => Cow::Owned(self.slots.probe(self.spec.oracle(), base)),
         }
+    }
+
+    /// Whether holder `h` is active (a quiescent point waits for it).
+    fn holding_active(&self, h: u32) -> bool {
+        self.procs[h as usize].status == ProtStatus::Active
     }
 
     // ---- edges ------------------------------------------------------------
@@ -482,7 +447,6 @@ impl<'a> Protocol<'a> {
         }
         if self.procs[me].ops.is_empty() {
             self.holders.push(me as u32);
-            self.running += usize::from(self.procs[me].status == ProtStatus::Active);
         }
         self.procs[me].ops.push(self.ops.len());
         self.ops.push(rec);
@@ -536,16 +500,14 @@ impl<'a> Protocol<'a> {
             let terminated = p.status != ProtStatus::Active;
             assert_eq!(test(&self.terminated, d), terminated, "terminated {d}");
         }
-        // The holders are the processes with a record, each once, and
-        // `running` counts the active ones; a quiescent point left none.
+        // The holders are the processes with a record, each once, and once
+        // none of them is active a quiescent point has retired them all.
         let holding: Vec<usize> = (0..n).filter(|&d| !self.procs[d].ops.is_empty()).collect();
         let mut holders: Vec<usize> = self.holders.iter().map(|&h| h as usize).collect();
         holders.sort_unstable();
         assert_eq!(holders, holding, "holders");
-        let active = |&&d: &&usize| self.procs[d].status == ProtStatus::Active;
-        assert_eq!(self.running, holding.iter().filter(active).count());
-        let quiescent = self.running == 0;
-        assert!(!quiescent || holding.is_empty(), "missed quiescent point");
+        let active = self.holders.iter().any(|&h| self.holding_active(h));
+        assert!(active || holding.is_empty(), "missed quiescent point");
         let slots = self.slots.len() as u32;
         for s in 0..slots {
             for (d, p) in self.procs.iter().enumerate() {
@@ -595,7 +557,7 @@ impl<'a> Protocol<'a> {
     /// live operation that conflicts with `base` — the OR of the `live` rows
     /// of the conflicting slots. Returns whether one of them, aborting,
     /// still holds a non-stable one (its compensation is due).
-    fn derive_predecessors(&mut self, pid: ProcessId, me: Option<usize>, base: ServiceId) -> bool {
+    fn derive_predecessors(&mut self, me: Option<usize>, base: ServiceId) -> bool {
         let mut preds = std::mem::take(&mut self.preds);
         preds.clear();
         preds.resize(self.width(), 0);
@@ -609,8 +571,6 @@ impl<'a> Protocol<'a> {
             *p &= !bit(me, w);
         }
         self.preds = preds;
-        self.scanned = Some((pid, base, self.stamp));
-        self.pred_scans += 1;
         due
     }
 
@@ -623,12 +583,11 @@ impl<'a> Protocol<'a> {
     // ---- admission ------------------------------------------------------
 
     /// Decides whether process `pid` may now execute an activity invoking
-    /// `service`. Keeps the predecessor row it derived for the
-    /// [`record_executed`](Self::record_executed) that follows an admission.
+    /// `service`.
     pub fn request(&mut self, pid: ProcessId, service: ServiceId) -> Admission {
         let base = self.spec.catalog.base(service);
         let me = self.lookup(pid);
-        let due = self.derive_predecessors(pid, me, base);
+        let due = self.derive_predecessors(me, base);
         let width = self.preds.len();
         let own = |rows: &BitRows, w: usize| me.map_or(0, |d| rows.word(d, w));
         // Serializability: adding P_i → P_j must not close a cycle.
@@ -678,12 +637,8 @@ impl<'a> Protocol<'a> {
         let me = self.dense(pid);
         let service = self.spec.service_of(gid).expect("validated activity");
         let service = self.spec.catalog.base(service);
-        // Dependency edges from every conflicting predecessor: the row the
-        // admitting `request` derived, unless the state moved since.
-        if self.scanned != Some((pid, service, self.stamp)) {
-            self.derive_predecessors(pid, Some(me), service);
-        }
-        self.stamp += 1;
+        // Dependency edges from every conflicting predecessor.
+        self.derive_predecessors(Some(me), service);
         let mut preds = std::mem::take(&mut self.preds);
         let edges_added = self.insert_edges(&mut preds, me);
         self.preds = preds;
@@ -711,7 +666,6 @@ impl<'a> Protocol<'a> {
 
     /// Records the compensation of a previously executed activity.
     pub fn record_compensated(&mut self, gid: GlobalActivityId) {
-        self.stamp += 1;
         let Some(me) = self.lookup(gid.process) else {
             return;
         };
@@ -751,7 +705,6 @@ impl<'a> Protocol<'a> {
 
     /// Records the commit of a process.
     pub fn record_process_commit(&mut self, pid: ProcessId) {
-        self.stamp += 1;
         let me = self.dense(pid);
         self.set_status(me, ProtStatus::Committed);
         // Every operation of a committed process is final.
@@ -766,7 +719,6 @@ impl<'a> Protocol<'a> {
     /// commit was released: it leaves no effects and stops participating in
     /// conflicts.
     pub fn record_prepared_aborted(&mut self, gid: GlobalActivityId) {
-        self.stamp += 1;
         let Some(me) = self.lookup(gid.process) else {
             return;
         };
@@ -781,7 +733,6 @@ impl<'a> Protocol<'a> {
     /// Marks a deferred activity as released (subsystem commit executed).
     /// Stabilizes the process's earlier operations like a direct commit.
     pub fn record_deferred_released(&mut self, gid: GlobalActivityId) {
-        self.stamp += 1;
         let Some(me) = self.lookup(gid.process) else {
             return;
         };
@@ -886,7 +837,6 @@ impl<'a> Protocol<'a> {
     /// Until [`record_process_abort`](Self::record_process_abort), requests
     /// conflicting with its to-be-compensated operations wait.
     pub fn mark_aborting(&mut self, pid: ProcessId) {
-        self.stamp += 1;
         let me = self.dense(pid);
         assign(&mut self.aborting, me, true);
     }
@@ -957,7 +907,6 @@ impl<'a> Protocol<'a> {
 
     /// Records the completion of a process abort.
     pub fn record_process_abort(&mut self, pid: ProcessId) {
-        self.stamp += 1;
         let me = self.dense(pid);
         self.set_status(me, ProtStatus::Aborted);
         assign(&mut self.aborting, me, false);

@@ -6,16 +6,11 @@
 //! prefix reducible, i.e. the history PRED by construction. The virtual-time
 //! engine asks it of its whole history, the concurrent driver of one
 //! shard's segment (sound because events of other shards commute with every
-//! event of this one). Every effect event is asked, and the step's lone
-//! rule answers first: an event of a process that runs *alone* — no other
-//! process executed an operation since every process holding a record
-//! terminated (`Protocol::alone`, which the step keeps itself) — keeps the
-//! completed prefix reducible (DESIGN.md, certifier invariant 7), so the
-//! certifier is not called. It
-//! still absorbs every history event on its next call and derives only
-//! where processes interleave. The from-scratch answer — `complete` + `reduce` on
-//! the extended history — is the reference the tests hold each verdict
-//! against (`tests/certify_reference.rs`), not a second shipped path.
+//! event of this one). The certifier absorbs every history event on its
+//! next call and derives only where processes interleave. The from-scratch
+//! answer — `complete` + `reduce` on the extended history — is the
+//! reference the tests hold each verdict against
+//! (`tests/certify_reference.rs`), not a second shipped path.
 
 use crate::policy::PolicyKind;
 use txproc_core::pred_incremental::IncrementalPred;
@@ -45,14 +40,12 @@ impl<'a> CertGate<'a> {
 
     /// The decision on `event` at the end of `history`: `None` for a re-poll
     /// of a refusal at the same history length (decided already, nothing to
-    /// note), else whether the event is admitted — at once when the shard
-    /// says its process runs `alone`, else by the certifier
+    /// note), else whether the certifier admits the event
     /// ([`Self::admits`]).
     pub(crate) fn decide(
         &mut self,
         history: &Schedule,
         event: &Event,
-        alone: bool,
         tele: &Telemetry,
     ) -> Option<bool> {
         let len = history.len();
@@ -60,7 +53,7 @@ impl<'a> CertGate<'a> {
         if self.refused.iter().any(|(e, at)| *at == len && e == event) {
             return None;
         }
-        let ok = alone || self.admits(history, event, tele);
+        let ok = self.admits(history, event, tele);
         if !ok {
             self.refused.push((event.clone(), len));
         }

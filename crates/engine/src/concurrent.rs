@@ -791,7 +791,7 @@ impl<'a> Shard<'a> {
 
     /// Whether `pid` runs alone: no other process executed an operation
     /// since the policy's last quiescent point, so every answer about it is
-    /// fixed (`Protocol::alone`).
+    /// fixed — the one place the program keeps the lone rule.
     fn alone(&self, pid: ProcessId) -> bool {
         self.lone.is_some_and(|who| who.is_none_or(|p| p == pid))
     }
@@ -1124,15 +1124,15 @@ impl<'a> Shard<'a> {
     }
 
     /// §3.5 certification of the next effect event against the shard-local
-    /// segment (see [`CertGate`]; at once if its process runs
-    /// [alone](Self::alone)), noted as a [`TraceEvent::CertifyOutcome`] unless it repeats
-    /// a refusal against an unchanged history.
+    /// segment (at once if its process runs [alone](Self::alone), else by the
+    /// [`CertGate`]), noted as a [`TraceEvent::CertifyOutcome`] unless it
+    /// repeats a refusal against an unchanged history.
     fn certified_traced(&mut self, ctx: &RunCtx<'a>, event: Event) -> bool {
-        let alone = self.alone(event.processes()[0]);
+        let lone = self.alone(event.processes()[0]).then_some(true);
         let Some(gate) = &mut self.gate else {
             return true;
         };
-        let Some(ok) = gate.decide(&self.history, &event, alone, &ctx.tele) else {
+        let Some(ok) = lone.or_else(|| gate.decide(&self.history, &event, &ctx.tele)) else {
             return false;
         };
         let frontier = self.history.len() + 1;
@@ -2251,7 +2251,7 @@ mod tests {
             inject_failures: false,
             ..ConcurrentConfig::default()
         };
-        let ctx = scripted_ctx(&w, cfg);
+        let (ctx, journal) = journalled_ctx(&w, cfg);
         let (p1, p2) = (ProcessId(1), ProcessId(2));
         let mut shard = Shard::build(0, &[p1, p2], &ctx);
         shard.admit(&ctx, p1);
@@ -2292,13 +2292,13 @@ mod tests {
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Done, 3));
 
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
-        assert_eq!(shard.metrics.abort_reasons.external, 1);
         assert_eq!(
             (shard.admitted, next(&mut shard), shard.break_deadlock(&ctx)),
             (0, None, false)
         );
         let done = shard.finish(&ctx);
         assert!(txproc_core::pred::is_pred(&w.spec, &done.history).unwrap());
+        assert_eq!(abort_causes(&journal), [(p1, AbortReason::External)]);
     }
 
     #[test]
@@ -2379,6 +2379,15 @@ mod tests {
         let (b, q, t) = (cat.compensatable("b").0, cat.pivot("q"), cat.retriable("t"));
         let processes: [&[ServiceId]; 2] = [&[a, p, r], &[b, q, t]];
         chains(cat, &[(a, b), (r, b)], &processes, failure_probability)
+    }
+
+    /// The journalled abort initiations: who, and for what first cause.
+    fn abort_causes(journal: &txproc_core::trace::Journal) -> Vec<(ProcessId, AbortReason)> {
+        let started = journal.take().into_iter().filter_map(|r| match r.event {
+            TraceEvent::AbortStarted { pid, reason } => Some((pid, reason)),
+            _ => None,
+        });
+        started.collect()
     }
 
     /// A run context over `w` whose decisions go to the returned journal.
@@ -2762,17 +2771,83 @@ mod tests {
             "the shard drains"
         );
         assert_eq!(rt.repolls, 1, "one break");
-        assert_eq!(shard.metrics.abort_reasons.deadlock, 1);
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
         assert!(position(&shard, Event::Abort(p1)).is_some());
         assert!(position(&shard, Event::Commit(p2)).is_some());
         let done = shard.finish(&ctx);
         assert!(txproc_core::pred::is_pred(&w.spec, &done.history).unwrap());
-        let victims = journal.take().into_iter().filter_map(|r| match r.event {
-            TraceEvent::AbortStarted { pid, reason } => Some((pid, reason)),
-            _ => None,
-        });
-        assert_eq!(victims.collect::<Vec<_>>(), [(p1, AbortReason::Deadlock)]);
+        assert_eq!(abort_causes(&journal), [(p1, AbortReason::Deadlock)]);
+    }
+
+    /// Round robin: a process that yields goes to the back of the run
+    /// queue, so the live processes of a shard take one step each in turn —
+    /// interleavings neither the worker's run-to-block nor the engine's
+    /// virtual time produces.
+    struct RoundRobin;
+
+    impl<'a> RunOrder<'a> for RoundRobin {
+        fn after_yield(
+            &mut self,
+            _: &RunCtx<'a>,
+            shard: &mut Shard<'a>,
+            pid: ProcessId,
+            _: usize,
+        ) -> bool {
+            shard.run_queue.push_back((pid, Instant::now()));
+            false
+        }
+    }
+
+    #[test]
+    fn round_robin_histories_of_generated_inputs_are_pred_and_proc_rec() {
+        use txproc_core::pred_incremental::check_pred_incremental;
+        use txproc_core::recoverability::proc_rec_violations;
+        let mut total = Metrics::new();
+        for policy in [PolicyKind::Pred, PolicyKind::PredWait] {
+            for (processes, density, failures) in [8, 32]
+                .into_iter()
+                .flat_map(|n| [0.4, 0.7].map(|d| (n, d)))
+                .flat_map(|(n, d)| [0.15, 0.3].map(|f| (n, d, f)))
+            {
+                for seed in 0..12u64 {
+                    let w = generate(&WorkloadConfig {
+                        seed,
+                        processes,
+                        conflict_density: density,
+                        failure_probability: failures,
+                        ..WorkloadConfig::default()
+                    });
+                    let cfg = ConcurrentConfig {
+                        policy,
+                        seed,
+                        ..ConcurrentConfig::default()
+                    };
+                    let ctx = scripted_ctx(&w, cfg);
+                    let pids: Vec<ProcessId> = w.spec.processes().map(|p| p.id).collect();
+                    let mut shard = Shard::build(0, &pids, &ctx);
+                    pids.iter().for_each(|&pid| shard.admit(&ctx, pid));
+                    let (mut rt, budget) = (RuntimeMetrics::new(1), livelock_budget(processes));
+                    let label =
+                        format!("{policy:?}, {processes} × {density} × {failures}, seed {seed}");
+                    assert_eq!(
+                        shard.run(&ctx, &mut rt, budget, &mut RoundRobin),
+                        0,
+                        "{label}"
+                    );
+                    let done = shard.finish(&ctx);
+                    let report = check_pred_incremental(&w.spec, &done.history).expect("legal");
+                    assert!(report.pred, "{label}: {:?}", report.first_violation);
+                    let violations = proc_rec_violations(&w.spec, &done.history).expect("legal");
+                    assert!(violations.is_empty(), "{label}: {violations:?}");
+                    total.merge(&done.metrics);
+                }
+            }
+        }
+        let m = &total;
+        let counts = (m.waits, m.deferred_commits, m.cascaded, m.cert_failures);
+        println!("round robin: (waits, deferred commits, cascades, refusals) = {counts:?}");
+        assert!(m.waits > 0 && m.deferred_commits > 0, "{counts:?}");
+        assert!(m.cascaded > 0 && m.cert_failures > 0, "{counts:?}");
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub trait Policy {
     }
     /// Whether no process holds a record: a quiescent point, from which a
     /// process runs alone until a second one executes, and the step answers
-    /// its calls itself ([`Protocol::alone`]). Policies that do not retire
+    /// its calls itself (`Shard::alone`). Policies that do not retire
     /// say no, and are asked every call.
     fn quiescent(&self) -> bool {
         false

@@ -1,10 +1,10 @@
-//! Certifications the protocol's rule answers without the certifier,
-//! counted on the host-independent side. A process runs *alone* when no
-//! other process executed an operation since every process before it
-//! terminated (`Protocol::alone`); its effect events keep the completed
-//! prefix reducible, so the step notes them admitted without calling the
-//! certifier (DESIGN.md, certifier invariant 7). Every other certification
-//! is one certifier call, one `Phase::Certify` interval.
+//! Certifications the lone rule answers without the certifier, counted on
+//! the host-independent side. A process runs *alone* when no other process
+//! executed an operation since every process before it terminated; its
+//! effect events keep the completed prefix reducible, so the step notes
+//! them admitted without calling the certifier (DESIGN.md, certifier
+//! invariant 7). Every other certification is one certifier call, one
+//! `Phase::Certify` interval.
 //!
 //! The single-worker concurrent driver runs each process until it blocks,
 //! so on inputs shaped like the benchmark's `closed_contended` (96
@@ -12,7 +12,9 @@
 //! serial and the certifier is never called. The engine interleaves the
 //! processes of a domain, so on `durable_recovery`-shaped inputs (the
 //! `engine_ticks` runs) only the certifications before the second process
-//! starts are answered alone; that share is printed, not bounded.
+//! starts are answered alone; that share is printed, not bounded, and the
+//! certifications skipped are exactly those the rule read from a protocol
+//! fed every event (`protocol_replay::alone`) calls lone.
 //!
 //! The worker's serial domains hold for every input, not only closed ones:
 //! a process that runs alone is allowed every request, its commit is never
@@ -22,11 +24,18 @@
 //! scripted unit tests start a run with several live processes in a domain.
 //! The second test pins that on open arrivals and heavy failures.
 
+#[path = "support/protocol_replay.rs"]
+mod protocol_replay;
+#[path = "../../core/tests/support/scan_protocol.rs"]
+mod scan_protocol;
+
+use protocol_replay::Checked;
 use std::collections::{BTreeMap, BTreeSet};
 use txproc_core::domains::DomainPartition;
+use txproc_core::protocol::Protocol;
 use txproc_core::schedule::Schedule;
 use txproc_core::telemetry::{Phase, Telemetry};
-use txproc_core::trace::{Journal, TraceEvent};
+use txproc_core::trace::{Journal, TraceEvent, TraceRecord};
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::engine::RunConfig;
 use txproc_engine::{RunBuilder, RunOutcome};
@@ -40,8 +49,9 @@ struct Tally {
 }
 
 impl Tally {
-    /// Adds one run: its builder, journalled and with telemetry on.
-    fn run(&mut self, run: RunBuilder<'_>) -> RunOutcome {
+    /// Adds one run: its builder, journalled and with telemetry on. Returns
+    /// the outcome and the journal.
+    fn run(&mut self, run: RunBuilder<'_>) -> (RunOutcome, Vec<TraceRecord>) {
         let (journal, tele) = (Journal::new(), Telemetry::on());
         let outcome = run
             .sink(Box::new(journal.clone()))
@@ -54,7 +64,7 @@ impl Tally {
         self.certifications += outcomes.count() as u64;
         let snap = tele.snapshot().expect("enabled registry snapshots");
         self.calls += snap.phase(Phase::Certify).map_or(0, |p| p.count);
-        outcome
+        (outcome, records)
     }
 
     fn alone(&self) -> u64 {
@@ -64,6 +74,21 @@ impl Tally {
     fn share(&self) -> f64 {
         100.0 * self.alone() as f64 / self.certifications as f64
     }
+}
+
+/// The certifications of an engine journal at which the certifying process
+/// runs alone in a protocol the journal replays every event into.
+fn lone_by_rule(w: &Workload, history: &Schedule, records: &[TraceRecord]) -> u64 {
+    let mut lone = 0;
+    let visit = |d: &Protocol<'_>, rec: &TraceRecord| {
+        if let TraceEvent::CertifyOutcome { event, .. } = &rec.event {
+            lone += u64::from(protocol_replay::alone(d, event.processes()[0]));
+        }
+    };
+    let locals = [history.clone()];
+    let what = "engine";
+    protocol_replay::replay(&w.spec, &locals, records, what, &mut Checked::new(), visit);
+    lone
 }
 
 fn workload(seed: u64, processes: usize) -> Workload {
@@ -95,13 +120,14 @@ fn a_single_worker_run_never_calls_the_certifier() {
         worker.share(),
         worker.calls
     );
-    let mut engine = Tally::default();
+    let (mut engine, mut lone) = (Tally::default(), 0);
     for seed in 1..=96u64 {
         let w = workload(seed, 32);
-        engine.run(RunBuilder::new(&w).config(RunConfig {
+        let (outcome, records) = engine.run(RunBuilder::new(&w).config(RunConfig {
             seed,
             ..RunConfig::default()
         }));
+        lone += lone_by_rule(&w, outcome.history(), &records);
     }
     println!(
         "engine, engine_ticks inputs: {} of {} certifications alone ({:.2} %), \
@@ -118,6 +144,11 @@ fn a_single_worker_run_never_calls_the_certifier() {
     );
     assert_eq!(worker.calls, 0, "a single-worker domain history is serial");
     assert!(engine.calls > 0, "the engine interleaves");
+    assert_eq!(
+        engine.alone(),
+        lone,
+        "the step skips what the rule calls lone"
+    );
 }
 
 /// Asserts that in each conflict domain's projection of `history` every
@@ -151,7 +182,7 @@ fn open_arrivals_and_failures_keep_every_domain_history_serial() {
                     arrivals: ArrivalModel::Poisson { mean_gap: 50 },
                     ..WorkloadConfig::default()
                 });
-                let outcome = tally.run(RunBuilder::new(&w).concurrent(ConcurrentConfig {
+                let (outcome, _) = tally.run(RunBuilder::new(&w).concurrent(ConcurrentConfig {
                     seed,
                     workers: Some(workers),
                     ..ConcurrentConfig::default()

@@ -45,13 +45,7 @@ fn counts(m: &Metrics) -> String {
             m.rejections,
             m.cert_failures,
         ),
-        (
-            m.waits,
-            m.retries,
-            m.deferred_commits,
-            m.cascaded,
-            m.abort_reasons,
-        ),
+        (m.waits, m.retries, m.deferred_commits, m.cascaded),
     );
     format!("{counters:?}")
 }

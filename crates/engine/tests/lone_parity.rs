@@ -1,10 +1,10 @@
 //! Lone processes against the derivation they skip (DESIGN.md, certifier
-//! invariant 7). The step admits an effect event of a process the
-//! protocol says runs alone (`Protocol::alone`) without calling the
-//! certifier, which absorbs the skipped events on its next call. These
-//! oracles hold every journalled verdict, the skipped ones included, to a
-//! certifier fed every event from the first, and that certifier to the
-//! batch reference.
+//! invariant 7). The step admits an effect event of a process that runs
+//! alone (`protocol_replay::alone` on a protocol fed every event) without
+//! calling the certifier, which absorbs the skipped events on its next
+//! call. These oracles hold every journalled verdict, the skipped ones
+//! included, to a certifier fed every event from the first, and that
+//! certifier to the batch reference.
 
 #[path = "support/certify_replay.rs"]
 mod certify_replay;
@@ -75,7 +75,8 @@ fn check_run(w: &Workload, seed: u64, driver: Driver, counts: &mut Counts) {
     let what = format!("seed {seed}, {driver:?}");
     let visit = |d: &Protocol<'_>, rec: &TraceRecord| {
         if let TraceEvent::CertifyOutcome { event, .. } = &rec.event {
-            alone.push((rec.shard.unwrap_or(0), d.alone(event.processes()[0])));
+            let pid = event.processes()[0];
+            alone.push((rec.shard.unwrap_or(0), protocol_replay::alone(d, pid)));
         }
     };
     protocol_replay::replay(

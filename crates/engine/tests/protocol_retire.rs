@@ -22,6 +22,7 @@
 #[allow(dead_code)]
 mod certify_replay;
 #[path = "support/protocol_replay.rs"]
+#[allow(dead_code)]
 mod protocol_replay;
 #[path = "../../core/tests/support/scan_protocol.rs"]
 mod scan_protocol;

@@ -110,6 +110,16 @@ macro_rules! decider {
 decider!(Protocol);
 decider!(ScanProtocol);
 
+/// Whether `pid` runs alone in `protocol`: every record held is its own, so
+/// no other process executed an operation since the last quiescent point.
+/// The step's lone rule (`Shard::alone`) read from a protocol fed every
+/// event: `pid` has no predecessor and every answer about it is fixed
+/// (DESIGN.md, certifier invariant 7).
+pub fn alone(protocol: &Protocol<'_>, pid: ProcessId) -> bool {
+    let holders = protocol.holders();
+    holders.is_empty() || holders == [pid]
+}
+
 /// Replays the journal of one run into one fresh decider per shard and
 /// re-asks every journalled admission, block, rejection, commit block,
 /// completion gate and cascade plan there — including the order inside

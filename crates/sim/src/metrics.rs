@@ -31,51 +31,6 @@ fn delay_edge(i: usize) -> u64 {
     low + ((sub + 1) * low).div_ceil(DELAY_SUBS as u64)
 }
 
-/// Abort counts broken down by first cause (mirrors
-/// `txproc_core::trace::AbortReason`). A trace-derived aggregate: the sum of
-/// the fields equals the number of `AbortStarted` decisions, which can exceed
-/// [`Metrics::aborted`] when an abort is initiated but the run ends first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AbortReasons {
-    /// Admission rejected: execution would close a serialization cycle.
-    pub rejected: u64,
-    /// Victim of another process's abort (group abort / Lemma 3).
-    pub cascade: u64,
-    /// Definitive activity failure with no remaining alternative.
-    pub failure: u64,
-    /// Deadlock breaker picked the process as victim.
-    pub deadlock: u64,
-    /// Abort requested from outside the scheduler.
-    pub external: u64,
-}
-
-impl AbortReasons {
-    /// Total abort initiations across all causes.
-    pub fn total(&self) -> u64 {
-        self.rejected + self.cascade + self.failure + self.deadlock + self.external
-    }
-
-    /// Counts one abort initiation under its first cause.
-    pub fn count(&mut self, reason: AbortReason) {
-        match reason {
-            AbortReason::Rejected => self.rejected += 1,
-            AbortReason::Cascade => self.cascade += 1,
-            AbortReason::Failure => self.failure += 1,
-            AbortReason::Deadlock => self.deadlock += 1,
-            AbortReason::External => self.external += 1,
-        }
-    }
-
-    /// Accumulates another run's breakdown.
-    pub fn merge(&mut self, other: &AbortReasons) {
-        self.rejected += other.rejected;
-        self.cascade += other.cascade;
-        self.failure += other.failure;
-        self.deadlock += other.deadlock;
-        self.external += other.external;
-    }
-}
-
 /// Per-shard sizes collected by the sharded concurrent driver (one entry per
 /// conflict-domain shard; the single-shard configuration reports exactly
 /// one).
@@ -249,8 +204,6 @@ pub struct Metrics {
     pub latencies: Vec<u64>,
     /// Virtual makespan of the whole run.
     pub makespan: u64,
-    /// Abort initiations broken down by first cause: `AbortStarted`.
-    pub abort_reasons: AbortReasons,
     /// Certification attempts answered "not PRED" (each forces a defer,
     /// retry or deadlock break): `CertifyOutcome` refusals.
     pub cert_failures: u64,
@@ -284,7 +237,6 @@ impl Metrics {
             TraceEvent::AbortStarted { reason, .. } => {
                 self.cascaded += u64::from(*reason == AbortReason::Cascade);
                 self.rejections += u64::from(*reason == AbortReason::Deadlock);
-                self.abort_reasons.count(*reason);
             }
             TraceEvent::CertifyOutcome { ok: false, .. } => self.cert_failures += 1,
             _ => {}
@@ -330,7 +282,6 @@ impl Metrics {
         self.rejections += other.rejections;
         self.latencies.extend_from_slice(&other.latencies);
         self.makespan += other.makespan;
-        self.abort_reasons.merge(&other.abort_reasons);
         self.cert_failures += other.cert_failures;
         self.shards.extend_from_slice(&other.shards);
         if let Some(rt) = &other.runtime {
