@@ -2,9 +2,13 @@
 //! management toolkit.
 //!
 //! ```text
-//! txproc simulate  [--seed N] [--processes N] [--density F] [--failures F]
+//! workload flags: [--seed N] [--processes N] [--density F] [--failures F]
+//!                 [--arrival-gap N]
+//!                  # --arrival-gap N submits process p at tick p·N (one
+//!                  # tick = 1 µs on the concurrent driver); 0, the default,
+//!                  # submits every process at once
+//! txproc simulate  [workload flags] [--check] [--epoch N]
 //!                  [--policy pred|pred-wait|pred-protocol|serial|conservative|unsafe-cc]
-//!                  [--arrival-gap N] [--check] [--epoch N]
 //!                  [--concurrent] [--workers N] [--shards auto|single]
 //!                  [--wal PATH] [--durability buffered|fsync-N|fsync-epoch]
 //!                  # --concurrent switches to the wall-clock concurrent driver
@@ -13,29 +17,26 @@
 //!                  # seals (and, under fsync-epoch, syncs) the journal every
 //!                  # N history events (0 = every event, the default) and
 //!                  # changes nothing else
-//! txproc generate  [--seed N] [--processes N] [--density F] [--failures F]
-//!                  [--json PATH]
+//! txproc generate  [workload flags] [--json PATH]
 //! txproc check     --scenario PATH.json        # {"spec": …, "history": …}
 //! txproc demo      fig4a|fig4b|fig7|fig9       # PRED-check a paper schedule
 //! txproc dot       p1|p2|p3|cim-construction|cim-production
-//! txproc crash     [--seed N] [--at N] [--epoch N]  # crash/recovery demo
+//! txproc crash     [workload flags] [--at N] [--epoch N]  # crash/recovery demo
 //!                  [--wal PATH] [--durability …]
 //!                  # with --wal the in-memory image is discarded and the
 //!                  # scheduler state is rebuilt from the log alone
-//! txproc trace     [--seed N] [--processes N] [--density F] [--failures F]
-//!                  [--policy …] [--arrival-gap N]
+//! txproc trace     [workload flags] [--policy …]
 //!                  [--pid N] [--kind SUBSTR]   # filter the printed journal
 //!                  [--explain PID]             # why was P blocked/aborted?
 //!                  [--json PATH]               # JSONL event journal
 //!                  [--chrome PATH]             # chrome://tracing / Perfetto
 //!                  [--dot-dir DIR]             # per-step conflict-graph dots
 //!                  [--trace-sample N]          # keep every Nth process chain
-//! txproc stats     [--seed N] [--processes N] [--density F] [--failures F]
-//!                  [--policy …] [--arrival-gap N]
+//! txproc stats     [workload flags] [--policy …]
 //!                  [--concurrent] [--shards …] [--workers N]
 //!                  [--prom PATH]               # Prometheus text (default: stdout)
-//! txproc top       [--seed N] [--processes N] [--density F] [--failures F]
-//!                  [--policy …] [--shards …] [--workers N] [--refresh-ms N]
+//! txproc top       [workload flags] [--policy …] [--shards …] [--workers N]
+//!                  [--refresh-ms N]
 //!                  # live phase table while the concurrent driver runs the
 //!                  # workload, then its shard table and runtime line
 //! txproc gauntlet  [--seeds N] [--seed-base N] [--scenario NAME] [--policy …]
@@ -60,8 +61,8 @@ use txproc_engine::concurrent::{ConcurrentConfig, ShardMode};
 use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::policy::PolicyKind;
 use txproc_engine::recovery::{recover, Recovery, RecoverySource};
-use txproc_engine::RunBuilder;
-use txproc_sim::workload::{try_generate, WorkloadConfig};
+use txproc_engine::{RunBuilder, RunOutcome};
+use txproc_sim::workload::{try_generate, ArrivalModel, WorkloadConfig};
 
 /// Simple `--key value` argument map. It notes every key a command asks
 /// for, so [`Args::finish`] can refuse the flags the command did not read on
@@ -138,7 +139,11 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
         .ok_or_else(|| format!("unknown policy: {name}"))
 }
 
-fn parse_shards(raw: &str) -> Result<ShardMode, String> {
+/// `--shards auto|single`, `auto` when absent.
+fn parse_shards(args: &Args) -> Result<ShardMode, String> {
+    let Some(raw) = args.raw("shards") else {
+        return Ok(ShardMode::Auto);
+    };
     ShardMode::parse(raw).ok_or_else(|| format!("invalid --shards value: {raw} (want auto|single)"))
 }
 
@@ -152,12 +157,23 @@ fn parse_workers(args: &Args) -> Result<Option<usize>, String> {
     }
 }
 
+/// The workload the workload flags select. `--arrival-gap N` submits
+/// process `p` at tick `p·N` (0, the default, submits all at once).
 fn workload_from(args: &Args) -> Result<txproc_sim::workload::Workload, String> {
+    let processes = args.get("processes", 8usize)?;
+    let arrivals = match args.get("arrival-gap", 0u64)? {
+        0 => ArrivalModel::Closed,
+        quiet_gap => ArrivalModel::Burst {
+            quiet: processes,
+            quiet_gap,
+        },
+    };
     try_generate(&WorkloadConfig {
         seed: args.get("seed", 42u64)?,
-        processes: args.get("processes", 8usize)?,
+        processes,
         conflict_density: args.get("density", 0.3f64)?,
         failure_probability: args.get("failures", 0.1f64)?,
+        arrivals,
         ..WorkloadConfig::default()
     })
     .map_err(|e| e.to_string())
@@ -196,66 +212,6 @@ fn open_wal(wal: &WalOpts, seed: u64) -> Result<WalWriter, String> {
     Ok(WalWriter::new(Box::new(file), wal.policy, seed))
 }
 
-/// `simulate --concurrent`: the wall-clock concurrent driver instead of the
-/// virtual-time engine. Config errors (e.g. `--workers 0`) surface as CLI
-/// errors naming the knob to turn.
-fn simulate_concurrent(
-    args: &Args,
-    w: &txproc_sim::workload::Workload,
-    policy: PolicyKind,
-) -> Result<(), String> {
-    let shards = match args.raw("shards") {
-        Some(raw) => parse_shards(raw)?,
-        None => ShardMode::Auto,
-    };
-    let seed = args.get("seed", 42u64)?;
-    let wal = parse_wal(args)?;
-    let mut builder = RunBuilder::new(w).concurrent(ConcurrentConfig {
-        policy,
-        seed,
-        shards,
-        workers: parse_workers(args)?,
-        epoch: wal.as_ref().map_or(0, |wal| wal.epoch),
-        ..ConcurrentConfig::default()
-    });
-    let check = args.flag("check");
-    args.finish("simulate")?;
-    if let Some(wal) = &wal {
-        builder = builder.durability(open_wal(wal, seed)?, 0);
-    }
-    let r = builder.try_run()?.into_concurrent();
-    println!("policy:            {}", policy.label());
-    println!("shards:            {}", r.metrics.shards.len());
-    println!(
-        "committed/aborted: {}/{}",
-        r.metrics.committed, r.metrics.aborted
-    );
-    println!("activities:        {}", r.metrics.activities);
-    println!("compensations:     {}", r.metrics.compensations);
-    println!(
-        "latency p50/p95:   {:?}/{:?} µs",
-        r.metrics.latency_percentile(0.5),
-        r.metrics.latency_percentile(0.95)
-    );
-    if let Some(rt) = &r.metrics.runtime {
-        println!("workers:           {}", rt.workers);
-        println!("steps/repolls:     {}/{}", rt.steps, rt.repolls);
-        println!("run-queue peak:    {}", rt.run_queue_peak);
-        println!("in-flight peak:    {}", rt.in_flight_peak);
-        println!("built-shard peak:  {}", rt.shards_live_peak);
-        println!(
-            "sched delay p50/p95: {:?}/{:?} ns",
-            rt.delay_percentile_ns(0.5),
-            rt.delay_percentile_ns(0.95)
-        );
-        println!("worker utilization: {:.1}%", rt.utilization() * 100.0);
-    }
-    if check {
-        check_history(&w.spec, &r.history)?;
-    }
-    Ok(())
-}
-
 /// `--check`: prints whether `history` is PRED and fails the command when it
 /// is not, so the exit status carries the verdict.
 fn check_history(spec: &Spec, history: &Schedule) -> Result<(), String> {
@@ -270,46 +226,64 @@ fn check_history(spec: &Spec, history: &Schedule) -> Result<(), String> {
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let w = workload_from(args)?;
     let policy = parse_policy(&args.get("policy", "pred".to_string())?)?;
-    if args.flag("concurrent") {
-        return simulate_concurrent(args, &w, policy);
-    }
     let seed = args.get("seed", 42u64)?;
     let wal = parse_wal(args)?;
-    let cfg = RunConfig {
-        policy,
-        seed,
-        arrival_gap: args.get("arrival-gap", 0u64)?,
-        epoch: wal.as_ref().map_or(0, |wal| wal.epoch),
-        ..RunConfig::default()
+    let epoch = wal.as_ref().map_or(0, |wal| wal.epoch);
+    let mut builder = RunBuilder::new(&w);
+    builder = if args.flag("concurrent") {
+        builder.concurrent(ConcurrentConfig {
+            policy,
+            seed,
+            shards: parse_shards(args)?,
+            workers: parse_workers(args)?,
+            epoch,
+        })
+    } else {
+        builder.config(RunConfig {
+            policy,
+            seed,
+            epoch,
+        })
     };
     let check = args.flag("check");
     args.finish("simulate")?;
-    let mut builder = RunBuilder::new(&w).config(cfg);
     if let Some(wal) = &wal {
         builder = builder.durability(open_wal(wal, seed)?, 0);
     }
-    let r = builder.try_run()?.into_engine();
+    // Config errors (e.g. `--workers 0`) surface as CLI errors naming the
+    // knob to turn.
+    let out = builder.try_run()?;
+    let m = out.metrics();
+    let unit = if m.runtime.is_some() { "µs" } else { "ticks" };
     println!("policy:            {}", policy.label());
-    println!("makespan:          {}", r.metrics.makespan);
+    println!("shards:            {}", m.shards.len());
+    println!("makespan:          {} {unit}", m.makespan);
+    println!("committed/aborted: {}/{}", m.committed, m.aborted);
+    println!("activities:        {}", m.activities);
+    println!("compensations:     {}", m.compensations);
+    println!("retries:           {}", m.retries);
+    println!("deferred commits:  {}", m.deferred_commits);
+    println!("waits/rejections:  {}/{}", m.waits, m.rejections);
     println!(
-        "committed/aborted: {}/{}",
-        r.metrics.committed, r.metrics.aborted
+        "latency p50/p95:   {:?}/{:?} {unit}",
+        m.latency_percentile(0.5),
+        m.latency_percentile(0.95)
     );
-    println!("activities:        {}", r.metrics.activities);
-    println!("compensations:     {}", r.metrics.compensations);
-    println!("retries:           {}", r.metrics.retries);
-    println!("deferred commits:  {}", r.metrics.deferred_commits);
-    println!(
-        "waits/rejections:  {}/{}",
-        r.metrics.waits, r.metrics.rejections
-    );
-    println!(
-        "latency p50/p95:   {:?}/{:?}",
-        r.metrics.latency_percentile(0.5),
-        r.metrics.latency_percentile(0.95)
-    );
+    if let Some(rt) = &m.runtime {
+        println!("workers:           {}", rt.workers);
+        println!("steps/repolls:     {}/{}", rt.steps, rt.repolls);
+        println!("run-queue peak:    {}", rt.run_queue_peak);
+        println!("in-flight peak:    {}", rt.in_flight_peak);
+        println!("built-shard peak:  {}", rt.shards_live_peak);
+        println!(
+            "sched delay p50/p95: {:?}/{:?} ns",
+            rt.delay_percentile_ns(0.5),
+            rt.delay_percentile_ns(0.95)
+        );
+        println!("worker utilization: {:.1}%", rt.utilization() * 100.0);
+    }
     if check {
-        check_history(&w.spec, &r.history)?;
+        check_history(&w.spec, out.history())?;
     }
     if let Some(wal) = &wal {
         let bytes = std::fs::metadata(&wal.path).map(|m| m.len()).unwrap_or(0);
@@ -319,10 +293,12 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             wal.policy.label()
         );
     }
-    if !r.stalled.is_empty() {
-        return Err(format!("stalled processes: {:?}", r.stalled));
+    match out {
+        RunOutcome::Engine(r) if !r.stalled.is_empty() => {
+            Err(format!("stalled processes: {:?}", r.stalled))
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
@@ -440,7 +416,6 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let cfg = RunConfig {
         policy,
         seed: args.get("seed", 42u64)?,
-        arrival_gap: args.get("arrival-gap", 0u64)?,
         ..RunConfig::default()
     };
     let sample_n: u32 = args.get("trace-sample", 1u32)?;
@@ -548,10 +523,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         RunBuilder::new(&w).concurrent(ConcurrentConfig {
             policy,
             seed: args.get("seed", 42u64)?,
-            shards: match args.raw("shards") {
-                Some(raw) => parse_shards(raw)?,
-                None => ShardMode::Auto,
-            },
+            shards: parse_shards(args)?,
             workers: parse_workers(args)?,
             ..ConcurrentConfig::default()
         })
@@ -559,7 +531,6 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         RunBuilder::new(&w).config(RunConfig {
             policy,
             seed: args.get("seed", 42u64)?,
-            arrival_gap: args.get("arrival-gap", 0u64)?,
             ..RunConfig::default()
         })
     };
@@ -662,10 +633,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let cfg = ConcurrentConfig {
         policy: parse_policy(&args.get("policy", "pred".to_string())?)?,
         seed: args.get("seed", 42u64)?,
-        shards: match args.raw("shards") {
-            Some(raw) => parse_shards(raw)?,
-            None => ShardMode::Auto,
-        },
+        shards: parse_shards(args)?,
         workers: parse_workers(args)?,
         ..ConcurrentConfig::default()
     };
@@ -723,9 +691,7 @@ fn cmd_gauntlet(args: &Args) -> Result<(), String> {
     cfg.seeds = args.get("seeds", cfg.seeds)?;
     cfg.seed_base = args.get("seed-base", cfg.seed_base)?;
     cfg.policy = parse_policy(&args.get("policy", cfg.policy.label().to_string())?)?;
-    if let Some(raw) = args.raw("shards") {
-        cfg.shards = parse_shards(raw)?;
-    }
+    cfg.shards = parse_shards(args)?;
     cfg.workers = parse_workers(args)?.or(cfg.workers);
     let scenarios =
         match args.raw("scenario") {
@@ -1062,6 +1028,14 @@ mod tests {
         assert!(err.contains("--workers"), "{err}");
     }
 
+    /// `--arrival-gap` is a workload flag, so the wall-clock driver staggers
+    /// arrivals too (one tick = 1 µs) and `--check` holds its history.
+    #[test]
+    fn simulate_concurrent_staggers_arrivals() {
+        let staggered = args(&["--concurrent", "--arrival-gap", "5", "--check"]);
+        cmd_simulate(&staggered).unwrap();
+    }
+
     #[test]
     fn gauntlet_runs_one_scenario() {
         let out = scratch("txproc_gauntlet_cli_test.json");
@@ -1186,7 +1160,7 @@ mod tests {
     /// first two are the left-overs that were once swallowed: `--runtime`
     /// after the thread runtime went, `--epoch` on the non-journaling
     /// gauntlet. The last rows are flags a subcommand reads on another path
-    /// only — journal options without `--wal`, engine options under
+    /// only — journal options without `--wal`, driver options without
     /// `--concurrent` — and `--snapshot-every`, which went with the snapshots.
     #[test]
     fn each_subcommand_rejects_flags_it_does_not_read() {
@@ -1203,9 +1177,8 @@ mod tests {
             ("top", &["--concurrent"]),
             ("simulate", &["--epoch", "8"]),
             ("simulate", &["--durability", "buffered"]),
+            ("simulate", &["--workers", "2"]),
             ("crash", &["--wal", "x.wal", "--snapshot-every", "4"]),
-            ("simulate", &["--concurrent", "--arrival-gap", "5"]),
-            ("stats", &["--concurrent", "--arrival-gap", "5"]),
         ] {
             let err = dispatch(cmd, &args(raw)).unwrap_err();
             let flag = raw.iter().rev().find(|a| a.starts_with("--")).unwrap();

@@ -195,9 +195,6 @@ pub struct GauntletConfig {
     pub seed_base: u64,
     /// Scheduling policy driven through the gauntlet.
     pub policy: PolicyKind,
-    /// Whether to also drive the sharded concurrent driver (engine runs
-    /// always happen).
-    pub concurrent: bool,
     /// Shard topology for concurrent runs.
     pub shards: ShardMode,
     /// Worker-pool override for the concurrent runs (`None` = auto).
@@ -211,7 +208,6 @@ impl GauntletConfig {
             seeds: 128,
             seed_base: 0,
             policy: PolicyKind::Pred,
-            concurrent: true,
             shards: ShardMode::Auto,
             workers: None,
         }
@@ -270,7 +266,7 @@ pub struct ScenarioReport {
     /// Whether every mode passed: zero PRED / Proc-REC violations and no
     /// envelope breach.
     pub pass: bool,
-    /// Per-mode aggregates (engine first, then concurrent when enabled).
+    /// Per-mode aggregates: engine, then concurrent.
     pub modes: Vec<ScenarioModeReport>,
 }
 
@@ -335,11 +331,11 @@ fn mode_report(
     }
 }
 
-/// Runs one scenario through the gauntlet: engine runs over every seed,
-/// plus sharded concurrent runs when `cfg.concurrent` is set, every history
-/// checked by the batch PRED and Proc-REC checkers.
+/// Runs one scenario through the gauntlet: engine and sharded concurrent
+/// runs over every seed, every history checked by the batch PRED and
+/// Proc-REC checkers.
 pub fn run_scenario(scenario: &Scenario, cfg: &GauntletConfig) -> ScenarioReport {
-    let mut modes = vec![mode_report(scenario, cfg, "engine", |w| {
+    let engine = mode_report(scenario, cfg, "engine", |w| {
         let r = run(
             w,
             RunConfig {
@@ -349,22 +345,21 @@ pub fn run_scenario(scenario: &Scenario, cfg: &GauntletConfig) -> ScenarioReport
             },
         );
         (r.history, r.metrics)
-    })];
-    if cfg.concurrent {
-        modes.push(mode_report(scenario, cfg, "concurrent", |w| {
-            let r = run_concurrent(
-                w,
-                ConcurrentConfig {
-                    policy: cfg.policy,
-                    seed: w.config.seed,
-                    shards: cfg.shards,
-                    workers: cfg.workers,
-                    ..ConcurrentConfig::default()
-                },
-            );
-            (r.history, r.metrics)
-        }));
-    }
+    });
+    let concurrent = mode_report(scenario, cfg, "concurrent", |w| {
+        let r = run_concurrent(
+            w,
+            ConcurrentConfig {
+                policy: cfg.policy,
+                seed: w.config.seed,
+                shards: cfg.shards,
+                workers: cfg.workers,
+                ..ConcurrentConfig::default()
+            },
+        );
+        (r.history, r.metrics)
+    });
+    let modes = vec![engine, concurrent];
     ScenarioReport {
         name: scenario.name.to_string(),
         summary: scenario.summary.to_string(),

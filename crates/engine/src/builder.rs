@@ -116,8 +116,7 @@ impl<'a> RunBuilder<'a> {
         }
     }
 
-    /// Engine configuration (seed, policy, failure injection, the journal's
-    /// seal cadence, …).
+    /// Engine configuration (policy, coin seed, the journal's seal cadence).
     /// Ignored after [`Self::concurrent`].
     pub fn config(mut self, cfg: RunConfig) -> Self {
         self.engine_cfg = cfg;

@@ -126,10 +126,8 @@ const TRACE_BATCH: usize = 16;
 pub struct ConcurrentConfig {
     /// Scheduling policy.
     pub policy: PolicyKind,
-    /// Seed for per-process failure injection.
+    /// Seed of the failure coins (the failure rate is the workload's).
     pub seed: u64,
-    /// Whether failable activities may fail.
-    pub inject_failures: bool,
     /// Shard topology. `Auto` (the default) shards by conflict domain;
     /// `Single` runs every process in one shard.
     pub shards: ShardMode,
@@ -148,7 +146,6 @@ impl Default for ConcurrentConfig {
         Self {
             policy: PolicyKind::Pred,
             seed: 99,
-            inject_failures: true,
             shards: ShardMode::Auto,
             workers: None,
             epoch: 0,
@@ -280,7 +277,10 @@ impl Clock {
 /// workers share.
 pub(crate) struct RunCtx<'a> {
     pub(crate) workload: &'a Workload,
-    cfg: ConcurrentConfig,
+    policy: PolicyKind,
+    /// Seed of the failure coins; `None` for a recovery, which injects no
+    /// failures.
+    coins: Option<u64>,
     agents: Agents,
     /// The 2PC coordinator every deferred release is decided by.
     coordinator: Mutex<Coordinator>,
@@ -317,32 +317,34 @@ pub(crate) fn fresh_agents(workload: &Workload) -> BTreeMap<SubsystemId, Agent> 
 }
 
 impl<'a> RunCtx<'a> {
-    /// The context of one run of an already validated `cfg` on `clock`,
-    /// over the subsystems and decision log of `durable` ([`fresh_agents`]
-    /// and an empty log, or what a crash left); `worker_of_shard` is the
-    /// static shard→worker assignment. Open arrival models take their times
-    /// from the workload; closed arrivals are `closed_gap` ticks apart.
-    /// Telemetry is off until the caller sets [`RunCtx::tele`].
+    /// The context of one run under `policy` on `clock`, failure coins
+    /// drawn from `coins` (none drawn without), over the subsystems and
+    /// decision log of `durable`
+    /// ([`fresh_agents`] and an empty log, or what a crash left);
+    /// `worker_of_shard` is the static shard→worker assignment. Arrival
+    /// times are the workload's. Telemetry is off until the caller sets
+    /// [`RunCtx::tele`].
     pub(crate) fn new(
         workload: &'a Workload,
-        cfg: ConcurrentConfig,
+        policy: PolicyKind,
+        coins: Option<u64>,
         sink: Box<dyn TraceSink + 'a>,
         worker_of_shard: Vec<u32>,
         clock: Clock,
-        closed_gap: u64,
         (agents, coordinator): (BTreeMap<SubsystemId, Agent>, Coordinator),
     ) -> Self {
         let agents = agents.into_iter().map(|(sid, a)| (sid, Mutex::new(a)));
         let pids = workload.spec.processes().map(|p| p.id);
         let arrivals = match workload.config.arrivals {
-            ArrivalModel::Closed if closed_gap == 0 => IdIndex::new(),
-            ArrivalModel::Closed => pids.zip((0..).map(|i| i * closed_gap)).collect(),
+            ArrivalModel::Closed => IdIndex::new(),
             _ => pids
                 .zip(txproc_sim::workload::arrival_times(&workload.config))
                 .collect(),
         };
         Self {
             workload,
+            policy,
+            coins,
             agents: agents.collect(),
             coordinator: Mutex::new(coordinator),
             tickets: AtomicU64::new(0),
@@ -358,14 +360,12 @@ impl<'a> RunCtx<'a> {
             live: Level::default(),
             shards_live: Level::default(),
             wal: None,
-            cfg,
         }
     }
 
-    /// Installs the durable journal, sealed every `cfg.epoch` history
-    /// events.
-    pub(crate) fn set_wal(&mut self, mut writer: WalWriter) {
-        writer.seal_every(self.cfg.epoch);
+    /// Installs the durable journal, sealed every `epoch` history events.
+    pub(crate) fn set_wal(&mut self, mut writer: WalWriter, epoch: usize) {
+        writer.seal_every(epoch);
         self.wal = Some(Mutex::new(writer));
     }
 
@@ -587,7 +587,7 @@ impl<'a> Shard<'a> {
 
     /// A shard with a slot per state and no process registered.
     fn new(id: u32, states: impl Iterator<Item = ProcessState<'a>>, ctx: &RunCtx<'a>) -> Self {
-        let (spec, cfg) = (&ctx.workload.spec, &ctx.cfg);
+        let spec = &ctx.workload.spec;
         let (mut slots, mut cells) = (IdIndex::with_capacity(states.size_hint().0), 0);
         for state in states {
             let (pid, base) = (state.process().id, cells);
@@ -603,10 +603,10 @@ impl<'a> Shard<'a> {
             slots.insert(pid, slot);
         }
         ctx.shards_live.enter();
-        let policy = cfg.policy.build(spec);
+        let policy = ctx.policy.build(spec);
         Self {
             id,
-            gate: CertGate::for_policy(cfg.policy, spec),
+            gate: CertGate::for_policy(ctx.policy, spec),
             lone: policy.quiescent().then_some(None),
             untold: policy.quiescent().then_some(0),
             policy,
@@ -680,17 +680,12 @@ impl<'a> Shard<'a> {
         image: CrashImage,
         sink: Box<dyn TraceSink + 'a>,
     ) -> Result<(RunCtx<'a>, Self), ScheduleError> {
-        let run = ConcurrentConfig {
-            policy: PolicyKind::PredProtocol,
-            seed: workload.config.seed,
-            inject_failures: false,
-            ..ConcurrentConfig::default()
-        };
         // No decision of a recovery reads its clock; on the wall clock its
         // journal records are stamped in journal order.
         let clock = Clock::Wall(Instant::now());
         let durable = (image.agents, image.coordinator);
-        let ctx = RunCtx::new(workload, run, sink, Vec::new(), clock, 0, durable);
+        let policy = PolicyKind::PredProtocol;
+        let ctx = RunCtx::new(workload, policy, None, sink, Vec::new(), clock, durable);
         let (spec, log) = (&workload.spec, image.invocation_log);
         let mut states = image.history.replay(spec)?.states;
         for e in log.iter().filter(|e| e.prepared) {
@@ -1346,8 +1341,8 @@ impl<'a> Shard<'a> {
         // admission and certification, never per refused re-poll.
         let cell = self.cell(gid).expect("a member's activity");
         self.attempts[cell] += 1;
-        let coin = fail_coin(ctx.cfg.seed, gid, self.attempts[cell]);
-        let inject = ctx.cfg.inject_failures && coin < p_fail(ctx, site.subsystem);
+        let fails = |seed| fail_coin(seed, gid, self.attempts[cell]) < p_fail(ctx, site.subsystem);
+        let inject = ctx.coins.is_some_and(fails);
         if inject && termination.can_fail() {
             self.emit(ctx, Event::Fail(gid)).expect("legal move");
             self.note(ctx, TraceEvent::ActivityFailed { gid, service: svc });
@@ -1596,13 +1591,14 @@ pub(crate) fn run_concurrent_impl<'a>(
     // Static shard→worker ownership: shard i belongs to worker i mod W, and
     // only that worker ever holds it.
     let worker_of = |si| (si % worker_count) as u32;
-    let worker_of_shard: Vec<u32> = (0..groups.len()).map(worker_of).collect();
+    let owners: Vec<u32> = (0..groups.len()).map(worker_of).collect();
     let clock = Clock::Wall(Instant::now());
     let durable = (fresh_agents(workload), Coordinator::new());
-    let mut ctx = RunCtx::new(workload, cfg, sink, worker_of_shard, clock, 0, durable);
+    let (policy, coins) = (cfg.policy, Some(cfg.seed));
+    let mut ctx = RunCtx::new(workload, policy, coins, sink, owners, clock, durable);
     ctx.tele = tele;
     if let Some(writer) = wal {
-        ctx.set_wal(writer);
+        ctx.set_wal(writer, cfg.epoch);
     }
 
     // Each worker gets its domains' member lists, nothing built: a shard's
@@ -1797,13 +1793,7 @@ mod tests {
             failure_probability: 0.0,
             ..WorkloadConfig::default()
         });
-        let result = run_concurrent(
-            &w,
-            ConcurrentConfig {
-                inject_failures: false,
-                ..ConcurrentConfig::default()
-            },
-        );
+        let result = run_concurrent(&w, ConcurrentConfig::default());
         assert_eq!(result.metrics.committed, 6);
         assert_eq!(result.metrics.aborted, 0);
     }
@@ -2218,7 +2208,15 @@ mod tests {
     fn scripted_ctx(w: &Workload, cfg: ConcurrentConfig) -> RunCtx<'_> {
         let clock = Clock::Wall(Instant::now());
         let durable = (fresh_agents(w), Coordinator::new());
-        RunCtx::new(w, cfg, Box::new(NoopSink), vec![0], clock, 0, durable)
+        RunCtx::new(
+            w,
+            cfg.policy,
+            Some(cfg.seed),
+            Box::new(NoopSink),
+            vec![0],
+            clock,
+            durable,
+        )
     }
 
     /// Steps `pid` until it stops yielding; returns the step that stopped it
@@ -2248,7 +2246,6 @@ mod tests {
         let w = paper_workload(0.0);
         let cfg = ConcurrentConfig {
             policy: PolicyKind::PredWait,
-            inject_failures: false,
             ..ConcurrentConfig::default()
         };
         let (ctx, journal) = journalled_ctx(&w, cfg);
@@ -2399,7 +2396,8 @@ mod tests {
         let clock = Clock::Wall(Instant::now());
         let durable = (fresh_agents(w), Coordinator::new());
         let sink = Box::new(journal.clone());
-        let ctx = RunCtx::new(w, cfg, sink, vec![0], clock, 0, durable);
+        let coins = Some(cfg.seed);
+        let ctx = RunCtx::new(w, cfg.policy, coins, sink, vec![0], clock, durable);
         (ctx, journal)
     }
 
@@ -2415,7 +2413,6 @@ mod tests {
         let w = chains(cat, &[(a, b)], &processes, 0.0);
         let cfg = ConcurrentConfig {
             policy: PolicyKind::PredProtocol,
-            inject_failures: false,
             ..ConcurrentConfig::default()
         };
         let (ctx, journal) = journalled_ctx(&w, cfg);
@@ -2456,10 +2453,7 @@ mod tests {
         let [a, c, b, e, f, g] = ["a", "c", "b", "e", "f", "g"].map(|s| cat.compensatable(s).0);
         let processes: [&[ServiceId]; 4] = [&[a, c], &[b], &[e, f], &[g]];
         let w = chains(cat, &[(a, b), (e, g)], &processes, 0.0);
-        let cfg = ConcurrentConfig {
-            inject_failures: false,
-            ..ConcurrentConfig::default()
-        };
+        let cfg = ConcurrentConfig::default();
         let (mut ctx, journal) = journalled_ctx(&w, cfg);
         ctx.tele = Telemetry::on();
         let calls = |ctx: &RunCtx<'_>| {
@@ -2540,10 +2534,7 @@ mod tests {
         let q = cat.pivot("q");
         let processes: [&[ServiceId]; 2] = [&[a, c], &[b, q]];
         let w = chains(cat, &[(a, b)], &processes, 0.0);
-        let cfg = ConcurrentConfig {
-            inject_failures: false,
-            ..ConcurrentConfig::default()
-        };
+        let cfg = ConcurrentConfig::default();
         let (ctx, journal) = journalled_ctx(&w, cfg);
         let (p1, p2) = (ProcessId(1), ProcessId(2));
         let told = |shard: &Shard<'_>| shard.policy.protocol().expect("PRED").records();
@@ -2663,14 +2654,11 @@ mod tests {
         let p = cat.pivot("p");
         let processes: [&[ServiceId]; 2] = [&[a, c], &[p]];
         let w = chains(cat, &[(a, p)], &processes, 0.0);
-        let cfg = ConcurrentConfig {
-            inject_failures: false,
-            ..ConcurrentConfig::default()
-        };
+        let cfg = ConcurrentConfig::default();
         let (mut ctx, journal) = journalled_ctx(&w, cfg);
         let wal = txproc_core::wal::MemWal::new();
         let policy = txproc_core::wal::DurabilityPolicy::Buffered;
-        ctx.set_wal(WalWriter::new(Box::new(wal.clone()), policy, 0));
+        ctx.set_wal(WalWriter::new(Box::new(wal.clone()), policy, 0), 0);
         let (p1, p2) = (ProcessId(1), ProcessId(2));
         let released = Event::Execute(GlobalActivityId::new(p2, ActivityId(0)));
         let mut shard = Shard::build(0, &[p1, p2], &ctx);
@@ -2752,7 +2740,6 @@ mod tests {
         let w = chains(cat, &[(p, b), (q, a)], &processes, 0.0);
         let cfg = ConcurrentConfig {
             policy: PolicyKind::PredWait,
-            inject_failures: false,
             ..ConcurrentConfig::default()
         };
         let (ctx, journal) = journalled_ctx(&w, cfg);
@@ -2973,7 +2960,6 @@ mod tests {
         let w = example8_workload(0.0);
         let cfg = ConcurrentConfig {
             policy: PolicyKind::PredProtocol,
-            inject_failures: false,
             ..ConcurrentConfig::default()
         };
         let ctx = scripted_ctx(&w, cfg);

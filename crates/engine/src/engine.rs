@@ -15,9 +15,7 @@
 //! seed, same history, tick for tick; the emitted [`Schedule`] can be
 //! checked for PRED offline.
 
-use crate::concurrent::{
-    fresh_agents, livelock_budget, Clock, ConcurrentConfig, RunCtx, RunOrder, Shard, ShardMode,
-};
+use crate::concurrent::{fresh_agents, livelock_budget, Clock, RunCtx, RunOrder, Shard};
 use crate::policy::PolicyKind;
 use crate::recovery::CrashImage;
 use std::collections::VecDeque;
@@ -37,12 +35,8 @@ use txproc_subsystem::tpc::Coordinator;
 pub struct RunConfig {
     /// Scheduling policy.
     pub policy: PolicyKind,
-    /// Seed of the failure-injection coins.
+    /// Seed of the failure coins (the failure rate is the workload's).
     pub seed: u64,
-    /// Whether failable activities may fail (probability from the workload).
-    pub inject_failures: bool,
-    /// Virtual time between process arrivals (0: all at time zero).
-    pub arrival_gap: u64,
     /// Journal seal cadence: an installed WAL is sealed (and, under
     /// `FsyncPerEpoch`, synced) every `epoch` history events; `0` seals
     /// every event. Read once, where the WAL is installed
@@ -56,8 +50,6 @@ impl Default for RunConfig {
         Self {
             policy: PolicyKind::Pred,
             seed: 7,
-            inject_failures: true,
-            arrival_gap: 0,
             epoch: 0,
         }
     }
@@ -146,6 +138,8 @@ pub struct Engine<'a> {
     order: VirtualTime,
     /// What the loop counts of itself; a tick reads it, the run drops it.
     rt: RuntimeMetrics,
+    /// [`RunConfig::epoch`], for [`Engine::with_wal`].
+    epoch: usize,
 }
 
 impl<'a> Engine<'a> {
@@ -163,19 +157,10 @@ impl<'a> Engine<'a> {
         sink: Box<dyn TraceSink + 'a>,
         tele: Telemetry,
     ) -> Self {
-        let run = ConcurrentConfig {
-            policy: cfg.policy,
-            seed: cfg.seed,
-            inject_failures: cfg.inject_failures,
-            shards: ShardMode::Single,
-            workers: Some(1),
-            epoch: cfg.epoch,
-        };
-        // Closed arrivals keep the config's `arrival_gap` staggering; open
-        // models (Poisson / Burst) take their times from the workload.
+        let (policy, coins) = (cfg.policy, Some(cfg.seed));
         let durable = (fresh_agents(workload), Coordinator::new());
-        let (clock, gap) = (Clock::Virtual(0.into()), cfg.arrival_gap);
-        let mut ctx = RunCtx::new(workload, run, sink, Vec::new(), clock, gap, durable);
+        let clock = Clock::Virtual(0.into());
+        let mut ctx = RunCtx::new(workload, policy, coins, sink, Vec::new(), clock, durable);
         ctx.tele = tele;
         let members: Vec<ProcessId> = workload.spec.processes().map(|p| p.id).collect();
         let shard = Shard::build(0, &members, &ctx);
@@ -189,6 +174,7 @@ impl<'a> Engine<'a> {
             shard,
             order,
             rt,
+            epoch: cfg.epoch,
         }
     }
 
@@ -198,7 +184,7 @@ impl<'a> Engine<'a> {
     /// itself every [`RunConfig::epoch`] history events. Journaling is pure
     /// observation — the emitted history is bit-identical with and without it.
     pub fn with_wal(mut self, writer: WalWriter) -> Self {
-        self.ctx.set_wal(writer);
+        self.ctx.set_wal(writer, self.epoch);
         self
     }
 
@@ -276,7 +262,7 @@ pub fn run(workload: &Workload, cfg: RunConfig) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txproc_sim::workload::{generate, WorkloadConfig};
+    use txproc_sim::workload::{generate, ArrivalModel, WorkloadConfig};
 
     fn small_workload(seed: u64, conflict_density: f64, failure: f64) -> Workload {
         generate(&WorkloadConfig {
@@ -354,8 +340,6 @@ mod tests {
                 let cfg = RunConfig {
                     policy: PolicyKind::Serial,
                     seed,
-                    inject_failures: failure > 0.0,
-                    arrival_gap: 0,
                     ..RunConfig::default()
                 };
                 let result = run(&w, cfg);
@@ -419,13 +403,7 @@ mod tests {
         // (serializability rejections); everything terminates and the
         // history stays PRED.
         let w = small_workload(5, 0.3, 0.0);
-        let result = run(
-            &w,
-            RunConfig {
-                inject_failures: false,
-                ..RunConfig::default()
-            },
-        );
+        let result = run(&w, RunConfig::default());
         assert_eq!(result.metrics.terminated(), 6);
         assert_eq!(
             result.metrics.aborted,
@@ -439,13 +417,7 @@ mod tests {
         // Even with no hot keys, processes can conflict by reusing the same
         // pooled service; everything must still terminate correctly.
         let w = small_workload(5, 0.0, 0.0);
-        let result = run(
-            &w,
-            RunConfig {
-                inject_failures: false,
-                ..RunConfig::default()
-            },
-        );
+        let result = run(&w, RunConfig::default());
         assert_eq!(result.metrics.terminated(), 6);
         assert!(is_pred(&w, &result));
     }
@@ -461,15 +433,18 @@ mod tests {
 
     #[test]
     fn arrival_gap_staggers_processes() {
-        let w = small_workload(7, 0.0, 0.0);
-        let r = run(
-            &w,
-            RunConfig {
-                arrival_gap: 100,
-                inject_failures: false,
-                ..RunConfig::default()
+        let w = generate(&WorkloadConfig {
+            seed: 7,
+            processes: 6,
+            conflict_density: 0.0,
+            failure_probability: 0.0,
+            arrivals: ArrivalModel::Burst {
+                quiet: 6,
+                quiet_gap: 100,
             },
-        );
+            ..WorkloadConfig::default()
+        });
+        let r = run(&w, RunConfig::default());
         assert!(r.metrics.makespan >= 500, "makespan {}", r.metrics.makespan);
     }
 
@@ -492,13 +467,7 @@ mod tests {
     #[test]
     fn external_abort_runs_completion() {
         let w = small_workload(9, 0.0, 0.0);
-        let mut engine = Engine::new(
-            &w,
-            RunConfig {
-                inject_failures: false,
-                ..RunConfig::default()
-            },
-        );
+        let mut engine = Engine::new(&w, RunConfig::default());
         // Let the first few events run, then abort one process.
         engine.run_until_history(4);
         let victim = engine.live_processes()[0];

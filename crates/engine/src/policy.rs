@@ -236,8 +236,6 @@ pub struct ConservativePolicy<'a> {
     spec: &'a Spec,
     /// Lock sets of live processes.
     held: BTreeMap<ProcessId, Vec<ServiceId>>,
-    /// Registered processes that have not acquired their locks yet.
-    pending: BTreeSet<ProcessId>,
 }
 
 impl<'a> ConservativePolicy<'a> {
@@ -246,7 +244,6 @@ impl<'a> ConservativePolicy<'a> {
         Self {
             spec,
             held: BTreeMap::new(),
-            pending: BTreeSet::new(),
         }
     }
 
@@ -274,9 +271,8 @@ impl<'a> ConservativePolicy<'a> {
 }
 
 impl Policy for ConservativePolicy<'_> {
-    fn register(&mut self, pid: ProcessId) {
-        self.pending.insert(pid);
-    }
+    /// A process takes its locks at its first request.
+    fn register(&mut self, _pid: ProcessId) {}
     fn request(
         &mut self,
         pid: ProcessId,
@@ -289,7 +285,6 @@ impl Policy for ConservativePolicy<'_> {
         let wanted = self.lock_set(pid);
         let blockers = self.conflicts_with_held(pid, &wanted);
         if blockers.is_empty() {
-            self.pending.remove(&pid);
             self.held.insert(pid, wanted);
             Admission::Allow
         } else {

@@ -24,7 +24,18 @@ use txproc_core::trace::{Journal, TraceEvent, TraceRecord};
 use txproc_engine::concurrent::ConcurrentConfig;
 use txproc_engine::engine::RunConfig;
 use txproc_engine::{PolicyKind, RunBuilder};
-use txproc_sim::workload::{generate, Workload, WorkloadConfig};
+use txproc_sim::workload::{generate, ArrivalModel, Workload, WorkloadConfig};
+
+/// `processes` arriving `gap` ticks apart (all at once for 0).
+fn arrivals(processes: usize, gap: u64) -> ArrivalModel {
+    match gap {
+        0 => ArrivalModel::Closed,
+        quiet_gap => ArrivalModel::Burst {
+            quiet: processes,
+            quiet_gap,
+        },
+    }
+}
 
 /// What [`check_run`] counted.
 #[derive(Default)]
@@ -39,7 +50,7 @@ struct Counts {
 #[derive(Debug, Clone, Copy)]
 enum Driver {
     /// The engine, with processes arriving this many ticks apart.
-    Engine { arrival_gap: u64 },
+    Engine { gap: u64 },
     /// The concurrent driver with this many workers.
     Workers(usize),
 }
@@ -50,17 +61,19 @@ enum Driver {
 /// replayed from the same journal.
 fn check_run(w: &Workload, seed: u64, driver: Driver, counts: &mut Counts) {
     let journal = Journal::new();
-    let run = RunBuilder::new(w).sink(Box::new(journal.clone()));
     let locals = match driver {
-        Driver::Engine { arrival_gap } => {
+        Driver::Engine { gap } => {
+            let mut staggered = w.clone();
+            staggered.config.arrivals = arrivals(w.config.processes, gap);
+            let run = RunBuilder::new(&staggered).sink(Box::new(journal.clone()));
             let cfg = RunConfig {
                 seed,
-                arrival_gap,
                 ..RunConfig::default()
             };
             vec![run.config(cfg).run().history().clone()]
         }
         Driver::Workers(n) => {
+            let run = RunBuilder::new(w).sink(Box::new(journal.clone()));
             let cfg = ConcurrentConfig {
                 seed,
                 workers: Some(n),
@@ -133,10 +146,10 @@ fn every_journalled_verdict_equals_the_full_derivation() {
     for cfg in grid {
         let w = generate(&cfg);
         let drivers = [
-            Driver::Engine { arrival_gap: 0 },
+            Driver::Engine { gap: 0 },
             Driver::Workers(1),
             Driver::Workers(2),
-            Driver::Engine { arrival_gap: 30 },
+            Driver::Engine { gap: 30 },
         ];
         for driver in drivers {
             check_run(&w, cfg.seed, driver, &mut counts);
@@ -170,19 +183,19 @@ fn incremental_equals_batch_on_protocol_histories_with_quiescent_points() {
     let (mut histories, mut not_pred) = (0, 0);
     for processes in [4, 6, 8] {
         for conflict_density in [0.5, 0.7] {
-            for arrival_gap in [0, 10, 30, 60] {
+            for gap in [0, 10, 30, 60] {
                 for seed in 0..64u64 {
                     let w = generate(&WorkloadConfig {
                         seed,
                         processes,
                         conflict_density,
+                        arrivals: arrivals(processes, gap),
                         ..WorkloadConfig::default()
                     });
                     let out = RunBuilder::new(&w)
                         .config(RunConfig {
                             policy: PolicyKind::PredProtocol,
                             seed,
-                            arrival_gap,
                             ..RunConfig::default()
                         })
                         .run();
@@ -192,7 +205,7 @@ fn incremental_equals_batch_on_protocol_histories_with_quiescent_points() {
                     assert_eq!(
                         incremental, batch,
                         "{processes} processes, density {conflict_density}, gap \
-                         {arrival_gap}, seed {seed}"
+                         {gap}, seed {seed}"
                     );
                     histories += 1;
                     not_pred += usize::from(!batch.pred);

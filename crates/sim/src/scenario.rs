@@ -157,7 +157,6 @@ pub fn registry() -> Vec<Scenario> {
                         weight: 1,
                         prefix_len: Some((6, 9)),
                         tail_len: Some((2, 3)),
-                        alternative_probability: None,
                         zipf_s: Some(1.2),
                     },
                     TenantMix {
@@ -165,7 +164,6 @@ pub fn registry() -> Vec<Scenario> {
                         weight: 3,
                         prefix_len: Some((1, 2)),
                         tail_len: Some((1, 1)),
-                        alternative_probability: None,
                         zipf_s: None,
                     },
                 ],

@@ -29,8 +29,7 @@ use txproc_subsystem::subsystem::SubsystemId;
 /// How processes arrive at the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum ArrivalModel {
-    /// Closed system: every process is submitted at time zero (the
-    /// virtual-time engine may still stagger them via its `arrival_gap`).
+    /// Closed system: every process is submitted at time zero.
     #[default]
     Closed,
     /// Open system: a Poisson arrival process — exponential inter-arrival
@@ -43,7 +42,8 @@ pub enum ArrivalModel {
     },
     /// Flash crowd: the first `quiet` processes arrive spaced `quiet_gap`
     /// ticks apart, then every remaining process lands in one burst at the
-    /// spike instant.
+    /// spike instant. `quiet` equal to the process count is no burst:
+    /// evenly spaced closed arrivals, process `p` at `p · quiet_gap`.
     Burst {
         /// Processes that arrive before the spike.
         quiet: usize,
@@ -66,8 +66,6 @@ pub struct TenantMix {
     pub prefix_len: Option<(usize, usize)>,
     /// Override of [`WorkloadConfig::tail_len`].
     pub tail_len: Option<(usize, usize)>,
-    /// Override of [`WorkloadConfig::alternative_probability`].
-    pub alternative_probability: Option<f64>,
     /// Override of [`WorkloadConfig::zipf_s`].
     pub zipf_s: Option<f64>,
 }
@@ -263,9 +261,6 @@ impl WorkloadConfig {
                     return err(format!("tenant {i} tail_len range is empty: ({lo}, {hi})"));
                 }
             }
-            if let Some(p) = t.alternative_probability {
-                unit_interval("tenant alternative_probability", p)?;
-            }
             if let Some(s) = t.zipf_s {
                 if !s.is_finite() || s < 0.0 {
                     return err(format!(
@@ -404,9 +399,6 @@ fn effective_config(config: &WorkloadConfig, p: usize) -> WorkloadConfig {
     }
     if let Some(v) = t.tail_len {
         eff.tail_len = v;
-    }
-    if let Some(v) = t.alternative_probability {
-        eff.alternative_probability = v;
     }
     if let Some(v) = t.zipf_s {
         eff.zipf_s = v;
@@ -957,6 +949,23 @@ mod tests {
     }
 
     #[test]
+    fn a_burst_of_every_process_spaces_them_evenly() {
+        for (processes, gap) in [(1, 1), (6, 100), (8, 70)] {
+            let staggered = WorkloadConfig {
+                processes,
+                arrivals: ArrivalModel::Burst {
+                    quiet: processes,
+                    quiet_gap: gap,
+                },
+                ..WorkloadConfig::default()
+            };
+            assert_eq!(staggered.validate(), Ok(()));
+            let expected: Vec<u64> = (0..processes as u64).map(|p| p * gap).collect();
+            assert_eq!(arrival_times(&staggered), expected);
+        }
+    }
+
+    #[test]
     fn tenants_deal_processes_by_weight() {
         let cfg = WorkloadConfig {
             tenants: vec![
@@ -965,7 +974,6 @@ mod tests {
                     weight: 1,
                     prefix_len: Some((6, 8)),
                     tail_len: None,
-                    alternative_probability: None,
                     zipf_s: None,
                 },
                 TenantMix {
@@ -973,7 +981,6 @@ mod tests {
                     weight: 3,
                     prefix_len: None,
                     tail_len: None,
-                    alternative_probability: None,
                     zipf_s: None,
                 },
             ],

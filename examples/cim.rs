@@ -16,11 +16,18 @@ use txproc_core::pred::check_pred;
 use txproc_core::schedule::render;
 use txproc_engine::engine::{run, RunConfig};
 use txproc_engine::policy::PolicyKind;
+use txproc_sim::workload::ArrivalModel;
 
 fn main() {
     // 45% failure probability + seed scan: find a run where the test
     // activity of the construction process actually fails.
-    let (fx, workload) = cim_workload(0.45);
+    let (fx, mut workload) = cim_workload(0.45);
+    // Stagger arrivals so production reads the BOM the construction
+    // process wrote (Figure 1's timeline).
+    workload.config.arrivals = ArrivalModel::Burst {
+        quiet: 2,
+        quiet_gap: 70,
+    };
     for kind in [PolicyKind::Pred, PolicyKind::UnsafeCc] {
         println!("=== scheduler: {} ===", kind.label());
         for seed in 0..200 {
@@ -29,9 +36,6 @@ fn main() {
                 RunConfig {
                     policy: kind,
                     seed,
-                    // Stagger arrivals so production reads the BOM the
-                    // construction process wrote (Figure 1's timeline).
-                    arrival_gap: 70,
                     ..RunConfig::default()
                 },
             );

@@ -9,7 +9,7 @@ use txproc::engine::concurrent::{run_concurrent, ConcurrentConfig};
 use txproc::engine::engine::{run, Engine, RunConfig};
 use txproc::engine::policy::PolicyKind;
 use txproc::engine::recovery::recover;
-use txproc::sim::workload::{generate, WorkloadConfig};
+use txproc::sim::workload::{generate, ArrivalModel, WorkloadConfig};
 
 fn workload(
     seed: u64,
@@ -125,16 +125,19 @@ fn cim_production_never_starts_before_construction_outcome() {
     // test terminated. Under the PRED scheduler, in every run where the
     // test failed, the production pivot must not have committed earlier
     // than the failure.
-    let (fx, w) = txproc::bench::scenarios::cim_workload(0.2);
+    let (fx, mut w) = txproc::bench::scenarios::cim_workload(0.2);
+    // Stagger arrivals so production reads the BOM the construction
+    // process wrote (the paper's Figure 1 timeline).
+    w.config.arrivals = ArrivalModel::Burst {
+        quiet: 2,
+        quiet_gap: 70,
+    };
     let mut exercised = 0;
     for seed in 0..80 {
-        // Stagger arrivals so production reads the BOM the construction
-        // process wrote (the paper's Figure 1 timeline).
         let r = run(
             &w,
             RunConfig {
                 seed,
-                arrival_gap: 70,
                 ..RunConfig::default()
             },
         );
@@ -183,22 +186,13 @@ fn deterministic_across_identical_configs() {
 
 #[test]
 fn arrival_gap_reduces_contention() {
-    let w = workload(9, 8, 0.5, 0.0);
-    let packed = run(
-        &w,
-        RunConfig {
-            inject_failures: false,
-            ..RunConfig::default()
-        },
-    );
-    let staggered = run(
-        &w,
-        RunConfig {
-            inject_failures: false,
-            arrival_gap: 200,
-            ..RunConfig::default()
-        },
-    );
+    let mut w = workload(9, 8, 0.5, 0.0);
+    let packed = run(&w, RunConfig::default());
+    w.config.arrivals = ArrivalModel::Burst {
+        quiet: 8,
+        quiet_gap: 200,
+    };
+    let staggered = run(&w, RunConfig::default());
     // With processes fully staggered, scheduling conflicts vanish.
     assert!(staggered.metrics.rejections <= packed.metrics.rejections);
     assert_eq!(staggered.metrics.committed + staggered.metrics.aborted, 8);
