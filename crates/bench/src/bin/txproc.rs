@@ -161,13 +161,7 @@ fn parse_workers(args: &Args) -> Result<Option<usize>, String> {
 /// process `p` at tick `p·N` (0, the default, submits all at once).
 fn workload_from(args: &Args) -> Result<txproc_sim::workload::Workload, String> {
     let processes = args.get("processes", 8usize)?;
-    let arrivals = match args.get("arrival-gap", 0u64)? {
-        0 => ArrivalModel::Closed,
-        quiet_gap => ArrivalModel::Burst {
-            quiet: processes,
-            quiet_gap,
-        },
-    };
+    let arrivals = ArrivalModel::staggered(processes, args.get("arrival-gap", 0u64)?);
     try_generate(&WorkloadConfig {
         seed: args.get("seed", 42u64)?,
         processes,
@@ -243,6 +237,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             policy,
             seed,
             epoch,
+            ..RunConfig::default()
         })
     };
     let check = args.flag("check");

@@ -3,7 +3,7 @@
 //! extrapolated performance studies.
 
 use crate::cells;
-use crate::scenarios::{cim_workload, figure4a_st2, figure4b_st2, figure7, figure9};
+use crate::scenarios::{figure1_workload, figure4a_st2, figure4b_st2, figure7, figure9};
 use crate::tables::{ExperimentResult, Table};
 use txproc_core::completion::complete;
 use txproc_core::fixtures::paper_world;
@@ -17,7 +17,7 @@ use txproc_core::weak::{makespan, OrderConstraint, OrderKind, Task};
 use txproc_engine::engine::{run, Engine, RunConfig};
 use txproc_engine::policy::PolicyKind;
 use txproc_engine::recovery::recover;
-use txproc_sim::workload::{generate, ArrivalModel, WorkloadConfig};
+use txproc_sim::workload::{generate, WorkloadConfig};
 
 /// Runs one experiment by id (`"e1"`..`"e17"`, `"e21"`, `"e22"`).
 /// The other numbers of EXPERIMENTS.md are measurements, not experiments:
@@ -71,13 +71,7 @@ pub fn e1_cim() -> ExperimentResult {
         // Seed chosen so the construction test activity fails (the paper's
         // §2.2 situation). High failure rate plus a seed scan makes sure the
         // failure actually hits the pivot.
-        let (fx, mut w) = cim_workload(0.45);
-        // Stagger arrivals so production reads the BOM the construction
-        // process wrote (Figure 1's timeline).
-        w.config.arrivals = ArrivalModel::Burst {
-            quiet: 2,
-            quiet_gap: 70,
-        };
+        let (fx, w) = figure1_workload(0.45);
         let mut chosen = None;
         for seed in 0..200 {
             let r = run(

@@ -16,7 +16,7 @@ use txproc_engine::engine::{run, RunConfig};
 use txproc_engine::policy::PolicyKind;
 use txproc_sim::metrics::Metrics;
 use txproc_sim::scenario::{registry, Envelope, Scenario};
-use txproc_sim::workload::{try_generate, Workload, WorkloadConfig};
+use txproc_sim::workload::{try_generate, ArrivalModel, Workload, WorkloadConfig};
 use txproc_subsystem::deploy::Deployment;
 use txproc_subsystem::kv::{Key, Program};
 use txproc_subsystem::subsystem::SubsystemId;
@@ -141,10 +141,19 @@ pub fn cim_workload(failure_probability: f64) -> (CimWorld, Workload) {
         spec: fx.spec.clone(),
         deployment,
         config: WorkloadConfig {
+            processes: fx.spec.process_count(),
             failure_probability,
             ..WorkloadConfig::default()
         },
     };
+    (fx, workload)
+}
+
+/// [`cim_workload`] on Figure 1's timeline: production arrives 70 ticks
+/// after construction, so it reads the BOM construction wrote.
+pub fn figure1_workload(failure_probability: f64) -> (CimWorld, Workload) {
+    let (fx, mut workload) = cim_workload(failure_probability);
+    workload.config.arrivals = ArrivalModel::staggered(workload.config.processes, 70);
     (fx, workload)
 }
 
@@ -175,6 +184,7 @@ pub fn paper_workload(failure_probability: f64) -> (PaperWorld, Workload) {
         spec: fx.spec.clone(),
         deployment,
         config: WorkloadConfig {
+            processes: fx.spec.process_count(),
             failure_probability,
             ..WorkloadConfig::default()
         },

@@ -55,6 +55,7 @@ fn a_warm_certifier_allocates_at_most_a_tenth_more_than_measured() {
                 policy: PolicyKind::Pred,
                 seed,
                 epoch: 16,
+                ..RunConfig::default()
             })
             .sink(Box::new(journal.clone()))
             .durability(writer, 0)

@@ -45,6 +45,7 @@ fn cancelled_set_flips_are_at_most_a_third_of_the_restoring_fixpoint() {
                 policy: PolicyKind::Pred,
                 seed,
                 epoch: 16,
+                ..RunConfig::default()
             })
             .sink(Box::new(journal.clone()))
             .durability(writer, 0)

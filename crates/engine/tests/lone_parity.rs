@@ -26,17 +26,6 @@ use txproc_engine::engine::RunConfig;
 use txproc_engine::{PolicyKind, RunBuilder};
 use txproc_sim::workload::{generate, ArrivalModel, Workload, WorkloadConfig};
 
-/// `processes` arriving `gap` ticks apart (all at once for 0).
-fn arrivals(processes: usize, gap: u64) -> ArrivalModel {
-    match gap {
-        0 => ArrivalModel::Closed,
-        quiet_gap => ArrivalModel::Burst {
-            quiet: processes,
-            quiet_gap,
-        },
-    }
-}
-
 /// What [`check_run`] counted.
 #[derive(Default)]
 struct Counts {
@@ -64,7 +53,7 @@ fn check_run(w: &Workload, seed: u64, driver: Driver, counts: &mut Counts) {
     let locals = match driver {
         Driver::Engine { gap } => {
             let mut staggered = w.clone();
-            staggered.config.arrivals = arrivals(w.config.processes, gap);
+            staggered.config.arrivals = ArrivalModel::staggered(w.config.processes, gap);
             let run = RunBuilder::new(&staggered).sink(Box::new(journal.clone()));
             let cfg = RunConfig {
                 seed,
@@ -189,7 +178,7 @@ fn incremental_equals_batch_on_protocol_histories_with_quiescent_points() {
                         seed,
                         processes,
                         conflict_density,
-                        arrivals: arrivals(processes, gap),
+                        arrivals: ArrivalModel::staggered(processes, gap),
                         ..WorkloadConfig::default()
                     });
                     let out = RunBuilder::new(&w)

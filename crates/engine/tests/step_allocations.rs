@@ -103,6 +103,7 @@ fn a_recovery_allocates_at_most_seventy_percent_of_before_per_event() {
                 policy: PolicyKind::Pred,
                 seed,
                 epoch: 16,
+                ..RunConfig::default()
             })
             .durability(writer, 0)
             .run();

@@ -52,6 +52,20 @@ pub enum ArrivalModel {
     },
 }
 
+impl ArrivalModel {
+    /// `processes` arriving `gap` ticks apart, process `p` at `p · gap`
+    /// (a [`Self::Burst`] with no burst); a `gap` of 0 is [`Self::Closed`].
+    pub fn staggered(processes: usize, gap: u64) -> Self {
+        match gap {
+            0 => Self::Closed,
+            quiet_gap => Self::Burst {
+                quiet: processes,
+                quiet_gap,
+            },
+        }
+    }
+}
+
 /// One tenant in a multi-tenant mix: a relative share of the processes plus
 /// optional overrides of the structural knobs. Processes are dealt to
 /// tenants by weighted round-robin over the process id, so the assignment
@@ -960,9 +974,11 @@ mod tests {
                 ..WorkloadConfig::default()
             };
             assert_eq!(staggered.validate(), Ok(()));
+            assert_eq!(ArrivalModel::staggered(processes, gap), staggered.arrivals);
             let expected: Vec<u64> = (0..processes as u64).map(|p| p * gap).collect();
             assert_eq!(arrival_times(&staggered), expected);
         }
+        assert_eq!(ArrivalModel::staggered(8, 0), ArrivalModel::Closed);
     }
 
     #[test]

@@ -11,23 +11,17 @@
 //! cargo run --example cim
 //! ```
 
-use txproc_bench::scenarios::cim_workload;
+use txproc_bench::scenarios::figure1_workload;
 use txproc_core::pred::check_pred;
 use txproc_core::schedule::render;
 use txproc_engine::engine::{run, RunConfig};
 use txproc_engine::policy::PolicyKind;
-use txproc_sim::workload::ArrivalModel;
 
 fn main() {
     // 45% failure probability + seed scan: find a run where the test
     // activity of the construction process actually fails.
-    let (fx, mut workload) = cim_workload(0.45);
-    // Stagger arrivals so production reads the BOM the construction
-    // process wrote (Figure 1's timeline).
-    workload.config.arrivals = ArrivalModel::Burst {
-        quiet: 2,
-        quiet_gap: 70,
-    };
+    // Figure 1's timeline: production reads the BOM construction wrote.
+    let (fx, workload) = figure1_workload(0.45);
     for kind in [PolicyKind::Pred, PolicyKind::UnsafeCc] {
         println!("=== scheduler: {} ===", kind.label());
         for seed in 0..200 {

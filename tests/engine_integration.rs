@@ -125,13 +125,7 @@ fn cim_production_never_starts_before_construction_outcome() {
     // test terminated. Under the PRED scheduler, in every run where the
     // test failed, the production pivot must not have committed earlier
     // than the failure.
-    let (fx, mut w) = txproc::bench::scenarios::cim_workload(0.2);
-    // Stagger arrivals so production reads the BOM the construction
-    // process wrote (the paper's Figure 1 timeline).
-    w.config.arrivals = ArrivalModel::Burst {
-        quiet: 2,
-        quiet_gap: 70,
-    };
+    let (fx, w) = txproc::bench::scenarios::figure1_workload(0.2);
     let mut exercised = 0;
     for seed in 0..80 {
         let r = run(
@@ -188,10 +182,7 @@ fn deterministic_across_identical_configs() {
 fn arrival_gap_reduces_contention() {
     let mut w = workload(9, 8, 0.5, 0.0);
     let packed = run(&w, RunConfig::default());
-    w.config.arrivals = ArrivalModel::Burst {
-        quiet: 8,
-        quiet_gap: 200,
-    };
+    w.config.arrivals = ArrivalModel::staggered(8, 200);
     let staggered = run(&w, RunConfig::default());
     // With processes fully staggered, scheduling conflicts vanish.
     assert!(staggered.metrics.rejections <= packed.metrics.rejections);
