@@ -64,6 +64,39 @@ use txproc_engine::recovery::{recover, Recovery, RecoverySource};
 use txproc_engine::{RunBuilder, RunOutcome};
 use txproc_sim::workload::{try_generate, ArrivalModel, WorkloadConfig};
 
+/// Writes a report to stdout as `print!` does, except that a reader that
+/// closed the pipe (`txproc-cli trace | head -1`) ends the program at once:
+/// quietly, with exit 0. Any other write error panics, as `print!`'s does.
+/// Under the test harness it is `print!`, whose output the harness captures.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if cfg!(test) {
+        return print!("{args}");
+    }
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+        Ok(()) => {}
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Simple `--key value` argument map. It notes every key a command asks
 /// for, so [`Args::finish`] can refuse the flags the command did not read on
 /// the path it took: what a subcommand accepts is what it reads, with no
@@ -210,7 +243,7 @@ fn open_wal(wal: &WalOpts, seed: u64) -> Result<WalWriter, String> {
 /// is not, so the exit status carries the verdict.
 fn check_history(spec: &Spec, history: &Schedule) -> Result<(), String> {
     let ok = txproc_core::pred::is_pred(spec, history).map_err(|e| e.to_string())?;
-    println!("history PRED:      {ok}");
+    outln!("history PRED:      {ok}");
     if !ok {
         return Err("history is not PRED".to_string());
     }
@@ -250,39 +283,39 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let out = builder.try_run()?;
     let m = out.metrics();
     let unit = if m.runtime.is_some() { "µs" } else { "ticks" };
-    println!("policy:            {}", policy.label());
-    println!("shards:            {}", m.shards.len());
-    println!("makespan:          {} {unit}", m.makespan);
-    println!("committed/aborted: {}/{}", m.committed, m.aborted);
-    println!("activities:        {}", m.activities);
-    println!("compensations:     {}", m.compensations);
-    println!("retries:           {}", m.retries);
-    println!("deferred commits:  {}", m.deferred_commits);
-    println!("waits/rejections:  {}/{}", m.waits, m.rejections);
-    println!(
+    outln!("policy:            {}", policy.label());
+    outln!("shards:            {}", m.shards.len());
+    outln!("makespan:          {} {unit}", m.makespan);
+    outln!("committed/aborted: {}/{}", m.committed, m.aborted);
+    outln!("activities:        {}", m.activities);
+    outln!("compensations:     {}", m.compensations);
+    outln!("retries:           {}", m.retries);
+    outln!("deferred commits:  {}", m.deferred_commits);
+    outln!("waits/rejections:  {}/{}", m.waits, m.rejections);
+    outln!(
         "latency p50/p95:   {:?}/{:?} {unit}",
         m.latency_percentile(0.5),
         m.latency_percentile(0.95)
     );
     if let Some(rt) = &m.runtime {
-        println!("workers:           {}", rt.workers);
-        println!("steps/repolls:     {}/{}", rt.steps, rt.repolls);
-        println!("run-queue peak:    {}", rt.run_queue_peak);
-        println!("in-flight peak:    {}", rt.in_flight_peak);
-        println!("built-shard peak:  {}", rt.shards_live_peak);
-        println!(
+        outln!("workers:           {}", rt.workers);
+        outln!("steps/repolls:     {}/{}", rt.steps, rt.repolls);
+        outln!("run-queue peak:    {}", rt.run_queue_peak);
+        outln!("in-flight peak:    {}", rt.in_flight_peak);
+        outln!("built-shard peak:  {}", rt.shards_live_peak);
+        outln!(
             "sched delay p50/p95: {:?}/{:?} ns",
             rt.delay_percentile_ns(0.5),
             rt.delay_percentile_ns(0.95)
         );
-        println!("worker utilization: {:.1}%", rt.utilization() * 100.0);
+        outln!("worker utilization: {:.1}%", rt.utilization() * 100.0);
     }
     if check {
         check_history(&w.spec, out.history())?;
     }
     if let Some(wal) = &wal {
         let bytes = std::fs::metadata(&wal.path).map(|m| m.len()).unwrap_or(0);
-        println!(
+        outln!(
             "wal:               {} ({}, {bytes} bytes)",
             wal.path.display(),
             wal.policy.label()
@@ -300,26 +333,26 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     let w = workload_from(args)?;
     let json_path = args.raw("json");
     args.finish("generate")?;
-    println!("processes: {}", w.spec.process_count());
+    outln!("processes: {}", w.spec.process_count());
     for p in w.spec.processes() {
         let analysis = txproc_core::flex::FlexAnalysis::analyze(p, &w.spec.catalog);
-        println!(
+        outln!(
             "  {} ({} activities, guaranteed termination: {})",
             p.name,
             p.len(),
             analysis.has_guaranteed_termination()
         );
     }
-    println!("services: {}", w.spec.catalog.len());
-    println!(
+    outln!("services: {}", w.spec.catalog.len());
+    outln!(
         "declared conflicting pairs: {}",
         w.spec.conflicts.declared_pairs()
     );
-    println!("subsystems: {}", w.deployment.subsystems().len());
+    outln!("subsystems: {}", w.deployment.subsystems().len());
     if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&w.spec).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
-        println!("wrote spec to {path}");
+        outln!("wrote spec to {path}");
     }
     Ok(())
 }
@@ -357,15 +390,15 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
 }
 
 fn print_pred_report(spec: &Spec, s: &Schedule) -> Result<(), String> {
-    println!("history: {}", render(s));
+    outln!("history: {}", render(s));
     let serializable =
         txproc_core::serializability::is_serializable(spec, s).map_err(|e| e.to_string())?;
-    println!("serializable: {serializable}");
+    outln!("serializable: {serializable}");
     let report = check_pred(spec, s).map_err(|e| e.to_string())?;
-    println!("reducible (RED): {}", report.reducible());
-    println!("prefix-reducible (PRED): {}", report.pred);
+    outln!("reducible (RED): {}", report.reducible());
+    outln!("prefix-reducible (PRED): {}", report.pred);
     if let Some(k) = report.first_violation {
-        println!("first violating prefix: {k} events");
+        outln!("first violating prefix: {k} events");
     }
     Ok(())
 }
@@ -394,8 +427,16 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown process: {other}")),
     };
-    print!("{out}");
+    out!("{out}");
     Ok(())
+}
+
+/// `--trace-sample N`: keeps the records of the processes whose pid is a
+/// multiple of `n`, and every record that names no process. Selecting by
+/// pid keeps a kept process's decision chain whole, so `--explain` still
+/// works on it; each kept record keeps its `seq`.
+fn sample(records: &mut Vec<txproc_core::trace::TraceRecord>, n: u32) {
+    records.retain(|r| r.event.pid().is_none_or(|p| p.0 % n == 0));
 }
 
 /// Re-runs a seeded workload with the trace journal attached and renders
@@ -403,9 +444,7 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
 /// journal, as a Chrome-trace timeline, as per-step conflict-graph dot
 /// snapshots, or as an `--explain` decision chain for one process.
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    use txproc_core::trace::{
-        chrome_trace, explain_process, to_jsonl, Journal, SampleSink, TraceSink,
-    };
+    use txproc_core::trace::{chrome_trace, explain_process, to_jsonl, Journal};
     let w = workload_from(args)?;
     let policy = parse_policy(&args.get("policy", "pred".to_string())?)?;
     let cfg = RunConfig {
@@ -434,19 +473,15 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let kind_filter = args.raw("kind");
     args.finish("trace")?;
     let journal = Journal::new();
-    let sink: Box<dyn TraceSink> = if sample_n > 1 {
-        Box::new(SampleSink::new(journal.clone(), sample_n))
-    } else {
-        Box::new(journal.clone())
-    };
     let r = txproc_engine::RunBuilder::new(&w)
         .config(cfg)
-        .sink(sink)
+        .sink(Box::new(journal.clone()))
         .run()
         .into_engine();
-    let records = journal.snapshot();
+    let mut records = journal.take();
     if sample_n > 1 {
-        println!(
+        sample(&mut records, sample_n);
+        outln!(
             "sampling 1-in-{sample_n} process chains: kept {} records",
             records.len()
         );
@@ -454,11 +489,11 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 
     if let Some(path) = json {
         std::fs::write(path, to_jsonl(&records)).map_err(|e| e.to_string())?;
-        println!("wrote {} trace records to {path}", records.len());
+        outln!("wrote {} trace records to {path}", records.len());
     }
     if let Some(path) = chrome {
         std::fs::write(path, chrome_trace(&records)).map_err(|e| e.to_string())?;
-        println!("wrote chrome trace to {path} (load in chrome://tracing or Perfetto)");
+        outln!("wrote chrome trace to {path} (load in chrome://tracing or Perfetto)");
     }
     if let Some(dir) = dot_dir {
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
@@ -470,13 +505,13 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             let path = std::path::Path::new(dir).join(format!("step_{:03}.dot", i + 1));
             std::fs::write(&path, dot).map_err(|e| e.to_string())?;
         }
-        println!(
+        outln!(
             "wrote {} conflict-graph snapshots to {dir}",
             r.history.len()
         );
     }
     if let Some(pid) = explain {
-        print!("{}", explain_process(&records, pid));
+        out!("{}", explain_process(&records, pid));
         return Ok(());
     }
     let mut shown = 0usize;
@@ -491,10 +526,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
                 continue;
             }
         }
-        println!("{rec}");
+        outln!("{rec}");
         shown += 1;
     }
-    println!(
+    outln!(
         "-- {shown} of {} records (history: {} events, {} committed, {} aborted)",
         records.len(),
         r.history.len(),
@@ -538,9 +573,9 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     match prom {
         Some(path) => {
             std::fs::write(path, text).map_err(|e| e.to_string())?;
-            println!("wrote Prometheus metrics to {path}");
+            outln!("wrote Prometheus metrics to {path}");
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     let m = out.metrics();
     eprintln!("run: {} committed, {} aborted", m.committed, m.aborted);
@@ -637,9 +672,9 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let ansi = std::io::stdout().is_terminal();
     let paint = |frame: String| {
         if ansi {
-            print!("\x1b[2J\x1b[H");
+            out!("\x1b[2J\x1b[H");
         }
-        print!("{frame}");
+        out!("{frame}");
     };
     let tele = Telemetry::on();
     let done = AtomicBool::new(false);
@@ -668,9 +703,12 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     if let Some(snap) = tele.snapshot() {
         paint(render_top(&snap, Some(&r.metrics)));
     }
-    println!(
+    outln!(
         "done: {} committed, {} aborted, {} activities, {} compensations",
-        r.metrics.committed, r.metrics.aborted, r.metrics.activities, r.metrics.compensations
+        r.metrics.committed,
+        r.metrics.aborted,
+        r.metrics.activities,
+        r.metrics.compensations
     );
     Ok(())
 }
@@ -701,7 +739,7 @@ fn cmd_gauntlet(args: &Args) -> Result<(), String> {
     for s in &scenarios {
         let report = run_scenario(s, &cfg);
         for m in &report.modes {
-            println!(
+            outln!(
                 "{:<15} {:<16} seeds={:<4} commit-rate={:.3} p50={:?} p95={:?} pred-violations={} proc-rec-violations={} [{}] ({:.0} ms)",
                 report.name,
                 m.mode,
@@ -727,10 +765,10 @@ fn cmd_gauntlet(args: &Args) -> Result<(), String> {
     if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&reports).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if failed.is_empty() {
-        println!(
+        outln!(
             "gauntlet: all {} scenario(s) passed over {} seed(s)",
             reports.len(),
             cfg.seeds
@@ -757,13 +795,13 @@ fn cmd_crash(args: &Args) -> Result<(), String> {
         engine = engine.with_wal(open_wal(wal, seed)?);
     }
     engine.run_until_history(at);
-    println!("history at crash: {}", render(engine.history()));
+    outln!("history at crash: {}", render(engine.history()));
     let report = match &wal {
         // The honest crash path: discard the in-memory image and rebuild
         // everything from the durable log alone.
         Some(wal) => {
             drop(engine.crash());
-            println!("replaying WAL:    {}", wal.path.display());
+            outln!("replaying WAL:    {}", wal.path.display());
             let bytes = std::fs::read(&wal.path)
                 .map_err(|e| format!("read WAL {}: {e}", wal.path.display()))?;
             Recovery::from(RecoverySource::WalBytes(bytes))
@@ -772,7 +810,7 @@ fn cmd_crash(args: &Args) -> Result<(), String> {
         }
         None => recover(&w, engine.crash()).map_err(|e| e.to_string())?,
     };
-    println!(
+    outln!(
         "recovered: {} aborted, {} compensations, {} forward steps, {} 2PC groups resolved",
         report.aborted.len(),
         report.compensations,
@@ -786,7 +824,7 @@ fn cmd_crash(args: &Args) -> Result<(), String> {
 /// fails the command when it is not.
 fn check_recovered(spec: &Spec, history: &Schedule) -> Result<(), String> {
     let red = txproc_core::reduction::is_reducible(spec, history).map_err(|e| e.to_string())?;
-    println!("recovered history RED: {red}");
+    outln!("recovered history RED: {red}");
     if !red {
         return Err("recovered history is not RED".to_string());
     }
@@ -999,6 +1037,44 @@ mod tests {
         );
         assert!(cmd_trace(&args(&["--trace-sample", "0"])).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trace_sampling_keeps_whole_chains_and_pidless_records() {
+        use txproc_core::trace::{from_jsonl, TraceEvent, TraceRecord};
+        let dir = scratch("txproc_trace_sample_chains_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = |sample: &str| {
+            let path = dir.join(format!("sample_{sample}.jsonl"));
+            let mut a = vec!["--seed", "5", "--processes", "8", "--density", "0.5"];
+            a.extend(["--json", path.to_str().unwrap(), "--trace-sample", sample]);
+            cmd_trace(&args(&a)).unwrap();
+            from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap()
+        };
+        let (full, halved) = (journal("1"), journal("2"));
+        std::fs::remove_dir_all(&dir).ok();
+        // Every record of an even pid, with its `seq`, and none of an odd one.
+        let even = |r: &TraceRecord| r.event.pid().is_none_or(|p| p.0 % 2 == 0);
+        let expected: Vec<TraceRecord> = full.iter().filter(|r| even(r)).cloned().collect();
+        assert!(!halved.is_empty() && halved.len() < full.len());
+        assert_eq!(halved, expected);
+        // A record that names no process (a recovery's group abort) is kept.
+        let mut records = full.clone();
+        let pidless = TraceRecord {
+            event: TraceEvent::GroupAbort {
+                initiator: None,
+                victims: vec![ProcessId(1)],
+                trigger: None,
+            },
+            ..full[0].clone()
+        };
+        records.push(pidless.clone());
+        sample(&mut records, 2);
+        assert_eq!(records.last(), Some(&pidless));
+        // `N = 1` keeps every record.
+        let mut all = full.clone();
+        sample(&mut all, 1);
+        assert_eq!(all, full);
     }
 
     #[test]

@@ -20,10 +20,6 @@
 //! groups for records stamped by the sharded runtimes) and explicit blocked
 //! spans, and an explainer ([`explain_process`]) that walks the event chain
 //! backwards from a process's fate to the decisions that produced it.
-//!
-//! For long runs a sink can be wrapped in a [`SampleSink`], which keeps the
-//! records of 1-in-N processes (selected by pid, so a kept process's record
-//! chain stays complete) and drops the rest.
 
 use crate::ids::{GlobalActivityId, ProcessId, ServiceId};
 use crate::schedule::Event;
@@ -397,12 +393,14 @@ impl fmt::Display for TraceRecord {
 
 /// Receiver of trace records.
 ///
-/// Contract: `record` is called at most once per decision, in decision order
-/// per driver. The caller builds each decision regardless and consults
-/// [`TraceSink::enabled`] (once per run) before delivering it: a disabled
-/// sink is never called, and no record is stamped or buffered for it. Sinks
-/// must be `Send` so the concurrent driver can share them behind its global
-/// lock.
+/// Contract: `record` is called at most once per decision, by the thread
+/// that owns the run, once the run has ended (or crashed): each shard keeps
+/// its decisions until then, and the run's records arrive in `seq` order,
+/// which follows the merged history. The caller builds each decision
+/// regardless and consults [`TraceSink::enabled`] (once per run) before
+/// keeping it: a disabled sink is never called, and no record is stamped
+/// or kept for it. Sinks are `Send`, so a run may be handed to another
+/// thread with its sink.
 pub trait TraceSink: Send {
     /// Whether records should be built and delivered at all.
     fn enabled(&self) -> bool {
@@ -468,51 +466,6 @@ impl Journal {
 impl TraceSink for Journal {
     fn record(&mut self, rec: TraceRecord) {
         self.guard().push(rec);
-    }
-}
-
-/// A sampling wrapper around any sink: keeps the records of 1-in-N
-/// processes (those with `pid % n == 0`) plus every record that names no
-/// process (group aborts initiated by recovery). Selecting by pid rather
-/// than by record keeps a sampled process's decision chain complete, so
-/// `explain_process` still works on the sampled journal.
-pub struct SampleSink<S> {
-    inner: S,
-    n: u32,
-    dropped: u64,
-}
-
-impl<S: TraceSink> SampleSink<S> {
-    /// Keep 1-in-`n` processes' records (`n` ≥ 1; `n == 1` keeps all).
-    pub fn new(inner: S, n: u32) -> Self {
-        Self {
-            inner,
-            n: n.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Number of records dropped by sampling.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Unwrap the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TraceSink> TraceSink for SampleSink<S> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn record(&mut self, rec: TraceRecord) {
-        match rec.event.pid() {
-            Some(pid) if pid.0 % self.n != 0 => self.dropped += 1,
-            _ => self.inner.record(rec),
-        }
     }
 }
 
@@ -962,33 +915,6 @@ mod tests {
         let plain = chrome_trace(&fixture());
         assert!(!plain.contains("\"shards\""));
         assert!(!plain.contains("\"workers\""));
-    }
-
-    #[test]
-    fn sample_sink_keeps_whole_process_chains() {
-        // Keep 1-in-2 processes: P2's records (2 % 2 == 0) survive, P1's
-        // are dropped — but the recovery-initiated GroupAbort (no actor)
-        // would always be kept.
-        let journal = Journal::new();
-        let mut sink = SampleSink::new(journal.clone(), 2);
-        for rec in fixture() {
-            sink.record(rec);
-        }
-        let kept = journal.snapshot();
-        assert!(!kept.is_empty());
-        assert!(kept
-            .iter()
-            .all(|r| r.event.pid().map(|p| p.0 % 2 == 0).unwrap_or(true)));
-        // P2's full chain survived: blocked, admitted, aborted.
-        assert!(kept.len() >= 4);
-        assert_eq!(sink.dropped() as usize, fixture().len() - kept.len());
-        // n == 1 keeps everything.
-        let all = Journal::new();
-        let mut keep_all = SampleSink::new(all.clone(), 1);
-        for rec in fixture() {
-            keep_all.record(rec);
-        }
-        assert_eq!(all.len(), fixture().len());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! The calling thread partitions, assigns, and then is worker 0 (workers
 //! `1..W` are spawned). The owning worker builds a shard (`Shard::build`)
 //! when it admits the domain's first due arrival, and retires it
-//! (`Shard::finish`, which flushes its buffered trace records) in the visit
+//! (`Shard::finish`, which hands its trace records to the merge) in the visit
 //! in which its last process terminates *and* no arrival is pending: a
 //! drained domain's history still constrains its later arrivals. So a
 //! worker holds state only for domains with live or due work
@@ -49,7 +49,6 @@
 //!
 //! | lock                        | protects                              |
 //! |-----------------------------|---------------------------------------|
-//! | trace sink mutex            | global journal + dense trace seq      |
 //! | coordinator mutex           | 2PC decision log + group ids          |
 //! | agent mutex (per subsystem) | subsystem state + key locks           |
 //! | WAL writer mutex            | the durable log + the merge ticket    |
@@ -116,10 +115,6 @@ impl ShardMode {
         }
     }
 }
-
-/// Trace records a shard buffers before appending them to the global journal
-/// under one sink-lock acquisition (the tail goes out at [`Shard::finish`]).
-const TRACE_BATCH: usize = 16;
 
 /// Configuration of a concurrent run.
 #[derive(Debug, Clone)]
@@ -197,45 +192,6 @@ pub struct ConcurrentResult {
 /// serialize unrelated threads on a scheduler lock.
 type Agents = BTreeMap<SubsystemId, Mutex<Agent>>;
 
-/// Shared trace lane: one global journal with a dense sequence, fed by all
-/// shards. `enabled` is hoisted out of the lock (a sink's enabledness is
-/// static) so the disabled path costs one branch.
-struct TraceShared<'a> {
-    sink: Mutex<Box<dyn TraceSink + 'a>>,
-    seq: AtomicU64,
-    enabled: bool,
-    /// Static shard→worker assignment (the `worker` lane of each record).
-    /// Empty for a run that is not sharded out to workers: its records
-    /// name no lane.
-    worker_of_shard: Vec<u32>,
-}
-
-impl TraceShared<'_> {
-    /// Appends a batch of one shard's trace records under a single
-    /// sink-lock acquisition. Sequence numbers are assigned here (under the
-    /// lock), so journal order and seq order stay identical even when
-    /// shards race to record.
-    fn record_batch(&self, shard: u32, entries: Vec<(usize, Option<u64>, TraceEvent)>) {
-        if entries.is_empty() {
-            return;
-        }
-        let worker = self.worker_of_shard.get(shard as usize).copied();
-        let shard = worker.map(|_| shard);
-        let mut sink = self.sink.lock();
-        for (history_len, time, event) in entries {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            sink.record(TraceRecord {
-                seq,
-                time: time.unwrap_or(seq),
-                history_len,
-                shard,
-                worker,
-                event,
-            });
-        }
-    }
-}
-
 /// The clock a run reads — the one thing a driver tells the run context
 /// about itself. Latency, makespan, the trace stamp and the crash-storm
 /// window are read off it; nothing else asks.
@@ -287,7 +243,9 @@ pub(crate) struct RunCtx<'a> {
     /// Global event ticket counter: stamps every emitted event with its
     /// position in the merged schedule.
     tickets: AtomicU64,
-    trace: TraceShared<'a>,
+    /// Whether shards journal their decisions ([`TraceSink::enabled`]); the
+    /// sink itself stays with the run's owner ([`deliver`]).
+    traced: bool,
     /// Telemetry handle shared by all workers and their shards (phase
     /// timers; off by default).
     pub(crate) tele: Telemetry,
@@ -320,16 +278,15 @@ impl<'a> RunCtx<'a> {
     /// The context of one run under `policy` on `clock`, failure coins
     /// drawn from `coins` (none drawn without), over the subsystems and
     /// decision log of `durable`
-    /// ([`fresh_agents`] and an empty log, or what a crash left);
-    /// `worker_of_shard` is the static shard→worker assignment. Arrival
-    /// times are the workload's. Telemetry is off until the caller sets
+    /// ([`fresh_agents`] and an empty log, or what a crash left), its
+    /// shards journalling their decisions if `traced`. Arrival times are
+    /// the workload's. Telemetry is off until the caller sets
     /// [`RunCtx::tele`].
     pub(crate) fn new(
         workload: &'a Workload,
         policy: PolicyKind,
         coins: Option<u64>,
-        sink: Box<dyn TraceSink + 'a>,
-        worker_of_shard: Vec<u32>,
+        traced: bool,
         clock: Clock,
         (agents, coordinator): (BTreeMap<SubsystemId, Agent>, Coordinator),
     ) -> Self {
@@ -348,12 +305,7 @@ impl<'a> RunCtx<'a> {
             agents: agents.collect(),
             coordinator: Mutex::new(coordinator),
             tickets: AtomicU64::new(0),
-            trace: TraceShared {
-                enabled: sink.enabled(),
-                sink: Mutex::new(sink),
-                seq: AtomicU64::new(0),
-                worker_of_shard,
-            },
+            traced,
             tele: Telemetry::off(),
             clock,
             arrivals,
@@ -502,9 +454,9 @@ pub(crate) struct Shard<'a> {
     /// Processes in the order their aborts were initiated (Definition
     /// 8.3(f): concurrent completions are ordered consistently).
     abort_order: Vec<ProcessId>,
-    /// Trace records not yet in the global journal (tracing enabled only),
-    /// appended [`TRACE_BATCH`] at a time.
-    trace_buf: Vec<(usize, Option<u64>, TraceEvent)>,
+    /// Its journalled decisions in note order (tracing on only), kept until
+    /// the merge ([`deliver`]).
+    trace_buf: Vec<Noted>,
     /// Runnable processes with their enqueue instant (the scheduling delay's
     /// start).
     pub(crate) run_queue: VecDeque<(ProcessId, Instant)>,
@@ -525,6 +477,54 @@ pub(crate) struct ShardDone {
     tickets: Vec<u64>,
     pub(crate) history: Schedule,
     pub(crate) invocation_log: Vec<InvocationLogEntry>,
+    /// Its journalled decisions, in note order.
+    trace: VecDeque<Noted>,
+}
+
+impl ShardDone {
+    /// [`deliver`]s the journal of the run this is the only shard of.
+    pub(crate) fn journal(mut self, sink: &mut dyn TraceSink) -> Self {
+        deliver(sink, std::slice::from_mut(&mut self), None);
+        self
+    }
+}
+
+/// A journalled decision with the shard-local history length and time noted.
+type Noted = (usize, Option<u64>, TraceEvent);
+
+/// Feeds `sink` a finished run's journal, once, in merged-history order: a
+/// record sits right after the last event its shard had emitted when it was
+/// noted (just before its first event if none), ties by shard, then by note
+/// order — one walk of the history, ticket by ticket, and no sort. Stamps
+/// the dense `seq` (on the wall clock also `time = seq`) and, for a run of
+/// `workers`, each record's shard and worker (`shard % workers`).
+pub(crate) fn deliver(sink: &mut dyn TraceSink, done: &mut [ShardDone], workers: Option<u32>) {
+    if done.iter().all(|d| d.trace.is_empty()) {
+        return;
+    }
+    let mut owner = vec![0; done.iter().map(|d| d.tickets.len()).sum()];
+    for (i, d) in done.iter().enumerate() {
+        d.tickets.iter().for_each(|&t| owner[t as usize] = i);
+    }
+    let (mut seq, mut emitted) = (0, vec![0; done.len()]);
+    let mut journal = |i: usize, upto: usize| {
+        while let Some((history_len, time, event)) = done[i].trace.pop_front_if(|n| n.0 <= upto) {
+            sink.record(TraceRecord {
+                seq,
+                time: time.unwrap_or(seq),
+                history_len,
+                shard: workers.map(|_| done[i].id),
+                worker: workers.map(|w| done[i].id % w),
+                event,
+            });
+            seq += 1;
+        }
+    };
+    for i in owner {
+        emitted[i] += 1;
+        journal(i, emitted[i]);
+    }
+    (0..emitted.len()).for_each(|i| journal(i, usize::MAX));
 }
 
 /// Outcome of one [`Shard::step`].
@@ -642,12 +642,11 @@ impl<'a> Shard<'a> {
         self.invocations[self.cell(gid)?]
     }
 
-    /// Retires the shard on its owning worker: flushes the trace records
-    /// still buffered, keeps what the merge needs and drops the rest —
-    /// policy, certifier, maps.
+    /// Retires the shard on its owning worker: keeps what the merge needs,
+    /// its trace records included, and drops the rest — policy, certifier,
+    /// maps.
     pub(crate) fn finish(self, ctx: &RunCtx<'a>) -> ShardDone {
         ctx.shards_live.leave();
-        ctx.trace.record_batch(self.id, self.trace_buf);
         let mut metrics = self.metrics;
         metrics.shards.push(ShardMetrics {
             shard: self.id,
@@ -660,6 +659,7 @@ impl<'a> Shard<'a> {
             tickets: self.event_tickets,
             history: self.history,
             invocation_log: self.invocation_log,
+            trace: self.trace_buf.into(),
         }
     }
 
@@ -673,19 +673,19 @@ impl<'a> Shard<'a> {
     /// invocation log adds each execution's invocation, and each prepared
     /// one, after the `at` events the log put before it (which `recover`
     /// checked). The fold traces, counts and journals nothing; the run has
-    /// the protocol's gates without the certifier (`PredProtocol`) and
-    /// injects no failures.
+    /// the protocol's gates without the certifier (`PredProtocol`), injects
+    /// no failures and journals its decisions if `traced`.
     pub(crate) fn restore(
         workload: &'a Workload,
         image: CrashImage,
-        sink: Box<dyn TraceSink + 'a>,
+        traced: bool,
     ) -> Result<(RunCtx<'a>, Self), ScheduleError> {
         // No decision of a recovery reads its clock; on the wall clock its
         // journal records are stamped in journal order.
         let clock = Clock::Wall(Instant::now());
         let durable = (image.agents, image.coordinator);
         let policy = PolicyKind::PredProtocol;
-        let ctx = RunCtx::new(workload, policy, None, sink, Vec::new(), clock, durable);
+        let ctx = RunCtx::new(workload, policy, None, traced, clock, durable);
         let (spec, log) = (&workload.spec, image.invocation_log);
         let mut states = image.history.replay(spec)?.states;
         for e in log.iter().filter(|e| e.prepared) {
@@ -879,9 +879,10 @@ impl<'a> Shard<'a> {
     }
 
     /// What a crash leaves of the run this shard is the only shard of: the
-    /// history, the invocation log, the subsystems and the decision log.
-    pub(crate) fn crash(self, ctx: RunCtx<'a>) -> CrashImage {
-        let done = self.finish(&ctx);
+    /// history, the invocation log, the subsystems and the decision log. Its
+    /// journal goes to `sink` first.
+    pub(crate) fn crash(self, ctx: RunCtx<'a>, sink: &mut dyn TraceSink) -> CrashImage {
+        let done = self.finish(&ctx).journal(sink);
         let (agents, coordinator) = ctx.into_durable();
         CrashImage {
             history: done.history,
@@ -1085,7 +1086,7 @@ impl<'a> Shard<'a> {
             }
             _ => {}
         }
-        if !ctx.trace.enabled {
+        if !ctx.traced {
             return;
         }
         match (&event, pid) {
@@ -1111,11 +1112,8 @@ impl<'a> Shard<'a> {
             ) => self.slots[p].block_note = None,
             _ => {}
         }
-        let (buf, at) = (&mut self.trace_buf, self.history.len());
-        buf.push((at, ctx.clock.ticks(), event));
-        if buf.len() >= TRACE_BATCH {
-            ctx.trace.record_batch(self.id, std::mem::take(buf));
-        }
+        let noted = (self.history.len(), ctx.clock.ticks(), event);
+        self.trace_buf.push(noted);
     }
 
     /// §3.5 certification of the next effect event against the shard-local
@@ -1571,13 +1569,13 @@ pub fn run_concurrent(workload: &Workload, cfg: ConcurrentConfig) -> ConcurrentR
 
 /// The one concurrent-driver implementation behind [`run_concurrent`] and
 /// [`crate::builder::RunBuilder`]: runs an already validated `cfg` with the
-/// given trace sink, telemetry and optional WAL. Trace records are stamped
-/// `time == seq` and with their shard; `history_len` is the shard-local
-/// segment length.
+/// given trace sink, telemetry and optional WAL. The journal reaches `sink`
+/// after the workers join ([`deliver`]), stamped with shard and worker;
+/// `history_len` is the shard-local segment length.
 pub(crate) fn run_concurrent_impl<'a>(
     workload: &'a Workload,
     cfg: ConcurrentConfig,
-    sink: Box<dyn TraceSink + 'a>,
+    mut sink: Box<dyn TraceSink + 'a>,
     tele: Telemetry,
     wal: Option<WalWriter>,
 ) -> ConcurrentResult {
@@ -1588,14 +1586,10 @@ pub(crate) fn run_concurrent_impl<'a>(
     };
 
     let worker_count = cfg.resolved_workers(groups.len());
-    // Static shard→worker ownership: shard i belongs to worker i mod W, and
-    // only that worker ever holds it.
-    let worker_of = |si| (si % worker_count) as u32;
-    let owners: Vec<u32> = (0..groups.len()).map(worker_of).collect();
     let clock = Clock::Wall(Instant::now());
     let durable = (fresh_agents(workload), Coordinator::new());
     let (policy, coins) = (cfg.policy, Some(cfg.seed));
-    let mut ctx = RunCtx::new(workload, policy, coins, sink, owners, clock, durable);
+    let mut ctx = RunCtx::new(workload, policy, coins, sink.enabled(), clock, durable);
     ctx.tele = tele;
     if let Some(writer) = wal {
         ctx.set_wal(writer, cfg.epoch);
@@ -1603,10 +1597,11 @@ pub(crate) fn run_concurrent_impl<'a>(
 
     // Each worker gets its domains' member lists, nothing built: a shard's
     // state is built by its owner at first admission and finished by it at
-    // last termination (see `event_worker`).
+    // last termination (see `event_worker`). Static ownership: shard i
+    // belongs to worker i mod W, and only that worker ever holds it.
     let mut per_worker: Vec<Vec<(u32, &[ProcessId])>> = vec![Vec::new(); worker_count];
     for (si, members) in groups.iter().enumerate() {
-        per_worker[ctx.trace.worker_of_shard[si] as usize].push((si as u32, members));
+        per_worker[si % worker_count].push((si as u32, members));
     }
     let mut runtime_metrics = RuntimeMetrics::new(worker_count as u64);
     let mut done: Vec<ShardDone> = Vec::with_capacity(groups.len());
@@ -1634,9 +1629,11 @@ pub(crate) fn run_concurrent_impl<'a>(
     // Deterministic merge: fold shard metrics into the aggregate in shard
     // order, and interleave the shard segments in ticket order into one
     // global schedule. Tickets are the dense `0..N` one counter handed out,
-    // so each event moves straight to its slot — no sort.
+    // so each event moves straight to its slot — no sort. The journal goes
+    // out first, in the order of that schedule.
     let makespan_us = ctx.clock.now();
     done.sort_unstable_by_key(|d| d.id);
+    deliver(&mut *sink, &mut done, Some(worker_count as u32));
     let mut metrics = Metrics::new();
     let mut invocation_log = Vec::new();
     let mut slots: Vec<Option<Event>> = vec![None; ctx.tickets.load(Ordering::Relaxed) as usize];
@@ -2000,38 +1997,59 @@ mod tests {
         assert_eq!(rt.in_flight_peak, 96, "every due process admitted at once");
     }
 
-    /// A sink that notes which thread delivered each record: a shard's
-    /// records come from the worker that owns it.
-    struct ThreadsSeen(std::sync::Arc<Mutex<Vec<(u32, std::thread::ThreadId)>>>);
+    /// A log store that notes which thread appended each frame. The trace
+    /// sink is fed by the run's owner after the join, so a shard's worker
+    /// shows in what it journals to the WAL.
+    struct ThreadsSeen(std::sync::Arc<Mutex<Vec<Frame>>>);
 
-    impl TraceSink for ThreadsSeen {
-        fn record(&mut self, rec: TraceRecord) {
-            let worker = rec.worker.expect("concurrent records name their worker");
-            self.0.lock().push((worker, std::thread::current().id()));
+    /// One appended frame and the thread that appended it.
+    type Frame = (std::thread::ThreadId, Vec<u8>);
+
+    impl txproc_core::wal::WalStore for ThreadsSeen {
+        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            let frame = (std::thread::current().id(), bytes.to_vec());
+            self.0.lock().push(frame);
+            Ok(())
+        }
+
+        fn sync(&mut self) -> std::io::Result<()> {
+            Ok(())
         }
     }
 
     #[test]
     fn worker_zero_runs_on_the_calling_thread() {
         let w = clustered(8, 4, ArrivalModel::Closed);
+        let domains = DomainPartition::partition(&w.spec).into_domains();
+        let shard_of = |pid: ProcessId| domains.iter().position(|d| d.contains(&pid));
         let caller = std::thread::current().id();
-        for workers in [1u32, 2] {
+        for workers in [1usize, 2] {
             let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
             let cfg = ConcurrentConfig {
                 seed: 13,
-                workers: Some(workers as usize),
+                workers: Some(workers),
                 ..ConcurrentConfig::default()
             };
-            let sink = Box::new(ThreadsSeen(seen.clone()));
-            let r = run_concurrent_impl(&w, cfg, sink, Telemetry::off(), None);
+            // Every record lands in the store as it is appended.
+            let policy = txproc_core::wal::DurabilityPolicy::FsyncEveryN(1);
+            let wal = WalWriter::new(Box::new(ThreadsSeen(seen.clone())), policy, 13);
+            let r = run_concurrent_impl(&w, cfg, Box::new(NoopSink), Telemetry::off(), Some(wal));
             assert_eq!(r.metrics.terminated(), 32);
-            let seen = seen.lock();
             // One worker spawns no thread; of two, only worker 1 is spawned.
-            let ids: BTreeSet<u32> = seen.iter().map(|&(worker, _)| worker).collect();
-            assert_eq!(ids, (0..workers).collect(), "{workers} workers");
-            for &(worker, thread) in seen.iter() {
-                assert_eq!(thread == caller, worker == 0, "worker {worker}");
+            let mut ids = BTreeSet::new();
+            for (thread, frame) in seen.lock().iter() {
+                for record in txproc_core::wal::read_records(frame).0 {
+                    let pid = match record {
+                        WalRecord::Event { event } => event.processes()[0],
+                        WalRecord::Invocation { gid, .. } => gid.process,
+                        _ => continue,
+                    };
+                    let worker = shard_of(pid).expect("a domain member") % workers;
+                    assert_eq!(*thread == caller, worker == 0, "worker {worker}");
+                    ids.insert(worker);
+                }
             }
+            assert_eq!(ids, (0..workers).collect(), "{workers} workers");
         }
     }
 
@@ -2208,15 +2226,7 @@ mod tests {
     fn scripted_ctx(w: &Workload, cfg: ConcurrentConfig) -> RunCtx<'_> {
         let clock = Clock::Wall(Instant::now());
         let durable = (fresh_agents(w), Coordinator::new());
-        RunCtx::new(
-            w,
-            cfg.policy,
-            Some(cfg.seed),
-            Box::new(NoopSink),
-            vec![0],
-            clock,
-            durable,
-        )
+        RunCtx::new(w, cfg.policy, Some(cfg.seed), false, clock, durable)
     }
 
     /// Steps `pid` until it stops yielding; returns the step that stopped it
@@ -2248,7 +2258,7 @@ mod tests {
             policy: PolicyKind::PredWait,
             ..ConcurrentConfig::default()
         };
-        let (ctx, journal) = journalled_ctx(&w, cfg);
+        let ctx = traced_ctx(&w, cfg);
         let (p1, p2) = (ProcessId(1), ProcessId(2));
         let mut shard = Shard::build(0, &[p1, p2], &ctx);
         shard.admit(&ctx, p1);
@@ -2293,9 +2303,12 @@ mod tests {
             (shard.admitted, next(&mut shard), shard.break_deadlock(&ctx)),
             (0, None, false)
         );
-        let done = shard.finish(&ctx);
+        let mut done = shard.finish(&ctx);
         assert!(txproc_core::pred::is_pred(&w.spec, &done.history).unwrap());
-        assert_eq!(abort_causes(&journal), [(p1, AbortReason::External)]);
+        assert_eq!(
+            abort_causes(journal(&mut done)),
+            [(p1, AbortReason::External)]
+        );
     }
 
     #[test]
@@ -2329,7 +2342,7 @@ mod tests {
             TraceEvent::ProcessAborted { pid: p1 },
         ];
         for between in clearing.into_iter().map(Some).chain([None]) {
-            let (ctx, journal) = journalled_ctx(&w, ConcurrentConfig::default());
+            let ctx = traced_ctx(&w, ConcurrentConfig::default());
             let mut shard = Shard::build(0, &[p1, p2], &ctx);
             shard.note(&ctx, blocked());
             let expected = if between.is_some() { 2 } else { 1 };
@@ -2337,8 +2350,8 @@ mod tests {
                 shard.note(&ctx, e);
             }
             shard.note(&ctx, blocked());
-            drop(shard.finish(&ctx));
-            let journalled = journal.take().into_iter().filter(|r| r.event == blocked());
+            let journalled = journal(&mut shard.finish(&ctx));
+            let journalled = journalled.into_iter().filter(|r| r.event == blocked());
             assert_eq!(journalled.count(), expected, "{between:?}");
         }
     }
@@ -2379,26 +2392,27 @@ mod tests {
     }
 
     /// The journalled abort initiations: who, and for what first cause.
-    fn abort_causes(journal: &txproc_core::trace::Journal) -> Vec<(ProcessId, AbortReason)> {
-        let started = journal.take().into_iter().filter_map(|r| match r.event {
+    fn abort_causes(journal: Vec<TraceRecord>) -> Vec<(ProcessId, AbortReason)> {
+        let started = journal.into_iter().filter_map(|r| match r.event {
             TraceEvent::AbortStarted { pid, reason } => Some((pid, reason)),
             _ => None,
         });
         started.collect()
     }
 
-    /// A run context over `w` whose decisions go to the returned journal.
-    fn journalled_ctx(
-        w: &Workload,
-        cfg: ConcurrentConfig,
-    ) -> (RunCtx<'_>, txproc_core::trace::Journal) {
-        let journal = txproc_core::trace::Journal::new();
-        let clock = Clock::Wall(Instant::now());
-        let durable = (fresh_agents(w), Coordinator::new());
-        let sink = Box::new(journal.clone());
-        let coins = Some(cfg.seed);
-        let ctx = RunCtx::new(w, cfg.policy, coins, sink, vec![0], clock, durable);
-        (ctx, journal)
+    /// [`scripted_ctx`] whose shards journal their decisions.
+    fn traced_ctx(w: &Workload, cfg: ConcurrentConfig) -> RunCtx<'_> {
+        RunCtx {
+            traced: true,
+            ..scripted_ctx(w, cfg)
+        }
+    }
+
+    /// The journal a finished shard delivers as a run's only shard.
+    fn journal(done: &mut ShardDone) -> Vec<TraceRecord> {
+        let mut journal = txproc_core::trace::Journal::new();
+        deliver(&mut journal, std::slice::from_mut(done), None);
+        journal.take()
     }
 
     #[test]
@@ -2415,7 +2429,7 @@ mod tests {
             policy: PolicyKind::PredProtocol,
             ..ConcurrentConfig::default()
         };
-        let (ctx, journal) = journalled_ctx(&w, cfg);
+        let ctx = traced_ctx(&w, cfg);
         let (p1, p2) = (ProcessId(1), ProcessId(2));
         let mut shard = Shard::build(0, &[p1, p2], &ctx);
         shard.admit(&ctx, p1);
@@ -2434,8 +2448,8 @@ mod tests {
         assert_eq!(shard.step(&ctx, p2), Step::Done);
         assert!(position(&shard, Event::Commit(p1)) < position(&shard, Event::Commit(p2)));
         assert_eq!(shard.metrics.committed, 2);
-        drop(shard.finish(&ctx));
-        let blocked = journal.take().into_iter().filter_map(|r| match r.event {
+        let records = journal(&mut shard.finish(&ctx));
+        let blocked = records.into_iter().filter_map(|r| match r.event {
             TraceEvent::CommitBlocked { pid, wait_for } => Some((pid, wait_for)),
             _ => None,
         });
@@ -2454,7 +2468,7 @@ mod tests {
         let processes: [&[ServiceId]; 4] = [&[a, c], &[b], &[e, f], &[g]];
         let w = chains(cat, &[(a, b), (e, g)], &processes, 0.0);
         let cfg = ConcurrentConfig::default();
-        let (mut ctx, journal) = journalled_ctx(&w, cfg);
+        let mut ctx = traced_ctx(&w, cfg);
         ctx.tele = Telemetry::on();
         let calls = |ctx: &RunCtx<'_>| {
             let snap = ctx.tele.snapshot().expect("telemetry on");
@@ -2497,11 +2511,12 @@ mod tests {
 
         // Every journalled verdict, the two answered alone included, is the
         // verdict of a certifier fed every event from the first.
-        let done = shard.finish(&ctx);
+        let mut done = shard.finish(&ctx);
+        let records = journal(&mut done);
         let events = done.history.events();
         let mut certifier = txproc_core::pred_incremental::IncrementalPred::new(&w.spec);
         let mut certified = 0;
-        for rec in journal.take() {
+        for rec in records {
             let TraceEvent::CertifyOutcome { event, ok, .. } = rec.event else {
                 continue;
             };
@@ -2535,7 +2550,7 @@ mod tests {
         let processes: [&[ServiceId]; 2] = [&[a, c], &[b, q]];
         let w = chains(cat, &[(a, b)], &processes, 0.0);
         let cfg = ConcurrentConfig::default();
-        let (ctx, journal) = journalled_ctx(&w, cfg);
+        let ctx = traced_ctx(&w, cfg);
         let (p1, p2) = (ProcessId(1), ProcessId(2));
         let told = |shard: &Shard<'_>| shard.policy.protocol().expect("PRED").records();
         let mut shard = Shard::build(0, &[p1, p2], &ctx);
@@ -2561,8 +2576,8 @@ mod tests {
             (2, 1)
         );
 
-        let done = shard.finish(&ctx);
-        let records = journal.take();
+        let mut done = shard.finish(&ctx);
+        let records = journal(&mut done);
         let admitted = records.iter().filter_map(|r| match &r.event {
             TraceEvent::RequestAdmitted {
                 gid,
@@ -2655,7 +2670,7 @@ mod tests {
         let processes: [&[ServiceId]; 2] = [&[a, c], &[p]];
         let w = chains(cat, &[(a, p)], &processes, 0.0);
         let cfg = ConcurrentConfig::default();
-        let (mut ctx, journal) = journalled_ctx(&w, cfg);
+        let mut ctx = traced_ctx(&w, cfg);
         let wal = txproc_core::wal::MemWal::new();
         let policy = txproc_core::wal::DurabilityPolicy::Buffered;
         ctx.set_wal(WalWriter::new(Box::new(wal.clone()), policy, 0), 0);
@@ -2695,7 +2710,7 @@ mod tests {
         assert_eq!(shard.history.events()[2..], tail);
 
         // The journal has the release's 2PC decision right before its event.
-        drop(shard.finish(&ctx));
+        let journalled = journal(&mut shard.finish(&ctx));
         drop(ctx.finish());
         let (records, _) = txproc_core::wal::read_records(&wal.contents());
         let decision = |r: &WalRecord| matches!(r, WalRecord::Decision { commit: true, .. });
@@ -2715,7 +2730,7 @@ mod tests {
             WalRecord::Event { event: released },
         ];
         assert_eq!(records[d + 1..d + 3], applied);
-        let ours = journal.take().into_iter().map(|r| r.event);
+        let ours = journalled.into_iter().map(|r| r.event);
         let ours = ours.filter(|e| e.pid() == Some(p2) && e.kind() != "certify_outcome");
         let kinds: Vec<&str> = ours.map(|e| e.kind()).collect();
         let expected = [
@@ -2742,7 +2757,7 @@ mod tests {
             policy: PolicyKind::PredWait,
             ..ConcurrentConfig::default()
         };
-        let (ctx, journal) = journalled_ctx(&w, cfg);
+        let ctx = traced_ctx(&w, cfg);
         let (p1, p2) = (ProcessId(1), ProcessId(2));
         let mut shard = Shard::build(0, &[p1, p2], &ctx);
         shard.admit(&ctx, p1);
@@ -2761,9 +2776,12 @@ mod tests {
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
         assert!(position(&shard, Event::Abort(p1)).is_some());
         assert!(position(&shard, Event::Commit(p2)).is_some());
-        let done = shard.finish(&ctx);
+        let mut done = shard.finish(&ctx);
         assert!(txproc_core::pred::is_pred(&w.spec, &done.history).unwrap());
-        assert_eq!(abort_causes(&journal), [(p1, AbortReason::Deadlock)]);
+        assert_eq!(
+            abort_causes(journal(&mut done)),
+            [(p1, AbortReason::Deadlock)]
+        );
     }
 
     /// Round robin: a process that yields goes to the back of the run
@@ -3140,8 +3158,7 @@ mod tests {
                     let named: BTreeSet<ProcessId> = pids.chain(logged).collect();
                     let crashed = durable_view(shard, &named);
                     let image = engine.crash();
-                    let (_, restored) =
-                        Shard::restore(&w, image, Box::new(NoopSink)).expect("restores");
+                    let (_, restored) = Shard::restore(&w, image, false).expect("restores");
                     assert_eq!(durable_view(&restored, &named), crashed, "{label}");
                 }
             }

@@ -143,6 +143,8 @@ pub struct Engine<'a> {
     order: VirtualTime,
     /// What the loop counts of itself; a tick reads it, the run drops it.
     rt: RuntimeMetrics,
+    /// Where the journal goes when the run ends or crashes.
+    sink: Box<dyn TraceSink + 'a>,
     /// [`RunConfig::epoch`], for [`Engine::with_wal`].
     epoch: usize,
 }
@@ -165,7 +167,7 @@ impl<'a> Engine<'a> {
         let (policy, coins) = (cfg.policy, cfg.inject_failures.then_some(cfg.seed));
         let durable = (fresh_agents(workload), Coordinator::new());
         let clock = Clock::Virtual(0.into());
-        let mut ctx = RunCtx::new(workload, policy, coins, sink, Vec::new(), clock, durable);
+        let mut ctx = RunCtx::new(workload, policy, coins, sink.enabled(), clock, durable);
         ctx.tele = tele;
         let members: Vec<ProcessId> = workload.spec.processes().map(|p| p.id).collect();
         let shard = Shard::build(0, &members, &ctx);
@@ -173,12 +175,12 @@ impl<'a> Engine<'a> {
             arrivals: ctx.arrival_queue(&members),
             in_progress: EventQueue::new(),
         };
-        let rt = RuntimeMetrics::default();
         Self {
             ctx,
             shard,
             order,
-            rt,
+            rt: RuntimeMetrics::default(),
+            sink,
             epoch: cfg.epoch,
         }
     }
@@ -214,8 +216,7 @@ impl<'a> Engine<'a> {
     /// terminated).
     pub fn tick(&mut self) -> bool {
         let done = self.rt.steps + self.rt.repolls;
-        let (ctx, order) = (&self.ctx, &mut self.order);
-        self.shard.run(ctx, &mut self.rt, 1, order);
+        self.shard.run(&self.ctx, &mut self.rt, 1, &mut self.order);
         self.rt.steps + self.rt.repolls > done
     }
 
@@ -228,12 +229,11 @@ impl<'a> Engine<'a> {
     /// Runs to completion, or until the livelock budget runs out; returns
     /// the result.
     pub fn run(mut self) -> RunResult {
-        let budget = livelock_budget(self.shard.states().len());
-        let (ctx, order) = (&self.ctx, &mut self.order);
-        self.shard.run(ctx, &mut self.rt, budget, order);
+        let (ctx, budget) = (&self.ctx, livelock_budget(self.shard.states().len()));
+        self.shard.run(ctx, &mut self.rt, budget, &mut self.order);
         let stalled = self.live_processes();
         let makespan = self.ctx.clock.now();
-        let done = self.shard.finish(&self.ctx);
+        let done = self.shard.finish(&self.ctx).journal(&mut *self.sink);
         self.ctx.finish();
         let mut metrics = done.metrics;
         metrics.makespan = makespan;
@@ -254,8 +254,8 @@ impl<'a> Engine<'a> {
     /// event queue) is lost; the durable pieces — emitted history,
     /// invocation log, 2PC decision log, and the subsystems themselves —
     /// survive as a [`CrashImage`].
-    pub fn crash(self) -> CrashImage {
-        self.shard.crash(self.ctx)
+    pub fn crash(mut self) -> CrashImage {
+        self.shard.crash(self.ctx, &mut *self.sink)
     }
 }
 

@@ -215,7 +215,8 @@ impl<'s> Recovery<'s> {
     /// scheduler-initiated group abort (`initiator: None`), each abort it
     /// starts (`AbortStarted`, reason `External`), every release it
     /// surfaces and completion step it takes, and the
-    /// `ProcessAborted` terminations.
+    /// `ProcessAborted` terminations, all at once when the run ends. A
+    /// recovery that fails delivers nothing.
     pub fn sink(mut self, sink: Box<dyn TraceSink + 's>) -> Self {
         self.sink = sink;
         self
@@ -254,7 +255,7 @@ pub fn recover(workload: &Workload, image: CrashImage) -> Result<RecoveryReport,
 pub(crate) fn recover_impl<'s>(
     workload: &'s Workload,
     mut image: CrashImage,
-    sink: Box<dyn TraceSink + 's>,
+    mut sink: Box<dyn TraceSink + 's>,
 ) -> Result<RecoveryReport, RecoveryError> {
     let logged = image.invocation_log.iter().map(|e| e.subsystem);
     let named = workload.deployment.subsystems().into_iter().chain(logged);
@@ -268,7 +269,7 @@ pub(crate) fn recover_impl<'s>(
         return Err(RecoveryError::Misplaced(e.gid));
     }
     let resolved_groups = image.coordinator.resolve_in_doubt(&mut image.agents)?.len();
-    let (ctx, mut shard) = Shard::restore(workload, image, sink)?;
+    let (ctx, mut shard) = Shard::restore(workload, image, sink.enabled())?;
     let aborted_prepared = shard.settle_prepared(&ctx)?;
     let surfaced = shard.metrics.activities;
     let ranks = completion_order(workload, &ctx, &shard)?;
@@ -279,7 +280,7 @@ pub(crate) fn recover_impl<'s>(
     }
     let metrics = &shard.metrics;
     let (compensations, forward) = (metrics.compensations, metrics.activities - surfaced);
-    let image = shard.crash(ctx);
+    let image = shard.crash(ctx, &mut *sink);
     Ok(RecoveryReport {
         history: image.history.clone(),
         image,

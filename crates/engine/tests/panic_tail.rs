@@ -60,10 +60,11 @@ fn panicking_run_leaves_readable_journal_and_wal_tails() {
     let panicked = catch_unwind(AssertUnwindSafe(move || builder.run())).is_err();
     assert!(panicked, "the injected sink crash must unwind the run");
 
-    // Journal tail: the sink panicked mid-batch, under the run's sink lock;
-    // the caller's handle reads back exactly the records it accepted, in
-    // journal order (a lock poisoned under the `Journal` itself is
-    // recovered too: `journal_survives_a_poisoning_panic`).
+    // Journal tail: the sink panicked while the run's owner fed it the
+    // journal, before the WAL's tail landed (the run's sink lock and its
+    // batches are gone); the caller's handle reads back exactly the records
+    // it accepted, in journal order (a lock poisoned under the `Journal`
+    // itself is recovered too: `journal_survives_a_poisoning_panic`).
     let records = journal.snapshot();
     assert_eq!(records.len(), 25, "every accepted record is kept");
     assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));

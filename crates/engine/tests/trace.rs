@@ -3,8 +3,10 @@
 //! counter of `Metrics` is a fold of the journal, a recovery's journal folds
 //! to its report, and the exports round-trip.
 
+use std::collections::BTreeSet;
 use txproc_core::activity::Catalog;
 use txproc_core::conflict::ConflictMatrix;
+use txproc_core::domains::DomainPartition;
 use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId};
 use txproc_core::process::ProcessBuilder;
 use txproc_core::schedule::{render, Event, Schedule};
@@ -18,7 +20,7 @@ use txproc_engine::engine::{Engine, RunConfig};
 use txproc_engine::recovery::{Recovery, RecoverySource};
 use txproc_engine::{PolicyKind, RunBuilder};
 use txproc_sim::metrics::Metrics;
-use txproc_sim::workload::{generate, Workload, WorkloadConfig};
+use txproc_sim::workload::{generate, ArrivalModel, Workload, WorkloadConfig};
 use txproc_subsystem::deploy::Deployment;
 use txproc_subsystem::kv::{Key, Program};
 use txproc_subsystem::subsystem::SubsystemId;
@@ -293,9 +295,9 @@ fn concurrent_journals_fold_to_metrics() {
 #[test]
 fn retired_shard_journal_precedes_the_next_shard() {
     // One worker, closed arrivals: the worker runs each shard to its last
-    // termination within one visit and retires it there, flushing the trace
-    // records the shard still buffers. So the journal is one contiguous block
-    // per shard, in visit order — no shard's tail waits for the run's end.
+    // termination within one visit and retires it there, so its history
+    // events are one contiguous block, and the journal, in merged-history
+    // order, is one contiguous block per shard, in visit order.
     let w = generate(&WorkloadConfig {
         seed: 9,
         processes: 24,
@@ -326,13 +328,72 @@ fn retired_shard_journal_precedes_the_next_shard() {
     let expected: Vec<u32> = (0..result.metrics.shards.len() as u32).collect();
     assert!(expected.len() >= 4, "multi-shard workload");
     assert_eq!(blocks, expected, "one journal block per shard, in order");
-    // The order is the retirement's doing, not small shards': some shard
-    // flushed a full batch mid-run and still has its tail in its own block.
+    // The order is the merge's doing, not small shards': some shard journals
+    // more than the 16 records a shard once flushed to a shared sink lock
+    // at a time (that batching is gone), and all of them in its own block.
     let longest = expected
         .iter()
         .map(|s| shards.iter().filter(|x| *x == s).count())
         .max();
     assert!(longest > Some(16), "a shard spans more than one batch");
+}
+
+/// A journal of many shards is in its merged history's order: a record sits
+/// right after the last event its shard had emitted when it was noted, or
+/// just before the shard's first event if it had emitted none. So each
+/// record's `(shard, history_len)`, mapped to that event's position in the
+/// merged history (shard `i` is conflict domain `i`), never goes down —
+/// over `closed_contended`-shaped inputs under one and two workers, and
+/// with staggered arrivals.
+#[test]
+fn a_multi_shard_journal_is_in_its_history_order() {
+    let mut multi_shard = 0;
+    for seed in 0..16u64 {
+        let shape = |arrivals| WorkloadConfig {
+            seed,
+            processes: 96,
+            conflict_density: 0.3,
+            failure_probability: 0.1,
+            arrivals,
+            ..WorkloadConfig::default()
+        };
+        let closed = generate(&shape(ArrivalModel::Closed));
+        let staggered = generate(&shape(ArrivalModel::staggered(96, 20)));
+        for (w, workers, arrivals) in [
+            (&closed, 1, "closed"),
+            (&closed, 2, "closed"),
+            (&staggered, 1, "staggered"),
+        ] {
+            let cfg = ConcurrentConfig {
+                seed,
+                workers: Some(workers),
+                ..ConcurrentConfig::default()
+            };
+            let (history, metrics, records) = traced(RunBuilder::new(w).concurrent(cfg));
+            let at = format!("seed {seed}, {workers} worker(s), {arrivals}");
+            assert_folds(&records, &metrics, &at);
+            let domains = DomainPartition::partition(&w.spec).into_domains();
+            let shard_of = |p: &ProcessId| domains.iter().position(|d| d.contains(p));
+            // Where each shard's events sit in the merged history.
+            let mut positions = vec![Vec::new(); domains.len()];
+            for (i, e) in history.events().iter().enumerate() {
+                positions[shard_of(&e.processes()[0]).expect("a member")].push(i);
+            }
+            let place = |r: &TraceRecord| {
+                let events = &positions[r.shard.expect("a shard") as usize];
+                match r.history_len.checked_sub(1) {
+                    Some(last) => 2 * events[last] + 1,
+                    None => events.first().map_or(usize::MAX, |&first| 2 * first),
+                }
+            };
+            let places: Vec<usize> = records.iter().map(place).collect();
+            let down = places.windows(2).position(|p| p[0] > p[1]);
+            assert_eq!(down, None, "{at}: the journal goes back in the history");
+            let shards: BTreeSet<Option<u32>> = records.iter().map(|r| r.shard).collect();
+            multi_shard += usize::from(shards.len() > 1);
+        }
+    }
+    assert_eq!(multi_shard, 48, "every journal spans several shards");
 }
 
 /// Recovery's journal is a view of its report: over the crash sweep's seeds

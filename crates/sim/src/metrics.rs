@@ -57,7 +57,8 @@ pub struct RuntimeMetrics {
     /// had marked, with waiters left, so one of them was aborted at once
     /// (`Shard::break_deadlock`).
     pub repolls: u64,
-    /// Peak run-queue depth observed on any single shard queue.
+    /// Peak depth of any single shard's queues: its runnable processes plus
+    /// its waiting set, sampled after each step.
     pub run_queue_peak: u64,
     /// Peak number of concurrently in-flight (arrived, not terminated)
     /// processes across the whole run.
