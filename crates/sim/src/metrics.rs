@@ -65,7 +65,8 @@ pub struct RuntimeMetrics {
     pub in_flight_peak: u64,
     /// Wall-clock nanoseconds workers spent stepping state machines.
     pub worker_busy_ns: u64,
-    /// Wall-clock nanoseconds workers spent idle (napping for arrivals).
+    /// Wall-clock nanoseconds workers spent idle: waiting for their next
+    /// arrival, asleep and then yielding until it is due.
     pub worker_idle_ns: u64,
     /// Histogram of scheduling delays in nanoseconds: each log₂ octave of
     /// the telemetry phase histograms (`txproc_core::telemetry::bucket_of`)
