@@ -80,9 +80,10 @@ impl ActivityId {
 /// is a binary search over contiguous memory, with no node to chase and no
 /// allocation per entry. It is the id-keyed table of the schedulers' state —
 /// the protocol's process indices and service slots and the certifier's
-/// (`u32` dense indices, the default), a shard's member slots — whose keys
-/// are the few dozen ids of one conflict domain, so an insertion's shift is
-/// a short copy. Iteration is ascending by id, as a `BTreeMap`'s.
+/// (`u32` dense indices, the default) — whose keys are the few dozen ids of
+/// one conflict domain, so an insertion's shift is a short copy. Iteration
+/// is ascending by id, as a `BTreeMap`'s. (A shard finds its member slots by
+/// position instead, through a run-wide table indexed by pid.)
 #[derive(Clone, PartialEq, Eq)]
 pub struct IdIndex<K, V = u32> {
     entries: Vec<(K, V)>,

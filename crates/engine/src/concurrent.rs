@@ -74,7 +74,7 @@ use std::time::{Duration, Instant};
 use txproc_core::activity::Termination;
 use txproc_core::domains::DomainPartition;
 use txproc_core::error::{ModelError, ScheduleError};
-use txproc_core::ids::{ActivityId, GlobalActivityId, IdIndex, ProcessId, ServiceId};
+use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId, ServiceId};
 use txproc_core::protocol::{Admission, CompletionGate};
 use txproc_core::schedule::{Event, Schedule};
 use txproc_core::state::{ProcessState, ProcessStatus};
@@ -268,8 +268,10 @@ pub(crate) struct RunCtx<'a> {
     /// timers; off by default).
     pub(crate) tele: Telemetry,
     pub(crate) clock: Clock,
-    /// Arrival time per process on the run's clock; empty if all arrive at 0.
-    arrivals: IdIndex<ProcessId, u64>,
+    /// Per pid ([`ProcessId::index`]), set before any worker starts: its arrival
+    /// time (none if all arrive at 0) and its position among its shard's members.
+    arrivals: Vec<u64>,
+    positions: Vec<u32>,
     /// Processes currently in flight (arrived, not yet terminated) and the
     /// peak observed — the open-system concurrency level actually reached.
     live: Level,
@@ -278,7 +280,7 @@ pub(crate) struct RunCtx<'a> {
     shards_live: Level,
     /// Durable journal (absent unless installed): every durable transition
     /// of a step appends its typed record before the run proceeds past it,
-    /// history events in ticket order (see [`RunCtx::ticket`]), so
+    /// history events in ticket order (see [`RunCtx::log`]), so
     /// `durability::rebuild_image` replays the log of any run the same way.
     /// Pure observation: installing it never changes a decision.
     wal: Option<Mutex<WalWriter>>,
@@ -293,15 +295,16 @@ pub(crate) fn fresh_agents(workload: &Workload) -> BTreeMap<SubsystemId, Agent> 
 }
 
 impl<'a> RunCtx<'a> {
-    /// The context of one run under `policy` on `clock`, failure coins
-    /// drawn from `coins` (none drawn without), over the subsystems and
-    /// decision log of `durable`
-    /// ([`fresh_agents`] and an empty log, or what a crash left), its
-    /// shards journalling their decisions if `traced`. Arrival times are
+    /// The context of one run of shards with these member `groups` (each
+    /// ascending by pid) under `policy` on `clock`, failure coins drawn from
+    /// `coins` (none drawn without), over the subsystems and decision log of
+    /// `durable` ([`fresh_agents`] and an empty log, or what a crash left),
+    /// its shards journalling their decisions if `traced`. Arrival times are
     /// the workload's. Telemetry is off until the caller sets
     /// [`RunCtx::tele`].
     pub(crate) fn new(
         workload: &'a Workload,
+        groups: &[impl AsRef<[ProcessId]>],
         policy: PolicyKind,
         coins: Option<u64>,
         traced: bool,
@@ -309,13 +312,17 @@ impl<'a> RunCtx<'a> {
         (agents, coordinator): (BTreeMap<SubsystemId, Agent>, Coordinator),
     ) -> Self {
         let agents = agents.into_iter().map(|(sid, a)| (sid, Mutex::new(a)));
-        let pids = workload.spec.processes().map(|p| p.id);
-        let arrivals = match workload.config.arrivals {
-            ArrivalModel::Closed => IdIndex::new(),
-            _ => pids
-                .zip(txproc_sim::workload::arrival_times(&workload.config))
-                .collect(),
-        };
+        let pids = || workload.spec.processes().map(|p| p.id.index());
+        let len = pids().last().map_or(0, |i| i + 1);
+        let (mut positions, mut arrivals) = (vec![u32::MAX; len], Vec::new());
+        for (i, p) in groups.iter().flat_map(|g| (0..).zip(g.as_ref())) {
+            positions[p.index()] = i;
+        }
+        if !matches!(workload.config.arrivals, ArrivalModel::Closed) {
+            arrivals.resize(len, 0);
+            let times = txproc_sim::workload::arrival_times(&workload.config);
+            pids().zip(times).for_each(|(i, at)| arrivals[i] = at);
+        }
         Self {
             workload,
             policy,
@@ -327,6 +334,7 @@ impl<'a> RunCtx<'a> {
             tele: Telemetry::off(),
             clock,
             arrivals,
+            positions,
             live: Level::default(),
             shards_live: Level::default(),
             wal: None,
@@ -341,7 +349,14 @@ impl<'a> RunCtx<'a> {
 
     /// Arrival time of a process on the run's clock.
     pub(crate) fn arrival(&self, pid: ProcessId) -> u64 {
-        self.arrivals.get(pid).copied().unwrap_or(0)
+        self.arrivals.get(pid.index()).copied().unwrap_or(0)
+    }
+
+    /// Where `pid`'s slot is among its shard's, if the one there is its own: a
+    /// process of another shard has a position too (past every slot if none).
+    fn at(&self, pid: ProcessId) -> usize {
+        let at = self.positions.get(pid.index());
+        at.map_or(usize::MAX, |&at| at as usize)
     }
 
     /// `members` in the order both drivers admit them: by arrival time,
@@ -359,16 +374,9 @@ impl<'a> RunCtx<'a> {
     }
 
     /// Appends one record that carries no history event to the journal
-    /// (no-op, and `record` unbuilt, without one). Returns how many history
-    /// events were ticketed before it.
-    fn journal(&self, record: impl FnOnce() -> WalRecord) -> u64 {
-        self.log(record, 0)
-    }
-
-    /// The merge ticket of the next history event. With a journal
-    /// installed, `record` is what it holds for the event, appended first.
-    fn ticket(&self, record: impl FnOnce() -> WalRecord) -> u64 {
-        self.log(record, 1)
+    /// (no-op, and `record` unbuilt, without one).
+    fn journal(&self, record: impl FnOnce() -> WalRecord) {
+        self.log(record, 0);
     }
 
     /// Appends `record` (with a journal installed) and takes `events`
@@ -425,6 +433,7 @@ impl Level {
 /// live, the prepared activity it is parked on, and what [`Shard::note`]
 /// keeps of it.
 struct Slot<'a> {
+    pid: ProcessId,
     state: ProcessState<'a>,
     base: usize,
     live: bool,
@@ -454,11 +463,11 @@ pub(crate) struct Shard<'a> {
     lone: Option<Option<ProcessId>>,
     untold: Option<usize>,
     /// One slot per member, ascending by pid (every order callers see).
-    slots: IdIndex<ProcessId, Slot<'a>>,
+    slots: Vec<Slot<'a>>,
     /// Per member activity, at its slot's `base` plus the activity index: the
     /// failure coin's attempts and the invocation a compensation uses.
     attempts: Vec<u64>,
-    invocations: Vec<Option<(SubsystemId, InvocationId)>>,
+    invocations: Vec<Option<Handle>>,
     /// How many slots are live.
     admitted: usize,
     /// Shard-local history segment.
@@ -485,6 +494,11 @@ pub(crate) struct Shard<'a> {
     /// draining the runnable work first folds a burst into one poll round.
     dirty: bool,
 }
+
+/// An invocation as a compensation or a release names it.
+type Handle = (SubsystemId, InvocationId);
+/// The dependency edges (predecessor, successor) an event added.
+type Edges = Vec<(ProcessId, ProcessId)>;
 
 /// What a finished shard hands to the merge.
 pub(crate) struct ShardDone {
@@ -606,19 +620,20 @@ impl<'a> Shard<'a> {
     /// A shard with a slot per state and no process registered.
     fn new(id: u32, states: impl Iterator<Item = ProcessState<'a>>, ctx: &RunCtx<'a>) -> Self {
         let spec = &ctx.workload.spec;
-        let (mut slots, mut cells) = (IdIndex::with_capacity(states.size_hint().0), 0);
+        let (mut slots, mut cells) = (Vec::with_capacity(states.size_hint().0), 0);
         for state in states {
             let (pid, base) = (state.process().id, cells);
+            debug_assert_eq!(ctx.at(pid), slots.len(), "members ascend");
             cells += state.process().len();
-            let slot = Slot {
+            slots.push(Slot {
+                pid,
                 state,
                 base,
                 live: false,
                 pending: None,
                 block_note: None,
                 prepared_at: None,
-            };
-            slots.insert(pid, slot);
+            });
         }
         ctx.shards_live.enter();
         let policy = ctx.policy.build(spec);
@@ -646,18 +661,19 @@ impl<'a> Shard<'a> {
 
     /// Every member's state, ascending by pid.
     pub(crate) fn states(&self) -> impl ExactSizeIterator<Item = (ProcessId, &ProcessState<'a>)> {
-        self.slots.iter().map(|(pid, s)| (pid, &s.state))
+        self.slots.iter().map(|s| (s.pid, &s.state))
     }
 
     /// Where an activity of a member sits in the per-activity tables.
-    fn cell(&self, gid: GlobalActivityId) -> Option<usize> {
-        let (slot, a) = (self.slots.get(gid.process)?, gid.activity.index());
+    fn cell(&self, ctx: &RunCtx<'a>, gid: GlobalActivityId) -> Option<usize> {
+        let (pid, a) = (gid.process, gid.activity.index());
+        let slot = self.slots.get(ctx.at(pid)).filter(|s| s.pid == pid)?;
         (a < slot.state.process().len()).then(|| slot.base + a)
     }
 
     /// The committed (or prepared) invocation of an activity, if any.
-    pub(crate) fn invocation(&self, gid: GlobalActivityId) -> Option<(SubsystemId, InvocationId)> {
-        self.invocations[self.cell(gid)?]
+    pub(crate) fn invocation(&self, ctx: &RunCtx<'a>, gid: GlobalActivityId) -> Option<Handle> {
+        self.invocations[self.cell(ctx, gid)?]
     }
 
     /// Retires the shard on its owning worker: keeps what the merge needs,
@@ -698,12 +714,6 @@ impl<'a> Shard<'a> {
         image: CrashImage,
         traced: bool,
     ) -> Result<(RunCtx<'a>, Self), ScheduleError> {
-        // No decision of a recovery reads its clock; on the wall clock its
-        // journal records are stamped in journal order.
-        let clock = Clock::Wall(Instant::now());
-        let durable = (image.agents, image.coordinator);
-        let policy = PolicyKind::PredProtocol;
-        let ctx = RunCtx::new(workload, policy, None, traced, clock, durable);
         let (spec, log) = (&workload.spec, image.invocation_log);
         let mut states = image.history.replay(spec)?.states;
         for e in log.iter().filter(|e| e.prepared) {
@@ -712,6 +722,12 @@ impl<'a> Shard<'a> {
                 v.insert(ProcessState::of(spec, e.gid.process)?);
             }
         }
+        // No decision of a recovery reads its clock; on the wall clock its
+        // journal records are stamped in journal order.
+        let clock = Clock::Wall(Instant::now());
+        let (durable, policy) = ((image.agents, image.coordinator), PolicyKind::PredProtocol);
+        let members: Vec<ProcessId> = states.keys().copied().collect();
+        let ctx = RunCtx::new(workload, &[members], policy, None, traced, clock, durable);
         let mut shard = Self::new(0, states.into_values(), &ctx);
         shard.untold = None;
         spec.processes().for_each(|p| shard.policy.register(p.id));
@@ -721,18 +737,18 @@ impl<'a> Shard<'a> {
         let mut logged = log.iter().filter(|e| live(&e.gid.process)).peekable();
         for (at, event) in (0..).zip(image.history.events()) {
             while let Some(e) = logged.next_if(|e| e.at <= at) {
-                shard.refold_invocation(e);
+                shard.refold_invocation(&ctx, e);
             }
             for &pid in event.processes().iter().filter(|p| live(p)) {
                 match event {
-                    Event::GroupAbort(_) => shard.record_abort(pid),
-                    _ => drop(shard.record(event)),
+                    Event::GroupAbort(_) => shard.record_abort(&ctx, pid),
+                    _ => drop(shard.record(&ctx, event)),
                 }
             }
         }
-        logged.for_each(|e| shard.refold_invocation(e));
-        for (pid, slot) in shard.slots.iter() {
-            match slot.state.status() {
+        logged.for_each(|e| shard.refold_invocation(&ctx, e));
+        for &Slot { pid, ref state, .. } in &shard.slots {
+            match state.status() {
                 ProcessStatus::Active => {}
                 ProcessStatus::Committed => shard.policy.on_commit(pid),
                 ProcessStatus::Aborted => shard.policy.on_abort(pid),
@@ -748,19 +764,19 @@ impl<'a> Shard<'a> {
 
     /// What the step made of a logged invocation besides its event: the
     /// handle a compensation uses, and a prepared one's pending release.
-    fn refold_invocation(&mut self, e: &InvocationLogEntry) {
-        if let Some(c) = self.cell(e.gid) {
+    fn refold_invocation(&mut self, ctx: &RunCtx<'a>, e: &InvocationLogEntry) {
+        if let Some(c) = self.cell(ctx, e.gid) {
             self.invocations[c] = Some((e.subsystem, e.invocation));
             if e.prepared {
-                self.prepare(e.gid);
+                self.prepare(ctx, e.gid);
             }
         }
     }
 
     /// What a prepared invocation, its handle in `invocations`, does to the
     /// policy: its release is pending. Returns the dependency edges it added.
-    fn prepare(&mut self, gid: GlobalActivityId) -> Vec<(ProcessId, ProcessId)> {
-        self.slots[gid.process].pending = Some(gid);
+    fn prepare(&mut self, ctx: &RunCtx<'a>, gid: GlobalActivityId) -> Edges {
+        self.slots[ctx.at(gid.process)].pending = Some(gid);
         self.executed(gid.process);
         self.policy.record_executed(gid, true)
     }
@@ -770,9 +786,9 @@ impl<'a> Shard<'a> {
     /// of a pending deferred activity is its release, which unparks its
     /// process; an `Abort` drops a prepared invocation and starts the
     /// completion. Returns the dependency edges an execution added.
-    fn record(&mut self, event: &Event) -> Vec<(ProcessId, ProcessId)> {
+    fn record(&mut self, ctx: &RunCtx<'a>, event: &Event) -> Edges {
         let released = match *event {
-            Event::Execute(g) => match self.slots.get_mut(g.process) {
+            Event::Execute(g) => match self.slots.get_mut(ctx.at(g.process)) {
                 Some(slot) if slot.pending == Some(g) => {
                     slot.pending = None;
                     true
@@ -783,7 +799,7 @@ impl<'a> Shard<'a> {
                 }
             },
             Event::Abort(p) => {
-                self.record_abort(p);
+                self.record_abort(ctx, p);
                 false
             }
             _ => false,
@@ -834,9 +850,10 @@ impl<'a> Shard<'a> {
 
     /// An `Abort`'s record: a prepared invocation leaves the policy, and the
     /// process joins the abort order.
-    fn record_abort(&mut self, pid: ProcessId) {
-        if let Some(gid) = self.slots.get(pid).and_then(|s| s.pending) {
-            self.drop_prepared(gid);
+    fn record_abort(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
+        let slot = self.slots.get(ctx.at(pid)).filter(|s| s.pid == pid);
+        if let Some(gid) = slot.and_then(|s| s.pending) {
+            self.drop_prepared(ctx, gid);
         }
         self.abort_order.push(pid);
         self.policy.on_abort_begin(pid);
@@ -844,9 +861,9 @@ impl<'a> Shard<'a> {
 
     /// A prepared invocation leaves: its process's pending release, its
     /// handle and its place in the policy.
-    fn drop_prepared(&mut self, gid: GlobalActivityId) {
-        self.slots[gid.process].pending = None;
-        let cell = self.cell(gid).expect("a member's activity");
+    fn drop_prepared(&mut self, ctx: &RunCtx<'a>, gid: GlobalActivityId) {
+        self.slots[ctx.at(gid.process)].pending = None;
+        let cell = self.cell(ctx, gid).expect("a member's activity");
         self.invocations[cell] = None;
         self.policy.record_prepared_aborted(gid);
     }
@@ -859,23 +876,20 @@ impl<'a> Shard<'a> {
     /// how many remain pending, the undecided ones; a release its process's
     /// state refuses is an error.
     pub(crate) fn settle_prepared(&mut self, ctx: &RunCtx<'a>) -> Result<usize, ScheduleError> {
-        let coordinator = ctx.coordinator.lock();
-        let decided: BTreeSet<(SubsystemId, InvocationId)> = (coordinator.log().iter())
+        let decided: BTreeSet<Handle> = (ctx.coordinator.lock().log().iter())
             .filter(|r| r.decision == Decision::Commit)
             .flat_map(|r| r.participants.iter().map(|p| (p.subsystem, p.invocation)))
             .collect();
-        drop(coordinator);
-        let pending: Vec<_> = self.slots.iter().filter_map(|(_, s)| s.pending).collect();
+        let pending: Vec<_> = self.slots.iter().filter_map(|s| s.pending).collect();
         for gid in pending {
-            let (sid, inv) = self.invocation(gid).expect("a prepared invocation");
+            let (sid, inv) = self.invocation(ctx, gid).expect("a prepared invocation");
             if decided.contains(&(sid, inv)) {
                 self.release(ctx, gid)?;
             } else if ctx.invoked(sid, inv).is_none() {
-                self.drop_prepared(gid);
+                self.drop_prepared(ctx, gid);
             }
         }
-        let left = self.slots.iter().filter(|(_, s)| s.pending.is_some());
-        Ok(left.count())
+        Ok(self.slots.iter().filter(|s| s.pending.is_some()).count())
     }
 
     /// Recovery's one decision: the abort of every live process, for
@@ -888,7 +902,7 @@ impl<'a> Shard<'a> {
         ctx: &RunCtx<'a>,
         ranks: &BTreeMap<ProcessId, usize>,
     ) -> Vec<ProcessId> {
-        let live = self.slots.iter().filter(|(_, s)| s.live).map(|(p, _)| p);
+        let live = self.slots.iter().filter(|s| s.live).map(|s| s.pid);
         let mut live: Vec<ProcessId> = live.collect();
         live.sort_by_key(|p| ranks.get(p).copied().unwrap_or(usize::MAX));
         self.abort_order.retain(|p| !live.contains(p));
@@ -913,15 +927,9 @@ impl<'a> Shard<'a> {
     /// Admits an arrived process: live, with no attempt counted yet, at the
     /// back of the run queue.
     pub(crate) fn admit(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
-        (self.slots[pid].live, self.admitted) = (true, self.admitted + 1);
+        (self.slots[ctx.at(pid)].live, self.admitted) = (true, self.admitted + 1);
         ctx.live.enter();
         self.run_queue.push_back((pid, Instant::now()));
-    }
-
-    /// Whether the shard has work that needs no arrival: a runnable process,
-    /// or waiters a mutation may have unblocked.
-    fn has_work(&self) -> bool {
-        !self.run_queue.is_empty() || (self.dirty && !self.waiting.is_empty())
     }
 
     /// The one run loop — an event worker's visit, a recovery, an engine
@@ -939,7 +947,7 @@ impl<'a> Shard<'a> {
         order: &mut O,
     ) -> usize {
         while budget > 0 {
-            let Some((pid, enqueued)) = self.pop_runnable() else {
+            let Some((pid, enqueued)) = self.pop_runnable(ctx) else {
                 if order.on_drain(ctx, self) {
                     continue;
                 } else if !self.break_deadlock(ctx) {
@@ -977,12 +985,12 @@ impl<'a> Shard<'a> {
     /// only wait again, and every termination, which may open that gate,
     /// marks the shard dirty. (A parked process waits on a predecessor, so
     /// it does not run alone.)
-    fn pop_runnable(&mut self) -> Option<(ProcessId, Instant)> {
+    fn pop_runnable(&mut self, ctx: &RunCtx<'a>) -> Option<(ProcessId, Instant)> {
         if self.run_queue.is_empty() && self.dirty && !self.waiting.is_empty() {
             self.dirty = false;
             self.waiting.retain(|&pid| {
-                let parked =
-                    self.slots[pid].pending.is_some() && self.policy.can_commit(pid).is_err();
+                let parked = self.slots[ctx.at(pid)].pending.is_some()
+                    && self.policy.can_commit(pid).is_err();
                 if !parked {
                     self.run_queue.push_back((pid, Instant::now()));
                 }
@@ -1005,12 +1013,12 @@ impl<'a> Shard<'a> {
             return false;
         };
         let events = self.history.len();
-        if self.slots[pid].state.abort_in_progress() {
-            let blocking = |&(q, s): &(ProcessId, &Slot<'_>)| {
+        if self.slots[ctx.at(pid)].state.abort_in_progress() {
+            let blocking = |s: &&Slot<'_>| {
                 let st = &s.state;
-                s.live && q != pid && st.is_active() && !st.abort_in_progress()
+                s.live && s.pid != pid && st.is_active() && !st.abort_in_progress()
             };
-            let others = self.slots.iter().rev().filter(blocking).map(|(q, _)| q);
+            let others = self.slots.iter().rev().filter(blocking).map(|s| s.pid);
             let others: Vec<ProcessId> = others.collect();
             self.group_abort(ctx, Some(pid), &others, None, AbortReason::Cascade);
         } else {
@@ -1039,7 +1047,7 @@ impl<'a> Shard<'a> {
     fn step(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
         let step = self.advance(ctx, pid);
         if step == Step::Done {
-            self.admitted -= usize::from(std::mem::take(&mut self.slots[pid].live));
+            self.admitted -= usize::from(std::mem::take(&mut self.slots[ctx.at(pid)].live));
             ctx.live.leave();
         } else if step == Step::Wait {
             self.waiting.insert(pid);
@@ -1050,31 +1058,28 @@ impl<'a> Shard<'a> {
     /// Appends an event that no invocation record implies to the shard
     /// segment, journalled first.
     fn emit(&mut self, ctx: &RunCtx<'a>, event: Event) -> Result<(), ScheduleError> {
-        let ticket = ctx.ticket(|| WalRecord::Event {
+        let record = || WalRecord::Event {
             event: event.clone(),
-        });
-        self.append(event, ticket).map(drop)
+        };
+        let ticket = ctx.log(record, 1);
+        self.append(ctx, event, ticket).map(drop)
     }
 
     /// Appends an event the step took to the shard segment under its global
-    /// merge ticket and marks the shard dirty — the one implementation of
+    /// merge ticket `at` and marks the shard dirty — the one implementation of
     /// the step's transitions: the event is [recorded](Self::record), and
     /// each process it names makes its [`ProcessState::apply`] move (a
     /// release's `Execute` commits, as every `Execute` does). Returns the
     /// dependency edges an execution added.
-    fn append(
-        &mut self,
-        event: Event,
-        ticket: u64,
-    ) -> Result<Vec<(ProcessId, ProcessId)>, ScheduleError> {
-        let edges = self.record(&event);
+    fn append(&mut self, ctx: &RunCtx<'a>, event: Event, at: u64) -> Result<Edges, ScheduleError> {
+        let edges = self.record(ctx, &event);
         for &pid in event.processes() {
-            let slot = self.slots.get_mut(pid);
+            let slot = self.slots.get_mut(ctx.at(pid)).filter(|s| s.pid == pid);
             let state = &mut slot.ok_or(ModelError::UnknownProcess(pid))?.state;
             state.apply(&event)?;
         }
         self.history.push(event);
-        self.event_tickets.push(ticket);
+        self.event_tickets.push(at);
         self.dirty = true;
         Ok(edges)
     }
@@ -1090,10 +1095,10 @@ impl<'a> Shard<'a> {
         let pid = event.pid();
         match (&event, pid) {
             (TraceEvent::CommitDeferred { .. }, Some(p)) if ctx.tele.enabled() => {
-                self.slots[p].prepared_at = Some(Instant::now());
+                self.slots[ctx.at(p)].prepared_at = Some(Instant::now());
             }
             (TraceEvent::CommitReleased { .. } | TraceEvent::AbortStarted { .. }, Some(p)) => {
-                if let Some(t0) = self.slots[p].prepared_at.take() {
+                if let Some(t0) = self.slots[ctx.at(p)].prepared_at.take() {
                     ctx.tele
                         .phase_ns(Phase::TwoPc, t0.elapsed().as_nanos() as u64);
                 }
@@ -1110,7 +1115,7 @@ impl<'a> Shard<'a> {
                 | TraceEvent::CompletionBlocked { wait_for: w, .. },
                 Some(p),
             ) => {
-                let (kind, note) = (event.kind(), &mut self.slots[p].block_note);
+                let (kind, note) = (event.kind(), &mut self.slots[ctx.at(p)].block_note);
                 if (note.as_ref()).is_some_and(|(k, v)| *k == kind && v == w) {
                     return;
                 }
@@ -1123,7 +1128,7 @@ impl<'a> Shard<'a> {
                 | TraceEvent::ProcessCommitted { .. }
                 | TraceEvent::ProcessAborted { .. },
                 Some(p),
-            ) => self.slots[p].block_note = None,
+            ) => self.slots[ctx.at(p)].block_note = None,
             _ => {}
         }
         let noted = (self.history.len(), ctx.clock.ticks(), event);
@@ -1163,11 +1168,11 @@ impl<'a> Shard<'a> {
 
     /// One scheduling iteration for `pid`.
     fn advance(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) -> Step {
-        if self.slots[pid].state.status() != ProcessStatus::Active {
+        if self.slots[ctx.at(pid)].state.status() != ProcessStatus::Active {
             self.finalize(ctx, pid);
             return Step::Done;
         }
-        if let Some(gid) = self.slots[pid].pending {
+        if let Some(gid) = self.slots[ctx.at(pid)].pending {
             // Parked on its own deferred commit: Lemma 1.1 releases it once
             // the process could commit (Definition 11.1), if its `Execute`
             // certifies. The 2PC decision is journalled before phase 2 and
@@ -1178,7 +1183,7 @@ impl<'a> Shard<'a> {
             {
                 return Step::Wait;
             }
-            let (sid, inv) = self.invocation(gid).expect("a prepared invocation");
+            let (sid, inv) = self.invocation(ctx, gid).expect("a prepared invocation");
             let mut coordinator = ctx.coordinator.lock();
             let group = coordinator.next_group_id();
             ctx.journal(|| WalRecord::Decision {
@@ -1195,10 +1200,9 @@ impl<'a> Shard<'a> {
             applied.expect("participant prepared");
             ctx.journal(|| WalRecord::DecisionApplied { group });
             drop(coordinator);
-            self.release(ctx, gid)
-                .expect("a release commits its frontier");
+            self.release(ctx, gid).expect("a release commits");
         }
-        if let Some(c) = self.slots[pid].state.next_compensation() {
+        if let Some(c) = self.slots[ctx.at(pid)].state.next_compensation() {
             let gid = GlobalActivityId::new(pid, c);
             // Lemma 2 / Example 8: conflicting operations executed after the
             // compensated one must vanish first (or their owners cascade).
@@ -1210,14 +1214,14 @@ impl<'a> Shard<'a> {
                 // once it progressed.
                 return Step::Wait;
             }
-            let (sid, inv) = self.invocation(gid).expect("a committed invocation");
+            let (sid, inv) = self.invocation(ctx, gid).expect("a committed invocation");
             let t0 = ctx.tele.phase_start();
             let compensated = ctx.agents[&sid].lock().compensate(inv);
             let outcome = compensated.expect("the subsystem holds the invocation");
             ctx.tele.phase_end(Phase::Compensation, t0);
             return match outcome {
                 InvokeOutcome::Committed { .. } => {
-                    let service = self.slots[pid].state.process().service(c);
+                    let service = self.slots[ctx.at(pid)].state.process().service(c);
                     self.note(ctx, TraceEvent::CompensationStarted { gid, service });
                     self.emit(ctx, Event::Compensate(gid)).expect("legal move");
                     Step::Yield
@@ -1226,10 +1230,10 @@ impl<'a> Shard<'a> {
                 other => panic!("unexpected compensation outcome {other:?}"),
             };
         }
-        if let Some(a) = self.slots[pid].state.next_activity() {
+        if let Some(a) = self.slots[ctx.at(pid)].state.next_activity() {
             return self.step_activity(ctx, pid, a);
         }
-        if self.slots[pid].state.can_commit() {
+        if self.slots[ctx.at(pid)].state.can_commit() {
             return match self.ask(ctx, pid, Ok(()), |p| p.can_commit(pid)) {
                 Ok(()) if !self.certified_traced(ctx, Event::Commit(pid)) => Step::Wait,
                 Ok(()) => {
@@ -1286,7 +1290,7 @@ impl<'a> Shard<'a> {
         let spec = &ctx.workload.spec;
         let base = spec.catalog.base(svc);
         self.abort_order[..mine].iter().any(|&q| {
-            let state = &self.slots[q].state;
+            let state = &self.slots[ctx.at(q)].state;
             if !state.abort_in_progress() {
                 return false;
             }
@@ -1306,7 +1310,7 @@ impl<'a> Shard<'a> {
         let svc = process.service(a);
         let site = ctx.workload.deployment.site(svc).expect("deployed");
         let termination = ctx.workload.spec.catalog.termination(svc);
-        let in_completion = self.slots[pid].state.abort_in_progress();
+        let in_completion = self.slots[ctx.at(pid)].state.abort_in_progress();
         let admission = if in_completion {
             // Completion activities are mandated by recovery; Definition 8
             // orders them after everything already executed. Lemma 3 /
@@ -1351,7 +1355,7 @@ impl<'a> Shard<'a> {
         }
         // Failure injection: one deterministic draw per attempt that passed
         // admission and certification, never per refused re-poll.
-        let cell = self.cell(gid).expect("a member's activity");
+        let cell = self.cell(ctx, gid).expect("a member's activity");
         self.attempts[cell] += 1;
         let fails = |seed| fail_coin(seed, gid, self.attempts[cell]) < p_fail(ctx, site.subsystem);
         let inject = ctx.coins.is_some_and(fails);
@@ -1359,7 +1363,7 @@ impl<'a> Shard<'a> {
             self.emit(ctx, Event::Fail(gid)).expect("legal move");
             self.note(ctx, TraceEvent::ActivityFailed { gid, service: svc });
             // No alternative was left: the process aborts (or already has).
-            let state = &self.slots[pid].state;
+            let state = &self.slots[ctx.at(pid)].state;
             if state.abort_in_progress() || !state.is_active() {
                 let reason = AbortReason::Failure;
                 self.note(ctx, TraceEvent::AbortStarted { pid, reason });
@@ -1408,9 +1412,9 @@ impl<'a> Shard<'a> {
             at,
         });
         let edges_added = if deferred {
-            self.prepare(gid)
+            self.prepare(ctx, gid)
         } else {
-            self.append(Event::Execute(gid), at).expect("frontier")
+            self.append(ctx, Event::Execute(gid), at).expect("frontier")
         };
         let admitted = TraceEvent::RequestAdmitted {
             gid,
@@ -1429,7 +1433,7 @@ impl<'a> Shard<'a> {
     }
 
     fn finalize(&mut self, ctx: &RunCtx<'a>, pid: ProcessId) {
-        match self.slots[pid].state.status() {
+        match self.slots[ctx.at(pid)].state.status() {
             ProcessStatus::Committed => {
                 self.note(ctx, TraceEvent::ProcessCommitted { pid });
                 self.policy.on_commit(pid);
@@ -1460,12 +1464,12 @@ impl<'a> Shard<'a> {
     /// is dropped first — it vanishes atomically, leaving the process
     /// backward-recoverable — then the abort is journalled and emitted.
     fn begin_abort(&mut self, ctx: &RunCtx<'a>, pid: ProcessId, reason: AbortReason) -> bool {
-        let slot = &self.slots[pid];
+        let slot = &self.slots[ctx.at(pid)];
         if !slot.state.is_active() || slot.state.abort_in_progress() {
             return false;
         }
         if let Some(gid) = slot.pending {
-            let (sid, inv) = self.invocation(gid).expect("a prepared invocation");
+            let (sid, inv) = self.invocation(ctx, gid).expect("a prepared invocation");
             ctx.journal(|| WalRecord::PreparedAborted {
                 subsystem: sid.0,
                 invocation: inv.0,
@@ -1514,7 +1518,8 @@ impl<'a> Shard<'a> {
         reason: AbortReason,
         trigger: Option<GlobalActivityId>,
     ) {
-        let (state, gid) = (&self.slots[pid].state, |&a| GlobalActivityId::new(pid, a));
+        let state = &self.slots[ctx.at(pid)].state;
+        let gid = |&a| GlobalActivityId::new(pid, a);
         if state.abort_in_progress() || !state.is_active() {
             return;
         }
@@ -1600,8 +1605,8 @@ pub(crate) fn run_concurrent_impl<'a>(
     let worker_count = cfg.resolved_workers(groups.len());
     let clock = Clock::Wall(Instant::now());
     let durable = (fresh_agents(workload), Coordinator::new());
-    let (policy, coins) = (cfg.policy, Some(cfg.seed));
-    let mut ctx = RunCtx::new(workload, policy, coins, sink.enabled(), clock, durable);
+    let (policy, coins, traced) = (cfg.policy, Some(cfg.seed), sink.enabled());
+    let mut ctx = RunCtx::new(workload, &groups, policy, coins, traced, clock, durable);
     ctx.tele = tele;
     if let Some(writer) = wal {
         ctx.set_wal(writer, cfg.epoch);
@@ -1646,8 +1651,7 @@ pub(crate) fn run_concurrent_impl<'a>(
     let makespan_us = ctx.clock.now();
     done.sort_unstable_by_key(|d| d.id);
     deliver(&mut *sink, &mut done, Some(worker_count as u32));
-    let mut metrics = Metrics::new();
-    let mut invocation_log = Vec::new();
+    let (mut metrics, mut invocation_log) = (Metrics::new(), Vec::new());
     let mut slots: Vec<Option<Event>> = vec![None; ctx.tickets.load(Ordering::Relaxed) as usize];
     for shard in done {
         metrics.merge(&shard.metrics);
@@ -1659,13 +1663,8 @@ pub(crate) fn run_concurrent_impl<'a>(
     let dense = |e: Option<Event>| e.expect("event tickets are dense");
     let history: Schedule = slots.into_iter().map(dense).collect();
     metrics.makespan = makespan_us;
-    if cfg!(debug_assertions) {
-        let broken = runtime_metrics.invariant_violations(Some(makespan_us.saturating_mul(1000)));
-        assert!(
-            broken.is_empty(),
-            "runtime metrics invariants violated: {broken:?}"
-        );
-    }
+    let broken = || runtime_metrics.invariant_violations(Some(makespan_us.saturating_mul(1000)));
+    debug_assert!(broken().is_empty(), "runtime invariants: {:?}", broken());
     metrics.runtime = Some(runtime_metrics);
     let (agents, coordinator) = ctx.finish();
     ConcurrentResult {
@@ -1727,7 +1726,8 @@ fn event_worker<'a>(
             let t0 = Instant::now();
             shard.run(ctx, &mut rt, STEP_BUDGET, &mut Fifo);
             rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
-            progressed |= shard.has_work();
+            // Work that needs no arrival: runnable, or waiters to re-poll.
+            progressed |= !shard.run_queue.is_empty() || (shard.dirty && !shard.waiting.is_empty());
             if shard.admitted > 0 || !dom.arrivals.is_empty() {
                 return true;
             }
@@ -2274,11 +2274,22 @@ mod tests {
         }
     }
 
-    /// A run context with no worker behind it: one shard, worker 0.
+    /// A run context with no worker behind it: one shard of every process,
+    /// worker 0.
     fn scripted_ctx(w: &Workload, cfg: ConcurrentConfig) -> RunCtx<'_> {
+        let pids: Vec<ProcessId> = w.spec.processes().map(|p| p.id).collect();
+        grouped_ctx(w, cfg, &[pids])
+    }
+
+    /// [`scripted_ctx`] whose shards have these member `groups`.
+    fn grouped_ctx<'a>(
+        w: &'a Workload,
+        cfg: ConcurrentConfig,
+        groups: &[impl AsRef<[ProcessId]>],
+    ) -> RunCtx<'a> {
         let clock = Clock::Wall(Instant::now());
         let durable = (fresh_agents(w), Coordinator::new());
-        RunCtx::new(w, cfg.policy, Some(cfg.seed), false, clock, durable)
+        RunCtx::new(w, groups, cfg.policy, Some(cfg.seed), false, clock, durable)
     }
 
     /// Steps `pid` until it stops yielding; returns the step that stopped it
@@ -2295,8 +2306,8 @@ mod tests {
 
     /// The next process of the run queue, a dirty shard's waiters re-queued
     /// first — never a deadlock break.
-    fn next(shard: &mut Shard<'_>) -> Option<ProcessId> {
-        shard.pop_runnable().map(|(pid, _)| pid)
+    fn next<'a>(shard: &mut Shard<'a>, ctx: &RunCtx<'a>) -> Option<ProcessId> {
+        shard.pop_runnable(ctx).map(|(pid, _)| pid)
     }
 
     #[test]
@@ -2319,9 +2330,9 @@ mod tests {
         // P₁ executes a1₁ and is held mid-run; P₂ runs as far as it goes:
         // past its conflicting a2₁ (now P₁ → P₂), up to its pivot, which
         // Lemma 1.1 holds back until P₁ terminates.
-        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(next(&mut shard, &ctx), Some(p1));
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 2));
         assert_eq!(shard.metrics.waits, 1);
         assert!(shard.waiting.contains(&p2));
@@ -2334,8 +2345,11 @@ mod tests {
         shard.initiate_abort(&ctx, p1, AbortReason::External, None);
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
-        assert_eq!(shard.slots[p1].state.status(), ProcessStatus::Aborted);
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(
+            shard.slots[ctx.at(p1)].state.status(),
+            ProcessStatus::Aborted
+        );
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Wait);
         assert_eq!(shard.metrics.waits, 2);
         assert!(!shard.dirty);
@@ -2347,12 +2361,20 @@ mod tests {
         assert_eq!(shard.step(&ctx, p1), Step::Done);
         assert_eq!(shard.history.len(), events);
         assert!(shard.dirty, "finalize marks the shard dirty");
-        assert_eq!(next(&mut shard), Some(p2), "woken by the mark, not a break");
+        assert_eq!(
+            next(&mut shard, &ctx),
+            Some(p2),
+            "woken by the mark, not a break"
+        );
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Done, 3));
 
         assert_eq!((shard.metrics.committed, shard.metrics.aborted), (1, 1));
         assert_eq!(
-            (shard.admitted, next(&mut shard), shard.break_deadlock(&ctx)),
+            (
+                shard.admitted,
+                next(&mut shard, &ctx),
+                shard.break_deadlock(&ctx)
+            ),
             (0, None, false)
         );
         let mut done = shard.finish(&ctx);
@@ -2488,15 +2510,15 @@ mod tests {
         shard.admit(&ctx, p2);
 
         // P₁ executes a; P₂ executes b after it, then asks to commit.
-        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(next(&mut shard, &ctx), Some(p1));
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 1));
         assert_eq!(position(&shard, Event::Commit(p2)), None);
 
         // P₁ runs to its commit; its finalize wakes P₂, which commits.
         assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Done);
         assert!(position(&shard, Event::Commit(p1)) < position(&shard, Event::Commit(p2)));
         assert_eq!(shard.metrics.committed, 2);
@@ -2534,14 +2556,14 @@ mod tests {
         // P₁ executes a alone and is held mid-run; P₂'s b is the first
         // certifier call, which feeds it from event 0. P₂ waits for P₁'s
         // commit, P₁ runs to it, and P₂ commits: a quiescent point.
-        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(next(&mut shard, &ctx), Some(p1));
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         assert_eq!(calls(&ctx), 0, "P₁ alone");
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 1));
         assert_eq!(calls(&ctx), 1, "P₂ interleaves");
         assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Done);
         assert_eq!(calls(&ctx), 4);
 
@@ -2549,14 +2571,14 @@ mod tests {
         // certifier P₂'s commit and P₃'s e first.
         shard.admit(&ctx, p3);
         shard.admit(&ctx, p4);
-        assert_eq!(next(&mut shard), Some(p3));
+        assert_eq!(next(&mut shard, &ctx), Some(p3));
         assert_eq!(shard.step(&ctx, p3), Step::Yield);
         assert_eq!(calls(&ctx), 4, "P₃ alone");
-        assert_eq!(next(&mut shard), Some(p4));
+        assert_eq!(next(&mut shard, &ctx), Some(p4));
         assert_eq!(run_to_block(&mut shard, &ctx, p4), (Step::Wait, 1));
         assert_eq!(calls(&ctx), 5, "P₄ interleaves");
         assert_eq!(run_to_block(&mut shard, &ctx, p3), (Step::Done, 1));
-        assert_eq!(next(&mut shard), Some(p4));
+        assert_eq!(next(&mut shard, &ctx), Some(p4));
         assert_eq!(shard.step(&ctx, p4), Step::Done);
         assert_eq!(calls(&ctx), 8);
         assert_eq!(shard.metrics.committed, 4);
@@ -2607,19 +2629,19 @@ mod tests {
         let told = |shard: &Shard<'_>| shard.policy.protocol().expect("PRED").records();
         let mut shard = Shard::build(0, &[p1, p2], &ctx);
         shard.admit(&ctx, p1);
-        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(next(&mut shard, &ctx), Some(p1));
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         assert_eq!((shard.history.len(), told(&shard)), (1, 0));
         let rule = |shard: &Shard<'_>| (shard.lone, shard.untold);
         assert_eq!(rule(&shard), (Some(Some(p1)), Some(0)), "P₁ runs alone");
 
         shard.admit(&ctx, p2);
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(run_to_block(&mut shard, &ctx, p2), (Step::Wait, 1));
         assert_eq!(told(&shard), 3, "a, b and the prepared q");
         assert_eq!(rule(&shard), (None, None), "the protocol decides");
         assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Done);
         let quiescent = (Some(None), Some(shard.history.len()));
         assert_eq!((told(&shard), rule(&shard)), (0, quiescent));
@@ -2681,9 +2703,9 @@ mod tests {
                 workers: Some(1),
                 ..ConcurrentConfig::default()
             };
-            let ctx = scripted_ctx(&w, cfg);
-            let mut rt = RuntimeMetrics::new(1);
             let domains = DomainPartition::partition(&w.spec).into_domains();
+            let ctx = grouped_ctx(&w, cfg, &domains);
+            let mut rt = RuntimeMetrics::new(1);
             for (id, members) in (0..).zip(&domains) {
                 let mut shard = Shard::build(id, members, &ctx);
                 for (_, pid) in ctx.arrival_queue(members) {
@@ -2734,12 +2756,12 @@ mod tests {
 
         // P₁ executes a; P₂'s prepare step ends in a wait, and the dirty
         // shard's drain does not re-queue the parked P₂.
-        assert_eq!(next(&mut shard), Some(p1));
+        assert_eq!(next(&mut shard, &ctx), Some(p1));
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Wait);
         assert!(pending(&shard).contains_key(&p2));
-        assert_eq!(next(&mut shard), None, "parked on its own release");
+        assert_eq!(next(&mut shard, &ctx), None, "parked on its own release");
         assert!(shard.waiting.contains(&p2));
         // Stepped by hand while P₁ is active, P₂ waits and emits nothing.
         let before = shard.history.len();
@@ -2752,11 +2774,11 @@ mod tests {
         assert_eq!(run_to_block(&mut shard, &ctx, p1), (Step::Done, 1));
         assert_eq!(shard.history.events().last(), Some(&Event::Commit(p1)));
         assert!(pending(&shard).contains_key(&p2));
-        assert_eq!(next(&mut shard), Some(p2));
+        assert_eq!(next(&mut shard, &ctx), Some(p2));
         assert_eq!(shard.step(&ctx, p2), Step::Done);
         assert!(pending(&shard).is_empty());
         let executed = txproc_core::state::ExecStep::Executed(ActivityId(0));
-        assert_eq!(shard.slots[p2].state.steps(), [executed]);
+        assert_eq!(shard.slots[ctx.at(p2)].state.steps(), [executed]);
         assert_eq!(shard.metrics.committed, 2);
         let tail = [Event::Commit(p1), released.clone(), Event::Commit(p2)];
         assert_eq!(shard.history.events()[2..], tail);
@@ -3007,7 +3029,7 @@ mod tests {
         assert_eq!(shard.step(&ctx, p1), Step::Yield);
         let so_far = [Event::Execute(a), Event::Execute(b), Event::Fail(p)];
         assert_eq!(shard.history.events(), so_far);
-        assert!(shard.slots[p1].state.abort_in_progress());
+        assert!(shard.slots[ctx.at(p1)].state.abort_in_progress());
 
         // b was executed after a and conflicts with it: P₂ cascades, and a⁻¹
         // waits until b⁻¹ is in the history.
@@ -3067,13 +3089,11 @@ mod tests {
         let seed = (0..1000)
             .find(|&s| coin(s, a31, 1) >= 0.5 && coin(s, a32, 1) < 0.5 && coin(s, a32, 2) >= 0.5)
             .expect("some seed draws succeed / fail / succeed");
-        let ctx = scripted_ctx(
-            &w,
-            ConcurrentConfig {
-                seed,
-                ..ConcurrentConfig::default()
-            },
-        );
+        let cfg = ConcurrentConfig {
+            seed,
+            ..ConcurrentConfig::default()
+        };
+        let ctx = grouped_ctx(&w, cfg, &[[p3]]);
         let mut shard = Shard::build(0, &[p3], &ctx);
         shard.admit(&ctx, p3);
         // Transaction ids are dense: the next id is the number begun.
@@ -3126,11 +3146,15 @@ mod tests {
     /// releases and their invocations. An aborted process's status is left
     /// out: the step that finalizes it emits nothing, so no image says
     /// whether it ran; the restore runs it.
-    fn durable_view(shard: &Shard<'_>, named: &BTreeSet<ProcessId>) -> String {
+    fn durable_view<'a>(
+        shard: &Shard<'a>,
+        ctx: &RunCtx<'a>,
+        named: &BTreeSet<ProcessId>,
+    ) -> String {
         let protocol = shard.policy.protocol().expect("a PRED policy");
-        let live = |p: &ProcessId| named.contains(p) && shard.slots[*p].state.is_active();
+        let live = |p: &ProcessId| named.contains(p) && shard.slots[ctx.at(*p)].state.is_active();
         let states = named.iter().map(|&p| {
-            let st = &shard.slots[p].state;
+            let st = &shard.slots[ctx.at(p)].state;
             let status = (st.status() != ProcessStatus::Aborted).then(|| protocol.status(p));
             let machine = (st.steps(), st.abort_in_progress(), st.completion());
             format!("{p} {:?} {status:?} {machine:?}", st.status())
@@ -3143,7 +3167,7 @@ mod tests {
         let activities = (shard.states().filter(|(p, _)| live(p))).flat_map(|(p, st)| {
             (0..st.process().len() as u32).map(move |a| GlobalActivityId::new(p, ActivityId(a)))
         });
-        let invocations = activities.filter_map(|g| Some((g, shard.invocation(g)?)));
+        let invocations = activities.filter_map(|g| Some((g, shard.invocation(ctx, g)?)));
         let invocations: Vec<_> = invocations.collect();
         let pending = pending(shard);
         format!("{states:?} {edges:?} {pending:?} {invocations:?}")
@@ -3151,10 +3175,7 @@ mod tests {
 
     /// The prepared activities awaiting release, by process.
     fn pending(shard: &Shard<'_>) -> BTreeMap<ProcessId, GlobalActivityId> {
-        let pending = shard
-            .slots
-            .iter()
-            .filter_map(|(p, s)| Some((p, s.pending?)));
+        let pending = shard.slots.iter().filter_map(|s| Some((s.pid, s.pending?)));
         pending.collect()
     }
 
@@ -3192,14 +3213,14 @@ mod tests {
                     for _ in 0..at {
                         engine.tick();
                     }
-                    let shard = &engine.shard;
+                    let (shard, ctx) = (&engine.shard, &engine.ctx);
                     let label = format!("seed {seed}, {processes} processes, tick {at}");
                     // Each event made its move in the step that emitted it,
                     // so the states are the history's replayed.
                     let replayed = shard.history.replay(&w.spec).expect("replays");
                     for (pid, state) in &replayed.states {
                         assert_eq!(
-                            machine(&shard.slots[*pid].state),
+                            machine(&shard.slots[ctx.at(*pid)].state),
                             machine(state),
                             "{label}: {pid}"
                         );
@@ -3208,10 +3229,10 @@ mod tests {
                     let pids = events.flat_map(|e| e.processes().iter().copied());
                     let logged = shard.invocation_log.iter().map(|e| e.gid.process);
                     let named: BTreeSet<ProcessId> = pids.chain(logged).collect();
-                    let crashed = durable_view(shard, &named);
+                    let crashed = durable_view(shard, ctx, &named);
                     let image = engine.crash();
-                    let (_, restored) = Shard::restore(&w, image, false).expect("restores");
-                    assert_eq!(durable_view(&restored, &named), crashed, "{label}");
+                    let (ctx, restored) = Shard::restore(&w, image, false).expect("restores");
+                    assert_eq!(durable_view(&restored, &ctx, &named), crashed, "{label}");
                 }
             }
         }
@@ -3228,6 +3249,87 @@ mod tests {
     #[ignore = "nightly: 96-seed restore sweep"]
     fn restore_is_the_inverse_of_crash_over_96_seeds() {
         restore_inverts_crash(0..96);
+    }
+
+    /// Checks that `shard` lists `members` ascending by pid and finds each
+    /// at its position in the run's table, and that it knows none of
+    /// `strangers`: `cell` answers `None` for one, and an event naming one
+    /// is refused as an unknown process, leaving the history as it was.
+    fn assert_members<'a>(
+        shard: &mut Shard<'a>,
+        ctx: &RunCtx<'a>,
+        members: &[ProcessId],
+        strangers: &[ProcessId],
+    ) {
+        let listed: Vec<ProcessId> = shard.states().map(|(p, _)| p).collect();
+        assert_eq!(listed, members, "ascending by pid");
+        for &pid in members {
+            assert_eq!(shard.slots[ctx.at(pid)].pid, pid);
+            let first = GlobalActivityId::new(pid, ActivityId(0));
+            assert!(shard.cell(ctx, first).is_some(), "{pid} is found");
+        }
+        let events = shard.history.len();
+        for &pid in strangers {
+            assert!(!members.contains(&pid));
+            let first = GlobalActivityId::new(pid, ActivityId(0));
+            assert_eq!(shard.cell(ctx, first), None, "{pid} is a stranger");
+            let refused = shard.append(ctx, Event::Commit(pid), events as u64);
+            let unknown = ScheduleError::Model(ModelError::UnknownProcess(pid));
+            assert_eq!(refused, Err(unknown), "{pid}");
+        }
+        assert_eq!(shard.history.len(), events, "nothing appended");
+    }
+
+    #[test]
+    fn a_strided_domain_finds_its_members_by_position_and_no_stranger() {
+        // The `closed_disjoint` shape: process p belongs to cluster p mod
+        // 512, so a domain's pids stride by 512 (c, c + 512, …) and every
+        // domain's first member has position 0, like this one's.
+        let w = clustered(512, 4, ArrivalModel::Closed);
+        let domains = DomainPartition::partition(&w.spec).into_domains();
+        let ctx = grouped_ctx(&w, ConcurrentConfig::default(), &domains);
+        let at = domains
+            .iter()
+            .position(|d| d.len() > 1)
+            .expect("a domain of two");
+        let members = &domains[at];
+        assert!(members.windows(2).all(|p| (p[1].0 - p[0].0) % 512 == 0));
+        let mut shard = Shard::build(at as u32, members, &ctx);
+        let firsts = domains.iter().filter(|d| d[0] != members[0]).map(|d| d[0]);
+        let mut strangers: Vec<ProcessId> = firsts.take(8).collect();
+        // Each sits at position 0, where this shard has a slot: the slot's
+        // pid is what turns it away.
+        assert!(strangers.iter().all(|&p| ctx.at(p) == 0));
+        strangers.extend([members[0].0 + 1, u32::MAX].map(ProcessId));
+        assert_members(&mut shard, &ctx, members, &strangers);
+    }
+
+    #[test]
+    fn a_restored_shard_knows_only_the_processes_its_image_names() {
+        use crate::engine::{Engine, RunConfig};
+        let w = generate(&WorkloadConfig {
+            seed: 3,
+            processes: 8,
+            conflict_density: 0.4,
+            ..WorkloadConfig::default()
+        });
+        let mut engine = Engine::new(&w, RunConfig::default());
+        let named = |shard: &Shard<'_>| -> BTreeSet<ProcessId> {
+            let events = shard.history.events().iter();
+            let pids = events.flat_map(|e| e.processes().iter().copied());
+            pids.chain(shard.invocation_log.iter().map(|e| e.gid.process))
+                .collect()
+        };
+        while named(&engine.shard).len() < 3 {
+            assert!(engine.tick(), "the run names three processes");
+        }
+        let members: Vec<ProcessId> = named(&engine.shard).into_iter().collect();
+        let all = w.spec.processes().map(|p| p.id);
+        let mut strangers: Vec<ProcessId> = all.filter(|p| !members.contains(p)).collect();
+        assert!(!strangers.is_empty(), "the image names a subset");
+        strangers.push(ProcessId(u32::MAX));
+        let (ctx, mut shard) = Shard::restore(&w, engine.crash(), false).expect("restores");
+        assert_members(&mut shard, &ctx, &members, &strangers);
     }
 
     #[test]

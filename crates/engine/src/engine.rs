@@ -137,7 +137,7 @@ impl<'a> RunOrder<'a> for VirtualTime {
 pub struct Engine<'a> {
     /// What the workers of a concurrent run share; here there is one
     /// worker, and the clock is the virtual `now`.
-    ctx: RunCtx<'a>,
+    pub(crate) ctx: RunCtx<'a>,
     /// Every process of the workload, in one shard.
     pub(crate) shard: Shard<'a>,
     order: VirtualTime,
@@ -165,11 +165,11 @@ impl<'a> Engine<'a> {
         tele: Telemetry,
     ) -> Self {
         let (policy, coins) = (cfg.policy, cfg.inject_failures.then_some(cfg.seed));
-        let durable = (fresh_agents(workload), Coordinator::new());
+        let (durable, traced) = ((fresh_agents(workload), Coordinator::new()), sink.enabled());
         let clock = Clock::Virtual(0.into());
-        let mut ctx = RunCtx::new(workload, policy, coins, sink.enabled(), clock, durable);
-        ctx.tele = tele;
         let members: Vec<ProcessId> = workload.spec.processes().map(|p| p.id).collect();
+        let mut ctx = RunCtx::new(workload, &[&members], policy, coins, traced, clock, durable);
+        ctx.tele = tele;
         let shard = Shard::build(0, &members, &ctx);
         let order = VirtualTime {
             arrivals: ctx.arrival_queue(&members),

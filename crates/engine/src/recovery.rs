@@ -309,7 +309,7 @@ fn completion_order(
         let (completion, service) = (state.completion(), |a| state.process().service(a));
         for &a in &completion.compensations {
             let gid = GlobalActivityId::new(pid, a);
-            let logged = shard.invocation(gid);
+            let logged = shard.invocation(ctx, gid);
             if logged.and_then(|(sid, inv)| ctx.invoked(sid, inv)) != Some(service(a)) {
                 return Err(RecoveryError::NotLogged(gid));
             }
