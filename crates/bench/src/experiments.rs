@@ -783,7 +783,6 @@ pub fn e17_scalability() -> ExperimentResult {
 /// the structure alone: how much a second shard buys depends on the host's
 /// cores, and `closed_disjoint` of the repository benchmark measures it.
 pub fn e21_conflict_domain_sharding() -> ExperimentResult {
-    use txproc_core::domains::DomainPartition;
     use txproc_engine::concurrent::{run_concurrent, ConcurrentConfig, ShardMode};
     let processes = 128;
     let mut structure = Table::new(
@@ -798,7 +797,7 @@ pub fn e21_conflict_domain_sharding() -> ExperimentResult {
             conflict_density: density,
             ..WorkloadConfig::default()
         });
-        let part = DomainPartition::partition(&w.spec);
+        let part = w.partition();
         let biggest = part.domains().iter().map(Vec::len).max().unwrap_or(0);
         if density >= 1.0 && part.domain_count() != 1 {
             collapse_ok = false;

@@ -137,15 +137,12 @@ pub fn cim_workload(failure_probability: f64) -> (CimWorld, Workload) {
         5,
     );
 
-    let workload = Workload {
-        spec: fx.spec.clone(),
-        deployment,
-        config: WorkloadConfig {
-            processes: fx.spec.process_count(),
-            failure_probability,
-            ..WorkloadConfig::default()
-        },
+    let config = WorkloadConfig {
+        processes: fx.spec.process_count(),
+        failure_probability,
+        ..WorkloadConfig::default()
     };
+    let workload = Workload::new(fx.spec.clone(), deployment, config);
     (fx, workload)
 }
 
@@ -180,15 +177,12 @@ pub fn paper_workload(failure_probability: f64) -> (PaperWorld, Workload) {
     deployment.place(s(2, 2), sub, Program::set(Key(43), 1));
     deployment.place(s(2, 3), sub, Program::set(Key(44), 1));
     deployment.place(s(3, 2), sub, Program::set(Key(45), 1));
-    let workload = Workload {
-        spec: fx.spec.clone(),
-        deployment,
-        config: WorkloadConfig {
-            processes: fx.spec.process_count(),
-            failure_probability,
-            ..WorkloadConfig::default()
-        },
+    let config = WorkloadConfig {
+        processes: fx.spec.process_count(),
+        failure_probability,
+        ..WorkloadConfig::default()
     };
+    let workload = Workload::new(fx.spec.clone(), deployment, config);
     (fx, workload)
 }
 

@@ -83,7 +83,7 @@ impl UnionFind {
 /// Domain ids are dense (`0..domain_count()`) and ordered by the smallest
 /// member [`ProcessId`], so the labelling is deterministic for a given spec
 /// regardless of union order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainPartition {
     /// Dense index → pid, ascending (so a pid's index is its binary search).
     pids: Vec<ProcessId>,
@@ -197,12 +197,6 @@ impl DomainPartition {
     /// Member pids of each domain, indexed by domain id.
     pub fn domains(&self) -> &[Vec<ProcessId>] {
         &self.members
-    }
-
-    /// The member lists themselves, for a caller that keeps nothing else of
-    /// the partition.
-    pub fn into_domains(self) -> Vec<Vec<ProcessId>> {
-        self.members
     }
 
     /// Whether two processes share a domain.

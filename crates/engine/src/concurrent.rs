@@ -32,13 +32,14 @@
 //!
 //! # Shard lifecycle
 //!
-//! The calling thread partitions, assigns, and then is worker 0 (workers
-//! `1..W` are spawned). The owning worker builds a shard (`Shard::build`)
-//! when it admits the domain's first due arrival, and retires it
-//! (`Shard::finish`, which hands its trace records to the merge) in the visit
-//! in which its last process terminates *and* no arrival is pending: a
-//! drained domain's history still constrains its later arrivals. So a
-//! worker holds state only for domains with live or due work
+//! The calling thread assigns the workload's conflict domains
+//! ([`Workload::partition`]: no run partitions) and then is worker 0
+//! (workers `1..W` are spawned). The owning worker builds a shard
+//! (`Shard::build`) when it admits the domain's first due arrival, and
+//! retires it (`Shard::finish`, which hands its trace records to the merge)
+//! in the visit in which its last process terminates *and* no arrival is
+//! pending: a drained domain's history still constrains its later arrivals.
+//! So a worker holds state only for domains with live or due work
 //! ([`RuntimeMetrics::shards_live_peak`]); step order, and so every
 //! single-worker history, ticket and metric, is that of a run with every
 //! shard built up front.
@@ -104,8 +105,7 @@ const WAKE_EARLY: Duration = Duration::from_micros(100);
 pub enum ShardMode {
     /// One shard for all processes, kept as the differential baseline.
     Single,
-    /// One shard per conflict domain of the workload (the partition of the
-    /// potential-conflict graph computed by [`DomainPartition`]).
+    /// One shard per conflict domain of the workload ([`Workload::partition`]).
     Auto,
 }
 
@@ -355,8 +355,7 @@ impl<'a> RunCtx<'a> {
     /// Where `pid`'s slot is among its shard's, if the one there is its own: a
     /// process of another shard has a position too (past every slot if none).
     fn at(&self, pid: ProcessId) -> usize {
-        let at = self.positions.get(pid.index());
-        at.map_or(usize::MAX, |&at| at as usize)
+        *self.positions.get(pid.index()).unwrap_or(&u32::MAX) as usize
     }
 
     /// `members` in the order both drivers admit them: by arrival time,
@@ -1597,9 +1596,10 @@ pub(crate) fn run_concurrent_impl<'a>(
     wal: Option<WalWriter>,
 ) -> ConcurrentResult {
     // Shard topology: process groups with no conflicts across groups.
-    let groups: Vec<Vec<ProcessId>> = match cfg.shards {
-        ShardMode::Single => vec![workload.spec.processes().map(|p| p.id).collect()],
-        ShardMode::Auto => DomainPartition::partition(&workload.spec).into_domains(),
+    debug_assert!(*workload.partition() == DomainPartition::partition(&workload.spec));
+    let groups: std::borrow::Cow<'_, [Vec<ProcessId>]> = match cfg.shards {
+        ShardMode::Single => vec![workload.spec.processes().map(|p| p.id).collect()].into(),
+        ShardMode::Auto => workload.partition().domains().into(),
     };
 
     let worker_count = cfg.resolved_workers(groups.len());
@@ -2020,7 +2020,7 @@ mod tests {
     #[test]
     fn worker_zero_runs_on_the_calling_thread() {
         let w = clustered(8, 4, ArrivalModel::Closed);
-        let domains = DomainPartition::partition(&w.spec).into_domains();
+        let domains = w.partition().domains();
         let shard_of = |pid: ProcessId| domains.iter().position(|d| d.contains(&pid));
         let caller = std::thread::current().id();
         for workers in [1usize, 2] {
@@ -2267,11 +2267,7 @@ mod tests {
             failure_probability,
             ..WorkloadConfig::default()
         };
-        Workload {
-            spec,
-            deployment,
-            config,
-        }
+        Workload::new(spec, deployment, config)
     }
 
     /// A run context with no worker behind it: one shard of every process,
@@ -2703,10 +2699,10 @@ mod tests {
                 workers: Some(1),
                 ..ConcurrentConfig::default()
             };
-            let domains = DomainPartition::partition(&w.spec).into_domains();
-            let ctx = grouped_ctx(&w, cfg, &domains);
+            let domains = w.partition().domains();
+            let ctx = grouped_ctx(&w, cfg, domains);
             let mut rt = RuntimeMetrics::new(1);
-            for (id, members) in (0..).zip(&domains) {
+            for (id, members) in (0..).zip(domains) {
                 let mut shard = Shard::build(id, members, &ctx);
                 for (_, pid) in ctx.arrival_queue(members) {
                     shard.admit(&ctx, pid);
@@ -3286,8 +3282,8 @@ mod tests {
         // 512, so a domain's pids stride by 512 (c, c + 512, …) and every
         // domain's first member has position 0, like this one's.
         let w = clustered(512, 4, ArrivalModel::Closed);
-        let domains = DomainPartition::partition(&w.spec).into_domains();
-        let ctx = grouped_ctx(&w, ConcurrentConfig::default(), &domains);
+        let domains = w.partition().domains();
+        let ctx = grouped_ctx(&w, ConcurrentConfig::default(), domains);
         let at = domains
             .iter()
             .position(|d| d.len() > 1)

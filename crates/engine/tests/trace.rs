@@ -6,7 +6,6 @@
 use std::collections::BTreeSet;
 use txproc_core::activity::Catalog;
 use txproc_core::conflict::ConflictMatrix;
-use txproc_core::domains::DomainPartition;
 use txproc_core::ids::{ActivityId, GlobalActivityId, ProcessId};
 use txproc_core::process::ProcessBuilder;
 use txproc_core::schedule::{render, Event, Schedule};
@@ -372,7 +371,7 @@ fn a_multi_shard_journal_is_in_its_history_order() {
             let (history, metrics, records) = traced(RunBuilder::new(w).concurrent(cfg));
             let at = format!("seed {seed}, {workers} worker(s), {arrivals}");
             assert_folds(&records, &metrics, &at);
-            let domains = DomainPartition::partition(&w.spec).into_domains();
+            let domains = w.partition().domains();
             let shard_of = |p: &ProcessId| domains.iter().position(|d| d.contains(p));
             // Where each shard's events sit in the merged history.
             let mut positions = vec![Vec::new(); domains.len()];
@@ -481,11 +480,7 @@ fn a_failure_started_completion_recovers_behind_an_aborting_process() {
         failure_probability: 0.5,
         ..WorkloadConfig::default()
     };
-    let w = Workload {
-        spec,
-        deployment,
-        config,
-    };
+    let w = Workload::new(spec, deployment, config);
     let (p1, p2) = (ProcessId(1), ProcessId(2));
     let [a1, p1p] = [0, 1].map(|i| GlobalActivityId::new(p1, ActivityId(i)));
     let b2 = GlobalActivityId::new(p2, ActivityId(0));

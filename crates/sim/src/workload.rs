@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use txproc_core::activity::Catalog;
 use txproc_core::conflict::ConflictMatrix;
+use txproc_core::domains::DomainPartition;
 use txproc_core::flex::FlexAnalysis;
 use txproc_core::ids::{ProcessId, ServiceId};
 use txproc_core::process::ProcessBuilder;
@@ -370,15 +371,44 @@ pub fn zipf_sample(rng: &mut StdRng, n: usize, s: f64) -> usize {
     n - 1
 }
 
-/// A generated workload.
+/// A workload: processes, their deployment and the configuration that
+/// produced them, with the conflict domains of its processes.
+///
+/// The spec is fixed once the workload is built: [`Workload::new`]
+/// partitions it into conflict domains then, once, and every run reads that
+/// partition ([`Workload::partition`]). The deployment and the
+/// configuration may change after construction; the partition reads
+/// neither.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// Catalog + conflicts + processes.
+    /// Catalog + conflicts + processes. Not to be changed after
+    /// construction.
     pub spec: Spec,
     /// Physical placement and programs.
     pub deployment: Deployment,
     /// The configuration that produced it.
     pub config: WorkloadConfig,
+    /// The conflict domains of `spec`'s processes.
+    partition: DomainPartition,
+}
+
+impl Workload {
+    /// A workload over `spec`, partitioned into its conflict domains.
+    pub fn new(spec: Spec, deployment: Deployment, config: WorkloadConfig) -> Self {
+        let partition = DomainPartition::partition(&spec);
+        Self {
+            spec,
+            deployment,
+            config,
+            partition,
+        }
+    }
+
+    /// The conflict domains of the spec's processes, computed when the
+    /// workload was built.
+    pub fn partition(&self) -> &DomainPartition {
+        &self.partition
+    }
 }
 
 /// Generates a workload from a configuration, or reports why the
@@ -521,11 +551,7 @@ fn generate_unchecked(config: &WorkloadConfig) -> Workload {
         spec.add_process(process);
     }
 
-    Workload {
-        spec,
-        deployment,
-        config: config.clone(),
-    }
+    Workload::new(spec, deployment, config.clone())
 }
 
 /// Declares the conflict matrix from the physical programs (sound and
@@ -760,7 +786,6 @@ mod tests {
 
     #[test]
     fn clusters_partition_the_conflict_graph() {
-        use txproc_core::domains::DomainPartition;
         for seed in 0..3 {
             let w = generate(&WorkloadConfig {
                 seed,

@@ -77,14 +77,11 @@ fn main() {
     for p in spec_processes {
         spec.add_process(p);
     }
-    let workload = Workload {
-        spec,
-        deployment,
-        config: WorkloadConfig {
-            failure_probability: 0.25,
-            ..WorkloadConfig::default()
-        },
+    let config = WorkloadConfig {
+        failure_probability: 0.25,
+        ..WorkloadConfig::default()
     };
+    let workload = Workload::new(spec, deployment, config);
 
     for kind in [PolicyKind::Pred, PolicyKind::Serial] {
         let result = run(
